@@ -8,7 +8,6 @@ from .neighborhood import (  # noqa: F401
     NeighborhoodSystem,
     default_pair_cover,
     derive,
-    kappa_tau,
     make_system,
     pair_interference,
     reverse_neighborhoods,

@@ -8,13 +8,14 @@ a bound-report JSON, a summary CSV, a verdict CSV, and a gnuplot-ready
 rate-plot file, then exits 0 iff all configured assertions pass (2 on
 schema errors, 1 on assertion failures).
 
-Subcommands ``derive``, ``bound``, ``oracle``, ``mc``, ``rate`` run single
-stages; ``count`` exposes the naive counting oracles.
+Subcommands ``derive``, ``bound``, ``oracle``, ``mc`` run single stages;
+``count`` exposes the naive counting oracles.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, fields, harness, moments, neighborhood, oracle, statistics
-from .errors import ConfigError, LocdepError
+from .errors import ComplexityCapExceeded, ConfigError, LocdepError
 
 FAMILIES = ("iid", "m_dependent", "graph", "ustat", "constrained_ustat", "decorated_graph")
 STATISTICS = ("w1", "w2", "w2bar", "sum")
@@ -64,6 +65,15 @@ def _need(doc: dict, key: str, kind, where: str):
     return val
 
 
+# bounds every family takes; the others need a family's own parameters
+GENERIC_BOUNDS = ("main", "self_normalized", "general_beta")
+FAMILY_BOUNDS = {
+    "graph": ("graph",),
+    "ustat": ("distributed_u", "distributed_general"),
+    "constrained_ustat": ("constrained_u",),
+    "decorated_graph": ("decorated",),
+}
+
 DEFAULT_BOUNDS = {
     "iid": ["main", "self_normalized"],
     "m_dependent": ["main", "self_normalized"],
@@ -91,12 +101,18 @@ def parse_spec(doc: dict) -> ExperimentSpec:
     if not isinstance(mode_doc, dict) or mode_doc.get("kind") not in ("exact", "mc"):
         raise ConfigError("$.mode.kind", "expected 'exact' or 'mc'")
     mode = mode_doc["kind"]
-    reps = int(mode_doc.get("reps", 10**4))
+    reps = _need(mode_doc, "reps", int, "$.mode") if "reps" in mode_doc else 10**4
     if mode == "mc" and reps < 10**3:
         raise ConfigError("$.mode.reps", f"mc mode needs reps >= 1000, got {reps}")
     bound_set = doc.get("bounds", DEFAULT_BOUNDS[family])
     if not isinstance(bound_set, list):
         raise ConfigError("$.bounds", "expected list of bound names")
+    allowed = GENERIC_BOUNDS + FAMILY_BOUNDS.get(family, ())
+    for name in bound_set:
+        if name not in allowed:
+            raise ConfigError(
+                "$.bounds", f"bound {name!r} is not defined for family {family!r}; one of {allowed}"
+            )
     checkers = doc.get("checkers")
     if checkers is not None and not isinstance(checkers, dict):
         raise ConfigError("$.checkers", "expected object or null")
@@ -179,7 +195,7 @@ def star_edges(n: int) -> list[tuple[int, int]]:
 
 @dataclass
 class BuiltInstance:
-    """A field at one grid size plus what the bound evaluators need."""
+    """A field at one grid size plus what the bound shapes need."""
 
     field: fields.LatentSourceField
     info: dict
@@ -273,20 +289,18 @@ def _moment_table_for(built: BuiltInstance, spec: ExperimentSpec, n: int,
     return table
 
 
-def _derive_kappa_tau(built: BuiltInstance, spec: ExperimentSpec | None = None,
-                      cap_terms: int = 10**7):
-    declared = spec.params.get("declared_A") if spec is not None else None
+def _derive_system(built: BuiltInstance, spec: ExperimentSpec, cap_terms: int = 10**7):
+    """(system, derived): the declared or induced neighborhoods.  Raises
+    :class:`ComplexityCapExceeded` when the induced system exceeds
+    ``cap_terms`` neighbor entries."""
+    declared = spec.params.get("declared_A")
     if declared is not None:
         # user-declared neighborhoods: accepted, but independence is only
         # verified when the LD assertion is switched on
         sys = neighborhood.make_system([tuple(x) for x in declared])
     else:
-        try:
-            sys = fields.induced_neighborhoods(built.field, cap_terms=cap_terms)
-        except LocdepError:
-            return None, None, None
-    der = neighborhood.derive(sys)
-    return sys, der.kappa, der.tau
+        sys = fields.induced_neighborhoods(built.field, cap_terms=cap_terms)
+    return sys, neighborhood.derive(sys)
 
 
 def evaluate_bounds(
@@ -296,10 +310,8 @@ def evaluate_bounds(
     declared = "declared_A" in spec.params
     sys = der = None
     for name in spec.bound_set:
-        if name in ("main", "self_normalized", "general_beta") and sys is None:
-            sys, kappa, tau = _derive_kappa_tau(built, spec)
-            if sys is not None:
-                der = neighborhood.derive(sys)
+        if name in GENERIC_BOUNDS and sys is None:
+            sys, der = _derive_system(built, spec)
         if name == "main":
             reports.append(bounds.bound_main(table, der.kappa, der.tau))
         elif name == "self_normalized":
@@ -321,8 +333,6 @@ def evaluate_bounds(
             )
         elif name == "distributed_general":
             reports.append(_distributed_general_report(built, table))
-        else:
-            raise ConfigError("$.bounds", f"unknown bound {name!r}")
         if declared:
             reports[-1].inputs["independence"] = "unverified (declared neighborhoods)"
     return reports
@@ -340,15 +350,11 @@ def _distributed_general_report(built: BuiltInstance, table) -> bounds.BoundRepo
             sigma2=table.sigma2, mode=table.mode,
         )
         block_tables.append(sub)
-        supports = f.supports[lo:hi]
-        a_sets = []
-        for s in supports:
-            ss = set(s)
-            a_sets.append(tuple(
-                j for j, t in enumerate(supports) if ss & set(t)
-            ))
-        sys_b = neighborhood.make_system(a_sets)
-        der_b = neighborhood.derive(sys_b)
+        block = dataclasses.replace(
+            f, supports=f.supports[lo:hi], params=tuple(p[lo:hi] for p in f.params),
+            means=f.means[lo:hi], metadata={},
+        )
+        der_b = neighborhood.derive(fields.induced_neighborhoods(block))
         kappas.append(der_b.kappa)
         taus.append(der_b.tau)
     return bounds.bound_distributed_general(block_tables, kappas, taus, table.sigma)
@@ -583,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--cap", type=int, default=fields.DEFAULT_ENUM_CAP,
                        help="enumeration cap (outcomes)")
 
-    for name in ("run", "derive", "bound", "oracle", "mc", "rate"):
+    for name in ("run", "derive", "bound", "oracle", "mc"):
         add_common(sub.add_parser(name))
 
     pc = sub.add_parser("count", help="naive counting oracles")
@@ -617,18 +623,18 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "derive":
         for n in spec.grid:
             built = build_family(spec.family, spec.params, n)
-            sysn, kappa, tau = _derive_kappa_tau(built, spec)
-            if sysn is None:
+            try:
+                _, der = _derive_system(built, spec)
+            except ComplexityCapExceeded:
                 print(f"n={n}: system too large to materialize")
             else:
-                print(f"n={n}: kappa={kappa} tau={tau}")
+                print(f"n={n}: kappa={der.kappa} tau={der.tau}")
         return 0
-    if args.command in ("bound", "mc", "rate", "oracle", "run"):
+    if args.command in ("bound", "mc", "oracle", "run"):
         stages = {
             "run": dict(do_bounds=True, do_stat=True, do_checkers=True),
             "bound": dict(do_bounds=True, do_stat=False, do_checkers=False),
             "mc": dict(do_bounds=False, do_stat=True, do_checkers=False),
-            "rate": dict(do_bounds=False, do_stat=True, do_checkers=False),
             "oracle": dict(do_bounds=False, do_stat=False, do_checkers=True),
         }[args.command]
         if args.command == "oracle" and spec.checkers is None:

@@ -1,8 +1,20 @@
 """Sampleable locally dependent random fields built from latent sources.
 
 Every field value is a deterministic function of a small set of mutually
-independent source variables:  X_i = ev_i(sources in supp(i)).  Dependence
-neighborhoods are then *induced* by support overlap,
+independent source variables.  A field stores which sources each index
+reads as an ``(n, K)`` integer array ``supports`` (row i lists X_i's
+source ids in argument order; -1 pads read a constant 0) and computes all
+n values with **one** evaluator over the gathered source values,
+
+    G[..., i, k] = U[..., supports[i, k]],      X = ev(G, *params),
+
+where each entry of ``params`` is a per-index array (leading axis n).  The
+evaluator treats every index alike: X_i depends only on row i of G and of
+each param.  Indices (or pairs of indices) whose support rows have the
+same coincidence pattern, source laws and params therefore share one law,
+and exact moments enumerate once per such signature.
+
+Dependence neighborhoods are *induced* by support overlap,
 
     A_i  = {j : supp(j) & supp(i) != {}},
     A_ij = {k : supp(k) & (supp(i) | supp(j)) != {}} = A_i | A_j,
@@ -23,12 +35,15 @@ replications parallelize and reproduce bit-for-bit.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     BlockTooSmall,
@@ -44,6 +59,8 @@ from .rng import STREAM_MEAN_PREPASS, STREAM_SAMPLE, substream
 DEFAULT_ENUM_CAP = 2**24
 DEFAULT_INDEX_CAP = 2**22
 ENUM_BLOCK = 2**16
+# largest gathered (reps, indices, K) block one evaluator call sees
+GATHER_CELLS = 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -107,44 +124,119 @@ def _draw(source: Source, rng: np.random.Generator, size: int) -> np.ndarray:
     return np.asarray(source.values)[np.minimum(idx, len(source.values) - 1)]
 
 
+def product_grid(sources: Sequence[Source], start: int = 0, stop: int | None = None):
+    """(probs, rows) for outcomes start..stop-1 of the product grid over
+    discrete ``sources``: rows[k] is one joint outcome, with sources[0] as
+    the most significant mixed-radix digit."""
+    if any(not isinstance(s, DiscreteSource) for s in sources):
+        raise EnumerationCapExceeded("continuous source; no exact grid")
+    stop = math.prod(len(s.values) for s in sources) if stop is None else stop
+    idx = np.arange(start, stop, dtype=np.int64)
+    rows = np.empty((idx.size, len(sources)))
+    p = np.ones(idx.size)
+    for s in range(len(sources) - 1, -1, -1):
+        radix = len(sources[s].values)
+        digit = idx % radix
+        idx //= radix
+        rows[:, s] = np.asarray(sources[s].values)[digit]
+        p *= np.asarray(sources[s].probs)[digit]
+    return p, rows
+
+
 # ---------------------------------------------------------------------------
 # The field type
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _source_runs(sources: tuple[Source, ...]) -> tuple[tuple[slice, Source], ...]:
+    """Maximal runs of equal consecutive sources (one draw call each)."""
+    runs = []
+    start = 0
+    for s in range(1, len(sources) + 1):
+        head = sources[start]
+        if s == len(sources) or (sources[s] is not head and sources[s] != head):
+            runs.append((slice(start, s), head))
+            start = s
+    return tuple(runs)
+
+
+def _law_ids(runs) -> np.ndarray:
+    """Per source, the index of its law among the distinct laws."""
+    laws: list[Source] = []
+    ids = []
+    for _, src in runs:
+        k = next((j for j, law in enumerate(laws) if law is src or law == src), len(laws))
+        if k == len(laws):
+            laws.append(src)
+        ids.append(k)
+    return np.repeat(np.asarray(ids, dtype=np.int64), [sl.stop - sl.start for sl, _ in runs])
+
+
+@dataclass(frozen=True, eq=False)
 class LatentSourceField:
     """A field X_1..X_n of evaluator outputs over independent sources.
 
-    ``supports[i]`` lists the source ids evaluator i consumes, in argument
-    order (overlap tests use the set of ids).  ``means`` holds E X_i before
-    centering; sampled values are centered iff ``center`` is set.
+    ``supports`` is the (n, K) source-id array (-1 pads read 0); ``ev`` and
+    ``params`` are the evaluator and its per-index arrays (see the module
+    docstring).  ``means`` holds E X_i before centering and is computed at
+    construction when ``center`` is set and none are given; sampled values
+    are centered iff ``center`` is set.  Arrays and metadata are read-only.
     """
 
     sources: tuple[Source, ...]
-    supports: tuple[tuple[int, ...], ...]
-    evaluators: tuple[Callable, ...]
+    supports: np.ndarray
+    ev: Callable
+    params: tuple = ()
     center: bool = True
     means: np.ndarray | None = None
-    metadata: dict = dc_field(default_factory=dict)
+    metadata: Mapping = dc_field(default_factory=dict)
+    runs: tuple = dc_field(init=False, repr=False)
+    law_ids: np.ndarray = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        put = object.__setattr__
+        sources = tuple(self.sources)
+        supports = np.array(self.supports, dtype=np.int64, ndmin=2)
+        if supports.ndim != 2 or (
+            supports.size and not -1 <= supports.min() <= supports.max() < len(sources)
+        ):
+            raise ValueError("supports must be an (n, K) array of source ids, -1 for a pad")
+        params = tuple(_read_only(np.array(p)) for p in self.params)
+        if any(p.shape[:1] != (supports.shape[0],) for p in params):
+            raise ValueError("every param needs one entry per index")
+        runs = _source_runs(sources)
+        put(self, "sources", sources)
+        put(self, "supports", _read_only(supports))
+        put(self, "params", params)
+        put(self, "runs", runs)
+        put(self, "law_ids", _read_only(_law_ids(runs)))
+        put(self, "metadata", dict(self.metadata))
+        means = self.means
+        if means is None and self.center:
+            means = compute_means(self)
+        if means is not None:
+            put(self, "means", _read_only(np.array(means, dtype=float)))
+        put(self, "metadata", MappingProxyType(self.metadata))
 
     @property
     def n(self) -> int:
-        return len(self.supports)
+        return self.supports.shape[0]
 
     @property
     def n_sources(self) -> int:
         return len(self.sources)
 
     def is_enumerable(self) -> bool:
-        return all(isinstance(s, DiscreteSource) for s in self.sources)
+        return all(isinstance(src, DiscreteSource) for _, src in self.runs)
 
     def outcome_count(self) -> int | None:
         if not self.is_enumerable():
             return None
-        count = 1
-        for s in self.sources:
-            count *= len(s.values)
-        return count
+        return math.prod(len(src.values) ** (sl.stop - sl.start) for sl, src in self.runs)
 
 
 @dataclass(frozen=True)
@@ -156,80 +248,131 @@ class Realization:
     replication: int
 
 
-def _values_of(x) -> np.ndarray:
-    return x.values if isinstance(x, Realization) else np.asarray(x, dtype=float)
+# ---------------------------------------------------------------------------
+# Evaluation
+
+
+def _gather(U: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """G[..., i, k] = U[..., S[i, k]], with 0 where S is -1."""
+    G = U[..., S]
+    pads = S < 0
+    if pads.any():
+        G[..., pads] = 0.0
+    return G
+
+
+def _evaluate(field: LatentSourceField, U: np.ndarray, idx) -> np.ndarray:
+    """Uncentered values of the indices ``idx`` (a slice or index array)."""
+    G = _gather(U, field.supports[idx])
+    return field.ev(G, *(p[idx] for p in field.params))
+
+
+def _blocks(count: int, width: int, reps: int) -> list[slice]:
+    """Index slices whose gathered (reps, block, width) array stays within
+    GATHER_CELLS and no larger than a (reps, count) output."""
+    width = max(width, 1)
+    step = max(1, min(count // width, GATHER_CELLS // max(1, reps * width)))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def local_values(field: LatentSourceField, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, X) over the product grid of the sources the indices ``idx``
+    read: X[k, j] is the uncentered X_{idx[j]} at grid point k."""
+    S = field.supports[np.asarray(idx, dtype=np.int64)]
+    used = np.unique(S[S >= 0])
+    probs, grid = product_grid([field.sources[s] for s in used])
+    if not used.size:
+        grid = np.zeros((1, 1))
+    local = np.where(S >= 0, np.searchsorted(used, S), -1)
+    X = field.ev(_gather(grid, local), *(p[idx] for p in field.params))
+    return probs, np.broadcast_to(np.asarray(X, dtype=float), (probs.size, len(idx)))
 
 
 # ---------------------------------------------------------------------------
-# Exact local grids and means
+# Signatures: indices and pairs with one law by construction
 
 
-def local_grid(field: LatentSourceField, source_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Product grid over the given discrete sources.
-
-    Returns (rows, probs): rows[k] holds one joint outcome of the sources
-    in the order given; probs[k] its probability.
-    """
-    vals = []
-    prbs = []
-    for s in source_ids:
-        src = field.sources[s]
-        if not isinstance(src, DiscreteSource):
-            raise EnumerationCapExceeded(f"source {s} is continuous; no exact grid")
-        vals.append(np.asarray(src.values))
-        prbs.append(np.asarray(src.probs))
-    grids = np.meshgrid(*vals, indexing="ij") if vals else []
-    rows = (
-        np.stack([g.reshape(-1) for g in grids], axis=1)
-        if vals
-        else np.zeros((1, 0))
-    )
-    probs = np.ones(rows.shape[0])
-    if vals:
-        pgrids = np.meshgrid(*prbs, indexing="ij")
-        for pg in pgrids:
-            probs = probs * pg.reshape(-1)
-    return rows, probs
+def _pack(keys: np.ndarray) -> np.ndarray:
+    """One int64 per row of a nonnegative integer matrix; equal rows get
+    equal values (columns are re-densified before they could overflow)."""
+    out = np.zeros(keys.shape[0], dtype=np.int64)
+    span = 1
+    for col in keys.T:
+        radix = int(col.max()) + 1 if col.size else 1
+        if span * radix >= 2**62:
+            out = np.unique(out, return_inverse=True)[1].reshape(-1)
+            span = int(out.max()) + 1
+        out = out * radix + col
+        span *= radix
+    return out
 
 
-def exact_index_mean(field: LatentSourceField, i: int) -> float:
-    rows, probs = local_grid(field, field.supports[i])
-    vals = field.evaluators[i](*(rows[:, k] for k in range(rows.shape[1])))
-    return float(probs @ np.asarray(vals, dtype=float))
+def _first_slots(S: np.ndarray) -> np.ndarray:
+    """Coincidence pattern: F[r, c] is the first slot of row r holding the
+    same source id as slot c."""
+    order = np.argsort(S, axis=1, kind="stable")
+    ordered = np.take_along_axis(S, order, axis=1)
+    starts = np.zeros(S.shape, dtype=np.int64)
+    starts[:, 1:] = np.where(ordered[:, 1:] != ordered[:, :-1], np.arange(1, S.shape[1]), 0)
+    first = np.take_along_axis(order, np.maximum.accumulate(starts, axis=1), axis=1)
+    F = np.empty_like(S)
+    np.put_along_axis(F, order, first, axis=1)
+    return F
+
+
+def _index_classes(field: LatentSourceField) -> np.ndarray:
+    """Per index, an id shared exactly by indices with equal params and means."""
+    cols = [np.zeros(field.n, dtype=np.int64)]
+    for p in (*field.params, *(() if field.means is None else (field.means,))):
+        flat = p.reshape(field.n, -1)
+        inv = np.unique(flat, axis=0 if flat.shape[1] > 1 else None, return_inverse=True)[1]
+        cols.append(inv.reshape(-1))
+    return _pack(np.stack(cols, axis=1))
+
+
+def signature_groups(field: LatentSourceField, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Group indices (``idx`` of shape (N,)) or index pairs ((N, 2)) whose
+    joint law is the same by construction: equal coincidence pattern of
+    their support rows, equal source laws slot by slot, equal params and
+    means.  Returns (first, inverse): row first[g] of ``idx`` represents
+    group g, and row r belongs to group inverse[r]."""
+    rows = np.asarray(idx, dtype=np.int64).reshape(len(idx), -1)
+    S = field.supports[rows].reshape(len(rows), -1)
+    laws = np.append(field.law_ids, field.law_ids.max(initial=0) + 1)[S]
+    keys = np.concatenate([_first_slots(S), laws, _index_classes(field)[rows]], axis=1)
+    _, first, inverse = np.unique(_pack(keys), return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# Means
 
 
 def compute_means(
     field: LatentSourceField,
     master_seed: int = 0,
     prepass: int = 10**6,
-    cache_key: Callable[[int], object] | None = None,
 ) -> np.ndarray:
-    """E X_i for every index: exact when the supporting sources are
-    discrete, otherwise a Monte-Carlo pre-pass of ``prepass`` draws.
-
-    ``cache_key`` maps an index to a hashable signature of its exact mean;
-    indices sharing a signature share one enumeration (used by the
-    stationary-sequence builders).
-    """
+    """E X_i for every index: exact (one local enumeration per signature)
+    when the supporting sources are discrete, otherwise a Monte-Carlo
+    pre-pass of ``prepass`` draws."""
     means = np.empty(field.n)
-    exact = [
-        all(isinstance(field.sources[s], DiscreteSource) for s in supp)
-        for supp in field.supports
-    ]
-    cache: dict[object, float] = {}
-    for i in range(field.n):
-        if not exact[i]:
-            continue
-        key = cache_key(i) if cache_key is not None else None
-        if key is not None and key in cache:
-            means[i] = cache[key]
-            continue
-        means[i] = exact_index_mean(field, i)
-        if key is not None:
-            cache[key] = means[i]
-    todo = [i for i in range(field.n) if not exact[i]]
-    if todo:
-        acc = np.zeros(len(todo))
+    discrete = np.repeat(
+        [isinstance(src, DiscreteSource) for _, src in field.runs],
+        [sl.stop - sl.start for sl, _ in field.runs],
+    )
+    exact = np.append(discrete, True)[field.supports].all(axis=1)
+    idx = np.flatnonzero(exact)
+    if idx.size:
+        first, inverse = signature_groups(field, idx)
+        group_means = []
+        for i in idx[first]:
+            probs, X = local_values(field, [i])
+            group_means.append(float(probs @ X[:, 0]))
+        means[idx] = np.asarray(group_means)[inverse]
+    todo = np.flatnonzero(~exact)
+    if todo.size:
+        acc = np.zeros(todo.size)
         done = 0
         chunk = max(1, min(prepass, (1 << 25) // max(1, field.n_sources)))
         rng = substream(master_seed, STREAM_MEAN_PREPASS)
@@ -238,31 +381,17 @@ def compute_means(
             rows = np.empty((size, field.n_sources))
             for s, src in enumerate(field.sources):
                 rows[:, s] = _draw(src, rng, size)
-            for k, i in enumerate(todo):
-                cols = (rows[:, s] for s in field.supports[i])
-                acc[k] += float(np.sum(field.evaluators[i](*cols)))
+            for sl in _blocks(todo.size, field.supports.shape[1], size):
+                acc[sl] += _evaluate(field, rows, todo[sl]).sum(axis=0)
             done += size
-        for k, i in enumerate(todo):
-            means[i] = acc[k] / prepass
-        field.metadata["mean_prepass"] = {"draws": prepass, "indices": len(todo)}
+        means[todo] = acc / prepass
+        if isinstance(field.metadata, dict):  # provenance, recorded while the field is built
+            field.metadata["mean_prepass"] = {"draws": prepass, "indices": int(todo.size)}
     return means
 
 
 # ---------------------------------------------------------------------------
 # Sampling and evaluation
-
-
-def _source_runs(field: LatentSourceField) -> list[tuple[slice, Source]]:
-    runs = []
-    start = 0
-    for s, src in enumerate(field.sources):
-        if s > 0 and src == field.sources[start]:
-            continue
-        if s > start:
-            runs.append((slice(start, s), field.sources[start]))
-        start = s
-    runs.append((slice(start, field.n_sources), field.sources[start]))
-    return runs
 
 
 def draw_source_rows(
@@ -272,25 +401,22 @@ def draw_source_rows(
     path: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Source draws for the given replication indices, one substream each."""
-    runs = field.metadata.setdefault("_source_runs", _source_runs(field))
     out = np.empty((len(reps), field.n_sources))
     for r_i, rep in enumerate(reps):
         rng = substream(master_seed, STREAM_SAMPLE, *path, int(rep))
-        for sl, src in runs:
+        for sl, src in field.runs:
             out[r_i, sl] = _draw(src, rng, sl.stop - sl.start)
     return out
 
 
 def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
-    """Apply the evaluators to source rows; shape (reps, n), centered."""
+    """Field values for source rows; shape (reps, n), centered iff the
+    field is.  Indices are evaluated in blocks (see :func:`_blocks`)."""
     rows = np.atleast_2d(rows)
     out = np.empty((rows.shape[0], field.n))
-    for i, supp in enumerate(field.supports):
-        cols = (rows[:, s] for s in supp)
-        out[:, i] = field.evaluators[i](*cols)
+    for sl in _blocks(field.n, field.supports.shape[1], rows.shape[0]):
+        out[:, sl] = _evaluate(field, rows, sl)
     if field.center:
-        if field.means is None:
-            field.means = compute_means(field)
         out -= field.means
     return out
 
@@ -319,40 +445,34 @@ def outcome_blocks(
         raise EnumerationCapExceeded("field has continuous sources")
     if total > cap:
         raise EnumerationCapExceeded(f"{total} outcomes exceed cap {cap}")
-    values = [np.asarray(s.values) for s in field.sources]
-    probs = [np.asarray(s.probs) for s in field.sources]
     for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        rows = np.empty((idx.size, field.n_sources))
-        p = np.ones(idx.size)
-        rem = idx.copy()
-        for s in range(field.n_sources - 1, -1, -1):
-            radix = len(values[s])
-            digit = rem % radix
-            rem //= radix
-            rows[:, s] = values[s][digit]
-            p *= probs[s][digit]
-        yield p, rows
+        yield product_grid(field.sources, start, min(start + block, total))
 
 
 # ---------------------------------------------------------------------------
 # Induced neighborhoods
 
 
-def _support_users(field: LatentSourceField) -> list[list[int]]:
-    users: list[list[int]] = [[] for _ in range(field.n_sources)]
-    for i, supp in enumerate(field.supports):
-        for s in set(supp):
-            users[s].append(i)
-    return users
+def incidence(field: LatentSourceField) -> sparse.csr_matrix:
+    """Sparse 0/1 (n, n_sources) matrix: M[i, s] = 1 iff X_i reads source s."""
+    S = field.supports
+    rows = np.repeat(np.arange(field.n), S.shape[1])
+    cols = S.reshape(-1)
+    keep = cols >= 0
+    M = sparse.csr_matrix(
+        (np.ones(int(keep.sum())), (rows[keep], cols[keep])), shape=(field.n, field.n_sources)
+    )
+    M.data[:] = 1.0  # a row may list a source twice
+    return M
 
 
-def induced_neighbor_sets(field: LatentSourceField) -> list[set[int]]:
-    """A_i = {j : supports overlap}, as mutable sets."""
-    users = _support_users(field)
-    return [
-        set().union(*(users[s] for s in set(supp))) for supp in field.supports
-    ]
+def overlap_matrix(field: LatentSourceField) -> sparse.csr_matrix:
+    """Sparse 0/1 matrix with M[i, j] = 1 iff j is in the induced A_i."""
+    inc = incidence(field)
+    M = (inc @ inc.T).tocsr()
+    M.sort_indices()
+    M.data[:] = 1.0
+    return M
 
 
 def induced_neighborhoods(
@@ -364,95 +484,30 @@ def induced_neighborhoods(
     source with i.  ``cap_terms`` guards against materializing systems
     whose pair covers would be astronomically large.
     """
-    users = _support_users(field)
-    estimate = sum(len(users[s]) for supp in field.supports for s in set(supp))
+    users = np.bincount(incidence(field).indices, minlength=field.n_sources)
+    estimate = int(users @ users)
     if cap_terms is not None and estimate > cap_terms:
         raise ComplexityCapExceeded(
             f"induced system would hold ~{estimate} neighbor entries (cap {cap_terms})"
         )
-    A = [tuple(sorted(a)) for a in induced_neighbor_sets(field)]
-    return make_system(A)
-
-
-def induced_adjacency(field: LatentSourceField):
-    """Sparse 0/1 matrix with M[i, j] = 1 iff j in A_i (for Y = M @ X)."""
-    from scipy import sparse
-
-    rows, cols = [], []
-    for i, a in enumerate(induced_neighbor_sets(field)):
-        rows.extend([i] * len(a))
-        cols.extend(sorted(a))
-    data = np.ones(len(rows))
-    return sparse.csr_matrix((data, (rows, cols)), shape=(field.n, field.n))
-
-
-# ---------------------------------------------------------------------------
-# Index codecs
-
-
-def subset_rank_colex(subset: Sequence[int]) -> int:
-    """Colexicographic rank of an increasing m-subset of 0..n-1."""
-    return sum(math.comb(s, j + 1) for j, s in enumerate(sorted(subset)))
-
-
-def subset_unrank_colex(rank: int, m: int) -> tuple[int, ...]:
-    out = []
-    r = rank
-    for j in range(m, 0, -1):
-        s = j - 1
-        while math.comb(s + 1, j) <= r:
-            s += 1
-        out.append(s)
-        r -= math.comb(s, j)
-    return tuple(reversed(out))
-
-
-def injection_rank(phi: Sequence[int], n: int) -> int:
-    """Mixed-radix (Lehmer) rank of an injection into 0..n-1."""
-    rank = 0
-    seen: list[int] = []
-    for t, x in enumerate(phi):
-        smaller = sum(1 for y in seen if y < x)
-        rank = rank * (n - t) + (x - smaller)
-        seen.append(x)
-    return rank
-
-
-def injection_unrank(rank: int, v: int, n: int) -> tuple[int, ...]:
-    digits = []
-    r = rank
-    for t in range(v - 1, -1, -1):
-        digits.append(r % (n - t))
-        r //= n - t
-    digits.reverse()
-    remaining = list(range(n))
-    return tuple(remaining.pop(d) for d in digits)
-
-
-def pair_source_index(a: int, b: int, n: int) -> int:
-    """Index of the unordered pair {a, b} among the C(n,2) edge slots."""
-    if a > b:
-        a, b = b, a
-    return a * (2 * n - a - 1) // 2 + (b - a - 1)
+    M = overlap_matrix(field)
+    return make_system(np.split(M.indices, M.indptr[1:-1]))
 
 
 # ---------------------------------------------------------------------------
 # Builders
 
 
-def _finalize(field: LatentSourceField, means: np.ndarray | None = None,
-              cache_key=None) -> LatentSourceField:
-    if cache_key is not None:
-        field.metadata["profile_key"] = cache_key
-    if field.center and field.means is None:
-        field.means = means if means is not None else compute_means(field, cache_key=cache_key)
-    return field
+def _columnwise(fn: Callable) -> Callable:
+    """An evaluator that passes the K slots to ``fn`` as separate arrays."""
+    return lambda G: fn(*(G[..., k] for k in range(G.shape[-1])))
 
 
-def profile_key(field: LatentSourceField):
-    """Signature function grouping indices with identical marginal law,
-    or None when no grouping is known."""
-    return field.metadata.get("profile_key")
+def _sum_columns(G: np.ndarray) -> np.ndarray:
+    out = G[..., 0]
+    for k in range(1, G.shape[-1]):
+        out = out + G[..., k]
+    return out
 
 
 def build_iid_field(
@@ -461,18 +516,13 @@ def build_iid_field(
     """n independent copies of evaluator(source)."""
     if n < 1:
         raise InvalidSize(f"n must be >= 1, got {n}")
-    ev = evaluator if evaluator is not None else (lambda u: u)
-    field = LatentSourceField(
+    return LatentSourceField(
         sources=(source,) * n,
-        supports=tuple((i,) for i in range(n)),
-        evaluators=(ev,) * n,
+        supports=np.arange(n)[:, None],
+        ev=_sum_columns if evaluator is None else _columnwise(evaluator),
         center=center,
         metadata={"family": "iid", "n": n, "index_transitive": True},
     )
-    if evaluator is None:
-        field.metadata["batch_sum"] = lambda rows: rows.sum(axis=1)
-    field.metadata["pair_key"] = _coincidence_pair_key(field.supports)
-    return _finalize(field, cache_key=lambda i: 0)
 
 
 def build_m_dependent(
@@ -491,24 +541,13 @@ def build_m_dependent(
         raise InvalidSize(f"n must be >= 1, got {n}")
     if m < 0:
         raise InvalidSize(f"m must be >= 0, got {m}")
-    ev = window_evaluator if window_evaluator is not None else (
-        lambda *cols: sum(cols) if len(cols) > 1 else cols[0]
-    )
-    field = LatentSourceField(
+    return LatentSourceField(
         sources=(source,) * (n + m),
-        supports=tuple(tuple(range(i, i + m + 1)) for i in range(n)),
-        evaluators=(ev,) * n,
+        supports=np.arange(n)[:, None] + np.arange(m + 1),
+        ev=_sum_columns if window_evaluator is None else _columnwise(window_evaluator),
         center=center,
         metadata={"family": "m_dependent", "n": n, "m": m},
     )
-    field.metadata["pair_key"] = _coincidence_pair_key(field.supports)
-    if window_evaluator is None:
-        # S = sum_i sum_d U_{i+d}: source s appears in min(s, m, n-1-s+m, n) windows
-        coeff = np.array(
-            [min(s, m, n + m - 1 - s, n - 1) + 1 for s in range(n + m)], dtype=float
-        )
-        field.metadata["batch_sum"] = lambda rows, c=coeff: rows @ c
-    return _finalize(field, cache_key=lambda i: 0)
 
 
 def build_graph_dependency(
@@ -521,9 +560,11 @@ def build_graph_dependency(
     """Dependency-graph field: one source per vertex and per edge,
     X_i = ev(own source, incident edge sources).
 
-    Induced A_i is the closed neighborhood of i, so with the union pair
-    cover kappa <= 2d and tau <= 4d^2 for maximal degree d >= 3 (2kappa^2
-    in general).  An edgeless graph reduces to an iid field.
+    A custom ``evaluator`` receives 1 + max_degree arguments; those beyond
+    a vertex's own degree read 0.  Induced A_i is the closed neighborhood
+    of i, so with the union pair cover kappa <= 2d and tau <= 4d^2 for
+    maximal degree d >= 3 (2kappa^2 in general).  An edgeless graph
+    reduces to an iid field.
     """
     if n_vertices < 1:
         raise InvalidSize(f"n_vertices must be >= 1, got {n_vertices}")
@@ -532,28 +573,26 @@ def build_graph_dependency(
         raise ValueError("graph must be simple (no loops, no multi-edges)")
     if any(u < 0 or v >= n_vertices for u, v in edges):
         raise ValueError("edge endpoint out of range")
-    ev = evaluator if evaluator is not None else (
-        lambda *cols: sum(cols) if len(cols) > 1 else cols[0]
-    )
     incident: list[list[int]] = [[] for _ in range(n_vertices)]
     for e, (u, v) in enumerate(edges):
         incident[u].append(n_vertices + e)
         incident[v].append(n_vertices + e)
-    supports = tuple((i, *incident[i]) for i in range(n_vertices))
-    field = LatentSourceField(
+    max_degree = max(len(inc) for inc in incident)
+    supports = np.full((n_vertices, 1 + max_degree), -1, dtype=np.int64)
+    for i, inc in enumerate(incident):
+        supports[i, : 1 + len(inc)] = (i, *inc)
+    return LatentSourceField(
         sources=(source,) * (n_vertices + len(edges)),
         supports=supports,
-        evaluators=(ev,) * n_vertices,
+        ev=_sum_columns if evaluator is None else _columnwise(evaluator),
         center=center,
         metadata={
             "family": "graph",
             "n": n_vertices,
             "edges": edges,
-            "max_degree": max((len(inc) for inc in incident), default=0),
+            "max_degree": max_degree,
         },
     )
-    field.metadata["pair_key"] = _coincidence_pair_key(field.supports)
-    return _finalize(field, cache_key=lambda i: len(supports[i]))
 
 
 def build_ustat_field(
@@ -586,60 +625,37 @@ def build_ustat_field(
             raise EnumerationCapExceeded(
                 "theta must be supplied for continuous sources"
             )
-        k = len(source.values)
-        if k**m > DEFAULT_ENUM_CAP:
+        if len(source.values) ** m > DEFAULT_ENUM_CAP:
             raise EnumerationCapExceeded("kernel mean enumeration too large")
-        grids = np.meshgrid(*([np.asarray(source.values)] * m), indexing="ij")
-        pg = np.meshgrid(*([np.asarray(source.probs)] * m), indexing="ij")
-        w = np.ones_like(pg[0])
-        for p in pg:
-            w = w * p
-        theta = float(np.sum(w * kernel(*grids)))
-    supports: list[tuple[int, ...]] = []
-    evaluators: list[Callable] = []
-    weights: list[float] = []
-    block_slices: list[tuple[int, int]] = []
+        probs, grid = product_grid([source] * m)
+        theta = float(np.sum(probs * kernel(*grid.T)))
+    subsets, weights, block_slices = [], [], []
     offset = 0
     for b in block_sizes:
-        w_i = b / (N * math.comb(b, m))
-        ev = _weighted_kernel(kernel, w_i, theta)
-        start = len(supports)
-        subsets = sorted(itertools.combinations(range(b), m), key=lambda t: t[::-1])
-        for sub in subsets:
-            supports.append(tuple(offset + s for s in sub))
-            evaluators.append(ev)
-            weights.append(w_i)
-        block_slices.append((start, len(supports)))
+        sub = sorted(itertools.combinations(range(b), m), key=lambda t: t[::-1])
+        start = sum(len(s) for s in subsets)
+        subsets.append(np.asarray(sub, dtype=np.int64).reshape(-1, m) + offset)
+        weights.append(np.full(len(sub), b / (N * math.comb(b, m))))
+        block_slices.append((start, start + len(sub)))
         offset += b
-    field = LatentSourceField(
+    h = _columnwise(kernel)
+    return LatentSourceField(
         sources=(source,) * N,
-        supports=tuple(supports),
-        evaluators=tuple(evaluators),
+        supports=np.concatenate(subsets),
+        ev=lambda G, w: w * (h(G) - theta),
+        params=(np.concatenate(weights),),
         center=False,
-        means=np.zeros(len(supports)),
+        means=np.zeros(n_idx),
         metadata={
             "family": "ustat",
             "m": m,
             "theta": theta,
             "block_sizes": block_sizes,
             "block_slices": block_slices,
-            "weights": weights,
             "index_transitive": len(block_sizes) == 1,
             "sum_is": "U_d - theta",
         },
     )
-    field.metadata["profile_key"] = lambda i, w=tuple(weights): w[i]
-    field.metadata["pair_key"] = _coincidence_pair_key(
-        field.supports, extra=lambda i, w=tuple(weights): w[i]
-    )
-    return field
-
-
-def _weighted_kernel(kernel: Callable, w: float, theta: float) -> Callable:
-    def ev(*cols):
-        return w * (kernel(*cols) - theta)
-
-    return ev
 
 
 def admissible_tuples(
@@ -693,9 +709,11 @@ def build_constrained_ustat_field(
     """Constrained U-statistic field over a stationary m-dependent sequence.
 
     The underlying sequence is xi_t = w(U_t, ..., U_{t+m}); field indices
-    are the admissible tuples and X = f(xi over tuple) - mean.  Induced
-    neighborhoods combine tuple overlap with gap-<=-m interference, which
-    is exactly the union of the overlap and proximity sets.
+    are the admissible tuples and X = f(xi over tuple) - mean.  A support
+    row concatenates the tuple's windows, so overlapping windows repeat a
+    source.  Induced neighborhoods combine tuple overlap with gap-<=-m
+    interference, which is exactly the union of the overlap and
+    proximity sets.
     """
     if n < 1:
         raise InvalidSize(f"n must be >= 1, got {n}")
@@ -708,30 +726,21 @@ def build_constrained_ustat_field(
     window = window_evaluator
     if window is None:
         window = (lambda u: u) if m == 0 else (lambda *cols: sum(cols))
+    l, width = len(gaps) + 1, m + 1
 
-    def make_ev(tup: tuple[int, ...]) -> Callable:
-        # union of the elements' windows; within it, t..t+m sit at
-        # consecutive positions, so pos[t]+d addresses source t+d
-        supp = tuple(sorted({t + d for t in tup for d in range(m + 1)}))
-        pos = {s: k for k, s in enumerate(supp)}
+    def ev(G):
+        seq = [
+            window(*(G[..., j * width + d] for d in range(width))) for j in range(l)
+        ]
+        return f(*seq)
 
-        def ev(*cols):
-            seq = [window(*(cols[pos[t] + d] for d in range(m + 1))) for t in tup]
-            return f(*seq)
-
-        return ev, supp
-
-    supports = []
-    evaluators = []
-    for tup in tuples:
-        ev, supp = make_ev(tup)
-        supports.append(supp)
-        evaluators.append(ev)
-    field = LatentSourceField(
+    windows = np.asarray(tuples, dtype=np.int64)[:, :, None] + np.arange(width)
+    return LatentSourceField(
         sources=(source,) * (n + m),
-        supports=tuple(supports),
-        evaluators=tuple(evaluators),
+        supports=windows.reshape(len(tuples), l * width),
+        ev=ev,
         center=True,
+        means=None if known_mean is None else np.full(len(tuples), float(known_mean)),
         metadata={
             "family": "constrained_ustat",
             "n": n,
@@ -741,40 +750,6 @@ def build_constrained_ustat_field(
             "tuples": tuples,
         },
     )
-    field.metadata["pair_key"] = _coincidence_pair_key(field.supports)
-    if known_mean is not None:
-        field.means = np.full(len(tuples), float(known_mean))
-        return field
-    # the exact mean of f over a tuple depends only on its gap profile,
-    # with gaps beyond m equivalent (independent groups)
-    profile = {
-        i: tuple(
-            min(b - a, m + 1) for a, b in zip(tuples[i], tuples[i][1:])
-        )
-        for i in range(len(tuples))
-    }
-    return _finalize(field, cache_key=lambda i: profile[i])
-
-
-def _coincidence_pair_key(supports, extra=None):
-    """Pair-signature function for fields whose sources are identical iid
-    and whose evaluators are position-isomorphic: the joint law of
-    (X_i, X_j) then depends only on which support slots coincide."""
-
-    def key(i: int, j: int):
-        order: dict[int, int] = {}
-        for s in supports[i] + supports[j]:
-            if s not in order:
-                order[s] = len(order)
-        sig = (
-            tuple(order[s] for s in supports[i]),
-            tuple(order[s] for s in supports[j]),
-        )
-        if extra is not None:
-            return sig, extra(i), extra(j)
-        return sig
-
-    return key
 
 
 def _pattern_indicator(tau: Sequence[int]) -> Callable:
@@ -808,9 +783,9 @@ def build_pattern_field(
         known_mean=1.0 / math.factorial(l),
         cap=cap,
     )
-    field.metadata["family"] = "pattern"
-    field.metadata["tau"] = tuple(int(t) for t in tau)
-    return field
+    return dataclasses.replace(field, metadata={
+        **field.metadata, "family": "pattern", "tau": tuple(int(t) for t in tau),
+    })
 
 
 def build_word_field(
@@ -837,10 +812,12 @@ def build_word_field(
         source=uniform_letters(alphabet_size),
         cap=cap,
     )
-    field.metadata["family"] = "word"
-    field.metadata["word"] = tuple(int(x) for x in word)
-    field.metadata["alphabet_size"] = alphabet_size
-    return field
+    return dataclasses.replace(field, metadata={
+        **field.metadata,
+        "family": "word",
+        "word": tuple(int(x) for x in word),
+        "alphabet_size": alphabet_size,
+    })
 
 
 def build_decorated_graph_field(
@@ -875,10 +852,10 @@ def build_decorated_graph_field(
         raise ValueError("decoration must have one value per pattern edge")
     hh = h if h is not None else (lambda x, y: x * y)
 
-    def ev(*cols):
-        out = hh(deco[0], cols[0])
-        for e in range(1, len(cols)):
-            out = out * hh(deco[e], cols[e])
+    def ev(G):
+        out = hh(deco[0], G[..., 0])
+        for e in range(1, G.shape[-1]):
+            out = out * hh(deco[e], G[..., e])
         return out
 
     injections = np.array(list(itertools.permutations(range(n), v)), dtype=np.int64)
@@ -887,55 +864,35 @@ def build_decorated_graph_field(
         ua = np.minimum(injections[:, a], injections[:, b])
         ub = np.maximum(injections[:, a], injections[:, b])
         edge_ids[:, e] = ua * (2 * n - ua - 1) // 2 + (ub - ua - 1)
-    supports = tuple(tuple(int(s) for s in row) for row in edge_ids)
-    field = LatentSourceField(
+    metadata = {
+        "family": "decorated_graph",
+        "n": n,
+        "v": v,
+        "pattern_edges": edges,
+        "injections": injections,
+        "edge_ids": edge_ids,
+        "index_transitive": True,
+    }
+    if h is None and decoration is None and sorted(edges) == [(0, 1), (0, 2), (1, 2)]:
+        metadata["batch_sum"] = _triangle_batch_sum(n)
+    return LatentSourceField(
         sources=(edge_source,) * math.comb(n, 2),
-        supports=supports,
-        evaluators=(ev,) * n_inj,
+        supports=edge_ids,
+        ev=ev,
         center=True,
-        metadata={
-            "family": "decorated_graph",
-            "n": n,
-            "v": v,
-            "pattern_edges": edges,
-            "injections": injections,
-            "edge_ids": edge_ids,
-            "index_transitive": True,
-        },
+        metadata=metadata,
     )
-    field.metadata["profile_key"] = lambda i: 0
-    # one local enumeration serves every injection (iid edge variables)
-    field.means = np.full(n_inj, exact_index_mean(field, 0))
-    identity_product = h is None and decoration is None
-    if identity_product:
-        field.metadata["batch_sum"] = _product_batch_sum(n, v, edges)
-    return field
 
 
-def _product_batch_sum(n: int, v: int, edges) -> Callable | None:
-    """Fast whole-field sums for plain product decorations.
-
-    Covers the single-edge and triangle patterns used at scale; other
-    patterns fall back to per-index evaluation.
-    """
+def _triangle_batch_sum(n: int) -> Callable:
+    """Whole-field triangle sums, trace(A^3) per replication: one matrix
+    product instead of gathering every injection."""
     triu = np.triu_indices(n, k=1)
 
-    def to_adj(rows: np.ndarray) -> np.ndarray:
+    def batch_sum(rows: np.ndarray) -> np.ndarray:
         adj = np.zeros((rows.shape[0], n, n))
         adj[:, triu[0], triu[1]] = rows
         adj[:, triu[1], triu[0]] = rows
-        return adj
+        return np.einsum("rij,rij->r", adj @ adj, adj)
 
-    key = tuple(sorted(map(tuple, edges)))
-    if v == 2 and key == ((0, 1),):
-        def batch_sum(rows: np.ndarray) -> np.ndarray:
-            return 2.0 * rows.sum(axis=1)
-
-        return batch_sum
-    if v == 3 and key == ((0, 1), (0, 2), (1, 2)):
-        def batch_sum(rows: np.ndarray) -> np.ndarray:
-            adj = to_adj(rows)
-            return np.einsum("rij,rij->r", adj @ adj, adj)
-
-        return batch_sum
-    return None
+    return batch_sum

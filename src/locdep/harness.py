@@ -23,7 +23,8 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import DegeneratePoints, DegenerateVariance, ExcessRejections, GridMismatch
-from .fields import LatentSourceField, draw_source_rows, evaluate_values, induced_adjacency
+from .fields import LatentSourceField, draw_source_rows, evaluate_values, overlap_matrix
+from .neighborhood import adjacency
 from .oracle import phi
 from .statistics import w1_batch, w2_batch, w2bar_batch
 
@@ -92,10 +93,9 @@ def mc_run(
         raise DegenerateVariance(f"{statistic} needs sigma")
     # keep each chunk's source matrix around ~32 MB
     chunk = max(1, min(chunk, (1 << 22) // max(1, field.n_sources)))
-    needs_adj = statistic in ("w2", "w2bar")
     adj = None
-    if needs_adj:
-        adj = sys_or_adj if sys_or_adj is not None else induced_adjacency(field)
+    if statistic in ("w2", "w2bar"):
+        adj = adjacency(sys_or_adj) if sys_or_adj is not None else overlap_matrix(field)
     batch_sum = field.metadata.get("batch_sum")
     mean_total = (
         float(np.sum(field.means)) if (field.center and field.means is not None) else 0.0

@@ -26,14 +26,17 @@ from .fields import (
     DiscreteSource,
     LatentSourceField,
     Source,
-    _support_users,
+    _draw,
     draw_source_rows,
     evaluate_values,
-    local_grid,
+    incidence,
+    local_values,
     outcome_blocks,
-    profile_key,
+    overlap_matrix,
+    product_grid,
+    signature_groups,
 )
-from .neighborhood import NeighborhoodSystem
+from .neighborhood import NeighborhoodSystem, adjacency
 from .rng import STREAM_MOMENTS, substream
 
 SIGMA2_IDENTITY_RTOL = 1e-10
@@ -90,20 +93,10 @@ def lam_scale(table: MomentTable, kappa: int) -> float:
 # Exact evaluation
 
 
-def _centered_local_values(field: LatentSourceField, i: int):
-    """(values, probs) of the centered X_i over its support grid."""
-    rows, probs = local_grid(field, field.supports[i])
-    vals = np.asarray(
-        field.evaluators[i](*(rows[:, k] for k in range(rows.shape[1]))), dtype=float
-    )
-    mean = field.means[i] if field.means is not None else float(probs @ vals)
-    if field.center or field.means is not None:
-        vals = vals - mean
-    return vals, probs
-
-
 def exact_index_norms(field: LatentSourceField, i: int) -> tuple[float, float, float]:
-    vals, probs = _centered_local_values(field, i)
+    """(||X_i||_2, ||X_i||_3, ||X_i||_4) of the centered X_i by local enumeration."""
+    probs, X = local_values(field, [i])
+    vals = X[:, 0] if field.means is None else X[:, 0] - field.means[i]
     a = np.abs(vals)
     return (
         float(probs @ a**2) ** (1 / 2),
@@ -113,70 +106,45 @@ def exact_index_norms(field: LatentSourceField, i: int) -> tuple[float, float, f
 
 
 def exact_norm_arrays(field: LatentSourceField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-index norms, sharing enumerations across indices with the
-    same marginal-law signature when the builder registered one."""
-    n = field.n
-    l2, l3, l4 = np.empty(n), np.empty(n), np.empty(n)
-    key = profile_key(field)
-    cache: dict[object, tuple[float, float, float]] = {}
-    for i in range(n):
-        k = key(i) if key is not None else None
-        if k is not None and k in cache:
-            l2[i], l3[i], l4[i] = cache[k]
-            continue
-        norms = exact_index_norms(field, i)
-        l2[i], l3[i], l4[i] = norms
-        if k is not None:
-            cache[k] = norms
-    return l2, l3, l4
+    """Exact per-index norms, one enumeration per signature group."""
+    first, inverse = signature_groups(field, np.arange(field.n))
+    norms = np.array([exact_index_norms(field, i) for i in first])[inverse]
+    return norms[:, 0].copy(), norms[:, 1].copy(), norms[:, 2].copy()
 
 
 def exact_pair_covariance(field: LatentSourceField, i: int, j: int) -> float:
     """Cov(X_i, X_j) by enumeration over the union of the two supports."""
-    union = sorted(set(field.supports[i]) | set(field.supports[j]))
-    pos = {s: k for k, s in enumerate(union)}
-    rows, probs = local_grid(field, union)
-    xi = np.asarray(
-        field.evaluators[i](*(rows[:, pos[s]] for s in field.supports[i])), dtype=float
-    )
-    xj = np.asarray(
-        field.evaluators[j](*(rows[:, pos[s]] for s in field.supports[j])), dtype=float
-    )
+    probs, X = local_values(field, [i, j])
+    xi, xj = X[:, 0], X[:, 1]
     mi = float(probs @ xi)
     mj = float(probs @ xj)
     return float(probs @ (xi * xj)) - mi * mj
 
 
 def exact_sigma2_local(
-    field: LatentSourceField, neighbor_sets: Sequence[set[int]] | None = None
+    field: LatentSourceField, neighbor_sets: Sequence[Sequence[int]] | None = None
 ) -> float:
-    """Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j), by local enumeration.
+    """Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j), by local enumeration,
+    one per signature group of pairs.  ``neighbor_sets`` defaults to the
+    induced neighborhoods.
 
     Index-transitive fields (every index's neighborhood sum is identical
     by exchangeability) use one reference index.
     """
     if field.metadata.get("index_transitive") and neighbor_sets is None:
-        users = _support_users(field)
-        a0 = sorted(set().union(*(users[s] for s in set(field.supports[0])))) if field.n else []
-        per_index = sum(exact_pair_covariance(field, 0, j) for j in a0)
-        return field.n * per_index
-    if neighbor_sets is None:
-        from .fields import induced_neighbor_sets
+        inc = incidence(field)
+        a0 = np.sort((inc[0] @ inc.T).indices)
+        return field.n * _covariance_sum(field, np.stack([np.zeros_like(a0), a0], axis=1))
+    M = overlap_matrix(field) if neighbor_sets is None else adjacency(neighbor_sets)
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    return _covariance_sum(field, np.stack([rows, M.indices], axis=1))
 
-        neighbor_sets = induced_neighbor_sets(field)
-    pair_key = field.metadata.get("pair_key")
-    cache: dict[object, float] = {}
-    total = 0.0
-    for i, a in enumerate(neighbor_sets):
-        for j in sorted(a):
-            if pair_key is None:
-                total += exact_pair_covariance(field, i, j)
-                continue
-            k = pair_key(i, j)
-            if k not in cache:
-                cache[k] = exact_pair_covariance(field, i, j)
-            total += cache[k]
-    return total
+
+def _covariance_sum(field: LatentSourceField, pairs: np.ndarray) -> float:
+    """sum of Cov(X_i, X_j) over the rows (i, j) of ``pairs``."""
+    first, inverse = signature_groups(field, pairs)
+    cov = np.array([exact_pair_covariance(field, *pairs[g]) for g in first])
+    return float(np.bincount(inverse, minlength=first.size) @ cov)
 
 
 def exact_sigma2_enumerated(field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP) -> float:
@@ -215,8 +183,7 @@ def exact_moment_table(
                 f"outcome count {count} exceeds cap {cap} for global enumeration"
             )
         sigma2 = exact_sigma2_enumerated(field, cap=cap)
-        neighbor_sets = [set(a) for a in sys.A] if sys is not None else None
-        sigma2_id = exact_sigma2_local(field, neighbor_sets)
+        sigma2_id = exact_sigma2_local(field, sys.A if sys is not None else None)
         scale = max(1.0, abs(sigma2))
         if abs(sigma2 - sigma2_id) > SIGMA2_IDENTITY_RTOL * scale:
             raise AssertionError(
@@ -224,8 +191,7 @@ def exact_moment_table(
                 f"covariance sum {sigma2_id}"
             )
     else:
-        neighbor_sets = [set(a) for a in sys.A] if sys is not None else None
-        sigma2 = exact_sigma2_local(field, neighbor_sets)
+        sigma2 = exact_sigma2_local(field, sys.A if sys is not None else None)
         mode = "hybrid"
     table = MomentTable(l2=l2, l3=l3, l4=l4, sigma2=sigma2, mode=mode)
     if table.degenerate:
@@ -330,45 +296,35 @@ def hoeffding_sigma1(
     falls below ``tol * max(Var(h), tiny)`` (the degenerate case).
     """
     if reps is None and isinstance(source, DiscreteSource):
-        vals = np.asarray(source.values)
         prb = np.asarray(source.probs)
-        if len(vals) ** m > DEFAULT_ENUM_CAP:
+        if len(prb) ** m > DEFAULT_ENUM_CAP:
             raise EnumerationCapExceeded("kernel enumeration too large; pass reps")
-        grids = np.meshgrid(*([vals] * m), indexing="ij")
-        pg = np.meshgrid(*([prb] * m), indexing="ij")
-        w = np.ones_like(pg[0])
-        for p in pg:
-            w = w * p
-        h = np.asarray(kernel(*grids), dtype=float)
+        w, grid = product_grid([source] * m)
+        h = np.asarray(kernel(*grid.T), dtype=float)
         theta = float(np.sum(w * h))
         var_h = float(np.sum(w * (h - theta) ** 2))
         l4 = float(np.sum(w * np.abs(h) ** 4)) ** 0.25
-        # condition on the first argument: sum out the rest
-        w_rest = w / prb.reshape((-1,) + (1,) * (m - 1)) if m > 1 else np.ones_like(w)
-        g = (
-            np.sum(w_rest * h, axis=tuple(range(1, m))) - theta
-            if m > 1
-            else h - theta
-        )
+        # condition on the first argument (the most significant grid digit)
+        g = (w * h).reshape(len(prb), -1).sum(axis=1) / prb - theta
         sigma1_sq = float(prb @ g**2)
     else:
         if reps is None:
             reps = 10**5
         rng = substream(master_seed, STREAM_MOMENTS, 1)
         cols = [
-            _draw_source(source, rng, reps) for _ in range(m)
+            _draw(source, rng, reps) for _ in range(m)
         ]
         h = np.asarray(kernel(*cols), dtype=float)
         theta = float(h.mean())
         var_h = float(h.var(ddof=1))
         l4 = float(np.mean(np.abs(h) ** 4)) ** 0.25
-        x1 = _draw_source(source, rng, reps)
+        x1 = _draw(source, rng, reps)
         cond = np.empty(reps)
         chunk = max(1, (1 << 22) // max(inner_reps, 1))
         for start in range(0, reps, chunk):
             stop = min(start + chunk, reps)
             rest = [
-                _draw_source(source, rng, (stop - start) * inner_reps).reshape(
+                _draw(source, rng, (stop - start) * inner_reps).reshape(
                     stop - start, inner_reps
                 )
                 for _ in range(m - 1)
@@ -386,12 +342,6 @@ def hoeffding_sigma1(
             f"sigma1^2={sigma1_sq} is degenerate relative to Var(h)={var_h}"
         )
     return KernelMoments(theta=theta, sigma1=math.sqrt(sigma1_sq), var=var_h, l4=l4)
-
-
-def _draw_source(source: Source, rng: np.random.Generator, size: int) -> np.ndarray:
-    from .fields import _draw
-
-    return _draw(source, rng, size)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ Systems are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
+from scipy import sparse
 
 from .errors import MissingPairCover
 
@@ -99,6 +103,21 @@ def iid_system(n: int) -> NeighborhoodSystem:
     return make_system([(i,) for i in range(n)])
 
 
+def adjacency(sys) -> sparse.csr_matrix:
+    """Sparse 0/1 matrix M with M[i, j] = 1 iff j in A_i, so Y = M @ X.
+
+    Takes a system or a sequence of neighborhoods; a matrix is returned
+    as it is.
+    """
+    if sparse.issparse(sys) or isinstance(sys, np.ndarray):
+        return sys
+    A = sys.A if isinstance(sys, NeighborhoodSystem) else [sorted(a) for a in sys]
+    indptr = np.zeros(len(A) + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in A], out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(A), dtype=np.int64, count=indptr[-1])
+    return sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(len(A), len(A)))
+
+
 def reverse_neighborhoods(sys: NeighborhoodSystem) -> tuple[IndexSet, ...]:
     """N_i = {k : i in A_k}, by scattering each A_k onto its members."""
     N: list[list[int]] = [[] for _ in range(sys.n)]
@@ -121,14 +140,6 @@ def pair_interference(sys: NeighborhoodSystem) -> tuple[tuple[tuple[int, int], .
             for i in sys.pair_cover(k, l):
                 D[i].append((k, l))
     return tuple(tuple(sorted(ds)) for ds in D)
-
-
-def kappa_tau(derived: DerivedNeighborhoods, sys: NeighborhoodSystem) -> tuple[int, int]:
-    """(kappa, tau) = (max(sup |N_i|, sup |A_ij|), sup |D_i|)."""
-    max_rev = max((len(ns) for ns in derived.N), default=0)
-    max_cover = max((len(c) for c in sys.A2.values()), default=0)
-    tau = max((len(ds) for ds in derived.D), default=0)
-    return max(max_rev, max_cover), tau
 
 
 def derive(sys: NeighborhoodSystem) -> DerivedNeighborhoods:

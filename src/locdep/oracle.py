@@ -18,6 +18,7 @@ The normal CDF is scipy's complementary-error-function based ``ndtr``
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -38,12 +39,15 @@ from .bounds import (
 from .errors import DegenerateVariance, InvalidTestFunction
 from .fields import (
     DEFAULT_ENUM_CAP,
+    DiscreteSource,
     LatentSourceField,
     evaluate_values,
+    induced_neighborhoods,
     outcome_blocks,
+    overlap_matrix,
 )
 from .moments import MomentTable, exact_moment_table, lam_scale
-from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive
+from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, adjacency, derive
 from .statistics import w1_batch, w2_batch, w2bar_batch
 
 PASS_TOL = 1e-10
@@ -102,8 +106,6 @@ def precompute(
     sys: NeighborhoodSystem | None = None,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> Precomputed:
-    from .fields import induced_neighborhoods
-
     if sys is None:
         sys = induced_neighborhoods(field)
     der = derive(sys)
@@ -198,9 +200,7 @@ def exact_distribution(
     For the self-normalized statistic, outcomes with V = 0 are rejected
     and the remaining law is conditioned on acceptance.
     """
-    from .fields import induced_adjacency
-
-    adj = induced_adjacency(field) if sys is None else sys
+    adj = overlap_matrix(field) if sys is None else adjacency(sys)
     vals_parts = []
     probs_parts = []
     rejected = 0.0
@@ -328,18 +328,6 @@ def _complement_mask(n: int, members: Sequence[int]) -> np.ndarray:
     return mask
 
 
-def _pair_mask(sys: NeighborhoodSystem, row_ok: np.ndarray, col_ok: np.ndarray) -> np.ndarray:
-    """P[i, j] = 1 iff row_ok[i], j in A_i, col_ok[j]."""
-    P = np.zeros((sys.n, sys.n))
-    for i, a in enumerate(sys.A):
-        if not row_ok[i]:
-            continue
-        for j in a:
-            if col_ok[j]:
-                P[i, j] = 1.0
-    return P
-
-
 def gamma_quad(table: MomentTable, sys: NeighborhoodSystem, derived: DerivedNeighborhoods) -> float:
     """gamma = sum_i sum_{j in A_i} sum_{k in A_ij} sum_{l in N_k | A_k}
     of the four L4 norms."""
@@ -374,7 +362,7 @@ def check_lemma_xiyi(
     plan, der, table = pre.plan, pre.derived, pre.table
     n = sys.n
     comp = _complement_mask(n, reverse_set_of(sys, A))
-    P = _pair_mask(sys, comp, comp)
+    P = adjacency(sys).toarray() * np.outer(comp, comp)
     cov = (plan.X * plan.probs[:, None]).T @ plan.X  # E[X_i X_j]
     center = float(np.sum(P * cov))
     quad = np.einsum("mi,ij,mj->m", plan.X, P, plan.X) - center
@@ -517,7 +505,13 @@ TEST_FUNCTIONS: dict[str, Callable] = {
 
 
 def validate_test_function(f: Callable, grid_half_width: float = 40.0) -> None:
-    """||f||_inf <= 1 and ||f'||_inf <= 1, validated on a dense grid."""
+    """||f||_inf <= 1 and ||f'||_inf <= 1, validated on a dense grid once
+    per distinct (f, grid_half_width) in a process."""
+    _validate_once(f, grid_half_width)
+
+
+@functools.cache
+def _validate_once(f: Callable, grid_half_width: float) -> None:
     w = np.linspace(-grid_half_width, grid_half_width, 160001)
     vals = np.asarray(f(w), dtype=float)
     if np.max(np.abs(vals)) > 1.0 + 1e-9:
@@ -552,8 +546,7 @@ def check_lemma_r4(
     pre_lhs = kappa**2 * float(np.sum(table.l3**3)) / sigma**3
     status = "satisfied" if pre_lhs <= 1.0 / 500.0 else "violated"
     # per-outcome Vbar and W2bar
-    full = np.ones(sys.n, dtype=bool)
-    P = _pair_mask(sys, full, full)
+    P = adjacency(sys).toarray()
     xy = np.einsum("mi,ij,mj->m", plan.X, P, plan.X)
     vbar = np.sqrt(np.clip(xy, 0.25 * sigma**2, 2.0 * sigma**2))
     s = plan.X.sum(axis=1)
@@ -657,7 +650,7 @@ def check_prop2(
     comp = _complement_mask(n, n_a)
     in_na = ~comp
     s_a = plan.X[:, comp].sum(axis=1)
-    P_v = _pair_mask(sys, comp, comp)
+    P_v = adjacency(sys).toarray() * np.outer(comp, comp)
     vbar_a = np.sqrt(
         np.clip(
             np.einsum("mi,ij,mj->m", plan.X, P_v, plan.X),
@@ -666,15 +659,10 @@ def check_prop2(
         )
     )
     absx = np.abs(plan.X)
-    rev = np.zeros((n, n))
-    for k, ns in enumerate(der.N):
-        for l in ns:
-            rev[k, l] = 1.0
-    P_t1 = _pair_mask(sys, in_na, np.ones(n, dtype=bool))
-    P_t2 = np.zeros((n, n))
-    for k in range(n):
-        if in_na[k]:
-            P_t2[k] = rev[k]
+    # rows k in N_A: P_t1[k, l] = 1 iff l in A_k, P_t2[k, l] = 1 iff l in N_k
+    D = adjacency(sys).toarray()
+    P_t1 = D * in_na[:, None]
+    P_t2 = D.T * in_na[:, None]
     t_a = np.sqrt(
         (
             np.einsum("mi,ij,mj->m", absx, P_t1, absx)
@@ -739,12 +727,10 @@ def random_enumerable_instance(
     max_sources: int = 10,
     max_outcomes: int = 3**10,
 ) -> CheckInstance:
-    """A random field of weighted-sum evaluators over a random mix of
-    Rademacher / three-point sources, with random overlapping supports
+    """A random field of weighted sums (plus an optional product term) over
+    a random mix of Rademacher / three-point sources, with random overlapping supports
     (random induced neighborhoods), window parameters a <= b, c in [1,3],
     and a xi factor from the catalog."""
-    from .fields import DiscreteSource, LatentSourceField as LSF, compute_means
-
     while True:
         n_src = int(rng.integers(3, max_sources + 1))
         sources = []
@@ -763,25 +749,22 @@ def random_enumerable_instance(
             count *= len(src.values)
             sources.append(src)
         n_idx = int(rng.integers(2, max_indices + 1))
-        supports = []
-        evaluators = []
-        for _ in range(n_idx):
+        supports = np.full((n_idx, min(3, n_src)), -1, dtype=np.int64)
+        weights = np.zeros(supports.shape)
+        q = np.zeros(n_idx)
+        for i in range(n_idx):
             size = int(rng.integers(1, min(3, n_src) + 1))
-            supp = tuple(sorted(rng.choice(n_src, size=size, replace=False).tolist()))
-            w = rng.uniform(0.5, 1.5, size=size) * rng.choice([-1.0, 1.0], size=size)
-            q = float(rng.choice([0.0, 0.5]))
-            evaluators.append(_weighted_sum_evaluator(w, q))
-            supports.append(supp)
-        field = LSF(
+            supports[i, :size] = sorted(rng.choice(n_src, size=size, replace=False).tolist())
+            weights[i, :size] = rng.uniform(0.5, 1.5, size=size) * rng.choice([-1.0, 1.0], size=size)
+            q[i] = float(rng.choice([0.0, 0.5]))
+        field = LatentSourceField(
             sources=tuple(sources),
-            supports=tuple(supports),
-            evaluators=tuple(evaluators),
+            supports=supports,
+            ev=_weighted_sum,
+            params=(weights, q),
             center=True,
             metadata={"family": "random_instance"},
         )
-        field.means = compute_means(field)
-        from .fields import induced_neighborhoods
-
         sys = induced_neighborhoods(field)
         try:
             pre = precompute(field, sys)
@@ -803,21 +786,15 @@ def random_enumerable_instance(
         )
 
 
-def _weighted_sum_evaluator(w: np.ndarray, q: float) -> Callable:
-    w = np.asarray(w, dtype=float)
-
-    def ev(*cols):
-        out = w[0] * cols[0]
-        for k in range(1, len(cols)):
-            out = out + w[k] * cols[k]
-        if q:
-            prod = cols[0]
-            for k in range(1, len(cols)):
-                prod = prod * cols[k]
-            out = out + q * prod
-        return out
-
-    return ev
+def _weighted_sum(G: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """X_i = sum_k w_ik G_ik + q_i prod_k G_ik over the index's own slots;
+    pad slots carry w = 0 and are left out of the product."""
+    out = w[:, 0] * G[..., 0]
+    prod = G[..., 0]
+    for k in range(1, G.shape[-1]):
+        out = out + w[:, k] * G[..., k]
+        prod = prod * np.where(w[:, k] != 0, G[..., k], 1.0)
+    return out + q * prod
 
 
 SUITE_CHECKS = ("lemma_xiyi", "lemma_xiyi_corollary", "lemma_s2", "lemma_s4", "prop1", "prop2")

@@ -13,7 +13,7 @@ rejection is a value, not an error.
 
 The counters (word occurrences, permutation-pattern occurrences, subgraph
 statistics, classical and distributed U-statistics) are independent naive
-evaluators used as oracles against the field constructions.
+computations used as oracles against the field constructions.
 
 All reductions run in fixed index-ascending order with numpy's pairwise
 summation, so results do not depend on worker count.
@@ -27,27 +27,14 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DegenerateVariance, GraphTooLarge
 from .fields import Realization, admissible_tuples
-from .neighborhood import NeighborhoodSystem
+from .neighborhood import adjacency
 
 
 def _values(x) -> np.ndarray:
     return x.values if isinstance(x, Realization) else np.asarray(x, dtype=float)
-
-
-def _adjacency(sys_or_adj):
-    if isinstance(sys_or_adj, NeighborhoodSystem):
-        rows, cols = [], []
-        for i, a in enumerate(sys_or_adj.A):
-            rows.extend([i] * len(a))
-            cols.extend(a)
-        return sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(sys_or_adj.n, sys_or_adj.n)
-        )
-    return sys_or_adj
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +76,7 @@ def sum_and_w1(x, sigma: float) -> tuple[float, float]:
 
 def neighbor_sums(x, sys_or_adj) -> np.ndarray:
     """Y_i = sum_{j in A_i} X_j."""
-    return np.asarray(_adjacency(sys_or_adj) @ _values(x))
+    return np.asarray(adjacency(sys_or_adj) @ _values(x))
 
 
 def self_normalized_w2(x, sys_or_adj) -> tuple[float, float | None]:
@@ -131,7 +118,7 @@ def w1_batch(X: np.ndarray, sigma: float) -> np.ndarray:
 
 def w2_batch(X: np.ndarray, sys_or_adj) -> tuple[np.ndarray, np.ndarray]:
     """(W2 with NaN at rejections, rejection mask)."""
-    adj = _adjacency(sys_or_adj)
+    adj = adjacency(sys_or_adj)
     Y = np.asarray(adj @ X.T).T
     n = X.shape[1]
     v2 = np.einsum("ri,ri->r", X, Y) - n * X.mean(axis=1) * Y.mean(axis=1)
@@ -145,7 +132,7 @@ def w2_batch(X: np.ndarray, sys_or_adj) -> tuple[np.ndarray, np.ndarray]:
 def w2bar_batch(X: np.ndarray, sys_or_adj, sigma: float) -> np.ndarray:
     if not sigma > 0:
         raise DegenerateVariance(f"sigma={sigma} must be positive")
-    adj = _adjacency(sys_or_adj)
+    adj = adjacency(sys_or_adj)
     Y = np.asarray(adj @ X.T).T
     s2 = sigma * sigma
     vbar = np.sqrt(np.clip(np.einsum("ri,ri->r", X, Y), 0.25 * s2, 2.0 * s2))

@@ -73,12 +73,11 @@ def test_criterion_2_fourth_moment(checker_verdicts):
     def sampled_w4(n: int, reps: int) -> tuple[float, float]:
         f = F.build_iid_field(n, F.rademacher())
         table = M.exact_moment_table(f, sigma2_mode="local")
-        batch_sum = f.metadata["batch_sum"]
         w4 = np.empty(reps)
         chunk = max(1, (1 << 24) // n)
         for start in range(0, reps, chunk):
             rows = F.draw_source_rows(f, ACCEPT_SEED, range(start, min(start + chunk, reps)))
-            w = batch_sum(rows) / table.sigma
+            w = F.evaluate_values(f, rows).sum(axis=1) / table.sigma
             w4[start: start + rows.shape[0]] = w**4
         return float(w4.mean()), float(w4.std(ddof=1) / math.sqrt(reps))
 
@@ -157,7 +156,7 @@ def _grid_run(build, statistic, reps, path0, bound_fn):
     for gi, n in enumerate(GRID):
         f = build(n)
         table = M.exact_moment_table(f, sigma2_mode="local")
-        adj = F.induced_adjacency(f) if statistic in ("w2", "w2bar") else None
+        adj = F.induced_neighborhoods(f) if statistic in ("w2", "w2bar") else None
         s = H.mc_run(
             f, statistic, reps, ACCEPT_SEED, sigma=table.sigma,
             sys_or_adj=adj, path=(path0 + gi,),
@@ -189,8 +188,7 @@ def test_criterion_6_self_normalized_normal():
     zero rejections."""
     n, reps = 200, 5 * 10**4
     f = F.build_iid_field(n, F.ContinuousSource("normal"), center=False)
-    f.means = np.zeros(n)
-    s = H.mc_run(f, "w2", reps, ACCEPT_SEED, sys_or_adj=F.induced_adjacency(f))
+    s = H.mc_run(f, "w2", reps, ACCEPT_SEED, sys_or_adj=F.induced_neighborhoods(f))
     assert s.rejected == 0
     assert s.ks <= 0.05, s.ks
     _report("6", f"ks(W2)={s.ks:.4f} <= 0.05, rejections=0")
@@ -387,8 +385,8 @@ def test_criterion_11_structural_invariants():
         B.bound_general_beta(t, sysn, der).value, rel=1e-12
     )
     f_rev = F.LatentSourceField(
-        sources=f.sources, supports=tuple(reversed(f.supports)),
-        evaluators=tuple(reversed(f.evaluators)), center=True,
+        sources=f.sources, supports=f.supports[::-1],
+        ev=f.ev, center=True,
         means=f.means[::-1].copy(),
     )
     ks_a = O.exact_kolmogorov(f, "w1", sys=sysn, sigma=t.sigma)

@@ -368,11 +368,11 @@ def test_prop2_delta4_zero_for_isolated_zero_index():
     # X_0 identically zero and isolated: N_A = {0} carries zero norms
     f = F.LatentSourceField(
         sources=(F.rademacher(),) * 3,
-        supports=((0,), (1,), (1, 2)),
-        evaluators=(lambda u: 0.0 * u, lambda u: u, lambda u, v: u + v),
+        supports=((0, -1), (1, -1), (1, 2)),
+        ev=lambda G, c: (G * c).sum(axis=-1),
+        params=(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),),
         center=True,
     )
-    f.means = F.compute_means(f)
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
     t = M.exact_moment_table(f, sys)

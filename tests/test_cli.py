@@ -124,12 +124,12 @@ def test_oracle_subcommand_writes_verdicts(tmp_path):
     assert "prop1" in text and "fail" not in text.replace("failures", "")
 
 
-def test_rate_subcommand_fits_slope(tmp_path, capsys):
+def test_mc_subcommand_fits_slope(tmp_path, capsys):
     doc = minimal_spec(
         tmp_path, grid=[16, 64, 256], mode={"kind": "mc", "reps": 5000},
         assertions={"slope_range": [-0.9, -0.2]},
     )
-    assert cli.main(["rate", "--spec", write_spec(tmp_path, doc)]) == 0
+    assert cli.main(["mc", "--spec", write_spec(tmp_path, doc)]) == 0
     assert "slope=" in capsys.readouterr().out
 
 
@@ -190,3 +190,25 @@ def test_declared_neighborhoods_flag_bound_reports(tmp_path):
     bounds_doc = json.loads((tmp_path / "out" / "bounds.json").read_text())
     rep = bounds_doc["per_n"][0]["reports"][0]
     assert rep["inputs"]["independence"].startswith("unverified")
+
+
+def test_capped_neighborhood_system_exits_1_naming_the_cap(tmp_path, capsys):
+    doc = minimal_spec(tmp_path, family="decorated_graph",
+                       params={"pattern": "triangle", "p": 0.3}, grid=[40],
+                       mode={"kind": "mc", "reps": 1000}, bounds=["main"])
+    assert cli.main(["bound", "--spec", write_spec(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "ComplexityCapExceeded" in err and "cap 10000000" in err
+
+
+def test_bound_outside_the_family_exits_2(tmp_path, capsys):
+    doc = minimal_spec(tmp_path, bounds=["graph"])
+    assert cli.main(["bound", "--spec", write_spec(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "$.bounds" in err and "'graph'" in err
+
+
+def test_non_integer_reps_exits_2(tmp_path, capsys):
+    doc = minimal_spec(tmp_path, mode={"kind": "mc", "reps": "many"})
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 2
+    assert "$.mode.reps" in capsys.readouterr().err

@@ -9,11 +9,12 @@ Core claims:
     - the family builders reproduce their hand-derived structure examples
       (window fields, graph fields, U-statistic subsets, constrained
       tuples, decorated injections)
-    - index codecs round-trip
+    - a built field is immutable, and sampling leaves it unchanged
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import locdep.fields as F
+import locdep.harness as H
 import locdep.neighborhood as nb
 import locdep.oracle as oracle
 import locdep.statistics as st
@@ -223,24 +225,6 @@ def test_shrunk_neighborhood_fails_independence():
     assert any("LD1" in v for v in violations)
 
 
-def test_subset_codec_round_trip():
-    for n, m in [(6, 2), (7, 3), (5, 1)]:
-        subsets = sorted(itertools.combinations(range(n), m), key=lambda t: t[::-1])
-        for rank, sub in enumerate(subsets):
-            assert F.subset_rank_colex(sub) == rank
-            assert F.subset_unrank_colex(rank, m) == sub
-
-
-def test_injection_codec_round_trip():
-    n, v = 5, 3
-    seen = set()
-    for phi in itertools.permutations(range(n), v):
-        r = F.injection_rank(phi, n)
-        assert F.injection_unrank(r, v, n) == phi
-        seen.add(r)
-    assert seen == set(range(math.perm(n, v)))
-
-
 def test_outcome_blocks_probabilities_sum_to_one():
     f = F.build_m_dependent(4, 1, F.three_point())
     total = sum(float(p.sum()) for p, _ in F.outcome_blocks(f))
@@ -250,10 +234,29 @@ def test_outcome_blocks_probabilities_sum_to_one():
 def test_mean_prepass_for_continuous_sources():
     f = F.LatentSourceField(
         sources=(F.ContinuousSource("uniform"),) * 2,
-        supports=((0,), (0, 1)),
-        evaluators=(lambda u: u, lambda u, v: u * v),
+        supports=((0, -1), (0, 1)),
+        ev=lambda G, has_v: G[..., 0] * np.where(has_v, G[..., 1], 1.0),
+        params=(np.array([False, True]),),
         center=True,
     )
     means = F.compute_means(f, prepass=200_000)
     assert means[0] == pytest.approx(0.5, abs=0.01)
     assert means[1] == pytest.approx(0.25, abs=0.01)
+
+
+def test_fields_are_immutable_and_sampling_leaves_them_unchanged():
+    f = F.build_m_dependent(64, 1, F.three_point())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.means = np.zeros(f.n)
+    with pytest.raises(TypeError):
+        f.metadata["family"] = "other"
+    with pytest.raises(ValueError):
+        f.means[0] = 1.0
+    with pytest.raises(ValueError):
+        f.supports[0, 0] = 1
+    means, metadata = f.means.copy(), dict(f.metadata)
+    rows = F.draw_source_rows(f, 1, range(10))
+    F.evaluate_values(f, rows)
+    H.mc_run(f, "w2", 2000, 3, chunk=256, threads=2)
+    assert np.array_equal(f.means, means)
+    assert dict(f.metadata) == metadata

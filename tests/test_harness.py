@@ -63,7 +63,7 @@ def test_thread_count_does_not_change_results():
 def test_rejections_reproduce_and_excess_raises():
     # two iid Rademacher points: V = 0 whenever X1 = X2 (half the time)
     f = F.build_iid_field(2, F.rademacher())
-    adj = F.induced_adjacency(f)
+    adj = F.induced_neighborhoods(f)
     a = H.mc_run(f, "w2", 1000, 11, sys_or_adj=adj, max_reject_fraction=1.0)
     b = H.mc_run(f, "w2", 1000, 11, sys_or_adj=adj, max_reject_fraction=1.0)
     assert a.rejected == b.rejected > 0
@@ -73,8 +73,7 @@ def test_rejections_reproduce_and_excess_raises():
 
 def test_w2_on_continuous_field_has_no_rejections():
     f = F.build_iid_field(50, F.ContinuousSource("normal"), center=False)
-    f.means = np.zeros(50)
-    s = H.mc_run(f, "w2", 2000, 13, sys_or_adj=F.induced_adjacency(f))
+    s = H.mc_run(f, "w2", 2000, 13, sys_or_adj=F.induced_neighborhoods(f))
     assert s.rejected == 0
     assert s.ks < 0.1
 

@@ -8,6 +8,9 @@ Core claims:
     - L_p monotonicity holds entrywise; lambda is scale-invariant
     - the kernel projection quantities match two-point enumerations and
       flag the degenerate case
+    - signature-grouped exact means, norms and Var(S) equal one local
+      enumeration per index and per pair, for every builder family and
+      for random enumerable instances
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import pytest
 
 import locdep.fields as F
 import locdep.moments as M
+import locdep.oracle as O
 from locdep.errors import DegenerateKernel
+from locdep.rng import substream
 
 
 def test_iid_rademacher_table():
@@ -116,7 +121,7 @@ def test_hoeffding_mc_path_matches_exact():
 def test_transitive_sigma2_shortcut_matches_full_sum():
     f = F.build_decorated_graph_field(5, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4))
     fast = M.exact_sigma2_local(f)
-    nbr = F.induced_neighbor_sets(f)
+    nbr = F.induced_neighborhoods(f).A
     slow = M.exact_sigma2_local(f, nbr)
     assert fast == pytest.approx(slow, rel=1e-10)
     full = M.exact_sigma2_enumerated(F.build_decorated_graph_field(
@@ -134,3 +139,45 @@ def test_csv_serialization_shape():
     assert len(rows) == 4 and rows[1].startswith("1,")
     hdr = M.table_header(t)
     assert hdr["sigma2"] == pytest.approx(3.0) and hdr["mode"] == "exact"
+
+
+GROUPING_CASES = {
+    "iid": lambda: F.build_iid_field(4, F.three_point()),
+    "iid_bernoulli": lambda: F.build_iid_field(3, F.bernoulli(0.3)),
+    "m_dependent": lambda: F.build_m_dependent(5, 2, F.three_point(2.0, 1 / 3)),
+    "m_dependent_window": lambda: F.build_m_dependent(
+        5, 1, F.rademacher(), window_evaluator=lambda a, b: a * b + a),
+    "graph_star": lambda: F.build_graph_dependency(
+        5, [(0, 1), (0, 2), (0, 3), (3, 4)], F.three_point()),
+    "ustat": lambda: F.build_ustat_field([4, 3], 2, lambda x, y: x * y + x, F.three_point()),
+    "word": lambda: F.build_word_field([0, 1], 5, 2, [None]),
+    "constrained_m1": lambda: F.build_constrained_ustat_field(
+        6, 1, lambda x, y: x * y + x, (None,), F.rademacher()),
+    "decorated_path": lambda: F.build_decorated_graph_field(
+        4, [(0, 1), (1, 2)], F.bernoulli(0.4)),
+    **{
+        f"random_{k}": (lambda k=k: O.random_enumerable_instance(substream(77, 5, k)).field)
+        for k in range(20)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUPING_CASES))
+def test_signature_grouping_matches_ungrouped_enumeration(case):
+    f = GROUPING_CASES[case]()
+    # one local enumeration per index and per pair, no grouping
+    means = []
+    for i in range(f.n):
+        probs, X = F.local_values(f, [i])
+        means.append(float(probs @ X[:, 0]))
+    if f.center:
+        assert np.allclose(F.compute_means(f), means, rtol=1e-12, atol=1e-13)
+    norms = np.array([M.exact_index_norms(f, i) for i in range(f.n)])
+    l2, l3, l4 = M.exact_norm_arrays(f)
+    assert np.allclose(np.stack([l2, l3, l4], axis=1), norms, rtol=1e-12, atol=1e-13)
+    sys = F.induced_neighborhoods(f)
+    pair_sum = sum(M.exact_pair_covariance(f, i, j) for i, a in enumerate(sys.A) for j in a)
+    local = M.exact_sigma2_local(f)
+    assert local == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
+    assert M.exact_sigma2_local(f, sys.A) == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
+    assert local == pytest.approx(M.exact_sigma2_enumerated(f), rel=1e-10, abs=1e-12)

@@ -83,8 +83,8 @@ def test_exact_kolmogorov_relabeling_invariance():
     # relabel field indices by reversing: rebuild with reversed supports
     f_rev = F.LatentSourceField(
         sources=f.sources,
-        supports=tuple(reversed(f.supports)),
-        evaluators=tuple(reversed(f.evaluators)),
+        supports=f.supports[::-1],
+        ev=f.ev,
         center=True,
         means=f.means[::-1].copy(),
     )

@@ -191,7 +191,7 @@ def test_u_statistic_hand_values():
 def test_batch_statistics_match_scalar():
     f = F.build_m_dependent(6, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
-    adj = F.induced_adjacency(f)
+    adj = nb.adjacency(sys)
     rng = np.random.default_rng(8)
     X = rng.normal(size=(16, 6))
     w2s, rej = st.w2_batch(X, adj)
