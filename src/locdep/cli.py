@@ -54,14 +54,18 @@ class ExperimentSpec:
     raw: dict = dc_field(default_factory=dict)
 
 
+NUMBER = (int, float)
+
+
 def _need(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise ConfigError(f"{where}.{key}", "missing required field")
     val = doc[key]
-    if kind is int and isinstance(val, bool):
-        raise ConfigError(f"{where}.{key}", "expected integer, got boolean")
+    if kind in (int, NUMBER) and isinstance(val, bool):
+        raise ConfigError(f"{where}.{key}", "expected a number, got boolean")
     if not isinstance(val, kind):
-        raise ConfigError(f"{where}.{key}", f"expected {kind}, got {type(val).__name__}")
+        expected = getattr(kind, "__name__", "number")
+        raise ConfigError(f"{where}.{key}", f"expected {expected}, got {type(val).__name__}")
     return val
 
 
@@ -116,11 +120,20 @@ def parse_spec(doc: dict) -> ExperimentSpec:
     checkers = doc.get("checkers")
     if checkers is not None and not isinstance(checkers, dict):
         raise ConfigError("$.checkers", "expected object or null")
+    if checkers is not None and "instances" in checkers:
+        _need(checkers, "instances", int, "$.checkers")
     seed = _need(doc, "seed", int, "$")
     out = doc.get("out", "locdep-out")
     assertions = doc.get("assertions", {})
     if not isinstance(assertions, dict):
         raise ConfigError("$.assertions", "expected object")
+    if "slope_range" in assertions:
+        window = _need(assertions, "slope_range", list, "$.assertions")
+        if len(window) != 2 or any(isinstance(x, bool) or not isinstance(x, NUMBER) for x in window):
+            raise ConfigError("$.assertions.slope_range", "expected two numbers [lo, hi]")
+    for key in ("max_ratio_spread", "max_ks"):
+        if key in assertions:
+            _need(assertions, key, NUMBER, "$.assertions")
     return ExperimentSpec(
         family=family, params=params, grid=[int(n) for n in grid],
         statistic=statistic, mode=mode, reps=reps, bound_set=bound_set,
@@ -412,7 +425,7 @@ def run_experiment(
 
     verdicts = []
     if do_checkers and spec.checkers:
-        count = int(spec.checkers.get("instances", 50))
+        count = spec.checkers.get("instances", 50)
         checks = spec.checkers.get("checks", list(oracle.SUITE_CHECKS))
         verdicts = oracle.run_checker_suite(
             count, spec.seed, checks=checks,

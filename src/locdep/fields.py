@@ -29,8 +29,9 @@ pattern counting), and decorated injective homomorphism sums over random
 edge variables.
 
 Fields are immutable after construction.  Sampling is a pure function of
-(master_seed, replication_index) through counter-based substreams, so
-replications parallelize and reproduce bit-for-bit.
+(master_seed, path, replication_index): replications are drawn in blocks
+of ``rng.block_size(n_sources)``, one counter-based substream per block,
+so blocks parallelize and every replication reproduces bit-for-bit.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .errors import (
     InvalidSize,
 )
 from .neighborhood import NeighborhoodSystem, make_system
-from .rng import STREAM_MEAN_PREPASS, STREAM_SAMPLE, substream
+from .rng import STREAM_MEAN_PREPASS, STREAM_SAMPLE, block_size, substream
 
 DEFAULT_ENUM_CAP = 2**24
 DEFAULT_INDEX_CAP = 2**22
@@ -114,14 +115,24 @@ def uniform_letters(k: int) -> DiscreteSource:
     return DiscreteSource(tuple(float(a) for a in range(k)), (1.0 / k,) * k)
 
 
-def _draw(source: Source, rng: np.random.Generator, size: int) -> np.ndarray:
+def _draw(source: Source, rng: np.random.Generator, size) -> np.ndarray:
+    """``size`` (an int or a shape) draws of ``source``.  Equiprobable
+    discrete sources take exact shortcuts: random bits for two points,
+    ``integers`` for more; other laws invert the cumulative probs."""
     if isinstance(source, ContinuousSource):
         if source.kind == "uniform":
             return rng.random(size)
         return rng.standard_normal(size)
+    values = np.asarray(source.values)
+    if len(set(source.probs)) == 1:
+        if len(values) == 2:
+            count = int(np.prod(size))
+            raw = np.frombuffer(rng.bytes(-(-count // 8)), dtype=np.uint8)
+            return values[np.unpackbits(raw, count=count)].reshape(size)
+        return values[rng.integers(len(values), size=size)]
     cum = np.cumsum(source.probs)
     idx = np.searchsorted(cum, rng.random(size), side="right")
-    return np.asarray(source.values)[np.minimum(idx, len(source.values) - 1)]
+    return values[np.minimum(idx, len(values) - 1)]
 
 
 def product_grid(sources: Sequence[Source], start: int = 0, stop: int | None = None):
@@ -261,12 +272,6 @@ def _gather(U: np.ndarray, S: np.ndarray) -> np.ndarray:
     return G
 
 
-def _evaluate(field: LatentSourceField, U: np.ndarray, idx) -> np.ndarray:
-    """Uncentered values of the indices ``idx`` (a slice or index array)."""
-    G = _gather(U, field.supports[idx])
-    return field.ev(G, *(p[idx] for p in field.params))
-
-
 def _blocks(count: int, width: int, reps: int) -> list[slice]:
     """Index slices whose gathered (reps, block, width) array stays within
     GATHER_CELLS and no larger than a (reps, count) output."""
@@ -275,15 +280,22 @@ def _blocks(count: int, width: int, reps: int) -> list[slice]:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
+def _localize(field: LatentSourceField, idx) -> tuple[np.ndarray, np.ndarray]:
+    """(used, local): the sorted source ids the indices ``idx`` read, and
+    their support rows renumbered into positions of ``used`` (-1 kept)."""
+    S = field.supports[idx]
+    used = np.unique(S[S >= 0])
+    return used, np.where(S >= 0, np.searchsorted(used, S), -1)
+
+
 def local_values(field: LatentSourceField, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(probs, X) over the product grid of the sources the indices ``idx``
     read: X[k, j] is the uncentered X_{idx[j]} at grid point k."""
-    S = field.supports[np.asarray(idx, dtype=np.int64)]
-    used = np.unique(S[S >= 0])
+    idx = np.asarray(idx, dtype=np.int64)
+    used, local = _localize(field, idx)
     probs, grid = product_grid([field.sources[s] for s in used])
     if not used.size:
         grid = np.zeros((1, 1))
-    local = np.where(S >= 0, np.searchsorted(used, S), -1)
     X = field.ev(_gather(grid, local), *(p[idx] for p in field.params))
     return probs, np.broadcast_to(np.asarray(X, dtype=float), (probs.size, len(idx)))
 
@@ -353,41 +365,42 @@ def compute_means(
     master_seed: int = 0,
     prepass: int = 10**6,
 ) -> np.ndarray:
-    """E X_i for every index: exact (one local enumeration per signature)
-    when the supporting sources are discrete, otherwise a Monte-Carlo
-    pre-pass of ``prepass`` draws."""
-    means = np.empty(field.n)
+    """E X_i for every index, computed once per signature group (whose
+    indices share one law): exact by local enumeration when the supporting
+    sources are discrete, otherwise a Monte-Carlo pre-pass of ``prepass``
+    draws of the sources the group representatives read."""
+    first, inverse = signature_groups(field, np.arange(field.n))
     discrete = np.repeat(
         [isinstance(src, DiscreteSource) for _, src in field.runs],
         [sl.stop - sl.start for sl, _ in field.runs],
     )
-    exact = np.append(discrete, True)[field.supports].all(axis=1)
-    idx = np.flatnonzero(exact)
-    if idx.size:
-        first, inverse = signature_groups(field, idx)
-        group_means = []
-        for i in idx[first]:
-            probs, X = local_values(field, [i])
-            group_means.append(float(probs @ X[:, 0]))
-        means[idx] = np.asarray(group_means)[inverse]
-    todo = np.flatnonzero(~exact)
+    exact = np.append(discrete, True)[field.supports[first]].all(axis=1)
+    group_means = np.empty(first.size)
+    for g in np.flatnonzero(exact):
+        probs, X = local_values(field, [first[g]])
+        group_means[g] = probs @ X[:, 0]
+    todo = first[~exact]
     if todo.size:
+        used, local = _localize(field, todo)
+        params = [p[todo] for p in field.params]
         acc = np.zeros(todo.size)
         done = 0
-        chunk = max(1, min(prepass, (1 << 25) // max(1, field.n_sources)))
+        chunk = max(1, min(prepass, (1 << 25) // max(1, used.size)))
         rng = substream(master_seed, STREAM_MEAN_PREPASS)
         while done < prepass:
             size = min(chunk, prepass - done)
-            rows = np.empty((size, field.n_sources))
-            for s, src in enumerate(field.sources):
-                rows[:, s] = _draw(src, rng, size)
-            for sl in _blocks(todo.size, field.supports.shape[1], size):
-                acc[sl] += _evaluate(field, rows, todo[sl]).sum(axis=0)
+            rows = np.empty((size, used.size))
+            for c, s in enumerate(used):
+                rows[:, c] = _draw(field.sources[s], rng, size)
+            for sl in _blocks(todo.size, local.shape[1], size):
+                G = _gather(rows, local[sl])
+                acc[sl] += field.ev(G, *(p[sl] for p in params)).sum(axis=0)
             done += size
-        means[todo] = acc / prepass
+        group_means[~exact] = acc / prepass
         if isinstance(field.metadata, dict):  # provenance, recorded while the field is built
-            field.metadata["mean_prepass"] = {"draws": prepass, "indices": int(todo.size)}
-    return means
+            field.metadata["mean_prepass"] = {"draws": prepass, "groups": int(todo.size),
+                                              "indices": int((~exact)[inverse].sum())}
+    return group_means[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +413,23 @@ def draw_source_rows(
     reps: Sequence[int],
     path: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """Source draws for the given replication indices, one substream each."""
-    out = np.empty((len(reps), field.n_sources))
-    for r_i, rep in enumerate(reps):
-        rng = substream(master_seed, STREAM_SAMPLE, *path, int(rep))
+    """Source draws for the given replication indices, one row each.
+
+    Replication r is row r % B of block r // B, and each block is drawn
+    whole from the substream (master_seed, STREAM_SAMPLE, *path, block),
+    B = block_size(n_sources); so a row depends only on (seed, path, r).
+    """
+    reps = np.asarray(reps, dtype=np.int64).reshape(-1)
+    B = block_size(field.n_sources)
+    out = np.empty((reps.size, field.n_sources))
+    order = np.argsort(reps, kind="stable")
+    blocks, starts = np.unique(reps[order] // B, return_index=True)
+    for b, hit in zip(blocks, np.split(order, starts[1:])):
+        rng = substream(master_seed, STREAM_SAMPLE, *path, int(b))
+        block = np.empty((B, field.n_sources))
         for sl, src in field.runs:
-            out[r_i, sl] = _draw(src, rng, sl.stop - sl.start)
+            block[:, sl] = _draw(src, rng, (B, sl.stop - sl.start))
+        out[hit] = block[reps[hit] % B]
     return out
 
 
@@ -415,7 +439,7 @@ def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(rows)
     out = np.empty((rows.shape[0], field.n))
     for sl in _blocks(field.n, field.supports.shape[1], rows.shape[0]):
-        out[:, sl] = _evaluate(field, rows, sl)
+        out[:, sl] = field.ev(_gather(rows, field.supports[sl]), *(p[sl] for p in field.params))
     if field.center:
         out -= field.means
     return out

@@ -1,11 +1,11 @@
 """Monte-Carlo experiments: empirical Kolmogorov distances, rate fits,
 and bound-ratio tables.
 
-Replications are embarrassingly parallel: each replication draws from its
-own counter-derived substream, chunks are processed independently (numpy
-releases the GIL for the heavy parts), and per-chunk results merge in
-chunk order, so summaries are independent of the worker count and stable
-under increasing R (shared replication indices reproduce bit-for-bit).
+Replications are embarrassingly parallel: each block of replications
+draws from its own counter-derived substream (``rng.block_size``), chunks
+of whole blocks run independently (numpy releases the GIL for the heavy
+parts) and merge in chunk order, so summaries are independent of the
+worker count and chunk size and stable under increasing R.
 
 The Kolmogorov distance is against the fixed continuous reference Phi via
 the exact order-statistic formula
@@ -26,6 +26,7 @@ from .errors import DegeneratePoints, DegenerateVariance, ExcessRejections, Grid
 from .fields import LatentSourceField, draw_source_rows, evaluate_values, overlap_matrix
 from .neighborhood import adjacency
 from .oracle import phi
+from .rng import block_size
 from .statistics import w1_batch, w2_batch, w2bar_batch
 
 DEFAULT_CHUNK = 4096
@@ -91,8 +92,9 @@ def mc_run(
         raise ValueError(f"reps={reps} below the 10^3 floor")
     if statistic in ("w1", "w2bar") and sigma is None:
         raise DegenerateVariance(f"{statistic} needs sigma")
-    # keep each chunk's source matrix around ~32 MB
-    chunk = max(1, min(chunk, (1 << 22) // max(1, field.n_sources)))
+    # keep each chunk's source matrix around ~32 MB, in whole sample blocks
+    B = block_size(field.n_sources)
+    chunk = max(B, min(chunk, (1 << 22) // max(1, field.n_sources)) // B * B)
     adj = None
     if statistic in ("w2", "w2bar"):
         adj = adjacency(sys_or_adj) if sys_or_adj is not None else overlap_matrix(field)

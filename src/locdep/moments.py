@@ -37,7 +37,7 @@ from .fields import (
     signature_groups,
 )
 from .neighborhood import NeighborhoodSystem, adjacency
-from .rng import STREAM_MOMENTS, substream
+from .rng import STREAM_MOMENTS, block_size, substream
 
 SIGMA2_IDENTITY_RTOL = 1e-10
 
@@ -224,12 +224,16 @@ def mc_moment_table(
     s_sum = np.zeros(batches)
     s2_sum = np.zeros(batches)
     counts = np.diff(bounds)
-    for b in range(batches):
-        lo, hi = bounds[b], bounds[b + 1]
-        for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            rows = draw_source_rows(field, master_seed, range(start, stop), path=(STREAM_MOMENTS,))
-            X = evaluate_values(field, rows)
+    # chunks of whole sample blocks, each split at the batch bounds it spans
+    B = block_size(field.n_sources)
+    chunk = max(B, chunk // B * B)
+    for start in range(0, reps, chunk):
+        stop = min(start + chunk, reps)
+        rows = draw_source_rows(field, master_seed, range(start, stop), path=(STREAM_MOMENTS,))
+        X_chunk = evaluate_values(field, rows)
+        cuts = np.clip(bounds, start, stop) - start
+        for b in np.flatnonzero(cuts[1:] > cuts[:-1]):
+            X = X_chunk[cuts[b]:cuts[b + 1]]
             a = np.abs(X)
             for p in (2, 3, 4):
                 acc[p][b] += (a**p).sum(axis=0)

@@ -55,6 +55,7 @@ def test_criterion_1_explicit_constant_suite(checker_verdicts):
     _report("1", f"{len(verds)} verdicts, zero failures, worst relative margin {worst:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_2_fourth_moment(checker_verdicts):
     """Fourth-moment bound at constant 13: every precondition-satisfied
     instance passes; the large-n Monte-Carlo regime has E(S/sigma)^4
@@ -194,6 +195,7 @@ def test_criterion_6_self_normalized_normal():
     _report("6", f"ks(W2)={s.ks:.4f} <= 0.05, rejections=0")
 
 
+@pytest.mark.slow
 def test_criterion_7_m_dependent_regime():
     """m = 1 adjacent-sum Rademacher field on the grid: W1 slope in the
     window and the self-normalized ratio table finite with spread < 5."""

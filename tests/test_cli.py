@@ -212,3 +212,16 @@ def test_non_integer_reps_exits_2(tmp_path, capsys):
     doc = minimal_spec(tmp_path, mode={"kind": "mc", "reps": "many"})
     assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 2
     assert "$.mode.reps" in capsys.readouterr().err
+
+
+def test_non_integer_checker_instances_exits_2(tmp_path, capsys):
+    doc = minimal_spec(tmp_path, checkers={"instances": "many"})
+    assert cli.main(["oracle", "--spec", write_spec(tmp_path, doc)]) == 2
+    assert "$.checkers.instances" in capsys.readouterr().err
+
+
+def test_one_number_slope_range_exits_2(tmp_path, capsys):
+    doc = minimal_spec(tmp_path, grid=[16, 64, 256], mode={"kind": "mc", "reps": 1000},
+                       assertions={"slope_range": [1]})
+    assert cli.main(["mc", "--spec", write_spec(tmp_path, doc)]) == 2
+    assert "$.assertions.slope_range" in capsys.readouterr().err

@@ -5,7 +5,9 @@ Core claims:
       builder, and the induced systems satisfy both local-dependence
       conditions exactly (factorization of the joint pmf)
     - sampling is a bit-for-bit deterministic function of
-      (master seed, replication); distinct replications are independent
+      (master seed, path, replication), whatever block boundaries the
+      requested range crosses; distinct replications are independent, and
+      every sampler draws its source's exact law
     - the family builders reproduce their hand-derived structure examples
       (window fields, graph fields, U-statistic subsets, constrained
       tuples, decorated injections)
@@ -32,6 +34,7 @@ from locdep.errors import (
     GraphTooLarge,
     InvalidSize,
 )
+from locdep.rng import block_size, substream
 
 
 def test_induced_m_dependent_windows():
@@ -232,16 +235,59 @@ def test_outcome_blocks_probabilities_sum_to_one():
 
 
 def test_mean_prepass_for_continuous_sources():
+    # 50 indices alternating between U_i and U_i * U_{i+1}: the pre-pass
+    # estimates one mean per signature group and spreads it over the group
+    n = 50
+    has_v = np.arange(n) % 2 == 1
     f = F.LatentSourceField(
-        sources=(F.ContinuousSource("uniform"),) * 2,
-        supports=((0, -1), (0, 1)),
+        sources=(F.ContinuousSource("uniform"),) * (n + 1),
+        supports=np.stack([np.arange(n), np.where(has_v, np.arange(n) + 1, -1)], axis=1),
         ev=lambda G, has_v: G[..., 0] * np.where(has_v, G[..., 1], 1.0),
-        params=(np.array([False, True]),),
+        params=(has_v,),
         center=True,
     )
     means = F.compute_means(f, prepass=200_000)
-    assert means[0] == pytest.approx(0.5, abs=0.01)
-    assert means[1] == pytest.approx(0.25, abs=0.01)
+    assert np.unique(means).size == 2
+    assert np.all(np.abs(means[~has_v] - 0.5) <= 0.01)
+    assert np.all(np.abs(means[has_v] - 0.25) <= 0.01)
+    normal = F.build_m_dependent(40, 1, F.ContinuousSource("normal"))
+    assert normal.metadata["mean_prepass"]["draws"] == 10**6
+    assert np.unique(normal.means).size == 1
+    assert abs(normal.means[0]) <= 6 / math.sqrt(10**6)
+
+
+def test_sampler_laws():
+    # bits (fair two-point), integers (equiprobable letters) and the
+    # inverse-cdf fallback (everything else) each draw their exact law
+    rng = substream(2024, 7)
+    size = 2**20
+    for source in (F.rademacher(), F.uniform_letters(5), F.bernoulli(0.55), F.three_point()):
+        x = F._draw(source, rng, size)
+        assert x.shape == (size,)
+        for value, p in zip(source.values, source.probs):
+            freq = np.mean(x == value)
+            assert abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / size), (source, value, freq)
+        for shape in (13, (3, 5), (0, 4), (7, 9)):
+            y = F._draw(source, rng, shape)
+            assert y.shape == np.empty(shape).shape
+            assert set(np.unique(y)) <= set(source.values)
+
+
+@pytest.mark.parametrize("n_sources", [8, 300, 40_000])
+def test_block_rows_are_a_function_of_the_replication(n_sources):
+    # B = 4096, 128 and 1: a range that starts inside a block and crosses
+    # block edges reads the same rows as a range from 0
+    f = F.build_iid_field(n_sources, F.rademacher(), center=False)
+    B = block_size(n_sources)
+    assert B == {8: 4096, 300: 128, 40_000: 1}[n_sources]
+    a, b = B + B // 2 + 1, 3 * B + 2
+    full = F.draw_source_rows(f, 17, range(0, b + B))
+    assert np.array_equal(F.draw_source_rows(f, 17, range(a, b)), full[a:b])
+    picks = [b - 1, a, 0, a]
+    assert np.array_equal(F.draw_source_rows(f, 17, picks), full[picks])
+    other = F.draw_source_rows(f, 17, range(0, b + B), path=(1,))
+    assert not np.array_equal(other, full)
+    assert not np.array_equal(other, F.draw_source_rows(f, 17, range(0, b + B), path=(2,)))
 
 
 def test_fields_are_immutable_and_sampling_leaves_them_unchanged():

@@ -3,8 +3,8 @@
 Core claims:
     - the empirical Kolmogorov distance matches the exact oracle within
       the sampling envelope and reproduces with the seed
-    - per-replication streams are stable under increasing R and thread
-      counts; rejections reproduce
+    - the block streams are stable under increasing R, thread counts and
+      chunk sizes; rejections reproduce
     - rate fits recover synthetic power laws; ratio tables are exact on
       synthetic data and enforce grid agreement
 """
@@ -58,6 +58,19 @@ def test_thread_count_does_not_change_results():
     a = H.mc_run(f, "w1", 4000, 3, sigma=t.sigma, chunk=512, threads=1)
     b = H.mc_run(f, "w1", 4000, 3, sigma=t.sigma, chunk=512, threads=4)
     assert a.ks == b.ks and a.mean == b.mean
+
+
+def test_chunk_size_and_thread_count_do_not_change_summaries():
+    # 301 sources give 128-row sample blocks, so every chunk size here
+    # splits the replications differently
+    f = F.build_m_dependent(300, 1, F.rademacher())
+    t = M.exact_moment_table(f, sigma2_mode="local")
+    runs = [
+        H.mc_run(f, "w1", 4000, 3, sigma=t.sigma, threads=threads, **chunk)
+        for chunk in ({"chunk": 256}, {"chunk": 512}, {})
+        for threads in (1, 2)
+    ]
+    assert all(r == runs[0] for r in runs[1:])
 
 
 def test_rejections_reproduce_and_excess_raises():
