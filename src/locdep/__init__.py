@@ -6,11 +6,8 @@ certification of explicit-constant moment and concentration inequalities.
 from .neighborhood import (  # noqa: F401
     DerivedNeighborhoods,
     NeighborhoodSystem,
-    default_pair_cover,
     derive,
     make_system,
-    pair_interference,
-    reverse_neighborhoods,
     validate_structure,
 )
 from .fields import (  # noqa: F401

@@ -27,10 +27,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import BlockTooSmall, ComplexityCapExceeded, DegenerateVariance
 from .moments import KernelMoments, MomentTable, lam_scale
-from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem
+from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, pairs
 
 DEFAULT_TERM_BUDGET = 10**9
 
@@ -180,6 +181,15 @@ class _Budget:
             )
 
 
+def _union(budget: _Budget, *parts) -> sparse.csr_matrix:
+    """Row p is the union over ``parts`` (S, ids) of row ids[p] of the CSR
+    0/1 matrix S: the sign of the sum of the selected rows.  The budget
+    is charged the sum of the row lengths, an nnz upper bound, first."""
+    budget.spend(sum(int(np.diff(S.indptr)[ids].sum()) for S, ids in parts))
+    rows = [S[ids] for S, ids in parts]
+    return sum(rows[1:], rows[0]).sign()
+
+
 def _beta_sums(
     l4: np.ndarray,
     sys: NeighborhoodSystem,
@@ -191,64 +201,35 @@ def _beta_sums(
 
     ``third_union_includes_aj`` switches the third second-order term
     between k in A_i | N_j | A_j (beta_2) and k in A_i | N_j (delta_6).
+    Unions of neighborhoods are rows of :func:`_union` matrices; the pair
+    rows run over the entries (i, j) of M, and A_i | A_j is their cover.
     """
-    A = [set(a) for a in sys.A]
-    N = [set(ns) for ns in derived.N]
-    sizes = np.array([len(a) for a in sys.A], dtype=float)
-    n = sys.n
-    AuN = [A[k] | N[k] for k in range(n)]
-    w_an = np.array([sum(l4[x] for x in AuN[k]) for k in range(n)])
-    w_n = np.array([sum(l4[x] for x in N[k]) for k in range(n)])
-    d_pair = np.array(
-        [sum(l4[k] * l4[l] for (k, l) in derived.D[i]) for i in range(n)]
-    )
-    budget.spend(sum(len(s) for s in AuN) + sum(len(s) for s in N) + sum(len(d) for d in derived.D))
+    M, Mt = sys.M, derived.Mt
+    every = slice(None)
+    I, J = pairs(M)
+    s = np.diff(M.indptr).astype(float)
+    AuN = _union(budget, (M, every), (Mt, every))
+    cover = _union(budget, (M, I), (M, J))
+    AiNj = _union(budget, (M, I), (Mt, J))
+    ks23 = _union(budget, (M, I), (Mt, J), (M, J)) if third_union_includes_aj else AiNj
 
-    b1a = float(np.sum(sizes**2 * l4**3))
-    b1b = 0.0
-    for i in range(n):
-        b1b += sizes[i] * sum(l4[j] ** 3 for j in A[i])
-    budget.spend(int(np.sum(sizes)))
-
-    t21 = 0.0
-    for i in range(n):
-        for j in A[i]:
-            cover = sys.pair_cover(i, j)
-            budget.spend(len(cover))
-            t21 += l4[i] * l4[j] * sum(l4[k] * w_an[k] for k in cover)
-    t22 = 0.0
-    for i in range(n):
-        au = A[i] | N[i]
-        budget.spend(len(au))
-        t22 += sizes[i] ** 2 * l4[i] ** 3 * sum(l4[j] for j in au)
-    t23 = 0.0
-    for i in range(n):
-        for j in A[i]:
-            ks = (A[i] | N[j] | A[j]) if third_union_includes_aj else (A[i] | N[j])
-            budget.spend(len(ks))
-            t23 += sizes[i] * l4[j] ** 3 * sum(l4[k] for k in ks)
-
-    t31 = 0.0
-    for i in range(n):
-        au = A[i] | N[i]
-        budget.spend(len(au))
-        t31 += sizes[i] ** 2 * l4[i] ** 3 * sum(l4[j] * w_n[j] for j in au)
-    t32 = 0.0
-    for i in range(n):
-        for j in A[i]:
-            ks = A[i] | N[j]
-            budget.spend(len(ks))
-            t32 += sizes[i] * l4[j] ** 3 * sum(l4[k] * w_n[k] for k in ks)
-    t33 = float(np.sum(sizes**2 * l4**3 * d_pair))
-    t34 = 0.0
-    for i in range(n):
-        t34 += sizes[i] * sum(l4[j] ** 3 * d_pair[j] for j in A[i])
-    budget.spend(int(np.sum(sizes)))
-
+    l43 = l4**3
+    lead = s**2 * l43
+    pair_lead = s[I] * l43[J]
+    w_an = AuN @ l4
+    w_n = Mt @ l4
+    lij = l4[I] * l4[J]
+    d_pair = cover.T @ lij
     return {
-        "b1a": b1a, "b1b": b1b,
-        "t21": t21, "t22": t22, "t23": t23,
-        "t31": t31, "t32": t32, "t33": t33, "t34": t34,
+        "b1a": float(np.sum(lead)),
+        "b1b": float(s @ (M @ l43)),
+        "t21": float(lij @ (cover @ (l4 * w_an))),
+        "t22": float(lead @ w_an),
+        "t23": float(pair_lead @ (ks23 @ l4)),
+        "t31": float(lead @ (AuN @ (l4 * w_n))),
+        "t32": float(pair_lead @ (AiNj @ (l4 * w_n))),
+        "t33": float(lead @ d_pair),
+        "t34": float(s @ (M @ (l43 * d_pair))),
     }
 
 
@@ -467,23 +448,23 @@ def bound_distributed_general(
 # Delta components for the concentration checkers
 
 
+def reverse_set_of(sys: NeighborhoodSystem, A: Sequence[int]) -> np.ndarray:
+    """N_A = {k : A_k & A != {}}, ascending: the rows of M that hit A."""
+    hit = np.zeros(sys.n)
+    hit[np.asarray(A, dtype=np.int64)] = 1.0
+    return np.flatnonzero(sys.M @ hit)
+
+
 def interference_set_of(
     sys: NeighborhoodSystem, A: Sequence[int]
-) -> list[tuple[int, int]]:
-    """D_A = {(i, j) : j in A_i, A & A_ij != {}}."""
-    a_set = set(A)
-    out = []
-    for i, nbrs in enumerate(sys.A):
-        for j in nbrs:
-            if a_set & set(sys.pair_cover(i, j)):
-                out.append((i, j))
-    return out
-
-
-def reverse_set_of(sys: NeighborhoodSystem, A: Sequence[int]) -> list[int]:
-    """N_A = {k : A_k & A != {}}."""
-    a_set = set(A)
-    return [k for k, nbrs in enumerate(sys.A) if a_set & set(nbrs)]
+) -> tuple[np.ndarray, np.ndarray]:
+    """D_A = {(i, j) : j in A_i, A & (A_i | A_j) != {}}, as (I, J): under
+    the union cover, the pairs of M with i or j in N_A."""
+    in_na = np.zeros(sys.n, dtype=bool)
+    in_na[reverse_set_of(sys, A)] = True
+    I, J = pairs(sys.M)
+    keep = in_na[I] | in_na[J]
+    return I[keep], J[keep]
 
 
 def delta_components_prop1(
@@ -505,16 +486,15 @@ def delta_components_prop1(
         raise ValueError("need a <= b and c >= 1")
     sigma = _require_sigma(table)
     l4 = table.l4
-    N = derived.N
-    n_a = reverse_set_of(sys, A)
-    d_a = interference_set_of(sys, A)
+    B = np.asarray(B, dtype=np.int64)
+    I, J = interference_set_of(sys, A)
     raw = _beta_sums(l4, sys, derived, _Budget(budget), third_union_includes_aj=False)
     delta = {
         "delta0": (b - a) / 100.0,
-        "delta1": c / sigma * float(sum(l4[i] for i in n_a)),
-        "delta2": c / sigma * float(sum(l4[m] for m in B)),
-        "delta3": c / sigma**2 * float(sum(l4[k] * l4[m] for m in B for k in N[m])),
-        "delta4": c / sigma**2 * float(sum(l4[i] * l4[j] for (i, j) in d_a)),
+        "delta1": c / sigma * float(np.sum(l4[reverse_set_of(sys, A)])),
+        "delta2": c / sigma * float(np.sum(l4[B])),
+        "delta3": c / sigma**2 * float(l4[B] @ (derived.Mt @ l4)[B]),
+        "delta4": c / sigma**2 * float(l4[I] @ l4[J]),
         "delta5": c / sigma**3 * (raw["b1a"] + raw["b1b"]),
         "delta6": math.sqrt(c**2 / sigma**4 * (raw["t21"] + raw["t22"] + raw["t23"])),
         "delta7": math.sqrt(
@@ -545,22 +525,11 @@ def delta_components_prop2(
     kappa, tau = derived.kappa, derived.tau
     lam = lam_scale(table, kappa)
     n_a = reverse_set_of(sys, A)
-    a_sets = [set(x) for x in sys.A]
-    n_sets = [set(x) for x in derived.N]
-    d4_sq = (
-        lam**2
-        * c**2
-        / sigma**2
-        * float(
-            sum(
-                l4[k] * l4[l]
-                for k in n_a
-                for l in (n_sets[k] | a_sets[k])
-            )
-        )
-    )
+    # sum over k in N_A and l in N_k | A_k of ||X_k||_4 ||X_l||_4
+    w_an = (sys.M + derived.Mt).sign() @ l4
+    d4_sq = lam**2 * c**2 / sigma**2 * float(l4[n_a] @ w_an[n_a])
     delta = {
-        "delta1": c / sigma * float(sum(l4[m] for m in B)),
+        "delta1": c / sigma * float(np.sum(l4[np.asarray(B, dtype=np.int64)])),
         "delta2": c * lam * kappa**2 * len(A) ** 2 / sigma**3 * float(np.sum(l4**3)),
         "delta3": c
         * lam

@@ -302,18 +302,29 @@ def _moment_table_for(built: BuiltInstance, spec: ExperimentSpec, n: int,
     return table
 
 
-def _derive_system(built: BuiltInstance, spec: ExperimentSpec, cap_terms: int = 10**7):
-    """(system, derived): the declared or induced neighborhoods.  Raises
+def _system(built: BuiltInstance, spec: ExperimentSpec, cap_terms: int = 10**7):
+    """The declared or induced neighborhoods.  Raises
     :class:`ComplexityCapExceeded` when the induced system exceeds
     ``cap_terms`` neighbor entries."""
     declared = spec.params.get("declared_A")
-    if declared is not None:
-        # user-declared neighborhoods: accepted, but independence is only
-        # verified when the LD assertion is switched on
-        sys = neighborhood.make_system([tuple(x) for x in declared])
-    else:
-        sys = fields.induced_neighborhoods(built.field, cap_terms=cap_terms)
-    return sys, neighborhood.derive(sys)
+    if declared is None:
+        return fields.induced_neighborhoods(built.field, cap_terms=cap_terms)
+    # user-declared neighborhoods: checked for structure here, but
+    # independence is only verified when the LD assertion is switched on
+    where = "$.params.declared_A"
+    n = built.field.n
+    if not (isinstance(declared, list) and all(isinstance(a, list) for a in declared)):
+        raise ConfigError(where, "expected a list of index lists")
+    if len(declared) != n:
+        raise ConfigError(where, f"expected one list per index, {n} in all, got {len(declared)}")
+    try:
+        sys = neighborhood.make_system(declared)
+    except ValueError as e:
+        raise ConfigError(where, str(e)) from None
+    report = neighborhood.validate_structure(sys)
+    if not report.ok:
+        raise ConfigError(where, "; ".join(report.violations))
+    return sys
 
 
 def evaluate_bounds(
@@ -324,7 +335,8 @@ def evaluate_bounds(
     sys = der = None
     for name in spec.bound_set:
         if name in GENERIC_BOUNDS and sys is None:
-            sys, der = _derive_system(built, spec)
+            sys = _system(built, spec)
+            der = neighborhood.derive(sys)
         if name == "main":
             reports.append(bounds.bound_main(table, der.kappa, der.tau))
         elif name == "self_normalized":
@@ -442,11 +454,7 @@ def run_experiment(
         for e in per_n:
             f = e["built"].field
             if f.is_enumerable() and (f.outcome_count() or 0) <= 2**16:
-                sysn = fields.induced_neighborhoods(f)
-                declared = spec.params.get("declared_A")
-                if declared is not None:
-                    sysn = neighborhood.make_system([tuple(x) for x in declared])
-                viol = oracle.check_ld_independence(f, sysn)
+                viol = oracle.check_ld_independence(f, _system(e["built"], spec, cap_terms=10**8))
                 failures.extend(f"n={e['n']}: {v}" for v in viol)
 
     if do_stat:
@@ -637,7 +645,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         for n in spec.grid:
             built = build_family(spec.family, spec.params, n)
             try:
-                _, der = _derive_system(built, spec)
+                der = neighborhood.derive(_system(built, spec))
             except ComplexityCapExceeded:
                 print(f"n={n}: system too large to materialize")
             else:

@@ -5,10 +5,6 @@ class LocdepError(Exception):
     """Base class for all locdep errors."""
 
 
-class MissingPairCover(LocdepError):
-    """A pair (i, j) with j in A_i has no pair-neighborhood entry."""
-
-
 class DegenerateVariance(LocdepError):
     """Var(S) is zero (or not positive) where a positive variance is required."""
 

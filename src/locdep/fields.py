@@ -502,11 +502,12 @@ def overlap_matrix(field: LatentSourceField) -> sparse.csr_matrix:
 def induced_neighborhoods(
     field: LatentSourceField, cap_terms: int | None = 10**8
 ) -> NeighborhoodSystem:
-    """The support-overlap neighborhood system with the union pair cover.
+    """The support-overlap neighborhood system.
 
     Local dependence holds by construction: indices outside A_i share no
-    source with i.  ``cap_terms`` guards against materializing systems
-    whose pair covers would be astronomically large.
+    source with i, and indices outside A_i | A_j none with i or j.
+    ``cap_terms`` guards against materializing astronomically large
+    systems.
     """
     users = np.bincount(incidence(field).indices, minlength=field.n_sources)
     estimate = int(users @ users)
@@ -514,8 +515,7 @@ def induced_neighborhoods(
         raise ComplexityCapExceeded(
             f"induced system would hold ~{estimate} neighbor entries (cap {cap_terms})"
         )
-    M = overlap_matrix(field)
-    return make_system(np.split(M.indices, M.indptr[1:-1]))
+    return make_system(overlap_matrix(field))
 
 
 # ---------------------------------------------------------------------------

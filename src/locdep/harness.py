@@ -27,7 +27,7 @@ from .fields import LatentSourceField, draw_source_rows, evaluate_values, overla
 from .neighborhood import adjacency
 from .oracle import phi
 from .rng import block_size
-from .statistics import w1_batch, w2_batch, w2bar_batch
+from .statistics import statistic_batch
 
 DEFAULT_CHUNK = 4096
 MAX_REJECT_FRACTION = 0.01
@@ -90,8 +90,6 @@ def mc_run(
     """
     if reps < 10**3:
         raise ValueError(f"reps={reps} below the 10^3 floor")
-    if statistic in ("w1", "w2bar") and sigma is None:
-        raise DegenerateVariance(f"{statistic} needs sigma")
     # keep each chunk's source matrix around ~32 MB, in whole sample blocks
     B = block_size(field.n_sources)
     chunk = max(B, min(chunk, (1 << 22) // max(1, field.n_sources)) // B * B)
@@ -110,17 +108,8 @@ def mc_run(
             s = batch_sum(rows) - mean_total
             vals = s / sigma if statistic == "w1" else s
             return vals, 0
-        X = evaluate_values(field, rows)
-        if statistic == "w1":
-            return w1_batch(X, sigma), 0
-        if statistic == "sum":
-            return X.sum(axis=1), 0
-        if statistic == "w2":
-            vals, rej = w2_batch(X, adj)
-            return vals[~rej], int(rej.sum())
-        if statistic == "w2bar":
-            return w2bar_batch(X, adj, sigma), 0
-        raise ValueError(f"unknown statistic {statistic!r}")
+        vals, rej = statistic_batch(statistic, evaluate_values(field, rows), adj, sigma)
+        return vals[~rej], int(rej.sum())
 
     starts = list(range(0, reps, chunk))
     if threads > 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .fields import (
     product_grid,
     signature_groups,
 )
-from .neighborhood import NeighborhoodSystem, adjacency
+from .neighborhood import NeighborhoodSystem, pairs
 from .rng import STREAM_MOMENTS, block_size, substream
 
 SIGMA2_IDENTITY_RTOL = 1e-10
@@ -122,28 +122,27 @@ def exact_pair_covariance(field: LatentSourceField, i: int, j: int) -> float:
 
 
 def exact_sigma2_local(
-    field: LatentSourceField, neighbor_sets: Sequence[Sequence[int]] | None = None
+    field: LatentSourceField, sys: NeighborhoodSystem | None = None
 ) -> float:
     """Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j), by local enumeration,
-    one per signature group of pairs.  ``neighbor_sets`` defaults to the
-    induced neighborhoods.
+    one per signature group of pairs.  ``sys`` defaults to the induced
+    neighborhoods.
 
     Index-transitive fields (every index's neighborhood sum is identical
     by exchangeability) use one reference index.
     """
-    if field.metadata.get("index_transitive") and neighbor_sets is None:
+    if field.metadata.get("index_transitive") and sys is None:
         inc = incidence(field)
         a0 = np.sort((inc[0] @ inc.T).indices)
         return field.n * _covariance_sum(field, np.stack([np.zeros_like(a0), a0], axis=1))
-    M = overlap_matrix(field) if neighbor_sets is None else adjacency(neighbor_sets)
-    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    return _covariance_sum(field, np.stack([rows, M.indices], axis=1))
+    I, J = pairs(overlap_matrix(field) if sys is None else sys.M)
+    return _covariance_sum(field, np.stack([I, J], axis=1))
 
 
-def _covariance_sum(field: LatentSourceField, pairs: np.ndarray) -> float:
-    """sum of Cov(X_i, X_j) over the rows (i, j) of ``pairs``."""
-    first, inverse = signature_groups(field, pairs)
-    cov = np.array([exact_pair_covariance(field, *pairs[g]) for g in first])
+def _covariance_sum(field: LatentSourceField, ij: np.ndarray) -> float:
+    """sum of Cov(X_i, X_j) over the rows (i, j) of ``ij``."""
+    first, inverse = signature_groups(field, ij)
+    cov = np.array([exact_pair_covariance(field, *ij[g]) for g in first])
     return float(np.bincount(inverse, minlength=first.size) @ cov)
 
 
@@ -183,7 +182,7 @@ def exact_moment_table(
                 f"outcome count {count} exceeds cap {cap} for global enumeration"
             )
         sigma2 = exact_sigma2_enumerated(field, cap=cap)
-        sigma2_id = exact_sigma2_local(field, sys.A if sys is not None else None)
+        sigma2_id = exact_sigma2_local(field, sys)
         scale = max(1.0, abs(sigma2))
         if abs(sigma2 - sigma2_id) > SIGMA2_IDENTITY_RTOL * scale:
             raise AssertionError(
@@ -191,7 +190,7 @@ def exact_moment_table(
                 f"covariance sum {sigma2_id}"
             )
     else:
-        sigma2 = exact_sigma2_local(field, sys.A if sys is not None else None)
+        sigma2 = exact_sigma2_local(field, sys)
         mode = "hybrid"
     table = MomentTable(l2=l2, l3=l3, l4=l4, sigma2=sigma2, mode=mode)
     if table.degenerate:
@@ -207,7 +206,6 @@ def exact_moment_table(
 
 def mc_moment_table(
     field: LatentSourceField,
-    sys: NeighborhoodSystem | None = None,
     kappa: int | None = None,
     reps: int = 10**4,
     master_seed: int = 0,
@@ -265,7 +263,6 @@ def mc_moment_table(
         table.extras["degenerate"] = True
     elif kappa is not None:
         table.with_kappa(kappa)
-    _ = sys
     return table
 
 

@@ -43,12 +43,13 @@ from .fields import (
     LatentSourceField,
     evaluate_values,
     induced_neighborhoods,
+    _pack,
     outcome_blocks,
     overlap_matrix,
 )
 from .moments import MomentTable, exact_moment_table, lam_scale
-from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, adjacency, derive
-from .statistics import w1_batch, w2_batch, w2bar_batch
+from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, adjacency, derive, pairs
+from .statistics import statistic_batch
 
 PASS_TOL = 1e-10
 ATOM_MERGE_TOL = 1e-12
@@ -172,22 +173,6 @@ def merge_atoms(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.n
     return np.asarray(out_v), np.asarray(out_p)
 
 
-def _statistic_batch(name: str, X: np.ndarray, sys_or_adj, sigma: float | None):
-    if name == "w1":
-        if sigma is None:
-            raise DegenerateVariance("w1 needs sigma")
-        return w1_batch(X, sigma), np.zeros(X.shape[0], dtype=bool)
-    if name == "w2":
-        return w2_batch(X, sys_or_adj)
-    if name == "w2bar":
-        if sigma is None:
-            raise DegenerateVariance("w2bar needs sigma")
-        return w2bar_batch(X, sys_or_adj, sigma), np.zeros(X.shape[0], dtype=bool)
-    if name == "sum":
-        return X.sum(axis=1), np.zeros(X.shape[0], dtype=bool)
-    raise ValueError(f"unknown statistic {name!r}")
-
-
 def exact_distribution(
     field: LatentSourceField,
     statistic: str,
@@ -206,7 +191,7 @@ def exact_distribution(
     rejected = 0.0
     for p, rows in outcome_blocks(field, cap=cap):
         X = evaluate_values(field, rows)
-        vals, rej = _statistic_batch(statistic, X, adj, sigma)
+        vals, rej = statistic_batch(statistic, X, adj, sigma)
         if rej.any():
             rejected += float(p[rej].sum())
             vals, p = vals[~rej], p[~rej]
@@ -321,10 +306,9 @@ def _xi_moments(plan: EnumerationPlan, xi_vals: np.ndarray, p: float) -> tuple[n
     return pw, float(plan.probs @ pw)
 
 
-def _complement_mask(n: int, members: Sequence[int]) -> np.ndarray:
+def _complement_mask(n: int, members: np.ndarray) -> np.ndarray:
     mask = np.ones(n, dtype=bool)
-    for m in members:
-        mask[m] = False
+    mask[members] = False
     return mask
 
 
@@ -369,8 +353,8 @@ def check_lemma_xiyi(
     xi_vals = xi(plan.X) if xi is not None else np.ones(plan.X.shape[0])
     xi_pow, xi_norm = _xi_moments(plan, xi_vals, p)
     lhs = float(plan.probs @ (xi_pow * quad**2))
-    d_a = interference_set_of(sys, A)
-    gamma_a = float(sum(table.l4[i] * table.l4[j] for (i, j) in d_a))
+    I, J = interference_set_of(sys, A)
+    gamma_a = float(table.l4[I] @ table.l4[J])
     gamma = gamma_quad(table, sys, der)
     rhs = 4.0 * xi_norm * (gamma_a**2 + 4.0 * gamma)
     return InequalityVerdict(
@@ -402,8 +386,8 @@ def check_lemma_s2(
     xi_pow, xi_norm = _xi_moments(plan, xi_vals, p)
     lhs = float(plan.probs @ (xi_pow * s_a**2))
     es2 = float(plan.probs @ s_a**2)
-    d_a = interference_set_of(sys, A)
-    pair_term = float(sum(table.l4[i] * table.l4[j] for (i, j) in d_a))
+    I, J = interference_set_of(sys, A)
+    pair_term = float(table.l4[I] @ table.l4[J])
     rhs = xi_norm * (es2 + 2.0 * pair_term)
     return InequalityVerdict(
         check_id="lemma_s2",
@@ -480,7 +464,7 @@ def check_lemma_s4(
             extras=pre_info,
         )
     )
-    rev_sizes = np.array([len(ns) for ns in der.N], dtype=float)
+    rev_sizes = np.diff(der.Mt.indptr).astype(float)
     y_total = plan.X @ rev_sizes
     verdicts.append(
         InequalityVerdict(
@@ -894,37 +878,48 @@ def check_ld_independence(
     tol: float = 1e-12,
 ) -> list[str]:
     """Exact factorization tests of both local-dependence conditions on the
-    joint pmf.  Returns a list of named violations (empty iff all pass)."""
+    joint pmf: X_i against the indices outside A_i (LD1), and (X_i, X_j)
+    for each j in A_i against those outside the cover A_i | A_j (LD2).
+    Returns a list of named violations (empty iff all pass)."""
     plan = enumerate_field(field, cap=cap)
-    X = np.round(plan.X, 9)
-    probs = plan.probs
+    # values rounded to 9 digits, as integer ids per column; np.unique
+    # compares values, so the -0.0 that rounding yields joins 0.0
+    codes = np.stack(
+        [np.unique(col, return_inverse=True)[1].reshape(-1) for col in np.round(plan.X, 9).T],
+        axis=1,
+    )
+    member = sys.M.toarray() > 0
     violations: list[str] = []
-
-    def factorizes(cols_a: list[int], cols_b: list[int]) -> bool:
-        joint: dict = {}
-        pa: dict = {}
-        pb: dict = {}
-        for m in range(X.shape[0]):
-            ka = X[m, cols_a].tobytes()
-            kb = X[m, cols_b].tobytes()
-            joint[(ka, kb)] = joint.get((ka, kb), 0.0) + probs[m]
-            pa[ka] = pa.get(ka, 0.0) + probs[m]
-            pb[kb] = pb.get(kb, 0.0) + probs[m]
-        for ka, va in pa.items():
-            for kb, vb in pb.items():
-                if abs(joint.get((ka, kb), 0.0) - va * vb) > tol:
-                    return False
-        return True
-
-    n = sys.n
-    for i in range(n):
-        outside = [j for j in range(n) if j not in sys.A[i]]
-        if outside and not factorizes([i], outside):
+    for i in range(sys.n):
+        outside = ~member[i]
+        if outside.any() and not _factorizes(codes[:, [i]], codes[:, outside], plan.probs, tol):
             violations.append(f"LD1 fails at i={i}")
-    for i in range(n):
-        for j in sys.A[i]:
-            cover = set(sys.pair_cover(i, j))
-            outside = [k for k in range(n) if k not in cover]
-            if outside and not factorizes([i, j], outside):
-                violations.append(f"LD2 fails at (i,j)=({i},{j})")
+    for i, j in zip(*pairs(sys.M)):
+        outside = ~(member[i] | member[j])
+        if outside.any() and not _factorizes(codes[:, [i, j]], codes[:, outside], plan.probs, tol):
+            violations.append(f"LD2 fails at (i,j)=({i},{j})")
     return violations
+
+
+FACTOR_BLOCK_CELLS = 1 << 22
+
+
+def _factorizes(a: np.ndarray, b: np.ndarray, probs: np.ndarray, tol: float) -> bool:
+    """Whether the joint pmf of the rows of two id matrices is the outer
+    product of its marginals within ``tol`` at every pair of values.  The
+    joint table is built in blocks of at most FACTOR_BLOCK_CELLS cells."""
+    ia = np.unique(_pack(a), return_inverse=True)[1].reshape(-1)
+    ib = np.unique(_pack(b), return_inverse=True)[1].reshape(-1)
+    na, nb = int(ia.max()) + 1, int(ib.max()) + 1
+    pa = np.bincount(ia, weights=probs, minlength=na)
+    pb = np.bincount(ib, weights=probs, minlength=nb)
+    step = max(1, FACTOR_BLOCK_CELLS // nb)
+    for lo in range(0, na, step):
+        hi = min(lo + step, na)
+        sel = (ia >= lo) & (ia < hi)
+        joint = np.bincount(
+            (ia[sel] - lo) * nb + ib[sel], weights=probs[sel], minlength=(hi - lo) * nb
+        ).reshape(hi - lo, nb)
+        if np.any(np.abs(joint - np.outer(pa[lo:hi], pb)) > tol):
+            return False
+    return True

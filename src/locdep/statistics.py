@@ -139,6 +139,25 @@ def w2bar_batch(X: np.ndarray, sys_or_adj, sigma: float) -> np.ndarray:
     return X.sum(axis=1) / vbar
 
 
+def statistic_batch(
+    name: str, X: np.ndarray, sys_or_adj, sigma: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, rejection mask) of the statistic ``name`` (w1, w2, w2bar
+    or sum) over a (reps, n) value matrix; only W2 rejects."""
+    if name in ("w1", "w2bar") and sigma is None:
+        raise DegenerateVariance(f"{name} needs sigma")
+    none = np.zeros(X.shape[0], dtype=bool)
+    if name == "w1":
+        return w1_batch(X, sigma), none
+    if name == "w2":
+        return w2_batch(X, sys_or_adj)
+    if name == "w2bar":
+        return w2bar_batch(X, sys_or_adj, sigma), none
+    if name == "sum":
+        return X.sum(axis=1), none
+    raise ValueError(f"unknown statistic {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Counting oracles
 

@@ -408,7 +408,7 @@ def test_criterion_11_structural_invariants():
     l4 = rng.uniform(0.2, 2.0, size=n)
     t30 = M.MomentTable(l2=0.8 * l4, l3=0.9 * l4, l4=l4, sigma2=float(n), mode="exact")
     rep = B.bound_general_beta(t30, sys30, der30)
-    b1, b2, b3 = naive_beta(l4, sys30, der30, math.sqrt(n))
+    b1, b2, b3 = naive_beta(l4, sys30, math.sqrt(n))
     assert rep.terms["beta1"] == pytest.approx(b1, rel=1e-12)
     assert rep.terms["beta2"] == pytest.approx(b2, rel=1e-12)
     assert rep.terms["beta3"] == pytest.approx(b3, rel=1e-12)

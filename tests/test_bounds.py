@@ -108,11 +108,14 @@ def test_relabeling_invariance_of_shapes():
         )
 
 
-def naive_beta(l4, sys, derived, sigma):
-    """Literal quadruple loops over the displayed sums."""
+def naive_beta(l4, sys, sigma):
+    """Literal quadruple loops over the displayed sums, with the union
+    cover A_i | A_j and D_i = {(k, l) : l in A_k, i in A_k | A_l} built
+    by brute force."""
     n = sys.n
-    A = [set(a) for a in sys.A]
-    N = [set(x) for x in derived.N]
+    A = [set(a.tolist()) for a in sys.A]
+    N = [{k for k in range(n) if i in A[k]} for i in range(n)]
+    D = [[(k, l) for k in range(n) for l in A[k] if i in A[k] | A[l]] for i in range(n)]
     size = [len(a) for a in A]
     b1 = sum(size[i] ** 2 * l4[i] ** 3 for i in range(n))
     b1 += sum(size[i] * l4[j] ** 3 for i in range(n) for j in A[i])
@@ -120,7 +123,7 @@ def naive_beta(l4, sys, derived, sigma):
         l4[i] * l4[j] * l4[k] * l4[l]
         for i in range(n)
         for j in A[i]
-        for k in sys.A2[(i, j)]
+        for k in (A[i] | A[j])
         for l in (A[k] | N[k])
     )
     t22 = sum(
@@ -148,13 +151,13 @@ def naive_beta(l4, sys, derived, sigma):
     t33 = sum(
         size[i] ** 2 * l4[i] ** 3 * l4[k] * l4[l]
         for i in range(n)
-        for (k, l) in derived.D[i]
+        for (k, l) in D[i]
     )
     t34 = sum(
         size[i] * l4[j] ** 3 * l4[k] * l4[l]
         for i in range(n)
         for j in A[i]
-        for (k, l) in derived.D[j]
+        for (k, l) in D[j]
     )
     beta1 = b1 / sigma**3
     beta2 = math.sqrt((t21 + t22 + t23) / sigma**4)
@@ -175,7 +178,7 @@ def test_beta_evaluator_equals_naive_loops():
         l4 = rng.uniform(0.2, 2.0, size=n)
         t = M.MomentTable(l2=l4 * 0.8, l3=l4 * 0.9, l4=l4, sigma2=float(n), mode="exact")
         rep = B.bound_general_beta(t, sys, der)
-        b1, b2, b3 = naive_beta(l4, sys, der, math.sqrt(n))
+        b1, b2, b3 = naive_beta(l4, sys, math.sqrt(n))
         assert rep.terms["beta1"] == pytest.approx(b1, rel=1e-12)
         assert rep.terms["beta2"] == pytest.approx(b2, rel=1e-12)
         assert rep.terms["beta3"] == pytest.approx(b3, rel=1e-12)

@@ -7,12 +7,19 @@ Core claims:
     - re-running a spec reproduces byte-identical CSV bodies, and every
       artifact embeds the config hash and seed
     - counting subcommands expose the naive oracles
+    - declared neighborhoods are checked (one list per index, integer ids
+      in [0, n), i in A_i) and a bad declaration exits 2
+    - mutated example configs exit 0, 1 or 2 under derive and bound,
+      never with a traceback
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import locdep.cli as cli
 
@@ -225,3 +232,62 @@ def test_one_number_slope_range_exits_2(tmp_path, capsys):
                        assertions={"slope_range": [1]})
     assert cli.main(["mc", "--spec", write_spec(tmp_path, doc)]) == 2
     assert "$.assertions.slope_range" in capsys.readouterr().err
+
+
+DECLARED_CASES = {
+    "out_of_range": [[0, 5], [1], [2], [3]],
+    "not_a_list": "x",
+    "non_integer_id": [[0, 1], [1, "a"], [2], [3]],
+    "too_few_lists": [[0], [1]],
+    "negative_id": [[0, -1], [1], [2], [3]],
+    "not_reflexive": [[1], [0, 1], [2], [3]],
+}
+
+
+@pytest.mark.parametrize("declared", DECLARED_CASES.values(), ids=DECLARED_CASES.keys())
+def test_bad_declared_neighborhoods_exit_2(tmp_path, capsys, declared):
+    doc = minimal_spec(tmp_path, family="m_dependent",
+                       params={"m": 1, "source": {"kind": "rademacher"}, "declared_A": declared},
+                       grid=[4], bounds=["main"])
+    assert cli.main(["bound", "--spec", write_spec(tmp_path, doc)]) == 2
+    assert "$.params.declared_A" in capsys.readouterr().err
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+# the largest grid size per family that keeps one bound pass well under a second
+MAX_N = {"ustat": 16, "decorated_graph": 10, "constrained_ustat": 32}
+BOUND_NAMES = ["main", "self_normalized", "general_beta", "graph", "distributed_u",
+               "distributed_general", "constrained_u", "decorated"]
+junk = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(-2, 2))
+
+
+def mostly(valid, bad=junk):
+    """Values of ``valid`` nine times in ten, else of ``bad``."""
+    return st.sampled_from([valid] * 9 + [bad]).flatmap(lambda strategy: strategy)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_example_configs_exit_0_1_or_2(tmp_path, data):
+    doc = json.loads(data.draw(st.sampled_from(CONFIGS)).read_text())
+    family = doc["family"]
+    top = MAX_N.get(family, 64)
+    allowed = cli.GENERIC_BOUNDS + cli.FAMILY_BOUNDS.get(family, ())
+    doc["grid"] = data.draw(mostly(st.lists(st.integers(1, top), min_size=1, max_size=3)))
+    mutations = {
+        "bounds": mostly(
+            st.lists(st.sampled_from(allowed), max_size=3),
+            st.one_of(junk, st.lists(st.sampled_from(BOUND_NAMES), min_size=1, max_size=2)),
+        ),
+        "statistic": mostly(st.sampled_from(cli.STATISTICS)),
+        "m": mostly(st.integers(-1, 3)),
+        "k": mostly(st.integers(-1, 4)),
+        "declared_A": mostly(st.lists(st.lists(mostly(st.integers(-1, top)), max_size=4), max_size=8)),
+    }
+    for key in data.draw(st.sets(st.sampled_from(sorted(mutations)))):
+        target = doc["params"] if key in ("m", "k", "declared_A") else doc
+        target[key] = data.draw(mutations[key])
+    doc["out"] = str(tmp_path / "out")
+    command = data.draw(st.sampled_from(["derive", "bound"]))
+    assert cli.main([command, "--spec", write_spec(tmp_path, doc)]) in (0, 1, 2)

@@ -62,7 +62,7 @@ def test_mc_agrees_with_exact_within_three_ses():
     f = F.build_m_dependent(5, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
     t = M.exact_moment_table(f, sys)
-    tm = M.mc_moment_table(f, sys, reps=20000, master_seed=3)
+    tm = M.mc_moment_table(f, reps=20000, master_seed=3)
     for p, (exact, est, se) in enumerate(
         [(t.l2, tm.l2, tm.se_l2), (t.l3, tm.l3, tm.se_l3), (t.l4, tm.l4, tm.se_l4)]
     ):
@@ -121,8 +121,7 @@ def test_hoeffding_mc_path_matches_exact():
 def test_transitive_sigma2_shortcut_matches_full_sum():
     f = F.build_decorated_graph_field(5, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4))
     fast = M.exact_sigma2_local(f)
-    nbr = F.induced_neighborhoods(f).A
-    slow = M.exact_sigma2_local(f, nbr)
+    slow = M.exact_sigma2_local(f, F.induced_neighborhoods(f))
     assert fast == pytest.approx(slow, rel=1e-10)
     full = M.exact_sigma2_enumerated(F.build_decorated_graph_field(
         4, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4)))
@@ -179,5 +178,5 @@ def test_signature_grouping_matches_ungrouped_enumeration(case):
     pair_sum = sum(M.exact_pair_covariance(f, i, j) for i, a in enumerate(sys.A) for j in a)
     local = M.exact_sigma2_local(f)
     assert local == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
-    assert M.exact_sigma2_local(f, sys.A) == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
+    assert M.exact_sigma2_local(f, sys) == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     assert local == pytest.approx(M.exact_sigma2_enumerated(f), rel=1e-10, abs=1e-12)

@@ -2,12 +2,13 @@
 
 Core claims:
     - reverse neighborhoods, pair interference, kappa/tau match brute-force
-      enumeration of their definitions on hand-checked systems
-    - the default pair cover is the union A_i | A_j and satisfies containment
-    - validation reports every violation and never raises
+      enumeration of their definitions under the union cover A_i | A_j, on
+      hand-checked systems and on random systems with non-reflexive rows
+    - the pair cover read back from the interference sets is A_i | A_j
+    - make_system rejects out-of-range and non-integer ids, naming the
+      index; validation reports every violation and never raises
     - kappa/tau are relabeling-invariant, satisfy the double-counting
-      identity, grow monotonically under cover enlargement, and obey
-      tau <= 2 kappa^2 for the union cover
+      identity, and obey tau <= 2 kappa^2 for the union cover
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 
 import locdep.fields as fields
 import locdep.neighborhood as nb
-from locdep.errors import MissingPairCover
+from locdep.bounds import interference_set_of
 
 
 def window_system(n: int, m: int) -> nb.NeighborhoodSystem:
@@ -36,10 +37,16 @@ def brute_interference(sys: nb.NeighborhoodSystem) -> list[set[tuple[int, int]]]
         d = set()
         for k in range(sys.n):
             for l in sys.A[k]:
-                if i in sys.A2[(k, l)]:
-                    d.add((k, l))
+                if i in set(sys.A[k]) | set(sys.A[l]):
+                    d.add((k, int(l)))
         out.append(d)
     return out
+
+
+def interference(sys: nb.NeighborhoodSystem, i: int) -> set[tuple[int, int]]:
+    """D_i read from the library: D_{i} is D_A at A = {i}."""
+    I, J = interference_set_of(sys, [i])
+    return set(zip(I.tolist(), J.tolist()))
 
 
 def random_system(rng: np.random.Generator, n: int) -> nb.NeighborhoodSystem:
@@ -50,50 +57,69 @@ def random_system(rng: np.random.Generator, n: int) -> nb.NeighborhoodSystem:
     return nb.make_system(A)
 
 
+def random_non_reflexive_system(rng: np.random.Generator, n: int) -> nb.NeighborhoodSystem:
+    """Nonempty rows of up to three ids; about half leave out their own index."""
+    A = []
+    for i in range(n):
+        extra = rng.choice(n, size=rng.integers(1, min(3, n) + 1), replace=False)
+        A.append(sorted({*([i] if rng.random() < 0.5 else []), *extra.tolist()}))
+    return nb.make_system(A)
+
+
+def check_against_brute_force(sys: nb.NeighborhoodSystem) -> None:
+    d = nb.derive(sys)
+    assert [set(x.tolist()) for x in d.N] == brute_reverse(sys)
+    D = brute_interference(sys)
+    assert [interference(sys, i) for i in range(sys.n)] == D
+    assert d.tau == max(len(x) for x in D)
+    covers = [len(set(sys.A[i]) | set(sys.A[j])) for i in range(sys.n) for j in sys.A[i]]
+    assert d.kappa == max(max(len(x) for x in brute_reverse(sys)), max(covers))
+
+
 def test_reverse_neighborhoods_hand_example():
     sys = nb.make_system([(0, 1), (1,)])
-    assert nb.reverse_neighborhoods(sys) == ((0,), (0, 1))
+    assert [x.tolist() for x in nb.derive(sys).N] == [[0], [0, 1]]
+    check_against_brute_force(sys)
 
 
 def test_reverse_neighborhoods_iid_identity():
     sys = nb.iid_system(5)
-    assert nb.reverse_neighborhoods(sys) == tuple((i,) for i in range(5))
+    assert [x.tolist() for x in nb.derive(sys).N] == [[i] for i in range(5)]
 
 
 def test_reverse_neighborhoods_window_brute_force():
     sys = window_system(6, 1)
-    rev = nb.reverse_neighborhoods(sys)
-    assert [set(r) for r in rev] == brute_reverse(sys)
+    rev = nb.derive(sys).N
+    assert [set(r.tolist()) for r in rev] == brute_reverse(sys)
     # symmetric windows: N_i = A_i
-    assert rev == sys.A
+    assert all(np.array_equal(r, a) for r, a in zip(rev, sys.A))
 
 
 def test_pair_interference_iid():
     sys = nb.iid_system(4)
-    D = nb.pair_interference(sys)
-    assert D == tuple(((i, i),) for i in range(4))
+    assert [interference(sys, i) for i in range(4)] == [{(i, i)} for i in range(4)]
     assert nb.derive(sys).tau == 1
 
 
 def test_pair_interference_window_interior():
     sys = window_system(8, 1)
-    D = nb.pair_interference(sys)
-    assert [set(d) for d in D] == brute_interference(sys)
+    D = [interference(sys, i) for i in range(8)]
+    assert D == brute_interference(sys)
     assert len(D[3]) == 11  # interior index of the m=1 window system
 
 
 def test_pair_interference_single_index():
     sys = nb.iid_system(1)
-    assert nb.pair_interference(sys) == (((0, 0),),)
+    assert interference(sys, 0) == {(0, 0)}
+    assert (nb.derive(sys).kappa, nb.derive(sys).tau) == (1, 1)
 
 
-def test_pair_interference_missing_cover_raises():
-    sys = nb.make_system([(0, 1), (0, 1)])
-    broken = nb.NeighborhoodSystem(
-        n=2, A=sys.A, A2={k: v for k, v in sys.A2.items() if k != (0, 1)}
-    )
-    with pytest.raises(MissingPairCover):
-        nb.pair_interference(broken)
+def test_pair_interference_random_systems_with_non_reflexive_rows():
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        check_against_brute_force(random_system(rng, n))
+        check_against_brute_force(random_non_reflexive_system(rng, n))
 
 
 def test_kappa_tau_values():
@@ -111,49 +137,54 @@ def test_kappa_cycle_closed_neighborhoods():
         assert d.kappa == 4
 
 
+def covers_read_back(sys: nb.NeighborhoodSystem) -> dict[tuple[int, int], set[int]]:
+    """The cover of (i, j): every l whose interference set holds (i, j)."""
+    out: dict[tuple[int, int], set[int]] = {}
+    for l in range(sys.n):
+        for pair in interference(sys, l):
+            out.setdefault(pair, set()).add(l)
+    return out
+
+
 def test_default_pair_cover_union():
-    cover = nb.default_pair_cover(((0, 1), (1, 2), (2,)))
-    assert cover[(0, 1)] == (0, 1, 2)
-    assert cover[(0, 0)] == (0, 1)
-    iid_cover = nb.default_pair_cover(((0,), (1,)))
-    assert iid_cover[(0, 0)] == (0,)
+    cover = covers_read_back(nb.make_system([(0, 1), (1, 2), (2,)]))
+    assert cover[(0, 1)] == {0, 1, 2}
+    assert cover[(0, 0)] == {0, 1}
+    assert covers_read_back(nb.make_system([(0,), (1,)]))[(0, 0)] == {0}
 
 
 def test_default_pair_cover_window_interior():
-    sys = window_system(8, 1)
-    assert sys.A2[(3, 4)] == (2, 3, 4, 5)
+    assert covers_read_back(window_system(8, 1))[(3, 4)] == {2, 3, 4, 5}
+
+
+def test_make_system_rejects_bad_ids_naming_the_index():
+    with pytest.raises(ValueError, match=r"A\[0\] holds index 5"):
+        nb.make_system([(0, 5), (1,), (2,), (3,)])
+    with pytest.raises(ValueError, match=r"A\[0\] holds index -1"):
+        nb.make_system([(0, -1), (1,)])
+    with pytest.raises(ValueError, match=r"A\[1\] holds non-integer ids"):
+        nb.make_system([(0, 1), (1, "a")])
+
+
+def test_system_is_read_only():
+    sys = window_system(5, 1)
+    with pytest.raises(ValueError):
+        sys.M.data[0] = 2.0
+    with pytest.raises(ValueError):
+        sys.A[0][0] = 3
 
 
 def test_validate_valid_system_empty_report():
     rep = nb.validate_structure(nb.iid_system(4))
-    assert rep.ok and not rep.warnings
-
-
-def test_validate_containment_violation():
-    sys = nb.make_system([(0, 1), (0, 1)])
-    bad = nb.NeighborhoodSystem(
-        n=2, A=sys.A, A2={**sys.A2, (0, 1): (1,)}
-    )
-    rep = nb.validate_structure(bad)
-    assert any("containment" in v for v in rep.violations)
+    assert rep.ok and not rep.violations
 
 
 def test_validate_reflexivity_violation():
-    sys = nb.NeighborhoodSystem(n=3, A=((0,), (1,), (1,)), A2={})
+    sys = nb.make_system([(0,), (1,), (1,)])
     rep = nb.validate_structure(sys)
     assert any("reflexivity: 2" in v for v in rep.violations)
-
-
-def test_validate_warns_on_asymmetric_cover():
-    sys = nb.make_system([(0, 1), (0, 1)])
-    lop = nb.NeighborhoodSystem(n=2, A=sys.A, A2={**sys.A2, (0, 1): (0, 1)})
-    rep = nb.validate_structure(lop)
-    assert rep.ok  # containment A_ij >= A_i still holds
-    assert not rep.warnings
-    tighter = nb.NeighborhoodSystem(n=2, A=((0, 1), (1,)), A2={
-        (0, 0): (0, 1), (0, 1): (0, 1), (1, 1): (1,)})
-    rep2 = nb.validate_structure(tighter)
-    assert rep2.ok
+    rep_empty = nb.validate_structure(nb.make_system([(0,), (), (2,)]))
+    assert rep_empty.violations == ["A[1] is empty"]
 
 
 def test_relabeling_invariance_of_kappa_tau():
@@ -170,21 +201,8 @@ def test_double_counting_identity():
     rng = np.random.default_rng(11)
     for _ in range(20):
         sys = random_system(rng, int(rng.integers(2, 9)))
-        rev = nb.reverse_neighborhoods(sys)
+        rev = nb.derive(sys).N
         assert sum(map(len, sys.A)) == sum(map(len, rev))
-
-
-def test_cover_enlargement_monotonicity():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        sys = random_system(rng, int(rng.integers(2, 8)))
-        d = nb.derive(sys)
-        key = next(iter(sys.A2))
-        grown = dict(sys.A2)
-        grown[key] = tuple(range(sys.n))
-        sys2 = nb.NeighborhoodSystem(n=sys.n, A=sys.A, A2=grown)
-        d2 = nb.derive(sys2)
-        assert d2.kappa >= d.kappa and d2.tau >= d.tau
 
 
 def test_union_cover_tau_at_most_two_kappa_squared():
@@ -193,11 +211,3 @@ def test_union_cover_tau_at_most_two_kappa_squared():
         sys = random_system(rng, int(rng.integers(2, 9)))
         d = nb.derive(sys)
         assert d.tau <= 2 * d.kappa**2
-
-
-def test_json_round_trip_one_based():
-    sys = window_system(4, 1)
-    doc = nb.to_json_dict(sys)
-    assert doc["A"][0] == [1, 2]  # 1-based
-    back = nb.from_json_dict(doc)
-    assert back == sys

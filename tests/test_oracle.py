@@ -229,6 +229,63 @@ def test_ld_independence_reports():
     assert any(v.startswith("LD1") for v in viol)
 
 
+def ld_reference(field, sys, tol=1e-12):
+    """The per-outcome dict loop of the LD factorization test, on values
+    rounded to 9 digits with -0.0 folded into 0.0."""
+    plan = O.enumerate_field(field)
+    X = np.round(plan.X, 9) + 0.0
+    probs = plan.probs
+
+    def factorizes(cols_a, cols_b):
+        joint, pa, pb = {}, {}, {}
+        for m in range(X.shape[0]):
+            ka, kb = X[m, cols_a].tobytes(), X[m, cols_b].tobytes()
+            joint[(ka, kb)] = joint.get((ka, kb), 0.0) + probs[m]
+            pa[ka] = pa.get(ka, 0.0) + probs[m]
+            pb[kb] = pb.get(kb, 0.0) + probs[m]
+        return all(
+            abs(joint.get((ka, kb), 0.0) - va * vb) <= tol
+            for ka, va in pa.items() for kb, vb in pb.items()
+        )
+
+    A = [set(a.tolist()) for a in sys.A]
+    out = []
+    for i in range(sys.n):
+        outside = [j for j in range(sys.n) if j not in A[i]]
+        if outside and not factorizes([i], outside):
+            out.append(f"LD1 fails at i={i}")
+    for i in range(sys.n):
+        for j in sorted(A[i]):
+            outside = [k for k in range(sys.n) if k not in A[i] | A[j]]
+            if outside and not factorizes([i, j], outside):
+                out.append(f"LD2 fails at (i,j)=({i},{j})")
+    return out
+
+
+def shrink(sys, rng):
+    """Drop one other member from each neighborhood that has one."""
+    A = []
+    for i, a in enumerate(sys.A):
+        others = [int(j) for j in a if j != i]
+        drop = others[int(rng.integers(len(others)))] if others else None
+        A.append([int(j) for j in a if j != drop])
+    return nb.make_system(A)
+
+
+def test_ld_factorization_matches_dict_loop_reference():
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(12):
+        inst = O.random_enumerable_instance(rng, max_indices=6, max_sources=6, max_outcomes=3**6)
+        cases += [(inst.field, inst.sys), (inst.field, shrink(inst.sys, rng))]
+    for n in (4, 6):
+        f = F.build_m_dependent(n, 1, F.three_point())
+        cases += [(f, F.induced_neighborhoods(f)), (f, shrink(F.induced_neighborhoods(f), rng))]
+    verdicts = [O.check_ld_independence(f, sys) for f, sys in cases]
+    assert verdicts == [ld_reference(f, sys) for f, sys in cases]
+    assert sum(bool(v) for v in verdicts) >= 10  # shrunk systems do fail
+
+
 def test_degenerate_statistic_raises():
     f = F.build_iid_field(3, F.DiscreteSource((0.0,), (1.0,)))
     with pytest.raises(DegenerateVariance):
