@@ -58,7 +58,6 @@ from .oracle import (  # noqa: F401
     check_lemma_xiyi,
     check_prop1,
     check_prop2,
-    exact_expectation,
     exact_kolmogorov,
     run_checker_suite,
 )

@@ -33,7 +33,8 @@ from .errors import BlockTooSmall, ComplexityCapExceeded, DegenerateVariance
 from .moments import KernelMoments, MomentTable, lam_scale
 from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, pairs
 
-DEFAULT_TERM_BUDGET = 10**9
+# cap on the summed row lengths of the unions behind the beta sums
+TERM_BUDGET = 10**9
 
 
 @dataclass
@@ -168,50 +169,39 @@ def bound_self_normalized(table: MomentTable, kappa: int, tau: int) -> BoundRepo
 # The literal beta sums and their delta relatives
 
 
-class _Budget:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
-
-    def spend(self, k: int):
-        self.used += k
-        if self.used > self.cap:
-            raise ComplexityCapExceeded(
-                f"nested-sum evaluation exceeded {self.cap} term visits"
-            )
-
-
-def _union(budget: _Budget, *parts) -> sparse.csr_matrix:
+def _union(*parts) -> sparse.csr_matrix:
     """Row p is the union over ``parts`` (S, ids) of row ids[p] of the CSR
-    0/1 matrix S: the sign of the sum of the selected rows.  The budget
-    is charged the sum of the row lengths, an nnz upper bound, first."""
-    budget.spend(sum(int(np.diff(S.indptr)[ids].sum()) for S, ids in parts))
+    0/1 matrix S: the sign of the sum of the selected rows."""
     rows = [S[ids] for S, ids in parts]
     return sum(rows[1:], rows[0]).sign()
 
 
-def _beta_sums(
-    l4: np.ndarray,
-    sys: NeighborhoodSystem,
-    derived: DerivedNeighborhoods,
-    budget: _Budget,
-    third_union_includes_aj: bool,
+def beta_sums(
+    l4: np.ndarray, sys: NeighborhoodSystem, derived: DerivedNeighborhoods
 ) -> dict[str, float]:
     """The raw nested sums shared by the beta and delta-5/6/7 components.
 
-    ``third_union_includes_aj`` switches the third second-order term
-    between k in A_i | N_j | A_j (beta_2) and k in A_i | N_j (delta_6).
-    Unions of neighborhoods are rows of :func:`_union` matrices; the pair
-    rows run over the entries (i, j) of M, and A_i | A_j is their cover.
+    The third second-order term comes twice: ``t23_beta2`` over k in
+    A_i | N_j | A_j and ``t23_delta6`` over k in A_i | N_j.  Unions of
+    neighborhoods are rows of :func:`_union` matrices; the pair rows run
+    over the entries (i, j) of M, and A_i | A_j is their cover.  Before
+    any union is built, the summed row lengths of the four unions (an
+    upper bound on their entries) are checked against TERM_BUDGET.
     """
     M, Mt = sys.M, derived.Mt
     every = slice(None)
     I, J = pairs(M)
     s = np.diff(M.indptr).astype(float)
-    AuN = _union(budget, (M, every), (Mt, every))
-    cover = _union(budget, (M, I), (M, J))
-    AiNj = _union(budget, (M, I), (Mt, J))
-    ks23 = _union(budget, (M, I), (Mt, J), (M, J)) if third_union_includes_aj else AiNj
+    r = np.diff(Mt.indptr).astype(float)
+    terms = 2 * M.nnz + 3 * s[I].sum() + 2 * s[J].sum() + 2 * r[J].sum()
+    if terms > TERM_BUDGET:
+        raise ComplexityCapExceeded(
+            f"nested-sum evaluation needs {terms:.0f} term visits, over the cap {TERM_BUDGET}"
+        )
+    AuN = _union((M, every), (Mt, every))
+    cover = _union((M, I), (M, J))
+    AiNj = _union((M, I), (Mt, J))
+    AiNjAj = _union((M, I), (Mt, J), (M, J))
 
     l43 = l4**3
     lead = s**2 * l43
@@ -225,7 +215,8 @@ def _beta_sums(
         "b1b": float(s @ (M @ l43)),
         "t21": float(lij @ (cover @ (l4 * w_an))),
         "t22": float(lead @ w_an),
-        "t23": float(pair_lead @ (ks23 @ l4)),
+        "t23_beta2": float(pair_lead @ (AiNjAj @ l4)),
+        "t23_delta6": float(pair_lead @ (AiNj @ l4)),
         "t31": float(lead @ (AuN @ (l4 * w_n))),
         "t32": float(pair_lead @ (AiNj @ (l4 * w_n))),
         "t33": float(lead @ d_pair),
@@ -237,14 +228,13 @@ def bound_general_beta(
     table: MomentTable,
     sys: NeighborhoodSystem,
     derived: DerivedNeighborhoods,
-    budget: int = DEFAULT_TERM_BUDGET,
 ) -> BoundReport:
     """beta_1 + beta_2 + beta_3 with all nested sums evaluated literally
     over the stored neighborhood sets."""
     sigma = _require_sigma(table)
-    raw = _beta_sums(table.l4, sys, derived, _Budget(budget), third_union_includes_aj=True)
+    raw = beta_sums(table.l4, sys, derived)
     beta1 = (raw["b1a"] + raw["b1b"]) / sigma**3
-    beta2 = math.sqrt((raw["t21"] + raw["t22"] + raw["t23"]) / sigma**4)
+    beta2 = math.sqrt((raw["t21"] + raw["t22"] + raw["t23_beta2"]) / sigma**4)
     beta3 = math.sqrt((raw["t31"] + raw["t32"] + raw["t33"] + raw["t34"]) / sigma**5)
     return BoundReport(
         theorem="general_beta",
@@ -476,10 +466,11 @@ def delta_components_prop1(
     a: float,
     b: float,
     c: float,
-    budget: int = DEFAULT_TERM_BUDGET,
+    sums: dict[str, float] | None = None,
 ) -> dict[str, float]:
     """delta_0..delta_7 of the randomized concentration inequality for
-    S_A / sigma, evaluated literally over the neighborhood system."""
+    S_A / sigma, evaluated literally over the neighborhood system;
+    ``sums`` are the instance's :func:`beta_sums`, computed when absent."""
     if not A or not B:
         raise ValueError("A and B must be nonempty")
     if not (a <= b and c >= 1):
@@ -488,7 +479,7 @@ def delta_components_prop1(
     l4 = table.l4
     B = np.asarray(B, dtype=np.int64)
     I, J = interference_set_of(sys, A)
-    raw = _beta_sums(l4, sys, derived, _Budget(budget), third_union_includes_aj=False)
+    raw = sums if sums is not None else beta_sums(l4, sys, derived)
     delta = {
         "delta0": (b - a) / 100.0,
         "delta1": c / sigma * float(np.sum(l4[reverse_set_of(sys, A)])),
@@ -496,7 +487,7 @@ def delta_components_prop1(
         "delta3": c / sigma**2 * float(l4[B] @ (derived.Mt @ l4)[B]),
         "delta4": c / sigma**2 * float(l4[I] @ l4[J]),
         "delta5": c / sigma**3 * (raw["b1a"] + raw["b1b"]),
-        "delta6": math.sqrt(c**2 / sigma**4 * (raw["t21"] + raw["t22"] + raw["t23"])),
+        "delta6": math.sqrt(c**2 / sigma**4 * (raw["t21"] + raw["t22"] + raw["t23_delta6"])),
         "delta7": math.sqrt(
             c**2 / sigma**5 * (raw["t31"] + raw["t32"] + raw["t33"] + raw["t34"])
         ),

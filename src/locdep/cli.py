@@ -69,6 +69,11 @@ def _need(doc: dict, key: str, kind, where: str):
     return val
 
 
+def _opt(doc: dict, key: str, kind, where: str, default):
+    """``doc[key]`` checked as by :func:`_need`, or ``default`` when absent."""
+    return _need(doc, key, kind, where) if key in doc else default
+
+
 # bounds every family takes; the others need a family's own parameters
 GENERIC_BOUNDS = ("main", "self_normalized", "general_beta")
 FAMILY_BOUNDS = {
@@ -105,7 +110,7 @@ def parse_spec(doc: dict) -> ExperimentSpec:
     if not isinstance(mode_doc, dict) or mode_doc.get("kind") not in ("exact", "mc"):
         raise ConfigError("$.mode.kind", "expected 'exact' or 'mc'")
     mode = mode_doc["kind"]
-    reps = _need(mode_doc, "reps", int, "$.mode") if "reps" in mode_doc else 10**4
+    reps = _opt(mode_doc, "reps", int, "$.mode", 10**4)
     if mode == "mc" and reps < 10**3:
         raise ConfigError("$.mode.reps", f"mc mode needs reps >= 1000, got {reps}")
     bound_set = doc.get("bounds", DEFAULT_BOUNDS[family])
@@ -120,8 +125,18 @@ def parse_spec(doc: dict) -> ExperimentSpec:
     checkers = doc.get("checkers")
     if checkers is not None and not isinstance(checkers, dict):
         raise ConfigError("$.checkers", "expected object or null")
-    if checkers is not None and "instances" in checkers:
-        _need(checkers, "instances", int, "$.checkers")
+    if checkers is not None:
+        if _opt(checkers, "instances", int, "$.checkers", 50) < 1:
+            raise ConfigError("$.checkers.instances", "expected a positive integer")
+        names = _opt(checkers, "checks", list, "$.checkers", oracle.SUITE_CHECKS)
+        unknown = [c for c in names if c not in oracle.SUITE_CHECKS]
+        if unknown:
+            raise ConfigError(
+                "$.checkers.checks", f"unknown checks {unknown}; each one of {oracle.SUITE_CHECKS}"
+            )
+        include_r4 = _opt(checkers, "include_r4", bool, "$.checkers", False)
+        if not (names or include_r4):
+            raise ConfigError("$.checkers.checks", "no check to run")
     seed = _need(doc, "seed", int, "$")
     out = doc.get("out", "locdep-out")
     assertions = doc.get("assertions", {})
@@ -145,21 +160,18 @@ def parse_source(doc, where: str) -> fields.Source:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError(where, "expected source object with 'kind'")
     kind = doc["kind"]
-    try:
-        if kind == "rademacher":
-            return fields.rademacher()
-        if kind == "bernoulli":
-            return fields.bernoulli(float(doc["p"]))
-        if kind == "three_point":
-            return fields.three_point(
-                float(doc.get("spread", 1.0)), float(doc.get("p_zero", 0.5))
-            )
-        if kind == "letters":
-            return fields.uniform_letters(int(doc["k"]))
-        if kind in ("uniform", "normal"):
-            return fields.ContinuousSource(kind)
-    except KeyError as e:
-        raise ConfigError(where, f"source kind {kind!r} missing parameter {e}") from None
+    if kind == "rademacher":
+        return fields.rademacher()
+    if kind == "bernoulli":
+        return fields.bernoulli(_need(doc, "p", NUMBER, where))
+    if kind == "three_point":
+        return fields.three_point(
+            _opt(doc, "spread", NUMBER, where, 1.0), _opt(doc, "p_zero", NUMBER, where, 0.5)
+        )
+    if kind == "letters":
+        return fields.uniform_letters(_need(doc, "k", int, where))
+    if kind in ("uniform", "normal"):
+        return fields.ContinuousSource(kind)
     raise ConfigError(where, f"unknown source kind {kind!r}")
 
 
@@ -221,7 +233,7 @@ def build_family(family: str, params: dict, n: int, where: str = "$.params") -> 
             source = parse_source(params.get("source", {"kind": "rademacher"}), f"{where}.source")
             return BuiltInstance(fields.build_iid_field(n, source), {})
         if family == "m_dependent":
-            m = int(params.get("m", 1))
+            m = _opt(params, "m", int, where, 1)
             source = parse_source(params.get("source", {"kind": "rademacher"}), f"{where}.source")
             return BuiltInstance(fields.build_m_dependent(n, m, source), {"m": m})
         if family == "graph":
@@ -240,8 +252,8 @@ def build_family(family: str, params: dict, n: int, where: str = "$.params") -> 
             f = fields.build_graph_dependency(n, edges, source)
             return BuiltInstance(f, {"d": f.metadata["max_degree"] - 1})
         if family == "ustat":
-            m = int(params.get("m", 2))
-            k = int(params.get("k", 1))
+            m = _opt(params, "m", int, where, 2)
+            k = _opt(params, "k", int, where, 1)
             if k < 1 or n < k * m:
                 raise ConfigError(f"{where}.k", f"need k >= 1 and n >= k*m, got k={k}, n={n}")
             kern_name = params.get("kernel", "product")
@@ -258,7 +270,7 @@ def build_family(family: str, params: dict, n: int, where: str = "$.params") -> 
             gaps = _parse_gaps(params.get("gaps", [None]), f"{where}.gaps")
             if "word" in params:
                 word = [ord(ch) - ord("a") for ch in params["word"]]
-                alpha = int(params.get("alphabet", 26))
+                alpha = _opt(params, "alphabet", int, where, 26)
                 f = fields.build_word_field(word, n, alpha, gaps)
             elif "pattern" in params:
                 f = fields.build_pattern_field(n, [int(x) for x in params["pattern"]], gaps)
@@ -270,7 +282,7 @@ def build_family(family: str, params: dict, n: int, where: str = "$.params") -> 
             edges = PATTERNS[pat] if isinstance(pat, str) and pat in PATTERNS else [
                 tuple(e) for e in pat
             ]
-            p = float(params.get("p", 0.5))
+            p = _opt(params, "p", NUMBER, where, 0.5)
             f = fields.build_decorated_graph_field(n, edges, fields.bernoulli(p))
             return BuiltInstance(f, {"v": f.metadata["v"], "p": p})
     except LocdepError:
@@ -437,11 +449,10 @@ def run_experiment(
 
     verdicts = []
     if do_checkers and spec.checkers:
-        count = spec.checkers.get("instances", 50)
-        checks = spec.checkers.get("checks", list(oracle.SUITE_CHECKS))
         verdicts = oracle.run_checker_suite(
-            count, spec.seed, checks=checks,
-            include_r4=bool(spec.checkers.get("include_r4", False)),
+            spec.checkers.get("instances", 50), spec.seed,
+            checks=spec.checkers.get("checks", oracle.SUITE_CHECKS),
+            include_r4=spec.checkers.get("include_r4", False),
             threads=threads,
         )
         bad = [v for v in verdicts if v.counts_as_failure]
@@ -674,10 +685,16 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise ConfigError("$", f"unknown command {args.command}")
 
 
+def _cli_int(token: str, flag: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigError(flag, f"expected an integer, got {token!r}") from None
+
+
 def _parse_cli_gaps(text: str) -> tuple[int | None, ...]:
-    if not text:
-        return ()
-    return tuple(None if g.strip() == "inf" else int(g) for g in text.split(","))
+    tokens = [g.strip() for g in text.split(",")] if text else []
+    return _parse_gaps([None if g == "inf" else _cli_int(g, "--gaps") for g in tokens], "--gaps")
 
 
 def _run_count(args: argparse.Namespace) -> int:
@@ -685,32 +702,39 @@ def _run_count(args: argparse.Namespace) -> int:
     if args.kind == "word":
         if not args.string or not args.word:
             raise ConfigError("count", "word counting needs --string and --word")
-        n = statistics.count_word_occurrences(
+        count = lambda: statistics.count_word_occurrences(
             list(args.string), list(args.word), gaps, exact_gaps=args.exact_gaps
         )
-        print(n)
-        return 0
-    if args.kind == "pattern":
+    elif args.kind == "pattern":
         if not args.perm or not args.tau:
             raise ConfigError("count", "pattern counting needs --perm and --tau")
-        perm = [int(x) for x in args.perm.split(",")]
-        tau = [int(x) for x in args.tau.split(",")]
-        print(statistics.count_pattern_occurrences(perm, tau, gaps, exact_gaps=args.exact_gaps))
-        return 0
-    if args.kind == "subgraph":
-        if not args.host_edges or not args.host_n:
-            raise ConfigError("count", "subgraph counting needs --host-edges and --host-n")
+        perm = [_cli_int(x, "--perm") for x in args.perm.split(",")]
+        tau = [_cli_int(x, "--tau") for x in args.tau.split(",")]
+        count = lambda: statistics.count_pattern_occurrences(
+            perm, tau, gaps, exact_gaps=args.exact_gaps
+        )
+    elif args.kind == "subgraph":
+        if not args.host_edges or (args.host_n or 0) < 1:
+            raise ConfigError("count", "subgraph counting needs --host-edges and --host-n >= 1")
         adj = np.zeros((args.host_n, args.host_n), dtype=int)
         for part in args.host_edges.split(";"):
-            u, v = (int(x) for x in part.split(","))
-            adj[u, v] = adj[v, u] = 1
+            edge = [_cli_int(x, "--host-edges") for x in part.split(",")]
+            if len(edge) != 2 or not all(0 <= x < args.host_n for x in edge):
+                raise ConfigError(
+                    "--host-edges", f"expected u,v with 0 <= u, v < {args.host_n}, got {part!r}"
+                )
+            adj[edge[0], edge[1]] = adj[edge[1], edge[0]] = 1
         pattern = PATTERNS.get(args.pattern)
         if pattern is None:
             raise ConfigError("count", f"unknown pattern {args.pattern!r}")
-        inj, copies = statistics.subgraph_statistic(adj, pattern)
-        print(f"{inj} {copies}")
-        return 0
-    raise ConfigError("count", f"unknown count kind {args.kind!r}")
+        count = lambda: "{} {}".format(*statistics.subgraph_statistic(adj, pattern))
+    else:
+        raise ConfigError("count", f"unknown count kind {args.kind!r}")
+    try:
+        print(count())
+    except ValueError as e:  # arguments the counting oracle refuses
+        raise ConfigError("count", str(e)) from None
+    return 0
 
 
 if __name__ == "__main__":

@@ -2,9 +2,15 @@
 inequality checkers.
 
 For an enumerable field the joint law is a finite list of (probability,
-realization) pairs, so expectations, distributions, Kolmogorov distances,
-and both sides of every explicit-constant inequality are computed exactly
-(up to floating round-off).  A check passes when
+realization) pairs, so distributions, Kolmogorov distances, and both
+sides of every explicit-constant inequality are computed exactly (up to
+floating round-off).
+
+Every checker reads one frozen instance record, :class:`Precomputed`,
+built once per instance by :func:`precompute`: the field and its
+neighborhood system with kappa, tau and M^T, the enumerated outcomes, the
+exact moment table, the dense 0/1 neighborhood matrix and the nested beta
+sums of :func:`bounds.beta_sums`.  A check passes when
 
     margin = rhs - lhs >= -1e-10 * max(1, |rhs|).
 
@@ -19,18 +25,16 @@ The normal CDF is scipy's complementary-error-function based ``ndtr``
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
 from .bounds import (
-    _beta_sums,
-    _Budget,
-    DEFAULT_TERM_BUDGET,
+    beta_sums,
     delta_components_prop1,
     delta_components_prop2,
     interference_set_of,
@@ -64,15 +68,12 @@ def phi(z):
 # Enumeration plans
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnumerationPlan:
     """Materialized outcome space of an enumerable field."""
 
     probs: np.ndarray  # (M,)
     X: np.ndarray      # (M, n) centered field values
-
-    def expectation(self, values: np.ndarray) -> float:
-        return float(self.probs @ values)
 
 
 def enumerate_field(
@@ -90,9 +91,10 @@ def enumerate_field(
     return EnumerationPlan(probs=probs, X=np.concatenate(x_parts, axis=0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Precomputed:
-    """Shared state for running several checkers on one instance."""
+    """The frozen record of one checked instance: everything the checkers
+    read, built once by :func:`precompute`."""
 
     field: LatentSourceField
     sys: NeighborhoodSystem
@@ -100,6 +102,8 @@ class Precomputed:
     plan: EnumerationPlan
     table: MomentTable
     sigma: float
+    P: np.ndarray  # (n, n) dense 0/1, P[i, j] = 1 iff j in A_i; read-only
+    sums: MappingProxyType  # beta_sums(table.l4, sys, derived)
 
 
 def precompute(
@@ -114,63 +118,40 @@ def precompute(
     table = exact_moment_table(field, sys, kappa=der.kappa, cap=cap)
     if table.degenerate:
         raise DegenerateVariance("instance has Var(S) = 0")
+    P = adjacency(sys).toarray()
+    P.setflags(write=False)
     return Precomputed(
-        field=field, sys=sys, derived=der, plan=plan, table=table, sigma=table.sigma
+        field=field, sys=sys, derived=der, plan=plan, table=table, sigma=table.sigma,
+        P=P, sums=MappingProxyType(beta_sums(table.l4, sys, der)),
     )
 
 
 # ---------------------------------------------------------------------------
-# Exact expectation / distribution / Kolmogorov distance
-
-
-def exact_expectation(
-    field: LatentSourceField,
-    functional: Callable,
-    cap: int = DEFAULT_ENUM_CAP,
-    threads: int = 1,
-) -> float:
-    """sum over outcomes of probability * functional(realization row).
-
-    Blocks of the mixed-radix outcome range evaluate independently (in
-    waves of ``threads`` blocks, keeping memory bounded); partial sums
-    merge in block order.
-    """
-    gen = outcome_blocks(field, cap=cap)
-
-    def one(block) -> float:
-        p, rows = block
-        vals = np.asarray(functional(evaluate_values(field, rows)), dtype=float)
-        return float(p @ vals)
-
-    parts: list[float] = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while True:
-                wave = list(itertools.islice(gen, threads))
-                if not wave:
-                    break
-                parts.extend(pool.map(one, wave))
-    else:
-        parts = [one(b) for b in gen]
-    return float(sum(parts))
+# Exact distribution / Kolmogorov distance
 
 
 def merge_atoms(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort and merge numerically identical atoms."""
+    """Sort and merge numerically identical atoms: a group starts at its
+    first sorted value v and takes every later value within
+    ATOM_MERGE_TOL * max(1, |v|) of v."""
     order = np.argsort(values, kind="stable")
     v = values[order]
     p = probs[order]
-    out_v: list[float] = []
-    out_p: list[float] = []
-    for val, pr in zip(v, p):
-        if out_v and abs(val - out_v[-1]) <= ATOM_MERGE_TOL * max(1.0, abs(out_v[-1])):
-            out_p[-1] += pr
-        else:
-            out_v.append(float(val))
-            out_p.append(float(pr))
-    return np.asarray(out_v), np.asarray(out_p)
+    # a walk over the group starts, one binary search each; no array of
+    # the atom count is built beyond the sorted copies
+    starts = []
+    k, n = 0, v.size
+    while k < n:
+        starts.append(k)
+        start = float(v[k])
+        tol = ATOM_MERGE_TOL * max(1.0, abs(start))
+        k = int(np.searchsorted(v, start + tol, side="right"))
+        # start + tol may round across the group's edge; the difference settles it
+        while abs(v[k - 1] - start) > tol:
+            k -= 1
+        while k < n and abs(v[k] - start) <= tol:
+            k += 1
+    return v[starts], np.add.reduceat(p, starts)
 
 
 def exact_distribution(
@@ -306,19 +287,16 @@ def _xi_moments(plan: EnumerationPlan, xi_vals: np.ndarray, p: float) -> tuple[n
     return pw, float(plan.probs @ pw)
 
 
-def _complement_mask(n: int, members: np.ndarray) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
-    mask[members] = False
-    return mask
-
-
-def gamma_quad(table: MomentTable, sys: NeighborhoodSystem, derived: DerivedNeighborhoods) -> float:
-    """gamma = sum_i sum_{j in A_i} sum_{k in A_ij} sum_{l in N_k | A_k}
-    of the four L4 norms."""
-    raw = _beta_sums(
-        table.l4, sys, derived, _Budget(DEFAULT_TERM_BUDGET), third_union_includes_aj=False
-    )
-    return raw["t21"]
+def _off_neighborhood(
+    pre: Precomputed, A: Sequence[int], xi: Callable | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mask of the indices outside N_A, S_A per outcome, xi per outcome;
+    xi = None is the constant 1)."""
+    X = pre.plan.X
+    comp = np.ones(pre.sys.n, dtype=bool)
+    comp[reverse_set_of(pre.sys, A)] = False
+    xi_vals = xi(X) if xi is not None else np.ones(X.shape[0])
+    return comp, X[:, comp].sum(axis=1), xi_vals
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +304,7 @@ def gamma_quad(table: MomentTable, sys: NeighborhoodSystem, derived: DerivedNeig
 
 
 def check_lemma_xiyi(
-    field: LatentSourceField,
-    sys: NeighborhoodSystem,
-    A: Sequence[int],
-    xi: Callable | None = None,
-    p: float = 1.0,
-    pre: Precomputed | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
+    pre: Precomputed, A: Sequence[int], xi: Callable | None = None, p: float = 1.0
 ) -> InequalityVerdict:
     """Second moment of the off-neighborhood quadratic fluctuation:
 
@@ -340,22 +312,22 @@ def check_lemma_xiyi(
             <= 4 ||xi||_p^p (gamma_A^2 + 4 gamma),
 
     summing over i outside N_A and j in A_i outside N_A.  With empty A and
-    xi = 1 this is the 16-gamma corollary for the full double sum.
+    xi = 1 this is the 16-gamma corollary for the full double sum.  gamma
+    is the nested sum t21 of the beta sums, over i, j in A_i, k in
+    A_i | A_j and l in N_k | A_k of the four L4 norms.
     """
-    pre = pre or precompute(field, sys, cap=cap)
-    plan, der, table = pre.plan, pre.derived, pre.table
+    plan, table, sys = pre.plan, pre.table, pre.sys
     n = sys.n
-    comp = _complement_mask(n, reverse_set_of(sys, A))
-    P = adjacency(sys).toarray() * np.outer(comp, comp)
+    comp, _, xi_vals = _off_neighborhood(pre, A, xi)
+    P = pre.P * np.outer(comp, comp)
     cov = (plan.X * plan.probs[:, None]).T @ plan.X  # E[X_i X_j]
     center = float(np.sum(P * cov))
     quad = np.einsum("mi,ij,mj->m", plan.X, P, plan.X) - center
-    xi_vals = xi(plan.X) if xi is not None else np.ones(plan.X.shape[0])
     xi_pow, xi_norm = _xi_moments(plan, xi_vals, p)
     lhs = float(plan.probs @ (xi_pow * quad**2))
     I, J = interference_set_of(sys, A)
     gamma_a = float(table.l4[I] @ table.l4[J])
-    gamma = gamma_quad(table, sys, der)
+    gamma = pre.sums["t21"]
     rhs = 4.0 * xi_norm * (gamma_a**2 + 4.0 * gamma)
     return InequalityVerdict(
         check_id="lemma_xiyi" if A else "lemma_xiyi_corollary",
@@ -369,20 +341,11 @@ def check_lemma_xiyi(
 
 
 def check_lemma_s2(
-    field: LatentSourceField,
-    sys: NeighborhoodSystem,
-    A: Sequence[int],
-    xi: Callable | None = None,
-    p: float = 1.0,
-    pre: Precomputed | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
+    pre: Precomputed, A: Sequence[int], xi: Callable | None = None, p: float = 1.0
 ) -> InequalityVerdict:
     """E{xi^p S_A^2} <= ||xi||_p^p (E S_A^2 + 2 sum_{D_A} ||X_i||_4 ||X_j||_4)."""
-    pre = pre or precompute(field, sys, cap=cap)
-    plan, table = pre.plan, pre.table
-    comp = _complement_mask(sys.n, reverse_set_of(sys, A))
-    s_a = plan.X[:, comp].sum(axis=1)
-    xi_vals = xi(plan.X) if xi is not None else np.ones(plan.X.shape[0])
+    plan, table, sys = pre.plan, pre.table, pre.sys
+    _, s_a, xi_vals = _off_neighborhood(pre, A, xi)
     xi_pow, xi_norm = _xi_moments(plan, xi_vals, p)
     lhs = float(plan.probs @ (xi_pow * s_a**2))
     es2 = float(plan.probs @ s_a**2)
@@ -418,28 +381,19 @@ def fourth_moment_precondition(
 
 
 def check_lemma_s4(
-    field: LatentSourceField,
-    sys: NeighborhoodSystem,
-    A: Sequence[int],
-    xi: Callable | None = None,
-    p: float = 1.0,
-    pre: Precomputed | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
+    pre: Precomputed, A: Sequence[int], xi: Callable | None = None, p: float = 1.0
 ) -> list[InequalityVerdict]:
     """Fourth-moment bounds at constant 13: E{xi^p S_A^4} <= 13 lam s^4 E xi^p,
     with companions E S^4 <= 13 lam s^4 and E(sum Y_i)^4 <= 13 kappa^4 lam s^4."""
-    pre = pre or precompute(field, sys, cap=cap)
     plan, der, table = pre.plan, pre.derived, pre.table
     kappa, tau = der.kappa, der.tau
     sigma = pre.sigma
     lam = lam_scale(table, kappa)
     ok, pre_info = fourth_moment_precondition(table, kappa, tau, max(len(A), 1))
     status = "satisfied" if ok else "violated"
-    digest = f"n={sys.n};A={sorted(A)};p={p}"
+    digest = f"n={pre.sys.n};A={sorted(A)};p={p}"
 
-    comp = _complement_mask(sys.n, reverse_set_of(sys, A))
-    s_a = plan.X[:, comp].sum(axis=1)
-    xi_vals = xi(plan.X) if xi is not None else np.ones(plan.X.shape[0])
+    _, s_a, xi_vals = _off_neighborhood(pre, A, xi)
     xi_pow, e_xi = _xi_moments(plan, xi_vals, p)
     verdicts = [
         InequalityVerdict(
@@ -506,11 +460,7 @@ def _validate_once(f: Callable, grid_half_width: float) -> None:
 
 
 def check_lemma_r4(
-    field: LatentSourceField,
-    sys: NeighborhoodSystem,
-    test_functions: dict[str, Callable] | None = None,
-    pre: Precomputed | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
+    pre: Precomputed, test_functions: dict[str, Callable] | None = None
 ) -> list[InequalityVerdict]:
     """Necessary-condition check of the clamped self-normalized term bound:
 
@@ -520,32 +470,30 @@ def check_lemma_r4(
     for each test function in a finite family (the quantifier over all
     absolutely continuous f cannot be verified universally).
     """
-    pre = pre or precompute(field, sys, cap=cap)
-    plan, der, table = pre.plan, pre.derived, pre.table
+    plan, table = pre.plan, pre.table
     sigma = pre.sigma
-    kappa = der.kappa
+    kappa = pre.derived.kappa
     fam = test_functions if test_functions is not None else TEST_FUNCTIONS
     for f in fam.values():
         validate_test_function(f)
     pre_lhs = kappa**2 * float(np.sum(table.l3**3)) / sigma**3
     status = "satisfied" if pre_lhs <= 1.0 / 500.0 else "violated"
-    # per-outcome Vbar and W2bar
-    P = adjacency(sys).toarray()
-    xy = np.einsum("mi,ij,mj->m", plan.X, P, plan.X)
-    vbar = np.sqrt(np.clip(xy, 0.25 * sigma**2, 2.0 * sigma**2))
-    s = plan.X.sum(axis=1)
-    w2bar = s / vbar
-    y = plan.X @ P.T  # Y_i = sum_{j in A_i} X_j per outcome
+    # per-outcome Vbar and W2bar, as (M, 1) columns
+    xy = np.einsum("mi,ij,mj->m", plan.X, pre.P, plan.X)
+    vbar = np.sqrt(np.clip(xy, 0.25 * sigma**2, 2.0 * sigma**2))[:, None]
+    w2bar = plan.X.sum(axis=1)[:, None] / vbar
+    y = plan.X @ pre.P.T  # Y_i = sum_{j in A_i} X_j per outcome
     rhs = (
         27.0 * kappa**2 / sigma**3 * float(np.sum(table.l3**3))
         + 11.0 * kappa**3 / sigma**4 * float(np.sum(table.l4**4))
     )
     out = []
     for name, f in fam.items():
-        lhs = 0.0
-        for i in range(sys.n):
-            term = plan.probs @ (plan.X[:, i] / vbar * f(w2bar - y[:, i] / vbar))
-            lhs += abs(float(term))
+        # row i: X_i / Vbar * f(W2bar - Y_i / Vbar) per outcome
+        Z = np.ascontiguousarray((plan.X / vbar * f(w2bar - y / vbar)).T)
+        # one dot product per row, summed in index order: a lhs that is
+        # rounding noise around 0 does not depend on a BLAS kernel's order
+        lhs = sum(abs(float(plan.probs @ z)) for z in Z)
         out.append(
             InequalityVerdict(
                 check_id=f"lemma_r4[{name}]",
@@ -553,7 +501,7 @@ def check_lemma_r4(
                 rhs=rhs,
                 constant=27.0,
                 precondition=status,
-                digest=f"n={sys.n};f={name}",
+                digest=f"n={pre.sys.n};f={name}",
                 extras={"pre": pre_lhs, "threshold": 1.0 / 500.0},
             )
         )
@@ -565,35 +513,29 @@ def check_lemma_r4(
 
 
 def check_prop1(
-    field: LatentSourceField,
-    sys: NeighborhoodSystem,
+    pre: Precomputed,
     A: Sequence[int],
     B: Sequence[int],
     a: float,
     b: float,
     c: float,
     xi: Callable | None = None,
-    pre: Precomputed | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> InequalityVerdict:
     """Randomized concentration at constant 156:
 
         E{ xi 1(eta_B <= S_A/sigma <= zeta_B) }
             <= 156 ||xi||_{4/3} sum_{i=0}^{7} delta_i.
     """
-    pre = pre or precompute(field, sys, cap=cap)
-    plan, der, table = pre.plan, pre.derived, pre.table
+    plan, sys = pre.plan, pre.sys
     sigma = pre.sigma
-    comp = _complement_mask(sys.n, reverse_set_of(sys, A))
-    s_a = plan.X[:, comp].sum(axis=1)
+    _, s_a, xi_vals = _off_neighborhood(pre, A, xi)
     b_abs = np.abs(plan.X[:, list(B)]).sum(axis=1)
     eta = a - c * b_abs / sigma
     zeta = b + c * b_abs / sigma
     ind = (eta <= s_a / sigma) & (s_a / sigma <= zeta)
-    xi_vals = xi(plan.X) if xi is not None else np.ones(plan.X.shape[0])
     lhs = float(plan.probs @ (xi_vals * ind))
     xi_43 = float(plan.probs @ xi_vals ** (4.0 / 3.0)) ** 0.75
-    deltas = delta_components_prop1(table, sys, der, A, B, a, b, c)
+    deltas = delta_components_prop1(pre.table, sys, pre.derived, A, B, a, b, c, pre.sums)
     rhs = 156.0 * xi_43 * sum(deltas.values())
     return InequalityVerdict(
         check_id="prop1",
@@ -607,16 +549,13 @@ def check_prop1(
 
 
 def check_prop2(
-    field: LatentSourceField,
-    sys: NeighborhoodSystem,
+    pre: Precomputed,
     A: Sequence[int],
     B: Sequence[int],
     a: float,
     b: float,
     c: float,
     xi: Callable | None = None,
-    pre: Precomputed | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> InequalityVerdict:
     """Self-normalized randomized concentration at constant 8755:
 
@@ -626,15 +565,12 @@ def check_prop2(
     with Vbar_A the clamped off-neighborhood variance proxy and the window
     widened by c |S_A| min(1, T_A) / sigma.
     """
-    pre = pre or precompute(field, sys, cap=cap)
-    plan, der, table = pre.plan, pre.derived, pre.table
+    plan, sys = pre.plan, pre.sys
     sigma = pre.sigma
     n = sys.n
-    n_a = reverse_set_of(sys, A)
-    comp = _complement_mask(n, n_a)
+    comp, s_a, xi_vals = _off_neighborhood(pre, A, xi)
     in_na = ~comp
-    s_a = plan.X[:, comp].sum(axis=1)
-    P_v = adjacency(sys).toarray() * np.outer(comp, comp)
+    P_v = pre.P * np.outer(comp, comp)
     vbar_a = np.sqrt(
         np.clip(
             np.einsum("mi,ij,mj->m", plan.X, P_v, plan.X),
@@ -644,9 +580,8 @@ def check_prop2(
     )
     absx = np.abs(plan.X)
     # rows k in N_A: P_t1[k, l] = 1 iff l in A_k, P_t2[k, l] = 1 iff l in N_k
-    D = adjacency(sys).toarray()
-    P_t1 = D * in_na[:, None]
-    P_t2 = D.T * in_na[:, None]
+    P_t1 = pre.P * in_na[:, None]
+    P_t2 = pre.P.T * in_na[:, None]
     t_a = np.sqrt(
         (
             np.einsum("mi,ij,mj->m", absx, P_t1, absx)
@@ -665,10 +600,9 @@ def check_prop2(
     zeta = b + c * b_abs / sigma + widen
     ratio = s_a / vbar_a
     ind = (eta <= ratio) & (ratio <= zeta)
-    xi_vals = xi(plan.X) if xi is not None else np.ones(plan.X.shape[0])
     lhs = float(plan.probs @ (xi_vals * ind))
     xi_43 = float(plan.probs @ xi_vals ** (4.0 / 3.0)) ** 0.75
-    lam, deltas = delta_components_prop2(table, sys, der, A, B, a, b, c)
+    lam, deltas = delta_components_prop2(pre.table, sys, pre.derived, A, B, a, b, c)
     rhs = 8755.0 * xi_43 * ((b - a) / 1500.0 + sum(deltas.values()))
     return InequalityVerdict(
         check_id="prop2",
@@ -685,12 +619,10 @@ def check_prop2(
 # Randomized instance generation for checker suites
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckInstance:
     """One randomized enumerable instance with window/test parameters."""
 
-    field: LatentSourceField
-    sys: NeighborhoodSystem
     pre: Precomputed
     A: tuple[int, ...]
     B: tuple[int, ...]
@@ -749,9 +681,8 @@ def random_enumerable_instance(
             center=True,
             metadata={"family": "random_instance"},
         )
-        sys = induced_neighborhoods(field)
         try:
-            pre = precompute(field, sys)
+            pre = precompute(field, induced_neighborhoods(field))
         except DegenerateVariance:
             continue
         if float(np.min(pre.table.l2)) <= 1e-9:
@@ -765,8 +696,7 @@ def random_enumerable_instance(
         xi_kind = str(rng.choice(XI_KINDS))
         p = float(rng.choice([0.0, 1.0, 4.0 / 3.0, 2.0]))
         return CheckInstance(
-            field=field, sys=sys, pre=pre,
-            A=a_set, B=b_set, a=lo, b=hi, c=c, xi_kind=xi_kind, p=p,
+            pre=pre, A=a_set, B=b_set, a=lo, b=hi, c=c, xi_kind=xi_kind, p=p,
         )
 
 
@@ -783,6 +713,18 @@ def _weighted_sum(G: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 SUITE_CHECKS = ("lemma_xiyi", "lemma_xiyi_corollary", "lemma_s2", "lemma_s4", "prop1", "prop2")
 
+# each check as verdicts of one instance; the checker names resolve when
+# the call runs, so a rebound module attribute is what gets called
+_SUITE_CALLS: dict[str, Callable[[CheckInstance], list[InequalityVerdict]]] = {
+    "lemma_xiyi": lambda i: [check_lemma_xiyi(i.pre, i.A, i.xi, i.p)],
+    "lemma_xiyi_corollary": lambda i: [check_lemma_xiyi(i.pre, (), None, 0.0)],
+    "lemma_s2": lambda i: [check_lemma_s2(i.pre, i.A, i.xi, i.p)],
+    "lemma_s4": lambda i: check_lemma_s4(i.pre, i.A, i.xi, i.p),
+    "prop1": lambda i: [check_prop1(i.pre, i.A, i.B, i.a, i.b, i.c, i.xi)],
+    "prop2": lambda i: [check_prop2(i.pre, i.A, i.B, i.a, i.b, i.c, i.xi)],
+    "lemma_r4": lambda i: check_lemma_r4(i.pre),
+}
+
 
 def _run_instance_checks(
     master_seed: int,
@@ -797,38 +739,8 @@ def _run_instance_checks(
     inst = random_enumerable_instance(
         substream(master_seed, STREAM_INSTANCES, k), max_indices=max_indices
     )
-    verdicts: list[InequalityVerdict] = []
-    args = dict(pre=inst.pre)
-    if "lemma_xiyi" in checks:
-        verdicts.append(
-            check_lemma_xiyi(inst.field, inst.sys, inst.A, inst.xi, inst.p, **args)
-        )
-    if "lemma_xiyi_corollary" in checks:
-        verdicts.append(check_lemma_xiyi(inst.field, inst.sys, (), None, 0.0, **args))
-    if "lemma_s2" in checks:
-        verdicts.append(
-            check_lemma_s2(inst.field, inst.sys, inst.A, inst.xi, inst.p, **args)
-        )
-    if "lemma_s4" in checks:
-        verdicts.extend(
-            check_lemma_s4(inst.field, inst.sys, inst.A, inst.xi, inst.p, **args)
-        )
-    if "prop1" in checks:
-        verdicts.append(
-            check_prop1(
-                inst.field, inst.sys, inst.A, inst.B, inst.a, inst.b, inst.c,
-                inst.xi, **args,
-            )
-        )
-    if "prop2" in checks:
-        verdicts.append(
-            check_prop2(
-                inst.field, inst.sys, inst.A, inst.B, inst.a, inst.b, inst.c,
-                inst.xi, **args,
-            )
-        )
-    if include_r4:
-        verdicts.extend(check_lemma_r4(inst.field, inst.sys, **args))
+    names = [c for c in SUITE_CHECKS if c in checks] + ["lemma_r4"] * include_r4
+    verdicts = [v for name in names for v in _SUITE_CALLS[name](inst)]
     for v in verdicts:
         v.extras.setdefault("instance", k)
     return verdicts
@@ -845,8 +757,12 @@ def run_checker_suite(
     """Run the explicit-constant checkers on randomized instances.
 
     Instance k draws from its own substream, so instances parallelize and
-    the verdict list is identical for every worker count.
+    the verdict list is identical for every worker count.  ``checks`` are
+    names from SUITE_CHECKS, run in that order; an unknown name raises
+    ValueError.
     """
+    if isinstance(checks, str) or any(c not in SUITE_CHECKS for c in checks):
+        raise ValueError(f"unknown checks {checks!r}; each one of {SUITE_CHECKS}")
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -9,6 +9,8 @@ Core claims:
     - application shapes (graph, distributed U, constrained U, decorated)
       match direct formula evaluation and their structural identities
     - the delta components reproduce the hand-enumerated instance
+    - the beta sums refuse, before building any union, a system whose
+      unions exceed the term budget
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import locdep.bounds as B
 import locdep.fields as F
 import locdep.moments as M
 import locdep.neighborhood as nb
-from locdep.errors import BlockTooSmall, DegenerateVariance
+from locdep.errors import BlockTooSmall, ComplexityCapExceeded, DegenerateVariance
 
 
 def iid_table(n: int) -> M.MomentTable:
@@ -210,6 +212,20 @@ def test_all_zero_norms_give_zero_beta():
     t = M.MomentTable(l2=np.zeros(3), l3=np.zeros(3), l4=np.zeros(3),
                       sigma2=1.0, mode="exact")
     assert B.bound_general_beta(t, sys, der).value == 0.0
+
+
+def test_term_budget_raises_before_any_union(monkeypatch):
+    f = F.build_m_dependent(6, 1, F.rademacher())
+    sys = F.induced_neighborhoods(f)
+    der = nb.derive(sys)
+    t = M.exact_moment_table(f, sys)
+    B.bound_general_beta(t, sys, der)  # well inside the default cap
+    monkeypatch.setattr(B, "TERM_BUDGET", 10)
+    monkeypatch.setattr(B, "_union", lambda *parts: pytest.fail("union built over the cap"))
+    with pytest.raises(ComplexityCapExceeded, match="cap 10$"):
+        B.bound_general_beta(t, sys, der)
+    with pytest.raises(ComplexityCapExceeded):
+        B.delta_components_prop1(t, sys, der, [0], [1], 0.0, 0.0, 1.0)
 
 
 def test_bound_graph_examples():

@@ -9,6 +9,10 @@ Core claims:
     - counting subcommands expose the naive oracles
     - declared neighborhoods are checked (one list per index, integer ids
       in [0, n), i in A_i) and a bad declaration exits 2
+    - the checkers block takes a list of known check names and a boolean
+      include_r4, family and source parameters are read with their types,
+      and malformed count arguments exit 2; none runs a config other than
+      the one written
     - mutated example configs exit 0, 1 or 2 under derive and bound,
       never with a traceback
 """
@@ -234,6 +238,53 @@ def test_one_number_slope_range_exits_2(tmp_path, capsys):
     assert "$.assertions.slope_range" in capsys.readouterr().err
 
 
+CHECKER_CASES = {
+    "unknown_name": {"checks": ["lemma_xyz"]},
+    "name_as_string": {"checks": "lemma_xiyi_corollary"},
+    "string_boolean": {"include_r4": "false"},
+    "no_instances": {"instances": 0},
+    "no_check": {"checks": []},
+}
+
+
+@pytest.mark.parametrize("block", CHECKER_CASES.values(), ids=CHECKER_CASES.keys())
+def test_bad_checkers_block_exits_2(tmp_path, capsys, block):
+    doc = minimal_spec(tmp_path, checkers={"instances": 2, **block})
+    assert cli.main(["oracle", "--spec", write_spec(tmp_path, doc)]) == 2
+    assert "$.checkers" in capsys.readouterr().err
+
+
+PARAM_CASES = {
+    "m_float": ("m_dependent", {"m": 1.7}, "$.params.m"),
+    "m_boolean": ("m_dependent", {"m": True}, "$.params.m"),
+    "ustat_k_float": ("ustat", {"m": 2, "k": 1.5}, "$.params.k"),
+    "letters_k_float": ("iid", {"source": {"kind": "letters", "k": 2.9}}, "$.params.source.k"),
+    "decorated_p_string": ("decorated_graph", {"pattern": "triangle", "p": "0.3"}, "$.params.p"),
+}
+
+
+@pytest.mark.parametrize("family,params,where", PARAM_CASES.values(), ids=PARAM_CASES.keys())
+def test_mistyped_family_parameters_exit_2(tmp_path, capsys, family, params, where):
+    doc = minimal_spec(tmp_path, family=family, params=params, grid=[6],
+                       bounds=cli.DEFAULT_BOUNDS[family])
+    assert cli.main(["derive", "--spec", write_spec(tmp_path, doc)]) == 2
+    assert where in capsys.readouterr().err
+
+
+COUNT_CASES = {
+    "gaps_not_integer": ["word", "--string", "abab", "--word", "ab", "--gaps", "x"],
+    "perm_not_integer": ["pattern", "--perm", "1,a,3", "--tau", "2,1"],
+    "host_edge_out_of_range": ["subgraph", "--host-edges", "0,9", "--host-n", "3"],
+    "too_many_gaps": ["word", "--string", "abab", "--word", "ab", "--gaps", "1,2"],
+}
+
+
+@pytest.mark.parametrize("argv", COUNT_CASES.values(), ids=COUNT_CASES.keys())
+def test_bad_count_arguments_exit_2(capsys, argv):
+    assert cli.main(["count", *argv]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 DECLARED_CASES = {
     "out_of_range": [[0, 5], [1], [2], [3]],
     "not_a_list": "x",
@@ -284,9 +335,19 @@ def test_mutated_example_configs_exit_0_1_or_2(tmp_path, data):
         "m": mostly(st.integers(-1, 3)),
         "k": mostly(st.integers(-1, 4)),
         "declared_A": mostly(st.lists(st.lists(mostly(st.integers(-1, top)), max_size=4), max_size=8)),
+        "p": mostly(st.floats(0.0, 1.0)),
+        "source": st.fixed_dictionaries(
+            {"kind": st.sampled_from(["rademacher", "bernoulli", "three_point", "letters"])},
+            optional={
+                "p": mostly(st.floats(0.0, 1.0)),
+                "k": mostly(st.integers(1, 4)),
+                "spread": mostly(st.floats(0.5, 2.0)),
+                "p_zero": mostly(st.floats(0.0, 1.0)),
+            },
+        ),
     }
     for key in data.draw(st.sets(st.sampled_from(sorted(mutations)))):
-        target = doc["params"] if key in ("m", "k", "declared_A") else doc
+        target = doc["params"] if key in ("m", "k", "declared_A", "p", "source") else doc
         target[key] = data.draw(mutations[key])
     doc["out"] = str(tmp_path / "out")
     command = data.draw(st.sampled_from(["derive", "bound"]))

@@ -155,7 +155,7 @@ GROUPING_CASES = {
     "decorated_path": lambda: F.build_decorated_graph_field(
         4, [(0, 1), (1, 2)], F.bernoulli(0.4)),
     **{
-        f"random_{k}": (lambda k=k: O.random_enumerable_instance(substream(77, 5, k)).field)
+        f"random_{k}": (lambda k=k: O.random_enumerable_instance(substream(77, 5, k)).pre.field)
         for k in range(20)
     },
 }

@@ -1,8 +1,8 @@
 """Exact-enumeration oracle tests.
 
 Core claims:
-    - exact expectations match closed forms (E S = 0, E S^2 = Var(S),
-      E S^4 = 3n^2 - 2n for iid Rademacher) and are linear in the functional
+    - enumerated expectations match closed forms (E S = 0, E S^2 = Var(S),
+      E S^4 = 3n^2 - 2n for iid Rademacher)
     - exact Kolmogorov distances match two-atom hand computations, decrease
       with n for iid Rademacher, and are relabeling-invariant
     - every explicit-constant checker passes on hand instances and on
@@ -10,9 +10,16 @@ Core claims:
     - the normal CDF matches tabulated values to 1e-14
     - precondition handling is tri-state and never counts violated
       instances as failures
+    - the suite's verdicts match a table recorded before the checkers
+      shared one instance record, and a suite of one check gives the full
+      suite's rows of that check
+    - merging atoms by array code matches the chained-merge loop
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,25 +47,11 @@ def test_normal_cdf_matches_tabulated_values():
 
 def test_exact_expectation_closed_forms():
     for n in (2, 5, 9, 12):
-        f = F.build_iid_field(n, F.rademacher())
-        assert O.exact_expectation(f, lambda X: X.sum(axis=1)) == pytest.approx(0.0, abs=1e-12)
-        assert O.exact_expectation(f, lambda X: X.sum(axis=1) ** 2) == pytest.approx(n)
-        assert O.exact_expectation(f, lambda X: X.sum(axis=1) ** 4) == pytest.approx(
-            3 * n**2 - 2 * n
-        )
-
-
-def test_exact_expectation_is_linear():
-    f = F.build_m_dependent(4, 1, F.three_point())
-    rng = np.random.default_rng(2)
-    fa = lambda X: X.sum(axis=1) ** 2
-    fb = lambda X: np.abs(X[:, 0])
-    for _ in range(5):
-        a, b = rng.normal(size=2)
-        combo = O.exact_expectation(f, lambda X: a * fa(X) + b * fb(X))
-        assert combo == pytest.approx(
-            a * O.exact_expectation(f, fa) + b * O.exact_expectation(f, fb), rel=1e-10
-        )
+        plan = O.enumerate_field(F.build_iid_field(n, F.rademacher()))
+        s = plan.X.sum(axis=1)
+        assert plan.probs @ s == pytest.approx(0.0, abs=1e-12)
+        assert plan.probs @ s**2 == pytest.approx(n)
+        assert plan.probs @ s**4 == pytest.approx(3 * n**2 - 2 * n)
 
 
 def test_exact_kolmogorov_point_mass():
@@ -104,16 +97,16 @@ def test_lemma_xiyi_hand_instances():
     f = F.build_m_dependent(6, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
     pre = O.precompute(f, sys)
-    v = O.check_lemma_xiyi(f, sys, [2], xi=O.xi_function("abs", [2]), p=1.0, pre=pre)
+    v = O.check_lemma_xiyi(pre, [2], xi=O.xi_function("abs", [2]), p=1.0)
     assert v.passed
-    v0 = O.check_lemma_xiyi(f, sys, [2], xi=lambda X: np.zeros(X.shape[0]), p=1.0, pre=pre)
+    v0 = O.check_lemma_xiyi(pre, [2], xi=lambda X: np.zeros(X.shape[0]), p=1.0)
     assert v0.lhs == 0.0 and v0.rhs == 0.0 and v0.passed
-    vc = O.check_lemma_xiyi(f, sys, [], pre=pre)
+    vc = O.check_lemma_xiyi(pre, [])
     assert vc.check_id == "lemma_xiyi_corollary" and vc.passed
     # iid: X_i^2 = 1 identically, so the corollary LHS vanishes
     fi = F.build_iid_field(4, F.rademacher())
     si = F.induced_neighborhoods(fi)
-    vi = O.check_lemma_xiyi(fi, si, [], pre=O.precompute(fi, si))
+    vi = O.check_lemma_xiyi(O.precompute(fi, si), [])
     assert vi.lhs == pytest.approx(0.0, abs=1e-12)
     assert vi.rhs == pytest.approx(16.0 * 4)
 
@@ -122,11 +115,11 @@ def test_lemma_s2_hand_instances():
     f = F.build_iid_field(4, F.rademacher())
     sys = F.induced_neighborhoods(f)
     pre = O.precompute(f, sys)
-    v1 = O.check_lemma_s2(f, sys, [0], xi=None, p=0.0, pre=pre)
+    v1 = O.check_lemma_s2(pre, [0], xi=None, p=0.0)
     assert v1.lhs == pytest.approx(3.0) and v1.margin == pytest.approx(2.0)
-    v2 = O.check_lemma_s2(f, sys, [0], xi=O.xi_function("abs", [0]), p=1.0, pre=pre)
+    v2 = O.check_lemma_s2(pre, [0], xi=O.xi_function("abs", [0]), p=1.0)
     assert v2.passed
-    v3 = O.check_lemma_s2(f, sys, list(range(4)), xi=None, p=0.0, pre=pre)
+    v3 = O.check_lemma_s2(pre, list(range(4)), xi=None, p=0.0)
     assert v3.lhs == 0.0  # N_A = [n]: S_A is the empty sum
 
 
@@ -134,7 +127,7 @@ def test_lemma_s4_small_n_precondition_recorded():
     for n in (4, 8, 12):
         f = F.build_iid_field(n, F.rademacher())
         sys = F.induced_neighborhoods(f)
-        verds = O.check_lemma_s4(f, sys, [0], pre=O.precompute(f, sys))
+        verds = O.check_lemma_s4(O.precompute(f, sys), [0])
         by_id = {v.check_id: v for v in verds}
         s4 = by_id["lemma_s4_s"]
         assert s4.precondition == "violated"  # n^{-1/2} >> 1/500 at these sizes
@@ -147,41 +140,41 @@ def test_lemma_r4_instances():
     f = F.build_m_dependent(6, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
     pre = O.precompute(f, sys)
-    verds = O.check_lemma_r4(f, sys, pre=pre)
+    verds = O.check_lemma_r4(pre)
     assert all(v.passed for v in verds)
     assert any(v.lhs > 0 for v in verds)
-    zero = O.check_lemma_r4(f, sys, {"zero": lambda w: 0.0 * w}, pre=pre)
+    zero = O.check_lemma_r4(pre, {"zero": lambda w: 0.0 * w})
     assert zero[0].lhs == 0.0 and zero[0].passed
     f8 = F.build_iid_field(8, F.rademacher())
     s8 = F.induced_neighborhoods(f8)
-    verds8 = O.check_lemma_r4(f8, s8, {"clamp": O.TEST_FUNCTIONS["clamp"]},
-                              pre=O.precompute(f8, s8))
+    verds8 = O.check_lemma_r4(O.precompute(f8, s8), {"clamp": O.TEST_FUNCTIONS["clamp"]})
     assert verds8[0].passed
 
 
 def test_invalid_test_function_rejected():
     f = F.build_iid_field(3, F.rademacher())
     sys = F.induced_neighborhoods(f)
+    pre = O.precompute(f, sys)
     with pytest.raises(InvalidTestFunction):
-        O.check_lemma_r4(f, sys, {"big": lambda w: 2.0 * np.tanh(w)})
+        O.check_lemma_r4(pre, {"big": lambda w: 2.0 * np.tanh(w)})
     with pytest.raises(InvalidTestFunction):
-        O.check_lemma_r4(f, sys, {"steep": lambda w: np.clip(3 * w, -1, 1)})
+        O.check_lemma_r4(pre, {"steep": lambda w: np.clip(3 * w, -1, 1)})
 
 
 def test_prop1_hand_instance_and_monotonicity():
     f = F.build_iid_field(4, F.rademacher())
     sys = F.induced_neighborhoods(f)
     pre = O.precompute(f, sys)
-    v = O.check_prop1(f, sys, [0], [1], 0.0, 0.0, 1.0, xi=O.xi_function("abs", [0]), pre=pre)
+    v = O.check_prop1(pre, [0], [1], 0.0, 0.0, 1.0, xi=O.xi_function("abs", [0]))
     assert v.lhs == pytest.approx(0.75)
     assert v.passed
     # widening [a, b] raises both sides
     prev_lhs = prev_rhs = -1.0
     for b in (0.0, 0.5, 1.5):
-        vb = O.check_prop1(f, sys, [0], [1], 0.0, b, 1.0, xi=O.xi_function("abs", [0]), pre=pre)
+        vb = O.check_prop1(pre, [0], [1], 0.0, b, 1.0, xi=O.xi_function("abs", [0]))
         assert vb.lhs >= prev_lhs - 1e-12 and vb.rhs >= prev_rhs - 1e-12
         prev_lhs, prev_rhs = vb.lhs, vb.rhs
-    vz = O.check_prop1(f, sys, [0], [1], 0.0, 0.0, 1.0, xi=lambda X: np.zeros(X.shape[0]), pre=pre)
+    vz = O.check_prop1(pre, [0], [1], 0.0, 0.0, 1.0, xi=lambda X: np.zeros(X.shape[0]))
     assert vz.lhs == 0.0 and vz.passed
 
 
@@ -189,9 +182,9 @@ def test_prop2_hand_instance():
     f = F.build_iid_field(6, F.rademacher())
     sys = F.induced_neighborhoods(f)
     pre = O.precompute(f, sys)
-    v = O.check_prop2(f, sys, [0], [1], 0.0, 0.0, 1.0, xi=O.xi_function("abs", [0]), pre=pre)
+    v = O.check_prop2(pre, [0], [1], 0.0, 0.0, 1.0, xi=O.xi_function("abs", [0]))
     assert v.passed
-    vz = O.check_prop2(f, sys, [0], [1], 0.0, 0.0, 1.0, xi=lambda X: np.zeros(X.shape[0]), pre=pre)
+    vz = O.check_prop2(pre, [0], [1], 0.0, 0.0, 1.0, xi=lambda X: np.zeros(X.shape[0]))
     assert vz.lhs == 0.0 and vz.passed
 
 
@@ -213,10 +206,39 @@ def test_suite_results_independent_of_thread_count():
     ]
 
 
-def test_exact_expectation_threads_agree():
-    f = F.build_m_dependent(10, 1, F.rademacher())
-    fn = lambda X: X.sum(axis=1) ** 2
-    assert O.exact_expectation(f, fn) == O.exact_expectation(f, fn, threads=4)
+SUITE_TABLE = Path(__file__).resolve().parent / "data" / "checker_suite_30_314.json"
+
+
+def test_suite_matches_recorded_verdict_table():
+    """Verdicts of run_checker_suite(30, 314, include_r4=True) as recorded
+    when each checker still rebuilt its own instance state."""
+    recorded = json.loads(SUITE_TABLE.read_text())["rows"]
+    verds = O.run_checker_suite(30, master_seed=314, include_r4=True)
+    assert len(verds) == len(recorded)
+    for v, (check, digest, precondition, verdict, lhs, rhs) in zip(verds, recorded):
+        assert (v.check_id, v.digest, v.precondition) == (check, digest, precondition)
+        assert ("pass" if v.passed else "fail") == verdict
+        assert v.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+        assert v.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
+
+def test_single_check_suites_match_the_full_suite():
+    full = O.run_checker_suite(10, master_seed=7, include_r4=True)
+    rows = lambda verds: [(v.check_id, v.digest, v.lhs, v.rhs, v.precondition) for v in verds]
+    suite_name = lambda check_id: "lemma_s4" if check_id.startswith("lemma_s4_") else check_id
+    for name in O.SUITE_CHECKS:
+        alone = O.run_checker_suite(10, master_seed=7, checks=[name])
+        want = [v for v in full if suite_name(v.check_id) == name]
+        assert alone and rows(alone) == rows(want)
+    r4 = O.run_checker_suite(10, master_seed=7, checks=[], include_r4=True)
+    assert rows(r4) == rows([v for v in full if v.check_id.startswith("lemma_r4[")])
+
+
+def test_unknown_suite_check_raises():
+    with pytest.raises(ValueError, match="unknown checks"):
+        O.run_checker_suite(1, master_seed=7, checks=["lemma_xyz"])
+    with pytest.raises(ValueError, match="unknown checks"):
+        O.run_checker_suite(1, master_seed=7, checks="lemma_xiyi_corollary")
 
 
 def test_ld_independence_reports():
@@ -277,7 +299,7 @@ def test_ld_factorization_matches_dict_loop_reference():
     cases = []
     for _ in range(12):
         inst = O.random_enumerable_instance(rng, max_indices=6, max_sources=6, max_outcomes=3**6)
-        cases += [(inst.field, inst.sys), (inst.field, shrink(inst.sys, rng))]
+        cases += [(inst.pre.field, inst.pre.sys), (inst.pre.field, shrink(inst.pre.sys, rng))]
     for n in (4, 6):
         f = F.build_m_dependent(n, 1, F.three_point())
         cases += [(f, F.induced_neighborhoods(f)), (f, shrink(F.induced_neighborhoods(f), rng))]
@@ -298,7 +320,7 @@ def test_verdict_csv_rows():
     f = F.build_iid_field(4, F.rademacher())
     sys = F.induced_neighborhoods(f)
     pre = O.precompute(f, sys)
-    v = O.check_lemma_s2(f, sys, [0], pre=pre)
+    v = O.check_lemma_s2(pre, [0])
     rows = O.verdicts_to_csv_rows([v])
     assert rows[0].startswith("digest,check,")
     assert "lemma_s2" in rows[1] and "pass" in rows[1]
@@ -309,3 +331,45 @@ def test_merge_atoms_groups_close_values():
         np.array([1.0, 1.0 + 5e-13, 2.0]), np.array([0.25, 0.25, 0.5])
     )
     assert atoms.size == 2 and probs[0] == pytest.approx(0.5)
+
+
+def merge_atoms_reference(values, probs):
+    """The chained-merge loop: a group starts at its first sorted value and
+    takes later values within ATOM_MERGE_TOL * max(1, |start|) of it."""
+    order = np.argsort(values, kind="stable")
+    out_v, out_p = [], []
+    for val, pr in zip(values[order], probs[order]):
+        if out_v and abs(val - out_v[-1]) <= O.ATOM_MERGE_TOL * max(1.0, abs(out_v[-1])):
+            out_p[-1] += pr
+        else:
+            out_v.append(float(val))
+            out_p.append(float(pr))
+    return np.asarray(out_v), np.asarray(out_p)
+
+
+def test_merge_atoms_matches_chained_merge_loop():
+    rng = np.random.default_rng(5)
+    tol = O.ATOM_MERGE_TOL
+    for trial in range(60):
+        centers = np.concatenate([
+            rng.choice([-3.0, -1e-13, 0.0, 0.5, 2.0, 1e3], size=2),
+            rng.uniform(-3.0, 3.0, size=2), rng.uniform(-1e-11, 1e-11, size=2),
+            rng.uniform(-2e3, 2e3, size=2),
+        ])
+        parts = []
+        for c in centers:
+            scale = tol * max(1.0, abs(c))
+            k = int(rng.integers(1, 40))
+            # steps of 0.1-0.7 tolerances: chains of near-ties longer than one
+            # tolerance, plus exact repeats and the floats around the edge,
+            # where c + tol rounds to either side of the merge rule
+            chain = c + np.cumsum(rng.uniform(0.1, 0.7, size=k)) * scale
+            edge = np.array([c + scale, np.nextafter(c + scale, np.inf), c + 2 * scale])
+            parts += [chain, np.full(3, c), edge, rng.normal(c, 1.0, size=5)]
+        values = rng.permutation(np.concatenate(parts))
+        probs = rng.uniform(0.0, 1.0, size=values.size)
+        atoms, merged = O.merge_atoms(values, probs)
+        want_atoms, want_probs = merge_atoms_reference(values, probs)
+        assert np.array_equal(atoms, want_atoms)
+        np.testing.assert_allclose(merged, want_probs, rtol=1e-15, atol=0.0)
+        assert atoms.size < values.size
