@@ -74,6 +74,10 @@ def _opt(doc: dict, key: str, kind, where: str, default):
     return _need(doc, key, kind, where) if key in doc else default
 
 
+def _is_int(v, lo=-math.inf, hi=math.inf) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and lo <= v < hi
+
+
 # bounds every family takes; the others need a family's own parameters
 GENERIC_BOUNDS = ("main", "self_normalized", "general_beta")
 FAMILY_BOUNDS = {
@@ -246,7 +250,10 @@ def build_family(family: str, params: dict, n: int, where: str = "$.params") -> 
             elif kind == "edgeless":
                 edges = []
             elif kind == "explicit":
-                edges = [tuple(e) for e in params.get("edges", [])]
+                edges = _opt(params, "edges", list, where, [])
+                if not all(isinstance(e, list) and len(e) == 2 and all(_is_int(v, 0, n) for v in e)
+                           for e in edges):
+                    raise ConfigError(f"{where}.edges", f"expected pairs [u, v] of ints in [0, {n})")
             else:
                 raise ConfigError(f"{where}.graph", f"unknown graph kind {kind!r}")
             f = fields.build_graph_dependency(n, edges, source)
@@ -269,11 +276,16 @@ def build_family(family: str, params: dict, n: int, where: str = "$.params") -> 
         if family == "constrained_ustat":
             gaps = _parse_gaps(params.get("gaps", [None]), f"{where}.gaps")
             if "word" in params:
-                word = [ord(ch) - ord("a") for ch in params["word"]]
+                word = [ord(ch) - ord("a") for ch in _need(params, "word", str, where)]
                 alpha = _opt(params, "alphabet", int, where, 26)
+                if not all(0 <= c < alpha for c in word):
+                    raise ConfigError(f"{where}.word", f"letters must be the first {alpha} of a-z")
                 f = fields.build_word_field(word, n, alpha, gaps)
             elif "pattern" in params:
-                f = fields.build_pattern_field(n, [int(x) for x in params["pattern"]], gaps)
+                pattern = _need(params, "pattern", list, where)
+                if not all(_is_int(x) for x in pattern):
+                    raise ConfigError(f"{where}.pattern", "expected a list of integers")
+                f = fields.build_pattern_field(n, pattern, gaps)
             else:
                 raise ConfigError(where, "constrained_ustat needs 'word' or 'pattern'")
             return BuiltInstance(f, {"b": f.metadata["b"]})

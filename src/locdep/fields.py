@@ -11,8 +11,9 @@ n values with **one** evaluator over the gathered source values,
 where each entry of ``params`` is a per-index array (leading axis n).  The
 evaluator treats every index alike: X_i depends only on row i of G and of
 each param.  Indices (or pairs of indices) whose support rows have the
-same coincidence pattern, source laws and params therefore share one law,
-and exact moments enumerate once per such signature.
+same coincidence pattern, source laws and params therefore share one law.
+A field groups its indices by this signature once, at construction
+(``groups``); means, exact norms and pair groups read that grouping.
 
 Dependence neighborhoods are *induced* by support overlap,
 
@@ -195,7 +196,8 @@ class LatentSourceField:
     ``params`` are the evaluator and its per-index arrays (see the module
     docstring).  ``means`` holds E X_i before centering and is computed at
     construction when ``center`` is set and none are given; sampled values
-    are centered iff ``center`` is set.  Arrays and metadata are read-only.
+    are centered iff ``center`` is set.  ``groups`` is (first, inverse) of
+    the indices grouped by :func:`_signatures`.  Everything is read-only.
     """
 
     sources: tuple[Source, ...]
@@ -207,6 +209,7 @@ class LatentSourceField:
     metadata: Mapping = dc_field(default_factory=dict)
     runs: tuple = dc_field(init=False, repr=False)
     law_ids: np.ndarray = dc_field(init=False, repr=False)
+    groups: tuple = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         put = object.__setattr__
@@ -226,11 +229,13 @@ class LatentSourceField:
         put(self, "runs", runs)
         put(self, "law_ids", _read_only(_law_ids(runs)))
         put(self, "metadata", dict(self.metadata))
-        means = self.means
-        if means is None and self.center:
-            means = compute_means(self)
-        if means is not None:
-            put(self, "means", _read_only(np.array(means, dtype=float)))
+        if self.means is not None:
+            put(self, "means", _read_only(np.array(self.means, dtype=float)))
+        sig = _signatures(self, np.arange(supports.shape[0])[:, None])
+        _, first, inverse = np.unique(sig, return_index=True, return_inverse=True)
+        put(self, "groups", (_read_only(first), _read_only(inverse.reshape(-1))))
+        if self.means is None and self.center:
+            put(self, "means", _read_only(compute_means(self)))
         put(self, "metadata", MappingProxyType(self.metadata))
 
     @property
@@ -280,36 +285,45 @@ def _blocks(count: int, width: int, reps: int) -> list[slice]:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _localize(field: LatentSourceField, idx) -> tuple[np.ndarray, np.ndarray]:
-    """(used, local): the sorted source ids the indices ``idx`` read, and
-    their support rows renumbered into positions of ``used`` (-1 kept)."""
-    S = field.supports[idx]
-    used = np.unique(S[S >= 0])
-    return used, np.where(S >= 0, np.searchsorted(used, S), -1)
-
-
-def local_values(field: LatentSourceField, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, X) over the product grid of the sources the indices ``idx``
-    read: X[k, j] is the uncentered X_{idx[j]} at grid point k."""
-    idx = np.asarray(idx, dtype=np.int64)
-    used, local = _localize(field, idx)
-    probs, grid = product_grid([field.sources[s] for s in used])
-    if not used.size:
-        grid = np.zeros((1, 1))
-    X = field.ev(_gather(grid, local), *(p[idx] for p in field.params))
-    return probs, np.broadcast_to(np.asarray(X, dtype=float), (probs.size, len(idx)))
+def local_values(field: LatentSourceField, rows):
+    """Yield (r, probs, X) for each row r of ``rows`` ((N, w) index tuples):
+    X[k, c] is the uncentered X_{rows[r, c]} at point k of the product grid
+    over the sources row r reads.  Rows whose sources have the same laws
+    share one grid and one evaluator call (at most GATHER_CELLS gathered)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    (N, w), K = rows.shape, field.supports.shape[1]
+    S = field.supports[rows].reshape(N, w * K)
+    srt = np.sort(S, axis=1)
+    # per row: its distinct sources in increasing order, then n_sources fillers
+    used = np.where((srt < 0) | (np.diff(srt, axis=1, prepend=-1) == 0), field.n_sources, srt)
+    used = np.sort(used, axis=1)
+    local = np.where(S >= 0, (used[:, None, :] < S[:, :, None]).sum(axis=2), -1)
+    laws = np.append(field.law_ids, -1)[used] + 1
+    batches = _pack([np.zeros(N, dtype=np.int64), *laws.T])
+    for key in np.unique(batches):
+        sel = np.flatnonzero(batches == key)
+        probs, grid = product_grid([field.sources[s] for s in used[sel[0]] if s < field.n_sources])
+        grid = grid if grid.size else np.zeros((1, 1))
+        step = max(1, GATHER_CELLS // (probs.size * w * K))
+        for part in np.split(sel, np.arange(step, sel.size, step)):
+            idx = rows[part].reshape(-1)
+            X = field.ev(_gather(grid, local[part].reshape(-1, K)), *(p[idx] for p in field.params))
+            X = np.broadcast_to(np.asarray(X, dtype=float), (probs.size, idx.size))
+            for k, r in enumerate(part):  # one contiguous (outcomes, w) block per row
+                yield r, probs, np.ascontiguousarray(X[:, k * w:(k + 1) * w])
 
 
 # ---------------------------------------------------------------------------
 # Signatures: indices and pairs with one law by construction
 
 
-def _pack(keys: np.ndarray) -> np.ndarray:
-    """One int64 per row of a nonnegative integer matrix; equal rows get
-    equal values (columns are re-densified before they could overflow)."""
-    out = np.zeros(keys.shape[0], dtype=np.int64)
+def _pack(cols) -> np.ndarray:
+    """One int64 per row of equal-length nonnegative integer columns; equal
+    rows get equal values, ordered as the rows are lexicographically
+    (columns are re-densified before they could overflow)."""
+    out = np.zeros(len(cols[0]), dtype=np.int64)
     span = 1
-    for col in keys.T:
+    for col in cols:
         radix = int(col.max()) + 1 if col.size else 1
         if span * radix >= 2**62:
             out = np.unique(out, return_inverse=True)[1].reshape(-1)
@@ -332,28 +346,39 @@ def _first_slots(S: np.ndarray) -> np.ndarray:
     return F
 
 
-def _index_classes(field: LatentSourceField) -> np.ndarray:
-    """Per index, an id shared exactly by indices with equal params and means."""
-    cols = [np.zeros(field.n, dtype=np.int64)]
-    for p in (*field.params, *(() if field.means is None else (field.means,))):
-        flat = p.reshape(field.n, -1)
-        inv = np.unique(flat, axis=0 if flat.shape[1] > 1 else None, return_inverse=True)[1]
-        cols.append(inv.reshape(-1))
-    return _pack(np.stack(cols, axis=1))
-
-
-def signature_groups(field: LatentSourceField, idx) -> tuple[np.ndarray, np.ndarray]:
-    """Group indices (``idx`` of shape (N,)) or index pairs ((N, 2)) whose
-    joint law is the same by construction: equal coincidence pattern of
-    their support rows, equal source laws slot by slot, equal params and
-    means.  Returns (first, inverse): row first[g] of ``idx`` represents
-    group g, and row r belongs to group inverse[r]."""
-    rows = np.asarray(idx, dtype=np.int64).reshape(len(idx), -1)
+def _signatures(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
+    """Packed full signatures of the index tuples ``rows`` ((N, w)): the
+    coincidence pattern of their concatenated support rows, the source
+    laws slot by slot (pads as one more law), then the params and means of
+    each index in turn.  Equal signatures mean one joint law."""
     S = field.supports[rows].reshape(len(rows), -1)
     laws = np.append(field.law_ids, field.law_ids.max(initial=0) + 1)[S]
-    keys = np.concatenate([_first_slots(S), laws, _index_classes(field)[rows]], axis=1)
-    _, first, inverse = np.unique(_pack(keys), return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
+    classes = []
+    for p in (*field.params, *(() if field.means is None else (field.means,))):
+        flat = p[rows.reshape(-1)].reshape(rows.size, -1)
+        inv = np.unique(flat, axis=0 if flat.shape[1] > 1 else None, return_inverse=True)[1]
+        classes.append(inv.reshape(rows.shape))
+    per_index = (c[:, k] for k in range(rows.shape[1]) for c in classes)
+    return _pack([*_first_slots(S).T, *laws.T, *per_index])
+
+
+def signature_groups(field: LatentSourceField, ij) -> tuple[np.ndarray, np.ndarray]:
+    """Group the index pairs (rows of ``ij``) by signature: (first,
+    inverse), with row first[g] representing group g and row r in group
+    inverse[r].  A pair is keyed by the groups of i and j and, per slot of
+    j, the first slot of i holding the same source (pads excluded), which
+    partitions as the full signature does, with no per-pair sort.  Groups
+    are put in signature order, which fixes the order of sums over them."""
+    ij = np.asarray(ij, dtype=np.int64)
+    gid = field.groups[1]
+    Si, Sj = field.supports[ij[:, 0]], field.supports[ij[:, 1]]
+    cross = np.zeros(Sj.shape, dtype=np.int32)
+    for a in range(Si.shape[1] - 1, -1, -1):
+        cross[(Sj == Si[:, a, None]) & (Sj >= 0)] = a + 1
+    keys = _pack([gid[ij[:, 0]], gid[ij[:, 1]], *cross.T])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(_signatures(field, ij[first]))
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +390,26 @@ def compute_means(
     master_seed: int = 0,
     prepass: int = 10**6,
 ) -> np.ndarray:
-    """E X_i for every index, computed once per signature group (whose
-    indices share one law): exact by local enumeration when the supporting
-    sources are discrete, otherwise a Monte-Carlo pre-pass of ``prepass``
-    draws of the sources the group representatives read."""
-    first, inverse = signature_groups(field, np.arange(field.n))
+    """E X_i for every index, computed once per group of the field's
+    ``groups`` (whose indices share one law): exact by local enumeration
+    when the supporting sources are discrete, otherwise a Monte-Carlo
+    pre-pass of ``prepass`` draws of the sources the group representatives
+    read."""
+    first, inverse = field.groups
     discrete = np.repeat(
         [isinstance(src, DiscreteSource) for _, src in field.runs],
         [sl.stop - sl.start for sl, _ in field.runs],
     )
     exact = np.append(discrete, True)[field.supports[first]].all(axis=1)
     group_means = np.empty(first.size)
-    for g in np.flatnonzero(exact):
-        probs, X = local_values(field, [first[g]])
-        group_means[g] = probs @ X[:, 0]
+    ex = np.flatnonzero(exact)
+    for r, probs, X in local_values(field, first[ex][:, None]):
+        group_means[ex[r]] = probs @ X[:, 0]
     todo = first[~exact]
     if todo.size:
-        used, local = _localize(field, todo)
+        S = field.supports[todo]
+        used = np.unique(S[S >= 0])
+        local = np.where(S >= 0, np.searchsorted(used, S), -1)
         params = [p[todo] for p in field.params]
         acc = np.zeros(todo.size)
         done = 0

@@ -3,13 +3,14 @@ U-statistic kernel quantities sigma_1 and ||h||_p.
 
 Norms are absolute central moments of the field values actually used by
 the statistics, ``||X||_p = (E|X|^p)^{1/p}``, computed exactly by local
-enumeration over each index's (discrete) support, or by Monte Carlo with
-batch-means standard errors.
+enumeration over each index's (discrete) support, once per index group
+frozen on the field (exact tables carry the groups on), or by Monte
+Carlo with batch-means standard errors.
 
 Var(S) is computed either by global enumeration (cross-checked against
 the local-dependence identity Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j))
-or from that identity alone via per-pair local enumeration, which scales
-to fields whose full outcome space is out of reach.
+or from that identity alone via local enumeration once per pair group,
+which scales to fields whose full outcome space is out of reach.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ class MomentTable:
     ``mode`` is "exact", "monte_carlo", or "hybrid" (exact norms, identity
     variance).  Monte-Carlo entries carry batch-means standard errors.
     ``lam`` is kappa * sum ||X_i||_2^2 / sigma2 when kappa was supplied.
+    Exact and hybrid tables carry ``groups``, each entry's index group.
     """
 
     l2: np.ndarray
@@ -63,6 +65,7 @@ class MomentTable:
     se_l4: np.ndarray | None = None
     se_sigma2: float | None = None
     extras: dict = dc_field(default_factory=dict)
+    groups: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -93,32 +96,26 @@ def lam_scale(table: MomentTable, kappa: int) -> float:
 # Exact evaluation
 
 
-def exact_index_norms(field: LatentSourceField, i: int) -> tuple[float, float, float]:
-    """(||X_i||_2, ||X_i||_3, ||X_i||_4) of the centered X_i by local enumeration."""
-    probs, X = local_values(field, [i])
-    vals = X[:, 0] if field.means is None else X[:, 0] - field.means[i]
-    a = np.abs(vals)
-    return (
-        float(probs @ a**2) ** (1 / 2),
-        float(probs @ a**3) ** (1 / 3),
-        float(probs @ a**4) ** (1 / 4),
-    )
+def exact_index_norms(field: LatentSourceField, idx) -> np.ndarray:
+    """Rows (||X_i||_2, ||X_i||_3, ||X_i||_4) of the centered X_i for the
+    indices i of ``idx``, by local enumeration."""
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    out = np.empty((idx.size, 3))
+    for r, probs, X in local_values(field, idx[:, None]):
+        a = np.abs(X[:, 0] if field.means is None else X[:, 0] - field.means[idx[r]])
+        out[r] = [float(probs @ a**p) ** (1 / p) for p in (2, 3, 4)]
+    return out
 
 
-def exact_norm_arrays(field: LatentSourceField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-index norms, one enumeration per signature group."""
-    first, inverse = signature_groups(field, np.arange(field.n))
-    norms = np.array([exact_index_norms(field, i) for i in first])[inverse]
-    return norms[:, 0].copy(), norms[:, 1].copy(), norms[:, 2].copy()
-
-
-def exact_pair_covariance(field: LatentSourceField, i: int, j: int) -> float:
-    """Cov(X_i, X_j) by enumeration over the union of the two supports."""
-    probs, X = local_values(field, [i, j])
-    xi, xj = X[:, 0], X[:, 1]
-    mi = float(probs @ xi)
-    mj = float(probs @ xj)
-    return float(probs @ (xi * xj)) - mi * mj
+def exact_pair_covariance(field: LatentSourceField, ij) -> np.ndarray:
+    """Cov(X_i, X_j) for the rows (i, j) of ``ij``, by enumeration over the
+    union of the two supports."""
+    ij = np.asarray(ij, dtype=np.int64).reshape(-1, 2)
+    out = np.empty(len(ij))
+    for r, probs, X in local_values(field, ij):
+        xi, xj = X[:, 0], X[:, 1]
+        out[r] = float(probs @ (xi * xj)) - float(probs @ xi) * float(probs @ xj)
+    return out
 
 
 def exact_sigma2_local(
@@ -142,7 +139,7 @@ def exact_sigma2_local(
 def _covariance_sum(field: LatentSourceField, ij: np.ndarray) -> float:
     """sum of Cov(X_i, X_j) over the rows (i, j) of ``ij``."""
     first, inverse = signature_groups(field, ij)
-    cov = np.array([exact_pair_covariance(field, *ij[g]) for g in first])
+    cov = exact_pair_covariance(field, ij[first])
     return float(np.bincount(inverse, minlength=first.size) @ cov)
 
 
@@ -171,7 +168,8 @@ def exact_moment_table(
     "auto".  The cross-check failing means the declared neighborhoods do
     not cover the true dependence; it raises AssertionError.
     """
-    l2, l3, l4 = exact_norm_arrays(field)
+    first, inverse = field.groups
+    l2, l3, l4 = exact_index_norms(field, first)[inverse].T.copy()
     count = field.outcome_count()
     mode = "exact"
     if sigma2_mode == "auto":
@@ -192,7 +190,7 @@ def exact_moment_table(
     else:
         sigma2 = exact_sigma2_local(field, sys)
         mode = "hybrid"
-    table = MomentTable(l2=l2, l3=l3, l4=l4, sigma2=sigma2, mode=mode)
+    table = MomentTable(l2=l2, l3=l3, l4=l4, sigma2=sigma2, mode=mode, groups=inverse)
     if table.degenerate:
         table.extras["degenerate"] = True
     if kappa is not None and not table.degenerate:
@@ -350,18 +348,19 @@ def hoeffding_sigma1(
 
 
 def table_to_csv_rows(table: MomentTable) -> list[str]:
-    """CSV body: index, l2, l3, l4, se2, se3, se4 (RFC-4180, 1-based index)."""
-    rows = ["index,l2,l3,l4,se2,se3,se4"]
+    """CSV body: index, l2, l3, l4, se2, se3, se4 (RFC-4180, 1-based index);
+    the values are formatted once per group of ``table.groups``."""
     z = np.zeros(table.n)
-    se2 = table.se_l2 if table.se_l2 is not None else z
-    se3 = table.se_l3 if table.se_l3 is not None else z
-    se4 = table.se_l4 if table.se_l4 is not None else z
-    for i in range(table.n):
-        rows.append(
-            f"{i + 1},{table.l2[i]:.17g},{table.l3[i]:.17g},{table.l4[i]:.17g},"
-            f"{se2[i]:.17g},{se3[i]:.17g},{se4[i]:.17g}"
-        )
-    return rows
+    cols = [table.l2, table.l3, table.l4,
+            *(z if se is None else se for se in (table.se_l2, table.se_l3, table.se_l4))]
+    groups = np.arange(table.n) if table.groups is None else table.groups
+    _, first, inverse = np.unique(groups, return_index=True, return_inverse=True)
+    bodies = [
+        f"{a:.17g},{b:.17g},{c:.17g},{d:.17g},{e:.17g},{f:.17g}"
+        for a, b, c, d, e, f in np.stack(cols, axis=1)[first].tolist()
+    ]
+    rows = [f"{i},{bodies[g]}" for i, g in enumerate(inverse.reshape(-1).tolist(), 1)]
+    return ["index,l2,l3,l4,se2,se3,se4", *rows]
 
 
 def table_header(table: MomentTable) -> dict:

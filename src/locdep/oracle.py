@@ -824,8 +824,8 @@ def _factorizes(a: np.ndarray, b: np.ndarray, probs: np.ndarray, tol: float) -> 
     """Whether the joint pmf of the rows of two id matrices is the outer
     product of its marginals within ``tol`` at every pair of values.  The
     joint table is built in blocks of at most FACTOR_BLOCK_CELLS cells."""
-    ia = np.unique(_pack(a), return_inverse=True)[1].reshape(-1)
-    ib = np.unique(_pack(b), return_inverse=True)[1].reshape(-1)
+    ia = np.unique(_pack(a.T), return_inverse=True)[1].reshape(-1)
+    ib = np.unique(_pack(b.T), return_inverse=True)[1].reshape(-1)
     na, nb = int(ia.max()) + 1, int(ib.max()) + 1
     pa = np.bincount(ia, weights=probs, minlength=na)
     pb = np.bincount(ib, weights=probs, minlength=nb)

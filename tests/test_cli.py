@@ -10,9 +10,10 @@ Core claims:
     - declared neighborhoods are checked (one list per index, integer ids
       in [0, n), i in A_i) and a bad declaration exits 2
     - the checkers block takes a list of known check names and a boolean
-      include_r4, family and source parameters are read with their types,
-      and malformed count arguments exit 2; none runs a config other than
-      the one written
+      include_r4, family and source parameters are read with their types
+      (a pattern of ints, explicit edges as in-range int pairs, a word in
+      its alphabet), and malformed count arguments exit 2; none runs a
+      config other than the one written
     - mutated example configs exit 0, 1 or 2 under derive and bound,
       never with a traceback
 """
@@ -260,6 +261,11 @@ PARAM_CASES = {
     "ustat_k_float": ("ustat", {"m": 2, "k": 1.5}, "$.params.k"),
     "letters_k_float": ("iid", {"source": {"kind": "letters", "k": 2.9}}, "$.params.source.k"),
     "decorated_p_string": ("decorated_graph", {"pattern": "triangle", "p": "0.3"}, "$.params.p"),
+    "pattern_floats": ("constrained_ustat", {"pattern": [2.7, 1.2]}, "$.params.pattern"),
+    "edges_float": ("graph", {"graph": "explicit", "edges": [[0, 1.9], [2, 3]]}, "$.params.edges"),
+    "edges_out_of_range": ("graph", {"graph": "explicit", "edges": [[0, 6]]}, "$.params.edges"),
+    "word_upper_case": ("constrained_ustat", {"word": "AB"}, "$.params.word"),
+    "word_outside_alphabet": ("constrained_ustat", {"word": "az", "alphabet": 2}, "$.params.word"),
 }
 
 

@@ -11,9 +11,20 @@ Core claims:
     - signature-grouped exact means, norms and Var(S) equal one local
       enumeration per index and per pair, for every builder family and
       for random enumerable instances
+    - the index groups frozen on a field and the pair groups built from
+      them equal the full-key grouping (pattern of repeated sources over
+      the concatenated support rows, laws slot by slot, params and means),
+      group order included, with pads, repeated sources, per-index
+      params, given means and continuous sources; exact tables read the
+      frozen index groups
+    - the CSV body equals the per-row formatter for exact, hybrid and
+      Monte-Carlo tables and for tables without groups
 """
 
 from __future__ import annotations
+
+import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -130,6 +141,36 @@ def test_transitive_sigma2_shortcut_matches_full_sum():
     assert fast4 == pytest.approx(full, rel=1e-10)
 
 
+def reference_csv_rows(table: M.MomentTable) -> list[str]:
+    """The per-row formatter: one f-string per index."""
+    rows = ["index,l2,l3,l4,se2,se3,se4"]
+    z = np.zeros(table.n)
+    se2 = table.se_l2 if table.se_l2 is not None else z
+    se3 = table.se_l3 if table.se_l3 is not None else z
+    se4 = table.se_l4 if table.se_l4 is not None else z
+    for i in range(table.n):
+        rows.append(
+            f"{i + 1},{table.l2[i]:.17g},{table.l3[i]:.17g},{table.l4[i]:.17g},"
+            f"{se2[i]:.17g},{se3[i]:.17g},{se4[i]:.17g}"
+        )
+    return rows
+
+
+def test_csv_rows_match_per_row_formatter():
+    f = F.build_constrained_ustat_field(7, 1, lambda x, y: x * y + x, (None,), F.three_point())
+    exact = M.exact_moment_table(f, F.induced_neighborhoods(f))
+    hybrid = M.exact_moment_table(f, sigma2_mode="local")
+    mc = M.mc_moment_table(f, reps=1000, master_seed=8)
+    assert exact.mode == "exact" and hybrid.mode == "hybrid" and exact.groups is not None
+    assert mc.groups is None
+    rng = np.random.default_rng(9)
+    odd = np.array([0.0, -0.0, 1e-300, 1e300, np.nan, np.inf, 1 / 3, 2.0**-1074])
+    bare = M.MomentTable(l2=odd, l3=rng.normal(size=8), l4=odd[::-1].copy(), sigma2=1.0,
+                         mode="monte_carlo", se_l3=rng.normal(size=8))
+    for table in (exact, hybrid, mc, bare, dataclasses.replace(exact, groups=None)):
+        assert M.table_to_csv_rows(table) == reference_csv_rows(table)
+
+
 def test_csv_serialization_shape():
     f = F.build_iid_field(3, F.rademacher())
     t = M.exact_moment_table(f, kappa=1)
@@ -161,22 +202,123 @@ GROUPING_CASES = {
 }
 
 
+def ungrouped_values(f: F.LatentSourceField, idx) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, X) of one enumeration over the product grid of the sources
+    the indices ``idx`` read, in increasing source order: no grouping and
+    no batching."""
+    S = f.supports[list(idx)]
+    used = np.unique(S[S >= 0])
+    probs, grid = F.product_grid([f.sources[s] for s in used])
+    G = (grid if used.size else np.zeros((1, 1)))[:, np.searchsorted(used, S)]
+    G[:, S < 0] = 0.0
+    X = f.ev(G, *(p[list(idx)] for p in f.params))
+    return probs, np.broadcast_to(np.asarray(X, dtype=float), (probs.size, len(idx)))
+
+
 @pytest.mark.parametrize("case", sorted(GROUPING_CASES))
 def test_signature_grouping_matches_ungrouped_enumeration(case):
     f = GROUPING_CASES[case]()
     # one local enumeration per index and per pair, no grouping
-    means = []
+    means, norms = [], []
     for i in range(f.n):
-        probs, X = F.local_values(f, [i])
+        probs, X = ungrouped_values(f, [i])
         means.append(float(probs @ X[:, 0]))
+        a = np.abs(X[:, 0] - f.means[i])
+        norms.append([float(probs @ a**p) ** (1 / p) for p in (2, 3, 4)])
     if f.center:
         assert np.allclose(F.compute_means(f), means, rtol=1e-12, atol=1e-13)
-    norms = np.array([M.exact_index_norms(f, i) for i in range(f.n)])
-    l2, l3, l4 = M.exact_norm_arrays(f)
-    assert np.allclose(np.stack([l2, l3, l4], axis=1), norms, rtol=1e-12, atol=1e-13)
+    t = M.exact_moment_table(f, sigma2_mode="local")
+    assert np.allclose(np.stack([t.l2, t.l3, t.l4], axis=1), norms, rtol=1e-12, atol=1e-13)
+    assert np.allclose(M.exact_index_norms(f, np.arange(f.n)), norms, rtol=1e-12, atol=1e-13)
     sys = F.induced_neighborhoods(f)
-    pair_sum = sum(M.exact_pair_covariance(f, i, j) for i, a in enumerate(sys.A) for j in a)
+    pair_sum = 0.0
+    for i, a in enumerate(sys.A):
+        for j in a:
+            probs, X = ungrouped_values(f, [i, j])
+            pair_sum += float(probs @ (X[:, 0] * X[:, 1])) - float(probs @ X[:, 0]) * float(probs @ X[:, 1])
+    ij = np.array([(i, j) for i, a in enumerate(sys.A) for j in a])
+    assert M.exact_pair_covariance(f, ij).sum() == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     local = M.exact_sigma2_local(f)
     assert local == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     assert M.exact_sigma2_local(f, sys) == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     assert local == pytest.approx(M.exact_sigma2_enumerated(f), rel=1e-10, abs=1e-12)
+
+
+def reference_signature_groups(field: F.LatentSourceField, idx) -> tuple[np.ndarray, np.ndarray]:
+    """The full-key grouping of indices ((N,)) or pairs ((N, 2)): the first
+    slot holding each slot's source over the concatenated support rows
+    (pads coincide with pads), the law of every slot (pads as one more
+    law), and the params and means of each index.  Groups in key order."""
+    rows = np.asarray(idx, dtype=np.int64).reshape(len(idx), -1)
+    S = field.supports[rows].reshape(len(rows), -1)
+    first_slot = np.array([[row.index(v) for v in row] for row in S.tolist()])
+    laws = np.append(field.law_ids, field.law_ids.max(initial=0) + 1)[S]
+    # one class per index: its params and means, ranked as a tuple
+    values = [p.reshape(field.n, -1) for p in (*field.params, *(() if field.means is None else (field.means,)))]
+    values = np.concatenate([np.zeros((field.n, 1)), *values], axis=1)
+    classes = np.unique(values, axis=0, return_inverse=True)[1].reshape(-1)[rows]
+    keys = np.concatenate([first_slot, laws, classes], axis=1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+def _weighted(G, w, q):
+    return (G * w).sum(axis=-1) + q
+
+
+def random_grouping_field(seed: int, kind: str) -> F.LatentSourceField:
+    """A field with many coinciding signatures: few sources and params."""
+    rng = np.random.default_rng(seed)
+    laws = [F.rademacher(), F.three_point(2.0, 1 / 3)]
+    if kind == "continuous":
+        laws.append(F.ContinuousSource("normal"))
+    n_src = int(rng.integers(3, 6))
+    sources = tuple(laws[k] for k in rng.integers(0, len(laws), size=n_src))
+    n = int(rng.integers(8, 30))
+    if kind == "pads":  # a random graph: uneven degrees pad short rows
+        edges = {tuple(sorted(e)) for e in rng.integers(0, n, size=(n, 2)).tolist() if e[0] != e[1]}
+        return F.build_graph_dependency(n, sorted(edges), sources[0])
+    supports = rng.integers(0, n_src, size=(n, 3))
+    if kind != "repeats":  # distinct sources per row, except in "repeats"
+        supports = np.array([rng.choice(n_src, size=3, replace=False) for _ in range(n)])
+    supports[rng.random(supports.shape) < 0.2] = -1
+    w = rng.choice([0.5, 1.0], size=supports.shape) if kind == "params" else np.ones(supports.shape)
+    q = rng.choice([0.0, 1.0], size=n) if kind == "params" else np.zeros(n)
+    means = rng.choice([0.0, 0.25], size=n) if kind in ("given_means", "continuous") else None
+    return F.LatentSourceField(sources, supports, _weighted, params=(w, q), means=means)
+
+
+GROUP_KINDS = ("pads", "repeats", "params", "given_means", "continuous")
+
+
+@pytest.mark.parametrize("kind", GROUP_KINDS)
+def test_frozen_and_pair_groups_match_full_key_grouping(kind):
+    shared = 0
+    for seed in range(6):
+        f = random_grouping_field(seed, kind)
+        first, inverse = f.groups
+        ref_first, ref_inverse = reference_signature_groups(f, np.arange(f.n))
+        assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
+        assert not first.flags.writeable and not inverse.flags.writeable
+        ij = np.array(list(itertools.product(range(f.n), repeat=2)))
+        got = F.signature_groups(f, ij)
+        ref = reference_signature_groups(f, ij)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        shared += ij.shape[0] - ref[0].size
+    assert shared > 0  # some pairs share a signature
+
+
+def test_exact_moment_table_reads_frozen_index_groups(monkeypatch):
+    f = F.build_m_dependent(6, 1, F.three_point())
+    pair_groups = F.signature_groups
+
+    def pairs_only(field, idx):
+        if np.ndim(idx) == 1:
+            raise AssertionError("index signatures recomputed after build")
+        return pair_groups(field, idx)
+
+    monkeypatch.setattr(F, "signature_groups", pairs_only)
+    monkeypatch.setattr(M, "signature_groups", pairs_only)
+    t = M.exact_moment_table(f, F.induced_neighborhoods(f), sigma2_mode="enumerate")
+    h = M.exact_moment_table(f, sigma2_mode="local")
+    assert np.array_equal(t.groups, f.groups[1]) and np.array_equal(h.l2, t.l2)
