@@ -14,7 +14,6 @@ from .fields import (  # noqa: F401
     ContinuousSource,
     DiscreteSource,
     LatentSourceField,
-    Realization,
     build_constrained_ustat_field,
     build_decorated_graph_field,
     build_graph_dependency,
@@ -24,16 +23,11 @@ from .fields import (  # noqa: F401
     build_ustat_field,
     build_word_field,
     induced_neighborhoods,
-    sample,
 )
 from .statistics import (  # noqa: F401
-    clamped_w2bar,
     count_pattern_occurrences,
     count_word_occurrences,
-    psi_clamp,
-    self_normalized_w2,
     subgraph_statistic,
-    sum_and_w1,
 )
 from .moments import MomentTable, exact_moment_table, hoeffding_sigma1, mc_moment_table  # noqa: F401
 from .bounds import (  # noqa: F401

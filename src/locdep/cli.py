@@ -6,7 +6,12 @@ Monte-Carlo), the bound shapes to evaluate, optional checker suites, and
 optional acceptance assertions.  ``locdep run`` produces a moments CSV,
 a bound-report JSON, a summary CSV, a verdict CSV, and a gnuplot-ready
 rate-plot file, then exits 0 iff all configured assertions pass (2 on
-schema errors, 1 on assertion failures).
+config errors, 1 on assertion failures).
+
+``FAMILIES`` holds each family's typed parameters, builder and bounds.
+One schema walker checks every block of a spec: an unknown key, a wrong
+type (a boolean is never a number) or a value out of range exits 2
+naming its JSON path, and absent keys take the schema's defaults.
 
 Subcommands ``derive``, ``bound``, ``oracle``, ``mc`` run single stages;
 ``count`` exposes the naive counting oracles.
@@ -22,286 +27,314 @@ import math
 import os
 import sys as _sys
 import time
-from dataclasses import dataclass, field as dc_field
+import types
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, bounds, fields, harness, moments, neighborhood, oracle, statistics
 from .errors import ComplexityCapExceeded, ConfigError, LocdepError
 
-FAMILIES = ("iid", "m_dependent", "graph", "ustat", "constrained_ustat", "decorated_graph")
 STATISTICS = ("w1", "w2", "w2bar", "sum")
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config schema
+#
+# A check takes a JSON value and its path and returns the checked value,
+# or raises ConfigError at that path.  An object schema maps each key to
+# (check, default); a default of None leaves the key unset (null also
+# does), REQUIRED has none, and any other default is checked as given.
+# Checked values stay JSON-shaped: checking them again changes nothing.
+
+REQUIRED = object()
 
 
-@dataclass
-class ExperimentSpec:
-    family: str
-    params: dict
-    grid: list[int]
-    statistic: str
-    mode: str  # "exact" | "mc"
-    reps: int
-    bound_set: list[str]
-    checkers: dict | None
-    seed: int
-    out: str
-    assertions: dict
-    raw: dict = dc_field(default_factory=dict)
+def _typed(ok: Callable, expected: str) -> Callable:
+    """A check that passes the values for which ``ok`` holds."""
+    def check(v, where):
+        if not ok(v):
+            raise ConfigError(where, f"expected {expected}, got {v!r}")
+        return v
+    return check
 
 
-NUMBER = (int, float)
+def _integer(lo: int, hi: float = math.inf) -> Callable:
+    return _typed(lambda v: type(v) is int and lo <= v < hi, f"an integer in [{lo}, {hi})")
 
 
-def _need(doc: dict, key: str, kind, where: str):
-    if key not in doc:
-        raise ConfigError(f"{where}.{key}", "missing required field")
-    val = doc[key]
-    if kind in (int, NUMBER) and isinstance(val, bool):
-        raise ConfigError(f"{where}.{key}", "expected a number, got boolean")
-    if not isinstance(val, kind):
-        expected = getattr(kind, "__name__", "number")
-        raise ConfigError(f"{where}.{key}", f"expected {expected}, got {type(val).__name__}")
-    return val
+NUMBER = _typed(lambda v: type(v) in (int, float) and -math.inf <= v <= math.inf, "a number")
+POSITIVE = _typed(lambda v: type(v) in (int, float) and v > 0, "a positive number")
+PROBABILITY = _typed(lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]")
+BOOLEAN = _typed(lambda v: type(v) is bool, "a boolean")
+TEXT = _typed(lambda v: type(v) is str, "a string")
+SEED = _integer(0, 2**64)
 
 
-def _opt(doc: dict, key: str, kind, where: str, default):
-    """``doc[key]`` checked as by :func:`_need`, or ``default`` when absent."""
-    return _need(doc, key, kind, where) if key in doc else default
+def _choice(names) -> Callable:
+    return _typed(lambda v: type(v) is str and v in names, f"one of {list(names)}")
 
 
-def _is_int(v, lo=-math.inf, hi=math.inf) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and lo <= v < hi
+def _list(item: Callable, lo: int = 0, hi: float = math.inf, expected: str = "a list") -> Callable:
+    def check(v, where):
+        if type(v) is not list or not lo <= len(v) <= hi:
+            raise ConfigError(where, f"expected {expected}, got {v!r}")
+        return [item(x, f"{where}[{k}]") for k, x in enumerate(v)]
+    return check
 
 
-# bounds every family takes; the others need a family's own parameters
-GENERIC_BOUNDS = ("main", "self_normalized", "general_beta")
-FAMILY_BOUNDS = {
-    "graph": ("graph",),
-    "ustat": ("distributed_u", "distributed_general"),
-    "constrained_ustat": ("constrained_u",),
-    "decorated_graph": ("decorated",),
+def _object(schema: dict, check: Callable = lambda out, where: None) -> Callable:
+    """Walk an object: reject unknown keys, check the others, fill in the
+    defaults, then run ``check(out, where)`` across the keys."""
+    def walk(doc, where):
+        if type(doc) is not dict:
+            raise ConfigError(where, f"expected an object, got {type(doc).__name__}")
+        for key in doc:
+            if key not in schema:
+                raise ConfigError(f"{where}.{key}", f"unknown key; one of {list(schema)}")
+        out = {}
+        for key, (chk, default) in schema.items():
+            v = doc.get(key, default)
+            if v is REQUIRED:
+                raise ConfigError(f"{where}.{key}", "missing required key")
+            out[key] = None if v is None and default is None else chk(v, f"{where}.{key}")
+        check(out, where)
+        return out
+    return walk
+
+
+def _tagged(variants: dict) -> Callable:
+    """An object whose ``kind`` picks the schema of its other keys."""
+    walks = {kind: _object({"kind": (TEXT, REQUIRED), **keys}) for kind, keys in variants.items()}
+    def walk(doc, where):
+        kind = doc.get("kind") if type(doc) is dict else None
+        return walks[_choice(walks)(kind, f"{where}.kind")](doc, where)
+    return walk
+
+
+GAPS = _list(lambda v, where: None if v in ("inf", None) else _integer(1)(v, where))
+EDGES = _list(_list(_integer(0), 2, 2, "a pair [u, v]"))
+PATTERNS = {
+    "edge": [[0, 1]],
+    "path3": [[0, 1], [1, 2]],
+    "triangle": [[0, 1], [0, 2], [1, 2]],
 }
 
-DEFAULT_BOUNDS = {
-    "iid": ["main", "self_normalized"],
-    "m_dependent": ["main", "self_normalized"],
-    "graph": ["graph"],
-    "ustat": ["distributed_u", "distributed_general"],
-    "constrained_ustat": ["constrained_u"],
-    "decorated_graph": ["decorated"],
+# source kind -> (parameter schema, maker called with the checked parameters)
+SOURCES = {
+    "rademacher": ({}, lambda: fields.rademacher()),
+    "bernoulli": ({"p": (PROBABILITY, REQUIRED)}, lambda p: fields.bernoulli(p)),
+    "three_point": ({"spread": (POSITIVE, 1.0), "p_zero": (PROBABILITY, 0.5)},
+                    lambda spread, p_zero: fields.three_point(spread, p_zero)),
+    "letters": ({"k": (_integer(1), REQUIRED)}, lambda k: fields.uniform_letters(k)),
+    "uniform": ({}, lambda: fields.ContinuousSource("uniform")),
+    "normal": ({}, lambda: fields.ContinuousSource("normal")),
+}
+SOURCE = _tagged({kind: schema for kind, (schema, _) in SOURCES.items()})
+
+
+def _source(doc: dict) -> fields.Source:
+    """The source a checked source object describes."""
+    return SOURCES[doc["kind"]][1](**{k: v for k, v in doc.items() if k != "kind"})
+
+
+def _some_check(c: dict, where: str) -> None:
+    if not (c["checks"] or c["include_r4"]):
+        raise ConfigError(f"{where}.checks", "no check to run")
+
+
+MODE = _tagged({"exact": {"reps": (_integer(1), 10**4)}, "mc": {"reps": (_integer(1000), 10**4)}})
+CHECKERS = _object({
+    "instances": (_integer(1), 50),
+    "checks": (_list(_choice(oracle.SUITE_CHECKS)), list(oracle.SUITE_CHECKS)),
+    "include_r4": (BOOLEAN, False),
+}, _some_check)
+ASSERTIONS = _object({
+    "slope_range": (_list(NUMBER, 2, 2, "two numbers [lo, hi]"), None),
+    "max_ratio_spread": (NUMBER, None),
+    "max_ks": (NUMBER, None),
+    "zero_rejections": (BOOLEAN, False),
+    "ks_decreasing": (BOOLEAN, False),
+    "require_ld": (BOOLEAN, False),
+    "require_zero_check_failures": (BOOLEAN, True),
+})
+
+
+class BuiltInstance(NamedTuple):
+    """The field of a family at one grid size."""
+
+    field: fields.LatentSourceField
+
+
+class Family(NamedTuple):
+    """``params`` walks a params object; ``build(params, n, where)`` makes
+    the field at size n, checking only what depends on n; ``bounds`` maps
+    the family's own bound shapes to ``(field, params, n, table) -> report``.
+    Entries reach ``fields`` and ``bounds`` through their modules."""
+
+    params: Callable
+    build: Callable
+    bounds: dict = {}
+    default_bounds: tuple = ("main", "self_normalized")
+
+
+# the bound shapes of the neighborhood system, which every family allows
+SHARED_BOUNDS = {
+    "main": lambda t, sys, der: bounds.bound_main(t, der.kappa, der.tau),
+    "self_normalized": lambda t, sys, der: bounds.bound_self_normalized(t, der.kappa, der.tau),
+    "general_beta": lambda t, sys, der: bounds.bound_general_beta(t, sys, der),
 }
 
 
-def parse_spec(doc: dict) -> ExperimentSpec:
-    family = _need(doc, "family", str, "$")
-    if family not in FAMILIES:
-        raise ConfigError("$.family", f"unknown family {family!r}; one of {FAMILIES}")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("$.params", "expected object")
-    grid = _need(doc, "grid", list, "$")
-    if not grid or not all(isinstance(n, int) and n >= 1 for n in grid):
-        raise ConfigError("$.grid", "expected nonempty list of positive integers")
-    statistic = doc.get("statistic", "w1")
-    if statistic not in STATISTICS:
-        raise ConfigError("$.statistic", f"unknown statistic {statistic!r}")
-    mode_doc = doc.get("mode", {"kind": "mc", "reps": 10**4})
-    if not isinstance(mode_doc, dict) or mode_doc.get("kind") not in ("exact", "mc"):
-        raise ConfigError("$.mode.kind", "expected 'exact' or 'mc'")
-    mode = mode_doc["kind"]
-    reps = _opt(mode_doc, "reps", int, "$.mode", 10**4)
-    if mode == "mc" and reps < 10**3:
-        raise ConfigError("$.mode.reps", f"mc mode needs reps >= 1000, got {reps}")
-    bound_set = doc.get("bounds", DEFAULT_BOUNDS[family])
-    if not isinstance(bound_set, list):
-        raise ConfigError("$.bounds", "expected list of bound names")
-    allowed = GENERIC_BOUNDS + FAMILY_BOUNDS.get(family, ())
-    for name in bound_set:
-        if name not in allowed:
-            raise ConfigError(
-                "$.bounds", f"bound {name!r} is not defined for family {family!r}; one of {allowed}"
-            )
-    checkers = doc.get("checkers")
-    if checkers is not None and not isinstance(checkers, dict):
-        raise ConfigError("$.checkers", "expected object or null")
-    if checkers is not None:
-        if _opt(checkers, "instances", int, "$.checkers", 50) < 1:
-            raise ConfigError("$.checkers.instances", "expected a positive integer")
-        names = _opt(checkers, "checks", list, "$.checkers", oracle.SUITE_CHECKS)
-        unknown = [c for c in names if c not in oracle.SUITE_CHECKS]
-        if unknown:
-            raise ConfigError(
-                "$.checkers.checks", f"unknown checks {unknown}; each one of {oracle.SUITE_CHECKS}"
-            )
-        include_r4 = _opt(checkers, "include_r4", bool, "$.checkers", False)
-        if not (names or include_r4):
-            raise ConfigError("$.checkers.checks", "no check to run")
-    seed = _need(doc, "seed", int, "$")
-    out = doc.get("out", "locdep-out")
-    assertions = doc.get("assertions", {})
-    if not isinstance(assertions, dict):
-        raise ConfigError("$.assertions", "expected object")
-    if "slope_range" in assertions:
-        window = _need(assertions, "slope_range", list, "$.assertions")
-        if len(window) != 2 or any(isinstance(x, bool) or not isinstance(x, NUMBER) for x in window):
-            raise ConfigError("$.assertions.slope_range", "expected two numbers [lo, hi]")
-    for key in ("max_ratio_spread", "max_ks"):
-        if key in assertions:
-            _need(assertions, key, NUMBER, "$.assertions")
-    return ExperimentSpec(
-        family=family, params=params, grid=[int(n) for n in grid],
-        statistic=statistic, mode=mode, reps=reps, bound_set=bound_set,
-        checkers=checkers, seed=seed, out=str(out), assertions=assertions, raw=doc,
-    )
+# params of every family: a closed-form Var(S) and declared neighborhoods
+COMMON_PARAMS = {"sigma2": (POSITIVE, None), "declared_A": (_list(_list(_integer(0))), None)}
 
 
-def parse_source(doc, where: str) -> fields.Source:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError(where, "expected source object with 'kind'")
-    kind = doc["kind"]
-    if kind == "rademacher":
-        return fields.rademacher()
-    if kind == "bernoulli":
-        return fields.bernoulli(_need(doc, "p", NUMBER, where))
-    if kind == "three_point":
-        return fields.three_point(
-            _opt(doc, "spread", NUMBER, where, 1.0), _opt(doc, "p_zero", NUMBER, where, 0.5)
-        )
-    if kind == "letters":
-        return fields.uniform_letters(_need(doc, "k", int, where))
-    if kind in ("uniform", "normal"):
-        return fields.ContinuousSource(kind)
-    raise ConfigError(where, f"unknown source kind {kind!r}")
-
-
-def _parse_gaps(doc, where: str) -> tuple[int | None, ...]:
-    if not isinstance(doc, list):
-        raise ConfigError(where, "expected list of gaps (int or 'inf')")
-    out = []
-    for k, g in enumerate(doc):
-        if g in ("inf", None):
-            out.append(None)
-        elif isinstance(g, int) and g >= 1:
-            out.append(g)
-        else:
-            raise ConfigError(f"{where}[{k}]", f"gap must be a positive int or 'inf', got {g!r}")
-    return tuple(out)
+def _build_graph(p: dict, n: int, where: str) -> fields.LatentSourceField:
+    edges = {"cycle": [(i, (i + 1) % n) for i in range(n)], "star": [(0, i) for i in range(1, n)],
+             "edgeless": [], "explicit": p["edges"]}[p["graph"]]
+    if any(v >= n for e in edges for v in e):
+        raise ConfigError(f"{where}.edges", f"expected pairs [u, v] of ints in [0, {n})")
+    return fields.build_graph_dependency(n, edges, _source(p["source"]))
 
 
 KERNELS = {
-    "product": lambda *cols: math.prod(cols) if not cols else _prod(cols),
+    "product": lambda *cols: math.prod(cols),
     "sum": lambda *cols: sum(cols),
     "diff_sq_half": lambda x, y: (x - y) ** 2 / 2.0,
 }
 
 
-def _prod(cols):
-    out = cols[0]
-    for c in cols[1:]:
-        out = out * c
-    return out
+def _check_ustat(p: dict, where: str) -> None:
+    if p["kernel"] == "diff_sq_half" and p["m"] != 2:
+        raise ConfigError(f"{where}.m", f"kernel 'diff_sq_half' takes m = 2, got {p['m']}")
 
 
-PATTERNS = {
-    "edge": [(0, 1)],
-    "path3": [(0, 1), (1, 2)],
-    "triangle": [(0, 1), (0, 2), (1, 2)],
+def _build_ustat(p: dict, n: int, where: str) -> fields.LatentSourceField:
+    m, k = p["m"], p["k"]
+    if n < k * m:
+        raise ConfigError(f"{where}.k", f"need n >= k*m, got k={k}, m={m}, n={n}")
+    sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
+    return fields.build_ustat_field(sizes, m, KERNELS[p["kernel"]], _source(p["source"]))
+
+
+def _check_constrained(p: dict, where: str) -> None:
+    if (p["word"] is None) == (p["pattern"] is None):
+        raise ConfigError(where, "constrained_ustat needs one of 'word' and 'pattern'")
+    if p["word"] is not None and max(ord(ch) - ord("a") for ch in p["word"]) >= p["alphabet"]:
+        raise ConfigError(f"{where}.word", f"letters must be the first {p['alphabet']} of a-z")
+
+
+RADEMACHER = {"kind": "rademacher"}
+FAMILIES = {
+    "iid": Family(
+        _object({"source": (SOURCE, RADEMACHER), **COMMON_PARAMS}),
+        lambda p, n, where: fields.build_iid_field(n, _source(p["source"])),
+    ),
+    "m_dependent": Family(
+        _object({"m": (_integer(0), 1), "source": (SOURCE, RADEMACHER), **COMMON_PARAMS}),
+        lambda p, n, where: fields.build_m_dependent(n, p["m"], _source(p["source"])),
+    ),
+    "graph": Family(
+        _object({
+            "graph": (_choice(("cycle", "star", "edgeless", "explicit")), "cycle"),
+            "edges": (EDGES, []),  # read when graph is "explicit"
+            "source": (SOURCE, RADEMACHER),
+            **COMMON_PARAMS,
+        }),
+        _build_graph,
+        {"graph": lambda f, p, n, t: bounds.bound_graph(t, f.metadata["max_degree"] - 1)},
+        ("graph",),
+    ),
+    "ustat": Family(
+        _object({
+            "m": (_integer(1), 2),
+            "k": (_integer(1), 1),
+            "kernel": (_choice(KERNELS), "product"),
+            "source": (SOURCE, {"kind": "three_point"}),
+            **COMMON_PARAMS,
+        }, _check_ustat),
+        _build_ustat,
+        {
+            "distributed_u": lambda f, p, n, t: bounds.bound_distributed_u(
+                moments.hoeffding_sigma1(KERNELS[p["kernel"]], p["m"], _source(p["source"])),
+                n, p["m"], f.metadata["block_sizes"],
+            ),
+            "distributed_general": lambda f, p, n, t: _distributed_general_report(f, t),
+        },
+        ("distributed_u", "distributed_general"),
+    ),
+    "constrained_ustat": Family(
+        _object({
+            "word": (_typed(lambda v: type(v) is str and v.isascii() and v.isalpha() and v.islower(),
+                            "a nonempty string of letters a-z"), None),
+            "alphabet": (_integer(1), 26),
+            "pattern": (_list(_integer(1)), None),
+            "gaps": (GAPS, ["inf"]),
+            **COMMON_PARAMS,
+        }, _check_constrained),
+        lambda p, n, where: (
+            fields.build_pattern_field(n, p["pattern"], p["gaps"]) if p["word"] is None else
+            fields.build_word_field(
+                [ord(ch) - ord("a") for ch in p["word"]], n, p["alphabet"], p["gaps"]
+            )
+        ),
+        {"constrained_u": lambda f, p, n, t: bounds.bound_constrained_u(t, n, f.metadata["b"])},
+        ("constrained_u",),
+    ),
+    "decorated_graph": Family(
+        _object({
+            # a pattern name is checked as the edge list it names
+            "pattern": (lambda v, where: EDGES(
+                PATTERNS[_choice(PATTERNS)(v, where)] if type(v) is str else v, where
+            ), "triangle"),
+            "p": (PROBABILITY, 0.5),
+            **COMMON_PARAMS,
+        }),
+        lambda p, n, where: fields.build_decorated_graph_field(
+            n, [tuple(e) for e in p["pattern"]], fields.bernoulli(p["p"])
+        ),
+        {"decorated": lambda f, p, n, t: bounds.bound_decorated(t, n, f.metadata["v"])},
+        ("decorated",),
+    ),
 }
 
 
-def cycle_edges(n: int) -> list[tuple[int, int]]:
-    return [(i, (i + 1) % n) for i in range(n)]
+class ExperimentSpec(types.SimpleNamespace):
+    """A checked spec: one attribute per top-level key of the spec schema,
+    plus ``raw``, the document as written."""
 
 
-def star_edges(n: int) -> list[tuple[int, int]]:
-    return [(0, i) for i in range(1, n)]
-
-
-@dataclass
-class BuiltInstance:
-    """A field at one grid size plus what the bound shapes need."""
-
-    field: fields.LatentSourceField
-    info: dict
+def parse_spec(doc: dict) -> ExperimentSpec:
+    """Check a spec document and fill in its defaults."""
+    if type(doc) is not dict:
+        raise ConfigError("$", f"expected an object, got {type(doc).__name__}")
+    family = FAMILIES[_choice(FAMILIES)(doc.get("family"), "$.family")]
+    checked = _object({
+        "notes": (lambda v, where: v, None),  # free text
+        "family": (TEXT, REQUIRED),
+        "params": (family.params, {}),
+        "grid": (_list(_integer(1), 1, expected="a nonempty list"), REQUIRED),
+        "statistic": (_choice(STATISTICS), "w1"),
+        "mode": (MODE, {"kind": "mc"}),
+        "bounds": (_list(_choice([*SHARED_BOUNDS, *family.bounds])), list(family.default_bounds)),
+        "checkers": (CHECKERS, None),
+        "seed": (SEED, REQUIRED),
+        "out": (TEXT, "locdep-out"),
+        "assertions": (ASSERTIONS, {}),
+    })(doc, "$")
+    return ExperimentSpec(**checked, raw=doc)
 
 
 def build_family(family: str, params: dict, n: int, where: str = "$.params") -> BuiltInstance:
-    """Construct the configured family at grid size n."""
+    """Construct the configured family at grid size n from a params
+    object, raw or as ``parse_spec`` checked it."""
+    entry = FAMILIES[family]
     try:
-        if family == "iid":
-            source = parse_source(params.get("source", {"kind": "rademacher"}), f"{where}.source")
-            return BuiltInstance(fields.build_iid_field(n, source), {})
-        if family == "m_dependent":
-            m = _opt(params, "m", int, where, 1)
-            source = parse_source(params.get("source", {"kind": "rademacher"}), f"{where}.source")
-            return BuiltInstance(fields.build_m_dependent(n, m, source), {"m": m})
-        if family == "graph":
-            kind = params.get("graph", "cycle")
-            source = parse_source(params.get("source", {"kind": "rademacher"}), f"{where}.source")
-            if kind == "cycle":
-                edges = cycle_edges(n)
-            elif kind == "star":
-                edges = star_edges(n)
-            elif kind == "edgeless":
-                edges = []
-            elif kind == "explicit":
-                edges = _opt(params, "edges", list, where, [])
-                if not all(isinstance(e, list) and len(e) == 2 and all(_is_int(v, 0, n) for v in e)
-                           for e in edges):
-                    raise ConfigError(f"{where}.edges", f"expected pairs [u, v] of ints in [0, {n})")
-            else:
-                raise ConfigError(f"{where}.graph", f"unknown graph kind {kind!r}")
-            f = fields.build_graph_dependency(n, edges, source)
-            return BuiltInstance(f, {"d": f.metadata["max_degree"] - 1})
-        if family == "ustat":
-            m = _opt(params, "m", int, where, 2)
-            k = _opt(params, "k", int, where, 1)
-            if k < 1 or n < k * m:
-                raise ConfigError(f"{where}.k", f"need k >= 1 and n >= k*m, got k={k}, n={n}")
-            kern_name = params.get("kernel", "product")
-            if kern_name not in KERNELS:
-                raise ConfigError(f"{where}.kernel", f"unknown kernel {kern_name!r}")
-            kernel = KERNELS[kern_name]
-            source = parse_source(params.get("source", {"kind": "three_point"}), f"{where}.source")
-            sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-            f = fields.build_ustat_field(sizes, m, kernel, source)
-            return BuiltInstance(
-                f, {"m": m, "block_sizes": sizes, "kernel": kernel, "source": source}
-            )
-        if family == "constrained_ustat":
-            gaps = _parse_gaps(params.get("gaps", [None]), f"{where}.gaps")
-            if "word" in params:
-                word = [ord(ch) - ord("a") for ch in _need(params, "word", str, where)]
-                alpha = _opt(params, "alphabet", int, where, 26)
-                if not all(0 <= c < alpha for c in word):
-                    raise ConfigError(f"{where}.word", f"letters must be the first {alpha} of a-z")
-                f = fields.build_word_field(word, n, alpha, gaps)
-            elif "pattern" in params:
-                pattern = _need(params, "pattern", list, where)
-                if not all(_is_int(x) for x in pattern):
-                    raise ConfigError(f"{where}.pattern", "expected a list of integers")
-                f = fields.build_pattern_field(n, pattern, gaps)
-            else:
-                raise ConfigError(where, "constrained_ustat needs 'word' or 'pattern'")
-            return BuiltInstance(f, {"b": f.metadata["b"]})
-        if family == "decorated_graph":
-            pat = params.get("pattern", "triangle")
-            edges = PATTERNS[pat] if isinstance(pat, str) and pat in PATTERNS else [
-                tuple(e) for e in pat
-            ]
-            p = _opt(params, "p", NUMBER, where, 0.5)
-            f = fields.build_decorated_graph_field(n, edges, fields.bernoulli(p))
-            return BuiltInstance(f, {"v": f.metadata["v"], "p": p})
-    except LocdepError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(where, f"bad parameters for family {family!r}: {e}") from None
-    raise ConfigError("$.family", f"unknown family {family!r}")
+        return BuiltInstance(entry.build(entry.params(params, where), n, where))
+    except ValueError as e:  # an argument the field builder refuses
+        raise ConfigError(where, str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +351,9 @@ def _moment_table_for(built: BuiltInstance, spec: ExperimentSpec, n: int,
     elif f.is_enumerable():
         table = moments.exact_moment_table(f, sigma2_mode="local")
     else:
-        table = moments.mc_moment_table(f, reps=max(spec.reps // 10, 1000), master_seed=spec.seed)
-    if "sigma2" in spec.params:
+        reps = max(spec.mode["reps"] // 10, 1000)
+        table = moments.mc_moment_table(f, reps=reps, master_seed=spec.seed)
+    if spec.params["sigma2"] is not None:
         # closed-form variance supplied by the experiment; provenance recorded
         table.sigma2 = float(spec.params["sigma2"])
         table.extras["sigma2_provenance"] = "config"
@@ -330,21 +364,16 @@ def _system(built: BuiltInstance, spec: ExperimentSpec, cap_terms: int = 10**7):
     """The declared or induced neighborhoods.  Raises
     :class:`ComplexityCapExceeded` when the induced system exceeds
     ``cap_terms`` neighbor entries."""
-    declared = spec.params.get("declared_A")
+    declared = spec.params["declared_A"]
     if declared is None:
         return fields.induced_neighborhoods(built.field, cap_terms=cap_terms)
     # user-declared neighborhoods: checked for structure here, but
     # independence is only verified when the LD assertion is switched on
     where = "$.params.declared_A"
     n = built.field.n
-    if not (isinstance(declared, list) and all(isinstance(a, list) for a in declared)):
-        raise ConfigError(where, "expected a list of index lists")
-    if len(declared) != n:
-        raise ConfigError(where, f"expected one list per index, {n} in all, got {len(declared)}")
-    try:
-        sys = neighborhood.make_system(declared)
-    except ValueError as e:
-        raise ConfigError(where, str(e)) from None
+    if len(declared) != n or any(i >= n for a in declared for i in a):
+        raise ConfigError(where, f"expected {n} lists, one per index, of ids in [0, {n})")
+    sys = neighborhood.make_system(declared)
     report = neighborhood.validate_structure(sys)
     if not report.ok:
         raise ConfigError(where, "; ".join(report.violations))
@@ -355,40 +384,22 @@ def evaluate_bounds(
     built: BuiltInstance, spec: ExperimentSpec, n: int, table
 ) -> list[bounds.BoundReport]:
     reports = []
-    declared = "declared_A" in spec.params
     sys = der = None
-    for name in spec.bound_set:
-        if name in GENERIC_BOUNDS and sys is None:
-            sys = _system(built, spec)
-            der = neighborhood.derive(sys)
-        if name == "main":
-            reports.append(bounds.bound_main(table, der.kappa, der.tau))
-        elif name == "self_normalized":
-            reports.append(bounds.bound_self_normalized(table, der.kappa, der.tau))
-        elif name == "general_beta":
-            reports.append(bounds.bound_general_beta(table, sys, der))
-        elif name == "graph":
-            reports.append(bounds.bound_graph(table, built.info["d"]))
-        elif name == "constrained_u":
-            reports.append(bounds.bound_constrained_u(table, n, built.info["b"]))
-        elif name == "decorated":
-            reports.append(bounds.bound_decorated(table, n, built.info["v"]))
-        elif name == "distributed_u":
-            km = moments.hoeffding_sigma1(
-                built.info["kernel"], built.info["m"], built.info["source"]
-            )
-            reports.append(
-                bounds.bound_distributed_u(km, n, built.info["m"], built.info["block_sizes"])
-            )
-        elif name == "distributed_general":
-            reports.append(_distributed_general_report(built, table))
-        if declared:
-            reports[-1].inputs["independence"] = "unverified (declared neighborhoods)"
+    for name in spec.bounds:
+        if name in SHARED_BOUNDS:
+            if sys is None:
+                sys = _system(built, spec)
+                der = neighborhood.derive(sys)
+            report = SHARED_BOUNDS[name](table, sys, der)
+        else:
+            report = FAMILIES[spec.family].bounds[name](built.field, spec.params, n, table)
+        if spec.params["declared_A"] is not None:
+            report.inputs["independence"] = "unverified (declared neighborhoods)"
+        reports.append(report)
     return reports
 
 
-def _distributed_general_report(built: BuiltInstance, table) -> bounds.BoundReport:
-    f = built.field
+def _distributed_general_report(f: fields.LatentSourceField, table) -> bounds.BoundReport:
     slices = f.metadata["block_slices"]
     block_tables = []
     kappas = []
@@ -427,7 +438,7 @@ def run_experiment(
         sigma = table.sigma if not table.degenerate else None
         if not do_stat:
             summary = None
-        elif spec.mode == "exact":
+        elif spec.mode["kind"] == "exact":
             ks = oracle.exact_kolmogorov(built.field, spec.statistic, sigma=sigma, cap=cap)
             summary = harness.EmpiricalSummary(
                 statistic=spec.statistic, reps=0, ks=ks, ks_band=0.0,
@@ -436,7 +447,7 @@ def run_experiment(
             )
         else:
             summary = harness.mc_run(
-                built.field, spec.statistic, spec.reps, spec.seed,
+                built.field, spec.statistic, spec.mode["reps"], spec.seed,
                 sigma=sigma, path=(gi,), threads=threads,
             )
         per_n.append({"n": n, "built": built, "table": table, "reports": reports, "summary": summary})
@@ -462,18 +473,18 @@ def run_experiment(
     verdicts = []
     if do_checkers and spec.checkers:
         verdicts = oracle.run_checker_suite(
-            spec.checkers.get("instances", 50), spec.seed,
-            checks=spec.checkers.get("checks", oracle.SUITE_CHECKS),
-            include_r4=spec.checkers.get("include_r4", False),
+            spec.checkers["instances"], spec.seed,
+            checks=spec.checkers["checks"],
+            include_r4=spec.checkers["include_r4"],
             threads=threads,
         )
         bad = [v for v in verdicts if v.counts_as_failure]
-        if bad and spec.assertions.get("require_zero_check_failures", True):
+        if bad and spec.assertions["require_zero_check_failures"]:
             failures.extend(
                 f"checker failure: {v.check_id} {v.digest} margin={v.margin:g}" for v in bad[:20]
             )
 
-    if spec.assertions.get("require_ld", False):
+    if spec.assertions["require_ld"]:
         for e in per_n:
             f = e["built"].field
             if f.is_enumerable() and (f.outcome_count() or 0) <= 2**16:
@@ -491,26 +502,26 @@ def run_experiment(
 def _check_assertions(spec: ExperimentSpec, per_n, fit, ratio) -> list[str]:
     out = []
     asserts = spec.assertions
-    if "slope_range" in asserts:
+    if asserts["slope_range"] is not None:
         lo, hi = asserts["slope_range"]
         if fit is None:
             out.append("slope asserted but no rate fit available")
         elif not (lo <= fit.slope <= hi):
             out.append(f"slope {fit.slope:.4f} outside [{lo}, {hi}]")
-    if "max_ratio_spread" in asserts and ratio is not None:
+    if asserts["max_ratio_spread"] is not None and ratio is not None:
         if not ratio.finite:
             out.append("ratio table has non-finite entries")
-        elif ratio.spread >= float(asserts["max_ratio_spread"]):
+        elif ratio.spread >= asserts["max_ratio_spread"]:
             out.append(f"ratio spread {ratio.spread:.3f} >= {asserts['max_ratio_spread']}")
-    if "max_ks" in asserts:
+    if asserts["max_ks"] is not None:
         for e in per_n:
-            if e["summary"].ks > float(asserts["max_ks"]):
+            if e["summary"].ks > asserts["max_ks"]:
                 out.append(f"ks={e['summary'].ks:.4f} at n={e['n']} exceeds {asserts['max_ks']}")
-    if asserts.get("zero_rejections", False):
+    if asserts["zero_rejections"]:
         for e in per_n:
             if e["summary"].rejected:
                 out.append(f"{e['summary'].rejected} rejections at n={e['n']}")
-    if asserts.get("ks_decreasing", False):
+    if asserts["ks_decreasing"]:
         ks = [e["summary"].ks for e in per_n]
         if any(b >= a for a, b in zip(ks, ks[1:])):
             out.append(f"ks values not strictly decreasing: {ks}")
@@ -605,7 +616,7 @@ def _load_spec(path: str, overrides: argparse.Namespace) -> ExperimentSpec:
         raise ConfigError("$", f"invalid JSON at line {e.lineno} col {e.colno}: {e.msg}") from None
     spec = parse_spec(doc)
     if getattr(overrides, "seed", None) is not None:
-        spec.seed = overrides.seed
+        spec.seed = SEED(overrides.seed, "--seed")
     if getattr(overrides, "out", None) is not None:
         spec.out = overrides.out
     return spec
@@ -663,7 +674,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "count":
         return _run_count(args)
     spec = _load_spec(args.spec, args)
-    threads = _threads(args)
+    _integer(1)(args.cap, "--cap")
     if args.command == "derive":
         for n in spec.grid:
             built = build_family(spec.family, spec.params, n)
@@ -674,27 +685,22 @@ def _dispatch(args: argparse.Namespace) -> int:
             else:
                 print(f"n={n}: kappa={der.kappa} tau={der.tau}")
         return 0
-    if args.command in ("bound", "mc", "oracle", "run"):
-        stages = {
-            "run": dict(do_bounds=True, do_stat=True, do_checkers=True),
-            "bound": dict(do_bounds=True, do_stat=False, do_checkers=False),
-            "mc": dict(do_bounds=False, do_stat=True, do_checkers=False),
-            "oracle": dict(do_bounds=False, do_stat=False, do_checkers=True),
-        }[args.command]
-        if args.command == "oracle" and spec.checkers is None:
-            spec.checkers = {"instances": 50}
-        result = run_experiment(spec, threads=threads, cap=args.cap, **stages)
-        out_dir = Path(spec.out)
-        write_artifacts(spec, result, out_dir)
-        for f in result["failures"]:
-            print(f"FAIL: {f}", file=_sys.stderr)
-        if result["fit"]:
-            print(f"slope={result['fit'].slope:.4f}")
-        if result["ratio"]:
-            print(f"ratio spread={result['ratio'].spread:.4f}")
-        print(f"artifacts in {out_dir}")
-        return 1 if result["failures"] else 0
-    raise ConfigError("$", f"unknown command {args.command}")
+    if args.command == "oracle" and spec.checkers is None:
+        spec.checkers = CHECKERS({}, "$.checkers")
+    result = run_experiment(
+        spec, threads=_threads(args), cap=args.cap, do_bounds=args.command in ("run", "bound"),
+        do_stat=args.command in ("run", "mc"), do_checkers=args.command in ("run", "oracle"),
+    )
+    out_dir = Path(spec.out)
+    write_artifacts(spec, result, out_dir)
+    for f in result["failures"]:
+        print(f"FAIL: {f}", file=_sys.stderr)
+    if result["fit"]:
+        print(f"slope={result['fit'].slope:.4f}")
+    if result["ratio"]:
+        print(f"ratio spread={result['ratio'].spread:.4f}")
+    print(f"artifacts in {out_dir}")
+    return 1 if result["failures"] else 0
 
 
 def _cli_int(token: str, flag: str) -> int:
@@ -704,13 +710,9 @@ def _cli_int(token: str, flag: str) -> int:
         raise ConfigError(flag, f"expected an integer, got {token!r}") from None
 
 
-def _parse_cli_gaps(text: str) -> tuple[int | None, ...]:
-    tokens = [g.strip() for g in text.split(",")] if text else []
-    return _parse_gaps([None if g == "inf" else _cli_int(g, "--gaps") for g in tokens], "--gaps")
-
-
 def _run_count(args: argparse.Namespace) -> int:
-    gaps = _parse_cli_gaps(args.gaps)
+    tokens = [g.strip() for g in args.gaps.split(",")] if args.gaps else []
+    gaps = tuple(GAPS([None if g == "inf" else _cli_int(g, "--gaps") for g in tokens], "--gaps"))
     if args.kind == "word":
         if not args.string or not args.word:
             raise ConfigError("count", "word counting needs --string and --word")
@@ -725,7 +727,7 @@ def _run_count(args: argparse.Namespace) -> int:
         count = lambda: statistics.count_pattern_occurrences(
             perm, tau, gaps, exact_gaps=args.exact_gaps
         )
-    elif args.kind == "subgraph":
+    else:
         if not args.host_edges or (args.host_n or 0) < 1:
             raise ConfigError("count", "subgraph counting needs --host-edges and --host-n >= 1")
         adj = np.zeros((args.host_n, args.host_n), dtype=int)
@@ -736,12 +738,8 @@ def _run_count(args: argparse.Namespace) -> int:
                     "--host-edges", f"expected u,v with 0 <= u, v < {args.host_n}, got {part!r}"
                 )
             adj[edge[0], edge[1]] = adj[edge[1], edge[0]] = 1
-        pattern = PATTERNS.get(args.pattern)
-        if pattern is None:
-            raise ConfigError("count", f"unknown pattern {args.pattern!r}")
+        pattern = PATTERNS[_choice(PATTERNS)(args.pattern, "--pattern")]
         count = lambda: "{} {}".format(*statistics.subgraph_statistic(adj, pattern))
-    else:
-        raise ConfigError("count", f"unknown count kind {args.kind!r}")
     try:
         print(count())
     except ValueError as e:  # arguments the counting oracle refuses

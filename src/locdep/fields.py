@@ -255,15 +255,6 @@ class LatentSourceField:
         return math.prod(len(src.values) ** (sl.stop - sl.start) for sl, src in self.runs)
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One sampled field vector with its seed lineage."""
-
-    values: np.ndarray
-    master_seed: int
-    replication: int
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -471,15 +462,6 @@ def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     if field.center:
         out -= field.means
     return out
-
-
-def sample(field: LatentSourceField, master_seed: int, replication: int) -> Realization:
-    rows = draw_source_rows(field, master_seed, [replication])
-    return Realization(
-        values=evaluate_values(field, rows)[0],
-        master_seed=master_seed,
-        replication=replication,
-    )
 
 
 def outcome_blocks(
@@ -826,6 +808,8 @@ def build_pattern_field(
     l = len(tau)
     if sorted(tau) != list(range(1, l + 1)):
         raise ValueError("tau must be a permutation of 1..l")
+    if len(gaps) != l - 1:
+        raise ValueError(f"need {l - 1} gap entries, got {len(gaps)}")
     field = build_constrained_ustat_field(
         n=n,
         m=0,
@@ -848,6 +832,8 @@ def build_word_field(
     cap: int = DEFAULT_INDEX_CAP,
 ) -> LatentSourceField:
     """Word-occurrence counting field over iid uniform letters 0..k-1."""
+    if len(gaps) != len(word) - 1:
+        raise ValueError(f"need {len(word) - 1} gap entries, got {len(gaps)}")
     w = np.asarray(word, dtype=float)
 
     def f(*xs):

@@ -155,13 +155,3 @@ def validate_structure(sys: NeighborhoodSystem) -> ValidationReport:
         report.violations.append(f"reflexivity: {i} not in A[{i}]")
     return report
 
-
-def permute(sys: NeighborhoodSystem, perm) -> NeighborhoodSystem:
-    """Relabel indices by i -> perm[i]; kappa and tau are invariants."""
-    p = np.asarray(perm, dtype=np.int64)
-    if not np.array_equal(np.sort(p), np.arange(sys.n)):
-        raise ValueError("perm must be a permutation of range(n)")
-    I, J = pairs(sys.M)
-    return make_system(
-        sparse.csr_matrix((np.ones(I.size), (p[I], p[J])), shape=(sys.n, sys.n))
-    )

@@ -1,4 +1,4 @@
-"""Scalar statistics of a realization and direct counting oracles.
+"""Field statistics of batches of realizations and direct counting oracles.
 
 The field statistics are
 
@@ -23,91 +23,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateVariance, GraphTooLarge
-from .fields import Realization, admissible_tuples
+from .fields import admissible_tuples
 from .neighborhood import adjacency
 
 
-def _values(x) -> np.ndarray:
-    return x.values if isinstance(x, Realization) else np.asarray(x, dtype=float)
-
-
 # ---------------------------------------------------------------------------
-# Field statistics
-
-
-@dataclass(frozen=True)
-class StatisticValue:
-    """All per-realization statistics of one field sample.
-
-    ``w2`` is None when the self-normalizer V is zero (a rejection, not an
-    error); ``vbar`` always lies in [sigma/2, sqrt(2) sigma].
-    """
-
-    s: float
-    w1: float
-    v: float
-    w2: float | None
-    vbar: float
-    w2bar: float
-
-
-def evaluate_statistics(x, sys_or_adj, sigma: float) -> StatisticValue:
-    """Bundle S, W1, V, W2, Vbar, W2bar for one realization."""
-    s, w1 = sum_and_w1(x, sigma)
-    v, w2 = self_normalized_w2(x, sys_or_adj)
-    vbar, w2bar = clamped_w2bar(x, sys_or_adj, sigma)
-    assert sigma / 2 - 1e-12 <= vbar <= math.sqrt(2) * sigma + 1e-12
-    return StatisticValue(s=s, w1=w1, v=v, w2=w2, vbar=vbar, w2bar=w2bar)
-
-
-def sum_and_w1(x, sigma: float) -> tuple[float, float]:
-    """(S, W1 = S / sigma); requires sigma > 0."""
-    if not sigma > 0:
-        raise DegenerateVariance(f"sigma={sigma} must be positive")
-    s = float(np.sum(_values(x)))
-    return s, s / sigma
-
-
-def neighbor_sums(x, sys_or_adj) -> np.ndarray:
-    """Y_i = sum_{j in A_i} X_j."""
-    return np.asarray(adjacency(sys_or_adj) @ _values(x))
-
-
-def self_normalized_w2(x, sys_or_adj) -> tuple[float, float | None]:
-    """(V, W2): V per the positive-part definition; W2 is None when V = 0."""
-    vals = _values(x)
-    y = neighbor_sums(vals, sys_or_adj)
-    n = vals.size
-    v2 = float(vals @ y) - n * float(vals.mean()) * float(y.mean())
-    v = math.sqrt(max(v2, 0.0))
-    if v > 0.0:
-        return v, float(np.sum(vals)) / v
-    return 0.0, None
-
-
-def psi_clamp(x: float, sigma: float) -> float:
-    """((x v sigma^2/4) ^ 2 sigma^2)^{1/2}, in [sigma/2, sqrt(2) sigma]."""
-    if not sigma > 0:
-        raise DegenerateVariance(f"sigma={sigma} must be positive")
-    s2 = sigma * sigma
-    return math.sqrt(min(max(x, 0.25 * s2), 2.0 * s2))
-
-
-def clamped_w2bar(x, sys_or_adj, sigma: float) -> tuple[float, float]:
-    """(Vbar, W2bar): the clamped self-normalizer, always defined."""
-    vals = _values(x)
-    y = neighbor_sums(vals, sys_or_adj)
-    vbar = psi_clamp(float(vals @ y), sigma)
-    return vbar, float(np.sum(vals)) / vbar
-
-
-# Batch variants over a (reps, n) value matrix.
+# Field statistics over a (reps, n) value matrix
 
 
 def w1_batch(X: np.ndarray, sigma: float) -> np.ndarray:

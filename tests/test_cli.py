@@ -14,12 +14,18 @@ Core claims:
       (a pattern of ints, explicit edges as in-range int pairs, a word in
       its alphabet), and malformed count arguments exit 2; none runs a
       config other than the one written
+    - an unknown key at any level, a wrong-typed value (a boolean is never
+      a number), a seed outside [0, 2^64) and a --cap below 1 exit 2
+      naming the JSON path or flag
+    - the example configs and the benchmark's specs parse under the schema
     - mutated example configs exit 0, 1 or 2 under derive and bound,
-      never with a traceback
+      never with a traceback, and exit 2 when a key is unknown or the
+      seed out of range
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
 
@@ -182,12 +188,21 @@ def test_bound_subcommand_skips_statistics(tmp_path):
     assert "6,main,total," in grid
 
 
-def test_example_configs_parse():
+def test_example_configs_parse(monkeypatch):
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     found = sorted(config_dir.glob("*.json"))
     assert len(found) >= 6  # one annotated example per family
     for p in found:
         cli.parse_spec(json.loads(p.read_text()))
+    # the benchmark's specs run through the same schema
+    monkeypatch.syspath_prepend(str(config_dir.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        specs = workloads.specs(name, 0)
+        assert specs
+        for _, doc in specs:
+            spec = cli.parse_spec(doc)
+            assert cli.parse_spec({**doc, "params": spec.params}).params == spec.params
 
 
 def test_declared_neighborhoods_flag_bound_reports(tmp_path):
@@ -266,14 +281,56 @@ PARAM_CASES = {
     "edges_out_of_range": ("graph", {"graph": "explicit", "edges": [[0, 6]]}, "$.params.edges"),
     "word_upper_case": ("constrained_ustat", {"word": "AB"}, "$.params.word"),
     "word_outside_alphabet": ("constrained_ustat", {"word": "az", "alphabet": 2}, "$.params.word"),
+    "word_and_pattern": ("constrained_ustat", {"word": "ab", "pattern": [2, 1]}, "$.params"),
+    "gaps_longer_than_word": ("constrained_ustat", {"word": "ab", "gaps": ["inf", 1]}, "$.params"),
+    "gaps_shorter_than_pattern": ("constrained_ustat", {"pattern": [2, 1, 3]}, "$.params"),
+    "kernel_degree": ("ustat", {"m": 3, "kernel": "diff_sq_half"}, "$.params.m"),
+    "edges_loop": ("graph", {"graph": "explicit", "edges": [[1, 1]]}, "$.params"),
+    "pattern_no_edge": ("decorated_graph", {"pattern": []}, "$.params"),
 }
 
 
 @pytest.mark.parametrize("family,params,where", PARAM_CASES.values(), ids=PARAM_CASES.keys())
 def test_mistyped_family_parameters_exit_2(tmp_path, capsys, family, params, where):
     doc = minimal_spec(tmp_path, family=family, params=params, grid=[6],
-                       bounds=cli.DEFAULT_BOUNDS[family])
+                       bounds=list(cli.FAMILIES[family].default_bounds))
     assert cli.main(["derive", "--spec", write_spec(tmp_path, doc)]) == 2
+    assert where in capsys.readouterr().err
+
+
+# each names the JSON path (or flag) that the error message must name
+SPEC_CASES = {
+    "params_key_typo": ({"params": {"sourc": {"kind": "normal"}}}, [], "$.params.sourc"),
+    "mode_key_typo": ({"mode": {"kind": "mc", "rep": 5}}, [], "$.mode.rep"),
+    "top_key_typo": ({"statistc": "w2"}, [], "$.statistc"),
+    "source_extra_key": ({"params": {"source": {"kind": "bernoulli", "p": 0.5, "q": 0.5}}}, [],
+                         "$.params.source.q"),
+    "checkers_key_typo": ({"checkers": {"instance": 3}}, [], "$.checkers.instance"),
+    "assertions_key_typo": ({"assertions": {"max_kss": 0}}, [], "$.assertions.max_kss"),
+    "m_dependent_key_typo": ({"family": "m_dependent", "params": {"mm": 3}}, [], "$.params.mm"),
+    "sigma2_string": ({"params": {"sigma2": "x"}}, [], "$.params.sigma2"),
+    "sigma2_boolean": ({"params": {"sigma2": True}}, [], "$.params.sigma2"),
+    "sigma2_zero": ({"params": {"sigma2": 0}}, [], "$.params.sigma2"),
+    "seed_negative": ({"seed": -1}, [], "$.seed"),
+    "seed_past_64_bits": ({"seed": 2**64}, [], "$.seed"),
+    "seed_flag_negative": ({}, ["--seed", "-1"], "--seed"),
+    "cap_flag_zero": ({}, ["--cap", "0"], "--cap"),
+    "grid_boolean": ({"grid": [True, 8]}, [], "$.grid[0]"),
+    "gaps_boolean": ({"family": "constrained_ustat", "params": {"word": "ab", "gaps": [True]}}, [],
+                     "$.params.gaps[0]"),
+    "decorated_float_vertex": ({"family": "decorated_graph", "params": {"pattern": [[0, 1.5]]}}, [],
+                               "$.params.pattern[0][1]"),
+    "decorated_unknown_pattern": ({"family": "decorated_graph", "params": {"pattern": "square"}},
+                                  [], "$.params.pattern"),
+    "zero_rejections_string": ({"assertions": {"zero_rejections": "yes"}}, [],
+                               "$.assertions.zero_rejections"),
+}
+
+
+@pytest.mark.parametrize("overrides,argv,where", SPEC_CASES.values(), ids=SPEC_CASES.keys())
+def test_bad_spec_exits_2_naming_its_path(tmp_path, capsys, overrides, argv, where):
+    doc = minimal_spec(tmp_path, **overrides)
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc), *argv]) == 2
     assert where in capsys.readouterr().err
 
 
@@ -313,14 +370,33 @@ def test_bad_declared_neighborhoods_exit_2(tmp_path, capsys, declared):
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 # the largest grid size per family that keeps one bound pass well under a second
 MAX_N = {"ustat": 16, "decorated_graph": 10, "constrained_ustat": 32}
-BOUND_NAMES = ["main", "self_normalized", "general_beta", "graph", "distributed_u",
-               "distributed_general", "constrained_u", "decorated"]
+BOUND_NAMES = sorted({*cli.SHARED_BOUNDS, *(b for f in cli.FAMILIES.values() for b in f.bounds)})
 junk = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(-2, 2))
+nested_junk = st.one_of(junk, st.integers(-2, 2), st.lists(junk, max_size=2),
+                        st.dictionaries(st.text(max_size=2), junk, max_size=1))
+# the objects a spec nests, as key paths from the document
+BLOCKS = {"top": (), "params": ("params",), "source": ("params", "source"), "mode": ("mode",),
+          "checkers": ("checkers",), "assertions": ("assertions",)}
+# typed keys per object, to be given values of a wrong type
+TYPED_KEYS = {
+    ("mode",): ["kind", "reps"],
+    ("checkers",): ["instances", "checks", "include_r4"],
+    ("assertions",): ["slope_range", "max_ratio_spread", "max_ks", "zero_rejections",
+                      "ks_decreasing", "require_ld", "require_zero_check_failures"],
+    ("params",): ["sigma2", "gaps", "pattern", "word", "alphabet", "edges", "graph", "kernel"],
+}
 
 
 def mostly(valid, bad=junk):
     """Values of ``valid`` nine times in ten, else of ``bad``."""
     return st.sampled_from([valid] * 9 + [bad]).flatmap(lambda strategy: strategy)
+
+
+def block(doc: dict, path: tuple) -> dict:
+    """The object at ``path`` in ``doc``, made empty where it is missing."""
+    for key in path:
+        doc = doc.setdefault(key, {})
+    return doc
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,
@@ -330,7 +406,7 @@ def test_mutated_example_configs_exit_0_1_or_2(tmp_path, data):
     doc = json.loads(data.draw(st.sampled_from(CONFIGS)).read_text())
     family = doc["family"]
     top = MAX_N.get(family, 64)
-    allowed = cli.GENERIC_BOUNDS + cli.FAMILY_BOUNDS.get(family, ())
+    allowed = [*cli.SHARED_BOUNDS, *cli.FAMILIES[family].bounds]
     doc["grid"] = data.draw(mostly(st.lists(st.integers(1, top), min_size=1, max_size=3)))
     mutations = {
         "bounds": mostly(
@@ -355,6 +431,19 @@ def test_mutated_example_configs_exit_0_1_or_2(tmp_path, data):
     for key in data.draw(st.sets(st.sampled_from(sorted(mutations)))):
         target = doc["params"] if key in ("m", "k", "declared_A", "p", "source") else doc
         target[key] = data.draw(mutations[key])
+    # an unknown key at any level, a wrong-typed nested value, a seed outside [0, 2^64)
+    extra = data.draw(st.sets(st.sampled_from(["unknown_key", "wrong_type", "bad_seed"])))
+    if "wrong_type" in extra:
+        path = data.draw(st.sampled_from(sorted(TYPED_KEYS)))
+        block(doc, path)[data.draw(st.sampled_from(TYPED_KEYS[path]))] = data.draw(nested_junk)
+    if "unknown_key" in extra:
+        target = block(doc, BLOCKS[data.draw(st.sampled_from(sorted(BLOCKS)))])
+        target["zz_" + data.draw(st.text("ab", max_size=2))] = data.draw(nested_junk)
+    if "bad_seed" in extra:
+        doc["seed"] = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)))
     doc["out"] = str(tmp_path / "out")
     command = data.draw(st.sampled_from(["derive", "bound"]))
-    assert cli.main([command, "--spec", write_spec(tmp_path, doc)]) in (0, 1, 2)
+    rc = cli.main([command, "--spec", write_spec(tmp_path, doc)])
+    assert rc in (0, 1, 2)
+    if extra & {"unknown_key", "bad_seed"}:
+        assert rc == 2

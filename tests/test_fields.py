@@ -62,12 +62,13 @@ def test_induced_iid_singletons():
 
 def test_sample_determinism_and_independence():
     f = F.build_m_dependent(5, 1, F.rademacher())
-    r1 = F.sample(f, 99, 3)
-    r2 = F.sample(f, 99, 3)
-    assert np.array_equal(r1.values, r2.values)
+    r1 = F.evaluate_values(f, F.draw_source_rows(f, 99, [3]))
+    r2 = F.evaluate_values(f, F.draw_source_rows(f, 99, [3]))
+    assert np.array_equal(r1, r2)
     # correlation between distinct replications near 0
     rows = F.draw_source_rows(f, 99, range(4000))
     x = F.evaluate_values(f, rows)
+    assert np.array_equal(x[3], r1[0])
     s = x.sum(axis=1)
     a, b = s[0::2], s[1::2]
     r = np.corrcoef(a, b)[0, 1]
@@ -145,6 +146,8 @@ def test_word_field_tuple_set():
         F.build_constrained_ustat_field(
             2, 0, lambda *xs: xs[0], (1, 1), F.rademacher()
         )
+    with pytest.raises(ValueError, match="gap entries"):  # one gap per step of the word
+        F.build_word_field([0, 1], 4, 2, [None, None])
 
 
 def test_constrained_iid_neighborhoods_are_overlap_only():
@@ -185,6 +188,8 @@ def test_pattern_field_mean_is_inverse_factorial():
     assert np.allclose(f.means, 0.5)
     f3 = F.build_pattern_field(6, [1, 3, 2], [None, None])
     assert np.allclose(f3.means, 1.0 / 6.0)
+    with pytest.raises(ValueError, match="gap entries"):  # one gap per step of the pattern
+        F.build_pattern_field(6, [1, 3, 2], [None])
 
 
 def test_decorated_field_structure_and_means():

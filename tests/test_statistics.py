@@ -1,8 +1,9 @@
 """Statistic and counting-oracle tests.
 
 Core claims:
-    - W1, W2, the psi clamp, and the clamped W2bar match their definitions
-      on hand-checked inputs, with exact scale invariance of W2 and the
+    - the batch W1, W2 and clamped W2bar (with its psi clamp) match their
+      definitions on hand-checked one-row inputs and against the scalar
+      references kept here, with exact scale invariance of W2 and the
       |W2bar| <= 2|S|/sigma envelope
     - the word / pattern / subgraph counters agree with exhaustive scans
     - constrained-U and decorated field sums reproduce the counters
@@ -17,6 +18,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import locdep.fields as F
 import locdep.neighborhood as nb
@@ -24,33 +26,61 @@ import locdep.statistics as st
 from locdep.errors import DegenerateVariance
 
 
+def one_row(x) -> np.ndarray:
+    return np.asarray(x, dtype=float)[None, :]
+
+
+def reference_w2(x: np.ndarray, sys) -> tuple[float, float | None]:
+    """(V, W2) of one realization by the definition; W2 is None when V = 0."""
+    y = nb.adjacency(sys) @ x
+    v = math.sqrt(max(float(x @ y) - x.size * float(x.mean()) * float(y.mean()), 0.0))
+    return v, (float(x.sum()) / v if v > 0.0 else None)
+
+
+def reference_w2bar(x: np.ndarray, sys, sigma: float) -> tuple[float, float]:
+    """(Vbar, W2bar) of one realization by the definition."""
+    q = float(x @ (nb.adjacency(sys) @ x))
+    vbar = math.sqrt(min(max(q, sigma * sigma / 4), 2 * sigma * sigma))
+    return vbar, float(x.sum()) / vbar
+
+
+def vbar_at(q: float, sigma: float) -> float:
+    """Vbar at sum_i X_i Y_i = q, read off w2bar_batch: X = (q, -q, 1) with
+    A_0 = {2} and A_1, A_2 empty gives that sum with S = 1, so Vbar = 1 / W2bar."""
+    adj = sparse.csr_matrix(([1.0], ([0], [2])), shape=(3, 3))
+    return 1.0 / st.w2bar_batch(one_row([q, -q, 1.0]), adj, sigma)[0]
+
+
 def test_sum_and_w1_examples():
-    assert st.sum_and_w1(np.zeros(5), 2.0) == (0.0, 0.0)
-    s, w1 = st.sum_and_w1(np.array([1.0, 1.0]), math.sqrt(2))
-    assert (s, w1) == (2.0, pytest.approx(math.sqrt(2)))
+    zeros = one_row(np.zeros(5))
+    assert st.statistic_batch("sum", zeros, None, None)[0][0] == 0.0
+    assert st.w1_batch(zeros, 2.0)[0] == 0.0
+    assert st.statistic_batch("sum", one_row([1.0, 1.0]), None, None)[0][0] == 2.0
+    assert st.w1_batch(one_row([1.0, 1.0]), math.sqrt(2))[0] == pytest.approx(math.sqrt(2))
     x = np.array([0.5, -1.5, 2.0])
-    s1, w1a = st.sum_and_w1(x, 3.0)
-    s2, w1b = st.sum_and_w1(-x, 3.0)
+    s1, s2 = st.statistic_batch("sum", np.stack([x, -x]), None, None)[0]
+    w1a, w1b = st.w1_batch(np.stack([x, -x]), 3.0)
     assert s2 == -s1 and w1b == -w1a
     with pytest.raises(DegenerateVariance):
-        st.sum_and_w1(x, 0.0)
+        st.w1_batch(one_row(x), 0.0)
 
 
 def test_w2_zero_field_rejected():
     sys = nb.iid_system(3)
-    v, w2 = st.self_normalized_w2(np.zeros(3), sys)
-    assert v == 0.0 and w2 is None
+    w2, rejected = st.w2_batch(one_row(np.zeros(3)), sys)
+    assert rejected[0] and np.isnan(w2[0])  # rejected exactly when V = 0
 
 
 def test_w2_iid_reduces_to_centered_second_moment():
     rng = np.random.default_rng(3)
     sys = nb.iid_system(6)
-    for _ in range(20):
-        x = rng.normal(size=6)
-        v, w2 = st.self_normalized_w2(x, sys)
+    X = rng.normal(size=(20, 6))
+    w2, rejected = st.w2_batch(X, sys)
+    for x, w, rej in zip(X, w2, rejected):
         v2_direct = max(np.sum(x**2) - 6 * x.mean() ** 2, 0.0)
-        assert v == pytest.approx(math.sqrt(v2_direct), abs=1e-12)
-        assert w2 == pytest.approx(x.sum() / math.sqrt(v2_direct))
+        assert not rej
+        assert x.sum() / w == pytest.approx(math.sqrt(v2_direct), abs=1e-12)  # V = S / W2
+        assert w == pytest.approx(x.sum() / math.sqrt(v2_direct))
 
 
 def test_w2_scale_invariance():
@@ -58,37 +88,36 @@ def test_w2_scale_invariance():
     f = F.build_m_dependent(6, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
     for _ in range(20):
-        x = rng.normal(size=6)
-        _, w2 = st.self_normalized_w2(x, sys)
-        _, w2c = st.self_normalized_w2(3.7 * x, sys)
-        if w2 is not None:
-            assert w2c == pytest.approx(w2, rel=1e-14)
+        x = one_row(rng.normal(size=6))
+        w2, rejected = st.w2_batch(x, sys)
+        w2c, _ = st.w2_batch(3.7 * x, sys)
+        if not rejected[0]:
+            assert w2c[0] == pytest.approx(w2[0], rel=1e-14)
 
 
 def test_psi_clamp_examples():
-    assert st.psi_clamp(0.0, 2.0) == 1.0
-    assert st.psi_clamp(100.0, 2.0) == pytest.approx(math.sqrt(8))
-    assert st.psi_clamp(3.0, 2.0) == pytest.approx(math.sqrt(3))
+    assert vbar_at(0.0, 2.0) == 1.0
+    assert vbar_at(100.0, 2.0) == pytest.approx(math.sqrt(8))
+    assert vbar_at(3.0, 2.0) == pytest.approx(math.sqrt(3))
     xs = np.linspace(-5, 50, 200)
-    vals = [st.psi_clamp(float(x), 2.0) for x in xs]
+    vals = [vbar_at(float(x), 2.0) for x in xs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert min(vals) >= 1.0 and max(vals) <= math.sqrt(8) + 1e-15
 
 
 def test_w2bar_examples_and_envelope():
     sys = nb.iid_system(4)
-    vbar, w2bar = st.clamped_w2bar(np.zeros(4), sys, 2.0)
-    assert (vbar, w2bar) == (1.0, 0.0)
+    # all zeros: sum X_i Y_i = 0, so Vbar = sigma / 2
+    assert st.w2bar_batch(one_row(np.zeros(4)), sys, 2.0)[0] == 0.0
+    assert vbar_at(0.0, 2.0) == 1.0
     rng = np.random.default_rng(5)
-    for _ in range(30):
-        x = rng.normal(size=4)
-        sigma = 1.3
-        vbar, w2bar = st.clamped_w2bar(x, sys, sigma)
+    X = rng.normal(size=(30, 4))
+    sigma = 1.3
+    for x, w2bar in zip(X, st.w2bar_batch(X, sys, sigma)):
         assert abs(w2bar) <= 2 * abs(x.sum()) / sigma + 1e-12
     # interior fixed point: sum X_i Y_i == sigma^2
-    x = np.array([1.0, 1.0, 1.0, 1.0])
-    vbar, _ = st.clamped_w2bar(x, sys, 2.0)
-    assert vbar == pytest.approx(2.0)
+    x = one_row([1.0, 1.0, 1.0, 1.0])
+    assert x.sum() / st.w2bar_batch(x, sys, 2.0)[0] == pytest.approx(2.0)
 
 
 def brute_word_count(s, w, gaps, exact=False):
@@ -197,24 +226,30 @@ def test_batch_statistics_match_scalar():
     w2s, rej = st.w2_batch(X, adj)
     w2bars = st.w2bar_batch(X, adj, 2.0)
     for r in range(16):
-        v, w2 = st.self_normalized_w2(X[r], sys)
+        v, w2 = reference_w2(X[r], sys)
         if w2 is None:
             assert rej[r]
         else:
             assert w2s[r] == pytest.approx(w2, rel=1e-12)
-        _, w2b = st.clamped_w2bar(X[r], sys, 2.0)
+        _, w2b = reference_w2bar(X[r], sys, 2.0)
         assert w2bars[r] == pytest.approx(w2b, rel=1e-12)
 
 
 def test_statistic_value_bundle():
+    """The statistics of one replication: W1 = S / sigma, W2 = S / V or a
+    rejection, Vbar within its clamp and W2bar = S / Vbar."""
     f = F.build_m_dependent(5, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
     import locdep.moments as M
 
     t = M.exact_moment_table(f, sys)
-    r = F.sample(f, 77, 0)
-    sv = st.evaluate_statistics(r, sys, t.sigma)
-    assert sv.w1 == pytest.approx(sv.s / t.sigma)
-    assert sys is not None and (sv.w2 is None or sv.w2 == pytest.approx(sv.s / sv.v))
-    assert t.sigma / 2 <= sv.vbar <= math.sqrt(2) * t.sigma
-    assert sv.w2bar == pytest.approx(sv.s / sv.vbar)
+    x = F.evaluate_values(f, F.draw_source_rows(f, 77, [0]))
+    s = float(x.sum())
+    v, w2_ref = reference_w2(x[0], sys)
+    vbar, _ = reference_w2bar(x[0], sys, t.sigma)
+    assert st.w1_batch(x, t.sigma)[0] == pytest.approx(s / t.sigma)
+    w2, rejected = st.w2_batch(x, sys)
+    assert rejected[0] == (w2_ref is None)
+    assert sys is not None and (rejected[0] or w2[0] == pytest.approx(s / v))
+    assert t.sigma / 2 <= vbar <= math.sqrt(2) * t.sigma
+    assert st.w2bar_batch(x, sys, t.sigma)[0] == pytest.approx(s / vbar)
