@@ -623,11 +623,12 @@ def _load_spec(path: str, overrides: argparse.Namespace) -> ExperimentSpec:
 
 
 def _threads(args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
+    """--threads, else LOCDEP_THREADS, else the core count; each must be a positive int."""
+    if args.threads is not None:
+        return _integer(1)(args.threads, "--threads")
     env = os.environ.get("LOCDEP_THREADS")
-    if env and env.isdigit():
-        return int(env)
+    if env:
+        return _integer(1)(_cli_int(env, "LOCDEP_THREADS"), "LOCDEP_THREADS")
     return os.cpu_count() or 1
 
 
@@ -675,6 +676,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_count(args)
     spec = _load_spec(args.spec, args)
     _integer(1)(args.cap, "--cap")
+    threads = _threads(args)
     if args.command == "derive":
         for n in spec.grid:
             built = build_family(spec.family, spec.params, n)
@@ -688,7 +690,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "oracle" and spec.checkers is None:
         spec.checkers = CHECKERS({}, "$.checkers")
     result = run_experiment(
-        spec, threads=_threads(args), cap=args.cap, do_bounds=args.command in ("run", "bound"),
+        spec, threads=threads, cap=args.cap, do_bounds=args.command in ("run", "bound"),
         do_stat=args.command in ("run", "mc"), do_checkers=args.command in ("run", "oracle"),
     )
     out_dir = Path(spec.out)

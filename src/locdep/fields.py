@@ -15,6 +15,13 @@ same coincidence pattern, source laws and params therefore share one law.
 A field groups its indices by this signature once, at construction
 (``groups``); means, exact norms and pair groups read that grouping.
 
+``incidence`` is the (n, n_sources) CSR matrix counting the slots of row
+i that read source s.  A sum field (evaluator ``_sum_columns``: the iid,
+m-dependent and graph builders' default) is linear in its sources,
+X = incidence @ U - means and S = U @ c - sum(means), c the column sums:
+its values are one sparse product in index-major layout, with no gather,
+and its means are incidence @ E[U], exact for every source law.
+
 Dependence neighborhoods are *induced* by support overlap,
 
     A_i  = {j : supp(j) & supp(i) != {}},
@@ -129,7 +136,7 @@ def _draw(source: Source, rng: np.random.Generator, size) -> np.ndarray:
         if len(values) == 2:
             count = int(np.prod(size))
             raw = np.frombuffer(rng.bytes(-(-count // 8)), dtype=np.uint8)
-            return values[np.unpackbits(raw, count=count)].reshape(size)
+            return values.take(np.unpackbits(raw, count=count)).reshape(size)
         return values[rng.integers(len(values), size=size)]
     cum = np.cumsum(source.probs)
     idx = np.searchsorted(cum, rng.random(size), side="right")
@@ -197,7 +204,8 @@ class LatentSourceField:
     docstring).  ``means`` holds E X_i before centering and is computed at
     construction when ``center`` is set and none are given; sampled values
     are centered iff ``center`` is set.  ``groups`` is (first, inverse) of
-    the indices grouped by :func:`_signatures`.  Everything is read-only.
+    the indices grouped by :func:`_signatures`, ``incidence`` counts the
+    slots reading each source.  Everything is read-only.
     """
 
     sources: tuple[Source, ...]
@@ -210,6 +218,7 @@ class LatentSourceField:
     runs: tuple = dc_field(init=False, repr=False)
     law_ids: np.ndarray = dc_field(init=False, repr=False)
     groups: tuple = dc_field(init=False, repr=False)
+    incidence: sparse.csr_matrix = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         put = object.__setattr__
@@ -234,7 +243,18 @@ class LatentSourceField:
         sig = _signatures(self, np.arange(supports.shape[0])[:, None])
         _, first, inverse = np.unique(sig, return_index=True, return_inverse=True)
         put(self, "groups", (_read_only(first), _read_only(inverse.reshape(-1))))
-        if self.means is None and self.center:
+        keep = supports >= 0  # duplicate (row, source) entries add up to counts
+        inc = sparse.csr_matrix((np.ones(int(keep.sum())), (np.nonzero(keep)[0], supports[keep])),
+                                shape=(supports.shape[0], len(sources)))
+        for a in (inc.data, inc.indices, inc.indptr):
+            _read_only(a)
+        put(self, "incidence", inc)
+        if self.means is None and self.center and self.ev is _sum_columns:
+            # E U: sum p v for a discrete source, 1/2 for uniform, 0 for normal
+            mu = [np.dot(src.probs, src.values) if isinstance(src, DiscreteSource)
+                  else 0.5 * (src.kind == "uniform") for _, src in runs]
+            put(self, "means", _read_only(inc @ np.repeat(mu, [sl.stop - sl.start for sl, _ in runs])))
+        elif self.means is None and self.center:
             put(self, "means", _read_only(compute_means(self)))
         put(self, "metadata", MappingProxyType(self.metadata))
 
@@ -454,14 +474,38 @@ def draw_source_rows(
 
 def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     """Field values for source rows; shape (reps, n), centered iff the
-    field is.  Indices are evaluated in blocks (see :func:`_blocks`)."""
+    field is: a sum field's is the transpose of incidence @ rows.T, others
+    gather their indices in blocks (see :func:`_blocks`)."""
     rows = np.atleast_2d(rows)
+    if field.ev is _sum_columns:
+        XT = field.incidence @ rows.T
+        if field.center and field.means.any():  # zero means leave every value as it is
+            XT -= field.means[:, None]
+        return XT.T
     out = np.empty((rows.shape[0], field.n))
     for sl in _blocks(field.n, field.supports.shape[1], rows.shape[0]):
         out[:, sl] = field.ev(_gather(rows, field.supports[sl]), *(p[sl] for p in field.params))
     if field.center:
         out -= field.means
     return out
+
+
+def sum_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
+    """Field sums S of source rows, shape (reps,), centered iff the field
+    is: U @ c for a sum field (summed row by row over runs of equal c, so
+    S does not depend on the batch), the triangle's ``batch_sum`` matrix
+    product, or else the sum of :func:`evaluate_values`."""
+    rows = np.atleast_2d(rows)
+    batch_sum = field.metadata.get("batch_sum")
+    if field.ev is _sum_columns:
+        c = np.bincount(field.incidence.indices, field.incidence.data, field.n_sources)
+        starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])  # runs of equal c
+        s = (np.add.reduceat(rows, starts, axis=1) * c[starts]).sum(axis=1)
+    elif batch_sum is not None:
+        s = batch_sum(rows)
+    else:
+        return evaluate_values(field, rows).sum(axis=1)
+    return s - float(np.sum(field.means)) if field.center else s
 
 
 def outcome_blocks(
@@ -487,22 +531,9 @@ def outcome_blocks(
 # Induced neighborhoods
 
 
-def incidence(field: LatentSourceField) -> sparse.csr_matrix:
-    """Sparse 0/1 (n, n_sources) matrix: M[i, s] = 1 iff X_i reads source s."""
-    S = field.supports
-    rows = np.repeat(np.arange(field.n), S.shape[1])
-    cols = S.reshape(-1)
-    keep = cols >= 0
-    M = sparse.csr_matrix(
-        (np.ones(int(keep.sum())), (rows[keep], cols[keep])), shape=(field.n, field.n_sources)
-    )
-    M.data[:] = 1.0  # a row may list a source twice
-    return M
-
-
 def overlap_matrix(field: LatentSourceField) -> sparse.csr_matrix:
     """Sparse 0/1 matrix with M[i, j] = 1 iff j is in the induced A_i."""
-    inc = incidence(field)
+    inc = field.incidence
     M = (inc @ inc.T).tocsr()
     M.sort_indices()
     M.data[:] = 1.0
@@ -519,7 +550,7 @@ def induced_neighborhoods(
     ``cap_terms`` guards against materializing astronomically large
     systems.
     """
-    users = np.bincount(incidence(field).indices, minlength=field.n_sources)
+    users = np.bincount(field.incidence.indices, minlength=field.n_sources)
     estimate = int(users @ users)
     if cap_terms is not None and estimate > cap_terms:
         raise ComplexityCapExceeded(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import DegeneratePoints, DegenerateVariance, ExcessRejections, GridMismatch
-from .fields import LatentSourceField, draw_source_rows, evaluate_values, overlap_matrix
+from .fields import LatentSourceField, draw_source_rows, evaluate_values, overlap_matrix, sum_values
 from .neighborhood import adjacency
 from .oracle import phi
 from .rng import block_size
@@ -96,19 +96,15 @@ def mc_run(
     adj = None
     if statistic in ("w2", "w2bar"):
         adj = adjacency(sys_or_adj) if sys_or_adj is not None else overlap_matrix(field)
-    batch_sum = field.metadata.get("batch_sum")
-    mean_total = (
-        float(np.sum(field.means)) if (field.center and field.means is not None) else 0.0
-    )
 
     def run_chunk(start: int) -> tuple[np.ndarray, int]:
         stop = min(start + chunk, reps)
         rows = draw_source_rows(field, master_seed, range(start, stop), path=path)
-        if statistic in ("w1", "sum") and batch_sum is not None:
-            s = batch_sum(rows) - mean_total
-            vals = s / sigma if statistic == "w1" else s
-            return vals, 0
-        vals, rej = statistic_batch(statistic, evaluate_values(field, rows), adj, sigma)
+        if statistic in ("w1", "sum"):  # S alone, as a one-column value matrix
+            X = sum_values(field, rows)[:, None]
+        else:
+            X = evaluate_values(field, rows)
+        vals, rej = statistic_batch(statistic, X, adj, sigma)
         return vals[~rej], int(rej.sum())
 
     starts = list(range(0, reps, chunk))

@@ -30,12 +30,12 @@ from .fields import (
     _draw,
     draw_source_rows,
     evaluate_values,
-    incidence,
     local_values,
     outcome_blocks,
     overlap_matrix,
     product_grid,
     signature_groups,
+    sum_values,
 )
 from .neighborhood import NeighborhoodSystem, pairs
 from .rng import STREAM_MOMENTS, block_size, substream
@@ -129,7 +129,7 @@ def exact_sigma2_local(
     by exchangeability) use one reference index.
     """
     if field.metadata.get("index_transitive") and sys is None:
-        inc = incidence(field)
+        inc = field.incidence
         a0 = np.sort((inc[0] @ inc.T).indices)
         return field.n * _covariance_sum(field, np.stack([np.zeros_like(a0), a0], axis=1))
     I, J = pairs(overlap_matrix(field) if sys is None else sys.M)
@@ -148,7 +148,7 @@ def exact_sigma2_enumerated(field: LatentSourceField, cap: int = DEFAULT_ENUM_CA
     es = 0.0
     es2 = 0.0
     for probs, rows in outcome_blocks(field, cap=cap):
-        s = evaluate_values(field, rows).sum(axis=1)
+        s = sum_values(field, rows)
         es += float(probs @ s)
         es2 += float(probs @ s**2)
     return es2 - es * es

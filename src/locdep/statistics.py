@@ -15,8 +15,10 @@ The counters (word occurrences, permutation-pattern occurrences, subgraph
 statistics, classical and distributed U-statistics) are independent naive
 computations used as oracles against the field constructions.
 
-All reductions run in fixed index-ascending order with numpy's pairwise
-summation, so results do not depend on worker count.
+W2 and W2bar reduce the (n, reps) transpose of the value matrix over axis
+0, adding the indices in ascending order one after another (not pairwise)
+for every replication, so a value depends neither on the other rows of
+its batch nor on the worker count.
 """
 
 from __future__ import annotations
@@ -42,27 +44,36 @@ def w1_batch(X: np.ndarray, sigma: float) -> np.ndarray:
     return X.sum(axis=1) / sigma
 
 
+def _index_sums(AT: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of an (n, reps) array, row after row for every column
+    (numpy's ``sum(axis=0)`` sums a single column pairwise instead)."""
+    return AT.sum(axis=0) if AT.shape[1] > 1 else np.cumsum(AT, axis=0)[-1]
+
+
 def w2_batch(X: np.ndarray, sys_or_adj) -> tuple[np.ndarray, np.ndarray]:
     """(W2 with NaN at rejections, rejection mask)."""
-    adj = adjacency(sys_or_adj)
-    Y = np.asarray(adj @ X.T).T
-    n = X.shape[1]
-    v2 = np.einsum("ri,ri->r", X, Y) - n * X.mean(axis=1) * Y.mean(axis=1)
-    v = np.sqrt(np.maximum(v2, 0.0))
+    XT = np.ascontiguousarray(X.T)
+    YT = np.asarray(adjacency(sys_or_adj) @ XT)
+    n = XT.shape[0]
+    s = _index_sums(XT)
+    centering = n * (s / n) * (_index_sums(YT) / n)
+    YT *= XT  # X_i Y_i in place: no second (n, reps) array
+    v = np.sqrt(np.maximum(_index_sums(YT) - centering, 0.0))
     rejected = ~(v > 0.0)
-    w2 = np.full(X.shape[0], np.nan)
-    np.divide(X.sum(axis=1), v, out=w2, where=~rejected)
+    w2 = np.full(XT.shape[1], np.nan)
+    np.divide(s, v, out=w2, where=~rejected)
     return w2, rejected
 
 
 def w2bar_batch(X: np.ndarray, sys_or_adj, sigma: float) -> np.ndarray:
     if not sigma > 0:
         raise DegenerateVariance(f"sigma={sigma} must be positive")
-    adj = adjacency(sys_or_adj)
-    Y = np.asarray(adj @ X.T).T
+    XT = np.ascontiguousarray(X.T)
+    YT = np.asarray(adjacency(sys_or_adj) @ XT)
+    YT *= XT
     s2 = sigma * sigma
-    vbar = np.sqrt(np.clip(np.einsum("ri,ri->r", X, Y), 0.25 * s2, 2.0 * s2))
-    return X.sum(axis=1) / vbar
+    vbar = np.sqrt(np.clip(_index_sums(YT), 0.25 * s2, 2.0 * s2))
+    return _index_sums(XT) / vbar
 
 
 def statistic_batch(

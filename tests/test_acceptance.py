@@ -78,7 +78,7 @@ def test_criterion_2_fourth_moment(checker_verdicts):
         chunk = max(1, (1 << 24) // n)
         for start in range(0, reps, chunk):
             rows = F.draw_source_rows(f, ACCEPT_SEED, range(start, min(start + chunk, reps)))
-            w = F.evaluate_values(f, rows).sum(axis=1) / table.sigma
+            w = F.sum_values(f, rows) / table.sigma
             w4[start: start + rows.shape[0]] = w**4
         return float(w4.mean()), float(w4.std(ddof=1) / math.sqrt(reps))
 

@@ -15,8 +15,9 @@ Core claims:
       its alphabet), and malformed count arguments exit 2; none runs a
       config other than the one written
     - an unknown key at any level, a wrong-typed value (a boolean is never
-      a number), a seed outside [0, 2^64) and a --cap below 1 exit 2
-      naming the JSON path or flag
+      a number), a seed outside [0, 2^64), a --cap below 1 and a thread
+      count (--threads or LOCDEP_THREADS) that is not a positive int exit 2
+      naming the JSON path, flag or variable
     - the example configs and the benchmark's specs parse under the schema
     - mutated example configs exit 0, 1 or 2 under derive and bound,
       never with a traceback, and exit 2 when a key is unknown or the
@@ -170,6 +171,33 @@ def test_threads_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("LOCDEP_THREADS", "2")
     doc = minimal_spec(tmp_path, mode={"kind": "mc", "reps": 2000})
     assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0
+
+
+THREAD_CASES = {
+    "flag_zero": (["--threads", "0"], None, "--threads"),
+    "flag_negative": (["--threads", "-3"], None, "--threads"),
+    "flag_word": (["--threads", "two"], None, "--threads"),
+    "flag_fraction": (["--threads", "1.5"], None, "--threads"),
+    "env_zero": ([], "0", "LOCDEP_THREADS"),
+    "env_negative": ([], "-3", "LOCDEP_THREADS"),
+    "env_word": ([], "two", "LOCDEP_THREADS"),
+    "env_fraction": ([], "1.5", "LOCDEP_THREADS"),
+}
+
+
+@pytest.mark.parametrize("argv,env,where", THREAD_CASES.values(), ids=THREAD_CASES.keys())
+def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, argv, env, where):
+    monkeypatch.delenv("LOCDEP_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("LOCDEP_THREADS", env)
+    doc = minimal_spec(tmp_path, mode={"kind": "mc", "reps": 2000})
+    try:
+        code = cli.main(["run", "--spec", write_spec(tmp_path, doc), *argv])
+    except SystemExit as e:  # argparse refuses a flag value that is not an int
+        code = e.code
+    assert code == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mc_subcommand_writes_summary(tmp_path):

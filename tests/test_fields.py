@@ -12,6 +12,9 @@ Core claims:
       (window fields, graph fields, U-statistic subsets, constrained
       tuples, decorated injections)
     - a built field is immutable, and sampling leaves it unchanged
+    - sum fields (iid, m-dependent, graph) take the linear route: their
+      values, sums and exact means agree with the gather route and with
+      local enumeration
 """
 
 from __future__ import annotations
@@ -255,10 +258,54 @@ def test_mean_prepass_for_continuous_sources():
     assert np.unique(means).size == 2
     assert np.all(np.abs(means[~has_v] - 0.5) <= 0.01)
     assert np.all(np.abs(means[has_v] - 0.25) <= 0.01)
+    assert f.metadata["mean_prepass"] == {"draws": 10**6, "groups": 2, "indices": n}
+    # a sum field is linear in its sources: its means are exact, with no pre-pass
     normal = F.build_m_dependent(40, 1, F.ContinuousSource("normal"))
-    assert normal.metadata["mean_prepass"]["draws"] == 10**6
-    assert np.unique(normal.means).size == 1
-    assert abs(normal.means[0]) <= 6 / math.sqrt(10**6)
+    assert "mean_prepass" not in normal.metadata
+    assert np.array_equal(normal.means, np.zeros(40))
+
+
+SUM_FIELDS = {
+    "iid": lambda src: F.build_iid_field(9, src),
+    **{f"m{m}": (lambda src, m=m: F.build_m_dependent(9, m, src)) for m in range(4)},
+    "cycle": lambda src: F.build_graph_dependency(6, [(i, (i + 1) % 6) for i in range(6)], src),
+    "star": lambda src: F.build_graph_dependency(6, [(0, j) for j in range(1, 6)], src),
+}
+SUM_LAWS = {
+    "rademacher": F.rademacher(),
+    "bernoulli": F.bernoulli(0.55),
+    "three_point": F.three_point(),
+    "normal": F.ContinuousSource("normal"),
+}
+
+
+@pytest.mark.parametrize("law", SUM_LAWS)
+@pytest.mark.parametrize("family", SUM_FIELDS)
+def test_sum_fields_take_the_linear_route(family, law):
+    # the star pads its leaves' supports.  Only normal sources leave the
+    # integer lattice; Bernoulli(0.55) means are not dyadic, so their sums
+    # round differently in another summation order
+    f = SUM_FIELDS[family](SUM_LAWS[law])
+    rows = F.draw_source_rows(f, 23, range(300))
+    X = F.evaluate_values(f, rows)
+    gathered = F._sum_columns(F._gather(rows, f.supports)) - f.means
+    S = F.sum_values(f, rows)
+    if law == "normal":
+        np.testing.assert_allclose(X, gathered, rtol=0, atol=1e-12)
+        assert np.array_equal(f.means, np.zeros(f.n))
+    else:
+        assert np.array_equal(X, gathered)
+        np.testing.assert_array_max_ulp(f.means, F.compute_means(f), maxulp=1)
+    if law in ("rademacher", "three_point"):  # integer values: every order is exact
+        assert np.array_equal(f.means, F.compute_means(f))
+        assert np.array_equal(S, X.sum(axis=1))
+    else:
+        np.testing.assert_allclose(S, X.sum(axis=1), rtol=0, atol=1e-12)
+    # a replication's S does not depend on the other rows of its batch
+    assert np.array_equal(F.sum_values(f, rows[5:6]), S[5:6])
+    assert np.array_equal(F.sum_values(f, rows[3:250]), S[3:250])
+    assert f.incidence.shape == (f.n, f.n_sources)
+    assert np.array_equal(f.incidence.sum(axis=1).A1, (f.supports >= 0).sum(axis=1))
 
 
 def test_sampler_laws():

@@ -62,7 +62,9 @@ def test_thread_count_does_not_change_results():
 
 def test_chunk_size_and_thread_count_do_not_change_summaries():
     # 301 sources give 128-row sample blocks, so every chunk size here
-    # splits the replications differently
+    # splits the replications differently.  Normal sources leave the
+    # integer lattice, so S and the W2 reductions must not depend on the
+    # split to the last bit
     f = F.build_m_dependent(300, 1, F.rademacher())
     t = M.exact_moment_table(f, sigma2_mode="local")
     runs = [
@@ -71,6 +73,15 @@ def test_chunk_size_and_thread_count_do_not_change_summaries():
         for threads in (1, 2)
     ]
     assert all(r == runs[0] for r in runs[1:])
+    normal = F.build_m_dependent(300, 1, F.ContinuousSource("normal"))
+    for statistic in ("w1", "w2"):
+        runs = [
+            H.mc_run(normal, statistic, 4000, 3, sigma=math.sqrt(4 * 300 - 2),  # Var(S) = 4n - 2
+                     threads=threads, **chunk)
+            for chunk in ({"chunk": 256}, {"chunk": 512}, {})
+            for threads in (1, 2)
+        ]
+        assert all(r == runs[0] for r in runs[1:]), statistic
 
 
 def test_rejections_reproduce_and_excess_raises():

@@ -5,6 +5,9 @@ Core claims:
       definitions on hand-checked one-row inputs and against the scalar
       references kept here, with exact scale invariance of W2 and the
       |W2bar| <= 2|S|/sigma envelope
+    - W2 and W2bar give the same bits on C- and F-ordered copies of one
+      value matrix, and a replication's value does not depend on the other
+      rows of its batch
     - the word / pattern / subgraph counters agree with exhaustive scans
     - constrained-U and decorated field sums reproduce the counters
       exactly (integer equality) on sampled inputs
@@ -118,6 +121,20 @@ def test_w2bar_examples_and_envelope():
     # interior fixed point: sum X_i Y_i == sigma^2
     x = one_row([1.0, 1.0, 1.0, 1.0])
     assert x.sum() / st.w2bar_batch(x, sys, 2.0)[0] == pytest.approx(2.0)
+
+
+def test_w2_batches_ignore_layout_and_batch():
+    f = F.build_m_dependent(50, 1, F.ContinuousSource("normal"))
+    sys = F.induced_neighborhoods(f)
+    X = F.evaluate_values(f, F.draw_source_rows(f, 8, range(200)))
+    C, Fo = np.ascontiguousarray(X), np.asfortranarray(X)
+    w2, rejected = st.w2_batch(C, sys)
+    w2_f, rejected_f = st.w2_batch(Fo, sys)
+    assert np.array_equal(w2, w2_f) and np.array_equal(rejected, rejected_f)
+    assert np.array_equal(st.w2_batch(C[50:123], sys)[0], w2[50:123])
+    w2bar = st.w2bar_batch(C, sys, 7.0)
+    assert np.array_equal(w2bar, st.w2bar_batch(Fo, sys, 7.0))
+    assert np.array_equal(st.w2bar_batch(Fo[7:8], sys, 7.0), w2bar[7:8])
 
 
 def brute_word_count(s, w, gaps, exact=False):
