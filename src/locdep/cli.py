@@ -20,7 +20,7 @@ Subcommands ``derive``, ``bound``, ``oracle``, ``mc`` run single stages;
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -162,15 +162,18 @@ ASSERTIONS = _object({
 
 
 class BuiltInstance(NamedTuple):
-    """The field of a family at one grid size."""
+    """The field of a family at one grid size, and ``system()``, its
+    neighborhood system (see :func:`_system`), built on the first call
+    and kept for the later ones."""
 
     field: fields.LatentSourceField
+    system: Callable[[], neighborhood.NeighborhoodSystem]
 
 
 class Family(NamedTuple):
     """``params`` walks a params object; ``build(params, n, where)`` makes
     the field at size n, checking only what depends on n; ``bounds`` maps
-    the family's own bound shapes to ``(field, params, n, table) -> report``.
+    the family's own bound shapes to ``(built, params, n, table) -> report``.
     Entries reach ``fields`` and ``bounds`` through their modules."""
 
     params: Callable
@@ -209,6 +212,9 @@ KERNELS = {
 def _check_ustat(p: dict, where: str) -> None:
     if p["kernel"] == "diff_sq_half" and p["m"] != 2:
         raise ConfigError(f"{where}.m", f"kernel 'diff_sq_half' takes m = 2, got {p['m']}")
+    if p["source"]["kind"] in ("uniform", "normal"):  # theta and sigma1 are enumerated
+        raise ConfigError(f"{where}.source.kind", "expected a discrete source, got "
+                          f"{p['source']['kind']!r}")
 
 
 def _build_ustat(p: dict, n: int, where: str) -> fields.LatentSourceField:
@@ -244,7 +250,7 @@ FAMILIES = {
             **COMMON_PARAMS,
         }),
         _build_graph,
-        {"graph": lambda f, p, n, t: bounds.bound_graph(t, f.metadata["max_degree"] - 1)},
+        {"graph": lambda b, p, n, t: bounds.bound_graph(t, b.field.metadata["max_degree"] - 1)},
         ("graph",),
     ),
     "ustat": Family(
@@ -257,11 +263,11 @@ FAMILIES = {
         }, _check_ustat),
         _build_ustat,
         {
-            "distributed_u": lambda f, p, n, t: bounds.bound_distributed_u(
+            "distributed_u": lambda b, p, n, t: bounds.bound_distributed_u(
                 moments.hoeffding_sigma1(KERNELS[p["kernel"]], p["m"], _source(p["source"])),
-                n, p["m"], f.metadata["block_sizes"],
+                n, p["m"], b.field.metadata["block_sizes"],
             ),
-            "distributed_general": lambda f, p, n, t: _distributed_general_report(f, t),
+            "distributed_general": lambda b, p, n, t: _distributed_general_report(b, t),
         },
         ("distributed_u", "distributed_general"),
     ),
@@ -280,7 +286,7 @@ FAMILIES = {
                 [ord(ch) - ord("a") for ch in p["word"]], n, p["alphabet"], p["gaps"]
             )
         ),
-        {"constrained_u": lambda f, p, n, t: bounds.bound_constrained_u(t, n, f.metadata["b"])},
+        {"constrained_u": lambda b, p, n, t: bounds.bound_constrained_u(t, n, b.field.metadata["b"])},
         ("constrained_u",),
     ),
     "decorated_graph": Family(
@@ -295,7 +301,7 @@ FAMILIES = {
         lambda p, n, where: fields.build_decorated_graph_field(
             n, [tuple(e) for e in p["pattern"]], fields.bernoulli(p["p"])
         ),
-        {"decorated": lambda f, p, n, t: bounds.bound_decorated(t, n, f.metadata["v"])},
+        {"decorated": lambda b, p, n, t: bounds.bound_decorated(t, n, b.field.metadata["v"])},
         ("decorated",),
     ),
 }
@@ -332,9 +338,11 @@ def build_family(family: str, params: dict, n: int, where: str = "$.params") -> 
     object, raw or as ``parse_spec`` checked it."""
     entry = FAMILIES[family]
     try:
-        return BuiltInstance(entry.build(entry.params(params, where), n, where))
+        params = entry.params(params, where)
+        field = entry.build(params, n, where)
     except ValueError as e:  # an argument the field builder refuses
         raise ConfigError(where, str(e)) from None
+    return BuiltInstance(field, functools.cache(lambda: _system(field, params["declared_A"])))
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +351,10 @@ def build_family(family: str, params: dict, n: int, where: str = "$.params") -> 
 
 def _moment_table_for(built: BuiltInstance, spec: ExperimentSpec, n: int,
                       cap: int = fields.DEFAULT_ENUM_CAP):
+    """The field's own moments: the declared neighborhoods play no part."""
     f = built.field
-    count = f.outcome_count()
-    if count is not None and count <= min(cap, 2**20):
-        sys = fields.induced_neighborhoods(f)
-        table = moments.exact_moment_table(f, sys, cap=cap)
-    elif f.is_enumerable():
-        table = moments.exact_moment_table(f, sigma2_mode="local")
+    if f.is_enumerable():
+        table = moments.exact_moment_table(f, cap=min(cap, 2**20))
     else:
         reps = max(spec.mode["reps"] // 10, 1000)
         table = moments.mc_moment_table(f, reps=reps, master_seed=spec.seed)
@@ -360,17 +365,16 @@ def _moment_table_for(built: BuiltInstance, spec: ExperimentSpec, n: int,
     return table
 
 
-def _system(built: BuiltInstance, spec: ExperimentSpec, cap_terms: int = 10**7):
-    """The declared or induced neighborhoods.  Raises
-    :class:`ComplexityCapExceeded` when the induced system exceeds
-    ``cap_terms`` neighbor entries."""
-    declared = spec.params["declared_A"]
+def _system(field: fields.LatentSourceField, declared) -> neighborhood.NeighborhoodSystem:
+    """The declared neighborhoods, or else the induced ones.  Raises
+    :class:`ComplexityCapExceeded` when the induced system exceeds 10^7
+    neighbor entries."""
     if declared is None:
-        return fields.induced_neighborhoods(built.field, cap_terms=cap_terms)
+        return fields.induced_neighborhoods(field, cap_terms=10**7)
     # user-declared neighborhoods: checked for structure here, but
     # independence is only verified when the LD assertion is switched on
     where = "$.params.declared_A"
-    n = built.field.n
+    n = field.n
     if len(declared) != n or any(i >= n for a in declared for i in a):
         raise ConfigError(where, f"expected {n} lists, one per index, of ids in [0, {n})")
     sys = neighborhood.make_system(declared)
@@ -384,37 +388,33 @@ def evaluate_bounds(
     built: BuiltInstance, spec: ExperimentSpec, n: int, table
 ) -> list[bounds.BoundReport]:
     reports = []
-    sys = der = None
+    der = None
     for name in spec.bounds:
         if name in SHARED_BOUNDS:
-            if sys is None:
-                sys = _system(built, spec)
-                der = neighborhood.derive(sys)
-            report = SHARED_BOUNDS[name](table, sys, der)
+            if der is None:
+                der = neighborhood.derive(built.system())
+            report = SHARED_BOUNDS[name](table, built.system(), der)
         else:
-            report = FAMILIES[spec.family].bounds[name](built.field, spec.params, n, table)
+            report = FAMILIES[spec.family].bounds[name](built, spec.params, n, table)
         if spec.params["declared_A"] is not None:
             report.inputs["independence"] = "unverified (declared neighborhoods)"
         reports.append(report)
     return reports
 
 
-def _distributed_general_report(f: fields.LatentSourceField, table) -> bounds.BoundReport:
-    slices = f.metadata["block_slices"]
+def _distributed_general_report(built: BuiltInstance, table) -> bounds.BoundReport:
+    """Per block: its rows of the table, and kappa and tau of its diagonal
+    block of the system's matrix."""
+    M = built.system().M
     block_tables = []
     kappas = []
     taus = []
-    for (lo, hi) in slices:
-        sub = moments.MomentTable(
+    for (lo, hi) in built.field.metadata["block_slices"]:
+        block_tables.append(moments.MomentTable(
             l2=table.l2[lo:hi], l3=table.l3[lo:hi], l4=table.l4[lo:hi],
             sigma2=table.sigma2, mode=table.mode,
-        )
-        block_tables.append(sub)
-        block = dataclasses.replace(
-            f, supports=f.supports[lo:hi], params=tuple(p[lo:hi] for p in f.params),
-            means=f.means[lo:hi], metadata={},
-        )
-        der_b = neighborhood.derive(fields.induced_neighborhoods(block))
+        ))
+        der_b = neighborhood.derive(neighborhood.make_system(M[lo:hi, lo:hi]))
         kappas.append(der_b.kappa)
         taus.append(der_b.tau)
     return bounds.bound_distributed_general(block_tables, kappas, taus, table.sigma)
@@ -428,18 +428,22 @@ def run_experiment(
     do_stat: bool = True,
     do_checkers: bool = True,
 ) -> dict:
-    """Execute the experiment; returns the result bundle for artifact emission."""
+    """Execute the experiment; returns the result bundle for artifact
+    emission.  Each grid point's field and system are dropped when the
+    point is done: ``per_n`` keeps its table, reports and summary."""
     per_n = []
     failures: list[str] = []
     for gi, n in enumerate(spec.grid):
         built = build_family(spec.family, spec.params, n)
+        f = built.field
         table = _moment_table_for(built, spec, n, cap=cap)
         reports = evaluate_bounds(built, spec, n, table) if do_bounds else []
         sigma = table.sigma if not table.degenerate else None
+        sys = built.system() if do_stat and spec.statistic in ("w2", "w2bar") else None
         if not do_stat:
             summary = None
         elif spec.mode["kind"] == "exact":
-            ks = oracle.exact_kolmogorov(built.field, spec.statistic, sigma=sigma, cap=cap)
+            ks = oracle.exact_kolmogorov(f, spec.statistic, sys=sys, sigma=sigma, cap=cap)
             summary = harness.EmpiricalSummary(
                 statistic=spec.statistic, reps=0, ks=ks, ks_band=0.0,
                 rejected=0, mean=float("nan"), var=float("nan"), m4=float("nan"),
@@ -447,10 +451,12 @@ def run_experiment(
             )
         else:
             summary = harness.mc_run(
-                built.field, spec.statistic, spec.mode["reps"], spec.seed,
-                sigma=sigma, path=(gi,), threads=threads,
+                f, spec.statistic, spec.mode["reps"], spec.seed,
+                sigma=sigma, sys=sys, path=(gi,), threads=threads,
             )
-        per_n.append({"n": n, "built": built, "table": table, "reports": reports, "summary": summary})
+        if spec.assertions["require_ld"] and f.is_enumerable() and f.outcome_count() <= 2**16:
+            failures.extend(f"n={n}: {v}" for v in oracle.check_ld_independence(f, built.system()))
+        per_n.append({"n": n, "table": table, "reports": reports, "summary": summary})
 
     fit = None
     if do_stat and len(per_n) >= 3:
@@ -483,13 +489,6 @@ def run_experiment(
             failures.extend(
                 f"checker failure: {v.check_id} {v.digest} margin={v.margin:g}" for v in bad[:20]
             )
-
-    if spec.assertions["require_ld"]:
-        for e in per_n:
-            f = e["built"].field
-            if f.is_enumerable() and (f.outcome_count() or 0) <= 2**16:
-                viol = oracle.check_ld_independence(f, _system(e["built"], spec, cap_terms=10**8))
-                failures.extend(f"n={e['n']}: {v}" for v in viol)
 
     if do_stat:
         failures.extend(_check_assertions(spec, per_n, fit, ratio))
@@ -681,7 +680,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         for n in spec.grid:
             built = build_family(spec.family, spec.params, n)
             try:
-                der = neighborhood.derive(_system(built, spec))
+                der = neighborhood.derive(built.system())
             except ComplexityCapExceeded:
                 print(f"n={n}: system too large to materialize")
             else:

@@ -63,7 +63,7 @@ from .errors import (
     InvalidSize,
 )
 from .neighborhood import NeighborhoodSystem, make_system
-from .rng import STREAM_MEAN_PREPASS, STREAM_SAMPLE, block_size, substream
+from .rng import STREAM_SAMPLE, block_size, substream
 
 DEFAULT_ENUM_CAP = 2**24
 DEFAULT_INDEX_CAP = 2**22
@@ -201,11 +201,13 @@ class LatentSourceField:
 
     ``supports`` is the (n, K) source-id array (-1 pads read 0); ``ev`` and
     ``params`` are the evaluator and its per-index arrays (see the module
-    docstring).  ``means`` holds E X_i before centering and is computed at
-    construction when ``center`` is set and none are given; sampled values
-    are centered iff ``center`` is set.  ``groups`` is (first, inverse) of
-    the indices grouped by :func:`_signatures`, ``incidence`` counts the
-    slots reading each source.  Everything is read-only.
+    docstring).  ``means`` holds E X_i before centering and is computed
+    exactly at construction when ``center`` is set and none are given (a
+    field other than a sum field that reads continuous sources must be
+    given its means); sampled values are centered iff ``center`` is set.
+    ``groups`` is (first, inverse) of the indices grouped by
+    :func:`_signatures`, ``incidence`` counts the slots reading each
+    source.  Everything is read-only.
     """
 
     sources: tuple[Source, ...]
@@ -396,49 +398,18 @@ def signature_groups(field: LatentSourceField, ij) -> tuple[np.ndarray, np.ndarr
 # Means
 
 
-def compute_means(
-    field: LatentSourceField,
-    master_seed: int = 0,
-    prepass: int = 10**6,
-) -> np.ndarray:
-    """E X_i for every index, computed once per group of the field's
-    ``groups`` (whose indices share one law): exact by local enumeration
-    when the supporting sources are discrete, otherwise a Monte-Carlo
-    pre-pass of ``prepass`` draws of the sources the group representatives
-    read."""
+def compute_means(field: LatentSourceField) -> np.ndarray:
+    """E X_i for every index, exact by local enumeration once per group of
+    the field's ``groups`` (whose indices share one law).  Raises
+    ValueError when the indices read a continuous source: such a field
+    needs its ``means`` given."""
     first, inverse = field.groups
-    discrete = np.repeat(
-        [isinstance(src, DiscreteSource) for _, src in field.runs],
-        [sl.stop - sl.start for sl, _ in field.runs],
-    )
-    exact = np.append(discrete, True)[field.supports[first]].all(axis=1)
+    read = np.unique(field.supports[first])
+    if any(not isinstance(field.sources[s], DiscreteSource) for s in read[read >= 0]):
+        raise ValueError("means must be given for a field whose values read continuous sources")
     group_means = np.empty(first.size)
-    ex = np.flatnonzero(exact)
-    for r, probs, X in local_values(field, first[ex][:, None]):
-        group_means[ex[r]] = probs @ X[:, 0]
-    todo = first[~exact]
-    if todo.size:
-        S = field.supports[todo]
-        used = np.unique(S[S >= 0])
-        local = np.where(S >= 0, np.searchsorted(used, S), -1)
-        params = [p[todo] for p in field.params]
-        acc = np.zeros(todo.size)
-        done = 0
-        chunk = max(1, min(prepass, (1 << 25) // max(1, used.size)))
-        rng = substream(master_seed, STREAM_MEAN_PREPASS)
-        while done < prepass:
-            size = min(chunk, prepass - done)
-            rows = np.empty((size, used.size))
-            for c, s in enumerate(used):
-                rows[:, c] = _draw(field.sources[s], rng, size)
-            for sl in _blocks(todo.size, local.shape[1], size):
-                G = _gather(rows, local[sl])
-                acc[sl] += field.ev(G, *(p[sl] for p in params)).sum(axis=0)
-            done += size
-        group_means[~exact] = acc / prepass
-        if isinstance(field.metadata, dict):  # provenance, recorded while the field is built
-            field.metadata["mean_prepass"] = {"draws": prepass, "groups": int(todo.size),
-                                              "indices": int((~exact)[inverse].sum())}
+    for r, probs, X in local_values(field, first[:, None]):
+        group_means[r] = probs @ X[:, 0]
     return group_means[inverse]
 
 
@@ -927,7 +898,12 @@ def build_decorated_graph_field(
             out = out * hh(deco[e], G[..., e])
         return out
 
-    injections = np.array(list(itertools.permutations(range(n), v)), dtype=np.int64)
+    # the injections in lexicographic order: extend by one column, drop repeats
+    injections = np.arange(n, dtype=np.int64)[:, None]
+    for _ in range(1, v):
+        grown = np.column_stack([np.repeat(injections, n, axis=0),
+                                 np.tile(np.arange(n, dtype=np.int64), len(injections))])
+        injections = grown[(grown[:, :-1] != grown[:, -1:]).all(axis=1)]
     edge_ids = np.empty((n_inj, len(edges)), dtype=np.int64)
     for e, (a, b) in enumerate(edges):
         ua = np.minimum(injections[:, a], injections[:, b])

@@ -23,8 +23,14 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import DegeneratePoints, DegenerateVariance, ExcessRejections, GridMismatch
-from .fields import LatentSourceField, draw_source_rows, evaluate_values, overlap_matrix, sum_values
-from .neighborhood import adjacency
+from .fields import (
+    LatentSourceField,
+    draw_source_rows,
+    evaluate_values,
+    induced_neighborhoods,
+    sum_values,
+)
+from .neighborhood import NeighborhoodSystem
 from .oracle import phi
 from .rng import block_size
 from .statistics import statistic_batch
@@ -77,7 +83,7 @@ def mc_run(
     reps: int,
     master_seed: int,
     sigma: float | None = None,
-    sys_or_adj=None,
+    sys: NeighborhoodSystem | None = None,
     path: tuple[int, ...] = (),
     chunk: int = DEFAULT_CHUNK,
     threads: int = 1,
@@ -87,15 +93,16 @@ def mc_run(
 
     ``path`` extends the substream derivation (grid position etc.), so a
     grid experiment under one master seed is individually reproducible.
+    W2 and W2bar read the neighborhoods of ``sys``, by default the
+    field's induced ones.
     """
     if reps < 10**3:
         raise ValueError(f"reps={reps} below the 10^3 floor")
     # keep each chunk's source matrix around ~32 MB, in whole sample blocks
     B = block_size(field.n_sources)
     chunk = max(B, min(chunk, (1 << 22) // max(1, field.n_sources)) // B * B)
-    adj = None
-    if statistic in ("w2", "w2bar"):
-        adj = adjacency(sys_or_adj) if sys_or_adj is not None else overlap_matrix(field)
+    if sys is None and statistic in ("w2", "w2bar"):
+        sys = induced_neighborhoods(field)
 
     def run_chunk(start: int) -> tuple[np.ndarray, int]:
         stop = min(start + chunk, reps)
@@ -104,7 +111,7 @@ def mc_run(
             X = sum_values(field, rows)[:, None]
         else:
             X = evaluate_values(field, rows)
-        vals, rej = statistic_batch(statistic, X, adj, sigma)
+        vals, rej = statistic_batch(statistic, X, sys, sigma)
         return vals[~rej], int(rej.sum())
 
     starts = list(range(0, reps, chunk))

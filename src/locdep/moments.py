@@ -27,7 +27,6 @@ from .fields import (
     DiscreteSource,
     LatentSourceField,
     Source,
-    _draw,
     draw_source_rows,
     evaluate_values,
     local_values,
@@ -38,7 +37,7 @@ from .fields import (
     sum_values,
 )
 from .neighborhood import NeighborhoodSystem, pairs
-from .rng import STREAM_MOMENTS, block_size, substream
+from .rng import STREAM_MOMENTS, block_size
 
 SIGMA2_IDENTITY_RTOL = 1e-10
 
@@ -159,26 +158,20 @@ def exact_moment_table(
     sys: NeighborhoodSystem | None = None,
     kappa: int | None = None,
     cap: int = DEFAULT_ENUM_CAP,
-    sigma2_mode: str = "auto",
 ) -> MomentTable:
     """Exact norms and Var(S).
 
-    ``sigma2_mode``: "enumerate" (global enumeration, cross-checked against
-    the covariance identity when affordable), "local" (identity only), or
-    "auto".  The cross-check failing means the declared neighborhoods do
-    not cover the true dependence; it raises AssertionError.
+    Var(S) comes from global enumeration when the field has at most
+    ``cap`` outcomes, cross-checked against the covariance identity over
+    ``sys`` (AssertionError when they differ: the neighborhoods do not
+    cover the true dependence), and otherwise from the identity alone
+    (mode "hybrid").
     """
     first, inverse = field.groups
     l2, l3, l4 = exact_index_norms(field, first)[inverse].T.copy()
     count = field.outcome_count()
     mode = "exact"
-    if sigma2_mode == "auto":
-        sigma2_mode = "enumerate" if (count is not None and count <= cap) else "local"
-    if sigma2_mode == "enumerate":
-        if count is None or count > cap:
-            raise EnumerationCapExceeded(
-                f"outcome count {count} exceeds cap {cap} for global enumeration"
-            )
+    if count is not None and count <= cap:
         sigma2 = exact_sigma2_enumerated(field, cap=cap)
         sigma2_id = exact_sigma2_local(field, sys)
         scale = max(1.0, abs(sigma2))
@@ -283,59 +276,27 @@ def hoeffding_sigma1(
     kernel: Callable,
     m: int,
     source: Source,
-    reps: int | None = None,
-    master_seed: int = 0,
-    inner_reps: int = 2000,
     tol: float = 1e-9,
 ) -> KernelMoments:
-    """sigma1^2 = Var( E[h(X_1..X_m) - theta | X_1] ).
-
-    Exact by nested enumeration for discrete sources (default), nested
-    Monte Carlo otherwise.  Raises :class:`DegenerateKernel` when sigma1^2
+    """sigma1^2 = Var( E[h(X_1..X_m) - theta | X_1] ), exact by nested
+    enumeration over a discrete source.  Raises
+    :class:`EnumerationCapExceeded` for a continuous source or a grid
+    beyond DEFAULT_ENUM_CAP, and :class:`DegenerateKernel` when sigma1^2
     falls below ``tol * max(Var(h), tiny)`` (the degenerate case).
     """
-    if reps is None and isinstance(source, DiscreteSource):
-        prb = np.asarray(source.probs)
-        if len(prb) ** m > DEFAULT_ENUM_CAP:
-            raise EnumerationCapExceeded("kernel enumeration too large; pass reps")
-        w, grid = product_grid([source] * m)
-        h = np.asarray(kernel(*grid.T), dtype=float)
-        theta = float(np.sum(w * h))
-        var_h = float(np.sum(w * (h - theta) ** 2))
-        l4 = float(np.sum(w * np.abs(h) ** 4)) ** 0.25
-        # condition on the first argument (the most significant grid digit)
-        g = (w * h).reshape(len(prb), -1).sum(axis=1) / prb - theta
-        sigma1_sq = float(prb @ g**2)
-    else:
-        if reps is None:
-            reps = 10**5
-        rng = substream(master_seed, STREAM_MOMENTS, 1)
-        cols = [
-            _draw(source, rng, reps) for _ in range(m)
-        ]
-        h = np.asarray(kernel(*cols), dtype=float)
-        theta = float(h.mean())
-        var_h = float(h.var(ddof=1))
-        l4 = float(np.mean(np.abs(h) ** 4)) ** 0.25
-        x1 = _draw(source, rng, reps)
-        cond = np.empty(reps)
-        chunk = max(1, (1 << 22) // max(inner_reps, 1))
-        for start in range(0, reps, chunk):
-            stop = min(start + chunk, reps)
-            rest = [
-                _draw(source, rng, (stop - start) * inner_reps).reshape(
-                    stop - start, inner_reps
-                )
-                for _ in range(m - 1)
-            ]
-            xs = np.broadcast_to(
-                x1[start:stop, None], (stop - start, inner_reps)
-            )
-            cond[start:stop] = np.asarray(kernel(xs, *rest), dtype=float).mean(axis=1)
-        # the inner average inflates Var(cond) by E Var(h|X1)/inner;
-        # solve for sigma1^2 using Var(h) = sigma1^2 + E Var(h|X1)
-        raw = float(cond.var(ddof=1))
-        sigma1_sq = max((raw * inner_reps - var_h) / (inner_reps - 1), 0.0)
+    if not isinstance(source, DiscreteSource):
+        raise EnumerationCapExceeded("continuous source; sigma1 needs a discrete source")
+    prb = np.asarray(source.probs)
+    if len(prb) ** m > DEFAULT_ENUM_CAP:
+        raise EnumerationCapExceeded("kernel enumeration too large")
+    w, grid = product_grid([source] * m)
+    h = np.asarray(kernel(*grid.T), dtype=float)
+    theta = float(np.sum(w * h))
+    var_h = float(np.sum(w * (h - theta) ** 2))
+    l4 = float(np.sum(w * np.abs(h) ** 4)) ** 0.25
+    # condition on the first argument (the most significant grid digit)
+    g = (w * h).reshape(len(prb), -1).sum(axis=1) / prb - theta
+    sigma1_sq = float(prb @ g**2)
     if sigma1_sq <= tol * max(var_h, 1e-300):
         raise DegenerateKernel(
             f"sigma1^2={sigma1_sq} is degenerate relative to Var(h)={var_h}"

@@ -16,6 +16,13 @@ A_ij = A_i | A_j, so covers are never stored.  With s the row sums of M
 
 (o is the elementwise product.)  Systems are immutable, with read-only
 matrix arrays, and safe for concurrent reads.
+
+A system is either declared (:func:`make_system` from lists of ids) or
+induced by a field's support overlap (``fields.induced_neighborhoods``).
+One experiment uses one system per grid point: the bounds read its kappa
+and tau, W2 and W2bar its rows (Y = M X), and the LD check its members.
+Every consumer takes the :class:`NeighborhoodSystem` itself; rows are
+read off ``M`` (A_i) and ``Mt`` (N_j).
 """
 
 from __future__ import annotations
@@ -32,11 +39,6 @@ def _read_only(M: sparse.csr_matrix) -> sparse.csr_matrix:
     return M
 
 
-def _rows(M: sparse.csr_matrix) -> tuple[np.ndarray, ...]:
-    """The sorted column ids of each row."""
-    return tuple(np.split(M.indices, M.indptr[1:-1])) if M.shape[0] else ()
-
-
 def pairs(M: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """(I, J): the row and column ids of the entries of M, row-major."""
     return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices
@@ -51,11 +53,6 @@ class NeighborhoodSystem:
     n: int
     M: sparse.csr_matrix
 
-    @property
-    def A(self) -> tuple[np.ndarray, ...]:
-        """Per index i, the sorted neighborhood A_i."""
-        return _rows(self.M)
-
 
 @dataclass(frozen=True, eq=False)
 class DerivedNeighborhoods:
@@ -65,11 +62,6 @@ class DerivedNeighborhoods:
     Mt: sparse.csr_matrix
     kappa: int
     tau: int
-
-    @property
-    def N(self) -> tuple[np.ndarray, ...]:
-        """Per index j, the sorted reverse neighborhood N_j."""
-        return _rows(self.Mt)
 
 
 @dataclass
@@ -110,16 +102,6 @@ def make_system(A) -> NeighborhoodSystem:
     M.sum_duplicates()
     M.data[:] = 1.0
     return NeighborhoodSystem(n=M.shape[0], M=_read_only(M))
-
-
-def iid_system(n: int) -> NeighborhoodSystem:
-    return make_system(sparse.identity(n, format="csr"))
-
-
-def adjacency(sys) -> sparse.csr_matrix:
-    """The 0/1 matrix M of a system, so Y = M @ X; a matrix is returned
-    as it is."""
-    return sys.M if isinstance(sys, NeighborhoodSystem) else sys
 
 
 def derive(sys: NeighborhoodSystem) -> DerivedNeighborhoods:

@@ -49,10 +49,9 @@ from .fields import (
     induced_neighborhoods,
     _pack,
     outcome_blocks,
-    overlap_matrix,
 )
 from .moments import MomentTable, exact_moment_table, lam_scale
-from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, adjacency, derive, pairs
+from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive, pairs
 from .statistics import statistic_batch
 
 PASS_TOL = 1e-10
@@ -118,7 +117,7 @@ def precompute(
     table = exact_moment_table(field, sys, kappa=der.kappa, cap=cap)
     if table.degenerate:
         raise DegenerateVariance("instance has Var(S) = 0")
-    P = adjacency(sys).toarray()
+    P = sys.M.toarray()
     P.setflags(write=False)
     return Precomputed(
         field=field, sys=sys, derived=der, plan=plan, table=table, sigma=table.sigma,
@@ -164,15 +163,17 @@ def exact_distribution(
     """(atoms, probs, rejected_probability) of a statistic's exact law.
 
     For the self-normalized statistic, outcomes with V = 0 are rejected
-    and the remaining law is conditioned on acceptance.
+    and the remaining law is conditioned on acceptance.  W2 and W2bar read
+    the neighborhoods of ``sys``, by default the field's induced ones.
     """
-    adj = overlap_matrix(field) if sys is None else adjacency(sys)
+    if sys is None and statistic in ("w2", "w2bar"):
+        sys = induced_neighborhoods(field)
     vals_parts = []
     probs_parts = []
     rejected = 0.0
     for p, rows in outcome_blocks(field, cap=cap):
         X = evaluate_values(field, rows)
-        vals, rej = statistic_batch(statistic, X, adj, sigma)
+        vals, rej = statistic_batch(statistic, X, sys, sigma)
         if rej.any():
             rejected += float(p[rej].sum())
             vals, p = vals[~rej], p[~rej]
@@ -205,7 +206,7 @@ def exact_kolmogorov(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> float:
     if statistic in ("w1", "w2bar") and sigma is None:
-        table = exact_moment_table(field, sys)
+        table = exact_moment_table(field, cap=cap)
         if table.degenerate:
             raise DegenerateVariance("Var(S) = 0")
         sigma = table.sigma

@@ -2,7 +2,7 @@
 
 Every stochastic routine in this package draws from a stream derived as
 ``substream(master_seed, *path)`` where ``path`` identifies the consumer
-(grid position, pre-pass tag, block of replications, ...).  Streams are
+(grid position, moment-table tag, block of replications, ...).  Streams are
 backed by Philox, a counter-based generator, keyed through
 ``SeedSequence`` spawn keys, so
 
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Tags keep unrelated consumers of one master seed on disjoint streams.
+# Tags keep unrelated consumers of one master seed on disjoint streams
+# (tag 2 is retired: it stays unused, so no other stream moves).
 STREAM_SAMPLE = 0
 STREAM_MOMENTS = 1
-STREAM_MEAN_PREPASS = 2
 STREAM_INSTANCES = 3
 
 # A sample block holds about BLOCK_CELLS source draws (0.5 MB of float64),

@@ -3,13 +3,15 @@
 The field statistics are
 
     S    = sum X_i,            W1 = S / sigma,
-    Y_i  = sum_{j in A_i} X_j,
+    Y_i  = sum_{j in A_i} X_j,                        Y = M X,
     V    = sqrt( (sum_i X_i Y_i - n Xbar Ybar)_+ ),   W2 = S / V,
     Vbar = psi( sum_i X_i Y_i ),                      W2bar = S / Vbar,
 
 with psi(x) = ((x v sigma^2/4) ^ 2 sigma^2)^{1/2} clamping the variance
 proxy into [sigma^2/4, 2 sigma^2].  W2 is undefined (rejected) when V = 0;
-rejection is a value, not an error.
+rejection is a value, not an error.  The neighborhoods A_i are those of
+a :class:`NeighborhoodSystem`, the same system whose kappa and tau enter
+the bounds: Y is one sparse product with its matrix M.
 
 The counters (word occurrences, permutation-pattern occurrences, subgraph
 statistics, classical and distributed U-statistics) are independent naive
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateVariance, GraphTooLarge
 from .fields import admissible_tuples
-from .neighborhood import adjacency
+from .neighborhood import NeighborhoodSystem
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +52,10 @@ def _index_sums(AT: np.ndarray) -> np.ndarray:
     return AT.sum(axis=0) if AT.shape[1] > 1 else np.cumsum(AT, axis=0)[-1]
 
 
-def w2_batch(X: np.ndarray, sys_or_adj) -> tuple[np.ndarray, np.ndarray]:
+def w2_batch(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.ndarray]:
     """(W2 with NaN at rejections, rejection mask)."""
     XT = np.ascontiguousarray(X.T)
-    YT = np.asarray(adjacency(sys_or_adj) @ XT)
+    YT = np.asarray(sys.M @ XT)
     n = XT.shape[0]
     s = _index_sums(XT)
     centering = n * (s / n) * (_index_sums(YT) / n)
@@ -65,11 +67,11 @@ def w2_batch(X: np.ndarray, sys_or_adj) -> tuple[np.ndarray, np.ndarray]:
     return w2, rejected
 
 
-def w2bar_batch(X: np.ndarray, sys_or_adj, sigma: float) -> np.ndarray:
+def w2bar_batch(X: np.ndarray, sys: NeighborhoodSystem, sigma: float) -> np.ndarray:
     if not sigma > 0:
         raise DegenerateVariance(f"sigma={sigma} must be positive")
     XT = np.ascontiguousarray(X.T)
-    YT = np.asarray(adjacency(sys_or_adj) @ XT)
+    YT = np.asarray(sys.M @ XT)
     YT *= XT
     s2 = sigma * sigma
     vbar = np.sqrt(np.clip(_index_sums(YT), 0.25 * s2, 2.0 * s2))
@@ -77,19 +79,20 @@ def w2bar_batch(X: np.ndarray, sys_or_adj, sigma: float) -> np.ndarray:
 
 
 def statistic_batch(
-    name: str, X: np.ndarray, sys_or_adj, sigma: float | None
+    name: str, X: np.ndarray, sys: NeighborhoodSystem | None, sigma: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, rejection mask) of the statistic ``name`` (w1, w2, w2bar
-    or sum) over a (reps, n) value matrix; only W2 rejects."""
+    or sum) over a (reps, n) value matrix; only W2 rejects, and only W2
+    and W2bar read ``sys``."""
     if name in ("w1", "w2bar") and sigma is None:
         raise DegenerateVariance(f"{name} needs sigma")
     none = np.zeros(X.shape[0], dtype=bool)
     if name == "w1":
         return w1_batch(X, sigma), none
     if name == "w2":
-        return w2_batch(X, sys_or_adj)
+        return w2_batch(X, sys)
     if name == "w2bar":
-        return w2bar_batch(X, sys_or_adj, sigma), none
+        return w2bar_batch(X, sys, sigma), none
     if name == "sum":
         return X.sum(axis=1), none
     raise ValueError(f"unknown statistic {name!r}")

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import locdep.bounds as B
 import locdep.fields as F
@@ -95,7 +96,7 @@ def test_relabeling_invariance_of_shapes():
         der = nb.derive(sys)
         t = M.exact_moment_table(f, sys)
         perm = rng.permutation(sys.n)
-        sys_p = nb.make_system([perm[sys.A[i]] for i in np.argsort(perm)])  # i -> perm[i]
+        sys_p = nb.make_system([perm[sys.M[i].indices] for i in np.argsort(perm)])  # i -> perm[i]
         der_p = nb.derive(sys_p)
         inv = np.empty(sys.n, dtype=int)
         inv[perm] = np.arange(sys.n)
@@ -115,7 +116,7 @@ def naive_beta(l4, sys, sigma):
     cover A_i | A_j and D_i = {(k, l) : l in A_k, i in A_k | A_l} built
     by brute force."""
     n = sys.n
-    A = [set(a.tolist()) for a in sys.A]
+    A = [set(sys.M[i].indices.tolist()) for i in range(n)]
     N = [{k for k in range(n) if i in A[k]} for i in range(n)]
     D = [[(k, l) for k in range(n) for l in A[k] if i in A[k] | A[l]] for i in range(n)]
     size = [len(a) for a in A]
@@ -207,7 +208,7 @@ def test_beta_below_kappa_tau_majorants():
 
 
 def test_all_zero_norms_give_zero_beta():
-    sys = nb.iid_system(3)
+    sys = nb.make_system(sparse.identity(3, format="csr"))
     der = nb.derive(sys)
     t = M.MomentTable(l2=np.zeros(3), l3=np.zeros(3), l4=np.zeros(3),
                       sigma2=1.0, mode="exact")
@@ -274,7 +275,7 @@ def test_bound_distributed_u_examples():
 def test_bound_constrained_u_formula():
     n, b_exp = 50, 2
     f = F.build_word_field([0, 1], n, 2, [None])
-    table = M.exact_moment_table(f, sigma2_mode="local")
+    table = M.exact_moment_table(f, cap=0)
     rep = B.bound_constrained_u(table, n, b_exp)
     sfd = table.sigma / n ** (b_exp - 0.5)
     t3 = float(np.sum(table.l4**3))
@@ -298,7 +299,7 @@ def test_bounded_f_unconstrained_shape_is_root_n():
     vals = []
     for n in (30, 120):
         f = F.build_word_field([0, 1], n, 2, [None])
-        table = M.exact_moment_table(f, sigma2_mode="local")
+        table = M.exact_moment_table(f, cap=0)
         rep = B.bound_constrained_u(table, n, f.metadata["b"])
         vals.append(rep.value * math.sqrt(n))
     assert 0.5 <= vals[1] / vals[0] <= 2.0
@@ -306,7 +307,7 @@ def test_bounded_f_unconstrained_shape_is_root_n():
 
 def test_bound_decorated_examples():
     f = F.build_decorated_graph_field(6, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.5))
-    table = M.exact_moment_table(f, sigma2_mode="local")
+    table = M.exact_moment_table(f, cap=0)
     rep = B.bound_decorated(table, 6, 3)
     e3 = float(np.sum(table.l3**3))
     assert rep.terms["third_moment"] == pytest.approx(
@@ -326,7 +327,7 @@ def test_decorated_shape_order_one_over_n():
     vals = []
     for n in (8, 16):
         f = F.build_decorated_graph_field(n, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.3))
-        table = M.exact_moment_table(f, sigma2_mode="local")
+        table = M.exact_moment_table(f, cap=0)
         vals.append(B.bound_decorated(table, n, 3).value * n)
     assert 0.4 <= vals[1] / vals[0] <= 2.5
 
@@ -418,7 +419,7 @@ def test_mc_tables_carry_uncertainty_band():
 def test_beta_iid_closed_forms():
     # iid: beta1 = 2n/s^3, beta2^2 = 3n/s^4, beta3^2 = 4n/s^5
     n = 9
-    sys = nb.iid_system(n)
+    sys = nb.make_system(sparse.identity(n, format="csr"))
     der = nb.derive(sys)
     t = iid_table(n)
     rep = B.bound_general_beta(t, sys, der)

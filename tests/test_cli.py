@@ -8,7 +8,10 @@ Core claims:
       artifact embeds the config hash and seed
     - counting subcommands expose the naive oracles
     - declared neighborhoods are checked (one list per index, integer ids
-      in [0, n), i in A_i) and a bad declaration exits 2
+      in [0, n), i in A_i) and a bad declaration exits 2; W2 and W2bar
+      read them
+    - a grid point builds its neighborhood system at most once, only when
+      a consumer asks for it, and an induced system over the cap exits 1
     - the checkers block takes a list of known check names and a boolean
       include_r4, family and source parameters are read with their types
       (a pattern of ints, explicit edges as in-range int pairs, a word in
@@ -34,6 +37,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import locdep.cli as cli
+import locdep.fields as fields
+import locdep.moments as moments
+import locdep.neighborhood as nb
+import locdep.oracle as oracle
 
 
 def write_spec(tmp_path: Path, doc: dict) -> str:
@@ -256,6 +263,67 @@ def test_capped_neighborhood_system_exits_1_naming_the_cap(tmp_path, capsys):
     assert "ComplexityCapExceeded" in err and "cap 10000000" in err
 
 
+def test_w2_over_the_system_cap_exits_1_naming_the_cap(tmp_path, capsys):
+    doc = minimal_spec(tmp_path, family="decorated_graph",
+                       params={"pattern": "triangle", "p": 0.3}, grid=[40], statistic="w2",
+                       mode={"kind": "mc", "reps": 1000})
+    assert cli.main(["mc", "--spec", write_spec(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "ComplexityCapExceeded" in err and "cap 10000000" in err
+
+
+def summary_ks(out: Path) -> list[float]:
+    rows = (out / "summary.csv").read_text().splitlines()[2:]
+    return [float(r.split(",")[4]) for r in rows]
+
+
+@pytest.mark.parametrize("statistic", ["w2", "w2bar"])
+def test_declared_neighborhoods_drive_the_self_normalized_statistics(tmp_path, statistic):
+    # A_i = [i-2, i+2], wider than the induced [i-1, i+1] of an m = 1 window field
+    declared = [[j for j in range(i - 2, i + 3) if 0 <= j < 6] for i in range(6)]
+    doc = minimal_spec(tmp_path, family="m_dependent",
+                       params={"m": 1, "source": {"kind": "rademacher"}, "declared_A": declared},
+                       statistic=statistic)
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0
+    (ks,) = summary_ks(tmp_path / "out")
+    field = fields.build_m_dependent(6, 1, fields.rademacher())
+    assert ks == oracle.exact_kolmogorov(field, statistic, sys=nb.make_system(declared))
+    assert ks != oracle.exact_kolmogorov(field, statistic)
+
+
+# (family, params, statistic, bounds, assertions) -> systems and overlap
+# matrices built per grid point: the w2 spec builds its system once (the
+# bounds, W2 and the LD check share it) plus the moment table's own pairs
+ONE_SYSTEM_CASES = {
+    "exact_w2": (("m_dependent", {"m": 1, "source": {"kind": "three_point"}}, "w2",
+                  ["main", "self_normalized"], {"require_ld": True}), 1, 2),
+    "triangle_w1": (("decorated_graph", {"pattern": "triangle", "p": 0.3}, "w1",
+                     ["decorated"], {}), 0, 0),
+}
+
+
+@pytest.mark.parametrize("case,systems,overlaps", ONE_SYSTEM_CASES.values(),
+                         ids=ONE_SYSTEM_CASES.keys())
+def test_one_system_per_grid_point_built_on_demand(tmp_path, monkeypatch, case, systems, overlaps):
+    family, params, statistic, bounds, assertions = case
+    calls = {"system": 0, "overlap": 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "_system", counted("system", cli._system))
+    overlap = counted("overlap", fields.overlap_matrix)
+    monkeypatch.setattr(fields, "overlap_matrix", overlap)
+    monkeypatch.setattr(moments, "overlap_matrix", overlap)
+    doc = minimal_spec(tmp_path, family=family, params=params, grid=[4, 5, 6],
+                       statistic=statistic, bounds=bounds, assertions=assertions)
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0
+    assert calls == {"system": 3 * systems, "overlap": 3 * overlaps}
+
+
 def test_bound_outside_the_family_exits_2(tmp_path, capsys):
     doc = minimal_spec(tmp_path, bounds=["graph"])
     assert cli.main(["bound", "--spec", write_spec(tmp_path, doc)]) == 2
@@ -313,6 +381,8 @@ PARAM_CASES = {
     "gaps_longer_than_word": ("constrained_ustat", {"word": "ab", "gaps": ["inf", 1]}, "$.params"),
     "gaps_shorter_than_pattern": ("constrained_ustat", {"pattern": [2, 1, 3]}, "$.params"),
     "kernel_degree": ("ustat", {"m": 3, "kernel": "diff_sq_half"}, "$.params.m"),
+    "ustat_uniform_source": ("ustat", {"source": {"kind": "uniform"}}, "$.params.source.kind"),
+    "ustat_normal_source": ("ustat", {"source": {"kind": "normal"}}, "$.params.source.kind"),
     "edges_loop": ("graph", {"graph": "explicit", "edges": [[1, 1]]}, "$.params"),
     "pattern_no_edge": ("decorated_graph", {"pattern": []}, "$.params"),
 }

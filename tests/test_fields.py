@@ -14,7 +14,8 @@ Core claims:
     - a built field is immutable, and sampling leaves it unchanged
     - sum fields (iid, m-dependent, graph) take the linear route: their
       values, sums and exact means agree with the gather route and with
-      local enumeration
+      local enumeration; other fields that read continuous sources need
+      given means
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def test_induced_m_dependent_windows():
     f = F.build_m_dependent(6, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
     for i in range(6):
-        assert set(sys.A[i]) == {j for j in (i - 1, i, i + 1) if 0 <= j < 6}
+        assert set(sys.M[i].indices) == {j for j in (i - 1, i, i + 1) if 0 <= j < 6}
 
 
 def test_induced_ustat_pairs_overlap():
@@ -52,7 +53,7 @@ def test_induced_ustat_pairs_overlap():
     sys = F.induced_neighborhoods(f)
     pairs = list(itertools.combinations(range(4), 2))
     idx = {p: k for k, p in enumerate(sorted(pairs, key=lambda t: t[::-1]))}
-    a_01 = set(sys.A[idx[(0, 1)]])
+    a_01 = set(sys.M[idx[(0, 1)]].indices)
     expect = {idx[p] for p in pairs if set(p) & {0, 1}}
     assert a_01 == expect and len(a_01) == 5
 
@@ -60,7 +61,7 @@ def test_induced_ustat_pairs_overlap():
 def test_induced_iid_singletons():
     f = F.build_iid_field(4, F.rademacher())
     sys = F.induced_neighborhoods(f)
-    assert sys.A == tuple((i,) for i in range(4))
+    assert np.array_equal(sys.M.toarray(), np.eye(4))  # A_i = {i}
 
 
 def test_sample_determinism_and_independence():
@@ -88,7 +89,7 @@ def test_rademacher_identity_values():
 def test_m_dependent_degenerate_cases():
     f0 = F.build_m_dependent(4, 0, F.rademacher())
     sys = F.induced_neighborhoods(f0)
-    assert sys.A == tuple((i,) for i in range(4))
+    assert np.array_equal(sys.M.toarray(), np.eye(4))  # A_i = {i}
     with pytest.raises(InvalidSize):
         F.build_m_dependent(0, 1, F.rademacher())
     with pytest.raises(InvalidSize):
@@ -102,13 +103,12 @@ def test_graph_builder_neighborhoods():
 
     c6 = F.build_graph_dependency(6, [(i, (i + 1) % 6) for i in range(6)], F.rademacher())
     sys6 = F.induced_neighborhoods(c6)
-    assert all(len(a) == 3 for a in sys6.A)
+    assert np.all(np.diff(sys6.M.indptr) == 3)  # |A_i| = 3
     assert nb.derive(sys6).kappa == 4
 
     star = F.build_graph_dependency(4, [(0, 1), (0, 2), (0, 3)], F.rademacher())
     sys_star = F.induced_neighborhoods(star)
-    assert len(sys_star.A[0]) == 4
-    assert all(len(sys_star.A[i]) == 2 for i in (1, 2, 3))
+    assert np.diff(sys_star.M.indptr).tolist() == [4, 2, 2, 2]
 
 
 def test_ustat_field_sum_matches_direct_u():
@@ -160,7 +160,7 @@ def test_constrained_iid_neighborhoods_are_overlap_only():
     tuples = f.metadata["tuples"]
     for i, ti in enumerate(tuples):
         expect = {j for j, tj in enumerate(tuples) if set(ti) & set(tj)}
-        assert set(sys.A[i]) == expect
+        assert set(sys.M[i].indices) == expect
 
 
 def test_constrained_m_dependent_neighborhoods():
@@ -176,7 +176,7 @@ def test_constrained_m_dependent_neighborhoods():
             dist = min(abs(p - q) for p in ti for q in tj)
             if set(ti) & set(tj) or dist <= 1:
                 expect.add(j)
-        assert set(sys.A[i]) == expect
+        assert set(sys.M[i].indices) == expect
 
 
 def test_unconstrained_symmetric_tuples_are_subsets():
@@ -214,7 +214,7 @@ def test_decorated_induced_neighbors_share_an_edge():
     eid = f.metadata["edge_ids"]
     for i in range(len(inj)):
         expect = {j for j in range(len(inj)) if set(eid[i]) & set(eid[j])}
-        assert set(sys.A[i]) == expect
+        assert set(sys.M[i].indices) == expect
 
 
 def test_induced_systems_satisfy_local_dependence_exactly():
@@ -242,27 +242,41 @@ def test_outcome_blocks_probabilities_sum_to_one():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mean_prepass_for_continuous_sources():
-    # 50 indices alternating between U_i and U_i * U_{i+1}: the pre-pass
-    # estimates one mean per signature group and spreads it over the group
+def test_continuous_sources_need_given_means():
+    # 50 indices alternating between U_i and U_i * U_{i+1} over uniform
+    # sources: no exact mean, so construction asks for given means
     n = 50
     has_v = np.arange(n) % 2 == 1
-    f = F.LatentSourceField(
+    kwargs = dict(
         sources=(F.ContinuousSource("uniform"),) * (n + 1),
         supports=np.stack([np.arange(n), np.where(has_v, np.arange(n) + 1, -1)], axis=1),
         ev=lambda G, has_v: G[..., 0] * np.where(has_v, G[..., 1], 1.0),
         params=(has_v,),
         center=True,
     )
-    means = F.compute_means(f, prepass=200_000)
-    assert np.unique(means).size == 2
-    assert np.all(np.abs(means[~has_v] - 0.5) <= 0.01)
-    assert np.all(np.abs(means[has_v] - 0.25) <= 0.01)
-    assert f.metadata["mean_prepass"] == {"draws": 10**6, "groups": 2, "indices": n}
+    with pytest.raises(ValueError, match="means"):
+        F.LatentSourceField(**kwargs)
+    given = np.where(has_v, 0.25, 0.5)
+    f = F.LatentSourceField(**kwargs, means=given)
+    assert np.array_equal(f.means, given)
     # a sum field is linear in its sources: its means are exact, with no pre-pass
     normal = F.build_m_dependent(40, 1, F.ContinuousSource("normal"))
     assert "mean_prepass" not in normal.metadata
     assert np.array_equal(normal.means, np.zeros(40))
+
+
+# pattern edge lists on v = 3, 4 and 2 vertices
+@pytest.mark.parametrize("n, edges", [
+    (6, [(0, 1), (0, 2), (1, 2)]),
+    (7, [(0, 1), (1, 2), (2, 3)]),
+    (8, [(0, 1)]),
+])
+def test_decorated_injections_are_the_lexicographic_permutations(n, edges):
+    f = F.build_decorated_graph_field(n, edges, F.bernoulli(0.5))
+    v = max(max(e) for e in edges) + 1
+    expect = np.array(list(itertools.permutations(range(n), v)), dtype=np.int64)
+    assert f.metadata["injections"].dtype == np.int64
+    assert np.array_equal(f.metadata["injections"], expect)
 
 
 SUM_FIELDS = {

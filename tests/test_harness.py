@@ -66,7 +66,7 @@ def test_chunk_size_and_thread_count_do_not_change_summaries():
     # integer lattice, so S and the W2 reductions must not depend on the
     # split to the last bit
     f = F.build_m_dependent(300, 1, F.rademacher())
-    t = M.exact_moment_table(f, sigma2_mode="local")
+    t = M.exact_moment_table(f, cap=0)
     runs = [
         H.mc_run(f, "w1", 4000, 3, sigma=t.sigma, threads=threads, **chunk)
         for chunk in ({"chunk": 256}, {"chunk": 512}, {})
@@ -87,17 +87,17 @@ def test_chunk_size_and_thread_count_do_not_change_summaries():
 def test_rejections_reproduce_and_excess_raises():
     # two iid Rademacher points: V = 0 whenever X1 = X2 (half the time)
     f = F.build_iid_field(2, F.rademacher())
-    adj = F.induced_neighborhoods(f)
-    a = H.mc_run(f, "w2", 1000, 11, sys_or_adj=adj, max_reject_fraction=1.0)
-    b = H.mc_run(f, "w2", 1000, 11, sys_or_adj=adj, max_reject_fraction=1.0)
+    sys = F.induced_neighborhoods(f)
+    a = H.mc_run(f, "w2", 1000, 11, sys=sys, max_reject_fraction=1.0)
+    b = H.mc_run(f, "w2", 1000, 11, sys=sys, max_reject_fraction=1.0)
     assert a.rejected == b.rejected > 0
     with pytest.raises(ExcessRejections):
-        H.mc_run(f, "w2", 1000, 11, sys_or_adj=adj)
+        H.mc_run(f, "w2", 1000, 11, sys=sys)
 
 
 def test_w2_on_continuous_field_has_no_rejections():
     f = F.build_iid_field(50, F.ContinuousSource("normal"), center=False)
-    s = H.mc_run(f, "w2", 2000, 13, sys_or_adj=F.induced_neighborhoods(f))
+    s = H.mc_run(f, "w2", 2000, 13, sys=F.induced_neighborhoods(f))
     assert s.rejected == 0
     assert s.ks < 0.1
 

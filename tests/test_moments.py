@@ -32,7 +32,7 @@ import pytest
 import locdep.fields as F
 import locdep.moments as M
 import locdep.oracle as O
-from locdep.errors import DegenerateKernel
+from locdep.errors import DegenerateKernel, EnumerationCapExceeded
 from locdep.rng import substream
 
 
@@ -48,10 +48,10 @@ def test_iid_rademacher_table():
 def test_window_field_variance_identity_two_ways():
     f = F.build_m_dependent(4, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
-    t = M.exact_moment_table(f, sys, sigma2_mode="enumerate")
+    t = M.exact_moment_table(f, sys)
     assert t.sigma2 == pytest.approx(4 * 4 - 2)  # Var(U_1 + 2U_2 + 2U_3 + U_4 ... )
     assert t.l2[0] ** 2 == pytest.approx(2.0)  # Var of a two-Rademacher sum
-    t_local = M.exact_moment_table(f, sys, sigma2_mode="local")
+    t_local = M.exact_moment_table(f, sys, cap=0)
     assert t_local.sigma2 == pytest.approx(t.sigma2, rel=1e-12)
 
 
@@ -118,15 +118,8 @@ def test_hoeffding_projection_hand_values():
     # g(x) = (x^2 - 1)/2 vanishes on the support, so it is degenerate too
     with pytest.raises(DegenerateKernel):
         M.hoeffding_sigma1(lambda x, y: (x - y) ** 2 / 2, 2, F.rademacher())
-
-
-def test_hoeffding_mc_path_matches_exact():
-    exact = M.hoeffding_sigma1(lambda x, y: x + 0.5 * y, 2, F.three_point())
-    mc = M.hoeffding_sigma1(
-        lambda x, y: x + 0.5 * y, 2, F.three_point(), reps=40000, inner_reps=400
-    )
-    assert mc.sigma1 == pytest.approx(exact.sigma1, rel=0.1)
-    assert mc.theta == pytest.approx(exact.theta, abs=0.05)
+    with pytest.raises(EnumerationCapExceeded):  # sigma1 is enumerated
+        M.hoeffding_sigma1(lambda x, y: x + y, 2, F.ContinuousSource("uniform"))
 
 
 def test_transitive_sigma2_shortcut_matches_full_sum():
@@ -159,7 +152,7 @@ def reference_csv_rows(table: M.MomentTable) -> list[str]:
 def test_csv_rows_match_per_row_formatter():
     f = F.build_constrained_ustat_field(7, 1, lambda x, y: x * y + x, (None,), F.three_point())
     exact = M.exact_moment_table(f, F.induced_neighborhoods(f))
-    hybrid = M.exact_moment_table(f, sigma2_mode="local")
+    hybrid = M.exact_moment_table(f, cap=0)
     mc = M.mc_moment_table(f, reps=1000, master_seed=8)
     assert exact.mode == "exact" and hybrid.mode == "hybrid" and exact.groups is not None
     assert mc.groups is None
@@ -227,16 +220,17 @@ def test_signature_grouping_matches_ungrouped_enumeration(case):
         norms.append([float(probs @ a**p) ** (1 / p) for p in (2, 3, 4)])
     if f.center:
         assert np.allclose(F.compute_means(f), means, rtol=1e-12, atol=1e-13)
-    t = M.exact_moment_table(f, sigma2_mode="local")
+    t = M.exact_moment_table(f, cap=0)
     assert np.allclose(np.stack([t.l2, t.l3, t.l4], axis=1), norms, rtol=1e-12, atol=1e-13)
     assert np.allclose(M.exact_index_norms(f, np.arange(f.n)), norms, rtol=1e-12, atol=1e-13)
     sys = F.induced_neighborhoods(f)
     pair_sum = 0.0
-    for i, a in enumerate(sys.A):
+    A = [sys.M[i].indices for i in range(f.n)]
+    for i, a in enumerate(A):
         for j in a:
             probs, X = ungrouped_values(f, [i, j])
             pair_sum += float(probs @ (X[:, 0] * X[:, 1])) - float(probs @ X[:, 0]) * float(probs @ X[:, 1])
-    ij = np.array([(i, j) for i, a in enumerate(sys.A) for j in a])
+    ij = np.array([(i, j) for i, a in enumerate(A) for j in a])
     assert M.exact_pair_covariance(f, ij).sum() == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     local = M.exact_sigma2_local(f)
     assert local == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
@@ -319,6 +313,6 @@ def test_exact_moment_table_reads_frozen_index_groups(monkeypatch):
 
     monkeypatch.setattr(F, "signature_groups", pairs_only)
     monkeypatch.setattr(M, "signature_groups", pairs_only)
-    t = M.exact_moment_table(f, F.induced_neighborhoods(f), sigma2_mode="enumerate")
-    h = M.exact_moment_table(f, sigma2_mode="local")
+    t = M.exact_moment_table(f, F.induced_neighborhoods(f))
+    h = M.exact_moment_table(f, cap=0)
     assert np.array_equal(t.groups, f.groups[1]) and np.array_equal(h.l2, t.l2)

@@ -15,10 +15,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import locdep.fields as fields
 import locdep.neighborhood as nb
 from locdep.bounds import interference_set_of
+
+
+def rows(M) -> list[np.ndarray]:
+    """The sorted column ids of each row of a CSR matrix: A_i for M, N_j for Mt."""
+    return [M.indices[M.indptr[i]:M.indptr[i + 1]] for i in range(M.shape[0])]
+
+
+def iid_system(n: int) -> nb.NeighborhoodSystem:
+    return nb.make_system(sparse.identity(n, format="csr"))
 
 
 def window_system(n: int, m: int) -> nb.NeighborhoodSystem:
@@ -28,16 +38,18 @@ def window_system(n: int, m: int) -> nb.NeighborhoodSystem:
 
 
 def brute_reverse(sys: nb.NeighborhoodSystem) -> list[set[int]]:
-    return [{k for k in range(sys.n) if i in sys.A[k]} for i in range(sys.n)]
+    A = rows(sys.M)
+    return [{k for k in range(sys.n) if i in A[k]} for i in range(sys.n)]
 
 
 def brute_interference(sys: nb.NeighborhoodSystem) -> list[set[tuple[int, int]]]:
     out = []
+    A = rows(sys.M)
     for i in range(sys.n):
         d = set()
         for k in range(sys.n):
-            for l in sys.A[k]:
-                if i in set(sys.A[k]) | set(sys.A[l]):
+            for l in A[k]:
+                if i in set(A[k]) | set(A[l]):
                     d.add((k, int(l)))
         out.append(d)
     return out
@@ -68,35 +80,36 @@ def random_non_reflexive_system(rng: np.random.Generator, n: int) -> nb.Neighbor
 
 def check_against_brute_force(sys: nb.NeighborhoodSystem) -> None:
     d = nb.derive(sys)
-    assert [set(x.tolist()) for x in d.N] == brute_reverse(sys)
+    assert [set(x.tolist()) for x in rows(d.Mt)] == brute_reverse(sys)
     D = brute_interference(sys)
     assert [interference(sys, i) for i in range(sys.n)] == D
     assert d.tau == max(len(x) for x in D)
-    covers = [len(set(sys.A[i]) | set(sys.A[j])) for i in range(sys.n) for j in sys.A[i]]
+    A = rows(sys.M)
+    covers = [len(set(A[i]) | set(A[j])) for i in range(sys.n) for j in A[i]]
     assert d.kappa == max(max(len(x) for x in brute_reverse(sys)), max(covers))
 
 
 def test_reverse_neighborhoods_hand_example():
     sys = nb.make_system([(0, 1), (1,)])
-    assert [x.tolist() for x in nb.derive(sys).N] == [[0], [0, 1]]
+    assert [x.tolist() for x in rows(nb.derive(sys).Mt)] == [[0], [0, 1]]
     check_against_brute_force(sys)
 
 
 def test_reverse_neighborhoods_iid_identity():
-    sys = nb.iid_system(5)
-    assert [x.tolist() for x in nb.derive(sys).N] == [[i] for i in range(5)]
+    sys = iid_system(5)
+    assert [x.tolist() for x in rows(nb.derive(sys).Mt)] == [[i] for i in range(5)]
 
 
 def test_reverse_neighborhoods_window_brute_force():
     sys = window_system(6, 1)
-    rev = nb.derive(sys).N
+    rev = rows(nb.derive(sys).Mt)
     assert [set(r.tolist()) for r in rev] == brute_reverse(sys)
     # symmetric windows: N_i = A_i
-    assert all(np.array_equal(r, a) for r, a in zip(rev, sys.A))
+    assert all(np.array_equal(r, a) for r, a in zip(rev, rows(sys.M)))
 
 
 def test_pair_interference_iid():
-    sys = nb.iid_system(4)
+    sys = iid_system(4)
     assert [interference(sys, i) for i in range(4)] == [{(i, i)} for i in range(4)]
     assert nb.derive(sys).tau == 1
 
@@ -109,7 +122,7 @@ def test_pair_interference_window_interior():
 
 
 def test_pair_interference_single_index():
-    sys = nb.iid_system(1)
+    sys = iid_system(1)
     assert interference(sys, 0) == {(0, 0)}
     assert (nb.derive(sys).kappa, nb.derive(sys).tau) == (1, 1)
 
@@ -123,7 +136,7 @@ def test_pair_interference_random_systems_with_non_reflexive_rows():
 
 
 def test_kappa_tau_values():
-    assert nb.derive(nb.iid_system(3)).kappa == 1
+    assert nb.derive(iid_system(3)).kappa == 1
     d = nb.derive(window_system(10, 1))
     assert (d.kappa, d.tau) == (4, 11)
 
@@ -171,11 +184,11 @@ def test_system_is_read_only():
     with pytest.raises(ValueError):
         sys.M.data[0] = 2.0
     with pytest.raises(ValueError):
-        sys.A[0][0] = 3
+        sys.M.indices[0] = 3
 
 
 def test_validate_valid_system_empty_report():
-    rep = nb.validate_structure(nb.iid_system(4))
+    rep = nb.validate_structure(iid_system(4))
     assert rep.ok and not rep.violations
 
 
@@ -193,7 +206,8 @@ def test_relabeling_invariance_of_kappa_tau():
         sys = random_system(rng, int(rng.integers(2, 9)))
         d = nb.derive(sys)
         perm = rng.permutation(sys.n)
-        d2 = nb.derive(nb.make_system([perm[sys.A[i]] for i in np.argsort(perm)]))  # i -> perm[i]
+        A = rows(sys.M)
+        d2 = nb.derive(nb.make_system([perm[A[i]] for i in np.argsort(perm)]))  # i -> perm[i]
         assert (d.kappa, d.tau) == (d2.kappa, d2.tau)
 
 
@@ -201,8 +215,8 @@ def test_double_counting_identity():
     rng = np.random.default_rng(11)
     for _ in range(20):
         sys = random_system(rng, int(rng.integers(2, 9)))
-        rev = nb.derive(sys).N
-        assert sum(map(len, sys.A)) == sum(map(len, rev))
+        rev = rows(nb.derive(sys).Mt)
+        assert sum(map(len, rows(sys.M))) == sum(map(len, rev))
 
 
 def test_union_cover_tau_at_most_two_kappa_squared():

@@ -270,7 +270,7 @@ def ld_reference(field, sys, tol=1e-12):
             for ka, va in pa.items() for kb, vb in pb.items()
         )
 
-    A = [set(a.tolist()) for a in sys.A]
+    A = [set(sys.M[i].indices.tolist()) for i in range(sys.n)]
     out = []
     for i in range(sys.n):
         outside = [j for j in range(sys.n) if j not in A[i]]
@@ -287,7 +287,8 @@ def ld_reference(field, sys, tol=1e-12):
 def shrink(sys, rng):
     """Drop one other member from each neighborhood that has one."""
     A = []
-    for i, a in enumerate(sys.A):
+    for i in range(sys.n):
+        a = sys.M[i].indices
         others = [int(j) for j in a if j != i]
         drop = others[int(rng.integers(len(others)))] if others else None
         A.append([int(j) for j in a if j != drop])

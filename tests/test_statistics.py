@@ -29,20 +29,24 @@ import locdep.statistics as st
 from locdep.errors import DegenerateVariance
 
 
+def iid_system(n: int) -> nb.NeighborhoodSystem:
+    return nb.make_system(sparse.identity(n, format="csr"))
+
+
 def one_row(x) -> np.ndarray:
     return np.asarray(x, dtype=float)[None, :]
 
 
 def reference_w2(x: np.ndarray, sys) -> tuple[float, float | None]:
     """(V, W2) of one realization by the definition; W2 is None when V = 0."""
-    y = nb.adjacency(sys) @ x
+    y = sys.M @ x
     v = math.sqrt(max(float(x @ y) - x.size * float(x.mean()) * float(y.mean()), 0.0))
     return v, (float(x.sum()) / v if v > 0.0 else None)
 
 
 def reference_w2bar(x: np.ndarray, sys, sigma: float) -> tuple[float, float]:
     """(Vbar, W2bar) of one realization by the definition."""
-    q = float(x @ (nb.adjacency(sys) @ x))
+    q = float(x @ (sys.M @ x))
     vbar = math.sqrt(min(max(q, sigma * sigma / 4), 2 * sigma * sigma))
     return vbar, float(x.sum()) / vbar
 
@@ -50,8 +54,8 @@ def reference_w2bar(x: np.ndarray, sys, sigma: float) -> tuple[float, float]:
 def vbar_at(q: float, sigma: float) -> float:
     """Vbar at sum_i X_i Y_i = q, read off w2bar_batch: X = (q, -q, 1) with
     A_0 = {2} and A_1, A_2 empty gives that sum with S = 1, so Vbar = 1 / W2bar."""
-    adj = sparse.csr_matrix(([1.0], ([0], [2])), shape=(3, 3))
-    return 1.0 / st.w2bar_batch(one_row([q, -q, 1.0]), adj, sigma)[0]
+    sys = nb.make_system(sparse.csr_matrix(([1.0], ([0], [2])), shape=(3, 3)))
+    return 1.0 / st.w2bar_batch(one_row([q, -q, 1.0]), sys, sigma)[0]
 
 
 def test_sum_and_w1_examples():
@@ -69,14 +73,14 @@ def test_sum_and_w1_examples():
 
 
 def test_w2_zero_field_rejected():
-    sys = nb.iid_system(3)
+    sys = iid_system(3)
     w2, rejected = st.w2_batch(one_row(np.zeros(3)), sys)
     assert rejected[0] and np.isnan(w2[0])  # rejected exactly when V = 0
 
 
 def test_w2_iid_reduces_to_centered_second_moment():
     rng = np.random.default_rng(3)
-    sys = nb.iid_system(6)
+    sys = iid_system(6)
     X = rng.normal(size=(20, 6))
     w2, rejected = st.w2_batch(X, sys)
     for x, w, rej in zip(X, w2, rejected):
@@ -109,7 +113,7 @@ def test_psi_clamp_examples():
 
 
 def test_w2bar_examples_and_envelope():
-    sys = nb.iid_system(4)
+    sys = iid_system(4)
     # all zeros: sum X_i Y_i = 0, so Vbar = sigma / 2
     assert st.w2bar_batch(one_row(np.zeros(4)), sys, 2.0)[0] == 0.0
     assert vbar_at(0.0, 2.0) == 1.0
@@ -237,11 +241,10 @@ def test_u_statistic_hand_values():
 def test_batch_statistics_match_scalar():
     f = F.build_m_dependent(6, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
-    adj = nb.adjacency(sys)
     rng = np.random.default_rng(8)
     X = rng.normal(size=(16, 6))
-    w2s, rej = st.w2_batch(X, adj)
-    w2bars = st.w2bar_batch(X, adj, 2.0)
+    w2s, rej = st.w2_batch(X, sys)
+    w2bars = st.w2bar_batch(X, sys, 2.0)
     for r in range(16):
         v, w2 = reference_w2(X[r], sys)
         if w2 is None:
