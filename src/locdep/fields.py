@@ -150,15 +150,31 @@ def product_grid(sources: Sequence[Source], start: int = 0, stop: int | None = N
     if any(not isinstance(s, DiscreteSource) for s in sources):
         raise EnumerationCapExceeded("continuous source; no exact grid")
     stop = math.prod(len(s.values) for s in sources) if stop is None else stop
-    idx = np.arange(start, stop, dtype=np.int64)
-    rows = np.empty((idx.size, len(sources)))
-    p = np.ones(idx.size)
+    rows = np.empty((stop - start, len(sources)))
+    p = np.ones(stop - start)
+    # source s holds each digit for a run of `inner` outcomes and repeats
+    # its digits every `cycle`: whole cycles are written by broadcasting,
+    # the partial ones at the block's ends run by run, so no outcome is
+    # divided and nothing larger than the block is built
+    inner = 1
     for s in range(len(sources) - 1, -1, -1):
-        radix = len(sources[s].values)
-        digit = idx % radix
-        idx //= radix
-        rows[:, s] = np.asarray(sources[s].values)[digit]
-        p *= np.asarray(sources[s].probs)[digit]
+        values, probs = sources[s].values, sources[s].probs
+        cycle = inner * len(values)
+        lo = min(-(-start // cycle) * cycle, stop)  # first whole cycle
+        hi = max(stop // cycle * cycle, lo)
+        if hi > lo:  # (cycles, digit, run) views of the whole cycles
+            rows[lo - start:hi - start].reshape(-1, len(values), inner, len(sources))[..., s] = \
+                np.asarray(values)[:, None]
+            whole = p[lo - start:hi - start].reshape(-1, len(values), inner)
+            whole *= np.asarray(probs)[:, None]
+        for a, b in ((start, lo), (hi, stop)):
+            while a < b:  # one run of one digit per step
+                end = min((a // inner + 1) * inner, b)
+                digit = a // inner % len(values)
+                rows[a - start:end - start, s] = values[digit]
+                p[a - start:end - start] *= probs[digit]
+                a = end
+        inner = cycle
     return p, rows
 
 
@@ -469,7 +485,7 @@ def sum_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(rows)
     batch_sum = field.metadata.get("batch_sum")
     if field.ev is _sum_columns:
-        c = np.bincount(field.incidence.indices, field.incidence.data, field.n_sources)
+        c = source_counts(field)
         starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])  # runs of equal c
         s = (np.add.reduceat(rows, starts, axis=1) * c[starts]).sum(axis=1)
     elif batch_sum is not None:
@@ -477,6 +493,12 @@ def sum_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     else:
         return evaluate_values(field, rows).sum(axis=1)
     return s - float(np.sum(field.means)) if field.center else s
+
+
+def source_counts(field: LatentSourceField) -> np.ndarray:
+    """c_s, the number of support slots reading source s (the column sums
+    of ``incidence``): a sum field's S is U @ c less the summed means."""
+    return np.bincount(field.incidence.indices, field.incidence.data, field.n_sources)
 
 
 def outcome_blocks(

@@ -7,10 +7,15 @@ enumeration over each index's (discrete) support, once per index group
 frozen on the field (exact tables carry the groups on), or by Monte
 Carlo with batch-means standard errors.
 
-Var(S) is computed either by global enumeration (cross-checked against
-the local-dependence identity Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j))
-or from that identity alone via local enumeration once per pair group,
-which scales to fields whose full outcome space is out of reach.
+Exact Var(S) is cross-checked against the local-dependence identity
+Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j).  A sum field takes the
+closed form sum_s c_s^2 Var(U_s), other fields a walk of the full
+outcome space, and the identity is summed by local enumeration once per
+pair group.  Past the enumeration cap the identity alone gives Var(S),
+which scales to fields whose full outcome space is out of reach.  A
+caller that holds the materialized outcome space (the checkers'
+``oracle.precompute``) passes it in, and norms, Var(S) and the identity
+are all read from it, with no further enumeration.
 """
 
 from __future__ import annotations
@@ -30,10 +35,12 @@ from .fields import (
     draw_source_rows,
     evaluate_values,
     local_values,
+    _sum_columns,
     outcome_blocks,
     overlap_matrix,
     product_grid,
     signature_groups,
+    source_counts,
     sum_values,
 )
 from .neighborhood import NeighborhoodSystem, pairs
@@ -153,36 +160,71 @@ def exact_sigma2_enumerated(field: LatentSourceField, cap: int = DEFAULT_ENUM_CA
     return es2 - es * es
 
 
+def _sum_field_sigma2(field: LatentSourceField) -> float:
+    """Var(S) = sum_s c_s^2 Var(U_s) of a sum field over discrete sources,
+    c the slot counts of :func:`fields.source_counts`."""
+    var = []
+    for _, src in field.runs:
+        v, p = np.asarray(src.values), np.asarray(src.probs)
+        var.append(float(p @ (v - p @ v) ** 2))
+    lengths = [sl.stop - sl.start for sl, _ in field.runs]
+    return float(source_counts(field) ** 2 @ np.repeat(var, lengths))
+
+
 def exact_moment_table(
     field: LatentSourceField,
     sys: NeighborhoodSystem | None = None,
     kappa: int | None = None,
     cap: int = DEFAULT_ENUM_CAP,
+    outcomes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MomentTable:
     """Exact norms and Var(S).
 
-    Var(S) comes from global enumeration when the field has at most
-    ``cap`` outcomes, cross-checked against the covariance identity over
-    ``sys`` (AssertionError when they differ: the neighborhoods do not
-    cover the true dependence), and otherwise from the identity alone
-    (mode "hybrid").
+    ``outcomes`` is the field's materialized outcome space, (probs, X) with
+    X the (M, n) field values (centered iff the field is).  When it is
+    given, every quantity is read from it: the norms at the columns of the
+    index-group representatives, Var(S) from the row sums, and the
+    covariance identity from the covariance matrix summed over ``sys``.
+    Otherwise the norms come from local enumeration once per index group,
+    and Var(S), when the field has at most ``cap`` outcomes, from the
+    closed form sum_s c_s^2 Var(U_s) for a sum field or else from global
+    enumeration, cross-checked against the covariance identity over
+    ``sys`` by local enumeration once per pair group.  Past the cap Var(S)
+    is the identity alone (mode "hybrid").  A failed cross-check raises
+    AssertionError: the neighborhoods do not cover the true dependence.
     """
     first, inverse = field.groups
-    l2, l3, l4 = exact_index_norms(field, first)[inverse].T.copy()
     count = field.outcome_count()
     mode = "exact"
-    if count is not None and count <= cap:
-        sigma2 = exact_sigma2_enumerated(field, cap=cap)
-        sigma2_id = exact_sigma2_local(field, sys)
-        scale = max(1.0, abs(sigma2))
-        if abs(sigma2 - sigma2_id) > SIGMA2_IDENTITY_RTOL * scale:
-            raise AssertionError(
-                f"variance identity violated: Var(S)={sigma2} vs "
-                f"covariance sum {sigma2_id}"
-            )
+    if outcomes is not None:
+        probs, X = outcomes
+        Xg = X[:, first]
+        if not field.center and field.means is not None:
+            Xg = Xg - field.means[first]
+        a = np.abs(Xg)
+        l2, l3, l4 = np.stack([(probs @ a**p) ** (1 / p) for p in (2, 3, 4)])[:, inverse]
+        s = X.sum(axis=1)
+        es = float(probs @ s)
+        sigma2 = float(probs @ s**2) - es * es
+        mu = probs @ X
+        cov = (X * probs[:, None]).T @ X - np.outer(mu, mu)
+        I, J = pairs(overlap_matrix(field) if sys is None else sys.M)
+        sigma2_id = float(cov[I, J].sum())
     else:
-        sigma2 = exact_sigma2_local(field, sys)
-        mode = "hybrid"
+        l2, l3, l4 = exact_index_norms(field, first)[inverse].T.copy()
+        if count is not None and count <= cap:
+            sigma2 = (_sum_field_sigma2(field) if field.ev is _sum_columns
+                      else exact_sigma2_enumerated(field, cap=cap))
+            sigma2_id = exact_sigma2_local(field, sys)
+        else:
+            sigma2 = sigma2_id = exact_sigma2_local(field, sys)
+            mode = "hybrid"
+    scale = max(1.0, abs(sigma2))
+    if abs(sigma2 - sigma2_id) > SIGMA2_IDENTITY_RTOL * scale:
+        raise AssertionError(
+            f"variance identity violated: Var(S)={sigma2} vs "
+            f"covariance sum {sigma2_id}"
+        )
     table = MomentTable(l2=l2, l3=l3, l4=l4, sigma2=sigma2, mode=mode, groups=inverse)
     if table.degenerate:
         table.extras["degenerate"] = True

@@ -10,7 +10,9 @@ Every checker reads one frozen instance record, :class:`Precomputed`,
 built once per instance by :func:`precompute`: the field and its
 neighborhood system with kappa, tau and M^T, the enumerated outcomes, the
 exact moment table, the dense 0/1 neighborhood matrix and the nested beta
-sums of :func:`bounds.beta_sums`.  A check passes when
+sums of :func:`bounds.beta_sums`.  The outcome space is walked once per
+instance: the moment table (norms, Var(S) and its covariance-identity
+cross-check) is read from the enumerated outcomes.  A check passes when
 
     margin = rhs - lhs >= -1e-10 * max(1, |rhs|).
 
@@ -40,7 +42,7 @@ from .bounds import (
     interference_set_of,
     reverse_set_of,
 )
-from .errors import DegenerateVariance, InvalidTestFunction
+from .errors import DegenerateVariance, EnumerationCapExceeded, InvalidTestFunction
 from .fields import (
     DEFAULT_ENUM_CAP,
     DiscreteSource,
@@ -49,6 +51,7 @@ from .fields import (
     induced_neighborhoods,
     _pack,
     outcome_blocks,
+    sum_values,
 )
 from .moments import MomentTable, exact_moment_table, lam_scale
 from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive, pairs
@@ -56,6 +59,8 @@ from .statistics import statistic_batch
 
 PASS_TOL = 1e-10
 ATOM_MERGE_TOL = 1e-12
+# largest (M, n) float64 outcome matrix enumerate_field builds
+ENUM_BYTES_CAP = 2**30
 
 
 def phi(z):
@@ -78,6 +83,16 @@ class EnumerationPlan:
 def enumerate_field(
     field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP
 ) -> EnumerationPlan:
+    """The whole (M, n) outcome space.  Raises
+    :class:`EnumerationCapExceeded` beyond ``cap`` outcomes, or before
+    anything is allocated when the matrix would take more than
+    ENUM_BYTES_CAP bytes."""
+    count = field.outcome_count()
+    if count is not None and count * field.n * 8 > ENUM_BYTES_CAP:
+        raise EnumerationCapExceeded(
+            f"{count} outcomes x {field.n} values need {count * field.n * 8} bytes, "
+            f"over the cap of {ENUM_BYTES_CAP}"
+        )
     probs_parts = []
     x_parts = []
     for p, rows in outcome_blocks(field, cap=cap):
@@ -93,7 +108,8 @@ def enumerate_field(
 @dataclass(frozen=True)
 class Precomputed:
     """The frozen record of one checked instance: everything the checkers
-    read, built once by :func:`precompute`."""
+    read, built once by :func:`precompute`.  The outcome space is walked
+    once, into ``plan``; the moment table is read from the plan."""
 
     field: LatentSourceField
     sys: NeighborhoodSystem
@@ -114,7 +130,7 @@ def precompute(
         sys = induced_neighborhoods(field)
     der = derive(sys)
     plan = enumerate_field(field, cap=cap)
-    table = exact_moment_table(field, sys, kappa=der.kappa, cap=cap)
+    table = exact_moment_table(field, sys, kappa=der.kappa, outcomes=(plan.probs, plan.X))
     if table.degenerate:
         raise DegenerateVariance("instance has Var(S) = 0")
     P = sys.M.toarray()
@@ -172,7 +188,10 @@ def exact_distribution(
     probs_parts = []
     rejected = 0.0
     for p, rows in outcome_blocks(field, cap=cap):
-        X = evaluate_values(field, rows)
+        if statistic in ("w1", "sum"):  # S alone, as a one-column value matrix
+            X = sum_values(field, rows)[:, None]
+        else:
+            X = evaluate_values(field, rows)
         vals, rej = statistic_batch(statistic, X, sys, sigma)
         if rej.any():
             rejected += float(p[rej].sum())
@@ -181,6 +200,7 @@ def exact_distribution(
         probs_parts.append(p)
     values = np.concatenate(vals_parts)
     probs = np.concatenate(probs_parts)
+    del vals_parts, probs_parts  # not held through the sort in merge_atoms
     if rejected > 0:
         if rejected >= 1.0 - 1e-15:
             raise DegenerateVariance("statistic rejected on every outcome")

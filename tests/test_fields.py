@@ -14,8 +14,9 @@ Core claims:
     - a built field is immutable, and sampling leaves it unchanged
     - sum fields (iid, m-dependent, graph) take the linear route: their
       values, sums and exact means agree with the gather route and with
-      local enumeration; other fields that read continuous sources need
-      given means
+      local enumeration, and their closed-form Var(S) with the full walk;
+      other fields that read continuous sources need given means
+    - the product grid equals the div/mod grid bit for bit on any block
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import pytest
 
 import locdep.fields as F
 import locdep.harness as H
+import locdep.moments as M
 import locdep.neighborhood as nb
 import locdep.oracle as oracle
 import locdep.statistics as st
@@ -242,6 +244,49 @@ def test_outcome_blocks_probabilities_sum_to_one():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def divmod_product_grid(sources, start=0, stop=None):
+    """The product grid by int64 division: each outcome's digits taken
+    with % and //, least significant source first."""
+    stop = math.prod(len(s.values) for s in sources) if stop is None else stop
+    idx = np.arange(start, stop, dtype=np.int64)
+    rows = np.empty((idx.size, len(sources)))
+    p = np.ones(idx.size)
+    for s in range(len(sources) - 1, -1, -1):
+        radix = len(sources[s].values)
+        digit = idx % radix
+        idx //= radix
+        rows[:, s] = np.asarray(sources[s].values)[digit]
+        p *= np.asarray(sources[s].probs)[digit]
+    return p, rows
+
+
+def test_product_grid_matches_the_divmod_grid():
+    # radices (2, 3, 5, 3) with unequal probabilities: 90 outcomes
+    rng = np.random.default_rng(12)
+    sources = []
+    for radix in (2, 3, 5, 3):
+        w = rng.random(radix)
+        sources.append(F.DiscreteSource(tuple(rng.normal(size=radix).tolist()), tuple((w / w.sum()).tolist())))
+    spans = [(0, None), (0, 90), (7, 8), (7, 53), (14, 46), (44, 46), (45, 90), (89, 90), (31, 31), (0, 0), (90, 90)]
+    spans += [(a, b) for a in range(0, 91, 13) for b in range(a, 91, 11)]
+    for k in range(len(sources) + 1):  # the empty source list too
+        for start, stop in spans:
+            total = math.prod(len(s.values) for s in sources[:k])
+            if start > total or (stop is not None and stop > total):
+                continue
+            p, rows = F.product_grid(sources[:k], start, stop)
+            p_ref, rows_ref = divmod_product_grid(sources[:k], start, stop)
+            assert rows.shape == rows_ref.shape and p.shape == p_ref.shape
+            assert np.array_equal(rows, rows_ref) and np.array_equal(p, p_ref)
+    # blocks of one enumeration, as outcome_blocks cuts them
+    f = F.build_m_dependent(4, 1, F.three_point())
+    blocks = list(F.outcome_blocks(f, block=50))
+    assert len(blocks) == 5  # 243 outcomes, the last block partial
+    p_ref, rows_ref = divmod_product_grid(f.sources)
+    assert np.array_equal(np.concatenate([p for p, _ in blocks]), p_ref)
+    assert np.array_equal(np.concatenate([r for _, r in blocks]), rows_ref)
+
+
 def test_continuous_sources_need_given_means():
     # 50 indices alternating between U_i and U_i * U_{i+1} over uniform
     # sources: no exact mean, so construction asks for given means
@@ -290,16 +335,28 @@ SUM_LAWS = {
     "bernoulli": F.bernoulli(0.55),
     "three_point": F.three_point(),
     "normal": F.ContinuousSource("normal"),
+    "mixed": (F.rademacher(), F.bernoulli(0.55), F.three_point()),
 }
+
+
+def sum_field(family: str, law: str) -> F.LatentSourceField:
+    """A SUM_FIELDS field of one SUM_LAWS law; a tuple of laws is cycled
+    over the sources."""
+    laws = SUM_LAWS[law]
+    if not isinstance(laws, tuple):
+        return SUM_FIELDS[family](laws)
+    f = SUM_FIELDS[family](laws[0])
+    mixed = tuple(laws[s % len(laws)] for s in range(f.n_sources))
+    return dataclasses.replace(f, sources=mixed, means=None)
 
 
 @pytest.mark.parametrize("law", SUM_LAWS)
 @pytest.mark.parametrize("family", SUM_FIELDS)
-def test_sum_fields_take_the_linear_route(family, law):
+def test_sum_fields_take_the_linear_route(family, law, monkeypatch):
     # the star pads its leaves' supports.  Only normal sources leave the
     # integer lattice; Bernoulli(0.55) means are not dyadic, so their sums
     # round differently in another summation order
-    f = SUM_FIELDS[family](SUM_LAWS[law])
+    f = sum_field(family, law)
     rows = F.draw_source_rows(f, 23, range(300))
     X = F.evaluate_values(f, rows)
     gathered = F._sum_columns(F._gather(rows, f.supports)) - f.means
@@ -320,6 +377,14 @@ def test_sum_fields_take_the_linear_route(family, law):
     assert np.array_equal(F.sum_values(f, rows[3:250]), S[3:250])
     assert f.incidence.shape == (f.n, f.n_sources)
     assert np.array_equal(f.incidence.sum(axis=1).A1, (f.supports >= 0).sum(axis=1))
+    if law != "normal":
+        # Var(S) = sum_s c_s^2 Var(U_s) in closed form, with no walk of the
+        # outcome space, equals Var(S) over the whole outcome space
+        enumerated = M.exact_sigma2_enumerated(f)
+        monkeypatch.setattr(M, "outcome_blocks", None)
+        table = M.exact_moment_table(f, F.induced_neighborhoods(f))
+        assert table.mode == "exact"
+        assert table.sigma2 == pytest.approx(enumerated, rel=1e-12, abs=0.0)
 
 
 def test_sampler_laws():

@@ -19,6 +19,9 @@ Core claims:
       frozen index groups
     - the CSV body equals the per-row formatter for exact, hybrid and
       Monte-Carlo tables and for tables without groups
+    - a system too small for the field fails the variance identity on
+      every route (closed form, plan, enumeration), and tables read from
+      an enumeration plan equal the locally enumerated ones
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import locdep.fields as F
 import locdep.moments as M
+import locdep.neighborhood as nb
 import locdep.oracle as O
 from locdep.errors import DegenerateKernel, EnumerationCapExceeded
-from locdep.rng import substream
+from locdep.rng import STREAM_INSTANCES, substream
 
 
 def test_iid_rademacher_table():
@@ -316,3 +321,40 @@ def test_exact_moment_table_reads_frozen_index_groups(monkeypatch):
     t = M.exact_moment_table(f, F.induced_neighborhoods(f))
     h = M.exact_moment_table(f, cap=0)
     assert np.array_equal(t.groups, f.groups[1]) and np.array_equal(h.l2, t.l2)
+
+
+def test_too_small_system_fails_the_identity_on_every_route():
+    # a 1-dependent window field checked against A_i = {i}: the neighbor
+    # covariances are left out, so the identity sum falls short of Var(S)
+    f = F.build_m_dependent(6, 1, F.rademacher())
+    alone = nb.make_system(sparse.identity(6, format="csr"))
+    with pytest.raises(AssertionError, match="variance identity violated"):
+        M.exact_moment_table(f, alone)  # closed-form Var(S) of a sum field
+    with pytest.raises(AssertionError, match="variance identity violated"):
+        O.precompute(f, alone)  # Var(S) and the identity read from the plan
+    g = F.build_m_dependent(6, 1, F.rademacher(), window_evaluator=lambda a, b: (1 + a) * (1 + b))
+    with pytest.raises(AssertionError, match="variance identity violated"):
+        M.exact_moment_table(g, alone)  # enumerated Var(S)
+    for field in (f, g):  # the induced system passes on every route
+        sys = F.induced_neighborhoods(field)
+        assert M.exact_moment_table(field, sys).sigma2 == pytest.approx(
+            O.precompute(field, sys).table.sigma2, rel=1e-12)
+
+
+def test_plan_tables_match_local_enumeration():
+    # the first 20 instances of a checker suite: the table precompute reads
+    # from the enumerated outcomes against local enumeration and the
+    # enumerated Var(S) cross-checked by pair groups
+    for k in range(20):
+        pre = O.random_enumerable_instance(substream(314, STREAM_INSTANCES, k)).pre
+        f = pre.field
+        local = M.exact_moment_table(f, pre.sys, kappa=pre.derived.kappa)
+        plan = pre.table
+        assert plan.mode == local.mode == "exact"
+        assert np.array_equal(plan.groups, local.groups)
+        for a, b in ((plan.l2, local.l2), (plan.l3, local.l3), (plan.l4, local.l4)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+            first, inverse = f.groups
+            assert np.array_equal(a, a[first][inverse])  # one value per index group
+        assert plan.sigma2 == pytest.approx(local.sigma2, rel=1e-12, abs=0)
+        assert plan.lam == pytest.approx(local.lam, rel=1e-12, abs=0)

@@ -27,7 +27,7 @@ import pytest
 import locdep.fields as F
 import locdep.neighborhood as nb
 import locdep.oracle as O
-from locdep.errors import DegenerateVariance, InvalidTestFunction
+from locdep.errors import DegenerateVariance, EnumerationCapExceeded, InvalidTestFunction
 
 # Phi values to 15 digits (Abramowitz-Stegun style reference points)
 PHI_TABLE = {
@@ -52,6 +52,14 @@ def test_exact_expectation_closed_forms():
         assert plan.probs @ s == pytest.approx(0.0, abs=1e-12)
         assert plan.probs @ s**2 == pytest.approx(n)
         assert plan.probs @ s**4 == pytest.approx(3 * n**2 - 2 * n)
+
+
+def test_enumerate_field_refuses_a_matrix_over_the_byte_cap():
+    # 2^24 outcomes (within the outcome cap) x 24 values: about 3 GiB
+    f = F.build_iid_field(24, F.rademacher())
+    with pytest.raises(EnumerationCapExceeded, match=str(2**24 * 24 * 8)):
+        O.enumerate_field(f)
+    assert 2**24 * 24 * 8 > O.ENUM_BYTES_CAP
 
 
 def test_exact_kolmogorov_point_mass():
