@@ -39,7 +39,14 @@ edge variables.
 Fields are immutable after construction.  Sampling is a pure function of
 (master_seed, path, replication_index): replications are drawn in blocks
 of ``rng.block_size(n_sources)``, one counter-based substream per block,
-so blocks parallelize and every replication reproduces bit-for-bit.
+so blocks parallelize and every replication reproduces bit-for-bit.  A
+fair two-point source is drawn as packed random bits, and the bits stay
+packed as long as the statistic allows: :func:`draw_sums` counts a sum
+field's S from them (a byte popcount table per run of equal c) when every
+source is such a law on integers, and :func:`draw_source_rows` expands a
+field of such sources once, into source-major rows that the sparse
+product reads in place.  Both give the values of the float route bit for
+bit.
 """
 
 from __future__ import annotations
@@ -132,15 +139,31 @@ def _draw(source: Source, rng: np.random.Generator, size) -> np.ndarray:
             return rng.random(size)
         return rng.standard_normal(size)
     values = np.asarray(source.values)
+    if _is_fair_two_point(source):
+        return values.take(_fair_bits(rng, size))
     if len(set(source.probs)) == 1:
-        if len(values) == 2:
-            count = int(np.prod(size))
-            raw = np.frombuffer(rng.bytes(-(-count // 8)), dtype=np.uint8)
-            return values.take(np.unpackbits(raw, count=count)).reshape(size)
         return values[rng.integers(len(values), size=size)]
     cum = np.cumsum(source.probs)
     idx = np.searchsorted(cum, rng.random(size), side="right")
     return values[np.minimum(idx, len(values) - 1)]
+
+
+def _fair_bytes(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The packed bits of ``count`` fair two-point draws, big-endian within
+    each byte: bit k is draw k, and 1 picks the second value."""
+    return np.frombuffer(rng.bytes(-(-count // 8)), dtype=np.uint8)
+
+
+def _fair_bits(rng: np.random.Generator, size) -> np.ndarray:
+    """``size`` (an int or a shape) fair two-point draws as 0/1 codes."""
+    count = int(np.prod(size))
+    return np.unpackbits(_fair_bytes(rng, count), count=count).reshape(size)
+
+
+def _is_fair_two_point(source: Source) -> bool:
+    """True for a two-point source drawn as bits (see :func:`_draw`)."""
+    return (isinstance(source, DiscreteSource) and len(source.values) == 2
+            and source.probs[0] == source.probs[1])
 
 
 def product_grid(sources: Sequence[Source], start: int = 0, stop: int | None = None):
@@ -433,6 +456,19 @@ def compute_means(field: LatentSourceField) -> np.ndarray:
 # Sampling and evaluation
 
 
+# the bits of each byte value, first bit first, and how many are set
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_POPCOUNT = _BYTE_BITS.sum(axis=1, dtype=np.uint8)
+
+
+def _sample_blocks(reps: np.ndarray, B: int):
+    """(block, positions in ``reps``) of every sample block the
+    replications fall in, blocks in increasing order."""
+    order = np.argsort(reps, kind="stable")
+    blocks, starts = np.unique(reps[order] // B, return_index=True)
+    return zip(blocks.tolist(), np.split(order, starts[1:]))
+
+
 def draw_source_rows(
     field: LatentSourceField,
     master_seed: int,
@@ -444,19 +480,111 @@ def draw_source_rows(
     Replication r is row r % B of block r // B, and each block is drawn
     whole from the substream (master_seed, STREAM_SAMPLE, *path, block),
     B = block_size(n_sources); so a row depends only on (seed, path, r).
+    When every source is a fair two-point law the rows are gathered as
+    0/1 codes and expanded once into a source-major array: the result is
+    the transpose of a C-contiguous (n_sources, reps) array.
     """
     reps = np.asarray(reps, dtype=np.int64).reshape(-1)
     B = block_size(field.n_sources)
-    out = np.empty((reps.size, field.n_sources))
-    order = np.argsort(reps, kind="stable")
-    blocks, starts = np.unique(reps[order] // B, return_index=True)
-    for b, hit in zip(blocks, np.split(order, starts[1:])):
-        rng = substream(master_seed, STREAM_SAMPLE, *path, int(b))
-        block = np.empty((B, field.n_sources))
+    bits = all(_is_fair_two_point(src) for _, src in field.runs)
+    out = np.empty((reps.size, field.n_sources), dtype=np.uint8 if bits else float)
+    for b, hit in _sample_blocks(reps, B):
+        rng = substream(master_seed, STREAM_SAMPLE, *path, b)
+        block = np.empty((B, field.n_sources), dtype=out.dtype)
         for sl, src in field.runs:
-            block[:, sl] = _draw(src, rng, (B, sl.stop - sl.start))
+            size = (B, sl.stop - sl.start)
+            block[:, sl] = _fair_bits(rng, size) if bits else _draw(src, rng, size)
         out[hit] = block[reps[hit] % B]
-    return out
+    if not bits:
+        return out
+    # each source's codes packed 8 replications to a byte, then expanded
+    # through a per-law table of the 8 values each byte stands for
+    packed = np.packbits(np.ascontiguousarray(out.T), axis=1)
+    rows = np.empty(packed.shape + (8,))
+    for sl, src in field.runs:
+        table = np.asarray(src.values)[_BYTE_BITS]
+        np.take(table, packed[sl], axis=0, out=rows[sl], mode="clip")
+    return np.ascontiguousarray(rows.reshape(field.n_sources, -1)[:, :reps.size]).T
+
+
+def _ones_before(raw: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Set bits of the packed bit string ``raw`` (big-endian bytes) before
+    each bit position of ``pos`` (at most 8 * raw.size)."""
+    byte = pos >> 3
+    # whole bytes: one sum of byte counts per stretch between the bytes read
+    starts = np.unique(np.append(byte[byte < raw.size], 0))
+    counts = np.add.reduceat(_POPCOUNT.take(raw), starts, dtype=np.int64)
+    prefix = np.append(0, np.cumsum(counts))  # set bits before starts, then in all
+    # the leading (pos & 7) bits of the partial byte; a position at the
+    # very end has none, so its clipped byte is shifted out
+    head = raw[np.minimum(byte, raw.size - 1)] >> (8 - (pos & 7))
+    return prefix[np.searchsorted(np.append(starts, raw.size), byte)] + _POPCOUNT.take(head)
+
+
+def _integer_bit_runs(field: LatentSourceField, c: np.ndarray):
+    """(runs, base) of a sum field over fair two-point laws on integers:
+    per source run its width, the cuts of its segments of equal c and
+    c (b - a) per segment, and base = sum_s c_s a_s, for values (a, b).
+    None for any other field, or when sum_s c_s |v_s| reaches 2^53, where
+    a float sum stops being exact."""
+    if field.ev is not _sum_columns or not all(
+        _is_fair_two_point(src) and all(float(v).is_integer() for v in src.values)
+        for _, src in field.runs
+    ):
+        return None
+    if sum(c[sl].sum() * max(map(abs, src.values)) for sl, src in field.runs) >= 2.0**53:
+        return None
+    edges = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+    runs, base = [], 0
+    for sl, src in field.runs:
+        cuts = np.union1d(edges[(edges > sl.start) & (edges < sl.stop)], [sl.start, sl.stop])
+        a, b = (int(v) for v in src.values)
+        weight = c[cuts[:-1]].astype(np.int64)
+        runs.append((sl.stop - sl.start, cuts - sl.start, weight * (b - a)))
+        base += int(weight @ np.diff(cuts)) * a
+    return runs, base
+
+
+def draw_sums(
+    field: LatentSourceField,
+    master_seed: int,
+    reps: Sequence[int],
+    path: tuple[int, ...] = (),
+) -> np.ndarray:
+    """Field sums S of the given replications, equal bit for bit to
+    ``sum_values(field, draw_source_rows(field, master_seed, reps, path))``.
+
+    A sum field whose sources are all fair two-point laws on integers
+    never expands its draws: it reads the packed bits of each block and
+    run from the same stream, and a segment of equal c over values (a, b)
+    adds c (a len + (b - a) ones) to S, ones counted with a byte table over
+    the bytes of about 128 kB of bits at a time.  The sum is exact in int64
+    and converts to the same float.  Every other field draws its rows.
+    """
+    plan = _integer_bit_runs(field, source_counts(field))
+    if plan is None:
+        return sum_values(field, draw_source_rows(field, master_seed, reps, path))
+    runs, base = plan
+    reps = np.asarray(reps, dtype=np.int64).reshape(-1)
+    B = block_size(field.n_sources)
+    out = np.full(reps.size, base, dtype=np.int64)
+    blocks = list(_sample_blocks(reps, B))
+    step = max(1, 2**20 // (B * field.n_sources))  # blocks per 128 kB of bits
+    for g in range(0, len(blocks), step):
+        group = blocks[g:g + step]
+        raws = []  # per block, the bytes of each run
+        for b, _ in group:
+            rng = substream(master_seed, STREAM_SAMPLE, *path, b)
+            raws.append([_fair_bytes(rng, B * width) for width, _, _ in runs])
+        hit = np.concatenate([h for _, h in group])
+        at = np.repeat(np.arange(len(group)), [h.size for _, h in group])  # block of each hit
+        for k, (width, cuts, slope) in enumerate(runs):
+            # run k's bytes of the group, block after block: a hit's row starts at bit `head`
+            head = at * (8 * raws[0][k].size) + reps[hit] % B * width
+            ones = _ones_before(np.concatenate([r[k] for r in raws]), head[:, None] + cuts)
+            out[hit] += np.diff(ones, axis=1) @ slope
+    S = out.astype(float)
+    return S - float(np.sum(field.means)) if field.center else S
 
 
 def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
@@ -480,8 +608,9 @@ def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
 def sum_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     """Field sums S of source rows, shape (reps,), centered iff the field
     is: U @ c for a sum field (summed row by row over runs of equal c, so
-    S does not depend on the batch), the triangle's ``batch_sum`` matrix
-    product, or else the sum of :func:`evaluate_values`."""
+    S does not depend on the batch or on the rows' memory layout), the
+    triangle's ``batch_sum`` matrix product, or else the sum of
+    :func:`evaluate_values`."""
     rows = np.atleast_2d(rows)
     batch_sum = field.metadata.get("batch_sum")
     if field.ev is _sum_columns:

@@ -5,7 +5,10 @@ Replications are embarrassingly parallel: each block of replications
 draws from its own counter-derived substream (``rng.block_size``), chunks
 of whole blocks run independently (numpy releases the GIL for the heavy
 parts) and merge in chunk order, so summaries are independent of the
-worker count and chunk size and stable under increasing R.
+worker count and chunk size and stable under increasing R.  W1 and the
+raw sum read S from ``fields.draw_sums``, which counts it from the packed
+bits of fair two-point sum fields; the other statistics evaluate drawn
+source rows (source-major when every source is fair two-point).
 
 The Kolmogorov distance is against the fixed continuous reference Phi via
 the exact order-statistic formula
@@ -26,9 +29,9 @@ from .errors import DegeneratePoints, DegenerateVariance, ExcessRejections, Grid
 from .fields import (
     LatentSourceField,
     draw_source_rows,
+    draw_sums,
     evaluate_values,
     induced_neighborhoods,
-    sum_values,
 )
 from .neighborhood import NeighborhoodSystem
 from .oracle import phi
@@ -106,11 +109,11 @@ def mc_run(
 
     def run_chunk(start: int) -> tuple[np.ndarray, int]:
         stop = min(start + chunk, reps)
-        rows = draw_source_rows(field, master_seed, range(start, stop), path=path)
+        part = range(start, stop)
         if statistic in ("w1", "sum"):  # S alone, as a one-column value matrix
-            X = sum_values(field, rows)[:, None]
+            X = draw_sums(field, master_seed, part, path=path)[:, None]
         else:
-            X = evaluate_values(field, rows)
+            X = evaluate_values(field, draw_source_rows(field, master_seed, part, path=path))
         vals, rej = statistic_batch(statistic, X, sys, sigma)
         return vals[~rej], int(rej.sum())
 

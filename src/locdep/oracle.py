@@ -26,7 +26,9 @@ The normal CDF is scipy's complementary-error-function based ``ndtr``
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import math
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
@@ -291,13 +293,15 @@ class InequalityVerdict:
 
 
 def verdicts_to_csv_rows(verdicts: Sequence[InequalityVerdict]) -> list[str]:
-    rows = ["digest,check,lhs,rhs,margin,precondition,verdict"]
+    """The lines of ``verdicts.csv``, written by the csv module: a digest
+    holds commas (``n=8;A=[1, 4];p=0.0``), so it is quoted."""
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["digest", "check", "lhs", "rhs", "margin", "precondition", "verdict"])
     for v in verdicts:
-        rows.append(
-            f"{v.digest},{v.check_id},{v.lhs:.17g},{v.rhs:.17g},{v.margin:.17g},"
-            f"{v.precondition},{'pass' if v.passed else 'fail'}"
-        )
-    return rows
+        out.writerow([v.digest, v.check_id, f"{v.lhs:.17g}", f"{v.rhs:.17g}", f"{v.margin:.17g}",
+                      v.precondition, "pass" if v.passed else "fail"])
+    return buf.getvalue().splitlines()
 
 
 def _xi_moments(plan: EnumerationPlan, xi_vals: np.ndarray, p: float) -> tuple[np.ndarray, float]:

@@ -25,10 +25,12 @@ Core claims:
     - mutated example configs exit 0, 1 or 2 under derive and bound,
       never with a traceback, and exit 2 when a key is unknown or the
       seed out of range
+    - ``verdicts.csv`` reads back with the csv module, digests and all
 """
 
 from __future__ import annotations
 
+import csv
 import importlib
 import json
 from pathlib import Path
@@ -148,6 +150,22 @@ def test_oracle_subcommand_writes_verdicts(tmp_path):
     assert cli.main(["oracle", "--spec", write_spec(tmp_path, doc)]) == 0
     text = (tmp_path / "out" / "verdicts.csv").read_text()
     assert "prop1" in text and "fail" not in text.replace("failures", "")
+
+
+def test_verdicts_csv_parses_as_csv(tmp_path):
+    # the oracle config's digests hold commas; each row still reads as 7 fields
+    config = Path(__file__).resolve().parent.parent / "configs" / "oracle_suite.json"
+    doc = {**json.loads(config.read_text()), "out": str(tmp_path / "out")}
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0
+    with open(tmp_path / "out" / "verdicts.csv", newline="") as fh:
+        assert fh.readline().startswith("# config_hash=")
+        rows = list(csv.DictReader(fh))
+    assert len(rows) > 60 and any("," in r["digest"] for r in rows)
+    for r in rows:
+        assert len(r) == 7 and None not in r and None not in r.values(), r
+        assert r["check"] in oracle.SUITE_CHECKS or r["check"].startswith("lemma_")
+        assert r["verdict"] in ("pass", "fail")
+        [float(r[k]) for k in ("lhs", "rhs", "margin")]
 
 
 def test_mc_subcommand_fits_slope(tmp_path, capsys):

@@ -17,6 +17,11 @@ Core claims:
       local enumeration, and their closed-form Var(S) with the full walk;
       other fields that read continuous sources need given means
     - the product grid equals the div/mod grid bit for bit on any block
+    - fair two-point fields keep their draws packed: source-major rows and
+      S counted from the packed bits equal the float route bit for bit at
+      any block size, on unaligned, unsorted and repeated replications;
+      every other law (and integer sums that could reach 2^53) draws rows,
+      and S from rows does not depend on their layout or batch
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from locdep.errors import (
     GraphTooLarge,
     InvalidSize,
 )
-from locdep.rng import block_size, substream
+from locdep.rng import STREAM_SAMPLE, block_size, substream
 
 
 def test_induced_m_dependent_windows():
@@ -419,6 +424,104 @@ def test_block_rows_are_a_function_of_the_replication(n_sources):
     other = F.draw_source_rows(f, 17, range(0, b + B), path=(1,))
     assert not np.array_equal(other, full)
     assert not np.array_equal(other, F.draw_source_rows(f, 17, range(0, b + B), path=(2,)))
+
+
+def float_rows(f: F.LatentSourceField, seed: int, reps, path=()) -> np.ndarray:
+    """Index-major float rows drawn run by run with ``_draw``: the route
+    every law took before fair two-point draws were kept as bits."""
+    B = block_size(f.n_sources)
+    blocks = {}
+    for b in sorted({r // B for r in reps}):
+        rng = substream(seed, STREAM_SAMPLE, *path, b)
+        blocks[b] = np.concatenate(
+            [F._draw(src, rng, (B, sl.stop - sl.start)) for sl, src in f.runs], axis=1)
+    return np.array([blocks[r // B][r % B] for r in reps])
+
+
+def count_row_draws(monkeypatch) -> list:
+    """Record each call of ``draw_source_rows`` (a route that expands rows)."""
+    calls, draw = [], F.draw_source_rows
+    monkeypatch.setattr(F, "draw_source_rows", lambda *a, **kw: calls.append(a) or draw(*a, **kw))
+    return calls
+
+
+def mixed_fair(n: int) -> F.LatentSourceField:
+    """An m = 2 window field whose first five sources are Rademacher and
+    the others Bernoulli(1/2): two runs of fair two-point laws."""
+    f = F.build_m_dependent(n, 2, F.rademacher())
+    laws = tuple(F.rademacher() if s < 5 else F.bernoulli(0.5) for s in range(f.n_sources))
+    return dataclasses.replace(f, sources=laws, means=None)
+
+
+# fair two-point sum fields of about k sources
+FAIR_FIELDS = {
+    "iid": lambda k: F.build_iid_field(k, F.rademacher()),
+    "m1": lambda k: F.build_m_dependent(k - 1, 1, F.bernoulli(0.5)),
+    "m3": lambda k: F.build_m_dependent(k - 3, 3, F.rademacher()),
+    "cycle": lambda k: F.build_graph_dependency(  # k + 1 sources
+        (k + 1) // 2, [(i, (i + 1) % ((k + 1) // 2)) for i in range((k + 1) // 2)],
+        F.rademacher()),
+    "star": lambda k: F.build_graph_dependency(
+        (k + 1) // 2, [(0, j) for j in range(1, (k + 1) // 2)], F.rademacher()),
+    "mixed": lambda k: mixed_fair(k - 2),
+}
+
+
+# (family, B); no star at B = 1, whose 20,000-leaf hub pads 20,001 x 20,001 supports
+@pytest.mark.parametrize("family, B", [
+    (family, B) for family in FAIR_FIELDS for B in (4096, 16, 1) if (family, B) != ("star", 1)
+])
+def test_fair_two_point_routes_match_the_float_route(family, B, monkeypatch):
+    # bits read from the stream give the float route's rows (now
+    # source-major) and its S (now from popcounts), bit for bit, on
+    # unaligned ranges and on unsorted lists with repeats
+    f = FAIR_FIELDS[family]({4096: 13, 16: 3001, 1: 40_001}[B])
+    assert block_size(f.n_sources) == B and f.n_sources % 8
+    calls = count_row_draws(monkeypatch)
+    for reps in (range(B + 3, 3 * B + 5), [2 * B + 1, 0, B + 1, 2 * B + 1, 5, 0, 3 * B - 1]):
+        reps = list(reps)
+        want = float_rows(f, 41, reps, path=(6,))
+        rows = F.draw_source_rows(f, 41, reps, path=(6,))
+        assert rows.T.flags.c_contiguous and np.array_equal(rows, want)
+        assert np.array_equal(F.evaluate_values(f, rows), F.evaluate_values(f, want))
+        S = F.sum_values(f, want)
+        assert np.array_equal(F.sum_values(f, rows), S)
+        calls.clear()
+        assert np.array_equal(F.draw_sums(f, 41, reps, path=(6,)), S)
+        assert calls == []
+
+
+FALLBACKS = {
+    "three_point": F.build_m_dependent(29, 2, F.three_point()),
+    "bernoulli_055": F.build_m_dependent(29, 2, F.bernoulli(0.55)),
+    "normal": F.build_m_dependent(29, 2, F.ContinuousSource("normal")),
+    "quarters": F.build_m_dependent(29, 2, F.DiscreteSource((0.25, 0.75), (0.5, 0.5))),
+    "word": F.build_word_field([0, 1], 13, 2, [None]),
+    # sum_s c_s |v_s| = 3 * 2^52 reaches 2^53, past which floats skip integers
+    "two_pow_52": F.build_iid_field(3, F.DiscreteSource((-2.0**52, 2.0**52), (0.5, 0.5))),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACKS)
+def test_draw_sums_falls_back_to_the_rows(name, monkeypatch):
+    f = FALLBACKS[name]
+    calls = count_row_draws(monkeypatch)
+    reps = [4100, 3, 3, 70]
+    S = F.draw_sums(f, 5, reps, path=(1,))
+    assert len(calls) == 1
+    assert np.array_equal(S, F.sum_values(f, float_rows(f, 5, reps, path=(1,))))
+
+
+def test_sums_do_not_depend_on_the_row_layout():
+    # normal sources and 11 runs of c (1..5, 6, 5..1): S of each row is the
+    # same from index-major rows, source-major rows and one row at a time
+    f = F.build_m_dependent(40, 5, F.ContinuousSource("normal"))
+    rows = F.draw_source_rows(f, 3, range(64))
+    c = F.source_counts(f)
+    assert np.count_nonzero(np.diff(c)) + 1 == 11
+    S = F.sum_values(f, rows)
+    assert np.array_equal(F.sum_values(f, np.asfortranarray(rows)), S)
+    assert np.array_equal(np.concatenate([F.sum_values(f, r) for r in rows]), S)
 
 
 def test_fields_are_immutable_and_sampling_leaves_them_unchanged():
