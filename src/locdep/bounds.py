@@ -18,19 +18,26 @@ Shapes (all dimensionless, invariant under X -> cX and index relabeling):
                       companion, and the general per-block kappa/tau form
     constrained U:    n^{-b-1/2}, n^{-b/2-1/2} powers with b = 1 + #infinite gaps
     decorated:        n^{2v-4}, n^{3v-6} powers; lambda_2 = n^{v-2} sum E|eta|^2/s^2
+
+The two main terms come from :func:`main_terms` alone, which the
+self-normalized shape, the oracle's fourth-moment preconditions and the
+self-normalized delta components rescale.  Every shape of a moment table
+is one function of the table's :func:`norm_sums` that returns its value
+and terms; the report's value, its terms and, on a Monte-Carlo table, its
+standard error all come from that function (:func:`_report`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .errors import BlockTooSmall, ComplexityCapExceeded, DegenerateVariance
-from .moments import KernelMoments, MomentTable, lam_scale
+from .moments import KernelMoments, MomentTable
 from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, pairs
 
 # cap on the summed row lengths of the unions behind the beta sums
@@ -65,21 +72,29 @@ def _require_sigma(table: MomentTable) -> float:
     return table.sigma
 
 
-def _sums(table: MomentTable) -> tuple[float, float, float]:
-    return (
-        float(np.sum(table.l2**2)),
-        float(np.sum(table.l4**3)),
-        float(np.sum(table.l4**4)),
-    )
+def lam_scale(table: MomentTable, kappa: int) -> float:
+    """lambda = kappa * sum ||X_i||_2^2 / sigma2."""
+    return float(kappa) * float(np.sum(table.l2**2)) / table.sigma2
 
 
-def _sum_ses(table: MomentTable) -> tuple[float, float, float] | None:
-    if table.se_l4 is None or table.se_l2 is None or table.se_sigma2 is None:
-        return None
-    se_t2 = math.sqrt(float(np.sum((2 * table.l2 * table.se_l2) ** 2)))
-    se_t3 = math.sqrt(float(np.sum((3 * table.l4**2 * table.se_l4) ** 2)))
-    se_t4 = math.sqrt(float(np.sum((4 * table.l4**3 * table.se_l4) ** 2)))
-    return se_t2, se_t3, se_t4
+def norm_sums(table: MomentTable) -> tuple[dict[str, float], dict[str, float] | None]:
+    """(sums, ses): t2 = sum ||X||_2^2, e3 = sum ||X||_3^3, t3 = sum ||X||_4^3,
+    t4 = sum ||X||_4^4 and sigma2, and on a table with standard errors
+    theirs, the norms' propagated to first order (else None)."""
+    l2, l3, l4 = table.l2, table.l3, table.l4
+    sums = {
+        "t2": float(np.sum(l2**2)),
+        "e3": float(np.sum(l3**3)),
+        "t3": float(np.sum(l4**3)),
+        "t4": float(np.sum(l4**4)),
+        "sigma2": table.sigma2,
+    }
+    if any(se is None for se in (table.se_l2, table.se_l3, table.se_l4, table.se_sigma2)):
+        return sums, None
+    slopes = {"t2": (2 * l2, table.se_l2), "e3": (3 * l3**2, table.se_l3),
+              "t3": (3 * l4**2, table.se_l4), "t4": (4 * l4**3, table.se_l4)}
+    ses = {k: math.sqrt(float(np.sum((g * se) ** 2))) for k, (g, se) in slopes.items()}
+    return sums, {**ses, "sigma2": table.se_sigma2}
 
 
 def _propagate(fn, values: dict[str, float], ses: dict[str, float]) -> float:
@@ -97,72 +112,58 @@ def _propagate(fn, values: dict[str, float], ses: dict[str, float]) -> float:
     return math.sqrt(var)
 
 
+def _report(theorem: str, shape: Callable, table_sums: tuple, inputs: dict) -> BoundReport:
+    """The report of ``shape``, a function of the :func:`norm_sums` (as
+    keywords) that returns (value, terms).  With standard errors on the
+    sums, the report's se propagates them through the same function."""
+    sums, ses = table_sums
+    value, terms = shape(**sums)
+    report = BoundReport(theorem=theorem, value=value, terms=terms, inputs=inputs)
+    if ses is not None:
+        report.se = _propagate(lambda **kw: shape(**kw)[0], sums, ses)
+    return report
+
+
 # ---------------------------------------------------------------------------
 # kappa/tau shapes
+
+
+def main_terms(t3: float, t4: float, s: float, kappa: int, tau: int) -> tuple[float, float]:
+    """The two terms of the main shape, kappa^2/s^3 t3 and
+    kappa^{1/2}(kappa + tau^{1/2})/s^2 t4^{1/2}, for t3 = sum ||X||_4^3
+    and t4 = sum ||X||_4^4."""
+    return kappa**2 / s**3 * t3, kappa**0.5 * (kappa + tau**0.5) / s**2 * math.sqrt(t4)
 
 
 def bound_main(table: MomentTable, kappa: int, tau: int) -> BoundReport:
     """The two-term shape of the main normalized-sum bound."""
     sigma = _require_sigma(table)
-    _, t3, t4 = _sums(table)
 
-    def shape(t3, t4, sigma2):
-        s = math.sqrt(sigma2)
-        return (
-            kappa**2 / s**3 * t3,
-            kappa**0.5 * (kappa + tau**0.5) / s**2 * math.sqrt(t4),
-        )
+    def shape(t2, e3, t3, t4, sigma2):
+        term1, term2 = main_terms(t3, t4, math.sqrt(sigma2), kappa, tau)
+        return term1 + term2, {"third_moment": term1, "fourth_moment": term2}
 
-    term1, term2 = shape(t3, t4, sigma**2)
-    report = BoundReport(
-        theorem="main",
-        value=term1 + term2,
-        terms={"third_moment": term1, "fourth_moment": term2},
-        inputs={"kappa": kappa, "tau": tau, "sigma": sigma, "sum_l4_3": t3, "sum_l4_4": t4},
-    )
-    ses = _sum_ses(table)
-    if ses is not None:
-        report.se = _propagate(
-            lambda t3, t4, sigma2: sum(shape(t3, t4, sigma2)),
-            {"t3": t3, "t4": t4, "sigma2": table.sigma2},
-            {"t3": ses[1], "t4": ses[2], "sigma2": table.se_sigma2},
-        )
-    return report
+    sums = norm_sums(table)
+    return _report("main", shape, sums, {
+        "kappa": kappa, "tau": tau, "sigma": sigma,
+        "sum_l4_3": sums[0]["t3"], "sum_l4_4": sums[0]["t4"],
+    })
 
 
 def bound_self_normalized(table: MomentTable, kappa: int, tau: int) -> BoundReport:
     """lambda-scaled shape of the self-normalized bound."""
     sigma = _require_sigma(table)
-    t2, t3, t4 = _sums(table)
-    lam = lam_scale(table, kappa)
 
-    def shape(t2, t3, t4, sigma2):
-        s = math.sqrt(sigma2)
-        lam_ = kappa * t2 / sigma2
-        return lam_ * (
-            kappa**2 / s**3 * t3
-            + kappa**0.5 * (kappa + tau**0.5) / s**2 * math.sqrt(t4)
-        )
+    def shape(t2, e3, t3, t4, sigma2):
+        lam = kappa * t2 / sigma2
+        term1, term2 = main_terms(t3, t4, math.sqrt(sigma2), kappa, tau)
+        return lam * (term1 + term2), {
+            "lambda": lam, "third_moment": lam * term1, "fourth_moment": lam * term2,
+        }
 
-    base = bound_main(table, kappa, tau)
-    report = BoundReport(
-        theorem="self_normalized",
-        value=lam * base.value,
-        terms={
-            "lambda": lam,
-            "third_moment": lam * base.terms["third_moment"],
-            "fourth_moment": lam * base.terms["fourth_moment"],
-        },
-        inputs={"kappa": kappa, "tau": tau, "sigma": sigma, "lambda": lam},
-    )
-    ses = _sum_ses(table)
-    if ses is not None:
-        report.se = _propagate(
-            shape,
-            {"t2": t2, "t3": t3, "t4": t4, "sigma2": table.sigma2},
-            {"t2": ses[0], "t3": ses[1], "t4": ses[2], "sigma2": table.se_sigma2},
-        )
-    return report
+    return _report("self_normalized", shape, norm_sums(table), {
+        "kappa": kappa, "tau": tau, "sigma": sigma, "lambda": lam_scale(table, kappa),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -251,34 +252,21 @@ def bound_general_beta(
 def bound_graph(table: MomentTable, d: int) -> BoundReport:
     """Dependency-graph shapes in the maximal degree d."""
     sigma = _require_sigma(table)
-    t2, t3, t4 = _sums(table)
 
-    def w1_shape(t3, t4, sigma2):
+    def shape(t2, e3, t3, t4, sigma2):
         s = math.sqrt(sigma2)
-        return d**2 * t3 / s**3 + d**1.5 * math.sqrt(t4 / s**4)
-
-    lam1 = d * t2 / sigma**2
-    term1 = d**2 * t3 / sigma**3
-    term2 = d**1.5 * math.sqrt(t4 / sigma**4)
-    report = BoundReport(
-        theorem="graph",
-        value=term1 + term2,
-        terms={
+        term1 = d**2 * t3 / s**3
+        term2 = d**1.5 * math.sqrt(t4 / s**4)
+        lam1 = d * t2 / s**2
+        return term1 + term2, {
             "third_moment": term1,
             "fourth_moment": term2,
             "lambda1": lam1,
             "self_normalized": lam1 * (term1 + term2),
-        },
-        inputs={"d": d, "sigma": sigma, "degenerate_degree": d == 0},
-    )
-    ses = _sum_ses(table)
-    if ses is not None:
-        report.se = _propagate(
-            w1_shape,
-            {"t3": t3, "t4": t4, "sigma2": table.sigma2},
-            {"t3": ses[1], "t4": ses[2], "sigma2": table.se_sigma2},
-        )
-    return report
+        }
+
+    return _report("graph", shape, norm_sums(table),
+                   {"d": d, "sigma": sigma, "degenerate_degree": d == 0})
 
 
 def bound_distributed_u(
@@ -311,47 +299,27 @@ def bound_distributed_u(
     )
 
 
-def bound_constrained_u(
-    table: MomentTable, n: int, b: int, sigma_fd: float | None = None
-) -> BoundReport:
+def bound_constrained_u(table: MomentTable, n: int, b: int) -> BoundReport:
     """Constrained U-statistic shapes in the growth exponent b.
 
-    ``sigma_fd`` is the scale constant with Var = sigma_fd^2 n^{2b-1}
-    asymptotically; when absent it is estimated as sigma_n / n^{b-1/2}.
+    sigma_fd, the scale constant with Var = sigma_fd^2 n^{2b-1}
+    asymptotically, is estimated as sigma_n / n^{b-1/2}; the se holds it
+    fixed.
     """
-    sigma = _require_sigma(table)
-    t2, t3, t4 = _sums(table)
-    if sigma_fd is None:
-        sigma_fd = sigma / n ** (b - 0.5)
-    if not sigma_fd > 0:
-        raise DegenerateVariance(f"sigma_fd={sigma_fd} must be positive")
+    sigma_fd = _require_sigma(table) / n ** (b - 0.5)
 
-    def shapes(t2, t3, t4, sfd):
-        term1 = n ** (-b - 0.5) / sfd**3 * t3
-        term2 = n ** (-b / 2 - 0.5) / sfd**2 * math.sqrt(t4)
-        scale = n ** (-b) / sfd**2 * t2
-        return term1, term2, scale
-
-    term1, term2, scale = shapes(t2, t3, t4, sigma_fd)
-    report = BoundReport(
-        theorem="constrained_u",
-        value=term1 + term2,
-        terms={
+    def shape(t2, e3, t3, t4, sigma2):
+        term1 = n ** (-b - 0.5) / sigma_fd**3 * t3
+        term2 = n ** (-b / 2 - 0.5) / sigma_fd**2 * math.sqrt(t4)
+        scale = n ** (-b) / sigma_fd**2 * t2
+        return term1 + term2, {
             "third_moment": term1,
             "fourth_moment": term2,
             "self_normalized_scale": scale,
             "self_normalized": scale * (term1 + term2),
-        },
-        inputs={"n": n, "b": b, "sigma_fd": sigma_fd},
-    )
-    ses = _sum_ses(table)
-    if ses is not None:
-        report.se = _propagate(
-            lambda t2, t3, t4: sum(shapes(t2, t3, t4, sigma_fd)[:2]),
-            {"t2": t2, "t3": t3, "t4": t4},
-            {"t2": ses[0], "t3": ses[1], "t4": ses[2]},
-        )
-    return report
+        }
+
+    return _report("constrained_u", shape, norm_sums(table), {"n": n, "b": b, "sigma_fd": sigma_fd})
 
 
 def bound_decorated(table: MomentTable, n: int, v: int) -> BoundReport:
@@ -362,10 +330,8 @@ def bound_decorated(table: MomentTable, n: int, v: int) -> BoundReport:
     for edge probabilities independent of n both terms are O(1/n).
     Zero-variance decorations give zero shapes.
     """
-    e3 = float(np.sum(table.l3**3))
-    e4 = float(np.sum(table.l4**4))
-    e2 = float(np.sum(table.l2**2))
-    if e2 == 0.0 and e3 == 0.0 and e4 == 0.0:
+    sums = norm_sums(table)
+    if sums[0]["t2"] == 0.0 and sums[0]["e3"] == 0.0 and sums[0]["t4"] == 0.0:
         return BoundReport(
             theorem="decorated",
             value=0.0,
@@ -375,62 +341,47 @@ def bound_decorated(table: MomentTable, n: int, v: int) -> BoundReport:
         )
     sigma = _require_sigma(table)
 
-    def shapes(e2, e3, e4, sigma2):
+    def shape(t2, e3, t3, t4, sigma2):
         s = math.sqrt(sigma2)
         term1 = n ** (2 * v - 4) * e3 / s**3
-        term2 = math.sqrt(n ** (3 * v - 6) * e4 / s**4)
-        lam2 = n ** (v - 2) * e2 / sigma2
-        return term1, term2, lam2
-
-    term1, term2, lam2 = shapes(e2, e3, e4, table.sigma2)
-    report = BoundReport(
-        theorem="decorated",
-        value=term1 + term2,
-        terms={
+        term2 = math.sqrt(n ** (3 * v - 6) * t4 / s**4)
+        lam2 = n ** (v - 2) * t2 / sigma2
+        return term1 + term2, {
             "third_moment": term1,
             "fourth_moment": term2,
             "lambda2": lam2,
             "self_normalized": lam2 * (term1 + term2),
-        },
-        inputs={"n": n, "v": v, "sigma": sigma},
-    )
-    if table.se_l3 is not None and table.se_sigma2 is not None:
-        se_e3 = math.sqrt(float(np.sum((3 * table.l3**2 * table.se_l3) ** 2)))
-        se_e4 = math.sqrt(float(np.sum((4 * table.l4**3 * table.se_l4) ** 2)))
-        se_e2 = math.sqrt(float(np.sum((2 * table.l2 * table.se_l2) ** 2)))
-        report.se = _propagate(
-            lambda e2, e3, e4, sigma2: sum(shapes(e2, e3, e4, sigma2)[:2]),
-            {"e2": e2, "e3": e3, "e4": e4, "sigma2": table.sigma2},
-            {"e2": se_e2, "e3": se_e3, "e4": se_e4, "sigma2": table.se_sigma2},
-        )
-    return report
+        }
+
+    return _report("decorated", shape, sums, {"n": n, "v": v, "sigma": sigma})
 
 
 def bound_distributed_general(
-    block_tables: Sequence[MomentTable],
+    block_l4: Sequence[np.ndarray],
     kappas: Sequence[int],
     taus: Sequence[int],
     sigma: float,
 ) -> BoundReport:
-    """Per-block kappa/tau form of the distributed bound:
+    """Per-block kappa/tau form of the distributed bound, from each block's
+    ||X_ij||_4 in ``block_l4``:
     s^{-3} sum_i kappa_i^2 sum_j ||X_ij||_4^3
     + s^{-2} (sum_i (kappa_i^3 + kappa_i tau_i) sum_j ||X_ij||_4^4)^{1/2}."""
     if not sigma > 0:
         raise DegenerateVariance(f"sigma={sigma} must be positive")
-    if not (len(block_tables) == len(kappas) == len(taus)):
-        raise ValueError("need one (kappa, tau) pair per block table")
+    if not (len(block_l4) == len(kappas) == len(taus)):
+        raise ValueError("need one (kappa, tau) pair per block")
     term1 = 0.0
     inner = 0.0
-    for tbl, k_i, t_i in zip(block_tables, kappas, taus):
-        term1 += k_i**2 * float(np.sum(tbl.l4**3))
-        inner += (k_i**3 + k_i * t_i) * float(np.sum(tbl.l4**4))
+    for l4, k_i, t_i in zip(block_l4, kappas, taus):
+        term1 += k_i**2 * float(np.sum(l4**3))
+        inner += (k_i**3 + k_i * t_i) * float(np.sum(l4**4))
     term1 /= sigma**3
     term2 = math.sqrt(inner) / sigma**2
     return BoundReport(
         theorem="distributed_general",
         value=term1 + term2,
         terms={"third_moment": term1, "fourth_moment": term2},
-        inputs={"sigma": sigma, "k": len(block_tables)},
+        inputs={"sigma": sigma, "k": len(block_l4)},
     )
 
 
@@ -513,22 +464,17 @@ def delta_components_prop2(
         raise ValueError("need a <= b and c >= 1")
     sigma = _require_sigma(table)
     l4 = table.l4
-    kappa, tau = derived.kappa, derived.tau
-    lam = lam_scale(table, kappa)
+    lam = lam_scale(table, derived.kappa)
+    main3, main4 = main_terms(float(np.sum(l4**3)), float(np.sum(l4**4)), sigma,
+                              derived.kappa, derived.tau)
     n_a = reverse_set_of(sys, A)
     # sum over k in N_A and l in N_k | A_k of ||X_k||_4 ||X_l||_4
     w_an = (sys.M + derived.Mt).sign() @ l4
     d4_sq = lam**2 * c**2 / sigma**2 * float(l4[n_a] @ w_an[n_a])
     delta = {
         "delta1": c / sigma * float(np.sum(l4[np.asarray(B, dtype=np.int64)])),
-        "delta2": c * lam * kappa**2 * len(A) ** 2 / sigma**3 * float(np.sum(l4**3)),
-        "delta3": c
-        * lam
-        * kappa**0.5
-        * (kappa + tau**0.5)
-        * len(A) ** 0.5
-        / sigma**2
-        * math.sqrt(float(np.sum(l4**4))),
+        "delta2": c * lam * len(A) ** 2 * main3,
+        "delta3": c * lam * len(A) ** 0.5 * main4,
         "delta4": math.sqrt(d4_sq),
     }
     return lam, delta

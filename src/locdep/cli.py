@@ -403,21 +403,18 @@ def evaluate_bounds(
 
 
 def _distributed_general_report(built: BuiltInstance, table) -> bounds.BoundReport:
-    """Per block: its rows of the table, and kappa and tau of its diagonal
-    block of the system's matrix."""
+    """Per block: its rows of the table's l4, and kappa and tau of its
+    diagonal block of the system's matrix."""
     M = built.system().M
-    block_tables = []
+    block_l4 = []
     kappas = []
     taus = []
     for (lo, hi) in built.field.metadata["block_slices"]:
-        block_tables.append(moments.MomentTable(
-            l2=table.l2[lo:hi], l3=table.l3[lo:hi], l4=table.l4[lo:hi],
-            sigma2=table.sigma2, mode=table.mode,
-        ))
+        block_l4.append(table.l4[lo:hi])
         der_b = neighborhood.derive(neighborhood.make_system(M[lo:hi, lo:hi]))
         kappas.append(der_b.kappa)
         taus.append(der_b.tau)
-    return bounds.bound_distributed_general(block_tables, kappas, taus, table.sigma)
+    return bounds.bound_distributed_general(block_l4, kappas, taus, table.sigma)
 
 
 def run_experiment(
@@ -446,7 +443,7 @@ def run_experiment(
             ks = oracle.exact_kolmogorov(f, spec.statistic, sys=sys, sigma=sigma, cap=cap)
             summary = harness.EmpiricalSummary(
                 statistic=spec.statistic, reps=0, ks=ks, ks_band=0.0,
-                rejected=0, mean=float("nan"), var=float("nan"), m4=float("nan"),
+                rejected=0, mean=float("nan"),
                 extras={"exact": True},
             )
         else:

@@ -246,7 +246,9 @@ class LatentSourceField:
     given its means); sampled values are centered iff ``center`` is set.
     ``groups`` is (first, inverse) of the indices grouped by
     :func:`_signatures`, ``incidence`` counts the slots reading each
-    source.  Everything is read-only.
+    source, ``counts`` holds its column sums c_s (a sum field's S is
+    U @ c less the summed means) and ``count_starts`` the starts of the
+    runs of equal c.  Everything is read-only.
     """
 
     sources: tuple[Source, ...]
@@ -260,6 +262,8 @@ class LatentSourceField:
     law_ids: np.ndarray = dc_field(init=False, repr=False)
     groups: tuple = dc_field(init=False, repr=False)
     incidence: sparse.csr_matrix = dc_field(init=False, repr=False)
+    counts: np.ndarray = dc_field(init=False, repr=False)
+    count_starts: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         put = object.__setattr__
@@ -290,6 +294,9 @@ class LatentSourceField:
         for a in (inc.data, inc.indices, inc.indptr):
             _read_only(a)
         put(self, "incidence", inc)
+        c = np.bincount(inc.indices, inc.data, len(sources))
+        put(self, "counts", _read_only(c))
+        put(self, "count_starts", _read_only(np.flatnonzero(np.r_[True, c[1:] != c[:-1]])))
         if self.means is None and self.center and self.ev is _sum_columns:
             # E U: sum p v for a discrete source, 1/2 for uniform, 0 for normal
             mu = [np.dot(src.probs, src.values) if isinstance(src, DiscreteSource)
@@ -521,7 +528,7 @@ def _ones_before(raw: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return prefix[np.searchsorted(np.append(starts, raw.size), byte)] + _POPCOUNT.take(head)
 
 
-def _integer_bit_runs(field: LatentSourceField, c: np.ndarray):
+def _integer_bit_runs(field: LatentSourceField):
     """(runs, base) of a sum field over fair two-point laws on integers:
     per source run its width, the cuts of its segments of equal c and
     c (b - a) per segment, and base = sum_s c_s a_s, for values (a, b).
@@ -532,9 +539,10 @@ def _integer_bit_runs(field: LatentSourceField, c: np.ndarray):
         for _, src in field.runs
     ):
         return None
+    c = field.counts
     if sum(c[sl].sum() * max(map(abs, src.values)) for sl, src in field.runs) >= 2.0**53:
         return None
-    edges = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+    edges = field.count_starts
     runs, base = [], 0
     for sl, src in field.runs:
         cuts = np.union1d(edges[(edges > sl.start) & (edges < sl.stop)], [sl.start, sl.stop])
@@ -561,7 +569,7 @@ def draw_sums(
     the bytes of about 128 kB of bits at a time.  The sum is exact in int64
     and converts to the same float.  Every other field draws its rows.
     """
-    plan = _integer_bit_runs(field, source_counts(field))
+    plan = _integer_bit_runs(field)
     if plan is None:
         return sum_values(field, draw_source_rows(field, master_seed, reps, path))
     runs, base = plan
@@ -614,20 +622,13 @@ def sum_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(rows)
     batch_sum = field.metadata.get("batch_sum")
     if field.ev is _sum_columns:
-        c = source_counts(field)
-        starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])  # runs of equal c
-        s = (np.add.reduceat(rows, starts, axis=1) * c[starts]).sum(axis=1)
+        starts = field.count_starts
+        s = (np.add.reduceat(rows, starts, axis=1) * field.counts[starts]).sum(axis=1)
     elif batch_sum is not None:
         s = batch_sum(rows)
     else:
         return evaluate_values(field, rows).sum(axis=1)
     return s - float(np.sum(field.means)) if field.center else s
-
-
-def source_counts(field: LatentSourceField) -> np.ndarray:
-    """c_s, the number of support slots reading source s (the column sums
-    of ``incidence``): a sum field's S is U @ c less the summed means."""
-    return np.bincount(field.incidence.indices, field.incidence.data, field.n_sources)
 
 
 def outcome_blocks(
@@ -840,7 +841,6 @@ def build_ustat_field(
             "block_sizes": block_sizes,
             "block_slices": block_slices,
             "index_transitive": len(block_sizes) == 1,
-            "sum_is": "U_d - theta",
         },
     )
 

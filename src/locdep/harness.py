@@ -35,10 +35,9 @@ from .fields import (
 )
 from .neighborhood import NeighborhoodSystem
 from .oracle import phi
-from .rng import block_size
+from .rng import DEFAULT_CHUNK, chunk_rows
 from .statistics import statistic_batch
 
-DEFAULT_CHUNK = 4096
 MAX_REJECT_FRACTION = 0.01
 
 
@@ -52,8 +51,6 @@ class EmpiricalSummary:
     ks_band: float  # 1/sqrt(accepted) envelope
     rejected: int
     mean: float
-    var: float
-    m4: float
     extras: dict = dc_field(default_factory=dict)
 
 
@@ -101,9 +98,7 @@ def mc_run(
     """
     if reps < 10**3:
         raise ValueError(f"reps={reps} below the 10^3 floor")
-    # keep each chunk's source matrix around ~32 MB, in whole sample blocks
-    B = block_size(field.n_sources)
-    chunk = max(B, min(chunk, (1 << 22) // max(1, field.n_sources)) // B * B)
+    chunk = chunk_rows(field.n_sources, chunk)
     if sys is None and statistic in ("w2", "w2bar"):
         sys = induced_neighborhoods(field)
 
@@ -130,18 +125,13 @@ def mc_run(
             f"{rejected}/{reps} rejections exceed {max_reject_fraction:.2%}"
         )
     ks = ks_against_normal(values)
-    mean = float(values.mean())
-    var = float(values.var(ddof=1)) if values.size > 1 else 0.0
-    m4 = float(np.mean((values - mean) ** 4))
     return EmpiricalSummary(
         statistic=statistic,
         reps=reps,
         ks=ks,
         ks_band=1.0 / math.sqrt(values.size),
         rejected=rejected,
-        mean=mean,
-        var=var,
-        m4=m4,
+        mean=float(values.mean()),
         extras={"accepted": int(values.size)},
     )
 
@@ -175,7 +165,6 @@ class RatioRow:
     ks: float
     shape: float
     ratio: float
-    band: float  # MC uncertainty on the ratio (ks band + shape se, first order)
 
 
 @dataclass
@@ -207,9 +196,5 @@ def ratio_table(
     for n, summ, rep in zip(grid, summaries, reports):
         if rep.value <= 0:
             raise GridMismatch(f"bound shape at n={n} is not positive")
-        ratio = summ.ks / rep.value
-        band = summ.ks_band / rep.value
-        if rep.se:
-            band += summ.ks * rep.se / rep.value**2
-        rows.append(RatioRow(n=n, ks=summ.ks, shape=rep.value, ratio=ratio, band=band))
+        rows.append(RatioRow(n=n, ks=summ.ks, shape=rep.value, ratio=summ.ks / rep.value))
     return RatioTable(rows=rows)

@@ -1,4 +1,4 @@
-"""Moment tables: per-index L2/L3/L4 norms, Var(S), lambda, and the
+"""Moment tables: per-index L2/L3/L4 norms and Var(S), and the
 U-statistic kernel quantities sigma_1 and ||h||_p.
 
 Norms are absolute central moments of the field values actually used by
@@ -40,22 +40,20 @@ from .fields import (
     overlap_matrix,
     product_grid,
     signature_groups,
-    source_counts,
     sum_values,
 )
 from .neighborhood import NeighborhoodSystem, pairs
-from .rng import STREAM_MOMENTS, block_size
+from .rng import STREAM_MOMENTS, chunk_rows
 
 SIGMA2_IDENTITY_RTOL = 1e-10
 
 
 @dataclass
 class MomentTable:
-    """Per-index norms plus the field-level variance and lambda scale.
+    """Per-index norms plus the field-level variance.
 
     ``mode`` is "exact", "monte_carlo", or "hybrid" (exact norms, identity
     variance).  Monte-Carlo entries carry batch-means standard errors.
-    ``lam`` is kappa * sum ||X_i||_2^2 / sigma2 when kappa was supplied.
     Exact and hybrid tables carry ``groups``, each entry's index group.
     """
 
@@ -64,8 +62,6 @@ class MomentTable:
     l4: np.ndarray
     sigma2: float
     mode: str
-    lam: float | None = None
-    kappa: int | None = None
     se_l2: np.ndarray | None = None
     se_l3: np.ndarray | None = None
     se_l4: np.ndarray | None = None
@@ -86,16 +82,6 @@ class MomentTable:
     @property
     def degenerate(self) -> bool:
         return not self.sigma2 > 0
-
-    def with_kappa(self, kappa: int) -> "MomentTable":
-        self.kappa = int(kappa)
-        self.lam = lam_scale(self, kappa)
-        return self
-
-
-def lam_scale(table: MomentTable, kappa: int) -> float:
-    """lambda = kappa * sum ||X_i||_2^2 / sigma2."""
-    return float(kappa) * float(np.sum(table.l2**2)) / table.sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +148,18 @@ def exact_sigma2_enumerated(field: LatentSourceField, cap: int = DEFAULT_ENUM_CA
 
 def _sum_field_sigma2(field: LatentSourceField) -> float:
     """Var(S) = sum_s c_s^2 Var(U_s) of a sum field over discrete sources,
-    c the slot counts of :func:`fields.source_counts`."""
+    c the slot counts ``field.counts``."""
     var = []
     for _, src in field.runs:
         v, p = np.asarray(src.values), np.asarray(src.probs)
         var.append(float(p @ (v - p @ v) ** 2))
     lengths = [sl.stop - sl.start for sl, _ in field.runs]
-    return float(source_counts(field) ** 2 @ np.repeat(var, lengths))
+    return float(field.counts**2 @ np.repeat(var, lengths))
 
 
 def exact_moment_table(
     field: LatentSourceField,
     sys: NeighborhoodSystem | None = None,
-    kappa: int | None = None,
     cap: int = DEFAULT_ENUM_CAP,
     outcomes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MomentTable:
@@ -228,8 +213,6 @@ def exact_moment_table(
     table = MomentTable(l2=l2, l3=l3, l4=l4, sigma2=sigma2, mode=mode, groups=inverse)
     if table.degenerate:
         table.extras["degenerate"] = True
-    if kappa is not None and not table.degenerate:
-        table.with_kappa(kappa)
     return table
 
 
@@ -239,11 +222,9 @@ def exact_moment_table(
 
 def mc_moment_table(
     field: LatentSourceField,
-    kappa: int | None = None,
     reps: int = 10**4,
     master_seed: int = 0,
     batches: int = 32,
-    chunk: int = 4096,
 ) -> MomentTable:
     """Monte-Carlo norms and Var(S) with batch-means standard errors."""
     if reps < 10**3:
@@ -256,8 +237,7 @@ def mc_moment_table(
     s2_sum = np.zeros(batches)
     counts = np.diff(bounds)
     # chunks of whole sample blocks, each split at the batch bounds it spans
-    B = block_size(field.n_sources)
-    chunk = max(B, chunk // B * B)
+    chunk = chunk_rows(field.n_sources)
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
         rows = draw_source_rows(field, master_seed, range(start, stop), path=(STREAM_MOMENTS,))
@@ -294,8 +274,6 @@ def mc_moment_table(
     )
     if table.degenerate:
         table.extras["degenerate"] = True
-    elif kappa is not None:
-        table.with_kappa(kappa)
     return table
 
 
@@ -370,8 +348,6 @@ def table_header(table: MomentTable) -> dict:
     """JSON header accompanying the CSV body."""
     return {
         "sigma2": table.sigma2,
-        "lambda": table.lam,
-        "kappa": table.kappa,
         "mode": table.mode,
         "se_sigma2": table.se_sigma2,
         "extras": {k: v for k, v in table.extras.items() if _jsonable(v)},

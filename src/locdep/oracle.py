@@ -42,6 +42,8 @@ from .bounds import (
     delta_components_prop1,
     delta_components_prop2,
     interference_set_of,
+    lam_scale,
+    main_terms,
     reverse_set_of,
 )
 from .errors import DegenerateVariance, EnumerationCapExceeded, InvalidTestFunction
@@ -55,7 +57,7 @@ from .fields import (
     outcome_blocks,
     sum_values,
 )
-from .moments import MomentTable, exact_moment_table, lam_scale
+from .moments import MomentTable, exact_moment_table
 from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive, pairs
 from .statistics import statistic_batch
 
@@ -132,7 +134,7 @@ def precompute(
         sys = induced_neighborhoods(field)
     der = derive(sys)
     plan = enumerate_field(field, cap=cap)
-    table = exact_moment_table(field, sys, kappa=der.kappa, outcomes=(plan.probs, plan.X))
+    table = exact_moment_table(field, sys, outcomes=(plan.probs, plan.X))
     if table.degenerate:
         raise DegenerateVariance("instance has Var(S) = 0")
     P = sys.M.toarray()
@@ -274,7 +276,6 @@ class InequalityVerdict:
     check_id: str
     lhs: float
     rhs: float
-    constant: float
     precondition: str  # "satisfied" | "violated" | "not_applicable"
     digest: str
     extras: dict = dc_field(default_factory=dict)
@@ -358,7 +359,6 @@ def check_lemma_xiyi(
         check_id="lemma_xiyi" if A else "lemma_xiyi_corollary",
         lhs=lhs,
         rhs=rhs,
-        constant=16.0,
         precondition="not_applicable",
         digest=f"n={n};A={sorted(A)};p={p}",
         extras={"gamma_A": gamma_a, "gamma": gamma},
@@ -381,7 +381,6 @@ def check_lemma_s2(
         check_id="lemma_s2",
         lhs=lhs,
         rhs=rhs,
-        constant=2.0,
         precondition="not_applicable",
         digest=f"n={sys.n};A={sorted(A)};p={p}",
         extras={"E_SA2": es2, "pair_term": pair_term},
@@ -391,16 +390,12 @@ def check_lemma_s2(
 def fourth_moment_precondition(
     table: MomentTable, kappa: int, tau: int, a_size: int
 ) -> tuple[bool, dict[str, float]]:
-    """Both fourth-moment preconditions at threshold 1/500."""
-    sigma = table.sigma
-    lhs1 = a_size**2 * kappa**2 / sigma**3 * float(np.sum(table.l4**3))
-    lhs2 = (
-        a_size**0.5
-        * kappa**0.5
-        * (kappa + tau**0.5)
-        / sigma**2
-        * math.sqrt(float(np.sum(table.l4**4)))
-    )
+    """Both fourth-moment preconditions at threshold 1/500: the two main
+    terms, times |A|^2 and |A|^{1/2}."""
+    term1, term2 = main_terms(float(np.sum(table.l4**3)), float(np.sum(table.l4**4)),
+                              table.sigma, kappa, tau)
+    lhs1 = a_size**2 * term1
+    lhs2 = a_size**0.5 * term2
     ok = lhs1 <= 1.0 / 500.0 and lhs2 <= 1.0 / 500.0
     return ok, {"pre1": lhs1, "pre2": lhs2, "threshold": 1.0 / 500.0}
 
@@ -425,7 +420,6 @@ def check_lemma_s4(
             check_id="lemma_s4_xi",
             lhs=float(plan.probs @ (xi_pow * s_a**4)),
             rhs=13.0 * lam * sigma**4 * e_xi,
-            constant=13.0,
             precondition=status,
             digest=digest,
             extras=pre_info,
@@ -437,7 +431,6 @@ def check_lemma_s4(
             check_id="lemma_s4_s",
             lhs=float(plan.probs @ s**4),
             rhs=13.0 * lam * sigma**4,
-            constant=13.0,
             precondition=status,
             digest=digest,
             extras=pre_info,
@@ -450,7 +443,6 @@ def check_lemma_s4(
             check_id="lemma_s4_y",
             lhs=float(plan.probs @ y_total**4),
             rhs=13.0 * kappa**4 * lam * sigma**4,
-            constant=13.0,
             precondition=status,
             digest=digest,
             extras=pre_info,
@@ -524,7 +516,6 @@ def check_lemma_r4(
                 check_id=f"lemma_r4[{name}]",
                 lhs=lhs,
                 rhs=rhs,
-                constant=27.0,
                 precondition=status,
                 digest=f"n={pre.sys.n};f={name}",
                 extras={"pre": pre_lhs, "threshold": 1.0 / 500.0},
@@ -566,7 +557,6 @@ def check_prop1(
         check_id="prop1",
         lhs=lhs,
         rhs=rhs,
-        constant=156.0,
         precondition="not_applicable",
         digest=f"n={sys.n};A={sorted(A)};B={sorted(B)};a={a:g};b={b:g};c={c:g}",
         extras={"xi_43": xi_43, **deltas},
@@ -633,7 +623,6 @@ def check_prop2(
         check_id="prop2",
         lhs=lhs,
         rhs=rhs,
-        constant=8755.0,
         precondition="not_applicable",
         digest=f"n={n};A={sorted(A)};B={sorted(B)};a={a:g};b={b:g};c={c:g}",
         extras={"xi_43": xi_43, "lambda": lam, **deltas},

@@ -12,7 +12,8 @@ backed by Philox, a counter-based generator, keyed through
   deterministically.
 
 Replication r is row ``r % B`` of sample block ``r // B``, each block
-drawn whole from its own substream, ``B = block_size(n_sources)``.
+drawn whole from its own substream, ``B = block_size(n_sources)``;
+``chunk_rows`` gives the whole blocks the Monte-Carlo loops draw at once.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ STREAM_INSTANCES = 3
 # so the rows wasted at an unaligned range end stay small at any width.
 BLOCK_CELLS = 2**16
 MAX_BLOCK_ROWS = 4096
+# A chunk of replications, drawn and reduced at once by the Monte-Carlo
+# loops, holds at most DEFAULT_CHUNK rows and about CHUNK_CELLS source
+# draws (32 MB of float64).
+DEFAULT_CHUNK = 4096
+CHUNK_CELLS = 2**22
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -42,3 +48,10 @@ def block_size(n_sources: int) -> int:
     BLOCK_CELLS / n_sources, capped at MAX_BLOCK_ROWS and at least 1."""
     rows = max(1, BLOCK_CELLS // max(1, n_sources))
     return min(MAX_BLOCK_ROWS, 1 << (rows.bit_length() - 1))
+
+
+def chunk_rows(n_sources: int, chunk: int = DEFAULT_CHUNK) -> int:
+    """Replications per chunk: at most ``chunk`` and CHUNK_CELLS /
+    n_sources, in whole sample blocks, and at least one block."""
+    B = block_size(n_sources)
+    return max(B, min(chunk, CHUNK_CELLS // max(1, n_sources)) // B * B)

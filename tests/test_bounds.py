@@ -334,7 +334,7 @@ def test_decorated_shape_order_one_over_n():
 
 def test_bound_distributed_general_identities():
     t = iid_table(20)
-    single = B.bound_distributed_general([t], [1], [1], t.sigma)
+    single = B.bound_distributed_general([t.l4], [1], [1], t.sigma)
     main = B.bound_main(t, 1, 1)
     # first terms coincide exactly; the root terms differ by construction
     # of the two displayed forms, by a factor within [1, sqrt(2)]
@@ -347,7 +347,7 @@ def test_bound_distributed_general_identities():
     # homogeneous blocks: aggregate of one block's sums
     t_block = iid_table(10)
     sigma = math.sqrt(20)
-    double = B.bound_distributed_general([t_block, t_block], [2, 2], [3, 3], sigma)
+    double = B.bound_distributed_general([t_block.l4, t_block.l4], [2, 2], [3, 3], sigma)
     term1 = 2 * (2**2 * 10) / sigma**3
     term2 = math.sqrt(2 * (2**3 + 2 * 3) * 10) / sigma**2
     assert double.value == pytest.approx(term1 + term2, rel=1e-12)

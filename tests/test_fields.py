@@ -11,7 +11,8 @@ Core claims:
     - the family builders reproduce their hand-derived structure examples
       (window fields, graph fields, U-statistic subsets, constrained
       tuples, decorated injections)
-    - a built field is immutable, and sampling leaves it unchanged
+    - a built field is immutable, and sampling leaves it unchanged; its
+      frozen source counts are the incidence column sums
     - sum fields (iid, m-dependent, graph) take the linear route: their
       values, sums and exact means agree with the gather route and with
       local enumeration, and their closed-form Var(S) with the full walk;
@@ -512,12 +513,32 @@ def test_draw_sums_falls_back_to_the_rows(name, monkeypatch):
     assert np.array_equal(S, F.sum_values(f, float_rows(f, 5, reps, path=(1,))))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: F.build_iid_field(5, F.three_point()),
+    lambda: F.build_m_dependent(6, 2, F.rademacher()),
+    lambda: F.build_graph_dependency(5, [(0, 1), (1, 2), (0, 4)], F.rademacher()),
+    lambda: F.build_ustat_field([4, 3], 2, lambda x, y: x * y, F.three_point()),
+    lambda: F.build_constrained_ustat_field(6, 1, lambda x, y: x * y, (None,), F.rademacher()),
+    lambda: F.build_word_field([0, 1], 5, 2, [None]),
+    lambda: F.build_pattern_field(6, [1, 3, 2], [None, None]),
+    lambda: F.build_decorated_graph_field(4, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.5)),
+], ids=["iid", "m_dependent", "graph", "ustat", "constrained", "word", "pattern", "decorated"])
+def test_frozen_source_counts_are_the_incidence_column_sums(build):
+    f = build()
+    c = np.asarray(f.incidence.sum(axis=0)).ravel()
+    assert f.counts.shape == (f.n_sources,) and np.array_equal(f.counts, c)
+    assert np.array_equal(f.count_starts, np.flatnonzero(np.r_[True, np.diff(c) != 0]))
+    for a in (f.counts, f.count_starts):
+        with pytest.raises(ValueError):
+            a[0] = 7
+
+
 def test_sums_do_not_depend_on_the_row_layout():
     # normal sources and 11 runs of c (1..5, 6, 5..1): S of each row is the
     # same from index-major rows, source-major rows and one row at a time
     f = F.build_m_dependent(40, 5, F.ContinuousSource("normal"))
     rows = F.draw_source_rows(f, 3, range(64))
-    c = F.source_counts(f)
+    c = f.counts
     assert np.count_nonzero(np.diff(c)) + 1 == 11
     S = F.sum_values(f, rows)
     assert np.array_equal(F.sum_values(f, np.asfortranarray(rows)), S)

@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import locdep.bounds as B
 import locdep.fields as F
 import locdep.moments as M
 import locdep.neighborhood as nb
@@ -43,10 +44,10 @@ from locdep.rng import STREAM_INSTANCES, substream
 
 def test_iid_rademacher_table():
     f = F.build_iid_field(2, F.rademacher())
-    t = M.exact_moment_table(f, F.induced_neighborhoods(f), kappa=1)
+    t = M.exact_moment_table(f, F.induced_neighborhoods(f))
     assert np.allclose(t.l2, 1) and np.allclose(t.l3, 1) and np.allclose(t.l4, 1)
     assert t.sigma2 == pytest.approx(2.0)
-    assert t.lam == pytest.approx(1.0)
+    assert B.lam_scale(t, 1) == pytest.approx(1.0)
     assert t.mode == "exact"
 
 
@@ -107,9 +108,9 @@ def test_lp_monotonicity_random_fields():
 def test_lambda_scale_invariance():
     f = F.build_m_dependent(5, 1, F.rademacher())
     fc = F.build_m_dependent(5, 1, F.rademacher(), window_evaluator=lambda a, b: 2.5 * (a + b))
-    t = M.exact_moment_table(f, kappa=4)
-    tc = M.exact_moment_table(fc, kappa=4)
-    assert tc.lam == pytest.approx(t.lam, rel=1e-12)
+    t = M.exact_moment_table(f)
+    tc = M.exact_moment_table(fc)
+    assert B.lam_scale(tc, 4) == pytest.approx(B.lam_scale(t, 4), rel=1e-12)
 
 
 def test_hoeffding_projection_hand_values():
@@ -171,7 +172,7 @@ def test_csv_rows_match_per_row_formatter():
 
 def test_csv_serialization_shape():
     f = F.build_iid_field(3, F.rademacher())
-    t = M.exact_moment_table(f, kappa=1)
+    t = M.exact_moment_table(f)
     rows = M.table_to_csv_rows(t)
     assert rows[0] == "index,l2,l3,l4,se2,se3,se4"
     assert len(rows) == 4 and rows[1].startswith("1,")
@@ -348,7 +349,7 @@ def test_plan_tables_match_local_enumeration():
     for k in range(20):
         pre = O.random_enumerable_instance(substream(314, STREAM_INSTANCES, k)).pre
         f = pre.field
-        local = M.exact_moment_table(f, pre.sys, kappa=pre.derived.kappa)
+        local = M.exact_moment_table(f, pre.sys)
         plan = pre.table
         assert plan.mode == local.mode == "exact"
         assert np.array_equal(plan.groups, local.groups)
@@ -357,4 +358,5 @@ def test_plan_tables_match_local_enumeration():
             first, inverse = f.groups
             assert np.array_equal(a, a[first][inverse])  # one value per index group
         assert plan.sigma2 == pytest.approx(local.sigma2, rel=1e-12, abs=0)
-        assert plan.lam == pytest.approx(local.lam, rel=1e-12, abs=0)
+        kappa = pre.derived.kappa
+        assert B.lam_scale(plan, kappa) == pytest.approx(B.lam_scale(local, kappa), rel=1e-12, abs=0)
