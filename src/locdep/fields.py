@@ -45,8 +45,14 @@ packed as long as the statistic allows: :func:`draw_sums` counts a sum
 field's S from them (a byte popcount table per run of equal c) when every
 source is such a law on integers, and :func:`draw_source_rows` expands a
 field of such sources once, into source-major rows that the sparse
-product reads in place.  Both give the values of the float route bit for
-bit.
+product reads in place.  For W2 and W2bar, a sum field of such laws on
+integers with integer means expands its rows to the narrowest signed
+integer type that holds X, Y = M X and X o Y (:func:`value_dtype`), and
+its values, Y and X o Y stay in that type; the route is taken only while
+n max|X| max|Y| < 2^53, where every float it replaces is an exact
+integer.  All of these give the values of the float route bit for bit.
+The packed-route plan (``bit_plan``) and the summed means are frozen
+with the field.
 """
 
 from __future__ import annotations
@@ -247,8 +253,10 @@ class LatentSourceField:
     ``groups`` is (first, inverse) of the indices grouped by
     :func:`_signatures`, ``incidence`` counts the slots reading each
     source, ``counts`` holds its column sums c_s (a sum field's S is
-    U @ c less the summed means) and ``count_starts`` the starts of the
-    runs of equal c.  Everything is read-only.
+    U @ c less ``mean_sum``, the summed means) and ``count_starts`` the
+    starts of the runs of equal c.  ``bit_plan`` is the packed route's
+    plan (:func:`_integer_bit_runs`), None off that route.  Everything is
+    read-only.
     """
 
     sources: tuple[Source, ...]
@@ -264,6 +272,8 @@ class LatentSourceField:
     incidence: sparse.csr_matrix = dc_field(init=False, repr=False)
     counts: np.ndarray = dc_field(init=False, repr=False)
     count_starts: np.ndarray = dc_field(init=False, repr=False)
+    mean_sum: float = dc_field(init=False, repr=False)
+    bit_plan: tuple | None = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         put = object.__setattr__
@@ -304,6 +314,8 @@ class LatentSourceField:
             put(self, "means", _read_only(inc @ np.repeat(mu, [sl.stop - sl.start for sl, _ in runs])))
         elif self.means is None and self.center:
             put(self, "means", _read_only(compute_means(self)))
+        put(self, "mean_sum", 0.0 if self.means is None else float(np.sum(self.means)))
+        put(self, "bit_plan", _integer_bit_runs(self))
         put(self, "metadata", MappingProxyType(self.metadata))
 
     @property
@@ -481,6 +493,7 @@ def draw_source_rows(
     master_seed: int,
     reps: Sequence[int],
     path: tuple[int, ...] = (),
+    dtype=float,
 ) -> np.ndarray:
     """Source draws for the given replication indices, one row each.
 
@@ -488,9 +501,13 @@ def draw_source_rows(
     whole from the substream (master_seed, STREAM_SAMPLE, *path, block),
     B = block_size(n_sources); so a row depends only on (seed, path, r).
     When every source is a fair two-point law the rows are gathered as
-    0/1 codes and expanded once into a source-major array: the result is
-    the transpose of a C-contiguous (n_sources, reps) array.
+    0/1 codes and expanded once into a source-major array of ``dtype``:
+    the result is the transpose of a C-contiguous (n_sources, reps) array.
+    An integer ``dtype`` (a field's :func:`value_dtype`, which W2 and
+    W2bar take) needs a field on the packed route: integer laws only.
     """
+    if np.dtype(dtype).kind == "i" and field.bit_plan is None:
+        raise ValueError("integer rows need fair two-point laws on integers in a sum field")
     reps = np.asarray(reps, dtype=np.int64).reshape(-1)
     B = block_size(field.n_sources)
     bits = all(_is_fair_two_point(src) for _, src in field.runs)
@@ -507,9 +524,9 @@ def draw_source_rows(
     # each source's codes packed 8 replications to a byte, then expanded
     # through a per-law table of the 8 values each byte stands for
     packed = np.packbits(np.ascontiguousarray(out.T), axis=1)
-    rows = np.empty(packed.shape + (8,))
+    rows = np.empty(packed.shape + (8,), dtype=dtype)
     for sl, src in field.runs:
-        table = np.asarray(src.values)[_BYTE_BITS]
+        table = np.asarray(src.values).astype(dtype)[_BYTE_BITS]
         np.take(table, packed[sl], axis=0, out=rows[sl], mode="clip")
     return np.ascontiguousarray(rows.reshape(field.n_sources, -1)[:, :reps.size]).T
 
@@ -533,7 +550,8 @@ def _integer_bit_runs(field: LatentSourceField):
     per source run its width, the cuts of its segments of equal c and
     c (b - a) per segment, and base = sum_s c_s a_s, for values (a, b).
     None for any other field, or when sum_s c_s |v_s| reaches 2^53, where
-    a float sum stops being exact."""
+    a float sum stops being exact.  Built once, with the field (its
+    ``bit_plan``), as read-only arrays."""
     if field.ev is not _sum_columns or not all(
         _is_fair_two_point(src) and all(float(v).is_integer() for v in src.values)
         for _, src in field.runs
@@ -548,9 +566,9 @@ def _integer_bit_runs(field: LatentSourceField):
         cuts = np.union1d(edges[(edges > sl.start) & (edges < sl.stop)], [sl.start, sl.stop])
         a, b = (int(v) for v in src.values)
         weight = c[cuts[:-1]].astype(np.int64)
-        runs.append((sl.stop - sl.start, cuts - sl.start, weight * (b - a)))
+        runs.append((sl.stop - sl.start, _read_only(cuts - sl.start), _read_only(weight * (b - a))))
         base += int(weight @ np.diff(cuts)) * a
-    return runs, base
+    return tuple(runs), base
 
 
 def draw_sums(
@@ -569,10 +587,9 @@ def draw_sums(
     the bytes of about 128 kB of bits at a time.  The sum is exact in int64
     and converts to the same float.  Every other field draws its rows.
     """
-    plan = _integer_bit_runs(field)
-    if plan is None:
+    if field.bit_plan is None:
         return sum_values(field, draw_source_rows(field, master_seed, reps, path))
-    runs, base = plan
+    runs, base = field.bit_plan
     reps = np.asarray(reps, dtype=np.int64).reshape(-1)
     B = block_size(field.n_sources)
     out = np.full(reps.size, base, dtype=np.int64)
@@ -592,18 +609,52 @@ def draw_sums(
             ones = _ones_before(np.concatenate([r[k] for r in raws]), head[:, None] + cuts)
             out[hit] += np.diff(ones, axis=1) @ slope
     S = out.astype(float)
-    return S - float(np.sum(field.means)) if field.center else S
+    return S - field.mean_sum if field.center else S
+
+
+def value_dtype(field: LatentSourceField, sys: NeighborhoodSystem) -> np.dtype:
+    """The dtype in which W2 and W2bar under ``sys`` take a field's values.
+
+    A field on the packed route (``bit_plan``) with integer means takes
+    the narrowest signed integer type that holds X, Y = M X, X o Y and
+    incidence @ U before centering, while n times the largest of these
+    magnitudes stays below 2^53: then every value and index sum the float
+    route forms is an exact integer, and both routes give the same W2 and
+    W2bar.  max|X| is exact (each source at its lowest or highest value);
+    max|Y| is bounded by max_i sum_j |M_ij| max|X|.  Every other field
+    takes float64.
+    """
+    floats = np.dtype(float)
+    if field.bit_plan is None:
+        return floats
+    means = field.means if field.center else np.zeros(field.n)
+    if np.any(np.mod(means, 1)) or np.any(np.mod(sys.M.data, 1)):
+        return floats
+    widths = [sl.stop - sl.start for sl, _ in field.runs]
+    lo = np.repeat([min(src.values) for _, src in field.runs], widths)
+    hi = np.repeat([max(src.values) for _, src in field.runs], widths)
+    inc = field.incidence
+    raw = float((inc @ np.maximum(-lo, hi)).max(initial=0))
+    x = float(np.abs(np.concatenate([inc @ lo - means, inc @ hi - means])).max(initial=0))
+    y = float(np.asarray(abs(sys.M).sum(axis=1)).max(initial=0)) * x
+    top = max(raw, x, y, x * y)
+    if field.n * top >= 2.0**53:
+        return floats
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if top <= np.iinfo(t).max)
 
 
 def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     """Field values for source rows; shape (reps, n), centered iff the
-    field is: a sum field's is the transpose of incidence @ rows.T, others
-    gather their indices in blocks (see :func:`_blocks`)."""
+    field is: a sum field's is the transpose of incidence @ rows.T, in the
+    dtype of integer rows (see :func:`value_dtype`), others gather their
+    indices in blocks (see :func:`_blocks`)."""
     rows = np.atleast_2d(rows)
     if field.ev is _sum_columns:
-        XT = field.incidence @ rows.T
+        inc = field.incidence
+        XT = (inc.astype(rows.dtype, copy=False) if rows.dtype.kind == "i" else inc) @ rows.T
         if field.center and field.means.any():  # zero means leave every value as it is
-            XT -= field.means[:, None]
+            XT -= field.means.astype(XT.dtype, copy=False)[:, None]
         return XT.T
     out = np.empty((rows.shape[0], field.n))
     for sl in _blocks(field.n, field.supports.shape[1], rows.shape[0]):
@@ -628,7 +679,7 @@ def sum_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
         s = batch_sum(rows)
     else:
         return evaluate_values(field, rows).sum(axis=1)
-    return s - float(np.sum(field.means)) if field.center else s
+    return s - field.mean_sum if field.center else s
 
 
 def outcome_blocks(

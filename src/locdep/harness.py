@@ -7,8 +7,11 @@ of whole blocks run independently (numpy releases the GIL for the heavy
 parts) and merge in chunk order, so summaries are independent of the
 worker count and chunk size and stable under increasing R.  W1 and the
 raw sum read S from ``fields.draw_sums``, which counts it from the packed
-bits of fair two-point sum fields; the other statistics evaluate drawn
-source rows (source-major when every source is fair two-point).
+bits of fair two-point sum fields.  W2 and W2bar evaluate drawn source
+rows (source-major when every source is fair two-point): as integers of
+the narrowest type that holds X, Y and X o Y where ``fields.value_dtype``
+allows (fair two-point integer sum fields with integer means), else as
+floats.
 
 The Kolmogorov distance is against the fixed continuous reference Phi via
 the exact order-statistic formula
@@ -32,6 +35,7 @@ from .fields import (
     draw_sums,
     evaluate_values,
     induced_neighborhoods,
+    value_dtype,
 )
 from .neighborhood import NeighborhoodSystem
 from .oracle import phi
@@ -99,8 +103,10 @@ def mc_run(
     if reps < 10**3:
         raise ValueError(f"reps={reps} below the 10^3 floor")
     chunk = chunk_rows(field.n_sources, chunk)
-    if sys is None and statistic in ("w2", "w2bar"):
-        sys = induced_neighborhoods(field)
+    dtype = float  # of the source rows and values
+    if statistic in ("w2", "w2bar"):
+        sys = induced_neighborhoods(field) if sys is None else sys
+        dtype = value_dtype(field, sys)
 
     def run_chunk(start: int) -> tuple[np.ndarray, int]:
         stop = min(start + chunk, reps)
@@ -108,7 +114,7 @@ def mc_run(
         if statistic in ("w1", "sum"):  # S alone, as a one-column value matrix
             X = draw_sums(field, master_seed, part, path=path)[:, None]
         else:
-            X = evaluate_values(field, draw_source_rows(field, master_seed, part, path=path))
+            X = evaluate_values(field, draw_source_rows(field, master_seed, part, path=path, dtype=dtype))
         vals, rej = statistic_batch(statistic, X, sys, sigma)
         return vals[~rej], int(rej.sum())
 

@@ -20,7 +20,10 @@ computations used as oracles against the field constructions.
 W2 and W2bar reduce the (n, reps) transpose of the value matrix over axis
 0, adding the indices in ascending order one after another (not pairwise)
 for every replication, so a value depends neither on the other rows of
-its batch nor on the worker count.
+its batch nor on the worker count.  A value matrix of integers (the
+Monte-Carlo harness draws one for fair two-point integer sum fields, see
+``fields.value_dtype``) is multiplied by M in its own narrow dtype and
+summed exactly in int64; its index sums are the float route's, converted.
 """
 
 from __future__ import annotations
@@ -47,15 +50,26 @@ def w1_batch(X: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _index_sums(AT: np.ndarray) -> np.ndarray:
-    """Sums over axis 0 of an (n, reps) array, row after row for every column
-    (numpy's ``sum(axis=0)`` sums a single column pairwise instead)."""
+    """Sums over axis 0 of an (n, reps) array as float64: row after row for
+    every column (numpy's ``sum(axis=0)`` sums a single column pairwise
+    instead), or exactly in int64 for integers."""
+    if AT.dtype.kind == "i":
+        return AT.sum(axis=0, dtype=np.int64).astype(float)
     return AT.sum(axis=0) if AT.shape[1] > 1 else np.cumsum(AT, axis=0)[-1]
+
+
+def _neighborhood_sums(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(X^T, Y^T = M X^T), (n, reps), in the dtype of X: integer values
+    (which must hold Y and X_i Y_i, see ``fields.value_dtype``) take M
+    cast to theirs."""
+    XT = np.ascontiguousarray(X.T)
+    M = sys.M.astype(XT.dtype, copy=False) if XT.dtype.kind == "i" else sys.M
+    return XT, np.asarray(M @ XT)
 
 
 def w2_batch(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.ndarray]:
     """(W2 with NaN at rejections, rejection mask)."""
-    XT = np.ascontiguousarray(X.T)
-    YT = np.asarray(sys.M @ XT)
+    XT, YT = _neighborhood_sums(X, sys)
     n = XT.shape[0]
     s = _index_sums(XT)
     centering = n * (s / n) * (_index_sums(YT) / n)
@@ -70,8 +84,7 @@ def w2_batch(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.nda
 def w2bar_batch(X: np.ndarray, sys: NeighborhoodSystem, sigma: float) -> np.ndarray:
     if not sigma > 0:
         raise DegenerateVariance(f"sigma={sigma} must be positive")
-    XT = np.ascontiguousarray(X.T)
-    YT = np.asarray(sys.M @ XT)
+    XT, YT = _neighborhood_sums(X, sys)
     YT *= XT
     s2 = sigma * sigma
     vbar = np.sqrt(np.clip(_index_sums(YT), 0.25 * s2, 2.0 * s2))

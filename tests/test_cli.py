@@ -26,6 +26,7 @@ Core claims:
       never with a traceback, and exit 2 when a key is unknown or the
       seed out of range
     - ``verdicts.csv`` reads back with the csv module, digests and all
+    - importing the CLI loads no scipy.special (the normal CDF is stdlib's)
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from __future__ import annotations
 import csv
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -563,3 +567,11 @@ def test_mutated_example_configs_exit_0_1_or_2(tmp_path, data):
     assert rc in (0, 1, 2)
     if extra & {"unknown_key", "bad_seed"}:
         assert rc == 2
+
+
+def test_cli_import_leaves_scipy_special_out():
+    code = "import sys, locdep.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -513,6 +513,98 @@ def test_draw_sums_falls_back_to_the_rows(name, monkeypatch):
     assert np.array_equal(S, F.sum_values(f, float_rows(f, 5, reps, path=(1,))))
 
 
+def fair(a: float, b: float) -> F.DiscreteSource:
+    return F.DiscreteSource((a, b), (0.5, 0.5))
+
+
+def window_system(n: int, half: int) -> nb.NeighborhoodSystem:
+    """A declared system wider than the induced one: A_i = [i-half, i+half]."""
+    return nb.make_system([range(max(0, i - half), min(n, i + half + 1)) for i in range(n)])
+
+
+def cycle(n: int, source: F.Source) -> F.LatentSourceField:
+    return F.build_graph_dependency(n, [(i, (i + 1) % n) for i in range(n)], source)
+
+
+# (field, declared system or None for the induced one, the dtype its values take)
+INTEGER_FIELDS = {
+    "iid2": (F.build_iid_field(2, F.rademacher()), None, np.int8),  # rejects half the time
+    "iid": (F.build_iid_field(40, F.rademacher()), None, np.int8),
+    "m1": (F.build_m_dependent(60, 1, F.rademacher()), None, np.int8),
+    "m3": (F.build_m_dependent(60, 3, F.rademacher()), None, np.int8),
+    "cycle": (cycle(30, F.rademacher()), None, np.int8),
+    "star": (F.build_graph_dependency(30, [(0, j) for j in range(1, 30)], F.rademacher()),
+             None, np.int16),  # hub: |X| <= 30, |A| = 30, |X Y| <= 27,000
+    # |X| <= 2, |A_i| <= 81: |X Y| <= 324
+    "m1_declared": (F.build_m_dependent(200, 1, F.rademacher()), window_system(200, 40), np.int16),
+    # |X| <= 4,000, |A_i| <= 7: |X Y| <= 1.12e8
+    "m3_wide": (F.build_m_dependent(40, 3, fair(-1000.0, 1000.0)), None, np.int32),
+    # means 3 (values 0 and 2 over 3 sources) are subtracted as integers
+    "m2_shifted": (F.build_m_dependent(50, 2, fair(0.0, 2.0)), None, np.int8),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_integer_values_give_the_float_routes_w2(name):
+    # integer values, and W2, W2bar and the rejection masks computed from
+    # them, equal the float route bit for bit on unaligned ranges and on
+    # unsorted lists with repeats
+    f, sys, dtype = INTEGER_FIELDS[name]
+    sys = F.induced_neighborhoods(f) if sys is None else sys
+    assert F.value_dtype(f, sys) == dtype
+    B = block_size(f.n_sources)
+    for reps in (range(B + 3, 9 * B + 5), [2 * B + 1, 0, B + 1, 2 * B + 1, 5, 0, 3 * B - 1]):
+        want = F.evaluate_values(f, F.draw_source_rows(f, 17, reps, path=(2,)))
+        rows = F.draw_source_rows(f, 17, reps, path=(2,), dtype=dtype)
+        assert rows.dtype == dtype and rows.T.flags.c_contiguous
+        X = F.evaluate_values(f, rows)
+        assert X.dtype == dtype and np.array_equal(X, want)
+        w2, rejected = st.w2_batch(X, sys)
+        w2_f, rejected_f = st.w2_batch(want, sys)
+        assert np.array_equal(w2, w2_f, equal_nan=True) and np.array_equal(rejected, rejected_f)
+        assert np.array_equal(st.w2bar_batch(X, sys, 3.0), st.w2bar_batch(want, sys, 3.0))
+    if name == "iid2":
+        assert rejected.any()
+
+
+FLOAT_FIELDS = {
+    # n max|X| max|Y| = 3 * 2^52 reaches 2^53, though S still counts from bits
+    "two_pow_26": F.build_iid_field(3, fair(-2.0**26, 2.0**26)),
+    "bernoulli_half": F.build_iid_field(30, F.bernoulli(0.5)),  # mean 1/2
+    "three_point": F.build_m_dependent(29, 2, F.three_point()),
+    "normal": F.build_m_dependent(29, 2, F.ContinuousSource("normal")),
+    "quarters": F.build_m_dependent(29, 2, fair(0.25, 0.75)),
+    "word": F.build_word_field([0, 1], 13, 2, [None]),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_integer_route_leaves_other_fields_on_floats(name):
+    f = FLOAT_FIELDS[name]
+    assert (f.bit_plan is not None) == (name in ("two_pow_26", "bernoulli_half"))
+    assert F.value_dtype(f, F.induced_neighborhoods(f)) == np.float64
+    if f.bit_plan is None:
+        with pytest.raises(ValueError, match="integer rows"):
+            F.draw_source_rows(f, 1, [0], dtype=np.int8)
+
+
+def test_integer_route_needs_an_integer_system():
+    f = F.build_m_dependent(20, 1, F.rademacher())
+    M = F.induced_neighborhoods(f).M.copy()
+    M.data[:] = 0.5
+    assert F.value_dtype(f, nb.NeighborhoodSystem(n=20, M=M)) == np.float64
+
+
+def test_packed_route_plan_is_frozen_at_build():
+    f = F.build_m_dependent(30, 2, F.rademacher())
+    runs, base = f.bit_plan
+    assert base == -int(f.counts.sum()) and f.mean_sum == 0.0
+    for _, cuts, slope in runs:
+        assert not cuts.flags.writeable and not slope.flags.writeable
+    g = F.build_m_dependent(30, 2, fair(0.0, 2.0))
+    assert g.mean_sum == float(np.sum(g.means)) == 90.0
+
+
 @pytest.mark.parametrize("build", [
     lambda: F.build_iid_field(5, F.three_point()),
     lambda: F.build_m_dependent(6, 2, F.rademacher()),

@@ -5,6 +5,9 @@ Core claims:
       the sampling envelope and reproduces with the seed
     - the block streams are stable under increasing R, thread counts and
       chunk sizes; rejections reproduce
+    - W2 and W2bar of fair two-point integer sum fields run on integer
+      values and give the float route's summaries; other fields run on
+      floats
     - both Monte-Carlo loops (``mc_run`` and ``mc_moment_table``) draw
       chunks of at most 2^22 source draws
     - rate fits recover synthetic power laws; ratio tables are exact on
@@ -69,12 +72,13 @@ def test_chunk_size_and_thread_count_do_not_change_summaries():
     # split to the last bit
     f = F.build_m_dependent(300, 1, F.rademacher())
     t = M.exact_moment_table(f, cap=0)
-    runs = [
-        H.mc_run(f, "w1", 4000, 3, sigma=t.sigma, threads=threads, **chunk)
-        for chunk in ({"chunk": 256}, {"chunk": 512}, {})
-        for threads in (1, 2)
-    ]
-    assert all(r == runs[0] for r in runs[1:])
+    for statistic in ("w1", "w2"):  # W2 takes integer values here
+        runs = [
+            H.mc_run(f, statistic, 4000, 3, sigma=t.sigma, threads=threads, **chunk)
+            for chunk in ({"chunk": 256}, {"chunk": 512}, {})
+            for threads in (1, 2)
+        ]
+        assert all(r == runs[0] for r in runs[1:]), statistic
     normal = F.build_m_dependent(300, 1, F.ContinuousSource("normal"))
     for statistic in ("w1", "w2"):
         runs = [
@@ -84,6 +88,38 @@ def test_chunk_size_and_thread_count_do_not_change_summaries():
             for threads in (1, 2)
         ]
         assert all(r == runs[0] for r in runs[1:]), statistic
+
+
+def record_value_dtypes(monkeypatch) -> list:
+    """Record the dtype of every value matrix ``mc_run`` reduces."""
+    dtypes, batch = [], H.statistic_batch
+    monkeypatch.setattr(H, "statistic_batch",
+                        lambda name, X, *a: dtypes.append(X.dtype) or batch(name, X, *a))
+    return dtypes
+
+
+@pytest.mark.parametrize("statistic", ["w2", "w2bar"])
+def test_integer_route_gives_the_float_routes_summary(statistic, monkeypatch):
+    f = F.build_m_dependent(500, 1, F.rademacher())
+    dtypes = record_value_dtypes(monkeypatch)
+    ints = H.mc_run(f, statistic, 3000, 8, sigma=math.sqrt(4 * 500 - 2), chunk=1024)
+    assert set(dtypes) == {np.dtype(np.int8)} and len(dtypes) == 3
+    dtypes.clear()
+    monkeypatch.setattr(H, "value_dtype", lambda field, sys: np.dtype(float))
+    floats = H.mc_run(f, statistic, 3000, 8, sigma=math.sqrt(4 * 500 - 2), chunk=1024)
+    assert set(dtypes) == {np.dtype(float)}
+    assert ints == floats
+
+
+@pytest.mark.parametrize("field", [
+    F.build_iid_field(3, F.DiscreteSource((-2.0**26, 2.0**26), (0.5, 0.5))),  # 3 * 2^52 >= 2^53
+    F.build_iid_field(30, F.bernoulli(0.5)),  # mean 1/2
+    F.build_m_dependent(30, 1, F.three_point()),
+], ids=["past_2_pow_53", "bernoulli_half", "three_point"])
+def test_other_fields_take_the_float_route(field, monkeypatch):
+    dtypes = record_value_dtypes(monkeypatch)
+    H.mc_run(field, "w2", 1000, 4, max_reject_fraction=1.0)
+    assert set(dtypes) == {np.dtype(float)}
 
 
 def test_rejections_reproduce_and_excess_raises():
@@ -155,7 +191,7 @@ def test_both_mc_loops_keep_chunks_under_the_cell_cap(monkeypatch):
         rows.append(len(reps))
         return draw(field, seed, reps, *args, **kwargs)
 
-    for module in (F, H, M):
+    for module in (F, M):
         monkeypatch.setattr(module, "draw_source_rows", counted)
     M.mc_moment_table(f, reps=2000, master_seed=1)
     H.mc_run(f, "sum", 2000, 1)
