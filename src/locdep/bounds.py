@@ -303,15 +303,16 @@ def bound_constrained_u(table: MomentTable, n: int, b: int) -> BoundReport:
     """Constrained U-statistic shapes in the growth exponent b.
 
     sigma_fd, the scale constant with Var = sigma_fd^2 n^{2b-1}
-    asymptotically, is estimated as sigma_n / n^{b-1/2}; the se holds it
-    fixed.
+    asymptotically, is estimated as sigma_n / n^{b-1/2} from the table's
+    sigma2, so the se propagates the uncertainty of sigma2 too.
     """
     sigma_fd = _require_sigma(table) / n ** (b - 0.5)
 
     def shape(t2, e3, t3, t4, sigma2):
-        term1 = n ** (-b - 0.5) / sigma_fd**3 * t3
-        term2 = n ** (-b / 2 - 0.5) / sigma_fd**2 * math.sqrt(t4)
-        scale = n ** (-b) / sigma_fd**2 * t2
+        fd = math.sqrt(sigma2) / n ** (b - 0.5)
+        term1 = n ** (-b - 0.5) / fd**3 * t3
+        term2 = n ** (-b / 2 - 0.5) / fd**2 * math.sqrt(t4)
+        scale = n ** (-b) / fd**2 * t2
         return term1 + term2, {
             "third_moment": term1,
             "fourth_moment": term2,

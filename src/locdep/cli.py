@@ -230,6 +230,11 @@ def _check_constrained(p: dict, where: str) -> None:
         raise ConfigError(where, "constrained_ustat needs one of 'word' and 'pattern'")
     if p["word"] is not None and max(ord(ch) - ord("a") for ch in p["word"]) >= p["alphabet"]:
         raise ConfigError(f"{where}.word", f"letters must be the first {p['alphabet']} of a-z")
+    steps = len(p["pattern"] if p["word"] is None else p["word"]) - 1
+    if p["gaps"] is None:  # by default every step is unconstrained
+        p["gaps"] = [None] * steps
+    elif len(p["gaps"]) != steps:
+        raise ConfigError(f"{where}.gaps", f"need {steps}, one per step, got {len(p['gaps'])}")
 
 
 RADEMACHER = {"kind": "rademacher"}
@@ -276,8 +281,8 @@ FAMILIES = {
             "word": (_typed(lambda v: type(v) is str and v.isascii() and v.isalpha() and v.islower(),
                             "a nonempty string of letters a-z"), None),
             "alphabet": (_integer(1), 26),
-            "pattern": (_list(_integer(1)), None),
-            "gaps": (GAPS, ["inf"]),
+            "pattern": (_list(_integer(1), 1), None),
+            "gaps": (GAPS, None),  # one "inf" per step when left out
             **COMMON_PARAMS,
         }, _check_constrained),
         lambda p, n, where: (

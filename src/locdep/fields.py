@@ -40,6 +40,9 @@ Fields are immutable after construction.  Sampling is a pure function of
 (master_seed, path, replication_index): replications are drawn in blocks
 of ``rng.block_size(n_sources)``, one counter-based substream per block,
 so blocks parallelize and every replication reproduces bit-for-bit.  A
+discrete law that is not equiprobable is drawn by counting the cumulative
+thresholds at or below one uniform draw: a k-point law costs k - 1
+comparisons, and every such law a config can name has 2 or 3 points.  A
 fair two-point source is drawn as packed random bits, and the bits stay
 packed as long as the statistic allows: :func:`draw_sums` counts a sum
 field's S from them (a byte popcount table per run of equal c) when every
@@ -83,6 +86,8 @@ DEFAULT_INDEX_CAP = 2**22
 ENUM_BLOCK = 2**16
 # largest gathered (reps, indices, K) block one evaluator call sees
 GATHER_CELLS = 2**21
+# pairs signature_groups keys at a time; adjacency cells a triangle sum holds
+PAIR_CHUNK, ADJ_CELLS = 2**15, 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +144,9 @@ def uniform_letters(k: int) -> DiscreteSource:
 def _draw(source: Source, rng: np.random.Generator, size) -> np.ndarray:
     """``size`` (an int or a shape) draws of ``source``.  Equiprobable
     discrete sources take exact shortcuts: random bits for two points,
-    ``integers`` for more; other laws invert the cumulative probs."""
+    ``integers`` for more.  Any other k-point law takes, for a uniform u,
+    the value at the count of cumulative probs cum_j <= u, j < k - 1
+    (k - 1 comparisons)."""
     if isinstance(source, ContinuousSource):
         if source.kind == "uniform":
             return rng.random(size)
@@ -149,9 +156,11 @@ def _draw(source: Source, rng: np.random.Generator, size) -> np.ndarray:
         return values.take(_fair_bits(rng, size))
     if len(set(source.probs)) == 1:
         return values[rng.integers(len(values), size=size)]
-    cum = np.cumsum(source.probs)
-    idx = np.searchsorted(cum, rng.random(size), side="right")
-    return values[np.minimum(idx, len(values) - 1)]
+    u = rng.random(size)
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(values) - 1))
+    for c in np.cumsum(source.probs)[:-1]:
+        idx += u >= c
+    return values.take(idx)
 
 
 def _fair_bytes(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -406,14 +415,17 @@ def _pack(cols) -> np.ndarray:
 
 def _first_slots(S: np.ndarray) -> np.ndarray:
     """Coincidence pattern: F[r, c] is the first slot of row r holding the
-    same source id as slot c."""
-    order = np.argsort(S, axis=1, kind="stable")
-    ordered = np.take_along_axis(S, order, axis=1)
-    starts = np.zeros(S.shape, dtype=np.int64)
+    same source id as slot c.  Only rows that repeat an id (a pad
+    included) are argsorted; every other row is 0..K-1."""
+    F = np.tile(np.arange(S.shape[1]), (S.shape[0], 1))
+    srt = np.sort(S, axis=1)
+    rep = np.unique(np.flatnonzero(srt[:, 1:] == srt[:, :-1]) // max(S.shape[1] - 1, 1))
+    order = np.argsort(S[rep], axis=1, kind="stable")
+    ordered = srt[rep]  # the values in argsort order
+    starts = np.zeros(order.shape, dtype=np.int64)
     starts[:, 1:] = np.where(ordered[:, 1:] != ordered[:, :-1], np.arange(1, S.shape[1]), 0)
     first = np.take_along_axis(order, np.maximum.accumulate(starts, axis=1), axis=1)
-    F = np.empty_like(S)
-    np.put_along_axis(F, order, first, axis=1)
+    F[rep[:, None], order] = first
     return F
 
 
@@ -438,18 +450,36 @@ def signature_groups(field: LatentSourceField, ij) -> tuple[np.ndarray, np.ndarr
     inverse), with row first[g] representing group g and row r in group
     inverse[r].  A pair is keyed by the groups of i and j and, per slot of
     j, the first slot of i holding the same source (pads excluded), which
-    partitions as the full signature does, with no per-pair sort.  Groups
-    are put in signature order, which fixes the order of sums over them."""
+    partitions as the full signature does, PAIR_CHUNK pairs at a time with
+    no per-pair sort.  Groups are put in signature order, which fixes the
+    order of sums over them."""
     ij = np.asarray(ij, dtype=np.int64)
-    gid = field.groups[1]
-    Si, Sj = field.supports[ij[:, 0]], field.supports[ij[:, 1]]
-    cross = np.zeros(Sj.shape, dtype=np.int32)
-    for a in range(Si.shape[1] - 1, -1, -1):
-        cross[(Sj == Si[:, a, None]) & (Sj >= 0)] = a + 1
-    keys = _pack([gid[ij[:, 0]], gid[ij[:, 1]], *cross.T])
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    gid, K = field.groups[1], field.supports.shape[1]
+    inverse = np.empty(len(ij), dtype=np.int64)
+    firsts, keys = [], []  # per chunk, the first row and the key columns of its groups
+    for lo in range(0, len(ij), PAIR_CHUNK):
+        i, j = ij[lo:lo + PAIR_CHUNK].T.copy()
+        Si, Sj = field.supports.T.take(i, axis=1), field.supports.T.take(j, axis=1)  # slot-major
+        Sj[Sj < 0] = -2  # a pad of j matches no slot of i
+        cross = np.zeros(Sj.shape, dtype=np.min_scalar_type(K))
+        for a in range(K - 1, -1, -1):
+            np.copyto(cross, a + 1, where=Sj == Si[a])
+        cols = [gid.take(i), gid.take(j), *cross]
+        key = _pack(cols)
+        srt = np.sort(key)
+        uniq = srt[np.r_[True, srt[1:] != srt[:-1]]]
+        local = np.searchsorted(uniq, key)
+        first = np.full(uniq.size, i.size)
+        np.minimum.at(first, local, np.arange(i.size))
+        inverse[lo:lo + i.size] = local + sum(f.size for f in firsts)
+        firsts.append(first + lo)
+        keys.append([c[first] for c in cols])
+    # chunk groups with equal keys merge, first rows from the earliest chunk
+    _, at, merged = np.unique(_pack([np.concatenate(c) for c in zip(*keys)]),
+                              return_index=True, return_inverse=True)
+    first = np.concatenate(firsts)[at]
     order = np.argsort(_signatures(field, ij[first]))
-    return first[order], np.argsort(order)[inverse.reshape(-1)]
+    return first[order], np.argsort(order)[merged.reshape(-1)][inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -1041,10 +1071,10 @@ def build_word_field(
     w = np.asarray(word, dtype=float)
 
     def f(*xs):
-        out = np.ones_like(np.asarray(xs[0], dtype=float))
-        for k, x in enumerate(xs):
-            out = out * (np.asarray(x) == w[k])
-        return out
+        match = np.asarray(xs[0]) == w[0]
+        for k in range(1, len(xs)):
+            match = match & (np.asarray(xs[k]) == w[k])
+        return match.astype(float)
 
     field = build_constrained_ustat_field(
         n=n,
@@ -1133,13 +1163,20 @@ def build_decorated_graph_field(
 
 def _triangle_batch_sum(n: int) -> Callable:
     """Whole-field triangle sums, trace(A^3) per replication: one matrix
-    product instead of gathering every injection."""
-    triu = np.triu_indices(n, k=1)
+    product instead of gathering every injection, over stacks of about
+    ADJ_CELLS adjacency cells at a time."""
+    iu, ju = np.triu_indices(n, k=1)
+    upper, lower = iu * n + ju, ju * n + iu  # flat cells of A[i, j] and A[j, i]
+    step = max(1, ADJ_CELLS // (n * n))
 
     def batch_sum(rows: np.ndarray) -> np.ndarray:
-        adj = np.zeros((rows.shape[0], n, n))
-        adj[:, triu[0], triu[1]] = rows
-        adj[:, triu[1], triu[0]] = rows
-        return np.einsum("rij,rij->r", adj @ adj, adj)
+        out = np.empty(rows.shape[0])
+        adj = np.zeros((min(step, rows.shape[0]), n * n))  # the diagonal stays 0
+        for lo in range(0, rows.shape[0], step):
+            a = adj[:len(rows[lo:lo + step])]
+            a[:, upper] = a[:, lower] = rows[lo:lo + step]
+            a = a.reshape(-1, n, n)
+            out[lo:lo + len(a)] = np.einsum("rij,rij->r", a @ a, a)
+        return out
 
     return batch_sum

@@ -7,7 +7,9 @@ preconditions and both delta-component sets on each, and one
 distributed-U report.  It was recorded before the shapes were rewritten
 as single functions of the norm sums.  Every report must reproduce it bit
 for bit; the preconditions and delta_2/delta_3, which now rescale the
-main terms instead of spelling them out, may move by rounding only.
+main terms instead of spelling them out, may move by rounding only.  The
+Monte-Carlo constrained_u se was re-pinned when it began to propagate the
+se of sigma2 (0.6864956267422554 -> 2.906932529755671).
 """
 
 from __future__ import annotations

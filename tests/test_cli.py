@@ -400,8 +400,11 @@ PARAM_CASES = {
     "word_upper_case": ("constrained_ustat", {"word": "AB"}, "$.params.word"),
     "word_outside_alphabet": ("constrained_ustat", {"word": "az", "alphabet": 2}, "$.params.word"),
     "word_and_pattern": ("constrained_ustat", {"word": "ab", "pattern": [2, 1]}, "$.params"),
-    "gaps_longer_than_word": ("constrained_ustat", {"word": "ab", "gaps": ["inf", 1]}, "$.params"),
-    "gaps_shorter_than_pattern": ("constrained_ustat", {"pattern": [2, 1, 3]}, "$.params"),
+    "gaps_longer_than_word": ("constrained_ustat", {"word": "ab", "gaps": ["inf", 1]},
+                              "$.params.gaps"),
+    "gaps_shorter_than_pattern": ("constrained_ustat", {"pattern": [2, 1, 3], "gaps": ["inf"]},
+                                  "$.params.gaps"),
+    "pattern_empty": ("constrained_ustat", {"pattern": []}, "$.params.pattern"),
     "kernel_degree": ("ustat", {"m": 3, "kernel": "diff_sq_half"}, "$.params.m"),
     "ustat_uniform_source": ("ustat", {"source": {"kind": "uniform"}}, "$.params.source.kind"),
     "ustat_normal_source": ("ustat", {"source": {"kind": "normal"}}, "$.params.source.kind"),
@@ -416,6 +419,15 @@ def test_mistyped_family_parameters_exit_2(tmp_path, capsys, family, params, whe
                        bounds=list(cli.FAMILIES[family].default_bounds))
     assert cli.main(["derive", "--spec", write_spec(tmp_path, doc)]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"word": "abc", "alphabet": 3}, {"pattern": [1, 2, 3]}],
+                         ids=["word", "pattern"])
+def test_default_gaps_leave_every_step_unconstrained(tmp_path, params):
+    doc = minimal_spec(tmp_path, family="constrained_ustat", params=params, grid=[6],
+                       bounds=["constrained_u"])
+    assert cli.parse_spec(doc).params["gaps"] == [None, None]
+    assert cli.main(["derive", "--spec", write_spec(tmp_path, doc)]) == 0
 
 
 # each names the JSON path (or flag) that the error message must name

@@ -23,6 +23,9 @@ Core claims:
       any block size, on unaligned, unsorted and repeated replications;
       every other law (and integer sums that could reach 2^53) draws rows,
       and S from rows does not depend on their layout or batch
+    - a law drawn by counting its cumulative thresholds equals the binary
+      search bit for bit; the triangle's chunked trace(A^3) equals the
+      whole-batch formula; the first-slot pattern equals the argsort one
 """
 
 from __future__ import annotations
@@ -410,6 +413,59 @@ def test_sampler_laws():
             assert set(np.unique(y)) <= set(source.values)
 
 
+def _searchsorted_draw(source, rng, size):
+    """The former ``_draw`` of a discrete law: bits for a fair two-point
+    law, ``integers`` for an equiprobable one, else a binary search of
+    one uniform draw in the cumulative probs."""
+    values = np.asarray(source.values)
+    if F._is_fair_two_point(source):
+        return values.take(F._fair_bits(rng, size))
+    if len(set(source.probs)) == 1:
+        return values[rng.integers(len(values), size=size)]
+    idx = np.searchsorted(np.cumsum(source.probs), rng.random(size), side="right")
+    return values[np.minimum(idx, len(values) - 1)]
+
+
+class _GivenUniforms:
+    """A generator whose uniform draws are given."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return self.u.reshape(size)
+
+
+DRAW_LAWS = {
+    "bernoulli": F.bernoulli(0.3),
+    "three_point": F.three_point(1.3, 0.2),
+    "ten_point": F.DiscreteSource(tuple(map(float, range(10))),
+                                  (0.02, 0.08, 0.1, 0.2, 0.05, 0.15, 0.1, 0.1, 0.12, 0.08)),
+    "zero_atoms": F.DiscreteSource((-1.0, 0.0, 2.0, 5.0), (0.5, 0.0, 0.5, 0.0)),
+    "zero_first": F.DiscreteSource((0.0, 1.0, 2.0), (0.0, 0.3, 0.7)),
+    "short_cumsum": F.DiscreteSource(tuple(map(float, range(10))), (0.05,) + (0.1,) * 8 + (0.15,)),
+    "tenths": F.DiscreteSource(tuple(map(float, range(10))), (0.1,) * 10),
+}
+
+
+@pytest.mark.parametrize("law", DRAW_LAWS.values(), ids=DRAW_LAWS.keys())
+def test_threshold_draws_match_the_binary_search(law):
+    # counting the cumulative probs at or below u is the binary search's
+    # index, capped at the last value, bit for bit and for any shape
+    for size in (1, 5000, (37, 11), (0, 3)):
+        got = F._draw(law, np.random.default_rng(99), size)
+        want = _searchsorted_draw(law, np.random.default_rng(99), size)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if len(set(law.probs)) > 1:  # uniforms on and next to every threshold
+        cum = np.cumsum(law.probs)
+        # short_cumsum's cumsum ends below 1: u in [cum[-1], 1) takes the last value
+        assert law is not DRAW_LAWS["short_cumsum"] or cum[-1] < 1.0
+        u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 2), [0.0, 1 - 2**-53]])
+        u = u[u < 1]
+        got = F._draw(law, _GivenUniforms(u), u.size)
+        assert np.array_equal(got, _searchsorted_draw(law, _GivenUniforms(u), u.size))
+
+
 @pytest.mark.parametrize("n_sources", [8, 300, 40_000])
 def test_block_rows_are_a_function_of_the_replication(n_sources):
     # B = 4096, 128 and 1: a range that starts inside a block and crosses
@@ -653,3 +709,48 @@ def test_fields_are_immutable_and_sampling_leaves_them_unchanged():
     H.mc_run(f, "w2", 2000, 3, chunk=256, threads=2)
     assert np.array_equal(f.means, means)
     assert dict(f.metadata) == metadata
+
+
+def test_chunked_triangle_sums_equal_the_whole_batch_formula():
+    # a non-0/1 edge law makes the products inexact; 700 replications at
+    # n = 23 span six stacks of adjacency matrices
+    n, reps = 23, 700
+    f = F.build_decorated_graph_field(n, [(0, 1), (0, 2), (1, 2)], F.three_point(1.3, 0.2))
+    assert reps // (F.ADJ_CELLS // (n * n)) >= 5
+    rows = F.draw_source_rows(f, 5, np.arange(reps))
+    iu, ju = np.triu_indices(n, k=1)
+    adj = np.zeros((reps, n, n))
+    adj[:, iu, ju] = rows
+    adj[:, ju, iu] = rows
+    want = np.einsum("rij,rij->r", adj @ adj, adj)
+    assert np.array_equal(f.metadata["batch_sum"](rows), want)
+    assert np.array_equal(F.sum_values(f, rows), want - f.mean_sum)
+    # gathering every injection agrees up to summation order
+    np.testing.assert_allclose(F.evaluate_values(f, rows).sum(axis=1), want - f.mean_sum,
+                               rtol=1e-12, atol=1e-9)
+
+
+def _argsort_first_slots(S):
+    """The coincidence pattern from one stable argsort of every row."""
+    order = np.argsort(S, axis=1, kind="stable")
+    ordered = np.take_along_axis(S, order, axis=1)
+    starts = np.zeros(S.shape, dtype=np.int64)
+    starts[:, 1:] = np.where(ordered[:, 1:] != ordered[:, :-1], np.arange(1, S.shape[1]), 0)
+    first = np.take_along_axis(order, np.maximum.accumulate(starts, axis=1), axis=1)
+    F_ = np.empty_like(S)
+    np.put_along_axis(F_, order, first, axis=1)
+    return F_
+
+
+def test_first_slots_match_the_argsort_pattern():
+    star = F.build_graph_dependency(9, [(0, v) for v in range(1, 9)], F.rademacher())
+    assert star.supports.shape == (9, 9)  # K = n; every leaf row repeats its pads
+    rng = np.random.default_rng(3)
+    distinct = np.array([rng.permutation(np.arange(-1, 40))[:6] for _ in range(100)])
+    repeats = rng.integers(-1, 4, size=(100, 6))
+    mixed = np.concatenate([distinct, repeats])[rng.permutation(200)]
+    has_repeat = np.array([len(set(r)) < len(r) for r in mixed.tolist()])
+    assert has_repeat.any() and not has_repeat.all() and (distinct == -1).any()
+    for S in (star.supports, mixed, mixed[:0], np.arange(5)[:, None]):
+        got = F._first_slots(S)
+        assert got.dtype == np.int64 and np.array_equal(got, _argsort_first_slots(S))

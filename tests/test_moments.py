@@ -292,20 +292,24 @@ GROUP_KINDS = ("pads", "repeats", "params", "given_means", "continuous")
 
 
 @pytest.mark.parametrize("kind", GROUP_KINDS)
-def test_frozen_and_pair_groups_match_full_key_grouping(kind):
-    shared = 0
-    for seed in range(6):
-        f = random_grouping_field(seed, kind)
-        first, inverse = f.groups
-        ref_first, ref_inverse = reference_signature_groups(f, np.arange(f.n))
-        assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
-        assert not first.flags.writeable and not inverse.flags.writeable
-        ij = np.array(list(itertools.product(range(f.n), repeat=2)))
-        got = F.signature_groups(f, ij)
-        ref = reference_signature_groups(f, ij)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-        shared += ij.shape[0] - ref[0].size
-    assert shared > 0  # some pairs share a signature
+def test_frozen_and_pair_groups_match_full_key_grouping(kind, monkeypatch):
+    # pairs are keyed in chunks: each field here fits one chunk of the
+    # default size, and in chunks of 5 pairs the groups merge across many
+    for chunk in (F.PAIR_CHUNK, 5):
+        monkeypatch.setattr(F, "PAIR_CHUNK", chunk)
+        shared = 0
+        for seed in range(6):
+            f = random_grouping_field(seed, kind)
+            first, inverse = f.groups
+            ref_first, ref_inverse = reference_signature_groups(f, np.arange(f.n))
+            assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
+            assert not first.flags.writeable and not inverse.flags.writeable
+            ij = np.array(list(itertools.product(range(f.n), repeat=2)))
+            got = F.signature_groups(f, ij)
+            ref = reference_signature_groups(f, ij)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+            shared += ij.shape[0] - ref[0].size
+        assert shared > 0  # some pairs share a signature
 
 
 def test_exact_moment_table_reads_frozen_index_groups(monkeypatch):
