@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, bounds, fields, harness, moments, neighborhood, oracle, statistics
-from .errors import ComplexityCapExceeded, ConfigError, LocdepError
+from .errors import ComplexityCapExceeded, ConfigError, EmptyIndexSet, InvalidSize, LocdepError
 
 STATISTICS = ("w1", "w2", "w2bar", "sum")
 
@@ -195,6 +195,8 @@ COMMON_PARAMS = {"sigma2": (POSITIVE, None), "declared_A": (_list(_list(_integer
 
 
 def _build_graph(p: dict, n: int, where: str) -> fields.LatentSourceField:
+    if p["graph"] == "cycle" and n < 3:
+        raise ConfigError("$.grid", f"n={n}: a cycle needs n >= 3")
     edges = {"cycle": [(i, (i + 1) % n) for i in range(n)], "star": [(0, i) for i in range(1, n)],
              "edgeless": [], "explicit": p["edges"]}[p["graph"]]
     if any(v >= n for e in edges for v in e):
@@ -347,6 +349,8 @@ def build_family(family: str, params: dict, n: int, where: str = "$.params") -> 
         field = entry.build(params, n, where)
     except ValueError as e:  # an argument the field builder refuses
         raise ConfigError(where, str(e)) from None
+    except (EmptyIndexSet, InvalidSize) as e:  # a grid size below the family's smallest n
+        raise ConfigError("$.grid", f"n={n}: {e}") from None
     return BuiltInstance(field, functools.cache(lambda: _system(field, params["declared_A"])))
 
 
@@ -543,11 +547,10 @@ def write_artifacts(spec: ExperimentSpec, result: dict, out_dir: Path) -> None:
     chash = config_hash(spec.raw)
     stamp = f"# config_hash={chash} seed={spec.seed}"
 
-    lines = [stamp]
-    for e in result["per_n"]:
-        lines.append(f"# n={e['n']}")
-        lines.extend(moments.table_to_csv_rows(e["table"]))
-    (out_dir / "moments.csv").write_text("\n".join(lines) + "\n")
+    with (out_dir / "moments.csv").open("w") as fh:  # one grid point's rows at a time
+        fh.write(stamp + "\n")
+        for e in result["per_n"]:
+            fh.write("\n".join([f"# n={e['n']}", *moments.table_to_csv_rows(e["table"])]) + "\n")
 
     bound_doc = {
         "config_hash": chash,

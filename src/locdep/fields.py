@@ -60,7 +60,6 @@ with the field.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -698,8 +697,8 @@ def sum_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     """Field sums S of source rows, shape (reps,), centered iff the field
     is: U @ c for a sum field (summed row by row over runs of equal c, so
     S does not depend on the batch or on the rows' memory layout), the
-    triangle's ``batch_sum`` matrix product, or else the sum of
-    :func:`evaluate_values`."""
+    field's ``batch_sum`` (the triangle's trace(A^3), a word's count), or
+    else the sum of :func:`evaluate_values`."""
     rows = np.atleast_2d(rows)
     batch_sum = field.metadata.get("batch_sum")
     if field.ev is _sum_columns:
@@ -959,6 +958,39 @@ def admissible_tuples(
     return tuples
 
 
+def count_word_occurrences(
+    string, word: Sequence, gaps: Sequence[int | None], exact_gaps: bool = False,
+):
+    """Occurrences of ``word`` in ``string`` under the gap constraints: an
+    int for one string, int64 counts for each row of a (reps, n) array.
+
+    An occurrence is an index tuple i_1 < ... < i_l with letter matches and
+    i_{j+1} - i_j <= gaps[j] (= gaps[j] exactly, when ``exact_gaps`` and the
+    gap is finite).  Dynamic program over (position, matched prefix), left
+    to right, all rows at once: ways[..., t] counts the matches of the
+    first j letters that end at t, and the next letter adds up the ways
+    within its gap by a prefix sum.
+    """
+    s = np.asarray(list(string) if isinstance(string, str) else string)
+    l, n = len(word), s.shape[-1]
+    if l and len(gaps) != l - 1:
+        raise ValueError(f"need {l - 1} gap entries, got {len(gaps)}")
+    if not 0 < l <= n:
+        return 0 if s.ndim == 1 else np.zeros(s.shape[:-1], dtype=np.int64)
+    ways = (s == word[0]).astype(np.int64)
+    for j in range(1, l):
+        d = gaps[j - 1]
+        if exact_gaps and d is not None:  # ways[t - d]
+            reach = np.zeros_like(ways)
+            reach[..., d:] = ways[..., :max(n - d, 0)]
+        else:  # sum of ways[lo:t], lo = max(0, t - d) (0 for an infinite gap)
+            reach = np.cumsum(ways, axis=-1) - ways
+            if d is not None and d < n:
+                reach[..., d:] -= reach[..., :n - d].copy()
+        ways = np.where(s == word[j], reach, 0)
+    return int(ways.sum()) if s.ndim == 1 else ways.sum(axis=-1)
+
+
 def gap_order(gaps: Sequence[int | None]) -> int:
     """b = 1 + #infinite gaps: the growth exponent |I| = Theta(n^b)."""
     return 1 + sum(1 for g in gaps if g is None)
@@ -973,6 +1005,7 @@ def build_constrained_ustat_field(
     window_evaluator: Callable | None = None,
     known_mean: float | None = None,
     cap: int = DEFAULT_INDEX_CAP,
+    metadata: Mapping | None = None,
 ) -> LatentSourceField:
     """Constrained U-statistic field over a stationary m-dependent sequence.
 
@@ -981,7 +1014,7 @@ def build_constrained_ustat_field(
     row concatenates the tuple's windows, so overlapping windows repeat a
     source.  Induced neighborhoods combine tuple overlap with gap-<=-m
     interference, which is exactly the union of the overlap and
-    proximity sets.
+    proximity sets.  ``metadata`` adds to (or overrides) the family's.
     """
     if n < 1:
         raise InvalidSize(f"n must be >= 1, got {n}")
@@ -1016,6 +1049,7 @@ def build_constrained_ustat_field(
             "gaps": gaps,
             "b": gap_order(gaps),
             "tuples": tuples,
+            **(metadata or {}),
         },
     )
 
@@ -1044,7 +1078,7 @@ def build_pattern_field(
         raise ValueError("tau must be a permutation of 1..l")
     if len(gaps) != l - 1:
         raise ValueError(f"need {l - 1} gap entries, got {len(gaps)}")
-    field = build_constrained_ustat_field(
+    return build_constrained_ustat_field(
         n=n,
         m=0,
         f=_pattern_indicator(tau),
@@ -1052,10 +1086,8 @@ def build_pattern_field(
         source=ContinuousSource("uniform"),
         known_mean=1.0 / math.factorial(l),
         cap=cap,
+        metadata={"family": "pattern", "tau": tuple(int(t) for t in tau)},
     )
-    return dataclasses.replace(field, metadata={
-        **field.metadata, "family": "pattern", "tau": tuple(int(t) for t in tau),
-    })
 
 
 def build_word_field(
@@ -1065,9 +1097,12 @@ def build_word_field(
     gaps: Sequence[int | None],
     cap: int = DEFAULT_INDEX_CAP,
 ) -> LatentSourceField:
-    """Word-occurrence counting field over iid uniform letters 0..k-1."""
+    """Word-occurrence counting field over iid uniform letters 0..k-1.
+    Its ``batch_sum`` is :func:`count_word_occurrences` over the letter
+    rows, so S needs no per-tuple values."""
     if len(gaps) != len(word) - 1:
         raise ValueError(f"need {len(word) - 1} gap entries, got {len(gaps)}")
+    word, gaps = tuple(int(x) for x in word), tuple(gaps)
     w = np.asarray(word, dtype=float)
 
     def f(*xs):
@@ -1076,20 +1111,20 @@ def build_word_field(
             match = match & (np.asarray(xs[k]) == w[k])
         return match.astype(float)
 
-    field = build_constrained_ustat_field(
+    return build_constrained_ustat_field(
         n=n,
         m=0,
         f=f,
         gaps=gaps,
         source=uniform_letters(alphabet_size),
         cap=cap,
+        metadata={
+            "family": "word",
+            "word": word,
+            "alphabet_size": alphabet_size,
+            "batch_sum": lambda rows: count_word_occurrences(rows, word, gaps),
+        },
     )
-    return dataclasses.replace(field, metadata={
-        **field.metadata,
-        "family": "word",
-        "word": tuple(int(x) for x in word),
-        "alphabet_size": alphabet_size,
-    })
 
 
 def build_decorated_graph_field(
@@ -1130,12 +1165,12 @@ def build_decorated_graph_field(
             out = out * hh(deco[e], G[..., e])
         return out
 
-    # the injections in lexicographic order: extend by one column, drop repeats
+    # the injections in lexicographic order: extend each row by its free vertices
     injections = np.arange(n, dtype=np.int64)[:, None]
-    for _ in range(1, v):
-        grown = np.column_stack([np.repeat(injections, n, axis=0),
-                                 np.tile(np.arange(n, dtype=np.int64), len(injections))])
-        injections = grown[(grown[:, :-1] != grown[:, -1:]).all(axis=1)]
+    for k in range(1, v):  # each row has n - k free vertices
+        free = np.ones((len(injections), n), dtype=bool)
+        np.put_along_axis(free, injections, False, axis=1)
+        injections = np.column_stack([np.repeat(injections, n - k, axis=0), np.nonzero(free)[1]])
     edge_ids = np.empty((n_inj, len(edges)), dtype=np.int64)
     for e, (a, b) in enumerate(edges):
         ua = np.minimum(injections[:, a], injections[:, b])

@@ -13,9 +13,11 @@ rejection is a value, not an error.  The neighborhoods A_i are those of
 a :class:`NeighborhoodSystem`, the same system whose kappa and tau enter
 the bounds: Y is one sparse product with its matrix M.
 
-The counters (word occurrences, permutation-pattern occurrences, subgraph
-statistics, classical and distributed U-statistics) are independent naive
-computations used as oracles against the field constructions.
+The counters (permutation-pattern occurrences, subgraph statistics,
+classical and distributed U-statistics) are independent naive
+computations used as oracles against the field constructions.  The word
+counter is ``fields.count_word_occurrences``, which also gives a word
+field's S; its per-tuple evaluator is the independent check.
 
 W2 and W2bar reduce the (n, reps) transpose of the value matrix over axis
 0, adding the indices in ascending order one after another (not pairwise)
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateVariance, GraphTooLarge
-from .fields import admissible_tuples
+from .fields import admissible_tuples, count_word_occurrences  # noqa: F401
 from .neighborhood import NeighborhoodSystem
 
 
@@ -113,46 +115,6 @@ def statistic_batch(
 
 # ---------------------------------------------------------------------------
 # Counting oracles
-
-
-def count_word_occurrences(
-    string: Sequence, word: Sequence, gaps: Sequence[int | None],
-    exact_gaps: bool = False,
-) -> int:
-    """Occurrences of ``word`` in ``string`` under the gap constraints.
-
-    An occurrence is an index tuple i_1 < ... < i_l with letter matches and
-    i_{j+1} - i_j <= gaps[j] (= gaps[j] exactly, when ``exact_gaps`` and the
-    gap is finite).  Dynamic program over (position, matched prefix).
-    """
-    s = list(string)
-    w = list(word)
-    l = len(w)
-    if l == 0:
-        return 0
-    if len(gaps) != l - 1:
-        raise ValueError(f"need {l - 1} gap entries, got {len(gaps)}")
-    n = len(s)
-    if l > n:
-        return 0
-    ways = [1 if s[t] == w[0] else 0 for t in range(n)]
-    for j in range(1, l):
-        d = gaps[j - 1]
-        prefix = list(itertools.accumulate(ways, initial=0))  # prefix[t] = sum ways[:t]
-        nxt = [0] * n
-        for t in range(n):
-            if s[t] != w[j]:
-                continue
-            if exact_gaps and d is not None:
-                tp = t - d
-                nxt[t] = ways[tp] if tp >= 0 else 0
-            elif d is None:
-                nxt[t] = prefix[t]
-            else:
-                lo = max(0, t - d)
-                nxt[t] = prefix[t] - prefix[lo]
-        ways = nxt
-    return int(sum(ways))
 
 
 def count_pattern_occurrences(

@@ -25,8 +25,11 @@ Core claims:
     - mutated example configs exit 0, 1 or 2 under derive and bound,
       never with a traceback, and exit 2 when a key is unknown or the
       seed out of range
+    - a grid size below the family's smallest n exits 2 naming ``$.grid``
+      (``$.params.k`` for the distributed U-statistic)
     - ``verdicts.csv`` reads back with the csv module, digests and all
-    - importing the CLI loads no scipy.special (the normal CDF is stdlib's)
+    - importing the CLI loads no scipy.special (the normal CDF is stdlib's),
+      and ``python -m locdep`` runs the CLI
 """
 
 from __future__ import annotations
@@ -430,6 +433,27 @@ def test_default_gaps_leave_every_step_unconstrained(tmp_path, params):
     assert cli.main(["derive", "--spec", write_spec(tmp_path, doc)]) == 0
 
 
+# a grid size below the family's smallest n: the word or pattern length,
+# the decorated pattern's order, k*m for ustat, 3 for a cycle
+GRID_CASES = {
+    "word_abc": ("constrained_ustat", {"word": "abc", "alphabet": 3}, [2, 16], "$.grid"),
+    "pattern_132": ("constrained_ustat", {"pattern": [1, 3, 2]}, [8, 2], "$.grid"),
+    "triangle": ("decorated_graph", {"pattern": "triangle"}, [2, 8], "$.grid"),
+    "cycle": ("graph", {"graph": "cycle"}, [2, 8], "$.grid"),
+    "ustat_k_m": ("ustat", {"m": 2, "k": 3}, [5, 12], "$.params.k"),
+}
+
+
+@pytest.mark.parametrize("family,params,grid,where", GRID_CASES.values(), ids=GRID_CASES.keys())
+def test_grid_size_below_the_familys_smallest_n_exits_2(tmp_path, capsys, family, params, grid,
+                                                         where):
+    doc = minimal_spec(tmp_path, family=family, params=params, grid=grid,
+                       bounds=list(cli.FAMILIES[family].default_bounds), mode={"kind": "mc"})
+    for command in ("derive", "run"):
+        assert cli.main([command, "--spec", write_spec(tmp_path, doc)]) == 2
+        assert where in capsys.readouterr().err
+
+
 # each names the JSON path (or flag) that the error message must name
 SPEC_CASES = {
     "params_key_typo": ({"params": {"sourc": {"kind": "normal"}}}, [], "$.params.sourc"),
@@ -587,3 +611,11 @@ def test_cli_import_leaves_scipy_special_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-m", "locdep", "count", "word", "--string", "abab",
+                          "--word", "ab", "--gaps", "inf"], env=env, capture_output=True,
+                         text=True)
+    assert (out.returncode, out.stdout.strip()) == (0, "3")

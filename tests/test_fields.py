@@ -10,7 +10,8 @@ Core claims:
       every sampler draws its source's exact law
     - the family builders reproduce their hand-derived structure examples
       (window fields, graph fields, U-statistic subsets, constrained
-      tuples, decorated injections)
+      tuples, decorated injections and their edge ids); word and pattern
+      fields are constructed once
     - a built field is immutable, and sampling leaves it unchanged; its
       frozen source counts are the incidence column sums
     - sum fields (iid, m-dependent, graph) take the linear route: their
@@ -23,6 +24,9 @@ Core claims:
       any block size, on unaligned, unsorted and repeated replications;
       every other law (and integer sums that could reach 2^53) draws rows,
       and S from rows does not depend on their layout or batch
+    - a word field's S is its occurrence count less the summed means, with
+      no per-tuple value matrix: equal to the summed values bit for bit
+      for dyadic means, and within 1e-9 |I| otherwise
     - a law drawn by counting its cumulative thresholds equals the binary
       search bit for bit; the triangle's chunked trace(A^3) equals the
       whole-batch formula; the first-slot pattern equals the argsort one
@@ -319,11 +323,13 @@ def test_continuous_sources_need_given_means():
     assert np.array_equal(normal.means, np.zeros(40))
 
 
-# pattern edge lists on v = 3, 4 and 2 vertices
+# pattern edge lists: triangle, a 4-vertex path, an edge, path3, a triangle with a tail
 @pytest.mark.parametrize("n, edges", [
     (6, [(0, 1), (0, 2), (1, 2)]),
     (7, [(0, 1), (1, 2), (2, 3)]),
     (8, [(0, 1)]),
+    (5, [(0, 1), (1, 2)]),
+    (6, [(0, 1), (0, 2), (1, 2), (0, 3)]),
 ])
 def test_decorated_injections_are_the_lexicographic_permutations(n, edges):
     f = F.build_decorated_graph_field(n, edges, F.bernoulli(0.5))
@@ -331,6 +337,12 @@ def test_decorated_injections_are_the_lexicographic_permutations(n, edges):
     expect = np.array(list(itertools.permutations(range(n), v)), dtype=np.int64)
     assert f.metadata["injections"].dtype == np.int64
     assert np.array_equal(f.metadata["injections"], expect)
+    # an edge's id is its rank among the host's pairs in lexicographic order
+    rank = {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
+    ids = [[rank[tuple(sorted((phi[a], phi[b])))] for a, b in edges] for phi in expect]
+    assert f.metadata["edge_ids"].dtype == np.int64
+    assert np.array_equal(f.metadata["edge_ids"], ids)
+    assert np.array_equal(f.supports, ids)
 
 
 SUM_FIELDS = {
@@ -709,6 +721,52 @@ def test_fields_are_immutable_and_sampling_leaves_them_unchanged():
     H.mc_run(f, "w2", 2000, 3, chunk=256, threads=2)
     assert np.array_equal(f.means, means)
     assert dict(f.metadata) == metadata
+
+
+# (word, n, alphabet, gaps): dyadic means for 2 and 4 letters, not for 3 and 5
+WORD_FIELDS = {
+    "ab_inf": ([0, 1], 24, 2, [None]),
+    "aba_mixed": ([0, 1, 0], 14, 2, [None, 3]),
+    "dcb_four": ([3, 2, 1], 12, 4, [2, None]),
+    "ac_three": ([0, 2], 20, 3, [None]),
+    "abca_five": ([0, 1, 2, 0], 12, 5, [None, 2, None]),
+    "one_letter": ([1], 9, 3, []),
+}
+
+
+@pytest.mark.parametrize("name", WORD_FIELDS)
+def test_word_sums_are_counted_with_no_value_matrix(name, monkeypatch):
+    word, n, k, gaps = WORD_FIELDS[name]
+    f = F.build_word_field(word, n, k, gaps)
+    rows = F.draw_source_rows(f, 8, range(4096))
+    want = F.evaluate_values(f, rows).sum(axis=1)
+    assert np.array_equal(f.metadata["batch_sum"](rows),
+                          F.count_word_occurrences(rows, word, gaps))
+
+    def no_value_matrix(*args):
+        raise AssertionError("a word field's S needs no per-tuple values")
+
+    monkeypatch.setattr(F, "evaluate_values", no_value_matrix)
+    for reps in (4096, 16, 1):
+        S = F.draw_sums(f, 8, range(reps))
+        assert np.array_equal(F.sum_values(f, rows[:reps]), S)
+        if k in (2, 4):  # dyadic means: both sums are exact
+            assert np.array_equal(S, want[:reps])
+        else:
+            assert np.abs(S - want[:reps]).max() <= 1e-9 * f.n
+
+
+@pytest.mark.parametrize("build", [
+    lambda: F.build_word_field([0, 1, 0], 7, 2, [None, 2]),
+    lambda: F.build_pattern_field(6, [1, 3, 2], [None, None]),
+], ids=["word", "pattern"])
+def test_word_and_pattern_fields_are_built_once(build, monkeypatch):
+    calls, post_init = [], F.LatentSourceField.__post_init__
+    monkeypatch.setattr(F.LatentSourceField, "__post_init__",
+                        lambda self: calls.append(self) or post_init(self))
+    f = build()
+    assert calls == [f]
+    assert f.metadata["family"] in ("word", "pattern") and "tuples" in f.metadata
 
 
 def test_chunked_triangle_sums_equal_the_whole_batch_formula():

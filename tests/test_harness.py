@@ -4,7 +4,8 @@ Core claims:
     - the empirical Kolmogorov distance matches the exact oracle within
       the sampling envelope and reproduces with the seed
     - the block streams are stable under increasing R, thread counts and
-      chunk sizes; rejections reproduce
+      chunk sizes; rejections reproduce; a word field's summaries do not
+      depend on the thread count
     - W2 and W2bar of fair two-point integer sum fields run on integer
       values and give the float route's summaries; other fields run on
       floats
@@ -88,6 +89,17 @@ def test_chunk_size_and_thread_count_do_not_change_summaries():
             for threads in (1, 2)
         ]
         assert all(r == runs[0] for r in runs[1:]), statistic
+
+
+def test_word_field_summaries_do_not_depend_on_the_thread_count():
+    # a word field's S is its occurrence count (the field's batch_sum);
+    # three letters give means that are not dyadic
+    for f in (F.build_word_field([0, 1], 40, 2, [None]), F.build_word_field([0, 2], 30, 3, [4])):
+        t = M.mc_moment_table(f, reps=2000, master_seed=5)
+        for statistic in ("w1", "sum"):
+            runs = [H.mc_run(f, statistic, 3000, 3, sigma=t.sigma, threads=threads, chunk=512)
+                    for threads in (1, 2)]
+            assert runs[0] == runs[1], statistic
 
 
 def record_value_dtypes(monkeypatch) -> list:

@@ -8,7 +8,8 @@ Core claims:
     - W2 and W2bar give the same bits on C- and F-ordered copies of one
       value matrix, and a replication's value does not depend on the other
       rows of its batch
-    - the word / pattern / subgraph counters agree with exhaustive scans
+    - the word / pattern / subgraph counters agree with exhaustive scans;
+      the word counter also row by row over a (reps, n) letter array
     - constrained-U and decorated field sums reproduce the counters
       exactly (integer equality) on sampled inputs
     - classical and distributed U-statistic evaluators match hand values
@@ -175,6 +176,36 @@ def test_word_counter_random_vs_brute():
         assert st.count_word_occurrences(s, w, gaps, exact_gaps=exact) == brute_word_count(
             s, w, gaps, exact
         )
+
+
+# (alphabet, n, word, gaps, exact_gaps): the counter over a (reps, n) letter array
+BATCH_WORD_CASES = {
+    "infinite_gap": (3, 9, [0, 1], [None], False),
+    "finite_gaps": (3, 10, [1, 0, 1], [2, 3], False),
+    "exact_gaps": (3, 10, [0, 1, 1], [2, None], True),
+    "one_letter": (2, 8, [1], [], False),
+    "n_is_word_length": (2, 3, [0, 1, 0], [1, None], False),
+    "n_is_exact_word_length": (2, 3, [0, 1, 0], [1, 1], True),
+    "gap_at_least_n": (3, 6, [1, 0], [6], False),
+    "exact_gap_at_least_n": (3, 6, [1, 0], [7], True),
+    "word_longer_than_n": (2, 2, [0, 1, 0], [None, None], False),
+}
+
+
+@pytest.mark.parametrize("k, n, word, gaps, exact", BATCH_WORD_CASES.values(),
+                         ids=BATCH_WORD_CASES.keys())
+def test_batched_word_counts_match_brute_force_row_by_row(k, n, word, gaps, exact):
+    # every letter string over k letters, or 200 random ones when there
+    # are more, one string per row
+    strings = np.array(list(itertools.product(range(k), repeat=n)))
+    if len(strings) > 200:
+        strings = strings[np.random.default_rng(n).choice(len(strings), 200, replace=False)]
+    counts = st.count_word_occurrences(strings, word, gaps, exact_gaps=exact)
+    assert counts.dtype == np.int64 and counts.shape == (len(strings),)
+    want = [brute_word_count(s.tolist(), word, gaps, exact) for s in strings]
+    assert counts.tolist() == want
+    assert st.count_word_occurrences(strings[0], word, gaps, exact_gaps=exact) == want[0]
+    assert st.count_word_occurrences is F.count_word_occurrences  # one program
 
 
 def test_pattern_counter_examples():
