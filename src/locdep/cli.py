@@ -37,6 +37,7 @@ from . import __version__, bounds, fields, harness, moments, neighborhood, oracl
 from .errors import ComplexityCapExceeded, ConfigError, EmptyIndexSet, InvalidSize, LocdepError
 
 STATISTICS = ("w1", "w2", "w2bar", "sum")
+TABLE_CAP = 2**20  # largest outcome space whose Var(S) a moment table enumerates
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +205,14 @@ def _build_graph(p: dict, n: int, where: str) -> fields.LatentSourceField:
     return fields.build_graph_dependency(n, edges, _source(p["source"]))
 
 
+def _graph_report(field: fields.LatentSourceField, n: int, table) -> bounds.BoundReport:
+    """The graph bound at d = D - 1, which a graph of maximal degree D = 0 does not have."""
+    if field.metadata["max_degree"] == 0:
+        raise ConfigError("$.params.graph", f"n={n}: the 'graph' bound needs an edge, "
+                          "and the graph has maximal degree 0")
+    return bounds.bound_graph(table, field.metadata["max_degree"] - 1)
+
+
 KERNELS = {
     "product": lambda *cols: math.prod(cols),
     "sum": lambda *cols: sum(cols),
@@ -257,7 +266,7 @@ FAMILIES = {
             **COMMON_PARAMS,
         }),
         _build_graph,
-        {"graph": lambda b, p, n, t: bounds.bound_graph(t, b.field.metadata["max_degree"] - 1)},
+        {"graph": lambda b, p, n, t: _graph_report(b.field, n, t)},
         ("graph",),
     ),
     "ustat": Family(
@@ -359,11 +368,12 @@ def build_family(family: str, params: dict, n: int, where: str = "$.params") -> 
 
 
 def _moment_table_for(built: BuiltInstance, spec: ExperimentSpec, n: int,
-                      cap: int = fields.DEFAULT_ENUM_CAP):
-    """The field's own moments: the declared neighborhoods play no part."""
+                      cap: int = fields.DEFAULT_ENUM_CAP, sigma2: float | None = None):
+    """The field's own moments: the declared neighborhoods play no part.
+    ``sigma2`` is the Var(S) of a walk of the outcome space, if one took it."""
     f = built.field
     if f.is_enumerable():
-        table = moments.exact_moment_table(f, cap=min(cap, 2**20))
+        table = moments.exact_moment_table(f, cap=min(cap, TABLE_CAP), sigma2=sigma2)
     else:
         reps = max(spec.mode["reps"] // 10, 1000)
         table = moments.mc_moment_table(f, reps=reps, master_seed=spec.seed)
@@ -372,6 +382,22 @@ def _moment_table_for(built: BuiltInstance, spec: ExperimentSpec, n: int,
         table.sigma2 = float(spec.params["sigma2"])
         table.extras["sigma2_provenance"] = "config"
     return table
+
+
+def _walk_for(built: BuiltInstance, spec: ExperimentSpec, cap: int, do_stat: bool):
+    """The one walk of a grid point's outcome space, taking only what the
+    point reads: S for a table's Var(S) (a non-sum field within the
+    table's cap), the exact-mode statistic, and every outcome for the LD
+    test; None when nothing reads a walk."""
+    f, count = built.field, built.field.outcome_count() or math.inf
+    statistic = spec.statistic if do_stat and spec.mode["kind"] == "exact" else None
+    ld = spec.assertions["require_ld"] and count <= 2**16
+    var = f.ev is not fields._sum_columns and count <= min(cap, TABLE_CAP)
+    if not (statistic or ld or var):
+        return None
+    sys = built.system() if statistic in ("w2", "w2bar") else None
+    return oracle.walk_outcomes(f, statistic, sys, var=var, keep=ld,
+                                cap=cap if statistic else fields.DEFAULT_ENUM_CAP)
 
 
 def _system(field: fields.LatentSourceField, declared) -> neighborhood.NeighborhoodSystem:
@@ -442,14 +468,15 @@ def run_experiment(
     for gi, n in enumerate(spec.grid):
         built = build_family(spec.family, spec.params, n)
         f = built.field
-        table = _moment_table_for(built, spec, n, cap=cap)
+        walk = _walk_for(built, spec, cap, do_stat)
+        table = _moment_table_for(built, spec, n, cap=cap, sigma2=walk and walk.sigma2)
         reports = evaluate_bounds(built, spec, n, table) if do_bounds else []
         sigma = table.sigma if not table.degenerate else None
         sys = built.system() if do_stat and spec.statistic in ("w2", "w2bar") else None
         if not do_stat:
             summary = None
         elif spec.mode["kind"] == "exact":
-            ks = oracle.exact_kolmogorov(f, spec.statistic, sys=sys, sigma=sigma, cap=cap)
+            ks = oracle.exact_kolmogorov(f, spec.statistic, sys=sys, sigma=sigma, cap=cap, walk=walk)
             summary = harness.EmpiricalSummary(
                 statistic=spec.statistic, reps=0, ks=ks, ks_band=0.0,
                 rejected=0, mean=float("nan"),
@@ -460,8 +487,11 @@ def run_experiment(
                 f, spec.statistic, spec.mode["reps"], spec.seed,
                 sigma=sigma, sys=sys, path=(gi,), threads=threads,
             )
-        if spec.assertions["require_ld"] and f.is_enumerable() and f.outcome_count() <= 2**16:
-            failures.extend(f"n={n}: {v}" for v in oracle.check_ld_independence(f, built.system()))
+        if walk is not None and walk.X is not None:
+            failures.extend(
+                f"n={n}: {v}" for v in oracle.check_ld_independence(f, built.system(), walk=walk)
+            )
+        del walk  # not held into the next grid point
         per_n.append({"n": n, "table": table, "reports": reports, "summary": summary})
 
     fit = None

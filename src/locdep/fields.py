@@ -693,12 +693,13 @@ def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def sum_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
+def sum_values(field: LatentSourceField, rows: np.ndarray, X: np.ndarray | None = None) -> np.ndarray:
     """Field sums S of source rows, shape (reps,), centered iff the field
     is: U @ c for a sum field (summed row by row over runs of equal c, so
     S does not depend on the batch or on the rows' memory layout), the
     field's ``batch_sum`` (the triangle's trace(A^3), a word's count), or
-    else the sum of :func:`evaluate_values`."""
+    else the row sums of ``X``, the rows' :func:`evaluate_values` (built
+    here when not given)."""
     rows = np.atleast_2d(rows)
     batch_sum = field.metadata.get("batch_sum")
     if field.ev is _sum_columns:
@@ -707,7 +708,7 @@ def sum_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     elif batch_sum is not None:
         s = batch_sum(rows)
     else:
-        return evaluate_values(field, rows).sum(axis=1)
+        return (evaluate_values(field, rows) if X is None else X).sum(axis=1)
     return s - field.mean_sum if field.center else s
 
 

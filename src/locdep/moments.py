@@ -9,13 +9,14 @@ Carlo with batch-means standard errors.
 
 Exact Var(S) is cross-checked against the local-dependence identity
 Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j).  A sum field takes the
-closed form sum_s c_s^2 Var(U_s), other fields a walk of the full
-outcome space, and the identity is summed by local enumeration once per
-pair group.  Past the enumeration cap the identity alone gives Var(S),
-which scales to fields whose full outcome space is out of reach.  A
-caller that holds the materialized outcome space (the checkers'
-``oracle.precompute``) passes it in, and norms, Var(S) and the identity
-are all read from it, with no further enumeration.
+closed form sum_s c_s^2 Var(U_s), other fields the Var(S) of a walk of
+the full outcome space (``oracle.walk_outcomes``; a caller that already
+walks it hands the value in), and the identity is summed by local
+enumeration once per pair group.  Past the enumeration cap the identity
+alone gives Var(S), which scales to fields whose full outcome space is
+out of reach.  A caller that holds the materialized outcome space (the
+checkers' ``oracle.precompute``) passes it in, and norms, Var(S) and the
+identity are all read from it, with no further enumeration.
 """
 
 from __future__ import annotations
@@ -36,11 +37,9 @@ from .fields import (
     evaluate_values,
     local_values,
     _sum_columns,
-    outcome_blocks,
     overlap_matrix,
     product_grid,
     signature_groups,
-    sum_values,
 )
 from .neighborhood import NeighborhoodSystem, pairs
 from .rng import STREAM_MOMENTS, chunk_rows
@@ -135,17 +134,6 @@ def _covariance_sum(field: LatentSourceField, ij: np.ndarray) -> float:
     return float(np.bincount(inverse, minlength=first.size) @ cov)
 
 
-def exact_sigma2_enumerated(field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Var(S) over the full outcome space."""
-    es = 0.0
-    es2 = 0.0
-    for probs, rows in outcome_blocks(field, cap=cap):
-        s = sum_values(field, rows)
-        es += float(probs @ s)
-        es2 += float(probs @ s**2)
-    return es2 - es * es
-
-
 def _sum_field_sigma2(field: LatentSourceField) -> float:
     """Var(S) = sum_s c_s^2 Var(U_s) of a sum field over discrete sources,
     c the slot counts ``field.counts``."""
@@ -162,6 +150,7 @@ def exact_moment_table(
     sys: NeighborhoodSystem | None = None,
     cap: int = DEFAULT_ENUM_CAP,
     outcomes: tuple[np.ndarray, np.ndarray] | None = None,
+    sigma2: float | None = None,
 ) -> MomentTable:
     """Exact norms and Var(S).
 
@@ -172,11 +161,13 @@ def exact_moment_table(
     covariance identity from the covariance matrix summed over ``sys``.
     Otherwise the norms come from local enumeration once per index group,
     and Var(S), when the field has at most ``cap`` outcomes, from the
-    closed form sum_s c_s^2 Var(U_s) for a sum field or else from global
-    enumeration, cross-checked against the covariance identity over
-    ``sys`` by local enumeration once per pair group.  Past the cap Var(S)
-    is the identity alone (mode "hybrid").  A failed cross-check raises
-    AssertionError: the neighborhoods do not cover the true dependence.
+    closed form sum_s c_s^2 Var(U_s) for a sum field or else from
+    ``sigma2``, the Var(S) of the caller's walk of the outcome space (a
+    walk of its own when None), cross-checked against the covariance
+    identity over ``sys`` by local enumeration once per pair group.  Past
+    the cap Var(S) is the identity alone (mode "hybrid").  A failed
+    cross-check raises AssertionError: the neighborhoods do not cover the
+    true dependence.
     """
     first, inverse = field.groups
     count = field.outcome_count()
@@ -198,8 +189,11 @@ def exact_moment_table(
     else:
         l2, l3, l4 = exact_index_norms(field, first)[inverse].T.copy()
         if count is not None and count <= cap:
-            sigma2 = (_sum_field_sigma2(field) if field.ev is _sum_columns
-                      else exact_sigma2_enumerated(field, cap=cap))
+            if field.ev is _sum_columns:
+                sigma2 = _sum_field_sigma2(field)
+            elif sigma2 is None:
+                from .oracle import walk_outcomes  # oracle imports this module
+                sigma2 = walk_outcomes(field, var=True, cap=cap).sigma2
             sigma2_id = exact_sigma2_local(field, sys)
         else:
             sigma2 = sigma2_id = exact_sigma2_local(field, sys)

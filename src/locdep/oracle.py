@@ -6,6 +6,13 @@ realization) pairs, so distributions, Kolmogorov distances, and both
 sides of every explicit-constant inequality are computed exactly (up to
 floating round-off).
 
+:func:`walk_outcomes` is the one loop over the outcome space.  It walks
+it block by block and takes only what its reader asks for: S for Var(S),
+the whole (M, n) value matrix (the checkers and the LD factorization
+test), and a statistic's sigma-free parts, to which :func:`exact_law`
+applies sigma once the moment table exists.  So one walk serves a grid
+point's Var(S), exact law and LD test together.
+
 Every checker reads one frozen instance record, :class:`Precomputed`,
 built once per instance by :func:`precompute`: the field and its
 neighborhood system with kappa, tau and M^T, the enumerated outcomes, the
@@ -59,11 +66,11 @@ from .fields import (
 )
 from .moments import MomentTable, exact_moment_table
 from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive, pairs
-from .statistics import statistic_batch
+from .statistics import w1_batch, w2_batch, w2bar_finish, w2bar_sums
 
 PASS_TOL = 1e-10
 ATOM_MERGE_TOL = 1e-12
-# largest (M, n) float64 outcome matrix enumerate_field builds
+# largest (M, n) float64 outcome matrix a walk keeps
 ENUM_BYTES_CAP = 2**30
 
 
@@ -83,52 +90,110 @@ def phi(z):
 
 
 # ---------------------------------------------------------------------------
-# Enumeration plans
+# The outcome-space walk
 
 
-@dataclass(frozen=True)
-class EnumerationPlan:
-    """Materialized outcome space of an enumerable field."""
+@dataclass
+class Walk:
+    """What one walk of an enumerable field's outcome space took.
 
-    probs: np.ndarray  # (M,)
-    X: np.ndarray      # (M, n) centered field values
+    ``probs`` and ``X`` are every outcome's probability and its (M, n)
+    field values (centered iff the field is), when the walk kept them;
+    ``sigma2`` is Var(S), when the walk took S.  ``parts`` are the
+    statistic's sigma-free parts over the accepted outcomes, with
+    ``law_probs`` conditioned on acceptance and the ``rejected`` mass:
+    :func:`exact_law` takes them over, once.
+    """
+
+    probs: np.ndarray | None = None
+    X: np.ndarray | None = None
+    sigma2: float | None = None
+    statistic: str | None = None
+    parts: list | None = None
+    law_probs: np.ndarray | None = None
+    rejected: float = 0.0
 
 
-def enumerate_field(
-    field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP
-) -> EnumerationPlan:
-    """The whole (M, n) outcome space.  Raises
-    :class:`EnumerationCapExceeded` beyond ``cap`` outcomes, or before
-    anything is allocated when the matrix would take more than
-    ENUM_BYTES_CAP bytes."""
+def walk_outcomes(
+    field: LatentSourceField,
+    statistic: str | None = None,
+    sys: NeighborhoodSystem | None = None,
+    var: bool = False,
+    keep: bool = False,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> Walk:
+    """The one walk of the outcome space, block by block, taking only what
+    is asked for: S for Var(S) (``var``) and for W1 and sum; X, kept whole
+    (``keep``) or for W2 and W2bar block by block; and the ``statistic``'s
+    sigma-free parts: S, W2 with its rejections dropped per block, or
+    W2bar's two index sums.  W2 and W2bar read the neighborhoods of
+    ``sys``, by default the field's induced ones.
+
+    Raises :class:`EnumerationCapExceeded` beyond ``cap`` outcomes, or,
+    when X is kept, before anything is allocated when it would take more
+    than ENUM_BYTES_CAP bytes.
+    """
     count = field.outcome_count()
-    if count is not None and count * field.n * 8 > ENUM_BYTES_CAP:
+    if keep and count is not None and count * field.n * 8 > ENUM_BYTES_CAP:
         raise EnumerationCapExceeded(
             f"{count} outcomes x {field.n} values need {count * field.n * 8} bytes, "
             f"over the cap of {ENUM_BYTES_CAP}"
         )
-    probs_parts = []
-    x_parts = []
+    if sys is None and statistic in ("w2", "w2bar"):
+        sys = induced_neighborhoods(field)
+    take_s = var or statistic in ("w1", "sum")
+    take_x = keep or statistic in ("w2", "w2bar")
+    kept, law = [], []  # per block: (probs, X); (the statistic's parts..., their probs)
+    es = es2 = rejected = 0.0
     for p, rows in outcome_blocks(field, cap=cap):
-        probs_parts.append(p)
-        x_parts.append(evaluate_values(field, rows))
-    probs = np.concatenate(probs_parts)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-12:
-        raise AssertionError(f"outcome probabilities sum to {total}")
-    return EnumerationPlan(probs=probs, X=np.concatenate(x_parts, axis=0))
+        X = evaluate_values(field, rows) if take_x else None
+        if take_s:
+            s = sum_values(field, rows, X)
+            es += float(p @ s)
+            es2 += float(p @ s**2)
+        if keep:
+            kept.append((p, X))
+        if statistic in ("w1", "sum"):
+            law.append((s, p))
+        elif statistic == "w2":
+            vals, rej = w2_batch(X, sys)
+            if rej.any():
+                rejected += float(p[rej].sum())
+                vals, p = vals[~rej], p[~rej]
+            law.append((vals, p))
+        elif statistic == "w2bar":
+            law.append((*w2bar_sums(X, sys), p))
+        elif statistic is not None:
+            raise ValueError(f"unknown statistic {statistic!r}")
+    walk = Walk(sigma2=es2 - es * es if take_s else None, statistic=statistic, rejected=rejected)
+    if keep:
+        walk.probs = np.concatenate([p for p, _ in kept])
+        total = float(walk.probs.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise AssertionError(f"outcome probabilities sum to {total}")
+        walk.X = np.concatenate([X for _, X in kept], axis=0)
+    if law:
+        *walk.parts, probs = (np.concatenate(c) for c in zip(*law))
+        del kept, law  # not held through the sort in merge_atoms
+        if rejected > 0:
+            if rejected >= 1.0 - 1e-15:
+                raise DegenerateVariance("statistic rejected on every outcome")
+            probs = probs / (1.0 - rejected)
+        walk.law_probs = probs
+    return walk
 
 
 @dataclass(frozen=True)
 class Precomputed:
     """The frozen record of one checked instance: everything the checkers
     read, built once by :func:`precompute`.  The outcome space is walked
-    once, into ``plan``; the moment table is read from the plan."""
+    once, into ``plan``, which keeps every outcome; the moment table is
+    read from it."""
 
     field: LatentSourceField
     sys: NeighborhoodSystem
     derived: DerivedNeighborhoods
-    plan: EnumerationPlan
+    plan: Walk
     table: MomentTable
     sigma: float
     P: np.ndarray  # (n, n) dense 0/1, P[i, j] = 1 iff j in A_i; read-only
@@ -143,7 +208,7 @@ def precompute(
     if sys is None:
         sys = induced_neighborhoods(field)
     der = derive(sys)
-    plan = enumerate_field(field, cap=cap)
+    plan = walk_outcomes(field, keep=True, cap=cap)
     table = exact_moment_table(field, sys, outcomes=(plan.probs, plan.X))
     if table.degenerate:
         raise DegenerateVariance("instance has Var(S) = 0")
@@ -183,44 +248,23 @@ def merge_atoms(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.n
     return v[starts], np.add.reduceat(p, starts)
 
 
-def exact_distribution(
-    field: LatentSourceField,
-    statistic: str,
-    sys: NeighborhoodSystem | None = None,
-    sigma: float | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(atoms, probs, rejected_probability) of a statistic's exact law.
-
-    For the self-normalized statistic, outcomes with V = 0 are rejected
-    and the remaining law is conditioned on acceptance.  W2 and W2bar read
-    the neighborhoods of ``sys``, by default the field's induced ones.
-    """
-    if sys is None and statistic in ("w2", "w2bar"):
-        sys = induced_neighborhoods(field)
-    vals_parts = []
-    probs_parts = []
-    rejected = 0.0
-    for p, rows in outcome_blocks(field, cap=cap):
-        if statistic in ("w1", "sum"):  # S alone, as a one-column value matrix
-            X = sum_values(field, rows)[:, None]
-        else:
-            X = evaluate_values(field, rows)
-        vals, rej = statistic_batch(statistic, X, sys, sigma)
-        if rej.any():
-            rejected += float(p[rej].sum())
-            vals, p = vals[~rej], p[~rej]
-        vals_parts.append(vals)
-        probs_parts.append(p)
-    values = np.concatenate(vals_parts)
-    probs = np.concatenate(probs_parts)
-    del vals_parts, probs_parts  # not held through the sort in merge_atoms
-    if rejected > 0:
-        if rejected >= 1.0 - 1e-15:
-            raise DegenerateVariance("statistic rejected on every outcome")
-        probs = probs / (1.0 - rejected)
-    atoms, aprobs = merge_atoms(values, probs)
-    return atoms, aprobs, rejected
+def exact_law(walk: Walk, sigma: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(atoms, probs) of the walked statistic's exact law, conditioned on
+    acceptance, with ``sigma`` applied to the walk's sigma-free parts.  The
+    walk hands its parts over: they are not held through the sort in
+    :func:`merge_atoms`."""
+    parts, probs = walk.parts, walk.law_probs
+    walk.parts = walk.law_probs = None
+    if walk.statistic in ("w1", "w2bar") and sigma is None:
+        raise DegenerateVariance(f"{walk.statistic} needs sigma")
+    if walk.statistic == "w1":
+        values = w1_batch(parts[0][:, None], sigma)
+    elif walk.statistic == "w2bar":
+        values = w2bar_finish(*parts, sigma)
+    else:
+        (values,) = parts
+    del parts
+    return merge_atoms(values, probs)
 
 
 def kolmogorov_from_atoms(atoms: np.ndarray, probs: np.ndarray) -> float:
@@ -238,14 +282,20 @@ def exact_kolmogorov(
     sys: NeighborhoodSystem | None = None,
     sigma: float | None = None,
     cap: int = DEFAULT_ENUM_CAP,
+    walk: Walk | None = None,
 ) -> float:
-    if statistic in ("w1", "w2bar") and sigma is None:
-        table = exact_moment_table(field, cap=cap)
+    """Kolmogorov distance of the statistic's exact law from the normal,
+    read from ``walk``, a walk of that statistic, or else from a walk of
+    its own.  ``sigma`` defaults to the field's exact moment table's."""
+    default_sigma = statistic in ("w1", "w2bar") and sigma is None
+    if walk is None:
+        walk = walk_outcomes(field, statistic, sys, var=default_sigma, cap=cap)
+    if default_sigma:
+        table = exact_moment_table(field, cap=cap, sigma2=walk.sigma2)
         if table.degenerate:
             raise DegenerateVariance("Var(S) = 0")
         sigma = table.sigma
-    atoms, probs, _ = exact_distribution(field, statistic, sys=sys, sigma=sigma, cap=cap)
-    return kolmogorov_from_atoms(atoms, probs)
+    return kolmogorov_from_atoms(*exact_law(walk, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +365,7 @@ def verdicts_to_csv_rows(verdicts: Sequence[InequalityVerdict]) -> list[str]:
     return buf.getvalue().splitlines()
 
 
-def _xi_moments(plan: EnumerationPlan, xi_vals: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+def _xi_moments(plan: Walk, xi_vals: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     """(xi^p per outcome, ||xi||_p^p); p = 0 gives (ones, 1)."""
     if p == 0:
         return np.ones_like(xi_vals), 1.0
@@ -823,12 +873,15 @@ def check_ld_independence(
     sys: NeighborhoodSystem,
     cap: int = DEFAULT_ENUM_CAP,
     tol: float = 1e-12,
+    walk: Walk | None = None,
 ) -> list[str]:
     """Exact factorization tests of both local-dependence conditions on the
     joint pmf: X_i against the indices outside A_i (LD1), and (X_i, X_j)
     for each j in A_i against those outside the cover A_i | A_j (LD2).
-    Returns a list of named violations (empty iff all pass)."""
-    plan = enumerate_field(field, cap=cap)
+    Reads ``walk``, a walk that kept every outcome, or else walks the
+    outcome space itself.  Returns a list of named violations (empty iff
+    all pass)."""
+    plan = walk if walk is not None else walk_outcomes(field, keep=True, cap=cap)
     # values rounded to 9 digits, as integer ids per column; np.unique
     # compares values, so the -0.0 that rounding yields joins 0.0
     codes = np.stack(

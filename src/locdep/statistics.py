@@ -83,14 +83,23 @@ def w2_batch(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.nda
     return w2, rejected
 
 
-def w2bar_batch(X: np.ndarray, sys: NeighborhoodSystem, sigma: float) -> np.ndarray:
-    if not sigma > 0:
-        raise DegenerateVariance(f"sigma={sigma} must be positive")
+def w2bar_sums(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.ndarray]:
+    """W2bar's sigma-free parts: (S, sum_i X_i Y_i) per replication."""
     XT, YT = _neighborhood_sums(X, sys)
     YT *= XT
+    return _index_sums(XT), _index_sums(YT)
+
+
+def w2bar_finish(s: np.ndarray, xy: np.ndarray, sigma: float) -> np.ndarray:
+    """W2bar = S / psi(sum_i X_i Y_i) from the parts of :func:`w2bar_sums`."""
+    if not sigma > 0:
+        raise DegenerateVariance(f"sigma={sigma} must be positive")
     s2 = sigma * sigma
-    vbar = np.sqrt(np.clip(_index_sums(YT), 0.25 * s2, 2.0 * s2))
-    return _index_sums(XT) / vbar
+    return s / np.sqrt(np.clip(xy, 0.25 * s2, 2.0 * s2))
+
+
+def w2bar_batch(X: np.ndarray, sys: NeighborhoodSystem, sigma: float) -> np.ndarray:
+    return w2bar_finish(*w2bar_sums(X, sys), sigma)
 
 
 def statistic_batch(

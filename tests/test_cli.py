@@ -12,6 +12,9 @@ Core claims:
       read them
     - a grid point builds its neighborhood system at most once, only when
       a consumer asks for it, and an induced system over the cap exits 1
+    - a grid point walks its outcome space at most once: the table's
+      Var(S), the exact law and the LD test share the walk
+    - the graph bound at maximal degree 0 exits 2 naming ``$.params.graph``
     - the checkers block takes a list of known check names and a boolean
       include_r4, family and source parameters are read with their types
       (a pattern of ints, explicit edges as in-range int pairs, a word in
@@ -30,6 +33,7 @@ Core claims:
     - ``verdicts.csv`` reads back with the csv module, digests and all
     - importing the CLI loads no scipy.special (the normal CDF is stdlib's),
       and ``python -m locdep`` runs the CLI
+    - the benchmark's self-check passes against the package as it stands
 """
 
 from __future__ import annotations
@@ -349,6 +353,52 @@ def test_one_system_per_grid_point_built_on_demand(tmp_path, monkeypatch, case, 
     assert calls == {"system": 3 * systems, "overlap": 3 * overlaps}
 
 
+# specs whose every grid point reads a walk: the LD test, a non-sum
+# field's Var(S) and its exact law, or an MC table's Var(S)
+ONE_WALK_CASES = {
+    "m_dependent_w1_ld": dict(family="m_dependent", grid=[4, 6],
+                              params={"m": 1, "source": {"kind": "three_point"}},
+                              assertions={"require_ld": True}),
+    "triangle_w1_ld": dict(family="decorated_graph", grid=[4, 5],
+                           params={"pattern": "triangle", "p": 0.3}, bounds=["decorated"],
+                           assertions={"require_ld": True}),
+    "path3_w2bar": dict(family="decorated_graph", grid=[4, 5], statistic="w2bar",
+                        params={"pattern": "path3", "p": 0.3}, bounds=["decorated"]),
+    "ustat_mc": dict(family="ustat", grid=[8, 12], mode={"kind": "mc", "reps": 1000},
+                     params={"m": 2, "k": 2, "kernel": "sum", "source": {"kind": "three_point"}},
+                     bounds=["distributed_u"]),
+}
+
+
+@pytest.mark.parametrize("overrides", ONE_WALK_CASES.values(), ids=ONE_WALK_CASES.keys())
+def test_one_outcome_walk_per_grid_point(tmp_path, monkeypatch, overrides):
+    walks = []
+    outcome_blocks = fields.outcome_blocks
+
+    def counted(*args, **kwargs):
+        walks.append(args[0].n)
+        return outcome_blocks(*args, **kwargs)
+
+    for mod in (fields, moments, oracle):  # every module that binds the walk's blocks
+        if getattr(mod, "outcome_blocks", None) is outcome_blocks:
+            monkeypatch.setattr(mod, "outcome_blocks", counted)
+    doc = minimal_spec(tmp_path, **overrides)
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0
+    assert len(walks) == len(doc["grid"])
+
+
+@pytest.mark.parametrize("graph,n", [("edgeless", 4), ("star", 1)])
+def test_graph_bound_at_maximal_degree_0_exits_2(tmp_path, capsys, graph, n):
+    doc = minimal_spec(tmp_path, family="graph", params={"graph": graph}, grid=[n],
+                       mode={"kind": "mc", "reps": 1000})
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "$.params.graph" in err and "Traceback" not in err
+    doc["bounds"] = ["main"]  # the shared bounds do not read the degree
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_bound_outside_the_family_exits_2(tmp_path, capsys):
     doc = minimal_spec(tmp_path, bounds=["graph"])
     assert cli.main(["bound", "--spec", write_spec(tmp_path, doc)]) == 2
@@ -619,3 +669,11 @@ def test_python_dash_m_runs_the_cli():
                           "--word", "ab", "--gaps", "inf"], env=env, capture_output=True,
                          text=True)
     assert (out.returncode, out.stdout.strip()) == (0, "3")
+
+
+def test_benchmark_selfcheck_passes():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "perfbench/selfcheck.py"], cwd=root, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]

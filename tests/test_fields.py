@@ -401,8 +401,8 @@ def test_sum_fields_take_the_linear_route(family, law, monkeypatch):
     if law != "normal":
         # Var(S) = sum_s c_s^2 Var(U_s) in closed form, with no walk of the
         # outcome space, equals Var(S) over the whole outcome space
-        enumerated = M.exact_sigma2_enumerated(f)
-        monkeypatch.setattr(M, "outcome_blocks", None)
+        enumerated = oracle.walk_outcomes(f, var=True).sigma2
+        monkeypatch.setattr(oracle, "outcome_blocks", None)
         table = M.exact_moment_table(f, F.induced_neighborhoods(f))
         assert table.mode == "exact"
         assert table.sigma2 == pytest.approx(enumerated, rel=1e-12, abs=0.0)

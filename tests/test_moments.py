@@ -133,8 +133,8 @@ def test_transitive_sigma2_shortcut_matches_full_sum():
     fast = M.exact_sigma2_local(f)
     slow = M.exact_sigma2_local(f, F.induced_neighborhoods(f))
     assert fast == pytest.approx(slow, rel=1e-10)
-    full = M.exact_sigma2_enumerated(F.build_decorated_graph_field(
-        4, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4)))
+    full = O.walk_outcomes(F.build_decorated_graph_field(
+        4, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4)), var=True).sigma2
     fast4 = M.exact_sigma2_local(F.build_decorated_graph_field(
         4, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4)))
     assert fast4 == pytest.approx(full, rel=1e-10)
@@ -241,7 +241,7 @@ def test_signature_grouping_matches_ungrouped_enumeration(case):
     local = M.exact_sigma2_local(f)
     assert local == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     assert M.exact_sigma2_local(f, sys) == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
-    assert local == pytest.approx(M.exact_sigma2_enumerated(f), rel=1e-10, abs=1e-12)
+    assert local == pytest.approx(O.walk_outcomes(f, var=True).sigma2, rel=1e-10, abs=1e-12)
 
 
 def reference_signature_groups(field: F.LatentSourceField, idx) -> tuple[np.ndarray, np.ndarray]:

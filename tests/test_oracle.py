@@ -5,6 +5,8 @@ Core claims:
       E S^4 = 3n^2 - 2n for iid Rademacher)
     - exact Kolmogorov distances match two-atom hand computations, decrease
       with n for iid Rademacher, and are relabeling-invariant
+    - a walk's exact laws of W1, S, W2 and W2bar on non-sum fields equal
+      the statistics of the whole outcome matrix, merged
     - every explicit-constant checker passes on hand instances and on
       randomized enumerable instances, with margins at worst -1e-10 rhs
     - the normal CDF matches tabulated values to 1e-14
@@ -25,9 +27,11 @@ import numpy as np
 import pytest
 
 import locdep.fields as F
+import locdep.moments as M
 import locdep.neighborhood as nb
 import locdep.oracle as O
 from locdep.errors import DegenerateVariance, EnumerationCapExceeded, InvalidTestFunction
+from locdep.statistics import statistic_batch
 
 # Phi values to 15 digits (Abramowitz-Stegun style reference points)
 PHI_TABLE = {
@@ -47,18 +51,18 @@ def test_normal_cdf_matches_tabulated_values():
 
 def test_exact_expectation_closed_forms():
     for n in (2, 5, 9, 12):
-        plan = O.enumerate_field(F.build_iid_field(n, F.rademacher()))
+        plan = O.walk_outcomes(F.build_iid_field(n, F.rademacher()), keep=True)
         s = plan.X.sum(axis=1)
         assert plan.probs @ s == pytest.approx(0.0, abs=1e-12)
         assert plan.probs @ s**2 == pytest.approx(n)
         assert plan.probs @ s**4 == pytest.approx(3 * n**2 - 2 * n)
 
 
-def test_enumerate_field_refuses_a_matrix_over_the_byte_cap():
+def test_a_kept_walk_refuses_a_matrix_over_the_byte_cap():
     # 2^24 outcomes (within the outcome cap) x 24 values: about 3 GiB
     f = F.build_iid_field(24, F.rademacher())
     with pytest.raises(EnumerationCapExceeded, match=str(2**24 * 24 * 8)):
-        O.enumerate_field(f)
+        O.walk_outcomes(f, keep=True)
     assert 2**24 * 24 * 8 > O.ENUM_BYTES_CAP
 
 
@@ -93,11 +97,45 @@ def test_exact_kolmogorov_relabeling_invariance():
     assert O.exact_kolmogorov(f_rev, "w1", sys=sys_rev) == pytest.approx(ks, abs=1e-12)
 
 
+NON_SUM_FIELDS = {
+    "triangle": lambda n: F.build_decorated_graph_field(n, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.3)),
+    "path3": lambda n: F.build_decorated_graph_field(n, [(0, 1), (1, 2)], F.bernoulli(0.3)),
+    "word": lambda n: F.build_word_field([0, 1], n, 2, [None]),
+}
+
+
+@pytest.mark.parametrize("statistic", ["w1", "sum", "w2", "w2bar"])
+@pytest.mark.parametrize("family,n", [("triangle", 4), ("triangle", 5), ("path3", 4),
+                                      ("path3", 5), ("word", 4), ("word", 6)])
+def test_exact_laws_of_non_sum_fields_match_the_brute_force_law(family, n, statistic):
+    f = NON_SUM_FIELDS[family](n)
+    assert f.ev is not F._sum_columns and f.outcome_count() <= F.ENUM_BLOCK  # one block
+    sys = F.induced_neighborhoods(f)
+    sigma = M.exact_moment_table(f).sigma
+    # the whole outcome matrix at once, through the Monte-Carlo statistics
+    probs, rows = F.product_grid(f.sources)
+    vals, rej = statistic_batch(statistic, F.evaluate_values(f, rows), sys, sigma)
+    if rej.any():
+        probs = probs[~rej] / (1.0 - float(probs[rej].sum()))
+    want = O.merge_atoms(vals[~rej], probs)
+    walk = O.walk_outcomes(f, statistic, sys, var=True)
+    got = O.exact_law(walk, sigma)
+    assert walk.parts is None and walk.law_probs is None  # handed over
+    assert np.array_equal(got[1], want[1])
+    if family == "triangle" and statistic in ("w1", "sum"):
+        # its S is trace(A^3) / 6 (``batch_sum``), not the row sums of X
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-13)
+    else:
+        assert np.array_equal(got[0], want[0])
+    assert walk.sigma2 == pytest.approx(sigma**2, rel=1e-12)
+
+
 def test_exact_w2_distribution_conditions_on_acceptance():
     f = F.build_iid_field(2, F.rademacher())
-    atoms, probs, rejected = O.exact_distribution(f, "w2", sys=F.induced_neighborhoods(f))
+    walk = O.walk_outcomes(f, "w2", F.induced_neighborhoods(f))
+    atoms, probs = O.exact_law(walk)
     # X1 = X2 gives V = 0: half the outcomes reject
-    assert rejected == pytest.approx(0.5)
+    assert walk.rejected == pytest.approx(0.5)
     assert probs.sum() == pytest.approx(1.0)
 
 
@@ -262,7 +300,7 @@ def test_ld_independence_reports():
 def ld_reference(field, sys, tol=1e-12):
     """The per-outcome dict loop of the LD factorization test, on values
     rounded to 9 digits with -0.0 folded into 0.0."""
-    plan = O.enumerate_field(field)
+    plan = O.walk_outcomes(field, keep=True)
     X = np.round(plan.X, 9) + 0.0
     probs = plan.probs
 
@@ -322,7 +360,7 @@ def test_degenerate_statistic_raises():
     with pytest.raises(DegenerateVariance):
         O.exact_kolmogorov(f, "w1")
     with pytest.raises(DegenerateVariance):
-        O.exact_distribution(f, "w2", sys=F.induced_neighborhoods(f))
+        O.walk_outcomes(f, "w2", F.induced_neighborhoods(f))
 
 
 def test_verdict_csv_rows():
