@@ -34,11 +34,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import BlockTooSmall, ComplexityCapExceeded, DegenerateVariance
 from .moments import KernelMoments, MomentTable
-from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, pairs
+from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, pairs, union
 
 # cap on the summed row lengths of the unions behind the beta sums
 TERM_BUDGET = 10**9
@@ -170,13 +169,6 @@ def bound_self_normalized(table: MomentTable, kappa: int, tau: int) -> BoundRepo
 # The literal beta sums and their delta relatives
 
 
-def _union(*parts) -> sparse.csr_matrix:
-    """Row p is the union over ``parts`` (S, ids) of row ids[p] of the CSR
-    0/1 matrix S: the sign of the sum of the selected rows."""
-    rows = [S[ids] for S, ids in parts]
-    return sum(rows[1:], rows[0]).sign()
-
-
 def beta_sums(
     l4: np.ndarray, sys: NeighborhoodSystem, derived: DerivedNeighborhoods
 ) -> dict[str, float]:
@@ -184,13 +176,12 @@ def beta_sums(
 
     The third second-order term comes twice: ``t23_beta2`` over k in
     A_i | N_j | A_j and ``t23_delta6`` over k in A_i | N_j.  Unions of
-    neighborhoods are rows of :func:`_union` matrices; the pair rows run
-    over the entries (i, j) of M, and A_i | A_j is their cover.  Before
+    neighborhoods are rows of ``neighborhood.union`` matrices; the pair
+    rows run over the entries (i, j) of M, and A_i | A_j is their cover.  Before
     any union is built, the summed row lengths of the four unions (an
     upper bound on their entries) are checked against TERM_BUDGET.
     """
     M, Mt = sys.M, derived.Mt
-    every = slice(None)
     I, J = pairs(M)
     s = np.diff(M.indptr).astype(float)
     r = np.diff(Mt.indptr).astype(float)
@@ -199,10 +190,11 @@ def beta_sums(
         raise ComplexityCapExceeded(
             f"nested-sum evaluation needs {terms:.0f} term visits, over the cap {TERM_BUDGET}"
         )
-    AuN = _union((M, every), (Mt, every))
-    cover = _union((M, I), (M, J))
-    AiNj = _union((M, I), (Mt, J))
-    AiNjAj = _union((M, I), (Mt, J), (M, J))
+    Ai, Aj = M.take(I), M.take(J)
+    AuN = union(M, Mt)
+    cover = union(Ai, Aj)
+    AiNj = union(Ai, Mt.take(J))
+    AiNjAj = union(AiNj, Aj)
 
     l43 = l4**3
     lead = s**2 * l43
@@ -210,7 +202,7 @@ def beta_sums(
     w_an = AuN @ l4
     w_n = Mt @ l4
     lij = l4[I] * l4[J]
-    d_pair = cover.T @ lij
+    d_pair = cover.tdot(lij)
     return {
         "b1a": float(np.sum(lead)),
         "b1b": float(s @ (M @ l43)),
@@ -470,7 +462,7 @@ def delta_components_prop2(
                               derived.kappa, derived.tau)
     n_a = reverse_set_of(sys, A)
     # sum over k in N_A and l in N_k | A_k of ||X_k||_4 ||X_l||_4
-    w_an = (sys.M + derived.Mt).sign() @ l4
+    w_an = union(sys.M, derived.Mt) @ l4
     d4_sq = lam**2 * c**2 / sigma**2 * float(l4[n_a] @ w_an[n_a])
     delta = {
         "delta1": c / sigma * float(np.sum(l4[np.asarray(B, dtype=np.int64)])),

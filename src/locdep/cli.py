@@ -38,6 +38,7 @@ from .errors import ComplexityCapExceeded, ConfigError, EmptyIndexSet, InvalidSi
 
 STATISTICS = ("w1", "w2", "w2bar", "sum")
 TABLE_CAP = 2**20  # largest outcome space whose Var(S) a moment table enumerates
+LD_CAP = 2**16  # largest outcome space the LD test (require_ld) enumerates
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +392,7 @@ def _walk_for(built: BuiltInstance, spec: ExperimentSpec, cap: int, do_stat: boo
     test; None when nothing reads a walk."""
     f, count = built.field, built.field.outcome_count() or math.inf
     statistic = spec.statistic if do_stat and spec.mode["kind"] == "exact" else None
-    ld = spec.assertions["require_ld"] and count <= 2**16
+    ld = spec.assertions["require_ld"] and count <= LD_CAP
     var = f.ev is not fields._sum_columns and count <= min(cap, TABLE_CAP)
     if not (statistic or ld or var):
         return None
@@ -440,13 +441,15 @@ def evaluate_bounds(
 def _distributed_general_report(built: BuiltInstance, table) -> bounds.BoundReport:
     """Per block: its rows of the table's l4, and kappa and tau of its
     diagonal block of the system's matrix."""
-    M = built.system().M
+    I, J = neighborhood.pairs(built.system().M)
     block_l4 = []
     kappas = []
     taus = []
     for (lo, hi) in built.field.metadata["block_slices"]:
         block_l4.append(table.l4[lo:hi])
-        der_b = neighborhood.derive(neighborhood.make_system(M[lo:hi, lo:hi]))
+        inside = (I >= lo) & (I < hi) & (J >= lo) & (J < hi)
+        block = neighborhood.from_entries(I[inside] - lo, J[inside] - lo, (hi - lo, hi - lo))
+        der_b = neighborhood.derive(neighborhood.NeighborhoodSystem(n=hi - lo, M=block))
         kappas.append(der_b.kappa)
         taus.append(der_b.tau)
     return bounds.bound_distributed_general(block_l4, kappas, taus, table.sigma)
@@ -491,6 +494,10 @@ def run_experiment(
             failures.extend(
                 f"n={n}: {v}" for v in oracle.check_ld_independence(f, built.system(), walk=walk)
             )
+        elif spec.assertions["require_ld"]:  # fails closed past the enumeration cap
+            count = f.outcome_count()
+            why = "continuous sources" if count is None else f"{count} outcomes over the 2^16 cap"
+            failures.append(f"n={n}: LD test not run: {why}")
         del walk  # not held into the next grid point
         per_n.append({"n": n, "table": table, "reports": reports, "summary": summary})
 

@@ -15,12 +15,13 @@ same coincidence pattern, source laws and params therefore share one law.
 A field groups its indices by this signature once, at construction
 (``groups``); means, exact norms and pair groups read that grouping.
 
-``incidence`` is the (n, n_sources) CSR matrix counting the slots of row
-i that read source s.  A sum field (evaluator ``_sum_columns``: the iid,
-m-dependent and graph builders' default) is linear in its sources,
-X = incidence @ U - means and S = U @ c - sum(means), c the column sums:
-its values are one sparse product in index-major layout, with no gather,
-and its means are incidence @ E[U], exact for every source law.
+``incidence`` is the (n, n_sources) read-only ``neighborhood.Csr`` record
+counting the slots of row i that read source s.  A sum field (evaluator
+``_sum_columns``: the iid, m-dependent and graph builders' default) is
+linear in its sources, X = incidence @ U - means and S = U @ c -
+sum(means), c the column sums: its values are one product with that
+record in index-major layout, with no gather, and its means are
+incidence @ E[U], exact for every source law.
 
 Dependence neighborhoods are *induced* by support overlap,
 
@@ -47,7 +48,7 @@ fair two-point source is drawn as packed random bits, and the bits stay
 packed as long as the statistic allows: :func:`draw_sums` counts a sum
 field's S from them (a byte popcount table per run of equal c) when every
 source is such a law on integers, and :func:`draw_source_rows` expands a
-field of such sources once, into source-major rows that the sparse
+field of such sources once, into source-major rows that the incidence
 product reads in place.  For W2 and W2bar, a sum field of such laws on
 integers with integer means expands its rows to the narrowest signed
 integer type that holds X, Y = M X and X o Y (:func:`value_dtype`), and
@@ -67,7 +68,6 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     BlockTooSmall,
@@ -77,7 +77,7 @@ from .errors import (
     GraphTooLarge,
     InvalidSize,
 )
-from .neighborhood import NeighborhoodSystem, make_system
+from .neighborhood import POPCOUNT, Csr, NeighborhoodSystem, distinct, product_pattern
 from .rng import STREAM_SAMPLE, block_size, substream
 
 DEFAULT_ENUM_CAP = 2**24
@@ -277,7 +277,7 @@ class LatentSourceField:
     runs: tuple = dc_field(init=False, repr=False)
     law_ids: np.ndarray = dc_field(init=False, repr=False)
     groups: tuple = dc_field(init=False, repr=False)
-    incidence: sparse.csr_matrix = dc_field(init=False, repr=False)
+    incidence: Csr = dc_field(init=False, repr=False)
     counts: np.ndarray = dc_field(init=False, repr=False)
     count_starts: np.ndarray = dc_field(init=False, repr=False)
     mean_sum: float = dc_field(init=False, repr=False)
@@ -306,11 +306,16 @@ class LatentSourceField:
         sig = _signatures(self, np.arange(supports.shape[0])[:, None])
         _, first, inverse = np.unique(sig, return_index=True, return_inverse=True)
         put(self, "groups", (_read_only(first), _read_only(inverse.reshape(-1))))
-        keep = supports >= 0  # duplicate (row, source) entries add up to counts
-        inc = sparse.csr_matrix((np.ones(int(keep.sum())), (np.nonzero(keep)[0], supports[keep])),
-                                shape=(supports.shape[0], len(sources)))
-        for a in (inc.data, inc.indices, inc.indptr):
-            _read_only(a)
+        # each row's sources, ascending; a source read by several slots counts them
+        srt = np.sort(supports, axis=1)
+        valid = srt >= 0
+        first = valid.copy()
+        first[:, 1:] &= srt[:, 1:] != srt[:, :-1]
+        indptr = np.zeros(supports.shape[0] + 1, dtype=np.int64)
+        np.cumsum(first.sum(axis=1), out=indptr[1:])
+        starts = np.flatnonzero(first[valid])
+        counts = np.diff(np.append(starts, valid.sum())).astype(float)
+        inc = Csr((supports.shape[0], len(sources)), indptr, srt[first], counts)
         put(self, "incidence", inc)
         c = np.bincount(inc.indices, inc.data, len(sources))
         put(self, "counts", _read_only(c))
@@ -379,7 +384,7 @@ def local_values(field: LatentSourceField, rows):
     local = np.where(S >= 0, (used[:, None, :] < S[:, :, None]).sum(axis=2), -1)
     laws = np.append(field.law_ids, -1)[used] + 1
     batches = _pack([np.zeros(N, dtype=np.int64), *laws.T])
-    for key in np.unique(batches):
+    for key in distinct(batches):
         sel = np.flatnonzero(batches == key)
         probs, grid = product_grid([field.sources[s] for s in used[sel[0]] if s < field.n_sources])
         grid = grid if grid.size else np.zeros((1, 1))
@@ -418,7 +423,7 @@ def _first_slots(S: np.ndarray) -> np.ndarray:
     included) are argsorted; every other row is 0..K-1."""
     F = np.tile(np.arange(S.shape[1]), (S.shape[0], 1))
     srt = np.sort(S, axis=1)
-    rep = np.unique(np.flatnonzero(srt[:, 1:] == srt[:, :-1]) // max(S.shape[1] - 1, 1))
+    rep = distinct(np.flatnonzero(srt[:, 1:] == srt[:, :-1]) // max(S.shape[1] - 1, 1))
     order = np.argsort(S[rep], axis=1, kind="stable")
     ordered = srt[rep]  # the values in argsort order
     starts = np.zeros(order.shape, dtype=np.int64)
@@ -491,7 +496,7 @@ def compute_means(field: LatentSourceField) -> np.ndarray:
     ValueError when the indices read a continuous source: such a field
     needs its ``means`` given."""
     first, inverse = field.groups
-    read = np.unique(field.supports[first])
+    read = distinct(field.supports[first])
     if any(not isinstance(field.sources[s], DiscreteSource) for s in read[read >= 0]):
         raise ValueError("means must be given for a field whose values read continuous sources")
     group_means = np.empty(first.size)
@@ -504,9 +509,8 @@ def compute_means(field: LatentSourceField) -> np.ndarray:
 # Sampling and evaluation
 
 
-# the bits of each byte value, first bit first, and how many are set
+# the bits of each byte value, first bit first
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-_POPCOUNT = _BYTE_BITS.sum(axis=1, dtype=np.uint8)
 
 
 def _sample_blocks(reps: np.ndarray, B: int):
@@ -565,13 +569,13 @@ def _ones_before(raw: np.ndarray, pos: np.ndarray) -> np.ndarray:
     each bit position of ``pos`` (at most 8 * raw.size)."""
     byte = pos >> 3
     # whole bytes: one sum of byte counts per stretch between the bytes read
-    starts = np.unique(np.append(byte[byte < raw.size], 0))
-    counts = np.add.reduceat(_POPCOUNT.take(raw), starts, dtype=np.int64)
+    starts = distinct(np.append(byte[byte < raw.size], 0))
+    counts = np.add.reduceat(POPCOUNT.take(raw), starts, dtype=np.int64)
     prefix = np.append(0, np.cumsum(counts))  # set bits before starts, then in all
     # the leading (pos & 7) bits of the partial byte; a position at the
     # very end has none, so its clipped byte is shifted out
     head = raw[np.minimum(byte, raw.size - 1)] >> (8 - (pos & 7))
-    return prefix[np.searchsorted(np.append(starts, raw.size), byte)] + _POPCOUNT.take(head)
+    return prefix[np.searchsorted(np.append(starts, raw.size), byte)] + POPCOUNT.take(head)
 
 
 def _integer_bit_runs(field: LatentSourceField):
@@ -592,7 +596,8 @@ def _integer_bit_runs(field: LatentSourceField):
     edges = field.count_starts
     runs, base = [], 0
     for sl, src in field.runs:
-        cuts = np.union1d(edges[(edges > sl.start) & (edges < sl.stop)], [sl.start, sl.stop])
+        inner = edges[(edges > sl.start) & (edges < sl.stop)]
+        cuts = distinct(np.append(inner, [sl.start, sl.stop]))
         a, b = (int(v) for v in src.values)
         weight = c[cuts[:-1]].astype(np.int64)
         runs.append((sl.stop - sl.start, _read_only(cuts - sl.start), _read_only(weight * (b - a))))
@@ -657,7 +662,7 @@ def value_dtype(field: LatentSourceField, sys: NeighborhoodSystem) -> np.dtype:
     if field.bit_plan is None:
         return floats
     means = field.means if field.center else np.zeros(field.n)
-    if np.any(np.mod(means, 1)) or np.any(np.mod(sys.M.data, 1)):
+    if np.any(np.mod(means, 1)):
         return floats
     widths = [sl.stop - sl.start for sl, _ in field.runs]
     lo = np.repeat([min(src.values) for _, src in field.runs], widths)
@@ -665,7 +670,7 @@ def value_dtype(field: LatentSourceField, sys: NeighborhoodSystem) -> np.dtype:
     inc = field.incidence
     raw = float((inc @ np.maximum(-lo, hi)).max(initial=0))
     x = float(np.abs(np.concatenate([inc @ lo - means, inc @ hi - means])).max(initial=0))
-    y = float(np.asarray(abs(sys.M).sum(axis=1)).max(initial=0)) * x
+    y = float(np.diff(sys.M.indptr).max(initial=0)) * x
     top = max(raw, x, y, x * y)
     if field.n * top >= 2.0**53:
         return floats
@@ -680,8 +685,7 @@ def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     indices in blocks (see :func:`_blocks`)."""
     rows = np.atleast_2d(rows)
     if field.ev is _sum_columns:
-        inc = field.incidence
-        XT = (inc.astype(rows.dtype, copy=False) if rows.dtype.kind == "i" else inc) @ rows.T
+        XT = field.incidence @ rows.T
         if field.center and field.means.any():  # zero means leave every value as it is
             XT -= field.means.astype(XT.dtype, copy=False)[:, None]
         return XT.T
@@ -735,13 +739,11 @@ def outcome_blocks(
 # Induced neighborhoods
 
 
-def overlap_matrix(field: LatentSourceField) -> sparse.csr_matrix:
-    """Sparse 0/1 matrix with M[i, j] = 1 iff j is in the induced A_i."""
+def overlap_matrix(field: LatentSourceField) -> Csr:
+    """The 0/1 matrix with M[i, j] = 1 iff j is in the induced A_i: the
+    pattern of incidence @ incidence^T."""
     inc = field.incidence
-    M = (inc @ inc.T).tocsr()
-    M.sort_indices()
-    M.data[:] = 1.0
-    return M
+    return product_pattern(inc, inc.transpose())
 
 
 def induced_neighborhoods(
@@ -760,7 +762,7 @@ def induced_neighborhoods(
         raise ComplexityCapExceeded(
             f"induced system would hold ~{estimate} neighbor entries (cap {cap_terms})"
         )
-    return make_system(overlap_matrix(field))
+    return NeighborhoodSystem(n=field.n, M=overlap_matrix(field))
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,9 @@ def exact_sigma2_local(
     by exchangeability) use one reference index.
     """
     if field.metadata.get("index_transitive") and sys is None:
-        inc = field.incidence
-        a0 = np.sort((inc[0] @ inc.T).indices)
+        hit = np.zeros(field.n_sources)
+        hit[field.incidence.row(0)] = 1.0
+        a0 = np.flatnonzero(field.incidence @ hit)  # the indices sharing a source with 0
         return field.n * _covariance_sum(field, np.stack([np.zeros_like(a0), a0], axis=1))
     I, J = pairs(overlap_matrix(field) if sys is None else sys.M)
     return _covariance_sum(field, np.stack([I, J], axis=1))

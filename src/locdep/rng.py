@@ -18,7 +18,7 @@ drawn whole from its own substream, ``B = block_size(n_sources)``;
 
 from __future__ import annotations
 
-import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 # Tags keep unrelated consumers of one master seed on disjoint streams
 # (tag 2 is retired: it stays unused, so no other stream moves).
@@ -37,10 +37,10 @@ DEFAULT_CHUNK = 4096
 CHUNK_CELLS = 2**22
 
 
-def substream(master_seed: int, *path: int) -> np.random.Generator:
+def substream(master_seed: int, *path: int) -> Generator:
     """Return the deterministic generator for (master_seed, path)."""
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = SeedSequence(int(master_seed), spawn_key=tuple(int(p) for p in path))
+    return Generator(Philox(ss))
 
 
 def block_size(n_sources: int) -> int:

@@ -11,7 +11,8 @@ with psi(x) = ((x v sigma^2/4) ^ 2 sigma^2)^{1/2} clamping the variance
 proxy into [sigma^2/4, 2 sigma^2].  W2 is undefined (rejected) when V = 0;
 rejection is a value, not an error.  The neighborhoods A_i are those of
 a :class:`NeighborhoodSystem`, the same system whose kappa and tau enter
-the bounds: Y is one sparse product with its matrix M.
+the bounds: Y is one product with its 0/1 index record M
+(``neighborhood.Csr``), which adds each row's entries in column order.
 
 The counters (permutation-pattern occurrences, subgraph statistics,
 classical and distributed U-statistics) are independent naive
@@ -62,11 +63,9 @@ def _index_sums(AT: np.ndarray) -> np.ndarray:
 
 def _neighborhood_sums(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.ndarray]:
     """(X^T, Y^T = M X^T), (n, reps), in the dtype of X: integer values
-    (which must hold Y and X_i Y_i, see ``fields.value_dtype``) take M
-    cast to theirs."""
+    must hold Y and X_i Y_i (see ``fields.value_dtype``)."""
     XT = np.ascontiguousarray(X.T)
-    M = sys.M.astype(XT.dtype, copy=False) if XT.dtype.kind == "i" else sys.M
-    return XT, np.asarray(M @ XT)
+    return XT, sys.M @ XT
 
 
 def w2_batch(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.ndarray]:

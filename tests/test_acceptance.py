@@ -368,7 +368,7 @@ def test_criterion_11_structural_invariants():
             assert w2b == pytest.approx(w2a, rel=1e-13)
     # relabeling invariance (kappa, tau, shapes, exact ks)
     perm = rng.permutation(6)
-    sys_p = nb.make_system([perm[sysn.M[i].indices] for i in np.argsort(perm)])  # i -> perm[i]
+    sys_p = nb.make_system([perm[sysn.M.row(i)] for i in np.argsort(perm)])  # i -> perm[i]
     der_p = nb.derive(sys_p)
     assert (der.kappa, der.tau) == (der_p.kappa, der_p.tau)
     inv = np.empty(6, dtype=int)

@@ -18,6 +18,7 @@ import functools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import locdep.bounds as B
@@ -56,7 +57,7 @@ def _reports(f, sys, t, der) -> dict:
     block_l4, kappas, taus = [], [], []
     for lo, hi in [(0, n // 2), (n // 2, n)]:
         block_l4.append(t.l4[lo:hi])
-        d = nb.derive(nb.make_system(sys.M[lo:hi, lo:hi]))
+        d = nb.derive(nb.make_system([np.flatnonzero(a) for a in sys.M.toarray()[lo:hi, lo:hi]]))
         kappas.append(d.kappa)
         taus.append(d.tau)
     return {

@@ -31,8 +31,9 @@ Core claims:
     - a grid size below the family's smallest n exits 2 naming ``$.grid``
       (``$.params.k`` for the distributed U-statistic)
     - ``verdicts.csv`` reads back with the csv module, digests and all
-    - importing the CLI loads no scipy.special (the normal CDF is stdlib's),
-      and ``python -m locdep`` runs the CLI
+    - importing the CLI, or running a W2 spec (Monte-Carlo or exact), loads
+      no scipy module, and ``python -m locdep`` runs the CLI
+    - ``require_ld`` fails a grid point past its enumeration cap as untested
     - the benchmark's self-check passes against the package as it stands
 """
 
@@ -114,6 +115,24 @@ def test_shrunk_neighborhoods_exit_1_citing_ld(tmp_path, capsys):
                        assertions={"require_ld": True})
     assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
     assert "LD1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_require_ld_fails_closed_past_the_enumeration_cap(tmp_path, capsys, n):
+    """Wrong declared neighborhoods (A_i = {i} on a 1-dependent field) fail
+    LD2 where the outcome space is enumerable, and fail as untested past
+    its cap instead of passing."""
+    doc = minimal_spec(tmp_path, family="m_dependent",
+                       params={"m": 1, "source": {"kind": "three_point"},
+                               "declared_A": [[i] for i in range(n)]},
+                       grid=[n], mode={"kind": "mc", "reps": 1000},
+                       assertions={"require_ld": True})
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    if n == 6:
+        assert "n=6: LD2 fails" in err
+    else:
+        assert f"n=12: LD test not run: {3 ** 13} outcomes over the 2^16 cap" in err
 
 
 def test_rerun_reproduces_csv_bodies(tmp_path):
@@ -655,12 +674,27 @@ def test_mutated_example_configs_exit_0_1_or_2(tmp_path, data):
         assert rc == 2
 
 
-def test_cli_import_leaves_scipy_special_out():
-    code = "import sys, locdep.cli; print('scipy.special' in sys.modules)"
+W2_SPECS = {
+    "mc": {"family": "m_dependent", "params": {"m": 1, "source": {"kind": "rademacher"}},
+           "grid": [16], "statistic": "w2", "mode": {"kind": "mc", "reps": 1000}, "seed": 3},
+    "exact": {"family": "graph", "params": {"graph": "cycle", "source": {"kind": "three_point"}},
+              "grid": [4], "statistic": "w2", "mode": {"kind": "exact"}, "seed": 3},
+}
+
+
+def test_cli_import_leaves_scipy_special_out(tmp_path):
+    """No scipy module loads when the CLI is imported, nor while it runs an
+    m-dependent Rademacher W2 Monte-Carlo spec or an exact cycle W2 spec."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    for run in (None, *W2_SPECS):
+        code = "import sys, locdep.cli"
+        if run is not None:
+            doc = {**W2_SPECS[run], "out": str(tmp_path / run)}
+            code += f"; assert locdep.cli.main(['run', '--spec', {write_spec(tmp_path, doc)!r}]) == 0"
+        code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]", (run, out.stdout)
 
 
 def test_python_dash_m_runs_the_cli():

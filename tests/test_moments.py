@@ -231,7 +231,7 @@ def test_signature_grouping_matches_ungrouped_enumeration(case):
     assert np.allclose(M.exact_index_norms(f, np.arange(f.n)), norms, rtol=1e-12, atol=1e-13)
     sys = F.induced_neighborhoods(f)
     pair_sum = 0.0
-    A = [sys.M[i].indices for i in range(f.n)]
+    A = [sys.M.row(i) for i in range(f.n)]
     for i, a in enumerate(A):
         for j in a:
             probs, X = ungrouped_values(f, [i, j])

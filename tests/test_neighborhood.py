@@ -9,12 +9,18 @@ Core claims:
       index; validation reports every violation and never raises
     - kappa/tau are relabeling-invariant, satisfy the double-counting
       identity, and obey tau <= 2 kappa^2 for the union cover
+    - the index-array kernels (products, unions, row selection, overlap
+      patterns, derive's two overlap routes) equal scipy.sparse's results
+      bit for bit
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import locdep.fields as fields
@@ -182,7 +188,7 @@ def test_make_system_rejects_bad_ids_naming_the_index():
 def test_system_is_read_only():
     sys = window_system(5, 1)
     with pytest.raises(ValueError):
-        sys.M.data[0] = 2.0
+        sys.M.indptr[1] = 2
     with pytest.raises(ValueError):
         sys.M.indices[0] = 3
 
@@ -225,3 +231,127 @@ def test_union_cover_tau_at_most_two_kappa_squared():
         sys = random_system(rng, int(rng.integers(2, 9)))
         d = nb.derive(sys)
         assert d.tau <= 2 * d.kappa**2
+
+
+# ---------------------------------------------------------------------------
+# The index-array kernels against scipy.sparse, bit for bit
+
+
+def scipy_csr(rows_, cols, shape, data=None) -> sparse.csr_matrix:
+    """scipy's canonical CSR of COO entries (repeats add up)."""
+    data = np.ones(len(cols)) if data is None else data
+    S = sparse.csr_matrix((data, (rows_, cols)), shape=shape)
+    S.sum_duplicates()
+    return S
+
+
+def same_csr(A: nb.Csr, S: sparse.csr_matrix) -> bool:
+    return (A.shape == S.shape and np.array_equal(A.indptr, S.indptr)
+            and np.array_equal(A.indices, S.indices)
+            and np.array_equal(np.ones(A.nnz) if A.data is None else A.data, S.data))
+
+
+def pattern_of(S: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The 0/1 pattern of a product's nonzeros, in canonical order."""
+    S = S.tocsr()
+    S.sort_indices()
+    S.data[:] = 1.0
+    return S
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtypes and equal values bit for bit (signed zeros included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def scipy_overlaps(S: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Per entry (i, j): |A_i & A_j| and (M o M^2)[i, j]; then kappa, tau,
+    all by scipy's sparse products."""
+    St = S.T.tocsr()
+    s, r = np.diff(S.indptr), np.diff(St.indptr)
+    I, J = np.repeat(np.arange(S.shape[0]), s), S.indices
+    shared = (S @ St).toarray()[I, J]
+    hits = S.multiply(S @ S).toarray()[I, J]
+    cover = s[I] + s[J] - shared
+    dsize = St @ s + St @ r - np.asarray(S.multiply(S @ S).sum(axis=0)).reshape(-1)
+    return shared, hits, int(max(r.max(initial=0), cover.max(initial=0))), int(dsize.max(initial=0))
+
+
+@st.composite
+def neighborhood_lists(draw):
+    """One list of ids per index: random rows (repeats, empty rows), bands,
+    or cycles (wrap-around entries), at n = 1..40."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "band", "cycle"]))
+    if kind == "random":
+        return n, [draw(st.lists(st.integers(0, n - 1), max_size=6)) for _ in range(n)]
+    offsets = draw(st.sets(st.integers(-3, 3), min_size=1, max_size=4))
+    if kind == "band":
+        return n, [[i + d for d in offsets if 0 <= i + d < n] for i in range(n)]
+    return n, [[(i + d) % n for d in offsets] for i in range(n)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=neighborhood_lists(), seed=st.integers(0, 2**16), reps=st.integers(1, 5),
+       run_min=st.sampled_from([1, 2, 16, 10**9]), tile=st.sampled_from([1, 64, 2**18]))
+def test_kernels_match_scipy_bit_for_bit(case, seed, reps, run_min, tile):
+    """make_system, the matvec, the transpose matvec, the (n, reps) product
+    in int8, int64 and float64, row selection, unions, the product pattern
+    and derive's overlaps through both routes equal scipy.sparse's results
+    bit for bit, whatever the run length and tile size of the product.  The
+    incidence of a field whose rows read a source twice has counts above 1."""
+    n, A = case
+    rng = np.random.default_rng(seed)
+    owner = np.repeat(np.arange(n), [len(a) for a in A])
+    S = scipy_csr(owner, np.concatenate([np.asarray(a, dtype=np.int64) for a in A]), (n, n))
+    S.data[:] = 1.0
+    sys = nb.make_system(A)
+    assert same_csr(sys.M, S) and same_csr(nb.make_system(S).M, S)
+    M, der = sys.M, nb.derive(sys)
+    assert same_csr(der.Mt, S.T.tocsr())
+    x = rng.standard_normal(n)
+    assert same_array(M @ x, S @ x) and same_array(M.tdot(x), S.T @ x)
+    with mock.patch.object(nb, "RUN_MIN", run_min), mock.patch.object(nb, "TILE_BYTES", tile):
+        for dtype in (np.int8, np.int64, np.float64):
+            X = (rng.integers(-3, 4, size=(n, reps)) if dtype != np.float64
+                 else rng.standard_normal((n, reps))).astype(dtype)
+            assert same_array(M @ X, (S.astype(dtype) if dtype != np.float64 else S) @ X)
+
+    # row selections and unions (the beta sums' A_i | N_j | A_j), and their products
+    I, J = nb.pairs(M)
+    St = S.T.tocsr()
+    assert same_csr(M.take(J), S[J])
+    for parts, ref in [((M, der.Mt), S + St), ((M.take(I), der.Mt.take(J), M.take(J)), S[I] + St[J] + S[J])]:
+        U = nb.union(*parts)
+        ref = ref.sign()
+        assert same_csr(U, ref)
+        y = rng.standard_normal(U.shape[1])
+        z = rng.standard_normal(U.shape[0])
+        assert same_array(U @ y, ref @ y) and same_array(U.tdot(z), ref.T @ z)
+
+    # derive: both overlap routes (bitsets always, expansion always), and kappa, tau
+    shared, hits, kappa, tau = scipy_overlaps(S)
+    for lookup_bytes in (2**62, 0):
+        with mock.patch.object(nb, "LOOKUP_BYTES", lookup_bytes):
+            got = nb._overlaps(M, der.Mt)
+            assert np.array_equal(got[0], shared) and np.array_equal(got[1], hits)
+            assert (nb.derive(sys).kappa, nb.derive(sys).tau) == (kappa, tau)
+    assert (der.kappa, der.tau) == (kappa, tau)
+
+    # an incidence with counts above 1 (repeated and padded slots), its
+    # products and its overlap pattern
+    supports = rng.integers(-1, n, size=(n, 3))
+    supports[:, 2] = supports[:, 0] = rng.integers(0, n, size=n)  # a source read twice
+    f = fields.LatentSourceField((fields.rademacher(),) * n, supports, ev=fields._sum_columns, center=False)
+    keep = supports >= 0
+    inc = scipy_csr(np.nonzero(keep)[0], supports[keep], (n, n))
+    assert same_csr(f.incidence, inc) and f.incidence.data.max() >= 2
+    assert same_array(f.incidence @ x, inc @ x)
+    with mock.patch.object(nb, "RUN_MIN", run_min), mock.patch.object(nb, "TILE_BYTES", tile):
+        for dtype in (np.int8, np.int64, np.float64):
+            U = (rng.integers(-3, 4, size=(n, reps)) if dtype != np.float64
+                 else rng.standard_normal((n, reps))).astype(dtype)
+            assert same_array(f.incidence @ U, (inc.astype(dtype) if dtype != np.float64 else inc) @ U)
+    assert same_csr(fields.overlap_matrix(f), pattern_of(inc @ inc.T))
+    assert same_csr(nb.product_pattern(M, M), pattern_of(S @ S))  # empty rows included

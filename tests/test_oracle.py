@@ -316,7 +316,7 @@ def ld_reference(field, sys, tol=1e-12):
             for ka, va in pa.items() for kb, vb in pb.items()
         )
 
-    A = [set(sys.M[i].indices.tolist()) for i in range(sys.n)]
+    A = [set(sys.M.row(i).tolist()) for i in range(sys.n)]
     out = []
     for i in range(sys.n):
         outside = [j for j in range(sys.n) if j not in A[i]]
@@ -334,7 +334,7 @@ def shrink(sys, rng):
     """Drop one other member from each neighborhood that has one."""
     A = []
     for i in range(sys.n):
-        a = sys.M[i].indices
+        a = sys.M.row(i)
         others = [int(j) for j in a if j != i]
         drop = others[int(rng.integers(len(others)))] if others else None
         A.append([int(j) for j in a if j != drop])
