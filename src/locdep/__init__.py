@@ -22,13 +22,10 @@ from .fields import (  # noqa: F401
     build_pattern_field,
     build_ustat_field,
     build_word_field,
+    count_word_occurrences,
     induced_neighborhoods,
 )
-from .statistics import (  # noqa: F401
-    count_pattern_occurrences,
-    count_word_occurrences,
-    subgraph_statistic,
-)
+from .statistics import count_pattern_occurrences, subgraph_statistic  # noqa: F401
 from .moments import MomentTable, exact_moment_table, hoeffding_sigma1, mc_moment_table  # noqa: F401
 from .bounds import (  # noqa: F401
     BoundReport,

@@ -34,9 +34,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, bounds, fields, harness, moments, neighborhood, oracle, statistics
-from .errors import ComplexityCapExceeded, ConfigError, EmptyIndexSet, InvalidSize, LocdepError
+from .errors import (ComplexityCapExceeded, ConfigError, EmptyIndexSet, InvalidSize, LocdepError,
+                     NonFiniteBound)
 
-STATISTICS = ("w1", "w2", "w2bar", "sum")
 TABLE_CAP = 2**20  # largest outcome space whose Var(S) a moment table enumerates
 LD_CAP = 2**16  # largest outcome space the LD test (require_ld) enumerates
 
@@ -339,7 +339,7 @@ def parse_spec(doc: dict) -> ExperimentSpec:
         "family": (TEXT, REQUIRED),
         "params": (family.params, {}),
         "grid": (_list(_integer(1), 1, expected="a nonempty list"), REQUIRED),
-        "statistic": (_choice(STATISTICS), "w1"),
+        "statistic": (_choice(statistics.STATISTICS), "w1"),
         "mode": (MODE, {"kind": "mc"}),
         "bounds": (_list(_choice([*SHARED_BOUNDS, *family.bounds])), list(family.default_bounds)),
         "checkers": (CHECKERS, None),
@@ -396,7 +396,7 @@ def _walk_for(built: BuiltInstance, spec: ExperimentSpec, cap: int, do_stat: boo
     var = f.ev is not fields._sum_columns and count <= min(cap, TABLE_CAP)
     if not (statistic or ld or var):
         return None
-    sys = built.system() if statistic in ("w2", "w2bar") else None
+    sys = built.system() if statistic in statistics.READS_VALUES else None
     return oracle.walk_outcomes(f, statistic, sys, var=var, keep=ld,
                                 cap=cap if statistic else fields.DEFAULT_ENUM_CAP)
 
@@ -423,15 +423,22 @@ def _system(field: fields.LatentSourceField, declared) -> neighborhood.Neighborh
 def evaluate_bounds(
     built: BuiltInstance, spec: ExperimentSpec, n: int, table
 ) -> list[bounds.BoundReport]:
+    """The spec's bound shapes at n; :class:`NonFiniteBound` when one
+    overflows, divides by zero, or gives a value or term that is not finite."""
     reports = []
     der = None
     for name in spec.bounds:
-        if name in SHARED_BOUNDS:
-            if der is None:
-                der = neighborhood.derive(built.system())
-            report = SHARED_BOUNDS[name](table, built.system(), der)
-        else:
-            report = FAMILIES[spec.family].bounds[name](built, spec.params, n, table)
+        if name in SHARED_BOUNDS and der is None:
+            der = neighborhood.derive(built.system())
+        try:
+            if name in SHARED_BOUNDS:
+                report = SHARED_BOUNDS[name](table, built.system(), der)
+            else:
+                report = FAMILIES[spec.family].bounds[name](built, spec.params, n, table)
+        except (ZeroDivisionError, OverflowError) as e:
+            raise NonFiniteBound(f"bound {name} at n={n}: {e}") from None
+        if not all(map(math.isfinite, (report.value, *report.terms.values()))):
+            raise NonFiniteBound(f"bound {name} at n={n} is not finite: {report.value} {report.terms}")
         if spec.params["declared_A"] is not None:
             report.inputs["independence"] = "unverified (declared neighborhoods)"
         reports.append(report)
@@ -475,7 +482,7 @@ def run_experiment(
         table = _moment_table_for(built, spec, n, cap=cap, sigma2=walk and walk.sigma2)
         reports = evaluate_bounds(built, spec, n, table) if do_bounds else []
         sigma = table.sigma if not table.degenerate else None
-        sys = built.system() if do_stat and spec.statistic in ("w2", "w2bar") else None
+        sys = built.system() if do_stat and spec.statistic in statistics.READS_VALUES else None
         if not do_stat:
             summary = None
         elif spec.mode["kind"] == "exact":
@@ -759,7 +766,7 @@ def _run_count(args: argparse.Namespace) -> int:
     if args.kind == "word":
         if not args.string or not args.word:
             raise ConfigError("count", "word counting needs --string and --word")
-        count = lambda: statistics.count_word_occurrences(
+        count = lambda: fields.count_word_occurrences(
             list(args.string), list(args.word), gaps, exact_gaps=args.exact_gaps
         )
     elif args.kind == "pattern":

@@ -41,6 +41,10 @@ class InvalidTestFunction(LocdepError):
     """A test function violates its sup-norm or derivative-norm constraint."""
 
 
+class NonFiniteBound(LocdepError):
+    """A bound shape overflows, divides by zero, or is not finite."""
+
+
 class ExcessRejections(LocdepError):
     """Too many replications were rejected (self-normalizer V = 0)."""
 

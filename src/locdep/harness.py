@@ -5,13 +5,14 @@ Replications are embarrassingly parallel: each block of replications
 draws from its own counter-derived substream (``rng.block_size``), chunks
 of whole blocks run independently (numpy releases the GIL for the heavy
 parts) and merge in chunk order, so summaries are independent of the
-worker count and chunk size and stable under increasing R.  W1 and the
-raw sum read S from ``fields.draw_sums``, which counts it from the packed
-bits of fair two-point sum fields.  W2 and W2bar evaluate drawn source
-rows (source-major when every source is fair two-point): as integers of
-the narrowest type that holds X, Y and X o Y where ``fields.value_dtype``
-allows (fair two-point integer sum fields with integer means), else as
-floats.
+worker count and chunk size and stable under increasing R.  Sigma is
+checked before anything is drawn, and ``statistics`` reduces each chunk.
+W1 and the raw sum read S from ``fields.draw_sums``, which counts it from
+the packed bits of fair two-point sum fields.  W2 and W2bar evaluate
+drawn source rows (source-major when every source is fair two-point): as
+integers of the narrowest type that holds X, Y and X o Y where
+``fields.value_dtype`` allows (fair two-point integer sum fields with
+integer means), else as floats.
 
 The Kolmogorov distance is against the fixed continuous reference Phi via
 the exact order-statistic formula
@@ -40,7 +41,7 @@ from .fields import (
 from .neighborhood import NeighborhoodSystem
 from .oracle import phi
 from .rng import DEFAULT_CHUNK, chunk_rows
-from .statistics import statistic_batch
+from .statistics import READS_VALUES, check_sigma, finish, statistic_parts
 
 MAX_REJECT_FRACTION = 0.01
 
@@ -102,21 +103,21 @@ def mc_run(
     """
     if reps < 10**3:
         raise ValueError(f"reps={reps} below the 10^3 floor")
+    check_sigma(statistic, sigma)
     chunk = chunk_rows(field.n_sources, chunk)
-    dtype = float  # of the source rows and values
-    if statistic in ("w2", "w2bar"):
+    reads_values = statistic in READS_VALUES
+    if reads_values:
         sys = induced_neighborhoods(field) if sys is None else sys
-        dtype = value_dtype(field, sys)
+        dtype = value_dtype(field, sys)  # of the source rows and values
 
     def run_chunk(start: int) -> tuple[np.ndarray, int]:
-        stop = min(start + chunk, reps)
-        part = range(start, stop)
-        if statistic in ("w1", "sum"):  # S alone, as a one-column value matrix
-            X = draw_sums(field, master_seed, part, path=path)[:, None]
+        part = range(start, min(start + chunk, reps))
+        if reads_values:
+            batch = evaluate_values(field, draw_source_rows(field, master_seed, part, path=path, dtype=dtype))
         else:
-            X = evaluate_values(field, draw_source_rows(field, master_seed, part, path=path, dtype=dtype))
-        vals, rej = statistic_batch(statistic, X, sys, sigma)
-        return vals[~rej], int(rej.sum())
+            batch = draw_sums(field, master_seed, part, path=path)
+        parts, rej = statistic_parts(statistic, batch, sys)
+        return finish(statistic, [a[~rej] for a in parts], sigma), int(rej.sum())
 
     starts = list(range(0, reps, chunk))
     if threads > 1:

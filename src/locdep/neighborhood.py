@@ -275,32 +275,21 @@ def pairs(M: Csr) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_system(A) -> NeighborhoodSystem:
-    """Build a system from neighborhoods: one list of integer ids per
-    index, or an (n, n) scipy sparse matrix (anything with ``tocsr``)
-    whose nonzeros mark the members.
+    """Build a system from neighborhoods: one list of integer ids per index.
 
     Raises ValueError naming the first neighborhood that holds an id
     outside [0, n) or a non-integer id.
     """
-    if hasattr(A, "tocsr"):
-        A = A.tocsr()
-        if A.shape[0] != A.shape[1]:
-            raise ValueError(f"neighborhood matrix has shape {A.shape}, not square")
-        n = A.shape[0]
-        keep = np.asarray(A.data) != 0
-        owner = np.repeat(np.arange(n), np.diff(A.indptr))[keep]
-        cols = np.asarray(A.indices, dtype=np.int64)[keep]
-    else:
-        rows = [np.asarray(list(a)) for a in A]
-        n = len(rows)
-        for i, a in enumerate(rows):
-            if a.size and a.dtype.kind not in "iu":
-                raise ValueError(f"A[{i}] holds non-integer ids: {a.tolist()}")
-            bad = a[(a < 0) | (a >= n)]
-            if bad.size:
-                raise ValueError(f"A[{i}] holds index {int(bad[0])}, outside [0, {n})")
-        cols = np.concatenate([a.astype(np.int64) for a in rows]) if n else np.zeros(0, np.int64)
-        owner = np.repeat(np.arange(n), [a.size for a in rows])
+    rows = [np.asarray(list(a)) for a in A]
+    n = len(rows)
+    for i, a in enumerate(rows):
+        if a.size and a.dtype.kind not in "iu":
+            raise ValueError(f"A[{i}] holds non-integer ids: {a.tolist()}")
+        bad = a[(a < 0) | (a >= n)]
+        if bad.size:
+            raise ValueError(f"A[{i}] holds index {int(bad[0])}, outside [0, {n})")
+    cols = np.concatenate([a.astype(np.int64) for a in rows]) if n else np.zeros(0, np.int64)
+    owner = np.repeat(np.arange(n), [a.size for a in rows])
     rows, cols = np.divmod(distinct(owner * n + cols), max(n, 1))
     return NeighborhoodSystem(n=n, M=from_entries(rows, cols, (n, n)))
 

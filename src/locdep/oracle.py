@@ -10,8 +10,8 @@ floating round-off).
 it block by block and takes only what its reader asks for: S for Var(S),
 the whole (M, n) value matrix (the checkers and the LD factorization
 test), and a statistic's sigma-free parts, to which :func:`exact_law`
-applies sigma once the moment table exists.  So one walk serves a grid
-point's Var(S), exact law and LD test together.
+applies sigma once the moment table exists, both through ``statistics``.
+So one walk serves a grid point's Var(S), exact law and LD test together.
 
 Every checker reads one frozen instance record, :class:`Precomputed`,
 built once per instance by :func:`precompute`: the field and its
@@ -66,7 +66,7 @@ from .fields import (
 )
 from .moments import MomentTable, exact_moment_table
 from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive, pairs
-from .statistics import w1_batch, w2_batch, w2bar_finish, w2bar_sums
+from .statistics import NEEDS_SIGMA, READS_VALUES, finish, statistic_parts
 
 PASS_TOL = 1e-10
 ATOM_MERGE_TOL = 1e-12
@@ -139,10 +139,11 @@ def walk_outcomes(
             f"{count} outcomes x {field.n} values need {count * field.n * 8} bytes, "
             f"over the cap of {ENUM_BYTES_CAP}"
         )
-    if sys is None and statistic in ("w2", "w2bar"):
+    reads_values = statistic in READS_VALUES
+    if sys is None and reads_values:
         sys = induced_neighborhoods(field)
-    take_s = var or statistic in ("w1", "sum")
-    take_x = keep or statistic in ("w2", "w2bar")
+    take_s = var or (statistic is not None and not reads_values)
+    take_x = keep or reads_values
     kept, law = [], []  # per block: (probs, X); (the statistic's parts..., their probs)
     es = es2 = rejected = 0.0
     for p, rows in outcome_blocks(field, cap=cap):
@@ -153,18 +154,12 @@ def walk_outcomes(
             es2 += float(p @ s**2)
         if keep:
             kept.append((p, X))
-        if statistic in ("w1", "sum"):
-            law.append((s, p))
-        elif statistic == "w2":
-            vals, rej = w2_batch(X, sys)
+        if statistic is not None:
+            parts, rej = statistic_parts(statistic, X if reads_values else s, sys)
             if rej.any():
                 rejected += float(p[rej].sum())
-                vals, p = vals[~rej], p[~rej]
-            law.append((vals, p))
-        elif statistic == "w2bar":
-            law.append((*w2bar_sums(X, sys), p))
-        elif statistic is not None:
-            raise ValueError(f"unknown statistic {statistic!r}")
+                parts, p = [a[~rej] for a in parts], p[~rej]
+            law.append((*parts, p))
     walk = Walk(sigma2=es2 - es * es if take_s else None, statistic=statistic, rejected=rejected)
     if keep:
         walk.probs = np.concatenate([p for p, _ in kept])
@@ -255,14 +250,7 @@ def exact_law(walk: Walk, sigma: float | None = None) -> tuple[np.ndarray, np.nd
     :func:`merge_atoms`."""
     parts, probs = walk.parts, walk.law_probs
     walk.parts = walk.law_probs = None
-    if walk.statistic in ("w1", "w2bar") and sigma is None:
-        raise DegenerateVariance(f"{walk.statistic} needs sigma")
-    if walk.statistic == "w1":
-        values = w1_batch(parts[0][:, None], sigma)
-    elif walk.statistic == "w2bar":
-        values = w2bar_finish(*parts, sigma)
-    else:
-        (values,) = parts
+    values = finish(walk.statistic, parts, sigma)
     del parts
     return merge_atoms(values, probs)
 
@@ -287,7 +275,7 @@ def exact_kolmogorov(
     """Kolmogorov distance of the statistic's exact law from the normal,
     read from ``walk``, a walk of that statistic, or else from a walk of
     its own.  ``sigma`` defaults to the field's exact moment table's."""
-    default_sigma = statistic in ("w1", "w2bar") and sigma is None
+    default_sigma = statistic in NEEDS_SIGMA and sigma is None
     if walk is None:
         walk = walk_outcomes(field, statistic, sys, var=default_sigma, cap=cap)
     if default_sigma:
@@ -527,15 +515,15 @@ TEST_FUNCTIONS: dict[str, Callable] = {
 }
 
 
-def validate_test_function(f: Callable, grid_half_width: float = 40.0) -> None:
-    """||f||_inf <= 1 and ||f'||_inf <= 1, validated on a dense grid once
-    per distinct (f, grid_half_width) in a process."""
-    _validate_once(f, grid_half_width)
+def validate_test_function(f: Callable) -> None:
+    """||f||_inf <= 1 and ||f'||_inf <= 1, validated on a dense grid of
+    [-40, 40] once per distinct f in a process."""
+    _validate_once(f)
 
 
 @functools.cache
-def _validate_once(f: Callable, grid_half_width: float) -> None:
-    w = np.linspace(-grid_half_width, grid_half_width, 160001)
+def _validate_once(f: Callable) -> None:
+    w = np.linspace(-40.0, 40.0, 160001)
     vals = np.asarray(f(w), dtype=float)
     if np.max(np.abs(vals)) > 1.0 + 1e-9:
         raise InvalidTestFunction("sup norm exceeds 1")
@@ -544,22 +532,19 @@ def _validate_once(f: Callable, grid_half_width: float) -> None:
         raise InvalidTestFunction("derivative norm exceeds 1")
 
 
-def check_lemma_r4(
-    pre: Precomputed, test_functions: dict[str, Callable] | None = None
-) -> list[InequalityVerdict]:
+def check_lemma_r4(pre: Precomputed) -> list[InequalityVerdict]:
     """Necessary-condition check of the clamped self-normalized term bound:
 
         sum_i | E{ (X_i/Vbar) f(W2bar - Y_i/Vbar) } |
             <= 27 kappa^2/s^3 sum E|X_i|^3 + 11 kappa^3/s^4 sum E|X_i|^4
 
-    for each test function in a finite family (the quantifier over all
-    absolutely continuous f cannot be verified universally).
+    for each test function in the finite family TEST_FUNCTIONS (the quantifier
+    over all absolutely continuous f cannot be verified universally).
     """
     plan, table = pre.plan, pre.table
     sigma = pre.sigma
     kappa = pre.derived.kappa
-    fam = test_functions if test_functions is not None else TEST_FUNCTIONS
-    for f in fam.values():
+    for f in TEST_FUNCTIONS.values():
         validate_test_function(f)
     pre_lhs = kappa**2 * float(np.sum(table.l3**3)) / sigma**3
     status = "satisfied" if pre_lhs <= 1.0 / 500.0 else "violated"
@@ -573,7 +558,7 @@ def check_lemma_r4(
         + 11.0 * kappa**3 / sigma**4 * float(np.sum(table.l4**4))
     )
     out = []
-    for name, f in fam.items():
+    for name, f in TEST_FUNCTIONS.items():
         # row i: X_i / Vbar * f(W2bar - Y_i / Vbar) per outcome
         Z = np.ascontiguousarray((plan.X / vbar * f(w2bar - y / vbar)).T)
         # one dot product per row, summed in index order: a lhs that is

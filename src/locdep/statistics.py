@@ -14,6 +14,10 @@ a :class:`NeighborhoodSystem`, the same system whose kappa and tau enter
 the bounds: Y is one product with its 0/1 index record M
 (``neighborhood.Csr``), which adds each row's entries in column order.
 
+This module alone branches on a statistic's name: :func:`statistic_parts`
+gives a batch's sigma-free parts and rejections, and :func:`finish`
+applies sigma, for the Monte-Carlo harness and the exact outcome walk.
+
 The counters (permutation-pattern occurrences, subgraph statistics,
 classical and distributed U-statistics) are independent naive
 computations used as oracles against the field constructions.  The word
@@ -38,18 +42,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateVariance, GraphTooLarge
-from .fields import admissible_tuples, count_word_occurrences  # noqa: F401
+from .fields import admissible_tuples
 from .neighborhood import NeighborhoodSystem
 
 
 # ---------------------------------------------------------------------------
-# Field statistics over a (reps, n) value matrix
+# The field statistics, by name
 
-
-def w1_batch(X: np.ndarray, sigma: float) -> np.ndarray:
-    if not sigma > 0:
-        raise DegenerateVariance(f"sigma={sigma} must be positive")
-    return X.sum(axis=1) / sigma
+STATISTICS = ("w1", "w2", "w2bar", "sum")
+READS_VALUES = frozenset({"w2", "w2bar"})  # read the value matrix and the neighborhoods
+NEEDS_SIGMA = frozenset({"w1", "w2bar"})
 
 
 def _index_sums(AT: np.ndarray) -> np.ndarray:
@@ -82,43 +84,48 @@ def w2_batch(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.nda
     return w2, rejected
 
 
-def w2bar_sums(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.ndarray]:
-    """W2bar's sigma-free parts: (S, sum_i X_i Y_i) per replication."""
-    XT, YT = _neighborhood_sums(X, sys)
-    YT *= XT
-    return _index_sums(XT), _index_sums(YT)
+def check_sigma(name: str, sigma: float | None) -> None:
+    """Raises :class:`DegenerateVariance` when the statistic ``name``
+    needs sigma and ``sigma`` is not positive."""
+    if name in NEEDS_SIGMA and not (sigma is not None and sigma > 0):
+        raise DegenerateVariance(f"{name} needs a positive sigma, got {sigma}")
 
 
-def w2bar_finish(s: np.ndarray, xy: np.ndarray, sigma: float) -> np.ndarray:
-    """W2bar = S / psi(sum_i X_i Y_i) from the parts of :func:`w2bar_sums`."""
-    if not sigma > 0:
-        raise DegenerateVariance(f"sigma={sigma} must be positive")
-    s2 = sigma * sigma
-    return s / np.sqrt(np.clip(xy, 0.25 * s2, 2.0 * s2))
-
-
-def w2bar_batch(X: np.ndarray, sys: NeighborhoodSystem, sigma: float) -> np.ndarray:
-    return w2bar_finish(*w2bar_sums(X, sys), sigma)
-
-
-def statistic_batch(
-    name: str, X: np.ndarray, sys: NeighborhoodSystem | None, sigma: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values, rejection mask) of the statistic ``name`` (w1, w2, w2bar
-    or sum) over a (reps, n) value matrix; only W2 rejects, and only W2
-    and W2bar read ``sys``."""
-    if name in ("w1", "w2bar") and sigma is None:
-        raise DegenerateVariance(f"{name} needs sigma")
-    none = np.zeros(X.shape[0], dtype=bool)
-    if name == "w1":
-        return w1_batch(X, sigma), none
+def statistic_parts(
+    name: str, batch: np.ndarray, sys: NeighborhoodSystem | None = None
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(sigma-free parts, rejection mask) of the statistic ``name`` over a
+    batch: S, shape (reps,), for W1 and the sum, and the (reps, n) value
+    matrix with the neighborhoods of ``sys`` for W2 and W2bar.  The parts
+    are S; W2 with NaN at its rejections (only W2 rejects); or W2bar's
+    (S, sum_i X_i Y_i)."""
     if name == "w2":
-        return w2_batch(X, sys)
+        w2, rejected = w2_batch(batch, sys)
+        return (w2,), rejected
     if name == "w2bar":
-        return w2bar_batch(X, sys, sigma), none
-    if name == "sum":
-        return X.sum(axis=1), none
-    raise ValueError(f"unknown statistic {name!r}")
+        XT, YT = _neighborhood_sums(batch, sys)
+        YT *= XT
+        parts = (_index_sums(XT), _index_sums(YT))
+    elif name in STATISTICS:
+        parts = (batch,)
+    else:
+        raise ValueError(f"unknown statistic {name!r}")
+    return parts, np.zeros(batch.shape[0], dtype=bool)
+
+
+def finish(name: str, parts: Sequence[np.ndarray], sigma: float | None = None) -> np.ndarray:
+    """The statistic ``name`` from its parts (:func:`statistic_parts`):
+    W1 = S / sigma, W2bar = S / psi(sum_i X_i Y_i); W2 and the sum need
+    no sigma."""
+    check_sigma(name, sigma)
+    if name == "w1":
+        return parts[0] / sigma
+    if name == "w2bar":
+        s, xy = parts
+        s2 = sigma * sigma
+        return s / np.sqrt(np.clip(xy, 0.25 * s2, 2.0 * s2))
+    (values,) = parts
+    return values
 
 
 # ---------------------------------------------------------------------------

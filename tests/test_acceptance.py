@@ -251,7 +251,7 @@ def test_criterion_9_oracle_equivalence():
         f = F.build_word_field(word, n, alpha, gaps)
         rows = F.draw_source_rows(f, ACCEPT_SEED, [k], path=(91,))
         total = float((F.evaluate_values(f, rows) + f.means).sum())
-        direct = st.count_word_occurrences(rows[0].astype(int).tolist(), word, gaps)
+        direct = F.count_word_occurrences(rows[0].astype(int).tolist(), word, gaps)
         assert int(round(total)) == direct and abs(total - round(total)) < 1e-9
     # 100 random permutation instances
     for k in range(100):

@@ -55,6 +55,7 @@ import locdep.fields as fields
 import locdep.moments as moments
 import locdep.neighborhood as nb
 import locdep.oracle as oracle
+import locdep.statistics as statistics
 
 
 def write_spec(tmp_path: Path, doc: dict) -> str:
@@ -318,6 +319,30 @@ def test_w2_over_the_system_cap_exits_1_naming_the_cap(tmp_path, capsys):
     assert cli.main(["mc", "--spec", write_spec(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert "ComplexityCapExceeded" in err and "cap 10000000" in err
+
+
+IID = {"family": "iid", "grid": [3, 4, 5], "seed": 1}
+NON_FINITE_CASES = {
+    "tiny_sigma2": ({**IID, "params": {"sigma2": 1e-300}}, "main"),
+    "huge_sigma2": ({**IID, "params": {"sigma2": 1e300}}, "main"),
+    "huge_sigma2_general_beta": ({**IID, "params": {"sigma2": 1e300}, "bounds": ["general_beta"]},
+                                 "general_beta"),
+    "tiny_bernoulli_p": ({**IID, "params": {"source": {"kind": "bernoulli", "p": 1e-300}}}, "main"),
+    "huge_three_point_exact": ({**IID, "params": {"source": {"kind": "three_point", "spread": 1e200}},
+                                "mode": {"kind": "exact"}}, "main"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("doc,shape", NON_FINITE_CASES.values(), ids=NON_FINITE_CASES.keys())
+def test_non_finite_bound_exits_1_naming_shape_and_n(tmp_path, capsys, doc, shape):
+    """A shape that overflows, divides by zero or is not finite ends the
+    run with exit 1 and no artifacts, so no NaN or Infinity is written."""
+    doc = {**doc, "out": str(tmp_path / "out")}
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert f"NonFiniteBound: bound {shape} at n=3" in err
+    assert not (tmp_path / "out").exists()
 
 
 def summary_ks(out: Path) -> list[float]:
@@ -638,7 +663,7 @@ def test_mutated_example_configs_exit_0_1_or_2(tmp_path, data):
             st.lists(st.sampled_from(allowed), max_size=3),
             st.one_of(junk, st.lists(st.sampled_from(BOUND_NAMES), min_size=1, max_size=2)),
         ),
-        "statistic": mostly(st.sampled_from(cli.STATISTICS)),
+        "statistic": mostly(st.sampled_from(statistics.STATISTICS)),
         "m": mostly(st.integers(-1, 3)),
         "k": mostly(st.integers(-1, 4)),
         "declared_A": mostly(st.lists(st.lists(mostly(st.integers(-1, top)), max_size=4), max_size=8)),

@@ -27,7 +27,7 @@ import locdep.fields as F
 import locdep.harness as H
 import locdep.moments as M
 import locdep.oracle as O
-from locdep.errors import DegeneratePoints, ExcessRejections, GridMismatch
+from locdep.errors import DegeneratePoints, DegenerateVariance, ExcessRejections, GridMismatch
 
 
 def test_degenerate_statistic_has_ks_half():
@@ -104,9 +104,9 @@ def test_word_field_summaries_do_not_depend_on_the_thread_count():
 
 def record_value_dtypes(monkeypatch) -> list:
     """Record the dtype of every value matrix ``mc_run`` reduces."""
-    dtypes, batch = [], H.statistic_batch
-    monkeypatch.setattr(H, "statistic_batch",
-                        lambda name, X, *a: dtypes.append(X.dtype) or batch(name, X, *a))
+    dtypes, parts = [], H.statistic_parts
+    monkeypatch.setattr(H, "statistic_parts",
+                        lambda name, X, *a: dtypes.append(X.dtype) or parts(name, X, *a))
     return dtypes
 
 
@@ -209,3 +209,16 @@ def test_both_mc_loops_keep_chunks_under_the_cell_cap(monkeypatch):
     H.mc_run(f, "sum", 2000, 1)
     assert sum(rows) == 4000
     assert max(rows) == 1016 <= (1 << 22) // f.n_sources
+
+
+@pytest.mark.parametrize("sigma", [None, 0.0])
+@pytest.mark.parametrize("statistic", ["w1", "w2bar"])
+def test_statistics_that_need_sigma_refuse_a_missing_one_before_any_draw(statistic, sigma, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking sigma")
+
+    monkeypatch.setattr(H, "draw_sums", no_draw)
+    monkeypatch.setattr(H, "draw_source_rows", no_draw)
+    f = F.build_m_dependent(8, 1, F.rademacher())
+    with pytest.raises(DegenerateVariance):
+        H.mc_run(f, statistic, 1000, 1, sigma=sigma)

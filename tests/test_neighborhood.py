@@ -34,7 +34,7 @@ def rows(M) -> list[np.ndarray]:
 
 
 def iid_system(n: int) -> nb.NeighborhoodSystem:
-    return nb.make_system(sparse.identity(n, format="csr"))
+    return nb.make_system([[i] for i in range(n)])
 
 
 def window_system(n: int, m: int) -> nb.NeighborhoodSystem:
@@ -307,7 +307,7 @@ def test_kernels_match_scipy_bit_for_bit(case, seed, reps, run_min, tile):
     S = scipy_csr(owner, np.concatenate([np.asarray(a, dtype=np.int64) for a in A]), (n, n))
     S.data[:] = 1.0
     sys = nb.make_system(A)
-    assert same_csr(sys.M, S) and same_csr(nb.make_system(S).M, S)
+    assert same_csr(sys.M, S)
     M, der = sys.M, nb.derive(sys)
     assert same_csr(der.Mt, S.T.tocsr())
     x = rng.standard_normal(n)

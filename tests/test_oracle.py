@@ -31,7 +31,7 @@ import locdep.moments as M
 import locdep.neighborhood as nb
 import locdep.oracle as O
 from locdep.errors import DegenerateVariance, EnumerationCapExceeded, InvalidTestFunction
-from locdep.statistics import statistic_batch
+import locdep.statistics as st
 
 # Phi values to 15 digits (Abramowitz-Stegun style reference points)
 PHI_TABLE = {
@@ -114,7 +114,9 @@ def test_exact_laws_of_non_sum_fields_match_the_brute_force_law(family, n, stati
     sigma = M.exact_moment_table(f).sigma
     # the whole outcome matrix at once, through the Monte-Carlo statistics
     probs, rows = F.product_grid(f.sources)
-    vals, rej = statistic_batch(statistic, F.evaluate_values(f, rows), sys, sigma)
+    X = F.evaluate_values(f, rows)
+    parts, rej = st.statistic_parts(statistic, X if statistic in st.READS_VALUES else X.sum(axis=1), sys)
+    vals = st.finish(statistic, parts, sigma)
     if rej.any():
         probs = probs[~rej] / (1.0 - float(probs[rej].sum()))
     want = O.merge_atoms(vals[~rej], probs)
@@ -182,29 +184,32 @@ def test_lemma_s4_small_n_precondition_recorded():
         assert by_id["lemma_s4_y"].passed and by_id["lemma_s4_xi"].passed
 
 
-def test_lemma_r4_instances():
+def test_lemma_r4_instances(monkeypatch):
     f = F.build_m_dependent(6, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
     pre = O.precompute(f, sys)
     verds = O.check_lemma_r4(pre)
     assert all(v.passed for v in verds)
     assert any(v.lhs > 0 for v in verds)
-    zero = O.check_lemma_r4(pre, {"zero": lambda w: 0.0 * w})
-    assert zero[0].lhs == 0.0 and zero[0].passed
     f8 = F.build_iid_field(8, F.rademacher())
     s8 = F.induced_neighborhoods(f8)
-    verds8 = O.check_lemma_r4(O.precompute(f8, s8), {"clamp": O.TEST_FUNCTIONS["clamp"]})
+    clamp = O.TEST_FUNCTIONS["clamp"]
+    monkeypatch.setattr(O, "TEST_FUNCTIONS", {"zero": lambda w: 0.0 * w})
+    zero = O.check_lemma_r4(pre)
+    assert zero[0].lhs == 0.0 and zero[0].passed
+    monkeypatch.setattr(O, "TEST_FUNCTIONS", {"clamp": clamp})
+    verds8 = O.check_lemma_r4(O.precompute(f8, s8))
     assert verds8[0].passed
 
 
-def test_invalid_test_function_rejected():
+def test_invalid_test_function_rejected(monkeypatch):
     f = F.build_iid_field(3, F.rademacher())
     sys = F.induced_neighborhoods(f)
     pre = O.precompute(f, sys)
-    with pytest.raises(InvalidTestFunction):
-        O.check_lemma_r4(pre, {"big": lambda w: 2.0 * np.tanh(w)})
-    with pytest.raises(InvalidTestFunction):
-        O.check_lemma_r4(pre, {"steep": lambda w: np.clip(3 * w, -1, 1)})
+    for bad in ({"big": lambda w: 2.0 * np.tanh(w)}, {"steep": lambda w: np.clip(3 * w, -1, 1)}):
+        monkeypatch.setattr(O, "TEST_FUNCTIONS", bad)
+        with pytest.raises(InvalidTestFunction):
+            O.check_lemma_r4(pre)
 
 
 def test_prop1_hand_instance_and_monotonicity():

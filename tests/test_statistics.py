@@ -17,13 +17,14 @@ Core claims:
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
-
+import locdep
 import locdep.fields as F
 import locdep.neighborhood as nb
 import locdep.statistics as st
@@ -31,11 +32,22 @@ from locdep.errors import DegenerateVariance
 
 
 def iid_system(n: int) -> nb.NeighborhoodSystem:
-    return nb.make_system(sparse.identity(n, format="csr"))
+    return nb.make_system([[i] for i in range(n)])
 
 
 def one_row(x) -> np.ndarray:
     return np.asarray(x, dtype=float)[None, :]
+
+
+def batch(name: str, X: np.ndarray, sys=None, sigma=None) -> tuple[np.ndarray, np.ndarray]:
+    """(values, rejection mask) of a statistic over a (reps, n) value
+    matrix, through its parts: W1 and the sum read S = the row sums."""
+    parts, rejected = st.statistic_parts(name, X if name in st.READS_VALUES else X.sum(axis=1), sys)
+    return st.finish(name, parts, sigma), rejected
+
+
+def w2bar(X: np.ndarray, sys, sigma: float) -> np.ndarray:
+    return batch("w2bar", X, sys, sigma)[0]
 
 
 def reference_w2(x: np.ndarray, sys) -> tuple[float, float | None]:
@@ -53,24 +65,78 @@ def reference_w2bar(x: np.ndarray, sys, sigma: float) -> tuple[float, float]:
 
 
 def vbar_at(q: float, sigma: float) -> float:
-    """Vbar at sum_i X_i Y_i = q, read off w2bar_batch: X = (q, -q, 1) with
+    """Vbar at sum_i X_i Y_i = q, read off W2bar: X = (q, -q, 1) with
     A_0 = {2} and A_1, A_2 empty gives that sum with S = 1, so Vbar = 1 / W2bar."""
-    sys = nb.make_system(sparse.csr_matrix(([1.0], ([0], [2])), shape=(3, 3)))
-    return 1.0 / st.w2bar_batch(one_row([q, -q, 1.0]), sys, sigma)[0]
+    sys = nb.make_system([[2], [], []])
+    return 1.0 / w2bar(one_row([q, -q, 1.0]), sys, sigma)[0]
 
 
 def test_sum_and_w1_examples():
     zeros = one_row(np.zeros(5))
-    assert st.statistic_batch("sum", zeros, None, None)[0][0] == 0.0
-    assert st.w1_batch(zeros, 2.0)[0] == 0.0
-    assert st.statistic_batch("sum", one_row([1.0, 1.0]), None, None)[0][0] == 2.0
-    assert st.w1_batch(one_row([1.0, 1.0]), math.sqrt(2))[0] == pytest.approx(math.sqrt(2))
+    assert batch("sum", zeros)[0][0] == 0.0
+    assert batch("w1", zeros, sigma=2.0)[0][0] == 0.0
+    assert batch("sum", one_row([1.0, 1.0]))[0][0] == 2.0
+    assert batch("w1", one_row([1.0, 1.0]), sigma=math.sqrt(2))[0][0] == pytest.approx(math.sqrt(2))
     x = np.array([0.5, -1.5, 2.0])
-    s1, s2 = st.statistic_batch("sum", np.stack([x, -x]), None, None)[0]
-    w1a, w1b = st.w1_batch(np.stack([x, -x]), 3.0)
+    s1, s2 = batch("sum", np.stack([x, -x]))[0]
+    w1a, w1b = batch("w1", np.stack([x, -x]), sigma=3.0)[0]
     assert s2 == -s1 and w1b == -w1a
-    with pytest.raises(DegenerateVariance):
-        st.w1_batch(one_row(x), 0.0)
+    for sigma in (0.0, None, math.nan):
+        with pytest.raises(DegenerateVariance):
+            batch("w1", one_row(x), sigma=sigma)
+
+
+def test_parts_and_finish_by_name():
+    """S in, for W1 and the sum, with nothing rejected; W2bar's parts are
+    (S, sum_i X_i Y_i); only W1 and W2bar need sigma; an unknown name is
+    refused."""
+    s = np.array([3.0, -1.0, 0.0])
+    for name in ("w1", "sum"):
+        (part,), rejected = st.statistic_parts(name, s)
+        assert part is s and not rejected.any()
+    assert np.array_equal(st.finish("w1", (s,), 2.0), s / 2.0)
+    assert st.finish("sum", (s,)) is s
+    sys = iid_system(2)
+    (S, xy), rejected = st.statistic_parts("w2bar", np.array([[1.0, 2.0], [0.0, 0.0]]), sys)
+    assert S.tolist() == [3.0, 0.0] and xy.tolist() == [5.0, 0.0] and not rejected.any()
+    (w2,), rejected = st.statistic_parts("w2", np.array([[1.0, 2.0], [0.0, 0.0]]), sys)
+    assert rejected.tolist() == [False, True] and np.isnan(w2[1])
+    assert st.finish("w2", (w2,)) is w2
+    assert st.NEEDS_SIGMA <= set(st.STATISTICS) and st.READS_VALUES <= set(st.STATISTICS)
+    for name in st.NEEDS_SIGMA:
+        with pytest.raises(DegenerateVariance):
+            st.finish(name, (s, s))
+    with pytest.raises(ValueError, match="unknown statistic"):
+        st.statistic_parts("w3", s)
+
+
+def statistic_name_comparisons(source: str) -> list[int]:
+    """Lines of ==, !=, in and not in comparisons against a statistic-name
+    literal, alone or in a tuple, list or set display."""
+    names = set(st.STATISTICS)
+
+    def named(node) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(named(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and node.value in names
+
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
+        and any(named(e) for e in (node.left, *node.comparators))
+    ]
+
+
+def test_only_statistics_compares_statistic_names():
+    """The facts about each statistic (its input, whether it rejects, how
+    sigma finishes it) live in ``statistics``: no other module branches on
+    a statistic's name."""
+    package = Path(locdep.__file__).parent
+    found = {p.name: statistic_name_comparisons(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert found.pop("statistics.py")  # the scan sees the owner's own branches
+    assert not {name: lines for name, lines in found.items() if lines}
+    assert statistic_name_comparisons('ok = s in ("w1", "sum") or s != "w2"') == [1, 1]
 
 
 def test_w2_zero_field_rejected():
@@ -116,16 +182,16 @@ def test_psi_clamp_examples():
 def test_w2bar_examples_and_envelope():
     sys = iid_system(4)
     # all zeros: sum X_i Y_i = 0, so Vbar = sigma / 2
-    assert st.w2bar_batch(one_row(np.zeros(4)), sys, 2.0)[0] == 0.0
+    assert w2bar(one_row(np.zeros(4)), sys, 2.0)[0] == 0.0
     assert vbar_at(0.0, 2.0) == 1.0
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 4))
     sigma = 1.3
-    for x, w2bar in zip(X, st.w2bar_batch(X, sys, sigma)):
-        assert abs(w2bar) <= 2 * abs(x.sum()) / sigma + 1e-12
+    for x, w in zip(X, w2bar(X, sys, sigma)):
+        assert abs(w) <= 2 * abs(x.sum()) / sigma + 1e-12
     # interior fixed point: sum X_i Y_i == sigma^2
     x = one_row([1.0, 1.0, 1.0, 1.0])
-    assert x.sum() / st.w2bar_batch(x, sys, 2.0)[0] == pytest.approx(2.0)
+    assert x.sum() / w2bar(x, sys, 2.0)[0] == pytest.approx(2.0)
 
 
 def test_w2_batches_ignore_layout_and_batch():
@@ -137,9 +203,9 @@ def test_w2_batches_ignore_layout_and_batch():
     w2_f, rejected_f = st.w2_batch(Fo, sys)
     assert np.array_equal(w2, w2_f) and np.array_equal(rejected, rejected_f)
     assert np.array_equal(st.w2_batch(C[50:123], sys)[0], w2[50:123])
-    w2bar = st.w2bar_batch(C, sys, 7.0)
-    assert np.array_equal(w2bar, st.w2bar_batch(Fo, sys, 7.0))
-    assert np.array_equal(st.w2bar_batch(Fo[7:8], sys, 7.0), w2bar[7:8])
+    w2bar_c = w2bar(C, sys, 7.0)
+    assert np.array_equal(w2bar_c, w2bar(Fo, sys, 7.0))
+    assert np.array_equal(w2bar(Fo[7:8], sys, 7.0), w2bar_c[7:8])
 
 
 def brute_word_count(s, w, gaps, exact=False):
@@ -158,10 +224,10 @@ def brute_word_count(s, w, gaps, exact=False):
 
 
 def test_word_counter_examples():
-    assert st.count_word_occurrences("abab", "ab", [None]) == 3
-    assert st.count_word_occurrences("abab", "ab", [1]) == 2
-    assert st.count_word_occurrences("ab", "aaa", [None, None]) == 0
-    assert st.count_word_occurrences("abab", "ab", [3], exact_gaps=True) == 1
+    assert F.count_word_occurrences("abab", "ab", [None]) == 3
+    assert F.count_word_occurrences("abab", "ab", [1]) == 2
+    assert F.count_word_occurrences("ab", "aaa", [None, None]) == 0
+    assert F.count_word_occurrences("abab", "ab", [3], exact_gaps=True) == 1
 
 
 def test_word_counter_random_vs_brute():
@@ -173,7 +239,7 @@ def test_word_counter_random_vs_brute():
         w = rng.integers(0, 2, size=l).tolist()
         gaps = [None if rng.random() < 0.5 else int(rng.integers(1, 4)) for _ in range(l - 1)]
         exact = bool(rng.random() < 0.3)
-        assert st.count_word_occurrences(s, w, gaps, exact_gaps=exact) == brute_word_count(
+        assert F.count_word_occurrences(s, w, gaps, exact_gaps=exact) == brute_word_count(
             s, w, gaps, exact
         )
 
@@ -200,12 +266,11 @@ def test_batched_word_counts_match_brute_force_row_by_row(k, n, word, gaps, exac
     strings = np.array(list(itertools.product(range(k), repeat=n)))
     if len(strings) > 200:
         strings = strings[np.random.default_rng(n).choice(len(strings), 200, replace=False)]
-    counts = st.count_word_occurrences(strings, word, gaps, exact_gaps=exact)
+    counts = F.count_word_occurrences(strings, word, gaps, exact_gaps=exact)
     assert counts.dtype == np.int64 and counts.shape == (len(strings),)
     want = [brute_word_count(s.tolist(), word, gaps, exact) for s in strings]
     assert counts.tolist() == want
-    assert st.count_word_occurrences(strings[0], word, gaps, exact_gaps=exact) == want[0]
-    assert st.count_word_occurrences is F.count_word_occurrences  # one program
+    assert F.count_word_occurrences(strings[0], word, gaps, exact_gaps=exact) == want[0]
 
 
 def test_pattern_counter_examples():
@@ -236,7 +301,7 @@ def test_word_field_sum_equals_counter():
     rows = F.draw_source_rows(f, 31, range(10))
     x = F.evaluate_values(f, rows) + f.means
     for r in range(10):
-        direct = st.count_word_occurrences(rows[r].astype(int).tolist(), [0, 1], [2])
+        direct = F.count_word_occurrences(rows[r].astype(int).tolist(), [0, 1], [2])
         assert int(round(x[r].sum())) == direct
 
 
@@ -275,7 +340,7 @@ def test_batch_statistics_match_scalar():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(16, 6))
     w2s, rej = st.w2_batch(X, sys)
-    w2bars = st.w2bar_batch(X, sys, 2.0)
+    w2bars = w2bar(X, sys, 2.0)
     for r in range(16):
         v, w2 = reference_w2(X[r], sys)
         if w2 is None:
@@ -298,9 +363,9 @@ def test_statistic_value_bundle():
     s = float(x.sum())
     v, w2_ref = reference_w2(x[0], sys)
     vbar, _ = reference_w2bar(x[0], sys, t.sigma)
-    assert st.w1_batch(x, t.sigma)[0] == pytest.approx(s / t.sigma)
+    assert batch("w1", x, sigma=t.sigma)[0][0] == pytest.approx(s / t.sigma)
     w2, rejected = st.w2_batch(x, sys)
     assert rejected[0] == (w2_ref is None)
     assert sys is not None and (rejected[0] or w2[0] == pytest.approx(s / v))
     assert t.sigma / 2 <= vbar <= math.sqrt(2) * t.sigma
-    assert st.w2bar_batch(x, sys, t.sigma)[0] == pytest.approx(s / vbar)
+    assert w2bar(x, sys, t.sigma)[0] == pytest.approx(s / vbar)
