@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__, bounds, fields, harness, moments, neighborhood, oracle, statistics
 from .errors import (ComplexityCapExceeded, ConfigError, EmptyIndexSet, InvalidSize, LocdepError,
-                     NonFiniteBound)
+                     NonFiniteBound, NonFiniteMoments)
 
 TABLE_CAP = 2**20  # largest outcome space whose Var(S) a moment table enumerates
 LD_CAP = 2**16  # largest outcome space the LD test (require_ld) enumerates
@@ -481,6 +481,8 @@ def run_experiment(
         walk = _walk_for(built, spec, cap, do_stat)
         table = _moment_table_for(built, spec, n, cap=cap, sigma2=walk and walk.sigma2)
         reports = evaluate_bounds(built, spec, n, table) if do_bounds else []
+        if not all(np.isfinite(v).all() for v in (table.sigma2, table.l2, table.l3, table.l4)):
+            raise NonFiniteMoments(f"moments at n={n}: Var(S)={table.sigma2:g}, or a norm, is not finite")
         sigma = table.sigma if not table.degenerate else None
         sys = built.system() if do_stat and spec.statistic in statistics.READS_VALUES else None
         if not do_stat:
@@ -591,10 +593,11 @@ def write_artifacts(spec: ExperimentSpec, result: dict, out_dir: Path) -> None:
     chash = config_hash(spec.raw)
     stamp = f"# config_hash={chash} seed={spec.seed}"
 
-    with (out_dir / "moments.csv").open("w") as fh:  # one grid point's rows at a time
-        fh.write(stamp + "\n")
+    with (out_dir / "moments.csv").open("wb") as fh:
+        fh.write(f"{stamp}\n".encode())
         for e in result["per_n"]:
-            fh.write("\n".join([f"# n={e['n']}", *moments.table_to_csv_rows(e["table"])]) + "\n")
+            fh.write(f"# n={e['n']}\n".encode())
+            moments.write_csv(fh, e["table"])
 
     bound_doc = {
         "config_hash": chash,

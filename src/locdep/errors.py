@@ -45,6 +45,10 @@ class NonFiniteBound(LocdepError):
     """A bound shape overflows, divides by zero, or is not finite."""
 
 
+class NonFiniteMoments(LocdepError):
+    """A moment table holds a non-finite norm or Var(S)."""
+
+
 class ExcessRejections(LocdepError):
     """Too many replications were rejected (self-normalizer V = 0)."""
 

@@ -16,7 +16,9 @@ enumeration once per pair group.  Past the enumeration cap the identity
 alone gives Var(S), which scales to fields whose full outcome space is
 out of reach.  A caller that holds the materialized outcome space (the
 checkers' ``oracle.precompute``) passes it in, and norms, Var(S) and the
-identity are all read from it, with no further enumeration.
+identity are all read from it, with no further enumeration.  ``write_csv``
+writes ``moments.csv`` as bytes, a block of rows at a time, with each
+group's values formatted once and no string built per row.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .neighborhood import NeighborhoodSystem, pairs
 from .rng import STREAM_MOMENTS, chunk_rows
 
 SIGMA2_IDENTITY_RTOL = 1e-10
+_LONG_RUN, _BLOCK_ROWS = 64, 1 << 14  # moments.csv: rows of a long run, rows per block
 
 
 @dataclass
@@ -323,20 +326,40 @@ def hoeffding_sigma1(
 # Serialization
 
 
-def table_to_csv_rows(table: MomentTable) -> list[str]:
-    """CSV body: index, l2, l3, l4, se2, se3, se4 (RFC-4180, 1-based index);
-    the values are formatted once per group of ``table.groups``."""
-    z = np.zeros(table.n)
+def write_csv(fh, table: MomentTable) -> None:
+    """Writes the CSV section ``index,l2,l3,l4,se2,se3,se4`` (RFC-4180,
+    1-based index) to the binary handle ``fh``: a run of _LONG_RUN or more
+    rows of one group in uint8 blocks with the index digits computed, other
+    rows by one join per block.  Values are formatted once per group."""
+    n, z = table.n, np.zeros(table.n)
     cols = [table.l2, table.l3, table.l4,
             *(z if se is None else se for se in (table.se_l2, table.se_l3, table.se_l4))]
-    groups = np.arange(table.n) if table.groups is None else table.groups
-    _, first, inverse = np.unique(groups, return_index=True, return_inverse=True)
-    bodies = [
-        f"{a:.17g},{b:.17g},{c:.17g},{d:.17g},{e:.17g},{f:.17g}"
-        for a, b, c, d, e, f in np.stack(cols, axis=1)[first].tolist()
-    ]
-    rows = [f"{i},{bodies[g]}" for i, g in enumerate(inverse.reshape(-1).tolist(), 1)]
-    return ["index,l2,l3,l4,se2,se3,se4", *rows]
+    groups = np.arange(n) if table.groups is None else table.groups
+    starts = np.r_[0, np.flatnonzero(np.diff(groups)) + 1][:n]  # runs of one group
+    ends = [*starts[1:].tolist(), n]
+    _, first, run_body = np.unique(groups[starts], return_index=True, return_inverse=True)
+    values = np.stack([c[starts[first]] for c in cols], axis=1).tolist()
+    bodies = [b",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(v) for v in values]
+    row_body = np.repeat(run_body, np.subtract(ends, starts))
+    fh.write(b"index,l2,l3,l4,se2,se3,se4\n")
+    long_runs = [(lo, hi) for lo, hi in zip(starts.tolist(), ends) if hi - lo >= _LONG_RUN]
+    done = 0  # rows written
+    for lo, hi in [*long_runs, (n, n)]:
+        for a in range(done, lo, _BLOCK_ROWS):  # the short runs before this long one
+            rows = enumerate(row_body[a:min(a + _BLOCK_ROWS, lo)].tolist(), a + 1)
+            fh.write(b"".join([b"%d%b" % (i, bodies[g]) for i, g in rows]))
+        a = lo + 1
+        while a <= hi:  # blocks of at most _BLOCK_ROWS rows, cut where the index gains a digit
+            d, body = len(str(a)), np.frombuffer(bodies[row_body[lo]], np.uint8)
+            b = min(a + _BLOCK_ROWS, hi + 1, 10**d)
+            out = np.empty((b - a, d + body.size), np.uint8)
+            out[:, d:] = body
+            idx = np.arange(a, b, dtype=np.min_scalar_type(b))
+            for k in range(d):
+                out[:, d - 1 - k] = idx // 10**k % 10 + 48
+            fh.write(out)
+            a = b
+        done = hi
 
 
 def table_header(table: MomentTable) -> dict:

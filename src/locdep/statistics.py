@@ -86,9 +86,9 @@ def w2_batch(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.nda
 
 def check_sigma(name: str, sigma: float | None) -> None:
     """Raises :class:`DegenerateVariance` when the statistic ``name``
-    needs sigma and ``sigma`` is not positive."""
-    if name in NEEDS_SIGMA and not (sigma is not None and sigma > 0):
-        raise DegenerateVariance(f"{name} needs a positive sigma, got {sigma}")
+    needs sigma and ``sigma`` is not positive and finite."""
+    if name in NEEDS_SIGMA and not (sigma is not None and 0 < sigma < math.inf):
+        raise DegenerateVariance(f"{name} needs a positive finite sigma, got {sigma}")
 
 
 def statistic_parts(

@@ -345,6 +345,19 @@ def test_non_finite_bound_exits_1_naming_shape_and_n(tmp_path, capsys, doc, shap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_moments_exit_1_naming_n(tmp_path, capsys):
+    """Var(S) and the norms of an exact three-point field with spread
+    1e200 overflow: the run stops at n = 3 with exit 1 and no artifacts,
+    instead of writing inf norms and ks = 0.5 (W1 = S / inf)."""
+    doc = {**IID, "params": {"source": {"kind": "three_point", "spread": 1e200}},
+           "mode": {"kind": "exact"}, "bounds": [], "out": str(tmp_path / "out")}
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "NonFiniteMoments: moments at n=3: Var(S)=inf" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def summary_ks(out: Path) -> list[float]:
     rows = (out / "summary.csv").read_text().splitlines()[2:]
     return [float(r.split(",")[4]) for r in rows]

@@ -211,7 +211,7 @@ def test_both_mc_loops_keep_chunks_under_the_cell_cap(monkeypatch):
     assert max(rows) == 1016 <= (1 << 22) // f.n_sources
 
 
-@pytest.mark.parametrize("sigma", [None, 0.0])
+@pytest.mark.parametrize("sigma", [None, 0.0, float("inf"), float("nan")])
 @pytest.mark.parametrize("statistic", ["w1", "w2bar"])
 def test_statistics_that_need_sigma_refuse_a_missing_one_before_any_draw(statistic, sigma, monkeypatch):
     def no_draw(*args, **kwargs):

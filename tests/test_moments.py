@@ -17,8 +17,10 @@ Core claims:
       group order included, with pads, repeated sources, per-index
       params, given means and continuous sources; exact tables read the
       frozen index groups
-    - the CSV body equals the per-row formatter for exact, hybrid and
-      Monte-Carlo tables and for tables without groups
+    - the CSV section equals the per-row formatter byte for byte for
+      exact, hybrid and Monte-Carlo tables, tables without groups,
+      interleaved groups, special floats, and single-group runs whose
+      index crosses each digit width, with default and small blocks
     - a system too small for the field fails the variance identity on
       every route (closed form, plan, enumeration), and tables read from
       an enumeration plan equal the locally enumerated ones
@@ -27,12 +29,15 @@ Core claims:
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 import locdep.bounds as B
+import locdep.cli as cli
 import locdep.fields as F
 import locdep.moments as M
 import locdep.neighborhood as nb
@@ -154,6 +159,16 @@ def reference_csv_rows(table: M.MomentTable) -> list[str]:
     return rows
 
 
+def reference_csv(table: M.MomentTable) -> bytes:
+    return ("\n".join(reference_csv_rows(table)) + "\n").encode()
+
+
+def csv_bytes(table: M.MomentTable) -> bytes:
+    buf = io.BytesIO()
+    M.write_csv(buf, table)
+    return buf.getvalue()
+
+
 def test_csv_rows_match_per_row_formatter():
     f = F.build_constrained_ustat_field(7, 1, lambda x, y: x * y + x, (None,), F.three_point())
     exact = M.exact_moment_table(f, F.induced_neighborhoods(f))
@@ -166,17 +181,87 @@ def test_csv_rows_match_per_row_formatter():
     bare = M.MomentTable(l2=odd, l3=rng.normal(size=8), l4=odd[::-1].copy(), sigma2=1.0,
                          mode="monte_carlo", se_l3=rng.normal(size=8))
     for table in (exact, hybrid, mc, bare, dataclasses.replace(exact, groups=None)):
-        assert M.table_to_csv_rows(table) == reference_csv_rows(table)
+        assert csv_bytes(table) == reference_csv(table)
 
 
 def test_csv_serialization_shape():
     f = F.build_iid_field(3, F.rademacher())
     t = M.exact_moment_table(f)
-    rows = M.table_to_csv_rows(t)
+    rows = csv_bytes(t).decode().splitlines()
     assert rows[0] == "index,l2,l3,l4,se2,se3,se4"
     assert len(rows) == 4 and rows[1].startswith("1,")
     hdr = M.table_header(t)
     assert hdr["sigma2"] == pytest.approx(3.0) and hdr["mode"] == "exact"
+
+
+def grouped_table(groups, values, se=True) -> M.MomentTable:
+    """A table whose entries are ``values`` (one per group) read by ``groups``."""
+    g = np.asarray(groups)
+    cols = [np.asarray(values)[g] * k for k in (1.0, 2.0, -3.0)]
+    return M.MomentTable(l2=cols[0], l3=cols[1], l4=cols[2], sigma2=1.0, mode="exact",
+                         se_l2=cols[2] / 7 if se else None, groups=g)
+
+
+# (long-run threshold, rows per block): the defaults, and every run long
+# with blocks that split each run
+LAYOUTS = [(M._LONG_RUN, M._BLOCK_ROWS), (1, 7)]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["default", "small_blocks"])
+@pytest.mark.parametrize("n", [12, 150, 10_050, 100_020])
+def test_csv_single_group_crosses_each_digit_width(monkeypatch, layout, n):
+    """Rows 9 -> 10, 99 -> 100, 9,999 -> 10,000 and 99,999 -> 100,000 of
+    one group: the index digits change width inside the run."""
+    monkeypatch.setattr(M, "_LONG_RUN", layout[0])
+    monkeypatch.setattr(M, "_BLOCK_ROWS", layout[1])
+    table = grouped_table(np.zeros(n, dtype=np.int64), [1 / 3])
+    assert csv_bytes(table) == reference_csv(table)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["default", "small_blocks"])
+def test_csv_interleaved_groups_and_no_groups(monkeypatch, layout):
+    monkeypatch.setattr(M, "_LONG_RUN", layout[0])
+    monkeypatch.setattr(M, "_BLOCK_ROWS", layout[1])
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=4)
+    alternating = np.arange(300) % 3
+    runs = np.repeat([0, 1, 0, 2, 1, 3, 0], [100, 3, 70, 1, 200, 64, 63])
+    for groups in (alternating, runs, runs[::-1].copy()):
+        table = grouped_table(groups, values)
+        assert csv_bytes(table) == reference_csv(table)
+        assert csv_bytes(dataclasses.replace(table, groups=None)) == reference_csv(table)
+    empty = grouped_table(np.zeros(0, dtype=np.int64), values, se=False)
+    assert csv_bytes(empty) == b"index,l2,l3,l4,se2,se3,se4\n"
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["default", "small_blocks"])
+def test_csv_special_floats_in_long_runs(monkeypatch, layout):
+    monkeypatch.setattr(M, "_LONG_RUN", layout[0])
+    monkeypatch.setattr(M, "_BLOCK_ROWS", layout[1])
+    odd = [0.0, -0.0, 1e-300, 1e300, np.nan, np.inf, -np.inf, 1 / 3, 2.0**-1074, 5e-324 * 3]
+    table = grouped_table(np.repeat(np.arange(len(odd)), 90), odd)
+    body = csv_bytes(table)
+    assert body == reference_csv(table)
+    assert all(v in body for v in (b",-0,", b",nan,", b",-inf,", b"e-324,"))
+
+
+def test_run_writes_the_triangle_moments_csv_byte_for_byte(tmp_path, monkeypatch):
+    """``locdep run`` of the decorated triangle at n = 20 (6,840 rows of
+    one group) writes the stamp, ``# n=20`` and the per-row reference."""
+    tables, write = [], M.write_csv
+    monkeypatch.setattr(M, "write_csv", lambda fh, t: (tables.append(t), write(fh, t)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "family": "decorated_graph", "params": {"pattern": "triangle", "p": 0.3},
+        "grid": [20], "statistic": "w1", "mode": {"kind": "mc", "reps": 1000},
+        "bounds": [], "seed": 5, "out": str(tmp_path / "out"),
+    }))
+    assert cli.main(["run", "--spec", str(spec)]) == 0
+    (table,) = tables
+    assert table.n == 6840 and np.unique(table.groups).size == 1
+    stamp, rest = (tmp_path / "out" / "moments.csv").read_bytes().split(b"\n", 1)
+    assert stamp.startswith(b"# config_hash=") and stamp.endswith(b" seed=5")
+    assert rest == b"# n=20\n" + reference_csv(table)
 
 
 GROUPING_CASES = {
