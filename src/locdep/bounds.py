@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BlockTooSmall, ComplexityCapExceeded, DegenerateVariance
 from .moments import KernelMoments, MomentTable
-from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, pairs, union
+from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, union
 
 # cap on the summed row lengths of the unions behind the beta sums
 TERM_BUDGET = 10**9
@@ -182,7 +182,7 @@ def beta_sums(
     upper bound on their entries) are checked against TERM_BUDGET.
     """
     M, Mt = sys.M, derived.Mt
-    I, J = pairs(M)
+    I, J = M.rows, M.indices
     s = np.diff(M.indptr).astype(float)
     r = np.diff(Mt.indptr).astype(float)
     terms = 2 * M.nnz + 3 * s[I].sum() + 2 * s[J].sum() + 2 * r[J].sum()
@@ -396,7 +396,7 @@ def interference_set_of(
     the union cover, the pairs of M with i or j in N_A."""
     in_na = np.zeros(sys.n, dtype=bool)
     in_na[reverse_set_of(sys, A)] = True
-    I, J = pairs(sys.M)
+    I, J = sys.M.rows, sys.M.indices
     keep = in_na[I] | in_na[J]
     return I[keep], J[keep]
 

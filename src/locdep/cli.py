@@ -350,10 +350,10 @@ def parse_spec(doc: dict) -> ExperimentSpec:
     return ExperimentSpec(**checked, raw=doc)
 
 
-def build_family(family: str, params: dict, n: int, where: str = "$.params") -> BuiltInstance:
+def build_family(family: str, params: dict, n: int) -> BuiltInstance:
     """Construct the configured family at grid size n from a params
     object, raw or as ``parse_spec`` checked it."""
-    entry = FAMILIES[family]
+    entry, where = FAMILIES[family], "$.params"
     try:
         params = entry.params(params, where)
         field = entry.build(params, n, where)
@@ -448,7 +448,8 @@ def evaluate_bounds(
 def _distributed_general_report(built: BuiltInstance, table) -> bounds.BoundReport:
     """Per block: its rows of the table's l4, and kappa and tau of its
     diagonal block of the system's matrix."""
-    I, J = neighborhood.pairs(built.system().M)
+    M = built.system().M
+    I, J = M.rows, M.indices
     block_l4 = []
     kappas = []
     taus = []

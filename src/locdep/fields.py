@@ -716,12 +716,9 @@ def sum_values(field: LatentSourceField, rows: np.ndarray, X: np.ndarray | None 
     return s - field.mean_sum if field.center else s
 
 
-def outcome_blocks(
-    field: LatentSourceField,
-    cap: int = DEFAULT_ENUM_CAP,
-    block: int = ENUM_BLOCK,
-):
-    """Yield (probs, source_rows) blocks covering the full outcome space.
+def outcome_blocks(field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP):
+    """Yield (probs, source_rows) blocks of ENUM_BLOCK outcomes covering
+    the full outcome space.
 
     Outcomes are ordered with source 0 as the most significant mixed-radix
     digit.  Raises :class:`EnumerationCapExceeded` beyond ``cap`` outcomes.
@@ -731,8 +728,8 @@ def outcome_blocks(
         raise EnumerationCapExceeded("field has continuous sources")
     if total > cap:
         raise EnumerationCapExceeded(f"{total} outcomes exceed cap {cap}")
-    for start in range(0, total, block):
-        yield product_grid(field.sources, start, min(start + block, total))
+    for start in range(0, total, ENUM_BLOCK):
+        yield product_grid(field.sources, start, min(start + ENUM_BLOCK, total))
 
 
 # ---------------------------------------------------------------------------
@@ -781,16 +778,14 @@ def _sum_columns(G: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_iid_field(
-    n: int, source: Source, evaluator: Callable | None = None, center: bool = True
-) -> LatentSourceField:
-    """n independent copies of evaluator(source)."""
+def build_iid_field(n: int, source: Source, center: bool = True) -> LatentSourceField:
+    """n independent copies of the source."""
     if n < 1:
         raise InvalidSize(f"n must be >= 1, got {n}")
     return LatentSourceField(
         sources=(source,) * n,
         supports=np.arange(n)[:, None],
-        ev=_sum_columns if evaluator is None else _columnwise(evaluator),
+        ev=_sum_columns,
         center=center,
         metadata={"family": "iid", "n": n, "index_transitive": True},
     )
@@ -801,7 +796,6 @@ def build_m_dependent(
     m: int,
     source: Source,
     window_evaluator: Callable | None = None,
-    center: bool = True,
 ) -> LatentSourceField:
     """Stationary m-dependent field: X_i = w(U_i, ..., U_{i+m}).
 
@@ -816,7 +810,7 @@ def build_m_dependent(
         sources=(source,) * (n + m),
         supports=np.arange(n)[:, None] + np.arange(m + 1),
         ev=_sum_columns if window_evaluator is None else _columnwise(window_evaluator),
-        center=center,
+        center=True,
         metadata={"family": "m_dependent", "n": n, "m": m},
     )
 
@@ -826,7 +820,6 @@ def build_graph_dependency(
     edges: Sequence[tuple[int, int]],
     source: Source,
     evaluator: Callable | None = None,
-    center: bool = True,
 ) -> LatentSourceField:
     """Dependency-graph field: one source per vertex and per edge,
     X_i = ev(own source, incident edge sources).
@@ -856,7 +849,7 @@ def build_graph_dependency(
         sources=(source,) * (n_vertices + len(edges)),
         supports=supports,
         ev=_sum_columns if evaluator is None else _columnwise(evaluator),
-        center=center,
+        center=True,
         metadata={
             "family": "graph",
             "n": n_vertices,
@@ -871,16 +864,14 @@ def build_ustat_field(
     m: int,
     kernel: Callable,
     source: Source,
-    theta: float | None = None,
-    cap: int = DEFAULT_INDEX_CAP,
 ) -> LatentSourceField:
     """Distributed U-statistic field over k blocks of sample points.
 
     One field index per (block, m-subset); X = w_i (h(points) - theta)
     with w_i = n_i / (N C(n_i, m)), so the field sum equals U_d - theta.
     A single block recovers the classical U-statistic, up to the recorded
-    normalization.  theta is computed exactly from the source when not
-    supplied.
+    normalization.  theta = E h is computed exactly from the source, which
+    must be discrete.
     """
     block_sizes = [int(b) for b in block_sizes]
     if any(b < m for b in block_sizes):
@@ -889,17 +880,14 @@ def build_ustat_field(
         raise InvalidSize(f"kernel degree m must be >= 1, got {m}")
     N = sum(block_sizes)
     n_idx = sum(math.comb(b, m) for b in block_sizes)
-    if n_idx > cap:
-        raise EnumerationCapExceeded(f"{n_idx} field indices exceed cap {cap}")
-    if theta is None:
-        if not isinstance(source, DiscreteSource):
-            raise EnumerationCapExceeded(
-                "theta must be supplied for continuous sources"
-            )
-        if len(source.values) ** m > DEFAULT_ENUM_CAP:
-            raise EnumerationCapExceeded("kernel mean enumeration too large")
-        probs, grid = product_grid([source] * m)
-        theta = float(np.sum(probs * kernel(*grid.T)))
+    if n_idx > DEFAULT_INDEX_CAP:
+        raise EnumerationCapExceeded(f"{n_idx} field indices exceed cap {DEFAULT_INDEX_CAP}")
+    if not isinstance(source, DiscreteSource):
+        raise EnumerationCapExceeded("theta is enumerated, so the source must be discrete")
+    if len(source.values) ** m > DEFAULT_ENUM_CAP:
+        raise EnumerationCapExceeded("kernel mean enumeration too large")
+    probs, grid = product_grid([source] * m)
+    theta = float(np.sum(probs * kernel(*grid.T)))
     subsets, weights, block_slices = [], [], []
     offset = 0
     for b in block_sizes:
@@ -1005,14 +993,12 @@ def build_constrained_ustat_field(
     f: Callable,
     gaps: Sequence[int | None],
     source: Source,
-    window_evaluator: Callable | None = None,
     known_mean: float | None = None,
-    cap: int = DEFAULT_INDEX_CAP,
     metadata: Mapping | None = None,
 ) -> LatentSourceField:
     """Constrained U-statistic field over a stationary m-dependent sequence.
 
-    The underlying sequence is xi_t = w(U_t, ..., U_{t+m}); field indices
+    The underlying sequence is xi_t = U_t + ... + U_{t+m}; field indices
     are the admissible tuples and X = f(xi over tuple) - mean.  A support
     row concatenates the tuple's windows, so overlapping windows repeat a
     source.  Induced neighborhoods combine tuple overlap with gap-<=-m
@@ -1025,11 +1011,9 @@ def build_constrained_ustat_field(
     tuples = admissible_tuples(n, gaps)
     if not tuples:
         raise EmptyIndexSet(f"no admissible tuple for n={n}, gaps={gaps}")
-    if len(tuples) > cap:
-        raise EnumerationCapExceeded(f"{len(tuples)} tuples exceed cap {cap}")
-    window = window_evaluator
-    if window is None:
-        window = (lambda u: u) if m == 0 else (lambda *cols: sum(cols))
+    if len(tuples) > DEFAULT_INDEX_CAP:
+        raise EnumerationCapExceeded(f"{len(tuples)} tuples exceed cap {DEFAULT_INDEX_CAP}")
+    window = (lambda u: u) if m == 0 else (lambda *cols: sum(cols))
     l, width = len(gaps) + 1, m + 1
 
     def ev(G):
@@ -1070,9 +1054,7 @@ def _pattern_indicator(tau: Sequence[int]) -> Callable:
     return f
 
 
-def build_pattern_field(
-    n: int, tau: Sequence[int], gaps: Sequence[int | None], cap: int = DEFAULT_INDEX_CAP
-) -> LatentSourceField:
+def build_pattern_field(n: int, tau: Sequence[int], gaps: Sequence[int | None]) -> LatentSourceField:
     """Permutation-pattern counting field via the rank construction:
     iid Uniform(0,1) sources stand in for the permutation values, since
     only order relations enter the indicator.  Exact mean is 1/l!."""
@@ -1088,7 +1070,6 @@ def build_pattern_field(
         gaps=gaps,
         source=ContinuousSource("uniform"),
         known_mean=1.0 / math.factorial(l),
-        cap=cap,
         metadata={"family": "pattern", "tau": tuple(int(t) for t in tau)},
     )
 
@@ -1098,7 +1079,6 @@ def build_word_field(
     n: int,
     alphabet_size: int,
     gaps: Sequence[int | None],
-    cap: int = DEFAULT_INDEX_CAP,
 ) -> LatentSourceField:
     """Word-occurrence counting field over iid uniform letters 0..k-1.
     Its ``batch_sum`` is :func:`count_word_occurrences` over the letter
@@ -1120,7 +1100,6 @@ def build_word_field(
         f=f,
         gaps=gaps,
         source=uniform_letters(alphabet_size),
-        cap=cap,
         metadata={
             "family": "word",
             "word": word,
@@ -1136,7 +1115,6 @@ def build_decorated_graph_field(
     edge_source: Source,
     h: Callable | None = None,
     decoration: Sequence[float] | None = None,
-    cap: int = DEFAULT_INDEX_CAP,
 ) -> LatentSourceField:
     """Decorated injective homomorphism field over iid edge variables.
 
@@ -1155,8 +1133,8 @@ def build_decorated_graph_field(
     if n < v:
         raise InvalidSize(f"n={n} smaller than pattern order {v}")
     n_inj = math.perm(n, v)
-    if n_inj > cap:
-        raise GraphTooLarge(f"{n_inj} injections exceed cap {cap}")
+    if n_inj > DEFAULT_INDEX_CAP:
+        raise GraphTooLarge(f"{n_inj} injections exceed cap {DEFAULT_INDEX_CAP}")
     deco = np.ones(len(edges)) if decoration is None else np.asarray(decoration, dtype=float)
     if deco.shape != (len(edges),):
         raise ValueError("decoration must have one value per pattern edge")

@@ -40,7 +40,7 @@ from .fields import (
 )
 from .neighborhood import NeighborhoodSystem
 from .oracle import phi
-from .rng import DEFAULT_CHUNK, chunk_rows
+from .rng import chunk_rows
 from .statistics import READS_VALUES, check_sigma, finish, statistic_parts
 
 MAX_REJECT_FRACTION = 0.01
@@ -90,9 +90,7 @@ def mc_run(
     sigma: float | None = None,
     sys: NeighborhoodSystem | None = None,
     path: tuple[int, ...] = (),
-    chunk: int = DEFAULT_CHUNK,
     threads: int = 1,
-    max_reject_fraction: float = MAX_REJECT_FRACTION,
 ) -> EmpiricalSummary:
     """R independent replications of a statistic and its distance to Phi.
 
@@ -104,7 +102,7 @@ def mc_run(
     if reps < 10**3:
         raise ValueError(f"reps={reps} below the 10^3 floor")
     check_sigma(statistic, sigma)
-    chunk = chunk_rows(field.n_sources, chunk)
+    chunk = chunk_rows(field.n_sources)
     reads_values = statistic in READS_VALUES
     if reads_values:
         sys = induced_neighborhoods(field) if sys is None else sys
@@ -127,9 +125,9 @@ def mc_run(
         results = [run_chunk(s) for s in starts]
     values = np.concatenate([v for v, _ in results])
     rejected = sum(r for _, r in results)
-    if rejected > max_reject_fraction * reps:
+    if rejected > MAX_REJECT_FRACTION * reps:
         raise ExcessRejections(
-            f"{rejected}/{reps} rejections exceed {max_reject_fraction:.2%}"
+            f"{rejected}/{reps} rejections exceed {MAX_REJECT_FRACTION:.2%}"
         )
     ks = ks_against_normal(values)
     return EmpiricalSummary(

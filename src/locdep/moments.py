@@ -43,10 +43,12 @@ from .fields import (
     product_grid,
     signature_groups,
 )
-from .neighborhood import NeighborhoodSystem, pairs
+from .neighborhood import NeighborhoodSystem
 from .rng import STREAM_MOMENTS, chunk_rows
 
 SIGMA2_IDENTITY_RTOL = 1e-10
+MC_BATCHES = 32  # batches of a Monte-Carlo table's batch-means standard errors
+SIGMA1_RTOL = 1e-9  # sigma1^2 at most this times Var(h) is a degenerate kernel
 _LONG_RUN, _BLOCK_ROWS = 64, 1 << 14  # moments.csv: rows of a long run, rows per block
 
 
@@ -95,9 +97,10 @@ def exact_index_norms(field: LatentSourceField, idx) -> np.ndarray:
     indices i of ``idx``, by local enumeration."""
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     out = np.empty((idx.size, 3))
-    for r, probs, X in local_values(field, idx[:, None]):
-        a = np.abs(X[:, 0] if field.means is None else X[:, 0] - field.means[idx[r]])
-        out[r] = [float(probs @ a**p) ** (1 / p) for p in (2, 3, 4)]
+    with np.errstate(over="ignore", invalid="ignore"):  # run_experiment checks finiteness
+        for r, probs, X in local_values(field, idx[:, None]):
+            a = np.abs(X[:, 0] if field.means is None else X[:, 0] - field.means[idx[r]])
+            out[r] = [float(probs @ a**p) ** (1 / p) for p in (2, 3, 4)]
     return out
 
 
@@ -106,9 +109,10 @@ def exact_pair_covariance(field: LatentSourceField, ij) -> np.ndarray:
     union of the two supports."""
     ij = np.asarray(ij, dtype=np.int64).reshape(-1, 2)
     out = np.empty(len(ij))
-    for r, probs, X in local_values(field, ij):
-        xi, xj = X[:, 0], X[:, 1]
-        out[r] = float(probs @ (xi * xj)) - float(probs @ xi) * float(probs @ xj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, probs, X in local_values(field, ij):
+            xi, xj = X[:, 0], X[:, 1]
+            out[r] = float(probs @ (xi * xj)) - float(probs @ xi) * float(probs @ xj)
     return out
 
 
@@ -127,8 +131,8 @@ def exact_sigma2_local(
         hit[field.incidence.row(0)] = 1.0
         a0 = np.flatnonzero(field.incidence @ hit)  # the indices sharing a source with 0
         return field.n * _covariance_sum(field, np.stack([np.zeros_like(a0), a0], axis=1))
-    I, J = pairs(overlap_matrix(field) if sys is None else sys.M)
-    return _covariance_sum(field, np.stack([I, J], axis=1))
+    M = overlap_matrix(field) if sys is None else sys.M
+    return _covariance_sum(field, np.stack([M.rows, M.indices], axis=1))
 
 
 def _covariance_sum(field: LatentSourceField, ij: np.ndarray) -> float:
@@ -142,9 +146,10 @@ def _sum_field_sigma2(field: LatentSourceField) -> float:
     """Var(S) = sum_s c_s^2 Var(U_s) of a sum field over discrete sources,
     c the slot counts ``field.counts``."""
     var = []
-    for _, src in field.runs:
-        v, p = np.asarray(src.values), np.asarray(src.probs)
-        var.append(float(p @ (v - p @ v) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, src in field.runs:
+            v, p = np.asarray(src.values), np.asarray(src.probs)
+            var.append(float(p @ (v - p @ v) ** 2))
     lengths = [sl.stop - sl.start for sl, _ in field.runs]
     return float(field.counts**2 @ np.repeat(var, lengths))
 
@@ -188,8 +193,8 @@ def exact_moment_table(
         sigma2 = float(probs @ s**2) - es * es
         mu = probs @ X
         cov = (X * probs[:, None]).T @ X - np.outer(mu, mu)
-        I, J = pairs(overlap_matrix(field) if sys is None else sys.M)
-        sigma2_id = float(cov[I, J].sum())
+        M = overlap_matrix(field) if sys is None else sys.M
+        sigma2_id = float(cov[M.rows, M.indices].sum())
     else:
         l2, l3, l4 = exact_index_norms(field, first)[inverse].T.copy()
         if count is not None and count <= cap:
@@ -222,13 +227,13 @@ def mc_moment_table(
     field: LatentSourceField,
     reps: int = 10**4,
     master_seed: int = 0,
-    batches: int = 32,
 ) -> MomentTable:
-    """Monte-Carlo norms and Var(S) with batch-means standard errors."""
+    """Monte-Carlo norms and Var(S) with standard errors over MC_BATCHES
+    batch means."""
     if reps < 10**3:
         raise ValueError(f"reps={reps} below the 10^3 floor")
     n = field.n
-    batches = min(batches, reps)
+    batches = min(MC_BATCHES, reps)
     bounds = np.linspace(0, reps, batches + 1).astype(int)
     acc = {p: np.zeros((batches, n)) for p in (2, 3, 4)}
     s_sum = np.zeros(batches)
@@ -294,13 +299,12 @@ def hoeffding_sigma1(
     kernel: Callable,
     m: int,
     source: Source,
-    tol: float = 1e-9,
 ) -> KernelMoments:
     """sigma1^2 = Var( E[h(X_1..X_m) - theta | X_1] ), exact by nested
     enumeration over a discrete source.  Raises
     :class:`EnumerationCapExceeded` for a continuous source or a grid
     beyond DEFAULT_ENUM_CAP, and :class:`DegenerateKernel` when sigma1^2
-    falls below ``tol * max(Var(h), tiny)`` (the degenerate case).
+    falls below ``SIGMA1_RTOL * max(Var(h), tiny)`` (the degenerate case).
     """
     if not isinstance(source, DiscreteSource):
         raise EnumerationCapExceeded("continuous source; sigma1 needs a discrete source")
@@ -315,7 +319,7 @@ def hoeffding_sigma1(
     # condition on the first argument (the most significant grid digit)
     g = (w * h).reshape(len(prb), -1).sum(axis=1) / prb - theta
     sigma1_sq = float(prb @ g**2)
-    if sigma1_sq <= tol * max(var_h, 1e-300):
+    if sigma1_sq <= SIGMA1_RTOL * max(var_h, 1e-300):
         raise DegenerateKernel(
             f"sigma1^2={sigma1_sq} is degenerate relative to Var(h)={var_h}"
         )

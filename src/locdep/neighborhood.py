@@ -269,11 +269,6 @@ class ValidationReport:
         return not self.violations
 
 
-def pairs(M: Csr) -> tuple[np.ndarray, np.ndarray]:
-    """(I, J): the row and column ids of the entries of M, row-major."""
-    return M.rows, M.indices
-
-
 def make_system(A) -> NeighborhoodSystem:
     """Build a system from neighborhoods: one list of integer ids per index.
 
@@ -345,7 +340,7 @@ def derive(sys: NeighborhoodSystem) -> DerivedNeighborhoods:
     overlaps (see :func:`_overlaps`)."""
     M = sys.M
     Mt = M.transpose()
-    I, J = pairs(M)
+    I, J = M.rows, M.indices
     s, r = np.diff(M.indptr), np.diff(Mt.indptr)
     shared, hits = _overlaps(M, Mt)
     cover = s[I] + s[J] - shared

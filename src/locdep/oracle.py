@@ -65,11 +65,12 @@ from .fields import (
     sum_values,
 )
 from .moments import MomentTable, exact_moment_table
-from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive, pairs
+from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive
 from .statistics import NEEDS_SIGMA, READS_VALUES, finish, statistic_parts
 
 PASS_TOL = 1e-10
 ATOM_MERGE_TOL = 1e-12
+LD_TOL = 1e-12  # largest |joint - product of marginals| that still factorizes
 # largest (M, n) float64 outcome matrix a walk keeps
 ENUM_BYTES_CAP = 2**30
 
@@ -150,8 +151,9 @@ def walk_outcomes(
         X = evaluate_values(field, rows) if take_x else None
         if take_s:
             s = sum_values(field, rows, X)
-            es += float(p @ s)
-            es2 += float(p @ s**2)
+            with np.errstate(over="ignore", invalid="ignore"):  # its reader checks Var(S)
+                es += float(p @ s)
+                es2 += float(p @ s**2)
         if keep:
             kept.append((p, X))
         if statistic is not None:
@@ -195,15 +197,11 @@ class Precomputed:
     sums: MappingProxyType  # beta_sums(table.l4, sys, derived)
 
 
-def precompute(
-    field: LatentSourceField,
-    sys: NeighborhoodSystem | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> Precomputed:
+def precompute(field: LatentSourceField, sys: NeighborhoodSystem | None = None) -> Precomputed:
     if sys is None:
         sys = induced_neighborhoods(field)
     der = derive(sys)
-    plan = walk_outcomes(field, keep=True, cap=cap)
+    plan = walk_outcomes(field, keep=True)
     table = exact_moment_table(field, sys, outcomes=(plan.probs, plan.X))
     if table.degenerate:
         raise DegenerateVariance("instance has Var(S) = 0")
@@ -291,9 +289,10 @@ def exact_kolmogorov(
 
 
 XI_KINDS = ("one", "abs", "square", "abs_product", "clipped_exp")
+CLIPPED_EXP_RATE = 0.5  # clipped_exp is min(exp(rate X_a), 3)
 
 
-def xi_function(kind: str, A: Sequence[int], param: float = 0.5) -> Callable:
+def xi_function(kind: str, A: Sequence[int]) -> Callable:
     """A nonnegative, A-measurable test factor: X-matrix -> (M,) values."""
     A = tuple(A)
 
@@ -309,7 +308,7 @@ def xi_function(kind: str, A: Sequence[int], param: float = 0.5) -> Callable:
     if kind == "abs_product":
         return lambda X: np.prod(np.abs(X[:, A]), axis=1)
     if kind == "clipped_exp":
-        return lambda X: np.minimum(np.exp(param * X[:, a0]), 3.0)
+        return lambda X: np.minimum(np.exp(CLIPPED_EXP_RATE * X[:, a0]), 3.0)
     raise ValueError(f"unknown xi kind {kind!r}")
 
 
@@ -703,18 +702,19 @@ class CheckInstance:
         return xi_function(self.xi_kind, self.A)
 
 
-def random_enumerable_instance(
-    rng: np.random.Generator,
-    max_indices: int = 8,
-    max_sources: int = 10,
-    max_outcomes: int = 3**10,
-) -> CheckInstance:
+# the largest random instance: indices, sources and outcomes
+INSTANCE_MAX_INDICES, INSTANCE_MAX_SOURCES, INSTANCE_MAX_OUTCOMES = 8, 10, 3**10
+
+
+def random_enumerable_instance(rng: np.random.Generator) -> CheckInstance:
     """A random field of weighted sums (plus an optional product term) over
     a random mix of Rademacher / three-point sources, with random overlapping supports
     (random induced neighborhoods), window parameters a <= b, c in [1,3],
-    and a xi factor from the catalog."""
+    and a xi factor from the catalog.  It has 2..INSTANCE_MAX_INDICES
+    indices over 3..INSTANCE_MAX_SOURCES sources, and at most
+    INSTANCE_MAX_OUTCOMES outcomes."""
     while True:
-        n_src = int(rng.integers(3, max_sources + 1))
+        n_src = int(rng.integers(3, INSTANCE_MAX_SOURCES + 1))
         sources = []
         count = 1
         for _ in range(n_src):
@@ -726,11 +726,11 @@ def random_enumerable_instance(
                 src = DiscreteSource(
                     (-spread, 0.0, spread), ((1 - p0) / 2, p0, (1 - p0) / 2)
                 )
-            if count * len(src.values) > max_outcomes:
+            if count * len(src.values) > INSTANCE_MAX_OUTCOMES:
                 src = DiscreteSource((-1.0, 1.0), (0.5, 0.5))
             count *= len(src.values)
             sources.append(src)
-        n_idx = int(rng.integers(2, max_indices + 1))
+        n_idx = int(rng.integers(2, INSTANCE_MAX_INDICES + 1))
         supports = np.full((n_idx, min(3, n_src)), -1, dtype=np.int64)
         weights = np.zeros(supports.shape)
         q = np.zeros(n_idx)
@@ -793,18 +793,12 @@ _SUITE_CALLS: dict[str, Callable[[CheckInstance], list[InequalityVerdict]]] = {
 
 
 def _run_instance_checks(
-    master_seed: int,
-    k: int,
-    checks: Sequence[str],
-    include_r4: bool,
-    max_indices: int,
+    master_seed: int, k: int, checks: Sequence[str], include_r4: bool
 ) -> list[InequalityVerdict]:
     """All configured checks on instance k of the seed's instance stream."""
     from .rng import STREAM_INSTANCES, substream
 
-    inst = random_enumerable_instance(
-        substream(master_seed, STREAM_INSTANCES, k), max_indices=max_indices
-    )
+    inst = random_enumerable_instance(substream(master_seed, STREAM_INSTANCES, k))
     names = [c for c in SUITE_CHECKS if c in checks] + ["lemma_r4"] * include_r4
     verdicts = [v for name in names for v in _SUITE_CALLS[name](inst)]
     for v in verdicts:
@@ -817,7 +811,6 @@ def run_checker_suite(
     master_seed: int,
     checks: Sequence[str] = SUITE_CHECKS,
     include_r4: bool = False,
-    max_indices: int = 8,
     threads: int = 1,
 ) -> list[InequalityVerdict]:
     """Run the explicit-constant checkers on randomized instances.
@@ -833,19 +826,12 @@ def run_checker_suite(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda k: _run_instance_checks(
-                        master_seed, k, checks, include_r4, max_indices
-                    ),
-                    range(n_instances),
-                )
-            )
+            results = list(pool.map(
+                lambda k: _run_instance_checks(master_seed, k, checks, include_r4),
+                range(n_instances),
+            ))
     else:
-        results = [
-            _run_instance_checks(master_seed, k, checks, include_r4, max_indices)
-            for k in range(n_instances)
-        ]
+        results = [_run_instance_checks(master_seed, k, checks, include_r4) for k in range(n_instances)]
     return [v for chunk in results for v in chunk]
 
 
@@ -856,8 +842,6 @@ def run_checker_suite(
 def check_ld_independence(
     field: LatentSourceField,
     sys: NeighborhoodSystem,
-    cap: int = DEFAULT_ENUM_CAP,
-    tol: float = 1e-12,
     walk: Walk | None = None,
 ) -> list[str]:
     """Exact factorization tests of both local-dependence conditions on the
@@ -866,7 +850,7 @@ def check_ld_independence(
     Reads ``walk``, a walk that kept every outcome, or else walks the
     outcome space itself.  Returns a list of named violations (empty iff
     all pass)."""
-    plan = walk if walk is not None else walk_outcomes(field, keep=True, cap=cap)
+    plan = walk if walk is not None else walk_outcomes(field, keep=True)
     # values rounded to 9 digits, as integer ids per column; np.unique
     # compares values, so the -0.0 that rounding yields joins 0.0
     codes = np.stack(
@@ -877,11 +861,11 @@ def check_ld_independence(
     violations: list[str] = []
     for i in range(sys.n):
         outside = ~member[i]
-        if outside.any() and not _factorizes(codes[:, [i]], codes[:, outside], plan.probs, tol):
+        if outside.any() and not _factorizes(codes[:, [i]], codes[:, outside], plan.probs):
             violations.append(f"LD1 fails at i={i}")
-    for i, j in zip(*pairs(sys.M)):
+    for i, j in zip(sys.M.rows, sys.M.indices):
         outside = ~(member[i] | member[j])
-        if outside.any() and not _factorizes(codes[:, [i, j]], codes[:, outside], plan.probs, tol):
+        if outside.any() and not _factorizes(codes[:, [i, j]], codes[:, outside], plan.probs):
             violations.append(f"LD2 fails at (i,j)=({i},{j})")
     return violations
 
@@ -889,9 +873,9 @@ def check_ld_independence(
 FACTOR_BLOCK_CELLS = 1 << 22
 
 
-def _factorizes(a: np.ndarray, b: np.ndarray, probs: np.ndarray, tol: float) -> bool:
+def _factorizes(a: np.ndarray, b: np.ndarray, probs: np.ndarray) -> bool:
     """Whether the joint pmf of the rows of two id matrices is the outer
-    product of its marginals within ``tol`` at every pair of values.  The
+    product of its marginals within LD_TOL at every pair of values.  The
     joint table is built in blocks of at most FACTOR_BLOCK_CELLS cells."""
     ia = np.unique(_pack(a.T), return_inverse=True)[1].reshape(-1)
     ib = np.unique(_pack(b.T), return_inverse=True)[1].reshape(-1)
@@ -905,6 +889,6 @@ def _factorizes(a: np.ndarray, b: np.ndarray, probs: np.ndarray, tol: float) -> 
         joint = np.bincount(
             (ia[sel] - lo) * nb + ib[sel], weights=probs[sel], minlength=(hi - lo) * nb
         ).reshape(hi - lo, nb)
-        if np.any(np.abs(joint - np.outer(pa[lo:hi], pb)) > tol):
+        if np.any(np.abs(joint - np.outer(pa[lo:hi], pb)) > LD_TOL):
             return False
     return True

@@ -50,8 +50,8 @@ def block_size(n_sources: int) -> int:
     return min(MAX_BLOCK_ROWS, 1 << (rows.bit_length() - 1))
 
 
-def chunk_rows(n_sources: int, chunk: int = DEFAULT_CHUNK) -> int:
-    """Replications per chunk: at most ``chunk`` and CHUNK_CELLS /
+def chunk_rows(n_sources: int) -> int:
+    """Replications per chunk: at most DEFAULT_CHUNK and CHUNK_CELLS /
     n_sources, in whole sample blocks, and at least one block."""
     B = block_size(n_sources)
-    return max(B, min(chunk, CHUNK_CELLS // max(1, n_sources)) // B * B)
+    return max(B, min(DEFAULT_CHUNK, CHUNK_CELLS // max(1, n_sources)) // B * B)

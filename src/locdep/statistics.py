@@ -169,14 +169,16 @@ def automorphism_count(pattern_edges: Sequence[tuple[int, int]]) -> int:
     return count
 
 
+INJECTION_CAP = 10**7  # the most injections subgraph_statistic walks
+
+
 def subgraph_statistic(
-    host_adj: np.ndarray,
-    pattern_edges: Sequence[tuple[int, int]],
-    cap: int = 10**7,
+    host_adj: np.ndarray, pattern_edges: Sequence[tuple[int, int]]
 ) -> tuple[int, int]:
     """(injective homomorphism count, copy count) of a pattern in a 0/1 host.
 
     The two are related by the automorphism factor, which is asserted.
+    Raises :class:`GraphTooLarge` beyond INJECTION_CAP injections.
     """
     adj = np.asarray(host_adj)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
@@ -188,8 +190,8 @@ def subgraph_statistic(
     edges = [tuple(sorted(e)) for e in pattern_edges]
     v = max(max(e) for e in edges) + 1
     n = adj.shape[0]
-    if n >= v and math.perm(n, v) > cap:
-        raise GraphTooLarge(f"{math.perm(n, v)} injections exceed cap {cap}")
+    if n >= v and math.perm(n, v) > INJECTION_CAP:
+        raise GraphTooLarge(f"{math.perm(n, v)} injections exceed cap {INJECTION_CAP}")
     inj = 0
     for phi in itertools.permutations(range(n), v):
         if all(adj[phi[a], phi[b]] for a, b in edges):

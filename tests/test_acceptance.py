@@ -33,11 +33,11 @@ def _report(criterion: str, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def checker_verdicts():
-    """200 randomized enumerable instances through every checker; shared
-    by criteria 1-3."""
-    return O.run_checker_suite(
-        200, ACCEPT_SEED, checks=O.SUITE_CHECKS, include_r4=True, max_indices=10
-    )
+    """200 randomized enumerable instances of up to 10 indices through
+    every checker; shared by criteria 1-3."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "INSTANCE_MAX_INDICES", 10)
+        return O.run_checker_suite(200, ACCEPT_SEED, checks=O.SUITE_CHECKS, include_r4=True)
 
 
 def test_criterion_1_explicit_constant_suite(checker_verdicts):

@@ -45,6 +45,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -333,28 +334,41 @@ NON_FINITE_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def run_recording_warnings(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code of ``cli.main(argv)`` and every RuntimeWarning it raised,
+    each of which a plain run would print to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("doc,shape", NON_FINITE_CASES.values(), ids=NON_FINITE_CASES.keys())
 def test_non_finite_bound_exits_1_naming_shape_and_n(tmp_path, capsys, doc, shape):
     """A shape that overflows, divides by zero or is not finite ends the
-    run with exit 1 and no artifacts, so no NaN or Infinity is written."""
+    run with exit 1 and no artifacts, so no NaN or Infinity is written;
+    no numpy RuntimeWarning is printed ahead of the error."""
     doc = {**doc, "out": str(tmp_path / "out")}
-    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
+    code, runtime_warnings = run_recording_warnings(["run", "--spec", write_spec(tmp_path, doc)])
+    assert code == 1
     err = capsys.readouterr().err
     assert f"NonFiniteBound: bound {shape} at n=3" in err
+    assert runtime_warnings == [] and "RuntimeWarning" not in err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_moments_exit_1_naming_n(tmp_path, capsys):
     """Var(S) and the norms of an exact three-point field with spread
     1e200 overflow: the run stops at n = 3 with exit 1 and no artifacts,
-    instead of writing inf norms and ks = 0.5 (W1 = S / inf)."""
+    instead of writing inf norms and ks = 0.5 (W1 = S / inf), and prints
+    no numpy RuntimeWarning ahead of the error."""
     doc = {**IID, "params": {"source": {"kind": "three_point", "spread": 1e200}},
            "mode": {"kind": "exact"}, "bounds": [], "out": str(tmp_path / "out")}
-    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
+    code, runtime_warnings = run_recording_warnings(["run", "--spec", write_spec(tmp_path, doc)])
+    assert code == 1
     err = capsys.readouterr().err
     assert "NonFiniteMoments: moments at n=3: Var(S)=inf" in err and "Traceback" not in err
+    assert runtime_warnings == [] and "RuntimeWarning" not in err
     assert not (tmp_path / "out").exists()
 
 

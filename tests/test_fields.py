@@ -210,7 +210,7 @@ def test_pattern_field_mean_is_inverse_factorial():
         F.build_pattern_field(6, [1, 3, 2], [None])
 
 
-def test_decorated_field_structure_and_means():
+def test_decorated_field_structure_and_means(monkeypatch):
     f = F.build_decorated_graph_field(4, [(0, 1), (0, 2), (1, 2)], F.bernoulli(1.0))
     # all edges present: every injection contributes 1 (uncentered)
     rows = F.draw_source_rows(f, 1, range(1))
@@ -218,8 +218,9 @@ def test_decorated_field_structure_and_means():
     assert uncentered.sum() == pytest.approx(24.0)
     f5 = F.build_decorated_graph_field(4, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.5))
     assert float(np.sum(f5.means)) == pytest.approx(3.0)  # 4*3*2 * (1/2)^3
+    monkeypatch.setattr(F, "DEFAULT_INDEX_CAP", 1000)
     with pytest.raises(GraphTooLarge):
-        F.build_decorated_graph_field(50, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.5), cap=1000)
+        F.build_decorated_graph_field(50, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.5))
 
 
 def test_decorated_induced_neighbors_share_an_edge():
@@ -273,7 +274,7 @@ def divmod_product_grid(sources, start=0, stop=None):
     return p, rows
 
 
-def test_product_grid_matches_the_divmod_grid():
+def test_product_grid_matches_the_divmod_grid(monkeypatch):
     # radices (2, 3, 5, 3) with unequal probabilities: 90 outcomes
     rng = np.random.default_rng(12)
     sources = []
@@ -293,7 +294,8 @@ def test_product_grid_matches_the_divmod_grid():
             assert np.array_equal(rows, rows_ref) and np.array_equal(p, p_ref)
     # blocks of one enumeration, as outcome_blocks cuts them
     f = F.build_m_dependent(4, 1, F.three_point())
-    blocks = list(F.outcome_blocks(f, block=50))
+    monkeypatch.setattr(F, "ENUM_BLOCK", 50)
+    blocks = list(F.outcome_blocks(f))
     assert len(blocks) == 5  # 243 outcomes, the last block partial
     p_ref, rows_ref = divmod_product_grid(f.sources)
     assert np.array_equal(np.concatenate([p for p, _ in blocks]), p_ref)
@@ -699,7 +701,7 @@ def test_sums_do_not_depend_on_the_row_layout():
     assert np.array_equal(np.concatenate([F.sum_values(f, r) for r in rows]), S)
 
 
-def test_fields_are_immutable_and_sampling_leaves_them_unchanged():
+def test_fields_are_immutable_and_sampling_leaves_them_unchanged(monkeypatch):
     f = F.build_m_dependent(64, 1, F.three_point())
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.means = np.zeros(f.n)
@@ -712,7 +714,8 @@ def test_fields_are_immutable_and_sampling_leaves_them_unchanged():
     means, metadata = f.means.copy(), dict(f.metadata)
     rows = F.draw_source_rows(f, 1, range(10))
     F.evaluate_values(f, rows)
-    H.mc_run(f, "w2", 2000, 3, chunk=256, threads=2)
+    monkeypatch.setattr("locdep.rng.DEFAULT_CHUNK", 256)  # eight chunks over two threads
+    H.mc_run(f, "w2", 2000, 3, threads=2)
     assert np.array_equal(f.means, means)
     assert dict(f.metadata) == metadata
 

@@ -27,6 +27,7 @@ import locdep.fields as F
 import locdep.harness as H
 import locdep.moments as M
 import locdep.oracle as O
+import locdep.rng as rng
 from locdep.errors import DegeneratePoints, DegenerateVariance, ExcessRejections, GridMismatch
 
 
@@ -58,15 +59,28 @@ def test_stream_stability_under_increasing_r():
     assert np.array_equal(rows_small, rows_big[:100])
 
 
-def test_thread_count_does_not_change_results():
+def test_thread_count_does_not_change_results(monkeypatch):
     f = F.build_m_dependent(64, 1, F.rademacher())
     t = M.exact_moment_table(f)
-    a = H.mc_run(f, "w1", 4000, 3, sigma=t.sigma, chunk=512, threads=1)
-    b = H.mc_run(f, "w1", 4000, 3, sigma=t.sigma, chunk=512, threads=4)
+    monkeypatch.setattr(rng, "DEFAULT_CHUNK", 512)
+    assert rng.chunk_rows(f.n_sources) == 512
+    a = H.mc_run(f, "w1", 4000, 3, sigma=t.sigma, threads=1)
+    b = H.mc_run(f, "w1", 4000, 3, sigma=t.sigma, threads=4)
     assert a.ks == b.ks and a.mean == b.mean
 
 
-def test_chunk_size_and_thread_count_do_not_change_summaries():
+def chunked_runs(monkeypatch, field, statistic, sigma) -> list:
+    """Summaries at chunks of 256 and 512 rows and the default, each on
+    one and two threads."""
+    runs = []
+    for chunk in (256, 512, rng.DEFAULT_CHUNK):
+        monkeypatch.setattr(rng, "DEFAULT_CHUNK", chunk)
+        assert rng.chunk_rows(field.n_sources) == chunk
+        runs += [H.mc_run(field, statistic, 4000, 3, sigma=sigma, threads=t) for t in (1, 2)]
+    return runs
+
+
+def test_chunk_size_and_thread_count_do_not_change_summaries(monkeypatch):
     # 301 sources give 128-row sample blocks, so every chunk size here
     # splits the replications differently.  Normal sources leave the
     # integer lattice, so S and the W2 reductions must not depend on the
@@ -74,30 +88,22 @@ def test_chunk_size_and_thread_count_do_not_change_summaries():
     f = F.build_m_dependent(300, 1, F.rademacher())
     t = M.exact_moment_table(f, cap=0)
     for statistic in ("w1", "w2"):  # W2 takes integer values here
-        runs = [
-            H.mc_run(f, statistic, 4000, 3, sigma=t.sigma, threads=threads, **chunk)
-            for chunk in ({"chunk": 256}, {"chunk": 512}, {})
-            for threads in (1, 2)
-        ]
+        runs = chunked_runs(monkeypatch, f, statistic, t.sigma)
         assert all(r == runs[0] for r in runs[1:]), statistic
     normal = F.build_m_dependent(300, 1, F.ContinuousSource("normal"))
     for statistic in ("w1", "w2"):
-        runs = [
-            H.mc_run(normal, statistic, 4000, 3, sigma=math.sqrt(4 * 300 - 2),  # Var(S) = 4n - 2
-                     threads=threads, **chunk)
-            for chunk in ({"chunk": 256}, {"chunk": 512}, {})
-            for threads in (1, 2)
-        ]
+        runs = chunked_runs(monkeypatch, normal, statistic, math.sqrt(4 * 300 - 2))  # Var(S) = 4n - 2
         assert all(r == runs[0] for r in runs[1:]), statistic
 
 
-def test_word_field_summaries_do_not_depend_on_the_thread_count():
+def test_word_field_summaries_do_not_depend_on_the_thread_count(monkeypatch):
     # a word field's S is its occurrence count (the field's batch_sum);
     # three letters give means that are not dyadic
+    monkeypatch.setattr(rng, "DEFAULT_CHUNK", 512)
     for f in (F.build_word_field([0, 1], 40, 2, [None]), F.build_word_field([0, 2], 30, 3, [4])):
         t = M.mc_moment_table(f, reps=2000, master_seed=5)
         for statistic in ("w1", "sum"):
-            runs = [H.mc_run(f, statistic, 3000, 3, sigma=t.sigma, threads=threads, chunk=512)
+            runs = [H.mc_run(f, statistic, 3000, 3, sigma=t.sigma, threads=threads)
                     for threads in (1, 2)]
             assert runs[0] == runs[1], statistic
 
@@ -114,11 +120,12 @@ def record_value_dtypes(monkeypatch) -> list:
 def test_integer_route_gives_the_float_routes_summary(statistic, monkeypatch):
     f = F.build_m_dependent(500, 1, F.rademacher())
     dtypes = record_value_dtypes(monkeypatch)
-    ints = H.mc_run(f, statistic, 3000, 8, sigma=math.sqrt(4 * 500 - 2), chunk=1024)
+    monkeypatch.setattr(rng, "DEFAULT_CHUNK", 1024)
+    ints = H.mc_run(f, statistic, 3000, 8, sigma=math.sqrt(4 * 500 - 2))
     assert set(dtypes) == {np.dtype(np.int8)} and len(dtypes) == 3
     dtypes.clear()
     monkeypatch.setattr(H, "value_dtype", lambda field, sys: np.dtype(float))
-    floats = H.mc_run(f, statistic, 3000, 8, sigma=math.sqrt(4 * 500 - 2), chunk=1024)
+    floats = H.mc_run(f, statistic, 3000, 8, sigma=math.sqrt(4 * 500 - 2))
     assert set(dtypes) == {np.dtype(float)}
     assert ints == floats
 
@@ -130,19 +137,21 @@ def test_integer_route_gives_the_float_routes_summary(statistic, monkeypatch):
 ], ids=["past_2_pow_53", "bernoulli_half", "three_point"])
 def test_other_fields_take_the_float_route(field, monkeypatch):
     dtypes = record_value_dtypes(monkeypatch)
-    H.mc_run(field, "w2", 1000, 4, max_reject_fraction=1.0)
+    monkeypatch.setattr(H, "MAX_REJECT_FRACTION", 1.0)
+    H.mc_run(field, "w2", 1000, 4)
     assert set(dtypes) == {np.dtype(float)}
 
 
-def test_rejections_reproduce_and_excess_raises():
+def test_rejections_reproduce_and_excess_raises(monkeypatch):
     # two iid Rademacher points: V = 0 whenever X1 = X2 (half the time)
     f = F.build_iid_field(2, F.rademacher())
     sys = F.induced_neighborhoods(f)
-    a = H.mc_run(f, "w2", 1000, 11, sys=sys, max_reject_fraction=1.0)
-    b = H.mc_run(f, "w2", 1000, 11, sys=sys, max_reject_fraction=1.0)
-    assert a.rejected == b.rejected > 0
     with pytest.raises(ExcessRejections):
         H.mc_run(f, "w2", 1000, 11, sys=sys)
+    monkeypatch.setattr(H, "MAX_REJECT_FRACTION", 1.0)
+    a = H.mc_run(f, "w2", 1000, 11, sys=sys)
+    b = H.mc_run(f, "w2", 1000, 11, sys=sys)
+    assert a.rejected == b.rejected > 0
 
 
 def test_w2_on_continuous_field_has_no_rejections():

@@ -319,7 +319,7 @@ def test_kernels_match_scipy_bit_for_bit(case, seed, reps, run_min, tile):
             assert same_array(M @ X, (S.astype(dtype) if dtype != np.float64 else S) @ X)
 
     # row selections and unions (the beta sums' A_i | N_j | A_j), and their products
-    I, J = nb.pairs(M)
+    I, J = M.rows, M.indices
     St = S.T.tocsr()
     assert same_csr(M.take(J), S[J])
     for parts, ref in [((M, der.Mt), S + St), ((M.take(I), der.Mt.take(J), M.take(J)), S[I] + St[J] + S[J])]:

@@ -346,11 +346,16 @@ def shrink(sys, rng):
     return nb.make_system(A)
 
 
-def test_ld_factorization_matches_dict_loop_reference():
+def test_ld_factorization_matches_dict_loop_reference(monkeypatch):
     rng = np.random.default_rng(41)
     cases = []
+    for name in ("INSTANCE_MAX_INDICES", "INSTANCE_MAX_SOURCES"):
+        monkeypatch.setattr(O, name, 6)
+    monkeypatch.setattr(O, "INSTANCE_MAX_OUTCOMES", 3**6)
     for _ in range(12):
-        inst = O.random_enumerable_instance(rng, max_indices=6, max_sources=6, max_outcomes=3**6)
+        inst = O.random_enumerable_instance(rng)
+        f = inst.pre.field
+        assert f.n <= 6 and f.n_sources <= 6 and f.outcome_count() <= 3**6
         cases += [(inst.pre.field, inst.pre.sys), (inst.pre.field, shrink(inst.pre.sys, rng))]
     for n in (4, 6):
         f = F.build_m_dependent(n, 1, F.three_point())

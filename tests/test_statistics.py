@@ -279,13 +279,15 @@ def test_pattern_counter_examples():
     assert st.count_pattern_occurrences([2, 3, 1], [2, 3, 1], [None, None]) == 1
 
 
-def test_subgraph_statistic_examples():
+def test_subgraph_statistic_examples(monkeypatch):
     k4 = np.ones((4, 4), dtype=int) - np.eye(4, dtype=int)
     inj, copies = st.subgraph_statistic(k4, [(0, 1), (0, 2), (1, 2)])
     assert (inj, copies) == (24, 4)
+    monkeypatch.setattr(st, "INJECTION_CAP", 10)
     with pytest.raises(Exception) as exc:
-        st.subgraph_statistic(k4, [(0, 1), (0, 2), (1, 2)], cap=10)
+        st.subgraph_statistic(k4, [(0, 1), (0, 2), (1, 2)])
     assert "cap" in str(exc.value)
+    monkeypatch.undo()
     tri = np.zeros((3, 3), dtype=int)
     for a, b in [(0, 1), (1, 2), (0, 2)]:
         tri[a, b] = tri[b, a] = 1
