@@ -3,8 +3,12 @@
 Core claim: ``locdep run --threads 1`` writes the same bytes, file for
 file, as when ``tests/data/artifact_digests.json`` was pinned, for the
 benchmark's ten specs at seed 301 (Monte-Carlo, local exact and full
-enumeration routes).  The spec documents are copies held in the table,
-so the test does not read the benchmark's files.  ``manifest.json`` is
+enumeration routes), and for five more specs at seed 301 that reach
+routes those ten do not: the pattern field, the ``w2bar`` and ``sum``
+statistics, the ``graph`` bound, a star graph, declared neighborhoods
+with a configured ``sigma2``, and a source with nonzero means.  The
+spec documents are copies held in the table, so the test does not read
+the benchmark's files.  ``manifest.json`` is
 hashed without its ``created_unix`` field; every other artifact is
 hashed as written.  A deliberate change of sampled values or of an
 artifact's format re-pins the table and says so in CHANGES.md.
@@ -45,7 +49,7 @@ def run_spec(doc: dict, work: Path) -> tuple[int, dict[str, str]]:
 
 def test_artifacts_match_pinned_digests(tmp_path):
     table = json.loads(TABLE.read_text())
-    assert len(table["specs"]) == 10
+    assert len(table["specs"]) == 15
     mismatches = []
     for entry in table["specs"]:
         work = tmp_path / entry["name"].replace("/", "-")
