@@ -65,12 +65,6 @@ class BoundReport:
         }
 
 
-def _require_sigma(table: MomentTable) -> float:
-    if table.degenerate:
-        raise DegenerateVariance(f"sigma2={table.sigma2} is not positive")
-    return table.sigma
-
-
 def lam_scale(table: MomentTable, kappa: int) -> float:
     """lambda = kappa * sum ||X_i||_2^2 / sigma2."""
     return float(kappa) * float(np.sum(table.l2**2)) / table.sigma2
@@ -136,7 +130,7 @@ def main_terms(t3: float, t4: float, s: float, kappa: int, tau: int) -> tuple[fl
 
 def bound_main(table: MomentTable, kappa: int, tau: int) -> BoundReport:
     """The two-term shape of the main normalized-sum bound."""
-    sigma = _require_sigma(table)
+    sigma = table.sigma
 
     def shape(t2, e3, t3, t4, sigma2):
         term1, term2 = main_terms(t3, t4, math.sqrt(sigma2), kappa, tau)
@@ -151,7 +145,7 @@ def bound_main(table: MomentTable, kappa: int, tau: int) -> BoundReport:
 
 def bound_self_normalized(table: MomentTable, kappa: int, tau: int) -> BoundReport:
     """lambda-scaled shape of the self-normalized bound."""
-    sigma = _require_sigma(table)
+    sigma = table.sigma
 
     def shape(t2, e3, t3, t4, sigma2):
         lam = kappa * t2 / sigma2
@@ -224,7 +218,7 @@ def bound_general_beta(
 ) -> BoundReport:
     """beta_1 + beta_2 + beta_3 with all nested sums evaluated literally
     over the stored neighborhood sets."""
-    sigma = _require_sigma(table)
+    sigma = table.sigma
     raw = beta_sums(table.l4, sys, derived)
     beta1 = (raw["b1a"] + raw["b1b"]) / sigma**3
     beta2 = math.sqrt((raw["t21"] + raw["t22"] + raw["t23_beta2"]) / sigma**4)
@@ -243,7 +237,7 @@ def bound_general_beta(
 
 def bound_graph(table: MomentTable, d: int) -> BoundReport:
     """Dependency-graph shapes in the maximal degree d."""
-    sigma = _require_sigma(table)
+    sigma = table.sigma
 
     def shape(t2, e3, t3, t4, sigma2):
         s = math.sqrt(sigma2)
@@ -298,7 +292,7 @@ def bound_constrained_u(table: MomentTable, n: int, b: int) -> BoundReport:
     asymptotically, is estimated as sigma_n / n^{b-1/2} from the table's
     sigma2, so the se propagates the uncertainty of sigma2 too.
     """
-    sigma_fd = _require_sigma(table) / n ** (b - 0.5)
+    sigma_fd = table.sigma / n ** (b - 0.5)
 
     def shape(t2, e3, t3, t4, sigma2):
         fd = math.sqrt(sigma2) / n ** (b - 0.5)
@@ -332,7 +326,7 @@ def bound_decorated(table: MomentTable, n: int, v: int) -> BoundReport:
                    "self_normalized": 0.0},
             inputs={"n": n, "v": v, "degenerate": True},
         )
-    sigma = _require_sigma(table)
+    sigma = table.sigma
 
     def shape(t2, e3, t3, t4, sigma2):
         s = math.sqrt(sigma2)
@@ -419,7 +413,7 @@ def delta_components_prop1(
         raise ValueError("A and B must be nonempty")
     if not (a <= b and c >= 1):
         raise ValueError("need a <= b and c >= 1")
-    sigma = _require_sigma(table)
+    sigma = table.sigma
     l4 = table.l4
     B = np.asarray(B, dtype=np.int64)
     I, J = interference_set_of(sys, A)
@@ -455,7 +449,7 @@ def delta_components_prop2(
         raise ValueError("A and B must be nonempty")
     if not (a <= b and c >= 1):
         raise ValueError("need a <= b and c >= 1")
-    sigma = _require_sigma(table)
+    sigma = table.sigma
     l4 = table.l4
     lam = lam_scale(table, derived.kappa)
     main3, main4 = main_terms(float(np.sum(l4**3)), float(np.sum(l4**4)), sigma,

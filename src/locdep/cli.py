@@ -403,10 +403,10 @@ def _walk_for(built: BuiltInstance, spec: ExperimentSpec, cap: int, do_stat: boo
 
 def _system(field: fields.LatentSourceField, declared) -> neighborhood.NeighborhoodSystem:
     """The declared neighborhoods, or else the induced ones.  Raises
-    :class:`ComplexityCapExceeded` when the induced system exceeds 10^7
-    neighbor entries."""
+    :class:`ComplexityCapExceeded` when the induced system exceeds
+    ``fields.INDUCED_CAP`` neighbor entries."""
     if declared is None:
-        return fields.induced_neighborhoods(field, cap_terms=10**7)
+        return fields.induced_neighborhoods(field)
     # user-declared neighborhoods: checked for structure here, but
     # independence is only verified when the LD assertion is switched on
     where = "$.params.declared_A"
@@ -481,21 +481,21 @@ def run_experiment(
         f = built.field
         walk = _walk_for(built, spec, cap, do_stat)
         table = _moment_table_for(built, spec, n, cap=cap, sigma2=walk and walk.sigma2)
-        reports = evaluate_bounds(built, spec, n, table) if do_bounds else []
         if not all(np.isfinite(v).all() for v in (table.sigma2, table.l2, table.l3, table.l4)):
             raise NonFiniteMoments(f"moments at n={n}: Var(S)={table.sigma2:g}, or a norm, is not finite")
+        reports = evaluate_bounds(built, spec, n, table) if do_bounds else []
         sigma = table.sigma if not table.degenerate else None
-        sys = built.system() if do_stat and spec.statistic in statistics.READS_VALUES else None
         if not do_stat:
             summary = None
-        elif spec.mode["kind"] == "exact":
-            ks = oracle.exact_kolmogorov(f, spec.statistic, sys=sys, sigma=sigma, cap=cap, walk=walk)
+        elif spec.mode["kind"] == "exact":  # exact_law checks sigma as mc_run does
+            ks = oracle.kolmogorov_from_atoms(*oracle.exact_law(walk, sigma))
             summary = harness.EmpiricalSummary(
                 statistic=spec.statistic, reps=0, ks=ks, ks_band=0.0,
                 rejected=0, mean=float("nan"),
                 extras={"exact": True},
             )
         else:
+            sys = built.system() if spec.statistic in statistics.READS_VALUES else None
             summary = harness.mc_run(
                 f, spec.statistic, spec.mode["reps"], spec.seed,
                 sigma=sigma, sys=sys, path=(gi,), threads=threads,

@@ -83,6 +83,10 @@ from .rng import STREAM_SAMPLE, block_size, substream
 DEFAULT_ENUM_CAP = 2**24
 DEFAULT_INDEX_CAP = 2**22
 ENUM_BLOCK = 2**16
+# largest float64 outcome matrix an enumeration holds: a walk's kept (M, n)
+# values, or one row's gathered local grid
+ENUM_BYTES_CAP = 2**30
+INDUCED_CAP = 10**7  # most neighbor entries an induced system may hold
 # largest gathered (reps, indices, K) block one evaluator call sees
 GATHER_CELLS = 2**21
 # pairs signature_groups keys at a time; adjacency cells a triangle sum holds
@@ -254,10 +258,10 @@ class LatentSourceField:
 
     ``supports`` is the (n, K) source-id array (-1 pads read 0); ``ev`` and
     ``params`` are the evaluator and its per-index arrays (see the module
-    docstring).  ``means`` holds E X_i before centering and is computed
-    exactly at construction when ``center`` is set and none are given (a
-    field other than a sum field that reads continuous sources must be
-    given its means); sampled values are centered iff ``center`` is set.
+    docstring).  ``means`` holds E X_i, and every value and sum the field
+    gives is centered by them.  They are computed exactly at construction
+    when none are given (a field other than a sum field that reads
+    continuous sources must be given its means).
     ``groups`` is (first, inverse) of the indices grouped by
     :func:`_signatures`, ``incidence`` counts the slots reading each
     source, ``counts`` holds its column sums c_s (a sum field's S is
@@ -271,7 +275,6 @@ class LatentSourceField:
     supports: np.ndarray
     ev: Callable
     params: tuple = ()
-    center: bool = True
     means: np.ndarray | None = None
     metadata: Mapping = dc_field(default_factory=dict)
     runs: tuple = dc_field(init=False, repr=False)
@@ -320,14 +323,14 @@ class LatentSourceField:
         c = np.bincount(inc.indices, inc.data, len(sources))
         put(self, "counts", _read_only(c))
         put(self, "count_starts", _read_only(np.flatnonzero(np.r_[True, c[1:] != c[:-1]])))
-        if self.means is None and self.center and self.ev is _sum_columns:
+        if self.means is None and self.ev is _sum_columns:
             # E U: sum p v for a discrete source, 1/2 for uniform, 0 for normal
             mu = [np.dot(src.probs, src.values) if isinstance(src, DiscreteSource)
                   else 0.5 * (src.kind == "uniform") for _, src in runs]
             put(self, "means", _read_only(inc @ np.repeat(mu, [sl.stop - sl.start for sl, _ in runs])))
-        elif self.means is None and self.center:
+        elif self.means is None:
             put(self, "means", _read_only(compute_means(self)))
-        put(self, "mean_sum", 0.0 if self.means is None else float(np.sum(self.means)))
+        put(self, "mean_sum", float(np.sum(self.means)))
         put(self, "bit_plan", _integer_bit_runs(self))
         put(self, "metadata", MappingProxyType(self.metadata))
 
@@ -373,7 +376,10 @@ def local_values(field: LatentSourceField, rows):
     """Yield (r, probs, X) for each row r of ``rows`` ((N, w) index tuples):
     X[k, c] is the uncentered X_{rows[r, c]} at point k of the product grid
     over the sources row r reads.  Rows whose sources have the same laws
-    share one grid and one evaluator call (at most GATHER_CELLS gathered)."""
+    share one grid and one evaluator call (at most GATHER_CELLS gathered).
+    Raises :class:`EnumerationCapExceeded`, before anything is allocated,
+    for a row whose gathered grid (outcomes x w K values) would take more
+    than ENUM_BYTES_CAP bytes."""
     rows = np.asarray(rows, dtype=np.int64)
     (N, w), K = rows.shape, field.supports.shape[1]
     S = field.supports[rows].reshape(N, w * K)
@@ -386,7 +392,14 @@ def local_values(field: LatentSourceField, rows):
     batches = _pack([np.zeros(N, dtype=np.int64), *laws.T])
     for key in distinct(batches):
         sel = np.flatnonzero(batches == key)
-        probs, grid = product_grid([field.sources[s] for s in used[sel[0]] if s < field.n_sources])
+        sources = [field.sources[s] for s in used[sel[0]] if s < field.n_sources]
+        count = math.prod(len(s.values) for s in sources if isinstance(s, DiscreteSource))
+        if count * w * K * 8 > ENUM_BYTES_CAP:
+            raise EnumerationCapExceeded(
+                f"index {', '.join(map(str, rows[sel[0]].tolist()))}: {count} outcomes x {w * K} "
+                f"values need {count * w * K * 8} bytes, over the cap of {ENUM_BYTES_CAP}"
+            )
+        probs, grid = product_grid(sources)
         grid = grid if grid.size else np.zeros((1, 1))
         step = max(1, GATHER_CELLS // (probs.size * w * K))
         for part in np.split(sel, np.arange(step, sel.size, step)):
@@ -642,8 +655,7 @@ def draw_sums(
             head = at * (8 * raws[0][k].size) + reps[hit] % B * width
             ones = _ones_before(np.concatenate([r[k] for r in raws]), head[:, None] + cuts)
             out[hit] += np.diff(ones, axis=1) @ slope
-    S = out.astype(float)
-    return S - field.mean_sum if field.center else S
+    return out.astype(float) - field.mean_sum
 
 
 def value_dtype(field: LatentSourceField, sys: NeighborhoodSystem) -> np.dtype:
@@ -661,15 +673,14 @@ def value_dtype(field: LatentSourceField, sys: NeighborhoodSystem) -> np.dtype:
     floats = np.dtype(float)
     if field.bit_plan is None:
         return floats
-    means = field.means if field.center else np.zeros(field.n)
-    if np.any(np.mod(means, 1)):
+    if np.any(np.mod(field.means, 1)):
         return floats
     widths = [sl.stop - sl.start for sl, _ in field.runs]
     lo = np.repeat([min(src.values) for _, src in field.runs], widths)
     hi = np.repeat([max(src.values) for _, src in field.runs], widths)
     inc = field.incidence
     raw = float((inc @ np.maximum(-lo, hi)).max(initial=0))
-    x = float(np.abs(np.concatenate([inc @ lo - means, inc @ hi - means])).max(initial=0))
+    x = float(np.abs(np.concatenate([inc @ lo - field.means, inc @ hi - field.means])).max(initial=0))
     y = float(np.diff(sys.M.indptr).max(initial=0)) * x
     top = max(raw, x, y, x * y)
     if field.n * top >= 2.0**53:
@@ -679,28 +690,27 @@ def value_dtype(field: LatentSourceField, sys: NeighborhoodSystem) -> np.dtype:
 
 
 def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
-    """Field values for source rows; shape (reps, n), centered iff the
-    field is: a sum field's is the transpose of incidence @ rows.T, in the
-    dtype of integer rows (see :func:`value_dtype`), others gather their
-    indices in blocks (see :func:`_blocks`)."""
+    """Field values for source rows, centered by the field's means; shape
+    (reps, n): a sum field's is the transpose of incidence @ rows.T, in
+    the dtype of integer rows (see :func:`value_dtype`), others gather
+    their indices in blocks (see :func:`_blocks`)."""
     rows = np.atleast_2d(rows)
     if field.ev is _sum_columns:
         XT = field.incidence @ rows.T
-        if field.center and field.means.any():  # zero means leave every value as it is
+        if field.means.any():  # zero means leave every value as it is
             XT -= field.means.astype(XT.dtype, copy=False)[:, None]
         return XT.T
     out = np.empty((rows.shape[0], field.n))
     for sl in _blocks(field.n, field.supports.shape[1], rows.shape[0]):
         out[:, sl] = field.ev(_gather(rows, field.supports[sl]), *(p[sl] for p in field.params))
-    if field.center:
-        out -= field.means
+    out -= field.means
     return out
 
 
 def sum_values(field: LatentSourceField, rows: np.ndarray, X: np.ndarray | None = None) -> np.ndarray:
-    """Field sums S of source rows, shape (reps,), centered iff the field
-    is: U @ c for a sum field (summed row by row over runs of equal c, so
-    S does not depend on the batch or on the rows' memory layout), the
+    """Field sums S of source rows, centered by the summed means, shape
+    (reps,): U @ c for a sum field (summed row by row over runs of equal
+    c, so S does not depend on the batch or on the rows' memory layout), the
     field's ``batch_sum`` (the triangle's trace(A^3), a word's count), or
     else the row sums of ``X``, the rows' :func:`evaluate_values` (built
     here when not given)."""
@@ -713,7 +723,7 @@ def sum_values(field: LatentSourceField, rows: np.ndarray, X: np.ndarray | None 
         s = batch_sum(rows)
     else:
         return (evaluate_values(field, rows) if X is None else X).sum(axis=1)
-    return s - field.mean_sum if field.center else s
+    return s - field.mean_sum
 
 
 def outcome_blocks(field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP):
@@ -743,21 +753,19 @@ def overlap_matrix(field: LatentSourceField) -> Csr:
     return product_pattern(inc, inc.transpose())
 
 
-def induced_neighborhoods(
-    field: LatentSourceField, cap_terms: int | None = 10**8
-) -> NeighborhoodSystem:
+def induced_neighborhoods(field: LatentSourceField) -> NeighborhoodSystem:
     """The support-overlap neighborhood system.
 
     Local dependence holds by construction: indices outside A_i share no
-    source with i, and indices outside A_i | A_j none with i or j.
-    ``cap_terms`` guards against materializing astronomically large
-    systems.
+    source with i, and indices outside A_i | A_j none with i or j.  Raises
+    :class:`ComplexityCapExceeded` when the system would hold more than
+    INDUCED_CAP neighbor entries.
     """
     users = np.bincount(field.incidence.indices, minlength=field.n_sources)
     estimate = int(users @ users)
-    if cap_terms is not None and estimate > cap_terms:
+    if estimate > INDUCED_CAP:
         raise ComplexityCapExceeded(
-            f"induced system would hold ~{estimate} neighbor entries (cap {cap_terms})"
+            f"induced system would hold ~{estimate} neighbor entries (cap {INDUCED_CAP})"
         )
     return NeighborhoodSystem(n=field.n, M=overlap_matrix(field))
 
@@ -778,7 +786,7 @@ def _sum_columns(G: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_iid_field(n: int, source: Source, center: bool = True) -> LatentSourceField:
+def build_iid_field(n: int, source: Source) -> LatentSourceField:
     """n independent copies of the source."""
     if n < 1:
         raise InvalidSize(f"n must be >= 1, got {n}")
@@ -786,7 +794,6 @@ def build_iid_field(n: int, source: Source, center: bool = True) -> LatentSource
         sources=(source,) * n,
         supports=np.arange(n)[:, None],
         ev=_sum_columns,
-        center=center,
         metadata={"family": "iid", "n": n, "index_transitive": True},
     )
 
@@ -810,7 +817,6 @@ def build_m_dependent(
         sources=(source,) * (n + m),
         supports=np.arange(n)[:, None] + np.arange(m + 1),
         ev=_sum_columns if window_evaluator is None else _columnwise(window_evaluator),
-        center=True,
         metadata={"family": "m_dependent", "n": n, "m": m},
     )
 
@@ -849,7 +855,6 @@ def build_graph_dependency(
         sources=(source,) * (n_vertices + len(edges)),
         supports=supports,
         ev=_sum_columns if evaluator is None else _columnwise(evaluator),
-        center=True,
         metadata={
             "family": "graph",
             "n": n_vertices,
@@ -883,7 +888,7 @@ def build_ustat_field(
     if n_idx > DEFAULT_INDEX_CAP:
         raise EnumerationCapExceeded(f"{n_idx} field indices exceed cap {DEFAULT_INDEX_CAP}")
     if not isinstance(source, DiscreteSource):
-        raise EnumerationCapExceeded("theta is enumerated, so the source must be discrete")
+        raise ValueError("theta is enumerated, so the source must be discrete")
     if len(source.values) ** m > DEFAULT_ENUM_CAP:
         raise EnumerationCapExceeded("kernel mean enumeration too large")
     probs, grid = product_grid([source] * m)
@@ -903,7 +908,6 @@ def build_ustat_field(
         supports=np.concatenate(subsets),
         ev=lambda G, w: w * (h(G) - theta),
         params=(np.concatenate(weights),),
-        center=False,
         means=np.zeros(n_idx),
         metadata={
             "family": "ustat",
@@ -1027,7 +1031,6 @@ def build_constrained_ustat_field(
         sources=(source,) * (n + m),
         supports=windows.reshape(len(tuples), l * width),
         ev=ev,
-        center=True,
         means=None if known_mean is None else np.full(len(tuples), float(known_mean)),
         metadata={
             "family": "constrained_ustat",
@@ -1172,7 +1175,6 @@ def build_decorated_graph_field(
         sources=(edge_source,) * math.comb(n, 2),
         supports=edge_ids,
         ev=ev,
-        center=True,
         metadata=metadata,
     )
 

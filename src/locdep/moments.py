@@ -99,7 +99,7 @@ def exact_index_norms(field: LatentSourceField, idx) -> np.ndarray:
     out = np.empty((idx.size, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # run_experiment checks finiteness
         for r, probs, X in local_values(field, idx[:, None]):
-            a = np.abs(X[:, 0] if field.means is None else X[:, 0] - field.means[idx[r]])
+            a = np.abs(X[:, 0] - field.means[idx[r]])
             out[r] = [float(probs @ a**p) ** (1 / p) for p in (2, 3, 4)]
     return out
 
@@ -164,7 +164,7 @@ def exact_moment_table(
     """Exact norms and Var(S).
 
     ``outcomes`` is the field's materialized outcome space, (probs, X) with
-    X the (M, n) field values (centered iff the field is).  When it is
+    X the (M, n) field values, centered by the field's means.  When it is
     given, every quantity is read from it: the norms at the columns of the
     index-group representatives, Var(S) from the row sums, and the
     covariance identity from the covariance matrix summed over ``sys``.
@@ -183,10 +183,7 @@ def exact_moment_table(
     mode = "exact"
     if outcomes is not None:
         probs, X = outcomes
-        Xg = X[:, first]
-        if not field.center and field.means is not None:
-            Xg = Xg - field.means[first]
-        a = np.abs(Xg)
+        a = np.abs(X[:, first])
         l2, l3, l4 = np.stack([(probs @ a**p) ** (1 / p) for p in (2, 3, 4)])[:, inverse]
         s = X.sum(axis=1)
         es = float(probs @ s)

@@ -53,6 +53,7 @@ from .bounds import (
     main_terms,
     reverse_set_of,
 )
+from . import fields
 from .errors import DegenerateVariance, EnumerationCapExceeded, InvalidTestFunction
 from .fields import (
     DEFAULT_ENUM_CAP,
@@ -71,8 +72,6 @@ from .statistics import NEEDS_SIGMA, READS_VALUES, finish, statistic_parts
 PASS_TOL = 1e-10
 ATOM_MERGE_TOL = 1e-12
 LD_TOL = 1e-12  # largest |joint - product of marginals| that still factorizes
-# largest (M, n) float64 outcome matrix a walk keeps
-ENUM_BYTES_CAP = 2**30
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -99,7 +98,7 @@ class Walk:
     """What one walk of an enumerable field's outcome space took.
 
     ``probs`` and ``X`` are every outcome's probability and its (M, n)
-    field values (centered iff the field is), when the walk kept them;
+    centered field values, when the walk kept them;
     ``sigma2`` is Var(S), when the walk took S.  ``parts`` are the
     statistic's sigma-free parts over the accepted outcomes, with
     ``law_probs`` conditioned on acceptance and the ``rejected`` mass:
@@ -132,13 +131,13 @@ def walk_outcomes(
 
     Raises :class:`EnumerationCapExceeded` beyond ``cap`` outcomes, or,
     when X is kept, before anything is allocated when it would take more
-    than ENUM_BYTES_CAP bytes.
+    than ``fields.ENUM_BYTES_CAP`` bytes.
     """
     count = field.outcome_count()
-    if keep and count is not None and count * field.n * 8 > ENUM_BYTES_CAP:
+    if keep and count is not None and count * field.n * 8 > fields.ENUM_BYTES_CAP:
         raise EnumerationCapExceeded(
             f"{count} outcomes x {field.n} values need {count * field.n * 8} bytes, "
-            f"over the cap of {ENUM_BYTES_CAP}"
+            f"over the cap of {fields.ENUM_BYTES_CAP}"
         )
     reads_values = statistic in READS_VALUES
     if sys is None and reads_values:
@@ -267,20 +266,15 @@ def exact_kolmogorov(
     statistic: str,
     sys: NeighborhoodSystem | None = None,
     sigma: float | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
-    walk: Walk | None = None,
 ) -> float:
     """Kolmogorov distance of the statistic's exact law from the normal,
-    read from ``walk``, a walk of that statistic, or else from a walk of
-    its own.  ``sigma`` defaults to the field's exact moment table's."""
+    from a walk of the field's outcome space.  ``sigma`` defaults to the
+    field's exact moment table's (:class:`DegenerateVariance` when its
+    Var(S) is 0)."""
     default_sigma = statistic in NEEDS_SIGMA and sigma is None
-    if walk is None:
-        walk = walk_outcomes(field, statistic, sys, var=default_sigma, cap=cap)
+    walk = walk_outcomes(field, statistic, sys, var=default_sigma)
     if default_sigma:
-        table = exact_moment_table(field, cap=cap, sigma2=walk.sigma2)
-        if table.degenerate:
-            raise DegenerateVariance("Var(S) = 0")
-        sigma = table.sigma
+        sigma = exact_moment_table(field, sigma2=walk.sigma2).sigma
     return kolmogorov_from_atoms(*exact_law(walk, sigma))
 
 
@@ -744,7 +738,6 @@ def random_enumerable_instance(rng: np.random.Generator) -> CheckInstance:
             supports=supports,
             ev=_weighted_sum,
             params=(weights, q),
-            center=True,
             metadata={"family": "random_instance"},
         )
         try:

@@ -180,7 +180,7 @@ def test_criterion_6_self_normalized_normal():
     """iid standard-normal sources, n = 200, R = 5e4: ks(W2) <= 0.05 with
     zero rejections."""
     n, reps = 200, 5 * 10**4
-    f = F.build_iid_field(n, F.ContinuousSource("normal"), center=False)
+    f = F.build_iid_field(n, F.ContinuousSource("normal"))
     s = H.mc_run(f, "w2", reps, ACCEPT_SEED, sys=F.induced_neighborhoods(f))
     assert s.rejected == 0
     assert s.ks <= 0.05, s.ks
@@ -380,7 +380,7 @@ def test_criterion_11_structural_invariants():
     )
     f_rev = F.LatentSourceField(
         sources=f.sources, supports=f.supports[::-1],
-        ev=f.ev, center=True,
+        ev=f.ev,
         means=f.means[::-1].copy(),
     )
     ks_a = O.exact_kolmogorov(f, "w1", sys=sysn, sigma=t.sigma)

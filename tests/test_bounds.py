@@ -390,7 +390,6 @@ def test_prop2_delta4_zero_for_isolated_zero_index():
         supports=((0, -1), (1, -1), (1, 2)),
         ev=lambda G, c: (G * c).sum(axis=-1),
         params=(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),),
-        center=True,
     )
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)

@@ -34,6 +34,10 @@ Core claims:
     - importing the CLI, or running a W2 spec (Monte-Carlo or exact), loads
       no scipy module, and ``python -m locdep`` runs the CLI
     - ``require_ld`` fails a grid point past its enumeration cap as untested
+    - a grid point with Var(S) = 0 exits 1 from the statistic's sigma
+      check in the exact and Monte-Carlo modes alike, after one moment
+      table; non-finite moments exit 1 before any bound reads them; an
+      index whose local grid passes the byte cap exits 1 naming it
     - the benchmark's self-check passes against the package as it stands
 """
 
@@ -329,8 +333,6 @@ NON_FINITE_CASES = {
     "huge_sigma2_general_beta": ({**IID, "params": {"sigma2": 1e300}, "bounds": ["general_beta"]},
                                  "general_beta"),
     "tiny_bernoulli_p": ({**IID, "params": {"source": {"kind": "bernoulli", "p": 1e-300}}}, "main"),
-    "huge_three_point_exact": ({**IID, "params": {"source": {"kind": "three_point", "spread": 1e200}},
-                                "mode": {"kind": "exact"}}, "main"),
 }
 
 
@@ -361,15 +363,55 @@ def test_non_finite_moments_exit_1_naming_n(tmp_path, capsys):
     """Var(S) and the norms of an exact three-point field with spread
     1e200 overflow: the run stops at n = 3 with exit 1 and no artifacts,
     instead of writing inf norms and ks = 0.5 (W1 = S / inf), and prints
-    no numpy RuntimeWarning ahead of the error."""
+    no numpy RuntimeWarning ahead of the error.  The moments are named
+    before any bound reads them, so the default bounds give the same
+    error as none."""
     doc = {**IID, "params": {"source": {"kind": "three_point", "spread": 1e200}},
-           "mode": {"kind": "exact"}, "bounds": [], "out": str(tmp_path / "out")}
-    code, runtime_warnings = run_recording_warnings(["run", "--spec", write_spec(tmp_path, doc)])
-    assert code == 1
+           "mode": {"kind": "exact"}, "out": str(tmp_path / "out")}
+    for bounds in (None, []):  # the family's default bounds, then none
+        if bounds is not None:
+            doc["bounds"] = bounds
+        code, runtime_warnings = run_recording_warnings(["run", "--spec", write_spec(tmp_path, doc)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "NonFiniteMoments: moments at n=3: Var(S)=inf" in err and "Traceback" not in err
+        assert runtime_warnings == [] and "RuntimeWarning" not in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", [{"kind": "exact"}, {"kind": "mc", "reps": 1000}])
+def test_degenerate_grid_point_exits_1_as_both_modes_apply_sigma(tmp_path, capsys, monkeypatch,
+                                                                  mode):
+    """Triangle counts at p = 0 are 0, so Var(S) = 0.  Both modes stop at
+    n = 3 with the error of the statistic's sigma check, and the exact
+    mode builds the grid point's moment table once, as the MC mode does."""
+    tables = []
+    exact_moment_table = moments.exact_moment_table
+
+    def counted(*args, **kwargs):
+        tables.append(args[0].metadata["n"])
+        return exact_moment_table(*args, **kwargs)
+
+    for mod in (moments, oracle):  # every module that binds the table builder
+        monkeypatch.setattr(mod, "exact_moment_table", counted)
+    doc = minimal_spec(tmp_path, family="decorated_graph", params={"p": 0}, grid=[3, 4, 5],
+                       mode=mode)
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
-    assert "NonFiniteMoments: moments at n=3: Var(S)=inf" in err and "Traceback" not in err
-    assert runtime_warnings == [] and "RuntimeWarning" not in err
-    assert not (tmp_path / "out").exists()
+    assert "DegenerateVariance: w1 needs a positive finite sigma, got None" in err
+    assert "Traceback" not in err
+    assert tables == [3]
+
+
+def test_star_past_the_local_byte_cap_exits_1_naming_it(tmp_path, capsys):
+    """The hub of a star on 32 vertices reads 32 sources: its local grid
+    (2^32 outcomes x 32 values) is refused before it is allocated."""
+    doc = minimal_spec(tmp_path, family="graph", params={"graph": "star"}, grid=[32],
+                       mode={"kind": "mc", "reps": 1000})
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "EnumerationCapExceeded: index 0: 4294967296 outcomes x 32 values" in err
+    assert f"over the cap of {fields.ENUM_BYTES_CAP}" in err and "Traceback" not in err
 
 
 def summary_ks(out: Path) -> list[float]:

@@ -30,6 +30,10 @@ Core claims:
     - a law drawn by counting its cumulative thresholds equals the binary
       search bit for bit; the triangle's chunked trace(A^3) equals the
       whole-batch formula; the first-slot pattern equals the argsort one
+    - the distributed U-statistic builder refuses a continuous source with
+      ValueError, as other refused builder arguments are refused
+    - one byte cap, ``ENUM_BYTES_CAP``, read at call time, bounds both a
+      row's gathered local grid and a walk's kept outcome matrix
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import locdep.statistics as st
 from locdep.errors import (
     BlockTooSmall,
     EmptyIndexSet,
+    EnumerationCapExceeded,
     GraphTooLarge,
     InvalidSize,
 )
@@ -95,7 +100,7 @@ def test_sample_determinism_and_independence():
 
 
 def test_rademacher_identity_values():
-    f = F.build_iid_field(8, F.rademacher(), center=False)
+    f = F.build_iid_field(8, F.rademacher())
     rows = F.draw_source_rows(f, 5, range(10))
     vals = F.evaluate_values(f, rows)
     assert set(np.unique(vals)) <= {-1.0, 1.0}
@@ -149,6 +154,25 @@ def test_ustat_field_sum_matches_direct_u():
 def test_ustat_field_block_too_small():
     with pytest.raises(BlockTooSmall):
         F.build_ustat_field([1, 4], 2, lambda x, y: x * y, F.rademacher())
+
+
+def test_ustat_field_refuses_a_continuous_source():
+    with pytest.raises(ValueError, match="must be discrete"):
+        F.build_ustat_field([4], 2, lambda x, y: x * y, F.ContinuousSource("uniform"))
+
+
+def test_one_byte_cap_bounds_local_grids_and_kept_walks(monkeypatch):
+    # each index reads 2 of the 5 sources: a local grid of 4 outcomes x 2
+    # values takes 64 bytes, the kept walk 32 outcomes x 4 values 1024
+    f = F.build_m_dependent(4, 1, F.rademacher())
+    monkeypatch.setattr(F, "ENUM_BYTES_CAP", 64)
+    assert M.exact_index_norms(f, range(4)).shape == (4, 3)
+    with pytest.raises(EnumerationCapExceeded, match="need 1024 bytes, over the cap of 64"):
+        oracle.walk_outcomes(f, keep=True)
+    monkeypatch.setattr(F, "ENUM_BYTES_CAP", 63)
+    with pytest.raises(EnumerationCapExceeded,
+                       match="index 0: 4 outcomes x 2 values need 64 bytes"):
+        M.exact_index_norms(f, range(4))
 
 
 def test_constrained_gap_orders():
@@ -312,7 +336,6 @@ def test_continuous_sources_need_given_means():
         supports=np.stack([np.arange(n), np.where(has_v, np.arange(n) + 1, -1)], axis=1),
         ev=lambda G, has_v: G[..., 0] * np.where(has_v, G[..., 1], 1.0),
         params=(has_v,),
-        center=True,
     )
     with pytest.raises(ValueError, match="means"):
         F.LatentSourceField(**kwargs)
@@ -484,7 +507,7 @@ def test_threshold_draws_match_the_binary_search(law):
 def test_block_rows_are_a_function_of_the_replication(n_sources):
     # B = 4096, 128 and 1: a range that starts inside a block and crosses
     # block edges reads the same rows as a range from 0
-    f = F.build_iid_field(n_sources, F.rademacher(), center=False)
+    f = F.build_iid_field(n_sources, F.rademacher())
     B = block_size(n_sources)
     assert B == {8: 4096, 300: 128, 40_000: 1}[n_sources]
     a, b = B + B // 2 + 1, 3 * B + 2

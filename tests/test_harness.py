@@ -155,7 +155,7 @@ def test_rejections_reproduce_and_excess_raises(monkeypatch):
 
 
 def test_w2_on_continuous_field_has_no_rejections():
-    f = F.build_iid_field(50, F.ContinuousSource("normal"), center=False)
+    f = F.build_iid_field(50, F.ContinuousSource("normal"))
     s = H.mc_run(f, "w2", 2000, 13, sys=F.induced_neighborhoods(f))
     assert s.rejected == 0
     assert s.ks < 0.1

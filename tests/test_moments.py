@@ -308,8 +308,7 @@ def test_signature_grouping_matches_ungrouped_enumeration(case):
         means.append(float(probs @ X[:, 0]))
         a = np.abs(X[:, 0] - f.means[i])
         norms.append([float(probs @ a**p) ** (1 / p) for p in (2, 3, 4)])
-    if f.center:
-        assert np.allclose(F.compute_means(f), means, rtol=1e-12, atol=1e-13)
+    assert np.allclose(F.compute_means(f), means, rtol=1e-12, atol=1e-13)
     t = M.exact_moment_table(f, cap=0)
     assert np.allclose(np.stack([t.l2, t.l3, t.l4], axis=1), norms, rtol=1e-12, atol=1e-13)
     assert np.allclose(M.exact_index_norms(f, np.arange(f.n)), norms, rtol=1e-12, atol=1e-13)
@@ -338,7 +337,7 @@ def reference_signature_groups(field: F.LatentSourceField, idx) -> tuple[np.ndar
     first_slot = np.array([[row.index(v) for v in row] for row in S.tolist()])
     laws = np.append(field.law_ids, field.law_ids.max(initial=0) + 1)[S]
     # one class per index: its params and means, ranked as a tuple
-    values = [p.reshape(field.n, -1) for p in (*field.params, *(() if field.means is None else (field.means,)))]
+    values = [p.reshape(field.n, -1) for p in (*field.params, field.means)]
     values = np.concatenate([np.zeros((field.n, 1)), *values], axis=1)
     classes = np.unique(values, axis=0, return_inverse=True)[1].reshape(-1)[rows]
     keys = np.concatenate([first_slot, laws, classes], axis=1)

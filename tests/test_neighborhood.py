@@ -343,7 +343,7 @@ def test_kernels_match_scipy_bit_for_bit(case, seed, reps, run_min, tile):
     # products and its overlap pattern
     supports = rng.integers(-1, n, size=(n, 3))
     supports[:, 2] = supports[:, 0] = rng.integers(0, n, size=n)  # a source read twice
-    f = fields.LatentSourceField((fields.rademacher(),) * n, supports, ev=fields._sum_columns, center=False)
+    f = fields.LatentSourceField((fields.rademacher(),) * n, supports, ev=fields._sum_columns)
     keep = supports >= 0
     inc = scipy_csr(np.nonzero(keep)[0], supports[keep], (n, n))
     assert same_csr(f.incidence, inc) and f.incidence.data.max() >= 2

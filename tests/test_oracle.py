@@ -63,7 +63,7 @@ def test_a_kept_walk_refuses_a_matrix_over_the_byte_cap():
     f = F.build_iid_field(24, F.rademacher())
     with pytest.raises(EnumerationCapExceeded, match=str(2**24 * 24 * 8)):
         O.walk_outcomes(f, keep=True)
-    assert 2**24 * 24 * 8 > O.ENUM_BYTES_CAP
+    assert 2**24 * 24 * 8 > F.ENUM_BYTES_CAP
 
 
 def test_exact_kolmogorov_point_mass():
@@ -90,7 +90,6 @@ def test_exact_kolmogorov_relabeling_invariance():
         sources=f.sources,
         supports=f.supports[::-1],
         ev=f.ev,
-        center=True,
         means=f.means[::-1].copy(),
     )
     sys_rev = F.induced_neighborhoods(f_rev)
