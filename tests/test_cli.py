@@ -328,11 +328,15 @@ def test_w2_over_the_system_cap_exits_1_naming_the_cap(tmp_path, capsys):
 
 IID = {"family": "iid", "grid": [3, 4, 5], "seed": 1}
 NON_FINITE_CASES = {
-    "tiny_sigma2": ({**IID, "params": {"sigma2": 1e-300}}, "main"),
-    "huge_sigma2": ({**IID, "params": {"sigma2": 1e300}}, "main"),
+    "tiny_sigma2": ({**IID, "params": {"sigma2": 1e-300}}, "NonFiniteBound: bound main"),
+    "huge_sigma2": ({**IID, "params": {"sigma2": 1e300}}, "NonFiniteBound: bound main"),
     "huge_sigma2_general_beta": ({**IID, "params": {"sigma2": 1e300}, "bounds": ["general_beta"]},
-                                 "general_beta"),
-    "tiny_bernoulli_p": ({**IID, "params": {"source": {"kind": "bernoulli", "p": 1e-300}}}, "main"),
+                                 "NonFiniteBound: bound general_beta"),
+    "tiny_bernoulli_p": ({**IID, "params": {"source": {"kind": "bernoulli", "p": 1e-300}}},
+                         "NonFiniteBound: bound main"),
+    # the moments are checked before any bound reads them
+    "huge_three_point_exact": ({**IID, "params": {"source": {"kind": "three_point", "spread": 1e200}},
+                                "mode": {"kind": "exact"}}, "NonFiniteMoments: moments"),
 }
 
 
@@ -347,14 +351,15 @@ def run_recording_warnings(argv: list[str]) -> tuple[int, list[str]]:
 
 @pytest.mark.parametrize("doc,shape", NON_FINITE_CASES.values(), ids=NON_FINITE_CASES.keys())
 def test_non_finite_bound_exits_1_naming_shape_and_n(tmp_path, capsys, doc, shape):
-    """A shape that overflows, divides by zero or is not finite ends the
-    run with exit 1 and no artifacts, so no NaN or Infinity is written;
-    no numpy RuntimeWarning is printed ahead of the error."""
+    """A shape that overflows, divides by zero or is not finite, or the
+    moments it reads, ends the run with exit 1 and no artifacts, so no NaN
+    or Infinity is written; no numpy RuntimeWarning is printed ahead of
+    the error."""
     doc = {**doc, "out": str(tmp_path / "out")}
     code, runtime_warnings = run_recording_warnings(["run", "--spec", write_spec(tmp_path, doc)])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"NonFiniteBound: bound {shape} at n=3" in err
+    assert f"{shape} at n=3" in err and "Traceback" not in err
     assert runtime_warnings == [] and "RuntimeWarning" not in err
     assert not (tmp_path / "out").exists()
 
@@ -363,20 +368,17 @@ def test_non_finite_moments_exit_1_naming_n(tmp_path, capsys):
     """Var(S) and the norms of an exact three-point field with spread
     1e200 overflow: the run stops at n = 3 with exit 1 and no artifacts,
     instead of writing inf norms and ks = 0.5 (W1 = S / inf), and prints
-    no numpy RuntimeWarning ahead of the error.  The moments are named
-    before any bound reads them, so the default bounds give the same
-    error as none."""
+    no numpy RuntimeWarning ahead of the error.  With no bounds asked for
+    the error is the same as with the family's defaults (the
+    huge_three_point_exact case above)."""
     doc = {**IID, "params": {"source": {"kind": "three_point", "spread": 1e200}},
-           "mode": {"kind": "exact"}, "out": str(tmp_path / "out")}
-    for bounds in (None, []):  # the family's default bounds, then none
-        if bounds is not None:
-            doc["bounds"] = bounds
-        code, runtime_warnings = run_recording_warnings(["run", "--spec", write_spec(tmp_path, doc)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "NonFiniteMoments: moments at n=3: Var(S)=inf" in err and "Traceback" not in err
-        assert runtime_warnings == [] and "RuntimeWarning" not in err
-        assert not (tmp_path / "out").exists()
+           "mode": {"kind": "exact"}, "bounds": [], "out": str(tmp_path / "out")}
+    code, runtime_warnings = run_recording_warnings(["run", "--spec", write_spec(tmp_path, doc)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "NonFiniteMoments: moments at n=3: Var(S)=inf" in err and "Traceback" not in err
+    assert runtime_warnings == [] and "RuntimeWarning" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", [{"kind": "exact"}, {"kind": "mc", "reps": 1000}])
