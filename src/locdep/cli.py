@@ -389,16 +389,15 @@ def _walk_for(built: BuiltInstance, spec: ExperimentSpec, cap: int, do_stat: boo
     """The one walk of a grid point's outcome space, taking only what the
     point reads: S for a table's Var(S) (a non-sum field within the
     table's cap), the exact-mode statistic, and every outcome for the LD
-    test; None when nothing reads a walk."""
+    test (within ``min(cap, LD_CAP)``); None when nothing reads a walk."""
     f, count = built.field, built.field.outcome_count() or math.inf
     statistic = spec.statistic if do_stat and spec.mode["kind"] == "exact" else None
-    ld = spec.assertions["require_ld"] and count <= LD_CAP
+    ld = spec.assertions["require_ld"] and count <= min(cap, LD_CAP)
     var = f.ev is not fields._sum_columns and count <= min(cap, TABLE_CAP)
     if not (statistic or ld or var):
         return None
     sys = built.system() if statistic in statistics.READS_VALUES else None
-    return oracle.walk_outcomes(f, statistic, sys, var=var, keep=ld,
-                                cap=cap if statistic else fields.DEFAULT_ENUM_CAP)
+    return oracle.walk_outcomes(f, statistic, sys, var=var, keep=ld, cap=cap)
 
 
 def _system(field: fields.LatentSourceField, declared) -> neighborhood.NeighborhoodSystem:
@@ -457,7 +456,7 @@ def _distributed_general_report(built: BuiltInstance, table) -> bounds.BoundRepo
         block_l4.append(table.l4[lo:hi])
         inside = (I >= lo) & (I < hi) & (J >= lo) & (J < hi)
         block = neighborhood.from_entries(I[inside] - lo, J[inside] - lo, (hi - lo, hi - lo))
-        der_b = neighborhood.derive(neighborhood.NeighborhoodSystem(n=hi - lo, M=block))
+        der_b = neighborhood.derive(neighborhood.NeighborhoodSystem(M=block))
         kappas.append(der_b.kappa)
         taus.append(der_b.tau)
     return bounds.bound_distributed_general(block_l4, kappas, taus, table.sigma)
@@ -492,7 +491,6 @@ def run_experiment(
             summary = harness.EmpiricalSummary(
                 statistic=spec.statistic, reps=0, ks=ks, ks_band=0.0,
                 rejected=0, mean=float("nan"),
-                extras={"exact": True},
             )
         else:
             sys = built.system() if spec.statistic in statistics.READS_VALUES else None
@@ -506,7 +504,8 @@ def run_experiment(
             )
         elif spec.assertions["require_ld"]:  # fails closed past the enumeration cap
             count = f.outcome_count()
-            why = "continuous sources" if count is None else f"{count} outcomes over the 2^16 cap"
+            why = ("continuous sources" if count is None
+                   else f"{count} outcomes over the cap of {min(cap, LD_CAP)}")
             failures.append(f"n={n}: LD test not run: {why}")
         del walk  # not held into the next grid point
         per_n.append({"n": n, "table": table, "reports": reports, "summary": summary})

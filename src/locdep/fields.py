@@ -767,7 +767,7 @@ def induced_neighborhoods(field: LatentSourceField) -> NeighborhoodSystem:
         raise ComplexityCapExceeded(
             f"induced system would hold ~{estimate} neighbor entries (cap {INDUCED_CAP})"
         )
-    return NeighborhoodSystem(n=field.n, M=overlap_matrix(field))
+    return NeighborhoodSystem(M=overlap_matrix(field))
 
 
 # ---------------------------------------------------------------------------
@@ -1038,7 +1038,6 @@ def build_constrained_ustat_field(
             "m": m,
             "gaps": gaps,
             "b": gap_order(gaps),
-            "tuples": tuples,
             **(metadata or {}),
         },
     )
@@ -1165,8 +1164,6 @@ def build_decorated_graph_field(
         "n": n,
         "v": v,
         "pattern_edges": edges,
-        "injections": injections,
-        "edge_ids": edge_ids,
         "index_transitive": True,
     }
     if h is None and decoration is None and sorted(edges) == [(0, 1), (0, 2), (1, 2)]:

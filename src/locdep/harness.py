@@ -61,13 +61,13 @@ class EmpiricalSummary:
 
 @dataclass
 class RateFit:
-    """Least-squares line of log ks against log n."""
+    """Least-squares line of log ks against log n, with the points it was
+    fitted to (``cli`` writes each point's fitted value beside its ks)."""
 
     ns: list[int]
     ks: list[float]
     slope: float
     intercept: float
-    residual_norm: float
 
 
 def ks_against_normal(sample: np.ndarray) -> float:
@@ -152,38 +152,24 @@ def rate_fit(points: list[tuple[int, float]]) -> RateFit:
     lx = np.log(np.asarray(ns, dtype=float))
     ly = np.log(np.asarray(ks))
     slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
     if not np.isfinite(slope):
         raise DegeneratePoints("slope is not finite")
-    return RateFit(
-        ns=ns,
-        ks=ks,
-        slope=float(slope),
-        intercept=float(intercept),
-        residual_norm=float(np.linalg.norm(resid)),
-    )
-
-
-@dataclass
-class RatioRow:
-    n: int
-    ks: float
-    shape: float
-    ratio: float
+    return RateFit(ns=ns, ks=ks, slope=float(slope), intercept=float(intercept))
 
 
 @dataclass
 class RatioTable:
-    rows: list[RatioRow]
+    """The ks / bound-shape ratio of each grid point, in grid order."""
+
+    ratios: list[float]
 
     @property
     def spread(self) -> float:
-        ratios = [r.ratio for r in self.rows]
-        return max(ratios) / min(ratios)
+        return max(self.ratios) / min(self.ratios)
 
     @property
     def finite(self) -> bool:
-        return all(math.isfinite(r.ratio) for r in self.rows)
+        return all(math.isfinite(r) for r in self.ratios)
 
 
 def ratio_table(
@@ -191,15 +177,17 @@ def ratio_table(
     summaries: list[EmpiricalSummary],
     reports: list[BoundReport],
 ) -> RatioTable:
-    """Per-grid-point ks / bound-shape ratios (the implied-constant view)."""
+    """Per-grid-point ks / bound-shape ratios (the implied-constant view).
+    ``grid`` only names the point in an error: a bound shape that is not
+    positive, like unequal lengths, raises :class:`GridMismatch`."""
     if not (len(grid) == len(summaries) == len(reports)):
         raise GridMismatch(
             f"grid/summaries/reports lengths differ: "
             f"{len(grid)}/{len(summaries)}/{len(reports)}"
         )
-    rows = []
+    ratios = []
     for n, summ, rep in zip(grid, summaries, reports):
         if rep.value <= 0:
             raise GridMismatch(f"bound shape at n={n} is not positive")
-        rows.append(RatioRow(n=n, ks=summ.ks, shape=rep.value, ratio=summ.ks / rep.value))
-    return RatioTable(rows=rows)
+        ratios.append(summ.ks / rep.value)
+    return RatioTable(ratios=ratios)

@@ -240,12 +240,15 @@ def _product(A: Csr, XT: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NeighborhoodSystem:
-    """The neighborhoods of a locally dependent field: a read-only 0/1
-    :class:`Csr` ``M`` with M[i, j] = 1 iff j in A_i.  Build with
-    :func:`make_system`."""
+    """The neighborhoods of a locally dependent field: a read-only,
+    square 0/1 :class:`Csr` ``M`` with M[i, j] = 1 iff j in A_i; ``n``,
+    the number of indices, is its order.  Build with :func:`make_system`."""
 
-    n: int
     M: Csr
+
+    @property
+    def n(self) -> int:
+        return self.M.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +289,7 @@ def make_system(A) -> NeighborhoodSystem:
     cols = np.concatenate([a.astype(np.int64) for a in rows]) if n else np.zeros(0, np.int64)
     owner = np.repeat(np.arange(n), [a.size for a in rows])
     rows, cols = np.divmod(distinct(owner * n + cols), max(n, 1))
-    return NeighborhoodSystem(n=n, M=from_entries(rows, cols, (n, n)))
+    return NeighborhoodSystem(M=from_entries(rows, cols, (n, n)))
 
 
 def _bit_rows(A: Csr, width: int) -> np.ndarray:
@@ -353,15 +356,10 @@ def derive(sys: NeighborhoodSystem) -> DerivedNeighborhoods:
 def validate_structure(sys: NeighborhoodSystem) -> ValidationReport:
     """Report every structural violation; never raises.
 
-    Checks that M is (n, n), so no id lies outside [0, n), that no A_i is
-    empty, and reflexivity (i in A_i).
+    Checks that no A_i is empty, and reflexivity (i in A_i).  Ids outside
+    [0, n) cannot occur: :func:`make_system` rejects them, and M is square.
     """
     report = ValidationReport()
-    if sys.M.shape != (sys.n, sys.n):
-        report.violations.append(
-            f"M has shape {sys.M.shape}: ids outside [0, {sys.n})"
-        )
-        return report
     sizes = np.diff(sys.M.indptr)
     reflexive = np.zeros(sys.n, dtype=bool)
     reflexive[sys.M.rows[sys.M.rows == sys.M.indices]] = True

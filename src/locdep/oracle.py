@@ -38,7 +38,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Sequence
 
@@ -191,7 +191,6 @@ class Precomputed:
     derived: DerivedNeighborhoods
     plan: Walk
     table: MomentTable
-    sigma: float
     P: np.ndarray  # (n, n) dense 0/1, P[i, j] = 1 iff j in A_i; read-only
     sums: MappingProxyType  # beta_sums(table.l4, sys, derived)
 
@@ -207,8 +206,8 @@ def precompute(field: LatentSourceField, sys: NeighborhoodSystem | None = None) 
     P = sys.M.toarray()
     P.setflags(write=False)
     return Precomputed(
-        field=field, sys=sys, derived=der, plan=plan, table=table, sigma=table.sigma,
-        P=P, sums=MappingProxyType(beta_sums(table.l4, sys, der)),
+        field=field, sys=sys, derived=der, plan=plan, table=table, P=P,
+        sums=MappingProxyType(beta_sums(table.l4, sys, der)),
     )
 
 
@@ -312,14 +311,15 @@ def xi_function(kind: str, A: Sequence[int]) -> Callable:
 
 @dataclass
 class InequalityVerdict:
-    """One checked instance of an explicit-constant inequality."""
+    """One checked instance of an explicit-constant inequality: its two
+    sides, its precondition's status and the instance's digest, the
+    fields ``verdicts.csv`` writes beside the margin and the verdict."""
 
     check_id: str
     lhs: float
     rhs: float
     precondition: str  # "satisfied" | "violated" | "not_applicable"
     digest: str
-    extras: dict = dc_field(default_factory=dict)
 
     @property
     def margin(self) -> float:
@@ -410,7 +410,6 @@ def check_lemma_xiyi(
         rhs=rhs,
         precondition="not_applicable",
         digest=f"n={n};A={sorted(A)};p={p}",
-        extras={"gamma_A": gamma_a, "gamma": gamma},
     )
 
 
@@ -432,7 +431,6 @@ def check_lemma_s2(
         rhs=rhs,
         precondition="not_applicable",
         digest=f"n={sys.n};A={sorted(A)};p={p}",
-        extras={"E_SA2": es2, "pair_term": pair_term},
     )
 
 
@@ -456,9 +454,9 @@ def check_lemma_s4(
     with companions E S^4 <= 13 lam s^4 and E(sum Y_i)^4 <= 13 kappa^4 lam s^4."""
     plan, der, table = pre.plan, pre.derived, pre.table
     kappa, tau = der.kappa, der.tau
-    sigma = pre.sigma
+    sigma = table.sigma
     lam = lam_scale(table, kappa)
-    ok, pre_info = fourth_moment_precondition(table, kappa, tau, max(len(A), 1))
+    ok, _ = fourth_moment_precondition(table, kappa, tau, max(len(A), 1))
     status = "satisfied" if ok else "violated"
     digest = f"n={pre.sys.n};A={sorted(A)};p={p}"
 
@@ -471,7 +469,6 @@ def check_lemma_s4(
             rhs=13.0 * lam * sigma**4 * e_xi,
             precondition=status,
             digest=digest,
-            extras=pre_info,
         )
     ]
     s = plan.X.sum(axis=1)
@@ -482,7 +479,6 @@ def check_lemma_s4(
             rhs=13.0 * lam * sigma**4,
             precondition=status,
             digest=digest,
-            extras=pre_info,
         )
     )
     rev_sizes = np.diff(der.Mt.indptr).astype(float)
@@ -494,7 +490,6 @@ def check_lemma_s4(
             rhs=13.0 * kappa**4 * lam * sigma**4,
             precondition=status,
             digest=digest,
-            extras=pre_info,
         )
     )
     return verdicts
@@ -535,7 +530,7 @@ def check_lemma_r4(pre: Precomputed) -> list[InequalityVerdict]:
     over all absolutely continuous f cannot be verified universally).
     """
     plan, table = pre.plan, pre.table
-    sigma = pre.sigma
+    sigma = table.sigma
     kappa = pre.derived.kappa
     for f in TEST_FUNCTIONS.values():
         validate_test_function(f)
@@ -564,7 +559,6 @@ def check_lemma_r4(pre: Precomputed) -> list[InequalityVerdict]:
                 rhs=rhs,
                 precondition=status,
                 digest=f"n={pre.sys.n};f={name}",
-                extras={"pre": pre_lhs, "threshold": 1.0 / 500.0},
             )
         )
     return out
@@ -589,7 +583,7 @@ def check_prop1(
             <= 156 ||xi||_{4/3} sum_{i=0}^{7} delta_i.
     """
     plan, sys = pre.plan, pre.sys
-    sigma = pre.sigma
+    sigma = pre.table.sigma
     _, s_a, xi_vals = _off_neighborhood(pre, A, xi)
     b_abs = np.abs(plan.X[:, list(B)]).sum(axis=1)
     eta = a - c * b_abs / sigma
@@ -605,7 +599,6 @@ def check_prop1(
         rhs=rhs,
         precondition="not_applicable",
         digest=f"n={sys.n};A={sorted(A)};B={sorted(B)};a={a:g};b={b:g};c={c:g}",
-        extras={"xi_43": xi_43, **deltas},
     )
 
 
@@ -627,7 +620,7 @@ def check_prop2(
     widened by c |S_A| min(1, T_A) / sigma.
     """
     plan, sys = pre.plan, pre.sys
-    sigma = pre.sigma
+    sigma = pre.table.sigma
     n = sys.n
     comp, s_a, xi_vals = _off_neighborhood(pre, A, xi)
     in_na = ~comp
@@ -662,7 +655,7 @@ def check_prop2(
     ind = (eta <= ratio) & (ratio <= zeta)
     lhs = float(plan.probs @ (xi_vals * ind))
     xi_43 = float(plan.probs @ xi_vals ** (4.0 / 3.0)) ** 0.75
-    lam, deltas = delta_components_prop2(pre.table, sys, pre.derived, A, B, a, b, c)
+    _, deltas = delta_components_prop2(pre.table, sys, pre.derived, A, B, a, b, c)
     rhs = 8755.0 * xi_43 * ((b - a) / 1500.0 + sum(deltas.values()))
     return InequalityVerdict(
         check_id="prop2",
@@ -670,7 +663,6 @@ def check_prop2(
         rhs=rhs,
         precondition="not_applicable",
         digest=f"n={n};A={sorted(A)};B={sorted(B)};a={a:g};b={b:g};c={c:g}",
-        extras={"xi_43": xi_43, "lambda": lam, **deltas},
     )
 
 
@@ -793,10 +785,7 @@ def _run_instance_checks(
 
     inst = random_enumerable_instance(substream(master_seed, STREAM_INSTANCES, k))
     names = [c for c in SUITE_CHECKS if c in checks] + ["lemma_r4"] * include_r4
-    verdicts = [v for name in names for v in _SUITE_CALLS[name](inst)]
-    for v in verdicts:
-        v.extras.setdefault("instance", k)
-    return verdicts
+    return [v for name in names for v in _SUITE_CALLS[name](inst)]
 
 
 def run_checker_suite(

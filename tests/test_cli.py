@@ -33,7 +33,10 @@ Core claims:
     - ``verdicts.csv`` reads back with the csv module, digests and all
     - importing the CLI, or running a W2 spec (Monte-Carlo or exact), loads
       no scipy module, and ``python -m locdep`` runs the CLI
-    - ``require_ld`` fails a grid point past its enumeration cap as untested
+    - ``require_ld`` fails a grid point past its enumeration cap (2^16, or
+      --cap when lower) as untested
+    - a ratio spread over its assertion, and a bound shape that is not
+      positive, exit 1 naming the ratio table's failure
     - a grid point with Var(S) = 0 exits 1 from the statistic's sigma
       check in the exact and Monte-Carlo modes alike, after one moment
       table; non-finite moments exit 1 before any bound reads them; an
@@ -138,7 +141,40 @@ def test_require_ld_fails_closed_past_the_enumeration_cap(tmp_path, capsys, n):
     if n == 6:
         assert "n=6: LD2 fails" in err
     else:
-        assert f"n=12: LD test not run: {3 ** 13} outcomes over the 2^16 cap" in err
+        assert f"n=12: LD test not run: {3 ** 13} outcomes over the cap of {2 ** 16}" in err
+
+
+def test_require_ld_obeys_the_cap_flag(tmp_path, capsys):
+    """A Monte-Carlo spec's LD test walks no more outcomes than --cap
+    allows: past it the grid point fails closed, naming that cap."""
+    doc = minimal_spec(tmp_path, family="m_dependent",
+                       params={"m": 1, "source": {"kind": "three_point"}},
+                       grid=[6], mode={"kind": "mc", "reps": 1000}, seed=1,
+                       assertions={"require_ld": True})
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc), "--cap", "100"]) == 1
+    assert f"n=6: LD test not run: {3 ** 7} outcomes over the cap of 100" in capsys.readouterr().err
+
+
+RATIO_FAILURES = {
+    "spread": ({"family": "m_dependent", "params": {"m": 1, "source": {"kind": "rademacher"}},
+                "grid": [16, 64, 256], "mode": {"kind": "mc", "reps": 1000}, "seed": 1,
+                "assertions": {"max_ratio_spread": 1.0}},
+               ["FAIL: ratio spread ", " >= 1.0"]),
+    "shape": ({"family": "decorated_graph", "params": {"p": 0}, "grid": [3, 4, 5],
+               "statistic": "sum", "mode": {"kind": "exact"}},
+              ["FAIL: ratio table failed: bound shape at n=3 is not positive"]),
+}
+
+
+@pytest.mark.parametrize("overrides,parts", RATIO_FAILURES.values(), ids=RATIO_FAILURES.keys())
+def test_ratio_table_failures_exit_1(tmp_path, capsys, overrides, parts):
+    """A ratio spread over its assertion, and a grid point whose bound
+    shape is not positive, each exit 1 with one failure line."""
+    assert cli.main(["run", "--spec", write_spec(tmp_path, minimal_spec(tmp_path, **overrides))]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(ln.startswith(parts[0]) and all(p in ln for p in parts)
+               for ln in err.splitlines()), err
 
 
 def test_rerun_reproduces_csv_bodies(tmp_path):

@@ -10,7 +10,7 @@ Core claims:
       every sampler draws its source's exact law
     - the family builders reproduce their hand-derived structure examples
       (window fields, graph fields, U-statistic subsets, constrained
-      tuples, decorated injections and their edge ids); word and pattern
+      tuples, decorated injections' edge ids as supports); word and pattern
       fields are constructed once
     - a built field is immutable, and sampling leaves it unchanged; its
       frozen source counts are the incidence column sums
@@ -183,7 +183,7 @@ def test_constrained_gap_orders():
 
 def test_word_field_tuple_set():
     f = F.build_word_field([0, 1], 4, 2, [None])
-    assert len(f.metadata["tuples"]) == math.comb(4, 2)
+    assert len(f.supports) == math.comb(4, 2)
     with pytest.raises(EmptyIndexSet):
         F.build_constrained_ustat_field(
             2, 0, lambda *xs: xs[0], (1, 1), F.rademacher()
@@ -196,7 +196,7 @@ def test_constrained_iid_neighborhoods_are_overlap_only():
     # m = 0: the proximity part is vacuous, A_i is tuple overlap only
     f = F.build_word_field([0, 1], 5, 2, [None])
     sys = F.induced_neighborhoods(f)
-    tuples = f.metadata["tuples"]
+    tuples = f.supports  # m = 0: a support is its tuple
     for i, ti in enumerate(tuples):
         expect = {j for j, tj in enumerate(tuples) if set(ti) & set(tj)}
         assert set(sys.M.row(i)) == expect
@@ -208,7 +208,7 @@ def test_constrained_m_dependent_neighborhoods():
         6, 1, lambda x, y: x * y, (None,), F.rademacher()
     )
     sys = F.induced_neighborhoods(f)
-    tuples = f.metadata["tuples"]
+    tuples = f.supports[:, ::2]  # each window of width m + 1 = 2 starts at its tuple entry
     for i, ti in enumerate(tuples):
         expect = set()
         for j, tj in enumerate(tuples):
@@ -250,10 +250,9 @@ def test_decorated_field_structure_and_means(monkeypatch):
 def test_decorated_induced_neighbors_share_an_edge():
     f = F.build_decorated_graph_field(4, [(0, 1), (1, 2)], F.bernoulli(0.5))
     sys = F.induced_neighborhoods(f)
-    inj = f.metadata["injections"]
-    eid = f.metadata["edge_ids"]
-    for i in range(len(inj)):
-        expect = {j for j in range(len(inj)) if set(eid[i]) & set(eid[j])}
+    eid = f.supports  # each injection's edge ids
+    for i in range(len(eid)):
+        expect = {j for j in range(len(eid)) if set(eid[i]) & set(eid[j])}
         assert set(sys.M.row(i)) == expect
 
 
@@ -360,13 +359,9 @@ def test_decorated_injections_are_the_lexicographic_permutations(n, edges):
     f = F.build_decorated_graph_field(n, edges, F.bernoulli(0.5))
     v = max(max(e) for e in edges) + 1
     expect = np.array(list(itertools.permutations(range(n), v)), dtype=np.int64)
-    assert f.metadata["injections"].dtype == np.int64
-    assert np.array_equal(f.metadata["injections"], expect)
     # an edge's id is its rank among the host's pairs in lexicographic order
     rank = {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
     ids = [[rank[tuple(sorted((phi[a], phi[b])))] for a, b in edges] for phi in expect]
-    assert f.metadata["edge_ids"].dtype == np.int64
-    assert np.array_equal(f.metadata["edge_ids"], ids)
     assert np.array_equal(f.supports, ids)
 
 
@@ -786,7 +781,7 @@ def test_word_and_pattern_fields_are_built_once(build, monkeypatch):
                         lambda self: calls.append(self) or post_init(self))
     f = build()
     assert calls == [f]
-    assert f.metadata["family"] in ("word", "pattern") and "tuples" in f.metadata
+    assert f.metadata["family"] in ("word", "pattern") and "b" in f.metadata
 
 
 def test_chunked_triangle_sums_equal_the_whole_batch_formula():
