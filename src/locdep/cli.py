@@ -37,7 +37,7 @@ from . import __version__, bounds, fields, harness, moments, neighborhood, oracl
 from .errors import (ComplexityCapExceeded, ConfigError, EmptyIndexSet, InvalidSize, LocdepError,
                      NonFiniteBound, NonFiniteMoments)
 
-TABLE_CAP = 2**20  # largest outcome space whose Var(S) a moment table enumerates
+TABLE_CAP = 2**20  # largest outcome space whose grid point takes an exact Var(S)
 LD_CAP = 2**16  # largest outcome space the LD test (require_ld) enumerates
 
 
@@ -164,12 +164,14 @@ ASSERTIONS = _object({
 
 
 class BuiltInstance(NamedTuple):
-    """The field of a family at one grid size, and ``system()``, its
-    neighborhood system (see :func:`_system`), built on the first call
-    and kept for the later ones."""
+    """The field of a family at one grid size, ``system()``, its
+    neighborhood system (see :func:`_system`), and ``derived()``, that
+    system's kappa and tau, each built on the first call and kept for the
+    later ones."""
 
     field: fields.LatentSourceField
     system: Callable[[], neighborhood.NeighborhoodSystem]
+    derived: Callable[[], neighborhood.DerivedNeighborhoods]
 
 
 class Family(NamedTuple):
@@ -184,11 +186,13 @@ class Family(NamedTuple):
     default_bounds: tuple = ("main", "self_normalized")
 
 
-# the bound shapes of the neighborhood system, which every family allows
+# the bound shapes of the neighborhood system, which every family allows,
+# as ``(built, params, n, table) -> report`` like a family's own
 SHARED_BOUNDS = {
-    "main": lambda t, sys, der: bounds.bound_main(t, der.kappa, der.tau),
-    "self_normalized": lambda t, sys, der: bounds.bound_self_normalized(t, der.kappa, der.tau),
-    "general_beta": lambda t, sys, der: bounds.bound_general_beta(t, sys, der),
+    "main": lambda b, p, n, t: bounds.bound_main(t, b.derived().kappa, b.derived().tau),
+    "self_normalized": lambda b, p, n, t: bounds.bound_self_normalized(
+        t, b.derived().kappa, b.derived().tau),
+    "general_beta": lambda b, p, n, t: bounds.bound_general_beta(t, b.system(), b.derived()),
 }
 
 
@@ -361,7 +365,8 @@ def build_family(family: str, params: dict, n: int) -> BuiltInstance:
         raise ConfigError(where, str(e)) from None
     except (EmptyIndexSet, InvalidSize) as e:  # a grid size below the family's smallest n
         raise ConfigError("$.grid", f"n={n}: {e}") from None
-    return BuiltInstance(field, functools.cache(lambda: _system(field, params["declared_A"])))
+    system = functools.cache(lambda: _system(field, params["declared_A"]))
+    return BuiltInstance(field, system, functools.cache(lambda: neighborhood.derive(system())))
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +374,14 @@ def build_family(family: str, params: dict, n: int) -> BuiltInstance:
 
 
 def _moment_table_for(built: BuiltInstance, spec: ExperimentSpec, n: int,
-                      cap: int = fields.DEFAULT_ENUM_CAP, sigma2: float | None = None):
+                      sigma2: float | None = None):
     """The field's own moments: the declared neighborhoods play no part.
-    ``sigma2`` is the Var(S) of a walk of the outcome space, if one took it."""
+    ``sigma2`` is the exact Var(S) of the grid point's walk, if
+    :func:`_walk_for` asked for one; without it an enumerable field's
+    table is hybrid, its Var(S) the covariance identity."""
     f = built.field
     if f.is_enumerable():
-        table = moments.exact_moment_table(f, cap=min(cap, TABLE_CAP), sigma2=sigma2)
+        table = moments.exact_moment_table(f, sigma2)
     else:
         reps = max(spec.mode["reps"] // 10, 1000)
         table = moments.mc_moment_table(f, reps=reps, master_seed=spec.seed)
@@ -387,13 +394,14 @@ def _moment_table_for(built: BuiltInstance, spec: ExperimentSpec, n: int,
 
 def _walk_for(built: BuiltInstance, spec: ExperimentSpec, cap: int, do_stat: bool):
     """The one walk of a grid point's outcome space, taking only what the
-    point reads: S for a table's Var(S) (a non-sum field within the
-    table's cap), the exact-mode statistic, and every outcome for the LD
-    test (within ``min(cap, LD_CAP)``); None when nothing reads a walk."""
+    point reads: the exact Var(S) of its moment table (within
+    ``min(cap, TABLE_CAP)`` outcomes; past it the table is hybrid), the
+    exact-mode statistic, and every outcome for the LD test (within
+    ``min(cap, LD_CAP)``); None when nothing reads a walk."""
     f, count = built.field, built.field.outcome_count() or math.inf
     statistic = spec.statistic if do_stat and spec.mode["kind"] == "exact" else None
     ld = spec.assertions["require_ld"] and count <= min(cap, LD_CAP)
-    var = f.ev is not fields._sum_columns and count <= min(cap, TABLE_CAP)
+    var = count <= min(cap, TABLE_CAP)
     if not (statistic or ld or var):
         return None
     sys = built.system() if statistic in statistics.READS_VALUES else None
@@ -425,15 +433,10 @@ def evaluate_bounds(
     """The spec's bound shapes at n; :class:`NonFiniteBound` when one
     overflows, divides by zero, or gives a value or term that is not finite."""
     reports = []
-    der = None
+    shapes = {**SHARED_BOUNDS, **FAMILIES[spec.family].bounds}
     for name in spec.bounds:
-        if name in SHARED_BOUNDS and der is None:
-            der = neighborhood.derive(built.system())
         try:
-            if name in SHARED_BOUNDS:
-                report = SHARED_BOUNDS[name](table, built.system(), der)
-            else:
-                report = FAMILIES[spec.family].bounds[name](built, spec.params, n, table)
+            report = shapes[name](built, spec.params, n, table)
         except (ZeroDivisionError, OverflowError) as e:
             raise NonFiniteBound(f"bound {name} at n={n}: {e}") from None
         if not all(map(math.isfinite, (report.value, *report.terms.values()))):
@@ -479,7 +482,7 @@ def run_experiment(
         built = build_family(spec.family, spec.params, n)
         f = built.field
         walk = _walk_for(built, spec, cap, do_stat)
-        table = _moment_table_for(built, spec, n, cap=cap, sigma2=walk and walk.sigma2)
+        table = _moment_table_for(built, spec, n, sigma2=walk and walk.sigma2)
         if not all(np.isfinite(v).all() for v in (table.sigma2, table.l2, table.l3, table.l4)):
             raise NonFiniteMoments(f"moments at n={n}: Var(S)={table.sigma2:g}, or a norm, is not finite")
         reports = evaluate_bounds(built, spec, n, table) if do_bounds else []
@@ -500,7 +503,7 @@ def run_experiment(
             )
         if walk is not None and walk.X is not None:
             failures.extend(
-                f"n={n}: {v}" for v in oracle.check_ld_independence(f, built.system(), walk=walk)
+                f"n={n}: {v}" for v in oracle.check_ld_independence(built.system(), walk)
             )
         elif spec.assertions["require_ld"]:  # fails closed past the enumeration cap
             count = f.outcome_count()
@@ -732,7 +735,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         for n in spec.grid:
             built = build_family(spec.family, spec.params, n)
             try:
-                der = neighborhood.derive(built.system())
+                der = built.derived()
             except ComplexityCapExceeded:
                 print(f"n={n}: system too large to materialize")
             else:

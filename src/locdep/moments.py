@@ -7,18 +7,18 @@ enumeration over each index's (discrete) support, once per index group
 frozen on the field (exact tables carry the groups on), or by Monte
 Carlo with batch-means standard errors.
 
-Exact Var(S) is cross-checked against the local-dependence identity
-Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j).  A sum field takes the
-closed form sum_s c_s^2 Var(U_s), other fields the Var(S) of a walk of
-the full outcome space (``oracle.walk_outcomes``; a caller that already
-walks it hands the value in), and the identity is summed by local
-enumeration once per pair group.  Past the enumeration cap the identity
-alone gives Var(S), which scales to fields whose full outcome space is
-out of reach.  A caller that holds the materialized outcome space (the
-checkers' ``oracle.precompute``) passes it in, and norms, Var(S) and the
-identity are all read from it, with no further enumeration.  ``write_csv``
-writes ``moments.csv`` as bytes, a block of rows at a time, with each
-group's values formatted once and no string built per row.
+An exact table takes its Var(S) from the caller, who has it from the
+one walk of the outcome space (``oracle.walk_outcomes(..., var=True)``),
+and cross-checks it against the local-dependence identity
+Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j) over the field's own
+overlap, summed by local enumeration once per pair group.  Without a
+Var(S) the table is hybrid: the identity alone gives Var(S), which
+scales to fields whose full outcome space is out of reach.  This module
+walks nothing and decides no cap.  A caller that holds the materialized
+outcome space (the checkers' ``oracle.precompute``) passes it in, and
+the norms and the identity are read from it.  ``write_csv`` writes
+``moments.csv`` as bytes, a block of rows at a time, with each group's
+values formatted once and no string built per row.
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ from .fields import (
     draw_source_rows,
     evaluate_values,
     local_values,
-    _sum_columns,
     overlap_matrix,
     product_grid,
     signature_groups,
 )
-from .neighborhood import NeighborhoodSystem
 from .rng import STREAM_MOMENTS, chunk_rows
 
 SIGMA2_IDENTITY_RTOL = 1e-10
@@ -116,22 +114,21 @@ def exact_pair_covariance(field: LatentSourceField, ij) -> np.ndarray:
     return out
 
 
-def exact_sigma2_local(
-    field: LatentSourceField, sys: NeighborhoodSystem | None = None
-) -> float:
-    """Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j), by local enumeration,
-    one per signature group of pairs.  ``sys`` defaults to the induced
-    neighborhoods.
+def exact_sigma2_local(field: LatentSourceField) -> float:
+    """Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j) over the field's induced
+    neighborhoods, by local enumeration, one per signature group of pairs.
 
-    Index-transitive fields (every index's neighborhood sum is identical
-    by exchangeability) use one reference index.
+    An index-transitive field of one index group (every index's
+    neighborhood sum is identical by exchangeability) uses one reference
+    index.  The flag alone does not settle it: a copy of the field with
+    other sources keeps its metadata, and its groups show the change.
     """
-    if field.metadata.get("index_transitive") and sys is None:
+    if field.metadata.get("index_transitive") and field.groups[0].size == 1:
         hit = np.zeros(field.n_sources)
         hit[field.incidence.row(0)] = 1.0
         a0 = np.flatnonzero(field.incidence @ hit)  # the indices sharing a source with 0
         return field.n * _covariance_sum(field, np.stack([np.zeros_like(a0), a0], axis=1))
-    M = overlap_matrix(field) if sys is None else sys.M
+    M = overlap_matrix(field)
     return _covariance_sum(field, np.stack([M.rows, M.indices], axis=1))
 
 
@@ -142,78 +139,46 @@ def _covariance_sum(field: LatentSourceField, ij: np.ndarray) -> float:
     return float(np.bincount(inverse, minlength=first.size) @ cov)
 
 
-def _sum_field_sigma2(field: LatentSourceField) -> float:
-    """Var(S) = sum_s c_s^2 Var(U_s) of a sum field over discrete sources,
-    c the slot counts ``field.counts``."""
-    var = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, src in field.runs:
-            v, p = np.asarray(src.values), np.asarray(src.probs)
-            var.append(float(p @ (v - p @ v) ** 2))
-    lengths = [sl.stop - sl.start for sl, _ in field.runs]
-    return float(field.counts**2 @ np.repeat(var, lengths))
-
-
 def exact_moment_table(
     field: LatentSourceField,
-    sys: NeighborhoodSystem | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
-    outcomes: tuple[np.ndarray, np.ndarray] | None = None,
     sigma2: float | None = None,
+    outcomes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MomentTable:
     """Exact norms and Var(S).
 
-    ``outcomes`` is the field's materialized outcome space, (probs, X) with
-    X the (M, n) field values, centered by the field's means.  When it is
-    given, every quantity is read from it: the norms at the columns of the
-    index-group representatives, Var(S) from the row sums, and the
-    covariance identity from the covariance matrix summed over ``sys``.
-    Otherwise the norms come from local enumeration once per index group,
-    and Var(S), when the field has at most ``cap`` outcomes, from the
-    closed form sum_s c_s^2 Var(U_s) for a sum field or else from
-    ``sigma2``, the Var(S) of the caller's walk of the outcome space (a
-    walk of its own when None), cross-checked against the covariance
-    identity over ``sys`` by local enumeration once per pair group.  Past
-    the cap Var(S) is the identity alone (mode "hybrid").  A failed
-    cross-check raises AssertionError: the neighborhoods do not cover the
-    true dependence.
+    ``sigma2`` is the exact Var(S) of the caller's walk
+    (``oracle.walk_outcomes(..., var=True)``).  When given, the mode is
+    "exact" and it is cross-checked against the covariance identity over
+    the field's induced neighborhoods; a failed cross-check raises
+    AssertionError.  When None, the mode is "hybrid" and Var(S) is the
+    identity.  ``outcomes`` is the field's materialized outcome space,
+    (probs, X) with X the (M, n) field values, centered by the field's
+    means: when given, the norms are read at the columns of the
+    index-group representatives and the identity from the covariance
+    matrix.  Otherwise both come from local enumeration, the norms once per
+    index group and the identity once per pair group.
     """
     first, inverse = field.groups
-    count = field.outcome_count()
-    mode = "exact"
     if outcomes is not None:
         probs, X = outcomes
         a = np.abs(X[:, first])
         l2, l3, l4 = np.stack([(probs @ a**p) ** (1 / p) for p in (2, 3, 4)])[:, inverse]
-        s = X.sum(axis=1)
-        es = float(probs @ s)
-        sigma2 = float(probs @ s**2) - es * es
         mu = probs @ X
         cov = (X * probs[:, None]).T @ X - np.outer(mu, mu)
-        M = overlap_matrix(field) if sys is None else sys.M
+        M = overlap_matrix(field)
         sigma2_id = float(cov[M.rows, M.indices].sum())
     else:
         l2, l3, l4 = exact_index_norms(field, first)[inverse].T.copy()
-        if count is not None and count <= cap:
-            if field.ev is _sum_columns:
-                sigma2 = _sum_field_sigma2(field)
-            elif sigma2 is None:
-                from .oracle import walk_outcomes  # oracle imports this module
-                sigma2 = walk_outcomes(field, var=True, cap=cap).sigma2
-            sigma2_id = exact_sigma2_local(field, sys)
-        else:
-            sigma2 = sigma2_id = exact_sigma2_local(field, sys)
-            mode = "hybrid"
-    scale = max(1.0, abs(sigma2))
-    if abs(sigma2 - sigma2_id) > SIGMA2_IDENTITY_RTOL * scale:
+        sigma2_id = exact_sigma2_local(field)
+    mode = "hybrid" if sigma2 is None else "exact"
+    if sigma2 is None:
+        sigma2 = sigma2_id
+    elif abs(sigma2 - sigma2_id) > SIGMA2_IDENTITY_RTOL * max(1.0, abs(sigma2)):
         raise AssertionError(
             f"variance identity violated: Var(S)={sigma2} vs "
             f"covariance sum {sigma2_id}"
         )
-    table = MomentTable(l2=l2, l3=l3, l4=l4, sigma2=sigma2, mode=mode, groups=inverse)
-    if table.degenerate:
-        table.extras["degenerate"] = True
-    return table
+    return MomentTable(l2=l2, l3=l3, l4=l4, sigma2=sigma2, mode=mode, groups=inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +225,7 @@ def mc_moment_table(
     sigma2 = sigma2 * reps / (reps - 1)
     batch_sigma2 = s2_sum / counts - (s_sum / counts) ** 2
     se_sigma2 = float(batch_sigma2.std(ddof=1) / math.sqrt(batches))
-    table = MomentTable(
+    return MomentTable(
         l2=norms[2],
         l3=norms[3],
         l4=norms[4],
@@ -272,9 +237,6 @@ def mc_moment_table(
         se_sigma2=se_sigma2,
         extras={"reps": reps, "batches": batches},
     )
-    if table.degenerate:
-        table.extras["degenerate"] = True
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +326,13 @@ def write_csv(fh, table: MomentTable) -> None:
 
 
 def table_header(table: MomentTable) -> dict:
-    """JSON header accompanying the CSV body."""
-    return {
-        "sigma2": table.sigma2,
-        "mode": table.mode,
-        "se_sigma2": table.se_sigma2,
-        "extras": {k: v for k, v in table.extras.items() if _jsonable(v)},
-    }
+    """JSON header accompanying the CSV body; its extras end with
+    ``"degenerate": true`` when Var(S) is not positive."""
+    extras = {k: v for k, v in table.extras.items() if _jsonable(v)}
+    if table.degenerate:
+        extras["degenerate"] = True
+    return {"sigma2": table.sigma2, "mode": table.mode, "se_sigma2": table.se_sigma2,
+            "extras": extras}
 
 
 def _jsonable(v) -> bool:

@@ -12,14 +12,19 @@ the whole (M, n) value matrix (the checkers and the LD factorization
 test), and a statistic's sigma-free parts, to which :func:`exact_law`
 applies sigma once the moment table exists, both through ``statistics``.
 So one walk serves a grid point's Var(S), exact law and LD test together.
+It is the one source of an exact Var(S): a sum field's is the closed form
+sum_s c_s^2 Var(U_s), with no enumeration, any other field's is
+E S^2 - (E S)^2 over the walk.  The moment table takes that value from
+its caller and cross-checks it against the covariance identity.
 
 Every checker reads one frozen instance record, :class:`Precomputed`,
 built once per instance by :func:`precompute`: the field and its
 neighborhood system with kappa, tau and M^T, the enumerated outcomes, the
 exact moment table, the dense 0/1 neighborhood matrix and the nested beta
 sums of :func:`bounds.beta_sums`.  The outcome space is walked once per
-instance: the moment table (norms, Var(S) and its covariance-identity
-cross-check) is read from the enumerated outcomes.  A check passes when
+instance, taking Var(S) and keeping every outcome, and the moment
+table's norms and covariance-identity cross-check are read from the
+outcomes.  A check passes when
 
     margin = rhs - lhs >= -1e-10 * max(1, |rhs|).
 
@@ -63,6 +68,7 @@ from .fields import (
     induced_neighborhoods,
     _pack,
     outcome_blocks,
+    _sum_columns,
     sum_values,
 )
 from .moments import MomentTable, exact_moment_table
@@ -99,7 +105,7 @@ class Walk:
 
     ``probs`` and ``X`` are every outcome's probability and its (M, n)
     centered field values, when the walk kept them;
-    ``sigma2`` is Var(S), when the walk took S.  ``parts`` are the
+    ``sigma2`` is the exact Var(S), when it was asked for.  ``parts`` are the
     statistic's sigma-free parts over the accepted outcomes, with
     ``law_probs`` conditioned on acceptance and the ``rejected`` mass:
     :func:`exact_law` takes them over, once.
@@ -123,11 +129,14 @@ def walk_outcomes(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> Walk:
     """The one walk of the outcome space, block by block, taking only what
-    is asked for: S for Var(S) (``var``) and for W1 and sum; X, kept whole
-    (``keep``) or for W2 and W2bar block by block; and the ``statistic``'s
-    sigma-free parts: S, W2 with its rejections dropped per block, or
-    W2bar's two index sums.  W2 and W2bar read the neighborhoods of
-    ``sys``, by default the field's induced ones.
+    is asked for: the exact Var(S) (``var``); S for W1 and sum; X, kept
+    whole (``keep``) or for W2 and W2bar block by block; and the
+    ``statistic``'s sigma-free parts: S, W2 with its rejections dropped per
+    block, or W2bar's two index sums.  W2 and W2bar read the neighborhoods
+    of ``sys``, by default the field's induced ones.  A sum field's Var(S)
+    is the closed form sum_s c_s^2 Var(U_s), any other field's
+    E S^2 - (E S)^2 over the walk; a walk with nothing else to take
+    enumerates nothing.
 
     Raises :class:`EnumerationCapExceeded` beyond ``cap`` outcomes, or,
     when X is kept, before anything is allocated when it would take more
@@ -142,11 +151,12 @@ def walk_outcomes(
     reads_values = statistic in READS_VALUES
     if sys is None and reads_values:
         sys = induced_neighborhoods(field)
-    take_s = var or (statistic is not None and not reads_values)
+    closed = var and field.ev is _sum_columns and field.is_enumerable()
+    take_s = (var and not closed) or (statistic is not None and not reads_values)
     take_x = keep or reads_values
     kept, law = [], []  # per block: (probs, X); (the statistic's parts..., their probs)
     es = es2 = rejected = 0.0
-    for p, rows in outcome_blocks(field, cap=cap):
+    for p, rows in outcome_blocks(field, cap=cap) if take_s or take_x else ():
         X = evaluate_values(field, rows) if take_x else None
         if take_s:
             s = sum_values(field, rows, X)
@@ -161,7 +171,8 @@ def walk_outcomes(
                 rejected += float(p[rej].sum())
                 parts, p = [a[~rej] for a in parts], p[~rej]
             law.append((*parts, p))
-    walk = Walk(sigma2=es2 - es * es if take_s else None, statistic=statistic, rejected=rejected)
+    sigma2 = _sum_field_sigma2(field) if closed else es2 - es * es if var else None
+    walk = Walk(sigma2=sigma2, statistic=statistic, rejected=rejected)
     if keep:
         walk.probs = np.concatenate([p for p, _ in kept])
         total = float(walk.probs.sum())
@@ -179,12 +190,24 @@ def walk_outcomes(
     return walk
 
 
+def _sum_field_sigma2(field: LatentSourceField) -> float:
+    """Var(S) = sum_s c_s^2 Var(U_s) of a sum field over discrete sources,
+    c the slot counts ``field.counts``."""
+    var = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, src in field.runs:
+            v, p = np.asarray(src.values), np.asarray(src.probs)
+            var.append(float(p @ (v - p @ v) ** 2))
+    lengths = [sl.stop - sl.start for sl, _ in field.runs]
+    return float(field.counts**2 @ np.repeat(var, lengths))
+
+
 @dataclass(frozen=True)
 class Precomputed:
     """The frozen record of one checked instance: everything the checkers
     read, built once by :func:`precompute`.  The outcome space is walked
-    once, into ``plan``, which keeps every outcome; the moment table is
-    read from it."""
+    once, into ``plan``, which keeps every outcome and takes Var(S); the
+    moment table is read from it."""
 
     field: LatentSourceField
     sys: NeighborhoodSystem
@@ -199,8 +222,8 @@ def precompute(field: LatentSourceField, sys: NeighborhoodSystem | None = None) 
     if sys is None:
         sys = induced_neighborhoods(field)
     der = derive(sys)
-    plan = walk_outcomes(field, keep=True)
-    table = exact_moment_table(field, sys, outcomes=(plan.probs, plan.X))
+    plan = walk_outcomes(field, var=True, keep=True)
+    table = exact_moment_table(field, plan.sigma2, outcomes=(plan.probs, plan.X))
     if table.degenerate:
         raise DegenerateVariance("instance has Var(S) = 0")
     P = sys.M.toarray()
@@ -268,12 +291,12 @@ def exact_kolmogorov(
 ) -> float:
     """Kolmogorov distance of the statistic's exact law from the normal,
     from a walk of the field's outcome space.  ``sigma`` defaults to the
-    field's exact moment table's (:class:`DegenerateVariance` when its
-    Var(S) is 0)."""
+    square root of the walk's exact Var(S) (:class:`DegenerateVariance`
+    when that is not positive)."""
     default_sigma = statistic in NEEDS_SIGMA and sigma is None
     walk = walk_outcomes(field, statistic, sys, var=default_sigma)
-    if default_sigma:
-        sigma = exact_moment_table(field, sigma2=walk.sigma2).sigma
+    if default_sigma and walk.sigma2 > 0:
+        sigma = math.sqrt(walk.sigma2)
     return kolmogorov_from_atoms(*exact_law(walk, sigma))
 
 
@@ -821,18 +844,13 @@ def run_checker_suite(
 # Independence validation
 
 
-def check_ld_independence(
-    field: LatentSourceField,
-    sys: NeighborhoodSystem,
-    walk: Walk | None = None,
-) -> list[str]:
+def check_ld_independence(sys: NeighborhoodSystem, plan: Walk) -> list[str]:
     """Exact factorization tests of both local-dependence conditions on the
     joint pmf: X_i against the indices outside A_i (LD1), and (X_i, X_j)
     for each j in A_i against those outside the cover A_i | A_j (LD2).
-    Reads ``walk``, a walk that kept every outcome, or else walks the
-    outcome space itself.  Returns a list of named violations (empty iff
-    all pass)."""
-    plan = walk if walk is not None else walk_outcomes(field, keep=True)
+    Reads ``plan``, a walk of the field that kept every outcome
+    (``walk_outcomes(field, keep=True)``).  Returns a list of named
+    violations (empty iff all pass)."""
     # values rounded to 9 digits, as integer ids per column; np.unique
     # compares values, so the -0.0 that rounding yields joins 0.0
     codes = np.stack(

@@ -75,7 +75,7 @@ def test_criterion_2_fourth_moment(checker_verdicts):
         return float(w4.mean()), float(w4.std(ddof=1) / math.sqrt(reps))
 
     f_250k = F.build_iid_field(250000, F.rademacher())
-    t_250k = M.exact_moment_table(f_250k, cap=0)
+    t_250k = M.exact_moment_table(f_250k)
     _, info = O.fourth_moment_precondition(t_250k, 1, 1, 1)
     assert info["pre1"] <= 1.0 / 500.0  # the stated n^{-1/2} <= 1/500
     mean_w4, se = sampled_w4(f_250k, t_250k, 2000)
@@ -83,7 +83,7 @@ def test_criterion_2_fourth_moment(checker_verdicts):
     assert mean_w4 <= 13.0
 
     f_1m = F.build_iid_field(10**6, F.rademacher())
-    t_1m = M.exact_moment_table(f_1m, cap=0)
+    t_1m = M.exact_moment_table(f_1m)
     pre_ok_1m, _ = O.fourth_moment_precondition(t_1m, 1, 1, 1)
     assert pre_ok_1m
     mean_w4_1m, se_1m = sampled_w4(f_1m, t_1m, 2000)
@@ -128,7 +128,7 @@ def test_criterion_4_exact_vs_mc_kolmogorov():
     reps = 10**5
     f = F.build_m_dependent(7, 1, F.rademacher())
     sysn = F.induced_neighborhoods(f)
-    table = M.exact_moment_table(f, sysn)
+    table = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     exact = O.exact_kolmogorov(f, "w1", sys=sysn, sigma=table.sigma)
     tol = 2.0 / math.sqrt(reps)
     hits = 0
@@ -148,7 +148,7 @@ def _grid_run(build, statistic, reps, path0, bound_fn):
     summaries, reports = [], []
     for gi, n in enumerate(GRID):
         f = build(n)
-        table = M.exact_moment_table(f, cap=0)
+        table = M.exact_moment_table(f)
         sys = F.induced_neighborhoods(f) if statistic in ("w2", "w2bar") else None
         s = H.mc_run(
             f, statistic, reps, ACCEPT_SEED, sigma=table.sigma,
@@ -216,7 +216,7 @@ def test_criterion_8_decorated_triangles():
     summaries, reports = [], []
     for gi, n in enumerate(grid):
         f = F.build_decorated_graph_field(n, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.3))
-        table = M.exact_moment_table(f, cap=0)
+        table = M.exact_moment_table(f)
         s = H.mc_run(f, "w1", 2 * 10**4, ACCEPT_SEED, sigma=table.sigma, path=(30 + gi,))
         summaries.append(s)
         reports.append(B.bound_decorated(table, n, 3))
@@ -349,7 +349,8 @@ def test_criterion_11_structural_invariants():
                              window_evaluator=lambda a, b: 2.5 * (a + b))
     sysn = F.induced_neighborhoods(f)
     der = nb.derive(sysn)
-    t, tc = M.exact_moment_table(f, sysn), M.exact_moment_table(fc, sysn)
+    t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
+    tc = M.exact_moment_table(fc, O.walk_outcomes(fc, var=True).sigma2)
     shape_fns = [
         lambda tt: B.bound_main(tt, der.kappa, der.tau).value,
         lambda tt: B.bound_self_normalized(tt, der.kappa, der.tau).value,

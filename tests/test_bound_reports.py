@@ -41,8 +41,8 @@ def _instance(name: str):
     }[name]()
     sys = F.induced_neighborhoods(f)
     t = {
-        "exact": lambda: M.exact_moment_table(f, sys),
-        "hybrid": lambda: M.exact_moment_table(f, sys, cap=0),
+        "exact": lambda: M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2),
+        "hybrid": lambda: M.exact_moment_table(f),
         "monte_carlo": lambda: M.mc_moment_table(f, reps=2000, master_seed=11),
     }[name]()
     return f, sys, t

@@ -24,6 +24,7 @@ import locdep.bounds as B
 import locdep.fields as F
 import locdep.moments as M
 import locdep.neighborhood as nb
+import locdep.oracle as O
 from locdep.errors import BlockTooSmall, ComplexityCapExceeded, DegenerateVariance
 
 
@@ -75,8 +76,8 @@ def test_scale_invariance_of_shapes():
                                  window_evaluator=lambda a, b, c=c: c * (a + b))
         sys = F.induced_neighborhoods(f)
         der = nb.derive(sys)
-        t = M.exact_moment_table(f, sys)
-        tc = M.exact_moment_table(fc, sys)
+        t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
+        tc = M.exact_moment_table(fc, O.walk_outcomes(fc, var=True).sigma2)
         for fn in (
             lambda tt: B.bound_main(tt, der.kappa, der.tau).value,
             lambda tt: B.bound_self_normalized(tt, der.kappa, der.tau).value,
@@ -93,7 +94,7 @@ def test_relabeling_invariance_of_shapes():
     for _ in range(5):
         f, sys = _random_field_and_system(rng)
         der = nb.derive(sys)
-        t = M.exact_moment_table(f, sys)
+        t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
         perm = rng.permutation(sys.n)
         sys_p = nb.make_system([perm[sys.M.row(i)] for i in np.argsort(perm)])  # i -> perm[i]
         der_p = nb.derive(sys_p)
@@ -191,7 +192,7 @@ def test_beta_below_kappa_tau_majorants():
     for _ in range(20):
         f, sys = _random_field_and_system(rng)
         der = nb.derive(sys)
-        t = M.exact_moment_table(f, sys)
+        t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
         rep = B.bound_general_beta(t, sys, der)
         sigma = t.sigma
         major1 = 2 * der.kappa**2 / sigma**3 * float(np.sum(t.l4**3))
@@ -218,7 +219,7 @@ def test_term_budget_raises_before_any_union(monkeypatch):
     f = F.build_m_dependent(6, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
-    t = M.exact_moment_table(f, sys)
+    t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     B.bound_general_beta(t, sys, der)  # well inside the default cap
     monkeypatch.setattr(B, "TERM_BUDGET", 10)
     monkeypatch.setattr(B, "union", lambda *parts: pytest.fail("union built over the cap"))
@@ -236,7 +237,7 @@ def test_bound_graph_examples():
     # kappa/tau shape under the substitution kappa=2d, tau=4d^2
     f = F.build_graph_dependency(6, [(i, (i + 1) % 6) for i in range(6)], F.rademacher())
     sys = F.induced_neighborhoods(f)
-    table = M.exact_moment_table(f, sys)
+    table = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     d = f.metadata["max_degree"] - 1
     g = B.bound_graph(table, d)
     main_sub = B.bound_main(table, 2 * d, 4 * d**2)
@@ -246,7 +247,7 @@ def test_bound_graph_examples():
         6, [(i, (i + 1) % 6) for i in range(6)], F.rademacher(),
         evaluator=lambda *cols: 2.0 * sum(cols),
     )
-    tc = M.exact_moment_table(fc, sys)
+    tc = M.exact_moment_table(fc, O.walk_outcomes(fc, var=True).sigma2)
     assert B.bound_graph(tc, d).terms["lambda1"] == pytest.approx(
         g.terms["lambda1"], rel=1e-12
     )
@@ -274,7 +275,7 @@ def test_bound_distributed_u_examples():
 def test_bound_constrained_u_formula():
     n, b_exp = 50, 2
     f = F.build_word_field([0, 1], n, 2, [None])
-    table = M.exact_moment_table(f, cap=0)
+    table = M.exact_moment_table(f)
     rep = B.bound_constrained_u(table, n, b_exp)
     sfd = table.sigma / n ** (b_exp - 0.5)
     t3 = float(np.sum(table.l4**3))
@@ -298,7 +299,7 @@ def test_bounded_f_unconstrained_shape_is_root_n():
     vals = []
     for n in (30, 120):
         f = F.build_word_field([0, 1], n, 2, [None])
-        table = M.exact_moment_table(f, cap=0)
+        table = M.exact_moment_table(f)
         rep = B.bound_constrained_u(table, n, f.metadata["b"])
         vals.append(rep.value * math.sqrt(n))
     assert 0.5 <= vals[1] / vals[0] <= 2.0
@@ -306,7 +307,7 @@ def test_bounded_f_unconstrained_shape_is_root_n():
 
 def test_bound_decorated_examples():
     f = F.build_decorated_graph_field(6, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.5))
-    table = M.exact_moment_table(f, cap=0)
+    table = M.exact_moment_table(f)
     rep = B.bound_decorated(table, 6, 3)
     e3 = float(np.sum(table.l3**3))
     assert rep.terms["third_moment"] == pytest.approx(
@@ -326,7 +327,7 @@ def test_decorated_shape_order_one_over_n():
     vals = []
     for n in (8, 16):
         f = F.build_decorated_graph_field(n, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.3))
-        table = M.exact_moment_table(f, cap=0)
+        table = M.exact_moment_table(f)
         vals.append(B.bound_decorated(table, n, 3).value * n)
     assert 0.4 <= vals[1] / vals[0] <= 2.5
 
@@ -356,7 +357,7 @@ def test_delta_components_hand_instance():
     f = F.build_iid_field(4, F.rademacher())
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
-    t = M.exact_moment_table(f, sys)
+    t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     d = B.delta_components_prop1(t, sys, der, [0], [1], 0.0, 0.0, 1.0)
     assert d["delta0"] == 0.0
     assert d["delta1"] == pytest.approx(0.5) and d["delta2"] == pytest.approx(0.5)
@@ -371,7 +372,7 @@ def test_delta_monotone_in_c():
     f = F.build_m_dependent(5, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
-    t = M.exact_moment_table(f, sys)
+    t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     prev = None
     for c in (1.0, 1.5, 2.5):
         d = B.delta_components_prop1(t, sys, der, [0], [1], -0.5, 0.5, c)
@@ -393,7 +394,7 @@ def test_prop2_delta4_zero_for_isolated_zero_index():
     )
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
-    t = M.exact_moment_table(f, sys)
+    t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     _, d2 = B.delta_components_prop2(t, sys, der, [0], [1], 0.0, 0.0, 1.0)
     assert d2["delta4"] == 0.0
 
@@ -433,7 +434,8 @@ def test_delta_components_scale_invariant():
                              window_evaluator=lambda a, b: 3.0 * (a + b))
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
-    t, tc = M.exact_moment_table(f, sys), M.exact_moment_table(fc, sys)
+    t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
+    tc = M.exact_moment_table(fc, O.walk_outcomes(fc, var=True).sigma2)
     d = B.delta_components_prop1(t, sys, der, [0], [1], -0.3, 0.7, 2.0)
     dc = B.delta_components_prop1(tc, sys, der, [0], [1], -0.3, 0.7, 2.0)
     for k in d:

@@ -37,6 +37,10 @@ Core claims:
       --cap when lower) as untested
     - a ratio spread over its assertion, and a bound shape that is not
       positive, exit 1 naming the ratio table's failure
+    - a grid point takes an exact Var(S) within min(--cap, TABLE_CAP)
+      outcomes and a hybrid table past it, in the exact and Monte-Carlo
+      modes alike, for sum and other fields; a configured sigma2 clears
+      the header's ``degenerate``
     - a grid point with Var(S) = 0 exits 1 from the statistic's sigma
       check in the exact and Monte-Carlo modes alike, after one moment
       table; non-finite moments exit 1 before any bound reads them; an
@@ -439,6 +443,44 @@ def test_degenerate_grid_point_exits_1_as_both_modes_apply_sigma(tmp_path, capsy
     assert "DegenerateVariance: w1 needs a positive finite sigma, got None" in err
     assert "Traceback" not in err
     assert tables == [3]
+
+
+def test_configured_sigma2_clears_the_degenerate_header(tmp_path):
+    doc = minimal_spec(tmp_path, params={"source": {"kind": "bernoulli", "p": 0}, "sigma2": 2},
+                       grid=[4], statistic="sum", bounds=["main"], seed=1)
+    # constant values: the main bound is 0, which fails the ratio table
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
+    (point,) = json.loads((tmp_path / "out" / "bounds.json").read_text())["per_n"]
+    assert point["moments_header"]["sigma2"] == 2.0
+    assert point["moments_header"]["extras"] == {"sigma2_provenance": "config"}
+
+
+MDEP_RADEMACHER = dict(family="m_dependent", params={"m": 1, "source": {"kind": "rademacher"}},
+                       grid=[6, 8])
+EDGE_COUNTS = dict(family="decorated_graph", params={"pattern": "edge", "p": 0.5}, grid=[3, 4, 5])
+MC_1000 = {"kind": "mc", "reps": 1000}
+# (spec overrides, argv, table mode per n) with an exact Var(S) up to 2^8
+# outcomes: m = 1 windows read n + 1 sources (2^7, 2^9 outcomes), the
+# edge counts C(n, 2) (2^3, 2^6, 2^10)
+TABLE_CAP_CASES = {
+    "m_dependent_mc": (dict(MDEP_RADEMACHER, mode=MC_1000), [], ["exact", "hybrid"]),
+    "m_dependent_exact": (MDEP_RADEMACHER, [], ["exact", "hybrid"]),
+    "edge_mc": (dict(EDGE_COUNTS, mode=MC_1000), [], ["exact", "exact", "hybrid"]),
+    "edge_exact": (EDGE_COUNTS, [], ["exact", "exact", "hybrid"]),
+    "m_dependent_mc_cap_100": (dict(MDEP_RADEMACHER, mode=MC_1000), ["--cap", "100"],
+                               ["hybrid", "hybrid"]),
+}
+
+
+@pytest.mark.parametrize("overrides,argv,modes", TABLE_CAP_CASES.values(),
+                         ids=TABLE_CAP_CASES.keys())
+def test_table_cap_sets_each_table_mode(tmp_path, monkeypatch, overrides, argv, modes):
+    """In exact mode the m = 1 walk at n = 8 still takes S for the law."""
+    monkeypatch.setattr(cli, "TABLE_CAP", 2**8)
+    doc = minimal_spec(tmp_path, bounds=["main"], **overrides)
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc), *argv]) == 0
+    per_n = json.loads((tmp_path / "out" / "bounds.json").read_text())["per_n"]
+    assert [e["moments_header"]["mode"] for e in per_n] == modes
 
 
 def test_star_past_the_local_byte_cap_exits_1_naming_it(tmp_path, capsys):

@@ -265,13 +265,13 @@ def test_induced_systems_satisfy_local_dependence_exactly():
     ]
     for f in cases:
         sys = F.induced_neighborhoods(f)
-        assert oracle.check_ld_independence(f, sys) == []
+        assert oracle.check_ld_independence(sys, oracle.walk_outcomes(f, keep=True)) == []
 
 
 def test_shrunk_neighborhood_fails_independence():
     f = F.build_m_dependent(3, 1, F.rademacher())
     bad = nb.make_system([(0,), (0, 1, 2), (1, 2)])
-    violations = oracle.check_ld_independence(f, bad)
+    violations = oracle.check_ld_independence(bad, oracle.walk_outcomes(f, keep=True))
     assert any("LD1" in v for v in violations)
 
 
@@ -421,9 +421,11 @@ def test_sum_fields_take_the_linear_route(family, law, monkeypatch):
     if law != "normal":
         # Var(S) = sum_s c_s^2 Var(U_s) in closed form, with no walk of the
         # outcome space, equals Var(S) over the whole outcome space
-        enumerated = oracle.walk_outcomes(f, var=True).sigma2
+        walk = oracle.walk_outcomes(f, "sum")
+        (s,), probs = walk.parts, walk.law_probs
+        enumerated = float(probs @ s**2) - float(probs @ s) ** 2
         monkeypatch.setattr(oracle, "outcome_blocks", None)
-        table = M.exact_moment_table(f, F.induced_neighborhoods(f))
+        table = M.exact_moment_table(f, oracle.walk_outcomes(f, var=True).sigma2)
         assert table.mode == "exact"
         assert table.sigma2 == pytest.approx(enumerated, rel=1e-12, abs=0.0)
 

@@ -86,7 +86,7 @@ def test_chunk_size_and_thread_count_do_not_change_summaries(monkeypatch):
     # integer lattice, so S and the W2 reductions must not depend on the
     # split to the last bit
     f = F.build_m_dependent(300, 1, F.rademacher())
-    t = M.exact_moment_table(f, cap=0)
+    t = M.exact_moment_table(f)
     for statistic in ("w1", "w2"):  # W2 takes integer values here
         runs = chunked_runs(monkeypatch, f, statistic, t.sigma)
         assert all(r == runs[0] for r in runs[1:]), statistic

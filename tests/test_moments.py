@@ -2,7 +2,10 @@
 
 Core claims:
     - exact tables reproduce hand values (Rademacher norms, window-field
-      variances, Bernoulli variances) and the two Var(S) routes agree
+      variances, Bernoulli variances); a table without a Var(S) is
+      hybrid, its Var(S) the identity, read locally or from the outcomes
+    - a constant field is flagged degenerate, and a header says
+      ``degenerate`` last and only while Var(S) is not positive
     - Monte-Carlo tables agree with exact ones within standard errors,
       and batch-means errors shrink like 1/sqrt(reps)
     - L_p monotonicity holds entrywise; lambda is scale-invariant
@@ -21,9 +24,12 @@ Core claims:
       exact, hybrid and Monte-Carlo tables, tables without groups,
       interleaved groups, special floats, and single-group runs whose
       index crosses each digit width, with default and small blocks
-    - a system too small for the field fails the variance identity on
-      every route (closed form, plan, enumeration), and tables read from
-      an enumeration plan equal the locally enumerated ones
+    - a Var(S) that disagrees with the covariance identity fails on the
+      local and the outcomes route, the true Var(S) passes on both, and
+      tables read from an enumeration plan equal the locally enumerated
+      ones
+    - a copy of an index-transitive field with other sources takes no
+      one-index shortcut
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ import locdep.bounds as B
 import locdep.cli as cli
 import locdep.fields as F
 import locdep.moments as M
-import locdep.neighborhood as nb
 import locdep.oracle as O
 from locdep.errors import DegenerateKernel, EnumerationCapExceeded
 from locdep.rng import STREAM_INSTANCES, substream
@@ -48,7 +53,7 @@ from locdep.rng import STREAM_INSTANCES, substream
 
 def test_iid_rademacher_table():
     f = F.build_iid_field(2, F.rademacher())
-    t = M.exact_moment_table(f, F.induced_neighborhoods(f))
+    t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     assert np.allclose(t.l2, 1) and np.allclose(t.l3, 1) and np.allclose(t.l4, 1)
     assert t.sigma2 == pytest.approx(2.0)
     assert B.lam_scale(t, 1) == pytest.approx(1.0)
@@ -57,12 +62,14 @@ def test_iid_rademacher_table():
 
 def test_window_field_variance_identity_two_ways():
     f = F.build_m_dependent(4, 1, F.rademacher())
-    sys = F.induced_neighborhoods(f)
-    t = M.exact_moment_table(f, sys)
+    t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     assert t.sigma2 == pytest.approx(4 * 4 - 2)  # Var(U_1 + 2U_2 + 2U_3 + U_4 ... )
     assert t.l2[0] ** 2 == pytest.approx(2.0)  # Var of a two-Rademacher sum
-    t_local = M.exact_moment_table(f, sys, cap=0)
-    assert t_local.sigma2 == pytest.approx(t.sigma2, rel=1e-12)
+    walk = O.walk_outcomes(f, keep=True)
+    for outcomes in (None, (walk.probs, walk.X)):  # without a Var(S): the identity
+        t_hybrid = M.exact_moment_table(f, outcomes=outcomes)
+        assert t_hybrid.mode == "hybrid"
+        assert t_hybrid.sigma2 == pytest.approx(t.sigma2, rel=1e-12)
 
 
 def test_centered_bernoulli_variance():
@@ -77,12 +84,18 @@ def test_constant_field_flagged_degenerate():
     assert t.degenerate and np.allclose(t.l4, 0.0)
     tm = M.mc_moment_table(f, reps=1000, master_seed=1)
     assert tm.degenerate
+    # the header says so last, and only while Var(S) is not positive
+    assert M.table_header(t)["extras"] == {"degenerate": True}
+    assert list(M.table_header(tm)["extras"]) == ["reps", "batches", "degenerate"]
+    for table in (t, tm):  # a configured Var(S), as the CLI sets it
+        table.sigma2 = 2.0
+        table.extras["sigma2_provenance"] = "config"
+        assert "degenerate" not in M.table_header(table)["extras"]
 
 
 def test_mc_agrees_with_exact_within_three_ses():
     f = F.build_m_dependent(5, 1, F.rademacher())
-    sys = F.induced_neighborhoods(f)
-    t = M.exact_moment_table(f, sys)
+    t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     tm = M.mc_moment_table(f, reps=20000, master_seed=3)
     for p, (exact, est, se) in enumerate(
         [(t.l2, tm.l2, tm.se_l2), (t.l3, tm.l3, tm.se_l3), (t.l4, tm.l4, tm.se_l4)]
@@ -135,7 +148,9 @@ def test_hoeffding_projection_hand_values():
 def test_transitive_sigma2_shortcut_matches_full_sum():
     f = F.build_decorated_graph_field(5, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4))
     fast = M.exact_sigma2_local(f)
-    slow = M.exact_sigma2_local(f, F.induced_neighborhoods(f))
+    plain = dataclasses.replace(
+        f, metadata={k: v for k, v in f.metadata.items() if k != "index_transitive"})
+    slow = M.exact_sigma2_local(plain)  # summed over every index
     assert fast == pytest.approx(slow, rel=1e-10)
     full = O.walk_outcomes(F.build_decorated_graph_field(
         4, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4)), var=True).sigma2
@@ -171,8 +186,8 @@ def csv_bytes(table: M.MomentTable) -> bytes:
 
 def test_csv_rows_match_per_row_formatter():
     f = F.build_constrained_ustat_field(7, 1, lambda x, y: x * y + x, (None,), F.three_point())
-    exact = M.exact_moment_table(f, F.induced_neighborhoods(f))
-    hybrid = M.exact_moment_table(f, cap=0)
+    exact = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
+    hybrid = M.exact_moment_table(f)
     mc = M.mc_moment_table(f, reps=1000, master_seed=8)
     assert exact.mode == "exact" and hybrid.mode == "hybrid" and exact.groups is not None
     assert mc.groups is None
@@ -186,7 +201,7 @@ def test_csv_rows_match_per_row_formatter():
 
 def test_csv_serialization_shape():
     f = F.build_iid_field(3, F.rademacher())
-    t = M.exact_moment_table(f)
+    t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     rows = csv_bytes(t).decode().splitlines()
     assert rows[0] == "index,l2,l3,l4,se2,se3,se4"
     assert len(rows) == 4 and rows[1].startswith("1,")
@@ -309,7 +324,7 @@ def test_signature_grouping_matches_ungrouped_enumeration(case):
         a = np.abs(X[:, 0] - f.means[i])
         norms.append([float(probs @ a**p) ** (1 / p) for p in (2, 3, 4)])
     assert np.allclose(F.compute_means(f), means, rtol=1e-12, atol=1e-13)
-    t = M.exact_moment_table(f, cap=0)
+    t = M.exact_moment_table(f)
     assert np.allclose(np.stack([t.l2, t.l3, t.l4], axis=1), norms, rtol=1e-12, atol=1e-13)
     assert np.allclose(M.exact_index_norms(f, np.arange(f.n)), norms, rtol=1e-12, atol=1e-13)
     sys = F.induced_neighborhoods(f)
@@ -323,7 +338,6 @@ def test_signature_grouping_matches_ungrouped_enumeration(case):
     assert M.exact_pair_covariance(f, ij).sum() == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     local = M.exact_sigma2_local(f)
     assert local == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
-    assert M.exact_sigma2_local(f, sys) == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     assert local == pytest.approx(O.walk_outcomes(f, var=True).sigma2, rel=1e-10, abs=1e-12)
 
 
@@ -406,27 +420,47 @@ def test_exact_moment_table_reads_frozen_index_groups(monkeypatch):
 
     monkeypatch.setattr(F, "signature_groups", pairs_only)
     monkeypatch.setattr(M, "signature_groups", pairs_only)
-    t = M.exact_moment_table(f, F.induced_neighborhoods(f))
-    h = M.exact_moment_table(f, cap=0)
+    t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
+    h = M.exact_moment_table(f)
     assert np.array_equal(t.groups, f.groups[1]) and np.array_equal(h.l2, t.l2)
 
 
-def test_too_small_system_fails_the_identity_on_every_route():
-    # a 1-dependent window field checked against A_i = {i}: the neighbor
-    # covariances are left out, so the identity sum falls short of Var(S)
+def test_wrong_sigma2_fails_the_identity_on_every_route():
+    # a 1-dependent window field: the covariances over A_i = {i} leave the
+    # neighbor terms out, so their sum falls short of Var(S) and fails the
+    # identity over the field's own overlap, read by local enumeration or
+    # from the outcomes; a sum field (closed-form Var(S)) and one whose
+    # Var(S) is enumerated alike
     f = F.build_m_dependent(6, 1, F.rademacher())
-    alone = nb.make_system([[i] for i in range(6)])
-    with pytest.raises(AssertionError, match="variance identity violated"):
-        M.exact_moment_table(f, alone)  # closed-form Var(S) of a sum field
-    with pytest.raises(AssertionError, match="variance identity violated"):
-        O.precompute(f, alone)  # Var(S) and the identity read from the plan
     g = F.build_m_dependent(6, 1, F.rademacher(), window_evaluator=lambda a, b: (1 + a) * (1 + b))
-    with pytest.raises(AssertionError, match="variance identity violated"):
-        M.exact_moment_table(g, alone)  # enumerated Var(S)
-    for field in (f, g):  # the induced system passes on every route
-        sys = F.induced_neighborhoods(field)
-        assert M.exact_moment_table(field, sys).sigma2 == pytest.approx(
-            O.precompute(field, sys).table.sigma2, rel=1e-12)
+    for field in (f, g):
+        walk = O.walk_outcomes(field, var=True, keep=True)
+        short = float(M.exact_pair_covariance(field, np.repeat(np.arange(6)[:, None], 2, 1)).sum())
+        assert short < walk.sigma2
+        for outcomes in (None, (walk.probs, walk.X)):
+            with pytest.raises(AssertionError, match="variance identity violated"):
+                M.exact_moment_table(field, short, outcomes)
+            table = M.exact_moment_table(field, walk.sigma2, outcomes)
+            assert table.mode == "exact" and table.sigma2 == walk.sigma2
+        assert O.precompute(field).table.sigma2 == walk.sigma2
+
+
+def test_stale_transitive_flag_takes_no_shortcut():
+    # a copy of an iid field with other sources keeps its metadata, the
+    # index_transitive flag included; its three index groups show the change
+    f = F.build_iid_field(9, F.rademacher())
+    laws = (F.rademacher(), F.bernoulli(0.55), F.three_point())
+    g = dataclasses.replace(f, sources=tuple(laws[s % 3] for s in range(9)), means=None)
+    assert g.metadata["index_transitive"] and g.groups[0].size == 3
+    walk = O.walk_outcomes(g, keep=True)
+    s = walk.X.sum(axis=1)
+    enumerated = float(walk.probs @ s**2) - float(walk.probs @ s) ** 2
+    closed = O.walk_outcomes(g, var=True).sigma2
+    assert closed == pytest.approx(5.2425, rel=1e-12)
+    assert enumerated == pytest.approx(closed, rel=1e-12)
+    assert M.exact_sigma2_local(g) == pytest.approx(closed, rel=1e-12)
+    assert M.exact_moment_table(g).sigma2 == pytest.approx(closed, rel=1e-12)
+    assert M.exact_moment_table(g, closed).mode == "exact"
 
 
 def test_plan_tables_match_local_enumeration():
@@ -436,7 +470,7 @@ def test_plan_tables_match_local_enumeration():
     for k in range(20):
         pre = O.random_enumerable_instance(substream(314, STREAM_INSTANCES, k)).pre
         f = pre.field
-        local = M.exact_moment_table(f, pre.sys)
+        local = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
         plan = pre.table
         assert plan.mode == local.mode == "exact"
         assert np.array_equal(plan.groups, local.groups)

@@ -293,11 +293,12 @@ def test_unknown_suite_check_raises():
 
 def test_ld_independence_reports():
     f = F.build_iid_field(3, F.rademacher())
-    assert O.check_ld_independence(f, F.induced_neighborhoods(f)) == []
+    assert O.check_ld_independence(F.induced_neighborhoods(f), O.walk_outcomes(f, keep=True)) == []
     fm = F.build_m_dependent(3, 1, F.rademacher())
-    assert O.check_ld_independence(fm, F.induced_neighborhoods(fm)) == []
+    walk = O.walk_outcomes(fm, keep=True)
+    assert O.check_ld_independence(F.induced_neighborhoods(fm), walk) == []
     shrunk = nb.make_system([(0,), (0, 1, 2), (1, 2)])
-    viol = O.check_ld_independence(fm, shrunk)
+    viol = O.check_ld_independence(shrunk, walk)
     assert any(v.startswith("LD1") for v in viol)
 
 
@@ -359,7 +360,7 @@ def test_ld_factorization_matches_dict_loop_reference(monkeypatch):
     for n in (4, 6):
         f = F.build_m_dependent(n, 1, F.three_point())
         cases += [(f, F.induced_neighborhoods(f)), (f, shrink(F.induced_neighborhoods(f), rng))]
-    verdicts = [O.check_ld_independence(f, sys) for f, sys in cases]
+    verdicts = [O.check_ld_independence(sys, O.walk_outcomes(f, keep=True)) for f, sys in cases]
     assert verdicts == [ld_reference(f, sys) for f, sys in cases]
     assert sum(bool(v) for v in verdicts) >= 10  # shrunk systems do fail
 

@@ -13,6 +13,8 @@ Core claims:
     - constrained-U and decorated field sums reproduce the counters
       exactly (integer equality) on sampled inputs
     - classical and distributed U-statistic evaluators match hand values
+    - only ``statistics`` compares statistic names, and no package module
+      (``__init__``'s re-exports aside) imports a name it never reads
 """
 
 from __future__ import annotations
@@ -137,6 +139,32 @@ def test_only_statistics_compares_statistic_names():
     assert found.pop("statistics.py")  # the scan sees the owner's own branches
     assert not {name: lines for name, lines in found.items() if lines}
     assert statistic_name_comparisons('ok = s in ("w1", "sum") or s != "w2"') == [1, 1]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module-level imports of ``source`` (``from
+    __future__`` aside) that no name in the module reads."""
+    tree = ast.parse(source)
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in read)
+
+
+def test_src_modules_read_every_import():
+    """No module of the package imports a name it does not use;
+    ``__init__`` re-exports its imports."""
+    package = Path(locdep.__file__).parent
+    found = {p.name: unused_imports(p.read_text()) for p in sorted(package.glob("*.py"))
+             if p.name != "__init__.py"}
+    assert not {name: names for name, names in found.items() if names}
+    snippet = "from __future__ import annotations\nimport os, a.b, sys as s\nfrom m import b, c\nc(os)"
+    assert unused_imports(snippet) == ["a", "b", "s"]
 
 
 def test_w2_zero_field_rejected():
@@ -360,7 +388,7 @@ def test_statistic_value_bundle():
     sys = F.induced_neighborhoods(f)
     import locdep.moments as M
 
-    t = M.exact_moment_table(f, sys)
+    t = M.exact_moment_table(f)
     x = F.evaluate_values(f, F.draw_source_rows(f, 77, [0]))
     s = float(x.sum())
     v, w2_ref = reference_w2(x[0], sys)
