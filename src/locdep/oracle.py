@@ -12,7 +12,9 @@ the whole (M, n) value matrix (the checkers and the LD factorization
 test), and a statistic's sigma-free parts, to which :func:`exact_law`
 applies sigma once the moment table exists, both through ``statistics``.
 So one walk serves a grid point's Var(S), exact law and LD test together.
-It is the one source of an exact Var(S): a sum field's is the closed form
+Where a sum field's value lattice is no larger than its outcome space, a
+walk that takes X reads each distinct X once from it.  The walk is also
+the one source of an exact Var(S): a sum field's is the closed form
 sum_s c_s^2 Var(U_s), with no enumeration, any other field's is
 E S^2 - (E S)^2 over the walk.  The moment table takes that value from
 its caller and cross-checks it against the covariance identity.
@@ -104,7 +106,8 @@ class Walk:
     """What one walk of an enumerable field's outcome space took.
 
     ``probs`` and ``X`` are every outcome's probability and its (M, n)
-    centered field values, when the walk kept them;
+    centered field values, when the walk kept them (on a value-lattice
+    walk, every distinct X once, with its outcomes' summed probability);
     ``sigma2`` is the exact Var(S), when it was asked for.  ``parts`` are the
     statistic's sigma-free parts over the accepted outcomes, with
     ``law_probs`` conditioned on acceptance and the ``rejected`` mass:
@@ -138,6 +141,13 @@ def walk_outcomes(
     E S^2 - (E S)^2 over the walk; a walk with nothing else to take
     enumerates nothing.
 
+    A walk that takes X (``keep``, W2, W2bar) of a sum field whose value
+    lattice has no more cells than the field has outcomes
+    (``fields.value_lattice``) reads every distinct X once, with its
+    outcomes' probabilities summed in another order, from that lattice's
+    pmf (``fields.lattice_blocks``); every other walk enumerates
+    (``fields.outcome_blocks``).
+
     Raises :class:`EnumerationCapExceeded` beyond ``cap`` outcomes, or,
     when X is kept, before anything is allocated when it would take more
     than ``fields.ENUM_BYTES_CAP`` bytes.
@@ -154,12 +164,15 @@ def walk_outcomes(
     closed = var and field.ev is _sum_columns and field.is_enumerable()
     take_s = (var and not closed) or (statistic is not None and not reads_values)
     take_x = keep or reads_values
+    lattice = fields.value_lattice(field, cap) if take_x else None
+    if lattice is not None:
+        blocks = fields.lattice_blocks(field, lattice, sums=take_s)
+    else:
+        blocks = _enumerated(field, cap, take_x, take_s) if take_s or take_x else ()
     kept, law = [], []  # per block: (probs, X); (the statistic's parts..., their probs)
     es = es2 = rejected = 0.0
-    for p, rows in outcome_blocks(field, cap=cap) if take_s or take_x else ():
-        X = evaluate_values(field, rows) if take_x else None
+    for p, X, s in blocks:
         if take_s:
-            s = sum_values(field, rows, X)
             with np.errstate(over="ignore", invalid="ignore"):  # its reader checks Var(S)
                 es += float(p @ s)
                 es2 += float(p @ s**2)
@@ -188,6 +201,13 @@ def walk_outcomes(
             probs = probs / (1.0 - rejected)
         walk.law_probs = probs
     return walk
+
+
+def _enumerated(field: LatentSourceField, cap: int, take_x: bool, take_s: bool):
+    """(probs, X or None, S or None) per block of the enumerated outcomes."""
+    for p, rows in outcome_blocks(field, cap=cap):
+        X = evaluate_values(field, rows) if take_x else None
+        yield p, X, sum_values(field, rows, X) if take_s else None
 
 
 def _sum_field_sigma2(field: LatentSourceField) -> float:

@@ -546,9 +546,11 @@ def test_one_system_per_grid_point_built_on_demand(tmp_path, monkeypatch, case, 
     assert calls == {"system": 3 * systems, "overlap": 3 * overlaps}
 
 
-# specs whose every grid point reads a walk: the LD test, a non-sum
-# field's Var(S) and its exact law, or an MC table's Var(S)
+CYCLE = {"graph": "cycle", "source": {"kind": "three_point"}}
+# specs whose every grid point reads a walk: the LD test, an exact law, a
+# non-sum field's Var(S), or an MC table's Var(S)
 ONE_WALK_CASES = {
+    # m = 1 three-point windows: 5^n lattice cells > 3^(n+1) outcomes
     "m_dependent_w1_ld": dict(family="m_dependent", grid=[4, 6],
                               params={"m": 1, "source": {"kind": "three_point"}},
                               assertions={"require_ld": True}),
@@ -560,24 +562,59 @@ ONE_WALK_CASES = {
     "ustat_mc": dict(family="ustat", grid=[8, 12], mode={"kind": "mc", "reps": 1000},
                      params={"m": 2, "k": 2, "kernel": "sum", "source": {"kind": "three_point"}},
                      bounds=["distributed_u"]),
+    # 7^n lattice cells <= 3^(2n) outcomes
+    "cycle_w2": dict(family="graph", grid=[4, 5, 6], statistic="w2", params=CYCLE,
+                     bounds=["graph"]),
+    # values off the integers
+    "cycle_spread_w2": dict(family="graph", grid=[4, 5], statistic="w2", bounds=["graph"],
+                            params={**CYCLE, "source": {"kind": "three_point", "spread": 1.5}}),
+    # S alone, no X: a walk that takes no X enumerates
+    "iid_sum": dict(family="iid", grid=[4, 6, 8], statistic="sum",
+                    params={"source": {"kind": "bernoulli", "p": 0.3}}),
 }
+LATTICE_WALKS = {"cycle_w2"}  # read the law of X from the value lattice
 
 
-@pytest.mark.parametrize("overrides", ONE_WALK_CASES.values(), ids=ONE_WALK_CASES.keys())
-def test_one_outcome_walk_per_grid_point(tmp_path, monkeypatch, overrides):
-    walks = []
-    outcome_blocks = fields.outcome_blocks
+@pytest.mark.parametrize("name", ONE_WALK_CASES)
+def test_one_outcome_walk_per_grid_point(tmp_path, monkeypatch, name):
+    """One walk per grid point: over the field's value lattice
+    (``fields.lattice_blocks``) for the cases of LATTICE_WALKS, by
+    enumeration (``fields.outcome_blocks``) for the others."""
+    walks = {"outcome_blocks": [], "lattice_blocks": []}
+    for walk, seen in walks.items():
+        blocks = getattr(fields, walk)
 
-    def counted(*args, **kwargs):
-        walks.append(args[0].n)
-        return outcome_blocks(*args, **kwargs)
+        def counted(*args, blocks=blocks, seen=seen, **kwargs):
+            seen.append(args[0])
+            return blocks(*args, **kwargs)
 
-    for mod in (fields, moments, oracle):  # every module that binds the walk's blocks
-        if getattr(mod, "outcome_blocks", None) is outcome_blocks:
-            monkeypatch.setattr(mod, "outcome_blocks", counted)
-    doc = minimal_spec(tmp_path, **overrides)
+        for mod in (fields, moments, oracle):  # every module that binds the walk's blocks
+            if getattr(mod, walk, None) is blocks:
+                monkeypatch.setattr(mod, walk, counted)
+    doc = minimal_spec(tmp_path, **ONE_WALK_CASES[name])
     assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0
-    assert len(walks) == len(doc["grid"])
+    route = "lattice_blocks" if name in LATTICE_WALKS else "outcome_blocks"
+    assert len(walks[route]) == sum(map(len, walks.values())) == len(doc["grid"])
+
+
+def test_lattice_walk_keeps_the_outcome_cap(tmp_path, capsys):
+    """The cap counts outcomes (3^12 at n = 6), not lattice cells."""
+    doc = minimal_spec(tmp_path, family="graph", grid=[6], statistic="w2", params=CYCLE,
+                       bounds=["graph"])
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc), "--cap", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert "EnumerationCapExceeded: 531441 outcomes exceed cap 1000" in err
+    assert "Traceback" not in err
+
+
+def test_require_ld_fails_closed_past_ld_cap_on_a_lattice_walk(tmp_path, capsys):
+    """The exact W2 walk reads 46,529 lattice rows at n = 6, but LD_CAP
+    counts the 3^12 outcomes, so the LD test is not run."""
+    doc = minimal_spec(tmp_path, family="graph", grid=[6], statistic="w2", params=CYCLE,
+                       bounds=["graph"], assertions={"require_ld": True})
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert f"n=6: LD test not run: {3 ** 12} outcomes over the cap of {cli.LD_CAP}" in err
 
 
 @pytest.mark.parametrize("graph,n", [("edgeless", 4), ("star", 1)])

@@ -7,6 +7,10 @@ Core claims:
       with n for iid Rademacher, and are relabeling-invariant
     - a walk's exact laws of W1, S, W2 and W2bar on non-sum fields equal
       the statistics of the whole outcome matrix, merged
+    - a sum field's walk over its value lattice gives the enumerated law:
+      bit for bit over the distinct enumerated rows for dyadic source laws
+      (W2, W2bar, W1 with the kept rows, which are those rows), with the
+      rejected mass of enumeration, within 1e-13 otherwise, and the cycle's W2 law at n = 6 peaks within 13 MB
     - every explicit-constant checker passes on hand instances and on
       randomized enumerable instances, with margins at worst -1e-10 rhs
     - the normal CDF matches tabulated values to 1e-14
@@ -21,6 +25,8 @@ Core claims:
 from __future__ import annotations
 
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +144,126 @@ def test_exact_w2_distribution_conditions_on_acceptance():
     # X1 = X2 gives V = 0: half the outcomes reject
     assert walk.rejected == pytest.approx(0.5)
     assert probs.sum() == pytest.approx(1.0)
+
+
+def cycle(n, source=None):
+    """The graph-dependency sum field of an n-cycle, three-point sources by
+    default: every walk that takes X reads its value lattice."""
+    f = F.build_graph_dependency(n, [(i, (i + 1) % n) for i in range(n)], source or F.three_point())
+    assert F.value_lattice(f) is not None
+    return f
+
+
+def enumerated_law(field, statistic, sys, sigma=None, distinct=False):
+    """(atoms, probs, rejected mass) of a statistic's exact law over every
+    enumerated outcome, or with ``distinct`` over each distinct value row
+    once, with its outcomes' probabilities summed; each conditioned on
+    acceptance before the merge.  S is the row sum of the values."""
+    probs, X = [], []
+    for p, rows in F.outcome_blocks(field):
+        probs.append(p), X.append(F.evaluate_values(field, rows))
+    probs, X = np.concatenate(probs), np.concatenate(X)
+    if distinct:  # rows in lexicographic order, the order of the lattice's cells
+        X, inverse = np.unique(X, axis=0, return_inverse=True)
+        probs = np.bincount(inverse.reshape(-1), weights=probs)
+    parts, rej = st.statistic_parts(statistic, X if statistic in st.READS_VALUES else X.sum(axis=1), sys)
+    vals = st.finish(statistic, parts, sigma)
+    rejected = float(probs[rej].sum())
+    return *O.merge_atoms(vals[~rej], probs[~rej] / (1.0 - rejected)), rejected
+
+
+# (source, statistic, n) of the three-point cycle, walked through its lattice
+DYADIC_LATTICE_CASES = {
+    "w2_4": (F.three_point(), "w2", 4),
+    "w2_5": (F.three_point(), "w2", 5),
+    "w2_6": (F.three_point(), "w2", 6),
+    "w2bar_4": (F.three_point(), "w2bar", 4),
+    "w2bar_5": (F.three_point(), "w2bar", 5),
+    "w2_p_zero_0": (F.three_point(p_zero=0.0), "w2", 5),
+}
+
+
+@pytest.mark.parametrize("source,statistic,n", DYADIC_LATTICE_CASES.values(),
+                         ids=DYADIC_LATTICE_CASES.keys())
+def test_lattice_law_equals_enumeration_bit_for_bit(source, statistic, n):
+    """Dyadic source laws: every cell's probability is an exact sum of the
+    enumerated outcomes' exact products, so the law over distinct rows and
+    the rejected mass are the enumerated ones bit for bit.  Conditioning on
+    acceptance divides each cell's sum, not each outcome, so a merged
+    atom's probability, and ks, may move in the last digit."""
+    f = cycle(n, source)
+    sys = F.induced_neighborhoods(f)
+    walk = O.walk_outcomes(f, statistic, sys, var=True)
+    sigma = math.sqrt(walk.sigma2)
+    atoms, probs, rejected = enumerated_law(f, statistic, sys, sigma)
+    assert walk.rejected == rejected
+    got = O.exact_law(walk, sigma)
+    want = enumerated_law(f, statistic, sys, sigma, distinct=True)
+    assert want[2] == rejected
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert O.kolmogorov_from_atoms(*got) == O.kolmogorov_from_atoms(*want[:2])
+    assert np.array_equal(got[0], atoms)
+    np.testing.assert_allclose(got[1], probs, rtol=1e-15, atol=0)
+    assert O.kolmogorov_from_atoms(*got) == pytest.approx(
+        O.kolmogorov_from_atoms(atoms, probs), rel=1e-15, abs=0)
+
+
+def test_lattice_w2_of_the_three_point_cycle_rejects_the_enumerated_mass():
+    walks = [O.walk_outcomes(cycle(n), "w2") for n in (4, 5, 6)]
+    assert [w.rejected for w in walks] == [0.1458740234375, 0.1492938995361328, 0.0798342227935791]
+    # n = 6: 46,529 distinct values among 3^12 outcomes, 43,056 of them accepted
+    assert walks[-1].law_probs.size == 43056
+
+
+@pytest.mark.parametrize("source", [F.three_point(), F.three_point(p_zero=0.0)],
+                         ids=["p_zero_half", "p_zero_0"])
+def test_kept_lattice_rows_are_the_distinct_enumerated_rows(source):
+    """Each distinct row once, with its outcomes' summed probability; a row
+    reached only through zero probabilities is kept, as enumeration keeps
+    it.  S (for W1) comes from the lattice too."""
+    f = cycle(5, source)
+    walk = O.walk_outcomes(f, "w1", var=True, keep=True)
+    probs, rows = F.product_grid(f.sources)
+    distinct, inverse = np.unique(F.evaluate_values(f, rows), axis=0, return_inverse=True)
+    order = np.lexsort(walk.X.T[::-1])
+    assert np.array_equal(walk.X[order], distinct)
+    assert np.array_equal(walk.probs[order], np.bincount(inverse.reshape(-1), weights=probs))
+    sigma = math.sqrt(walk.sigma2)
+    atoms, law, _ = enumerated_law(f, "w1", None, sigma, distinct=True)
+    got = O.exact_law(walk, sigma)
+    assert np.array_equal(got[0], atoms) and np.array_equal(got[1], law)
+
+
+@pytest.mark.parametrize("source", [F.bernoulli(0.55), F.three_point(p_zero=1.0 / 3.0)],
+                         ids=["bernoulli_0.55", "three_point_third"])
+def test_lattice_law_of_non_dyadic_sources_within_1e_13(source):
+    """Cell sums add the same products in another order, so a non-dyadic
+    law moves only in its last digits."""
+    f = cycle(5, source)
+    sys = F.induced_neighborhoods(f)
+    walk = O.walk_outcomes(f, "w2", sys)
+    atoms, probs, rejected = enumerated_law(f, "w2", sys)
+    assert walk.rejected == pytest.approx(rejected, rel=1e-13, abs=0)
+    got = O.exact_law(walk)
+    np.testing.assert_allclose(got[0], atoms, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got[1], probs, rtol=1e-13, atol=0)
+    assert O.kolmogorov_from_atoms(*got) == pytest.approx(
+        O.kolmogorov_from_atoms(atoms, probs), rel=1e-13, abs=0)
+
+
+def test_lattice_w2_law_of_the_cycle_at_n_6_peaks_within_13_mb():
+    """The exact W2 law of ``enum_oracle``'s cycle at its largest n: the
+    walk, the merge and the Kolmogorov distance, under tracemalloc (26.56
+    MB when the walk enumerated all 3^12 outcomes)."""
+    f = cycle(6)
+    sys = F.induced_neighborhoods(f)
+    tracemalloc.start()
+    try:
+        O.kolmogorov_from_atoms(*O.exact_law(O.walk_outcomes(f, "w2", sys)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 2**20
 
 
 def test_lemma_xiyi_hand_instances():
