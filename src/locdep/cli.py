@@ -537,7 +537,6 @@ def run_experiment(
             spec.checkers["instances"], spec.seed,
             checks=spec.checkers["checks"],
             include_r4=spec.checkers["include_r4"],
-            threads=threads,
         )
         bad = [v for v in verdicts if v.counts_as_failure]
         if bad and spec.assertions["require_zero_check_failures"]:
@@ -677,7 +676,8 @@ def _load_spec(path: str, overrides: argparse.Namespace) -> ExperimentSpec:
 
 
 def _threads(args: argparse.Namespace) -> int:
-    """--threads, else LOCDEP_THREADS, else the core count; each must be a positive int."""
+    """Monte-Carlo worker threads (the checker suite runs in one): --threads,
+    else LOCDEP_THREADS, else the core count; each must be a positive int."""
     if args.threads is not None:
         return _integer(1)(args.threads, "--threads")
     env = os.environ.get("LOCDEP_THREADS")
@@ -693,7 +693,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def add_common(p):
         p.add_argument("--spec", required=True, help="experiment config JSON")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help="Monte-Carlo worker threads")
         p.add_argument("--seed", type=int, default=None, help="override spec seed")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--cap", type=int, default=fields.DEFAULT_ENUM_CAP,

@@ -1184,16 +1184,14 @@ def build_decorated_graph_field(
     n: int,
     pattern_edges: Sequence[tuple[int, int]],
     edge_source: Source,
-    h: Callable | None = None,
-    decoration: Sequence[float] | None = None,
 ) -> LatentSourceField:
     """Decorated injective homomorphism field over iid edge variables.
 
     Field indices are the injections phi of the pattern's vertices into
     [n]; X_phi is the centered product over pattern edges uv of
-    h(decoration(uv), g(phi(u), phi(v))), where g holds the C(n,2) edge
-    sources of the complete host graph.  Induced A_phi is the set of
-    injections whose image shares an edge with phi's image.
+    g(phi(u), phi(v)), where g holds the C(n,2) edge sources of the
+    complete host graph.  Induced A_phi is the set of injections whose
+    image shares an edge with phi's image.
     """
     edges = [tuple(sorted((int(u), int(v)))) for u, v in pattern_edges]
     if not edges:
@@ -1206,15 +1204,11 @@ def build_decorated_graph_field(
     n_inj = math.perm(n, v)
     if n_inj > DEFAULT_INDEX_CAP:
         raise GraphTooLarge(f"{n_inj} injections exceed cap {DEFAULT_INDEX_CAP}")
-    deco = np.ones(len(edges)) if decoration is None else np.asarray(decoration, dtype=float)
-    if deco.shape != (len(edges),):
-        raise ValueError("decoration must have one value per pattern edge")
-    hh = h if h is not None else (lambda x, y: x * y)
 
     def ev(G):
-        out = hh(deco[0], G[..., 0])
+        out = G[..., 0]
         for e in range(1, G.shape[-1]):
-            out = out * hh(deco[e], G[..., e])
+            out = out * G[..., e]
         return out
 
     # the injections in lexicographic order: extend each row by its free vertices
@@ -1235,7 +1229,7 @@ def build_decorated_graph_field(
         "pattern_edges": edges,
         "index_transitive": True,
     }
-    if h is None and decoration is None and sorted(edges) == [(0, 1), (0, 2), (1, 2)]:
+    if sorted(edges) == [(0, 1), (0, 2), (1, 2)]:
         metadata["batch_sum"] = _triangle_batch_sum(n)
     return LatentSourceField(
         sources=(edge_source,) * math.comb(n, 2),

@@ -75,6 +75,7 @@ from .fields import (
 )
 from .moments import MomentTable, exact_moment_table
 from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive
+from .rng import STREAM_INSTANCES, substream
 from .statistics import NEEDS_SIGMA, READS_VALUES, finish, statistic_parts
 
 PASS_TOL = 1e-10
@@ -238,9 +239,8 @@ class Precomputed:
     sums: MappingProxyType  # beta_sums(table.l4, sys, derived)
 
 
-def precompute(field: LatentSourceField, sys: NeighborhoodSystem | None = None) -> Precomputed:
-    if sys is None:
-        sys = induced_neighborhoods(field)
+def precompute(field: LatentSourceField) -> Precomputed:
+    sys = induced_neighborhoods(field)
     der = derive(sys)
     plan = walk_outcomes(field, var=True, keep=True)
     table = exact_moment_table(field, plan.sigma2, outcomes=(plan.probs, plan.X))
@@ -776,7 +776,7 @@ def random_enumerable_instance(rng: np.random.Generator) -> CheckInstance:
             metadata={"family": "random_instance"},
         )
         try:
-            pre = precompute(field, induced_neighborhoods(field))
+            pre = precompute(field)
         except DegenerateVariance:
             continue
         if float(np.min(pre.table.l2)) <= 1e-9:
@@ -820,44 +820,24 @@ _SUITE_CALLS: dict[str, Callable[[CheckInstance], list[InequalityVerdict]]] = {
 }
 
 
-def _run_instance_checks(
-    master_seed: int, k: int, checks: Sequence[str], include_r4: bool
-) -> list[InequalityVerdict]:
-    """All configured checks on instance k of the seed's instance stream."""
-    from .rng import STREAM_INSTANCES, substream
-
-    inst = random_enumerable_instance(substream(master_seed, STREAM_INSTANCES, k))
-    names = [c for c in SUITE_CHECKS if c in checks] + ["lemma_r4"] * include_r4
-    return [v for name in names for v in _SUITE_CALLS[name](inst)]
-
-
 def run_checker_suite(
     n_instances: int,
     master_seed: int,
     checks: Sequence[str] = SUITE_CHECKS,
     include_r4: bool = False,
-    threads: int = 1,
 ) -> list[InequalityVerdict]:
-    """Run the explicit-constant checkers on randomized instances.
-
-    Instance k draws from its own substream, so instances parallelize and
-    the verdict list is identical for every worker count.  ``checks`` are
-    names from SUITE_CHECKS, run in that order; an unknown name raises
-    ValueError.
-    """
+    """Run the explicit-constant checkers on randomized instances in one
+    thread (a pool lost at every thread count measured: the work is many
+    small numpy calls that hold the GIL).  Instance k draws from its own
+    substream, so a suite's verdicts are a prefix of any longer suite's.
+    ``checks`` are names from SUITE_CHECKS, run in that order; an unknown
+    name raises ValueError."""
     if isinstance(checks, str) or any(c not in SUITE_CHECKS for c in checks):
         raise ValueError(f"unknown checks {checks!r}; each one of {SUITE_CHECKS}")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda k: _run_instance_checks(master_seed, k, checks, include_r4),
-                range(n_instances),
-            ))
-    else:
-        results = [_run_instance_checks(master_seed, k, checks, include_r4) for k in range(n_instances)]
-    return [v for chunk in results for v in chunk]
+    names = [c for c in SUITE_CHECKS if c in checks] + ["lemma_r4"] * include_r4
+    instances = (random_enumerable_instance(substream(master_seed, STREAM_INSTANCES, k))
+                 for k in range(n_instances))
+    return [v for inst in instances for name in names for v in _SUITE_CALLS[name](inst)]
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,7 @@ def test_criterion_3_clamped_term_bound(checker_verdicts):
         lambda: F.build_iid_field(8, F.rademacher()),
     ):
         f = build()
-        sysn = F.induced_neighborhoods(f)
-        verds = O.check_lemma_r4(O.precompute(f, sysn))
+        verds = O.check_lemma_r4(O.precompute(f))
         assert all(v.passed for v in verds)
     all_pass = sum(v.passed for v in r4)
     _report(

@@ -17,8 +17,9 @@ Core claims:
     - precondition handling is tri-state and never counts violated
       instances as failures
     - the suite's verdicts match a table recorded before the checkers
-      shared one instance record, and a suite of one check gives the full
-      suite's rows of that check
+      shared one instance record, a suite of one check gives the full
+      suite's rows of that check, and a shorter suite's verdicts are a
+      prefix of a longer one's
     - merging atoms by array code matches the chained-merge loop
 """
 
@@ -268,8 +269,7 @@ def test_lattice_w2_law_of_the_cycle_at_n_6_peaks_within_13_mb():
 
 def test_lemma_xiyi_hand_instances():
     f = F.build_m_dependent(6, 1, F.rademacher())
-    sys = F.induced_neighborhoods(f)
-    pre = O.precompute(f, sys)
+    pre = O.precompute(f)
     v = O.check_lemma_xiyi(pre, [2], xi=O.xi_function("abs", [2]), p=1.0)
     assert v.passed
     v0 = O.check_lemma_xiyi(pre, [2], xi=lambda X: np.zeros(X.shape[0]), p=1.0)
@@ -278,16 +278,14 @@ def test_lemma_xiyi_hand_instances():
     assert vc.check_id == "lemma_xiyi_corollary" and vc.passed
     # iid: X_i^2 = 1 identically, so the corollary LHS vanishes
     fi = F.build_iid_field(4, F.rademacher())
-    si = F.induced_neighborhoods(fi)
-    vi = O.check_lemma_xiyi(O.precompute(fi, si), [])
+    vi = O.check_lemma_xiyi(O.precompute(fi), [])
     assert vi.lhs == pytest.approx(0.0, abs=1e-12)
     assert vi.rhs == pytest.approx(16.0 * 4)
 
 
 def test_lemma_s2_hand_instances():
     f = F.build_iid_field(4, F.rademacher())
-    sys = F.induced_neighborhoods(f)
-    pre = O.precompute(f, sys)
+    pre = O.precompute(f)
     v1 = O.check_lemma_s2(pre, [0], xi=None, p=0.0)
     assert v1.lhs == pytest.approx(3.0) and v1.margin == pytest.approx(2.0)
     v2 = O.check_lemma_s2(pre, [0], xi=O.xi_function("abs", [0]), p=1.0)
@@ -299,8 +297,7 @@ def test_lemma_s2_hand_instances():
 def test_lemma_s4_small_n_precondition_recorded():
     for n in (4, 8, 12):
         f = F.build_iid_field(n, F.rademacher())
-        sys = F.induced_neighborhoods(f)
-        verds = O.check_lemma_s4(O.precompute(f, sys), [0])
+        verds = O.check_lemma_s4(O.precompute(f), [0])
         by_id = {v.check_id: v for v in verds}
         s4 = by_id["lemma_s4_s"]
         assert s4.precondition == "violated"  # n^{-1/2} >> 1/500 at these sizes
@@ -311,26 +308,23 @@ def test_lemma_s4_small_n_precondition_recorded():
 
 def test_lemma_r4_instances(monkeypatch):
     f = F.build_m_dependent(6, 1, F.rademacher())
-    sys = F.induced_neighborhoods(f)
-    pre = O.precompute(f, sys)
+    pre = O.precompute(f)
     verds = O.check_lemma_r4(pre)
     assert all(v.passed for v in verds)
     assert any(v.lhs > 0 for v in verds)
     f8 = F.build_iid_field(8, F.rademacher())
-    s8 = F.induced_neighborhoods(f8)
     clamp = O.TEST_FUNCTIONS["clamp"]
     monkeypatch.setattr(O, "TEST_FUNCTIONS", {"zero": lambda w: 0.0 * w})
     zero = O.check_lemma_r4(pre)
     assert zero[0].lhs == 0.0 and zero[0].passed
     monkeypatch.setattr(O, "TEST_FUNCTIONS", {"clamp": clamp})
-    verds8 = O.check_lemma_r4(O.precompute(f8, s8))
+    verds8 = O.check_lemma_r4(O.precompute(f8))
     assert verds8[0].passed
 
 
 def test_invalid_test_function_rejected(monkeypatch):
     f = F.build_iid_field(3, F.rademacher())
-    sys = F.induced_neighborhoods(f)
-    pre = O.precompute(f, sys)
+    pre = O.precompute(f)
     for bad in ({"big": lambda w: 2.0 * np.tanh(w)}, {"steep": lambda w: np.clip(3 * w, -1, 1)}):
         monkeypatch.setattr(O, "TEST_FUNCTIONS", bad)
         with pytest.raises(InvalidTestFunction):
@@ -339,8 +333,7 @@ def test_invalid_test_function_rejected(monkeypatch):
 
 def test_prop1_hand_instance_and_monotonicity():
     f = F.build_iid_field(4, F.rademacher())
-    sys = F.induced_neighborhoods(f)
-    pre = O.precompute(f, sys)
+    pre = O.precompute(f)
     v = O.check_prop1(pre, [0], [1], 0.0, 0.0, 1.0, xi=O.xi_function("abs", [0]))
     assert v.lhs == pytest.approx(0.75)
     assert v.passed
@@ -356,8 +349,7 @@ def test_prop1_hand_instance_and_monotonicity():
 
 def test_prop2_hand_instance():
     f = F.build_iid_field(6, F.rademacher())
-    sys = F.induced_neighborhoods(f)
-    pre = O.precompute(f, sys)
+    pre = O.precompute(f)
     v = O.check_prop2(pre, [0], [1], 0.0, 0.0, 1.0, xi=O.xi_function("abs", [0]))
     assert v.passed
     vz = O.check_prop2(pre, [0], [1], 0.0, 0.0, 1.0, xi=lambda X: np.zeros(X.shape[0]))
@@ -374,11 +366,14 @@ def test_randomized_suite_zero_failures():
             assert v.margin >= -1e-10 * max(1.0, abs(v.rhs))
 
 
-def test_suite_results_independent_of_thread_count():
-    a = O.run_checker_suite(12, master_seed=99, threads=1)
-    b = O.run_checker_suite(12, master_seed=99, threads=4)
+def test_suite_is_a_prefix_of_a_longer_suite():
+    """Instance k draws only from its own substream, so the first six
+    instances give the same verdicts in a suite of six or of twelve."""
+    a = O.run_checker_suite(6, master_seed=99)
+    b = O.run_checker_suite(12, master_seed=99)
+    assert len(a) == 48
     assert [(v.check_id, v.digest, v.lhs, v.rhs) for v in a] == [
-        (v.check_id, v.digest, v.lhs, v.rhs) for v in b
+        (v.check_id, v.digest, v.lhs, v.rhs) for v in b[:48]
     ]
 
 
@@ -501,8 +496,7 @@ def test_degenerate_statistic_raises():
 
 def test_verdict_csv_rows():
     f = F.build_iid_field(4, F.rademacher())
-    sys = F.induced_neighborhoods(f)
-    pre = O.precompute(f, sys)
+    pre = O.precompute(f)
     v = O.check_lemma_s2(pre, [0])
     rows = O.verdicts_to_csv_rows([v])
     assert rows[0].startswith("digest,check,")

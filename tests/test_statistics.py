@@ -13,8 +13,9 @@ Core claims:
     - constrained-U and decorated field sums reproduce the counters
       exactly (integer equality) on sampled inputs
     - classical and distributed U-statistic evaluators match hand values
-    - only ``statistics`` compares statistic names, and no package module
-      (``__init__``'s re-exports aside) imports a name it never reads
+    - only ``statistics`` compares statistic names, no package module
+      (``__init__``'s re-exports aside) imports a name it never reads, and
+      every option of a package function is passed by some call
 """
 
 from __future__ import annotations
@@ -165,6 +166,57 @@ def test_src_modules_read_every_import():
     assert not {name: names for name, names in found.items() if names}
     snippet = "from __future__ import annotations\nimport os, a.b, sys as s\nfrom m import b, c\nc(os)"
     assert unused_imports(snippet) == ["a", "b", "s"]
+
+
+def unpassed_options(def_sources: list[str], call_sources: list[str]) -> list[str]:
+    """``name(param)`` for each parameter with a default, of a function
+    defined in ``def_sources``, that no call of that name in
+    ``call_sources`` passes: by keyword, by position or through ``*`` or
+    ``**``.  A method's ``self`` is not counted, and ``__init__`` is
+    called by its class's name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in call_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, param: str, k: int | None) -> bool:
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        return k is not None and (
+            len(call.args) > k or any(isinstance(a, ast.Starred) for a in call.args[:k + 1])
+        )
+
+    found = []
+    for source in def_sources:
+        tree = ast.parse(source)
+        owner = {id(fn): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for fn in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            positional = (a.posonlyargs + a.args)[1 if id(fn) in owner else 0:]
+            name = owner[id(fn)] if fn.name == "__init__" else fn.name
+            options = list(enumerate(positional))[len(positional) - len(a.defaults):]
+            options += [(None, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            found += [f"{name}({p.arg})" for k, p in options
+                      if not any(passes(c, p.arg, k) for c in calls.get(name, []))]
+    return sorted(found)
+
+
+def test_src_options_are_each_passed_somewhere():
+    """Every parameter with a default, of every function of the package,
+    is passed by some call in the package or its tests: an option that
+    only ever takes its default is dead code."""
+    package = Path(locdep.__file__).parent
+    src = [p.read_text() for p in sorted(package.glob("*.py"))]
+    tests = [p.read_text() for p in sorted(Path(__file__).parent.glob("*.py"))]
+    assert unpassed_options(src, src + tests) == []
+    defs = ("def f(a, b=1, *, c=2, d=3): pass\ndef g(a=0): pass\n"
+            "class K:\n    def __init__(self, x=0): pass\n    def m(self, y=0): pass\n")
+    assert unpassed_options([defs], ["f(1, 2, d=4)\ng(*args)\nK(5)\nk.m()"]) == ["f(c)", "m(y)"]
 
 
 def test_w2_zero_field_rejected():
