@@ -50,7 +50,6 @@ class BoundReport:
     theorem: str
     value: float
     terms: dict[str, float]
-    constant_policy: str = "C=1 shape"
     inputs: dict = dc_field(default_factory=dict)
     se: float | None = None
 
@@ -59,7 +58,7 @@ class BoundReport:
             "theorem": self.theorem,
             "value": self.value,
             "terms": self.terms,
-            "constant_policy": self.constant_policy,
+            "constant_policy": "C=1 shape",
             "inputs": {k: v for k, v in self.inputs.items() if isinstance(v, (int, float, str, bool))},
             "se": self.se,
         }

@@ -351,6 +351,8 @@ def parse_spec(doc: dict) -> ExperimentSpec:
         "out": (TEXT, "locdep-out"),
         "assertions": (ASSERTIONS, {}),
     })(doc, "$")
+    if checked["assertions"]["max_ratio_spread"] is not None and not checked["bounds"]:
+        raise ConfigError("$.assertions.max_ratio_spread", "needs a bound shape, but bounds is empty")
     return ExperimentSpec(**checked, raw=doc)
 
 
@@ -493,7 +495,7 @@ def run_experiment(
             ks = oracle.kolmogorov_from_atoms(*oracle.exact_law(walk, sigma))
             summary = harness.EmpiricalSummary(
                 statistic=spec.statistic, reps=0, ks=ks, ks_band=0.0,
-                rejected=0, mean=float("nan"),
+                rejected=0,
             )
         else:
             sys = built.system() if spec.statistic in statistics.READS_VALUES else None

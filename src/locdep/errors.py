@@ -37,10 +37,6 @@ class ComplexityCapExceeded(LocdepError):
     """A nested-sum evaluation would visit more terms than the operation budget."""
 
 
-class InvalidTestFunction(LocdepError):
-    """A test function violates its sup-norm or derivative-norm constraint."""
-
-
 class NonFiniteBound(LocdepError):
     """A bound shape overflows, divides by zero, or is not finite."""
 

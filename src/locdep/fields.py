@@ -17,7 +17,7 @@ A field groups its indices by this signature once, at construction
 
 ``incidence`` is the (n, n_sources) read-only ``neighborhood.Csr`` record
 counting the slots of row i that read source s.  A sum field (evaluator
-``_sum_columns``: the iid, m-dependent and graph builders' default) is
+``_sum_columns``, as from the iid, m-dependent and graph builders) is
 linear in its sources, X = incidence @ U - means and S = U @ c -
 sum(means), c the column sums: its values are one product with that
 record in index-major layout, with no gather, and its means are
@@ -867,13 +867,8 @@ def build_iid_field(n: int, source: Source) -> LatentSourceField:
     )
 
 
-def build_m_dependent(
-    n: int,
-    m: int,
-    source: Source,
-    window_evaluator: Callable | None = None,
-) -> LatentSourceField:
-    """Stationary m-dependent field: X_i = w(U_i, ..., U_{i+m}).
+def build_m_dependent(n: int, m: int, source: Source) -> LatentSourceField:
+    """Stationary m-dependent sum field: X_i = U_i + ... + U_{i+m}.
 
     Windows overlap iff |i - j| <= m, so A_i = [i-m, i+m] among valid
     indices; m = 0 reduces to an iid field.
@@ -885,7 +880,7 @@ def build_m_dependent(
     return LatentSourceField(
         sources=(source,) * (n + m),
         supports=np.arange(n)[:, None] + np.arange(m + 1),
-        ev=_sum_columns if window_evaluator is None else _columnwise(window_evaluator),
+        ev=_sum_columns,
         metadata={"family": "m_dependent", "n": n, "m": m},
     )
 
@@ -894,16 +889,13 @@ def build_graph_dependency(
     n_vertices: int,
     edges: Sequence[tuple[int, int]],
     source: Source,
-    evaluator: Callable | None = None,
 ) -> LatentSourceField:
-    """Dependency-graph field: one source per vertex and per edge,
-    X_i = ev(own source, incident edge sources).
+    """Dependency-graph sum field: one source per vertex and per edge,
+    X_i = its own source plus those of its incident edges.
 
-    A custom ``evaluator`` receives 1 + max_degree arguments; those beyond
-    a vertex's own degree read 0.  Induced A_i is the closed neighborhood
-    of i, so with the union pair cover kappa <= 2d and tau <= 4d^2 for
-    maximal degree d >= 3 (2kappa^2 in general).  An edgeless graph
-    reduces to an iid field.
+    Induced A_i is the closed neighborhood of i, so with the union pair
+    cover kappa <= 2d and tau <= 4d^2 for maximal degree d >= 3
+    (2kappa^2 in general).  An edgeless graph reduces to an iid field.
     """
     if n_vertices < 1:
         raise InvalidSize(f"n_vertices must be >= 1, got {n_vertices}")
@@ -923,7 +915,7 @@ def build_graph_dependency(
     return LatentSourceField(
         sources=(source,) * (n_vertices + len(edges)),
         supports=supports,
-        ev=_sum_columns if evaluator is None else _columnwise(evaluator),
+        ev=_sum_columns,
         metadata={
             "family": "graph",
             "n": n_vertices,

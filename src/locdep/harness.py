@@ -55,7 +55,6 @@ class EmpiricalSummary:
     ks: float
     ks_band: float  # 1/sqrt(accepted) envelope
     rejected: int
-    mean: float
     extras: dict = dc_field(default_factory=dict)
 
 
@@ -136,7 +135,6 @@ def mc_run(
         ks=ks,
         ks_band=1.0 / math.sqrt(values.size),
         rejected=rejected,
-        mean=float(values.mean()),
         extras={"accepted": int(values.size)},
     )
 

@@ -245,10 +245,9 @@ def mc_moment_table(
 
 @dataclass(frozen=True)
 class KernelMoments:
-    """theta = E h, sigma1 = sd of the first-order projection,
-    var = Var(h), and the raw norm ||h||_4 = (E|h|^4)^{1/4}."""
+    """sigma1 = sd of the first-order projection, var = Var(h), and the
+    raw norm ||h||_4 = (E|h|^4)^{1/4}; the bounds read these three."""
 
-    theta: float
     sigma1: float
     var: float
     l4: float
@@ -259,8 +258,8 @@ def hoeffding_sigma1(
     m: int,
     source: Source,
 ) -> KernelMoments:
-    """sigma1^2 = Var( E[h(X_1..X_m) - theta | X_1] ), exact by nested
-    enumeration over a discrete source.  Raises
+    """sigma1^2 = Var( E[h(X_1..X_m) - theta | X_1] ) with theta = E h,
+    exact by nested enumeration over a discrete source.  Raises
     :class:`EnumerationCapExceeded` for a continuous source or a grid
     beyond DEFAULT_ENUM_CAP, and :class:`DegenerateKernel` when sigma1^2
     falls below ``SIGMA1_RTOL * max(Var(h), tiny)`` (the degenerate case).
@@ -282,7 +281,7 @@ def hoeffding_sigma1(
         raise DegenerateKernel(
             f"sigma1^2={sigma1_sq} is degenerate relative to Var(h)={var_h}"
         )
-    return KernelMoments(theta=theta, sigma1=math.sqrt(sigma1_sq), var=var_h, l4=l4)
+    return KernelMoments(sigma1=math.sqrt(sigma1_sq), var=var_h, l4=l4)
 
 
 # ---------------------------------------------------------------------------

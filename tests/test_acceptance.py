@@ -126,9 +126,8 @@ def test_criterion_4_exact_vs_mc_kolmogorov():
     """|mc ks - exact ks| <= 2/sqrt(R) at R = 1e5 in at least 19/20 seeds."""
     reps = 10**5
     f = F.build_m_dependent(7, 1, F.rademacher())
-    sysn = F.induced_neighborhoods(f)
     table = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
-    exact = O.exact_kolmogorov(f, "w1", sys=sysn, sigma=table.sigma)
+    exact = O.kolmogorov_from_atoms(*O.exact_law(O.walk_outcomes(f, "w1"), table.sigma))
     tol = 2.0 / math.sqrt(reps)
     hits = 0
     gaps = []
@@ -344,8 +343,7 @@ def test_criterion_11_structural_invariants():
     rng = substream(ACCEPT_SEED, 110)
     # scale invariance
     f = F.build_m_dependent(6, 1, F.rademacher())
-    fc = F.build_m_dependent(6, 1, F.rademacher(),
-                             window_evaluator=lambda a, b: 2.5 * (a + b))
+    fc = F.build_m_dependent(6, 1, F.DiscreteSource((-2.5, 2.5), (0.5, 0.5)))  # 2.5 (a + b)
     sysn = F.induced_neighborhoods(f)
     der = nb.derive(sysn)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
@@ -383,9 +381,8 @@ def test_criterion_11_structural_invariants():
         ev=f.ev,
         means=f.means[::-1].copy(),
     )
-    ks_a = O.exact_kolmogorov(f, "w1", sys=sysn, sigma=t.sigma)
-    ks_b = O.exact_kolmogorov(f_rev, "w1", sys=F.induced_neighborhoods(f_rev),
-                              sigma=t.sigma)
+    ks_a, ks_b = (O.kolmogorov_from_atoms(*O.exact_law(O.walk_outcomes(g, "w1"), t.sigma))
+                  for g in (f, f_rev))
     assert ks_b == pytest.approx(ks_a, abs=1e-12)
     # beta evaluator vs naive loops at n = 30
     from test_bounds import naive_beta

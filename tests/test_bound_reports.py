@@ -96,5 +96,5 @@ def test_reports_reproduce_the_pinned_values(name):
 
 
 def test_distributed_u_reproduces_the_pinned_value():
-    km = M.KernelMoments(theta=0.5, sigma1=1.3, var=2.1, l4=1.7)
+    km = M.KernelMoments(sigma1=1.3, var=2.1, l4=1.7)
     assert _rep(B.bound_distributed_u(km, 40, 2, [20, 20])) == PINNED["distributed_u"]

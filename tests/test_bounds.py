@@ -72,8 +72,7 @@ def test_scale_invariance_of_shapes():
         n = int(rng.integers(2, 7))
         f = F.build_m_dependent(n, 1, F.rademacher())
         c = float(rng.uniform(0.5, 4.0))
-        fc = F.build_m_dependent(n, 1, F.rademacher(),
-                                 window_evaluator=lambda a, b, c=c: c * (a + b))
+        fc = F.build_m_dependent(n, 1, F.DiscreteSource((-c, c), (0.5, 0.5)))  # c (a + b)
         sys = F.induced_neighborhoods(f)
         der = nb.derive(sys)
         t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
@@ -244,8 +243,7 @@ def test_bound_graph_examples():
     assert main_sub.value / 8 <= g.value <= 8 * main_sub.value
     # lambda_1 scale invariance
     fc = F.build_graph_dependency(
-        6, [(i, (i + 1) % 6) for i in range(6)], F.rademacher(),
-        evaluator=lambda *cols: 2.0 * sum(cols),
+        6, [(i, (i + 1) % 6) for i in range(6)], F.DiscreteSource((-2.0, 2.0), (0.5, 0.5)),
     )
     tc = M.exact_moment_table(fc, O.walk_outcomes(fc, var=True).sigma2)
     assert B.bound_graph(tc, d).terms["lambda1"] == pytest.approx(
@@ -254,7 +252,7 @@ def test_bound_graph_examples():
 
 
 def test_bound_distributed_u_examples():
-    km = M.KernelMoments(theta=0.0, sigma1=1.3, var=1.0, l4=1.3)
+    km = M.KernelMoments(sigma1=1.3, var=1.0, l4=1.3)
     rep = B.bound_distributed_u(km, 100, 2, [100])
     assert rep.terms["normalized"] == pytest.approx(0.2)
     sizes = [8, 8, 9]
@@ -430,8 +428,7 @@ def test_beta_iid_closed_forms():
 
 def test_delta_components_scale_invariant():
     f = F.build_m_dependent(5, 1, F.rademacher())
-    fc = F.build_m_dependent(5, 1, F.rademacher(),
-                             window_evaluator=lambda a, b: 3.0 * (a + b))
+    fc = F.build_m_dependent(5, 1, F.DiscreteSource((-3.0, 3.0), (0.5, 0.5)))  # 3 (a + b)
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)

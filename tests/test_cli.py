@@ -36,7 +36,8 @@ Core claims:
     - ``require_ld`` fails a grid point past its enumeration cap (2^16, or
       --cap when lower) as untested
     - a ratio spread over its assertion, and a bound shape that is not
-      positive, exit 1 naming the ratio table's failure
+      positive, exit 1 naming the ratio table's failure; a spread
+      assertion with no bound shape to check it on exits 2
     - a grid point takes an exact Var(S) within min(--cap, TABLE_CAP)
       outcomes and a hybrid table past it, in the exact and Monte-Carlo
       modes alike, for sum and other fields; a configured sigma2 clears
@@ -53,6 +54,7 @@ from __future__ import annotations
 import csv
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -509,7 +511,8 @@ def test_declared_neighborhoods_drive_the_self_normalized_statistics(tmp_path, s
     assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0
     (ks,) = summary_ks(tmp_path / "out")
     field = fields.build_m_dependent(6, 1, fields.rademacher())
-    assert ks == oracle.exact_kolmogorov(field, statistic, sys=nb.make_system(declared))
+    walk = oracle.walk_outcomes(field, statistic, nb.make_system(declared), var=True)
+    assert ks == oracle.kolmogorov_from_atoms(*oracle.exact_law(walk, math.sqrt(walk.sigma2)))
     assert ks != oracle.exact_kolmogorov(field, statistic)
 
 
@@ -760,6 +763,9 @@ SPEC_CASES = {
                                   [], "$.params.pattern"),
     "zero_rejections_string": ({"assertions": {"zero_rejections": "yes"}}, [],
                                "$.assertions.zero_rejections"),
+    # no bound shape, so no ratio table that the spread could be checked on
+    "ratio_spread_without_bounds": ({"bounds": [], "assertions": {"max_ratio_spread": 1.0}}, [],
+                                    "$.assertions.max_ratio_spread"),
 }
 
 

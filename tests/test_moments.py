@@ -124,7 +124,7 @@ def test_lp_monotonicity_random_fields():
 
 def test_lambda_scale_invariance():
     f = F.build_m_dependent(5, 1, F.rademacher())
-    fc = F.build_m_dependent(5, 1, F.rademacher(), window_evaluator=lambda a, b: 2.5 * (a + b))
+    fc = F.build_m_dependent(5, 1, F.DiscreteSource((-2.5, 2.5), (0.5, 0.5)))  # 2.5 (a + b)
     t = M.exact_moment_table(f)
     tc = M.exact_moment_table(fc)
     assert B.lam_scale(tc, 4) == pytest.approx(B.lam_scale(t, 4), rel=1e-12)
@@ -133,7 +133,6 @@ def test_lambda_scale_invariance():
 def test_hoeffding_projection_hand_values():
     km = M.hoeffding_sigma1(lambda x, y: x + y, 2, F.rademacher())
     assert km.sigma1 == pytest.approx(1.0)
-    assert km.theta == pytest.approx(0.0)
     assert km.var == pytest.approx(2.0)
     with pytest.raises(DegenerateKernel):
         M.hoeffding_sigma1(lambda x, y: x * y, 2, F.rademacher())
@@ -279,12 +278,21 @@ def test_run_writes_the_triangle_moments_csv_byte_for_byte(tmp_path, monkeypatch
     assert rest == b"# n=20\n" + reference_csv(table)
 
 
+def window_field(n: int, fn) -> F.LatentSourceField:
+    """The 1-dependent Rademacher window field X_i = fn(U_i, U_{i+1}), on the
+    m-dependent builder's supports."""
+    return F.LatentSourceField(
+        sources=(F.rademacher(),) * (n + 1),
+        supports=np.arange(n)[:, None] + np.arange(2),
+        ev=lambda G: fn(G[..., 0], G[..., 1]),
+    )
+
+
 GROUPING_CASES = {
     "iid": lambda: F.build_iid_field(4, F.three_point()),
     "iid_bernoulli": lambda: F.build_iid_field(3, F.bernoulli(0.3)),
     "m_dependent": lambda: F.build_m_dependent(5, 2, F.three_point(2.0, 1 / 3)),
-    "m_dependent_window": lambda: F.build_m_dependent(
-        5, 1, F.rademacher(), window_evaluator=lambda a, b: a * b + a),
+    "m_dependent_window": lambda: window_field(5, lambda a, b: a * b + a),
     "graph_star": lambda: F.build_graph_dependency(
         5, [(0, 1), (0, 2), (0, 3), (3, 4)], F.three_point()),
     "ustat": lambda: F.build_ustat_field([4, 3], 2, lambda x, y: x * y + x, F.three_point()),
@@ -432,7 +440,7 @@ def test_wrong_sigma2_fails_the_identity_on_every_route():
     # from the outcomes; a sum field (closed-form Var(S)) and one whose
     # Var(S) is enumerated alike
     f = F.build_m_dependent(6, 1, F.rademacher())
-    g = F.build_m_dependent(6, 1, F.rademacher(), window_evaluator=lambda a, b: (1 + a) * (1 + b))
+    g = window_field(6, lambda a, b: (1 + a) * (1 + b))
     for field in (f, g):
         walk = O.walk_outcomes(field, var=True, keep=True)
         short = float(M.exact_pair_covariance(field, np.repeat(np.arange(6)[:, None], 2, 1)).sum())

@@ -168,19 +168,48 @@ def test_src_modules_read_every_import():
     assert unused_imports(snippet) == ["a", "b", "s"]
 
 
+def record_options(cls: ast.ClassDef) -> list[tuple[int, str]]:
+    """(position, name) of each constructor field of a dataclass or
+    NamedTuple that has a plain default: ``field(default_factory=...)``
+    and ``init=False`` fields are not counted."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators) \
+            and not any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases):
+        return []
+    out, k = [], 0
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        v = node.value
+        is_field = isinstance(v, ast.Call) and getattr(v.func, "id", None) in ("field", "dc_field")
+        kw = {w.arg: w.value for w in v.keywords} if is_field else None
+        if kw is not None and getattr(kw.get("init"), "value", True) is False:
+            continue
+        if v is not None and (kw is None or "default" in kw):
+            out.append((k, node.target.id))
+        k += 1
+    return out
+
+
 def unpassed_options(def_sources: list[str], call_sources: list[str]) -> list[str]:
     """``name(param)`` for each parameter with a default, of a function
     defined in ``def_sources``, that no call of that name in
     ``call_sources`` passes: by keyword, by position or through ``*`` or
     ``**``.  A method's ``self`` is not counted, and ``__init__`` is
-    called by its class's name."""
+    called by its class's name.  A dataclass or NamedTuple field with a
+    plain default (:func:`record_options`) is a parameter of its class's
+    constructor, passed also where some call source assigns it as an
+    attribute."""
     calls: dict[str, list[ast.Call]] = {}
+    assigned: set[str] = set()
     for source in call_sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                assigned.add(node.attr)
 
     def passes(call: ast.Call, param: str, k: int | None) -> bool:
         if any(kw.arg in (param, None) for kw in call.keywords):
@@ -194,6 +223,10 @@ def unpassed_options(def_sources: list[str], call_sources: list[str]) -> list[st
         tree = ast.parse(source)
         owner = {id(fn): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for fn in c.body}
         for fn in ast.walk(tree):
+            if isinstance(fn, ast.ClassDef):
+                found += [f"{fn.name}({p})" for k, p in record_options(fn)
+                          if p not in assigned
+                          and not any(passes(c, p, k) for c in calls.get(fn.name, []))]
             if not isinstance(fn, ast.FunctionDef):
                 continue
             a = fn.args
@@ -208,15 +241,20 @@ def unpassed_options(def_sources: list[str], call_sources: list[str]) -> list[st
 
 def test_src_options_are_each_passed_somewhere():
     """Every parameter with a default, of every function of the package,
-    is passed by some call in the package or its tests: an option that
-    only ever takes its default is dead code."""
+    and every defaulted field of its dataclasses and NamedTuples, is passed
+    by some call in the package or in ``perfbench/``: an option that only
+    ever takes its default, or that only the tests pass, is dead code."""
     package = Path(locdep.__file__).parent
     src = [p.read_text() for p in sorted(package.glob("*.py"))]
-    tests = [p.read_text() for p in sorted(Path(__file__).parent.glob("*.py"))]
-    assert unpassed_options(src, src + tests) == []
+    bench = [p.read_text() for p in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))]
+    assert unpassed_options(src, src + bench) == []
     defs = ("def f(a, b=1, *, c=2, d=3): pass\ndef g(a=0): pass\n"
-            "class K:\n    def __init__(self, x=0): pass\n    def m(self, y=0): pass\n")
-    assert unpassed_options([defs], ["f(1, 2, d=4)\ng(*args)\nK(5)\nk.m()"]) == ["f(c)", "m(y)"]
+            "class K:\n    def __init__(self, x=0): pass\n    def m(self, y=0): pass\n"
+            "@dataclass\nclass D:\n    a: int\n    b: int = 0\n    c: list = field(default_factory=list)\n"
+            "    d: int = field(init=False)\n    e: int = 1\n    h: int = 2\n")
+    calls = "f(1, 2, d=4)\ng(*args)\nK(5)\nk.m()\nD(1, 2, [], 3)\nrec.h = 4"
+    assert unpassed_options([defs], [calls]) == ["f(c)", "m(y)"]
+    assert unpassed_options([defs], [calls.replace("[], 3", "[]")]) == ["D(e)", "f(c)", "m(y)"]
 
 
 def test_w2_zero_field_rejected():
