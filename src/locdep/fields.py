@@ -28,6 +28,10 @@ outcome count, :func:`lattice_blocks` gives the law of X by adding one
 source at a time to a dense table over the cells, in place of
 :func:`outcome_blocks`' enumeration.
 
+A field's outcome space is the product grid over the sources some index
+reads (c_s > 0), as :func:`local_values` enumerates a row's: X does not
+depend on the others, and every enumeration cap counts these outcomes.
+
 Dependence neighborhoods are *induced* by support overlap,
 
     A_i  = {j : supp(j) & supp(i) != {}},
@@ -351,9 +355,12 @@ class LatentSourceField:
         return all(isinstance(src, DiscreteSource) for _, src in self.runs)
 
     def outcome_count(self) -> int | None:
+        """The product of the read sources' support sizes, the outcomes
+        :func:`outcome_blocks` walks; None if any source is continuous."""
         if not self.is_enumerable():
             return None
-        return math.prod(len(src.values) ** (sl.stop - sl.start) for sl, src in self.runs)
+        return math.prod(len(src.values) ** int(np.count_nonzero(self.counts[sl]))
+                         for sl, src in self.runs)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +740,9 @@ def sum_values(field: LatentSourceField, rows: np.ndarray, X: np.ndarray | None 
 
 def outcome_blocks(field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP):
     """Yield (probs, source_rows) blocks of ENUM_BLOCK outcomes covering
-    the full outcome space.
+    the outcome space: a source no index reads is pinned to its first
+    value with probability 1, so rows keep all ``n_sources`` columns and
+    only duplicate atoms of X go.
 
     Outcomes are ordered with source 0 as the most significant mixed-radix
     digit.  Raises :class:`EnumerationCapExceeded` beyond ``cap`` outcomes.
@@ -743,8 +752,10 @@ def outcome_blocks(field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP):
         raise EnumerationCapExceeded("field has continuous sources")
     if total > cap:
         raise EnumerationCapExceeded(f"{total} outcomes exceed cap {cap}")
+    sources = [src if c else DiscreteSource(src.values[:1], (1.0,))
+               for src, c in zip(field.sources, field.counts)]
     for start in range(0, total, ENUM_BLOCK):
-        yield product_grid(field.sources, start, min(start + ENUM_BLOCK, total))
+        yield product_grid(sources, start, min(start + ENUM_BLOCK, total))
 
 
 def value_lattice(field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP):

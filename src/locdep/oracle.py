@@ -4,7 +4,7 @@ inequality checkers.
 For an enumerable field the joint law is a finite list of (probability,
 realization) pairs, so distributions, Kolmogorov distances, and both
 sides of every explicit-constant inequality are computed exactly (up to
-floating round-off).
+floating round-off), over the outcomes of the sources some index reads.
 
 :func:`walk_outcomes` is the one loop over the outcome space.  It walks
 it block by block and takes only what its reader asks for: S for Var(S),
@@ -105,13 +105,13 @@ def phi(z):
 class Walk:
     """What one walk of an enumerable field's outcome space took.
 
-    ``probs`` and ``X`` are every outcome's probability and its (M, n)
-    centered field values, when the walk kept them (on a value-lattice
-    walk, every distinct X once, with its outcomes' summed probability);
-    ``sigma2`` is the exact Var(S), when it was asked for.  ``parts`` are the
-    statistic's sigma-free parts over the accepted outcomes, with
-    ``law_probs`` conditioned on acceptance and the ``rejected`` mass:
-    :func:`exact_law` takes them over, once.
+    ``probs`` and ``X`` are the probability and the (M, n) centered field
+    values of every outcome of the read sources, when the walk kept them
+    (on a value-lattice walk, every distinct X once, with its outcomes'
+    summed probability); ``sigma2`` is the exact Var(S), when it was asked
+    for.  ``parts`` are the statistic's sigma-free parts over the accepted
+    outcomes, with ``law_probs`` conditioned on acceptance and the
+    ``rejected`` mass: :func:`exact_law` takes them over, once.
     """
 
     probs: np.ndarray | None = None
@@ -148,9 +148,9 @@ def walk_outcomes(
     pmf (``fields.lattice_blocks``); every other walk enumerates
     (``fields.outcome_blocks``).
 
-    Raises :class:`EnumerationCapExceeded` beyond ``cap`` outcomes, or,
-    when X is kept, before anything is allocated when it would take more
-    than ``fields.ENUM_BYTES_CAP`` bytes.
+    Raises :class:`EnumerationCapExceeded` beyond ``cap`` outcomes
+    (``field.outcome_count()``), or, when X is kept, before anything is
+    allocated when it would take more than ``fields.ENUM_BYTES_CAP`` bytes.
     """
     count = field.outcome_count()
     if keep and count is not None and count * field.n * 8 > fields.ENUM_BYTES_CAP:

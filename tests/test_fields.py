@@ -19,6 +19,10 @@ Core claims:
       local enumeration, and their closed-form Var(S) with the full walk;
       other fields that read continuous sources need given means
     - the product grid equals the div/mod grid bit for bit on any block
+    - a walk enumerates only the sources some index reads: a field with
+      unread sources keeps the outcomes, law of X and Var(S) of the field
+      built without them, and its outcome count (which the caps read)
+      leaves them out
     - fair two-point fields keep their draws packed: source-major rows and
       S counted from the packed bits equal the float route bit for bit at
       any block size, on unaligned, unsorted and repeated replications;
@@ -279,6 +283,61 @@ def test_outcome_blocks_probabilities_sum_to_one():
     f = F.build_m_dependent(4, 1, F.three_point())
     total = sum(float(p.sum()) for p, _ in F.outcome_blocks(f))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+# three indices over three read sources: X_i = sum_k w_ik G_ik + q_i prod_k G_ik
+READ_SOURCES = (F.rademacher(), F.three_point(2.0, 1 / 3), F.rademacher())
+READ_SUPPORTS = np.array([[0, 1, -1], [1, 2, -1], [0, 2, 1]])
+READ_PARAMS = (np.array([[1.0, -0.5, 0.0], [0.75, 1.25, 0.0], [-1.0, 0.5, 1.5]]),
+               np.array([0.5, 0.0, 0.5]))
+
+
+def weighted_field(slots, width):
+    """The three-index field over READ_SOURCES placed at ``slots`` among
+    ``width`` sources; the others are read by no index."""
+    fillers = (F.three_point(), F.bernoulli(0.3), F.uniform_letters(3))
+    sources = [fillers[s % 3] for s in range(width)]
+    for s, src in zip(slots, READ_SOURCES):
+        sources[s] = src
+    supports = np.where(READ_SUPPORTS >= 0, np.asarray(slots)[READ_SUPPORTS], -1)
+    return F.LatentSourceField(tuple(sources), supports, oracle._weighted_sum, READ_PARAMS)
+
+
+@pytest.mark.parametrize("slots,width", [((1, 2, 3), 4), ((0, 2, 3), 5), ((0, 1, 2), 6),
+                                         ((2, 4, 6), 8)])
+def test_walk_enumerates_only_the_read_sources(slots, width):
+    """Unread sources are pinned to their first value: the walk keeps the
+    12 outcomes of the read sources, in the same order and with the same
+    probabilities as the field built without them, so X, its law and
+    Var(S) do not change."""
+    wide, narrow = weighted_field(slots, width), weighted_field((0, 1, 2), 3)
+    assert wide.outcome_count() == narrow.outcome_count() == 2 * 3 * 2
+    a, b = (oracle.walk_outcomes(f, var=True, keep=True) for f in (wide, narrow))
+    assert a.X.shape == (12, 3) and np.array_equal(a.X, b.X)
+    assert np.array_equal(a.probs, b.probs) and a.probs.sum() == pytest.approx(1.0, abs=1e-15)
+    assert a.sigma2 == b.sigma2
+    # the merged laws of S and of each X_i
+    laws = [[oracle.exact_law(oracle.walk_outcomes(f, "sum"))] for f in (wide, narrow)]
+    for law, w in zip(laws, (a, b)):
+        law += [oracle.merge_atoms(w.X[:, i], w.probs) for i in range(3)]
+    for (u, p), (v, q) in zip(*laws):
+        assert np.array_equal(u, v) and np.array_equal(p, q)
+    # every row reads each unread source at its first value
+    rows = np.concatenate([r for _, r in F.outcome_blocks(wide)])
+    for s in set(range(width)) - set(slots):
+        assert np.all(rows[:, s] == wide.sources[s].values[0])
+
+
+def test_unread_sources_do_not_count_against_the_cap():
+    """2 read and 30 unread Rademacher sources: 4 outcomes, not 2^32 over
+    the default cap."""
+    f = F.LatentSourceField((F.rademacher(),) * 32, [[0, 31], [31, -1]], oracle._weighted_sum,
+                            (np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.0])))
+    assert f.outcome_count() == 4 < 2**32
+    walk = oracle.walk_outcomes(f, var=True, keep=True)
+    assert walk.X.shape == (4, 2)
+    # X_0 = a + b + ab / 2, X_1 = b over fair signs: Var(S) = Var(a + 2b + ab / 2)
+    assert walk.sigma2 == pytest.approx(1 + 4 + 0.25, rel=1e-15)
 
 
 def divmod_product_grid(sources, start=0, stop=None):

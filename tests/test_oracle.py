@@ -16,10 +16,11 @@ Core claims:
     - the normal CDF matches tabulated values to 1e-14
     - precondition handling is tri-state and never counts violated
       instances as failures
-    - the suite's verdicts match a table recorded before the checkers
-      shared one instance record, a suite of one check gives the full
-      suite's rows of that check, and a shorter suite's verdicts are a
-      prefix of a longer one's
+    - the suite's verdicts match a recorded table, a suite of one check
+      gives the full suite's rows of that check, and a shorter suite's
+      verdicts are a prefix of a longer one's
+    - each suite instance's walk keeps only the outcomes of the sources
+      its indices read
     - merging atoms by array code matches the chained-merge loop
 """
 
@@ -38,6 +39,7 @@ import locdep.moments as M
 import locdep.neighborhood as nb
 import locdep.oracle as O
 from locdep.errors import DegenerateVariance, EnumerationCapExceeded
+from locdep.rng import STREAM_INSTANCES, substream
 import locdep.statistics as st
 
 # Phi values to 15 digits (Abramowitz-Stegun style reference points)
@@ -383,12 +385,26 @@ def test_suite_is_a_prefix_of_a_longer_suite():
     ]
 
 
+def test_suite_instances_walk_only_their_read_sources():
+    """The 100 instances of a suite at seed 20260217 (the benchmark's
+    checker spec) keep 24,583 outcome rows, the product of each one's read
+    supports; a walk of every source's outcomes would keep 212,299."""
+    pres = [O.random_enumerable_instance(substream(20260217, STREAM_INSTANCES, k)).pre
+            for k in range(100)]
+    rows = [pre.plan.X.shape[0] for pre in pres]
+    read = [math.prod(len(src.values) for src, c in zip(pre.field.sources, pre.field.counts) if c)
+            for pre in pres]
+    assert rows == read and sum(rows) == 24_583
+
+
 SUITE_TABLE = Path(__file__).resolve().parent / "data" / "checker_suite_30_314.json"
 
 
 def test_suite_matches_recorded_verdict_table():
     """Verdicts of run_checker_suite(30, 314, include_r4=True) as recorded
-    when each checker still rebuilt its own instance state."""
+    once walks enumerated only the sources some index reads; every check,
+    digest, precondition and verdict equals the table recorded when each
+    checker still rebuilt its own instance state."""
     recorded = json.loads(SUITE_TABLE.read_text())["rows"]
     verds = O.run_checker_suite(30, master_seed=314, include_r4=True)
     assert len(verds) == len(recorded)
