@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BlockTooSmall, ComplexityCapExceeded, DegenerateVariance
 from .moments import KernelMoments, MomentTable
-from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, union
+from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, dot, union
 
 # cap on the summed row lengths of the unions behind the beta sums
 TERM_BUDGET = 10**9
@@ -198,15 +198,15 @@ def beta_sums(
     d_pair = cover.tdot(lij)
     return {
         "b1a": float(np.sum(lead)),
-        "b1b": float(s @ (M @ l43)),
-        "t21": float(lij @ (cover @ (l4 * w_an))),
-        "t22": float(lead @ w_an),
-        "t23_beta2": float(pair_lead @ (AiNjAj @ l4)),
-        "t23_delta6": float(pair_lead @ (AiNj @ l4)),
-        "t31": float(lead @ (AuN @ (l4 * w_n))),
-        "t32": float(pair_lead @ (AiNj @ (l4 * w_n))),
-        "t33": float(lead @ d_pair),
-        "t34": float(s @ (M @ (l43 * d_pair))),
+        "b1b": dot(s, M @ l43),
+        "t21": dot(lij, cover @ (l4 * w_an)),
+        "t22": dot(lead, w_an),
+        "t23_beta2": dot(pair_lead, AiNjAj @ l4),
+        "t23_delta6": dot(pair_lead, AiNj @ l4),
+        "t31": dot(lead, AuN @ (l4 * w_n)),
+        "t32": dot(pair_lead, AiNj @ (l4 * w_n)),
+        "t33": dot(lead, d_pair),
+        "t34": dot(s, M @ (l43 * d_pair)),
     }
 
 
@@ -421,8 +421,8 @@ def delta_components_prop1(
         "delta0": (b - a) / 100.0,
         "delta1": c / sigma * float(np.sum(l4[reverse_set_of(sys, A)])),
         "delta2": c / sigma * float(np.sum(l4[B])),
-        "delta3": c / sigma**2 * float(l4[B] @ (derived.Mt @ l4)[B]),
-        "delta4": c / sigma**2 * float(l4[I] @ l4[J]),
+        "delta3": c / sigma**2 * dot(l4[B], (derived.Mt @ l4)[B]),
+        "delta4": c / sigma**2 * dot(l4[I], l4[J]),
         "delta5": c / sigma**3 * (raw["b1a"] + raw["b1b"]),
         "delta6": math.sqrt(c**2 / sigma**4 * (raw["t21"] + raw["t22"] + raw["t23_delta6"])),
         "delta7": math.sqrt(
@@ -456,7 +456,7 @@ def delta_components_prop2(
     n_a = reverse_set_of(sys, A)
     # sum over k in N_A and l in N_k | A_k of ||X_k||_4 ||X_l||_4
     w_an = union(sys.M, derived.Mt) @ l4
-    d4_sq = lam**2 * c**2 / sigma**2 * float(l4[n_a] @ w_an[n_a])
+    d4_sq = lam**2 * c**2 / sigma**2 * dot(l4[n_a], w_an[n_a])
     delta = {
         "delta1": c / sigma * float(np.sum(l4[np.asarray(B, dtype=np.int64)])),
         "delta2": c * lam * len(A) ** 2 * main3,

@@ -28,7 +28,8 @@ read off ``M`` (A_i) and ``Mt`` (N_j).
 
 The products a :class:`Csr` offers add each row's entries in ascending
 column order, starting from 0, as a compiled CSR product does, so their
-floats do not depend on how the rows are split into work.
+floats do not depend on how the rows are split into work; :func:`dot`
+is the dense dot product with the same property.
 """
 
 from __future__ import annotations
@@ -116,6 +117,13 @@ class Csr:
         x = np.asarray(x)
         w = x[self.rows] if self.data is None else x[self.rows] * self.data
         return np.bincount(self.indices, w, self.shape[1]).astype(float, copy=False)
+
+
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum_k x[k] y[k], by numpy's pairwise sum of the products.  A BLAS
+    dot product (``x @ y``) splits a long vector over the BLAS threads and
+    adds the parts in an order that depends on their number; this does not."""
+    return float(np.add.reduce(np.multiply(x, y)))
 
 
 def from_entries(rows, cols, shape, data=None) -> Csr:

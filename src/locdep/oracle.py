@@ -73,7 +73,7 @@ from .fields import (
     sum_values,
 )
 from .moments import MomentTable, exact_moment_table
-from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive
+from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive, dot
 from .rng import STREAM_INSTANCES, substream
 from .statistics import NEEDS_SIGMA, READS_VALUES, finish, statistic_parts
 
@@ -174,8 +174,8 @@ def walk_outcomes(
     for p, X, s in blocks:
         if take_s:
             with np.errstate(over="ignore", invalid="ignore"):  # its reader checks Var(S)
-                es += float(p @ s)
-                es2 += float(p @ s**2)
+                es += dot(p, s)
+                es2 += dot(p, s**2)
         if keep:
             kept.append((p, X))
         if statistic is not None:
@@ -219,7 +219,7 @@ def _sum_field_sigma2(field: LatentSourceField) -> float:
             v, p = np.asarray(src.values), np.asarray(src.probs)
             var.append(float(p @ (v - p @ v) ** 2))
     lengths = [sl.stop - sl.start for sl, _ in field.runs]
-    return float(field.counts**2 @ np.repeat(var, lengths))
+    return dot(field.counts**2, np.repeat(var, lengths))
 
 
 @dataclass(frozen=True)
@@ -387,7 +387,7 @@ def _xi_moments(plan: Walk, xi_vals: np.ndarray, p: float) -> tuple[np.ndarray, 
     if p == 0:
         return np.ones_like(xi_vals), 1.0
     pw = xi_vals**p
-    return pw, float(plan.probs @ pw)
+    return pw, dot(plan.probs, pw)
 
 
 def _off_neighborhood(
@@ -435,9 +435,9 @@ def check_lemma_xiyi(
     center = float(np.sum(P * cov))
     quad = _quadratic_forms(plan.X, P) - center
     xi_pow, xi_norm = _xi_moments(plan, xi_vals, p)
-    lhs = float(plan.probs @ (xi_pow * quad**2))
+    lhs = dot(plan.probs, xi_pow * quad**2)
     I, J = interference_set_of(sys, A)
-    gamma_a = float(table.l4[I] @ table.l4[J])
+    gamma_a = dot(table.l4[I], table.l4[J])
     gamma = pre.sums["t21"]
     rhs = 4.0 * xi_norm * (gamma_a**2 + 4.0 * gamma)
     return InequalityVerdict(
@@ -456,10 +456,10 @@ def check_lemma_s2(
     plan, table, sys = pre.plan, pre.table, pre.sys
     _, s_a, xi_vals = _off_neighborhood(pre, A, xi)
     xi_pow, xi_norm = _xi_moments(plan, xi_vals, p)
-    lhs = float(plan.probs @ (xi_pow * s_a**2))
-    es2 = float(plan.probs @ s_a**2)
+    lhs = dot(plan.probs, xi_pow * s_a**2)
+    es2 = dot(plan.probs, s_a**2)
     I, J = interference_set_of(sys, A)
-    pair_term = float(table.l4[I] @ table.l4[J])
+    pair_term = dot(table.l4[I], table.l4[J])
     rhs = xi_norm * (es2 + 2.0 * pair_term)
     return InequalityVerdict(
         check_id="lemma_s2",
@@ -501,7 +501,7 @@ def check_lemma_s4(
     verdicts = [
         InequalityVerdict(
             check_id="lemma_s4_xi",
-            lhs=float(plan.probs @ (xi_pow * s_a**4)),
+            lhs=dot(plan.probs, xi_pow * s_a**4),
             rhs=13.0 * lam * sigma**4 * e_xi,
             precondition=status,
             digest=digest,
@@ -511,7 +511,7 @@ def check_lemma_s4(
     verdicts.append(
         InequalityVerdict(
             check_id="lemma_s4_s",
-            lhs=float(plan.probs @ s**4),
+            lhs=dot(plan.probs, s**4),
             rhs=13.0 * lam * sigma**4,
             precondition=status,
             digest=digest,
@@ -522,7 +522,7 @@ def check_lemma_s4(
     verdicts.append(
         InequalityVerdict(
             check_id="lemma_s4_y",
-            lhs=float(plan.probs @ y_total**4),
+            lhs=dot(plan.probs, y_total**4),
             rhs=13.0 * kappa**4 * lam * sigma**4,
             precondition=status,
             digest=digest,
@@ -570,7 +570,7 @@ def check_lemma_r4(pre: Precomputed) -> list[InequalityVerdict]:
         Z = np.ascontiguousarray((plan.X / vbar * f(w2bar - y / vbar)).T)
         # one dot product per row, summed in index order: a lhs that is
         # rounding noise around 0 does not depend on a BLAS kernel's order
-        lhs = sum(abs(float(plan.probs @ z)) for z in Z)
+        lhs = sum(abs(dot(plan.probs, z)) for z in Z)
         out.append(
             InequalityVerdict(
                 check_id=f"lemma_r4[{name}]",
@@ -608,8 +608,8 @@ def check_prop1(
     eta = a - c * b_abs / sigma
     zeta = b + c * b_abs / sigma
     ind = (eta <= s_a / sigma) & (s_a / sigma <= zeta)
-    lhs = float(plan.probs @ (xi_vals * ind))
-    xi_43 = float(plan.probs @ xi_vals ** (4.0 / 3.0)) ** 0.75
+    lhs = dot(plan.probs, xi_vals * ind)
+    xi_43 = dot(plan.probs, xi_vals ** (4.0 / 3.0)) ** 0.75
     deltas = delta_components_prop1(pre.table, sys, pre.derived, A, B, a, b, c, pre.sums)
     rhs = 156.0 * xi_43 * sum(deltas.values())
     return InequalityVerdict(
@@ -668,8 +668,8 @@ def check_prop2(
     zeta = b + c * b_abs / sigma + widen
     ratio = s_a / vbar_a
     ind = (eta <= ratio) & (ratio <= zeta)
-    lhs = float(plan.probs @ (xi_vals * ind))
-    xi_43 = float(plan.probs @ xi_vals ** (4.0 / 3.0)) ** 0.75
+    lhs = dot(plan.probs, xi_vals * ind)
+    xi_43 = dot(plan.probs, xi_vals ** (4.0 / 3.0)) ** 0.75
     _, deltas = delta_components_prop2(pre.table, sys, pre.derived, A, B, a, b, c)
     rhs = 8755.0 * xi_43 * ((b - a) / 1500.0 + sum(deltas.values()))
     return InequalityVerdict(

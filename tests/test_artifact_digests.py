@@ -12,12 +12,20 @@ the benchmark's files.  ``manifest.json`` is
 hashed without its ``created_unix`` field; every other artifact is
 hashed as written.  A deliberate change of sampled values or of an
 artifact's format re-pins the table and says so in CHANGES.md.
+
+The bytes do not depend on numpy's BLAS threads: a second test reruns the
+table in a process with one OpenBLAS thread, as every benchmark worker
+has, since a BLAS dot product splits a long vector over its threads and
+adds the parts in another order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import locdep.cli as cli
@@ -64,3 +72,13 @@ def test_artifacts_match_pinned_digests(tmp_path):
                     f"pinned {entry['digests'].get(name)}"
                 )
     assert not mismatches, "artifacts differ from the pinned table:\n" + "\n".join(mismatches)
+
+
+def test_artifacts_match_pinned_digests_with_one_blas_thread(tmp_path):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = ("import pathlib, sys, test_artifact_digests as t; "
+            "t.test_artifacts_match_pinned_digests(pathlib.Path(sys.argv[1]))")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr[-4000:]

@@ -9,7 +9,11 @@ as single functions of the norm sums.  Every report must reproduce it bit
 for bit; the preconditions and delta_2/delta_3, which now rescale the
 main terms instead of spelling them out, may move by rounding only.  The
 Monte-Carlo constrained_u se was re-pinned when it began to propagate the
-se of sigma2 (0.6864956267422554 -> 2.906932529755671).
+se of sigma2 (0.6864956267422554 -> 2.906932529755671).  Five values moved
+by one or two units in the last place, and were re-pinned, when the dense
+dot products of the beta sums and delta components became pairwise sums
+that do not depend on the BLAS thread count: delta4 of the exact and
+hybrid prop1 sets, and beta1, delta3 and delta5 of the Monte-Carlo table.
 """
 
 from __future__ import annotations

@@ -518,10 +518,11 @@ def test_declared_neighborhoods_drive_the_self_normalized_statistics(tmp_path, s
 
 # (family, params, statistic, bounds, assertions) -> systems and overlap
 # matrices built per grid point: the w2 spec builds its system once (the
-# bounds, W2 and the LD check share it) plus the moment table's own pairs
+# bounds, W2 and the LD check share it), and the moment table's identity
+# builds no overlap
 ONE_SYSTEM_CASES = {
     "exact_w2": (("m_dependent", {"m": 1, "source": {"kind": "three_point"}}, "w2",
-                  ["main", "self_normalized"], {"require_ld": True}), 1, 2),
+                  ["main", "self_normalized"], {"require_ld": True}), 1, 1),
     "triangle_w1": (("decorated_graph", {"pattern": "triangle", "p": 0.3}, "w1",
                      ["decorated"], {}), 0, 0),
 }

@@ -404,7 +404,9 @@ def test_suite_matches_recorded_verdict_table():
     """Verdicts of run_checker_suite(30, 314, include_r4=True) as recorded
     once walks enumerated only the sources some index reads; every check,
     digest, precondition and verdict equals the table recorded when each
-    checker still rebuilt its own instance state."""
+    checker still rebuilt its own instance state.  The 32 lemma_r4 lhs
+    values are rounding residues of sums that are 0 exactly (below 1e-16),
+    re-recorded when the checkers' dot products became pairwise sums."""
     recorded = json.loads(SUITE_TABLE.read_text())["rows"]
     verds = O.run_checker_suite(30, master_seed=314, include_r4=True)
     assert len(verds) == len(recorded)
