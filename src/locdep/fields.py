@@ -15,6 +15,19 @@ same coincidence pattern, source laws and params therefore share one law.
 A field groups its indices by this signature once, at construction
 (``groups``); means, exact norms and pair groups read that grouping.
 
+Construction sorts each support row once: the validity check, the
+coincidence pattern and the incidence record all read that sort.  A
+signature part that is the same on every index is not packed (the laws
+for a single law and no pad, the pattern when no row repeats an id, a
+param with one value), and a field of one signature skips the grouping
+sort.  When no row holds a pad or a repeated id, the sorted rows are the
+incidence indices as they stand.  Builders emit their index tuples as
+arrays: :func:`admissible_tuples` grows an (N, l) array one letter at a
+time, the decorated builder computes its injections and edge ids on
+broadcast grids, and the U-statistic builder mirrors lexicographic
+subsets into colex order.  Builders with an index cap count their
+indices before they build any.
+
 ``incidence`` is the (n, n_sources) read-only ``neighborhood.Csr`` record
 counting the slots of row i that read source s.  A sum field (evaluator
 ``_sum_columns``, as from the iid, m-dependent and graph builders) is
@@ -70,7 +83,6 @@ with the field.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
@@ -299,12 +311,16 @@ class LatentSourceField:
         put = object.__setattr__
         sources = tuple(self.sources)
         supports = np.array(self.supports, dtype=np.int64, ndmin=2)
+        # each row's source ids, ascending: the one sort that the validity
+        # check, the coincidence pattern and the incidence record read
+        srt = np.sort(supports, axis=-1)
         if supports.ndim != 2 or (
-            supports.size and not -1 <= supports.min() <= supports.max() < len(sources)
+            srt.size and not -1 <= srt[:, 0].min() <= srt[:, -1].max() < len(sources)
         ):
             raise ValueError("supports must be an (n, K) array of source ids, -1 for a pad")
         params = tuple(_read_only(np.array(p)) for p in self.params)
-        if any(p.shape[:1] != (supports.shape[0],) for p in params):
+        n, K = supports.shape
+        if any(p.shape[:1] != (n,) for p in params):
             raise ValueError("every param needs one entry per index")
         runs = _source_runs(sources)
         put(self, "sources", sources)
@@ -315,21 +331,28 @@ class LatentSourceField:
         put(self, "metadata", dict(self.metadata))
         if self.means is not None:
             put(self, "means", _read_only(np.array(self.means, dtype=float)))
-        sig = _signatures(self, np.arange(supports.shape[0])[:, None])
-        _, first, inverse = np.unique(sig, return_index=True, return_inverse=True)
+        new = _new_ids(srt)
+        sig = _signatures(self, np.arange(n)[:, None], supports, srt, new)
+        if sig.min(initial=0) == sig.max(initial=0):  # one law for every index
+            first, inverse = np.arange(min(n, 1)), np.zeros(n, dtype=np.int64)
+        else:
+            _, first, inverse = np.unique(sig, return_index=True, return_inverse=True)
         put(self, "groups", (_read_only(first), _read_only(inverse.reshape(-1))))
-        # each row's sources, ascending; a source read by several slots counts them
-        srt = np.sort(supports, axis=1)
-        valid = srt >= 0
-        first = valid.copy()
-        first[:, 1:] &= srt[:, 1:] != srt[:, :-1]
-        indptr = np.zeros(supports.shape[0] + 1, dtype=np.int64)
-        np.cumsum(first.sum(axis=1), out=indptr[1:])
-        starts = np.flatnonzero(first[valid])
-        counts = np.diff(np.append(starts, valid.sum())).astype(float)
-        inc = Csr((supports.shape[0], len(sources)), indptr, srt[first], counts)
+        if new.all() and srt[:, :1].min(initial=0) >= 0:
+            # no pad and no repeated id: the sorted rows are the record
+            inc = Csr((n, len(sources)), np.arange(n + 1) * K, srt.reshape(-1), np.ones(n * K),
+                      np.arange(n).repeat(K))
+            c = np.bincount(inc.indices, minlength=len(sources)).astype(float)
+        else:  # a source read by several slots of a row is one entry counting them
+            valid = srt >= 0
+            new &= valid
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(new.sum(axis=1), out=indptr[1:])
+            starts = np.flatnonzero(new[valid])
+            counts = np.diff(np.append(starts, valid.sum())).astype(float)
+            inc = Csr((n, len(sources)), indptr, srt[new], counts)
+            c = np.bincount(inc.indices, inc.data, len(sources))
         put(self, "incidence", inc)
-        c = np.bincount(inc.indices, inc.data, len(sources))
         put(self, "counts", _read_only(c))
         put(self, "count_starts", _read_only(np.flatnonzero(np.r_[True, c[1:] != c[:-1]])))
         if self.means is None and self.ev is _sum_columns:
@@ -442,12 +465,22 @@ def _pack(cols) -> np.ndarray:
     return out
 
 
-def _first_slots(S: np.ndarray) -> np.ndarray:
+def _new_ids(srt: np.ndarray) -> np.ndarray:
+    """new[r, c]: slot c of the sorted row ``srt[r]`` holds another id than
+    slot c - 1 (slot 0 always), compared along the flat array."""
+    flat = srt.reshape(-1)
+    new = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    new[::max(srt.shape[1], 1)] = True
+    return new.reshape(srt.shape)
+
+
+def _first_slots(S: np.ndarray, srt: np.ndarray) -> np.ndarray:
     """Coincidence pattern: F[r, c] is the first slot of row r holding the
-    same source id as slot c.  Only rows that repeat an id (a pad
-    included) are argsorted; every other row is 0..K-1."""
+    same source id as slot c; ``srt`` is S sorted row by row.  Only rows
+    that repeat an id (a pad included) are argsorted; every other row is
+    0..K-1."""
     F = np.tile(np.arange(S.shape[1]), (S.shape[0], 1))
-    srt = np.sort(S, axis=1)
     rep = distinct(np.flatnonzero(srt[:, 1:] == srt[:, :-1]) // max(S.shape[1] - 1, 1))
     order = np.argsort(S[rep], axis=1, kind="stable")
     ordered = srt[rep]  # the values in argsort order
@@ -458,20 +491,29 @@ def _first_slots(S: np.ndarray) -> np.ndarray:
     return F
 
 
-def _signatures(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
-    """Packed full signatures of the index tuples ``rows`` ((N, w)): the
-    coincidence pattern of their concatenated support rows, the source
-    laws slot by slot (pads as one more law), then the params and means of
-    each index in turn.  Equal signatures mean one joint law."""
-    S = field.supports[rows].reshape(len(rows), -1)
-    laws = np.append(field.law_ids, field.law_ids.max(initial=0) + 1)[S]
+def _signatures(field: LatentSourceField, rows: np.ndarray, S: np.ndarray,
+                srt: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Packed full signatures of the index tuples ``rows`` ((N, w)), whose
+    concatenated support rows are ``S`` and, sorted row by row, ``srt``
+    (``new`` its :func:`_new_ids`): the coincidence pattern of S, the
+    source laws slot by slot (pads as one more law), then the params and
+    means of each index in turn.  Equal signatures mean one joint law.  A
+    part that is the same on every row is not computed: the pattern when
+    no row repeats an id, the laws for a single law and no pad, a param or
+    mean with one value."""
+    cols = []
+    if not new.all():
+        cols.extend(_first_slots(S, srt).T)
+    if field.law_ids.max(initial=0) > 0 or (srt[:, :1] < 0).any():
+        cols.extend(np.append(field.law_ids, field.law_ids.max(initial=0) + 1)[S].T)
     classes = []
     for p in (*field.params, *(() if field.means is None else (field.means,))):
         flat = p[rows.reshape(-1)].reshape(rows.size, -1)
-        inv = np.unique(flat, axis=0 if flat.shape[1] > 1 else None, return_inverse=True)[1]
-        classes.append(inv.reshape(rows.shape))
-    per_index = (c[:, k] for k in range(rows.shape[1]) for c in classes)
-    return _pack([*_first_slots(S).T, *laws.T, *per_index])
+        if not (flat == flat[:1]).all():
+            inv = np.unique(flat, axis=0 if flat.shape[1] > 1 else None, return_inverse=True)[1]
+            classes.append(inv.reshape(rows.shape))
+    cols.extend(c[:, k] for k in range(rows.shape[1]) for c in classes)
+    return _pack(cols) if cols else np.zeros(len(rows), dtype=np.int64)
 
 
 def signature_groups(field: LatentSourceField, ij) -> tuple[np.ndarray, np.ndarray]:
@@ -507,7 +549,9 @@ def signature_groups(field: LatentSourceField, ij) -> tuple[np.ndarray, np.ndarr
     _, at, merged = np.unique(_pack([np.concatenate(c) for c in zip(*keys)]),
                               return_index=True, return_inverse=True)
     first = np.concatenate(firsts)[at]
-    order = np.argsort(_signatures(field, ij[first]))
+    S = field.supports[ij[first]].reshape(first.size, -1)
+    srt = np.sort(S, axis=1)
+    order = np.argsort(_signatures(field, ij[first], S, srt, _new_ids(srt)))
     return first[order], np.argsort(order)[merged.reshape(-1)][inverse]
 
 
@@ -968,9 +1012,11 @@ def build_ustat_field(
     subsets, weights, block_slices = [], [], []
     offset = 0
     for b in block_sizes:
-        sub = sorted(itertools.combinations(range(b), m), key=lambda t: t[::-1])
+        # colex order (largest point most significant): the lexicographic
+        # m-subsets mirrored by t -> b - 1 - t, rows and columns reversed
+        sub = b - 1 - admissible_tuples(b, (None,) * (m - 1))[::-1, ::-1]
         start = sum(len(s) for s in subsets)
-        subsets.append(np.asarray(sub, dtype=np.int64).reshape(-1, m) + offset)
+        subsets.append(sub + offset)
         weights.append(np.full(len(sub), b / (N * math.comb(b, m))))
         block_slices.append((start, start + len(sub)))
         offset += b
@@ -994,35 +1040,37 @@ def build_ustat_field(
 
 def admissible_tuples(
     n: int, gaps: Sequence[int | None], exact_gaps: bool = False
-) -> list[tuple[int, ...]]:
-    """Increasing index tuples (0-based) with i_{j+1} - i_j <= gaps[j];
-    ``None`` encodes an unconstrained (infinite) gap.  With ``exact_gaps``
-    finite gaps must be met exactly (the exactly-constrained variant)."""
-    tuples: list[tuple[int, ...]] = []
+) -> np.ndarray:
+    """Increasing index tuples (0-based) with i_{j+1} - i_j <= gaps[j], as
+    an (N, l) int64 array in lexicographic order; ``None`` encodes an
+    unconstrained (infinite) gap.  With ``exact_gaps`` finite gaps must be
+    met exactly (the exactly-constrained variant).  The array grows one
+    letter at a time: each row repeats once per position its next letter
+    can take, leaving room for the letters after it."""
     l = len(gaps) + 1
-
-    def extend(prefix: tuple[int, ...]):
-        j = len(prefix)
-        if j == l:
-            tuples.append(prefix)
-            return
-        if not prefix:
-            lo, hi = 0, n
-        elif gaps[j - 1] is None:
-            lo, hi = prefix[-1] + 1, n
-        elif exact_gaps:
-            lo = prefix[-1] + gaps[j - 1]
-            hi = min(n, lo + 1)
-        else:
-            lo = prefix[-1] + 1
-            hi = min(n, prefix[-1] + gaps[j - 1] + 1)
-        for t in range(lo, hi):
-            if n - t < l - j:
-                break
-            extend(prefix + (t,))
-
-    extend(())
+    tuples = np.arange(max(n - l + 1, 0), dtype=np.int64)[:, None]
+    for j, d in enumerate(gaps, start=1):
+        last = tuples[:, -1]
+        lo = last + (d if exact_gaps and d is not None else 1)
+        hi = np.minimum(n - l + j + 1, last + d + 1) if d is not None else n - l + j + 1
+        width = np.maximum(hi - lo, 0)
+        step = np.repeat(lo - (np.cumsum(width) - width), width) + np.arange(width.sum())
+        tuples = np.column_stack([np.repeat(tuples, width, axis=0), step])
     return tuples
+
+
+def _count_admissible(n: int, gaps: Sequence[int | None], limit: int) -> int:
+    """The number of :func:`admissible_tuples` (finite gaps as bounds), or
+    limit + 1 if there are more, without building them: ways[t] counts the
+    tuple prefixes ending at t, one letter at a time by a prefix sum over
+    the gap, each clipped at limit + 1 so int64 holds every sum."""
+    ways = np.ones(n, dtype=np.int64)
+    for d in gaps:
+        reach = np.cumsum(ways) - ways  # prefixes ending before t
+        if d is not None and d < n:
+            reach[d:] -= reach[:n - d].copy()
+        ways = np.minimum(reach, limit + 1)
+    return min(int(ways.sum()), limit + 1)
 
 
 def count_word_occurrences(
@@ -1084,11 +1132,14 @@ def build_constrained_ustat_field(
     if n < 1:
         raise InvalidSize(f"n must be >= 1, got {n}")
     gaps = tuple(None if g is None else int(g) for g in gaps)
-    tuples = admissible_tuples(n, gaps)
-    if not tuples:
+    count = _count_admissible(n, gaps, DEFAULT_INDEX_CAP)
+    if not count:
         raise EmptyIndexSet(f"no admissible tuple for n={n}, gaps={gaps}")
-    if len(tuples) > DEFAULT_INDEX_CAP:
-        raise EnumerationCapExceeded(f"{len(tuples)} tuples exceed cap {DEFAULT_INDEX_CAP}")
+    if count > DEFAULT_INDEX_CAP:
+        raise EnumerationCapExceeded(
+            f"n={n}, gaps={gaps}: more tuples than the index cap of {DEFAULT_INDEX_CAP}"
+        )
+    tuples = admissible_tuples(n, gaps)
     window = (lambda u: u) if m == 0 else (lambda *cols: sum(cols))
     l, width = len(gaps) + 1, m + 1
 
@@ -1098,7 +1149,7 @@ def build_constrained_ustat_field(
         ]
         return f(*seq)
 
-    windows = np.asarray(tuples, dtype=np.int64)[:, :, None] + np.arange(width)
+    windows = tuples[:, :, None] + np.arange(width)
     return LatentSourceField(
         sources=(source,) * (n + m),
         supports=windows.reshape(len(tuples), l * width),
@@ -1214,17 +1265,27 @@ def build_decorated_graph_field(
             out = out * G[..., e]
         return out
 
-    # the injections in lexicographic order: extend each row by its free vertices
-    injections = np.arange(n, dtype=np.int64)[:, None]
-    for k in range(1, v):  # each row has n - k free vertices
-        free = np.ones((len(injections), n), dtype=bool)
-        np.put_along_axis(free, injections, False, axis=1)
-        injections = np.column_stack([np.repeat(injections, n - k, axis=0), np.nonzero(free)[1]])
-    edge_ids = np.empty((n_inj, len(edges)), dtype=np.int64)
+    # the injections in lexicographic order as broadcast grids over axes
+    # (n, n - 1, ..., n - v + 1): vertex k maps to the d-th smallest point
+    # that vertices 0..k-1 left free, d the index on axis k, found by
+    # stepping d past each taken point in increasing order
+    phi, taken = [], []  # taken: the points of vertices 0..k-1, sorted
+    for k in range(v):
+        x = np.arange(n - k).reshape((1,) * k + (n - k,) + (1,) * (v - 1 - k))
+        for t in taken:
+            x = x + (x >= t)
+        phi.append(x)
+        if k < v - 1:
+            for i, t in enumerate(taken):  # insert x, keeping the order
+                taken[i], x = np.minimum(t, x), np.maximum(t, x)
+            taken.append(x)
+    ids = np.zeros((n, n), dtype=np.int64)  # ids[u, w]: the id of host edge {u, w}
+    ids[np.triu_indices(n, k=1)] = np.arange(math.comb(n, 2))
+    ids += ids.T
+    edge_ids = np.empty(tuple(range(n, n - v, -1)) + (len(edges),), dtype=np.int64)
     for e, (a, b) in enumerate(edges):
-        ua = np.minimum(injections[:, a], injections[:, b])
-        ub = np.maximum(injections[:, a], injections[:, b])
-        edge_ids[:, e] = ua * (2 * n - ua - 1) // 2 + (ub - ua - 1)
+        edge_ids[..., e] = ids[phi[a], phi[b]]
+    del phi, taken, ids
     metadata = {
         "family": "decorated_graph",
         "n": n,
@@ -1236,7 +1297,7 @@ def build_decorated_graph_field(
         metadata["batch_sum"] = _triangle_batch_sum(n)
     return LatentSourceField(
         sources=(edge_source,) * math.comb(n, 2),
-        supports=edge_ids,
+        supports=edge_ids.reshape(n_inj, len(edges)),
         ev=ev,
         metadata=metadata,
     )

@@ -141,16 +141,10 @@ def count_pattern_occurrences(
     l = len(tau)
     if len(gaps) != l - 1:
         raise ValueError(f"need {l - 1} gap entries, got {len(gaps)}")
-    n = len(pi)
-    if l > n:
-        return 0
-    tuples = admissible_tuples(n, gaps, exact_gaps=exact_gaps)
-    if not tuples:
-        return 0
-    arr = np.asarray(tuples)
-    vals = np.asarray(pi)[arr]
+    tuples = admissible_tuples(len(pi), gaps, exact_gaps=exact_gaps)
+    vals = np.asarray(pi)[tuples]
     t = np.asarray(tau)
-    ok = np.ones(arr.shape[0], dtype=bool)
+    ok = np.ones(len(tuples), dtype=bool)
     for a in range(l):
         for b in range(a + 1, l):
             ok &= (vals[:, a] - vals[:, b]) * (t[a] - t[b]) > 0

@@ -496,6 +496,19 @@ def test_star_past_the_local_byte_cap_exits_1_naming_it(tmp_path, capsys):
     assert f"over the cap of {fields.ENUM_BYTES_CAP}" in err and "Traceback" not in err
 
 
+def test_constrained_word_past_the_index_cap_exits_1_naming_it(tmp_path, capsys):
+    """The word "abcd" with three infinite gaps at n = 10,000 has 4.2e14
+    tuples: counted and refused before any is built."""
+    doc = minimal_spec(tmp_path, family="constrained_ustat",
+                       params={"word": "abcd", "alphabet": 4, "gaps": ["inf"] * 3},
+                       grid=[10_000], mode={"kind": "mc", "reps": 1000})
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert ("EnumerationCapExceeded: n=10000, gaps=(None, None, None): more tuples than "
+            f"the index cap of {fields.DEFAULT_INDEX_CAP}") in err
+    assert "Traceback" not in err
+
+
 def summary_ks(out: Path) -> list[float]:
     rows = (out / "summary.csv").read_text().splitlines()[2:]
     return [float(r.split(",")[4]) for r in rows]

@@ -225,8 +225,106 @@ def test_constrained_m_dependent_neighborhoods():
 def test_unconstrained_symmetric_tuples_are_subsets():
     for n, l in [(6, 2), (6, 3), (5, 4)]:
         tuples = F.admissible_tuples(n, (None,) * (l - 1))
-        assert len(tuples) == math.comb(n, l)
-        assert all(all(a < b for a, b in zip(t, t[1:])) for t in tuples)
+        assert tuples.shape == (math.comb(n, l), l) and tuples.dtype == np.int64
+        assert (np.diff(tuples, axis=1) > 0).all()
+
+
+GAP_CASES = [(), (None,), (1,), (2,), (None, 1), (2, None), (1, 3), (None, None), (3, 2, None)]
+
+
+@pytest.mark.parametrize("gaps", GAP_CASES, ids=str)
+def test_admissible_tuples_match_filtered_combinations(gaps):
+    """Every gap kind, bounded and exact, at n = 0..12, against a filter
+    over itertools.combinations; the count without building agrees, and
+    stops at its limit + 1."""
+    l = len(gaps) + 1
+    for n in range(13):
+        for exact in (False, True):
+            want = [t for t in itertools.combinations(range(n), l)
+                    if all(d is None or (t[j + 1] - t[j] == d if exact else t[j + 1] - t[j] <= d)
+                           for j, d in enumerate(gaps))]
+            got = F.admissible_tuples(n, gaps, exact_gaps=exact)
+            assert got.shape == (len(want), l) and got.dtype == np.int64
+            assert got.tolist() == [list(t) for t in want]
+            if not exact:
+                for limit in (0, 3, len(want), 10**6):
+                    assert F._count_admissible(n, gaps, limit) == min(len(want), limit + 1)
+
+
+@pytest.mark.parametrize("pattern", [[(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2)],
+                                     [(0, 1), (1, 2), (2, 3), (0, 3)]],
+                         ids=["triangle", "path", "4-cycle"])
+def test_decorated_supports_match_a_permutations_loop(pattern):
+    v = max(max(e) for e in pattern) + 1
+    for n in range(v, 8):
+        edge_id = {e: k for k, e in enumerate(itertools.combinations(range(n), 2))}
+        want = [[edge_id[tuple(sorted((phi[a], phi[b])))] for a, b in pattern]
+                for phi in itertools.permutations(range(n), v)]
+        f = F.build_decorated_graph_field(n, pattern, F.bernoulli(0.5))
+        assert f.supports.tolist() == want
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_groups_incidence_and_counts_match_a_per_row_loop(K):
+    """Random supports with pads and repeated ids, two laws and a param:
+    each index's group, incidence row and the counts from plain Python."""
+    rng = np.random.default_rng(K)
+    laws = (F.rademacher(), F.three_point())
+    for trial in range(8):
+        n, n_sources = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+        S = rng.integers(-1, n_sources, size=(n, K))
+        if trial % 4 < 2:  # rows with no pad and no repeat, as builders make
+            n_sources = max(n_sources, K)
+            S = np.array([rng.permutation(n_sources)[:K] for _ in range(n)])
+        law_of = rng.integers(0, 2 if trial % 2 else 1, size=n_sources)
+        sources = tuple(laws[k] for k in law_of)
+        w = rng.integers(0, 3, size=n) * 0.5
+        means = rng.integers(0, 2, size=n) * 0.25 if trial % 3 == 0 else None
+        f = F.LatentSourceField(sources, S, lambda G, w: w * G.sum(axis=-1), (w,), means)
+        # per row: first slot of each id, law per slot (pads last), param, given mean
+        law_ids = {src: k for k, src in enumerate(dict.fromkeys(sources))}
+        keys = []
+        for i, row in enumerate(S.tolist()):
+            pattern = tuple(row.index(s) for s in row)
+            slot_laws = tuple(len(law_ids) if s < 0 else law_ids[sources[s]] for s in row)
+            keys.append((pattern, slot_laws, w[i]) + (() if means is None else (means[i],)))
+        order = sorted(set(keys))
+        assert f.groups[0].tolist() == [keys.index(k) for k in order]
+        assert f.groups[1].tolist() == [order.index(k) for k in keys]
+        indptr, indices, data = [0], [], []
+        for row in S.tolist():
+            ids = sorted(set(s for s in row if s >= 0))
+            indices += ids
+            data += [float(row.count(s)) for s in ids]
+            indptr.append(len(indices))
+        inc = f.incidence
+        assert inc.indptr.tolist() == indptr and inc.indices.tolist() == indices
+        assert inc.data.tolist() == data
+        counts = [float((S == s).sum()) for s in range(n_sources)]
+        assert f.counts.tolist() == counts
+        assert f.count_starts.tolist() == [s for s in range(n_sources)
+                                           if s == 0 or counts[s] != counts[s - 1]]
+
+
+@pytest.mark.parametrize("blocks,m", [([5], 1), ([6], 2), ([6, 3], 2), ([4, 4, 7], 3), ([3], 3)])
+def test_ustat_supports_match_sorted_combinations(blocks, m):
+    want, offset = [], 0
+    for b in blocks:
+        want += [[offset + x for x in t]
+                 for t in sorted(itertools.combinations(range(b), m), key=lambda t: t[::-1])]
+        offset += b
+    f = F.build_ustat_field(blocks, m, lambda *xs: sum(xs), F.three_point())
+    assert f.supports.tolist() == want
+
+
+def test_constrained_ustat_past_the_index_cap_is_refused_before_building(monkeypatch):
+    """4.2e14 tuples of the word "abcd" at n = 10,000 are counted, not built."""
+    monkeypatch.setattr(F, "admissible_tuples", None)  # any call would fail
+    for build in (lambda: F.build_word_field([0, 1, 2, 3], 10_000, 4, [None] * 3),
+                  lambda: F.build_pattern_field(10_000, [1, 2, 3, 4], [None] * 3)):
+        with pytest.raises(EnumerationCapExceeded,
+                           match=f"more tuples than the index cap of {F.DEFAULT_INDEX_CAP}"):
+            build()
 
 
 def test_pattern_field_mean_is_inverse_factorial():
@@ -886,5 +984,5 @@ def test_first_slots_match_the_argsort_pattern():
     has_repeat = np.array([len(set(r)) < len(r) for r in mixed.tolist()])
     assert has_repeat.any() and not has_repeat.all() and (distinct == -1).any()
     for S in (star.supports, mixed, mixed[:0], np.arange(5)[:, None]):
-        got = F._first_slots(S)
+        got = F._first_slots(S, np.sort(S, axis=1))
         assert got.dtype == np.int64 and np.array_equal(got, _argsort_first_slots(S))
