@@ -38,6 +38,12 @@ Core claims:
       ValueError, as other refused builder arguments are refused
     - one byte cap, ``ENUM_BYTES_CAP``, read at call time, bounds both a
       row's gathered local grid and a walk's kept outcome matrix
+    - the array builders equal plain Python references: admissible tuples
+      a filter over combinations, decorated supports a permutations
+      loop, U-statistic supports the colex-sorted combinations, and a
+      field's groups, incidence and counts a per-row loop on supports
+      with pads and repeated ids; a constrained field past the index cap
+      is refused before any tuple is built
 """
 
 from __future__ import annotations
