@@ -19,14 +19,13 @@ Construction sorts each support row once: the validity check, the
 coincidence pattern and the incidence record all read that sort.  A
 signature part that is the same on every index is not packed (the laws
 for a single law and no pad, the pattern when no row repeats an id, a
-param with one value), and a field of one signature skips the grouping
-sort.  When no row holds a pad or a repeated id, the sorted rows are the
-incidence indices as they stand.  Builders emit their index tuples as
-arrays: :func:`admissible_tuples` grows an (N, l) array one letter at a
-time, the decorated builder computes its injections and edge ids on
-broadcast grids, and the U-statistic builder mirrors lexicographic
-subsets into colex order.  Builders with an index cap count their
-indices before they build any.
+param with one value).  When no row holds a pad or a repeated id, the
+sorted rows are the incidence indices as they stand.  Builders emit
+their index tuples as arrays: :func:`admissible_tuples` grows an (N, l)
+array one letter at a time, the decorated builder computes its
+injections and edge ids on broadcast grids, and the U-statistic builder
+mirrors lexicographic subsets into colex order.  Builders with an index
+cap count their indices before they build any.
 
 ``incidence`` is the (n, n_sources) read-only ``neighborhood.Csr`` record
 counting the slots of row i that read source s.  A sum field (evaluator
@@ -333,13 +332,10 @@ class LatentSourceField:
             put(self, "means", _read_only(np.array(self.means, dtype=float)))
         new = _new_ids(srt)
         sig = _signatures(self, np.arange(n)[:, None], supports, srt, new)
-        if sig.min(initial=0) == sig.max(initial=0):  # one law for every index
-            first, inverse = np.arange(min(n, 1)), np.zeros(n, dtype=np.int64)
-        else:
-            _, first, inverse = np.unique(sig, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(sig, return_index=True, return_inverse=True)
         put(self, "groups", (_read_only(first), _read_only(inverse.reshape(-1))))
         if new.all() and srt[:, :1].min(initial=0) >= 0:
-            # no pad and no repeated id: the sorted rows are the record
+            # no pad and no repeated id: the sorted rows are the record, unmasked
             inc = Csr((n, len(sources)), np.arange(n + 1) * K, srt.reshape(-1), np.ones(n * K),
                       np.arange(n).repeat(K))
             c = np.bincount(inc.indices, minlength=len(sources)).astype(float)
@@ -1068,6 +1064,7 @@ def _count_admissible(n: int, gaps: Sequence[int | None], limit: int) -> int:
     for d in gaps:
         reach = np.cumsum(ways) - ways  # prefixes ending before t
         if d is not None and d < n:
+            d = max(d, 0)  # a gap below 1 admits no next letter
             reach[d:] -= reach[:n - d].copy()
         ways = np.minimum(reach, limit + 1)
     return min(int(ways.sum()), limit + 1)

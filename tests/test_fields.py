@@ -235,17 +235,18 @@ def test_unconstrained_symmetric_tuples_are_subsets():
         assert (np.diff(tuples, axis=1) > 0).all()
 
 
-GAP_CASES = [(), (None,), (1,), (2,), (None, 1), (2, None), (1, 3), (None, None), (3, 2, None)]
+GAP_CASES = [(), (None,), (1,), (2,), (None, 1), (2, None), (1, 3), (None, None), (3, 2, None),
+             (0,), (-1,), (None, -2)]
 
 
 @pytest.mark.parametrize("gaps", GAP_CASES, ids=str)
 def test_admissible_tuples_match_filtered_combinations(gaps):
     """Every gap kind, bounded and exact, at n = 0..12, against a filter
     over itertools.combinations; the count without building agrees, and
-    stops at its limit + 1."""
+    stops at its limit + 1.  A bounded gap below 1 admits no tuple."""
     l = len(gaps) + 1
     for n in range(13):
-        for exact in (False, True):
+        for exact in (False, True) if all(d is None or d > 0 for d in gaps) else (False,):
             want = [t for t in itertools.combinations(range(n), l)
                     if all(d is None or (t[j + 1] - t[j] == d if exact else t[j + 1] - t[j] <= d)
                            for j, d in enumerate(gaps))]
@@ -324,13 +325,17 @@ def test_ustat_supports_match_sorted_combinations(blocks, m):
 
 
 def test_constrained_ustat_past_the_index_cap_is_refused_before_building(monkeypatch):
-    """4.2e14 tuples of the word "abcd" at n = 10,000 are counted, not built."""
+    """4.2e14 tuples of the word "abcd" at n = 10,000 are counted, not built;
+    so are the none that a bounded gap below 1 admits."""
     monkeypatch.setattr(F, "admissible_tuples", None)  # any call would fail
     for build in (lambda: F.build_word_field([0, 1, 2, 3], 10_000, 4, [None] * 3),
                   lambda: F.build_pattern_field(10_000, [1, 2, 3, 4], [None] * 3)):
         with pytest.raises(EnumerationCapExceeded,
                            match=f"more tuples than the index cap of {F.DEFAULT_INDEX_CAP}"):
             build()
+    for gaps in ([0], [-1], [None, -3]):
+        with pytest.raises(EmptyIndexSet):
+            F.build_constrained_ustat_field(12, 1, lambda *xs: sum(xs), gaps, F.rademacher())
 
 
 def test_pattern_field_mean_is_inverse_factorial():
