@@ -60,8 +60,12 @@ edge variables.
 
 Fields are immutable after construction.  Sampling is a pure function of
 (master_seed, path, replication_index): replications are drawn in blocks
-of ``rng.block_size(n_sources)``, one counter-based substream per block,
-so blocks parallelize and every replication reproduces bit-for-bit.  A
+of ``block_rows`` rows, one counter-based substream per block, so blocks
+parallelize and every replication reproduces bit-for-bit.  A block takes
+about 512 kB of raw stream (``rng.block_size``): a field whose every
+source is a fair two-point law draws one bit per source (``bit_draws``),
+64 times the rows of a field of floats, whose blocks hold about 2^16
+draws; both are frozen with the field.  A
 discrete law that is not equiprobable is drawn by counting the cumulative
 thresholds at or below one uniform draw: a k-point law costs k - 1
 comparisons, and every such law a config can name has 2 or 3 points.  A
@@ -98,7 +102,7 @@ from .errors import (
     InvalidSize,
 )
 from .neighborhood import POPCOUNT, Csr, NeighborhoodSystem, distinct, product_pattern
-from .rng import STREAM_SAMPLE, block_size, substream
+from .rng import BIT_DRAW, FLOAT_DRAW, STREAM_SAMPLE, block_size, substream
 
 DEFAULT_ENUM_CAP = 2**24
 DEFAULT_INDEX_CAP = 2**22
@@ -286,8 +290,11 @@ class LatentSourceField:
     :func:`_signatures`, ``incidence`` counts the slots reading each
     source, ``counts`` holds its column sums c_s (a sum field's S is
     U @ c less ``mean_sum``, the summed means) and ``count_starts`` the
-    starts of the runs of equal c.  ``bit_plan`` is the packed route's
-    plan (:func:`_integer_bit_runs`), None off that route.  Everything is
+    starts of the runs of equal c.  ``bit_draws`` says whether every
+    source is a fair two-point law, drawn as one random bit;
+    ``block_rows`` is the rows B of a sample block, ``rng.block_size`` at
+    the bits each draw takes.  ``bit_plan`` is the packed route's plan
+    (:func:`_integer_bit_runs`), None off that route.  Everything is
     read-only.
     """
 
@@ -304,6 +311,8 @@ class LatentSourceField:
     counts: np.ndarray = dc_field(init=False, repr=False)
     count_starts: np.ndarray = dc_field(init=False, repr=False)
     mean_sum: float = dc_field(init=False, repr=False)
+    bit_draws: bool = dc_field(init=False, repr=False)
+    block_rows: int = dc_field(init=False, repr=False)
     bit_plan: tuple | None = dc_field(init=False, repr=False)
 
     def __post_init__(self):
@@ -359,6 +368,9 @@ class LatentSourceField:
         elif self.means is None:
             put(self, "means", _read_only(compute_means(self)))
         put(self, "mean_sum", float(np.sum(self.means)))
+        bits = all(_is_fair_two_point(src) for _, src in runs)
+        put(self, "bit_draws", bits)
+        put(self, "block_rows", block_size(len(sources), BIT_DRAW if bits else FLOAT_DRAW))
         put(self, "bit_plan", _integer_bit_runs(self))
         put(self, "metadata", MappingProxyType(self.metadata))
 
@@ -597,18 +609,18 @@ def draw_source_rows(
 
     Replication r is row r % B of block r // B, and each block is drawn
     whole from the substream (master_seed, STREAM_SAMPLE, *path, block),
-    B = block_size(n_sources); so a row depends only on (seed, path, r).
-    When every source is a fair two-point law the rows are gathered as
-    0/1 codes and expanded once into a source-major array of ``dtype``:
-    the result is the transpose of a C-contiguous (n_sources, reps) array.
+    B = ``field.block_rows``; so a row depends only on (seed, path, r).
+    When every source is a fair two-point law (``bit_draws``) the rows
+    are gathered as 0/1 codes and expanded once into a source-major array
+    of ``dtype``: the result is the transpose of a C-contiguous
+    (n_sources, reps) array.
     An integer ``dtype`` (a field's :func:`value_dtype`, which W2 and
     W2bar take) needs a field on the packed route: integer laws only.
     """
     if np.dtype(dtype).kind == "i" and field.bit_plan is None:
         raise ValueError("integer rows need fair two-point laws on integers in a sum field")
     reps = np.asarray(reps, dtype=np.int64).reshape(-1)
-    B = block_size(field.n_sources)
-    bits = all(_is_fair_two_point(src) for _, src in field.runs)
+    B, bits = field.block_rows, field.bit_draws
     out = np.empty((reps.size, field.n_sources), dtype=np.uint8 if bits else float)
     for b, hit in _sample_blocks(reps, B):
         rng = substream(master_seed, STREAM_SAMPLE, *path, b)
@@ -650,9 +662,8 @@ def _integer_bit_runs(field: LatentSourceField):
     None for any other field, or when sum_s c_s |v_s| reaches 2^53, where
     a float sum stops being exact.  Built once, with the field (its
     ``bit_plan``), as read-only arrays."""
-    if field.ev is not _sum_columns or not all(
-        _is_fair_two_point(src) and all(float(v).is_integer() for v in src.values)
-        for _, src in field.runs
+    if field.ev is not _sum_columns or not field.bit_draws or not all(
+        float(v).is_integer() for _, src in field.runs for v in src.values
     ):
         return None
     c = field.counts
@@ -690,7 +701,7 @@ def draw_sums(
         return sum_values(field, draw_source_rows(field, master_seed, reps, path))
     runs, base = field.bit_plan
     reps = np.asarray(reps, dtype=np.int64).reshape(-1)
-    B = block_size(field.n_sources)
+    B = field.block_rows
     out = np.full(reps.size, base, dtype=np.int64)
     blocks = list(_sample_blocks(reps, B))
     step = max(1, 2**20 // (B * field.n_sources))  # blocks per 128 kB of bits
@@ -1040,14 +1051,15 @@ def admissible_tuples(
     """Increasing index tuples (0-based) with i_{j+1} - i_j <= gaps[j], as
     an (N, l) int64 array in lexicographic order; ``None`` encodes an
     unconstrained (infinite) gap.  With ``exact_gaps`` finite gaps must be
-    met exactly (the exactly-constrained variant).  The array grows one
-    letter at a time: each row repeats once per position its next letter
-    can take, leaving room for the letters after it."""
+    met exactly (the exactly-constrained variant).  A gap below 1 admits
+    no next letter.  The array grows one letter at a time: each row
+    repeats once per position its next letter can take, leaving room for
+    the letters after it."""
     l = len(gaps) + 1
     tuples = np.arange(max(n - l + 1, 0), dtype=np.int64)[:, None]
     for j, d in enumerate(gaps, start=1):
         last = tuples[:, -1]
-        lo = last + (d if exact_gaps and d is not None else 1)
+        lo = last + (max(d, 1) if exact_gaps and d is not None else 1)
         hi = np.minimum(n - l + j + 1, last + d + 1) if d is not None else n - l + j + 1
         width = np.maximum(hi - lo, 0)
         step = np.repeat(lo - (np.cumsum(width) - width), width) + np.arange(width.sum())
@@ -1078,10 +1090,10 @@ def count_word_occurrences(
 
     An occurrence is an index tuple i_1 < ... < i_l with letter matches and
     i_{j+1} - i_j <= gaps[j] (= gaps[j] exactly, when ``exact_gaps`` and the
-    gap is finite).  Dynamic program over (position, matched prefix), left
-    to right, all rows at once: ways[..., t] counts the matches of the
-    first j letters that end at t, and the next letter adds up the ways
-    within its gap by a prefix sum.
+    gap is finite), so a gap below 1 admits none.  Dynamic program over
+    (position, matched prefix), left to right, all rows at once:
+    ways[..., t] counts the matches of the first j letters that end at t,
+    and the next letter adds up the ways within its gap by a prefix sum.
     """
     s = np.asarray(list(string) if isinstance(string, str) else string)
     l, n = len(word), s.shape[-1]
@@ -1092,7 +1104,9 @@ def count_word_occurrences(
     ways = (s == word[0]).astype(np.int64)
     for j in range(1, l):
         d = gaps[j - 1]
-        if exact_gaps and d is not None:  # ways[t - d]
+        if d is not None and d < 1:  # a gap below 1 admits no next letter
+            reach = np.zeros_like(ways)
+        elif exact_gaps and d is not None:  # ways[t - d]
             reach = np.zeros_like(ways)
             reach[..., d:] = ways[..., :max(n - d, 0)]
         else:  # sum of ways[lo:t], lo = max(0, t - d) (0 for an infinite gap)

@@ -2,10 +2,12 @@
 and bound-ratio tables.
 
 Replications are embarrassingly parallel: each block of replications
-draws from its own counter-derived substream (``rng.block_size``), chunks
-of whole blocks run independently (numpy releases the GIL for the heavy
-parts) and merge in chunk order, so summaries are independent of the
-worker count and chunk size and stable under increasing R.  Sigma is
+draws from its own counter-derived substream, the field's ``block_rows``
+rows of about 512 kB of raw stream (``rng.block_size``: 512 rows of fair
+bits at 4097 sources, 8 of floats).  Chunks of whole blocks
+(``rng.chunk_rows``) run independently (numpy releases the GIL for the
+heavy parts) and merge in chunk order, so summaries are independent of
+the worker count and chunk size and stable under increasing R.  Sigma is
 checked before anything is drawn, and ``statistics`` reduces each chunk.
 W1 and the raw sum read S from ``fields.draw_sums``, which counts it from
 the packed bits of fair two-point sum fields.  W2 and W2bar evaluate
@@ -101,7 +103,7 @@ def mc_run(
     if reps < 10**3:
         raise ValueError(f"reps={reps} below the 10^3 floor")
     check_sigma(statistic, sigma)
-    chunk = chunk_rows(field.n_sources)
+    chunk = chunk_rows(field.n_sources, field.block_rows)
     reads_values = statistic in READS_VALUES
     if reads_values:
         sys = induced_neighborhoods(field) if sys is None else sys

@@ -297,7 +297,7 @@ def mc_moment_table(
     s2_sum = np.zeros(batches)
     counts = np.diff(bounds)
     # chunks of whole sample blocks, each split at the batch bounds it spans
-    chunk = chunk_rows(field.n_sources)
+    chunk = chunk_rows(field.n_sources, field.block_rows)
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
         rows = draw_source_rows(field, master_seed, range(start, stop), path=(STREAM_MOMENTS,))

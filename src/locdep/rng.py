@@ -12,7 +12,11 @@ backed by Philox, a counter-based generator, keyed through
   deterministically.
 
 Replication r is row ``r % B`` of sample block ``r // B``, each block
-drawn whole from its own substream, ``B = block_size(n_sources)``;
+drawn whole from its own substream.  ``B = block_size(n_sources,
+draw_bits)`` sizes a block by the raw generator output its draws take:
+a fair two-point draw costs 1 bit, every other draw 64, so a block of
+fair bits holds 64 times the rows of a block of floats (up to
+MAX_BLOCK_ROWS).  A field freezes its B (``block_rows``), and
 ``chunk_rows`` gives the whole blocks the Monte-Carlo loops draw at once.
 """
 
@@ -26,10 +30,13 @@ STREAM_SAMPLE = 0
 STREAM_MOMENTS = 1
 STREAM_INSTANCES = 3
 
-# A sample block holds about BLOCK_CELLS source draws (0.5 MB of float64),
-# so the rows wasted at an unaligned range end stay small at any width.
-BLOCK_CELLS = 2**16
+# A sample block takes about BLOCK_BITS of raw stream (512 kB): 2^16 float
+# draws or 2^22 fair bits, so the stream wasted at an unaligned range end
+# stays small at any width, and a block's substream is derived once per
+# 512 kB drawn.
+BLOCK_BITS = 2**22
 MAX_BLOCK_ROWS = 4096
+BIT_DRAW, FLOAT_DRAW = 1, 64  # raw bits per draw: fair two-point, any other
 # A chunk of replications, drawn and reduced at once by the Monte-Carlo
 # loops, holds at most DEFAULT_CHUNK rows and about CHUNK_CELLS source
 # draws (32 MB of float64).
@@ -43,15 +50,19 @@ def substream(master_seed: int, *path: int) -> Generator:
     return Generator(Philox(ss))
 
 
-def block_size(n_sources: int) -> int:
-    """Replications per sample block: the largest power of two at most
-    BLOCK_CELLS / n_sources, capped at MAX_BLOCK_ROWS and at least 1."""
-    rows = max(1, BLOCK_CELLS // max(1, n_sources))
+def block_size(n_sources: int, draw_bits: int) -> int:
+    """Replications per sample block of ``n_sources`` draws of
+    ``draw_bits`` raw bits each: the largest power of two at most
+    BLOCK_BITS / (n_sources draw_bits), capped at MAX_BLOCK_ROWS and at
+    least 1."""
+    rows = max(1, BLOCK_BITS // (max(1, n_sources) * draw_bits))
     return min(MAX_BLOCK_ROWS, 1 << (rows.bit_length() - 1))
 
 
-def chunk_rows(n_sources: int) -> int:
+def chunk_rows(n_sources: int, block_rows: int) -> int:
     """Replications per chunk: at most DEFAULT_CHUNK and CHUNK_CELLS /
-    n_sources, in whole sample blocks, and at least one block."""
-    B = block_size(n_sources)
-    return max(B, min(DEFAULT_CHUNK, CHUNK_CELLS // max(1, n_sources)) // B * B)
+    n_sources (at least 1), in whole sample blocks of ``block_rows``.  A
+    budget below one block (only a lowered DEFAULT_CHUNK gives one) is the
+    chunk as it stands, and each chunk draws the block it reads part of."""
+    rows = max(1, min(DEFAULT_CHUNK, CHUNK_CELLS // max(1, n_sources)))
+    return rows // block_rows * block_rows or rows

@@ -68,7 +68,7 @@ from locdep.errors import (
     GraphTooLarge,
     InvalidSize,
 )
-from locdep.rng import STREAM_SAMPLE, block_size, substream
+from locdep.rng import STREAM_SAMPLE, substream
 
 
 def test_induced_m_dependent_windows():
@@ -243,10 +243,11 @@ GAP_CASES = [(), (None,), (1,), (2,), (None, 1), (2, None), (1, 3), (None, None)
 def test_admissible_tuples_match_filtered_combinations(gaps):
     """Every gap kind, bounded and exact, at n = 0..12, against a filter
     over itertools.combinations; the count without building agrees, and
-    stops at its limit + 1.  A bounded gap below 1 admits no tuple."""
+    stops at its limit + 1.  A gap below 1, bounded or exact, admits no
+    tuple."""
     l = len(gaps) + 1
     for n in range(13):
-        for exact in (False, True) if all(d is None or d > 0 for d in gaps) else (False,):
+        for exact in (False, True):
             want = [t for t in itertools.combinations(range(n), l)
                     if all(d is None or (t[j + 1] - t[j] == d if exact else t[j + 1] - t[j] <= d)
                            for j, d in enumerate(gaps))]
@@ -670,11 +671,11 @@ def test_threshold_draws_match_the_binary_search(law):
 
 @pytest.mark.parametrize("n_sources", [8, 300, 40_000])
 def test_block_rows_are_a_function_of_the_replication(n_sources):
-    # B = 4096, 128 and 1: a range that starts inside a block and crosses
-    # block edges reads the same rows as a range from 0
+    # fair bits give B = 4096, 4096 and 64: a range that starts inside a
+    # block and crosses block edges reads the same rows as a range from 0
     f = F.build_iid_field(n_sources, F.rademacher())
-    B = block_size(n_sources)
-    assert B == {8: 4096, 300: 128, 40_000: 1}[n_sources]
+    B = f.block_rows
+    assert B == {8: 4096, 300: 4096, 40_000: 64}[n_sources]
     a, b = B + B // 2 + 1, 3 * B + 2
     full = F.draw_source_rows(f, 17, range(0, b + B))
     assert np.array_equal(F.draw_source_rows(f, 17, range(a, b)), full[a:b])
@@ -685,10 +686,24 @@ def test_block_rows_are_a_function_of_the_replication(n_sources):
     assert not np.array_equal(other, F.draw_source_rows(f, 17, range(0, b + B), path=(2,)))
 
 
+@pytest.mark.parametrize("law", [F.three_point(), F.bernoulli(0.3), F.ContinuousSource("normal")],
+                         ids=["three_point", "bernoulli_03", "normal"])
+@pytest.mark.parametrize("n_sources", [8, 300, 40_000])
+def test_float_draws_keep_their_block_rows(n_sources, law):
+    # a draw other than a fair bit takes 64 bits of stream, so these
+    # fields keep 2^16-cell blocks, B = 4096, 128 and 1, and their rows
+    f = F.build_iid_field(n_sources, law)
+    assert not f.bit_draws and f.block_rows == {8: 4096, 300: 128, 40_000: 1}[n_sources]
+    B = f.block_rows
+    reps = list(range(B // 2 + 1, 2 * B + 3)) + [3 * B + 1, 0, B]
+    assert np.array_equal(F.draw_source_rows(f, 23, reps, path=(4,)), float_rows(f, 23, reps, path=(4,)))
+
+
 def float_rows(f: F.LatentSourceField, seed: int, reps, path=()) -> np.ndarray:
     """Index-major float rows drawn run by run with ``_draw``: the route
-    every law took before fair two-point draws were kept as bits."""
-    B = block_size(f.n_sources)
+    every law took before fair two-point draws were kept as bits, in
+    blocks of the field's ``block_rows``."""
+    B = f.block_rows
     blocks = {}
     for b in sorted({r // B for r in reps}):
         rng = substream(seed, STREAM_SAMPLE, *path, b)
@@ -726,16 +741,19 @@ FAIR_FIELDS = {
 }
 
 
-# (family, B); no star at B = 1, whose 20,000-leaf hub pads 20,001 x 20,001 supports
+# (family, B); no star at B = 64, whose 20,000-leaf hub pads 20,001 x 20,001 supports
 @pytest.mark.parametrize("family, B", [
-    (family, B) for family in FAIR_FIELDS for B in (4096, 16, 1) if (family, B) != ("star", 1)
+    (family, B) for family in FAIR_FIELDS for B in (4096, 512, 64) if (family, B) != ("star", 64)
 ])
 def test_fair_two_point_routes_match_the_float_route(family, B, monkeypatch):
     # bits read from the stream give the float route's rows (now
     # source-major) and its S (now from popcounts), bit for bit, on
-    # unaligned ranges and on unsorted lists with repeats
-    f = FAIR_FIELDS[family]({4096: 13, 16: 3001, 1: 40_001}[B])
-    assert block_size(f.n_sources) == B and f.n_sources % 8
+    # unaligned ranges and on unsorted lists with repeats; a block of
+    # fair bits holds 2^22 / n_sources rows, so about 13, 4097 and 40,001
+    # sources give B = 4096, the m = 1 benchmark field's 512 at n = 4096,
+    # and 64
+    f = FAIR_FIELDS[family]({4096: 13, 512: 4097, 64: 40_001}[B])
+    assert f.block_rows == B and f.n_sources % 8
     calls = count_row_draws(monkeypatch)
     for reps in (range(B + 3, 3 * B + 5), [2 * B + 1, 0, B + 1, 2 * B + 1, 5, 0, 3 * B - 1]):
         reps = list(reps)
@@ -810,7 +828,7 @@ def test_integer_values_give_the_float_routes_w2(name):
     f, sys, dtype = INTEGER_FIELDS[name]
     sys = F.induced_neighborhoods(f) if sys is None else sys
     assert F.value_dtype(f, sys) == dtype
-    B = block_size(f.n_sources)
+    B = f.block_rows
     for reps in (range(B + 3, 9 * B + 5), [2 * B + 1, 0, B + 1, 2 * B + 1, 5, 0, 3 * B - 1]):
         want = F.evaluate_values(f, F.draw_source_rows(f, 17, reps, path=(2,)))
         rows = F.draw_source_rows(f, 17, reps, path=(2,), dtype=dtype)

@@ -63,7 +63,7 @@ def test_thread_count_does_not_change_results(monkeypatch):
     f = F.build_m_dependent(64, 1, F.rademacher())
     t = M.exact_moment_table(f)
     monkeypatch.setattr(rng, "DEFAULT_CHUNK", 512)
-    assert rng.chunk_rows(f.n_sources) == 512
+    assert rng.chunk_rows(f.n_sources, f.block_rows) == 512
     a = H.mc_run(f, "w1", 4000, 3, sigma=t.sigma, threads=1)
     b = H.mc_run(f, "w1", 4000, 3, sigma=t.sigma, threads=4)
     assert a == b
@@ -75,7 +75,7 @@ def chunked_runs(monkeypatch, field, statistic, sigma) -> list:
     runs = []
     for chunk in (256, 512, rng.DEFAULT_CHUNK):
         monkeypatch.setattr(rng, "DEFAULT_CHUNK", chunk)
-        assert rng.chunk_rows(field.n_sources) == chunk
+        assert rng.chunk_rows(field.n_sources, field.block_rows) == chunk
         runs += [H.mc_run(field, statistic, 4000, 3, sigma=sigma, threads=t) for t in (1, 2)]
     return runs
 
@@ -216,6 +216,21 @@ def test_both_mc_loops_keep_chunks_under_the_cell_cap(monkeypatch):
     H.mc_run(f, "sum", 2000, 1)
     assert sum(rows) == 4000
     assert max(rows) == 1016 <= (1 << 22) // f.n_sources
+
+
+def test_fair_bit_blocks_take_one_substream_per_512_kb(monkeypatch):
+    # m = 1 Rademacher windows at n = 4096 draw 4097 fair bits a row, so a
+    # block holds 512 rows: W2 at R = 4000 and W1 at R = 6000 derive one
+    # substream per block read, 8 and 12 (500 and 750 in 8-row blocks)
+    f = F.build_m_dependent(4096, 1, F.rademacher())
+    assert f.block_rows == 512
+    calls, substream = [], F.substream
+    monkeypatch.setattr(F, "substream", lambda *path: calls.append(path) or substream(*path))
+    H.mc_run(f, "w2", 4000, 1)
+    assert len(calls) <= math.ceil(4000 / 512)
+    calls.clear()
+    H.mc_run(f, "w1", 6000, 1, sigma=math.sqrt(4 * 4096 - 2))
+    assert len(calls) <= math.ceil(6000 / 512)
 
 
 @pytest.mark.parametrize("sigma", [None, 0.0, float("inf"), float("nan")])

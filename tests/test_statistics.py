@@ -346,6 +346,10 @@ def test_word_counter_examples():
     assert F.count_word_occurrences("abab", "ab", [1]) == 2
     assert F.count_word_occurrences("ab", "aaa", [None, None]) == 0
     assert F.count_word_occurrences("abab", "ab", [3], exact_gaps=True) == 1
+    # a gap below 1 admits no next letter, bounded or exact
+    for exact in (False, True):
+        assert F.count_word_occurrences("abab", "ab", [-1], exact_gaps=exact) == 0
+        assert F.count_word_occurrences("aaaa", "aa", [0], exact_gaps=exact) == 0
 
 
 def test_word_counter_random_vs_brute():
@@ -373,6 +377,12 @@ BATCH_WORD_CASES = {
     "gap_at_least_n": (3, 6, [1, 0], [6], False),
     "exact_gap_at_least_n": (3, 6, [1, 0], [7], True),
     "word_longer_than_n": (2, 2, [0, 1, 0], [None, None], False),
+    "gap_zero": (2, 7, [0, 0], [0], False),
+    "negative_gap": (2, 7, [0, 1], [-1], False),
+    "gap_below_minus_n": (2, 5, [1, 1, 0], [None, -9], False),
+    "exact_gap_zero": (2, 7, [0, 0], [0], True),
+    "exact_negative_gap": (3, 7, [1, 0, 1], [2, -3], True),
+    "exact_gap_below_minus_n": (2, 5, [0, 0], [-6], True),
 }
 
 
