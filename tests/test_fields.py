@@ -68,7 +68,7 @@ from locdep.errors import (
     GraphTooLarge,
     InvalidSize,
 )
-from locdep.rng import STREAM_SAMPLE, substream
+from locdep.rng import FLOAT_DRAW, STREAM_SAMPLE, block_size, substream
 
 
 def test_induced_m_dependent_windows():
@@ -741,19 +741,20 @@ FAIR_FIELDS = {
 }
 
 
-# (family, B); no star at B = 64, whose 20,000-leaf hub pads 20,001 x 20,001 supports
-@pytest.mark.parametrize("family, B", [
-    (family, B) for family in FAIR_FIELDS for B in (4096, 512, 64) if (family, B) != ("star", 64)
+# (family, the B of a float field of that size): about 13, 3001 and 40,001
+# sources, whose fair bits take B = 4096, 1024 and 64, 2^22 / n_sources
+# rows; no star at 40,001, whose 20,000-leaf hub pads 20,001 x 20,001 supports
+@pytest.mark.parametrize("family, float_B", [
+    (family, B) for family in FAIR_FIELDS for B in (4096, 16, 1) if (family, B) != ("star", 1)
 ])
-def test_fair_two_point_routes_match_the_float_route(family, B, monkeypatch):
+def test_fair_two_point_routes_match_the_float_route(family, float_B, monkeypatch):
     # bits read from the stream give the float route's rows (now
     # source-major) and its S (now from popcounts), bit for bit, on
-    # unaligned ranges and on unsorted lists with repeats; a block of
-    # fair bits holds 2^22 / n_sources rows, so about 13, 4097 and 40,001
-    # sources give B = 4096, the m = 1 benchmark field's 512 at n = 4096,
-    # and 64
-    f = FAIR_FIELDS[family]({4096: 13, 512: 4097, 64: 40_001}[B])
-    assert f.block_rows == B and f.n_sources % 8
+    # unaligned ranges and on unsorted lists with repeats
+    f = FAIR_FIELDS[family]({4096: 13, 16: 3001, 1: 40_001}[float_B])
+    B = f.block_rows
+    assert B == {4096: 4096, 16: 1024, 1: 64}[float_B] and f.n_sources % 8
+    assert block_size(f.n_sources, FLOAT_DRAW) == float_B
     calls = count_row_draws(monkeypatch)
     for reps in (range(B + 3, 3 * B + 5), [2 * B + 1, 0, B + 1, 2 * B + 1, 5, 0, 3 * B - 1]):
         reps = list(reps)

@@ -81,10 +81,11 @@ def chunked_runs(monkeypatch, field, statistic, sigma) -> list:
 
 
 def test_chunk_size_and_thread_count_do_not_change_summaries(monkeypatch):
-    # 301 sources give 128-row sample blocks, so every chunk size here
-    # splits the replications differently.  Normal sources leave the
-    # integer lattice, so S and the W2 reductions must not depend on the
-    # split to the last bit
+    # 301 normal sources give 128-row sample blocks and 301 fair ones a
+    # single 4096-row block, which a chunk below 4096 rows reads in part;
+    # every chunk size here splits the replications differently.  Normal
+    # sources leave the integer lattice, so S and the W2 reductions must
+    # not depend on the split to the last bit
     f = F.build_m_dependent(300, 1, F.rademacher())
     t = M.exact_moment_table(f)
     for statistic in ("w1", "w2"):  # W2 takes integer values here
