@@ -62,19 +62,19 @@ Fields are immutable after construction.  Sampling is a pure function of
 (master_seed, path, replication_index): replications are drawn in blocks
 of ``block_rows`` rows, one counter-based substream per block, so blocks
 parallelize and every replication reproduces bit-for-bit.  A block takes
-about 512 kB of raw stream (``rng.block_size``): a field whose every
-source is a fair two-point law draws one bit per source (``bit_draws``),
-64 times the rows of a field of floats, whose blocks hold about 2^16
-draws; both are frozen with the field.  A
-discrete law that is not equiprobable is drawn by counting the cumulative
-thresholds at or below one uniform draw: a k-point law costs k - 1
-comparisons, and every such law a config can name has 2 or 3 points.  A
-fair two-point source is drawn as packed random bits, and the bits stay
-packed as long as the statistic allows: :func:`draw_sums` counts a sum
-field's S from them (a byte popcount table per run of equal c) when every
-source is such a law on integers, and :func:`draw_source_rows` expands a
-field of such sources once, into source-major rows that the incidence
-product reads in place.  For W2 and W2bar, a sum field of such laws on
+about 512 kB of raw stream (``rng.block_size``): 2^22 / n_sources rows
+when every source is a fair two-point law, drawn one bit each
+(``bit_draws``), and 2^16 / n_sources rows otherwise (powers of two, at
+most 4096); both are frozen with the field.  A discrete law that is not
+equiprobable is drawn by counting the cumulative thresholds at or below
+one uniform draw: a k-point law costs k - 1 comparisons, and every such
+law a config can name has 2 or 3 points.  A fair two-point source is
+drawn as packed random bits, and the bits stay packed as long as the
+statistic allows: :func:`draw_sums` counts a sum field's S from them (a
+byte popcount table per run of equal c) when every source is such a law
+on integers, and :func:`draw_source_rows` expands a field of such
+sources once, into source-major rows that the incidence product reads in
+place.  For W2 and W2bar, a sum field of such laws on
 integers with integer means expands its rows to the narrowest signed
 integer type that holds X, Y = M X and X o Y (:func:`value_dtype`), and
 its values, Y and X o Y stay in that type; the route is taken only while
