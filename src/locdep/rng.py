@@ -61,8 +61,7 @@ def block_size(n_sources: int, draw_bits: int) -> int:
 
 def chunk_rows(n_sources: int, block_rows: int) -> int:
     """Replications per chunk: at most DEFAULT_CHUNK and CHUNK_CELLS /
-    n_sources (at least 1), in whole sample blocks of ``block_rows``.  A
-    budget below one block (only a lowered DEFAULT_CHUNK gives one) is the
-    chunk as it stands, and each chunk draws the block it reads part of."""
-    rows = max(1, min(DEFAULT_CHUNK, CHUNK_CELLS // max(1, n_sources)))
-    return rows // block_rows * block_rows or rows
+    n_sources, in whole sample blocks of ``block_rows``, and at least one
+    block."""
+    budget = min(DEFAULT_CHUNK, CHUNK_CELLS // max(1, n_sources))
+    return max(block_rows, budget // block_rows * block_rows)

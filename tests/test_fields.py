@@ -68,7 +68,7 @@ from locdep.errors import (
     GraphTooLarge,
     InvalidSize,
 )
-from locdep.rng import FLOAT_DRAW, STREAM_SAMPLE, block_size, substream
+from locdep.rng import STREAM_SAMPLE, substream
 
 
 def test_induced_m_dependent_windows():
@@ -670,20 +670,23 @@ def test_threshold_draws_match_the_binary_search(law):
 
 
 @pytest.mark.parametrize("n_sources", [8, 300, 40_000])
-def test_block_rows_are_a_function_of_the_replication(n_sources):
-    # fair bits give B = 4096, 4096 and 64: a range that starts inside a
-    # block and crosses block edges reads the same rows as a range from 0
-    f = F.build_iid_field(n_sources, F.rademacher())
-    B = f.block_rows
-    assert B == {8: 4096, 300: 4096, 40_000: 64}[n_sources]
-    a, b = B + B // 2 + 1, 3 * B + 2
-    full = F.draw_source_rows(f, 17, range(0, b + B))
-    assert np.array_equal(F.draw_source_rows(f, 17, range(a, b)), full[a:b])
-    picks = [b - 1, a, 0, a]
-    assert np.array_equal(F.draw_source_rows(f, 17, picks), full[picks])
-    other = F.draw_source_rows(f, 17, range(0, b + B), path=(1,))
-    assert not np.array_equal(other, full)
-    assert not np.array_equal(other, F.draw_source_rows(f, 17, range(0, b + B), path=(2,)))
+def test_block_rows_are_a_function_of_the_replication(n_sources, monkeypatch):
+    # fair bits give B = 4096, 4096 and 64, and in blocks of 2^16 bits
+    # B = 4096, 128 and 1: a range that starts inside a block and crosses
+    # block edges reads the same rows as a range from 0
+    for bits, sizes in ((2**22, {8: 4096, 300: 4096, 40_000: 64}), (2**16, {8: 4096, 300: 128, 40_000: 1})):
+        monkeypatch.setattr("locdep.rng.BLOCK_BITS", bits)
+        f = F.build_iid_field(n_sources, F.rademacher())
+        B = f.block_rows
+        assert B == sizes[n_sources]
+        a, b = B + B // 2 + 1, 3 * B + 2
+        full = F.draw_source_rows(f, 17, range(0, b + B))
+        assert np.array_equal(F.draw_source_rows(f, 17, range(a, b)), full[a:b])
+        picks = [b - 1, a, 0, a]
+        assert np.array_equal(F.draw_source_rows(f, 17, picks), full[picks])
+        other = F.draw_source_rows(f, 17, range(0, b + B), path=(1,))
+        assert not np.array_equal(other, full)
+        assert not np.array_equal(other, F.draw_source_rows(f, 17, range(0, b + B), path=(2,)))
 
 
 @pytest.mark.parametrize("law", [F.three_point(), F.bernoulli(0.3), F.ContinuousSource("normal")],
@@ -741,20 +744,27 @@ FAIR_FIELDS = {
 }
 
 
-# (family, the B of a float field of that size): about 13, 3001 and 40,001
-# sources, whose fair bits take B = 4096, 1024 and 64, 2^22 / n_sources
-# rows; no star at 40,001, whose 20,000-leaf hub pads 20,001 x 20,001 supports
-@pytest.mark.parametrize("family, float_B", [
-    (family, B) for family in FAIR_FIELDS for B in (4096, 16, 1) if (family, B) != ("star", 1)
+# B: (sources, BLOCK_BITS).  About 13, 3001 and 40,001 fair sources take
+# B = 4096, 1024 and 64 rows, 2^22 / n_sources; in blocks of 2^16 bits
+# 3001 and 40,001 take B = 16 and 1, where a block of an odd number of
+# sources ends inside a byte.  No star at 40,001, whose 20,000-leaf hub
+# pads 20,001 x 20,001 supports
+FAIR_ROUTE_BLOCKS = {4096: (13, 2**22), 1024: (3001, 2**22), 64: (40_001, 2**22),
+                     16: (3001, 2**16), 1: (40_001, 2**16)}
+
+
+@pytest.mark.parametrize("family, B", [
+    (family, B) for family in FAIR_FIELDS for B in FAIR_ROUTE_BLOCKS
+    if not (family == "star" and FAIR_ROUTE_BLOCKS[B][0] == 40_001)
 ])
-def test_fair_two_point_routes_match_the_float_route(family, float_B, monkeypatch):
+def test_fair_two_point_routes_match_the_float_route(family, B, monkeypatch):
     # bits read from the stream give the float route's rows (now
     # source-major) and its S (now from popcounts), bit for bit, on
     # unaligned ranges and on unsorted lists with repeats
-    f = FAIR_FIELDS[family]({4096: 13, 16: 3001, 1: 40_001}[float_B])
-    B = f.block_rows
-    assert B == {4096: 4096, 16: 1024, 1: 64}[float_B] and f.n_sources % 8
-    assert block_size(f.n_sources, FLOAT_DRAW) == float_B
+    n, bits = FAIR_ROUTE_BLOCKS[B]
+    monkeypatch.setattr("locdep.rng.BLOCK_BITS", bits)
+    f = FAIR_FIELDS[family](n)
+    assert f.bit_draws and f.block_rows == B and f.n_sources % 8
     calls = count_row_draws(monkeypatch)
     for reps in (range(B + 3, 3 * B + 5), [2 * B + 1, 0, B + 1, 2 * B + 1, 5, 0, 3 * B - 1]):
         reps = list(reps)

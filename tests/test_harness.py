@@ -60,6 +60,7 @@ def test_stream_stability_under_increasing_r():
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
+    monkeypatch.setattr(rng, "BLOCK_BITS", 2**16)  # 512-row blocks of fair bits
     f = F.build_m_dependent(64, 1, F.rademacher())
     t = M.exact_moment_table(f)
     monkeypatch.setattr(rng, "DEFAULT_CHUNK", 512)
@@ -81,17 +82,17 @@ def chunked_runs(monkeypatch, field, statistic, sigma) -> list:
 
 
 def test_chunk_size_and_thread_count_do_not_change_summaries(monkeypatch):
-    # 301 normal sources give 128-row sample blocks and 301 fair ones a
-    # single 4096-row block, which a chunk below 4096 rows reads in part;
-    # every chunk size here splits the replications differently.  Normal
-    # sources leave the integer lattice, so S and the W2 reductions must
-    # not depend on the split to the last bit
+    # 301 sources give 128-row sample blocks (fair ones in blocks of 2^16
+    # bits), so every chunk size here splits the replications differently.
+    # Normal sources leave the integer lattice, so S and the W2 reductions
+    # must not depend on the split to the last bit
+    normal = F.build_m_dependent(300, 1, F.ContinuousSource("normal"))
+    monkeypatch.setattr(rng, "BLOCK_BITS", 2**16)
     f = F.build_m_dependent(300, 1, F.rademacher())
     t = M.exact_moment_table(f)
     for statistic in ("w1", "w2"):  # W2 takes integer values here
         runs = chunked_runs(monkeypatch, f, statistic, t.sigma)
         assert all(r == runs[0] for r in runs[1:]), statistic
-    normal = F.build_m_dependent(300, 1, F.ContinuousSource("normal"))
     for statistic in ("w1", "w2"):
         runs = chunked_runs(monkeypatch, normal, statistic, math.sqrt(4 * 300 - 2))  # Var(S) = 4n - 2
         assert all(r == runs[0] for r in runs[1:]), statistic
@@ -101,7 +102,9 @@ def test_word_field_summaries_do_not_depend_on_the_thread_count(monkeypatch):
     # a word field's S is its occurrence count (the field's batch_sum);
     # three letters give means that are not dyadic
     monkeypatch.setattr(rng, "DEFAULT_CHUNK", 512)
-    for f in (F.build_word_field([0, 1], 40, 2, [None]), F.build_word_field([0, 2], 30, 3, [4])):
+    three = F.build_word_field([0, 2], 30, 3, [4])
+    monkeypatch.setattr(rng, "BLOCK_BITS", 2**16)  # 1024-row blocks of two fair letters
+    for f in (F.build_word_field([0, 1], 40, 2, [None]), three):
         t = M.mc_moment_table(f, reps=2000, master_seed=5)
         for statistic in ("w1", "sum"):
             runs = [H.mc_run(f, statistic, 3000, 3, sigma=t.sigma, threads=threads)
@@ -119,6 +122,7 @@ def record_value_dtypes(monkeypatch) -> list:
 
 @pytest.mark.parametrize("statistic", ["w2", "w2bar"])
 def test_integer_route_gives_the_float_routes_summary(statistic, monkeypatch):
+    monkeypatch.setattr(rng, "BLOCK_BITS", 2**16)  # 128-row blocks, so 3 chunks of 1024 rows
     f = F.build_m_dependent(500, 1, F.rademacher())
     dtypes = record_value_dtypes(monkeypatch)
     monkeypatch.setattr(rng, "DEFAULT_CHUNK", 1024)
