@@ -620,25 +620,34 @@ def draw_source_rows(
     if np.dtype(dtype).kind == "i" and field.bit_plan is None:
         raise ValueError("integer rows need fair two-point laws on integers in a sum field")
     reps = np.asarray(reps, dtype=np.int64).reshape(-1)
-    B, bits = field.block_rows, field.bit_draws
-    out = np.empty((reps.size, field.n_sources), dtype=np.uint8 if bits else float)
+    B, n, bits = field.block_rows, field.n_sources, field.bit_draws
+    if bits:  # 0/1 codes, in whole groups of 8 rows and whole 8-byte words a row
+        out = np.zeros((-(-reps.size // 8) * 8, -(-n // 8) * 8), dtype=np.uint8)
+    else:
+        out = np.empty((reps.size, n))
     for b, hit in _sample_blocks(reps, B):
         rng = substream(master_seed, STREAM_SAMPLE, *path, b)
-        block = np.empty((B, field.n_sources), dtype=out.dtype)
-        for sl, src in field.runs:
-            size = (B, sl.stop - sl.start)
-            block[:, sl] = _fair_bits(rng, size) if bits else _draw(src, rng, size)
-        out[hit] = block[reps[hit] % B]
+        parts = [_fair_bits(rng, (B, sl.stop - sl.start)) if bits else
+                 _draw(src, rng, (B, sl.stop - sl.start)) for sl, src in field.runs]
+        block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        out[hit, :n] = block[reps[hit] % B]
     if not bits:
         return out
-    # each source's codes packed 8 replications to a byte, then expanded
-    # through a per-law table of the 8 values each byte stands for
-    packed = np.packbits(np.ascontiguousarray(out.T), axis=1)
-    rows = np.empty(packed.shape + (8,), dtype=dtype)
+    # each source's codes packed 8 replications to a byte, first bit first
+    # (a code shifted by at most 7 stays in its byte, so a word op packs 8
+    # sources), then expanded through a per-law table of the 8 values
+    # each byte stands for
+    words = out.view(np.uint64)
+    packed = words[0::8] << np.uint64(7)
+    for k in range(1, 8):
+        packed |= words[k::8] << np.uint64(7 - k)
+    packed = np.ascontiguousarray(packed.view(np.uint8)[:, :n].T)
+    eight = np.dtype((np.void, 8 * np.dtype(dtype).itemsize))  # 8 values as one item
+    rows = np.empty(packed.shape, dtype=eight)
     for sl, src in field.runs:
         table = np.asarray(src.values).astype(dtype)[_BYTE_BITS]
-        np.take(table, packed[sl], axis=0, out=rows[sl], mode="clip")
-    return np.ascontiguousarray(rows.reshape(field.n_sources, -1)[:, :reps.size]).T
+        np.take(table.view(eight).reshape(256), packed[sl], out=rows[sl], mode="clip")
+    return np.ascontiguousarray(rows.view(dtype)[:, :reps.size]).T
 
 
 def _ones_before(raw: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -57,9 +57,11 @@ NEEDS_SIGMA = frozenset({"w1", "w2bar"})
 def _index_sums(AT: np.ndarray) -> np.ndarray:
     """Sums over axis 0 of an (n, reps) array as float64: row after row for
     every column (numpy's ``sum(axis=0)`` sums a single column pairwise
-    instead), or exactly in int64 for integers."""
+    instead), or exactly for integers, in int32 while n values of the
+    dtype cannot overflow it (int8 up to n = 2^24) and in int64 beyond."""
     if AT.dtype.kind == "i":
-        return AT.sum(axis=0, dtype=np.int64).astype(float)
+        wide = np.int32 if AT.shape[0] << (8 * AT.itemsize - 1) < 2**31 else np.int64
+        return AT.sum(axis=0, dtype=wide).astype(float)
     return AT.sum(axis=0) if AT.shape[1] > 1 else np.cumsum(AT, axis=0)[-1]
 
 
