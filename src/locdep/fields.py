@@ -70,17 +70,23 @@ equiprobable is drawn by counting the cumulative thresholds at or below
 one uniform draw: a k-point law costs k - 1 comparisons, and every such
 law a config can name has 2 or 3 points.  A fair two-point source is
 drawn as packed random bits, and the bits stay packed as long as the
-statistic allows: :func:`draw_sums` counts a sum field's S from them (a
-byte popcount table per run of equal c) when every source is such a law
-on integers, and :func:`draw_source_rows` expands a field of such
-sources once, into source-major rows that the incidence product reads in
-place.  For W2 and W2bar, a sum field of such laws on
-integers with integer means expands its rows to the narrowest signed
-integer type that holds X, Y = M X and X o Y (:func:`value_dtype`), and
-its values, Y and X o Y stay in that type; the route is taken only while
-n max|X| max|Y| < 2^53, where every float it replaces is an exact
-integer.  All of these give the values of the float route bit for bit.
-The packed-route plan (``bit_plan``) and the summed means are frozen
+statistic allows: :func:`draw_sums` counts a sum field's S from them (word
+popcounts per run of equal c) when every source is such a law on
+integers, and :func:`draw_source_rows` expands a field of such sources
+once, into source-major rows that the incidence product reads in place.
+For W2 and W2bar, a sum field of such laws on integers with integer
+means takes its index sums S, sum Y and sum X o Y where n max|X| max|Y|
+< 2^53 (:func:`value_dtype`), where every float they replace is an exact
+integer.  With one source law, :func:`draw_index_sums` counts them from
+the packed bits by a plan built once per run (:func:`index_sum_plan`):
+S and sum Y are linear in the bits, and sum X o Y a quadratic form whose
+pairs of sources lie at a few lags, each counted as the popcounts of the
+bits ANDed with themselves shifted by the lag.  A field of several
+source laws, or one whose plan would cost more than expanding its rows,
+expands its rows to the narrowest signed integer type that holds X,
+Y = M X and X o Y, and its values, Y and X o Y stay in that type.  All of
+these give the values and sums of the float route bit for bit.  The
+packed-route plan of S (``bit_plan``) and the summed means are frozen
 with the field.
 """
 
@@ -101,7 +107,7 @@ from .errors import (
     GraphTooLarge,
     InvalidSize,
 )
-from .neighborhood import POPCOUNT, Csr, NeighborhoodSystem, distinct, product_pattern
+from .neighborhood import CHUNK, Csr, NeighborhoodSystem, distinct, product_pattern
 from .rng import BIT_DRAW, FLOAT_DRAW, STREAM_SAMPLE, block_size, substream
 
 DEFAULT_ENUM_CAP = 2**24
@@ -115,6 +121,9 @@ INDUCED_CAP = 10**7  # most neighbor entries an induced system may hold
 GATHER_CELLS = 2**21
 # pairs signature_groups keys at a time; adjacency cells a triangle sum holds
 PAIR_CHUNK, ADJ_CELLS = 2**15, 2**16
+CUT_WORK = 48  # work of one cut of a packed index-sum plan (see index_sum_plan)
+# keys that a dense presence table may span per key it ids (see _key_ids)
+DENSE_SPAN = 4
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +482,19 @@ def _pack(cols) -> np.ndarray:
     return out
 
 
+def _key_ids(keys: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct keys, ascending; the id of each key among them) of
+    nonnegative integer keys below ``span``, as ``np.unique`` gives them
+    with its inverse: by a dense presence table when ``span`` is at most
+    DENSE_SPAN times the number of keys, else by sorting."""
+    if span <= DENSE_SPAN * keys.size:
+        present = np.zeros(span, dtype=bool)
+        present[keys] = True
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+    distinct_keys, ids = np.unique(keys, return_inverse=True)
+    return distinct_keys, ids.reshape(-1)
+
+
 def _new_ids(srt: np.ndarray) -> np.ndarray:
     """new[r, c]: slot c of the sorted row ``srt[r]`` holds another id than
     slot c - 1 (slot 0 always), compared along the flat array."""
@@ -650,18 +672,26 @@ def draw_source_rows(
     return np.ascontiguousarray(rows.view(dtype)[:, :reps.size]).T
 
 
-def _ones_before(raw: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Set bits of the packed bit string ``raw`` (big-endian bytes) before
-    each bit position of ``pos`` (at most 8 * raw.size)."""
-    byte = pos >> 3
-    # whole bytes: one sum of byte counts per stretch between the bytes read
-    starts = distinct(np.append(byte[byte < raw.size], 0))
-    counts = np.add.reduceat(POPCOUNT.take(raw), starts, dtype=np.int64)
-    prefix = np.append(0, np.cumsum(counts))  # set bits before starts, then in all
-    # the leading (pos & 7) bits of the partial byte; a position at the
-    # very end has none, so its clipped byte is shifted out
-    head = raw[np.minimum(byte, raw.size - 1)] >> (8 - (pos & 7))
-    return prefix[np.searchsorted(np.append(starts, raw.size), byte)] + POPCOUNT.take(head)
+def _words(parts) -> np.ndarray:
+    """The packed bit string of big-endian byte strings ``parts``, one
+    after another, as uint64 words whose highest bit comes first, padded
+    with zeros to a whole word."""
+    size = sum(p.size for p in parts)
+    out = np.zeros(-(-size // 8), dtype=">u8")
+    np.concatenate(parts, out=out.view(np.uint8)[:size])
+    return out.astype(np.uint64)
+
+
+def _ones_before(words: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Set bits of the packed bit string ``words`` (see :func:`_words`)
+    before each bit position of ``pos`` (at most 64 * words.size)."""
+    prefix = np.zeros(words.size + 1, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words), out=prefix[1:])
+    word = pos >> 6
+    # the leading (pos & 63) bits of the partial word, none at a word's
+    # start (a position at the very end reads a clipped word, shifted out)
+    head = (words[np.minimum(word, words.size - 1)] >> 1) >> (63 - (pos & 63)).astype(np.uint64)
+    return prefix[word] + np.bitwise_count(head)
 
 
 def _integer_bit_runs(field: LatentSourceField):
@@ -690,6 +720,27 @@ def _integer_bit_runs(field: LatentSourceField):
     return tuple(runs), base
 
 
+def _packed_groups(field: LatentSourceField, master_seed: int, reps: np.ndarray, path: tuple[int, ...]):
+    """Yield (hit, [(bits, head) per source run]) per group of the sample
+    blocks that ``reps`` fall in, about 128 kB of bits at a time: ``hit``
+    are the positions in ``reps`` that the group's blocks hold, ``bits``
+    the packed bits of the run in those blocks, block after block, and
+    ``head`` the bit where each hit's row of the run starts."""
+    B, widths = field.block_rows, [sl.stop - sl.start for sl, _ in field.runs]
+    blocks = list(_sample_blocks(reps, B))
+    step = max(1, 2**20 // (B * field.n_sources))  # blocks per 128 kB of bits
+    for g in range(0, len(blocks), step):
+        group = blocks[g:g + step]
+        raws = []  # per block, the bytes of each run
+        for b, _ in group:
+            rng = substream(master_seed, STREAM_SAMPLE, *path, b)
+            raws.append([_fair_bytes(rng, B * width) for width in widths])
+        hit = np.concatenate([h for _, h in group])
+        at = np.repeat(np.arange(len(group)), [h.size for _, h in group])  # block of each hit
+        yield hit, [(_words([r[k] for r in raws]), at * (8 * raws[0][k].size) + reps[hit] % B * width)
+                    for k, width in enumerate(widths)]
+
+
 def draw_sums(
     field: LatentSourceField,
     master_seed: int,
@@ -702,31 +753,19 @@ def draw_sums(
     A sum field whose sources are all fair two-point laws on integers
     never expands its draws: it reads the packed bits of each block and
     run from the same stream, and a segment of equal c over values (a, b)
-    adds c (a len + (b - a) ones) to S, ones counted with a byte table over
-    the bytes of about 128 kB of bits at a time.  The sum is exact in int64
-    and converts to the same float.  Every other field draws its rows.
+    adds c (a len + (b - a) ones) to S, ones counted by word popcounts
+    over about 128 kB of bits at a time (:func:`_packed_groups`).  The
+    sum is exact in int64 and converts to the same float.  Every other
+    field draws its rows.
     """
     if field.bit_plan is None:
         return sum_values(field, draw_source_rows(field, master_seed, reps, path))
     runs, base = field.bit_plan
     reps = np.asarray(reps, dtype=np.int64).reshape(-1)
-    B = field.block_rows
     out = np.full(reps.size, base, dtype=np.int64)
-    blocks = list(_sample_blocks(reps, B))
-    step = max(1, 2**20 // (B * field.n_sources))  # blocks per 128 kB of bits
-    for g in range(0, len(blocks), step):
-        group = blocks[g:g + step]
-        raws = []  # per block, the bytes of each run
-        for b, _ in group:
-            rng = substream(master_seed, STREAM_SAMPLE, *path, b)
-            raws.append([_fair_bytes(rng, B * width) for width, _, _ in runs])
-        hit = np.concatenate([h for _, h in group])
-        at = np.repeat(np.arange(len(group)), [h.size for _, h in group])  # block of each hit
-        for k, (width, cuts, slope) in enumerate(runs):
-            # run k's bytes of the group, block after block: a hit's row starts at bit `head`
-            head = at * (8 * raws[0][k].size) + reps[hit] % B * width
-            ones = _ones_before(np.concatenate([r[k] for r in raws]), head[:, None] + cuts)
-            out[hit] += np.diff(ones, axis=1) @ slope
+    for hit, parts in _packed_groups(field, master_seed, reps, path):
+        for (bits, head), (_, cuts, slope) in zip(parts, runs):
+            out[hit] += np.diff(_ones_before(bits, head[:, None] + cuts), axis=1) @ slope
     return out.astype(float) - field.mean_sum
 
 
@@ -759,6 +798,142 @@ def value_dtype(field: LatentSourceField, sys: NeighborhoodSystem) -> np.dtype:
         return floats
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
                 if top <= np.iinfo(t).max)
+
+
+def _int_sums(at: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """np.bincount(at, weights, size), exact in int64."""
+    out = np.zeros(size, dtype=np.int64)
+    np.add.at(out, at, weights)
+    return out
+
+
+def _segments(pos: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cuts, slopes) of the weight rows at ascending positions ``pos``:
+    a segment [cuts[k], cuts[k + 1]) is a run of consecutive positions
+    with one weight row, slopes[k], or a gap between runs, with zeros."""
+    new = np.r_[True, (np.diff(pos) != 1) | np.any(np.diff(weights, axis=0) != 0, axis=1)]
+    first = np.flatnonzero(new)
+    ends = np.append(pos[first[1:] - 1], pos[-1]) + 1
+    cuts = distinct(np.append(pos[first], ends))
+    slopes = np.zeros((cuts.size - 1, weights.shape[1]), dtype=np.int64)
+    slopes[np.searchsorted(cuts, pos[first])] = weights[first]
+    return _read_only(cuts), _read_only(slopes)
+
+
+def index_sum_plan(field: LatentSourceField, sys: NeighborhoodSystem):
+    """The plan (see :func:`_index_sum_terms`) by which
+    :func:`draw_index_sums` counts W2's index sums under ``sys`` from the
+    packed bits, or None when the field is off that route or when
+    counting the bits of a row over the plan's terms and cuts takes more
+    work than expanding the row into values (N draws, the incidence and
+    M products and three passes over the n values).  Measured per row on
+    a 2-core Xeon, in units of that work (about 0.5 ns), a term reads N
+    bits in N / 64 words (about N / 4) and a cut costs about CUT_WORK.
+    Built once per Monte-Carlo run."""
+    plan = _index_sum_terms(field, sys)
+    if plan is None:
+        return None
+    terms = plan[1]
+    packed = sum(field.n_sources // 4 + CUT_WORK * cuts.size for _, cuts, _ in terms)
+    return plan if packed <= field.n_sources + field.incidence.nnz + sys.M.nnz + 3 * field.n else None
+
+
+def _index_sum_terms(field: LatentSourceField, sys: NeighborhoodSystem):
+    """(base, terms): how S, sum_i Y_i and sum_i X_i Y_i under ``sys``
+    follow from a row's bits, or None when the field is off the route.
+
+    With one fair law on integers (a, b) for every source and bits u,
+    U = a + (b - a) u and X = x0 + G u, where x0 = a incidence 1 - means
+    are the values at u = 0 and G = (b - a) incidence.  So S = 1'X and
+    sum Y = r'X (r_j = |N_j|, the column sums of M) are linear in u, and
+    sum X_i Y_i = X'MX = x0'M x0 + ((M + M') x0)'G u + u'(G'MG)u is
+    quadratic, with u_s u_s = u_s.  ``base`` holds the three sums at
+    u = 0, and each term (lag, cuts, slopes) weighs the set bits
+    u_s u_{s + lag} (u_s for lag 0) of the segments [cuts[k], cuts[k + 1])
+    of s with one row of weights slopes[k] for the three sums.  The pairs
+    of sources that some entry of M reads through the incidence are the
+    entries of G'MG, in runs of equal weight along each lag (m-dependent
+    windows read lags 1..2m).
+
+    The route needs a field on the packed route (``bit_plan``) with one
+    source run and integer values (:func:`value_dtype`): then b - a and
+    every weight is an integer, |b - a| incidence 1 <= 2 max|X|, and every
+    partial sum is below 4 n max|X| max|Y| < 2^55, exact in int64.  It
+    also needs G'MG to take at most ``neighborhood.CHUNK`` products."""
+    if field.bit_plan is None or len(field.runs) != 1 or value_dtype(field, sys).kind != "i":
+        return None
+    inc, M, n, N = field.incidence, sys.M, field.n, field.n_sources
+    size = np.diff(inc.indptr)
+    pairs = size[M.rows] * size[M.indices]  # source pairs of each entry of M
+    if pairs.sum() > CHUNK:
+        return None
+    ((_, src),) = field.runs
+    a, b = (int(v) for v in src.values)
+    d = b - a
+    cnt = inc.data.astype(np.int64)
+    x0 = a * _int_sums(inc.rows, cnt, n) - field.means.astype(np.int64)
+    r = np.bincount(M.indices, minlength=n)
+    Mx0 = _int_sums(M.rows, x0[M.indices], n)
+    P = Mx0 + _int_sums(M.indices, x0[M.rows], n)
+    base = np.array([x0.sum(), r @ x0, x0 @ Mx0], dtype=np.int64)
+    linear = d * np.stack([_int_sums(inc.indices, cnt * w[inc.rows], N)
+                           for w in (np.ones(n, dtype=np.int64), r, P)], axis=1)
+    # every product G_is M_ij G_jt: entry e of M, slot k of its pairs
+    e = np.repeat(np.arange(M.nnz), pairs)
+    k = np.arange(e.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    width = size[M.indices[e]]
+    u, v = inc.indptr[M.rows[e]] + k // width, inc.indptr[M.indices[e]] + k % width
+    s, t = inc.indices[u], inc.indices[v]
+    apart = np.abs(s - t)
+    keys, at = _key_ids(apart * N + np.minimum(s, t), (int(apart.max(initial=0)) + 1) * N)
+    weight = _int_sums(at, d * d * cnt[u] * cnt[v], keys.size)
+    lags, lo = np.divmod(keys, N)  # ascending lags
+    diagonal = int(np.searchsorted(lags, 1))  # u_s u_s = u_s is linear
+    linear[:, 2] += _int_sums(lo[:diagonal], weight[:diagonal], N)
+    terms = [(0, *_segments(np.arange(N), linear))]
+    for on in np.split(np.arange(diagonal, keys.size), np.flatnonzero(np.diff(lags[diagonal:])) + 1):
+        if on.size:
+            w = np.zeros((on.size, 3), dtype=np.int64)
+            w[:, 2] = weight[on]
+            terms.append((int(lags[on[0]]), *_segments(lo[on], w)))
+    return _read_only(base), tuple(terms)
+
+
+def _and_shifted(words: np.ndarray, lag: int) -> np.ndarray:
+    """The packed bit string (see :func:`_words`) whose bit k is bit k AND
+    bit k + lag of ``words``, with 0 past the end."""
+    q, r = lag >> 6, lag & 63
+    out = np.zeros_like(words)
+    out[:words.size - q] = words[q:]
+    if r:
+        out <<= r
+        out[:words.size - q - 1] |= words[q + 1:] >> (64 - r)
+    out &= words
+    return out
+
+
+def draw_index_sums(
+    field: LatentSourceField,
+    plan,
+    master_seed: int,
+    reps: Sequence[int],
+    path: tuple[int, ...] = (),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, sum_i Y_i, sum_i X_i Y_i) of the given replications by the
+    field's :func:`index_sum_plan` under a system: equal bit for bit to
+    ``statistics.index_sums`` of the replications' values, with no value
+    matrix.  Each block's packed bits are read from the same stream as
+    :func:`draw_sums` reads them; a term of lag d counts the set bits of
+    the bits ANDed with themselves shifted by d, over its segments of
+    each row.  The sums are exact in int64."""
+    base, terms = plan
+    reps = np.asarray(reps, dtype=np.int64).reshape(-1)
+    out = np.tile(base, (reps.size, 1))
+    for hit, ((bits, head),) in _packed_groups(field, master_seed, reps, path):
+        for lag, cuts, slopes in terms:
+            ones = _ones_before(_and_shifted(bits, lag) if lag else bits, head[:, None] + cuts)
+            out[hit] += np.diff(ones, axis=1) @ slopes
+    return tuple(out.T.astype(float))
 
 
 def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:

@@ -10,11 +10,16 @@ heavy parts) and merge in chunk order, so summaries are independent of
 the worker count and chunk size and stable under increasing R.  Sigma is
 checked before anything is drawn, and ``statistics`` reduces each chunk.
 W1 and the raw sum read S from ``fields.draw_sums``, which counts it from
-the packed bits of fair two-point sum fields.  W2 and W2bar evaluate
-drawn source rows (source-major when every source is fair two-point): as
-integers of the narrowest type that holds X, Y and X o Y where
-``fields.value_dtype`` allows (fair two-point integer sum fields with
-integer means), else as floats.
+the packed bits of fair two-point sum fields.  W2 and W2bar read the
+index sums S, sum Y and sum X o Y.  Where ``fields.index_sum_plan`` gives
+a plan (fair two-point integer sum fields of one source law with integer
+means, under the exactness guard of ``fields.value_dtype``, where
+counting costs less than expanding rows), ``fields.draw_index_sums``
+counts them from the packed bits, with no value matrix.  Other fields
+evaluate drawn source rows (source-major when every source is fair
+two-point): as integers of the narrowest type that holds X, Y and X o Y
+where ``fields.value_dtype`` allows, else as floats.  Both routes finish
+in ``statistics.parts_from_sums``.
 
 The Kolmogorov distance is against the fixed continuous reference Phi via
 the exact order-statistic formula
@@ -34,16 +39,18 @@ from .bounds import BoundReport
 from .errors import DegeneratePoints, DegenerateVariance, ExcessRejections, GridMismatch
 from .fields import (
     LatentSourceField,
+    draw_index_sums,
     draw_source_rows,
     draw_sums,
     evaluate_values,
+    index_sum_plan,
     induced_neighborhoods,
     value_dtype,
 )
 from .neighborhood import NeighborhoodSystem
 from .oracle import phi
 from .rng import chunk_rows
-from .statistics import READS_VALUES, check_sigma, finish, statistic_parts
+from .statistics import READS_VALUES, check_sigma, finish, parts_from_sums, statistic_parts
 
 MAX_REJECT_FRACTION = 0.01
 
@@ -105,17 +112,22 @@ def mc_run(
     check_sigma(statistic, sigma)
     chunk = chunk_rows(field.n_sources, field.block_rows)
     reads_values = statistic in READS_VALUES
+    plan = None
     if reads_values:
         sys = induced_neighborhoods(field) if sys is None else sys
+        plan = index_sum_plan(field, sys)
         dtype = value_dtype(field, sys)  # of the source rows and values
 
     def run_chunk(start: int) -> tuple[np.ndarray, int]:
         part = range(start, min(start + chunk, reps))
-        if reads_values:
-            batch = evaluate_values(field, draw_source_rows(field, master_seed, part, path=path, dtype=dtype))
+        if plan is not None:
+            sums = draw_index_sums(field, plan, master_seed, part, path=path)
+            parts, rej = parts_from_sums(statistic, field.n, sums)
+        elif reads_values:
+            rows = draw_source_rows(field, master_seed, part, path=path, dtype=dtype)
+            parts, rej = statistic_parts(statistic, evaluate_values(field, rows), sys)
         else:
-            batch = draw_sums(field, master_seed, part, path=path)
-        parts, rej = statistic_parts(statistic, batch, sys)
+            parts, rej = statistic_parts(statistic, draw_sums(field, master_seed, part, path=path))
         return finish(statistic, [a[~rej] for a in parts], sigma), int(rej.sum())
 
     starts = list(range(0, reps, chunk))

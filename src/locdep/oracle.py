@@ -67,6 +67,7 @@ from .fields import (
     LatentSourceField,
     evaluate_values,
     induced_neighborhoods,
+    _key_ids,
     _pack,
     outcome_blocks,
     _sum_columns,
@@ -822,23 +823,26 @@ def check_ld_independence(sys: NeighborhoodSystem, plan: Walk) -> list[str]:
     for each j in A_i against those outside the cover A_i | A_j (LD2).
     Reads ``plan``, a walk of the field that kept every outcome
     (``walk_outcomes(field, keep=True)``).  Returns a list of named
-    violations (empty iff all pass)."""
-    # values rounded to 9 digits, as integer ids per column; np.unique
-    # compares values, so the -0.0 that rounding yields joins 0.0
-    codes = np.stack(
-        [np.unique(col, return_inverse=True)[1].reshape(-1) for col in np.round(plan.X, 9).T],
-        axis=1,
-    )
+    violations (empty iff all pass).  Each distinct test runs once: LD2 at
+    (i, i) is LD1 at i, and LD2 at (j, i) is LD2 at (i, j)."""
+    # values rounded to 9 digits, as integer ids per index (one row each);
+    # np.unique compares values, so the -0.0 that rounding yields joins 0.0
+    codes = np.stack([np.unique(col, return_inverse=True)[1].reshape(-1)
+                      for col in np.round(plan.X, 9).T])
     member = sys.M.toarray() > 0
-    violations: list[str] = []
-    for i in range(sys.n):
-        outside = ~member[i]
-        if outside.any() and not _factorizes(codes[:, [i]], codes[:, outside], plan.probs):
-            violations.append(f"LD1 fails at i={i}")
-    for i, j in zip(sys.M.rows, sys.M.indices):
-        outside = ~(member[i] | member[j])
-        if outside.any() and not _factorizes(codes[:, [i, j]], codes[:, outside], plan.probs):
-            violations.append(f"LD2 fails at (i,j)=({i},{j})")
+    holds: dict[tuple[int, int], bool] = {}  # by the pair (i, j), i <= j
+
+    def factorizes(i: int, j: int) -> bool:
+        key = (min(i, j), max(i, j))
+        if key not in holds:
+            outside = ~(member[i] | member[j])
+            holds[key] = not outside.any() or _factorizes(
+                codes[sorted({i, j})], codes[outside], plan.probs)
+        return holds[key]
+
+    violations = [f"LD1 fails at i={i}" for i in range(sys.n) if not factorizes(i, i)]
+    violations += [f"LD2 fails at (i,j)=({i},{j})" for i, j in zip(sys.M.rows, sys.M.indices)
+                   if not factorizes(i, j)]
     return violations
 
 
@@ -846,11 +850,13 @@ FACTOR_BLOCK_CELLS = 1 << 22
 
 
 def _factorizes(a: np.ndarray, b: np.ndarray, probs: np.ndarray) -> bool:
-    """Whether the joint pmf of the rows of two id matrices is the outer
-    product of its marginals within LD_TOL at every pair of values.  The
+    """Whether the joint pmf of two id matrices (one row per index, one
+    column per outcome) is the outer product of its marginals within
+    LD_TOL at every pair of values.  Each matrix's columns are keyed by a
+    dense table when the product of its rows' id counts is at most a few
+    times the outcome count (``fields._key_ids``), else by sorting.  The
     joint table is built in blocks of at most FACTOR_BLOCK_CELLS cells."""
-    ia = np.unique(_pack(a.T), return_inverse=True)[1].reshape(-1)
-    ib = np.unique(_pack(b.T), return_inverse=True)[1].reshape(-1)
+    ia, ib = (_key_ids(_pack(c), math.prod(int(row.max()) + 1 for row in c))[1] for c in (a, b))
     na, nb = int(ia.max()) + 1, int(ib.max()) + 1
     pa = np.bincount(ia, weights=probs, minlength=na)
     pb = np.bincount(ib, weights=probs, minlength=nb)

@@ -17,6 +17,10 @@ the bounds: Y is one product with its 0/1 index record M
 This module alone branches on a statistic's name: :func:`statistic_parts`
 gives a batch's sigma-free parts and rejections, and :func:`finish`
 applies sigma, for the Monte-Carlo harness and the exact outcome walk.
+W2 and W2bar read a batch only through its index sums (S, sum_i Y_i,
+sum_i X_i Y_i): :func:`parts_from_sums` is their one finish, whether the
+sums come from a value matrix (:func:`index_sums`) or are counted from
+packed bits (``fields.draw_index_sums``).
 
 The counters (permutation-pattern occurrences, subgraph statistics,
 classical and distributed U-statistics) are independent naive
@@ -28,9 +32,10 @@ W2 and W2bar reduce the (n, reps) transpose of the value matrix over axis
 0, adding the indices in ascending order one after another (not pairwise)
 for every replication, so a value depends neither on the other rows of
 its batch nor on the worker count.  A value matrix of integers (the
-Monte-Carlo harness draws one for fair two-point integer sum fields, see
-``fields.value_dtype``) is multiplied by M in its own narrow dtype and
-summed exactly in int64; its index sums are the float route's, converted.
+Monte-Carlo harness draws one for fair two-point integer sum fields off
+the packed route, see ``fields.value_dtype``) is multiplied by M in its
+own narrow dtype and summed exactly in int32 or int64; its index sums
+are the float route's, converted.
 """
 
 from __future__ import annotations
@@ -72,17 +77,36 @@ def _neighborhood_sums(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarr
     return XT, sys.M @ XT
 
 
+def index_sums(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, sum_i Y_i, sum_i X_i Y_i) of a (reps, n) value matrix, each of
+    shape (reps,), as float64 (see :func:`_index_sums`)."""
+    XT, YT = _neighborhood_sums(X, sys)
+    s, y = _index_sums(XT), _index_sums(YT)
+    YT *= XT  # X_i Y_i in place: no second (n, reps) array
+    return s, y, _index_sums(YT)
+
+
+def parts_from_sums(
+    name: str, n: int, sums: Sequence[np.ndarray]
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(sigma-free parts, rejection mask) of a statistic that reads values
+    (``READS_VALUES``) over n indices from their index sums (S, sum_i Y_i,
+    sum_i X_i Y_i): W2bar's (S, sum_i X_i Y_i), or W2 with NaN at its
+    rejections.  Every route that reads values ends here, so all of them
+    share one float formula."""
+    s, y, xy = sums
+    if name == "w2bar":
+        return (s, xy), np.zeros(s.size, dtype=bool)
+    v = np.sqrt(np.maximum(xy - n * (s / n) * (y / n), 0.0))
+    rejected = ~(v > 0.0)
+    w2 = np.full(s.size, np.nan)
+    np.divide(s, v, out=w2, where=~rejected)
+    return (w2,), rejected
+
+
 def w2_batch(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.ndarray]:
     """(W2 with NaN at rejections, rejection mask)."""
-    XT, YT = _neighborhood_sums(X, sys)
-    n = XT.shape[0]
-    s = _index_sums(XT)
-    centering = n * (s / n) * (_index_sums(YT) / n)
-    YT *= XT  # X_i Y_i in place: no second (n, reps) array
-    v = np.sqrt(np.maximum(_index_sums(YT) - centering, 0.0))
-    rejected = ~(v > 0.0)
-    w2 = np.full(XT.shape[1], np.nan)
-    np.divide(s, v, out=w2, where=~rejected)
+    (w2,), rejected = parts_from_sums("w2", X.shape[1], index_sums(X, sys))
     return w2, rejected
 
 
@@ -104,15 +128,11 @@ def statistic_parts(
     if name == "w2":
         w2, rejected = w2_batch(batch, sys)
         return (w2,), rejected
-    if name == "w2bar":
-        XT, YT = _neighborhood_sums(batch, sys)
-        YT *= XT
-        parts = (_index_sums(XT), _index_sums(YT))
-    elif name in STATISTICS:
-        parts = (batch,)
-    else:
+    if name in READS_VALUES:
+        return parts_from_sums(name, batch.shape[1], index_sums(batch, sys))
+    if name not in STATISTICS:
         raise ValueError(f"unknown statistic {name!r}")
-    return parts, np.zeros(batch.shape[0], dtype=bool)
+    return (batch,), np.zeros(batch.shape[0], dtype=bool)
 
 
 def finish(name: str, parts: Sequence[np.ndarray], sigma: float | None = None) -> np.ndarray:

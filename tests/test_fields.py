@@ -813,22 +813,26 @@ def cycle(n: int, source: F.Source) -> F.LatentSourceField:
     return F.build_graph_dependency(n, [(i, (i + 1) % n) for i in range(n)], source)
 
 
-# (field, declared system or None for the induced one, the dtype its values take)
-INTEGER_FIELDS = {
-    "iid2": (F.build_iid_field(2, F.rademacher()), None, np.int8),  # rejects half the time
-    "iid": (F.build_iid_field(40, F.rademacher()), None, np.int8),
-    "m1": (F.build_m_dependent(60, 1, F.rademacher()), None, np.int8),
-    "m3": (F.build_m_dependent(60, 3, F.rademacher()), None, np.int8),
-    "cycle": (cycle(30, F.rademacher()), None, np.int8),
-    "star": (F.build_graph_dependency(30, [(0, j) for j in range(1, 30)], F.rademacher()),
-             None, np.int16),  # hub: |X| <= 30, |A| = 30, |X Y| <= 27,000
-    # |X| <= 2, |A_i| <= 81: |X Y| <= 324
-    "m1_declared": (F.build_m_dependent(200, 1, F.rademacher()), window_system(200, 40), np.int16),
-    # |X| <= 4,000, |A_i| <= 7: |X Y| <= 1.12e8
-    "m3_wide": (F.build_m_dependent(40, 3, fair(-1000.0, 1000.0)), None, np.int32),
-    # means 3 (values 0 and 2 over 3 sources) are subtracted as integers
-    "m2_shifted": (F.build_m_dependent(50, 2, fair(0.0, 2.0)), None, np.int8),
-}
+# (field, declared system or None for the induced one, the dtype its values take),
+# built in blocks of 2^16 bits (B = 256 for the 201 sources of m1_declared,
+# 1024 for 40 to 63 sources), so the ranges of 9 B rows below stay small
+with pytest.MonkeyPatch.context() as blocks:
+    blocks.setattr("locdep.rng.BLOCK_BITS", 2**16)
+    INTEGER_FIELDS = {
+        "iid2": (F.build_iid_field(2, F.rademacher()), None, np.int8),  # rejects half the time
+        "iid": (F.build_iid_field(40, F.rademacher()), None, np.int8),
+        "m1": (F.build_m_dependent(60, 1, F.rademacher()), None, np.int8),
+        "m3": (F.build_m_dependent(60, 3, F.rademacher()), None, np.int8),
+        "cycle": (cycle(30, F.rademacher()), None, np.int8),
+        "star": (F.build_graph_dependency(30, [(0, j) for j in range(1, 30)], F.rademacher()),
+                 None, np.int16),  # hub: |X| <= 30, |A| = 30, |X Y| <= 27,000
+        # |X| <= 2, |A_i| <= 81: |X Y| <= 324
+        "m1_declared": (F.build_m_dependent(200, 1, F.rademacher()), window_system(200, 40), np.int16),
+        # |X| <= 4,000, |A_i| <= 7: |X Y| <= 1.12e8
+        "m3_wide": (F.build_m_dependent(40, 3, fair(-1000.0, 1000.0)), None, np.int32),
+        # means 3 (values 0 and 2 over 3 sources) are subtracted as integers
+        "m2_shifted": (F.build_m_dependent(50, 2, fair(0.0, 2.0)), None, np.int8),
+    }
 
 
 @pytest.mark.parametrize("name", INTEGER_FIELDS)
@@ -874,6 +878,61 @@ def test_integer_route_leaves_other_fields_on_floats(name):
     if f.bit_plan is None:
         with pytest.raises(ValueError, match="integer rows"):
             F.draw_source_rows(f, 1, [0], dtype=np.int8)
+
+
+@pytest.mark.parametrize("B", ["built", 1])
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_packed_index_sums_equal_the_integer_routes(name, B, monkeypatch):
+    # S, sum Y and sum X Y counted from the packed bits (no value matrix)
+    # equal the int route's index sums bit for bit, on unaligned ranges
+    # across block edges and on unsorted lists with repeats, also when
+    # every row is a block of its own (which ends inside a byte unless the
+    # width is a multiple of 8)
+    f, sys, dtype = INTEGER_FIELDS[name]
+    sys = F.induced_neighborhoods(f) if sys is None else sys
+    if B == 1:
+        monkeypatch.setattr("locdep.rng.BLOCK_BITS", 1)
+        f = dataclasses.replace(f)
+        assert f.block_rows == 1
+    plan = F._index_sum_terms(f, sys)
+    B = f.block_rows
+    for reps in (range(B + 3, 9 * B + 5), [2 * B + 1, 0, B + 1, 2 * B + 1, 5, 0, 3 * B - 1]):
+        X = F.evaluate_values(f, F.draw_source_rows(f, 17, reps, path=(2,), dtype=dtype))
+        got = F.draw_index_sums(f, plan, 17, reps, path=(2,))
+        assert all(a.dtype == float and np.array_equal(a, b) for a, b in zip(got, st.index_sums(X, sys)))
+        assert np.array_equal(got[0], F.draw_sums(f, 17, reps, path=(2,)))
+
+
+def two_fair_laws(n: int) -> F.LatentSourceField:
+    """An m = 1 window field whose first five sources are Rademacher and
+    the others fair on (-2, 2): two runs, integer values, means 0."""
+    f = F.build_m_dependent(n, 1, F.rademacher())
+    laws = tuple(F.rademacher() if s < 5 else fair(-2.0, 2.0) for s in range(f.n_sources))
+    return dataclasses.replace(f, sources=laws, means=None)
+
+
+@pytest.mark.parametrize("name", [*FLOAT_FIELDS, "two_runs"])
+def test_other_fields_have_no_packed_index_sums(name):
+    # float values, and a field of two source runs, which the packed
+    # counts do not cover although its values are integers, keep the rows
+    f = two_fair_laws(40) if name == "two_runs" else FLOAT_FIELDS[name]
+    sys = F.induced_neighborhoods(f)
+    assert F.value_dtype(f, sys).kind == ("i" if name == "two_runs" else "f")
+    assert F._index_sum_terms(f, sys) is None and F.index_sum_plan(f, sys) is None
+
+
+def test_packed_index_sums_are_taken_where_they_cost_less_than_rows():
+    # m = 1 windows read lags 1 and 2 in 12 cuts: counting them costs more
+    # than expanding 16 or 64 windows into values, and less from 70 on;
+    # the 30-vertex star's 58 lags never pay, though it has a plan
+    for n, packed in ((16, False), (64, False), (256, True), (4096, True)):
+        f = F.build_m_dependent(n, 1, F.rademacher())
+        sys = F.induced_neighborhoods(f)
+        lags = [lag for lag, _, _ in F._index_sum_terms(f, sys)[1]]
+        assert lags == [0, 1, 2] and (F.index_sum_plan(f, sys) is not None) == packed
+    star, sys, _ = INTEGER_FIELDS["star"]
+    assert len(F._index_sum_terms(star, F.induced_neighborhoods(star))[1]) == 59
+    assert F.index_sum_plan(star, F.induced_neighborhoods(star)) is None
 
 
 def test_packed_route_plan_is_frozen_at_build():

@@ -6,9 +6,9 @@ Core claims:
     - the block streams are stable under increasing R, thread counts and
       chunk sizes; rejections reproduce; a word field's summaries do not
       depend on the thread count
-    - W2 and W2bar of fair two-point integer sum fields run on integer
-      values and give the float route's summaries; other fields run on
-      floats
+    - W2 and W2bar of fair two-point integer sum fields count their index
+      sums from the packed bits, or run on integer values, and both give
+      the float route's summaries; other fields run on floats
     - both Monte-Carlo loops (``mc_run`` and ``mc_moment_table``) draw
       chunks of at most 2^22 source draws
     - rate fits recover synthetic power laws; ratio tables are exact on
@@ -120,19 +120,32 @@ def record_value_dtypes(monkeypatch) -> list:
     return dtypes
 
 
+def record_index_sum_draws(monkeypatch) -> list:
+    """Record each call of ``draw_index_sums`` that ``mc_run`` makes."""
+    calls, draw = [], H.draw_index_sums
+    monkeypatch.setattr(H, "draw_index_sums", lambda *a, **kw: calls.append(a) or draw(*a, **kw))
+    return calls
+
+
 @pytest.mark.parametrize("statistic", ["w2", "w2bar"])
 def test_integer_route_gives_the_float_routes_summary(statistic, monkeypatch):
+    # three routes, one summary: index sums counted from the packed bits,
+    # int8 values (the packed route forced off) and float values
     monkeypatch.setattr(rng, "BLOCK_BITS", 2**16)  # 128-row blocks, so 3 chunks of 1024 rows
     f = F.build_m_dependent(500, 1, F.rademacher())
-    dtypes = record_value_dtypes(monkeypatch)
+    sigma = math.sqrt(4 * 500 - 2)
+    dtypes, counted = record_value_dtypes(monkeypatch), record_index_sum_draws(monkeypatch)
     monkeypatch.setattr(rng, "DEFAULT_CHUNK", 1024)
-    ints = H.mc_run(f, statistic, 3000, 8, sigma=math.sqrt(4 * 500 - 2))
-    assert set(dtypes) == {np.dtype(np.int8)} and len(dtypes) == 3
+    packed = H.mc_run(f, statistic, 3000, 8, sigma=sigma)
+    assert dtypes == [] and len(counted) == 3  # no value matrix
+    monkeypatch.setattr(H, "index_sum_plan", lambda field, sys: None)
+    ints = H.mc_run(f, statistic, 3000, 8, sigma=sigma)
+    assert set(dtypes) == {np.dtype(np.int8)} and len(dtypes) == 3 and len(counted) == 3
     dtypes.clear()
     monkeypatch.setattr(H, "value_dtype", lambda field, sys: np.dtype(float))
-    floats = H.mc_run(f, statistic, 3000, 8, sigma=math.sqrt(4 * 500 - 2))
+    floats = H.mc_run(f, statistic, 3000, 8, sigma=sigma)
     assert set(dtypes) == {np.dtype(float)}
-    assert ints == floats
+    assert packed == ints == floats
 
 
 @pytest.mark.parametrize("field", [
