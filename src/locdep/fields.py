@@ -828,17 +828,22 @@ def index_sum_plan(field: LatentSourceField, sys: NeighborhoodSystem):
     work than expanding the row into values (N draws, the incidence and
     M products and three passes over the n values).  Measured per row on
     a 2-core Xeon, in units of that work (about 0.5 ns), a term reads N
-    bits in N / 64 words (about N / 4) and a cut costs about CUT_WORK.
-    Built once per Monte-Carlo run."""
-    plan = _index_sum_terms(field, sys)
+    bits in N / 64 words (about N / 4) and a cut costs about CUT_WORK
+    (:func:`_term_work`).  Built once per Monte-Carlo run."""
+    rows = field.n_sources + field.incidence.nnz + sys.M.nnz + 3 * field.n
+    plan = _index_sum_terms(field, sys, rows)
     if plan is None:
         return None
-    terms = plan[1]
-    packed = sum(field.n_sources // 4 + CUT_WORK * cuts.size for _, cuts, _ in terms)
-    return plan if packed <= field.n_sources + field.incidence.nnz + sys.M.nnz + 3 * field.n else None
+    packed = sum(_term_work(field.n_sources, cuts.size) for _, cuts, _ in plan[1])
+    return plan if packed <= rows else None
 
 
-def _index_sum_terms(field: LatentSourceField, sys: NeighborhoodSystem):
+def _term_work(n_sources: int, cuts: int) -> int:
+    """Work per row of counting one term of a plan over ``cuts`` cuts."""
+    return n_sources // 4 + CUT_WORK * cuts
+
+
+def _index_sum_terms(field: LatentSourceField, sys: NeighborhoodSystem, limit: float = math.inf):
     """(base, terms): how S, sum_i Y_i and sum_i X_i Y_i under ``sys``
     follow from a row's bits, or None when the field is off the route.
 
@@ -846,7 +851,7 @@ def _index_sum_terms(field: LatentSourceField, sys: NeighborhoodSystem):
     U = a + (b - a) u and X = x0 + G u, where x0 = a incidence 1 - means
     are the values at u = 0 and G = (b - a) incidence.  So S = 1'X and
     sum Y = r'X (r_j = |N_j|, the column sums of M) are linear in u, and
-    sum X_i Y_i = X'MX = x0'M x0 + ((M + M') x0)'G u + u'(G'MG)u is
+    sum X_i Y_i = X'MX = x0'M x0 + ((M + M')x0)'G u + u'(G'MG)u is
     quadratic, with u_s u_s = u_s.  ``base`` holds the three sums at
     u = 0, and each term (lag, cuts, slopes) weighs the set bits
     u_s u_{s + lag} (u_s for lag 0) of the segments [cuts[k], cuts[k + 1])
@@ -859,13 +864,26 @@ def _index_sum_terms(field: LatentSourceField, sys: NeighborhoodSystem):
     source run and integer values (:func:`value_dtype`): then b - a and
     every weight is an integer, |b - a| incidence 1 <= 2 max|X|, and every
     partial sum is below 4 n max|X| max|Y| < 2^55, exact in int64.  It
-    also needs G'MG to take at most ``neighborhood.CHUNK`` products."""
+    also needs G'MG to take at most ``neighborhood.CHUNK`` products.  None
+    too, before any weight is summed, when the terms of the lags that the
+    pairs lie at would cost more than ``limit`` per row with the fewest
+    cuts, two each (see :func:`index_sum_plan`)."""
     if field.bit_plan is None or len(field.runs) != 1 or value_dtype(field, sys).kind != "i":
         return None
     inc, M, n, N = field.incidence, sys.M, field.n, field.n_sources
     size = np.diff(inc.indptr)
     pairs = size[M.rows] * size[M.indices]  # source pairs of each entry of M
     if pairs.sum() > CHUNK:
+        return None
+    # every product G_is M_ij G_jt: entry e of M, slot k of its pairs
+    e = np.repeat(np.arange(M.nnz), pairs)
+    k = np.arange(e.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    width = size[M.indices[e]]
+    u, v = inc.indptr[M.rows[e]] + k // width, inc.indptr[M.indices[e]] + k % width
+    s, t = inc.indices[u], inc.indices[v]
+    apart = np.abs(s - t)
+    n_terms = 1 + np.count_nonzero(np.bincount(apart)[1:])  # lag 0 and each lag of a pair
+    if n_terms * _term_work(N, 2) > limit:
         return None
     ((_, src),) = field.runs
     a, b = (int(v) for v in src.values)
@@ -878,13 +896,6 @@ def _index_sum_terms(field: LatentSourceField, sys: NeighborhoodSystem):
     base = np.array([x0.sum(), r @ x0, x0 @ Mx0], dtype=np.int64)
     linear = d * np.stack([_int_sums(inc.indices, cnt * w[inc.rows], N)
                            for w in (np.ones(n, dtype=np.int64), r, P)], axis=1)
-    # every product G_is M_ij G_jt: entry e of M, slot k of its pairs
-    e = np.repeat(np.arange(M.nnz), pairs)
-    k = np.arange(e.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-    width = size[M.indices[e]]
-    u, v = inc.indptr[M.rows[e]] + k // width, inc.indptr[M.indices[e]] + k % width
-    s, t = inc.indices[u], inc.indices[v]
-    apart = np.abs(s - t)
     keys, at = _key_ids(apart * N + np.minimum(s, t), (int(apart.max(initial=0)) + 1) * N)
     weight = _int_sums(at, d * d * cnt[u] * cnt[v], keys.size)
     lags, lo = np.divmod(keys, N)  # ascending lags

@@ -77,11 +77,14 @@ def _neighborhood_sums(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarr
     return XT, sys.M @ XT
 
 
-def index_sums(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def index_sums(
+    X: np.ndarray, sys: NeighborhoodSystem, need_y: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """(S, sum_i Y_i, sum_i X_i Y_i) of a (reps, n) value matrix, each of
-    shape (reps,), as float64 (see :func:`_index_sums`)."""
+    shape (reps,), as float64 (see :func:`_index_sums`); with ``need_y``
+    False, sum_i Y_i is None, not reduced (W2bar does not read it)."""
     XT, YT = _neighborhood_sums(X, sys)
-    s, y = _index_sums(XT), _index_sums(YT)
+    s, y = _index_sums(XT), _index_sums(YT) if need_y else None
     YT *= XT  # X_i Y_i in place: no second (n, reps) array
     return s, y, _index_sums(YT)
 
@@ -91,8 +94,8 @@ def parts_from_sums(
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """(sigma-free parts, rejection mask) of a statistic that reads values
     (``READS_VALUES``) over n indices from their index sums (S, sum_i Y_i,
-    sum_i X_i Y_i): W2bar's (S, sum_i X_i Y_i), or W2 with NaN at its
-    rejections.  Every route that reads values ends here, so all of them
+    sum_i X_i Y_i): W2bar's (S, sum_i X_i Y_i), which may do without
+    sum_i Y_i (None), or W2 with NaN at its rejections.  Every route that reads values ends here, so all of them
     share one float formula."""
     s, y, xy = sums
     if name == "w2bar":
@@ -129,7 +132,7 @@ def statistic_parts(
         w2, rejected = w2_batch(batch, sys)
         return (w2,), rejected
     if name in READS_VALUES:
-        return parts_from_sums(name, batch.shape[1], index_sums(batch, sys))
+        return parts_from_sums(name, batch.shape[1], index_sums(batch, sys, need_y=False))
     if name not in STATISTICS:
         raise ValueError(f"unknown statistic {name!r}")
     return (batch,), np.zeros(batch.shape[0], dtype=bool)

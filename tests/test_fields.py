@@ -935,6 +935,19 @@ def test_packed_index_sums_are_taken_where_they_cost_less_than_rows():
     assert F.index_sum_plan(star, F.induced_neighborhoods(star)) is None
 
 
+def test_plans_refused_by_their_lags_sum_no_weights(monkeypatch):
+    # terms of two cuts each at the pairs' lags already cost more than the
+    # rows of 16 windows and of the star, so no weight is summed; 64
+    # windows are refused only by the cuts of the built plan
+    sums, int_sums = [], F._int_sums
+    monkeypatch.setattr(F, "_int_sums", lambda *a: sums.append(a) or int_sums(*a))
+    star = INTEGER_FIELDS["star"][0]
+    for f, built in ((F.build_m_dependent(16, 1, F.rademacher()), False),
+                     (star, False), (F.build_m_dependent(64, 1, F.rademacher()), True)):
+        sums.clear()
+        assert F.index_sum_plan(f, F.induced_neighborhoods(f)) is None and bool(sums) == built
+
+
 def test_packed_route_plan_is_frozen_at_build():
     f = F.build_m_dependent(30, 2, F.rademacher())
     runs, base = f.bit_plan

@@ -102,6 +102,8 @@ def test_parts_and_finish_by_name():
     sys = iid_system(2)
     (S, xy), rejected = st.statistic_parts("w2bar", np.array([[1.0, 2.0], [0.0, 0.0]]), sys)
     assert S.tolist() == [3.0, 0.0] and xy.tolist() == [5.0, 0.0] and not rejected.any()
+    # W2bar's parts do without sum Y, which index_sums then leaves unreduced
+    assert st.index_sums(np.array([[1.0, 2.0]]), sys, need_y=False)[1] is None
     (w2,), rejected = st.statistic_parts("w2", np.array([[1.0, 2.0], [0.0, 0.0]]), sys)
     assert rejected.tolist() == [False, True] and np.isnan(w2[1])
     assert st.finish("w2", (w2,)) is w2
