@@ -70,24 +70,21 @@ equiprobable is drawn by counting the cumulative thresholds at or below
 one uniform draw: a k-point law costs k - 1 comparisons, and every such
 law a config can name has 2 or 3 points.  A fair two-point source is
 drawn as packed random bits, and the bits stay packed as long as the
-statistic allows: :func:`draw_sums` counts a sum field's S from them (word
-popcounts per run of equal c) when every source is such a law on
-integers, and :func:`draw_source_rows` expands a field of such sources
-once, into source-major rows that the incidence product reads in place.
-For W2 and W2bar, a sum field of such laws on integers with integer
-means takes its index sums S, sum Y and sum X o Y where n max|X| max|Y|
-< 2^53 (:func:`value_dtype`), where every float they replace is an exact
-integer.  With one source law, :func:`draw_index_sums` counts them from
-the packed bits by a plan built once per run (:func:`index_sum_plan`):
-S and sum Y are linear in the bits, and sum X o Y a quadratic form whose
-pairs of sources lie at a few lags, each counted as the popcounts of the
-bits ANDed with themselves shifted by the lag.  A field of several
-source laws, or one whose plan would cost more than expanding its rows,
-expands its rows to the narrowest signed integer type that holds X,
-Y = M X and X o Y, and its values, Y and X o Y stay in that type.  All of
-these give the values and sums of the float route bit for bit.  The
-packed-route plan of S (``bit_plan``) and the summed means are frozen
-with the field.
+statistic allows, counted by one loop (:func:`_count_bits`) over a plan
+of terms: weights for the set bits of segments of a row, and at lag d
+for the bits ANDed with themselves shifted by d.  A sum field whose
+every source is such a law on integers counts its S from them (its
+``bit_plan``: lag 0 only, one term per source run, frozen with the
+field and the summed means, :func:`draw_sums`).  For W2 and W2bar, such
+a field of one source law with integer means, where n max|X| max|Y|
+< 2^53, counts its index sums S, sum Y and sum X o Y by a plan built
+once per run (:func:`index_sum_plan`): S and sum Y are linear in the
+bits, and sum X o Y a quadratic form whose pairs of sources lie at a
+few lags.  Every other field, and one whose plan would cost more than
+its rows, expands its rows: :func:`draw_source_rows` expands a field of
+fair two-point sources once, into source-major rows that the incidence
+product reads in place.  The counts equal the sums of the expanded rows
+bit for bit.
 """
 
 from __future__ import annotations
@@ -121,7 +118,7 @@ INDUCED_CAP = 10**7  # most neighbor entries an induced system may hold
 GATHER_CELLS = 2**21
 # pairs signature_groups keys at a time; adjacency cells a triangle sum holds
 PAIR_CHUNK, ADJ_CELLS = 2**15, 2**16
-CUT_WORK = 48  # work of one cut of a packed index-sum plan (see index_sum_plan)
+CUT_WORK = 18  # work of one cut of a packed index-sum plan (see index_sum_plan)
 # keys that a dense presence table may span per key it ids (see _key_ids)
 DENSE_SPAN = 4
 
@@ -302,9 +299,9 @@ class LatentSourceField:
     starts of the runs of equal c.  ``bit_draws`` says whether every
     source is a fair two-point law, drawn as one random bit;
     ``block_rows`` is the rows B of a sample block, ``rng.block_size`` at
-    the bits each draw takes.  ``bit_plan`` is the packed route's plan
-    (:func:`_integer_bit_runs`), None off that route.  Everything is
-    read-only.
+    the bits each draw takes.  ``bit_plan`` is the plan by which
+    :func:`draw_sums` counts S from the packed bits (:func:`_sum_plan`),
+    None off that route.  Everything is read-only.
     """
 
     sources: tuple[Source, ...]
@@ -380,7 +377,7 @@ class LatentSourceField:
         bits = all(_is_fair_two_point(src) for _, src in runs)
         put(self, "bit_draws", bits)
         put(self, "block_rows", block_size(len(sources), BIT_DRAW if bits else FLOAT_DRAW))
-        put(self, "bit_plan", _integer_bit_runs(self))
+        put(self, "bit_plan", _sum_plan(self))
         put(self, "metadata", MappingProxyType(self.metadata))
 
     @property
@@ -625,7 +622,6 @@ def draw_source_rows(
     master_seed: int,
     reps: Sequence[int],
     path: tuple[int, ...] = (),
-    dtype=float,
 ) -> np.ndarray:
     """Source draws for the given replication indices, one row each.
 
@@ -633,14 +629,10 @@ def draw_source_rows(
     whole from the substream (master_seed, STREAM_SAMPLE, *path, block),
     B = ``field.block_rows``; so a row depends only on (seed, path, r).
     When every source is a fair two-point law (``bit_draws``) the rows
-    are gathered as 0/1 codes and expanded once into a source-major array
-    of ``dtype``: the result is the transpose of a C-contiguous
+    are gathered as 0/1 codes and expanded once into a source-major
+    array: the result is the transpose of a C-contiguous
     (n_sources, reps) array.
-    An integer ``dtype`` (a field's :func:`value_dtype`, which W2 and
-    W2bar take) needs a field on the packed route: integer laws only.
     """
-    if np.dtype(dtype).kind == "i" and field.bit_plan is None:
-        raise ValueError("integer rows need fair two-point laws on integers in a sum field")
     reps = np.asarray(reps, dtype=np.int64).reshape(-1)
     B, n, bits = field.block_rows, field.n_sources, field.bit_draws
     if bits:  # 0/1 codes, in whole groups of 8 rows and whole 8-byte words a row
@@ -664,12 +656,12 @@ def draw_source_rows(
     for k in range(1, 8):
         packed |= words[k::8] << np.uint64(7 - k)
     packed = np.ascontiguousarray(packed.view(np.uint8)[:, :n].T)
-    eight = np.dtype((np.void, 8 * np.dtype(dtype).itemsize))  # 8 values as one item
+    eight = np.dtype((np.void, 64))  # 8 float64 values as one item
     rows = np.empty(packed.shape, dtype=eight)
     for sl, src in field.runs:
-        table = np.asarray(src.values).astype(dtype)[_BYTE_BITS]
+        table = np.asarray(src.values, dtype=float)[_BYTE_BITS]
         np.take(table.view(eight).reshape(256), packed[sl], out=rows[sl], mode="clip")
-    return np.ascontiguousarray(rows.view(dtype)[:, :reps.size]).T
+    return np.ascontiguousarray(rows.view(float)[:, :reps.size]).T
 
 
 def _words(parts) -> np.ndarray:
@@ -694,13 +686,27 @@ def _ones_before(words: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return prefix[word] + np.bitwise_count(head)
 
 
-def _integer_bit_runs(field: LatentSourceField):
-    """(runs, base) of a sum field over fair two-point laws on integers:
-    per source run its width, the cuts of its segments of equal c and
-    c (b - a) per segment, and base = sum_s c_s a_s, for values (a, b).
-    None for any other field, or when sum_s c_s |v_s| reaches 2^53, where
-    a float sum stops being exact.  Built once, with the field (its
-    ``bit_plan``), as read-only arrays."""
+def _and_shifted(words: np.ndarray, lag: int) -> np.ndarray:
+    """The packed bit string (see :func:`_words`) whose bit k is bit k AND
+    bit k + lag of ``words``, with 0 past the end."""
+    q, r = lag >> 6, lag & 63
+    out = np.zeros_like(words)
+    out[:words.size - q] = words[q:]
+    if r:
+        out <<= r
+        out[:words.size - q - 1] |= words[q + 1:] >> (64 - r)
+    out &= words
+    return out
+
+
+def _sum_plan(field: LatentSourceField):
+    """The plan (see :func:`_count_bits`) by which :func:`draw_sums` counts
+    the uncentered S = sum_s c_s U_s of a sum field over fair two-point
+    laws on integers (a, b) from its bits: base sum_s c_s a_s, and per
+    source run one lag-0 term whose segments of equal c weigh a set bit by
+    c (b - a).  None for any other field, or when sum_s c_s |v_s| reaches
+    2^53, where a float sum stops being exact.  Built once, with the field
+    (its ``bit_plan``), as read-only arrays."""
     if field.ev is not _sum_columns or not field.bit_draws or not all(
         float(v).is_integer() for _, src in field.runs for v in src.values
     ):
@@ -708,16 +714,13 @@ def _integer_bit_runs(field: LatentSourceField):
     c = field.counts
     if sum(c[sl].sum() * max(map(abs, src.values)) for sl, src in field.runs) >= 2.0**53:
         return None
-    edges = field.count_starts
-    runs, base = [], 0
+    base, runs = 0, []
     for sl, src in field.runs:
-        inner = edges[(edges > sl.start) & (edges < sl.stop)]
-        cuts = distinct(np.append(inner, [sl.start, sl.stop]))
         a, b = (int(v) for v in src.values)
-        weight = c[cuts[:-1]].astype(np.int64)
-        runs.append((sl.stop - sl.start, _read_only(cuts - sl.start), _read_only(weight * (b - a))))
-        base += int(weight @ np.diff(cuts)) * a
-    return tuple(runs), base
+        weight = c[sl].astype(np.int64)
+        base += int(weight.sum()) * a
+        runs.append(((0, *_segments(np.arange(weight.size), weight[:, None] * (b - a))),))
+    return _read_only(np.array([base])), tuple(runs)
 
 
 def _packed_groups(field: LatentSourceField, master_seed: int, reps: np.ndarray, path: tuple[int, ...]):
@@ -741,6 +744,28 @@ def _packed_groups(field: LatentSourceField, master_seed: int, reps: np.ndarray,
                     for k, width in enumerate(widths)]
 
 
+def _count_bits(field: LatentSourceField, plan, master_seed: int, reps: Sequence[int],
+                path: tuple[int, ...]) -> np.ndarray:
+    """The int64 sums of a packed-bit ``plan`` (base, per source run its
+    terms) over the given replications, shape (reps, base.size): base
+    plus, for each term (lag, cuts, slopes) of a run, the set bits
+    u_s u_{s + lag} (u_s for lag 0) in each segment [cuts[k], cuts[k + 1])
+    of the run's row, weighed by the row slopes[k].  Each block's bits are
+    read from the stream that :func:`draw_source_rows` expands, and a
+    term counts the word popcounts of the bits ANDed with themselves
+    shifted by its lag, over about 128 kB of bits at a time
+    (:func:`_packed_groups`)."""
+    base, runs = plan
+    reps = np.asarray(reps, dtype=np.int64).reshape(-1)
+    out = np.tile(base, (reps.size, 1))
+    for hit, parts in _packed_groups(field, master_seed, reps, path):
+        for (bits, head), terms in zip(parts, runs):
+            for lag, cuts, slopes in terms:
+                ones = _ones_before(_and_shifted(bits, lag) if lag else bits, head[:, None] + cuts)
+                out[hit] += np.diff(ones, axis=1) @ slopes
+    return out
+
+
 def draw_sums(
     field: LatentSourceField,
     master_seed: int,
@@ -751,53 +776,23 @@ def draw_sums(
     ``sum_values(field, draw_source_rows(field, master_seed, reps, path))``.
 
     A sum field whose sources are all fair two-point laws on integers
-    never expands its draws: it reads the packed bits of each block and
-    run from the same stream, and a segment of equal c over values (a, b)
-    adds c (a len + (b - a) ones) to S, ones counted by word popcounts
-    over about 128 kB of bits at a time (:func:`_packed_groups`).  The
-    sum is exact in int64 and converts to the same float.  Every other
-    field draws its rows.
+    never expands its draws: its plan (``bit_plan``) counts the
+    uncentered S from the packed bits (:func:`_count_bits`), exact in
+    int64, which converts to the same float before ``mean_sum`` is
+    subtracted.  Every other field draws its rows.
     """
     if field.bit_plan is None:
         return sum_values(field, draw_source_rows(field, master_seed, reps, path))
-    runs, base = field.bit_plan
-    reps = np.asarray(reps, dtype=np.int64).reshape(-1)
-    out = np.full(reps.size, base, dtype=np.int64)
-    for hit, parts in _packed_groups(field, master_seed, reps, path):
-        for (bits, head), (_, cuts, slope) in zip(parts, runs):
-            out[hit] += np.diff(_ones_before(bits, head[:, None] + cuts), axis=1) @ slope
-    return out.astype(float) - field.mean_sum
+    (s,) = _count_bits(field, field.bit_plan, master_seed, reps, path).T
+    return s.astype(float) - field.mean_sum
 
 
-def value_dtype(field: LatentSourceField, sys: NeighborhoodSystem) -> np.dtype:
-    """The dtype in which W2 and W2bar under ``sys`` take a field's values.
-
-    A field on the packed route (``bit_plan``) with integer means takes
-    the narrowest signed integer type that holds X, Y = M X, X o Y and
-    incidence @ U before centering, while n times the largest of these
-    magnitudes stays below 2^53: then every value and index sum the float
-    route forms is an exact integer, and both routes give the same W2 and
-    W2bar.  max|X| is exact (each source at its lowest or highest value);
-    max|Y| is bounded by max_i sum_j |M_ij| max|X|.  Every other field
-    takes float64.
-    """
-    floats = np.dtype(float)
-    if field.bit_plan is None:
-        return floats
-    if np.any(np.mod(field.means, 1)):
-        return floats
+def _value_range(field: LatentSourceField) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): each uncentered X_i of a sum field over discrete sources
+    with every source at its lowest, and at its highest, value."""
     widths = [sl.stop - sl.start for sl, _ in field.runs]
-    lo = np.repeat([min(src.values) for _, src in field.runs], widths)
-    hi = np.repeat([max(src.values) for _, src in field.runs], widths)
-    inc = field.incidence
-    raw = float((inc @ np.maximum(-lo, hi)).max(initial=0))
-    x = float(np.abs(np.concatenate([inc @ lo - field.means, inc @ hi - field.means])).max(initial=0))
-    y = float(np.diff(sys.M.indptr).max(initial=0)) * x
-    top = max(raw, x, y, x * y)
-    if field.n * top >= 2.0**53:
-        return floats
-    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
-                if top <= np.iinfo(t).max)
+    return tuple(field.incidence @ np.repeat([pick(src.values) for _, src in field.runs], widths)
+                 for pick in (min, max))
 
 
 def _int_sums(at: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -825,27 +820,29 @@ def index_sum_plan(field: LatentSourceField, sys: NeighborhoodSystem):
     :func:`draw_index_sums` counts W2's index sums under ``sys`` from the
     packed bits, or None when the field is off that route or when
     counting the bits of a row over the plan's terms and cuts takes more
-    work than expanding the row into values (N draws, the incidence and
-    M products and three passes over the n values).  Measured per row on
-    a 2-core Xeon, in units of that work (about 0.5 ns), a term reads N
-    bits in N / 64 words (about N / 4) and a cut costs about CUT_WORK
-    (:func:`_term_work`).  Built once per Monte-Carlo run."""
+    work than expanding the row into float values (N draws, the
+    incidence and M products and three passes over the n values).
+    Measured per row on a 2-core Xeon, in units of that work (about
+    1.5 ns), a term reads N bits in N / 64 words (about N / 8) and a cut
+    costs about CUT_WORK (:func:`_term_work`).  Built once per
+    Monte-Carlo run."""
     rows = field.n_sources + field.incidence.nnz + sys.M.nnz + 3 * field.n
     plan = _index_sum_terms(field, sys, rows)
     if plan is None:
         return None
-    packed = sum(_term_work(field.n_sources, cuts.size) for _, cuts, _ in plan[1])
+    packed = sum(_term_work(field.n_sources, cuts.size) for _, cuts, _ in plan[1][0])
     return plan if packed <= rows else None
 
 
 def _term_work(n_sources: int, cuts: int) -> int:
     """Work per row of counting one term of a plan over ``cuts`` cuts."""
-    return n_sources // 4 + CUT_WORK * cuts
+    return n_sources // 8 + CUT_WORK * cuts
 
 
 def _index_sum_terms(field: LatentSourceField, sys: NeighborhoodSystem, limit: float = math.inf):
-    """(base, terms): how S, sum_i Y_i and sum_i X_i Y_i under ``sys``
-    follow from a row's bits, or None when the field is off the route.
+    """(base, (terms,)): how S, sum_i Y_i and sum_i X_i Y_i under ``sys``
+    follow from a row's bits (a plan of one source run, see
+    :func:`_count_bits`), or None when the field is off the route.
 
     With one fair law on integers (a, b) for every source and bits u,
     U = a + (b - a) u and X = x0 + G u, where x0 = a incidence 1 - means
@@ -860,15 +857,25 @@ def _index_sum_terms(field: LatentSourceField, sys: NeighborhoodSystem, limit: f
     entries of G'MG, in runs of equal weight along each lag (m-dependent
     windows read lags 1..2m).
 
-    The route needs a field on the packed route (``bit_plan``) with one
-    source run and integer values (:func:`value_dtype`): then b - a and
-    every weight is an integer, |b - a| incidence 1 <= 2 max|X|, and every
-    partial sum is below 4 n max|X| max|Y| < 2^55, exact in int64.  It
-    also needs G'MG to take at most ``neighborhood.CHUNK`` products.  None
-    too, before any weight is summed, when the terms of the lags that the
-    pairs lie at would cost more than ``limit`` per row with the fewest
-    cuts, two each (see :func:`index_sum_plan`)."""
-    if field.bit_plan is None or len(field.runs) != 1 or value_dtype(field, sys).kind != "i":
+    The route needs a field whose S counts from its bits (``bit_plan``)
+    with one source run and integer means, and n times the largest of
+    max|X|, max|Y| and max|X| max|Y|, and of X before centering, below
+    2^53: then every value and index sum that the float route forms is an
+    exact integer, and the plan's int64 sums (every partial sum below
+    4 n max|X| max|Y| < 2^55, as |b - a| incidence 1 <= 2 max|X|) convert
+    to the same floats.  max|X| is exact (every source at its lowest or
+    highest value, :func:`_value_range`); max|Y| is bounded by the
+    largest |A_i| times max|X|.  It also needs G'MG to take at most
+    ``neighborhood.CHUNK`` products.  None too, before any weight is
+    summed, when the terms of the lags that the pairs lie at would cost
+    more than ``limit`` per row with the fewest cuts, two each (see
+    :func:`index_sum_plan`)."""
+    if field.bit_plan is None or len(field.runs) != 1 or np.any(np.mod(field.means, 1)):
+        return None
+    lo, hi = _value_range(field)
+    x = float(np.abs(np.concatenate([lo - field.means, hi - field.means])).max(initial=0))
+    y = float(np.diff(sys.M.indptr).max(initial=0)) * x
+    if field.n * max(float(np.maximum(-lo, hi).max(initial=0)), x, y, x * y) >= 2.0**53:
         return None
     inc, M, n, N = field.incidence, sys.M, field.n, field.n_sources
     size = np.diff(inc.indptr)
@@ -907,20 +914,7 @@ def _index_sum_terms(field: LatentSourceField, sys: NeighborhoodSystem, limit: f
             w = np.zeros((on.size, 3), dtype=np.int64)
             w[:, 2] = weight[on]
             terms.append((int(lags[on[0]]), *_segments(lo[on], w)))
-    return _read_only(base), tuple(terms)
-
-
-def _and_shifted(words: np.ndarray, lag: int) -> np.ndarray:
-    """The packed bit string (see :func:`_words`) whose bit k is bit k AND
-    bit k + lag of ``words``, with 0 past the end."""
-    q, r = lag >> 6, lag & 63
-    out = np.zeros_like(words)
-    out[:words.size - q] = words[q:]
-    if r:
-        out <<= r
-        out[:words.size - q - 1] |= words[q + 1:] >> (64 - r)
-    out &= words
-    return out
+    return _read_only(base), (tuple(terms),)
 
 
 def draw_index_sums(
@@ -931,32 +925,21 @@ def draw_index_sums(
     path: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, sum_i Y_i, sum_i X_i Y_i) of the given replications by the
-    field's :func:`index_sum_plan` under a system: equal bit for bit to
-    ``statistics.index_sums`` of the replications' values, with no value
-    matrix.  Each block's packed bits are read from the same stream as
-    :func:`draw_sums` reads them; a term of lag d counts the set bits of
-    the bits ANDed with themselves shifted by d, over its segments of
-    each row.  The sums are exact in int64."""
-    base, terms = plan
-    reps = np.asarray(reps, dtype=np.int64).reshape(-1)
-    out = np.tile(base, (reps.size, 1))
-    for hit, ((bits, head),) in _packed_groups(field, master_seed, reps, path):
-        for lag, cuts, slopes in terms:
-            ones = _ones_before(_and_shifted(bits, lag) if lag else bits, head[:, None] + cuts)
-            out[hit] += np.diff(ones, axis=1) @ slopes
-    return tuple(out.T.astype(float))
+    field's :func:`index_sum_plan` under a system (counted by
+    :func:`_count_bits`): equal bit for bit to ``statistics.index_sums``
+    of the replications' values, with no value matrix."""
+    return tuple(_count_bits(field, plan, master_seed, reps, path).T.astype(float))
 
 
 def evaluate_values(field: LatentSourceField, rows: np.ndarray) -> np.ndarray:
     """Field values for source rows, centered by the field's means; shape
-    (reps, n): a sum field's is the transpose of incidence @ rows.T, in
-    the dtype of integer rows (see :func:`value_dtype`), others gather
-    their indices in blocks (see :func:`_blocks`)."""
+    (reps, n): a sum field's is the transpose of incidence @ rows.T,
+    others gather their indices in blocks (see :func:`_blocks`)."""
     rows = np.atleast_2d(rows)
     if field.ev is _sum_columns:
         XT = field.incidence @ rows.T
         if field.means.any():  # zero means leave every value as it is
-            XT -= field.means.astype(XT.dtype, copy=False)[:, None]
+            XT -= field.means[:, None]
         return XT.T
     out = np.empty((rows.shape[0], field.n))
     for sl in _blocks(field.n, field.supports.shape[1], rows.shape[0]):
@@ -1014,9 +997,7 @@ def value_lattice(field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP):
         return None
     if not all(float(v).is_integer() for _, src in field.runs for v in src.values):
         return None
-    widths = [sl.stop - sl.start for sl, _ in field.runs]
-    lo = field.incidence @ np.repeat([min(src.values) for _, src in field.runs], widths)
-    hi = field.incidence @ np.repeat([max(src.values) for _, src in field.runs], widths)
+    lo, hi = _value_range(field)
     if np.maximum(-lo, hi).sum() >= 2.0**53:  # every X_i and S an exact float
         return None
     radix = (hi - lo).astype(np.int64) + 1

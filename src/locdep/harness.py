@@ -11,15 +11,13 @@ the worker count and chunk size and stable under increasing R.  Sigma is
 checked before anything is drawn, and ``statistics`` reduces each chunk.
 W1 and the raw sum read S from ``fields.draw_sums``, which counts it from
 the packed bits of fair two-point sum fields.  W2 and W2bar read the
-index sums S, sum Y and sum X o Y.  Where ``fields.index_sum_plan`` gives
-a plan (fair two-point integer sum fields of one source law with integer
-means, under the exactness guard of ``fields.value_dtype``, where
-counting costs less than expanding rows), ``fields.draw_index_sums``
-counts them from the packed bits, with no value matrix.  Other fields
-evaluate drawn source rows (source-major when every source is fair
-two-point): as integers of the narrowest type that holds X, Y and X o Y
-where ``fields.value_dtype`` allows, else as floats.  Both routes finish
-in ``statistics.parts_from_sums``.
+index sums S, sum Y and sum X o Y, by one of two routes: where
+``fields.index_sum_plan`` gives a plan (fair two-point integer sum fields
+of one source law with integer means, whose sums stay exact in float,
+where counting costs less than expanding rows), ``fields.draw_index_sums``
+counts them from the packed bits, with no value matrix; other fields
+evaluate drawn source rows as floats (source-major when every source is
+fair two-point).  Both routes finish in ``statistics.parts_from_sums``.
 
 The Kolmogorov distance is against the fixed continuous reference Phi via
 the exact order-statistic formula
@@ -45,7 +43,6 @@ from .fields import (
     evaluate_values,
     index_sum_plan,
     induced_neighborhoods,
-    value_dtype,
 )
 from .neighborhood import NeighborhoodSystem
 from .oracle import phi
@@ -116,7 +113,6 @@ def mc_run(
     if reads_values:
         sys = induced_neighborhoods(field) if sys is None else sys
         plan = index_sum_plan(field, sys)
-        dtype = value_dtype(field, sys)  # of the source rows and values
 
     def run_chunk(start: int) -> tuple[np.ndarray, int]:
         part = range(start, min(start + chunk, reps))
@@ -124,7 +120,7 @@ def mc_run(
             sums = draw_index_sums(field, plan, master_seed, part, path=path)
             parts, rej = parts_from_sums(statistic, field.n, sums)
         elif reads_values:
-            rows = draw_source_rows(field, master_seed, part, path=path, dtype=dtype)
+            rows = draw_source_rows(field, master_seed, part, path=path)
             parts, rej = statistic_parts(statistic, evaluate_values(field, rows), sys)
         else:
             parts, rej = statistic_parts(statistic, draw_sums(field, master_seed, part, path=path))

@@ -38,8 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# set bits of each byte value
-POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1).astype(np.uint8)
 # rows of one column offset that a product adds as one slice rather than
 # gathers, and the bytes of the result it fills at a time
 RUN_MIN, TILE_BYTES = 16, 2**18
@@ -196,8 +194,7 @@ def product_pattern(A: Csr, B: Csr) -> Csr:
 
 
 def _product(A: Csr, XT: np.ndarray) -> np.ndarray:
-    """A @ XT for an (A.shape[1], reps) array, in XT's dtype when it holds
-    signed integers (which must hold the result) and in float64 otherwise.
+    """A @ XT for an (A.shape[1], reps) array, in float64.
 
     Slot k of every row is one step, taken in order of k, so each row adds
     its entries in column order, starting from 0.  A slot's rows split
@@ -206,12 +203,10 @@ def _product(A: Csr, XT: np.ndarray) -> np.ndarray:
     rows one gather.  The steps go over the rows a tile of about TILE_BYTES
     of the result at a time, which stays in cache through every slot.
     """
-    if XT.dtype.kind != "i":
-        XT = XT.astype(float, copy=False)
-    XT = np.ascontiguousarray(XT)
-    Y = np.zeros((A.shape[0], XT.shape[1]), dtype=XT.dtype)
+    XT = np.ascontiguousarray(XT, dtype=float)
+    Y = np.zeros((A.shape[0], XT.shape[1]))
     lengths = np.diff(A.indptr)
-    w = None if A.data is None else A.data.astype(XT.dtype)
+    w = None if A.data is None else A.data.astype(float, copy=False)
     step = max(1, TILE_BYTES // max(1, Y[:1].nbytes))
     tiles = np.arange(0, A.shape[0] + step, step)
     steps = []  # per slot: its runs (first row, end row, column offset, weight), its gather
@@ -332,9 +327,9 @@ def _overlaps(M: Csr, Mt: Csr) -> tuple[np.ndarray, np.ndarray]:
         step = max(1, CHUNK // width)
         for lo in range(0, M.nnz, step):
             i, j = I[lo:lo + step], J[lo:lo + step]
-            shared[lo:lo + step] = POPCOUNT[A[i] & A[j]].sum(axis=1)
+            shared[lo:lo + step] = np.bitwise_count(A[i] & A[j]).sum(axis=1)
             if not symmetric:
-                hits[lo:lo + step] = POPCOUNT[A[i] & N[j]].sum(axis=1)
+                hits[lo:lo + step] = np.bitwise_count(A[i] & N[j]).sum(axis=1)
         return shared, hits
     keys = I * n + J
     for lo, hi in _spans(np.diff(M.indptr)[I], CHUNK):

@@ -31,11 +31,7 @@ field's S; its per-tuple evaluator is the independent check.
 W2 and W2bar reduce the (n, reps) transpose of the value matrix over axis
 0, adding the indices in ascending order one after another (not pairwise)
 for every replication, so a value depends neither on the other rows of
-its batch nor on the worker count.  A value matrix of integers (the
-Monte-Carlo harness draws one for fair two-point integer sum fields off
-the packed route, see ``fields.value_dtype``) is multiplied by M in its
-own narrow dtype and summed exactly in int32 or int64; its index sums
-are the float route's, converted.
+its batch nor on the worker count.
 """
 
 from __future__ import annotations
@@ -60,30 +56,20 @@ NEEDS_SIGMA = frozenset({"w1", "w2bar"})
 
 
 def _index_sums(AT: np.ndarray) -> np.ndarray:
-    """Sums over axis 0 of an (n, reps) array as float64: row after row for
-    every column (numpy's ``sum(axis=0)`` sums a single column pairwise
-    instead), or exactly for integers, in int32 while n values of the
-    dtype cannot overflow it (int8 up to n = 2^24) and in int64 beyond."""
-    if AT.dtype.kind == "i":
-        wide = np.int32 if AT.shape[0] << (8 * AT.itemsize - 1) < 2**31 else np.int64
-        return AT.sum(axis=0, dtype=wide).astype(float)
+    """Sums over axis 0 of an (n, reps) array, row after row for every
+    column (numpy's ``sum(axis=0)`` sums a single column pairwise instead)."""
     return AT.sum(axis=0) if AT.shape[1] > 1 else np.cumsum(AT, axis=0)[-1]
-
-
-def _neighborhood_sums(X: np.ndarray, sys: NeighborhoodSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(X^T, Y^T = M X^T), (n, reps), in the dtype of X: integer values
-    must hold Y and X_i Y_i (see ``fields.value_dtype``)."""
-    XT = np.ascontiguousarray(X.T)
-    return XT, sys.M @ XT
 
 
 def index_sums(
     X: np.ndarray, sys: NeighborhoodSystem, need_y: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """(S, sum_i Y_i, sum_i X_i Y_i) of a (reps, n) value matrix, each of
-    shape (reps,), as float64 (see :func:`_index_sums`); with ``need_y``
-    False, sum_i Y_i is None, not reduced (W2bar does not read it)."""
-    XT, YT = _neighborhood_sums(X, sys)
+    shape (reps,) (see :func:`_index_sums`), with Y^T = M X^T; with
+    ``need_y`` False, sum_i Y_i is None, not reduced (W2bar does not read
+    it)."""
+    XT = np.ascontiguousarray(X.T)
+    YT = sys.M @ XT
     s, y = _index_sums(XT), _index_sums(YT) if need_y else None
     YT *= XT  # X_i Y_i in place: no second (n, reps) array
     return s, y, _index_sums(YT)

@@ -813,50 +813,45 @@ def cycle(n: int, source: F.Source) -> F.LatentSourceField:
     return F.build_graph_dependency(n, [(i, (i + 1) % n) for i in range(n)], source)
 
 
-# (field, declared system or None for the induced one, the dtype its values take),
-# built in blocks of 2^16 bits (B = 256 for the 201 sources of m1_declared,
-# 1024 for 40 to 63 sources), so the ranges of 9 B rows below stay small
+# (field, declared system or None for the induced one), each with a packed
+# index-sum plan, built in blocks of 2^16 bits (B = 256 for the 201 sources
+# of m1_declared, 1024 for 40 to 63 sources), so the ranges of 9 B rows
+# below stay small
 with pytest.MonkeyPatch.context() as blocks:
     blocks.setattr("locdep.rng.BLOCK_BITS", 2**16)
     INTEGER_FIELDS = {
-        "iid2": (F.build_iid_field(2, F.rademacher()), None, np.int8),  # rejects half the time
-        "iid": (F.build_iid_field(40, F.rademacher()), None, np.int8),
-        "m1": (F.build_m_dependent(60, 1, F.rademacher()), None, np.int8),
-        "m3": (F.build_m_dependent(60, 3, F.rademacher()), None, np.int8),
-        "cycle": (cycle(30, F.rademacher()), None, np.int8),
-        "star": (F.build_graph_dependency(30, [(0, j) for j in range(1, 30)], F.rademacher()),
-                 None, np.int16),  # hub: |X| <= 30, |A| = 30, |X Y| <= 27,000
-        # |X| <= 2, |A_i| <= 81: |X Y| <= 324
-        "m1_declared": (F.build_m_dependent(200, 1, F.rademacher()), window_system(200, 40), np.int16),
+        "iid2": (F.build_iid_field(2, F.rademacher()), None),  # rejects half the time
+        "iid": (F.build_iid_field(40, F.rademacher()), None),
+        "m1": (F.build_m_dependent(60, 1, F.rademacher()), None),
+        "m3": (F.build_m_dependent(60, 3, F.rademacher()), None),
+        "cycle": (cycle(30, F.rademacher()), None),
+        "star": (F.build_graph_dependency(30, [(0, j) for j in range(1, 30)], F.rademacher()), None),
+        "m1_declared": (F.build_m_dependent(200, 1, F.rademacher()), window_system(200, 40)),
         # |X| <= 4,000, |A_i| <= 7: |X Y| <= 1.12e8
-        "m3_wide": (F.build_m_dependent(40, 3, fair(-1000.0, 1000.0)), None, np.int32),
+        "m3_wide": (F.build_m_dependent(40, 3, fair(-1000.0, 1000.0)), None),
         # means 3 (values 0 and 2 over 3 sources) are subtracted as integers
-        "m2_shifted": (F.build_m_dependent(50, 2, fair(0.0, 2.0)), None, np.int8),
+        "m2_shifted": (F.build_m_dependent(50, 2, fair(0.0, 2.0)), None),
     }
 
 
 @pytest.mark.parametrize("name", INTEGER_FIELDS)
 def test_integer_values_give_the_float_routes_w2(name):
-    # integer values, and W2, W2bar and the rejection masks computed from
-    # them, equal the float route bit for bit on unaligned ranges and on
-    # unsorted lists with repeats
-    f, sys, dtype = INTEGER_FIELDS[name]
+    # W2, W2bar and the rejection masks finished from the index sums
+    # counted from the packed bits equal those of the float values bit for
+    # bit, on an unaligned range and on an unsorted list with repeats
+    f, sys = INTEGER_FIELDS[name]
     sys = F.induced_neighborhoods(f) if sys is None else sys
-    assert F.value_dtype(f, sys) == dtype
-    B = f.block_rows
-    for reps in (range(B + 3, 9 * B + 5), [2 * B + 1, 0, B + 1, 2 * B + 1, 5, 0, 3 * B - 1]):
-        want = F.evaluate_values(f, F.draw_source_rows(f, 17, reps, path=(2,)))
-        rows = F.draw_source_rows(f, 17, reps, path=(2,), dtype=dtype)
-        assert rows.dtype == dtype and rows.T.flags.c_contiguous
-        X = F.evaluate_values(f, rows)
-        assert X.dtype == dtype and np.array_equal(X, want)
-        w2, rejected = st.w2_batch(X, sys)
-        w2_f, rejected_f = st.w2_batch(want, sys)
-        assert np.array_equal(w2, w2_f, equal_nan=True) and np.array_equal(rejected, rejected_f)
-        assert all(np.array_equal(a, b) for a, b in zip(st.statistic_parts("w2bar", X, sys)[0],
-                                                         st.statistic_parts("w2bar", want, sys)[0]))
+    plan, B = F._index_sum_terms(f, sys), f.block_rows
+    for reps in (range(B + 3, 3 * B + 5), [2 * B + 1, 0, B + 1, 2 * B + 1, 5, 0, 3 * B - 1]):
+        X = F.evaluate_values(f, F.draw_source_rows(f, 17, reps, path=(2,)))
+        sums = F.draw_index_sums(f, plan, 17, reps, path=(2,))
+        for statistic in ("w2bar", "w2"):
+            parts, rejected = st.parts_from_sums(statistic, f.n, sums)
+            want, rejected_f = st.statistic_parts(statistic, X, sys)
+            assert np.array_equal(rejected, rejected_f)
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(parts, want))
     if name == "iid2":
-        assert rejected.any()
+        assert rejected.any()  # of W2
 
 
 FLOAT_FIELDS = {
@@ -872,23 +867,22 @@ FLOAT_FIELDS = {
 
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
 def test_integer_route_leaves_other_fields_on_floats(name):
+    # S counts from the bits of fair laws on integers whatever the means
+    # and n max|X| max|Y|; W2 of each of these fields reads float rows
     f = FLOAT_FIELDS[name]
     assert (f.bit_plan is not None) == (name in ("two_pow_26", "bernoulli_half"))
-    assert F.value_dtype(f, F.induced_neighborhoods(f)) == np.float64
-    if f.bit_plan is None:
-        with pytest.raises(ValueError, match="integer rows"):
-            F.draw_source_rows(f, 1, [0], dtype=np.int8)
+    assert F.index_sum_plan(f, F.induced_neighborhoods(f)) is None
 
 
 @pytest.mark.parametrize("B", ["built", 1])
 @pytest.mark.parametrize("name", INTEGER_FIELDS)
 def test_packed_index_sums_equal_the_integer_routes(name, B, monkeypatch):
     # S, sum Y and sum X Y counted from the packed bits (no value matrix)
-    # equal the int route's index sums bit for bit, on unaligned ranges
+    # equal the float route's index sums bit for bit, on unaligned ranges
     # across block edges and on unsorted lists with repeats, also when
     # every row is a block of its own (which ends inside a byte unless the
     # width is a multiple of 8)
-    f, sys, dtype = INTEGER_FIELDS[name]
+    f, sys = INTEGER_FIELDS[name]
     sys = F.induced_neighborhoods(f) if sys is None else sys
     if B == 1:
         monkeypatch.setattr("locdep.rng.BLOCK_BITS", 1)
@@ -897,7 +891,7 @@ def test_packed_index_sums_equal_the_integer_routes(name, B, monkeypatch):
     plan = F._index_sum_terms(f, sys)
     B = f.block_rows
     for reps in (range(B + 3, 9 * B + 5), [2 * B + 1, 0, B + 1, 2 * B + 1, 5, 0, 3 * B - 1]):
-        X = F.evaluate_values(f, F.draw_source_rows(f, 17, reps, path=(2,), dtype=dtype))
+        X = F.evaluate_values(f, F.draw_source_rows(f, 17, reps, path=(2,)))
         got = F.draw_index_sums(f, plan, 17, reps, path=(2,))
         assert all(a.dtype == float and np.array_equal(a, b) for a, b in zip(got, st.index_sums(X, sys)))
         assert np.array_equal(got[0], F.draw_sums(f, 17, reps, path=(2,)))
@@ -913,47 +907,58 @@ def two_fair_laws(n: int) -> F.LatentSourceField:
 
 @pytest.mark.parametrize("name", [*FLOAT_FIELDS, "two_runs"])
 def test_other_fields_have_no_packed_index_sums(name):
-    # float values, and a field of two source runs, which the packed
-    # counts do not cover although its values are integers, keep the rows
+    # values past the exactness guard, non-integer means, non-integer or
+    # non-fair laws, and a field of two source runs, which the packed
+    # counts do not cover although its values are integers, have no plan
     f = two_fair_laws(40) if name == "two_runs" else FLOAT_FIELDS[name]
     sys = F.induced_neighborhoods(f)
-    assert F.value_dtype(f, sys).kind == ("i" if name == "two_runs" else "f")
     assert F._index_sum_terms(f, sys) is None and F.index_sum_plan(f, sys) is None
 
 
 def test_packed_index_sums_are_taken_where_they_cost_less_than_rows():
-    # m = 1 windows read lags 1 and 2 in 12 cuts: counting them costs more
-    # than expanding 16 or 64 windows into values, and less from 70 on;
-    # the 30-vertex star's 58 lags never pay, though it has a plan
-    for n, packed in ((16, False), (64, False), (256, True), (4096, True)):
+    # the W2 grid points of the benchmark's mc_stream workload: m = 1
+    # Rademacher windows read lags 1 and 2 in 12 cuts, which costs more
+    # than expanding 16 windows into float values (a measured tie, and the
+    # benchmark's self-check pins the rows route at n = 16) and less at 64
+    # and 4096; normal windows have no plan; the 30-vertex star's 58 lags
+    # never pay, though it has a plan
+    for n, packed in ((16, False), (64, True), (4096, True)):
         f = F.build_m_dependent(n, 1, F.rademacher())
         sys = F.induced_neighborhoods(f)
-        lags = [lag for lag, _, _ in F._index_sum_terms(f, sys)[1]]
+        lags = [lag for lag, _, _ in F._index_sum_terms(f, sys)[1][0]]
         assert lags == [0, 1, 2] and (F.index_sum_plan(f, sys) is not None) == packed
-    star, sys, _ = INTEGER_FIELDS["star"]
-    assert len(F._index_sum_terms(star, F.induced_neighborhoods(star))[1]) == 59
+    for n in (16, 24, 40):
+        f = F.build_m_dependent(n, 1, F.ContinuousSource("normal"))
+        assert F.index_sum_plan(f, F.induced_neighborhoods(f)) is None
+    star = INTEGER_FIELDS["star"][0]
+    assert len(F._index_sum_terms(star, F.induced_neighborhoods(star))[1][0]) == 59
     assert F.index_sum_plan(star, F.induced_neighborhoods(star)) is None
 
 
 def test_plans_refused_by_their_lags_sum_no_weights(monkeypatch):
     # terms of two cuts each at the pairs' lags already cost more than the
-    # rows of 16 windows and of the star, so no weight is summed; 64
-    # windows are refused only by the cuts of the built plan
+    # rows of 16 m = 3 windows and of the star, so no weight is summed; 16
+    # m = 1 windows are refused only by the cuts of the built plan
     sums, int_sums = [], F._int_sums
     monkeypatch.setattr(F, "_int_sums", lambda *a: sums.append(a) or int_sums(*a))
     star = INTEGER_FIELDS["star"][0]
-    for f, built in ((F.build_m_dependent(16, 1, F.rademacher()), False),
-                     (star, False), (F.build_m_dependent(64, 1, F.rademacher()), True)):
+    for f, built in ((F.build_m_dependent(16, 3, F.rademacher()), False),
+                     (star, False), (F.build_m_dependent(16, 1, F.rademacher()), True)):
         sums.clear()
         assert F.index_sum_plan(f, F.induced_neighborhoods(f)) is None and bool(sums) == built
 
 
 def test_packed_route_plan_is_frozen_at_build():
+    # S's plan: per source run one lag-0 term over the segments of equal
+    # c, each set bit weighing c (b - a); a field of two fair laws keeps it
     f = F.build_m_dependent(30, 2, F.rademacher())
-    runs, base = f.bit_plan
-    assert base == -int(f.counts.sum()) and f.mean_sum == 0.0
-    for _, cuts, slope in runs:
-        assert not cuts.flags.writeable and not slope.flags.writeable
+    base, runs = f.bit_plan
+    assert base.tolist() == [-int(f.counts.sum())] and f.mean_sum == 0.0
+    ((lag, cuts, slopes),), = runs
+    assert lag == 0 and cuts.tolist() == [0, 1, 2, 30, 31, 32]
+    assert slopes.tolist() == [[2], [4], [6], [4], [2]]
+    assert not any(a.flags.writeable for a in (base, cuts, slopes))
+    assert len(two_fair_laws(40).bit_plan[1]) == 2
     g = F.build_m_dependent(30, 2, fair(0.0, 2.0))
     assert g.mean_sum == float(np.sum(g.means)) == 90.0
 

