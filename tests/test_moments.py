@@ -30,13 +30,16 @@ Core claims:
       ones
     - a copy of an index-transitive field with other sources takes no
       one-index shortcut
-    - the Var(S) identity from per-source conditional means equals a plain
-      loop over overlapping pairs within 1e-12 relative on word fields
-      with infinite and finite gaps, constrained U-statistics with
-      repeated sources, two-block U-statistics, windows, a cycle and a
-      star, padded supports and 20 random enumerable instances; for the
-      word "ab" at n = 300 it equals the exact cubic fitted to walks at
-      n <= 12, builds no overlap and peaks under 64 MB
+    - the Var(S) identity, a Hoeffding sum over the source subsets that
+      two or more indices read, equals a plain loop over overlapping pairs
+      within 1e-12 relative on word fields with infinite and finite gaps,
+      constrained U-statistics with repeated sources, two-block
+      U-statistics, windows, a cycle and a star, padded supports and 20
+      random enumerable instances; for the word "ab" at n = 300 and m = 1
+      windowed constrained U at n = 128 it equals the exact polynomial
+      fitted to walks at small n, builds no overlap and stays within a
+      tracemalloc bound, and for a star of 16 leaves it equals the closed
+      form
 """
 
 from __future__ import annotations
@@ -484,7 +487,8 @@ def test_stale_transitive_flag_takes_no_shortcut():
 def test_plan_tables_match_local_enumeration():
     # the first 20 instances of a checker suite: the table precompute reads
     # from the enumerated outcomes against local enumeration and the
-    # enumerated Var(S) cross-checked by pair groups
+    # enumerated Var(S) cross-checked by the Hoeffding sum over shared
+    # source subsets
     for k in range(20):
         pre = O.random_enumerable_instance(substream(314, STREAM_INSTANCES, k)).pre
         f = pre.field
@@ -580,3 +584,45 @@ def test_word_sigma2_identity_at_n_300_is_the_exact_cubic(monkeypatch):
         tracemalloc.stop()
     assert got == pytest.approx(float(cubic(300)), rel=1e-12, abs=0)
     assert peak < 64 * 2**20  # about 9 MB; the overlap route peaked at about 1.2 GB
+
+
+def test_windowed_constrained_u_sigma2_identity_at_n_128_is_the_exact_polynomial(monkeypatch):
+    # m = 1 Rademacher windows, kernel x y, gaps [inf]: two tuples that share
+    # a position share a whole window, so the pairs sharing two or more
+    # sources grow as n^3 (2,118,884 at n = 128).  Var(S) is a polynomial in
+    # n of degree at most 3: fit through exact walks at n = 2..5, checked by
+    # walks at n = 6..12
+    def build(n):
+        return F.build_constrained_ustat_field(n, 1, lambda x, y: x * y, (None,), F.rademacher())
+    walk = {n: O.walk_outcomes(build(n), var=True).sigma2 for n in range(2, 13)}
+    cubic = exact_cubic(range(2, 6), [walk[n] for n in range(2, 6)])
+    assert all(cubic(n) == Fraction(walk[n]) for n in range(6, 13))
+
+    def no_overlap(field):
+        raise AssertionError("the identity built the induced overlap")
+    monkeypatch.setattr(M, "overlap_matrix", no_overlap)
+    monkeypatch.setattr(F, "overlap_matrix", no_overlap)
+    f = build(128)  # 8,128 indices
+    tracemalloc.start()
+    try:
+        got = M.exact_sigma2_local(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(float(cubic(128)), rel=1e-12, abs=0)
+    assert peak < 32 * 2**20  # about 15 MB; the pair remainder peaked at about 72 MB
+
+
+def test_star_sigma2_identity_lists_only_the_center_subsets():
+    # the center of a star of 16 leaves reads 17 sources: 2^17 - 1 subsets
+    # listed, 3^17 or 4^17 would not fit the bound; only the 16 edge
+    # sources are read by two indices.  A sum field's Var(S) is closed form
+    f = F.build_graph_dependency(17, [(0, i) for i in range(1, 17)], F.bernoulli(0.3))
+    tracemalloc.start()
+    try:
+        got = M.exact_sigma2_local(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(O.walk_outcomes(f, var=True).sigma2, rel=1e-12, abs=0)
+    assert peak < 128 * 2**20  # about 61 MB

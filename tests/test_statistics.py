@@ -10,12 +10,14 @@ Core claims:
       rows of its batch
     - the word / pattern / subgraph counters agree with exhaustive scans;
       the word counter also row by row over a (reps, n) letter array
+    - the classical and distributed U-statistic oracles kept here, which
+      the field tests read, match hand values
     - constrained-U and decorated field sums reproduce the counters
       exactly (integer equality) on sampled inputs
-    - classical and distributed U-statistic evaluators match hand values
     - only ``statistics`` compares statistic names, no package module
-      (``__init__``'s re-exports aside) imports a name it never reads, and
-      every option of a package function is passed by some call
+      (``__init__``'s re-exports aside) imports a name it never reads,
+      every option of a package function is passed by some call, and
+      every top-level package function is read outside its own body
 """
 
 from __future__ import annotations
@@ -32,6 +34,18 @@ import locdep.fields as F
 import locdep.neighborhood as nb
 import locdep.statistics as st
 from locdep.errors import DegenerateVariance
+
+
+def classical_u(data, kernel, m: int) -> float:
+    """The plain U-statistic: the kernel's mean over all m-subsets."""
+    arr = np.asarray(data, dtype=float)
+    combos = np.asarray(list(itertools.combinations(range(arr.size), m)))
+    return float(np.mean(kernel(*(arr[combos[:, j]] for j in range(m)))))
+
+
+def distributed_u(blocks, kernel, m: int) -> float:
+    """The blockwise average of per-block U-statistics, weighted n_i / N."""
+    return sum(len(b) * classical_u(b, kernel, m) for b in blocks) / sum(map(len, blocks))
 
 
 def iid_system(n: int) -> nb.NeighborhoodSystem:
@@ -259,6 +273,36 @@ def test_src_options_are_each_passed_somewhere():
     assert unpassed_options([defs], [calls.replace("[], 3", "[]")]) == ["D(e)", "f(c)", "m(y)"]
 
 
+def unread_functions(def_sources: list[str], read_sources: list[str]) -> list[str]:
+    """The top-level functions defined in ``def_sources`` that no code of
+    ``read_sources`` reads, by name or as an attribute, outside the
+    function's own body.  An import is not a read, so ``__init__``'s
+    re-export of a function does not count."""
+    defined = [fn for source in def_sources for fn in ast.parse(source).body
+               if isinstance(fn, ast.FunctionDef)]
+
+    def reads(tree) -> list[str]:
+        return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+
+    everywhere = [name for source in read_sources for name in reads(ast.parse(source))]
+    return sorted(fn.name for fn in defined if everywhere.count(fn.name) <= reads(fn).count(fn.name))
+
+
+def test_src_functions_are_each_read_somewhere():
+    """Every top-level function of the package is read by the package or
+    by ``perfbench/``, beyond its own def and ``__init__``'s re-export: a
+    helper that a refactor left without a caller is dead code."""
+    package = Path(locdep.__file__).parent
+    src = [p.read_text() for p in sorted(package.glob("*.py"))]
+    bench = [p.read_text() for p in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))]
+    assert unread_functions(src, src + bench) == []
+    defs = "def f(): pass\ndef g(n): return g(n - 1)\ndef h(): pass\nclass K:\n    def m(self): pass\n"
+    reads = defs + "from .x import g, h\nf()\nk.h\n"
+    assert unread_functions([defs], [reads]) == ["g"]
+    assert unread_functions([defs], [reads.replace("k.h", "k.h = 1")]) == ["g", "h"]
+
+
 def test_w2_zero_field_rejected():
     sys = iid_system(3)
     w2, rejected = st.w2_batch(one_row(np.zeros(3)), sys)
@@ -461,8 +505,8 @@ def test_decorated_field_sum_equals_injective_count():
 
 
 def test_u_statistic_hand_values():
-    assert st.classical_u([1, 2, 3, 4], lambda x, y: x * y, 2) == pytest.approx(35 / 6)
-    u_d = st.distributed_u([[1, 2], [3, 4]], lambda x, y: x * y, 2)
+    assert classical_u([1, 2, 3, 4], lambda x, y: x * y, 2) == pytest.approx(35 / 6)
+    u_d = distributed_u([[1, 2], [3, 4]], lambda x, y: x * y, 2)
     assert u_d == pytest.approx(7.0)
 
 
