@@ -10,10 +10,10 @@ n values with **one** evaluator over the gathered source values,
 
 where each entry of ``params`` is a per-index array (leading axis n).  The
 evaluator treats every index alike: X_i depends only on row i of G and of
-each param.  Indices (or pairs of indices) whose support rows have the
-same coincidence pattern, source laws and params therefore share one law.
-A field groups its indices by this signature once, at construction
-(``groups``); means, exact norms and pair groups read that grouping.
+each param.  Indices whose support rows have the same coincidence
+pattern, source laws and params therefore share one law.  A field groups
+its indices by this signature once, at construction (``groups``); means,
+exact norms and the Var(S) identity read that grouping.
 
 Construction sorts each support row once: the validity check, the
 coincidence pattern and the incidence record all read that sort.  A
@@ -116,8 +116,7 @@ ENUM_BYTES_CAP = 2**30
 INDUCED_CAP = 10**7  # most neighbor entries an induced system may hold
 # largest gathered (reps, indices, K) block one evaluator call sees
 GATHER_CELLS = 2**21
-# pairs signature_groups keys at a time; adjacency cells a triangle sum holds
-PAIR_CHUNK, ADJ_CELLS = 2**15, 2**16
+ADJ_CELLS = 2**16  # adjacency cells a triangle sum holds
 CUT_WORK = 18  # work of one cut of a packed index-sum plan (see index_sum_plan)
 # keys that a dense presence table may span per key it ids (see _key_ids)
 DENSE_SPAN = 4
@@ -346,7 +345,7 @@ class LatentSourceField:
         if self.means is not None:
             put(self, "means", _read_only(np.array(self.means, dtype=float)))
         new = _new_ids(srt)
-        sig = _signatures(self, np.arange(n)[:, None], supports, srt, new)
+        sig = _signatures(self, supports, srt, new)
         _, first, inverse = np.unique(sig, return_index=True, return_inverse=True)
         put(self, "groups", (_read_only(first), _read_only(inverse.reshape(-1))))
         if new.all() and srt[:, :1].min(initial=0) >= 0:
@@ -460,7 +459,7 @@ def local_values(field: LatentSourceField, rows):
 
 
 # ---------------------------------------------------------------------------
-# Signatures: indices and pairs with one law by construction
+# Signatures: indices with one law by construction
 
 
 def _pack(cols) -> np.ndarray:
@@ -518,68 +517,26 @@ def _first_slots(S: np.ndarray, srt: np.ndarray) -> np.ndarray:
     return F
 
 
-def _signatures(field: LatentSourceField, rows: np.ndarray, S: np.ndarray,
-                srt: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Packed full signatures of the index tuples ``rows`` ((N, w)), whose
-    concatenated support rows are ``S`` and, sorted row by row, ``srt``
-    (``new`` its :func:`_new_ids`): the coincidence pattern of S, the
-    source laws slot by slot (pads as one more law), then the params and
-    means of each index in turn.  Equal signatures mean one joint law.  A
-    part that is the same on every row is not computed: the pattern when
-    no row repeats an id, the laws for a single law and no pad, a param or
-    mean with one value."""
+def _signatures(field: LatentSourceField, S: np.ndarray, srt: np.ndarray,
+                new: np.ndarray) -> np.ndarray:
+    """Packed full signatures of the field's indices, whose support rows
+    are ``S`` and, sorted row by row, ``srt`` (``new`` its
+    :func:`_new_ids`): the coincidence pattern of S, the source laws slot
+    by slot (pads as one more law), then the params and means.  Equal
+    signatures mean one law.  A part that is the same on every row is not
+    computed: the pattern when no row repeats an id, the laws for a single
+    law and no pad, a param or mean with one value."""
     cols = []
     if not new.all():
         cols.extend(_first_slots(S, srt).T)
     if field.law_ids.max(initial=0) > 0 or (srt[:, :1] < 0).any():
         cols.extend(np.append(field.law_ids, field.law_ids.max(initial=0) + 1)[S].T)
-    classes = []
     for p in (*field.params, *(() if field.means is None else (field.means,))):
-        flat = p[rows.reshape(-1)].reshape(rows.size, -1)
+        flat = p.reshape(len(S), -1)
         if not (flat == flat[:1]).all():
-            inv = np.unique(flat, axis=0 if flat.shape[1] > 1 else None, return_inverse=True)[1]
-            classes.append(inv.reshape(rows.shape))
-    cols.extend(c[:, k] for k in range(rows.shape[1]) for c in classes)
-    return _pack(cols) if cols else np.zeros(len(rows), dtype=np.int64)
-
-
-def signature_groups(field: LatentSourceField, ij) -> tuple[np.ndarray, np.ndarray]:
-    """Group the index pairs (rows of ``ij``) by signature: (first,
-    inverse), with row first[g] representing group g and row r in group
-    inverse[r].  A pair is keyed by the groups of i and j and, per slot of
-    j, the first slot of i holding the same source (pads excluded), which
-    partitions as the full signature does, PAIR_CHUNK pairs at a time with
-    no per-pair sort.  Groups are put in signature order, which fixes the
-    order of sums over them."""
-    ij = np.asarray(ij, dtype=np.int64)
-    gid, K = field.groups[1], field.supports.shape[1]
-    inverse = np.empty(len(ij), dtype=np.int64)
-    firsts, keys = [], []  # per chunk, the first row and the key columns of its groups
-    for lo in range(0, len(ij), PAIR_CHUNK):
-        i, j = ij[lo:lo + PAIR_CHUNK].T.copy()
-        Si, Sj = field.supports.T.take(i, axis=1), field.supports.T.take(j, axis=1)  # slot-major
-        Sj[Sj < 0] = -2  # a pad of j matches no slot of i
-        cross = np.zeros(Sj.shape, dtype=np.min_scalar_type(K))
-        for a in range(K - 1, -1, -1):
-            np.copyto(cross, a + 1, where=Sj == Si[a])
-        cols = [gid.take(i), gid.take(j), *cross]
-        key = _pack(cols)
-        srt = np.sort(key)
-        uniq = srt[np.r_[True, srt[1:] != srt[:-1]]]
-        local = np.searchsorted(uniq, key)
-        first = np.full(uniq.size, i.size)
-        np.minimum.at(first, local, np.arange(i.size))
-        inverse[lo:lo + i.size] = local + sum(f.size for f in firsts)
-        firsts.append(first + lo)
-        keys.append([c[first] for c in cols])
-    # chunk groups with equal keys merge, first rows from the earliest chunk
-    _, at, merged = np.unique(_pack([np.concatenate(c) for c in zip(*keys)]),
-                              return_index=True, return_inverse=True)
-    first = np.concatenate(firsts)[at]
-    S = field.supports[ij[first]].reshape(first.size, -1)
-    srt = np.sort(S, axis=1)
-    order = np.argsort(_signatures(field, ij[first], S, srt, _new_ids(srt)))
-    return first[order], np.argsort(order)[merged.reshape(-1)][inverse]
+            cols.append(np.unique(flat, axis=0 if flat.shape[1] > 1 else None,
+                                  return_inverse=True)[1].reshape(-1))
+    return _pack(cols) if cols else np.zeros(len(S), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

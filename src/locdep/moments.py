@@ -15,7 +15,9 @@ overlap.  By local enumeration the identity visits no pair of indices:
 it is one sum of Hoeffding terms over the source subsets that two or
 more indices read (see :func:`exact_sigma2_local`), which costs one
 enumeration per refined index group and 2^k listed subsets per index of
-k sources.  Without a Var(S) the table is hybrid: the identity alone
+k sources (k for a sum field).  An index-transitive field lists index 0
+and the indices sharing a source with it only, weighting index 0's
+subsets by n.  Without a Var(S) the table is hybrid: the identity alone
 gives Var(S), which scales to fields whose full outcome space is out of
 reach (the word "ab" at n = 300, 44,850 indices with 26.8M overlapping
 pairs, in about 20 ms).  This module walks nothing and decides no cap.  A caller that holds the materialized
@@ -36,6 +38,7 @@ import numpy as np
 from .errors import DegenerateKernel, DegenerateVariance, EnumerationCapExceeded
 from .fields import (
     DEFAULT_ENUM_CAP,
+    GATHER_CELLS,
     DiscreteSource,
     LatentSourceField,
     Source,
@@ -46,7 +49,7 @@ from .fields import (
     overlap_matrix,
     _pack,
     product_grid,
-    signature_groups,
+    _sum_columns,
 )
 from .neighborhood import distinct, dot
 from .rng import STREAM_MOMENTS, chunk_rows
@@ -109,72 +112,70 @@ def exact_index_norms(field: LatentSourceField, idx) -> np.ndarray:
     return out
 
 
-def exact_pair_covariance(field: LatentSourceField, ij) -> np.ndarray:
-    """Cov(X_i, X_j) for the rows (i, j) of ``ij``, by enumeration over the
-    union of the two supports."""
-    ij = np.asarray(ij, dtype=np.int64).reshape(-1, 2)
-    out = np.empty(len(ij))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r, probs, X in local_values(field, ij):
-            xi, xj = X[:, 0], X[:, 1]
-            out[r] = dot(probs, xi * xj) - dot(probs, xi) * dot(probs, xj)
-    return out
-
-
 def exact_sigma2_local(field: LatentSourceField) -> float:
     """Var(S) by Hoeffding's decomposition over the field's independent
     sources, by local enumeration, without visiting any pair of indices.
 
     X_i is the sum over the subsets T of its sources of the terms
     X_i^T = sum_{R subset T} (-1)^{|T| - |R|} E[X_i | U_R], which are
-    orthogonal across T, so
+    orthogonal across T, so with weights v_i that sum the inner sums as
+    sum_i does,
 
-        Var(S) = sum_i Var(X_i)
+        Var(S) = sum_i v_i sum_{T subset supp i} E[X_i^T sum_{j reads T} X_j^T]
+               = sum_i v_i Var(X_i)
                  + sum over the T read by two or more indices of
-                   [E(sum_{i reads T} X_i^T)^2 - sum_{i reads T} E(X_i^T)^2].
+                   E[(sum_{i reads T} v_i X_i^T)(sum_{j reads T} X_j^T)]
+                   - sum_{i reads T} v_i E(X_i^T)^2.
 
-    Indices of one index group whose ascending sources sit at the same
-    slots take one representative: its grid axes, in ascending source
-    order, line up with every member's sources.  Each index's nonempty
-    subsets are listed from one matrix of picked columns and keyed by
-    their sorted source ids, and only the subsets that two or more
-    indices read take a table, X^T on the representative's grid: the
-    probability-weighted mean over each axis outside T, less it over each
-    axis inside T, kept with the probabilities of T's cells.  Every
-    reader's table of T then lies on one grid of T's values, and the
-    bracket is the probability-weighted square of the tables' sum less
-    that of each table.  Listing costs 2^k entries for an index of k
-    sources.
+    Every v_i is 1, except on an index-transitive field of one index
+    group, where every i gives the same inner sum: there v_0 = n and the
+    other v_i are 0, and only index 0 and the indices sharing a source
+    with it are listed, with the subsets of index 0's sources only.  The
+    flag alone does not settle it: a copy of the field with other sources
+    keeps its metadata, and its groups show the change.
 
-    An index-transitive field of one index group (every index's
-    neighborhood sum is identical by exchangeability) uses one reference
-    index.  The flag alone does not settle it: a copy of the field with
-    other sources keeps its metadata, and its groups show the change.
+    Each listed index's distinct sources are put in ascending order, those
+    of the weighted indices first, and its nonempty subsets of the latter
+    are listed from one matrix of picked columns and keyed by their sorted
+    source ids; a sum field, whose X is linear in its sources, lists its
+    singletons only, its other terms being zero.  Listing costs 2^k
+    entries for an index of k sources.  Indices of one index group whose
+    sources sit at the same slots in that order take one representative,
+    whose grid, its axes put in that order, lines up with every member's
+    sources.  Only the subsets that two or more indices read take a table,
+    X^T on the representative's grid: the probability-weighted mean over
+    each axis outside T, less it over each axis inside T, kept with the
+    probabilities of T's cells.  Representatives whose sources have the
+    same laws are stacked, one pass per subset.  Every reader's table of
+    T then lies on one grid of T's values, and the bracket is read a cell
+    at a time.
     """
-    inc = field.incidence
+    inc, N, rows, weight = field.incidence, field.n_sources, np.arange(field.n), np.ones(field.n)
+    hit = np.append(np.ones(N, dtype=bool), False)  # the weighted indices' sources, then a filler
     if field.metadata.get("index_transitive") and field.groups[0].size == 1:
-        hit = np.zeros(field.n_sources)
-        hit[inc.row(0)] = 1.0
-        a0 = np.flatnonzero(inc @ hit)  # the indices sharing a source with 0
-        first, inverse = signature_groups(field, np.stack([np.zeros_like(a0), a0], axis=1))
-        cov = exact_pair_covariance(field, np.stack([np.zeros_like(first), a0[first]], axis=1))
-        return field.n * float(np.bincount(inverse, minlength=first.size) @ cov)
-    (n, K), N = field.supports.shape, field.n_sources
-    # each index's distinct sources, ascending (its incidence row), then a
-    # filler N, and the first slot holding each (a stable sort keeps equal
-    # ids in slot order): indices of one group with equal slots take one
-    # representative, whose grid axes line up with every member's sources
-    order = np.argsort(field.supports, axis=1, kind="stable")
-    srt = np.take_along_axis(field.supports, order, axis=1)
+        hit[:] = False
+        hit[inc.row(0)] = True
+        rows = distinct(inc.rows[hit[inc.indices]])  # index 0 and the indices sharing a source with it
+        weight = np.where(rows == 0, float(field.n), 0.0)
+    supports = field.supports.take(rows, axis=0)
+    (n, K), deg = supports.shape, np.diff(inc.indptr)[rows]
+    # each listed index's distinct sources, ascending, the weighted indices'
+    # first, then a filler N, and the first slot holding each (a stable sort
+    # keeps equal ids in slot order): indices of one group with equal slots
+    # take one representative
+    order = np.argsort(supports + (N + 1) * ~hit[supports], axis=1, kind="stable")
+    srt = np.take_along_axis(supports, order, axis=1)
     new = srt >= 0
     new[:, 1:] &= srt[:, 1:] != srt[:, :-1]
-    width = int(np.diff(inc.indptr).max(initial=0))
-    at = (inc.rows, np.arange(inc.nnz) - inc.indptr[inc.rows])
+    width = int(deg.max(initial=0))
+    at = np.repeat(np.arange(n), deg)
+    at = (at, np.arange(at.size) - (np.cumsum(deg) - deg)[at])
     ids, slots = np.full((n, width + 1), N), np.full((n, width), K)
-    ids[at], slots[at] = inc.indices, order[new]
-    _, first, cls = np.unique(_pack([field.groups[1], *slots.T]), return_index=True,
+    src = srt[new]
+    ids[at], slots[at] = src, order[new]
+    _, first, cls = np.unique(_pack([field.groups[1].take(rows), *slots.T]), return_index=True,
                               return_inverse=True)
-    # every index's nonempty subsets b (bit a: its a-th source), keyed by
+    # the listed subsets b of each index (bit a: its a-th source), keyed by
     # their sources: subset b reads the columns picks[b] of ids, ascending,
     # then fillers; subset b + 2^a reads those of b, then column a
     picks = np.full((1, width), width, dtype=np.min_scalar_type(width))
@@ -183,48 +184,73 @@ def exact_sigma2_local(field: LatentSourceField) -> float:
         more = picks.copy()
         more[np.arange(count.size), count] = a
         picks, count = np.concatenate([picks, more]), np.concatenate([count, count + 1])
-    subsets = (1 << np.diff(inc.indptr)) - 1
-    i = np.repeat(np.arange(n), subsets)
-    b = np.arange(i.size) - np.repeat(np.cumsum(subsets) - subsets, subsets) + 1
+    # the subsets listed per index: those of its weighted sources, and for a
+    # sum field, whose X is linear in its sources, the singletons only
+    listed = 1 << np.arange(width) if field.ev is _sum_columns else np.arange(1, 1 << width)
+    per = np.searchsorted(listed, 1 << deg - np.bincount(at[0][~hit[src]], minlength=n))
+    i = np.repeat(np.arange(n), per)
+    b = listed[np.arange(i.size) - np.repeat(np.cumsum(per) - per, per)]
     row = i * (width + 1)
     keys = _pack([np.zeros(i.size, dtype=np.int64), *(ids.reshape(-1)[row + c] for c in picks.T[:, b])])
     key = _key_ids(keys, int(keys.max(initial=0)) + 1)[1]
     readers = np.bincount(key)
     shared = readers[key] > 1
-    key = key[shared]
-    # the tables: one per (representative, subset) that a shared entry reads
-    tabs, tab = _key_ids(cls[i[shared]] << width | b[shared], first.size << width)
-    var, tables = np.zeros(first.size), [None] * tabs.size
+    key, i, b = key[shared], i[shared], b[shared]
+    # the tables: one per (representative, subset) that a shared entry
+    # reads, from the stacked grids of the representatives whose sources
+    # have the same laws, their axes in the order of ids, at most
+    # GATHER_CELLS grid values at a time
+    tabs, tab = _key_ids(cls[i] << width | b, first.size << width)
+    var, tables = np.zeros(first.size), []  # (table ids, their X^T, the probabilities of T's cells)
+    laws = _pack([np.zeros(first.size, dtype=np.int64), *(np.append(field.law_ids, -1)[ids[first]] + 1).T])
     with np.errstate(over="ignore", invalid="ignore"):  # run_experiment checks finiteness
-        for c, p, X in local_values(field, first[:, None]):
-            x = X[:, 0] - dot(p, X[:, 0])
-            var[c] = dot(p, x * x)
-            used = inc.row(first[c])  # the grid's axes, the first most significant
-            P = [np.reshape(field.sources[s].probs, [-1 if d == a else 1 for d in range(used.size)])
+        for law in distinct(laws):
+            same = np.flatnonzero(laws == law)
+            used = ids[first[same[0]], :deg[first[same[0]]]]  # the grid's axes, after the stack's
+            P = [np.reshape(field.sources[s].probs, [-1 if d == a else 1 for d in range(-1, used.size)])
                  for a, s in enumerate(used)]
-            for t in range(*np.searchsorted(tabs, [c << width, (c + 1) << width])):
-                y, w, inside = X[:, 0].reshape([q.size for q in P]), 1.0, int(tabs[t])
-                for a in range(used.size):  # the mean over each axis outside T
-                    if not inside >> a & 1:
-                        y = (y * P[a]).sum(axis=a, keepdims=True)
-                for a in range(used.size):  # less it over each axis inside T
-                    if inside >> a & 1:
-                        y, w = y - (y * P[a]).sum(axis=a, keepdims=True), w * P[a]
-                tables[t] = np.stack([y.reshape(-1), w.reshape(-1)])  # X^T and its probabilities
+            dims = np.array([q.size for q in P], dtype=np.int64)
+            grid = int(dims.prod())
+            step = max(1, GATHER_CELLS // grid)
+            for part in np.split(same, np.arange(step, same.size, step)):
+                Y = np.empty((part.size, grid))
+                for r, p, X in local_values(field, rows[first[part]][:, None]):
+                    x = X[:, 0] - dot(p, X[:, 0])
+                    o = np.argsort(ids[first[part[r]], :used.size])  # the grid's axes in ids
+                    var[part[r]] = dot(p, x * x)
+                    Y[r] = X[:, 0].reshape(dims[o]).transpose(np.argsort(o)).reshape(-1)
+                Y = Y.reshape(-1, *dims)
+                t = np.concatenate([np.arange(*np.searchsorted(tabs, [c << width, (c + 1) << width]))
+                                    for c in part])
+                stack, subset = np.searchsorted(part, tabs[t] >> width), tabs[t] & (1 << width) - 1
+                for inside in distinct(subset).tolist():
+                    y, w = Y, 1.0
+                    for a in range(used.size):  # the mean over each axis outside T
+                        if not inside >> a & 1:
+                            y = (y * P[a]).sum(axis=a + 1, keepdims=True)
+                    for a in range(used.size):  # less it over each axis inside T
+                        if inside >> a & 1:
+                            y, w = y - (y * P[a]).sum(axis=a + 1, keepdims=True), w * P[a]
+                    k = np.flatnonzero(subset == inside)
+                    tables.append((t[k], y[stack[k]].reshape(k.size, -1), w.reshape(-1)))
     # each shared entry adds its table to its subset's cells, tables of one size at a time
-    total = dot(np.bincount(cls, minlength=first.size), var)
-    size = np.array([y.shape[-1] for y in tables], dtype=np.int64)
-    for cells in distinct(size):
-        on = size[tab] == cells
-        rows = np.cumsum(size == cells)[tab[on]] - 1  # each entry's table among these
-        Y, W = np.stack([y for y in tables if y.shape[-1] == cells], axis=1)
+    total = dot(np.bincount(cls, weight, minlength=first.size), var)
+    for cells in distinct([y.shape[1] for _, y, _ in tables]):
+        t, Y, W = (np.concatenate(c) for c in zip(*[(t, y, np.broadcast_to(w, y.shape))
+                                                    for t, y, w in tables if y.shape[1] == cells]))
+        at = np.full(tabs.size, -1)
+        at[t] = np.arange(t.size)
+        on = at[tab] >= 0
+        at, v = at[tab[on]], weight[i[on]]  # each entry's table among these, and its weight
         subset = _key_ids(key[on], readers.size)[1]  # each entry's subset among these
+        ones = (v == 1).all()  # then the weighted sum of the readers' tables is their sum
         for y, w in zip(Y.T, W.T):  # one cell of T's grid at a time
-            acc = np.bincount(subset, y[rows])
+            y = y[at]
+            acc = np.bincount(subset, y)
             prob = np.zeros_like(acc)
-            prob[subset] = w[rows]
-            total += dot(prob * acc, acc)
-        total -= dot(np.bincount(rows, minlength=len(Y)), np.sum(W * Y * Y, axis=1))
+            prob[subset] = w[at]
+            total += dot(prob * (acc if ones else np.bincount(subset, y * v)), acc)
+        total -= dot(np.bincount(at, v, minlength=len(Y)), np.sum(W * Y * Y, axis=1))
     return total
 
 

@@ -723,8 +723,8 @@ def random_enumerable_instance(rng: np.random.Generator) -> CheckInstance:
             if rng.random() < 0.5:
                 src = DiscreteSource((-1.0, 1.0), (0.5, 0.5))
             else:
-                spread = float(rng.choice([1.0, 2.0]))
-                p0 = float(rng.choice([1.0 / 3.0, 0.5]))
+                spread = (1.0, 2.0)[rng.integers(0, 2)]
+                p0 = (1.0 / 3.0, 0.5)[rng.integers(0, 2)]
                 src = DiscreteSource(
                     (-spread, 0.0, spread), ((1 - p0) / 2, p0, (1 - p0) / 2)
                 )
@@ -739,8 +739,8 @@ def random_enumerable_instance(rng: np.random.Generator) -> CheckInstance:
         for i in range(n_idx):
             size = int(rng.integers(1, min(3, n_src) + 1))
             supports[i, :size] = sorted(rng.choice(n_src, size=size, replace=False).tolist())
-            weights[i, :size] = rng.uniform(0.5, 1.5, size=size) * rng.choice([-1.0, 1.0], size=size)
-            q[i] = float(rng.choice([0.0, 0.5]))
+            weights[i, :size] = rng.uniform(0.5, 1.5, size=size) * (2 * rng.integers(0, 2, size) - 1)
+            q[i] = (0.0, 0.5)[rng.integers(0, 2)]
         field = LatentSourceField(
             sources=tuple(sources),
             supports=supports,
@@ -760,8 +760,8 @@ def random_enumerable_instance(rng: np.random.Generator) -> CheckInstance:
         if rng.random() < 0.25:
             lo = hi
         c = float(rng.uniform(1.0, 3.0))
-        xi_kind = str(rng.choice(XI_KINDS))
-        p = float(rng.choice([0.0, 1.0, 4.0 / 3.0, 2.0]))
+        xi_kind = XI_KINDS[rng.integers(0, len(XI_KINDS))]
+        p = (0.0, 1.0, 4.0 / 3.0, 2.0)[rng.integers(0, 4)]
         return CheckInstance(
             pre=pre, A=a_set, B=b_set, a=lo, b=hi, c=c, xi_kind=xi_kind, p=p,
         )

@@ -14,12 +14,11 @@ Core claims:
     - signature-grouped exact means, norms and Var(S) equal one local
       enumeration per index and per pair, for every builder family and
       for random enumerable instances
-    - the index groups frozen on a field and the pair groups built from
-      them equal the full-key grouping (pattern of repeated sources over
-      the concatenated support rows, laws slot by slot, params and means),
-      group order included, with pads, repeated sources, per-index
-      params, given means and continuous sources; exact tables read the
-      frozen index groups
+    - the index groups frozen on a field equal the full-key grouping
+      (pattern of repeated sources over the support row, laws slot by
+      slot, params and means), group order included, with pads, repeated
+      sources, per-index params, given means and continuous sources;
+      exact tables read the frozen index groups
     - the CSV section equals the per-row formatter byte for byte for
       exact, hybrid and Monte-Carlo tables, tables without groups,
       interleaved groups, special floats, and single-group runs whose
@@ -29,9 +28,12 @@ Core claims:
       tables read from an enumeration plan equal the locally enumerated
       ones
     - a copy of an index-transitive field with other sources takes no
-      one-index shortcut
+      one-index shortcut, and the shortcut (index 0's subsets weighted by
+      n) equals the sum over every index within 1e-12 relative on
+      triangles, 4-cycles, one-block U-statistics and an iid field
     - the Var(S) identity, a Hoeffding sum over the source subsets that
-      two or more indices read, equals a plain loop over overlapping pairs
+      two or more indices read, equals a plain loop over the covariances
+      of overlapping pairs (each by local enumeration, test-side)
       within 1e-12 relative on word fields with infinite and finite gaps,
       constrained U-statistics with repeated sources, two-block
       U-statistics, windows, a cycle and a star, padded supports and 20
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import itertools
 import json
 import math
 import tracemalloc
@@ -334,6 +335,17 @@ def ungrouped_values(f: F.LatentSourceField, idx) -> tuple[np.ndarray, np.ndarra
     return probs, np.broadcast_to(np.asarray(X, dtype=float), (probs.size, len(idx)))
 
 
+def pair_covariance(field: F.LatentSourceField, ij) -> np.ndarray:
+    """Cov(X_i, X_j) for the rows (i, j) of ``ij``, by enumeration over the
+    union of the two supports: the reference for the Var(S) identity."""
+    ij = np.asarray(ij, dtype=np.int64).reshape(-1, 2)
+    out = np.empty(len(ij))
+    for r, probs, X in F.local_values(field, ij):
+        xi, xj = X[:, 0], X[:, 1]
+        out[r] = probs @ (xi * xj) - (probs @ xi) * (probs @ xj)
+    return out
+
+
 @pytest.mark.parametrize("case", sorted(GROUPING_CASES))
 def test_signature_grouping_matches_ungrouped_enumeration(case):
     f = GROUPING_CASES[case]()
@@ -356,7 +368,7 @@ def test_signature_grouping_matches_ungrouped_enumeration(case):
             probs, X = ungrouped_values(f, [i, j])
             pair_sum += float(probs @ (X[:, 0] * X[:, 1])) - float(probs @ X[:, 0]) * float(probs @ X[:, 1])
     ij = np.array([(i, j) for i, a in enumerate(A) for j in a])
-    assert M.exact_pair_covariance(f, ij).sum() == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
+    assert pair_covariance(f, ij).sum() == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     local = M.exact_sigma2_local(f)
     assert local == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     assert local == pytest.approx(O.walk_outcomes(f, var=True).sigma2, rel=1e-10, abs=1e-12)
@@ -410,37 +422,26 @@ GROUP_KINDS = ("pads", "repeats", "params", "given_means", "continuous")
 
 
 @pytest.mark.parametrize("kind", GROUP_KINDS)
-def test_frozen_and_pair_groups_match_full_key_grouping(kind, monkeypatch):
-    # pairs are keyed in chunks: each field here fits one chunk of the
-    # default size, and in chunks of 5 pairs the groups merge across many
-    for chunk in (F.PAIR_CHUNK, 5):
-        monkeypatch.setattr(F, "PAIR_CHUNK", chunk)
-        shared = 0
-        for seed in range(6):
-            f = random_grouping_field(seed, kind)
-            first, inverse = f.groups
-            ref_first, ref_inverse = reference_signature_groups(f, np.arange(f.n))
-            assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
-            assert not first.flags.writeable and not inverse.flags.writeable
-            ij = np.array(list(itertools.product(range(f.n), repeat=2)))
-            got = F.signature_groups(f, ij)
-            ref = reference_signature_groups(f, ij)
-            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-            shared += ij.shape[0] - ref[0].size
-        assert shared > 0  # some pairs share a signature
+def test_frozen_and_pair_groups_match_full_key_grouping(kind):
+    # the index groups frozen on the field; pairs are no longer grouped
+    shared = 0
+    for seed in range(6):
+        f = random_grouping_field(seed, kind)
+        first, inverse = f.groups
+        ref_first, ref_inverse = reference_signature_groups(f, np.arange(f.n))
+        assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
+        assert not first.flags.writeable and not inverse.flags.writeable
+        shared += f.n - first.size
+    assert shared > 0  # some indices share a signature
 
 
 def test_exact_moment_table_reads_frozen_index_groups(monkeypatch):
     f = F.build_m_dependent(6, 1, F.three_point())
-    pair_groups = F.signature_groups
 
-    def pairs_only(field, idx):
-        if np.ndim(idx) == 1:
-            raise AssertionError("index signatures recomputed after build")
-        return pair_groups(field, idx)
+    def recomputed(*args):
+        raise AssertionError("index signatures recomputed after build")
 
-    monkeypatch.setattr(F, "signature_groups", pairs_only)
-    monkeypatch.setattr(M, "signature_groups", pairs_only)
+    monkeypatch.setattr(F, "_signatures", recomputed)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     h = M.exact_moment_table(f)
     assert np.array_equal(t.groups, f.groups[1]) and np.array_equal(h.l2, t.l2)
@@ -456,7 +457,7 @@ def test_wrong_sigma2_fails_the_identity_on_every_route():
     g = window_field(6, lambda a, b: (1 + a) * (1 + b))
     for field in (f, g):
         walk = O.walk_outcomes(field, var=True, keep=True)
-        short = float(M.exact_pair_covariance(field, np.repeat(np.arange(6)[:, None], 2, 1)).sum())
+        short = float(pair_covariance(field, np.repeat(np.arange(6)[:, None], 2, 1)).sum())
         assert short < walk.sigma2
         for outcomes in (None, (walk.probs, walk.X)):
             with pytest.raises(AssertionError, match="variance identity violated"):
@@ -484,6 +485,29 @@ def test_stale_transitive_flag_takes_no_shortcut():
     assert M.exact_moment_table(g, closed).mode == "exact"
 
 
+TRANSITIVE_CASES = {
+    "triangle_8": lambda: F.build_decorated_graph_field(8, [(0, 1), (1, 2), (0, 2)], F.bernoulli(0.3)),
+    "triangle_20": lambda: F.build_decorated_graph_field(20, [(0, 1), (1, 2), (0, 2)], F.bernoulli(0.3)),
+    "cycle4_9": lambda: F.build_decorated_graph_field(9, [(0, 1), (1, 2), (2, 3), (3, 0)],
+                                                      F.bernoulli(0.3)),
+    "cycle4_12": lambda: F.build_decorated_graph_field(12, [(0, 1), (1, 2), (2, 3), (3, 0)],
+                                                       F.bernoulli(0.3)),
+    "ustat_m2_40": lambda: F.build_ustat_field([40], 2, lambda *x: sum(x), F.three_point()),
+    "ustat_m3_20": lambda: F.build_ustat_field([20], 3, lambda *x: sum(x), F.three_point()),
+    "iid_100": lambda: F.build_iid_field(100, F.rademacher()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSITIVE_CASES))
+def test_transitive_shortcut_equals_the_sum_over_every_index(case):
+    # the shortcut (index 0's subsets, weighted by n) against the same field
+    # without its index_transitive flag, which sums over every index
+    f = TRANSITIVE_CASES[case]()
+    assert f.metadata["index_transitive"] and f.groups[0].size == 1
+    g = dataclasses.replace(f, metadata={k: v for k, v in f.metadata.items() if k != "index_transitive"})
+    assert M.exact_sigma2_local(f) == pytest.approx(M.exact_sigma2_local(g), rel=1e-12, abs=0)
+
+
 def test_plan_tables_match_local_enumeration():
     # the first 20 instances of a checker suite: the table precompute reads
     # from the enumerated outcomes against local enumeration and the
@@ -507,10 +531,10 @@ def test_plan_tables_match_local_enumeration():
 
 def overlap_loop_sigma2(f: F.LatentSourceField) -> float:
     """Var(S) as a plain loop over the pairs (i, j) whose supports overlap,
-    summing their exact_pair_covariance."""
+    summing their pair_covariance."""
     supp = [set(row[row >= 0].tolist()) for row in f.supports]
     ij = [(i, j) for i in range(f.n) for j in range(f.n) if supp[i] & supp[j]]
-    return math.fsum(M.exact_pair_covariance(f, np.array(ij, dtype=np.int64).reshape(-1, 2)))
+    return math.fsum(pair_covariance(f, np.array(ij, dtype=np.int64).reshape(-1, 2)))
 
 
 IDENTITY_CASES = {

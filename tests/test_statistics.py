@@ -16,8 +16,9 @@ Core claims:
       exactly (integer equality) on sampled inputs
     - only ``statistics`` compares statistic names, no package module
       (``__init__``'s re-exports aside) imports a name it never reads,
-      every option of a package function is passed by some call, and
-      every top-level package function is read outside its own body
+      every option of a package function is passed by some call, every
+      top-level package function is read outside its own body, and every
+      top-level UPPER_CASE constant is read beyond its own assignment
 """
 
 from __future__ import annotations
@@ -280,13 +281,15 @@ def unread_functions(def_sources: list[str], read_sources: list[str]) -> list[st
     re-export of a function does not count."""
     defined = [fn for source in def_sources for fn in ast.parse(source).body
                if isinstance(fn, ast.FunctionDef)]
+    everywhere = [name for source in read_sources for name in loaded_names(ast.parse(source))]
+    return sorted(fn.name for fn in defined
+                  if everywhere.count(fn.name) <= loaded_names(fn).count(fn.name))
 
-    def reads(tree) -> list[str]:
-        return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
-                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
 
-    everywhere = [name for source in read_sources for name in reads(ast.parse(source))]
-    return sorted(fn.name for fn in defined if everywhere.count(fn.name) <= reads(fn).count(fn.name))
+def loaded_names(tree: ast.AST) -> list[str]:
+    """Every name that ``tree`` reads, by name or as an attribute."""
+    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
 
 
 def test_src_functions_are_each_read_somewhere():
@@ -301,6 +304,33 @@ def test_src_functions_are_each_read_somewhere():
     reads = defs + "from .x import g, h\nf()\nk.h\n"
     assert unread_functions([defs], [reads]) == ["g"]
     assert unread_functions([defs], [reads.replace("k.h", "k.h = 1")]) == ["g", "h"]
+
+
+def unread_constants(def_sources: list[str], read_sources: list[str]) -> list[str]:
+    """The top-level UPPER_CASE names assigned in ``def_sources`` that no
+    code of ``read_sources`` reads, by name or as an attribute, beyond
+    their own assignment.  An import is not a read."""
+    assigned = [(node, target.id) for source in def_sources for node in ast.parse(source).body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in ast.walk(ast.Tuple(
+                    elts=node.targets if isinstance(node, ast.Assign) else [node.target]))
+                if isinstance(target, ast.Name) and target.id.isupper()]
+    everywhere = [name for source in read_sources for name in loaded_names(ast.parse(source))]
+    return sorted(name for node, name in assigned
+                  if everywhere.count(name) <= loaded_names(node).count(name))
+
+
+def test_src_constants_are_each_read_somewhere():
+    """Every top-level UPPER_CASE constant of the package is read by the
+    package or by ``perfbench/``, beyond its own assignment: a constant
+    that a refactor left without a reader is dead code."""
+    package = Path(locdep.__file__).parent
+    src = [p.read_text() for p in sorted(package.glob("*.py"))]
+    bench = [p.read_text() for p in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))]
+    assert unread_constants(src, src + bench) == []
+    defs = "A, B = 1, 2\n_C: int = 3\nD = D_OLD = 4\nlower = 5\ndef f():\n    E = 6\n"
+    reads = defs + "from .x import B\nf(A)\nm.D_OLD\nm.D = 7\n"
+    assert unread_constants([defs], [reads]) == ["B", "D", "_C"]
 
 
 def test_w2_zero_field_rejected():
