@@ -41,7 +41,7 @@ source at a time to a dense table over the cells, in place of
 :func:`outcome_blocks`' enumeration.
 
 A field's outcome space is the product grid over the sources some index
-reads (c_s > 0), as :func:`local_values` enumerates a row's: X does not
+reads (c_s > 0), as :func:`local_values` enumerates an index's: X does not
 depend on the others, and every enumeration cap counts these outcomes.
 
 Dependence neighborhoods are *induced* by support overlap,
@@ -420,42 +420,40 @@ def _blocks(count: int, width: int, reps: int) -> list[slice]:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def local_values(field: LatentSourceField, rows):
-    """Yield (r, probs, X) for each row r of ``rows`` ((N, w) index tuples):
-    X[k, c] is the uncentered X_{rows[r, c]} at point k of the product grid
-    over the sources row r reads.  Rows whose sources have the same laws
+def local_values(field: LatentSourceField, idx):
+    """Yield (part, probs, X) for blocks of the indices ``idx``: X[r, k]
+    is the uncentered X_{idx[part[r]]} at point k of the product grid over
+    the sources that index reads, in increasing order (the first source
+    the most significant digit).  Indices whose sources have the same laws
     share one grid and one evaluator call (at most GATHER_CELLS gathered).
     Raises :class:`EnumerationCapExceeded`, before anything is allocated,
-    for a row whose gathered grid (outcomes x w K values) would take more
+    for an index whose gathered grid (outcomes x K values) would take more
     than ENUM_BYTES_CAP bytes."""
-    rows = np.asarray(rows, dtype=np.int64)
-    (N, w), K = rows.shape, field.supports.shape[1]
-    S = field.supports[rows].reshape(N, w * K)
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    S, K = field.supports[idx], field.supports.shape[1]
     srt = np.sort(S, axis=1)
-    # per row: its distinct sources in increasing order, then n_sources fillers
+    # per index: its distinct sources in increasing order, then n_sources fillers
     used = np.where((srt < 0) | (np.diff(srt, axis=1, prepend=-1) == 0), field.n_sources, srt)
     used = np.sort(used, axis=1)
     local = np.where(S >= 0, (used[:, None, :] < S[:, :, None]).sum(axis=2), -1)
     laws = np.append(field.law_ids, -1)[used] + 1
-    batches = _pack([np.zeros(N, dtype=np.int64), *laws.T])
+    batches = _pack([np.zeros(idx.size, dtype=np.int64), *laws.T])
     for key in distinct(batches):
         sel = np.flatnonzero(batches == key)
         sources = [field.sources[s] for s in used[sel[0]] if s < field.n_sources]
         count = math.prod(len(s.values) for s in sources if isinstance(s, DiscreteSource))
-        if count * w * K * 8 > ENUM_BYTES_CAP:
+        if count * K * 8 > ENUM_BYTES_CAP:
             raise EnumerationCapExceeded(
-                f"index {', '.join(map(str, rows[sel[0]].tolist()))}: {count} outcomes x {w * K} "
-                f"values need {count * w * K * 8} bytes, over the cap of {ENUM_BYTES_CAP}"
+                f"index {idx[sel[0]]}: {count} outcomes x {K} values need {count * K * 8} "
+                f"bytes, over the cap of {ENUM_BYTES_CAP}"
             )
         probs, grid = product_grid(sources)
         grid = grid if grid.size else np.zeros((1, 1))
-        step = max(1, GATHER_CELLS // (probs.size * w * K))
+        step = max(1, GATHER_CELLS // (probs.size * K))
         for part in np.split(sel, np.arange(step, sel.size, step)):
-            idx = rows[part].reshape(-1)
-            X = field.ev(_gather(grid, local[part].reshape(-1, K)), *(p[idx] for p in field.params))
-            X = np.broadcast_to(np.asarray(X, dtype=float), (probs.size, idx.size))
-            for k, r in enumerate(part):  # one contiguous (outcomes, w) block per row
-                yield r, probs, np.ascontiguousarray(X[:, k * w:(k + 1) * w])
+            X = field.ev(_gather(grid, local[part]), *(p[idx[part]] for p in field.params))
+            X = np.broadcast_to(np.asarray(X, dtype=float), (probs.size, part.size))
+            yield part, probs, np.ascontiguousarray(X.T)  # one contiguous row per index
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +551,8 @@ def compute_means(field: LatentSourceField) -> np.ndarray:
     if any(not isinstance(field.sources[s], DiscreteSource) for s in read[read >= 0]):
         raise ValueError("means must be given for a field whose values read continuous sources")
     group_means = np.empty(first.size)
-    for r, probs, X in local_values(field, first[:, None]):
-        group_means[r] = probs @ X[:, 0]
+    for part, probs, X in local_values(field, first):
+        group_means[part] = [probs @ x for x in X]
     return group_means[inverse]
 
 

@@ -38,7 +38,6 @@ import numpy as np
 from .errors import DegenerateKernel, DegenerateVariance, EnumerationCapExceeded
 from .fields import (
     DEFAULT_ENUM_CAP,
-    GATHER_CELLS,
     DiscreteSource,
     LatentSourceField,
     Source,
@@ -106,9 +105,9 @@ def exact_index_norms(field: LatentSourceField, idx) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     out = np.empty((idx.size, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # run_experiment checks finiteness
-        for r, probs, X in local_values(field, idx[:, None]):
-            a = np.abs(X[:, 0] - field.means[idx[r]])
-            out[r] = [dot(probs, a**p) ** (1 / p) for p in (2, 3, 4)]
+        for part, probs, X in local_values(field, idx):
+            a = np.abs(X - field.means[idx[part], None])
+            out[part] = np.stack([np.add.reduce(a**p * probs, axis=1) ** (1 / p) for p in (2, 3, 4)], 1)
     return out
 
 
@@ -141,14 +140,16 @@ def exact_sigma2_local(field: LatentSourceField) -> float:
     singletons only, its other terms being zero.  Listing costs 2^k
     entries for an index of k sources.  Indices of one index group whose
     sources sit at the same slots in that order take one representative,
-    whose grid, its axes put in that order, lines up with every member's
-    sources.  Only the subsets that two or more indices read take a table,
-    X^T on the representative's grid: the probability-weighted mean over
-    each axis outside T, less it over each axis inside T, kept with the
-    probabilities of T's cells.  Representatives whose sources have the
-    same laws are stacked, one pass per subset.  Every reader's table of
-    T then lies on one grid of T's values, and the bracket is read a cell
-    at a time.
+    whose grid lines up with every member's sources.  Only the subsets
+    that two or more indices read take a table, X^T on the
+    representative's grid (its sources ascending, among which T's, all
+    weighted, keep their order): the probability-weighted mean over each
+    axis outside T, less it over each axis inside T, kept with the
+    probabilities of T's cells.  The representatives of one
+    :func:`~locdep.fields.local_values` block, whose sources have the same
+    laws, are stacked, one pass per set of T's axes.  Every reader's table
+    of T then lies on one grid of T's values, and the bracket is read a
+    cell at a time.
     """
     inc, N, rows, weight = field.incidence, field.n_sources, np.arange(field.n), np.ones(field.n)
     hit = np.append(np.ones(N, dtype=bool), False)  # the weighted indices' sources, then a filler
@@ -197,42 +198,35 @@ def exact_sigma2_local(field: LatentSourceField) -> float:
     shared = readers[key] > 1
     key, i, b = key[shared], i[shared], b[shared]
     # the tables: one per (representative, subset) that a shared entry
-    # reads, from the stacked grids of the representatives whose sources
-    # have the same laws, their axes in the order of ids, at most
-    # GATHER_CELLS grid values at a time
+    # reads, on the representative's grid, whose axes are its sources in
+    # ascending order: bit a of a subset is ids' column a, the grid's axis
+    # rank[c, a] (T, all weighted sources, keeps its order on both)
     tabs, tab = _key_ids(cls[i] << width | b, first.size << width)
+    rank = np.argsort(np.argsort(ids[first, :width], axis=1, kind="stable"), axis=1)
     var, tables = np.zeros(first.size), []  # (table ids, their X^T, the probabilities of T's cells)
-    laws = _pack([np.zeros(first.size, dtype=np.int64), *(np.append(field.law_ids, -1)[ids[first]] + 1).T])
     with np.errstate(over="ignore", invalid="ignore"):  # run_experiment checks finiteness
-        for law in distinct(laws):
-            same = np.flatnonzero(laws == law)
-            used = ids[first[same[0]], :deg[first[same[0]]]]  # the grid's axes, after the stack's
+        for part, p, X in local_values(field, rows[first]):
+            x = X - np.add.reduce(X * p, axis=1)[:, None]
+            var[part] = np.add.reduce(x * x * p, axis=1)
+            used = np.sort(ids[first[part[0]], :deg[first[part[0]]]])  # the grid's axes
             P = [np.reshape(field.sources[s].probs, [-1 if d == a else 1 for d in range(-1, used.size)])
                  for a, s in enumerate(used)]
-            dims = np.array([q.size for q in P], dtype=np.int64)
-            grid = int(dims.prod())
-            step = max(1, GATHER_CELLS // grid)
-            for part in np.split(same, np.arange(step, same.size, step)):
-                Y = np.empty((part.size, grid))
-                for r, p, X in local_values(field, rows[first[part]][:, None]):
-                    x = X[:, 0] - dot(p, X[:, 0])
-                    o = np.argsort(ids[first[part[r]], :used.size])  # the grid's axes in ids
-                    var[part[r]] = dot(p, x * x)
-                    Y[r] = X[:, 0].reshape(dims[o]).transpose(np.argsort(o)).reshape(-1)
-                Y = Y.reshape(-1, *dims)
-                t = np.concatenate([np.arange(*np.searchsorted(tabs, [c << width, (c + 1) << width]))
-                                    for c in part])
-                stack, subset = np.searchsorted(part, tabs[t] >> width), tabs[t] & (1 << width) - 1
-                for inside in distinct(subset).tolist():
-                    y, w = Y, 1.0
-                    for a in range(used.size):  # the mean over each axis outside T
-                        if not inside >> a & 1:
-                            y = (y * P[a]).sum(axis=a + 1, keepdims=True)
-                    for a in range(used.size):  # less it over each axis inside T
-                        if inside >> a & 1:
-                            y, w = y - (y * P[a]).sum(axis=a + 1, keepdims=True), w * P[a]
-                    k = np.flatnonzero(subset == inside)
-                    tables.append((t[k], y[stack[k]].reshape(k.size, -1), w.reshape(-1)))
+            Y = X.reshape(-1, *(q.size for q in P))
+            t = np.concatenate([np.arange(*np.searchsorted(tabs, [c << width, (c + 1) << width]))
+                                for c in part])
+            stack = np.searchsorted(part, tabs[t] >> width)
+            bits = tabs[t, None] >> np.arange(width) & 1
+            mask = np.sum(bits << rank[tabs[t] >> width], axis=1)  # T's axes on the grid
+            for inside in distinct(mask).tolist():
+                y, w = Y, 1.0
+                for a in range(used.size):  # the mean over each axis outside T
+                    if not inside >> a & 1:
+                        y = (y * P[a]).sum(axis=a + 1, keepdims=True)
+                for a in range(used.size):  # less it over each axis inside T
+                    if inside >> a & 1:
+                        y, w = y - (y * P[a]).sum(axis=a + 1, keepdims=True), w * P[a]
+                k = np.flatnonzero(mask == inside)
+                tables.append((t[k], y[stack[k]].reshape(k.size, -1), w.reshape(-1)))
     # each shared entry adds its table to its subset's cells, tables of one size at a time
     total = dot(np.bincount(cls, weight, minlength=first.size), var)
     for cells in distinct([y.shape[1] for _, y, _ in tables]):
@@ -243,13 +237,12 @@ def exact_sigma2_local(field: LatentSourceField) -> float:
         on = at[tab] >= 0
         at, v = at[tab[on]], weight[i[on]]  # each entry's table among these, and its weight
         subset = _key_ids(key[on], readers.size)[1]  # each entry's subset among these
-        ones = (v == 1).all()  # then the weighted sum of the readers' tables is their sum
         for y, w in zip(Y.T, W.T):  # one cell of T's grid at a time
             y = y[at]
             acc = np.bincount(subset, y)
             prob = np.zeros_like(acc)
             prob[subset] = w[at]
-            total += dot(prob * (acc if ones else np.bincount(subset, y * v)), acc)
+            total += dot(prob * np.bincount(subset, y * v), acc)
         total -= dot(np.bincount(at, v, minlength=len(Y)), np.sum(W * Y * Y, axis=1))
     return total
 

@@ -338,12 +338,11 @@ def ungrouped_values(f: F.LatentSourceField, idx) -> tuple[np.ndarray, np.ndarra
 def pair_covariance(field: F.LatentSourceField, ij) -> np.ndarray:
     """Cov(X_i, X_j) for the rows (i, j) of ``ij``, by enumeration over the
     union of the two supports: the reference for the Var(S) identity."""
-    ij = np.asarray(ij, dtype=np.int64).reshape(-1, 2)
-    out = np.empty(len(ij))
-    for r, probs, X in F.local_values(field, ij):
-        xi, xj = X[:, 0], X[:, 1]
-        out[r] = probs @ (xi * xj) - (probs @ xi) * (probs @ xj)
-    return out
+    out = []
+    for i, j in np.asarray(ij, dtype=np.int64).reshape(-1, 2).tolist():
+        probs, X = ungrouped_values(field, [i, j])
+        out.append(float(probs @ (X[:, 0] * X[:, 1])) - float(probs @ X[:, 0]) * float(probs @ X[:, 1]))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("case", sorted(GROUPING_CASES))
@@ -361,32 +360,25 @@ def test_signature_grouping_matches_ungrouped_enumeration(case):
     assert np.allclose(np.stack([t.l2, t.l3, t.l4], axis=1), norms, rtol=1e-12, atol=1e-13)
     assert np.allclose(M.exact_index_norms(f, np.arange(f.n)), norms, rtol=1e-12, atol=1e-13)
     sys = F.induced_neighborhoods(f)
-    pair_sum = 0.0
-    A = [sys.M.row(i) for i in range(f.n)]
-    for i, a in enumerate(A):
-        for j in a:
-            probs, X = ungrouped_values(f, [i, j])
-            pair_sum += float(probs @ (X[:, 0] * X[:, 1])) - float(probs @ X[:, 0]) * float(probs @ X[:, 1])
-    ij = np.array([(i, j) for i, a in enumerate(A) for j in a])
-    assert pair_covariance(f, ij).sum() == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
+    pair_sum = float(pair_covariance(f, [(i, j) for i in range(f.n) for j in sys.M.row(i)]).sum())
     local = M.exact_sigma2_local(f)
     assert local == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     assert local == pytest.approx(O.walk_outcomes(f, var=True).sigma2, rel=1e-10, abs=1e-12)
 
 
 def reference_signature_groups(field: F.LatentSourceField, idx) -> tuple[np.ndarray, np.ndarray]:
-    """The full-key grouping of indices ((N,)) or pairs ((N, 2)): the first
-    slot holding each slot's source over the concatenated support rows
-    (pads coincide with pads), the law of every slot (pads as one more
-    law), and the params and means of each index.  Groups in key order."""
-    rows = np.asarray(idx, dtype=np.int64).reshape(len(idx), -1)
-    S = field.supports[rows].reshape(len(rows), -1)
+    """The full-key grouping of the indices ``idx``: the first slot holding
+    each slot's source over the index's support row (pads coincide with
+    pads), the law of every slot (pads as one more law), and the index's
+    params and means.  Groups in key order."""
+    rows = np.asarray(idx, dtype=np.int64)
+    S = field.supports[rows]
     first_slot = np.array([[row.index(v) for v in row] for row in S.tolist()])
     laws = np.append(field.law_ids, field.law_ids.max(initial=0) + 1)[S]
     # one class per index: its params and means, ranked as a tuple
     values = [p.reshape(field.n, -1) for p in (*field.params, field.means)]
     values = np.concatenate([np.zeros((field.n, 1)), *values], axis=1)
-    classes = np.unique(values, axis=0, return_inverse=True)[1].reshape(-1)[rows]
+    classes = np.unique(values, axis=0, return_inverse=True)[1].reshape(-1)[rows, None]
     keys = np.concatenate([first_slot, laws, classes], axis=1)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     return first, inverse.reshape(-1)
