@@ -403,11 +403,11 @@ def delta_components_prop1(
     a: float,
     b: float,
     c: float,
-    sums: dict[str, float] | None = None,
+    sums: dict[str, float],
 ) -> dict[str, float]:
     """delta_0..delta_7 of the randomized concentration inequality for
     S_A / sigma, evaluated literally over the neighborhood system;
-    ``sums`` are the instance's :func:`beta_sums`, computed when absent."""
+    ``sums`` are the instance's :func:`beta_sums`."""
     if not A or not B:
         raise ValueError("A and B must be nonempty")
     if not (a <= b and c >= 1):
@@ -416,17 +416,16 @@ def delta_components_prop1(
     l4 = table.l4
     B = np.asarray(B, dtype=np.int64)
     I, J = interference_set_of(sys, A)
-    raw = sums if sums is not None else beta_sums(l4, sys, derived)
     delta = {
         "delta0": (b - a) / 100.0,
         "delta1": c / sigma * float(np.sum(l4[reverse_set_of(sys, A)])),
         "delta2": c / sigma * float(np.sum(l4[B])),
         "delta3": c / sigma**2 * dot(l4[B], (derived.Mt @ l4)[B]),
         "delta4": c / sigma**2 * dot(l4[I], l4[J]),
-        "delta5": c / sigma**3 * (raw["b1a"] + raw["b1b"]),
-        "delta6": math.sqrt(c**2 / sigma**4 * (raw["t21"] + raw["t22"] + raw["t23_delta6"])),
+        "delta5": c / sigma**3 * (sums["b1a"] + sums["b1b"]),
+        "delta6": math.sqrt(c**2 / sigma**4 * (sums["t21"] + sums["t22"] + sums["t23_delta6"])),
         "delta7": math.sqrt(
-            c**2 / sigma**5 * (raw["t31"] + raw["t32"] + raw["t33"] + raw["t34"])
+            c**2 / sigma**5 * (sums["t31"] + sums["t32"] + sums["t33"] + sums["t34"])
         ),
     }
     return delta

@@ -196,8 +196,8 @@ SHARED_BOUNDS = {
 }
 
 
-# params of every family: a closed-form Var(S) and declared neighborhoods
-COMMON_PARAMS = {"sigma2": (POSITIVE, None), "declared_A": (_list(_list(_integer(0))), None)}
+# params of every family: declared neighborhoods
+COMMON_PARAMS = {"declared_A": (_list(_list(_integer(0))), None)}
 
 
 def _build_graph(p: dict, n: int, where: str) -> fields.LatentSourceField:
@@ -351,6 +351,9 @@ def parse_spec(doc: dict) -> ExperimentSpec:
         "out": (TEXT, "locdep-out"),
         "assertions": (ASSERTIONS, {}),
     })(doc, "$")
+    grid = checked["grid"]  # ks_decreasing and the rate fit read it in order
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("$.grid", f"expected strictly increasing sizes, got {grid}")
     if checked["assertions"]["max_ratio_spread"] is not None and not checked["bounds"]:
         raise ConfigError("$.assertions.max_ratio_spread", "needs a bound shape, but bounds is empty")
     return ExperimentSpec(**checked, raw=doc)
@@ -383,31 +386,25 @@ def _moment_table_for(built: BuiltInstance, spec: ExperimentSpec, n: int,
     table is hybrid, its Var(S) the covariance identity."""
     f = built.field
     if f.is_enumerable():
-        table = moments.exact_moment_table(f, sigma2)
-    else:
-        reps = max(spec.mode["reps"] // 10, 1000)
-        table = moments.mc_moment_table(f, reps=reps, master_seed=spec.seed)
-    if spec.params["sigma2"] is not None:
-        # closed-form variance supplied by the experiment; provenance recorded
-        table.sigma2 = float(spec.params["sigma2"])
-        table.extras["sigma2_provenance"] = "config"
-    return table
+        return moments.exact_moment_table(f, sigma2)
+    reps = max(spec.mode["reps"] // 10, 1000)
+    return moments.mc_moment_table(f, reps=reps, master_seed=spec.seed)
 
 
-def _walk_for(built: BuiltInstance, spec: ExperimentSpec, cap: int, do_stat: bool):
+def _walk_for(built: BuiltInstance, spec: ExperimentSpec, do_stat: bool):
     """The one walk of a grid point's outcome space, taking only what the
     point reads: the exact Var(S) of its moment table (within
-    ``min(cap, TABLE_CAP)`` outcomes; past it the table is hybrid), the
-    exact-mode statistic, and every outcome for the LD test (within
-    ``min(cap, LD_CAP)``); None when nothing reads a walk."""
+    ``TABLE_CAP`` outcomes; past it the table is hybrid), the exact-mode
+    statistic, and every outcome for the LD test (within ``LD_CAP``);
+    None when nothing reads a walk."""
     f, count = built.field, built.field.outcome_count() or math.inf
     statistic = spec.statistic if do_stat and spec.mode["kind"] == "exact" else None
-    ld = spec.assertions["require_ld"] and count <= min(cap, LD_CAP)
-    var = count <= min(cap, TABLE_CAP)
+    ld = spec.assertions["require_ld"] and count <= LD_CAP
+    var = count <= TABLE_CAP
     if not (statistic or ld or var):
         return None
     sys = built.system() if statistic in statistics.READS_VALUES else None
-    return oracle.walk_outcomes(f, statistic, sys, var=var, keep=ld, cap=cap)
+    return oracle.walk_outcomes(f, statistic, sys, var=var, keep=ld)
 
 
 def _system(field: fields.LatentSourceField, declared) -> neighborhood.NeighborhoodSystem:
@@ -470,7 +467,6 @@ def _distributed_general_report(built: BuiltInstance, table) -> bounds.BoundRepo
 def run_experiment(
     spec: ExperimentSpec,
     threads: int = 1,
-    cap: int = fields.DEFAULT_ENUM_CAP,
     do_bounds: bool = True,
     do_stat: bool = True,
     do_checkers: bool = True,
@@ -483,7 +479,7 @@ def run_experiment(
     for gi, n in enumerate(spec.grid):
         built = build_family(spec.family, spec.params, n)
         f = built.field
-        walk = _walk_for(built, spec, cap, do_stat)
+        walk = _walk_for(built, spec, do_stat)
         table = _moment_table_for(built, spec, n, sigma2=walk and walk.sigma2)
         if not all(np.isfinite(v).all() for v in (table.sigma2, table.l2, table.l3, table.l4)):
             raise NonFiniteMoments(f"moments at n={n}: Var(S)={table.sigma2:g}, or a norm, is not finite")
@@ -510,7 +506,7 @@ def run_experiment(
         elif spec.assertions["require_ld"]:  # fails closed past the enumeration cap
             count = f.outcome_count()
             why = ("continuous sources" if count is None
-                   else f"{count} outcomes over the cap of {min(cap, LD_CAP)}")
+                   else f"{count} outcomes over the cap of {LD_CAP}")
             failures.append(f"n={n}: LD test not run: {why}")
         del walk  # not held into the next grid point
         per_n.append({"n": n, "table": table, "reports": reports, "summary": summary})
@@ -679,12 +675,9 @@ def _load_spec(path: str, overrides: argparse.Namespace) -> ExperimentSpec:
 
 def _threads(args: argparse.Namespace) -> int:
     """Monte-Carlo worker threads (the checker suite runs in one): --threads,
-    else LOCDEP_THREADS, else the core count; each must be a positive int."""
+    a positive int, else the core count."""
     if args.threads is not None:
         return _integer(1)(args.threads, "--threads")
-    env = os.environ.get("LOCDEP_THREADS")
-    if env:
-        return _integer(1)(_cli_int(env, "LOCDEP_THREADS"), "LOCDEP_THREADS")
     return os.cpu_count() or 1
 
 
@@ -698,8 +691,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--threads", type=int, default=None, help="Monte-Carlo worker threads")
         p.add_argument("--seed", type=int, default=None, help="override spec seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--cap", type=int, default=fields.DEFAULT_ENUM_CAP,
-                       help="enumeration cap (outcomes)")
 
     for name in ("run", "derive", "bound", "oracle", "mc"):
         add_common(sub.add_parser(name))
@@ -731,7 +722,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "count":
         return _run_count(args)
     spec = _load_spec(args.spec, args)
-    _integer(1)(args.cap, "--cap")
     threads = _threads(args)
     if args.command == "derive":
         for n in spec.grid:
@@ -746,7 +736,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "oracle" and spec.checkers is None:
         spec.checkers = CHECKERS({}, "$.checkers")
     result = run_experiment(
-        spec, threads=threads, cap=args.cap, do_bounds=args.command in ("run", "bound"),
+        spec, threads=threads, do_bounds=args.command in ("run", "bound"),
         do_stat=args.command in ("run", "mc"), do_checkers=args.command in ("run", "oracle"),
     )
     out_dir = Path(spec.out)

@@ -923,33 +923,34 @@ def sum_values(field: LatentSourceField, rows: np.ndarray, X: np.ndarray | None 
     return s - field.mean_sum
 
 
-def outcome_blocks(field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP):
+def outcome_blocks(field: LatentSourceField):
     """Yield (probs, source_rows) blocks of ENUM_BLOCK outcomes covering
     the outcome space: a source no index reads is pinned to its first
     value with probability 1, so rows keep all ``n_sources`` columns and
     only duplicate atoms of X go.
 
     Outcomes are ordered with source 0 as the most significant mixed-radix
-    digit.  Raises :class:`EnumerationCapExceeded` beyond ``cap`` outcomes.
+    digit.  Raises :class:`EnumerationCapExceeded` beyond DEFAULT_ENUM_CAP
+    outcomes.
     """
     total = field.outcome_count()
     if total is None:
         raise EnumerationCapExceeded("field has continuous sources")
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} outcomes exceed cap {cap}")
+    if total > DEFAULT_ENUM_CAP:
+        raise EnumerationCapExceeded(f"{total} outcomes exceed cap {DEFAULT_ENUM_CAP}")
     sources = [src if c else DiscreteSource(src.values[:1], (1.0,))
                for src, c in zip(field.sources, field.counts)]
     for start in range(0, total, ENUM_BLOCK):
         yield product_grid(sources, start, min(start + ENUM_BLOCK, total))
 
 
-def value_lattice(field: LatentSourceField, cap: int = DEFAULT_ENUM_CAP):
+def value_lattice(field: LatentSourceField):
     """(lo, radix) of a sum field's value lattice: its uncentered X_i runs
     over the integers lo_i .. lo_i + radix_i - 1.  None unless every source
     is discrete on integers, sum_i |X_i| stays below 2^53, the field has at
-    most ``cap`` outcomes and the lattice no more cells than that."""
+    most DEFAULT_ENUM_CAP outcomes and the lattice no more cells than that."""
     count = field.outcome_count() if field.ev is _sum_columns else None
-    if count is None or count > cap:
+    if count is None or count > DEFAULT_ENUM_CAP:
         return None
     if not all(float(v).is_integer() for _, src in field.runs for v in src.values):
         return None

@@ -59,13 +59,14 @@ SIGMA1_RTOL = 1e-9  # sigma1^2 at most this times Var(h) is a degenerate kernel
 _LONG_RUN, _BLOCK_ROWS = 64, 1 << 14  # moments.csv: rows of a long run, rows per block
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentTable:
     """Per-index norms plus the field-level variance.
 
     ``mode`` is "exact", "monte_carlo", or "hybrid" (exact norms, identity
-    variance).  Monte-Carlo entries carry batch-means standard errors.
-    Exact and hybrid tables carry ``groups``, each entry's index group.
+    variance).  Monte-Carlo entries carry batch-means standard errors, and
+    ``extras`` their int ``reps`` and ``batches``.  Exact and hybrid tables
+    carry ``groups``, each entry's index group.
     """
 
     l2: np.ndarray
@@ -437,12 +438,8 @@ def write_csv(fh, table: MomentTable) -> None:
 def table_header(table: MomentTable) -> dict:
     """JSON header accompanying the CSV body; its extras end with
     ``"degenerate": true`` when Var(S) is not positive."""
-    extras = {k: v for k, v in table.extras.items() if _jsonable(v)}
+    extras = dict(table.extras)
     if table.degenerate:
         extras["degenerate"] = True
     return {"sigma2": table.sigma2, "mode": table.mode, "se_sigma2": table.se_sigma2,
             "extras": extras}
-
-
-def _jsonable(v) -> bool:
-    return isinstance(v, (int, float, str, bool, list, dict, type(None)))

@@ -62,7 +62,6 @@ from .bounds import (
 from . import fields
 from .errors import DegenerateVariance, EnumerationCapExceeded
 from .fields import (
-    DEFAULT_ENUM_CAP,
     DiscreteSource,
     LatentSourceField,
     evaluate_values,
@@ -130,7 +129,6 @@ def walk_outcomes(
     sys: NeighborhoodSystem | None = None,
     var: bool = False,
     keep: bool = False,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> Walk:
     """The one walk of the outcome space, block by block, taking only what
     is asked for: the exact Var(S) (``var``); S for W1 and sum; X, kept
@@ -149,8 +147,8 @@ def walk_outcomes(
     pmf (``fields.lattice_blocks``); every other walk enumerates
     (``fields.outcome_blocks``).
 
-    Raises :class:`EnumerationCapExceeded` beyond ``cap`` outcomes
-    (``field.outcome_count()``), or, when X is kept, before anything is
+    Raises :class:`EnumerationCapExceeded` beyond ``fields.DEFAULT_ENUM_CAP``
+    outcomes (``field.outcome_count()``), or, when X is kept, before anything is
     allocated when it would take more than ``fields.ENUM_BYTES_CAP`` bytes.
     """
     count = field.outcome_count()
@@ -165,11 +163,11 @@ def walk_outcomes(
     closed = var and field.ev is _sum_columns and field.is_enumerable()
     take_s = (var and not closed) or (statistic is not None and not reads_values)
     take_x = keep or reads_values
-    lattice = fields.value_lattice(field, cap) if take_x else None
+    lattice = fields.value_lattice(field) if take_x else None
     if lattice is not None:
         blocks = fields.lattice_blocks(field, lattice, sums=take_s)
     else:
-        blocks = _enumerated(field, cap, take_x, take_s) if take_s or take_x else ()
+        blocks = _enumerated(field, take_x, take_s) if take_s or take_x else ()
     kept, law = [], []  # per block: (probs, X); (the statistic's parts..., their probs)
     es = es2 = rejected = 0.0
     for p, X, s in blocks:
@@ -204,9 +202,9 @@ def walk_outcomes(
     return walk
 
 
-def _enumerated(field: LatentSourceField, cap: int, take_x: bool, take_s: bool):
+def _enumerated(field: LatentSourceField, take_x: bool, take_s: bool):
     """(probs, X or None, S or None) per block of the enumerated outcomes."""
-    for p, rows in outcome_blocks(field, cap=cap):
+    for p, rows in outcome_blocks(field):
         X = evaluate_values(field, rows) if take_x else None
         yield p, X, sum_values(field, rows, X) if take_s else None
 

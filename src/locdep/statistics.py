@@ -149,6 +149,9 @@ def count_pattern_occurrences(
 ) -> int:
     """Occurrences of the order pattern ``tau`` in the permutation ``pi``
     at gap-constrained index tuples."""
+    for name, p in (("pi", pi), ("tau", tau)):
+        if sorted(p) != list(range(1, len(p) + 1)):
+            raise ValueError(f"{name} must be a permutation of 1..{len(p)}, got {list(p)}")
     l = len(tau)
     if len(gaps) != l - 1:
         raise ValueError(f"need {l - 1} gap entries, got {len(gaps)}")

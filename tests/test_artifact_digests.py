@@ -5,8 +5,8 @@ file, as when ``tests/data/artifact_digests.json`` was pinned, for the
 benchmark's ten specs at seed 301 (Monte-Carlo, local exact and full
 enumeration routes), and for five more specs at seed 301 that reach
 routes those ten do not: the pattern field, the ``w2bar`` and ``sum``
-statistics, the ``graph`` bound, a star graph, declared neighborhoods
-with a configured ``sigma2``, and a source with nonzero means.  The
+statistics, the ``graph`` bound, a star graph, declared neighborhoods,
+and a source with nonzero means.  The
 spec documents are copies held in the table, so the test does not read
 the benchmark's files.  ``manifest.json`` is
 hashed without its ``created_unix`` field; every other artifact is

@@ -89,7 +89,8 @@ def test_reports_reproduce_the_pinned_values(name):
     der = nb.derive(sys)
     assert (der.kappa, der.tau) == (pinned["kappa"], pinned["tau"])
     assert _reports(f, sys, t, der) == pinned["reports"]  # bit for bit, se included
-    d1 = B.delta_components_prop1(t, sys, der, [0, 2], [1, 3], -0.3, 0.7, 2.0)
+    d1 = B.delta_components_prop1(t, sys, der, [0, 2], [1, 3], -0.3, 0.7, 2.0,
+                                  B.beta_sums(t.l4, sys, der))
     assert d1 == pinned["delta_components_prop1"]
     lam, d2 = B.delta_components_prop2(t, sys, der, [0, 2], [1, 3], -0.3, 0.7, 2.0)
     _assert_close({"lambda": lam, **d2}, pinned["delta_components_prop2"])

@@ -225,7 +225,7 @@ def test_term_budget_raises_before_any_union(monkeypatch):
     with pytest.raises(ComplexityCapExceeded, match="cap 10$"):
         B.bound_general_beta(t, sys, der)
     with pytest.raises(ComplexityCapExceeded):
-        B.delta_components_prop1(t, sys, der, [0], [1], 0.0, 0.0, 1.0)
+        B.beta_sums(t.l4, sys, der)
 
 
 def test_bound_graph_examples():
@@ -356,7 +356,7 @@ def test_delta_components_hand_instance():
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
-    d = B.delta_components_prop1(t, sys, der, [0], [1], 0.0, 0.0, 1.0)
+    d = B.delta_components_prop1(t, sys, der, [0], [1], 0.0, 0.0, 1.0, B.beta_sums(t.l4, sys, der))
     assert d["delta0"] == 0.0
     assert d["delta1"] == pytest.approx(0.5) and d["delta2"] == pytest.approx(0.5)
     assert d["delta3"] == pytest.approx(0.25) and d["delta4"] == pytest.approx(0.25)
@@ -371,9 +371,9 @@ def test_delta_monotone_in_c():
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
-    prev = None
+    prev, sums = None, B.beta_sums(t.l4, sys, der)
     for c in (1.0, 1.5, 2.5):
-        d = B.delta_components_prop1(t, sys, der, [0], [1], -0.5, 0.5, c)
+        d = B.delta_components_prop1(t, sys, der, [0], [1], -0.5, 0.5, c, sums)
         total = sum(d.values())
         if prev is not None:
             assert total >= prev
@@ -433,8 +433,9 @@ def test_delta_components_scale_invariant():
     der = nb.derive(sys)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     tc = M.exact_moment_table(fc, O.walk_outcomes(fc, var=True).sigma2)
-    d = B.delta_components_prop1(t, sys, der, [0], [1], -0.3, 0.7, 2.0)
-    dc = B.delta_components_prop1(tc, sys, der, [0], [1], -0.3, 0.7, 2.0)
+    d = B.delta_components_prop1(t, sys, der, [0], [1], -0.3, 0.7, 2.0, B.beta_sums(t.l4, sys, der))
+    dc = B.delta_components_prop1(tc, sys, der, [0], [1], -0.3, 0.7, 2.0,
+                                  B.beta_sums(tc.l4, sys, der))
     for k in d:
         assert dc[k] == pytest.approx(d[k], rel=1e-12)
     lam, d2 = B.delta_components_prop2(t, sys, der, [0], [1], -0.3, 0.7, 2.0)

@@ -18,12 +18,15 @@ Core claims:
     - the checkers block takes a list of known check names and a boolean
       include_r4, family and source parameters are read with their types
       (a pattern of ints, explicit edges as in-range int pairs, a word in
-      its alphabet), and malformed count arguments exit 2; none runs a
-      config other than the one written
-    - an unknown key at any level, a wrong-typed value (a boolean is never
-      a number), a seed outside [0, 2^64), a --cap below 1 and a thread
-      count (--threads or LOCDEP_THREADS) that is not a positive int exit 2
-      naming the JSON path, flag or variable
+      its alphabet), and malformed count arguments (a --perm or --tau that
+      is not a permutation among them) exit 2; none runs a config other
+      than the one written
+    - an unknown key at any level (``sigma2`` among them: Var(S) always
+      comes from the field), a wrong-typed value (a boolean is never a
+      number), a grid that is not strictly increasing, a seed outside
+      [0, 2^64) and a --threads that is not a positive int exit 2 naming
+      the JSON path or flag; a --cap flag exits 2, and LOCDEP_THREADS is
+      not read
     - the example configs and the benchmark's specs parse under the schema
     - mutated example configs exit 0, 1 or 2 under derive and bound,
       never with a traceback, and exit 2 when a key is unknown or the
@@ -33,15 +36,14 @@ Core claims:
     - ``verdicts.csv`` reads back with the csv module, digests and all
     - importing the CLI, or running a W2 spec (Monte-Carlo or exact), loads
       no scipy module, and ``python -m locdep`` runs the CLI
-    - ``require_ld`` fails a grid point past its enumeration cap (2^16, or
-      --cap when lower) as untested
+    - ``require_ld`` fails a grid point past its enumeration cap
+      (``LD_CAP``, 2^16) as untested
     - a ratio spread over its assertion, and a bound shape that is not
       positive, exit 1 naming the ratio table's failure; a spread
       assertion with no bound shape to check it on exits 2
-    - a grid point takes an exact Var(S) within min(--cap, TABLE_CAP)
-      outcomes and a hybrid table past it, in the exact and Monte-Carlo
-      modes alike, for sum and other fields; a configured sigma2 clears
-      the header's ``degenerate``
+    - a grid point takes an exact Var(S) within TABLE_CAP outcomes and a
+      hybrid table past it, in the exact and Monte-Carlo modes alike, for
+      sum and other fields
     - a grid point with Var(S) = 0 exits 1 from the statistic's sigma
       check in the exact and Monte-Carlo modes alike, after one moment
       table; non-finite moments exit 1 before any bound reads them; an
@@ -148,17 +150,6 @@ def test_require_ld_fails_closed_past_the_enumeration_cap(tmp_path, capsys, n):
         assert "n=6: LD2 fails" in err
     else:
         assert f"n=12: LD test not run: {3 ** 13} outcomes over the cap of {2 ** 16}" in err
-
-
-def test_require_ld_obeys_the_cap_flag(tmp_path, capsys):
-    """A Monte-Carlo spec's LD test walks no more outcomes than --cap
-    allows: past it the grid point fails closed, naming that cap."""
-    doc = minimal_spec(tmp_path, family="m_dependent",
-                       params={"m": 1, "source": {"kind": "three_point"}},
-                       grid=[6], mode={"kind": "mc", "reps": 1000}, seed=1,
-                       assertions={"require_ld": True})
-    assert cli.main(["run", "--spec", write_spec(tmp_path, doc), "--cap", "100"]) == 1
-    assert f"n=6: LD test not run: {3 ** 7} outcomes over the cap of 100" in capsys.readouterr().err
 
 
 RATIO_FAILURES = {
@@ -270,36 +261,31 @@ def test_count_subcommands(capsys):
     assert capsys.readouterr().out.strip() == "24 4"
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("LOCDEP_THREADS", "2")
+def test_threads_env_var_is_not_read(tmp_path, monkeypatch):
+    """--threads alone sets the thread count: a LOCDEP_THREADS that is not
+    a positive int is not read, so the run passes."""
+    monkeypatch.setenv("LOCDEP_THREADS", "0")
     doc = minimal_spec(tmp_path, mode={"kind": "mc", "reps": 2000})
     assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0
 
 
 THREAD_CASES = {
-    "flag_zero": (["--threads", "0"], None, "--threads"),
-    "flag_negative": (["--threads", "-3"], None, "--threads"),
-    "flag_word": (["--threads", "two"], None, "--threads"),
-    "flag_fraction": (["--threads", "1.5"], None, "--threads"),
-    "env_zero": ([], "0", "LOCDEP_THREADS"),
-    "env_negative": ([], "-3", "LOCDEP_THREADS"),
-    "env_word": ([], "two", "LOCDEP_THREADS"),
-    "env_fraction": ([], "1.5", "LOCDEP_THREADS"),
+    "flag_zero": ["--threads", "0"],
+    "flag_negative": ["--threads", "-3"],
+    "flag_word": ["--threads", "two"],
+    "flag_fraction": ["--threads", "1.5"],
 }
 
 
-@pytest.mark.parametrize("argv,env,where", THREAD_CASES.values(), ids=THREAD_CASES.keys())
-def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, argv, env, where):
-    monkeypatch.delenv("LOCDEP_THREADS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("LOCDEP_THREADS", env)
+@pytest.mark.parametrize("argv", THREAD_CASES.values(), ids=THREAD_CASES.keys())
+def test_bad_thread_count_exits_2(tmp_path, capsys, argv):
     doc = minimal_spec(tmp_path, mode={"kind": "mc", "reps": 2000})
     try:
         code = cli.main(["run", "--spec", write_spec(tmp_path, doc), *argv])
     except SystemExit as e:  # argparse refuses a flag value that is not an int
         code = e.code
     assert code == 2
-    assert where in capsys.readouterr().err
+    assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -370,12 +356,12 @@ def test_w2_over_the_system_cap_exits_1_naming_the_cap(tmp_path, capsys):
 
 IID = {"family": "iid", "grid": [3, 4, 5], "seed": 1}
 NON_FINITE_CASES = {
-    "tiny_sigma2": ({**IID, "params": {"sigma2": 1e-300}}, "NonFiniteBound: bound main"),
-    "huge_sigma2": ({**IID, "params": {"sigma2": 1e300}}, "NonFiniteBound: bound main"),
-    "huge_sigma2_general_beta": ({**IID, "params": {"sigma2": 1e300}, "bounds": ["general_beta"]},
-                                 "NonFiniteBound: bound general_beta"),
     "tiny_bernoulli_p": ({**IID, "params": {"source": {"kind": "bernoulli", "p": 1e-300}}},
                          "NonFiniteBound: bound main"),
+    "tiny_bernoulli_p_general_beta": ({**IID, "params": {"source": {"kind": "bernoulli",
+                                                                    "p": 1e-300}},
+                                       "bounds": ["general_beta"]},
+                                      "NonFiniteBound: bound general_beta"),
     # the moments are checked before any bound reads them
     "huge_three_point_exact": ({**IID, "params": {"source": {"kind": "three_point", "spread": 1e200}},
                                 "mode": {"kind": "exact"}}, "NonFiniteMoments: moments"),
@@ -447,40 +433,27 @@ def test_degenerate_grid_point_exits_1_as_both_modes_apply_sigma(tmp_path, capsy
     assert tables == [3]
 
 
-def test_configured_sigma2_clears_the_degenerate_header(tmp_path):
-    doc = minimal_spec(tmp_path, params={"source": {"kind": "bernoulli", "p": 0}, "sigma2": 2},
-                       grid=[4], statistic="sum", bounds=["main"], seed=1)
-    # constant values: the main bound is 0, which fails the ratio table
-    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
-    (point,) = json.loads((tmp_path / "out" / "bounds.json").read_text())["per_n"]
-    assert point["moments_header"]["sigma2"] == 2.0
-    assert point["moments_header"]["extras"] == {"sigma2_provenance": "config"}
-
-
 MDEP_RADEMACHER = dict(family="m_dependent", params={"m": 1, "source": {"kind": "rademacher"}},
                        grid=[6, 8])
 EDGE_COUNTS = dict(family="decorated_graph", params={"pattern": "edge", "p": 0.5}, grid=[3, 4, 5])
 MC_1000 = {"kind": "mc", "reps": 1000}
-# (spec overrides, argv, table mode per n) with an exact Var(S) up to 2^8
+# (spec overrides, table mode per n) with an exact Var(S) up to 2^8
 # outcomes: m = 1 windows read n + 1 sources (2^7, 2^9 outcomes), the
 # edge counts C(n, 2) (2^3, 2^6, 2^10)
 TABLE_CAP_CASES = {
-    "m_dependent_mc": (dict(MDEP_RADEMACHER, mode=MC_1000), [], ["exact", "hybrid"]),
-    "m_dependent_exact": (MDEP_RADEMACHER, [], ["exact", "hybrid"]),
-    "edge_mc": (dict(EDGE_COUNTS, mode=MC_1000), [], ["exact", "exact", "hybrid"]),
-    "edge_exact": (EDGE_COUNTS, [], ["exact", "exact", "hybrid"]),
-    "m_dependent_mc_cap_100": (dict(MDEP_RADEMACHER, mode=MC_1000), ["--cap", "100"],
-                               ["hybrid", "hybrid"]),
+    "m_dependent_mc": (dict(MDEP_RADEMACHER, mode=MC_1000), ["exact", "hybrid"]),
+    "m_dependent_exact": (MDEP_RADEMACHER, ["exact", "hybrid"]),
+    "edge_mc": (dict(EDGE_COUNTS, mode=MC_1000), ["exact", "exact", "hybrid"]),
+    "edge_exact": (EDGE_COUNTS, ["exact", "exact", "hybrid"]),
 }
 
 
-@pytest.mark.parametrize("overrides,argv,modes", TABLE_CAP_CASES.values(),
-                         ids=TABLE_CAP_CASES.keys())
-def test_table_cap_sets_each_table_mode(tmp_path, monkeypatch, overrides, argv, modes):
+@pytest.mark.parametrize("overrides,modes", TABLE_CAP_CASES.values(), ids=TABLE_CAP_CASES.keys())
+def test_table_cap_sets_each_table_mode(tmp_path, monkeypatch, overrides, modes):
     """In exact mode the m = 1 walk at n = 8 still takes S for the law."""
     monkeypatch.setattr(cli, "TABLE_CAP", 2**8)
     doc = minimal_spec(tmp_path, bounds=["main"], **overrides)
-    assert cli.main(["run", "--spec", write_spec(tmp_path, doc), *argv]) == 0
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0
     per_n = json.loads((tmp_path / "out" / "bounds.json").read_text())["per_n"]
     assert [e["moments_header"]["mode"] for e in per_n] == modes
 
@@ -614,11 +587,12 @@ def test_one_outcome_walk_per_grid_point(tmp_path, monkeypatch, name):
     assert len(walks[route]) == sum(map(len, walks.values())) == len(doc["grid"])
 
 
-def test_lattice_walk_keeps_the_outcome_cap(tmp_path, capsys):
+def test_lattice_walk_keeps_the_outcome_cap(tmp_path, capsys, monkeypatch):
     """The cap counts outcomes (3^12 at n = 6), not lattice cells."""
+    monkeypatch.setattr(fields, "DEFAULT_ENUM_CAP", 1000)
     doc = minimal_spec(tmp_path, family="graph", grid=[6], statistic="w2", params=CYCLE,
                        bounds=["graph"])
-    assert cli.main(["run", "--spec", write_spec(tmp_path, doc), "--cap", "1000"]) == 1
+    assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert "EnumerationCapExceeded: 531441 outcomes exceed cap 1000" in err
     assert "Traceback" not in err
@@ -761,13 +735,12 @@ SPEC_CASES = {
     "checkers_key_typo": ({"checkers": {"instance": 3}}, [], "$.checkers.instance"),
     "assertions_key_typo": ({"assertions": {"max_kss": 0}}, [], "$.assertions.max_kss"),
     "m_dependent_key_typo": ({"family": "m_dependent", "params": {"mm": 3}}, [], "$.params.mm"),
-    "sigma2_string": ({"params": {"sigma2": "x"}}, [], "$.params.sigma2"),
-    "sigma2_boolean": ({"params": {"sigma2": True}}, [], "$.params.sigma2"),
-    "sigma2_zero": ({"params": {"sigma2": 0}}, [], "$.params.sigma2"),
+    "sigma2_unknown_key": ({"params": {"sigma2": 10}}, [], "$.params.sigma2"),
+    "grid_unsorted": ({"grid": [16, 4, 8]}, [], "$.grid"),
+    "grid_repeated": ({"grid": [8, 16, 8]}, [], "$.grid"),
     "seed_negative": ({"seed": -1}, [], "$.seed"),
     "seed_past_64_bits": ({"seed": 2**64}, [], "$.seed"),
     "seed_flag_negative": ({}, ["--seed", "-1"], "--seed"),
-    "cap_flag_zero": ({}, ["--cap", "0"], "--cap"),
     "grid_boolean": ({"grid": [True, 8]}, [], "$.grid[0]"),
     "gaps_boolean": ({"family": "constrained_ustat", "params": {"word": "ab", "gaps": [True]}}, [],
                      "$.params.gaps[0]"),
@@ -790,11 +763,20 @@ def test_bad_spec_exits_2_naming_its_path(tmp_path, capsys, overrides, argv, whe
     assert where in capsys.readouterr().err
 
 
+def test_cap_flag_exits_2(tmp_path):
+    """The enumeration cap is ``fields.DEFAULT_ENUM_CAP``, set by no flag."""
+    with pytest.raises(SystemExit) as e:  # argparse refuses an unknown flag
+        cli.main(["run", "--spec", write_spec(tmp_path, minimal_spec(tmp_path)), "--cap", "100"])
+    assert e.value.code == 2
+
+
 COUNT_CASES = {
     "gaps_not_integer": ["word", "--string", "abab", "--word", "ab", "--gaps", "x"],
     "perm_not_integer": ["pattern", "--perm", "1,a,3", "--tau", "2,1"],
     "host_edge_out_of_range": ["subgraph", "--host-edges", "0,9", "--host-n", "3"],
     "too_many_gaps": ["word", "--string", "abab", "--word", "ab", "--gaps", "1,2"],
+    "tau_not_a_permutation": ["pattern", "--perm", "3,1,2,4", "--tau", "1,1", "--gaps", "inf"],
+    "perm_not_a_permutation": ["pattern", "--perm", "3,1,1,4", "--tau", "1,2", "--gaps", "inf"],
 }
 
 
@@ -839,7 +821,7 @@ TYPED_KEYS = {
     ("checkers",): ["instances", "checks", "include_r4"],
     ("assertions",): ["slope_range", "max_ratio_spread", "max_ks", "zero_rejections",
                       "ks_decreasing", "require_ld", "require_zero_check_failures"],
-    ("params",): ["sigma2", "gaps", "pattern", "word", "alphabet", "edges", "graph", "kernel"],
+    ("params",): ["gaps", "pattern", "word", "alphabet", "edges", "graph", "kernel"],
 }
 
 
@@ -863,7 +845,8 @@ def test_mutated_example_configs_exit_0_1_or_2(tmp_path, data):
     family = doc["family"]
     top = MAX_N.get(family, 64)
     allowed = [*cli.SHARED_BOUNDS, *cli.FAMILIES[family].bounds]
-    doc["grid"] = data.draw(mostly(st.lists(st.integers(1, top), min_size=1, max_size=3)))
+    doc["grid"] = data.draw(mostly(st.lists(st.integers(1, top), min_size=1, max_size=3,
+                                            unique=True).map(sorted)))
     mutations = {
         "bounds": mostly(
             st.lists(st.sampled_from(allowed), max_size=3),

@@ -101,10 +101,8 @@ def test_constant_field_flagged_degenerate():
     # the header says so last, and only while Var(S) is not positive
     assert M.table_header(t)["extras"] == {"degenerate": True}
     assert list(M.table_header(tm)["extras"]) == ["reps", "batches", "degenerate"]
-    for table in (t, tm):  # a configured Var(S), as the CLI sets it
-        table.sigma2 = 2.0
-        table.extras["sigma2_provenance"] = "config"
-        assert "degenerate" not in M.table_header(table)["extras"]
+    for table in (t, tm):
+        assert "degenerate" not in M.table_header(dataclasses.replace(table, sigma2=2.0))["extras"]
 
 
 def test_mc_agrees_with_exact_within_three_ses():
