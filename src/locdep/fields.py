@@ -521,9 +521,12 @@ def _signatures(field: LatentSourceField, S: np.ndarray, srt: np.ndarray,
     are ``S`` and, sorted row by row, ``srt`` (``new`` its
     :func:`_new_ids`): the coincidence pattern of S, the source laws slot
     by slot (pads as one more law), then the params and means.  Equal
-    signatures mean one law.  A part that is the same on every row is not
-    computed: the pattern when no row repeats an id, the laws for a single
-    law and no pad, a param or mean with one value."""
+    signatures mean one law.  A param of several columns (per index) is
+    keyed column by column, each value as its rank among all the param's
+    values, so its rows order as they do lexicographically.  A part that
+    is the same on every row is not computed: the pattern when no row
+    repeats an id, the laws for a single law and no pad, a param or mean
+    with one value."""
     cols = []
     if not new.all():
         cols.extend(_first_slots(S, srt).T)
@@ -531,9 +534,8 @@ def _signatures(field: LatentSourceField, S: np.ndarray, srt: np.ndarray,
         cols.extend(np.append(field.law_ids, field.law_ids.max(initial=0) + 1)[S].T)
     for p in (*field.params, *(() if field.means is None else (field.means,))):
         flat = p.reshape(len(S), -1)
-        if not (flat == flat[:1]).all():
-            cols.append(np.unique(flat, axis=0 if flat.shape[1] > 1 else None,
-                                  return_inverse=True)[1].reshape(-1))
+        if not (flat == flat[:1]).all():  # its values' ranks, one column each
+            cols.extend(np.unique(flat, return_inverse=True)[1].reshape(flat.shape).T)
     return _pack(cols) if cols else np.zeros(len(S), dtype=np.int64)
 
 

@@ -20,11 +20,13 @@ and the indices sharing a source with it only, weighting index 0's
 subsets by n.  Without a Var(S) the table is hybrid: the identity alone
 gives Var(S), which scales to fields whose full outcome space is out of
 reach (the word "ab" at n = 300, 44,850 indices with 26.8M overlapping
-pairs, in about 20 ms).  This module walks nothing and decides no cap.  A caller that holds the materialized
-outcome space (the checkers' ``oracle.precompute``) passes it in, and
-the norms and the identity are read from it.  ``write_csv`` writes
-``moments.csv`` as bytes, a block of rows at a time, with each group's
-values formatted once and no string built per row.
+pairs, in about 20 ms).  This module walks nothing and decides no cap.
+A caller that holds the materialized outcome space (the checkers'
+``oracle.precompute``) passes it in, with its E[X X^T] and the overlap
+it has built, and the norms and the identity are read from them.
+``write_csv`` writes ``moments.csv`` as bytes, a block of rows at a
+time, with each group's values formatted once and no string built per
+row.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateKernel, DegenerateVariance, EnumerationCapExceeded
+from . import fields
 from .fields import (
-    DEFAULT_ENUM_CAP,
     DiscreteSource,
     LatentSourceField,
     Source,
@@ -45,12 +47,11 @@ from .fields import (
     evaluate_values,
     _key_ids,
     local_values,
-    overlap_matrix,
     _pack,
     product_grid,
     _sum_columns,
 )
-from .neighborhood import distinct, dot
+from .neighborhood import Csr, distinct, dot
 from .rng import STREAM_MOMENTS, chunk_rows
 
 SIGMA2_IDENTITY_RTOL = 1e-10
@@ -251,7 +252,7 @@ def exact_sigma2_local(field: LatentSourceField) -> float:
 def exact_moment_table(
     field: LatentSourceField,
     sigma2: float | None = None,
-    outcomes: tuple[np.ndarray, np.ndarray] | None = None,
+    outcomes: tuple[np.ndarray, np.ndarray, np.ndarray, Csr] | None = None,
 ) -> MomentTable:
     """Exact norms and Var(S).
 
@@ -261,22 +262,22 @@ def exact_moment_table(
     the field's induced neighborhoods; a failed cross-check raises
     AssertionError.  When None, the mode is "hybrid" and Var(S) is the
     identity.  ``outcomes`` is the field's materialized outcome space,
-    (probs, X) with X the (M, n) field values, centered by the field's
-    means: when given, the norms are read at the columns of the
-    index-group representatives and the identity from the covariance
-    matrix over the overlap.  Otherwise both come from local enumeration:
-    the norms once per index group, and the identity from
-    :func:`exact_sigma2_local`, the Hoeffding terms of the source subsets
-    that two or more indices read.
+    (probs, X, EXX, M): X the (M, n) field values, centered by the
+    field's means, EXX the (n, n) matrix of E[X_i X_j] over them and M the
+    field's :func:`~locdep.fields.overlap_matrix`.  When it is given, the
+    norms are read at the columns of the index-group representatives and
+    the identity from the covariance over M's entries.  Otherwise both
+    come from local enumeration: the norms once per index group, and the
+    identity from :func:`exact_sigma2_local`, the Hoeffding terms of the
+    source subsets that two or more indices read.
     """
     first, inverse = field.groups
     if outcomes is not None:
-        probs, X = outcomes
+        probs, X, exx, M = outcomes
         a = np.abs(X[:, first])
         l2, l3, l4 = np.stack([(probs @ a**p) ** (1 / p) for p in (2, 3, 4)])[:, inverse]
         mu = probs @ X
-        cov = (X * probs[:, None]).T @ X - np.outer(mu, mu)
-        M = overlap_matrix(field)
+        cov = exx - np.outer(mu, mu)
         sigma2_id = float(cov[M.rows, M.indices].sum())
     else:
         l2, l3, l4 = exact_index_norms(field, first)[inverse].T.copy()
@@ -372,13 +373,14 @@ def hoeffding_sigma1(
     """sigma1^2 = Var( E[h(X_1..X_m) - theta | X_1] ) with theta = E h,
     exact by nested enumeration over a discrete source.  Raises
     :class:`EnumerationCapExceeded` for a continuous source or a grid
-    beyond DEFAULT_ENUM_CAP, and :class:`DegenerateKernel` when sigma1^2
-    falls below ``SIGMA1_RTOL * max(Var(h), tiny)`` (the degenerate case).
+    beyond ``fields.DEFAULT_ENUM_CAP`` (read when it runs), and
+    :class:`DegenerateKernel` when sigma1^2 falls below
+    ``SIGMA1_RTOL * max(Var(h), tiny)`` (the degenerate case).
     """
     if not isinstance(source, DiscreteSource):
         raise EnumerationCapExceeded("continuous source; sigma1 needs a discrete source")
     prb = np.asarray(source.probs)
-    if len(prb) ** m > DEFAULT_ENUM_CAP:
+    if len(prb) ** m > fields.DEFAULT_ENUM_CAP:
         raise EnumerationCapExceeded("kernel enumeration too large")
     w, grid = product_grid([source] * m)
     h = np.asarray(kernel(*grid.T), dtype=float)

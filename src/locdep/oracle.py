@@ -21,12 +21,12 @@ its caller and cross-checks it against the covariance identity.
 
 Every checker reads one frozen instance record, :class:`Precomputed`,
 built once per instance by :func:`precompute`: the field and its
-neighborhood system with kappa, tau and M^T, the enumerated outcomes, the
-exact moment table, the dense 0/1 neighborhood matrix and the nested beta
-sums of :func:`bounds.beta_sums`.  The outcome space is walked once per
-instance, taking Var(S) and keeping every outcome, and the moment
-table's norms and covariance-identity cross-check are read from the
-outcomes.  A check passes when
+neighborhood system with kappa, tau and M^T, the enumerated outcomes and
+their E[X X^T], the exact moment table, the dense 0/1 neighborhood
+matrix and the nested beta sums of :func:`bounds.beta_sums`.  The
+outcome space is walked once per instance, taking Var(S) and keeping
+every outcome, and the moment table's norms and covariance-identity
+cross-check are read from the outcomes.  A check passes when
 
     margin = rhs - lhs >= -1e-10 * max(1, |rhs|).
 
@@ -57,20 +57,20 @@ from .bounds import (
     interference_set_of,
     lam_scale,
     main_terms,
-    reverse_set_of,
 )
 from . import fields
 from .errors import DegenerateVariance, EnumerationCapExceeded
 from .fields import (
-    DiscreteSource,
     LatentSourceField,
     evaluate_values,
     induced_neighborhoods,
     _key_ids,
     _pack,
     outcome_blocks,
+    rademacher,
     _sum_columns,
     sum_values,
+    three_point,
 )
 from .moments import MomentTable, exact_moment_table
 from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive, dot
@@ -226,14 +226,18 @@ class Precomputed:
     """The frozen record of one checked instance: everything the checkers
     read, built once by :func:`precompute`.  The outcome space is walked
     once, into ``plan``, which keeps every outcome and takes Var(S); the
-    moment table is read from it."""
+    moment table is read from it.  ``P`` is the dense 0/1 matrix of the
+    system's M, and ``exx`` the (n, n) matrix of E[X_i X_j] over the
+    walk, formed once: the table's covariance identity and both
+    :func:`check_lemma_xiyi` calls read it.  Both are read-only."""
 
     field: LatentSourceField
     sys: NeighborhoodSystem
     derived: DerivedNeighborhoods
     plan: Walk
     table: MomentTable
-    P: np.ndarray  # (n, n) dense 0/1, P[i, j] = 1 iff j in A_i; read-only
+    P: np.ndarray  # (n, n) dense 0/1, P[i, j] = 1 iff j in A_i
+    exx: np.ndarray  # (n, n), E[X_i X_j]
     sums: MappingProxyType  # beta_sums(table.l4, sys, derived)
 
 
@@ -241,13 +245,15 @@ def precompute(field: LatentSourceField) -> Precomputed:
     sys = induced_neighborhoods(field)
     der = derive(sys)
     plan = walk_outcomes(field, var=True, keep=True)
-    table = exact_moment_table(field, plan.sigma2, outcomes=(plan.probs, plan.X))
+    exx = (plan.X * plan.probs[:, None]).T @ plan.X
+    table = exact_moment_table(field, plan.sigma2, outcomes=(plan.probs, plan.X, exx, sys.M))
     if table.degenerate:
         raise DegenerateVariance("instance has Var(S) = 0")
     P = sys.M.toarray()
     P.setflags(write=False)
+    exx.setflags(write=False)
     return Precomputed(
-        field=field, sys=sys, derived=der, plan=plan, table=table, P=P,
+        field=field, sys=sys, derived=der, plan=plan, table=table, P=P, exx=exx,
         sums=MappingProxyType(beta_sums(table.l4, sys, der)),
     )
 
@@ -395,8 +401,7 @@ def _off_neighborhood(
     """(mask of the indices outside N_A, S_A per outcome, xi per outcome;
     xi = None is the constant 1)."""
     X = pre.plan.X
-    comp = np.ones(pre.sys.n, dtype=bool)
-    comp[reverse_set_of(pre.sys, A)] = False
+    comp = ~pre.P[:, list(A)].any(axis=1)  # k is in N_A iff A_k meets A
     xi_vals = xi(X) if xi is not None else np.ones(X.shape[0])
     return comp, X[:, comp].sum(axis=1), xi_vals
 
@@ -430,8 +435,7 @@ def check_lemma_xiyi(
     n = sys.n
     comp, _, xi_vals = _off_neighborhood(pre, A, xi)
     P = pre.P * np.outer(comp, comp)
-    cov = (plan.X * plan.probs[:, None]).T @ plan.X  # E[X_i X_j]
-    center = float(np.sum(P * cov))
+    center = float(np.sum(P * pre.exx))
     quad = _quadratic_forms(plan.X, P) - center
     xi_pow, xi_norm = _xi_moments(plan, xi_vals, p)
     lhs = dot(plan.probs, xi_pow * quad**2)
@@ -559,6 +563,7 @@ def check_lemma_r4(pre: Precomputed) -> list[InequalityVerdict]:
     vbar = np.sqrt(np.clip(xy, 0.25 * sigma**2, 2.0 * sigma**2))[:, None]
     w2bar = plan.X.sum(axis=1)[:, None] / vbar
     y = plan.X @ pre.P.T  # Y_i = sum_{j in A_i} X_j per outcome
+    xv, w2bar_y = plan.X / vbar, w2bar - y / vbar
     rhs = (
         27.0 * kappa**2 / sigma**3 * float(np.sum(table.l3**3))
         + 11.0 * kappa**3 / sigma**4 * float(np.sum(table.l4**4))
@@ -566,10 +571,10 @@ def check_lemma_r4(pre: Precomputed) -> list[InequalityVerdict]:
     out = []
     for name, f in TEST_FUNCTIONS.items():
         # row i: X_i / Vbar * f(W2bar - Y_i / Vbar) per outcome
-        Z = np.ascontiguousarray((plan.X / vbar * f(w2bar - y / vbar)).T)
-        # one dot product per row, summed in index order: a lhs that is
-        # rounding noise around 0 does not depend on a BLAS kernel's order
-        lhs = sum(abs(dot(plan.probs, z)) for z in Z)
+        Z = np.ascontiguousarray((xv * f(w2bar_y)).T)
+        # one pairwise sum per row, the rows summed in index order: a lhs
+        # that is rounding noise around 0 does not depend on a BLAS kernel's order
+        lhs = sum(np.abs(np.add.reduce(Z * plan.probs, axis=1)).tolist())
         out.append(
             InequalityVerdict(
                 check_id=f"lemma_r4[{name}]",
@@ -704,6 +709,12 @@ class CheckInstance:
 
 # the largest random instance: indices, sources and outcomes
 INSTANCE_MAX_INDICES, INSTANCE_MAX_SOURCES, INSTANCE_MAX_OUTCOMES = 8, 10, 3**10
+# the instances' source laws, each symmetric about 0, shared by every
+# instance: Rademacher, and three-point laws by spread (1, 2), then by
+# the mass at 0 (1/3, 1/2)
+RADEMACHER = rademacher()
+THREE_POINT = tuple(tuple(three_point(spread, p0) for p0 in (1.0 / 3.0, 0.5))
+                    for spread in (1.0, 2.0))
 
 
 def random_enumerable_instance(rng: np.random.Generator) -> CheckInstance:
@@ -712,22 +723,24 @@ def random_enumerable_instance(rng: np.random.Generator) -> CheckInstance:
     (random induced neighborhoods), window parameters a <= b, c in [1,3],
     and a xi factor from the catalog.  It has 2..INSTANCE_MAX_INDICES
     indices over 3..INSTANCE_MAX_SOURCES sources, and at most
-    INSTANCE_MAX_OUTCOMES outcomes."""
+    INSTANCE_MAX_OUTCOMES outcomes.
+
+    The field is given its means, all 0, exactly: every catalog law is
+    symmetric about 0, and an index reads distinct sources, so each term
+    of X_i, a weighted source or the product of its independent sources,
+    has mean 0.  A local enumeration would give the same means up to
+    rounding residues."""
     while True:
         n_src = int(rng.integers(3, INSTANCE_MAX_SOURCES + 1))
         sources = []
         count = 1
         for _ in range(n_src):
             if rng.random() < 0.5:
-                src = DiscreteSource((-1.0, 1.0), (0.5, 0.5))
-            else:
-                spread = (1.0, 2.0)[rng.integers(0, 2)]
-                p0 = (1.0 / 3.0, 0.5)[rng.integers(0, 2)]
-                src = DiscreteSource(
-                    (-spread, 0.0, spread), ((1 - p0) / 2, p0, (1 - p0) / 2)
-                )
+                src = RADEMACHER
+            else:  # its spread, then its mass at 0
+                src = THREE_POINT[rng.integers(0, 2)][rng.integers(0, 2)]
             if count * len(src.values) > INSTANCE_MAX_OUTCOMES:
-                src = DiscreteSource((-1.0, 1.0), (0.5, 0.5))
+                src = RADEMACHER
             count *= len(src.values)
             sources.append(src)
         n_idx = int(rng.integers(2, INSTANCE_MAX_INDICES + 1))
@@ -744,6 +757,7 @@ def random_enumerable_instance(rng: np.random.Generator) -> CheckInstance:
             supports=supports,
             ev=_weighted_sum,
             params=(weights, q),
+            means=np.zeros(n_idx),
             metadata={"family": "random_instance"},
         )
         try:

@@ -529,7 +529,6 @@ def test_one_system_per_grid_point_built_on_demand(tmp_path, monkeypatch, case, 
     monkeypatch.setattr(cli, "_system", counted("system", cli._system))
     overlap = counted("overlap", fields.overlap_matrix)
     monkeypatch.setattr(fields, "overlap_matrix", overlap)
-    monkeypatch.setattr(moments, "overlap_matrix", overlap)
     doc = minimal_spec(tmp_path, family=family, params=params, grid=[4, 5, 6],
                        statistic=statistic, bounds=bounds, assertions=assertions)
     assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0

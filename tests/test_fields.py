@@ -44,6 +44,8 @@ Core claims:
       field's groups, incidence and counts a per-row loop on supports
       with pads and repeated ids; a constrained field past the index cap
       is refused before any tuple is built
+    - a param of several columns groups the indices as the unique rows
+      of ``np.unique(axis=0)``, with -0.0 and 0.0 one value
 """
 
 from __future__ import annotations
@@ -313,6 +315,31 @@ def test_groups_incidence_and_counts_match_a_per_row_loop(K):
         assert f.counts.tolist() == counts
         assert f.count_starts.tolist() == [s for s in range(n_sources)
                                            if s == 0 or counts[s] != counts[s - 1]]
+
+
+def test_a_param_of_several_columns_groups_as_its_unique_rows():
+    """A float param of three columns groups the indices as
+    ``np.unique(axis=0)`` of its rows does, by partition and by group
+    order: repeated rows, rows that differ in one column only, and -0.0
+    beside 0.0 (one value), in shuffled orders, alone and followed by a
+    one-column param."""
+    rows = np.array([[0.5, 1.0, -1.0], [0.5, 1.0, -1.0], [0.5, 1.0, 1.0], [0.5, 2.0, -1.0],
+                     [1.5, 1.0, -1.0], [-0.0, 1.0, 0.0], [0.0, 1.0, -0.0], [0.0, -0.0, 0.0],
+                     [-0.0, 0.0, 0.0], [-1.0, 3.0, 2.0], [0.5, 1.0, 1.0], [2.0, -1.0, 0.5]])
+    n = len(rows)
+    rng = np.random.default_rng(5)
+    for trial in range(6):
+        w = rows[rng.permutation(n)]
+        q = rng.integers(0, 2, size=n) * 0.5
+        params = (w,) if trial % 2 else (w, q)
+        f = F.LatentSourceField((F.rademacher(),) * n, np.arange(n)[:, None],
+                                lambda G, w, q=0.0: w[:, 0] * G[..., 0] + q, params,
+                                np.zeros(n))
+        keys = w if trial % 2 else np.column_stack([w, q])
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        assert f.groups[0].tolist() == first.tolist()
+        assert f.groups[1].tolist() == inverse.reshape(-1).tolist()
+    assert len(np.unique(rows, axis=0)) == 8  # the four zero rows are one
 
 
 @pytest.mark.parametrize("blocks,m", [([5], 1), ([6], 2), ([6, 3], 2), ([4, 4, 7], 3), ([3], 3)])

@@ -65,6 +65,14 @@ from locdep.errors import DegenerateKernel, EnumerationCapExceeded
 from locdep.rng import STREAM_INSTANCES, substream
 
 
+def outcome_space(field: F.LatentSourceField) -> tuple:
+    """(probs, X, E[X X^T], overlap) of a kept walk, as ``oracle.precompute``
+    hands them to ``exact_moment_table``."""
+    walk = O.walk_outcomes(field, keep=True)
+    exx = (walk.X * walk.probs[:, None]).T @ walk.X
+    return walk.probs, walk.X, exx, F.overlap_matrix(field)
+
+
 def test_iid_rademacher_table():
     f = F.build_iid_field(2, F.rademacher())
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
@@ -79,8 +87,7 @@ def test_window_field_variance_identity_two_ways():
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     assert t.sigma2 == pytest.approx(4 * 4 - 2)  # Var(U_1 + 2U_2 + 2U_3 + U_4 ... )
     assert t.l2[0] ** 2 == pytest.approx(2.0)  # Var of a two-Rademacher sum
-    walk = O.walk_outcomes(f, keep=True)
-    for outcomes in (None, (walk.probs, walk.X)):  # without a Var(S): the identity
+    for outcomes in (None, outcome_space(f)):  # without a Var(S): the identity
         t_hybrid = M.exact_moment_table(f, outcomes=outcomes)
         assert t_hybrid.mode == "hybrid"
         assert t_hybrid.sigma2 == pytest.approx(t.sigma2, rel=1e-12)
@@ -154,6 +161,15 @@ def test_hoeffding_projection_hand_values():
         M.hoeffding_sigma1(lambda x, y: (x - y) ** 2 / 2, 2, F.rademacher())
     with pytest.raises(EnumerationCapExceeded):  # sigma1 is enumerated
         M.hoeffding_sigma1(lambda x, y: x + y, 2, F.ContinuousSource("uniform"))
+
+
+def test_hoeffding_sigma1_reads_the_enumeration_cap_when_it_runs(monkeypatch):
+    """The kernel grid is held to ``fields.DEFAULT_ENUM_CAP`` as it is at
+    the call, as every other enumeration is: a three-point kernel of two
+    arguments has 9 cells, over a cap of 2."""
+    monkeypatch.setattr(F, "DEFAULT_ENUM_CAP", 2)
+    with pytest.raises(EnumerationCapExceeded, match="kernel enumeration too large"):
+        M.hoeffding_sigma1(lambda x, y: x + y, 2, F.three_point())
 
 
 def test_transitive_sigma2_shortcut_matches_full_sum():
@@ -449,7 +465,7 @@ def test_wrong_sigma2_fails_the_identity_on_every_route():
         walk = O.walk_outcomes(field, var=True, keep=True)
         short = float(pair_covariance(field, np.repeat(np.arange(6)[:, None], 2, 1)).sum())
         assert short < walk.sigma2
-        for outcomes in (None, (walk.probs, walk.X)):
+        for outcomes in (None, outcome_space(field)):
             with pytest.raises(AssertionError, match="variance identity violated"):
                 M.exact_moment_table(field, short, outcomes)
             table = M.exact_moment_table(field, walk.sigma2, outcomes)
@@ -587,7 +603,6 @@ def test_word_sigma2_identity_at_n_300_is_the_exact_cubic(monkeypatch):
 
     def no_overlap(field):
         raise AssertionError("the identity built the induced overlap")
-    monkeypatch.setattr(M, "overlap_matrix", no_overlap)
     monkeypatch.setattr(F, "overlap_matrix", no_overlap)
     f = F.build_word_field([0, 1], 300, 2, [None])  # 44,850 indices
     tracemalloc.start()
@@ -614,7 +629,6 @@ def test_windowed_constrained_u_sigma2_identity_at_n_128_is_the_exact_polynomial
 
     def no_overlap(field):
         raise AssertionError("the identity built the induced overlap")
-    monkeypatch.setattr(M, "overlap_matrix", no_overlap)
     monkeypatch.setattr(F, "overlap_matrix", no_overlap)
     f = build(128)  # 8,128 indices
     tracemalloc.start()

@@ -20,7 +20,9 @@ Core claims:
       gives the full suite's rows of that check, and a shorter suite's
       verdicts are a prefix of a longer one's
     - each suite instance's walk keeps only the outcomes of the sources
-      its indices read
+      its indices read, and its field is given means of exactly 0, which
+      holds: every source's mean is 0 exactly, every index reads distinct
+      sources, and a local enumeration gives 0 within 1e-15
     - merging atoms by array code matches the chained-merge loop
 """
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +400,27 @@ def test_suite_instances_walk_only_their_read_sources():
     assert rows == read and sum(rows) == 24_583
 
 
+def test_suite_instances_have_mean_zero_exactly():
+    """A suite instance is given means of exactly 0 in place of enumerated
+    ones.  That holds when every source is symmetric about 0 and no index
+    reads a source twice (each term of X_i, a weighted source or the
+    product of its sources, has mean 0), on 200 instances from two master
+    seeds; a local enumeration gives the same means within 1e-15."""
+    laws = set()
+    for seed in (20260217, 314):
+        for k in range(100):
+            field = O.random_enumerable_instance(substream(seed, STREAM_INSTANCES, k)).pre.field
+            for src in field.sources:
+                assert sum(Fraction(p) * Fraction(v) for p, v in zip(src.probs, src.values)) == 0
+                laws.add(src)
+            for row in field.supports.tolist():
+                ids = [s for s in row if s >= 0]
+                assert len(set(ids)) == len(ids)
+            assert np.all(field.means == 0.0)
+            assert np.abs(F.compute_means(field)).max() <= 1e-15
+    assert laws == {O.RADEMACHER, *(law for row in O.THREE_POINT for law in row)}
+
+
 SUITE_TABLE = Path(__file__).resolve().parent / "data" / "checker_suite_30_314.json"
 
 
@@ -406,7 +430,9 @@ def test_suite_matches_recorded_verdict_table():
     digest, precondition and verdict equals the table recorded when each
     checker still rebuilt its own instance state.  The 32 lemma_r4 lhs
     values are rounding residues of sums that are 0 exactly (below 1e-16),
-    re-recorded when the checkers' dot products became pairwise sums."""
+    re-recorded when the checkers' dot products became pairwise sums; 23
+    of them were re-recorded again when the instances were given their
+    exact means, 0, in place of enumerated ones."""
     recorded = json.loads(SUITE_TABLE.read_text())["rows"]
     verds = O.run_checker_suite(30, master_seed=314, include_r4=True)
     assert len(verds) == len(recorded)
