@@ -534,7 +534,7 @@ def _signatures(field: LatentSourceField, S: np.ndarray, srt: np.ndarray,
         cols.extend(np.append(field.law_ids, field.law_ids.max(initial=0) + 1)[S].T)
     for p in (*field.params, *(() if field.means is None else (field.means,))):
         flat = p.reshape(len(S), -1)
-        if not (flat == flat[:1]).all():  # its values' ranks, one column each
+        if not (flat == flat[:1]).all():
             cols.extend(np.unique(flat, return_inverse=True)[1].reshape(flat.shape).T)
     return _pack(cols) if cols else np.zeros(len(S), dtype=np.int64)
 

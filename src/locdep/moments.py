@@ -262,14 +262,15 @@ def exact_moment_table(
     the field's induced neighborhoods; a failed cross-check raises
     AssertionError.  When None, the mode is "hybrid" and Var(S) is the
     identity.  ``outcomes`` is the field's materialized outcome space,
-    (probs, X, EXX, M): X the (M, n) field values, centered by the
-    field's means, EXX the (n, n) matrix of E[X_i X_j] over them and M the
-    field's :func:`~locdep.fields.overlap_matrix`.  When it is given, the
-    norms are read at the columns of the index-group representatives and
-    the identity from the covariance over M's entries.  Otherwise both
-    come from local enumeration: the norms once per index group, and the
-    identity from :func:`exact_sigma2_local`, the Hoeffding terms of the
-    source subsets that two or more indices read.
+    (probs, X, EXX, M): X the field values, one row per outcome,
+    centered by the field's means, EXX the (n, n) matrix of E[X_i X_j]
+    over them and M the field's :func:`~locdep.fields.overlap_matrix`.
+    When it is given, the norms are read at the columns of the
+    index-group representatives and the identity from the covariance over
+    M's entries.  Otherwise both come from local enumeration: the norms
+    once per index group, and the identity from
+    :func:`exact_sigma2_local`, the Hoeffding terms of the source subsets
+    that two or more indices read.
     """
     first, inverse = field.groups
     if outcomes is not None:

@@ -339,7 +339,7 @@ def test_a_param_of_several_columns_groups_as_its_unique_rows():
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         assert f.groups[0].tolist() == first.tolist()
         assert f.groups[1].tolist() == inverse.reshape(-1).tolist()
-    assert len(np.unique(rows, axis=0)) == 8  # the four zero rows are one
+    assert len(np.unique(rows, axis=0)) == 8  # -0.0 and 0.0 are one value
 
 
 @pytest.mark.parametrize("blocks,m", [([5], 1), ([6], 2), ([6, 3], 2), ([4, 4, 7], 3), ([3], 3)])
