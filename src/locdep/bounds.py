@@ -164,8 +164,10 @@ def bound_self_normalized(table: MomentTable, kappa: int, tau: int) -> BoundRepo
 
 def beta_sums(
     l4: np.ndarray, sys: NeighborhoodSystem, derived: DerivedNeighborhoods
-) -> dict[str, float]:
-    """The raw nested sums shared by the beta and delta-5/6/7 components.
+) -> dict[str, float | np.ndarray]:
+    """The raw nested sums shared by the beta and delta-5/6/7 components,
+    and ``w_an``, the read-only vector of sum_{l in A_k | N_k} ||X_l||_4
+    per k, that the delta_4 of :func:`delta_components_prop2` reads.
 
     The third second-order term comes twice: ``t23_beta2`` over k in
     A_i | N_j | A_j and ``t23_delta6`` over k in A_i | N_j.  Unions of
@@ -193,6 +195,7 @@ def beta_sums(
     lead = s**2 * l43
     pair_lead = s[I] * l43[J]
     w_an = AuN @ l4
+    w_an.flags.writeable = False
     w_n = Mt @ l4
     lij = l4[I] * l4[J]
     d_pair = cover.tdot(lij)
@@ -207,6 +210,7 @@ def beta_sums(
         "t32": dot(pair_lead, AiNj @ (l4 * w_n)),
         "t33": dot(lead, d_pair),
         "t34": dot(s, M @ (l43 * d_pair)),
+        "w_an": w_an,
     }
 
 
@@ -440,9 +444,11 @@ def delta_components_prop2(
     a: float,
     b: float,
     c: float,
+    sums: dict[str, float | np.ndarray],
 ) -> tuple[float, dict[str, float]]:
     """(lambda, delta_1..delta_4) of the self-normalized concentration
-    inequality for S_A / Vbar_A."""
+    inequality for S_A / Vbar_A; ``sums`` are the instance's
+    :func:`beta_sums`, whose ``w_an`` delta_4 reads."""
     if not A or not B:
         raise ValueError("A and B must be nonempty")
     if not (a <= b and c >= 1):
@@ -454,8 +460,7 @@ def delta_components_prop2(
                               derived.kappa, derived.tau)
     n_a = reverse_set_of(sys, A)
     # sum over k in N_A and l in N_k | A_k of ||X_k||_4 ||X_l||_4
-    w_an = union(sys.M, derived.Mt) @ l4
-    d4_sq = lam**2 * c**2 / sigma**2 * dot(l4[n_a], w_an[n_a])
+    d4_sq = lam**2 * c**2 / sigma**2 * dot(l4[n_a], sums["w_an"][n_a])
     delta = {
         "delta1": c / sigma * float(np.sum(l4[np.asarray(B, dtype=np.int64)])),
         "delta2": c * lam * len(A) ** 2 * main3,

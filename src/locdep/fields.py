@@ -64,11 +64,15 @@ of ``block_rows`` rows, one counter-based substream per block, so blocks
 parallelize and every replication reproduces bit-for-bit.  A block takes
 about 512 kB of raw stream (``rng.block_size``): 2^22 / n_sources rows
 when every source is a fair two-point law, drawn one bit each
-(``bit_draws``), and 2^16 / n_sources rows otherwise (powers of two, at
-most 4096); both are frozen with the field.  A discrete law that is not
-equiprobable is drawn by counting the cumulative thresholds at or below
-one uniform draw: a k-point law costs k - 1 comparisons, and every such
-law a config can name has 2 or 3 points.  A fair two-point source is
+(``bit_draws``), 2^19 / n_sources rows when every source is discrete,
+and 2^16 / n_sources rows otherwise (powers of two, at most 4096); the
+rows are frozen with the field.  Any other discrete law is drawn one
+random byte per value, looked up in its 256-entry code table
+(:func:`_code_table`, built once per law): byte b picks the atom at the
+count of thresholds 256 c_j at or below b, c_j the cumulative probs, and
+the rare byte with a threshold strictly inside (b, b + 1) takes one
+float more from the stream, so each atom keeps its probability to the
+float's resolution.  A field of fair two-point sources is
 drawn as packed random bits, and the bits stay packed as long as the
 statistic allows, counted by one loop (:func:`_count_bits`) over a plan
 of terms: weights for the set bits of segments of a row, and at lag d
@@ -91,6 +95,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -105,7 +110,7 @@ from .errors import (
     InvalidSize,
 )
 from .neighborhood import CHUNK, Csr, NeighborhoodSystem, distinct, product_pattern
-from .rng import BIT_DRAW, FLOAT_DRAW, STREAM_SAMPLE, block_size, substream
+from .rng import BIT_DRAW, BYTE_DRAW, FLOAT_DRAW, STREAM_SAMPLE, block_size, substream
 
 DEFAULT_ENUM_CAP = 2**24
 DEFAULT_INDEX_CAP = 2**22
@@ -126,6 +131,11 @@ DENSE_SPAN = 4
 # Sources
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class DiscreteSource:
     """A finite-discrete source with numeric outcome values."""
@@ -138,6 +148,12 @@ class DiscreteSource:
             raise ValueError("values and probs must be nonempty and same length")
         if abs(sum(self.probs) - 1.0) > 1e-12 or min(self.probs) < 0:
             raise ValueError("probs must be nonnegative and sum to 1")
+
+    @cached_property
+    def codes(self) -> tuple[np.ndarray, ...]:
+        """The law's byte code table (:func:`_code_table`), built at its
+        first draw: a law that is only enumerated never needs it."""
+        return _code_table(self.values, self.probs)
 
 
 @dataclass(frozen=True)
@@ -173,26 +189,53 @@ def uniform_letters(k: int) -> DiscreteSource:
     return DiscreteSource(tuple(float(a) for a in range(k)), (1.0 / k,) * k)
 
 
-def _draw(source: Source, rng: np.random.Generator, size) -> np.ndarray:
-    """``size`` (an int or a shape) draws of ``source``.  Equiprobable
-    discrete sources take exact shortcuts: random bits for two points,
-    ``integers`` for more.  Any other k-point law takes, for a uniform u,
-    the value at the count of cumulative probs cum_j <= u, j < k - 1
-    (k - 1 comparisons)."""
+def _code_table(values, probs) -> tuple[np.ndarray, ...]:
+    """(values, table, straddles, cuts) by which a byte b draws a k-point
+    law: ``cuts`` are the thresholds 256 c_j of its cumulative probs c_j,
+    j < k - 1, and b picks the atom count(cuts <= b), the value
+    ``table[b]``.  A byte with a cut strictly inside (b, b + 1) (one of
+    ``straddles``) picks count(cuts - b <= v) for a uniform float v
+    instead, so atom j keeps probability p_j to the float's resolution
+    (256 c_j - b is exact).  All read-only."""
+    cuts = 256.0 * np.cumsum(probs)[:-1]
+    vals = np.asarray(values, dtype=float)
+    table = vals[np.searchsorted(cuts, np.arange(256), side="right")]
+    straddles = np.array(sorted({int(c) for c in cuts if c < 256 and c % 1}), dtype=np.uint8)
+    return tuple(_read_only(a) for a in (vals, table, straddles, cuts))
+
+
+def _draw(source: Source, rng: np.random.Generator, shape: tuple[int, ...], out: np.ndarray,
+          first: int = 0) -> np.ndarray:
+    """Draw a block of ``shape`` draws of ``source``, in C order, write its
+    rows ``first`` .. ``first + len(out) - 1`` to the C-contiguous float
+    array ``out``, and return ``out``.  A discrete law takes one random
+    byte per draw (the raw 64-bit words' bytes, low byte first), and then
+    one float v per byte that straddles a threshold, in position order;
+    only the rows written are looked up in its code table
+    (:func:`_code_table`).  A continuous law draws the whole block, in
+    place when ``out`` is the whole block."""
+    k, width = len(out), math.prod(shape[1:])
     if isinstance(source, ContinuousSource):
-        if source.kind == "uniform":
-            return rng.random(size)
-        return rng.standard_normal(size)
-    values = np.asarray(source.values)
-    if _is_fair_two_point(source):
-        return values.take(_fair_bits(rng, size))
-    if len(set(source.probs)) == 1:
-        return values[rng.integers(len(values), size=size)]
-    u = rng.random(size)
-    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(values) - 1))
-    for c in np.cumsum(source.probs)[:-1]:
-        idx += u >= c
-    return values.take(idx)
+        fill = rng.random if source.kind == "uniform" else rng.standard_normal
+        if k == shape[0]:
+            return fill(out=out)
+        out[...] = fill(shape)[first:first + k]
+        return out
+    values, table, straddles, cuts = source.codes
+    size = shape[0] * width
+    raw = rng.bit_generator.random_raw(-(-size // 8)).astype("<u8", copy=False)
+    codes = raw.view(np.uint8)[:size].reshape(shape)
+    np.take(table, codes[first:first + k], out=out, mode="clip")
+    if straddles.size:
+        hit = codes == straddles[0]
+        for s in straddles[1:]:
+            hit |= codes == s
+        pos = np.flatnonzero(hit)
+        b = codes.reshape(-1)[pos]
+        atom = np.count_nonzero(cuts[:, None] - b <= rng.random(pos.size), axis=0)
+        lo, hi = np.searchsorted(pos, (first * width, (first + k) * width))
+        np.put(out, pos[lo:hi] - first * width, values[atom[lo:hi]])
+    return out
 
 
 def _fair_bytes(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -208,7 +251,7 @@ def _fair_bits(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def _is_fair_two_point(source: Source) -> bool:
-    """True for a two-point source drawn as bits (see :func:`_draw`)."""
+    """True for a two-point source drawn as bits (see :func:`_fair_bits`)."""
     return (isinstance(source, DiscreteSource) and len(source.values) == 2
             and source.probs[0] == source.probs[1])
 
@@ -250,11 +293,6 @@ def product_grid(sources: Sequence[Source], start: int = 0, stop: int | None = N
 
 # ---------------------------------------------------------------------------
 # The field type
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _source_runs(sources: tuple[Source, ...]) -> tuple[tuple[slice, Source], ...]:
@@ -375,7 +413,8 @@ class LatentSourceField:
         put(self, "mean_sum", float(np.sum(self.means)))
         bits = all(_is_fair_two_point(src) for _, src in runs)
         put(self, "bit_draws", bits)
-        put(self, "block_rows", block_size(len(sources), BIT_DRAW if bits else FLOAT_DRAW))
+        draw = BIT_DRAW if bits else BYTE_DRAW if self.is_enumerable() else FLOAT_DRAW
+        put(self, "block_rows", block_size(len(sources), draw))
         put(self, "bit_plan", _sum_plan(self))
         put(self, "metadata", MappingProxyType(self.metadata))
 
@@ -585,25 +624,48 @@ def draw_source_rows(
     Replication r is row r % B of block r // B, and each block is drawn
     whole from the substream (master_seed, STREAM_SAMPLE, *path, block),
     B = ``field.block_rows``; so a row depends only on (seed, path, r).
-    When every source is a fair two-point law (``bit_draws``) the rows
-    are gathered as 0/1 codes and expanded once into a source-major
-    array: the result is the transpose of a C-contiguous
-    (n_sources, reps) array.
+    Rows of a block that ``reps`` holds in order, one after another, are
+    drawn straight into the result (for a field of one source run) or
+    through one buffer per run, reused across blocks; any other rows are
+    taken from the run's whole block in that buffer.  When every source
+    is a fair two-point law (``bit_draws``) the rows are gathered as 0/1
+    codes and expanded once into a source-major array: the result is the
+    transpose of a C-contiguous (n_sources, reps) array.
     """
     reps = np.asarray(reps, dtype=np.int64).reshape(-1)
-    B, n, bits = field.block_rows, field.n_sources, field.bit_draws
-    if bits:  # 0/1 codes, in whole groups of 8 rows and whole 8-byte words a row
-        out = np.zeros((-(-reps.size // 8) * 8, -(-n // 8) * 8), dtype=np.uint8)
-    else:
-        out = np.empty((reps.size, n))
+    if field.bit_draws:
+        return _fair_rows(field, master_seed, reps, path)
+    B = field.block_rows
+    out = np.empty((reps.size, field.n_sources))
+    bufs = [np.empty((B, sl.stop - sl.start)) for sl, _ in field.runs]
     for b, hit in _sample_blocks(reps, B):
         rng = substream(master_seed, STREAM_SAMPLE, *path, b)
-        parts = [_fair_bits(rng, (B, sl.stop - sl.start)) if bits else
-                 _draw(src, rng, (B, sl.stop - sl.start)) for sl, src in field.runs]
+        rows = reps[hit] % B
+        lo, first, k = hit[0], rows[0], hit.size
+        # the block's rows first .. first + k - 1, wanted at lo .. lo + k - 1
+        in_order = (np.array_equal(hit, np.arange(lo, lo + k))
+                    and np.array_equal(rows, np.arange(first, first + k)))
+        for (sl, src), buf in zip(field.runs, bufs):
+            if in_order and len(bufs) == 1:
+                _draw(src, rng, buf.shape, out[lo:lo + k], first)
+            elif in_order:
+                out[lo:lo + k, sl] = _draw(src, rng, buf.shape, buf[:k], first)
+            else:
+                out[hit, sl] = _draw(src, rng, buf.shape, buf)[rows]
+    return out
+
+
+def _fair_rows(field: LatentSourceField, master_seed: int, reps: np.ndarray,
+               path: tuple[int, ...]) -> np.ndarray:
+    """:func:`draw_source_rows` of a field of fair two-point sources."""
+    B, n = field.block_rows, field.n_sources
+    # 0/1 codes, in whole groups of 8 rows and whole 8-byte words a row
+    out = np.zeros((-(-reps.size // 8) * 8, -(-n // 8) * 8), dtype=np.uint8)
+    for b, hit in _sample_blocks(reps, B):
+        rng = substream(master_seed, STREAM_SAMPLE, *path, b)
+        parts = [_fair_bits(rng, (B, sl.stop - sl.start)) for sl, _ in field.runs]
         block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         out[hit, :n] = block[reps[hit] % B]
-    if not bits:
-        return out
     # each source's codes packed 8 replications to a byte, first bit first
     # (a code shifted by at most 7 stays in its byte, so a word op packs 8
     # sources), then expanded through a per-law table of the 8 values

@@ -4,7 +4,7 @@ and bound-ratio tables.
 Replications are embarrassingly parallel: each block of replications
 draws from its own counter-derived substream, the field's ``block_rows``
 rows of about 512 kB of raw stream (``rng.block_size``: 512 rows of fair
-bits at 4097 sources, 8 of floats).  Chunks of whole blocks
+bits at 4097 sources, 64 of bytes, 8 of floats).  Chunks of whole blocks
 (``rng.chunk_rows``) run independently (numpy releases the GIL for the
 heavy parts) and merge in chunk order, so summaries are independent of
 the worker count and chunk size and stable under increasing R.  Sigma is

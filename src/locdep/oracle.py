@@ -674,7 +674,7 @@ def check_prop2(
     ind = (eta <= ratio) & (ratio <= zeta)
     lhs = dot(plan.probs, xi_vals * ind)
     xi_43 = dot(plan.probs, xi_vals ** (4.0 / 3.0)) ** 0.75
-    _, deltas = delta_components_prop2(pre.table, sys, pre.derived, A, B, a, b, c)
+    _, deltas = delta_components_prop2(pre.table, sys, pre.derived, A, B, a, b, c, pre.sums)
     rhs = 8755.0 * xi_43 * ((b - a) / 1500.0 + sum(deltas.values()))
     return InequalityVerdict(
         check_id="prop2",

@@ -14,8 +14,10 @@ backed by Philox, a counter-based generator, keyed through
 Replication r is row ``r % B`` of sample block ``r // B``, each block
 drawn whole from its own substream.  ``B = block_size(n_sources,
 draw_bits)`` sizes a block by the raw generator output its draws take:
-a fair two-point draw costs 1 bit, every other draw 64, so a block of
-fair bits holds 64 times the rows of a block of floats (up to
+a fair two-point draw costs 1 bit, any other discrete draw 8 (one byte,
+and one float more for the few bytes that straddle a threshold of its
+law), a continuous draw 64; so a block of fair bits holds 8 times the
+rows of a block of bytes and 64 times those of a block of floats (up to
 MAX_BLOCK_ROWS).  A field freezes its B (``block_rows``), and
 ``chunk_rows`` gives the whole blocks the Monte-Carlo loops draw at once.
 """
@@ -31,12 +33,13 @@ STREAM_MOMENTS = 1
 STREAM_INSTANCES = 3
 
 # A sample block takes about BLOCK_BITS of raw stream (512 kB): 2^16 float
-# draws or 2^22 fair bits, so the stream wasted at an unaligned range end
-# stays small at any width, and a block's substream is derived once per
-# 512 kB drawn.
+# draws, 2^19 byte draws or 2^22 fair bits, so the stream wasted at an
+# unaligned range end stays small at any width, and a block's substream is
+# derived once per 512 kB drawn.
 BLOCK_BITS = 2**22
 MAX_BLOCK_ROWS = 4096
-BIT_DRAW, FLOAT_DRAW = 1, 64  # raw bits per draw: fair two-point, any other
+# raw bits per draw: fair two-point, any other discrete, continuous
+BIT_DRAW, BYTE_DRAW, FLOAT_DRAW = 1, 8, 64
 # A chunk of replications, drawn and reduced at once by the Monte-Carlo
 # loops, holds at most DEFAULT_CHUNK rows and about CHUNK_CELLS source
 # draws (32 MB of float64).

@@ -89,10 +89,10 @@ def test_reports_reproduce_the_pinned_values(name):
     der = nb.derive(sys)
     assert (der.kappa, der.tau) == (pinned["kappa"], pinned["tau"])
     assert _reports(f, sys, t, der) == pinned["reports"]  # bit for bit, se included
-    d1 = B.delta_components_prop1(t, sys, der, [0, 2], [1, 3], -0.3, 0.7, 2.0,
-                                  B.beta_sums(t.l4, sys, der))
+    sums = B.beta_sums(t.l4, sys, der)
+    d1 = B.delta_components_prop1(t, sys, der, [0, 2], [1, 3], -0.3, 0.7, 2.0, sums)
     assert d1 == pinned["delta_components_prop1"]
-    lam, d2 = B.delta_components_prop2(t, sys, der, [0, 2], [1, 3], -0.3, 0.7, 2.0)
+    lam, d2 = B.delta_components_prop2(t, sys, der, [0, 2], [1, 3], -0.3, 0.7, 2.0, sums)
     _assert_close({"lambda": lam, **d2}, pinned["delta_components_prop2"])
     ok, pre = O.fourth_moment_precondition(t, der.kappa, der.tau, 2)
     want = dict(pinned["fourth_moment_precondition"])

@@ -356,12 +356,13 @@ def test_delta_components_hand_instance():
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
-    d = B.delta_components_prop1(t, sys, der, [0], [1], 0.0, 0.0, 1.0, B.beta_sums(t.l4, sys, der))
+    sums = B.beta_sums(t.l4, sys, der)
+    d = B.delta_components_prop1(t, sys, der, [0], [1], 0.0, 0.0, 1.0, sums)
     assert d["delta0"] == 0.0
     assert d["delta1"] == pytest.approx(0.5) and d["delta2"] == pytest.approx(0.5)
     assert d["delta3"] == pytest.approx(0.25) and d["delta4"] == pytest.approx(0.25)
     assert d["delta5"] == pytest.approx(1.0)
-    lam, d2 = B.delta_components_prop2(t, sys, der, [0], [1], 0.0, 0.0, 1.0)
+    lam, d2 = B.delta_components_prop2(t, sys, der, [0], [1], 0.0, 0.0, 1.0, sums)
     assert lam == pytest.approx(1.0)
     assert d2["delta2"] == pytest.approx(4 / 8)  # c lam kappa^2 |A|^2 / s^3 * sum l4^3
 
@@ -378,7 +379,7 @@ def test_delta_monotone_in_c():
         if prev is not None:
             assert total >= prev
         prev = total
-        _, d2 = B.delta_components_prop2(t, sys, der, [0], [1], -0.5, 0.5, c)
+        _, d2 = B.delta_components_prop2(t, sys, der, [0], [1], -0.5, 0.5, c, sums)
         assert all(v >= 0 for v in d2.values())
 
 
@@ -393,7 +394,8 @@ def test_prop2_delta4_zero_for_isolated_zero_index():
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
-    _, d2 = B.delta_components_prop2(t, sys, der, [0], [1], 0.0, 0.0, 1.0)
+    _, d2 = B.delta_components_prop2(t, sys, der, [0], [1], 0.0, 0.0, 1.0,
+                                     B.beta_sums(t.l4, sys, der))
     assert d2["delta4"] == 0.0
 
 
@@ -433,13 +435,13 @@ def test_delta_components_scale_invariant():
     der = nb.derive(sys)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     tc = M.exact_moment_table(fc, O.walk_outcomes(fc, var=True).sigma2)
-    d = B.delta_components_prop1(t, sys, der, [0], [1], -0.3, 0.7, 2.0, B.beta_sums(t.l4, sys, der))
-    dc = B.delta_components_prop1(tc, sys, der, [0], [1], -0.3, 0.7, 2.0,
-                                  B.beta_sums(tc.l4, sys, der))
+    sums, sums_c = B.beta_sums(t.l4, sys, der), B.beta_sums(tc.l4, sys, der)
+    d = B.delta_components_prop1(t, sys, der, [0], [1], -0.3, 0.7, 2.0, sums)
+    dc = B.delta_components_prop1(tc, sys, der, [0], [1], -0.3, 0.7, 2.0, sums_c)
     for k in d:
         assert dc[k] == pytest.approx(d[k], rel=1e-12)
-    lam, d2 = B.delta_components_prop2(t, sys, der, [0], [1], -0.3, 0.7, 2.0)
-    lam_c, d2c = B.delta_components_prop2(tc, sys, der, [0], [1], -0.3, 0.7, 2.0)
+    lam, d2 = B.delta_components_prop2(t, sys, der, [0], [1], -0.3, 0.7, 2.0, sums)
+    lam_c, d2c = B.delta_components_prop2(tc, sys, der, [0], [1], -0.3, 0.7, 2.0, sums_c)
     assert lam_c == pytest.approx(lam, rel=1e-12)
     for k in d2:
         assert d2c[k] == pytest.approx(d2[k], rel=1e-12)

@@ -31,9 +31,11 @@ Core claims:
     - a word field's S is its occurrence count less the summed means, with
       no per-tuple value matrix: equal to the summed values bit for bit
       for dyadic means, and within 1e-9 |I| otherwise
-    - a law drawn by counting its cumulative thresholds equals the binary
-      search bit for bit; the triangle's chunked trace(A^3) equals the
-      whole-batch formula; the first-slot pattern equals the argsort one
+    - a discrete law drawn a byte each through its code table equals a
+      scalar binary search of each byte, and of the float after a byte
+      that straddles a threshold, bit for bit; the triangle's chunked
+      trace(A^3) equals the whole-batch formula; the first-slot pattern
+      equals the argsort one
     - the distributed U-statistic builder refuses a continuous source with
       ValueError, as other refused builder arguments are refused
     - one byte cap, ``ENUM_BYTES_CAP``, read at call time, bounds both a
@@ -50,6 +52,7 @@ Core claims:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -627,46 +630,6 @@ def test_sum_fields_take_the_linear_route(family, law, monkeypatch):
         assert table.sigma2 == pytest.approx(enumerated, rel=1e-12, abs=0.0)
 
 
-def test_sampler_laws():
-    # bits (fair two-point), integers (equiprobable letters) and the
-    # inverse-cdf fallback (everything else) each draw their exact law
-    rng = substream(2024, 7)
-    size = 2**20
-    for source in (F.rademacher(), F.uniform_letters(5), F.bernoulli(0.55), F.three_point()):
-        x = F._draw(source, rng, size)
-        assert x.shape == (size,)
-        for value, p in zip(source.values, source.probs):
-            freq = np.mean(x == value)
-            assert abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / size), (source, value, freq)
-        for shape in (13, (3, 5), (0, 4), (7, 9)):
-            y = F._draw(source, rng, shape)
-            assert y.shape == np.empty(shape).shape
-            assert set(np.unique(y)) <= set(source.values)
-
-
-def _searchsorted_draw(source, rng, size):
-    """The former ``_draw`` of a discrete law: bits for a fair two-point
-    law, ``integers`` for an equiprobable one, else a binary search of
-    one uniform draw in the cumulative probs."""
-    values = np.asarray(source.values)
-    if F._is_fair_two_point(source):
-        return values.take(F._fair_bits(rng, size))
-    if len(set(source.probs)) == 1:
-        return values[rng.integers(len(values), size=size)]
-    idx = np.searchsorted(np.cumsum(source.probs), rng.random(size), side="right")
-    return values[np.minimum(idx, len(values) - 1)]
-
-
-class _GivenUniforms:
-    """A generator whose uniform draws are given."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, size):
-        return self.u.reshape(size)
-
-
 DRAW_LAWS = {
     "bernoulli": F.bernoulli(0.3),
     "three_point": F.three_point(1.3, 0.2),
@@ -677,24 +640,95 @@ DRAW_LAWS = {
     "short_cumsum": F.DiscreteSource(tuple(map(float, range(10))), (0.05,) + (0.1,) * 8 + (0.15,)),
     "tenths": F.DiscreteSource(tuple(map(float, range(10))), (0.1,) * 10),
 }
+# the draw laws, letters whose thresholds straddle bytes 85 and 170, and a
+# law whose whole mass rides the straddling byte 255
+BYTE_LAWS = {**DRAW_LAWS, "letters_3": F.uniform_letters(3), "bernoulli_1e-3": F.bernoulli(1e-3)}
 
 
-@pytest.mark.parametrize("law", DRAW_LAWS.values(), ids=DRAW_LAWS.keys())
+def test_sampler_laws():
+    # every discrete law, drawn a byte each through its code table, draws
+    # its exact law: each atom within 5 standard errors, and an atom of
+    # probability 0 never
+    rng = substream(2024, 7)
+    size = 2**20
+    for source in (F.rademacher(), F.uniform_letters(5), F.bernoulli(0.55), F.three_point(),
+                   *BYTE_LAWS.values()):
+        x = F._draw(source, rng, (size,), np.empty(size))
+        for value, p in zip(source.values, source.probs):
+            freq = np.mean(x == value)
+            assert abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / size), (source, value, freq)
+            assert p > 0 or freq == 0
+        for shape in ((13,), (3, 5), (0, 4), (7, 9)):
+            y = F._draw(source, rng, shape, np.empty(shape))
+            assert y.shape == shape
+            assert set(np.unique(y)) <= set(source.values)
+
+
+def _scalar_draws(law, data: bytes, floats) -> list[float]:
+    """A draw per byte b of ``data``, one at a time: with the thresholds
+    t_j = 256 c_j of the cumulative probs c_j, j < k - 1, the value at
+    count(t_j <= b), unless some t_j lies strictly inside (b, b + 1); such
+    a byte takes the next of ``floats``, v, and the value at
+    count(t_j - b <= v)."""
+    cuts = [256 * c for c in itertools.accumulate(law.probs)][:-1]
+    floats = iter(floats)
+    out = []
+    for b in data:
+        if any(b < t < b + 1 for t in cuts):
+            out.append(law.values[bisect.bisect_right([t - b for t in cuts], next(floats))])
+        else:
+            out.append(law.values[bisect.bisect_right(cuts, b)])
+    return out
+
+
+class _GivenBytes:
+    """A generator whose raw stream bytes and uniform draws are given."""
+
+    def __init__(self, data: bytes, u):
+        self.data, self.u = data + bytes(-len(data) % 8), iter(u)
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        words, self.data = self.data[:8 * size], self.data[8 * size:]
+        return np.frombuffer(words, dtype="<u8")
+
+    def random(self, size):
+        return np.array([next(self.u) for _ in range(size)], dtype=float)
+
+
+def _straddles(law) -> list[tuple[int, float]]:
+    """(b, t - b) for each threshold t = 256 c_j, j < k - 1, strictly
+    inside a byte's (b, b + 1)."""
+    cuts = [256 * c for c in itertools.accumulate(law.probs)][:-1]
+    return [(int(t), t - int(t)) for t in cuts if t < 256 and t != int(t)]
+
+
+@pytest.mark.parametrize("law", BYTE_LAWS.values(), ids=BYTE_LAWS.keys())
 def test_threshold_draws_match_the_binary_search(law):
-    # counting the cumulative probs at or below u is the binary search's
-    # index, capped at the last value, bit for bit and for any shape
-    for size in (1, 5000, (37, 11), (0, 3)):
-        got = F._draw(law, np.random.default_rng(99), size)
-        want = _searchsorted_draw(law, np.random.default_rng(99), size)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    if len(set(law.probs)) > 1:  # uniforms on and next to every threshold
-        cum = np.cumsum(law.probs)
-        # short_cumsum's cumsum ends below 1: u in [cum[-1], 1) takes the last value
-        assert law is not DRAW_LAWS["short_cumsum"] or cum[-1] < 1.0
-        u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 2), [0.0, 1 - 2**-53]])
-        u = u[u < 1]
-        got = F._draw(law, _GivenUniforms(u), u.size)
-        assert np.array_equal(got, _searchsorted_draw(law, _GivenUniforms(u), u.size))
+    # the code table and its straddling bytes equal a scalar binary search
+    # of each byte, and of the float after a straddling byte, bit for bit:
+    # on the stream for any shape, and on every byte and every straddling
+    # byte with v on, just below and just above its threshold
+    straddles = dict(_straddles(law))
+    for size in ((1,), (5000,), (37, 11), (0, 3)):
+        got = F._draw(law, np.random.default_rng(99), size, np.empty(size))
+        rng = np.random.default_rng(99)
+        data = rng.bit_generator.random_raw(-(-got.size // 8)).astype("<u8").tobytes()[:got.size]
+        want = _scalar_draws(law, data, rng.random(sum(b in straddles for b in data)))
+        assert got.dtype == float and np.array_equal(got.reshape(-1), want)
+    forced = [(b, v) for b, t in _straddles(law) for v in (t, np.nextafter(t, 0), np.nextafter(t, 1))]
+    assert forced or law is DRAW_LAWS["zero_atoms"]
+    data = bytes(range(256)) + bytes(b for b, _ in forced)
+    u = [0.5] * len(straddles) + [v for _, v in forced]
+    got = F._draw(law, _GivenBytes(data, u), (len(data),), np.empty(len(data)))
+    assert np.array_equal(got, _scalar_draws(law, data, u))
+    if law is BYTE_LAWS["bernoulli_1e-3"]:  # every 1 comes from byte 255
+        assert got[:255].max() == 0.0 and sorted(got[256:]) == [0.0, 1.0, 1.0]
+    # rows of a block written alone are those rows of the whole block
+    block = F._draw(law, np.random.default_rng(7), (400, 11), np.empty((400, 11)))
+    for first, k in ((0, 400), (0, 1), (390, 10), (123, 45)):
+        part = F._draw(law, np.random.default_rng(7), (400, 11), np.empty((k, 11)), first)
+        assert np.array_equal(part, block[first:first + k])
 
 
 @pytest.mark.parametrize("n_sources", [8, 300, 40_000])
@@ -717,29 +751,60 @@ def test_block_rows_are_a_function_of_the_replication(n_sources, monkeypatch):
         assert not np.array_equal(other, F.draw_source_rows(f, 17, range(0, b + B), path=(2,)))
 
 
-@pytest.mark.parametrize("law", [F.three_point(), F.bernoulli(0.3), F.ContinuousSource("normal")],
-                         ids=["three_point", "bernoulli_03", "normal"])
+@pytest.mark.parametrize("law", [F.three_point(), F.bernoulli(0.3), F.ContinuousSource("normal"),
+                                 F.ContinuousSource("uniform")],
+                         ids=["three_point", "bernoulli_03", "normal", "uniform"])
 @pytest.mark.parametrize("n_sources", [8, 300, 40_000])
 def test_float_draws_keep_their_block_rows(n_sources, law):
-    # a draw other than a fair bit takes 64 bits of stream, so these
-    # fields keep 2^16-cell blocks, B = 4096, 128 and 1, and their rows
+    # a discrete draw other than a fair bit takes a byte of stream, so its
+    # blocks hold 2^19 cells, B = 4096, 1024 and 8; a continuous draw takes
+    # 64 bits and keeps 2^16-cell blocks, B = 4096, 128 and 1, and its rows
+    # bit for bit.  Rows of in-order ranges (drawn in place) and of
+    # unsorted and repeated lists (taken from a buffer) equal the blocks
+    # drawn run by run
     f = F.build_iid_field(n_sources, law)
-    assert not f.bit_draws and f.block_rows == {8: 4096, 300: 128, 40_000: 1}[n_sources]
+    if isinstance(law, F.ContinuousSource):
+        sizes = {8: 4096, 300: 128, 40_000: 1}
+    else:
+        sizes = {8: 4096, 300: 1024, 40_000: 8}
+    assert not f.bit_draws and f.block_rows == sizes[n_sources]
     B = f.block_rows
-    reps = list(range(B // 2 + 1, 2 * B + 3)) + [3 * B + 1, 0, B]
-    assert np.array_equal(F.draw_source_rows(f, 23, reps, path=(4,)), float_rows(f, 23, reps, path=(4,)))
+    for reps in (list(range(B // 2 + 1, 2 * B + 3)) + [3 * B + 1, 0, B], range(0, 3 * B + 5)):
+        reps = list(reps)
+        assert np.array_equal(F.draw_source_rows(f, 23, reps, path=(4,)), float_rows(f, 23, reps, path=(4,)))
+
+
+def test_runs_of_discrete_laws_draw_into_their_blocks():
+    # a field of several runs draws the runs of a block one after the
+    # other, through their buffers, for unsorted and repeated rows and
+    # for one row
+    laws = (F.three_point(),) * 5 + (F.bernoulli(0.3),) * 7 + (F.uniform_letters(3),) * 2
+    f = F.LatentSourceField(laws, np.arange(14)[:, None], F._sum_columns)
+    assert len(f.runs) == 3 and f.block_rows == 4096
+    reps = [4097, 3, 4095, 3, 0]
+    want = float_rows(f, 8, reps)
+    assert np.array_equal(F.draw_source_rows(f, 8, reps), want)
+    assert np.array_equal(F.draw_source_rows(f, 8, [4095]), want[2:3])
 
 
 def float_rows(f: F.LatentSourceField, seed: int, reps, path=()) -> np.ndarray:
-    """Index-major float rows drawn run by run with ``_draw``: the route
-    every law took before fair two-point draws were kept as bits, in
-    blocks of the field's ``block_rows``."""
+    """Index-major rows drawn run by run, in blocks of the field's
+    ``block_rows``: a fair two-point run as bits, a continuous one by
+    ``random`` or ``standard_normal``, and any other with ``_draw``."""
     B = f.block_rows
     blocks = {}
     for b in sorted({r // B for r in reps}):
         rng = substream(seed, STREAM_SAMPLE, *path, b)
-        blocks[b] = np.concatenate(
-            [F._draw(src, rng, (B, sl.stop - sl.start)) for sl, src in f.runs], axis=1)
+        parts = []
+        for sl, src in f.runs:
+            shape = (B, sl.stop - sl.start)
+            if F._is_fair_two_point(src):
+                parts.append(np.asarray(src.values).take(F._fair_bits(rng, shape)))
+            elif isinstance(src, F.ContinuousSource):
+                parts.append(rng.random(shape) if src.kind == "uniform" else rng.standard_normal(shape))
+            else:
+                parts.append(F._draw(src, rng, shape, np.empty(shape)))
+        blocks[b] = np.concatenate(parts, axis=1)
     return np.array([blocks[r // B][r % B] for r in reps])
 
 
