@@ -70,7 +70,7 @@ rows are frozen with the field.  Any other discrete law is drawn one
 random byte per value, looked up in its 256-entry code table
 (:func:`_code_table`, built once per law): byte b picks the atom at the
 count of thresholds 256 c_j at or below b, c_j the cumulative probs, and
-the rare byte with a threshold strictly inside (b, b + 1) takes one
+a byte with a threshold strictly inside (b, b + 1) takes one
 float more from the stream, so each atom keeps its probability to the
 float's resolution.  A field of fair two-point sources is
 drawn as packed random bits, and the bits stay packed as long as the
@@ -231,10 +231,20 @@ def _draw(source: Source, rng: np.random.Generator, shape: tuple[int, ...], out:
         for s in straddles[1:]:
             hit |= codes == s
         pos = np.flatnonzero(hit)
-        b = codes.reshape(-1)[pos]
-        atom = np.count_nonzero(cuts[:, None] - b <= rng.random(pos.size), axis=0)
         lo, hi = np.searchsorted(pos, (first * width, (first + k) * width))
-        np.put(out, pos[lo:hi] - first * width, values[atom[lo:hi]])
+        v = rng.random(pos.size)[lo:hi]
+        pos = pos[lo:hi]
+        b = codes.reshape(-1)[pos]
+        # the bytes grouped by value, each group against its own cuts, so
+        # memory stays linear in the bytes at any number of atoms
+        order = np.argsort(b, kind="stable")
+        counts = np.bincount(b, minlength=256)
+        ends = np.cumsum(counts)
+        atom = np.empty(pos.size, dtype=np.intp)
+        for s in straddles.tolist():
+            grp = order[ends[s] - counts[s]:ends[s]]
+            atom[grp] = np.searchsorted(cuts - s, v[grp], side="right")
+        np.put(out, pos - first * width, values[atom])
     return out
 
 
@@ -624,10 +634,10 @@ def draw_source_rows(
     Replication r is row r % B of block r // B, and each block is drawn
     whole from the substream (master_seed, STREAM_SAMPLE, *path, block),
     B = ``field.block_rows``; so a row depends only on (seed, path, r).
-    Rows of a block that ``reps`` holds in order, one after another, are
-    drawn straight into the result (for a field of one source run) or
-    through one buffer per run, reused across blocks; any other rows are
-    taken from the run's whole block in that buffer.  When every source
+    In a field of one source run, rows of a block that ``reps`` holds in
+    order, one after another, are drawn straight into the result; any
+    other rows are taken from each run's whole block, drawn into one
+    buffer per run that is reused across blocks.  When every source
     is a fair two-point law (``bit_draws``) the rows are gathered as 0/1
     codes and expanded once into a source-major array: the result is the
     transpose of a C-contiguous (n_sources, reps) array.
@@ -648,8 +658,6 @@ def draw_source_rows(
         for (sl, src), buf in zip(field.runs, bufs):
             if in_order and len(bufs) == 1:
                 _draw(src, rng, buf.shape, out[lo:lo + k], first)
-            elif in_order:
-                out[lo:lo + k, sl] = _draw(src, rng, buf.shape, buf[:k], first)
             else:
                 out[hit, sl] = _draw(src, rng, buf.shape, buf)[rows]
     return out

@@ -15,9 +15,9 @@ Replication r is row ``r % B`` of sample block ``r // B``, each block
 drawn whole from its own substream.  ``B = block_size(n_sources,
 draw_bits)`` sizes a block by the raw generator output its draws take:
 a fair two-point draw costs 1 bit, any other discrete draw 8 (one byte,
-and one float more for the few bytes that straddle a threshold of its
-law), a continuous draw 64; so a block of fair bits holds 8 times the
-rows of a block of bytes and 64 times those of a block of floats (up to
+and one float more for a byte that straddles a threshold of its law),
+a continuous draw 64; so a block of fair bits holds 8 times the rows of
+a block of bytes and 64 times those of a block of floats (up to
 MAX_BLOCK_ROWS).  A field freezes its B (``block_rows``), and
 ``chunk_rows`` gives the whole blocks the Monte-Carlo loops draw at once.
 """

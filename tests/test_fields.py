@@ -56,6 +56,7 @@ import bisect
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -729,6 +730,33 @@ def test_threshold_draws_match_the_binary_search(law):
     for first, k in ((0, 400), (0, 1), (390, 10), (123, 45)):
         part = F._draw(law, np.random.default_rng(7), (400, 11), np.empty((k, 11)), first)
         assert np.array_equal(part, block[first:first + k])
+
+
+def test_many_atom_laws_draw_in_memory_linear_in_the_block():
+    # a 1000-letter law has a threshold inside every byte, so each byte
+    # takes a float; a 128-source field's 2^19-cell block is drawn with
+    # temporaries of a few cells' worth each (not one per threshold), and
+    # its first rows equal the scalar binary search on the block's stream
+    law = F.uniform_letters(1000)
+    f = F.build_iid_field(128, law)
+    B = f.block_rows
+    assert B == 4096 and not f.bit_draws
+    tracemalloc.start()
+    try:
+        got = F.draw_source_rows(f, 5, range(B))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * got.nbytes
+    rng = substream(5, STREAM_SAMPLE, 0)
+    data = rng.bit_generator.random_raw(B * 128 // 8).astype("<u8").tobytes()
+    straddles = {b for b, _ in _straddles(law)}
+    assert len(straddles) == 256
+    head = data[:16 * 128]
+    want = _scalar_draws(law, head, rng.random(len(data))[:len(head)])
+    assert np.array_equal(got[:16].reshape(-1), want)
+    assert np.array_equal(F.draw_source_rows(f, 5, range(100, 116)), got[100:116])
+    assert np.array_equal(F.draw_source_rows(f, 5, [B - 1, 7, 7]), got[[B - 1, 7, 7]])
 
 
 @pytest.mark.parametrize("n_sources", [8, 300, 40_000])
