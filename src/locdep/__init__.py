@@ -41,16 +41,19 @@ from .bounds import (  # noqa: F401
     delta_components_prop2,
 )
 from .oracle import (  # noqa: F401
+    CheckInstance,
     InequalityVerdict,
     check_ld_independence,
     check_lemma_r4,
     check_lemma_s2,
     check_lemma_s4,
     check_lemma_xiyi,
+    check_lemma_xiyi_corollary,
     check_prop1,
     check_prop2,
     exact_kolmogorov,
     run_checker_suite,
+    stack_instances,
 )
 from .harness import EmpiricalSummary, RateFit, mc_run, rate_fit, ratio_table  # noqa: F401
 

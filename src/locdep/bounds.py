@@ -172,24 +172,32 @@ def beta_sums(
     The third second-order term comes twice: ``t23_beta2`` over k in
     A_i | N_j | A_j and ``t23_delta6`` over k in A_i | N_j.  Unions of
     neighborhoods are rows of ``neighborhood.union`` matrices; the pair
-    rows run over the entries (i, j) of M, and A_i | A_j is their cover.  Before
-    any union is built, the summed row lengths of the four unions (an
+    rows run over the entries (i, j) of M, and A_i | A_j is their cover.
+    On a symmetric system (``derived.Mt is M``) N_j is A_j, so A | N is M
+    and both pair unions are the cover: only the cover is built.  Before
+    any union is built, the summed row lengths of the unions to build (an
     upper bound on their entries) are checked against TERM_BUDGET.
     """
     M, Mt = sys.M, derived.Mt
     I, J = M.rows, M.indices
     s = np.diff(M.indptr).astype(float)
     r = np.diff(Mt.indptr).astype(float)
-    terms = 2 * M.nnz + 3 * s[I].sum() + 2 * s[J].sum() + 2 * r[J].sum()
+    symmetric = Mt is M
+    terms = s[I].sum() + s[J].sum()
+    if not symmetric:
+        terms += 2 * M.nnz + 2 * s[I].sum() + s[J].sum() + 2 * r[J].sum()
     if terms > TERM_BUDGET:
         raise ComplexityCapExceeded(
             f"nested-sum evaluation needs {terms:.0f} term visits, over the cap {TERM_BUDGET}"
         )
     Ai, Aj = M.take(I), M.take(J)
-    AuN = union(M, Mt)
     cover = union(Ai, Aj)
-    AiNj = union(Ai, Mt.take(J))
-    AiNjAj = union(AiNj, Aj)
+    if symmetric:
+        AuN, AiNj, AiNjAj = M, cover, cover
+    else:
+        AuN = union(M, Mt)
+        AiNj = union(Ai, Mt.take(J))
+        AiNjAj = union(AiNj, Aj)
 
     l43 = l4**3
     lead = s**2 * l43

@@ -339,9 +339,9 @@ class LatentSourceField:
     gives is centered by them.  They are computed exactly at construction
     when none are given (a field other than a sum field that reads
     continuous sources must be given its means).
-    ``groups`` is (first, inverse) of the indices grouped by
-    :func:`_signatures`, ``incidence`` counts the slots reading each
-    source, ``counts`` holds its column sums c_s (a sum field's S is
+    ``groups`` is (first, inverse) of the indices grouped by their
+    :func:`_signatures` (see :func:`_groups`), ``incidence`` counts the
+    slots reading each source, ``counts`` holds its column sums c_s (a sum field's S is
     U @ c less ``mean_sum``, the summed means) and ``count_starts`` the
     starts of the runs of equal c.  ``bit_draws`` says whether every
     source is a fair two-point law, drawn as one random bit;
@@ -393,9 +393,8 @@ class LatentSourceField:
         if self.means is not None:
             put(self, "means", _read_only(np.array(self.means, dtype=float)))
         new = _new_ids(srt)
-        sig = _signatures(self, supports, srt, new)
-        _, first, inverse = np.unique(sig, return_index=True, return_inverse=True)
-        put(self, "groups", (_read_only(first), _read_only(inverse.reshape(-1))))
+        first, inverse = _groups(_signatures(self, supports, srt, new), n)
+        put(self, "groups", (_read_only(first), _read_only(inverse)))
         if new.all() and srt[:, :1].min(initial=0) >= 0:
             # no pad and no repeated id: the sorted rows are the record, unmasked
             inc = Csr((n, len(sources)), np.arange(n + 1) * K, srt.reshape(-1), np.ones(n * K),
@@ -463,9 +462,9 @@ def _gather(U: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 def _blocks(count: int, width: int, reps: int) -> list[slice]:
     """Index slices whose gathered (reps, block, width) array stays within
-    GATHER_CELLS and no larger than a (reps, count) output."""
-    width = max(width, 1)
-    step = max(1, min(count // width, GATHER_CELLS // max(1, reps * width)))
+    GATHER_CELLS (at least one index a block): one slice while the whole
+    gather fits."""
+    step = max(1, GATHER_CELLS // max(1, reps * width))
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
@@ -565,17 +564,15 @@ def _first_slots(S: np.ndarray, srt: np.ndarray) -> np.ndarray:
 
 
 def _signatures(field: LatentSourceField, S: np.ndarray, srt: np.ndarray,
-                new: np.ndarray) -> np.ndarray:
-    """Packed full signatures of the field's indices, whose support rows
-    are ``S`` and, sorted row by row, ``srt`` (``new`` its
+                new: np.ndarray) -> list[np.ndarray]:
+    """The columns of the full signatures of the field's indices, whose
+    support rows are ``S`` and, sorted row by row, ``srt`` (``new`` its
     :func:`_new_ids`): the coincidence pattern of S, the source laws slot
-    by slot (pads as one more law), then the params and means.  Equal
-    signatures mean one law.  A param of several columns (per index) is
-    keyed column by column, each value as its rank among all the param's
-    values, so its rows order as they do lexicographically.  A part that
-    is the same on every row is not computed: the pattern when no row
-    repeats an id, the laws for a single law and no pad, a param or mean
-    with one value."""
+    by slot (pads as one more law), then the params and means, a param of
+    several columns (per index) column by column, as raw values.  Equal
+    signatures mean one law.  A part that is the same on every row is not
+    built: the pattern when no row repeats an id, the laws for a single
+    law and no pad, a param or mean with one value."""
     cols = []
     if not new.all():
         cols.extend(_first_slots(S, srt).T)
@@ -584,8 +581,30 @@ def _signatures(field: LatentSourceField, S: np.ndarray, srt: np.ndarray,
     for p in (*field.params, *(() if field.means is None else (field.means,))):
         flat = p.reshape(len(S), -1)
         if not (flat == flat[:1]).all():
-            cols.extend(np.unique(flat, return_inverse=True)[1].reshape(flat.shape).T)
-    return _pack(cols) if cols else np.zeros(len(S), dtype=np.int64)
+            cols.extend(flat.T)
+    return cols
+
+
+def _groups(cols: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the n rows of the signature columns ``cols``, as
+    ``np.unique`` of their rows gives them: groups in lexicographic order
+    of the rows, each led by its lowest index.  One stable lexsort, the
+    first column most significant; -0.0 and 0.0 are one value, and so
+    are all NaNs.  With no column every index is in group 0."""
+    if not cols:
+        return np.zeros(min(n, 1), dtype=np.int64), np.zeros(n, dtype=np.int64)
+    order = np.lexsort(cols[::-1])
+    head = np.zeros(n, dtype=bool)
+    head[:1] = True
+    for col in cols:
+        c = col[order]
+        step = c[1:] != c[:-1]
+        if c.dtype.kind in "fc":
+            step &= ~(np.isnan(c[1:]) & np.isnan(c[:-1]))
+        head[1:] |= step
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.cumsum(head) - 1
+    return order[head], inverse
 
 
 # ---------------------------------------------------------------------------

@@ -304,8 +304,9 @@ def _bit_rows(A: Csr, width: int) -> np.ndarray:
 
 
 def _overlaps(M: Csr, Mt: Csr) -> tuple[np.ndarray, np.ndarray]:
-    """Per entry (i, j) of M: |A_i & A_j| and |A_i & N_j| (the same counts
-    when M is symmetric, as every induced system is).
+    """Per entry (i, j) of M: |A_i & A_j| and |A_i & N_j|, counted once
+    when M is symmetric (``Mt is M``, as :func:`derive` gives every
+    symmetric system, induced ones among them).
 
     Two routes give the same counts.  The bitset route ANDs rows packed
     into ceil(n/8) bytes, nnz ceil(n/8) bytes per count; the expansion
@@ -317,7 +318,7 @@ def _overlaps(M: Csr, Mt: Csr) -> tuple[np.ndarray, np.ndarray]:
     """
     n = M.shape[0]
     I, J = M.rows, M.indices
-    symmetric = np.array_equal(M.indptr, Mt.indptr) and np.array_equal(J, Mt.indices)
+    symmetric = Mt is M
     shared = np.empty(M.nnz, dtype=np.int64)
     hits = shared if symmetric else np.empty(M.nnz, dtype=np.int64)
     width = (n + 7) // 8
@@ -343,9 +344,12 @@ def _overlaps(M: Csr, Mt: Csr) -> tuple[np.ndarray, np.ndarray]:
 
 def derive(sys: NeighborhoodSystem) -> DerivedNeighborhoods:
     """N (as M^T), kappa and tau, in integers, from M's entries and their
-    overlaps (see :func:`_overlaps`)."""
+    overlaps (see :func:`_overlaps`).  When M^T equals M, ``Mt`` is M
+    itself, and its readers take that identity for symmetry."""
     M = sys.M
     Mt = M.transpose()
+    if np.array_equal(Mt.indptr, M.indptr) and np.array_equal(Mt.indices, M.indices):
+        Mt = M
     I, J = M.rows, M.indices
     s, r = np.diff(M.indptr), np.diff(Mt.indptr)
     shared, hits = _overlaps(M, Mt)

@@ -19,14 +19,20 @@ sum_s c_s^2 Var(U_s), with no enumeration, any other field's is
 E S^2 - (E S)^2 over the walk.  The moment table takes that value from
 its caller and cross-checks it against the covariance identity.
 
-Every checker reads one frozen instance record, :class:`Precomputed`,
-built once per instance by :func:`precompute`: the field and its
-neighborhood system with kappa, tau and M^T, the enumerated outcomes and
-their E[X X^T], the exact moment table, the dense 0/1 neighborhood
-matrix and the nested beta sums of :func:`bounds.beta_sums`.  The
-outcome space is walked once per instance, taking Var(S) and keeping
-every outcome, and the moment table's norms and covariance-identity
-cross-check are read from the outcomes.  A check passes when
+Each instance is one frozen record, :class:`Precomputed`, built once by
+:func:`precompute`: the field and its neighborhood system with kappa,
+tau and M^T, the enumerated outcomes and their E[X X^T], the exact
+moment table, the dense 0/1 neighborhood matrix and the nested beta
+sums of :func:`bounds.beta_sums`.  The outcome space is walked once per
+instance, taking Var(S) and keeping every outcome, and the moment
+table's norms and covariance-identity cross-check are read from the
+outcomes.  The checkers take instances in stacks of one index count
+(:class:`Stack`, one instance being a stack of one): the outcomes of
+the stacked instances are rows of one array, every elementwise
+integrand is formed once over all of them, and each instance keeps its
+own BLAS products, its row sums over a column subset and one pairwise
+sum per integrand over its own rows, so its verdicts are the same bits
+in any stack.  A check passes when
 
     margin = rhs - lhs >= -1e-10 * max(1, |rhs|).
 
@@ -54,7 +60,6 @@ from .bounds import (
     beta_sums,
     delta_components_prop1,
     delta_components_prop2,
-    interference_set_of,
     lam_scale,
     main_terms,
 )
@@ -322,28 +327,17 @@ def exact_kolmogorov(field: LatentSourceField, statistic: str) -> float:
 # The xi catalog
 
 
-XI_KINDS = ("one", "abs", "square", "abs_product", "clipped_exp")
 CLIPPED_EXP_RATE = 0.5  # clipped_exp is min(exp(rate X_a), 3)
-
-
-def xi_function(kind: str, A: Sequence[int]) -> Callable:
-    """A nonnegative, A-measurable test factor: X-matrix -> (M,) values."""
-    A = tuple(A)
-
-    if kind == "one":
-        return lambda X: np.ones(X.shape[0])
-    if not A:
-        raise ValueError(f"xi kind {kind!r} needs a nonempty A")
-    a0 = A[0]
-    if kind == "abs":
-        return lambda X: np.abs(X[:, a0])
-    if kind == "square":
-        return lambda X: X[:, a0] ** 2
-    if kind == "abs_product":
-        return lambda X: np.prod(np.abs(X[:, A]), axis=1)
-    if kind == "clipped_exp":
-        return lambda X: np.minimum(np.exp(CLIPPED_EXP_RATE * X[:, a0]), 3.0)
-    raise ValueError(f"unknown xi kind {kind!r}")
+# nonnegative, A-measurable test factors by kind, over outcome rows: each
+# takes the columns X_{A[0]} and X_{A[1]} (all 1 where A holds one index)
+XI_FUNCTIONS: dict[str, Callable] = {
+    "one": lambda x0, x1: np.ones(x0.size),
+    "abs": lambda x0, x1: np.abs(x0),
+    "square": lambda x0, x1: x0**2,
+    "abs_product": lambda x0, x1: np.abs(x0) * np.abs(x1),
+    "clipped_exp": lambda x0, x1: np.minimum(np.exp(CLIPPED_EXP_RATE * x0), 3.0),
+}
+XI_KINDS = tuple(XI_FUNCTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -387,90 +381,214 @@ def verdicts_to_csv_rows(verdicts: Sequence[InequalityVerdict]) -> list[str]:
     return buf.getvalue().splitlines()
 
 
-def _xi_moments(plan: Walk, xi_vals: np.ndarray, p: float) -> tuple[np.ndarray, float]:
-    """(xi^p per outcome, ||xi||_p^p); p = 0 gives (ones, 1)."""
-    if p == 0:
-        return np.ones_like(xi_vals), 1.0
-    pw = xi_vals**p
-    return pw, dot(plan.probs, pw)
+# ---------------------------------------------------------------------------
+# Checked instances, stacked by index count
 
 
-def _off_neighborhood(
-    pre: Precomputed, A: Sequence[int], xi: Callable | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mask of the indices outside N_A, S_A per outcome, xi per outcome;
-    xi = None is the constant 1)."""
-    X = pre.plan.X
-    comp = ~pre.P[:, list(A)].any(axis=1)  # k is in N_A iff A_k meets A
-    xi_vals = xi(X) if xi is not None else np.ones(X.shape[0])
-    return comp, X[:, comp].sum(axis=1), xi_vals
+@dataclass(frozen=True)
+class CheckInstance:
+    """One enumerable instance with its test parameters: the index sets A
+    (one or two indices; none only under a factor of kind "one") and B,
+    the window [a, b] widened by c, and the factor xi^p, xi of kind
+    ``xi_kind`` in XI_FUNCTIONS."""
+
+    pre: Precomputed
+    A: tuple[int, ...]
+    B: tuple[int, ...]
+    a: float
+    b: float
+    c: float
+    xi_kind: str
+    p: float
+
+
+@dataclass(frozen=True, eq=False)
+class Stack:
+    """Checked instances of one index count n, their outcomes stacked:
+    rows ``lo:hi`` of every per-outcome array, ``(lo, hi) = spans[k]``,
+    are instance k's.  :func:`stack_instances` forms the integrands that
+    several checks read once over all rows: |X|, S_A (X summed over the
+    indices outside N_A), sum_B |X|, xi and xi^p.  Per instance: ``P``,
+    the dense 0/1 matrix of M; ``exx``, E[X X^T]; ``comp``, the indices
+    outside N_A; and ``gamma_a``, the sum of ||X_i||_4 ||X_j||_4 over the
+    pairs (i, j) of D_A."""
+
+    instances: tuple[CheckInstance, ...]
+    spans: tuple[tuple[int, int], ...]
+    X: np.ndarray  # (R, n)
+    probs: np.ndarray  # (R,)
+    absx: np.ndarray  # (R, n)
+    s_a: np.ndarray  # (R,)
+    b_abs: np.ndarray  # (R,)
+    xi: np.ndarray  # (R,)
+    xi_pow: np.ndarray  # (R,), 1 where p = 0
+    P: np.ndarray  # (k, n, n)
+    exx: np.ndarray  # (k, n, n)
+    comp: np.ndarray  # (k, n), bool
+    gamma_a: tuple[float, ...]
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[1]
+
+    def rows(self, values) -> np.ndarray:
+        """Per-instance values, one (or one row) per instance, repeated
+        over each instance's outcome rows."""
+        return np.repeat(np.asarray(values), [hi - lo for lo, hi in self.spans], axis=0)
+
+    def sums(self, *integrands: np.ndarray) -> list[list[float]]:
+        """Per instance, E[f] of each (R,) integrand f over its own
+        outcomes: the pairwise sum of probs * f over its rows, one numpy
+        reduction per instance, as :func:`neighborhood.dot` sums one
+        instance's products."""
+        Q = np.stack(integrands) * self.probs
+        return [np.add.reduce(Q[:, lo:hi], axis=1).tolist() for lo, hi in self.spans]
+
+    def xi_norms(self, sums: Sequence[float]) -> list[float]:
+        """E xi^p per instance from its sum of xi^p, exactly 1 at p = 0."""
+        return [s if inst.p != 0 else 1.0 for s, inst in zip(sums, self.instances)]
+
+    def products(self, Y: np.ndarray, mats) -> np.ndarray:
+        """Each instance's rows of Y times its own (n, n) matrix, by one
+        BLAS product per instance into one (R, n) array."""
+        out = np.empty((Y.shape[0], mats[0].shape[1]))
+        for (lo, hi), m in zip(self.spans, mats):
+            np.matmul(Y[lo:hi], m, out=out[lo:hi])
+        return out
+
+
+def stack_instances(instances: Sequence[CheckInstance]) -> Stack:
+    """The :class:`Stack` of instances that share one index count.  Each
+    row of its integrands holds the floats that the instance's own
+    arrays would: elementwise steps are formed over all rows, and a row
+    sum over a column subset is taken per instance over those columns."""
+    instances = tuple(instances)
+    pres = [inst.pre for inst in instances]
+    if len({pre.sys.n for pre in pres}) != 1:
+        raise ValueError("a stack's instances share one index count")
+    for inst in instances:
+        if inst.xi_kind not in XI_FUNCTIONS:
+            raise ValueError(f"unknown xi kind {inst.xi_kind!r}")
+        if inst.xi_kind != "one" and not 1 <= len(inst.A) <= 2:
+            raise ValueError(f"xi kind {inst.xi_kind!r} needs one or two indices in A")
+    sizes = [pre.plan.probs.size for pre in pres]
+    ends = np.cumsum(sizes).tolist()
+    spans = tuple(zip([0, *ends[:-1]], ends))
+    X = np.concatenate([pre.plan.X for pre in pres])
+    P = np.stack([pre.P for pre in pres])
+    comp = ~np.stack([pre.P[:, list(inst.A)].any(axis=1) for pre, inst in zip(pres, instances)])
+    absx = np.abs(X)
+    s_a, b_abs = np.empty(X.shape[0]), np.empty(X.shape[0])
+    for (lo, hi), inst, keep in zip(spans, instances, comp):
+        np.sum(X[lo:hi, keep], axis=1, out=s_a[lo:hi])
+        np.sum(absx[lo:hi, list(inst.B)], axis=1, out=b_abs[lo:hi])
+
+    # xi, then xi^p, by kind and by power over their own rows
+    at = np.arange(X.shape[0])
+    x0 = X[at, np.repeat([inst.A[0] if inst.A else 0 for inst in instances], sizes)]
+    x1 = X[at, np.repeat([inst.A[-1] if inst.A else 0 for inst in instances], sizes)]
+    x1[np.repeat([len(inst.A) < 2 for inst in instances], sizes)] = 1.0
+    kinds = list(dict.fromkeys(inst.xi_kind for inst in instances))
+    powers = list(dict.fromkeys(inst.p for inst in instances))
+    kind_of = np.repeat([kinds.index(inst.xi_kind) for inst in instances], sizes)
+    power_of = np.repeat([powers.index(inst.p) for inst in instances], sizes)
+    xi, xi_pow = np.empty(X.shape[0]), np.ones(X.shape[0])
+    for k, kind in enumerate(kinds):
+        hit = kind_of == k
+        xi[hit] = XI_FUNCTIONS[kind](x0[hit], x1[hit])
+    for k, p in enumerate(powers):
+        if p != 0:
+            hit = power_of == k
+            xi_pow[hit] = xi[hit] ** p
+
+    # D_A: the entries (i, j) of M with i or j in N_A, in M's entry order
+    in_na = ~comp
+    l4 = np.stack([pre.table.l4 for pre in pres])
+    keep = (P > 0) & (in_na[:, :, None] | in_na[:, None, :])
+    pairs = (l4[:, :, None] * l4[:, None, :])[keep]
+    cuts = np.cumsum(keep.sum(axis=(1, 2))).tolist()
+    gamma_a = tuple(float(np.add.reduce(pairs[lo:hi])) for lo, hi in zip([0, *cuts[:-1]], cuts))
+
+    arrays = dict(X=X, probs=np.concatenate([pre.plan.probs for pre in pres]), absx=absx,
+                  s_a=s_a, b_abs=b_abs, xi=xi, xi_pow=xi_pow, P=P,
+                  exx=np.stack([pre.exx for pre in pres]), comp=comp)
+    for a in arrays.values():
+        a.setflags(write=False)
+    return Stack(instances=instances, spans=spans, gamma_a=gamma_a, **arrays)
 
 
 # ---------------------------------------------------------------------------
-# Lemma checkers
+# Lemma checkers, each over a stack: one verdict list, instance by instance
 
 
-def _quadratic_forms(X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """x P x^T for every row x of X: one BLAS product, then the row sums of
-    its product with X, formed in place."""
-    Q = X @ P
-    Q *= X
+def _quadratic_forms(st: Stack, Y: np.ndarray, mats) -> np.ndarray:
+    """y P y^T for every row y of Y, P its instance's matrix in ``mats``:
+    one BLAS product per instance, then the row sums of its product with
+    Y, formed in place."""
+    Q = st.products(Y, mats)
+    Q *= Y
     return Q.sum(axis=1)
 
 
-def check_lemma_xiyi(
-    pre: Precomputed, A: Sequence[int], xi: Callable | None = None, p: float = 1.0
-) -> InequalityVerdict:
+def _off(st: Stack, comp: np.ndarray) -> np.ndarray:
+    """Each instance's P on the rows and columns that ``comp`` marks."""
+    return st.P * (comp[:, :, None] & comp[:, None, :])
+
+
+def _xiyi_verdicts(st: Stack, lhs, norms, gammas, a_and_p) -> list[InequalityVerdict]:
+    """The xiyi verdicts from each instance's E[xi^p quad^2], E xi^p and
+    gamma_A, at its (A, p)."""
+    out = []
+    for inst, v, xi_norm, gamma_a, (A, p) in zip(st.instances, lhs, norms, gammas, a_and_p):
+        rhs = 4.0 * xi_norm * (gamma_a**2 + 4.0 * inst.pre.sums["t21"])
+        out.append(InequalityVerdict("lemma_xiyi" if A else "lemma_xiyi_corollary", v, rhs,
+                                     "not_applicable", f"n={st.n};A={sorted(A)};p={p}"))
+    return out
+
+
+def _quad_squared(st: Stack, comp: np.ndarray) -> np.ndarray:
+    """Per outcome, |sum_{i,j} (X_i X_j - E X_i X_j)|^2 over i in ``comp``
+    and j in A_i and ``comp``, each instance centered by its E[X X^T]."""
+    P = _off(st, comp)
+    center = np.sum(P * st.exx, axis=(1, 2))
+    return (_quadratic_forms(st, st.X, P) - st.rows(center)) ** 2
+
+
+def check_lemma_xiyi(st: Stack) -> list[InequalityVerdict]:
     """Second moment of the off-neighborhood quadratic fluctuation:
 
         E{ xi^p | sum_{i,j} (X_i X_j - E X_i X_j) |^2 }
             <= 4 ||xi||_p^p (gamma_A^2 + 4 gamma),
 
-    summing over i outside N_A and j in A_i outside N_A.  With empty A and
-    xi = 1 this is the 16-gamma corollary for the full double sum.  gamma
-    is the nested sum t21 of the beta sums, over i, j in A_i, k in
-    A_i | A_j and l in N_k | A_k of the four L4 norms.
+    summing over i outside N_A and j in A_i outside N_A.  gamma_A is the
+    sum of ||X_i||_4 ||X_j||_4 over D_A, and gamma is the nested sum t21
+    of the beta sums, over i, j in A_i, k in A_i | A_j and l in N_k | A_k
+    of the four L4 norms.
     """
-    plan, table, sys = pre.plan, pre.table, pre.sys
-    n = sys.n
-    comp, _, xi_vals = _off_neighborhood(pre, A, xi)
-    P = pre.P * np.outer(comp, comp)
-    center = float(np.sum(P * pre.exx))
-    quad = _quadratic_forms(plan.X, P) - center
-    xi_pow, xi_norm = _xi_moments(plan, xi_vals, p)
-    lhs = dot(plan.probs, xi_pow * quad**2)
-    I, J = interference_set_of(sys, A)
-    gamma_a = dot(table.l4[I], table.l4[J])
-    gamma = pre.sums["t21"]
-    rhs = 4.0 * xi_norm * (gamma_a**2 + 4.0 * gamma)
-    return InequalityVerdict(
-        check_id="lemma_xiyi" if A else "lemma_xiyi_corollary",
-        lhs=lhs,
-        rhs=rhs,
-        precondition="not_applicable",
-        digest=f"n={n};A={sorted(A)};p={p}",
-    )
+    sums = st.sums(st.xi_pow, st.xi_pow * _quad_squared(st, st.comp))
+    return _xiyi_verdicts(st, [s[1] for s in sums], st.xi_norms([s[0] for s in sums]),
+                          st.gamma_a, [(inst.A, inst.p) for inst in st.instances])
 
 
-def check_lemma_s2(
-    pre: Precomputed, A: Sequence[int], xi: Callable | None = None, p: float = 1.0
-) -> InequalityVerdict:
+def check_lemma_xiyi_corollary(st: Stack) -> list[InequalityVerdict]:
+    """The 16-gamma corollary of :func:`check_lemma_xiyi` for the full
+    double sum: empty A (gamma_A = 0) and xi = 1 (p = 0)."""
+    k = len(st.instances)
+    sums = [s[0] for s in st.sums(_quad_squared(st, np.ones_like(st.comp)))]
+    return _xiyi_verdicts(st, sums, [1.0] * k, [0.0] * k, [((), 0.0)] * k)
+
+
+def check_lemma_s2(st: Stack) -> list[InequalityVerdict]:
     """E{xi^p S_A^2} <= ||xi||_p^p (E S_A^2 + 2 sum_{D_A} ||X_i||_4 ||X_j||_4)."""
-    plan, table, sys = pre.plan, pre.table, pre.sys
-    _, s_a, xi_vals = _off_neighborhood(pre, A, xi)
-    xi_pow, xi_norm = _xi_moments(plan, xi_vals, p)
-    lhs = dot(plan.probs, xi_pow * s_a**2)
-    es2 = dot(plan.probs, s_a**2)
-    I, J = interference_set_of(sys, A)
-    pair_term = dot(table.l4[I], table.l4[J])
-    rhs = xi_norm * (es2 + 2.0 * pair_term)
-    return InequalityVerdict(
-        check_id="lemma_s2",
-        lhs=lhs,
-        rhs=rhs,
-        precondition="not_applicable",
-        digest=f"n={sys.n};A={sorted(A)};p={p}",
-    )
+    s_a2 = st.s_a**2
+    sums = st.sums(st.xi_pow, st.xi_pow * s_a2, s_a2)
+    norms = st.xi_norms([s[0] for s in sums])
+    out = []
+    for inst, (_, lhs, es2), xi_norm, pair_term in zip(st.instances, sums, norms, st.gamma_a):
+        rhs = xi_norm * (es2 + 2.0 * pair_term)
+        out.append(InequalityVerdict("lemma_s2", lhs, rhs, "not_applicable",
+                                     f"n={st.n};A={sorted(inst.A)};p={inst.p}"))
+    return out
 
 
 def fourth_moment_precondition(
@@ -486,52 +604,31 @@ def fourth_moment_precondition(
     return ok, {"pre1": lhs1, "pre2": lhs2, "threshold": 1.0 / 500.0}
 
 
-def check_lemma_s4(
-    pre: Precomputed, A: Sequence[int], xi: Callable | None = None, p: float = 1.0
-) -> list[InequalityVerdict]:
+def check_lemma_s4(st: Stack) -> list[InequalityVerdict]:
     """Fourth-moment bounds at constant 13: E{xi^p S_A^4} <= 13 lam s^4 E xi^p,
-    with companions E S^4 <= 13 lam s^4 and E(sum Y_i)^4 <= 13 kappa^4 lam s^4."""
-    plan, der, table = pre.plan, pre.derived, pre.table
-    kappa, tau = der.kappa, der.tau
-    sigma = table.sigma
-    lam = lam_scale(table, kappa)
-    ok, _ = fourth_moment_precondition(table, kappa, tau, max(len(A), 1))
-    status = "satisfied" if ok else "violated"
-    digest = f"n={pre.sys.n};A={sorted(A)};p={p}"
-
-    _, s_a, xi_vals = _off_neighborhood(pre, A, xi)
-    xi_pow, e_xi = _xi_moments(plan, xi_vals, p)
-    verdicts = [
-        InequalityVerdict(
-            check_id="lemma_s4_xi",
-            lhs=dot(plan.probs, xi_pow * s_a**4),
-            rhs=13.0 * lam * sigma**4 * e_xi,
-            precondition=status,
-            digest=digest,
-        )
-    ]
-    s = plan.X.sum(axis=1)
-    verdicts.append(
-        InequalityVerdict(
-            check_id="lemma_s4_s",
-            lhs=dot(plan.probs, s**4),
-            rhs=13.0 * lam * sigma**4,
-            precondition=status,
-            digest=digest,
-        )
-    )
-    rev_sizes = np.diff(der.Mt.indptr).astype(float)
-    y_total = plan.X @ rev_sizes
-    verdicts.append(
-        InequalityVerdict(
-            check_id="lemma_s4_y",
-            lhs=dot(plan.probs, y_total**4),
-            rhs=13.0 * kappa**4 * lam * sigma**4,
-            precondition=status,
-            digest=digest,
-        )
-    )
-    return verdicts
+    with companions E S^4 <= 13 lam s^4 and E(sum Y_i)^4 <= 13 kappa^4 lam s^4;
+    three verdicts per instance."""
+    y_total = np.empty(st.X.shape[0])  # sum_i Y_i = sum_j |N_j| X_j, one BLAS product each
+    for (lo, hi), inst in zip(st.spans, st.instances):
+        rev_sizes = np.diff(inst.pre.derived.Mt.indptr).astype(float)
+        np.matmul(st.X[lo:hi], rev_sizes, out=y_total[lo:hi])
+    sums = st.sums(st.xi_pow, st.xi_pow * st.s_a**4, st.X.sum(axis=1) ** 4, y_total**4)
+    norms = st.xi_norms([s[0] for s in sums])
+    out = []
+    for inst, (_, lhs_xi, lhs_s, lhs_y), e_xi in zip(st.instances, sums, norms):
+        table, der = inst.pre.table, inst.pre.derived
+        kappa, tau = der.kappa, der.tau
+        sigma = table.sigma
+        lam = lam_scale(table, kappa)
+        ok, _ = fourth_moment_precondition(table, kappa, tau, max(len(inst.A), 1))
+        status = "satisfied" if ok else "violated"
+        digest = f"n={st.n};A={sorted(inst.A)};p={inst.p}"
+        out += [
+            InequalityVerdict("lemma_s4_xi", lhs_xi, 13.0 * lam * sigma**4 * e_xi, status, digest),
+            InequalityVerdict("lemma_s4_s", lhs_s, 13.0 * lam * sigma**4, status, digest),
+            InequalityVerdict("lemma_s4_y", lhs_y, 13.0 * kappa**4 * lam * sigma**4, status, digest),
+        ]
+    return out
 
 
 TEST_FUNCTIONS: dict[str, Callable] = {
@@ -542,48 +639,50 @@ TEST_FUNCTIONS: dict[str, Callable] = {
 }
 
 
-def check_lemma_r4(pre: Precomputed) -> list[InequalityVerdict]:
+def check_lemma_r4(st: Stack) -> list[InequalityVerdict]:
     """Necessary-condition check of the clamped self-normalized term bound:
 
         sum_i | E{ (X_i/Vbar) f(W2bar - Y_i/Vbar) } |
             <= 27 kappa^2/s^3 sum E|X_i|^3 + 11 kappa^3/s^4 sum E|X_i|^4
 
     for each test function in the finite family TEST_FUNCTIONS (the quantifier
-    over all absolutely continuous f cannot be verified universally).  Each
-    needs ||f||_inf <= 1 and ||f'||_inf <= 1; ``tests/test_oracle.py``
-    checks the family on a dense grid of [-40, 40].
+    over all absolutely continuous f cannot be verified universally), one
+    verdict per function and instance.  Each needs ||f||_inf <= 1 and
+    ||f'||_inf <= 1; ``tests/test_oracle.py`` checks the family on a dense
+    grid of [-40, 40].
     """
-    plan, table = pre.plan, pre.table
-    sigma = table.sigma
-    kappa = pre.derived.kappa
-    pre_lhs = kappa**2 * float(np.sum(table.l3**3)) / sigma**3
-    status = "satisfied" if pre_lhs <= 1.0 / 500.0 else "violated"
-    # per-outcome Vbar and W2bar, as (M, 1) columns
-    xy = np.einsum("mi,ij,mj->m", plan.X, pre.P, plan.X)
-    vbar = np.sqrt(np.clip(xy, 0.25 * sigma**2, 2.0 * sigma**2))[:, None]
-    w2bar = plan.X.sum(axis=1)[:, None] / vbar
-    y = plan.X @ pre.P.T  # Y_i = sum_{j in A_i} X_j per outcome
-    xv, w2bar_y = plan.X / vbar, w2bar - y / vbar
-    rhs = (
-        27.0 * kappa**2 / sigma**3 * float(np.sum(table.l3**3))
-        + 11.0 * kappa**3 / sigma**4 * float(np.sum(table.l4**4))
-    )
-    out = []
-    for name, f in TEST_FUNCTIONS.items():
-        # row i: X_i / Vbar * f(W2bar - Y_i / Vbar) per outcome
+    sigmas = [inst.pre.table.sigma for inst in st.instances]
+    # per-outcome Vbar and W2bar, as (R, 1) columns; x P x^T by one einsum per instance
+    xy = np.empty(st.X.shape[0])
+    for (lo, hi), P in zip(st.spans, st.P):
+        np.einsum("mi,ij,mj->m", st.X[lo:hi], P, st.X[lo:hi], out=xy[lo:hi])
+    lo_clip = st.rows([0.25 * s**2 for s in sigmas])
+    hi_clip = st.rows([2.0 * s**2 for s in sigmas])
+    vbar = np.sqrt(np.clip(xy, lo_clip, hi_clip))[:, None]
+    w2bar = st.X.sum(axis=1)[:, None] / vbar
+    y = st.products(st.X, [P.T for P in st.P])  # Y_i = sum_{j in A_i} X_j per outcome
+    xv, w2bar_y = st.X / vbar, w2bar - y / vbar
+    del xy, y, w2bar
+    # row i of f's terms: X_i / Vbar * f(W2bar - Y_i / Vbar) per outcome; one
+    # pairwise sum per row, the rows summed in index order: a lhs that is
+    # rounding noise around 0 does not depend on a BLAS kernel's order
+    terms = [[] for _ in st.instances]
+    for f in TEST_FUNCTIONS.values():
         Z = np.ascontiguousarray((xv * f(w2bar_y)).T)
-        # one pairwise sum per row, the rows summed in index order: a lhs
-        # that is rounding noise around 0 does not depend on a BLAS kernel's order
-        lhs = sum(np.abs(np.add.reduce(Z * plan.probs, axis=1)).tolist())
-        out.append(
-            InequalityVerdict(
-                check_id=f"lemma_r4[{name}]",
-                lhs=lhs,
-                rhs=rhs,
-                precondition=status,
-                digest=f"n={pre.sys.n};f={name}",
-            )
+        Z *= st.probs
+        for row, (lo, hi) in zip(terms, st.spans):
+            row.append(sum(np.abs(np.add.reduce(Z[:, lo:hi], axis=1)).tolist()))
+    out = []
+    for row, inst, sigma in zip(terms, st.instances, sigmas):
+        table, kappa = inst.pre.table, inst.pre.derived.kappa
+        pre_lhs = kappa**2 * float(np.sum(table.l3**3)) / sigma**3
+        status = "satisfied" if pre_lhs <= 1.0 / 500.0 else "violated"
+        rhs = (
+            27.0 * kappa**2 / sigma**3 * float(np.sum(table.l3**3))
+            + 11.0 * kappa**3 / sigma**4 * float(np.sum(table.l4**4))
         )
+        out += [InequalityVerdict(f"lemma_r4[{name}]", lhs, rhs, status, f"n={st.n};f={name}")
+                for name, lhs in zip(TEST_FUNCTIONS, row)]
     return out
 
 
@@ -591,49 +690,38 @@ def check_lemma_r4(pre: Precomputed) -> list[InequalityVerdict]:
 # Concentration checkers
 
 
-def check_prop1(
-    pre: Precomputed,
-    A: Sequence[int],
-    B: Sequence[int],
-    a: float,
-    b: float,
-    c: float,
-    xi: Callable | None = None,
-) -> InequalityVerdict:
+def _window(st: Stack, widen: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per outcome, the window a - c B/sigma - widen .. b + c B/sigma + widen
+    of each instance, B = sum_B |X|."""
+    a, b, c, sigma = (st.rows(v) for v in zip(*[
+        (inst.a, inst.b, inst.c, inst.pre.table.sigma) for inst in st.instances]))
+    spread = c * st.b_abs / sigma
+    return a - spread - widen, b + spread + widen
+
+
+def check_prop1(st: Stack) -> list[InequalityVerdict]:
     """Randomized concentration at constant 156:
 
         E{ xi 1(eta_B <= S_A/sigma <= zeta_B) }
             <= 156 ||xi||_{4/3} sum_{i=0}^{7} delta_i.
     """
-    plan, sys = pre.plan, pre.sys
-    sigma = pre.table.sigma
-    _, s_a, xi_vals = _off_neighborhood(pre, A, xi)
-    b_abs = np.abs(plan.X[:, list(B)]).sum(axis=1)
-    eta = a - c * b_abs / sigma
-    zeta = b + c * b_abs / sigma
-    ind = (eta <= s_a / sigma) & (s_a / sigma <= zeta)
-    lhs = dot(plan.probs, xi_vals * ind)
-    xi_43 = dot(plan.probs, xi_vals ** (4.0 / 3.0)) ** 0.75
-    deltas = delta_components_prop1(pre.table, sys, pre.derived, A, B, a, b, c, pre.sums)
-    rhs = 156.0 * xi_43 * sum(deltas.values())
-    return InequalityVerdict(
-        check_id="prop1",
-        lhs=lhs,
-        rhs=rhs,
-        precondition="not_applicable",
-        digest=f"n={sys.n};A={sorted(A)};B={sorted(B)};a={a:g};b={b:g};c={c:g}",
-    )
+    eta, zeta = _window(st)
+    ratio = st.s_a / st.rows([inst.pre.table.sigma for inst in st.instances])
+    ind = (eta <= ratio) & (ratio <= zeta)
+    out = []
+    for inst, (lhs, xi_43) in zip(st.instances, st.sums(st.xi * ind, st.xi ** (4.0 / 3.0))):
+        pre = inst.pre
+        deltas = delta_components_prop1(pre.table, pre.sys, pre.derived, inst.A, inst.B,
+                                        inst.a, inst.b, inst.c, pre.sums)
+        rhs = 156.0 * xi_43**0.75 * sum(deltas.values())
+        out.append(InequalityVerdict(
+            "prop1", lhs, rhs, "not_applicable",
+            f"n={st.n};A={sorted(inst.A)};B={sorted(inst.B)};a={inst.a:g};b={inst.b:g};c={inst.c:g}",
+        ))
+    return out
 
 
-def check_prop2(
-    pre: Precomputed,
-    A: Sequence[int],
-    B: Sequence[int],
-    a: float,
-    b: float,
-    c: float,
-    xi: Callable | None = None,
-) -> InequalityVerdict:
+def check_prop2(st: Stack) -> list[InequalityVerdict]:
     """Self-normalized randomized concentration at constant 8755:
 
         E{ xi 1(eta_{A,B} <= S_A/Vbar_A <= zeta_{A,B}) }
@@ -642,69 +730,37 @@ def check_prop2(
     with Vbar_A the clamped off-neighborhood variance proxy and the window
     widened by c |S_A| min(1, T_A) / sigma.
     """
-    plan, sys = pre.plan, pre.sys
-    sigma = pre.table.sigma
-    n = sys.n
-    comp, s_a, xi_vals = _off_neighborhood(pre, A, xi)
-    in_na = ~comp
-    P_v = pre.P * np.outer(comp, comp)
-    vbar_a = np.sqrt(
-        np.clip(
-            _quadratic_forms(plan.X, P_v),
-            0.25 * sigma**2,
-            2.0 * sigma**2,
-        )
-    )
-    absx = np.abs(plan.X)
+    sigmas = [inst.pre.table.sigma for inst in st.instances]
+    sigma, sigma2 = st.rows(sigmas), st.rows([s**2 for s in sigmas])
+    vbar_a = np.sqrt(np.clip(_quadratic_forms(st, st.X, _off(st, st.comp)),
+                             st.rows([0.25 * s**2 for s in sigmas]),
+                             st.rows([2.0 * s**2 for s in sigmas])))
     # rows k in N_A: P_t1[k, l] = 1 iff l in A_k, P_t2[k, l] = 1 iff l in N_k
-    P_t1 = pre.P * in_na[:, None]
-    P_t2 = pre.P.T * in_na[:, None]
-    t_a = np.sqrt(
-        (
-            _quadratic_forms(absx, P_t1) + _quadratic_forms(absx, P_t2)
-        )
-        / sigma**2
-    )
+    in_na = ~st.comp
+    P_t1 = [P * m[:, None] for P, m in zip(st.P, in_na)]
+    P_t2 = [P.T * m[:, None] for P, m in zip(st.P, in_na)]
+    t_a = np.sqrt((_quadratic_forms(st, st.absx, P_t1) + _quadratic_forms(st, st.absx, P_t2))
+                  / sigma2)
     q_a = np.minimum(1.0, t_a)
-    b_abs = absx[:, list(B)].sum(axis=1)
-    widen = c * np.abs(s_a) * q_a / sigma
-    eta = a - c * b_abs / sigma - widen
-    zeta = b + c * b_abs / sigma + widen
-    ratio = s_a / vbar_a
+    c = st.rows([inst.c for inst in st.instances])
+    eta, zeta = _window(st, c * np.abs(st.s_a) * q_a / sigma)
+    ratio = st.s_a / vbar_a
     ind = (eta <= ratio) & (ratio <= zeta)
-    lhs = dot(plan.probs, xi_vals * ind)
-    xi_43 = dot(plan.probs, xi_vals ** (4.0 / 3.0)) ** 0.75
-    _, deltas = delta_components_prop2(pre.table, sys, pre.derived, A, B, a, b, c, pre.sums)
-    rhs = 8755.0 * xi_43 * ((b - a) / 1500.0 + sum(deltas.values()))
-    return InequalityVerdict(
-        check_id="prop2",
-        lhs=lhs,
-        rhs=rhs,
-        precondition="not_applicable",
-        digest=f"n={n};A={sorted(A)};B={sorted(B)};a={a:g};b={b:g};c={c:g}",
-    )
+    out = []
+    for inst, (lhs, xi_43) in zip(st.instances, st.sums(st.xi * ind, st.xi ** (4.0 / 3.0))):
+        pre = inst.pre
+        _, deltas = delta_components_prop2(pre.table, pre.sys, pre.derived, inst.A, inst.B,
+                                           inst.a, inst.b, inst.c, pre.sums)
+        rhs = 8755.0 * xi_43**0.75 * ((inst.b - inst.a) / 1500.0 + sum(deltas.values()))
+        out.append(InequalityVerdict(
+            "prop2", lhs, rhs, "not_applicable",
+            f"n={st.n};A={sorted(inst.A)};B={sorted(inst.B)};a={inst.a:g};b={inst.b:g};c={inst.c:g}",
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Randomized instance generation for checker suites
-
-
-@dataclass(frozen=True)
-class CheckInstance:
-    """One randomized enumerable instance with window/test parameters."""
-
-    pre: Precomputed
-    A: tuple[int, ...]
-    B: tuple[int, ...]
-    a: float
-    b: float
-    c: float
-    xi_kind: str
-    p: float
-
-    @property
-    def xi(self) -> Callable:
-        return xi_function(self.xi_kind, self.A)
 
 
 # the largest random instance: indices, sources and outcomes
@@ -792,16 +848,16 @@ def _weighted_sum(G: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 SUITE_CHECKS = ("lemma_xiyi", "lemma_xiyi_corollary", "lemma_s2", "lemma_s4", "prop1", "prop2")
 
-# each check as verdicts of one instance; the checker names resolve when
-# the call runs, so a rebound module attribute is what gets called
-_SUITE_CALLS: dict[str, Callable[[CheckInstance], list[InequalityVerdict]]] = {
-    "lemma_xiyi": lambda i: [check_lemma_xiyi(i.pre, i.A, i.xi, i.p)],
-    "lemma_xiyi_corollary": lambda i: [check_lemma_xiyi(i.pre, (), None, 0.0)],
-    "lemma_s2": lambda i: [check_lemma_s2(i.pre, i.A, i.xi, i.p)],
-    "lemma_s4": lambda i: check_lemma_s4(i.pre, i.A, i.xi, i.p),
-    "prop1": lambda i: [check_prop1(i.pre, i.A, i.B, i.a, i.b, i.c, i.xi)],
-    "prop2": lambda i: [check_prop2(i.pre, i.A, i.B, i.a, i.b, i.c, i.xi)],
-    "lemma_r4": lambda i: check_lemma_r4(i.pre),
+# each check by name, over a stack; the checker names resolve when the
+# call runs, so a rebound module attribute is what gets called
+_SUITE_CALLS: dict[str, Callable[[Stack], list[InequalityVerdict]]] = {
+    "lemma_xiyi": lambda st: check_lemma_xiyi(st),
+    "lemma_xiyi_corollary": lambda st: check_lemma_xiyi_corollary(st),
+    "lemma_s2": lambda st: check_lemma_s2(st),
+    "lemma_s4": lambda st: check_lemma_s4(st),
+    "prop1": lambda st: check_prop1(st),
+    "prop2": lambda st: check_prop2(st),
+    "lemma_r4": lambda st: check_lemma_r4(st),
 }
 
 
@@ -811,18 +867,42 @@ def run_checker_suite(
     checks: Sequence[str] = SUITE_CHECKS,
     include_r4: bool = False,
 ) -> list[InequalityVerdict]:
-    """Run the explicit-constant checkers on randomized instances in one
-    thread (a pool lost at every thread count measured: the work is many
-    small numpy calls that hold the GIL).  Instance k draws from its own
-    substream, so a suite's verdicts are a prefix of any longer suite's.
-    ``checks`` are names from SUITE_CHECKS, run in that order; an unknown
-    name raises ValueError."""
+    """Run the explicit-constant checkers on randomized instances, in one
+    thread.  Instance k draws from its own substream, so a suite's
+    verdicts are a prefix of any longer suite's.  The instances are
+    checked in stacks of one index count (:func:`stack_instances`), each
+    checked once it would pass ``fields.ENUM_BLOCK`` outcome rows with
+    the next instance, or at the end; an instance with more rows is a
+    stack of its own.  The verdicts are listed instance by instance, each
+    instance's checks in the order of SUITE_CHECKS.  ``checks`` are names
+    from SUITE_CHECKS; an unknown name raises ValueError."""
     if isinstance(checks, str) or any(c not in SUITE_CHECKS for c in checks):
         raise ValueError(f"unknown checks {checks!r}; each one of {SUITE_CHECKS}")
     names = [c for c in SUITE_CHECKS if c in checks] + ["lemma_r4"] * include_r4
-    instances = (random_enumerable_instance(substream(master_seed, STREAM_INSTANCES, k))
-                 for k in range(n_instances))
-    return [v for inst in instances for name in names for v in _SUITE_CALLS[name](inst)]
+    rows: list[list[InequalityVerdict]] = []
+
+    def check(group: list[tuple[int, CheckInstance]]) -> None:
+        st = stack_instances([inst for _, inst in group])
+        for name in names:
+            verdicts = _SUITE_CALLS[name](st)
+            per = len(verdicts) // len(group)
+            for j, (k, _) in enumerate(group):
+                rows[k] += verdicts[j * per:(j + 1) * per]
+
+    pending: dict[int, list[tuple[int, CheckInstance]]] = {}  # by index count
+    held: dict[int, int] = {}  # their outcome rows
+    for k in range(n_instances):
+        inst = random_enumerable_instance(substream(master_seed, STREAM_INSTANCES, k))
+        rows.append([])
+        n, size = inst.pre.sys.n, inst.pre.plan.probs.size
+        if n in pending and held[n] + size > fields.ENUM_BLOCK:
+            check(pending.pop(n))
+            held[n] = 0
+        pending.setdefault(n, []).append((k, inst))
+        held[n] = held.get(n, 0) + size
+    for group in pending.values():
+        check(group)
+    return [v for row in rows for v in row]
 
 
 # ---------------------------------------------------------------------------

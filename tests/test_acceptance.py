@@ -112,8 +112,8 @@ def test_criterion_3_clamped_term_bound(checker_verdicts):
         lambda: F.build_m_dependent(6, 1, F.rademacher()),
         lambda: F.build_iid_field(8, F.rademacher()),
     ):
-        f = build()
-        verds = O.check_lemma_r4(O.precompute(f))
+        inst = O.CheckInstance(O.precompute(build()), (), (), 0.0, 0.0, 1.0, "one", 0.0)
+        verds = O.check_lemma_r4(O.stack_instances([inst]))
         assert all(v.passed for v in verds)
     all_pass = sum(v.passed for v in r4)
     _report(

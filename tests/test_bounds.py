@@ -5,12 +5,14 @@ Core claims:
       arithmetic (0.3 at n=100 iid Rademacher, 3 at n=1)
     - every shape is exactly invariant under X -> cX and index relabeling
     - the beta evaluator equals an independent naive quadruple-loop oracle
-      on random systems, and sits below its kappa/tau majorants
+      on random declared systems, symmetric or not, and induced ones, and
+      sits below its kappa/tau majorants
     - application shapes (graph, distributed U, constrained U, decorated)
       match direct formula evaluation and their structural identities
     - the delta components reproduce the hand-enumerated instance
     - the beta sums refuse, before building any union, a system whose
-      unions exceed the term budget
+      unions exceed the term budget, counting only the unions they build
+      (the pair cover alone on a symmetric system)
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import locdep.moments as M
 import locdep.neighborhood as nb
 import locdep.oracle as O
 from locdep.errors import BlockTooSmall, ComplexityCapExceeded, DegenerateVariance
+from locdep.rng import STREAM_INSTANCES, substream
 
 
 def iid_table(n: int) -> M.MomentTable:
@@ -168,15 +171,31 @@ def naive_beta(l4, sys, sigma):
 
 
 def test_beta_evaluator_equals_naive_loops():
+    """Declared systems (most of them not symmetric), each also made
+    symmetric, and the induced systems of random fields: the symmetric
+    ones take the route that builds only the pair cover."""
     rng = np.random.default_rng(7)
+    systems = []
     for _ in range(10):
         n = int(rng.integers(2, 12))
         A = []
         for i in range(n):
             extra = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
             A.append(sorted({i, *extra.tolist()}))
-        sys = nb.make_system(A)
+        systems.append(nb.make_system(A))
+        both = [set(a) for a in A]
+        for i, a in enumerate(A):
+            for j in a:
+                both[j].add(i)
+        systems.append(nb.make_system([sorted(a) for a in both]))
+    for k in range(6):
+        inst = O.random_enumerable_instance(substream(99, STREAM_INSTANCES, k))
+        systems.append(inst.pre.sys)
+    symmetric = 0
+    for sys in systems:
+        n = sys.n
         der = nb.derive(sys)
+        symmetric += der.Mt is sys.M
         l4 = rng.uniform(0.2, 2.0, size=n)
         t = M.MomentTable(l2=l4 * 0.8, l3=l4 * 0.9, l4=l4, sigma2=float(n), mode="exact")
         rep = B.bound_general_beta(t, sys, der)
@@ -184,6 +203,7 @@ def test_beta_evaluator_equals_naive_loops():
         assert rep.terms["beta1"] == pytest.approx(b1, rel=1e-12)
         assert rep.terms["beta2"] == pytest.approx(b2, rel=1e-12)
         assert rep.terms["beta3"] == pytest.approx(b3, rel=1e-12)
+    assert symmetric >= 16 and len(systems) - symmetric >= 5
 
 
 def test_beta_below_kappa_tau_majorants():
@@ -215,17 +235,34 @@ def test_all_zero_norms_give_zero_beta():
 
 
 def test_term_budget_raises_before_any_union(monkeypatch):
+    """TERM_BUDGET caps the summed row lengths of the unions beta_sums
+    builds, checked before any is built: on a symmetric (induced) system
+    the pair cover alone, sum over the entries (i, j) of |A_i| + |A_j|;
+    on one that is not, all four unions."""
     f = F.build_m_dependent(6, 1, F.rademacher())
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
-    B.bound_general_beta(t, sys, der)  # well inside the default cap
-    monkeypatch.setattr(B, "TERM_BUDGET", 10)
+    s = np.diff(sys.M.indptr)
+    cover = int(s[sys.M.rows].sum() + s[sys.M.indices].sum())
+    want = B.beta_sums(t.l4, sys, der)
+    monkeypatch.setattr(B, "TERM_BUDGET", cover)
+    got = B.beta_sums(t.l4, sys, der)  # exactly at the cap
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+    monkeypatch.setattr(B, "TERM_BUDGET", cover - 1)
     monkeypatch.setattr(B, "union", lambda *parts: pytest.fail("union built over the cap"))
-    with pytest.raises(ComplexityCapExceeded, match="cap 10$"):
+    with pytest.raises(ComplexityCapExceeded, match=f"needs {cover} term visits, over the cap {cover - 1}$"):
         B.bound_general_beta(t, sys, der)
     with pytest.raises(ComplexityCapExceeded):
         B.beta_sums(t.l4, sys, der)
+    # one-sided windows: A_i = {i, i + 1}, not symmetric, four unions
+    one_sided = nb.make_system([[i, i + 1] if i < 5 else [i] for i in range(6)])
+    der1 = nb.derive(one_sided)
+    M1, s1, r1 = one_sided.M, np.diff(one_sided.M.indptr), np.diff(der1.Mt.indptr)
+    I, J = M1.rows, M1.indices
+    four = int(2 * M1.nnz + 3 * s1[I].sum() + 2 * s1[J].sum() + 2 * r1[J].sum())
+    with pytest.raises(ComplexityCapExceeded, match=f"needs {four} term visits"):
+        B.beta_sums(t.l4, one_sided, der1)
 
 
 def test_bound_graph_examples():

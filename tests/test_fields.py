@@ -36,6 +36,8 @@ Core claims:
       that straddles a threshold, bit for bit; the triangle's chunked
       trace(A^3) equals the whole-batch formula; the first-slot pattern
       equals the argsort one
+    - index groups follow np.unique of the signature rows: -0.0 and 0.0
+      are one value, and so are all NaNs, ordered last
     - the distributed U-statistic builder refuses a continuous source with
       ValueError, as other refused builder arguments are refused
     - one byte cap, ``ENUM_BYTES_CAP``, read at call time, bounds both a
@@ -344,6 +346,27 @@ def test_a_param_of_several_columns_groups_as_its_unique_rows():
         assert f.groups[0].tolist() == first.tolist()
         assert f.groups[1].tolist() == inverse.reshape(-1).tolist()
     assert len(np.unique(rows, axis=0)) == 8  # -0.0 and 0.0 are one value
+
+
+def test_nan_and_signed_zero_params_group_as_np_unique_does():
+    """A param holding NaNs (of two bit patterns), -0.0 and 0.0 groups the
+    indices as ``np.unique`` does: every NaN one value, ordered last, and
+    -0.0 beside 0.0 one value, alone and with a second param."""
+    nan2 = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), dtype=float)[0]
+    vals = np.array([np.nan, 1.0, -0.0, nan2, 0.0, -2.0, 1.0, np.nan, 0.0])
+    rng = np.random.default_rng(3)
+    for trial in range(4):
+        w = vals[rng.permutation(vals.size)]
+        q = rng.integers(0, 2, size=vals.size) * 0.5
+        params = (w, q) if trial % 2 else (w,)
+        f = F.LatentSourceField((F.rademacher(),) * vals.size, np.arange(vals.size)[:, None],
+                                lambda G, w, q=0.0: w * G[..., 0] + q, params, np.zeros(vals.size))
+        ranks = [np.unique(p, return_inverse=True)[1] for p in params]
+        key = ranks[0] * 2 + ranks[1] if trial % 2 else ranks[0]
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        assert f.groups[0].tolist() == first.tolist()
+        assert f.groups[1].tolist() == inverse.tolist()
+    assert np.unique(vals).size == 4  # -2, 0, 1 and one NaN
 
 
 @pytest.mark.parametrize("blocks,m", [([5], 1), ([6], 2), ([6, 3], 2), ([4, 4, 7], 3), ([3], 3)])

@@ -7,6 +7,7 @@ Core claims:
     - the pair cover read back from the interference sets is A_i | A_j
     - make_system rejects out-of-range and non-integer ids, naming the
       index; validation reports every violation and never raises
+    - derive takes M itself as M^T exactly when M is symmetric
     - kappa/tau are relabeling-invariant, satisfy the double-counting
       identity, and obey tau <= 2 kappa^2 for the union cover
     - the index-array kernels (products, unions, row selection, overlap
@@ -139,6 +140,35 @@ def test_pair_interference_random_systems_with_non_reflexive_rows():
         n = int(rng.integers(1, 9))
         check_against_brute_force(random_system(rng, n))
         check_against_brute_force(random_non_reflexive_system(rng, n))
+
+
+def test_derive_takes_m_itself_as_its_transpose_exactly_when_symmetric():
+    """``derive(sys).Mt is sys.M`` when M^T = M (windows, cycles, every
+    induced system, random systems made symmetric), and is a separate
+    transpose otherwise; kappa and tau match brute force either way."""
+    rng = np.random.default_rng(12)
+    f = fields.build_m_dependent(7, 2, fields.three_point())
+    systems = [window_system(9, 2), iid_system(4), fields.induced_neighborhoods(f),
+               nb.make_system([[(i - 1) % 6, i, (i + 1) % 6] for i in range(6)])]
+    for _ in range(20):
+        n = int(rng.integers(2, 10))
+        A = [set(rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False).tolist()) | {i}
+             for i in range(n)]
+        systems.append(nb.make_system(A))
+        systems.append(nb.make_system([a | {j for j in range(n) if i in A[j]} for i, a in enumerate(A)]))
+    kinds = set()
+    for sys in systems:
+        der = nb.derive(sys)
+        dense = sys.M.toarray()
+        symmetric = bool((dense == dense.T).all())
+        kinds.add(symmetric)
+        assert (der.Mt is sys.M) == symmetric
+        assert np.array_equal(der.Mt.toarray(), dense.T)
+        A = [set(a.tolist()) for a in rows(sys.M)]
+        kappa = max([len(r) for r in brute_reverse(sys)]
+                    + [len(A[i] | A[j]) for i in range(sys.n) for j in A[i]])
+        assert (der.kappa, der.tau) == (kappa, max(len(d) for d in brute_interference(sys)))
+    assert kinds == {True, False}
 
 
 def test_kappa_tau_values():

@@ -19,15 +19,20 @@ Core claims:
     - the suite's verdicts match a recorded table, a suite of one check
       gives the full suite's rows of that check, and a shorter suite's
       verdicts are a prefix of a longer one's
+    - an instance checked as a stack of one, or in a stack of others in
+      any order, gives the suite's rows bit for bit
     - each suite instance's walk keeps only the outcomes of the sources
-      its indices read, and its field is given means of exactly 0, which
-      holds: every source's mean is 0 exactly, every index reads distinct
-      sources, and a local enumeration gives 0 within 1e-15
+      its indices read, in one evaluator call per block of outcomes (a
+      gather past GATHER_CELLS splits into blocks within it), and its
+      field is given means of exactly 0, which holds: every source's mean
+      is 0 exactly, every index reads distinct sources, and a local
+      enumeration gives 0 within 1e-15
     - merging atoms by array code matches the chained-merge loop
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -270,18 +275,30 @@ def test_lattice_w2_law_of_the_cycle_at_n_6_peaks_within_13_mb():
     assert peak <= 13 * 2**20
 
 
-def test_lemma_xiyi_hand_instances():
+def stack_of(pre, A=(), B=(), a=0.0, b=0.0, c=1.0, xi_kind="one", p=1.0):
+    """A stack of one: the instance ``pre`` (or a field's) with these
+    test parameters."""
+    pre = pre if isinstance(pre, O.Precomputed) else O.precompute(pre)
+    return O.stack_instances([O.CheckInstance(pre, tuple(A), tuple(B), a, b, c, xi_kind, p)])
+
+
+def zero_xi(monkeypatch):
+    monkeypatch.setitem(O.XI_FUNCTIONS, "zero", lambda x0, x1: np.zeros(x0.size))
+
+
+def test_lemma_xiyi_hand_instances(monkeypatch):
     f = F.build_m_dependent(6, 1, F.rademacher())
     pre = O.precompute(f)
-    v = O.check_lemma_xiyi(pre, [2], xi=O.xi_function("abs", [2]), p=1.0)
+    [v] = O.check_lemma_xiyi(stack_of(pre, [2], xi_kind="abs", p=1.0))
     assert v.passed
-    v0 = O.check_lemma_xiyi(pre, [2], xi=lambda X: np.zeros(X.shape[0]), p=1.0)
+    zero_xi(monkeypatch)
+    [v0] = O.check_lemma_xiyi(stack_of(pre, [2], xi_kind="zero", p=1.0))
     assert v0.lhs == 0.0 and v0.rhs == 0.0 and v0.passed
-    vc = O.check_lemma_xiyi(pre, [])
+    [vc] = O.check_lemma_xiyi_corollary(stack_of(pre))
     assert vc.check_id == "lemma_xiyi_corollary" and vc.passed
     # iid: X_i^2 = 1 identically, so the corollary LHS vanishes
     fi = F.build_iid_field(4, F.rademacher())
-    vi = O.check_lemma_xiyi(O.precompute(fi), [])
+    [vi] = O.check_lemma_xiyi_corollary(stack_of(fi))
     assert vi.lhs == pytest.approx(0.0, abs=1e-12)
     assert vi.rhs == pytest.approx(16.0 * 4)
 
@@ -289,18 +306,18 @@ def test_lemma_xiyi_hand_instances():
 def test_lemma_s2_hand_instances():
     f = F.build_iid_field(4, F.rademacher())
     pre = O.precompute(f)
-    v1 = O.check_lemma_s2(pre, [0], xi=None, p=0.0)
+    [v1] = O.check_lemma_s2(stack_of(pre, [0], p=0.0))
     assert v1.lhs == pytest.approx(3.0) and v1.margin == pytest.approx(2.0)
-    v2 = O.check_lemma_s2(pre, [0], xi=O.xi_function("abs", [0]), p=1.0)
+    [v2] = O.check_lemma_s2(stack_of(pre, [0], xi_kind="abs", p=1.0))
     assert v2.passed
-    v3 = O.check_lemma_s2(pre, list(range(4)), xi=None, p=0.0)
+    [v3] = O.check_lemma_s2(stack_of(pre, range(4), p=0.0))
     assert v3.lhs == 0.0  # N_A = [n]: S_A is the empty sum
 
 
 def test_lemma_s4_small_n_precondition_recorded():
     for n in (4, 8, 12):
         f = F.build_iid_field(n, F.rademacher())
-        verds = O.check_lemma_s4(O.precompute(f), [0])
+        verds = O.check_lemma_s4(stack_of(f, [0]))
         by_id = {v.check_id: v for v in verds}
         s4 = by_id["lemma_s4_s"]
         assert s4.precondition == "violated"  # n^{-1/2} >> 1/500 at these sizes
@@ -311,17 +328,17 @@ def test_lemma_s4_small_n_precondition_recorded():
 
 def test_lemma_r4_instances(monkeypatch):
     f = F.build_m_dependent(6, 1, F.rademacher())
-    pre = O.precompute(f)
-    verds = O.check_lemma_r4(pre)
+    st = stack_of(f)
+    verds = O.check_lemma_r4(st)
     assert all(v.passed for v in verds)
     assert any(v.lhs > 0 for v in verds)
     f8 = F.build_iid_field(8, F.rademacher())
     clamp = O.TEST_FUNCTIONS["clamp"]
     monkeypatch.setattr(O, "TEST_FUNCTIONS", {"zero": lambda w: 0.0 * w})
-    zero = O.check_lemma_r4(pre)
-    assert zero[0].lhs == 0.0 and zero[0].passed
+    zero = O.check_lemma_r4(st)
+    assert len(zero) == 1 and zero[0].lhs == 0.0 and zero[0].passed
     monkeypatch.setattr(O, "TEST_FUNCTIONS", {"clamp": clamp})
-    verds8 = O.check_lemma_r4(O.precompute(f8))
+    verds8 = O.check_lemma_r4(stack_of(f8))
     assert verds8[0].passed
 
 
@@ -342,28 +359,30 @@ def test_r4_test_functions_have_sup_and_slope_at_most_one():
     assert not sup_and_slope_within_one(lambda w: np.clip(3 * w, -1, 1))  # slope 3
 
 
-def test_prop1_hand_instance_and_monotonicity():
+def test_prop1_hand_instance_and_monotonicity(monkeypatch):
     f = F.build_iid_field(4, F.rademacher())
     pre = O.precompute(f)
-    v = O.check_prop1(pre, [0], [1], 0.0, 0.0, 1.0, xi=O.xi_function("abs", [0]))
+    [v] = O.check_prop1(stack_of(pre, [0], [1], 0.0, 0.0, 1.0, xi_kind="abs"))
     assert v.lhs == pytest.approx(0.75)
     assert v.passed
     # widening [a, b] raises both sides
     prev_lhs = prev_rhs = -1.0
     for b in (0.0, 0.5, 1.5):
-        vb = O.check_prop1(pre, [0], [1], 0.0, b, 1.0, xi=O.xi_function("abs", [0]))
+        [vb] = O.check_prop1(stack_of(pre, [0], [1], 0.0, b, 1.0, xi_kind="abs"))
         assert vb.lhs >= prev_lhs - 1e-12 and vb.rhs >= prev_rhs - 1e-12
         prev_lhs, prev_rhs = vb.lhs, vb.rhs
-    vz = O.check_prop1(pre, [0], [1], 0.0, 0.0, 1.0, xi=lambda X: np.zeros(X.shape[0]))
+    zero_xi(monkeypatch)
+    [vz] = O.check_prop1(stack_of(pre, [0], [1], 0.0, 0.0, 1.0, xi_kind="zero"))
     assert vz.lhs == 0.0 and vz.passed
 
 
-def test_prop2_hand_instance():
+def test_prop2_hand_instance(monkeypatch):
     f = F.build_iid_field(6, F.rademacher())
     pre = O.precompute(f)
-    v = O.check_prop2(pre, [0], [1], 0.0, 0.0, 1.0, xi=O.xi_function("abs", [0]))
+    [v] = O.check_prop2(stack_of(pre, [0], [1], 0.0, 0.0, 1.0, xi_kind="abs"))
     assert v.passed
-    vz = O.check_prop2(pre, [0], [1], 0.0, 0.0, 1.0, xi=lambda X: np.zeros(X.shape[0]))
+    zero_xi(monkeypatch)
+    [vz] = O.check_prop2(stack_of(pre, [0], [1], 0.0, 0.0, 1.0, xi_kind="zero"))
     assert vz.lhs == 0.0 and vz.passed
 
 
@@ -386,6 +405,46 @@ def test_suite_is_a_prefix_of_a_longer_suite():
     assert [(v.check_id, v.digest, v.lhs, v.rhs) for v in a] == [
         (v.check_id, v.digest, v.lhs, v.rhs) for v in b[:48]
     ]
+
+
+def counting(ev, calls):
+    """``ev``, recording the size of each gathered block it is called on."""
+    def wrapped(G, *params):
+        calls.append(G.size)
+        return ev(G, *params)
+    return wrapped
+
+
+@pytest.mark.parametrize("block", [F.ENUM_BLOCK, 64])
+def test_a_suite_walk_calls_its_evaluator_once_per_outcome_block(monkeypatch, block):
+    """The walk of a checker instance gathers every index of a block of
+    outcomes in one evaluator call while the gather fits GATHER_CELLS,
+    and keeps the same X bit for bit."""
+    monkeypatch.setattr(F, "ENUM_BLOCK", block)
+    for k in range(10):
+        pre = O.random_enumerable_instance(substream(20260217, STREAM_INSTANCES, k)).pre
+        calls = []
+        f = dataclasses.replace(pre.field, ev=counting(pre.field.ev, calls))
+        walk = O.walk_outcomes(f, keep=True)
+        assert len(calls) == -(-f.outcome_count() // block)
+        assert max(calls) <= F.GATHER_CELLS
+        assert walk.X.tobytes() == pre.plan.X.tobytes()
+
+
+def test_a_gather_beyond_gather_cells_splits_into_blocks_within_it(monkeypatch):
+    """Past GATHER_CELLS, an evaluation gathers blocks of at most
+    GATHER_CELLS cells (one index at least), with the same values."""
+    f = O.random_enumerable_instance(substream(314, STREAM_INSTANCES, 3)).pre.field
+    rows = F.product_grid(f.sources, 0, 40)[1]
+    whole = F.evaluate_values(f, rows)
+    K = f.supports.shape[1]
+    for cells, per_block in ((2 * 40 * K, 2), (40 * K - 1, 1), (40 * K * f.n, f.n)):
+        monkeypatch.setattr(F, "GATHER_CELLS", cells)
+        calls = []
+        X = F.evaluate_values(dataclasses.replace(f, ev=counting(f.ev, calls)), rows)
+        assert len(calls) == -(-f.n // per_block)
+        assert max(calls) == 40 * K * per_block
+        assert X.tobytes() == whole.tobytes()
 
 
 def test_suite_instances_walk_only_their_read_sources():
@@ -441,6 +500,37 @@ def test_suite_matches_recorded_verdict_table():
         assert ("pass" if v.passed else "fail") == verdict
         assert v.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
         assert v.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
+
+def test_stacks_give_each_instance_its_own_rows_bit_for_bit():
+    """Each of the 20 instances of a suite at seed 314, checked as a stack
+    of one, and all 20 stacked in reverse order (one stack per index
+    count), give the suite's rows bit for bit: no instance's rows depend
+    on which instances share its stack or on their order."""
+    bits = lambda verds: [(v.check_id, v.digest, v.precondition, v.lhs.hex(), v.rhs.hex())
+                          for v in verds]
+    want = bits(O.run_checker_suite(20, master_seed=314, include_r4=True))
+    names = [*O.SUITE_CHECKS, "lemma_r4"]
+    insts = [O.random_enumerable_instance(substream(314, STREAM_INSTANCES, k)) for k in range(20)]
+
+    def checked(stack):  # per instance of the stack, its verdicts in suite order
+        k = len(stack.instances)
+        rows = [[] for _ in range(k)]
+        for name in names:
+            verds = O._SUITE_CALLS[name](stack)
+            per = len(verds) // k
+            for j in range(k):
+                rows[j] += verds[j * per:(j + 1) * per]
+        return rows
+
+    alone = [row for inst in insts for row in checked(O.stack_instances([inst]))]
+    assert bits(v for row in alone for v in row) == want
+    backward, rows = insts[::-1], {}
+    for n in dict.fromkeys(inst.pre.sys.n for inst in backward):
+        group = [inst for inst in backward if inst.pre.sys.n == n]
+        rows.update(zip(map(id, group), checked(O.stack_instances(group))))
+    assert bits(v for inst in insts for v in rows[id(inst)]) == want
+    assert max(sum(inst.pre.sys.n == n for inst in insts) for n in range(2, 9)) >= 4  # stacks of several
 
 
 def test_single_check_suites_match_the_full_suite():
@@ -546,9 +636,7 @@ def test_degenerate_statistic_raises():
 
 def test_verdict_csv_rows():
     f = F.build_iid_field(4, F.rademacher())
-    pre = O.precompute(f)
-    v = O.check_lemma_s2(pre, [0])
-    rows = O.verdicts_to_csv_rows([v])
+    rows = O.verdicts_to_csv_rows(O.check_lemma_s2(stack_of(f, [0])))
     assert rows[0].startswith("digest,check,")
     assert "lemma_s2" in rows[1] and "pass" in rows[1]
 
