@@ -341,9 +341,9 @@ class LatentSourceField:
     continuous sources must be given its means).
     ``groups`` is (first, inverse) of the indices grouped by their
     :func:`_signatures` (see :func:`_groups`), ``incidence`` counts the
-    slots reading each source, ``counts`` holds its column sums c_s (a sum field's S is
-    U @ c less ``mean_sum``, the summed means) and ``count_starts`` the
-    starts of the runs of equal c.  ``bit_draws`` says whether every
+    slots reading each source, ``counts`` holds its column sums c_s (a
+    sum field's S is U @ c less ``mean_sum``, the summed means) and
+    ``count_starts`` the starts of the runs of equal c.  ``bit_draws`` says whether every
     source is a fair two-point law, drawn as one random bit;
     ``block_rows`` is the rows B of a sample block, ``rng.block_size`` at
     the bits each draw takes.  ``bit_plan`` is the plan by which

@@ -467,8 +467,6 @@ def stack_instances(instances: Sequence[CheckInstance]) -> Stack:
     if len({pre.sys.n for pre in pres}) != 1:
         raise ValueError("a stack's instances share one index count")
     for inst in instances:
-        if inst.xi_kind not in XI_FUNCTIONS:
-            raise ValueError(f"unknown xi kind {inst.xi_kind!r}")
         if inst.xi_kind != "one" and not 1 <= len(inst.A) <= 2:
             raise ValueError(f"xi kind {inst.xi_kind!r} needs one or two indices in A")
     sizes = [pre.plan.probs.size for pre in pres]
