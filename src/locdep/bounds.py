@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,9 +64,10 @@ class BoundReport:
         }
 
 
-def lam_scale(table: MomentTable, kappa: int) -> float:
-    """lambda = kappa * sum ||X_i||_2^2 / sigma2."""
-    return float(kappa) * float(np.sum(table.l2**2)) / table.sigma2
+def lam_scale(norms: Mapping[str, float], kappa: int) -> float:
+    """lambda = kappa * sum ||X_i||_2^2 / sigma2, from the :func:`norm_sums`
+    ``norms``."""
+    return float(kappa) * norms["t2"] / norms["sigma2"]
 
 
 def norm_sums(table: MomentTable) -> tuple[dict[str, float], dict[str, float] | None]:
@@ -153,8 +154,9 @@ def bound_self_normalized(table: MomentTable, kappa: int, tau: int) -> BoundRepo
             "lambda": lam, "third_moment": lam * term1, "fourth_moment": lam * term2,
         }
 
-    return _report("self_normalized", shape, norm_sums(table), {
-        "kappa": kappa, "tau": tau, "sigma": sigma, "lambda": lam_scale(table, kappa),
+    sums = norm_sums(table)
+    return _report("self_normalized", shape, sums, {
+        "kappa": kappa, "tau": tau, "sigma": sigma, "lambda": lam_scale(sums[0], kappa),
     })
 
 
@@ -387,53 +389,85 @@ def bound_distributed_general(
 # Delta components for the concentration checkers
 
 
-def reverse_set_of(sys: NeighborhoodSystem, A: Sequence[int]) -> np.ndarray:
-    """N_A = {k : A_k & A != {}}, ascending: the rows of M that hit A."""
-    hit = np.zeros(sys.n)
-    hit[np.asarray(A, dtype=np.int64)] = 1.0
-    return np.flatnonzero(sys.M @ hit)
+def reverse_set_of(P: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """N_A = {k : A_k & A != {}} as a bool mask over the rows of P, the
+    dense 0/1 matrix of M (P[k, j] = 1 iff j in A_k): the rows that hit A,
+    A given as a bool mask over the indices.  Stacked systems, P (k, n, n)
+    with A (k, n), give one mask per system."""
+    return (P * A[..., None, :]).any(axis=-1)
 
 
-def interference_set_of(
-    sys: NeighborhoodSystem, A: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """D_A = {(i, j) : j in A_i, A & (A_i | A_j) != {}}, as (I, J): under
-    the union cover, the pairs of M with i or j in N_A."""
-    in_na = np.zeros(sys.n, dtype=bool)
-    in_na[reverse_set_of(sys, A)] = True
-    I, J = sys.M.rows, sys.M.indices
-    keep = in_na[I] | in_na[J]
-    return I[keep], J[keep]
+def interference_set_of(P: np.ndarray, in_na: np.ndarray) -> np.ndarray:
+    """D_A = {(i, j) : j in A_i, A & (A_i | A_j) != {}} as a bool mask over
+    P's entries, N_A given as the mask ``in_na`` (:func:`reverse_set_of`):
+    under the union cover, the entries (i, j) of M with i or j in N_A.
+    Stacked systems give one mask per system."""
+    return (P > 0) & (in_na[..., :, None] | in_na[..., None, :])
+
+
+def set_sums(
+    P: np.ndarray,
+    l4: np.ndarray,
+    w_n: np.ndarray,
+    w_an: np.ndarray,
+    in_a: np.ndarray,
+    in_b: np.ndarray,
+) -> list[dict[str, float]]:
+    """Per system k of a stack (P the (k, n, n) dense 0/1 matrices of M;
+    l4, w_n and w_an (k, n), with w_n_j = sum_{l in N_j} ||X_l||_4 and
+    w_an the :func:`beta_sums` vector over A_j | N_j), the sums over its
+    test sets, given as the bool masks ``in_a[k]`` and ``in_b[k]``, that
+    the delta components read:
+
+        n_a   = sum_{j in N_A} ||X_j||_4     n_a_w = sum_{j in N_A} ||X_j||_4 w_an_j
+        d_a   = sum_{(i,j) in D_A} ||X_i||_4 ||X_j||_4
+        l4_b  = sum_{j in B} ||X_j||_4       w_b   = sum_{j in B} ||X_j||_4 w_n_j
+
+    with the sizes ``size_a`` and ``size_b`` of A and B.  Each is one
+    pairwise sum over its set, in index order (D_A in M's entry order), as
+    :func:`neighborhood.dot` sums one system's products."""
+    k = l4.shape[0]
+    in_na = reverse_set_of(P, in_a)
+    parts = {
+        "n_a": (in_na, l4),
+        "n_a_w": (in_na, l4 * w_an),
+        "d_a": (interference_set_of(P, in_na), l4[:, :, None] * l4[:, None, :]),
+        "l4_b": (in_b, l4),
+        "w_b": (in_b, l4 * w_n),
+    }
+    out = [{"size_a": int(a), "size_b": int(b)}
+           for a, b in zip(in_a.sum(axis=1).tolist(), in_b.sum(axis=1).tolist())]
+    for name, (mask, values) in parts.items():
+        picked = values[mask]  # system by system, in index (entry) order
+        ends = np.cumsum(mask.reshape(k, -1).sum(axis=1)).tolist()
+        for row, lo, hi in zip(out, [0, *ends[:-1]], ends):
+            row[name] = float(np.add.reduce(picked[lo:hi]))
+    return out
 
 
 def delta_components_prop1(
-    table: MomentTable,
-    sys: NeighborhoodSystem,
-    derived: DerivedNeighborhoods,
-    A: Sequence[int],
-    B: Sequence[int],
+    norms: Mapping[str, float],
+    sets: Mapping[str, float],
     a: float,
     b: float,
     c: float,
-    sums: dict[str, float],
+    sums: Mapping[str, float],
 ) -> dict[str, float]:
     """delta_0..delta_7 of the randomized concentration inequality for
-    S_A / sigma, evaluated literally over the neighborhood system;
-    ``sums`` are the instance's :func:`beta_sums`."""
-    if not A or not B:
+    S_A / sigma, evaluated literally over the neighborhood system:
+    ``norms`` holds sigma2 (as :func:`norm_sums` names it), ``sets`` the
+    instance's :func:`set_sums` and ``sums`` its :func:`beta_sums`."""
+    if not sets["size_a"] or not sets["size_b"]:
         raise ValueError("A and B must be nonempty")
     if not (a <= b and c >= 1):
         raise ValueError("need a <= b and c >= 1")
-    sigma = table.sigma
-    l4 = table.l4
-    B = np.asarray(B, dtype=np.int64)
-    I, J = interference_set_of(sys, A)
+    sigma = math.sqrt(norms["sigma2"])
     delta = {
         "delta0": (b - a) / 100.0,
-        "delta1": c / sigma * float(np.sum(l4[reverse_set_of(sys, A)])),
-        "delta2": c / sigma * float(np.sum(l4[B])),
-        "delta3": c / sigma**2 * dot(l4[B], (derived.Mt @ l4)[B]),
-        "delta4": c / sigma**2 * dot(l4[I], l4[J]),
+        "delta1": c / sigma * sets["n_a"],
+        "delta2": c / sigma * sets["l4_b"],
+        "delta3": c / sigma**2 * sets["w_b"],
+        "delta4": c / sigma**2 * sets["d_a"],
         "delta5": c / sigma**3 * (sums["b1a"] + sums["b1b"]),
         "delta6": math.sqrt(c**2 / sigma**4 * (sums["t21"] + sums["t22"] + sums["t23_delta6"])),
         "delta7": math.sqrt(
@@ -444,35 +478,30 @@ def delta_components_prop1(
 
 
 def delta_components_prop2(
-    table: MomentTable,
-    sys: NeighborhoodSystem,
-    derived: DerivedNeighborhoods,
-    A: Sequence[int],
-    B: Sequence[int],
+    norms: Mapping[str, float],
+    kappa: int,
+    tau: int,
+    sets: Mapping[str, float],
     a: float,
     b: float,
     c: float,
-    sums: dict[str, float | np.ndarray],
 ) -> tuple[float, dict[str, float]]:
     """(lambda, delta_1..delta_4) of the self-normalized concentration
-    inequality for S_A / Vbar_A; ``sums`` are the instance's
-    :func:`beta_sums`, whose ``w_an`` delta_4 reads."""
-    if not A or not B:
+    inequality for S_A / Vbar_A, from the :func:`norm_sums` ``norms``, the
+    system's kappa and tau and the instance's :func:`set_sums`."""
+    if not sets["size_a"] or not sets["size_b"]:
         raise ValueError("A and B must be nonempty")
     if not (a <= b and c >= 1):
         raise ValueError("need a <= b and c >= 1")
-    sigma = table.sigma
-    l4 = table.l4
-    lam = lam_scale(table, derived.kappa)
-    main3, main4 = main_terms(float(np.sum(l4**3)), float(np.sum(l4**4)), sigma,
-                              derived.kappa, derived.tau)
-    n_a = reverse_set_of(sys, A)
+    sigma = math.sqrt(norms["sigma2"])
+    lam = lam_scale(norms, kappa)
+    main3, main4 = main_terms(norms["t3"], norms["t4"], sigma, kappa, tau)
     # sum over k in N_A and l in N_k | A_k of ||X_k||_4 ||X_l||_4
-    d4_sq = lam**2 * c**2 / sigma**2 * dot(l4[n_a], sums["w_an"][n_a])
+    d4_sq = lam**2 * c**2 / sigma**2 * sets["n_a_w"]
     delta = {
-        "delta1": c / sigma * float(np.sum(l4[np.asarray(B, dtype=np.int64)])),
-        "delta2": c * lam * len(A) ** 2 * main3,
-        "delta3": c * lam * len(A) ** 0.5 * main4,
+        "delta1": c / sigma * sets["l4_b"],
+        "delta2": c * lam * sets["size_a"] ** 2 * main3,
+        "delta3": c * lam * sets["size_a"] ** 0.5 * main4,
         "delta4": math.sqrt(d4_sq),
     }
     return lam, delta

@@ -393,7 +393,8 @@ class LatentSourceField:
         if self.means is not None:
             put(self, "means", _read_only(np.array(self.means, dtype=float)))
         new = _new_ids(srt)
-        first, inverse = _groups(_signatures(self, supports, srt, new), n)
+        first, inverse = _groups(_signatures(supports, srt, new, self.law_ids, (
+            *params, *(() if self.means is None else (self.means,)))), n)
         put(self, "groups", (_read_only(first), _read_only(inverse)))
         if new.all() and srt[:, :1].min(initial=0) >= 0:
             # no pad and no repeated id: the sorted rows are the record, unmasked
@@ -563,22 +564,23 @@ def _first_slots(S: np.ndarray, srt: np.ndarray) -> np.ndarray:
     return F
 
 
-def _signatures(field: LatentSourceField, S: np.ndarray, srt: np.ndarray,
-                new: np.ndarray) -> list[np.ndarray]:
-    """The columns of the full signatures of the field's indices, whose
-    support rows are ``S`` and, sorted row by row, ``srt`` (``new`` its
-    :func:`_new_ids`): the coincidence pattern of S, the source laws slot
-    by slot (pads as one more law), then the params and means, a param of
-    several columns (per index) column by column, as raw values.  Equal
+def _signatures(S: np.ndarray, srt: np.ndarray, new: np.ndarray, law_ids: np.ndarray,
+                params: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The columns of the full signatures of the indices whose support rows
+    are ``S`` and, sorted row by row, ``srt`` (``new`` its
+    :func:`_new_ids`), over sources of the laws ``law_ids``: the
+    coincidence pattern of S, the source laws slot by slot (pads as one
+    more law), then the per-index ``params`` (a field's params and means),
+    a param of several columns column by column, as raw values.  Equal
     signatures mean one law.  A part that is the same on every row is not
     built: the pattern when no row repeats an id, the laws for a single
-    law and no pad, a param or mean with one value."""
+    law and no pad, a param with one value."""
     cols = []
     if not new.all():
         cols.extend(_first_slots(S, srt).T)
-    if field.law_ids.max(initial=0) > 0 or (srt[:, :1] < 0).any():
-        cols.extend(np.append(field.law_ids, field.law_ids.max(initial=0) + 1)[S].T)
-    for p in (*field.params, *(() if field.means is None else (field.means,))):
+    if law_ids.max(initial=0) > 0 or (srt[:, :1] < 0).any():
+        cols.extend(np.append(law_ids, law_ids.max(initial=0) + 1)[S].T)
+    for p in params:
         flat = p.reshape(len(S), -1)
         if not (flat == flat[:1]).all():
             cols.extend(flat.T)

@@ -49,10 +49,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,6 +63,9 @@ from .bounds import (
     delta_components_prop2,
     lam_scale,
     main_terms,
+    norm_sums,
+    reverse_set_of,
+    set_sums,
 )
 from . import fields
 from .errors import DegenerateVariance, EnumerationCapExceeded
@@ -77,7 +81,7 @@ from .fields import (
     sum_values,
     three_point,
 )
-from .moments import MomentTable, exact_moment_table
+from .moments import SIGMA2_IDENTITY_RTOL, MomentTable, exact_moment_table
 from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive, dot
 from .rng import STREAM_INSTANCES, substream
 from .statistics import NEEDS_SIGMA, READS_VALUES, finish, statistic_parts
@@ -228,13 +232,13 @@ def _sum_field_sigma2(field: LatentSourceField) -> float:
 
 @dataclass(frozen=True)
 class Precomputed:
-    """The frozen record of one checked instance: everything the checkers
-    read, built once by :func:`precompute`.  The outcome space is walked
-    once, into ``plan``, which keeps every outcome and takes Var(S); the
-    moment table is read from it.  ``P`` is the dense 0/1 matrix of the
-    system's M, and ``exx`` the (n, n) matrix of E[X_i X_j] over the
-    walk, formed once: the table's covariance identity and both
-    :func:`check_lemma_xiyi` calls read it.  Both are read-only."""
+    """The frozen record of one checked instance of any enumerable field:
+    everything the checkers read, built once by :func:`precompute`.  The
+    outcome space is walked once, into ``plan``, which keeps every outcome
+    and takes Var(S); the moment table is read from it.  ``P`` is the
+    dense 0/1 matrix of the system's M, and ``exx`` the (n, n) matrix of
+    E[X_i X_j] over the walk, formed once: the table's covariance identity
+    and both :func:`check_lemma_xiyi` calls read it.  Both are read-only."""
 
     field: LatentSourceField
     sys: NeighborhoodSystem
@@ -261,6 +265,85 @@ def precompute(field: LatentSourceField) -> Precomputed:
         field=field, sys=sys, derived=der, plan=plan, table=table, P=P, exx=exx,
         sums=MappingProxyType(beta_sums(table.l4, sys, der)),
     )
+
+
+# the beta sums that the checkers read, beside the vector w_an
+CHECKED_SUMS = ("b1a", "b1b", "t21", "t22", "t23_delta6", "t31", "t32", "t33", "t34")
+
+
+@dataclass(frozen=True, eq=False)
+class PrecomputedStack:
+    """What the checkers read of instances of one index count n, their
+    outcomes stacked: rows ``lo:hi`` of ``X`` and ``probs``,
+    ``(lo, hi) = spans[k]``, are instance k's.  Per instance: its norms
+    (rows of ``l2``, ``l3``, ``l4``), E[X X^T] (``exx``), the dense 0/1
+    matrix ``P`` of its induced (symmetric) system, kappa and tau, its
+    :func:`bounds.norm_sums` with Var(S) as ``sigma2`` (``norms``), the
+    beta sums of CHECKED_SUMS (``sums``) and the vector ``w_an`` of
+    :func:`bounds.beta_sums`.  :func:`precompute_stack` builds one for
+    drawn suite fields at once; a :class:`Precomputed` record gives a
+    stack of one."""
+
+    spans: tuple[tuple[int, int], ...]
+    X: np.ndarray  # (R, n)
+    probs: np.ndarray  # (R,)
+    l2: np.ndarray  # (k, n)
+    l3: np.ndarray  # (k, n)
+    l4: np.ndarray  # (k, n)
+    exx: np.ndarray  # (k, n, n)
+    P: np.ndarray  # (k, n, n)
+    kappa: tuple[int, ...]
+    tau: tuple[int, ...]
+    norms: tuple[Mapping[str, float], ...]
+    sums: tuple[Mapping[str, float], ...]
+    w_an: np.ndarray  # (k, n)
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[1]
+
+    @property
+    def sigmas(self) -> list[float]:
+        return [math.sqrt(m["sigma2"]) for m in self.norms]
+
+    def take(self, ks: Sequence[int]) -> PrecomputedStack:
+        """The stack of instances ``ks``, in that order (itself when that
+        is every instance in order)."""
+        ks = list(ks)
+        if ks == list(range(len(self.spans))):
+            return self
+        rows = np.concatenate([np.arange(*self.spans[k]) for k in ks])
+        ends = np.cumsum([hi - lo for lo, hi in (self.spans[k] for k in ks)]).tolist()
+        pick = lambda values: tuple(values[k] for k in ks)
+        return PrecomputedStack(
+            spans=tuple(zip([0, *ends[:-1]], ends)), X=self.X[rows], probs=self.probs[rows],
+            l2=self.l2[ks], l3=self.l3[ks], l4=self.l4[ks], exx=self.exx[ks], P=self.P[ks],
+            kappa=pick(self.kappa), tau=pick(self.tau), norms=pick(self.norms),
+            sums=pick(self.sums), w_an=self.w_an[ks],
+        )
+
+
+def _stack_of_one(pre: Precomputed) -> PrecomputedStack:
+    """The :class:`PrecomputedStack` of one :class:`Precomputed` instance."""
+    return PrecomputedStack(
+        spans=((0, pre.plan.probs.size),), X=pre.plan.X, probs=pre.plan.probs,
+        l2=pre.table.l2[None], l3=pre.table.l3[None], l4=pre.table.l4[None],
+        exx=pre.exx[None], P=pre.P[None], kappa=(pre.derived.kappa,), tau=(pre.derived.tau,),
+        norms=(norm_sums(pre.table)[0],), sums=({k: pre.sums[k] for k in CHECKED_SUMS},),
+        w_an=pre.sums["w_an"][None],
+    )
+
+
+def _joined(parts: Sequence[PrecomputedStack]) -> PrecomputedStack:
+    """One stack of the instances of ``parts``, part after part."""
+    if len(parts) == 1:
+        return parts[0]
+    ends = np.cumsum([hi - lo for part in parts for lo, hi in part.spans]).tolist()
+    joined = {name: np.concatenate([getattr(part, name) for part in parts])
+              for name in ("X", "probs", "l2", "l3", "l4", "exx", "P", "w_an")}
+    joined.update({name: sum((getattr(part, name) for part in parts), ())
+                   for name in ("kappa", "tau", "norms", "sums")})
+    return PrecomputedStack(spans=tuple(zip([0, *ends[:-1]], ends)), **joined)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +473,12 @@ class CheckInstance:
     """One enumerable instance with its test parameters: the index sets A
     (one or two indices; none only under a factor of kind "one") and B,
     the window [a, b] widened by c, and the factor xi^p, xi of kind
-    ``xi_kind`` in XI_FUNCTIONS."""
+    ``xi_kind`` in XI_FUNCTIONS.  ``pre`` is the instance's
+    :class:`Precomputed` record, or, for a suite instance, the
+    :class:`PrecomputedStack` it was precomputed in and its position
+    there."""
 
-    pre: Precomputed
+    pre: Precomputed | tuple[PrecomputedStack, int]
     A: tuple[int, ...]
     B: tuple[int, ...]
     a: float
@@ -404,32 +490,37 @@ class CheckInstance:
 
 @dataclass(frozen=True, eq=False)
 class Stack:
-    """Checked instances of one index count n, their outcomes stacked:
-    rows ``lo:hi`` of every per-outcome array, ``(lo, hi) = spans[k]``,
-    are instance k's.  :func:`stack_instances` forms the integrands that
-    several checks read once over all rows: |X|, S_A (X summed over the
-    indices outside N_A), sum_B |X|, xi and xi^p.  Per instance: ``P``,
-    the dense 0/1 matrix of M; ``exx``, E[X X^T]; ``comp``, the indices
-    outside N_A; and ``gamma_a``, the sum of ||X_i||_4 ||X_j||_4 over the
-    pairs (i, j) of D_A."""
+    """Checked instances of one index count n: their
+    :class:`PrecomputedStack` ``pre``, whose rows ``lo:hi``,
+    ``(lo, hi) = spans[k]``, are instance k's, and the integrands that
+    several checks read, formed once over all rows by
+    :func:`stack_instances`: |X|, S_A (X summed over the indices outside
+    N_A), sum_B |X|, xi, xi^p and xi^{4/3}.  Per instance: ``comp``, the
+    indices outside N_A, and ``sets``, its :func:`bounds.set_sums` (the
+    sums over N_A, D_A and B)."""
 
     instances: tuple[CheckInstance, ...]
-    spans: tuple[tuple[int, int], ...]
-    X: np.ndarray  # (R, n)
-    probs: np.ndarray  # (R,)
+    pre: PrecomputedStack
     absx: np.ndarray  # (R, n)
     s_a: np.ndarray  # (R,)
     b_abs: np.ndarray  # (R,)
     xi: np.ndarray  # (R,)
     xi_pow: np.ndarray  # (R,), 1 where p = 0
-    P: np.ndarray  # (k, n, n)
-    exx: np.ndarray  # (k, n, n)
+    xi_43: np.ndarray  # (R,), xi^{4/3}
     comp: np.ndarray  # (k, n), bool
-    gamma_a: tuple[float, ...]
+    sets: tuple[Mapping[str, float], ...]
 
     @property
     def n(self) -> int:
-        return self.X.shape[1]
+        return self.pre.n
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.pre.X
+
+    @property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        return self.pre.spans
 
     def rows(self, values) -> np.ndarray:
         """Per-instance values, one (or one row) per instance, repeated
@@ -441,7 +532,7 @@ class Stack:
         outcomes: the pairwise sum of probs * f over its rows, one numpy
         reduction per instance, as :func:`neighborhood.dot` sums one
         instance's products."""
-        Q = np.stack(integrands) * self.probs
+        Q = np.stack(integrands) * self.pre.probs
         return [np.add.reduce(Q[:, lo:hi], axis=1).tolist() for lo, hi in self.spans]
 
     def xi_norms(self, sums: Sequence[float]) -> list[float]:
@@ -457,27 +548,44 @@ class Stack:
         return out
 
 
+def _index_masks(sets: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """(k, n) bool: row k marks the indices of ``sets[k]``."""
+    mask = np.zeros((len(sets), n), dtype=bool)
+    mask[np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
+         np.asarray([i for s in sets for i in s], dtype=np.int64)] = True
+    return mask
+
+
 def stack_instances(instances: Sequence[CheckInstance]) -> Stack:
-    """The :class:`Stack` of instances that share one index count.  Each
-    row of its integrands holds the floats that the instance's own
-    arrays would: elementwise steps are formed over all rows, and a row
-    sum over a column subset is taken per instance over those columns."""
+    """The :class:`Stack` of instances that share one index count, of
+    either kind: a :class:`Precomputed` record, or a position in a
+    :class:`PrecomputedStack` (consecutive instances of one such stack are
+    taken from it together).  Each row of its integrands holds the floats
+    that the instance's own arrays would: elementwise steps are formed
+    over all rows, and a row sum over a column subset is taken per
+    instance over those columns."""
     instances = tuple(instances)
-    pres = [inst.pre for inst in instances]
-    if len({pre.sys.n for pre in pres}) != 1:
+    refs = [inst.pre if isinstance(inst.pre, tuple) else (inst.pre, 0) for inst in instances]
+    if len({ref.sys.n if isinstance(ref, Precomputed) else ref.n for ref, _ in refs}) != 1:
         raise ValueError("a stack's instances share one index count")
     for inst in instances:
         if inst.xi_kind != "one" and not 1 <= len(inst.A) <= 2:
             raise ValueError(f"xi kind {inst.xi_kind!r} needs one or two indices in A")
-    sizes = [pre.plan.probs.size for pre in pres]
-    ends = np.cumsum(sizes).tolist()
-    spans = tuple(zip([0, *ends[:-1]], ends))
-    X = np.concatenate([pre.plan.X for pre in pres])
-    P = np.stack([pre.P for pre in pres])
-    comp = ~np.stack([pre.P[:, list(inst.A)].any(axis=1) for pre, inst in zip(pres, instances)])
+    parts = []
+    for _, run in itertools.groupby(refs, key=lambda ref: id(ref[0])):
+        run = list(run)
+        whole = run[0][0]
+        if isinstance(whole, Precomputed):
+            whole = _stack_of_one(whole)
+        parts.append(whole.take([k for _, k in run]))
+    pre = _joined(parts)
+    X, sizes = pre.X, [hi - lo for lo, hi in pre.spans]
+    in_a, in_b = _index_masks([inst.A for inst in instances], pre.n), \
+        _index_masks([inst.B for inst in instances], pre.n)
+    comp = ~reverse_set_of(pre.P, in_a)
     absx = np.abs(X)
     s_a, b_abs = np.empty(X.shape[0]), np.empty(X.shape[0])
-    for (lo, hi), inst, keep in zip(spans, instances, comp):
+    for (lo, hi), keep, inst in zip(pre.spans, comp, instances):
         np.sum(X[lo:hi, keep], axis=1, out=s_a[lo:hi])
         np.sum(absx[lo:hi, list(inst.B)], axis=1, out=b_abs[lo:hi])
 
@@ -499,20 +607,13 @@ def stack_instances(instances: Sequence[CheckInstance]) -> Stack:
             hit = power_of == k
             xi_pow[hit] = xi[hit] ** p
 
-    # D_A: the entries (i, j) of M with i or j in N_A, in M's entry order
-    in_na = ~comp
-    l4 = np.stack([pre.table.l4 for pre in pres])
-    keep = (P > 0) & (in_na[:, :, None] | in_na[:, None, :])
-    pairs = (l4[:, :, None] * l4[:, None, :])[keep]
-    cuts = np.cumsum(keep.sum(axis=(1, 2))).tolist()
-    gamma_a = tuple(float(np.add.reduce(pairs[lo:hi])) for lo, hi in zip([0, *cuts[:-1]], cuts))
-
-    arrays = dict(X=X, probs=np.concatenate([pre.plan.probs for pre in pres]), absx=absx,
-                  s_a=s_a, b_abs=b_abs, xi=xi, xi_pow=xi_pow, P=P,
-                  exx=np.stack([pre.exx for pre in pres]), comp=comp)
+    # N_k is A_k on an induced system, so w_an is the sum over N_k too
+    sets = tuple(set_sums(pre.P, pre.l4, pre.w_an, pre.w_an, in_a, in_b))
+    arrays = dict(absx=absx, s_a=s_a, b_abs=b_abs, xi=xi, xi_pow=xi_pow,
+                  xi_43=xi ** (4.0 / 3.0), comp=comp)
     for a in arrays.values():
         a.setflags(write=False)
-    return Stack(instances=instances, spans=spans, gamma_a=gamma_a, **arrays)
+    return Stack(instances=instances, pre=pre, sets=sets, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +631,15 @@ def _quadratic_forms(st: Stack, Y: np.ndarray, mats) -> np.ndarray:
 
 def _off(st: Stack, comp: np.ndarray) -> np.ndarray:
     """Each instance's P on the rows and columns that ``comp`` marks."""
-    return st.P * (comp[:, :, None] & comp[:, None, :])
+    return st.pre.P * (comp[:, :, None] & comp[:, None, :])
 
 
 def _xiyi_verdicts(st: Stack, lhs, norms, gammas, a_and_p) -> list[InequalityVerdict]:
     """The xiyi verdicts from each instance's E[xi^p quad^2], E xi^p and
     gamma_A, at its (A, p)."""
     out = []
-    for inst, v, xi_norm, gamma_a, (A, p) in zip(st.instances, lhs, norms, gammas, a_and_p):
-        rhs = 4.0 * xi_norm * (gamma_a**2 + 4.0 * inst.pre.sums["t21"])
+    for sums, v, xi_norm, gamma_a, (A, p) in zip(st.pre.sums, lhs, norms, gammas, a_and_p):
+        rhs = 4.0 * xi_norm * (gamma_a**2 + 4.0 * sums["t21"])
         out.append(InequalityVerdict("lemma_xiyi" if A else "lemma_xiyi_corollary", v, rhs,
                                      "not_applicable", f"n={st.n};A={sorted(A)};p={p}"))
     return out
@@ -548,7 +649,7 @@ def _quad_squared(st: Stack, comp: np.ndarray) -> np.ndarray:
     """Per outcome, |sum_{i,j} (X_i X_j - E X_i X_j)|^2 over i in ``comp``
     and j in A_i and ``comp``, each instance centered by its E[X X^T]."""
     P = _off(st, comp)
-    center = np.sum(P * st.exx, axis=(1, 2))
+    center = np.sum(P * st.pre.exx, axis=(1, 2))
     return (_quadratic_forms(st, st.X, P) - st.rows(center)) ** 2
 
 
@@ -565,7 +666,8 @@ def check_lemma_xiyi(st: Stack) -> list[InequalityVerdict]:
     """
     sums = st.sums(st.xi_pow, st.xi_pow * _quad_squared(st, st.comp))
     return _xiyi_verdicts(st, [s[1] for s in sums], st.xi_norms([s[0] for s in sums]),
-                          st.gamma_a, [(inst.A, inst.p) for inst in st.instances])
+                          [sets["d_a"] for sets in st.sets],
+                          [(inst.A, inst.p) for inst in st.instances])
 
 
 def check_lemma_xiyi_corollary(st: Stack) -> list[InequalityVerdict]:
@@ -582,24 +684,30 @@ def check_lemma_s2(st: Stack) -> list[InequalityVerdict]:
     sums = st.sums(st.xi_pow, st.xi_pow * s_a2, s_a2)
     norms = st.xi_norms([s[0] for s in sums])
     out = []
-    for inst, (_, lhs, es2), xi_norm, pair_term in zip(st.instances, sums, norms, st.gamma_a):
-        rhs = xi_norm * (es2 + 2.0 * pair_term)
+    for inst, (_, lhs, es2), xi_norm, sets in zip(st.instances, sums, norms, st.sets):
+        rhs = xi_norm * (es2 + 2.0 * sets["d_a"])
         out.append(InequalityVerdict("lemma_s2", lhs, rhs, "not_applicable",
                                      f"n={st.n};A={sorted(inst.A)};p={inst.p}"))
     return out
 
 
 def fourth_moment_precondition(
-    table: MomentTable, kappa: int, tau: int, a_size: int
+    norms: Mapping[str, float], kappa: int, tau: int, a_size: int
 ) -> tuple[bool, dict[str, float]]:
     """Both fourth-moment preconditions at threshold 1/500: the two main
-    terms, times |A|^2 and |A|^{1/2}."""
-    term1, term2 = main_terms(float(np.sum(table.l4**3)), float(np.sum(table.l4**4)),
-                              table.sigma, kappa, tau)
+    terms, times |A|^2 and |A|^{1/2}, from the :func:`bounds.norm_sums`
+    ``norms``."""
+    term1, term2 = main_terms(norms["t3"], norms["t4"], math.sqrt(norms["sigma2"]), kappa, tau)
     lhs1 = a_size**2 * term1
     lhs2 = a_size**0.5 * term2
     ok = lhs1 <= 1.0 / 500.0 and lhs2 <= 1.0 / 500.0
     return ok, {"pre1": lhs1, "pre2": lhs2, "threshold": 1.0 / 500.0}
+
+
+def _fourth(x: np.ndarray) -> np.ndarray:
+    """x^4 elementwise as the square of the square: numpy's float power
+    runs a scalar loop on arrays with negative values."""
+    return np.square(np.square(x))
 
 
 def check_lemma_s4(st: Stack) -> list[InequalityVerdict]:
@@ -607,18 +715,17 @@ def check_lemma_s4(st: Stack) -> list[InequalityVerdict]:
     with companions E S^4 <= 13 lam s^4 and E(sum Y_i)^4 <= 13 kappa^4 lam s^4;
     three verdicts per instance."""
     y_total = np.empty(st.X.shape[0])  # sum_i Y_i = sum_j |N_j| X_j, one BLAS product each
-    for (lo, hi), inst in zip(st.spans, st.instances):
-        rev_sizes = np.diff(inst.pre.derived.Mt.indptr).astype(float)
+    for (lo, hi), rev_sizes in zip(st.spans, st.pre.P.sum(axis=1)):
         np.matmul(st.X[lo:hi], rev_sizes, out=y_total[lo:hi])
-    sums = st.sums(st.xi_pow, st.xi_pow * st.s_a**4, st.X.sum(axis=1) ** 4, y_total**4)
+    sums = st.sums(st.xi_pow, st.xi_pow * _fourth(st.s_a), _fourth(st.X.sum(axis=1)),
+                   _fourth(y_total))
     norms = st.xi_norms([s[0] for s in sums])
     out = []
-    for inst, (_, lhs_xi, lhs_s, lhs_y), e_xi in zip(st.instances, sums, norms):
-        table, der = inst.pre.table, inst.pre.derived
-        kappa, tau = der.kappa, der.tau
-        sigma = table.sigma
-        lam = lam_scale(table, kappa)
-        ok, _ = fourth_moment_precondition(table, kappa, tau, max(len(inst.A), 1))
+    pre = st.pre
+    for inst, (_, lhs_xi, lhs_s, lhs_y), e_xi, moms, kappa, tau, sigma in zip(
+            st.instances, sums, norms, pre.norms, pre.kappa, pre.tau, pre.sigmas):
+        lam = lam_scale(moms, kappa)
+        ok, _ = fourth_moment_precondition(moms, kappa, tau, max(len(inst.A), 1))
         status = "satisfied" if ok else "violated"
         digest = f"n={st.n};A={sorted(inst.A)};p={inst.p}"
         out += [
@@ -649,16 +756,16 @@ def check_lemma_r4(st: Stack) -> list[InequalityVerdict]:
     ||f'||_inf <= 1; ``tests/test_oracle.py`` checks the family on a dense
     grid of [-40, 40].
     """
-    sigmas = [inst.pre.table.sigma for inst in st.instances]
+    sigmas = st.pre.sigmas
     # per-outcome Vbar and W2bar, as (R, 1) columns; x P x^T by one einsum per instance
     xy = np.empty(st.X.shape[0])
-    for (lo, hi), P in zip(st.spans, st.P):
+    for (lo, hi), P in zip(st.spans, st.pre.P):
         np.einsum("mi,ij,mj->m", st.X[lo:hi], P, st.X[lo:hi], out=xy[lo:hi])
     lo_clip = st.rows([0.25 * s**2 for s in sigmas])
     hi_clip = st.rows([2.0 * s**2 for s in sigmas])
     vbar = np.sqrt(np.clip(xy, lo_clip, hi_clip))[:, None]
     w2bar = st.X.sum(axis=1)[:, None] / vbar
-    y = st.products(st.X, [P.T for P in st.P])  # Y_i = sum_{j in A_i} X_j per outcome
+    y = st.products(st.X, [P.T for P in st.pre.P])  # Y_i = sum_{j in A_i} X_j per outcome
     xv, w2bar_y = st.X / vbar, w2bar - y / vbar
     del xy, y, w2bar
     # row i of f's terms: X_i / Vbar * f(W2bar - Y_i / Vbar) per outcome; one
@@ -667,18 +774,14 @@ def check_lemma_r4(st: Stack) -> list[InequalityVerdict]:
     terms = [[] for _ in st.instances]
     for f in TEST_FUNCTIONS.values():
         Z = np.ascontiguousarray((xv * f(w2bar_y)).T)
-        Z *= st.probs
+        Z *= st.pre.probs
         for row, (lo, hi) in zip(terms, st.spans):
             row.append(sum(np.abs(np.add.reduce(Z[:, lo:hi], axis=1)).tolist()))
     out = []
-    for row, inst, sigma in zip(terms, st.instances, sigmas):
-        table, kappa = inst.pre.table, inst.pre.derived.kappa
-        pre_lhs = kappa**2 * float(np.sum(table.l3**3)) / sigma**3
+    for row, moms, kappa, sigma in zip(terms, st.pre.norms, st.pre.kappa, sigmas):
+        pre_lhs = kappa**2 * moms["e3"] / sigma**3
         status = "satisfied" if pre_lhs <= 1.0 / 500.0 else "violated"
-        rhs = (
-            27.0 * kappa**2 / sigma**3 * float(np.sum(table.l3**3))
-            + 11.0 * kappa**3 / sigma**4 * float(np.sum(table.l4**4))
-        )
+        rhs = 27.0 * kappa**2 / sigma**3 * moms["e3"] + 11.0 * kappa**3 / sigma**4 * moms["t4"]
         out += [InequalityVerdict(f"lemma_r4[{name}]", lhs, rhs, status, f"n={st.n};f={name}")
                 for name, lhs in zip(TEST_FUNCTIONS, row)]
     return out
@@ -691,10 +794,14 @@ def check_lemma_r4(st: Stack) -> list[InequalityVerdict]:
 def _window(st: Stack, widen: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Per outcome, the window a - c B/sigma - widen .. b + c B/sigma + widen
     of each instance, B = sum_B |X|."""
-    a, b, c, sigma = (st.rows(v) for v in zip(*[
-        (inst.a, inst.b, inst.c, inst.pre.table.sigma) for inst in st.instances]))
-    spread = c * st.b_abs / sigma
+    a, b, c = (st.rows(v) for v in zip(*[(inst.a, inst.b, inst.c) for inst in st.instances]))
+    spread = c * st.b_abs / st.rows(st.pre.sigmas)
     return a - spread - widen, b + spread + widen
+
+
+def _prop_digest(st: Stack, inst: CheckInstance) -> str:
+    return (f"n={st.n};A={sorted(inst.A)};B={sorted(inst.B)};"
+            f"a={inst.a:g};b={inst.b:g};c={inst.c:g}")
 
 
 def check_prop1(st: Stack) -> list[InequalityVerdict]:
@@ -704,18 +811,14 @@ def check_prop1(st: Stack) -> list[InequalityVerdict]:
             <= 156 ||xi||_{4/3} sum_{i=0}^{7} delta_i.
     """
     eta, zeta = _window(st)
-    ratio = st.s_a / st.rows([inst.pre.table.sigma for inst in st.instances])
+    ratio = st.s_a / st.rows(st.pre.sigmas)
     ind = (eta <= ratio) & (ratio <= zeta)
     out = []
-    for inst, (lhs, xi_43) in zip(st.instances, st.sums(st.xi * ind, st.xi ** (4.0 / 3.0))):
-        pre = inst.pre
-        deltas = delta_components_prop1(pre.table, pre.sys, pre.derived, inst.A, inst.B,
-                                        inst.a, inst.b, inst.c, pre.sums)
+    for inst, (lhs, xi_43), moms, sets, sums in zip(
+            st.instances, st.sums(st.xi * ind, st.xi_43), st.pre.norms, st.sets, st.pre.sums):
+        deltas = delta_components_prop1(moms, sets, inst.a, inst.b, inst.c, sums)
         rhs = 156.0 * xi_43**0.75 * sum(deltas.values())
-        out.append(InequalityVerdict(
-            "prop1", lhs, rhs, "not_applicable",
-            f"n={st.n};A={sorted(inst.A)};B={sorted(inst.B)};a={inst.a:g};b={inst.b:g};c={inst.c:g}",
-        ))
+        out.append(InequalityVerdict("prop1", lhs, rhs, "not_applicable", _prop_digest(st, inst)))
     return out
 
 
@@ -728,15 +831,15 @@ def check_prop2(st: Stack) -> list[InequalityVerdict]:
     with Vbar_A the clamped off-neighborhood variance proxy and the window
     widened by c |S_A| min(1, T_A) / sigma.
     """
-    sigmas = [inst.pre.table.sigma for inst in st.instances]
+    sigmas = st.pre.sigmas
     sigma, sigma2 = st.rows(sigmas), st.rows([s**2 for s in sigmas])
     vbar_a = np.sqrt(np.clip(_quadratic_forms(st, st.X, _off(st, st.comp)),
                              st.rows([0.25 * s**2 for s in sigmas]),
                              st.rows([2.0 * s**2 for s in sigmas])))
     # rows k in N_A: P_t1[k, l] = 1 iff l in A_k, P_t2[k, l] = 1 iff l in N_k
     in_na = ~st.comp
-    P_t1 = [P * m[:, None] for P, m in zip(st.P, in_na)]
-    P_t2 = [P.T * m[:, None] for P, m in zip(st.P, in_na)]
+    P_t1 = [P * m[:, None] for P, m in zip(st.pre.P, in_na)]
+    P_t2 = [P.T * m[:, None] for P, m in zip(st.pre.P, in_na)]
     t_a = np.sqrt((_quadratic_forms(st, st.absx, P_t1) + _quadratic_forms(st, st.absx, P_t2))
                   / sigma2)
     q_a = np.minimum(1.0, t_a)
@@ -745,15 +848,12 @@ def check_prop2(st: Stack) -> list[InequalityVerdict]:
     ratio = st.s_a / vbar_a
     ind = (eta <= ratio) & (ratio <= zeta)
     out = []
-    for inst, (lhs, xi_43) in zip(st.instances, st.sums(st.xi * ind, st.xi ** (4.0 / 3.0))):
-        pre = inst.pre
-        _, deltas = delta_components_prop2(pre.table, pre.sys, pre.derived, inst.A, inst.B,
-                                           inst.a, inst.b, inst.c, pre.sums)
+    pre = st.pre
+    for inst, (lhs, xi_43), moms, kappa, tau, sets in zip(
+            st.instances, st.sums(st.xi * ind, st.xi_43), pre.norms, pre.kappa, pre.tau, st.sets):
+        _, deltas = delta_components_prop2(moms, kappa, tau, sets, inst.a, inst.b, inst.c)
         rhs = 8755.0 * xi_43**0.75 * ((inst.b - inst.a) / 1500.0 + sum(deltas.values()))
-        out.append(InequalityVerdict(
-            "prop2", lhs, rhs, "not_applicable",
-            f"n={st.n};A={sorted(inst.A)};B={sorted(inst.B)};a={inst.a:g};b={inst.b:g};c={inst.c:g}",
-        ))
+        out.append(InequalityVerdict("prop2", lhs, rhs, "not_applicable", _prop_digest(st, inst)))
     return out
 
 
@@ -769,68 +869,122 @@ INSTANCE_MAX_INDICES, INSTANCE_MAX_SOURCES, INSTANCE_MAX_OUTCOMES = 8, 10, 3**10
 RADEMACHER = rademacher()
 THREE_POINT = tuple(tuple(three_point(spread, p0) for p0 in (1.0 / 3.0, 0.5))
                     for spread in (1.0, 2.0))
+# the same laws by code: Rademacher is 0, THREE_POINT[a][b] is 1 + 2 a + b;
+# their values and probabilities as rows of (laws, 3) tables
+LAWS = (RADEMACHER, *THREE_POINT[0], *THREE_POINT[1])
+_LAW_SIZES = np.array([len(law.values) for law in LAWS])
+_LAW_VALUES, _LAW_PROBS = (np.array([list(getattr(law, attr)) + [0.0] * (3 - len(law.values))
+                                     for law in LAWS]) for attr in ("values", "probs"))
+
+
+@dataclass(frozen=True, eq=False)
+class FieldDraw:
+    """The drawn field of one suite instance, before anything is built
+    from it: source s has the law ``LAWS[codes[s]]``, and index i reads
+    the sources ``supports[i]`` (ascending, then -1 pads) with the weights
+    ``weights[i]`` (0 at a pad) and the product weight ``q[i]``, as
+    :func:`_weighted_sum` evaluates them."""
+
+    codes: tuple[int, ...]
+    supports: np.ndarray  # (n, 3)
+    weights: np.ndarray  # (n, 3)
+    q: np.ndarray  # (n,)
+
+    @property
+    def n(self) -> int:
+        return self.supports.shape[0]
+
+    @property
+    def rows(self) -> int:
+        """Its outcome count: the product of its read sources' support sizes."""
+        return math.prod(_LAW_SIZES[self.codes[s]] for s in set(self.supports.flat) - {-1})
+
+
+def _draw_field(rng: np.random.Generator) -> FieldDraw:
+    """One random field: 3..INSTANCE_MAX_SOURCES sources, a random mix of
+    the laws (any law past INSTANCE_MAX_OUTCOMES outcomes turned
+    Rademacher), then 2..INSTANCE_MAX_INDICES indices, each with a random
+    support of one to three sources, random weights and product weight."""
+    n_src = int(rng.integers(3, INSTANCE_MAX_SOURCES + 1))
+    codes = []
+    count = 1
+    for _ in range(n_src):
+        if rng.random() < 0.5:
+            code = 0
+        else:  # its spread, then its mass at 0
+            code = 1 + 2 * int(rng.integers(0, 2)) + int(rng.integers(0, 2))
+        if count * _LAW_SIZES[code] > INSTANCE_MAX_OUTCOMES:
+            code = 0
+        count *= int(_LAW_SIZES[code])
+        codes.append(code)
+    n_idx = int(rng.integers(2, INSTANCE_MAX_INDICES + 1))
+    supports = np.full((n_idx, min(3, n_src)), -1, dtype=np.int64)
+    weights = np.zeros(supports.shape)
+    q = np.zeros(n_idx)
+    for i in range(n_idx):
+        size = int(rng.integers(1, min(3, n_src) + 1))
+        supports[i, :size] = sorted(rng.choice(n_src, size=size, replace=False).tolist())
+        weights[i, :size] = rng.uniform(0.5, 1.5, size=size) * (2 * rng.integers(0, 2, size) - 1)
+        q[i] = (0.0, 0.5)[rng.integers(0, 2)]
+    return FieldDraw(tuple(codes), supports, weights, q)
+
+
+def _field_of(draw: FieldDraw) -> LatentSourceField:
+    """The field of a draw, given its means, all 0, exactly: every catalog
+    law is symmetric about 0, and an index reads distinct sources, so each
+    term of X_i, a weighted source or the product of its independent
+    sources, has mean 0.  A local enumeration would give the same means up
+    to rounding residues."""
+    return LatentSourceField(
+        sources=tuple(LAWS[code] for code in draw.codes),
+        supports=draw.supports,
+        ev=_weighted_sum,
+        params=(draw.weights, draw.q),
+        means=np.zeros(draw.n),
+        metadata={"family": "random_instance"},
+    )
+
+
+def _draw_tests(rng: np.random.Generator, n: int) -> tuple:
+    """An instance's test parameters over its n indices, in CheckInstance's
+    order after ``pre``: A and B of one or two indices, the window a <= b
+    (a = b a quarter of the time), c in [1, 3], the xi kind and p."""
+    a_set = tuple(sorted(rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist()))
+    b_set = tuple(sorted(rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist()))
+    lo, hi = sorted(rng.uniform(-1.5, 1.5, size=2).tolist())
+    if rng.random() < 0.25:
+        lo = hi
+    c = float(rng.uniform(1.0, 3.0))
+    xi_kind = XI_KINDS[rng.integers(0, len(XI_KINDS))]
+    p = (0.0, 1.0, 4.0 / 3.0, 2.0)[rng.integers(0, 4)]
+    return a_set, b_set, lo, hi, c, xi_kind, p
+
+
+def _kept(sigma2: float, l2: np.ndarray) -> bool:
+    """Whether a drawn instance is kept: Var(S) > 0 and every ||X_i||_2
+    above 1e-9.  Otherwise the instance is drawn again."""
+    return sigma2 > 0 and float(np.min(l2)) > 1e-9
 
 
 def random_enumerable_instance(rng: np.random.Generator) -> CheckInstance:
     """A random field of weighted sums (plus an optional product term) over
     a random mix of Rademacher / three-point sources, with random overlapping supports
     (random induced neighborhoods), window parameters a <= b, c in [1,3],
-    and a xi factor from the catalog.  It has 2..INSTANCE_MAX_INDICES
-    indices over 3..INSTANCE_MAX_SOURCES sources, and at most
-    INSTANCE_MAX_OUTCOMES outcomes.
-
-    The field is given its means, all 0, exactly: every catalog law is
-    symmetric about 0, and an index reads distinct sources, so each term
-    of X_i, a weighted source or the product of its independent sources,
-    has mean 0.  A local enumeration would give the same means up to
-    rounding residues."""
+    and a xi factor from the catalog, drawn and built one at a time: each
+    field drawn (:func:`_draw_field`) is precomputed (:func:`precompute`)
+    and drawn again until it is kept (:func:`_kept`), and then its test
+    parameters are drawn.  It has 2..INSTANCE_MAX_INDICES indices over
+    3..INSTANCE_MAX_SOURCES sources, and at most INSTANCE_MAX_OUTCOMES
+    outcomes.  :func:`run_checker_suite` draws the same instances from the
+    same stream a stack at a time."""
     while True:
-        n_src = int(rng.integers(3, INSTANCE_MAX_SOURCES + 1))
-        sources = []
-        count = 1
-        for _ in range(n_src):
-            if rng.random() < 0.5:
-                src = RADEMACHER
-            else:  # its spread, then its mass at 0
-                src = THREE_POINT[rng.integers(0, 2)][rng.integers(0, 2)]
-            if count * len(src.values) > INSTANCE_MAX_OUTCOMES:
-                src = RADEMACHER
-            count *= len(src.values)
-            sources.append(src)
-        n_idx = int(rng.integers(2, INSTANCE_MAX_INDICES + 1))
-        supports = np.full((n_idx, min(3, n_src)), -1, dtype=np.int64)
-        weights = np.zeros(supports.shape)
-        q = np.zeros(n_idx)
-        for i in range(n_idx):
-            size = int(rng.integers(1, min(3, n_src) + 1))
-            supports[i, :size] = sorted(rng.choice(n_src, size=size, replace=False).tolist())
-            weights[i, :size] = rng.uniform(0.5, 1.5, size=size) * (2 * rng.integers(0, 2, size) - 1)
-            q[i] = (0.0, 0.5)[rng.integers(0, 2)]
-        field = LatentSourceField(
-            sources=tuple(sources),
-            supports=supports,
-            ev=_weighted_sum,
-            params=(weights, q),
-            means=np.zeros(n_idx),
-            metadata={"family": "random_instance"},
-        )
+        draw = _draw_field(rng)
         try:
-            pre = precompute(field)
+            pre = precompute(_field_of(draw))
         except DegenerateVariance:
             continue
-        if float(np.min(pre.table.l2)) <= 1e-9:
-            continue
-        a_set = tuple(sorted(rng.choice(n_idx, size=int(rng.integers(1, 3)), replace=False).tolist()))
-        b_set = tuple(sorted(rng.choice(n_idx, size=int(rng.integers(1, 3)), replace=False).tolist()))
-        lo, hi = sorted(rng.uniform(-1.5, 1.5, size=2).tolist())
-        if rng.random() < 0.25:
-            lo = hi
-        c = float(rng.uniform(1.0, 3.0))
-        xi_kind = XI_KINDS[rng.integers(0, len(XI_KINDS))]
-        p = (0.0, 1.0, 4.0 / 3.0, 2.0)[rng.integers(0, 4)]
-        return CheckInstance(
-            pre=pre, A=a_set, B=b_set, a=lo, b=hi, c=c, xi_kind=xi_kind, p=p,
-        )
+        if _kept(pre.table.sigma2, pre.table.l2):
+            return CheckInstance(pre, *_draw_tests(rng, draw.n))
 
 
 def _weighted_sum(G: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -842,6 +996,191 @@ def _weighted_sum(G: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
         out = out + w[:, k] * G[..., k]
         prod = prod * np.where(w[:, k] != 0, G[..., k], 1.0)
     return out + q * prod
+
+
+def precompute_stack(draws: Sequence[FieldDraw]) -> PrecomputedStack:
+    """What :func:`precompute` gives the instance of each drawn field, for
+    draws of one index count at once and bit for bit, with no field,
+    system or moment table built per draw.
+
+    The walk numbers the outcomes of each draw's read sources in mixed
+    radix, the first source most significant and a source no index reads
+    pinned to its first value, as ``fields.outcome_blocks`` does, and
+    multiplies each outcome's probability out last source first; one
+    :func:`_weighted_sum` call evaluates the grids of all draws.  Per
+    draw, the probabilities must sum to 1 within 1e-12, Var(S) is
+    E S^2 - (E S)^2 summed ENUM_BLOCK outcomes at a time, and it is
+    cross-checked against the covariance identity over the overlap at
+    ``moments.SIGMA2_IDENTITY_RTOL``.  The norms are taken at each draw's
+    index-group representatives, found for all draws by one grouping of
+    their signatures (``fields._groups``, the draw as the leading column),
+    by one BLAS product per draw and power, as the moment table takes
+    them; E[X X^T] is one BLAS product per draw.  The overlap, kappa, tau
+    and the beta sums are dense (:func:`_dense_beta_sums`)."""
+    k, n = len(draws), draws[0].n
+    if any(draw.n != n for draw in draws):
+        raise ValueError("a stack's draws share one index count")
+    n_src = max(len(draw.codes) for draw in draws)
+    sup = np.stack([draw.supports for draw in draws])  # (k, n, K)
+    K = sup.shape[2]
+    codes = np.zeros((k, n_src), dtype=np.int64)  # a padding source is read by no index
+    for j, draw in enumerate(draws):
+        codes[j, :len(draw.codes)] = draw.codes
+    slot = np.where(sup < 0, n_src, sup)  # a pad reads column n_src, all 0
+    inc = np.zeros((k, n, n_src + 1), dtype=bool)
+    inc[np.arange(k)[:, None, None], np.arange(n)[None, :, None], slot] = True
+    inc = inc[:, :, :n_src]
+    read = inc.any(axis=1)
+    sizes = np.where(read, _LAW_SIZES[codes], 1)
+    counts = sizes.prod(axis=1)
+    ends = np.cumsum(counts)
+    spans = tuple(zip((ends - counts).tolist(), ends.tolist()))
+    R = int(ends[-1])
+    owner = np.repeat(np.arange(k), counts)
+
+    # the walk: each row's digits, last source first, its values and
+    # probability (a source that a draw does not read has probability 1)
+    rest = np.arange(R) - np.repeat(ends - counts, counts)
+    base = np.repeat(np.arange(k) * (n_src * 3), counts)  # row r's draw in (draw, source, atom) tables
+    values = _LAW_VALUES[codes]
+    atoms = np.where(read[:, :, None], _LAW_PROBS[codes], [1.0, 0.0, 0.0])
+    row_sizes = np.repeat(sizes, counts, axis=0)
+    U = np.zeros((R, n_src + 1))
+    probs = np.ones(R)
+    for s in range(n_src - 1, -1, -1):
+        if read[:, s].any():
+            rest, digit = np.divmod(rest, row_sizes[:, s])
+            at = base + (3 * s + digit)
+            U[:, s] = values.reshape(-1)[at]
+            probs *= atoms.reshape(-1)[at]
+    G = U.reshape(-1)[(np.arange(R) * (n_src + 1))[:, None, None]
+                      + np.repeat(slot, counts, axis=0)]
+    X = _weighted_sum(G.reshape(-1, K),
+                      np.repeat(np.stack([draw.weights for draw in draws]), counts, axis=0).reshape(-1, K),
+                      np.repeat(np.stack([draw.q for draw in draws]), counts, axis=0).reshape(-1)
+                      ).reshape(R, n)
+    del U, G
+    s_row = X.sum(axis=1)
+    Q = np.stack([probs * s_row, probs * s_row**2])
+    sigma2 = []
+    for lo, hi in spans:
+        total = float(probs[lo:hi].sum())
+        if abs(total - 1.0) > 1e-12:
+            raise AssertionError(f"outcome probabilities sum to {total}")
+        es = es2 = 0.0
+        for a in range(lo, hi, fields.ENUM_BLOCK):
+            e1, e2 = np.add.reduce(Q[:, a:min(a + fields.ENUM_BLOCK, hi)], axis=1).tolist()
+            es += e1
+            es2 += e2
+        sigma2.append(es2 - es * es)
+    W = X * probs[:, None]
+    exx = np.empty((k, n, n))
+    for j, (lo, hi) in enumerate(spans):
+        np.matmul(W[lo:hi].T, X[lo:hi], out=exx[j])
+    incf = inc.astype(float)
+    P = (incf @ incf.transpose(0, 2, 1) > 0).astype(float)
+    mu = np.add.reduceat(W, (ends - counts).tolist(), axis=0)
+    identity = ((exx - mu[:, :, None] * mu[:, None, :]) * P).sum(axis=(1, 2))
+    for var, var_id in zip(sigma2, identity.tolist()):
+        if abs(var - var_id) > SIGMA2_IDENTITY_RTOL * max(1.0, abs(var)):
+            raise AssertionError(
+                f"variance identity violated: Var(S)={var} vs covariance sum {var_id}")
+
+    # index groups: the draw, then the signature a field of the draw would
+    # group by (sources as j * n_src + s; each law ranked by its first source)
+    weights = np.stack([draw.weights for draw in draws])
+    q = np.stack([draw.q for draw in draws])
+    same = codes[:, :, None] == codes[:, None, :]
+    first_of = same.argmax(axis=2)
+    rank = np.cumsum(first_of == np.arange(n_src), axis=1) - 1
+    law_ids = np.take_along_axis(rank, first_of, axis=1).reshape(-1)
+    S = np.where(sup >= 0, sup + n_src * np.arange(k)[:, None, None], -1).reshape(k * n, K)
+    srt = np.sort(S, axis=1)
+    signature = fields._signatures(S, srt, fields._new_ids(srt), law_ids,
+                                   (weights.reshape(k * n, K), q.reshape(k * n)))
+    first, inverse = fields._groups([np.repeat(np.arange(k), n), *signature], k * n)
+    reps = np.bincount(first // n, minlength=k)
+    starts = np.cumsum(reps) - reps
+    cols = np.zeros((k, n), dtype=np.int64)
+    cols[first // n, np.arange(first.size) - np.repeat(starts, reps)] = first % n
+    # |X| at the representatives, column by column: the layout of the
+    # table's X[:, first], which BLAS reads by columns
+    aT = np.empty((n, R))
+    np.abs(X[np.arange(R)[:, None], cols[owner]].T, out=aT)
+    rep_norms = np.zeros((3, k, n))
+    for m, ap in enumerate(aT**p for p in (2, 3, 4)):
+        for j, ((lo, hi), g) in enumerate(zip(spans, reps.tolist())):
+            rep_norms[m, j, :g] = probs[lo:hi] @ ap[:g, lo:hi].T
+    roots = np.stack([rep_norms[m] ** (1 / p) for m, p in enumerate((2, 3, 4))])
+    local = (inverse - np.repeat(starts, n)).reshape(1, k, n)
+    l2, l3, l4 = np.take_along_axis(roots, np.broadcast_to(local, roots.shape), axis=2)
+    moment_sums = np.add.reduce(np.stack([l2**2, l3**3, l4**3, l4**4]), axis=2).T.tolist()
+    norms = tuple(MappingProxyType({"t2": t2, "e3": e3, "t3": t3, "t4": t4, "sigma2": var})
+                  for (t2, e3, t3, t4), var in zip(moment_sums, sigma2))
+
+    # kappa and tau of each symmetric overlap (see neighborhood.derive)
+    s = P.sum(axis=2)
+    shared = P @ P
+    cover = np.where(P > 0, s[:, :, None] + s[:, None, :] - shared, 0.0)
+    kappa = np.maximum(s.max(axis=1), cover.max(axis=(1, 2)))
+    tau = (P * (2.0 * s[:, :, None] - shared)).sum(axis=1).max(axis=1)
+    sums, w_an = _dense_beta_sums(P, l4)
+    arrays = dict(X=X, probs=probs, l2=l2, l3=l3, l4=l4, exx=exx, P=P, w_an=w_an)
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return PrecomputedStack(
+        spans=spans, kappa=tuple(int(v) for v in kappa), tau=tuple(int(v) for v in tau),
+        norms=norms, sums=sums, **arrays,
+    )
+
+
+def _dense_beta_sums(P: np.ndarray, l4: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """(the CHECKED_SUMS of each system, as a mapping; the (k, n) vectors
+    w_an) of :func:`bounds.beta_sums` for stacked symmetric systems of few
+    indices, P (k, n, n) dense 0/1 and l4 (k, n), bit for bit.  A
+    neighborhood sum there, a Csr product, adds its terms one by one in
+    index order from 0: here the cumulative sum of the terms, 0 off the
+    neighborhood, does (a nonnegative partial sum plus 0.0 is itself).  A
+    dot product is one pairwise sum over the system's terms in index
+    order, or over the entries of its M in row order.  The (n, n, n)
+    covers A_i | A_j of the entries (i, j) are built ENUM_BLOCK cells at a
+    time."""
+    k, n = l4.shape
+
+    def in_order(mask, v):  # sum_l mask[..., l] v[..., l], term by term in l
+        return np.cumsum(mask * v, axis=-1)[..., -1]
+
+    s = P.sum(axis=2)
+    l43 = l4**3
+    lead = s**2 * l43
+    w_an = in_order(P, l4[:, None, :])
+    lw = l4 * w_an
+    lij = l4[:, :, None] * l4[:, None, :]
+    pair_lead = s[:, :, None] * l43[:, None, :]
+    cov_lw, cov_l4, d_pair = np.empty((k, n, n)), np.empty((k, n, n)), np.empty((k, n))
+    step = max(1, fields.ENUM_BLOCK // n**3)
+    for lo in range(0, k, step):
+        b = slice(lo, lo + step)
+        cover = (P[b, :, :, None] > 0) & (P[b, :, None, :] + P[b, None, :, :] > 0)
+        cov_lw[b] = in_order(cover, lw[b, None, None, :])
+        cov_l4[b] = in_order(cover, l4[b, None, None, :])
+        d_pair[b] = np.cumsum((cover * lij[b, :, :, None]).reshape(-1, n * n, n), axis=1)[:, -1]
+    per_index = np.add.reduce(np.stack([
+        lead, s * in_order(P, l43[:, None, :]), lead * w_an, lead * in_order(P, lw[:, None, :]),
+        lead * d_pair, s * in_order(P, (l43 * d_pair)[:, None, :]),
+    ]), axis=2).T.tolist()
+    entries = P > 0
+    per_entry = np.stack([(lij * cov_lw)[entries], (pair_lead * cov_l4)[entries],
+                          (pair_lead * cov_lw)[entries]])
+    ends = np.cumsum(P.sum(axis=(1, 2))).astype(np.int64).tolist()
+    sums = []
+    for (b1a, b1b, t22, t31, t33, t34), lo, hi in zip(per_index, [0, *ends[:-1]], ends):
+        t21, t23_delta6, t32 = np.add.reduce(per_entry[:, lo:hi], axis=1).tolist()
+        sums.append(MappingProxyType({
+            "b1a": b1a, "b1b": b1b, "t21": t21, "t22": t22, "t23_delta6": t23_delta6,
+            "t31": t31, "t32": t32, "t33": t33, "t34": t34,
+        }))
+    return tuple(sums), w_an
 
 
 SUITE_CHECKS = ("lemma_xiyi", "lemma_xiyi_corollary", "lemma_s2", "lemma_s4", "prop1", "prop2")
@@ -867,17 +1206,23 @@ def run_checker_suite(
 ) -> list[InequalityVerdict]:
     """Run the explicit-constant checkers on randomized instances, in one
     thread.  Instance k draws from its own substream, so a suite's
-    verdicts are a prefix of any longer suite's.  The instances are
-    checked in stacks of one index count (:func:`stack_instances`), each
-    checked once it would pass ``fields.ENUM_BLOCK`` outcome rows with
-    the next instance, or at the end; an instance with more rows is a
-    stack of its own.  The verdicts are listed instance by instance, each
+    verdicts are a prefix of any longer suite's, and the instances are
+    those of :func:`random_enumerable_instance`, drawn a stack at a time:
+    each drawn field (:func:`_draw_field`) waits in a pending group of its
+    index count, which is precomputed at once (:func:`precompute_stack`)
+    when the next field would take it past ``fields.ENUM_BLOCK`` outcome
+    rows, or at the end (a field with more rows is a group of its own).
+    Then each kept instance (:func:`_kept`) draws its test parameters, and
+    the kept ones are checked as one stack (:func:`stack_instances`); an
+    instance that is not kept is drawn again, from where its substream
+    stands, by :func:`random_enumerable_instance`, and checked as a stack
+    of its own.  The verdicts are listed instance by instance, each
     instance's checks in the order of SUITE_CHECKS.  ``checks`` are names
     from SUITE_CHECKS; an unknown name raises ValueError."""
     if isinstance(checks, str) or any(c not in SUITE_CHECKS for c in checks):
         raise ValueError(f"unknown checks {checks!r}; each one of {SUITE_CHECKS}")
     names = [c for c in SUITE_CHECKS if c in checks] + ["lemma_r4"] * include_r4
-    rows: list[list[InequalityVerdict]] = []
+    rows: list[list[InequalityVerdict]] = [[] for _ in range(n_instances)]
 
     def check(group: list[tuple[int, CheckInstance]]) -> None:
         st = stack_instances([inst for _, inst in group])
@@ -887,19 +1232,30 @@ def run_checker_suite(
             for j, (k, _) in enumerate(group):
                 rows[k] += verdicts[j * per:(j + 1) * per]
 
-    pending: dict[int, list[tuple[int, CheckInstance]]] = {}  # by index count
+    def flush(group: list[tuple[int, np.random.Generator, FieldDraw]]) -> None:
+        pre = precompute_stack([draw for _, _, draw in group])
+        kept, redrawn = [], []
+        for j, (k, rng, draw) in enumerate(group):
+            if _kept(pre.norms[j]["sigma2"], pre.l2[j]):
+                kept.append((k, CheckInstance((pre, j), *_draw_tests(rng, draw.n))))
+            else:
+                redrawn.append((k, random_enumerable_instance(rng)))
+        for part in [kept] * bool(kept) + [[item] for item in redrawn]:
+            check(part)
+
+    pending: dict[int, list[tuple[int, np.random.Generator, FieldDraw]]] = {}  # by index count
     held: dict[int, int] = {}  # their outcome rows
     for k in range(n_instances):
-        inst = random_enumerable_instance(substream(master_seed, STREAM_INSTANCES, k))
-        rows.append([])
-        n, size = inst.pre.sys.n, inst.pre.plan.probs.size
+        rng = substream(master_seed, STREAM_INSTANCES, k)
+        draw = _draw_field(rng)
+        n, size = draw.n, draw.rows
         if n in pending and held[n] + size > fields.ENUM_BLOCK:
-            check(pending.pop(n))
+            flush(pending.pop(n))
             held[n] = 0
-        pending.setdefault(n, []).append((k, inst))
+        pending.setdefault(n, []).append((k, rng, draw))
         held[n] = held.get(n, 0) + size
     for group in pending.values():
-        check(group)
+        flush(group)
     return [v for row in rows for v in row]
 
 

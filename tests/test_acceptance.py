@@ -77,7 +77,7 @@ def test_criterion_2_fourth_moment(checker_verdicts):
 
     f_250k = F.build_iid_field(250000, F.rademacher())
     t_250k = M.exact_moment_table(f_250k)
-    _, info = O.fourth_moment_precondition(t_250k, 1, 1, 1)
+    _, info = O.fourth_moment_precondition(B.norm_sums(t_250k)[0], 1, 1, 1)
     assert info["pre1"] <= 1.0 / 500.0  # the stated n^{-1/2} <= 1/500
     mean_w4, se = sampled_w4(f_250k, t_250k, 2000)
     assert abs(mean_w4 - 3.0) <= 3 * se
@@ -85,7 +85,7 @@ def test_criterion_2_fourth_moment(checker_verdicts):
 
     f_1m = F.build_iid_field(10**6, F.rademacher())
     t_1m = M.exact_moment_table(f_1m)
-    pre_ok_1m, _ = O.fourth_moment_precondition(t_1m, 1, 1, 1)
+    pre_ok_1m, _ = O.fourth_moment_precondition(B.norm_sums(t_1m)[0], 1, 1, 1)
     assert pre_ok_1m
     mean_w4_1m, se_1m = sampled_w4(f_1m, t_1m, 2000)
     assert abs(mean_w4_1m - 3.0) <= 3 * se_1m and mean_w4_1m <= 13.0

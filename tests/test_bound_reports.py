@@ -90,11 +90,15 @@ def test_reports_reproduce_the_pinned_values(name):
     assert (der.kappa, der.tau) == (pinned["kappa"], pinned["tau"])
     assert _reports(f, sys, t, der) == pinned["reports"]  # bit for bit, se included
     sums = B.beta_sums(t.l4, sys, der)
-    d1 = B.delta_components_prop1(t, sys, der, [0, 2], [1, 3], -0.3, 0.7, 2.0, sums)
+    in_a, in_b = (np.isin(np.arange(sys.n), S)[None] for S in ([0, 2], [1, 3]))
+    sets = B.set_sums(sys.M.toarray()[None], t.l4[None], (der.Mt @ t.l4)[None],
+                      sums["w_an"][None], in_a, in_b)[0]
+    norms = B.norm_sums(t)[0]
+    d1 = B.delta_components_prop1(norms, sets, -0.3, 0.7, 2.0, sums)
     assert d1 == pinned["delta_components_prop1"]
-    lam, d2 = B.delta_components_prop2(t, sys, der, [0, 2], [1, 3], -0.3, 0.7, 2.0, sums)
+    lam, d2 = B.delta_components_prop2(norms, der.kappa, der.tau, sets, -0.3, 0.7, 2.0)
     _assert_close({"lambda": lam, **d2}, pinned["delta_components_prop2"])
-    ok, pre = O.fourth_moment_precondition(t, der.kappa, der.tau, 2)
+    ok, pre = O.fourth_moment_precondition(norms, der.kappa, der.tau, 2)
     want = dict(pinned["fourth_moment_precondition"])
     assert ok == want.pop("ok")
     _assert_close(pre, want)

@@ -388,18 +388,29 @@ def test_bound_distributed_general_identities():
     assert double.value == pytest.approx(term1 + term2, rel=1e-12)
 
 
+def prop_deltas(t, sys, der, A, B_, a, b, c, sums):
+    """(delta_components_prop1, delta_components_prop2) of one instance at
+    the test sets A and B_: its table's norm sums and its set sums over
+    the dense matrix of its system."""
+    in_a, in_b = (np.isin(np.arange(sys.n), S)[None] for S in (A, B_))
+    sets = B.set_sums(sys.M.toarray()[None], t.l4[None], (der.Mt @ t.l4)[None],
+                      sums["w_an"][None], in_a, in_b)[0]
+    norms = B.norm_sums(t)[0]
+    return (B.delta_components_prop1(norms, sets, a, b, c, sums),
+            B.delta_components_prop2(norms, der.kappa, der.tau, sets, a, b, c))
+
+
 def test_delta_components_hand_instance():
     f = F.build_iid_field(4, F.rademacher())
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     sums = B.beta_sums(t.l4, sys, der)
-    d = B.delta_components_prop1(t, sys, der, [0], [1], 0.0, 0.0, 1.0, sums)
+    d, (lam, d2) = prop_deltas(t, sys, der, [0], [1], 0.0, 0.0, 1.0, sums)
     assert d["delta0"] == 0.0
     assert d["delta1"] == pytest.approx(0.5) and d["delta2"] == pytest.approx(0.5)
     assert d["delta3"] == pytest.approx(0.25) and d["delta4"] == pytest.approx(0.25)
     assert d["delta5"] == pytest.approx(1.0)
-    lam, d2 = B.delta_components_prop2(t, sys, der, [0], [1], 0.0, 0.0, 1.0, sums)
     assert lam == pytest.approx(1.0)
     assert d2["delta2"] == pytest.approx(4 / 8)  # c lam kappa^2 |A|^2 / s^3 * sum l4^3
 
@@ -411,12 +422,11 @@ def test_delta_monotone_in_c():
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     prev, sums = None, B.beta_sums(t.l4, sys, der)
     for c in (1.0, 1.5, 2.5):
-        d = B.delta_components_prop1(t, sys, der, [0], [1], -0.5, 0.5, c, sums)
+        d, (_, d2) = prop_deltas(t, sys, der, [0], [1], -0.5, 0.5, c, sums)
         total = sum(d.values())
         if prev is not None:
             assert total >= prev
         prev = total
-        _, d2 = B.delta_components_prop2(t, sys, der, [0], [1], -0.5, 0.5, c, sums)
         assert all(v >= 0 for v in d2.values())
 
 
@@ -431,8 +441,7 @@ def test_prop2_delta4_zero_for_isolated_zero_index():
     sys = F.induced_neighborhoods(f)
     der = nb.derive(sys)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
-    _, d2 = B.delta_components_prop2(t, sys, der, [0], [1], 0.0, 0.0, 1.0,
-                                     B.beta_sums(t.l4, sys, der))
+    _, (_, d2) = prop_deltas(t, sys, der, [0], [1], 0.0, 0.0, 1.0, B.beta_sums(t.l4, sys, der))
     assert d2["delta4"] == 0.0
 
 
@@ -473,12 +482,10 @@ def test_delta_components_scale_invariant():
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     tc = M.exact_moment_table(fc, O.walk_outcomes(fc, var=True).sigma2)
     sums, sums_c = B.beta_sums(t.l4, sys, der), B.beta_sums(tc.l4, sys, der)
-    d = B.delta_components_prop1(t, sys, der, [0], [1], -0.3, 0.7, 2.0, sums)
-    dc = B.delta_components_prop1(tc, sys, der, [0], [1], -0.3, 0.7, 2.0, sums_c)
+    d, (lam, d2) = prop_deltas(t, sys, der, [0], [1], -0.3, 0.7, 2.0, sums)
+    dc, (lam_c, d2c) = prop_deltas(tc, sys, der, [0], [1], -0.3, 0.7, 2.0, sums_c)
     for k in d:
         assert dc[k] == pytest.approx(d[k], rel=1e-12)
-    lam, d2 = B.delta_components_prop2(t, sys, der, [0], [1], -0.3, 0.7, 2.0, sums)
-    lam_c, d2c = B.delta_components_prop2(tc, sys, der, [0], [1], -0.3, 0.7, 2.0, sums_c)
     assert lam_c == pytest.approx(lam, rel=1e-12)
     for k in d2:
         assert d2c[k] == pytest.approx(d2[k], rel=1e-12)

@@ -78,7 +78,7 @@ def test_iid_rademacher_table():
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     assert np.allclose(t.l2, 1) and np.allclose(t.l3, 1) and np.allclose(t.l4, 1)
     assert t.sigma2 == pytest.approx(2.0)
-    assert B.lam_scale(t, 1) == pytest.approx(1.0)
+    assert B.lam_scale(B.norm_sums(t)[0], 1) == pytest.approx(1.0)
     assert t.mode == "exact"
 
 
@@ -146,7 +146,7 @@ def test_lambda_scale_invariance():
     fc = F.build_m_dependent(5, 1, F.DiscreteSource((-2.5, 2.5), (0.5, 0.5)))  # 2.5 (a + b)
     t = M.exact_moment_table(f)
     tc = M.exact_moment_table(fc)
-    assert B.lam_scale(tc, 4) == pytest.approx(B.lam_scale(t, 4), rel=1e-12)
+    assert B.lam_scale(B.norm_sums(tc)[0], 4) == pytest.approx(B.lam_scale(B.norm_sums(t)[0], 4), rel=1e-12)
 
 
 def test_hoeffding_projection_hand_values():
@@ -532,7 +532,8 @@ def test_plan_tables_match_local_enumeration():
             assert np.array_equal(a, a[first][inverse])  # one value per index group
         assert plan.sigma2 == pytest.approx(local.sigma2, rel=1e-12, abs=0)
         kappa = pre.derived.kappa
-        assert B.lam_scale(plan, kappa) == pytest.approx(B.lam_scale(local, kappa), rel=1e-12, abs=0)
+        assert B.lam_scale(B.norm_sums(plan)[0], kappa) == pytest.approx(
+            B.lam_scale(B.norm_sums(local)[0], kappa), rel=1e-12, abs=0)
 
 
 def overlap_loop_sigma2(f: F.LatentSourceField) -> float:

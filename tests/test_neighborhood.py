@@ -26,7 +26,7 @@ from scipy import sparse
 
 import locdep.fields as fields
 import locdep.neighborhood as nb
-from locdep.bounds import interference_set_of
+from locdep.bounds import interference_set_of, reverse_set_of
 
 
 def rows(M) -> list[np.ndarray]:
@@ -63,8 +63,10 @@ def brute_interference(sys: nb.NeighborhoodSystem) -> list[set[tuple[int, int]]]
 
 
 def interference(sys: nb.NeighborhoodSystem, i: int) -> set[tuple[int, int]]:
-    """D_i read from the library: D_{i} is D_A at A = {i}."""
-    I, J = interference_set_of(sys, [i])
+    """D_i read from the library: D_{i} is D_A at A = {i}, on the dense
+    0/1 matrix of M."""
+    P = sys.M.toarray()
+    I, J = np.nonzero(interference_set_of(P, reverse_set_of(P, np.arange(sys.n) == i)))
     return set(zip(I.tolist(), J.tolist()))
 
 

@@ -21,6 +21,10 @@ Core claims:
       verdicts are a prefix of a longer one's
     - an instance checked as a stack of one, or in a stack of others in
       any order, gives the suite's rows bit for bit
+    - the suite's stacked precompute of its drawn fields equals
+      ``precompute`` of each field bit for bit, and an instance rejected on
+      its first draw is redrawn from its substream into the instance drawn
+      one at a time, with no pending group past ENUM_BLOCK outcome rows
     - each suite instance's walk keeps only the outcomes of the sources
       its indices read, in one evaluator call per block of outcomes (a
       gather past GATHER_CELLS splits into blocks within it), and its
@@ -42,6 +46,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import locdep.bounds as B
 import locdep.fields as F
 import locdep.moments as M
 import locdep.neighborhood as nb
@@ -531,6 +536,101 @@ def test_stacks_give_each_instance_its_own_rows_bit_for_bit():
         rows.update(zip(map(id, group), checked(O.stack_instances(group))))
     assert bits(v for inst in insts for v in rows[id(inst)]) == want
     assert max(sum(inst.pre.sys.n == n for inst in insts) for n in range(2, 9)) >= 4  # stacks of several
+
+
+
+def suite_rows(stack):
+    """Per instance of the stack, its verdicts in suite order, with r4."""
+    k = len(stack.instances)
+    rows = [[] for _ in range(k)]
+    for name in [*O.SUITE_CHECKS, "lemma_r4"]:
+        verds = O._SUITE_CALLS[name](stack)
+        per = len(verds) // k
+        for j in range(k):
+            rows[j] += verds[j * per:(j + 1) * per]
+    return rows
+
+
+def test_stacked_precompute_equals_precompute_bit_for_bit(monkeypatch):
+    """For every instance of the 30-instance suite at seed 314, the arrays
+    that the suite's stacks precompute equal ``precompute`` of the
+    instance's field bit for bit, because every sum keeps its order:
+
+    - X and the probabilities are elementwise, and Var(S) sums
+      E S and E S^2 ENUM_BLOCK outcomes at a time, each by one pairwise
+      sum, as the walk does;
+    - l2, l3 and l4 are one BLAS product per draw and power, over |X| at
+      the index-group representatives in the table's column layout;
+    - E[X X^T] is one BLAS product per draw, as in ``precompute``;
+    - P, kappa and tau are integers;
+    - every beta sum adds a neighborhood's terms one by one in index
+      order, as a Csr product does, and its dot products are pairwise
+      sums over the system's terms in order, as ``neighborhood.dot``.
+
+    So none of them is compared within a tolerance."""
+    stacks = []
+    stacked = O.precompute_stack
+    monkeypatch.setattr(O, "precompute_stack",
+                        lambda draws: stacks.append((draws, stacked(draws))) or stacks[-1][1])
+    O.run_checker_suite(30, master_seed=314)
+    assert sum(len(draws) for draws, _ in stacks) == 30 and len(stacks) > 1
+    for draws, pre in stacks:
+        for j, draw in enumerate(draws):
+            want = O.precompute(O._field_of(draw))
+            lo, hi = pre.spans[j]
+            assert pre.X[lo:hi].tobytes() == want.plan.X.tobytes()
+            assert pre.probs[lo:hi].tobytes() == want.plan.probs.tobytes()
+            assert pre.norms[j]["sigma2"] == want.table.sigma2
+            for name in ("l2", "l3", "l4"):
+                assert getattr(pre, name)[j].tobytes() == getattr(want.table, name).tobytes()
+            assert pre.exx[j].tobytes() == want.exx.tobytes()
+            assert pre.P[j].tobytes() == want.P.tobytes()
+            assert (pre.kappa[j], pre.tau[j]) == (want.derived.kappa, want.derived.tau)
+            assert pre.w_an[j].tobytes() == want.sums["w_an"].tobytes()
+            assert dict(pre.sums[j]) == {name: want.sums[name] for name in O.CHECKED_SUMS}
+            assert {**pre.norms[j]} == B.norm_sums(want.table)[0]
+
+
+@pytest.mark.parametrize("block", [F.ENUM_BLOCK, 600])
+def test_redrawn_instances_match_instances_drawn_one_at_a_time(monkeypatch, block):
+    """Instances 3, 11 and 17 of the suite at seed 314 are rejected on
+    their first draws (no instance of it is otherwise): the stacked suite
+    redraws them from their substreams and gives, row for row and bit for
+    bit, the verdicts of the instances drawn and precomputed one at a
+    time, stacked one each, so the same instances (digest, A, B, a, b, c,
+    p).  With ENUM_BLOCK at 600 outcome rows, no pending group holds more
+    rows, except a draw with more rows alone."""
+    monkeypatch.setattr(F, "ENUM_BLOCK", block)
+    draw = lambda k: O.random_enumerable_instance(substream(314, STREAM_INSTANCES, k))
+    chosen = {draw(k).pre.table.l2.tobytes() for k in (3, 11, 17)}
+    kept, rejected = O._kept, []
+
+    def first_draws_rejected(sigma2, l2):
+        if l2.tobytes() in chosen:
+            rejected.append(l2.tobytes())
+            return False
+        return kept(sigma2, l2)
+
+    bits = lambda verds: [(v.check_id, v.digest, v.precondition, v.lhs.hex(), v.rhs.hex())
+                          for v in verds]
+    plain = bits(O.run_checker_suite(30, master_seed=314, include_r4=True))
+    monkeypatch.setattr(O, "_kept", first_draws_rejected)
+    insts = [draw(k) for k in range(30)]
+    assert sorted(rejected) == sorted(chosen)
+    want = bits(v for inst in insts for v in suite_rows(O.stack_instances([inst]))[0])
+    rejected.clear()
+    groups = []
+    stacked = O.precompute_stack
+    monkeypatch.setattr(O, "precompute_stack", lambda draws: groups.append(
+        [d.rows for d in draws]) or stacked(draws))
+    got = bits(O.run_checker_suite(30, master_seed=314, include_r4=True))
+    assert got == want and sorted(rejected) == sorted(chosen)
+    assert sum(map(len, groups)) == 30 and all(sum(g) <= block or len(g) == 1 for g in groups)
+    per = len(got) // 30
+    changed = [k for k in range(30) if got[k * per:(k + 1) * per] != plain[k * per:(k + 1) * per]]
+    assert changed == [3, 11, 17]
+    if block < F.ENUM_BLOCK:
+        assert any(len(g) == 1 and g[0] > block for g in groups) and len(groups) > 7
 
 
 def test_single_check_suites_match_the_full_suite():
