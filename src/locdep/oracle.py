@@ -19,20 +19,24 @@ sum_s c_s^2 Var(U_s), with no enumeration, any other field's is
 E S^2 - (E S)^2 over the walk.  The moment table takes that value from
 its caller and cross-checks it against the covariance identity.
 
-Each instance is one frozen record, :class:`Precomputed`, built once by
-:func:`precompute`: the field and its neighborhood system with kappa,
-tau and M^T, the enumerated outcomes and their E[X X^T], the exact
-moment table, the dense 0/1 neighborhood matrix and the nested beta
-sums of :func:`bounds.beta_sums`.  The outcome space is walked once per
-instance, taking Var(S) and keeping every outcome, and the moment
-table's norms and covariance-identity cross-check are read from the
-outcomes.  The checkers take instances in stacks of one index count
-(:class:`Stack`, one instance being a stack of one): the outcomes of
-the stacked instances are rows of one array, every elementwise
-integrand is formed once over all of them, and each instance keeps its
-own BLAS products, its row sums over a column subset and one pairwise
-sum per integrand over its own rows, so its verdicts are the same bits
-in any stack.  A check passes when
+An instance of any enumerable field is one frozen record,
+:class:`Precomputed`, built once by :func:`precompute`: the field and
+its neighborhood system with kappa, tau and M^T, the enumerated
+outcomes and their E[X X^T], the exact moment table, the dense 0/1
+neighborhood matrix and the nested beta sums of :func:`bounds.beta_sums`.
+The outcome space is walked once per instance, taking Var(S) and
+keeping every outcome, and the moment table's norms and
+covariance-identity cross-check are read from the outcomes.  The
+checker suite's randomized instances are drawn as plain arrays
+(:class:`FieldDraw`) and precomputed a stack of one index count at a
+time (:func:`precompute_stack`), to the same floats with no field,
+system or table per instance.  The checkers take instances of either
+kind in stacks of one index count (:class:`Stack`, one instance being a
+stack of one): the outcomes of the stacked instances are rows of one
+array, every elementwise integrand is formed once over all of them, and
+each instance keeps its own BLAS products, its row sums over a column
+subset and one pairwise sum per integrand over its own rows, so its
+verdicts are the same bits in any stack.  A check passes when
 
     margin = rhs - lhs >= -1e-10 * max(1, |rhs|).
 
@@ -998,34 +1002,18 @@ def _weighted_sum(G: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out + q * prod
 
 
-def precompute_stack(draws: Sequence[FieldDraw]) -> PrecomputedStack:
-    """What :func:`precompute` gives the instance of each drawn field, for
-    draws of one index count at once and bit for bit, with no field,
-    system or moment table built per draw.
-
-    The walk numbers the outcomes of each draw's read sources in mixed
-    radix, the first source most significant and a source no index reads
-    pinned to its first value, as ``fields.outcome_blocks`` does, and
-    multiplies each outcome's probability out last source first; one
-    :func:`_weighted_sum` call evaluates the grids of all draws.  Per
-    draw, the probabilities must sum to 1 within 1e-12, Var(S) is
-    E S^2 - (E S)^2 summed ENUM_BLOCK outcomes at a time, and it is
-    cross-checked against the covariance identity over the overlap at
-    ``moments.SIGMA2_IDENTITY_RTOL``.  The norms are taken at each draw's
-    index-group representatives, found for all draws by one grouping of
-    their signatures (``fields._groups``, the draw as the leading column),
-    by one BLAS product per draw and power, as the moment table takes
-    them; E[X X^T] is one BLAS product per draw.  The overlap, kappa, tau
-    and the beta sums are dense (:func:`_dense_beta_sums`)."""
-    k, n = len(draws), draws[0].n
-    if any(draw.n != n for draw in draws):
-        raise ValueError("a stack's draws share one index count")
-    n_src = max(len(draw.codes) for draw in draws)
-    sup = np.stack([draw.supports for draw in draws])  # (k, n, K)
-    K = sup.shape[2]
-    codes = np.zeros((k, n_src), dtype=np.int64)  # a padding source is read by no index
-    for j, draw in enumerate(draws):
-        codes[j, :len(draw.codes)] = draw.codes
+def _stacked_walk(draws: Sequence[FieldDraw], sup: np.ndarray, codes: np.ndarray) -> tuple:
+    """(spans, X, probs, Var(S) per draw, the (k, n, sources) bool
+    incidence) of the walks of draws of one index count, whose supports
+    and law codes are stacked in ``sup`` and ``codes``.  The outcomes of
+    each draw's read sources are numbered in mixed radix, the first source
+    most significant and a source no index reads pinned to its first
+    value, as ``fields.outcome_blocks`` numbers them, and each probability
+    is multiplied out last source first; one :func:`_weighted_sum` call
+    evaluates the grids of all draws.  Per draw, the probabilities must
+    sum to 1 within 1e-12, and Var(S) is E S^2 - (E S)^2 summed
+    ENUM_BLOCK outcomes at a time, as :func:`walk_outcomes` sums it."""
+    (k, n, K), n_src = sup.shape, codes.shape[1]
     slot = np.where(sup < 0, n_src, sup)  # a pad reads column n_src, all 0
     inc = np.zeros((k, n, n_src + 1), dtype=bool)
     inc[np.arange(k)[:, None, None], np.arange(n)[None, :, None], slot] = True
@@ -1036,10 +1024,9 @@ def precompute_stack(draws: Sequence[FieldDraw]) -> PrecomputedStack:
     ends = np.cumsum(counts)
     spans = tuple(zip((ends - counts).tolist(), ends.tolist()))
     R = int(ends[-1])
-    owner = np.repeat(np.arange(k), counts)
 
-    # the walk: each row's digits, last source first, its values and
-    # probability (a source that a draw does not read has probability 1)
+    # each row's digits, last source first, its values and probability (a
+    # source that a draw does not read has probability 1)
     rest = np.arange(R) - np.repeat(ends - counts, counts)
     base = np.repeat(np.arange(k) * (n_src * 3), counts)  # row r's draw in (draw, source, atom) tables
     values = _LAW_VALUES[codes]
@@ -1073,13 +1060,42 @@ def precompute_stack(draws: Sequence[FieldDraw]) -> PrecomputedStack:
             es += e1
             es2 += e2
         sigma2.append(es2 - es * es)
+    return spans, X, probs, sigma2, inc
+
+
+def precompute_stack(draws: Sequence[FieldDraw]) -> PrecomputedStack:
+    """What :func:`precompute` gives the instance of each drawn field, for
+    draws of one index count at once and bit for bit, with no field,
+    system or moment table built per draw.
+
+    The outcome spaces are walked together (:func:`_stacked_walk`), and
+    Var(S) is cross-checked against the covariance identity over the
+    overlap at ``moments.SIGMA2_IDENTITY_RTOL``.  The norms are taken at
+    each draw's index-group representatives, found for all draws by one
+    grouping of their signatures (``fields._groups``, the draw as the
+    leading column), by one BLAS product per draw and power, as the moment
+    table takes them; E[X X^T] is one BLAS product per draw.  The overlap,
+    kappa, tau and the beta sums are dense (:func:`_dense_beta_sums`)."""
+    k, n = len(draws), draws[0].n
+    if any(draw.n != n for draw in draws):
+        raise ValueError("a stack's draws share one index count")
+    n_src = max(len(draw.codes) for draw in draws)
+    sup = np.stack([draw.supports for draw in draws])  # (k, n, K)
+    K = sup.shape[2]
+    codes = np.zeros((k, n_src), dtype=np.int64)  # a padding source is read by no index
+    for j, draw in enumerate(draws):
+        codes[j, :len(draw.codes)] = draw.codes
+    spans, X, probs, sigma2, inc = _stacked_walk(draws, sup, codes)
+    R = X.shape[0]
+    counts = [hi - lo for lo, hi in spans]
+    owner = np.repeat(np.arange(k), counts)
     W = X * probs[:, None]
     exx = np.empty((k, n, n))
     for j, (lo, hi) in enumerate(spans):
         np.matmul(W[lo:hi].T, X[lo:hi], out=exx[j])
     incf = inc.astype(float)
     P = (incf @ incf.transpose(0, 2, 1) > 0).astype(float)
-    mu = np.add.reduceat(W, (ends - counts).tolist(), axis=0)
+    mu = np.add.reduceat(W, [lo for lo, _ in spans], axis=0)
     identity = ((exx - mu[:, :, None] * mu[:, None, :]) * P).sum(axis=(1, 2))
     for var, var_id in zip(sigma2, identity.tolist()):
         if abs(var - var_id) > SIGMA2_IDENTITY_RTOL * max(1.0, abs(var)):
