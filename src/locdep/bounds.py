@@ -64,6 +64,14 @@ class BoundReport:
         }
 
 
+def sigma_of(norms: Mapping[str, float]) -> float:
+    """sigma from the :func:`norm_sums` ``norms``, as ``MomentTable.sigma``
+    gives it: :class:`DegenerateVariance` unless sigma2 > 0."""
+    if not norms["sigma2"] > 0:
+        raise DegenerateVariance(f"sigma2={norms['sigma2']} is not positive")
+    return math.sqrt(norms["sigma2"])
+
+
 def lam_scale(norms: Mapping[str, float], kappa: int) -> float:
     """lambda = kappa * sum ||X_i||_2^2 / sigma2, from the :func:`norm_sums`
     ``norms``."""
@@ -461,7 +469,7 @@ def delta_components_prop1(
         raise ValueError("A and B must be nonempty")
     if not (a <= b and c >= 1):
         raise ValueError("need a <= b and c >= 1")
-    sigma = math.sqrt(norms["sigma2"])
+    sigma = sigma_of(norms)
     delta = {
         "delta0": (b - a) / 100.0,
         "delta1": c / sigma * sets["n_a"],
@@ -493,7 +501,7 @@ def delta_components_prop2(
         raise ValueError("A and B must be nonempty")
     if not (a <= b and c >= 1):
         raise ValueError("need a <= b and c >= 1")
-    sigma = math.sqrt(norms["sigma2"])
+    sigma = sigma_of(norms)
     lam = lam_scale(norms, kappa)
     main3, main4 = main_terms(norms["t3"], norms["t4"], sigma, kappa, tau)
     # sum over k in N_A and l in N_k | A_k of ||X_k||_4 ||X_l||_4

@@ -70,6 +70,7 @@ from .bounds import (
     norm_sums,
     reverse_set_of,
     set_sums,
+    sigma_of,
 )
 from . import fields
 from .errors import DegenerateVariance, EnumerationCapExceeded
@@ -308,7 +309,7 @@ class PrecomputedStack:
 
     @property
     def sigmas(self) -> list[float]:
-        return [math.sqrt(m["sigma2"]) for m in self.norms]
+        return [sigma_of(m) for m in self.norms]
 
     def take(self, ks: Sequence[int]) -> PrecomputedStack:
         """The stack of instances ``ks``, in that order (itself when that
@@ -584,8 +585,8 @@ def stack_instances(instances: Sequence[CheckInstance]) -> Stack:
         parts.append(whole.take([k for _, k in run]))
     pre = _joined(parts)
     X, sizes = pre.X, [hi - lo for lo, hi in pre.spans]
-    in_a, in_b = _index_masks([inst.A for inst in instances], pre.n), \
-        _index_masks([inst.B for inst in instances], pre.n)
+    in_a = _index_masks([inst.A for inst in instances], pre.n)
+    in_b = _index_masks([inst.B for inst in instances], pre.n)
     comp = ~reverse_set_of(pre.P, in_a)
     absx = np.abs(X)
     s_a, b_abs = np.empty(X.shape[0]), np.empty(X.shape[0])
@@ -701,7 +702,7 @@ def fourth_moment_precondition(
     """Both fourth-moment preconditions at threshold 1/500: the two main
     terms, times |A|^2 and |A|^{1/2}, from the :func:`bounds.norm_sums`
     ``norms``."""
-    term1, term2 = main_terms(norms["t3"], norms["t4"], math.sqrt(norms["sigma2"]), kappa, tau)
+    term1, term2 = main_terms(norms["t3"], norms["t4"], sigma_of(norms), kappa, tau)
     lhs1 = a_size**2 * term1
     lhs2 = a_size**0.5 * term2
     ok = lhs1 <= 1.0 / 500.0 and lhs2 <= 1.0 / 500.0
