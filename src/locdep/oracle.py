@@ -1257,8 +1257,10 @@ def run_checker_suite(
                 kept.append((k, CheckInstance((pre, j), *_draw_tests(rng, draw.n))))
             else:
                 redrawn.append((k, random_enumerable_instance(rng)))
-        for part in [kept] * bool(kept) + [[item] for item in redrawn]:
-            check(part)
+        if kept:
+            check(kept)
+        for item in redrawn:
+            check([item])
 
     pending: dict[int, list[tuple[int, np.random.Generator, FieldDraw]]] = {}  # by index count
     held: dict[int, int] = {}  # their outcome rows
