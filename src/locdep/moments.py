@@ -21,9 +21,6 @@ subsets by n.  Without a Var(S) the table is hybrid: the identity alone
 gives Var(S), which scales to fields whose full outcome space is out of
 reach (the word "ab" at n = 300, 44,850 indices with 26.8M overlapping
 pairs, in about 20 ms).  This module walks nothing and decides no cap.
-A caller that holds the materialized outcome space (the checkers'
-``oracle.precompute``) passes it in, with its E[X X^T] and the overlap
-it has built, and the norms and the identity are read from them.
 ``write_csv`` writes ``moments.csv`` as bytes, a block of rows at a
 time, with each group's values formatted once and no string built per
 row.
@@ -51,7 +48,7 @@ from .fields import (
     product_grid,
     _sum_columns,
 )
-from .neighborhood import Csr, distinct, dot
+from .neighborhood import distinct, dot
 from .rng import STREAM_MOMENTS, chunk_rows
 
 SIGMA2_IDENTITY_RTOL = 1e-10
@@ -249,40 +246,22 @@ def exact_sigma2_local(field: LatentSourceField) -> float:
     return total
 
 
-def exact_moment_table(
-    field: LatentSourceField,
-    sigma2: float | None = None,
-    outcomes: tuple[np.ndarray, np.ndarray, np.ndarray, Csr] | None = None,
-) -> MomentTable:
-    """Exact norms and Var(S).
+def exact_moment_table(field: LatentSourceField, sigma2: float | None = None) -> MomentTable:
+    """Exact norms and Var(S), by local enumeration: the norms once per
+    index group, and the covariance identity from
+    :func:`exact_sigma2_local`, the Hoeffding terms of the source subsets
+    that two or more indices read.
 
     ``sigma2`` is the exact Var(S) of the caller's walk
     (``oracle.walk_outcomes(..., var=True)``).  When given, the mode is
     "exact" and it is cross-checked against the covariance identity over
     the field's induced neighborhoods; a failed cross-check raises
     AssertionError.  When None, the mode is "hybrid" and Var(S) is the
-    identity.  ``outcomes`` is the field's materialized outcome space,
-    (probs, X, EXX, M): X the field values, one row per outcome,
-    centered by the field's means, EXX the (n, n) matrix of E[X_i X_j]
-    over them and M the field's :func:`~locdep.fields.overlap_matrix`.
-    When it is given, the norms are read at the columns of the
-    index-group representatives and the identity from the covariance over
-    M's entries.  Otherwise both come from local enumeration: the norms
-    once per index group, and the identity from
-    :func:`exact_sigma2_local`, the Hoeffding terms of the source subsets
-    that two or more indices read.
+    identity.
     """
     first, inverse = field.groups
-    if outcomes is not None:
-        probs, X, exx, M = outcomes
-        a = np.abs(X[:, first])
-        l2, l3, l4 = np.stack([(probs @ a**p) ** (1 / p) for p in (2, 3, 4)])[:, inverse]
-        mu = probs @ X
-        cov = exx - np.outer(mu, mu)
-        sigma2_id = float(cov[M.rows, M.indices].sum())
-    else:
-        l2, l3, l4 = exact_index_norms(field, first)[inverse].T.copy()
-        sigma2_id = exact_sigma2_local(field)
+    l2, l3, l4 = exact_index_norms(field, first)[inverse].T.copy()
+    sigma2_id = exact_sigma2_local(field)
     mode = "hybrid" if sigma2 is None else "exact"
     if sigma2 is None:
         sigma2 = sigma2_id

@@ -19,24 +19,20 @@ sum_s c_s^2 Var(U_s), with no enumeration, any other field's is
 E S^2 - (E S)^2 over the walk.  The moment table takes that value from
 its caller and cross-checks it against the covariance identity.
 
-An instance of any enumerable field is one frozen record,
-:class:`Precomputed`, built once by :func:`precompute`: the field and
-its neighborhood system with kappa, tau and M^T, the enumerated
-outcomes and their E[X X^T], the exact moment table, the dense 0/1
-neighborhood matrix and the nested beta sums of :func:`bounds.beta_sums`.
-The outcome space is walked once per instance, taking Var(S) and
-keeping every outcome, and the moment table's norms and
-covariance-identity cross-check are read from the outcomes.  The
-checker suite's randomized instances are drawn as plain arrays
-(:class:`FieldDraw`) and precomputed a stack of one index count at a
-time (:func:`precompute_stack`), to the same floats with no field,
-system or table per instance.  The checkers take instances of either
-kind in stacks of one index count (:class:`Stack`, one instance being a
-stack of one): the outcomes of the stacked instances are rows of one
-array, every elementwise integrand is formed once over all of them, and
-each instance keeps its own BLAS products, its row sums over a column
-subset and one pairwise sum per integrand over its own rows, so its
-verdicts are the same bits in any stack.  A check passes when
+A checked instance is a drawn field of plain arrays (:class:`FieldDraw`),
+precomputed with the other draws of its index count in one
+:class:`PrecomputedStack` (:func:`precompute_stack`): the outcomes of
+the sources some index reads, walked together, and per instance its
+Var(S), cross-checked against the covariance identity, its norms,
+E[X X^T], the dense 0/1 neighborhood matrix, kappa, tau and the beta
+sums the checks read, with no field, system or moment table built per
+instance.  The checkers take instances in stacks of one index count
+(:class:`Stack`, one instance being a stack of one): the outcomes of the
+stacked instances are rows of one array, every elementwise integrand is
+formed once over all of them, and each instance keeps its own BLAS
+products, its row sums over a column subset and one pairwise sum per
+integrand over its own rows, so its verdicts are the same bits in any
+stack.  A check passes when
 
     margin = rhs - lhs >= -1e-10 * max(1, |rhs|).
 
@@ -62,12 +58,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .bounds import (
-    beta_sums,
     delta_components_prop1,
     delta_components_prop2,
     lam_scale,
     main_terms,
-    norm_sums,
     reverse_set_of,
     set_sums,
     sigma_of,
@@ -86,8 +80,8 @@ from .fields import (
     sum_values,
     three_point,
 )
-from .moments import SIGMA2_IDENTITY_RTOL, MomentTable, exact_moment_table
-from .neighborhood import DerivedNeighborhoods, NeighborhoodSystem, derive, dot
+from .moments import SIGMA2_IDENTITY_RTOL
+from .neighborhood import NeighborhoodSystem, dot
 from .rng import STREAM_INSTANCES, substream
 from .statistics import NEEDS_SIGMA, READS_VALUES, finish, statistic_parts
 
@@ -235,47 +229,6 @@ def _sum_field_sigma2(field: LatentSourceField) -> float:
     return dot(field.counts**2, np.repeat(var, lengths))
 
 
-@dataclass(frozen=True)
-class Precomputed:
-    """The frozen record of one checked instance of any enumerable field:
-    everything the checkers read, built once by :func:`precompute`.  The
-    outcome space is walked once, into ``plan``, which keeps every outcome
-    and takes Var(S); the moment table is read from it.  ``P`` is the
-    dense 0/1 matrix of the system's M, and ``exx`` the (n, n) matrix of
-    E[X_i X_j] over the walk, formed once: the table's covariance identity
-    and both :func:`check_lemma_xiyi` calls read it.  Both are read-only."""
-
-    field: LatentSourceField
-    sys: NeighborhoodSystem
-    derived: DerivedNeighborhoods
-    plan: Walk
-    table: MomentTable
-    P: np.ndarray  # (n, n) dense 0/1, P[i, j] = 1 iff j in A_i
-    exx: np.ndarray  # (n, n), E[X_i X_j]
-    sums: MappingProxyType  # beta_sums(table.l4, sys, derived)
-
-
-def precompute(field: LatentSourceField) -> Precomputed:
-    sys = induced_neighborhoods(field)
-    der = derive(sys)
-    plan = walk_outcomes(field, var=True, keep=True)
-    exx = (plan.X * plan.probs[:, None]).T @ plan.X
-    table = exact_moment_table(field, plan.sigma2, outcomes=(plan.probs, plan.X, exx, sys.M))
-    if table.degenerate:
-        raise DegenerateVariance("instance has Var(S) = 0")
-    P = sys.M.toarray()
-    P.setflags(write=False)
-    exx.setflags(write=False)
-    return Precomputed(
-        field=field, sys=sys, derived=der, plan=plan, table=table, P=P, exx=exx,
-        sums=MappingProxyType(beta_sums(table.l4, sys, der)),
-    )
-
-
-# the beta sums that the checkers read, beside the vector w_an
-CHECKED_SUMS = ("b1a", "b1b", "t21", "t22", "t23_delta6", "t31", "t32", "t33", "t34")
-
-
 @dataclass(frozen=True, eq=False)
 class PrecomputedStack:
     """What the checkers read of instances of one index count n, their
@@ -284,10 +237,10 @@ class PrecomputedStack:
     (rows of ``l2``, ``l3``, ``l4``), E[X X^T] (``exx``), the dense 0/1
     matrix ``P`` of its induced (symmetric) system, kappa and tau, its
     :func:`bounds.norm_sums` with Var(S) as ``sigma2`` (``norms``), the
-    beta sums of CHECKED_SUMS (``sums``) and the vector ``w_an`` of
-    :func:`bounds.beta_sums`.  :func:`precompute_stack` builds one for
-    drawn suite fields at once; a :class:`Precomputed` record gives a
-    stack of one."""
+    beta sums that the checks read (``sums``: b1a, b1b, t21, t22,
+    t23_delta6, t31, t32, t33 and t34) and the vector ``w_an`` of
+    :func:`bounds.beta_sums`.  :func:`precompute_stack` builds one from
+    drawn fields (:class:`FieldDraw`) of one index count."""
 
     spans: tuple[tuple[int, int], ...]
     X: np.ndarray  # (R, n)
@@ -326,17 +279,6 @@ class PrecomputedStack:
             kappa=pick(self.kappa), tau=pick(self.tau), norms=pick(self.norms),
             sums=pick(self.sums), w_an=self.w_an[ks],
         )
-
-
-def _stack_of_one(pre: Precomputed) -> PrecomputedStack:
-    """The :class:`PrecomputedStack` of one :class:`Precomputed` instance."""
-    return PrecomputedStack(
-        spans=((0, pre.plan.probs.size),), X=pre.plan.X, probs=pre.plan.probs,
-        l2=pre.table.l2[None], l3=pre.table.l3[None], l4=pre.table.l4[None],
-        exx=pre.exx[None], P=pre.P[None], kappa=(pre.derived.kappa,), tau=(pre.derived.tau,),
-        norms=(norm_sums(pre.table)[0],), sums=({k: pre.sums[k] for k in CHECKED_SUMS},),
-        w_an=pre.sums["w_an"][None],
-    )
 
 
 def _joined(parts: Sequence[PrecomputedStack]) -> PrecomputedStack:
@@ -478,12 +420,11 @@ class CheckInstance:
     """One enumerable instance with its test parameters: the index sets A
     (one or two indices; none only under a factor of kind "one") and B,
     the window [a, b] widened by c, and the factor xi^p, xi of kind
-    ``xi_kind`` in XI_FUNCTIONS.  ``pre`` is the instance's
-    :class:`Precomputed` record, or, for a suite instance, the
-    :class:`PrecomputedStack` it was precomputed in and its position
-    there."""
+    ``xi_kind`` in XI_FUNCTIONS.  ``pre`` is the
+    :class:`PrecomputedStack` the instance was precomputed in and its
+    position there."""
 
-    pre: Precomputed | tuple[PrecomputedStack, int]
+    pre: tuple[PrecomputedStack, int]
     A: tuple[int, ...]
     B: tuple[int, ...]
     a: float
@@ -562,27 +503,22 @@ def _index_masks(sets: Sequence[Sequence[int]], n: int) -> np.ndarray:
 
 
 def stack_instances(instances: Sequence[CheckInstance]) -> Stack:
-    """The :class:`Stack` of instances that share one index count, of
-    either kind: a :class:`Precomputed` record, or a position in a
-    :class:`PrecomputedStack` (consecutive instances of one such stack are
-    taken from it together).  Each row of its integrands holds the floats
-    that the instance's own arrays would: elementwise steps are formed
-    over all rows, and a row sum over a column subset is taken per
-    instance over those columns."""
+    """The :class:`Stack` of instances that share one index count, each
+    at its position in a :class:`PrecomputedStack` (consecutive instances
+    of one such stack are taken from it together).  Each row of its
+    integrands holds the floats that the instance's own arrays would:
+    elementwise steps are formed over all rows, and a row sum over a
+    column subset is taken per instance over those columns."""
     instances = tuple(instances)
-    refs = [inst.pre if isinstance(inst.pre, tuple) else (inst.pre, 0) for inst in instances]
-    if len({ref.sys.n if isinstance(ref, Precomputed) else ref.n for ref, _ in refs}) != 1:
+    if len({inst.pre[0].n for inst in instances}) != 1:
         raise ValueError("a stack's instances share one index count")
     for inst in instances:
         if inst.xi_kind != "one" and not 1 <= len(inst.A) <= 2:
             raise ValueError(f"xi kind {inst.xi_kind!r} needs one or two indices in A")
     parts = []
-    for _, run in itertools.groupby(refs, key=lambda ref: id(ref[0])):
+    for _, run in itertools.groupby(instances, key=lambda inst: id(inst.pre[0])):
         run = list(run)
-        whole = run[0][0]
-        if isinstance(whole, Precomputed):
-            whole = _stack_of_one(whole)
-        parts.append(whole.take([k for _, k in run]))
+        parts.append(run[0].pre[0].take([inst.pre[1] for inst in run]))
     pre = _joined(parts)
     X, sizes = pre.X, [hi - lo for lo, hi in pre.spans]
     in_a = _index_masks([inst.A for inst in instances], pre.n)
@@ -888,7 +824,12 @@ class FieldDraw:
     from it: source s has the law ``LAWS[codes[s]]``, and index i reads
     the sources ``supports[i]`` (ascending, then -1 pads) with the weights
     ``weights[i]`` (0 at a pad) and the product weight ``q[i]``, as
-    :func:`_weighted_sum` evaluates them."""
+    :func:`_weighted_sum` evaluates them.  Its values are taken
+    uncentered, because every X_i has mean 0 exactly: every law of LAWS
+    is symmetric about 0, and an index reads distinct sources, so each
+    term of X_i, a weighted source or the product of its independent
+    sources, has mean 0.  A local enumeration would give the same means up
+    to rounding residues."""
 
     codes: tuple[int, ...]
     supports: np.ndarray  # (n, 3)
@@ -934,22 +875,6 @@ def _draw_field(rng: np.random.Generator) -> FieldDraw:
     return FieldDraw(tuple(codes), supports, weights, q)
 
 
-def _field_of(draw: FieldDraw) -> LatentSourceField:
-    """The field of a draw, given its means, all 0, exactly: every catalog
-    law is symmetric about 0, and an index reads distinct sources, so each
-    term of X_i, a weighted source or the product of its independent
-    sources, has mean 0.  A local enumeration would give the same means up
-    to rounding residues."""
-    return LatentSourceField(
-        sources=tuple(LAWS[code] for code in draw.codes),
-        supports=draw.supports,
-        ev=_weighted_sum,
-        params=(draw.weights, draw.q),
-        means=np.zeros(draw.n),
-        metadata={"family": "random_instance"},
-    )
-
-
 def _draw_tests(rng: np.random.Generator, n: int) -> tuple:
     """An instance's test parameters over its n indices, in CheckInstance's
     order after ``pre``: A and B of one or two indices, the window a <= b
@@ -969,27 +894,6 @@ def _kept(sigma2: float, l2: np.ndarray) -> bool:
     """Whether a drawn instance is kept: Var(S) > 0 and every ||X_i||_2
     above 1e-9.  Otherwise the instance is drawn again."""
     return sigma2 > 0 and float(np.min(l2)) > 1e-9
-
-
-def random_enumerable_instance(rng: np.random.Generator) -> CheckInstance:
-    """A random field of weighted sums (plus an optional product term) over
-    a random mix of Rademacher / three-point sources, with random overlapping supports
-    (random induced neighborhoods), window parameters a <= b, c in [1,3],
-    and a xi factor from the catalog, drawn and built one at a time: each
-    field drawn (:func:`_draw_field`) is precomputed (:func:`precompute`)
-    and drawn again until it is kept (:func:`_kept`), and then its test
-    parameters are drawn.  It has 2..INSTANCE_MAX_INDICES indices over
-    3..INSTANCE_MAX_SOURCES sources, and at most INSTANCE_MAX_OUTCOMES
-    outcomes.  :func:`run_checker_suite` draws the same instances from the
-    same stream a stack at a time."""
-    while True:
-        draw = _draw_field(rng)
-        try:
-            pre = precompute(_field_of(draw))
-        except DegenerateVariance:
-            continue
-        if _kept(pre.table.sigma2, pre.table.l2):
-            return CheckInstance(pre, *_draw_tests(rng, draw.n))
 
 
 def _weighted_sum(G: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -1065,13 +969,19 @@ def _stacked_walk(draws: Sequence[FieldDraw], sup: np.ndarray, codes: np.ndarray
 
 
 def precompute_stack(draws: Sequence[FieldDraw]) -> PrecomputedStack:
-    """What :func:`precompute` gives the instance of each drawn field, for
-    draws of one index count at once and bit for bit, with no field,
-    system or moment table built per draw.
+    """What the checkers read of the instance of each drawn field, for
+    draws of one index count at once, with no field, system or moment
+    table built per draw.  Every reduction is taken per draw in the order
+    that the draw's field would take it (its :func:`walk_outcomes`, its
+    induced neighborhoods, ``neighborhood.derive``, :func:`bounds.beta_sums`
+    and the norms at its index-group representatives), so the floats are
+    the same bits.
 
     The outcome spaces are walked together (:func:`_stacked_walk`), and
-    Var(S) is cross-checked against the covariance identity over the
-    overlap at ``moments.SIGMA2_IDENTITY_RTOL``.  The norms are taken at
+    each draw's Var(S) is cross-checked against the covariance identity
+    over its overlap, sum_i sum_{j in A_i} Cov(X_i, X_j), at
+    ``moments.SIGMA2_IDENTITY_RTOL``: a failed cross-check raises
+    AssertionError.  The norms are taken at
     each draw's index-group representatives, found for all draws by one
     grouping of their signatures (``fields._groups``, the draw as the
     leading column), by one BLAS product per draw and power, as the moment
@@ -1152,9 +1062,10 @@ def precompute_stack(draws: Sequence[FieldDraw]) -> PrecomputedStack:
 
 
 def _dense_beta_sums(P: np.ndarray, l4: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """(the CHECKED_SUMS of each system, as a mapping; the (k, n) vectors
-    w_an) of :func:`bounds.beta_sums` for stacked symmetric systems of few
-    indices, P (k, n, n) dense 0/1 and l4 (k, n), bit for bit.  A
+    """(the beta sums that the checks read of each system, as a mapping;
+    the (k, n) vectors w_an) of :func:`bounds.beta_sums` for stacked
+    symmetric systems of few indices, P (k, n, n) dense 0/1 and l4 (k, n),
+    bit for bit.  A
     neighborhood sum there, a Csr product, adds its terms one by one in
     index order from 0: here the cumulative sum of the terms, 0 off the
     neighborhood, does (a nonnegative partial sum plus 0.0 is itself).  A
@@ -1223,19 +1134,27 @@ def run_checker_suite(
 ) -> list[InequalityVerdict]:
     """Run the explicit-constant checkers on randomized instances, in one
     thread.  Instance k draws from its own substream, so a suite's
-    verdicts are a prefix of any longer suite's, and the instances are
-    those of :func:`random_enumerable_instance`, drawn a stack at a time:
-    each drawn field (:func:`_draw_field`) waits in a pending group of its
-    index count, which is precomputed at once (:func:`precompute_stack`)
-    when the next field would take it past ``fields.ENUM_BLOCK`` outcome
-    rows, or at the end (a field with more rows is a group of its own).
-    Then each kept instance (:func:`_kept`) draws its test parameters, and
-    the kept ones are checked as one stack (:func:`stack_instances`); an
-    instance that is not kept is drawn again, from where its substream
-    stands, by :func:`random_enumerable_instance`, and checked as a stack
-    of its own.  The verdicts are listed instance by instance, each
-    instance's checks in the order of SUITE_CHECKS.  ``checks`` are names
-    from SUITE_CHECKS; an unknown name raises ValueError."""
+    verdicts are a prefix of any longer suite's.  Each instance is a
+    random field of weighted sums (plus an optional product term) over a
+    random mix of the LAWS, with random overlapping supports (random
+    induced neighborhoods), window parameters a <= b, c in [1, 3], and a
+    xi factor from the catalog.  It has 2..INSTANCE_MAX_INDICES indices
+    over 3..INSTANCE_MAX_SOURCES sources, and at most
+    INSTANCE_MAX_OUTCOMES outcomes.
+
+    The fields are drawn a stack at a time: each drawn field
+    (:func:`_draw_field`) waits in a pending group of its index count,
+    which is precomputed at once (:func:`precompute_stack`) when the next
+    field would take it past ``fields.ENUM_BLOCK`` outcome rows, or at the
+    end (a field with more rows is a group of its own).  Then each kept
+    instance (:func:`_kept`) draws its test parameters, and the kept ones
+    are checked as one stack (:func:`stack_instances`).  An instance that
+    is not kept draws its field again, from where its substream stands,
+    each draw precomputed as a stack of one, until one is kept; it then
+    draws its test parameters and is checked as a stack of its own.  The
+    verdicts are listed instance by instance, each instance's checks in
+    the order of SUITE_CHECKS.  ``checks`` are names from SUITE_CHECKS; an
+    unknown name raises ValueError."""
     if isinstance(checks, str) or any(c not in SUITE_CHECKS for c in checks):
         raise ValueError(f"unknown checks {checks!r}; each one of {SUITE_CHECKS}")
     names = [c for c in SUITE_CHECKS if c in checks] + ["lemma_r4"] * include_r4
@@ -1253,10 +1172,12 @@ def run_checker_suite(
         pre = precompute_stack([draw for _, _, draw in group])
         kept, redrawn = [], []
         for j, (k, rng, draw) in enumerate(group):
-            if _kept(pre.norms[j]["sigma2"], pre.l2[j]):
-                kept.append((k, CheckInstance((pre, j), *_draw_tests(rng, draw.n))))
-            else:
-                redrawn.append((k, random_enumerable_instance(rng)))
+            stack, at = pre, j
+            while not _kept(stack.norms[at]["sigma2"], stack.l2[at]):
+                draw = _draw_field(rng)
+                stack, at = precompute_stack([draw]), 0
+            inst = CheckInstance((stack, at), *_draw_tests(rng, draw.n))
+            (kept if stack is pre else redrawn).append((k, inst))
         if kept:
             check(kept)
         for item in redrawn:

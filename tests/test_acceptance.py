@@ -22,6 +22,7 @@ import locdep.neighborhood as nb
 import locdep.oracle as O
 import locdep.statistics as st
 from locdep.rng import substream
+from test_oracle import rademacher_draw
 from test_statistics import classical_u, distributed_u
 
 ACCEPT_SEED = 20260810
@@ -108,11 +109,8 @@ def test_criterion_3_clamped_term_bound(checker_verdicts):
     assert bad == []
     n_sat = sum(v.precondition == "satisfied" for v in r4)
     # non-vacuous reference instances (precondition violated but inequality holds)
-    for build in (
-        lambda: F.build_m_dependent(6, 1, F.rademacher()),
-        lambda: F.build_iid_field(8, F.rademacher()),
-    ):
-        inst = O.CheckInstance(O.precompute(build()), (), (), 0.0, 0.0, 1.0, "one", 0.0)
+    for draw in (rademacher_draw(6, 1), rademacher_draw(8)):
+        inst = O.CheckInstance((O.precompute_stack([draw]), 0), (), (), 0.0, 0.0, 1.0, "one", 0.0)
         verds = O.check_lemma_r4(O.stack_instances([inst]))
         assert all(v.passed for v in verds)
     all_pass = sum(v.passed for v in r4)

@@ -29,6 +29,7 @@ import locdep.neighborhood as nb
 import locdep.oracle as O
 from locdep.errors import BlockTooSmall, ComplexityCapExceeded, DegenerateVariance
 from locdep.rng import STREAM_INSTANCES, substream
+from test_oracle import random_instance
 
 
 def iid_table(n: int) -> M.MomentTable:
@@ -189,8 +190,8 @@ def test_beta_evaluator_equals_naive_loops():
                 both[j].add(i)
         systems.append(nb.make_system([sorted(a) for a in both]))
     for k in range(6):
-        inst = O.random_enumerable_instance(substream(99, STREAM_INSTANCES, k))
-        systems.append(inst.pre.sys)
+        _, f = random_instance(substream(99, STREAM_INSTANCES, k))
+        systems.append(F.induced_neighborhoods(f))
     symmetric = 0
     for sys in systems:
         n = sys.n

@@ -3,7 +3,7 @@
 Core claims:
     - exact tables reproduce hand values (Rademacher norms, window-field
       variances, Bernoulli variances); a table without a Var(S) is
-      hybrid, its Var(S) the identity, read locally or from the outcomes
+      hybrid, its Var(S) the identity
     - a constant field is flagged degenerate, and a header says
       ``degenerate`` last and only while Var(S) is not positive
     - Monte-Carlo tables agree with exact ones within standard errors,
@@ -23,10 +23,9 @@ Core claims:
       exact, hybrid and Monte-Carlo tables, tables without groups,
       interleaved groups, special floats, and single-group runs whose
       index crosses each digit width, with default and small blocks
-    - a Var(S) that disagrees with the covariance identity fails on the
-      local and the outcomes route, the true Var(S) passes on both, and
-      tables read from an enumeration plan equal the locally enumerated
-      ones
+    - a Var(S) that disagrees with the covariance identity fails, the
+      true Var(S) passes, and the norms and Var(S) that the checker
+      suite's stacks precompute equal the locally enumerated ones
     - a copy of an index-transitive field with other sources takes no
       one-index shortcut, and the shortcut (index 0's subsets weighted by
       n) equals the sum over every index within 1e-12 relative on
@@ -63,14 +62,7 @@ import locdep.moments as M
 import locdep.oracle as O
 from locdep.errors import DegenerateKernel, EnumerationCapExceeded
 from locdep.rng import STREAM_INSTANCES, substream
-
-
-def outcome_space(field: F.LatentSourceField) -> tuple:
-    """(probs, X, E[X X^T], overlap) of a kept walk, as ``oracle.precompute``
-    hands them to ``exact_moment_table``."""
-    walk = O.walk_outcomes(field, keep=True)
-    exx = (walk.X * walk.probs[:, None]).T @ walk.X
-    return walk.probs, walk.X, exx, F.overlap_matrix(field)
+from test_oracle import random_instance
 
 
 def test_iid_rademacher_table():
@@ -87,10 +79,9 @@ def test_window_field_variance_identity_two_ways():
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     assert t.sigma2 == pytest.approx(4 * 4 - 2)  # Var(U_1 + 2U_2 + 2U_3 + U_4 ... )
     assert t.l2[0] ** 2 == pytest.approx(2.0)  # Var of a two-Rademacher sum
-    for outcomes in (None, outcome_space(f)):  # without a Var(S): the identity
-        t_hybrid = M.exact_moment_table(f, outcomes=outcomes)
-        assert t_hybrid.mode == "hybrid"
-        assert t_hybrid.sigma2 == pytest.approx(t.sigma2, rel=1e-12)
+    t_hybrid = M.exact_moment_table(f)  # without a Var(S): the identity
+    assert t_hybrid.mode == "hybrid"
+    assert t_hybrid.sigma2 == pytest.approx(t.sigma2, rel=1e-12)
 
 
 def test_centered_bernoulli_variance():
@@ -330,7 +321,7 @@ GROUPING_CASES = {
     "decorated_path": lambda: F.build_decorated_graph_field(
         4, [(0, 1), (1, 2)], F.bernoulli(0.4)),
     **{
-        f"random_{k}": (lambda k=k: O.random_enumerable_instance(substream(77, 5, k)).pre.field)
+        f"random_{k}": (lambda k=k: random_instance(substream(77, 5, k))[1])
         for k in range(20)
     },
 }
@@ -456,21 +447,19 @@ def test_exact_moment_table_reads_frozen_index_groups(monkeypatch):
 def test_wrong_sigma2_fails_the_identity_on_every_route():
     # a 1-dependent window field: the covariances over A_i = {i} leave the
     # neighbor terms out, so their sum falls short of Var(S) and fails the
-    # identity over the field's own overlap, read by local enumeration or
-    # from the outcomes; a sum field (closed-form Var(S)) and one whose
-    # Var(S) is enumerated alike
+    # identity over the field's own overlap, read by local enumeration; a
+    # sum field (closed-form Var(S)) and one whose Var(S) is enumerated
+    # alike
     f = F.build_m_dependent(6, 1, F.rademacher())
     g = window_field(6, lambda a, b: (1 + a) * (1 + b))
     for field in (f, g):
         walk = O.walk_outcomes(field, var=True, keep=True)
         short = float(pair_covariance(field, np.repeat(np.arange(6)[:, None], 2, 1)).sum())
         assert short < walk.sigma2
-        for outcomes in (None, outcome_space(field)):
-            with pytest.raises(AssertionError, match="variance identity violated"):
-                M.exact_moment_table(field, short, outcomes)
-            table = M.exact_moment_table(field, walk.sigma2, outcomes)
-            assert table.mode == "exact" and table.sigma2 == walk.sigma2
-        assert O.precompute(field).table.sigma2 == walk.sigma2
+        with pytest.raises(AssertionError, match="variance identity violated"):
+            M.exact_moment_table(field, short)
+        table = M.exact_moment_table(field, walk.sigma2)
+        assert table.mode == "exact" and table.sigma2 == walk.sigma2
 
 
 def test_stale_transitive_flag_takes_no_shortcut():
@@ -515,24 +504,22 @@ def test_transitive_shortcut_equals_the_sum_over_every_index(case):
 
 
 def test_plan_tables_match_local_enumeration():
-    # the first 20 instances of a checker suite: the table precompute reads
-    # from the enumerated outcomes against local enumeration and the
-    # enumerated Var(S) cross-checked by the Hoeffding sum over shared
-    # source subsets
+    # the first 20 instances of a checker suite: the norms that its stacks
+    # precompute from the enumerated outcomes against local enumeration,
+    # and the stacked walk's Var(S) cross-checked by the Hoeffding sum over
+    # shared source subsets
     for k in range(20):
-        pre = O.random_enumerable_instance(substream(314, STREAM_INSTANCES, k)).pre
-        f = pre.field
+        inst, f = random_instance(substream(314, STREAM_INSTANCES, k))
+        pre = inst.pre[0]
         local = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
-        plan = pre.table
-        assert plan.mode == local.mode == "exact"
-        assert np.array_equal(plan.groups, local.groups)
-        for a, b in ((plan.l2, local.l2), (plan.l3, local.l3), (plan.l4, local.l4)):
+        assert local.mode == "exact"
+        first, inverse = f.groups
+        for a, b in ((pre.l2[0], local.l2), (pre.l3[0], local.l3), (pre.l4[0], local.l4)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
-            first, inverse = f.groups
             assert np.array_equal(a, a[first][inverse])  # one value per index group
-        assert plan.sigma2 == pytest.approx(local.sigma2, rel=1e-12, abs=0)
-        kappa = pre.derived.kappa
-        assert B.lam_scale(B.norm_sums(plan)[0], kappa) == pytest.approx(
+        assert pre.norms[0]["sigma2"] == pytest.approx(local.sigma2, rel=1e-12, abs=0)
+        kappa = pre.kappa[0]
+        assert B.lam_scale(pre.norms[0], kappa) == pytest.approx(
             B.lam_scale(B.norm_sums(local)[0], kappa), rel=1e-12, abs=0)
 
 
@@ -564,8 +551,7 @@ IDENTITY_CASES = {
     **{f"repeats_{seed}": (lambda seed=seed: random_grouping_field(seed, "repeats"))
        for seed in range(3)},
     **{
-        f"random_{k}": (lambda k=k: O.random_enumerable_instance(
-            substream(2027, STREAM_INSTANCES, k)).pre.field)
+        f"random_{k}": (lambda k=k: random_instance(substream(2027, STREAM_INSTANCES, k))[1])
         for k in range(20)
     },
 }

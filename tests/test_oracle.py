@@ -21,10 +21,14 @@ Core claims:
       verdicts are a prefix of a longer one's
     - an instance checked as a stack of one, or in a stack of others in
       any order, gives the suite's rows bit for bit
-    - the suite's stacked precompute of its drawn fields equals
-      ``precompute`` of each field bit for bit, and an instance rejected on
-      its first draw is redrawn from its substream into the instance drawn
-      one at a time, with no pending group past ENUM_BLOCK outcome rows
+    - the suite's stacked precompute of its drawn fields equals the
+      per-field composition (the field's walk, induced neighborhoods,
+      derived system, beta sums and norms at its index-group
+      representatives) bit for bit, and an instance rejected on its first
+      draw is redrawn from its substream, each draw precomputed as a stack
+      of one, into the instance drawn one at a time and precomputed by that
+      composition, with no pending group past ENUM_BLOCK outcome rows
+    - a stacked Var(S) off the covariance identity fails the suite
     - each suite instance's walk keeps only the outcomes of the sources
       its indices read, in one evaluator call per block of outcomes (a
       gather past GATHER_CELLS splits into blocks within it), and its
@@ -280,11 +284,74 @@ def test_lattice_w2_law_of_the_cycle_at_n_6_peaks_within_13_mb():
     assert peak <= 13 * 2**20
 
 
-def stack_of(pre, A=(), B=(), a=0.0, b=0.0, c=1.0, xi_kind="one", p=1.0):
-    """A stack of one: the instance ``pre`` (or a field's) with these
-    test parameters."""
-    pre = pre if isinstance(pre, O.Precomputed) else O.precompute(pre)
+def rademacher_draw(n: int, m: int = 0) -> O.FieldDraw:
+    """n Rademacher indices as a suite draw: iid (m = 0), or the m = 1
+    windows X_i = U_i + U_{i+1} of ``fields.build_m_dependent``.  Law
+    codes all 0, supports ascending and padded with -1 to 3 columns,
+    weights 1.0 (0 at a pad) and q = 0."""
+    supports = np.full((n, 3), -1, dtype=np.int64)
+    supports[:, :m + 1] = np.arange(n)[:, None] + np.arange(m + 1)
+    return O.FieldDraw((0,) * (n + m), supports, (supports >= 0).astype(float), np.zeros(n))
+
+
+def stack_of(draw, A=(), B=(), a=0.0, b=0.0, c=1.0, xi_kind="one", p=1.0):
+    """A stack of one: the instance of ``draw``, precomputed as the suite
+    precomputes it, with these test parameters."""
+    pre = (O.precompute_stack([draw]), 0)
     return O.stack_instances([O.CheckInstance(pre, tuple(A), tuple(B), a, b, c, xi_kind, p)])
+
+
+def field_of(draw: O.FieldDraw) -> F.LatentSourceField:
+    """The field of a draw, evaluated by ``oracle._weighted_sum``, with
+    its means given as 0 exactly (see ``oracle.FieldDraw``)."""
+    return F.LatentSourceField(
+        sources=tuple(O.LAWS[code] for code in draw.codes),
+        supports=draw.supports,
+        ev=O._weighted_sum,
+        params=(draw.weights, draw.q),
+        means=np.zeros(draw.n),
+        metadata={"family": "random_instance"},
+    )
+
+
+def random_instance(rng: np.random.Generator) -> tuple[O.CheckInstance, F.LatentSourceField]:
+    """The checker suite's instance of ``rng``, drawn one at a time, and its
+    field: fields are drawn (``_draw_field``) and precomputed as stacks of
+    one until one is kept (``_kept``), then its test parameters are drawn,
+    the calls that ``run_checker_suite`` makes on the instance's substream."""
+    while True:
+        draw = O._draw_field(rng)
+        pre = O.precompute_stack([draw])
+        if O._kept(pre.norms[0]["sigma2"], pre.l2[0]):
+            return O.CheckInstance((pre, 0), *O._draw_tests(rng, draw.n)), field_of(draw)
+
+
+# the beta sums that the checkers read, beside the vector w_an
+CHECKED_SUMS = ("b1a", "b1b", "t21", "t22", "t23_delta6", "t31", "t32", "t33", "t34")
+
+
+def reference_stack(field: F.LatentSourceField) -> O.PrecomputedStack:
+    """The stack of one instance of ``field`` by the per-field composition:
+    the walk that keeps every outcome and takes Var(S), the induced
+    neighborhoods, ``neighborhood.derive``, ``bounds.beta_sums`` and the
+    norms at the index-group representatives, one BLAS product per power
+    over |X| at their columns.  ``precompute_stack`` equals it bit for
+    bit."""
+    walk = O.walk_outcomes(field, var=True, keep=True)
+    sys = F.induced_neighborhoods(field)
+    der = nb.derive(sys)
+    first, inverse = field.groups
+    a = np.abs(walk.X[:, first])
+    l2, l3, l4 = np.stack([(walk.probs @ a**p) ** (1 / p) for p in (2, 3, 4)])[:, inverse]
+    table = M.MomentTable(l2=l2, l3=l3, l4=l4, sigma2=walk.sigma2, mode="exact")
+    sums = B.beta_sums(l4, sys, der)
+    exx = (walk.X * walk.probs[:, None]).T @ walk.X
+    return O.PrecomputedStack(
+        spans=((0, walk.probs.size),), X=walk.X, probs=walk.probs,
+        l2=l2[None], l3=l3[None], l4=l4[None], exx=exx[None], P=sys.M.toarray()[None],
+        kappa=(der.kappa,), tau=(der.tau,), norms=(B.norm_sums(table)[0],),
+        sums=({name: sums[name] for name in CHECKED_SUMS},), w_an=sums["w_an"][None],
+    )
 
 
 def zero_xi(monkeypatch):
@@ -292,37 +359,33 @@ def zero_xi(monkeypatch):
 
 
 def test_lemma_xiyi_hand_instances(monkeypatch):
-    f = F.build_m_dependent(6, 1, F.rademacher())
-    pre = O.precompute(f)
-    [v] = O.check_lemma_xiyi(stack_of(pre, [2], xi_kind="abs", p=1.0))
+    draw = rademacher_draw(6, 1)
+    [v] = O.check_lemma_xiyi(stack_of(draw, [2], xi_kind="abs", p=1.0))
     assert v.passed
     zero_xi(monkeypatch)
-    [v0] = O.check_lemma_xiyi(stack_of(pre, [2], xi_kind="zero", p=1.0))
+    [v0] = O.check_lemma_xiyi(stack_of(draw, [2], xi_kind="zero", p=1.0))
     assert v0.lhs == 0.0 and v0.rhs == 0.0 and v0.passed
-    [vc] = O.check_lemma_xiyi_corollary(stack_of(pre))
+    [vc] = O.check_lemma_xiyi_corollary(stack_of(draw))
     assert vc.check_id == "lemma_xiyi_corollary" and vc.passed
     # iid: X_i^2 = 1 identically, so the corollary LHS vanishes
-    fi = F.build_iid_field(4, F.rademacher())
-    [vi] = O.check_lemma_xiyi_corollary(stack_of(fi))
+    [vi] = O.check_lemma_xiyi_corollary(stack_of(rademacher_draw(4)))
     assert vi.lhs == pytest.approx(0.0, abs=1e-12)
     assert vi.rhs == pytest.approx(16.0 * 4)
 
 
 def test_lemma_s2_hand_instances():
-    f = F.build_iid_field(4, F.rademacher())
-    pre = O.precompute(f)
-    [v1] = O.check_lemma_s2(stack_of(pre, [0], p=0.0))
+    draw = rademacher_draw(4)
+    [v1] = O.check_lemma_s2(stack_of(draw, [0], p=0.0))
     assert v1.lhs == pytest.approx(3.0) and v1.margin == pytest.approx(2.0)
-    [v2] = O.check_lemma_s2(stack_of(pre, [0], xi_kind="abs", p=1.0))
+    [v2] = O.check_lemma_s2(stack_of(draw, [0], xi_kind="abs", p=1.0))
     assert v2.passed
-    [v3] = O.check_lemma_s2(stack_of(pre, range(4), p=0.0))
+    [v3] = O.check_lemma_s2(stack_of(draw, range(4), p=0.0))
     assert v3.lhs == 0.0  # N_A = [n]: S_A is the empty sum
 
 
 def test_lemma_s4_small_n_precondition_recorded():
     for n in (4, 8, 12):
-        f = F.build_iid_field(n, F.rademacher())
-        verds = O.check_lemma_s4(stack_of(f, [0]))
+        verds = O.check_lemma_s4(stack_of(rademacher_draw(n), [0]))
         by_id = {v.check_id: v for v in verds}
         s4 = by_id["lemma_s4_s"]
         assert s4.precondition == "violated"  # n^{-1/2} >> 1/500 at these sizes
@@ -332,18 +395,16 @@ def test_lemma_s4_small_n_precondition_recorded():
 
 
 def test_lemma_r4_instances(monkeypatch):
-    f = F.build_m_dependent(6, 1, F.rademacher())
-    st = stack_of(f)
+    st = stack_of(rademacher_draw(6, 1))
     verds = O.check_lemma_r4(st)
     assert all(v.passed for v in verds)
     assert any(v.lhs > 0 for v in verds)
-    f8 = F.build_iid_field(8, F.rademacher())
     clamp = O.TEST_FUNCTIONS["clamp"]
     monkeypatch.setattr(O, "TEST_FUNCTIONS", {"zero": lambda w: 0.0 * w})
     zero = O.check_lemma_r4(st)
     assert len(zero) == 1 and zero[0].lhs == 0.0 and zero[0].passed
     monkeypatch.setattr(O, "TEST_FUNCTIONS", {"clamp": clamp})
-    verds8 = O.check_lemma_r4(stack_of(f8))
+    verds8 = O.check_lemma_r4(stack_of(rademacher_draw(8)))
     assert verds8[0].passed
 
 
@@ -365,29 +426,27 @@ def test_r4_test_functions_have_sup_and_slope_at_most_one():
 
 
 def test_prop1_hand_instance_and_monotonicity(monkeypatch):
-    f = F.build_iid_field(4, F.rademacher())
-    pre = O.precompute(f)
-    [v] = O.check_prop1(stack_of(pre, [0], [1], 0.0, 0.0, 1.0, xi_kind="abs"))
+    draw = rademacher_draw(4)
+    [v] = O.check_prop1(stack_of(draw, [0], [1], 0.0, 0.0, 1.0, xi_kind="abs"))
     assert v.lhs == pytest.approx(0.75)
     assert v.passed
     # widening [a, b] raises both sides
     prev_lhs = prev_rhs = -1.0
     for b in (0.0, 0.5, 1.5):
-        [vb] = O.check_prop1(stack_of(pre, [0], [1], 0.0, b, 1.0, xi_kind="abs"))
+        [vb] = O.check_prop1(stack_of(draw, [0], [1], 0.0, b, 1.0, xi_kind="abs"))
         assert vb.lhs >= prev_lhs - 1e-12 and vb.rhs >= prev_rhs - 1e-12
         prev_lhs, prev_rhs = vb.lhs, vb.rhs
     zero_xi(monkeypatch)
-    [vz] = O.check_prop1(stack_of(pre, [0], [1], 0.0, 0.0, 1.0, xi_kind="zero"))
+    [vz] = O.check_prop1(stack_of(draw, [0], [1], 0.0, 0.0, 1.0, xi_kind="zero"))
     assert vz.lhs == 0.0 and vz.passed
 
 
 def test_prop2_hand_instance(monkeypatch):
-    f = F.build_iid_field(6, F.rademacher())
-    pre = O.precompute(f)
-    [v] = O.check_prop2(stack_of(pre, [0], [1], 0.0, 0.0, 1.0, xi_kind="abs"))
+    draw = rademacher_draw(6)
+    [v] = O.check_prop2(stack_of(draw, [0], [1], 0.0, 0.0, 1.0, xi_kind="abs"))
     assert v.passed
     zero_xi(monkeypatch)
-    [vz] = O.check_prop2(stack_of(pre, [0], [1], 0.0, 0.0, 1.0, xi_kind="zero"))
+    [vz] = O.check_prop2(stack_of(draw, [0], [1], 0.0, 0.0, 1.0, xi_kind="zero"))
     assert vz.lhs == 0.0 and vz.passed
 
 
@@ -424,22 +483,22 @@ def counting(ev, calls):
 def test_a_suite_walk_calls_its_evaluator_once_per_outcome_block(monkeypatch, block):
     """The walk of a checker instance gathers every index of a block of
     outcomes in one evaluator call while the gather fits GATHER_CELLS,
-    and keeps the same X bit for bit."""
+    and keeps the X of the suite's stacked walk bit for bit."""
     monkeypatch.setattr(F, "ENUM_BLOCK", block)
     for k in range(10):
-        pre = O.random_enumerable_instance(substream(20260217, STREAM_INSTANCES, k)).pre
+        inst, field = random_instance(substream(20260217, STREAM_INSTANCES, k))
         calls = []
-        f = dataclasses.replace(pre.field, ev=counting(pre.field.ev, calls))
+        f = dataclasses.replace(field, ev=counting(field.ev, calls))
         walk = O.walk_outcomes(f, keep=True)
         assert len(calls) == -(-f.outcome_count() // block)
         assert max(calls) <= F.GATHER_CELLS
-        assert walk.X.tobytes() == pre.plan.X.tobytes()
+        assert walk.X.tobytes() == inst.pre[0].X.tobytes()
 
 
 def test_a_gather_beyond_gather_cells_splits_into_blocks_within_it(monkeypatch):
     """Past GATHER_CELLS, an evaluation gathers blocks of at most
     GATHER_CELLS cells (one index at least), with the same values."""
-    f = O.random_enumerable_instance(substream(314, STREAM_INSTANCES, 3)).pre.field
+    _, f = random_instance(substream(314, STREAM_INSTANCES, 3))
     rows = F.product_grid(f.sources, 0, 40)[1]
     whole = F.evaluate_values(f, rows)
     K = f.supports.shape[1]
@@ -455,13 +514,13 @@ def test_a_gather_beyond_gather_cells_splits_into_blocks_within_it(monkeypatch):
 def test_suite_instances_walk_only_their_read_sources():
     """The 100 instances of a suite at seed 20260217 (the benchmark's
     checker spec) keep 24,583 outcome rows, the product of each one's read
-    supports; a walk of every source's outcomes would keep 212,299."""
-    pres = [O.random_enumerable_instance(substream(20260217, STREAM_INSTANCES, k)).pre
-            for k in range(100)]
-    rows = [pre.plan.X.shape[0] for pre in pres]
-    read = [math.prod(len(src.values) for src, c in zip(pre.field.sources, pre.field.counts) if c)
-            for pre in pres]
-    assert rows == read and sum(rows) == 24_583
+    supports, in the suite's stacks and in their fields' walks alike; a
+    walk of every source's outcomes would keep 212,299."""
+    drawn = [random_instance(substream(20260217, STREAM_INSTANCES, k)) for k in range(100)]
+    rows = [inst.pre[0].X.shape[0] for inst, _ in drawn]
+    walked = [O.walk_outcomes(f, keep=True).X.shape[0] for _, f in drawn]
+    read = [math.prod(len(src.values) for src, c in zip(f.sources, f.counts) if c) for _, f in drawn]
+    assert rows == walked == read and sum(rows) == 24_583
 
 
 def test_suite_instances_have_mean_zero_exactly():
@@ -473,7 +532,7 @@ def test_suite_instances_have_mean_zero_exactly():
     laws = set()
     for seed in (20260217, 314):
         for k in range(100):
-            field = O.random_enumerable_instance(substream(seed, STREAM_INSTANCES, k)).pre.field
+            _, field = random_instance(substream(seed, STREAM_INSTANCES, k))
             for src in field.sources:
                 assert sum(Fraction(p) * Fraction(v) for p, v in zip(src.probs, src.values)) == 0
                 laws.add(src)
@@ -516,7 +575,7 @@ def test_stacks_give_each_instance_its_own_rows_bit_for_bit():
                           for v in verds]
     want = bits(O.run_checker_suite(20, master_seed=314, include_r4=True))
     names = [*O.SUITE_CHECKS, "lemma_r4"]
-    insts = [O.random_enumerable_instance(substream(314, STREAM_INSTANCES, k)) for k in range(20)]
+    insts = [random_instance(substream(314, STREAM_INSTANCES, k))[0] for k in range(20)]
 
     def checked(stack):  # per instance of the stack, its verdicts in suite order
         k = len(stack.instances)
@@ -531,11 +590,11 @@ def test_stacks_give_each_instance_its_own_rows_bit_for_bit():
     alone = [row for inst in insts for row in checked(O.stack_instances([inst]))]
     assert bits(v for row in alone for v in row) == want
     backward, rows = insts[::-1], {}
-    for n in dict.fromkeys(inst.pre.sys.n for inst in backward):
-        group = [inst for inst in backward if inst.pre.sys.n == n]
+    for n in dict.fromkeys(inst.pre[0].n for inst in backward):
+        group = [inst for inst in backward if inst.pre[0].n == n]
         rows.update(zip(map(id, group), checked(O.stack_instances(group))))
     assert bits(v for inst in insts for v in rows[id(inst)]) == want
-    assert max(sum(inst.pre.sys.n == n for inst in insts) for n in range(2, 9)) >= 4  # stacks of several
+    assert max(sum(inst.pre[0].n == n for inst in insts) for n in range(2, 9)) >= 4  # stacks of several
 
 
 
@@ -553,15 +612,16 @@ def suite_rows(stack):
 
 def test_stacked_precompute_equals_precompute_bit_for_bit(monkeypatch):
     """For every instance of the 30-instance suite at seed 314, the arrays
-    that the suite's stacks precompute equal ``precompute`` of the
-    instance's field bit for bit, because every sum keeps its order:
+    that the suite's stacks precompute equal the per-field composition of
+    the instance's field (:func:`reference_stack`) bit for bit, because
+    every sum keeps its order:
 
     - X and the probabilities are elementwise, and Var(S) sums
       E S and E S^2 ENUM_BLOCK outcomes at a time, each by one pairwise
       sum, as the walk does;
     - l2, l3 and l4 are one BLAS product per draw and power, over |X| at
       the index-group representatives in the table's column layout;
-    - E[X X^T] is one BLAS product per draw, as in ``precompute``;
+    - E[X X^T] is one BLAS product per draw, as in the composition;
     - P, kappa and tau are integers;
     - every beta sum adds a neighborhood's terms one by one in index
       order, as a Csr product does, and its dot products are pairwise
@@ -576,33 +636,27 @@ def test_stacked_precompute_equals_precompute_bit_for_bit(monkeypatch):
     assert sum(len(draws) for draws, _ in stacks) == 30 and len(stacks) > 1
     for draws, pre in stacks:
         for j, draw in enumerate(draws):
-            want = O.precompute(O._field_of(draw))
-            lo, hi = pre.spans[j]
-            assert pre.X[lo:hi].tobytes() == want.plan.X.tobytes()
-            assert pre.probs[lo:hi].tobytes() == want.plan.probs.tobytes()
-            assert pre.norms[j]["sigma2"] == want.table.sigma2
-            for name in ("l2", "l3", "l4"):
-                assert getattr(pre, name)[j].tobytes() == getattr(want.table, name).tobytes()
-            assert pre.exx[j].tobytes() == want.exx.tobytes()
-            assert pre.P[j].tobytes() == want.P.tobytes()
-            assert (pre.kappa[j], pre.tau[j]) == (want.derived.kappa, want.derived.tau)
-            assert pre.w_an[j].tobytes() == want.sums["w_an"].tobytes()
-            assert dict(pre.sums[j]) == {name: want.sums[name] for name in O.CHECKED_SUMS}
-            assert {**pre.norms[j]} == B.norm_sums(want.table)[0]
+            got, want = pre.take([j]), reference_stack(field_of(draw))
+            for name in ("X", "probs", "l2", "l3", "l4", "exx", "P", "w_an"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert (got.kappa, got.tau) == (want.kappa, want.tau)
+            assert dict(got.norms[0]) == want.norms[0] and dict(got.sums[0]) == want.sums[0]
 
 
 @pytest.mark.parametrize("block", [F.ENUM_BLOCK, 600])
 def test_redrawn_instances_match_instances_drawn_one_at_a_time(monkeypatch, block):
     """Instances 3, 11 and 17 of the suite at seed 314 are rejected on
     their first draws (no instance of it is otherwise): the stacked suite
-    redraws them from their substreams and gives, row for row and bit for
-    bit, the verdicts of the instances drawn and precomputed one at a
-    time, stacked one each, so the same instances (digest, A, B, a, b, c,
-    p).  With ENUM_BLOCK at 600 outcome rows, no pending group holds more
-    rows, except a draw with more rows alone."""
+    redraws them from their substreams, each draw precomputed as a stack
+    of one, and gives, row for row and bit for bit, the verdicts of the
+    instances drawn one at a time and precomputed by the per-field
+    composition (:func:`reference_stack`), stacked one each, so the same
+    instances (digest, A, B, a, b, c, p).  With ENUM_BLOCK at 600 outcome
+    rows, no pending group holds more rows, except a draw with more rows
+    alone."""
     monkeypatch.setattr(F, "ENUM_BLOCK", block)
-    draw = lambda k: O.random_enumerable_instance(substream(314, STREAM_INSTANCES, k))
-    chosen = {draw(k).pre.table.l2.tobytes() for k in (3, 11, 17)}
+    draw = lambda k: random_instance(substream(314, STREAM_INSTANCES, k))
+    chosen = {draw(k)[0].pre[0].l2.tobytes() for k in (3, 11, 17)}
     kept, rejected = O._kept, []
 
     def first_draws_rejected(sigma2, l2):
@@ -615,8 +669,9 @@ def test_redrawn_instances_match_instances_drawn_one_at_a_time(monkeypatch, bloc
                           for v in verds]
     plain = bits(O.run_checker_suite(30, master_seed=314, include_r4=True))
     monkeypatch.setattr(O, "_kept", first_draws_rejected)
-    insts = [draw(k) for k in range(30)]
+    drawn = [draw(k) for k in range(30)]
     assert sorted(rejected) == sorted(chosen)
+    insts = [dataclasses.replace(inst, pre=(reference_stack(field), 0)) for inst, field in drawn]
     want = bits(v for inst in insts for v in suite_rows(O.stack_instances([inst]))[0])
     rejected.clear()
     groups = []
@@ -625,12 +680,28 @@ def test_redrawn_instances_match_instances_drawn_one_at_a_time(monkeypatch, bloc
         [d.rows for d in draws]) or stacked(draws))
     got = bits(O.run_checker_suite(30, master_seed=314, include_r4=True))
     assert got == want and sorted(rejected) == sorted(chosen)
-    assert sum(map(len, groups)) == 30 and all(sum(g) <= block or len(g) == 1 for g in groups)
+    # the 30 first draws in pending groups, and the 3 redraws a stack of one each
+    assert sum(map(len, groups)) == 33 and all(sum(g) <= block or len(g) == 1 for g in groups)
     per = len(got) // 30
     changed = [k for k in range(30) if got[k * per:(k + 1) * per] != plain[k * per:(k + 1) * per]]
     assert changed == [3, 11, 17]
     if block < F.ENUM_BLOCK:
         assert any(len(g) == 1 and g[0] > block for g in groups) and len(groups) > 7
+
+
+def test_a_stacked_var_s_off_the_covariance_identity_fails_the_suite(monkeypatch):
+    """The stacked walk's Var(S) is cross-checked against the covariance
+    identity over each draw's overlap: one draw's Var(S) short by 1e-8
+    relative, far past SIGMA2_IDENTITY_RTOL, fails the suite."""
+    walk = O._stacked_walk
+
+    def short(*args):
+        spans, X, probs, sigma2, inc = walk(*args)
+        return spans, X, probs, [sigma2[0] * (1.0 - 1e-8), *sigma2[1:]], inc
+
+    monkeypatch.setattr(O, "_stacked_walk", short)
+    with pytest.raises(AssertionError, match="variance identity violated"):
+        O.run_checker_suite(5, master_seed=314)
 
 
 def test_single_check_suites_match_the_full_suite():
@@ -714,10 +785,10 @@ def test_ld_factorization_matches_dict_loop_reference(monkeypatch):
         monkeypatch.setattr(O, name, 6)
     monkeypatch.setattr(O, "INSTANCE_MAX_OUTCOMES", 3**6)
     for _ in range(12):
-        inst = O.random_enumerable_instance(rng)
-        f = inst.pre.field
+        _, f = random_instance(rng)
         assert f.n <= 6 and f.n_sources <= 6 and f.outcome_count() <= 3**6
-        cases += [(inst.pre.field, inst.pre.sys), (inst.pre.field, shrink(inst.pre.sys, rng))]
+        sys = F.induced_neighborhoods(f)
+        cases += [(f, sys), (f, shrink(sys, rng))]
     for n in (4, 6):
         f = F.build_m_dependent(n, 1, F.three_point())
         cases += [(f, F.induced_neighborhoods(f)), (f, shrink(F.induced_neighborhoods(f), rng))]
@@ -735,8 +806,7 @@ def test_degenerate_statistic_raises():
 
 
 def test_verdict_csv_rows():
-    f = F.build_iid_field(4, F.rademacher())
-    rows = O.verdicts_to_csv_rows(O.check_lemma_s2(stack_of(f, [0])))
+    rows = O.verdicts_to_csv_rows(O.check_lemma_s2(stack_of(rademacher_draw(4), [0])))
     assert rows[0].startswith("digest,check,")
     assert "lemma_s2" in rows[1] and "pass" in rows[1]
 

@@ -306,6 +306,33 @@ def test_src_functions_are_each_read_somewhere():
     assert unread_functions([defs], [reads.replace("k.h", "k.h = 1")]) == ["g", "h"]
 
 
+def unread_classes(def_sources: list[str], read_sources: list[str]) -> list[str]:
+    """The top-level classes defined in ``def_sources`` that no code of
+    ``read_sources`` reads, by name or as an attribute, outside the
+    class's own body.  An import is not a read."""
+    defined = [cls for source in def_sources for cls in ast.parse(source).body
+               if isinstance(cls, ast.ClassDef)]
+    everywhere = [name for source in read_sources for name in loaded_names(ast.parse(source))]
+    return sorted(cls.name for cls in defined
+                  if everywhere.count(cls.name) <= loaded_names(cls).count(cls.name))
+
+
+def test_src_classes_are_each_read_somewhere():
+    """Every top-level class of the package is read by the package or by
+    ``perfbench/``, beyond its own body and ``__init__``'s re-export: a
+    record that a refactor left without a builder or a reader is dead
+    code."""
+    package = Path(locdep.__file__).parent
+    src = [p.read_text() for p in sorted(package.glob("*.py"))]
+    bench = [p.read_text() for p in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))]
+    assert unread_classes(src, src + bench) == []
+    defs = ("class K:\n    pass\nclass L:\n    def m(self) -> L: return L()\n"
+            "class J(K):\n    pass\ndef f(): pass\n")
+    reads = defs + "from .x import J, L\nx: J = f()\n"
+    assert unread_classes([defs], [reads]) == ["L"]
+    assert unread_classes([defs], [reads.replace("x: J", "x")]) == ["J", "L"]
+
+
 def unread_constants(def_sources: list[str], read_sources: list[str]) -> list[str]:
     """The top-level UPPER_CASE names assigned in ``def_sources`` that no
     code of ``read_sources`` reads, by name or as an attribute, beyond
