@@ -8,8 +8,8 @@ floating round-off), over the outcomes of the sources some index reads.
 
 :func:`walk_outcomes` is the one loop over the outcome space.  It walks
 it block by block and takes only what its reader asks for: S for Var(S),
-the whole (M, n) value matrix (the checkers and the LD factorization
-test), and a statistic's sigma-free parts, to which :func:`exact_law`
+the whole (M, n) value matrix (the LD factorization test), and a
+statistic's sigma-free parts, to which :func:`exact_law`
 applies sigma once the moment table exists, both through ``statistics``.
 So one walk serves a grid point's Var(S), exact law and LD test together.
 Where a sum field's value lattice is no larger than its outcome space, a

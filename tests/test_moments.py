@@ -449,7 +449,7 @@ def test_wrong_sigma2_fails_the_identity_on_every_route():
     # neighbor terms out, so their sum falls short of Var(S) and fails the
     # identity over the field's own overlap, read by local enumeration; a
     # sum field (closed-form Var(S)) and one whose Var(S) is enumerated
-    # alike
+    # alike (the checker stacks' route is tested in test_oracle.py)
     f = F.build_m_dependent(6, 1, F.rademacher())
     g = window_field(6, lambda a, b: (1 + a) * (1 + b))
     for field in (f, g):
