@@ -416,32 +416,31 @@ def interference_set_of(P: np.ndarray, in_na: np.ndarray) -> np.ndarray:
 def set_sums(
     P: np.ndarray,
     l4: np.ndarray,
-    w_n: np.ndarray,
     w_an: np.ndarray,
     in_a: np.ndarray,
     in_b: np.ndarray,
 ) -> list[dict[str, float]]:
-    """Per system k of a stack (P the (k, n, n) dense 0/1 matrices of M;
-    l4, w_n and w_an (k, n), with w_n_j = sum_{l in N_j} ||X_l||_4 and
-    w_an the :func:`beta_sums` vector over A_j | N_j), the sums over its
-    test sets, given as the bool masks ``in_a[k]`` and ``in_b[k]``, that
-    the delta components read:
+    """Per induced system k of a stack (P the (k, n, n) dense 0/1
+    matrices of M, symmetric; l4 and w_an (k, n), w_an the
+    :func:`beta_sums` vector over A_j | N_j, which is N_j on an induced
+    system), the sums over its test sets, given as the bool masks
+    ``in_a[k]`` and ``in_b[k]``, that the delta components read:
 
         n_a   = sum_{j in N_A} ||X_j||_4     n_a_w = sum_{j in N_A} ||X_j||_4 w_an_j
         d_a   = sum_{(i,j) in D_A} ||X_i||_4 ||X_j||_4
-        l4_b  = sum_{j in B} ||X_j||_4       w_b   = sum_{j in B} ||X_j||_4 w_n_j
+        l4_b  = sum_{j in B} ||X_j||_4       w_b   = sum_{j in B} ||X_j||_4 w_an_j
 
     with the sizes ``size_a`` and ``size_b`` of A and B.  Each is one
     pairwise sum over its set, in index order (D_A in M's entry order), as
     :func:`neighborhood.dot` sums one system's products."""
     k = l4.shape[0]
-    in_na = reverse_set_of(P, in_a)
+    in_na, l4_w = reverse_set_of(P, in_a), l4 * w_an
     parts = {
         "n_a": (in_na, l4),
-        "n_a_w": (in_na, l4 * w_an),
+        "n_a_w": (in_na, l4_w),
         "d_a": (interference_set_of(P, in_na), l4[:, :, None] * l4[:, None, :]),
         "l4_b": (in_b, l4),
-        "w_b": (in_b, l4 * w_n),
+        "w_b": (in_b, l4_w),
     }
     out = [{"size_a": int(a), "size_b": int(b)}
            for a, b in zip(in_a.sum(axis=1).tolist(), in_b.sum(axis=1).tolist())]

@@ -26,13 +26,13 @@ the sources some index reads, walked together, and per instance its
 Var(S), cross-checked against the covariance identity, its norms,
 E[X X^T], the dense 0/1 neighborhood matrix, kappa, tau and the beta
 sums the checks read, with no field, system or moment table built per
-instance.  The checkers take instances in stacks of one index count
-(:class:`Stack`, one instance being a stack of one): the outcomes of the
-stacked instances are rows of one array, every elementwise integrand is
-formed once over all of them, and each instance keeps its own BLAS
-products, its row sums over a column subset and one pairwise sum per
-integrand over its own rows, so its verdicts are the same bits in any
-stack.  A check passes when
+instance.  The checkers take a precomputed stack as it stands, with the
+test parameters of one instance per draw (:class:`Stack`): the outcomes
+of the stacked instances are rows of one array, every elementwise
+integrand is formed once over all of them, and each instance keeps its
+own BLAS products, its row sums over a column subset and one pairwise
+sum per integrand over its own rows, so its verdicts are the same bits
+in any stack.  A check passes when
 
     margin = rhs - lhs >= -1e-10 * max(1, |rhs|).
 
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -281,18 +280,6 @@ class PrecomputedStack:
         )
 
 
-def _joined(parts: Sequence[PrecomputedStack]) -> PrecomputedStack:
-    """One stack of the instances of ``parts``, part after part."""
-    if len(parts) == 1:
-        return parts[0]
-    ends = np.cumsum([hi - lo for part in parts for lo, hi in part.spans]).tolist()
-    joined = {name: np.concatenate([getattr(part, name) for part in parts])
-              for name in ("X", "probs", "l2", "l3", "l4", "exx", "P", "w_an")}
-    joined.update({name: sum((getattr(part, name) for part in parts), ())
-                   for name in ("kappa", "tau", "norms", "sums")})
-    return PrecomputedStack(spans=tuple(zip([0, *ends[:-1]], ends)), **joined)
-
-
 # ---------------------------------------------------------------------------
 # Exact distribution / Kolmogorov distance
 
@@ -417,14 +404,13 @@ def verdicts_to_csv_rows(verdicts: Sequence[InequalityVerdict]) -> list[str]:
 
 @dataclass(frozen=True)
 class CheckInstance:
-    """One enumerable instance with its test parameters: the index sets A
+    """The test parameters of one enumerable instance: the index sets A
     (one or two indices; none only under a factor of kind "one") and B,
     the window [a, b] widened by c, and the factor xi^p, xi of kind
-    ``xi_kind`` in XI_FUNCTIONS.  ``pre`` is the
-    :class:`PrecomputedStack` the instance was precomputed in and its
-    position there."""
+    ``xi_kind`` in XI_FUNCTIONS.  Its field is a draw of a
+    :class:`PrecomputedStack`, with which :func:`stack_instances` pairs
+    it."""
 
-    pre: tuple[PrecomputedStack, int]
     A: tuple[int, ...]
     B: tuple[int, ...]
     a: float
@@ -437,7 +423,7 @@ class CheckInstance:
 @dataclass(frozen=True, eq=False)
 class Stack:
     """Checked instances of one index count n: their
-    :class:`PrecomputedStack` ``pre``, whose rows ``lo:hi``,
+    :class:`PrecomputedStack` ``pre``, whose draw k and rows ``lo:hi``,
     ``(lo, hi) = spans[k]``, are instance k's, and the integrands that
     several checks read, formed once over all rows by
     :func:`stack_instances`: |X|, S_A (X summed over the indices outside
@@ -502,24 +488,19 @@ def _index_masks(sets: Sequence[Sequence[int]], n: int) -> np.ndarray:
     return mask
 
 
-def stack_instances(instances: Sequence[CheckInstance]) -> Stack:
-    """The :class:`Stack` of instances that share one index count, each
-    at its position in a :class:`PrecomputedStack` (consecutive instances
-    of one such stack are taken from it together).  Each row of its
-    integrands holds the floats that the instance's own arrays would:
-    elementwise steps are formed over all rows, and a row sum over a
-    column subset is taken per instance over those columns."""
+def stack_instances(pre: PrecomputedStack, instances: Sequence[CheckInstance]) -> Stack:
+    """The :class:`Stack` of the draws of ``pre``, draw k checked with the
+    test parameters ``instances[k]``; one instance per draw, else
+    ValueError.  Each row of its integrands holds the floats that the
+    instance's own arrays would: elementwise steps are formed over all
+    rows, and a row sum over a column subset is taken per instance over
+    those columns."""
     instances = tuple(instances)
-    if len({inst.pre[0].n for inst in instances}) != 1:
-        raise ValueError("a stack's instances share one index count")
+    if len(instances) != len(pre.spans):
+        raise ValueError(f"{len(instances)} instances for a stack of {len(pre.spans)} draws")
     for inst in instances:
         if inst.xi_kind != "one" and not 1 <= len(inst.A) <= 2:
             raise ValueError(f"xi kind {inst.xi_kind!r} needs one or two indices in A")
-    parts = []
-    for _, run in itertools.groupby(instances, key=lambda inst: id(inst.pre[0])):
-        run = list(run)
-        parts.append(run[0].pre[0].take([inst.pre[1] for inst in run]))
-    pre = _joined(parts)
     X, sizes = pre.X, [hi - lo for lo, hi in pre.spans]
     in_a = _index_masks([inst.A for inst in instances], pre.n)
     in_b = _index_masks([inst.B for inst in instances], pre.n)
@@ -548,8 +529,7 @@ def stack_instances(instances: Sequence[CheckInstance]) -> Stack:
             hit = power_of == k
             xi_pow[hit] = xi[hit] ** p
 
-    # N_k is A_k on an induced system, so w_an is the sum over N_k too
-    sets = tuple(set_sums(pre.P, pre.l4, pre.w_an, pre.w_an, in_a, in_b))
+    sets = tuple(set_sums(pre.P, pre.l4, pre.w_an, in_a, in_b))
     arrays = dict(absx=absx, s_a=s_a, b_abs=b_abs, xi=xi, xi_pow=xi_pow,
                   xi_43=xi ** (4.0 / 3.0), comp=comp)
     for a in arrays.values():
@@ -706,7 +686,7 @@ def check_lemma_r4(st: Stack) -> list[InequalityVerdict]:
     hi_clip = st.rows([2.0 * s**2 for s in sigmas])
     vbar = np.sqrt(np.clip(xy, lo_clip, hi_clip))[:, None]
     w2bar = st.X.sum(axis=1)[:, None] / vbar
-    y = st.products(st.X, [P.T for P in st.pre.P])  # Y_i = sum_{j in A_i} X_j per outcome
+    y = st.products(st.X, st.pre.P)  # Y_i = sum_{j in A_i} X_j per outcome (P symmetric)
     xv, w2bar_y = st.X / vbar, w2bar - y / vbar
     del xy, y, w2bar
     # row i of f's terms: X_i / Vbar * f(W2bar - Y_i / Vbar) per outcome; one
@@ -777,12 +757,10 @@ def check_prop2(st: Stack) -> list[InequalityVerdict]:
     vbar_a = np.sqrt(np.clip(_quadratic_forms(st, st.X, _off(st, st.comp)),
                              st.rows([0.25 * s**2 for s in sigmas]),
                              st.rows([2.0 * s**2 for s in sigmas])))
-    # rows k in N_A: P_t1[k, l] = 1 iff l in A_k, P_t2[k, l] = 1 iff l in N_k
-    in_na = ~st.comp
-    P_t1 = [P * m[:, None] for P, m in zip(st.pre.P, in_na)]
-    P_t2 = [P.T * m[:, None] for P, m in zip(st.pre.P, in_na)]
-    t_a = np.sqrt((_quadratic_forms(st, st.absx, P_t1) + _quadratic_forms(st, st.absx, P_t2))
-                  / sigma2)
+    # rows k in N_A of P: l in A_k, and l in N_k too, since P is symmetric,
+    # so the forms over A_k and over N_k are one q
+    q = _quadratic_forms(st, st.absx, st.pre.P * (~st.comp)[:, :, None])
+    t_a = np.sqrt((q + q) / sigma2)
     q_a = np.minimum(1.0, t_a)
     c = st.rows([inst.c for inst in st.instances])
     eta, zeta = _window(st, c * np.abs(st.s_a) * q_a / sigma)
@@ -877,7 +855,7 @@ def _draw_field(rng: np.random.Generator) -> FieldDraw:
 
 def _draw_tests(rng: np.random.Generator, n: int) -> tuple:
     """An instance's test parameters over its n indices, in CheckInstance's
-    order after ``pre``: A and B of one or two indices, the window a <= b
+    order: A and B of one or two indices, the window a <= b
     (a = b a quarter of the time), c in [1, 3], the xi kind and p."""
     a_set = tuple(sorted(rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist()))
     b_set = tuple(sorted(rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist()))
@@ -1147,11 +1125,12 @@ def run_checker_suite(
     which is precomputed at once (:func:`precompute_stack`) when the next
     field would take it past ``fields.ENUM_BLOCK`` outcome rows, or at the
     end (a field with more rows is a group of its own).  Then each kept
-    instance (:func:`_kept`) draws its test parameters, and the kept ones
-    are checked as one stack (:func:`stack_instances`).  An instance that
-    is not kept draws its field again, from where its substream stands,
-    each draw precomputed as a stack of one, until one is kept; it then
-    draws its test parameters and is checked as a stack of its own.  The
+    instance (:func:`_kept`) draws its test parameters, and the kept
+    draws are checked together, as the group's stack taken at their
+    positions (:func:`stack_instances`).  An instance that is not kept
+    draws its field again, from where its substream stands, each draw
+    precomputed as a stack of one, until one is kept; it then draws its
+    test parameters and is checked with that stack of one.  The
     verdicts are listed instance by instance, each instance's checks in
     the order of SUITE_CHECKS.  ``checks`` are names from SUITE_CHECKS; an
     unknown name raises ValueError."""
@@ -1160,8 +1139,8 @@ def run_checker_suite(
     names = [c for c in SUITE_CHECKS if c in checks] + ["lemma_r4"] * include_r4
     rows: list[list[InequalityVerdict]] = [[] for _ in range(n_instances)]
 
-    def check(group: list[tuple[int, CheckInstance]]) -> None:
-        st = stack_instances([inst for _, inst in group])
+    def check(pre: PrecomputedStack, group: list[tuple[int, CheckInstance]]) -> None:
+        st = stack_instances(pre, [inst for _, inst in group])
         for name in names:
             verdicts = _SUITE_CALLS[name](st)
             per = len(verdicts) // len(group)
@@ -1170,18 +1149,22 @@ def run_checker_suite(
 
     def flush(group: list[tuple[int, np.random.Generator, FieldDraw]]) -> None:
         pre = precompute_stack([draw for _, _, draw in group])
-        kept, redrawn = [], []
+        kept, at, redrawn = [], [], []
         for j, (k, rng, draw) in enumerate(group):
-            stack, at = pre, j
-            while not _kept(stack.norms[at]["sigma2"], stack.l2[at]):
+            stack, i = pre, j
+            while not _kept(stack.norms[i]["sigma2"], stack.l2[i]):
                 draw = _draw_field(rng)
-                stack, at = precompute_stack([draw]), 0
-            inst = CheckInstance((stack, at), *_draw_tests(rng, draw.n))
-            (kept if stack is pre else redrawn).append((k, inst))
+                stack, i = precompute_stack([draw]), 0
+            item = (k, CheckInstance(*_draw_tests(rng, draw.n)))
+            if stack is pre:
+                kept.append(item)
+                at.append(j)
+            else:
+                redrawn.append((stack, [item]))
         if kept:
-            check(kept)
-        for item in redrawn:
-            check([item])
+            check(pre.take(at), kept)
+        for stack, items in redrawn:
+            check(stack, items)
 
     pending: dict[int, list[tuple[int, np.random.Generator, FieldDraw]]] = {}  # by index count
     held: dict[int, int] = {}  # their outcome rows

@@ -110,8 +110,8 @@ def test_criterion_3_clamped_term_bound(checker_verdicts):
     n_sat = sum(v.precondition == "satisfied" for v in r4)
     # non-vacuous reference instances (precondition violated but inequality holds)
     for draw in (rademacher_draw(6, 1), rademacher_draw(8)):
-        inst = O.CheckInstance((O.precompute_stack([draw]), 0), (), (), 0.0, 0.0, 1.0, "one", 0.0)
-        verds = O.check_lemma_r4(O.stack_instances([inst]))
+        inst = O.CheckInstance((), (), 0.0, 0.0, 1.0, "one", 0.0)
+        verds = O.check_lemma_r4(O.stack_instances(O.precompute_stack([draw]), [inst]))
         assert all(v.passed for v in verds)
     all_pass = sum(v.passed for v in r4)
     _report(

@@ -91,8 +91,7 @@ def test_reports_reproduce_the_pinned_values(name):
     assert _reports(f, sys, t, der) == pinned["reports"]  # bit for bit, se included
     sums = B.beta_sums(t.l4, sys, der)
     in_a, in_b = (np.isin(np.arange(sys.n), S)[None] for S in ([0, 2], [1, 3]))
-    sets = B.set_sums(sys.M.toarray()[None], t.l4[None], (der.Mt @ t.l4)[None],
-                      sums["w_an"][None], in_a, in_b)[0]
+    sets = B.set_sums(sys.M.toarray()[None], t.l4[None], sums["w_an"][None], in_a, in_b)[0]
     norms = B.norm_sums(t)[0]
     d1 = B.delta_components_prop1(norms, sets, -0.3, 0.7, 2.0, sums)
     assert d1 == pinned["delta_components_prop1"]

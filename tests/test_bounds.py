@@ -190,7 +190,7 @@ def test_beta_evaluator_equals_naive_loops():
                 both[j].add(i)
         systems.append(nb.make_system([sorted(a) for a in both]))
     for k in range(6):
-        _, f = random_instance(substream(99, STREAM_INSTANCES, k))
+        f = random_instance(substream(99, STREAM_INSTANCES, k))[2]
         systems.append(F.induced_neighborhoods(f))
     symmetric = 0
     for sys in systems:
@@ -394,8 +394,7 @@ def prop_deltas(t, sys, der, A, B_, a, b, c, sums):
     the test sets A and B_: its table's norm sums and its set sums over
     the dense matrix of its system."""
     in_a, in_b = (np.isin(np.arange(sys.n), S)[None] for S in (A, B_))
-    sets = B.set_sums(sys.M.toarray()[None], t.l4[None], (der.Mt @ t.l4)[None],
-                      sums["w_an"][None], in_a, in_b)[0]
+    sets = B.set_sums(sys.M.toarray()[None], t.l4[None], sums["w_an"][None], in_a, in_b)[0]
     norms = B.norm_sums(t)[0]
     return (B.delta_components_prop1(norms, sets, a, b, c, sums),
             B.delta_components_prop2(norms, der.kappa, der.tau, sets, a, b, c))

@@ -321,7 +321,7 @@ GROUPING_CASES = {
     "decorated_path": lambda: F.build_decorated_graph_field(
         4, [(0, 1), (1, 2)], F.bernoulli(0.4)),
     **{
-        f"random_{k}": (lambda k=k: random_instance(substream(77, 5, k))[1])
+        f"random_{k}": (lambda k=k: random_instance(substream(77, 5, k))[2])
         for k in range(20)
     },
 }
@@ -509,8 +509,7 @@ def test_plan_tables_match_local_enumeration():
     # and the stacked walk's Var(S) cross-checked by the Hoeffding sum over
     # shared source subsets
     for k in range(20):
-        inst, f = random_instance(substream(314, STREAM_INSTANCES, k))
-        pre = inst.pre[0]
+        pre, _, f, _ = random_instance(substream(314, STREAM_INSTANCES, k))
         local = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
         assert local.mode == "exact"
         first, inverse = f.groups
@@ -551,7 +550,7 @@ IDENTITY_CASES = {
     **{f"repeats_{seed}": (lambda seed=seed: random_grouping_field(seed, "repeats"))
        for seed in range(3)},
     **{
-        f"random_{k}": (lambda k=k: random_instance(substream(2027, STREAM_INSTANCES, k))[1])
+        f"random_{k}": (lambda k=k: random_instance(substream(2027, STREAM_INSTANCES, k))[2])
         for k in range(20)
     },
 }

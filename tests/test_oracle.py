@@ -19,8 +19,9 @@ Core claims:
     - the suite's verdicts match a recorded table, a suite of one check
       gives the full suite's rows of that check, and a shorter suite's
       verdicts are a prefix of a longer one's
-    - an instance checked as a stack of one, or in a stack of others in
-      any order, gives the suite's rows bit for bit
+    - an instance checked as a stack of one, or precomputed and checked
+      in a stack of others in any order, gives the suite's rows bit for
+      bit, and a stack is checked with one instance per draw
     - the suite's stacked precompute of its drawn fields equals the
       per-field composition (the field's walk, induced neighborhoods,
       derived system, beta sums and norms at its index-group
@@ -295,10 +296,10 @@ def rademacher_draw(n: int, m: int = 0) -> O.FieldDraw:
 
 
 def stack_of(draw, A=(), B=(), a=0.0, b=0.0, c=1.0, xi_kind="one", p=1.0):
-    """A stack of one: the instance of ``draw``, precomputed as the suite
-    precomputes it, with these test parameters."""
-    pre = (O.precompute_stack([draw]), 0)
-    return O.stack_instances([O.CheckInstance(pre, tuple(A), tuple(B), a, b, c, xi_kind, p)])
+    """A stack of one: ``draw``, precomputed as the suite precomputes it,
+    checked with these test parameters."""
+    inst = O.CheckInstance(tuple(A), tuple(B), a, b, c, xi_kind, p)
+    return O.stack_instances(O.precompute_stack([draw]), [inst])
 
 
 def field_of(draw: O.FieldDraw) -> F.LatentSourceField:
@@ -314,16 +315,18 @@ def field_of(draw: O.FieldDraw) -> F.LatentSourceField:
     )
 
 
-def random_instance(rng: np.random.Generator) -> tuple[O.CheckInstance, F.LatentSourceField]:
-    """The checker suite's instance of ``rng``, drawn one at a time, and its
-    field: fields are drawn (``_draw_field``) and precomputed as stacks of
-    one until one is kept (``_kept``), then its test parameters are drawn,
-    the calls that ``run_checker_suite`` makes on the instance's substream."""
+def random_instance(rng: np.random.Generator) -> tuple[
+        O.PrecomputedStack, O.CheckInstance, F.LatentSourceField, O.FieldDraw]:
+    """The checker suite's instance of ``rng``, drawn one at a time, as its
+    stack of one, its test parameters, its field and its draw: fields are
+    drawn (``_draw_field``) and precomputed as stacks of one until one is
+    kept (``_kept``), then its test parameters are drawn, the calls that
+    ``run_checker_suite`` makes on the instance's substream."""
     while True:
         draw = O._draw_field(rng)
         pre = O.precompute_stack([draw])
         if O._kept(pre.norms[0]["sigma2"], pre.l2[0]):
-            return O.CheckInstance((pre, 0), *O._draw_tests(rng, draw.n)), field_of(draw)
+            return pre, O.CheckInstance(*O._draw_tests(rng, draw.n)), field_of(draw), draw
 
 
 # the beta sums that the checkers read, beside the vector w_an
@@ -486,19 +489,19 @@ def test_a_suite_walk_calls_its_evaluator_once_per_outcome_block(monkeypatch, bl
     and keeps the X of the suite's stacked walk bit for bit."""
     monkeypatch.setattr(F, "ENUM_BLOCK", block)
     for k in range(10):
-        inst, field = random_instance(substream(20260217, STREAM_INSTANCES, k))
+        pre, _, field, _ = random_instance(substream(20260217, STREAM_INSTANCES, k))
         calls = []
         f = dataclasses.replace(field, ev=counting(field.ev, calls))
         walk = O.walk_outcomes(f, keep=True)
         assert len(calls) == -(-f.outcome_count() // block)
         assert max(calls) <= F.GATHER_CELLS
-        assert walk.X.tobytes() == inst.pre[0].X.tobytes()
+        assert walk.X.tobytes() == pre.X.tobytes()
 
 
 def test_a_gather_beyond_gather_cells_splits_into_blocks_within_it(monkeypatch):
     """Past GATHER_CELLS, an evaluation gathers blocks of at most
     GATHER_CELLS cells (one index at least), with the same values."""
-    _, f = random_instance(substream(314, STREAM_INSTANCES, 3))
+    f = random_instance(substream(314, STREAM_INSTANCES, 3))[2]
     rows = F.product_grid(f.sources, 0, 40)[1]
     whole = F.evaluate_values(f, rows)
     K = f.supports.shape[1]
@@ -517,9 +520,10 @@ def test_suite_instances_walk_only_their_read_sources():
     supports, in the suite's stacks and in their fields' walks alike; a
     walk of every source's outcomes would keep 212,299."""
     drawn = [random_instance(substream(20260217, STREAM_INSTANCES, k)) for k in range(100)]
-    rows = [inst.pre[0].X.shape[0] for inst, _ in drawn]
-    walked = [O.walk_outcomes(f, keep=True).X.shape[0] for _, f in drawn]
-    read = [math.prod(len(src.values) for src, c in zip(f.sources, f.counts) if c) for _, f in drawn]
+    rows = [pre.X.shape[0] for pre, *_ in drawn]
+    walked = [O.walk_outcomes(f, keep=True).X.shape[0] for _, _, f, _ in drawn]
+    read = [math.prod(len(src.values) for src, c in zip(f.sources, f.counts) if c)
+            for _, _, f, _ in drawn]
     assert rows == walked == read and sum(rows) == 24_583
 
 
@@ -532,7 +536,7 @@ def test_suite_instances_have_mean_zero_exactly():
     laws = set()
     for seed in (20260217, 314):
         for k in range(100):
-            _, field = random_instance(substream(seed, STREAM_INSTANCES, k))
+            field = random_instance(substream(seed, STREAM_INSTANCES, k))[2]
             for src in field.sources:
                 assert sum(Fraction(p) * Fraction(v) for p, v in zip(src.probs, src.values)) == 0
                 laws.add(src)
@@ -568,34 +572,40 @@ def test_suite_matches_recorded_verdict_table():
 
 def test_stacks_give_each_instance_its_own_rows_bit_for_bit():
     """Each of the 20 instances of a suite at seed 314, checked as a stack
-    of one, and all 20 stacked in reverse order (one stack per index
-    count), give the suite's rows bit for bit: no instance's rows depend
-    on which instances share its stack or on their order."""
+    of one, and all 20 precomputed and checked in reverse order (one
+    ``precompute_stack`` per index count), give the suite's rows bit for
+    bit: no instance's rows depend on which instances share its stack or
+    on their order, in the precompute or in the checkers."""
     bits = lambda verds: [(v.check_id, v.digest, v.precondition, v.lhs.hex(), v.rhs.hex())
                           for v in verds]
     want = bits(O.run_checker_suite(20, master_seed=314, include_r4=True))
-    names = [*O.SUITE_CHECKS, "lemma_r4"]
-    insts = [random_instance(substream(314, STREAM_INSTANCES, k))[0] for k in range(20)]
-
-    def checked(stack):  # per instance of the stack, its verdicts in suite order
-        k = len(stack.instances)
-        rows = [[] for _ in range(k)]
-        for name in names:
-            verds = O._SUITE_CALLS[name](stack)
-            per = len(verds) // k
-            for j in range(k):
-                rows[j] += verds[j * per:(j + 1) * per]
-        return rows
-
-    alone = [row for inst in insts for row in checked(O.stack_instances([inst]))]
+    drawn = [random_instance(substream(314, STREAM_INSTANCES, k)) for k in range(20)]
+    alone = [row for pre, inst, _, _ in drawn for row in suite_rows(O.stack_instances(pre, [inst]))]
     assert bits(v for row in alone for v in row) == want
-    backward, rows = insts[::-1], {}
-    for n in dict.fromkeys(inst.pre[0].n for inst in backward):
-        group = [inst for inst in backward if inst.pre[0].n == n]
-        rows.update(zip(map(id, group), checked(O.stack_instances(group))))
-    assert bits(v for inst in insts for v in rows[id(inst)]) == want
-    assert max(sum(inst.pre[0].n == n for inst in insts) for n in range(2, 9)) >= 4  # stacks of several
+    rows = {}
+    for n in dict.fromkeys(draw.n for *_, draw in drawn[::-1]):
+        ks = [k for k in reversed(range(20)) if drawn[k][3].n == n]
+        pre = O.precompute_stack([drawn[k][3] for k in ks])
+        rows.update(zip(ks, suite_rows(O.stack_instances(pre, [drawn[k][1] for k in ks]))))
+    assert bits(v for k in range(20) for v in rows[k]) == want
+    assert max(sum(draw.n == n for *_, draw in drawn) for n in range(2, 9)) >= 4  # stacks of several
 
+
+def test_a_stack_is_checked_with_one_instance_per_draw():
+    """``stack_instances`` pairs draw k of a stack with instance k, so a
+    count of instances other than the stack's draw count raises
+    ValueError.  Without that check, one instance against a stack of two
+    goes through ``bounds.reverse_set_of`` unnoticed, its A broadcast
+    over both draws' matrices, and the first error is a numpy shape
+    mismatch further on."""
+    pre = O.precompute_stack([rademacher_draw(4), rademacher_draw(4, 1)])
+    inst = O.CheckInstance((0,), (1,), 0.0, 0.0, 1.0, "one", 0.0)
+    for insts in ([inst], [inst] * 3):
+        with pytest.raises(ValueError, match=f"{len(insts)} instances for a stack of 2 draws"):
+            O.stack_instances(pre, insts)
+    assert O.stack_instances(pre, [inst, inst]).comp.shape == (2, 4)
+    in_na = B.reverse_set_of(pre.P, O._index_masks([inst.A], pre.n))
+    assert in_na.shape == (2, 4) and in_na[0].sum() < in_na[1].sum()
 
 
 def suite_rows(stack):
@@ -635,6 +645,7 @@ def test_stacked_precompute_equals_precompute_bit_for_bit(monkeypatch):
     O.run_checker_suite(30, master_seed=314)
     assert sum(len(draws) for draws, _ in stacks) == 30 and len(stacks) > 1
     for draws, pre in stacks:
+        assert np.array_equal(pre.P, pre.P.transpose(0, 2, 1))  # the checkers read P as P^T
         for j, draw in enumerate(draws):
             got, want = pre.take([j]), reference_stack(field_of(draw))
             for name in ("X", "probs", "l2", "l3", "l4", "exx", "P", "w_an"):
@@ -656,7 +667,7 @@ def test_redrawn_instances_match_instances_drawn_one_at_a_time(monkeypatch, bloc
     alone."""
     monkeypatch.setattr(F, "ENUM_BLOCK", block)
     draw = lambda k: random_instance(substream(314, STREAM_INSTANCES, k))
-    chosen = {draw(k)[0].pre[0].l2.tobytes() for k in (3, 11, 17)}
+    chosen = {draw(k)[0].l2.tobytes() for k in (3, 11, 17)}
     kept, rejected = O._kept, []
 
     def first_draws_rejected(sigma2, l2):
@@ -671,8 +682,8 @@ def test_redrawn_instances_match_instances_drawn_one_at_a_time(monkeypatch, bloc
     monkeypatch.setattr(O, "_kept", first_draws_rejected)
     drawn = [draw(k) for k in range(30)]
     assert sorted(rejected) == sorted(chosen)
-    insts = [dataclasses.replace(inst, pre=(reference_stack(field), 0)) for inst, field in drawn]
-    want = bits(v for inst in insts for v in suite_rows(O.stack_instances([inst]))[0])
+    want = bits(v for _, inst, field, _ in drawn
+                for v in suite_rows(O.stack_instances(reference_stack(field), [inst]))[0])
     rejected.clear()
     groups = []
     stacked = O.precompute_stack
@@ -785,7 +796,7 @@ def test_ld_factorization_matches_dict_loop_reference(monkeypatch):
         monkeypatch.setattr(O, name, 6)
     monkeypatch.setattr(O, "INSTANCE_MAX_OUTCOMES", 3**6)
     for _ in range(12):
-        _, f = random_instance(rng)
+        f = random_instance(rng)[2]
         assert f.n <= 6 and f.n_sources <= 6 and f.outcome_count() <= 3**6
         sys = F.induced_neighborhoods(f)
         cases += [(f, sys), (f, shrink(sys, rng))]
