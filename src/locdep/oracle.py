@@ -23,11 +23,12 @@ A checked instance is a drawn field of plain arrays (:class:`FieldDraw`),
 precomputed with the other draws of its index count in one
 :class:`PrecomputedStack` (:func:`precompute_stack`): the outcomes of
 the sources some index reads, walked together, and per instance its
-Var(S), cross-checked against the covariance identity, its norms,
-E[X X^T], the dense 0/1 neighborhood matrix, kappa, tau and the beta
-sums the checks read, with no field, system or moment table built per
-instance.  The checkers take a precomputed stack as it stands, with the
-test parameters of one instance per draw (:class:`Stack`): the outcomes
+Var(S), cross-checked against the covariance identity, its norms (each
+index's one pairwise sum over the instance's own outcomes), E[X X^T],
+the dense 0/1 neighborhood matrix, kappa, tau and the beta sums the
+checks read, with no field, system or moment table built per instance.
+The checkers take a precomputed stack as it stands, with the test
+parameters of one instance per draw (:class:`Stack`): the outcomes
 of the stacked instances are rows of one array, every elementwise
 integrand is formed once over all of them, and each instance keeps its
 own BLAS products, its row sums over a column subset and one pairwise
@@ -490,17 +491,20 @@ def _index_masks(sets: Sequence[Sequence[int]], n: int) -> np.ndarray:
 
 def stack_instances(pre: PrecomputedStack, instances: Sequence[CheckInstance]) -> Stack:
     """The :class:`Stack` of the draws of ``pre``, draw k checked with the
-    test parameters ``instances[k]``; one instance per draw, else
-    ValueError.  Each row of its integrands holds the floats that the
-    instance's own arrays would: elementwise steps are formed over all
-    rows, and a row sum over a column subset is taken per instance over
-    those columns."""
+    test parameters ``instances[k]``; one instance per draw, and every id
+    of A and B in [0, n), else ValueError.  Each row of its integrands
+    holds the floats that the instance's own arrays would: elementwise
+    steps are formed over all rows, and a row sum over a column subset is
+    taken per instance over those columns."""
     instances = tuple(instances)
     if len(instances) != len(pre.spans):
         raise ValueError(f"{len(instances)} instances for a stack of {len(pre.spans)} draws")
-    for inst in instances:
+    for k, inst in enumerate(instances):
         if inst.xi_kind != "one" and not 1 <= len(inst.A) <= 2:
             raise ValueError(f"xi kind {inst.xi_kind!r} needs one or two indices in A")
+        if any(not 0 <= i < pre.n for i in (*inst.A, *inst.B)):
+            raise ValueError(f"instance {k} (A={list(inst.A)}, B={list(inst.B)}) "
+                             f"has an index outside [0, {pre.n})")
     X, sizes = pre.X, [hi - lo for lo, hi in pre.spans]
     in_a = _index_masks([inst.A for inst in instances], pre.n)
     in_b = _index_masks([inst.B for inst in instances], pre.n)
@@ -951,33 +955,28 @@ def precompute_stack(draws: Sequence[FieldDraw]) -> PrecomputedStack:
     draws of one index count at once, with no field, system or moment
     table built per draw.  Every reduction is taken per draw in the order
     that the draw's field would take it (its :func:`walk_outcomes`, its
-    induced neighborhoods, ``neighborhood.derive``, :func:`bounds.beta_sums`
-    and the norms at its index-group representatives), so the floats are
-    the same bits.
+    induced neighborhoods, ``neighborhood.derive`` and
+    :func:`bounds.beta_sums`), so the floats are the same bits.
 
     The outcome spaces are walked together (:func:`_stacked_walk`), and
     each draw's Var(S) is cross-checked against the covariance identity
     over its overlap, sum_i sum_{j in A_i} Cov(X_i, X_j), at
     ``moments.SIGMA2_IDENTITY_RTOL``: a failed cross-check raises
-    AssertionError.  The norms are taken at
-    each draw's index-group representatives, found for all draws by one
-    grouping of their signatures (``fields._groups``, the draw as the
-    leading column), by one BLAS product per draw and power, as the moment
-    table takes them; E[X X^T] is one BLAS product per draw.  The overlap,
-    kappa, tau and the beta sums are dense (:func:`_dense_beta_sums`)."""
+    AssertionError.  Each index's ||X_i||_p, p = 2, 3, 4, is the p-th root
+    of one pairwise sum of probs |X_i|^p over the draw's own rows, the rule
+    of :meth:`Stack.sums`, so it depends on neither the other draws of the
+    stack nor a BLAS layout; E[X X^T] is one BLAS product per draw.  The
+    overlap, kappa, tau and the beta sums are dense
+    (:func:`_dense_beta_sums`)."""
     k, n = len(draws), draws[0].n
     if any(draw.n != n for draw in draws):
         raise ValueError("a stack's draws share one index count")
     n_src = max(len(draw.codes) for draw in draws)
     sup = np.stack([draw.supports for draw in draws])  # (k, n, K)
-    K = sup.shape[2]
     codes = np.zeros((k, n_src), dtype=np.int64)  # a padding source is read by no index
     for j, draw in enumerate(draws):
         codes[j, :len(draw.codes)] = draw.codes
     spans, X, probs, sigma2, inc = _stacked_walk(draws, sup, codes)
-    R = X.shape[0]
-    counts = [hi - lo for lo, hi in spans]
-    owner = np.repeat(np.arange(k), counts)
     W = X * probs[:, None]
     exx = np.empty((k, n, n))
     for j, (lo, hi) in enumerate(spans):
@@ -991,34 +990,12 @@ def precompute_stack(draws: Sequence[FieldDraw]) -> PrecomputedStack:
             raise AssertionError(
                 f"variance identity violated: Var(S)={var} vs covariance sum {var_id}")
 
-    # index groups: the draw, then the signature a field of the draw would
-    # group by (sources as j * n_src + s; each law ranked by its first source)
-    weights = np.stack([draw.weights for draw in draws])
-    q = np.stack([draw.q for draw in draws])
-    same = codes[:, :, None] == codes[:, None, :]
-    first_of = same.argmax(axis=2)
-    rank = np.cumsum(first_of == np.arange(n_src), axis=1) - 1
-    law_ids = np.take_along_axis(rank, first_of, axis=1).reshape(-1)
-    S = np.where(sup >= 0, sup + n_src * np.arange(k)[:, None, None], -1).reshape(k * n, K)
-    srt = np.sort(S, axis=1)
-    signature = fields._signatures(S, srt, fields._new_ids(srt), law_ids,
-                                   (weights.reshape(k * n, K), q.reshape(k * n)))
-    first, inverse = fields._groups([np.repeat(np.arange(k), n), *signature], k * n)
-    reps = np.bincount(first // n, minlength=k)
-    starts = np.cumsum(reps) - reps
-    cols = np.zeros((k, n), dtype=np.int64)
-    cols[first // n, np.arange(first.size) - np.repeat(starts, reps)] = first % n
-    # |X| at the representatives, column by column: the layout of the
-    # table's X[:, first], which BLAS reads by columns
-    aT = np.empty((n, R))
-    np.abs(X[np.arange(R)[:, None], cols[owner]].T, out=aT)
-    rep_norms = np.zeros((3, k, n))
-    for m, ap in enumerate(aT**p for p in (2, 3, 4)):
-        for j, ((lo, hi), g) in enumerate(zip(spans, reps.tolist())):
-            rep_norms[m, j, :g] = probs[lo:hi] @ ap[:g, lo:hi].T
-    roots = np.stack([rep_norms[m] ** (1 / p) for m, p in enumerate((2, 3, 4))])
-    local = (inverse - np.repeat(starts, n)).reshape(1, k, n)
-    l2, l3, l4 = np.take_along_axis(roots, np.broadcast_to(local, roots.shape), axis=2)
+    # E|X_i|^p of every index and power p: one pairwise sum of probs |X_i|^p
+    # over the draw's rows, each index's outcomes contiguous (as Stack.sums)
+    absT = np.ascontiguousarray(np.abs(X).T)
+    Q = np.stack([absT**2, absT**3, absT**4]) * probs  # (3, n, R)
+    e = np.stack([np.add.reduce(Q[:, :, lo:hi], axis=2) for lo, hi in spans], axis=1)
+    l2, l3, l4 = (e[m] ** (1 / p) for m, p in enumerate((2, 3, 4)))
     moment_sums = np.add.reduce(np.stack([l2**2, l3**3, l4**3, l4**4]), axis=2).T.tolist()
     norms = tuple(MappingProxyType({"t2": t2, "e3": e3, "t3": t3, "t4": t4, "sigma2": var})
                   for (t2, e3, t3, t4), var in zip(moment_sums, sigma2))

@@ -24,8 +24,8 @@ Core claims:
       bit, and a stack is checked with one instance per draw
     - the suite's stacked precompute of its drawn fields equals the
       per-field composition (the field's walk, induced neighborhoods,
-      derived system, beta sums and norms at its index-group
-      representatives) bit for bit, and an instance rejected on its first
+      derived system and beta sums, each norm one pairwise sum over the
+      walk) bit for bit, and an instance rejected on its first
       draw is redrawn from its substream, each draw precomputed as a stack
       of one, into the instance drawn one at a time and precomputed by that
       composition, with no pending group past ENUM_BLOCK outcome rows
@@ -36,12 +36,16 @@ Core claims:
       field is given means of exactly 0, which holds: every source's mean
       is 0 exactly, every index reads distinct sources, and a local
       enumeration gives 0 within 1e-15
+    - lemma_s2's two sides equal those of its statement, computed by
+      plain loops over the outcomes, and a stack refuses test ids outside
+      its draws' indices
     - merging atoms by array code matches the chained-merge loop
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -336,16 +340,15 @@ CHECKED_SUMS = ("b1a", "b1b", "t21", "t22", "t23_delta6", "t31", "t32", "t33", "
 def reference_stack(field: F.LatentSourceField) -> O.PrecomputedStack:
     """The stack of one instance of ``field`` by the per-field composition:
     the walk that keeps every outcome and takes Var(S), the induced
-    neighborhoods, ``neighborhood.derive``, ``bounds.beta_sums`` and the
-    norms at the index-group representatives, one BLAS product per power
-    over |X| at their columns.  ``precompute_stack`` equals it bit for
+    neighborhoods, ``neighborhood.derive``, ``bounds.beta_sums`` and each
+    index's norm ||X_i||_p as the p-th root of ``neighborhood.dot`` of the
+    probabilities and |X_i|^p.  ``precompute_stack`` equals it bit for
     bit."""
     walk = O.walk_outcomes(field, var=True, keep=True)
     sys = F.induced_neighborhoods(field)
     der = nb.derive(sys)
-    first, inverse = field.groups
-    a = np.abs(walk.X[:, first])
-    l2, l3, l4 = np.stack([(walk.probs @ a**p) ** (1 / p) for p in (2, 3, 4)])[:, inverse]
+    l2, l3, l4 = (np.array([nb.dot(walk.probs, np.abs(x) ** p) for x in walk.X.T]) ** (1 / p)
+                  for p in (2, 3, 4))
     table = M.MomentTable(l2=l2, l3=l3, l4=l4, sigma2=walk.sigma2, mode="exact")
     sums = B.beta_sums(l4, sys, der)
     exx = (walk.X * walk.probs[:, None]).T @ walk.X
@@ -384,6 +387,62 @@ def test_lemma_s2_hand_instances():
     assert v2.passed
     [v3] = O.check_lemma_s2(stack_of(draw, range(4), p=0.0))
     assert v3.lhs == 0.0  # N_A = [n]: S_A is the empty sum
+
+
+def s2_by_its_statement(draw: O.FieldDraw, inst: O.CheckInstance) -> tuple[float, float]:
+    """(lhs, rhs) of lemma_s2 at ``inst`` on ``draw``, from its statement
+
+        E{xi^p S_A^2} <= ||xi||_p^p (E S_A^2 + 2 sum_{D_A} ||X_i||_4 ||X_j||_4),
+
+    with no Stack, Csr or set_sums: the outcomes of the read sources by
+    ``itertools.product``, each X_i written out from its supports, weights
+    and product weight; A_k = {j : X_j reads a source of X_k}, N_A = {k :
+    A_k & A != {}}, S_A the sum of X_i over i outside N_A, and D_A =
+    {(i, j) : j in A_i, A & (A_i | A_j) != {}}."""
+    n, A = draw.n, set(inst.A)
+    reads = [set(row) - {-1} for row in draw.supports.tolist()]
+    read = sorted(set().union(*reads))
+    laws = [O.LAWS[draw.codes[s]] for s in read]
+    U = np.array(list(itertools.product(*(law.values for law in laws))))
+    probs = np.array([math.prod(p) for p in itertools.product(*(law.probs for law in laws))])
+    X = np.zeros((probs.size, n))
+    for i in range(n):
+        slots = [(read.index(s), w) for s, w in zip(draw.supports[i], draw.weights[i]) if s >= 0]
+        X[:, i] = sum(w * U[:, c] for c, w in slots) + draw.q[i] * np.prod(
+            [U[:, c] for c, _ in slots], axis=0)
+    nbhd = [{j for j in range(n) if reads[i] & reads[j]} for i in range(n)]
+    outside = [i for i in range(n) if not nbhd[i] & A]
+    s_a = X[:, outside].sum(axis=1)
+    l4 = (probs @ X**4) ** 0.25
+    d_a = sum(l4[i] * l4[j] for i in range(n) for j in nbhd[i] if A & (nbhd[i] | nbhd[j]))
+    x0 = X[:, inst.A[0]] if inst.A else np.ones(probs.size)
+    x1 = X[:, inst.A[1]] if len(inst.A) == 2 else np.ones(probs.size)
+    xi = {"one": np.ones(probs.size), "abs": np.abs(x0), "square": x0**2,
+          "abs_product": np.abs(x0 * x1),
+          "clipped_exp": np.minimum(np.exp(O.CLIPPED_EXP_RATE * x0), 3.0)}[inst.xi_kind]
+    xi_p = xi**inst.p
+    xi_norm = probs @ xi_p if inst.p != 0 else 1.0
+    return probs @ (xi_p * s_a**2), xi_norm * (probs @ s_a**2 + 2.0 * d_a)
+
+
+def test_lemma_s2_matches_its_statement_by_plain_loops():
+    """lemma_s2's lhs and rhs equal :func:`s2_by_its_statement` within
+    1e-12 relative, on the hand instances above, an m = 1 window and the
+    first 50 instances of the suite at seed 20260217: every term of each
+    side is nonnegative, so no sum cancels.  This also covers the stack's
+    ||X_i||_4 and its set sums over N_A and D_A."""
+    cases = [(rademacher_draw(4), O.CheckInstance((0,), (), 0.0, 0.0, 1.0, "one", 0.0)),
+             (rademacher_draw(4), O.CheckInstance((0,), (), 0.0, 0.0, 1.0, "abs", 1.0)),
+             (rademacher_draw(4), O.CheckInstance((0, 1, 2, 3), (), 0.0, 0.0, 1.0, "one", 0.0)),
+             (rademacher_draw(6, 1), O.CheckInstance((2,), (), 0.0, 0.0, 1.0, "abs", 1.0))]
+    cases += [(draw, inst) for _, inst, _, draw in
+              (random_instance(substream(20260217, STREAM_INSTANCES, k)) for k in range(50))]
+    assert {inst.xi_kind for _, inst in cases} == set(O.XI_KINDS)
+    for draw, inst in cases:
+        [v] = O.check_lemma_s2(O.stack_instances(O.precompute_stack([draw]), [inst]))
+        lhs, rhs = s2_by_its_statement(draw, inst)
+        assert v.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+        assert v.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_lemma_s4_small_n_precondition_recorded():
@@ -608,6 +667,17 @@ def test_a_stack_is_checked_with_one_instance_per_draw():
     assert in_na.shape == (2, 4) and in_na[0].sum() < in_na[1].sum()
 
 
+def test_stack_instances_refuses_ids_outside_the_draw():
+    """Every id of A and B lies in [0, n), else ValueError naming the
+    instance: numpy would read A = (-1,) as index n - 1, and A = (n,)
+    would fail as a bare IndexError."""
+    pre = O.precompute_stack([rademacher_draw(8)])
+    for A, B in (((-1,), (0,)), ((8,), (0,)), ((0,), (-1,)), ((0, 1), (3, 8))):
+        inst = O.CheckInstance(A, B, 0.0, 0.0, 1.0, "abs", 1.0)
+        with pytest.raises(ValueError, match=r"instance 0 \(A=.*\) has an index outside \[0, 8\)"):
+            O.stack_instances(pre, [inst])
+
+
 def suite_rows(stack):
     """Per instance of the stack, its verdicts in suite order, with r4."""
     k = len(stack.instances)
@@ -629,8 +699,8 @@ def test_stacked_precompute_equals_precompute_bit_for_bit(monkeypatch):
     - X and the probabilities are elementwise, and Var(S) sums
       E S and E S^2 ENUM_BLOCK outcomes at a time, each by one pairwise
       sum, as the walk does;
-    - l2, l3 and l4 are one BLAS product per draw and power, over |X| at
-      the index-group representatives in the table's column layout;
+    - l2, l3 and l4 are one pairwise sum per draw, index and power, over
+      the draw's own rows, as ``neighborhood.dot`` sums them;
     - E[X X^T] is one BLAS product per draw, as in the composition;
     - P, kappa and tau are integers;
     - every beta sum adds a neighborhood's terms one by one in index
