@@ -218,10 +218,31 @@ def _graph_report(field: fields.LatentSourceField, n: int, table) -> bounds.Boun
     return bounds.bound_graph(table, field.metadata["max_degree"] - 1)
 
 
+def _elementary_symmetric(x: np.ndarray, m: int) -> np.ndarray:
+    """e_m of each row of x: the sum of the products of its m-subsets, by
+    e_j += x_t e_{j - 1} over the columns t."""
+    e = np.zeros((m + 1, x.shape[0]))
+    e[0] = 1.0
+    for col in x.T:
+        e[1:] += col * e[:-1]
+    return e[m]
+
+
+class Kernel(NamedTuple):
+    """A symmetric kernel ``h(*cols)`` and ``block_sum(x, m)``, h summed
+    over the m-subsets of each row of a block's points x (see
+    ``fields.build_ustat_field``)."""
+
+    h: Callable
+    block_sum: Callable
+
+
 KERNELS = {
-    "product": lambda *cols: math.prod(cols),
-    "sum": lambda *cols: sum(cols),
-    "diff_sq_half": lambda x, y: (x - y) ** 2 / 2.0,
+    "product": Kernel(lambda *cols: math.prod(cols), _elementary_symmetric),
+    "sum": Kernel(lambda *cols: sum(cols),
+                  lambda x, m: math.comb(x.shape[1] - 1, m - 1) * x.sum(axis=1)),
+    "diff_sq_half": Kernel(lambda x, y: (x - y) ** 2 / 2.0,  # m = 2 only
+                           lambda x, m: (x.shape[1] * (x * x).sum(axis=1) - x.sum(axis=1) ** 2) / 2.0),
 }
 
 
@@ -238,7 +259,8 @@ def _build_ustat(p: dict, n: int, where: str) -> fields.LatentSourceField:
     if n < k * m:
         raise ConfigError(f"{where}.k", f"need n >= k*m, got k={k}, m={m}, n={n}")
     sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    return fields.build_ustat_field(sizes, m, KERNELS[p["kernel"]], _source(p["source"]))
+    kernel = KERNELS[p["kernel"]]
+    return fields.build_ustat_field(sizes, m, kernel.h, _source(p["source"]), kernel.block_sum)
 
 
 def _check_constrained(p: dict, where: str) -> None:
@@ -285,7 +307,7 @@ FAMILIES = {
         _build_ustat,
         {
             "distributed_u": lambda b, p, n, t: bounds.bound_distributed_u(
-                moments.hoeffding_sigma1(KERNELS[p["kernel"]], p["m"], _source(p["source"])),
+                moments.hoeffding_sigma1(KERNELS[p["kernel"]].h, p["m"], _source(p["source"])),
                 n, p["m"], b.field.metadata["block_sizes"],
             ),
             "distributed_general": lambda b, p, n, t: _distributed_general_report(b, t),

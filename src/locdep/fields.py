@@ -1218,6 +1218,7 @@ def build_ustat_field(
     m: int,
     kernel: Callable,
     source: Source,
+    block_sum: Callable | None = None,
 ) -> LatentSourceField:
     """Distributed U-statistic field over k blocks of sample points.
 
@@ -1225,7 +1226,10 @@ def build_ustat_field(
     with w_i = n_i / (N C(n_i, m)), so the field sum equals U_d - theta.
     A single block recovers the classical U-statistic, up to the recorded
     normalization.  theta = E h is computed exactly from the source, which
-    must be discrete.
+    must be discrete.  ``block_sum(x, m)``, when given, is the kernel
+    summed over the m-subsets of each row of a block's points x, shape
+    (reps, n_i); it becomes the field's ``batch_sum``
+    (:func:`_ustat_batch_sum`), so S needs no per-index values.
     """
     block_sizes = [int(b) for b in block_sizes]
     if any(b < m for b in block_sizes):
@@ -1254,21 +1258,41 @@ def build_ustat_field(
         block_slices.append((start, start + len(sub)))
         offset += b
     h = _columnwise(kernel)
+    metadata = {
+        "family": "ustat",
+        "m": m,
+        "theta": theta,
+        "block_sizes": block_sizes,
+        "block_slices": block_slices,
+        "index_transitive": len(block_sizes) == 1,
+    }
+    if block_sum is not None:
+        metadata["batch_sum"] = _ustat_batch_sum(block_sizes, m, theta, block_sum)
     return LatentSourceField(
         sources=(source,) * N,
         supports=np.concatenate(subsets),
         ev=lambda G, w: w * (h(G) - theta),
         params=(np.concatenate(weights),),
         means=np.zeros(n_idx),
-        metadata={
-            "family": "ustat",
-            "m": m,
-            "theta": theta,
-            "block_sizes": block_sizes,
-            "block_slices": block_slices,
-            "index_transitive": len(block_sizes) == 1,
-        },
+        metadata=metadata,
     )
+
+
+def _ustat_batch_sum(block_sizes: list[int], m: int, theta: float, block_sum: Callable) -> Callable:
+    """Whole-field U-statistic sums from each block's points: the sum over
+    blocks b of w_b (K_b - C(n_b, m) theta), K_b = block_sum(points, m)
+    the kernel summed over the block's m-subsets, with no index gathered."""
+    N, ends = sum(block_sizes), np.cumsum(block_sizes).tolist()
+    terms = [(slice(e - b, e), b / (N * math.comb(b, m)), math.comb(b, m) * theta)
+             for b, e in zip(block_sizes, ends)]
+
+    def batch_sum(rows: np.ndarray) -> np.ndarray:
+        out = np.zeros(rows.shape[0])
+        for points, w, mean in terms:
+            out += w * (block_sum(rows[:, points], m) - mean)
+        return out
+
+    return batch_sum
 
 
 def admissible_tuples(
@@ -1531,7 +1555,8 @@ def build_decorated_graph_field(
         "index_transitive": True,
     }
     if sorted(edges) == [(0, 1), (0, 2), (1, 2)]:
-        metadata["batch_sum"] = _triangle_batch_sum(n)
+        binary = isinstance(edge_source, DiscreteSource) and set(edge_source.values) <= {0.0, 1.0}
+        metadata["batch_sum"] = _triangle_batch_sum(n, binary)
     return LatentSourceField(
         sources=(edge_source,) * math.comb(n, 2),
         supports=edge_ids.reshape(n_inj, len(edges)),
@@ -1540,22 +1565,26 @@ def build_decorated_graph_field(
     )
 
 
-def _triangle_batch_sum(n: int) -> Callable:
-    """Whole-field triangle sums, trace(A^3) per replication: one matrix
-    product instead of gathering every injection, over stacks of about
-    ADJ_CELLS adjacency cells at a time."""
+def _triangle_batch_sum(n: int, binary: bool) -> Callable:
+    """Whole-field triangle sums, trace(A^3) = 6 sum (U U) o U per
+    replication, U the upper triangle of the adjacency matrix A: one
+    matrix product instead of gathering every injection, over stacks of
+    about ADJ_CELLS cells at a time.  With 0/1 edges (``binary``) U is
+    float32: every partial sum is then an integer below C(n, 3) < 2^24
+    (n <= 162 at DEFAULT_INDEX_CAP), so S is exact."""
     iu, ju = np.triu_indices(n, k=1)
-    upper, lower = iu * n + ju, ju * n + iu  # flat cells of A[i, j] and A[j, i]
+    upper = iu * n + ju  # flat cells of U[i, j], in host edge order
     step = max(1, ADJ_CELLS // (n * n))
+    dtype = np.float32 if binary else np.float64
 
     def batch_sum(rows: np.ndarray) -> np.ndarray:
         out = np.empty(rows.shape[0])
-        adj = np.zeros((min(step, rows.shape[0]), n * n))  # the diagonal stays 0
+        cells = np.zeros((min(step, rows.shape[0]), n * n), dtype=dtype)  # the rest stays 0
         for lo in range(0, rows.shape[0], step):
-            a = adj[:len(rows[lo:lo + step])]
-            a[:, upper] = a[:, lower] = rows[lo:lo + step]
-            a = a.reshape(-1, n, n)
-            out[lo:lo + len(a)] = np.einsum("rij,rij->r", a @ a, a)
-        return out
+            u = cells[:len(rows[lo:lo + step])]
+            u[:, upper] = rows[lo:lo + step]
+            u = u.reshape(-1, n, n)
+            out[lo:lo + len(u)] = np.einsum("rij,rij->r", u @ u, u)
+        return 6 * out
 
     return batch_sum

@@ -305,6 +305,39 @@ def test_bound_subcommand_skips_statistics(tmp_path):
     assert "6,main,total," in grid
 
 
+# an exact-mode U-statistic run per kernel, N <= 12, on sources with
+# theta != 0 and theta = 0, in equal and unequal blocks
+USTAT_EXACT = {
+    "product": ({"m": 3, "k": 2, "kernel": "product", "source": {"kind": "bernoulli", "p": 0.3}},
+                [8, 11]),
+    "sum": ({"m": 2, "k": 3, "kernel": "sum", "source": {"kind": "three_point"}}, [7, 9]),
+    "diff_sq_half": ({"m": 2, "k": 1, "kernel": "diff_sq_half",
+                      "source": {"kind": "letters", "k": 3}}, [6, 8]),
+}
+
+
+@pytest.mark.parametrize("name", USTAT_EXACT)
+def test_exact_ustat_runs_move_only_by_rounding_without_block_sums(tmp_path, monkeypatch, name):
+    params, grid = USTAT_EXACT[name]
+
+    def run(out: str) -> tuple[list[float], list[float]]:
+        """The exact ks and the table's Var(S) at each grid point."""
+        doc = minimal_spec(tmp_path, family="ustat", params=params, grid=grid,
+                           bounds=["distributed_general"], out=str(tmp_path / out))
+        assert cli.main(["run", "--spec", write_spec(tmp_path, doc)]) == 0
+        rows = list(csv.DictReader((tmp_path / out / "summary.csv").read_text().splitlines()[1:]))
+        per_n = json.loads((tmp_path / out / "bounds.json").read_text())["per_n"]
+        return [float(r["ks"]) for r in rows], [p["moments_header"]["sigma2"] for p in per_n]
+
+    ks, sigma2 = run("block_sums")
+    # the walk's S by gathering every index instead
+    monkeypatch.setitem(cli.KERNELS, name, cli.KERNELS[name]._replace(block_sum=None))
+    gather_ks, gather_sigma2 = run("gather")
+    assert len(ks) == len(sigma2) == len(grid)
+    assert ks == pytest.approx(gather_ks, rel=1e-12, abs=1e-12)
+    assert sigma2 == pytest.approx(gather_sigma2, rel=1e-12, abs=1e-12)
+
+
 def test_example_configs_parse(monkeypatch):
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     found = sorted(config_dir.glob("*.json"))

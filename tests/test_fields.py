@@ -63,6 +63,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import locdep.cli as cli
 import locdep.fields as F
 import locdep.harness as H
 import locdep.moments as M
@@ -178,6 +179,40 @@ def test_ustat_field_block_too_small():
 def test_ustat_field_refuses_a_continuous_source():
     with pytest.raises(ValueError, match="must be discrete"):
         F.build_ustat_field([4], 2, lambda x, y: x * y, F.ContinuousSource("uniform"))
+
+
+def test_every_cli_kernel_has_a_block_sum():
+    assert cli.KERNELS and all(callable(k.block_sum) for k in cli.KERNELS.values())
+
+
+# (kernel, m): diff_sq_half is a kernel of degree 2 only
+KERNEL_DEGREES = [(name, m) for name in cli.KERNELS
+                  for m in ((2,) if name == "diff_sq_half" else (1, 2, 3))]
+
+
+@pytest.mark.parametrize("name,m", KERNEL_DEGREES, ids=[f"{k}_m{m}" for k, m in KERNEL_DEGREES])
+def test_ustat_sums_from_block_power_sums_build_no_value_matrix(name, m, monkeypatch):
+    # N points in k blocks as the CLI splits them (equal and unequal
+    # blocks), on sources with theta = 0 and theta != 0
+    kernel, cases = cli.KERNELS[name], []
+    for N, k in itertools.product((10, 14, 24), (1, 2, 3)):
+        sizes = [N // k + (i < N % k) for i in range(k)]
+        for src in (F.three_point(), F.bernoulli(0.3), F.uniform_letters(3)):
+            f = F.build_ustat_field(sizes, m, kernel.h, src, kernel.block_sum)
+            rows = F.draw_source_rows(f, 9, range(300))
+            X = F.evaluate_values(f, rows)
+            cases.append((f, rows, X.sum(axis=1), np.abs(X).sum(axis=1).max()))
+    thetas = {f.metadata["theta"] for f, *_ in cases}
+    assert thetas - {0.0} and (0.0 in thetas or name == "diff_sq_half")  # its theta is Var > 0
+
+    def no_value_matrix(*args):
+        raise AssertionError("a U-statistic field's S needs no per-index values")
+
+    monkeypatch.setattr(F, "evaluate_values", no_value_matrix)
+    for f, rows, want, scale in cases:
+        S = F.sum_values(f, rows)
+        np.testing.assert_allclose(S, want, rtol=1e-12, atol=1e-12 * scale)
+        assert np.array_equal(F.draw_sums(f, 9, range(300)), S)
 
 
 def test_one_byte_cap_bounds_local_grids_and_kept_walks(monkeypatch):
@@ -1206,21 +1241,44 @@ def test_word_and_pattern_fields_are_built_once(build, monkeypatch):
     assert f.metadata["family"] in ("word", "pattern") and "b" in f.metadata
 
 
+def _symmetric_trace(rows: np.ndarray, n: int) -> np.ndarray:
+    """trace(A^3) of each row's symmetric float64 adjacency matrix A."""
+    iu, ju = np.triu_indices(n, k=1)
+    adj = np.zeros((len(rows), n, n))
+    adj[:, iu, ju] = rows
+    adj[:, ju, iu] = rows
+    return np.einsum("rij,rij->r", adj @ adj, adj)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+def test_binary_triangle_sums_equal_the_symmetric_trace_bit_for_bit(p):
+    # 0/1 edges take float32 upper triangles; 400 replications span more
+    # than one stack of adjacency matrices from n = 13 on
+    reps = 400
+    assert reps > F.ADJ_CELLS // (13 * 13)
+    for n in range(3, 31):
+        f = F.build_decorated_graph_field(n, [(0, 1), (0, 2), (1, 2)], F.bernoulli(p))
+        rows = F.draw_source_rows(f, n, np.arange(reps))
+        assert np.array_equal(f.metadata["batch_sum"](rows), _symmetric_trace(rows, n)), n
+
+
 def test_chunked_triangle_sums_equal_the_whole_batch_formula():
-    # a non-0/1 edge law makes the products inexact; 700 replications at
-    # n = 23 span six stacks of adjacency matrices
+    # a non-0/1 edge law makes the products inexact: S is 6 sum (U U) o U
+    # in float64 over the upper triangle U; 700 replications at n = 23
+    # span six stacks of adjacency matrices
     n, reps = 23, 700
     f = F.build_decorated_graph_field(n, [(0, 1), (0, 2), (1, 2)], F.three_point(1.3, 0.2))
     assert reps // (F.ADJ_CELLS // (n * n)) >= 5
     rows = F.draw_source_rows(f, 5, np.arange(reps))
     iu, ju = np.triu_indices(n, k=1)
-    adj = np.zeros((reps, n, n))
-    adj[:, iu, ju] = rows
-    adj[:, ju, iu] = rows
-    want = np.einsum("rij,rij->r", adj @ adj, adj)
+    upper = np.zeros((reps, n, n))
+    upper[:, iu, ju] = rows
+    want = 6 * np.einsum("rij,rij->r", upper @ upper, upper)
     assert np.array_equal(f.metadata["batch_sum"](rows), want)
     assert np.array_equal(F.sum_values(f, rows), want - f.mean_sum)
-    # gathering every injection agrees up to summation order
+    # the symmetric trace(A^3) and gathering every injection agree up to
+    # summation order
+    np.testing.assert_allclose(_symmetric_trace(rows, n), want, rtol=1e-12, atol=1e-9)
     np.testing.assert_allclose(F.evaluate_values(f, rows).sum(axis=1), want - f.mean_sum,
                                rtol=1e-12, atol=1e-9)
 
