@@ -241,8 +241,10 @@ KERNELS = {
     "product": Kernel(lambda *cols: math.prod(cols), _elementary_symmetric),
     "sum": Kernel(lambda *cols: sum(cols),
                   lambda x, m: math.comb(x.shape[1] - 1, m - 1) * x.sum(axis=1)),
-    "diff_sq_half": Kernel(lambda x, y: (x - y) ** 2 / 2.0,  # m = 2 only
-                           lambda x, m: (x.shape[1] * (x * x).sum(axis=1) - x.sum(axis=1) ** 2) / 2.0),
+    "diff_sq_half": Kernel(  # m = 2 only
+        lambda x, y: (x - y) ** 2 / 2.0,
+        lambda x, m: (x.shape[1] * (x * x).sum(axis=1) - x.sum(axis=1) ** 2) / 2.0,
+    ),
 }
 
 

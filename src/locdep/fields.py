@@ -1001,9 +1001,9 @@ def sum_values(field: LatentSourceField, rows: np.ndarray, X: np.ndarray | None 
     """Field sums S of source rows, centered by the summed means, shape
     (reps,): U @ c for a sum field (summed row by row over runs of equal
     c, so S does not depend on the batch or on the rows' memory layout), the
-    field's ``batch_sum`` (the triangle's trace(A^3), a word's count), or
-    else the row sums of ``X``, the rows' :func:`evaluate_values` (built
-    here when not given)."""
+    field's ``batch_sum`` (the triangle's trace(A^3), a word's count, a
+    U-statistic's block sums), or else the row sums of ``X``, the rows'
+    :func:`evaluate_values` (built here when not given)."""
     rows = np.atleast_2d(rows)
     batch_sum = field.metadata.get("batch_sum")
     if field.ev is _sum_columns:

@@ -33,6 +33,9 @@ Core claims:
       seed out of range
     - a grid size below the family's smallest n exits 2 naming ``$.grid``
       (``$.params.k`` for the distributed U-statistic)
+    - an exact U-statistic run of each kernel gives the same ks and
+      table Var(S), within 1e-12, from its blocks' power sums as from
+      gathering every index
     - ``verdicts.csv`` reads back with the csv module, digests and all
     - importing the CLI, or running a W2 spec (Monte-Carlo or exact), loads
       no scipy module, and ``python -m locdep`` runs the CLI

@@ -30,12 +30,17 @@ Core claims:
       and S from rows does not depend on their layout or batch
     - a word field's S is its occurrence count less the summed means, with
       no per-tuple value matrix: equal to the summed values bit for bit
-      for dyadic means, and within 1e-9 |I| otherwise
+      for dyadic means, and within 1e-9 |I| otherwise; a U-statistic
+      field's S comes from its blocks' power sums for every CLI kernel,
+      with no per-index value matrix, within rtol 1e-12 of the summed
+      values
     - a discrete law drawn a byte each through its code table equals a
       scalar binary search of each byte, and of the float after a byte
       that straddles a threshold, bit for bit; the triangle's chunked
-      trace(A^3) equals the whole-batch formula; the first-slot pattern
-      equals the argsort one
+      6 sum (U U) o U over the upper triangle U equals the whole-batch
+      formula, and on 0/1 edges (float32) the symmetric float64
+      trace(A^3) bit for bit; the first-slot pattern equals the argsort
+      one
     - index groups follow np.unique of the signature rows: -0.0 and 0.0
       are one value, and so are all NaNs, ordered last
     - the distributed U-statistic builder refuses a continuous source with
