@@ -1569,13 +1569,14 @@ def _triangle_batch_sum(n: int, binary: bool) -> Callable:
     """Whole-field triangle sums, trace(A^3) = 6 sum (U U) o U per
     replication, U the upper triangle of the adjacency matrix A: one
     matrix product instead of gathering every injection, over stacks of
-    about ADJ_CELLS cells at a time.  With 0/1 edges (``binary``) U is
-    float32: every partial sum is then an integer below C(n, 3) < 2^24
-    (n <= 162 at DEFAULT_INDEX_CAP), so S is exact."""
+    about ADJ_CELLS cells at a time.  With 0/1 edges (``binary``) and
+    C(n, 3) < 2^24 (n <= 466; DEFAULT_INDEX_CAP admits n <= 162) U is
+    float32: every partial sum is then an integer of at most C(n, 3),
+    so S is exact; any other field takes float64."""
     iu, ju = np.triu_indices(n, k=1)
     upper = iu * n + ju  # flat cells of U[i, j], in host edge order
     step = max(1, ADJ_CELLS // (n * n))
-    dtype = np.float32 if binary else np.float64
+    dtype = np.float32 if binary and math.comb(n, 3) < 2**24 else np.float64
 
     def batch_sum(rows: np.ndarray) -> np.ndarray:
         out = np.empty(rows.shape[0])

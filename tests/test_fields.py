@@ -39,8 +39,8 @@ Core claims:
       that straddles a threshold, bit for bit; the triangle's chunked
       6 sum (U U) o U over the upper triangle U equals the whole-batch
       formula, and on 0/1 edges (float32) the symmetric float64
-      trace(A^3) bit for bit; the first-slot pattern equals the argsort
-      one
+      trace(A^3) bit for bit; past C(n, 3) = 2^24 a 0/1 sum is still
+      exact (float64); the first-slot pattern equals the argsort one
     - index groups follow np.unique of the signature rows: -0.0 and 0.0
       are one value, and so are all NaNs, ordered last
     - the distributed U-statistic builder refuses a continuous source with
@@ -1265,6 +1265,16 @@ def test_binary_triangle_sums_equal_the_symmetric_trace_bit_for_bit(p):
         f = F.build_decorated_graph_field(n, [(0, 1), (0, 2), (1, 2)], F.bernoulli(p))
         rows = F.draw_source_rows(f, n, np.arange(reps))
         assert np.array_equal(f.metadata["batch_sum"](rows), _symmetric_trace(rows, n)), n
+
+
+def test_binary_triangle_sums_stay_exact_past_the_float32_range():
+    # at n = 467, C(n, 3) exceeds 2^24 and a float32 sum of the complete
+    # graph's triangles loses its last digits; the sum must take float64
+    n = 467
+    assert math.comb(n, 3) > 2**24 > math.comb(n - 1, 3)
+    for m in (n - 1, n):
+        complete = np.ones((1, math.comb(m, 2)))
+        assert F._triangle_batch_sum(m, True)(complete)[0] == m * (m - 1) * (m - 2)
 
 
 def test_chunked_triangle_sums_equal_the_whole_batch_formula():
