@@ -444,9 +444,9 @@ def _system(field: fields.LatentSourceField, declared) -> neighborhood.Neighborh
     if len(declared) != n or any(i >= n for a in declared for i in a):
         raise ConfigError(where, f"expected {n} lists, one per index, of ids in [0, {n})")
     sys = neighborhood.make_system(declared)
-    report = neighborhood.validate_structure(sys)
-    if not report.ok:
-        raise ConfigError(where, "; ".join(report.violations))
+    violations = neighborhood.validate_structure(sys)
+    if violations:
+        raise ConfigError(where, "; ".join(violations))
     return sys
 
 
@@ -684,9 +684,13 @@ def write_artifacts(spec: ExperimentSpec, result: dict, out_dir: Path) -> None:
 
 def _load_spec(path: str, overrides: argparse.Namespace) -> ExperimentSpec:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError("$", f"spec file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError("$", f"cannot read spec file {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError("$", f"spec file {path} is not UTF-8 ({e.reason})") from None
     except json.JSONDecodeError as e:
         raise ConfigError("$", f"invalid JSON at line {e.lineno} col {e.colno}: {e.msg}") from None
     spec = parse_spec(doc)
@@ -759,11 +763,23 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "oracle" and spec.checkers is None:
         spec.checkers = CHECKERS({}, "$.checkers")
-    result = run_experiment(
-        spec, threads=threads, do_bounds=args.command in ("run", "bound"),
-        do_stat=args.command in ("run", "mc"), do_checkers=args.command in ("run", "oracle"),
-    )
+    # out is made before the grid runs, so that one that cannot be made
+    # fails first, and what it made goes again if the run raises
     out_dir = Path(spec.out)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError("$.out", f"cannot create {out_dir}: {e.strerror or e}") from None
+    try:
+        result = run_experiment(
+            spec, threads=threads, do_bounds=args.command in ("run", "bound"),
+            do_stat=args.command in ("run", "mc"), do_checkers=args.command in ("run", "oracle"),
+        )
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
     write_artifacts(spec, result, out_dir)
     for f in result["failures"]:
         print(f"FAIL: {f}", file=_sys.stderr)

@@ -339,8 +339,9 @@ class LatentSourceField:
     gives is centered by them.  They are computed exactly at construction
     when none are given (a field other than a sum field that reads
     continuous sources must be given its means).
-    ``groups`` is (first, inverse) of the indices grouped by their
-    :func:`_signatures` (see :func:`_groups`), ``incidence`` counts the
+    ``groups`` is (first, inverse) of ``np.unique`` over the indices'
+    :func:`_signatures`: groups in lexicographic order of the signatures,
+    each led by its lowest index.  ``incidence`` counts the
     slots reading each source, ``counts`` holds its column sums c_s (a
     sum field's S is U @ c less ``mean_sum``, the summed means) and
     ``count_starts`` the starts of the runs of equal c.  ``bit_draws`` says whether every
@@ -393,9 +394,13 @@ class LatentSourceField:
         if self.means is not None:
             put(self, "means", _read_only(np.array(self.means, dtype=float)))
         new = _new_ids(srt)
-        first, inverse = _groups(_signatures(supports, srt, new, self.law_ids, (
-            *params, *(() if self.means is None else (self.means,)))), n)
-        put(self, "groups", (_read_only(first), _read_only(inverse)))
+        cols = _signatures(supports, srt, new, self.law_ids, (
+            *params, *(() if self.means is None else (self.means,))))
+        if cols:
+            _, first, inverse = np.unique(_pack(cols), return_index=True, return_inverse=True)
+        else:  # one signature: every index in group 0
+            first, inverse = np.zeros(min(n, 1), dtype=np.int64), np.zeros(n, dtype=np.int64)
+        put(self, "groups", (_read_only(first), _read_only(inverse.reshape(-1))))
         if new.all() and srt[:, :1].min(initial=0) >= 0:
             # no pad and no repeated id: the sorted rows are the record, unmasked
             inc = Csr((n, len(sources)), np.arange(n + 1) * K, srt.reshape(-1), np.ones(n * K),
@@ -475,8 +480,8 @@ def local_values(field: LatentSourceField, idx):
     the sources that index reads, in increasing order (the first source
     the most significant digit).  Indices whose sources have the same laws
     share one grid and one evaluator call (at most GATHER_CELLS gathered).
-    Raises :class:`EnumerationCapExceeded`, before anything is allocated,
-    for an index whose gathered grid (outcomes x K values) would take more
+    Raises :class:`EnumerationCapExceeded`, before it yields a block, for
+    an index whose gathered grid (outcomes x K values) would take more
     than ENUM_BYTES_CAP bytes."""
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     S, K = field.supports[idx], field.supports.shape[1]
@@ -487,6 +492,7 @@ def local_values(field: LatentSourceField, idx):
     local = np.where(S >= 0, (used[:, None, :] < S[:, :, None]).sum(axis=2), -1)
     laws = np.append(field.law_ids, -1)[used] + 1
     batches = _pack([np.zeros(idx.size, dtype=np.int64), *laws.T])
+    grids = []  # (indices, sources) of each batch, every cap checked before the first block
     for key in distinct(batches):
         sel = np.flatnonzero(batches == key)
         sources = [field.sources[s] for s in used[sel[0]] if s < field.n_sources]
@@ -496,6 +502,8 @@ def local_values(field: LatentSourceField, idx):
                 f"index {idx[sel[0]]}: {count} outcomes x {K} values need {count * K * 8} "
                 f"bytes, over the cap of {ENUM_BYTES_CAP}"
             )
+        grids.append((sel, sources))
+    for sel, sources in grids:
         probs, grid = product_grid(sources)
         grid = grid if grid.size else np.zeros((1, 1))
         step = max(1, GATHER_CELLS // (probs.size * K))
@@ -571,10 +579,13 @@ def _signatures(S: np.ndarray, srt: np.ndarray, new: np.ndarray, law_ids: np.nda
     :func:`_new_ids`), over sources of the laws ``law_ids``: the
     coincidence pattern of S, the source laws slot by slot (pads as one
     more law), then the per-index ``params`` (a field's params and means),
-    a param of several columns column by column, as raw values.  Equal
-    signatures mean one law.  A part that is the same on every row is not
-    built: the pattern when no row repeats an id, the laws for a single
-    law and no pad, a param with one value."""
+    a param of several columns column by column, each value as its
+    ``np.unique`` rank among all the param's values (so -0.0 and 0.0 are
+    one value, and so are all NaNs), all nonnegative ints whose rows order
+    as the signatures do lexicographically.  Equal signatures mean one
+    law.  A part that is the same on every row is not built: the pattern
+    when no row repeats an id, the laws for a single law and no pad, a
+    param with one value."""
     cols = []
     if not new.all():
         cols.extend(_first_slots(S, srt).T)
@@ -583,30 +594,8 @@ def _signatures(S: np.ndarray, srt: np.ndarray, new: np.ndarray, law_ids: np.nda
     for p in params:
         flat = p.reshape(len(S), -1)
         if not (flat == flat[:1]).all():
-            cols.extend(flat.T)
+            cols.extend(np.unique(flat, return_inverse=True)[1].reshape(flat.shape).T)
     return cols
-
-
-def _groups(cols: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of the n rows of the signature columns ``cols``, as
-    ``np.unique`` of their rows gives them: groups in lexicographic order
-    of the rows, each led by its lowest index.  One stable lexsort, the
-    first column most significant; -0.0 and 0.0 are one value, and so
-    are all NaNs.  With no column every index is in group 0."""
-    if not cols:
-        return np.zeros(min(n, 1), dtype=np.int64), np.zeros(n, dtype=np.int64)
-    order = np.lexsort(cols[::-1])
-    head = np.zeros(n, dtype=bool)
-    head[:1] = True
-    for col in cols:
-        c = col[order]
-        step = c[1:] != c[:-1]
-        if c.dtype.kind in "fc":
-            step &= ~(np.isnan(c[1:]) & np.isnan(c[:-1]))
-        head[1:] |= step
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = np.cumsum(head) - 1
-    return order[head], inverse
 
 
 # ---------------------------------------------------------------------------

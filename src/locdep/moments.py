@@ -4,8 +4,7 @@ U-statistic kernel quantities sigma_1 and ||h||_p.
 Norms are absolute central moments of the field values actually used by
 the statistics, ``||X||_p = (E|X|^p)^{1/p}``, computed exactly by local
 enumeration over each index's (discrete) support, once per index group
-frozen on the field (exact tables carry the groups on), or by Monte
-Carlo with batch-means standard errors.
+frozen on the field, or by Monte Carlo with batch-means standard errors.
 
 An exact table takes its Var(S) from the caller, who has it from the
 one walk of the outcome space (``oracle.walk_outcomes(..., var=True)``),
@@ -13,21 +12,23 @@ and cross-checks it against the local-dependence identity
 Var(S) = sum_i sum_{j in A_i} Cov(X_i, X_j) over the field's own
 overlap.  By local enumeration the identity visits no pair of indices:
 it is one sum of Hoeffding terms over the source subsets that two or
-more indices read (see :func:`exact_sigma2_local`), which costs one
+more indices read (see :func:`exact_local_moments`), which costs one
 enumeration per refined index group and 2^k listed subsets per index of
-k sources (k for a sum field).  An index-transitive field lists index 0
-and the indices sharing a source with it only, weighting index 0's
-subsets by n.  Without a Var(S) the table is hybrid: the identity alone
-gives Var(S), which scales to fields whose full outcome space is out of
-reach (the word "ab" at n = 300, 44,850 indices with 26.8M overlapping
-pairs, in about 20 ms).  This module walks nothing and decides no cap.
+k sources (k for a sum field); the same enumeration gives the norms.
+An index-transitive field lists index 0 and the indices sharing a source
+with it only, weighting index 0's subsets by n.  Without a Var(S) the
+table is hybrid: the identity alone gives Var(S), which scales to fields
+whose full outcome space is out of reach (the word "ab" at n = 300,
+44,850 indices with 26.8M overlapping pairs, in about 20 ms).  This
+module walks nothing and decides no cap.
 ``write_csv`` writes ``moments.csv`` as bytes, a block of rows at a
-time, with each group's values formatted once and no string built per
-row.
+time, with each distinct row's values formatted once and no string built
+per row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -63,8 +64,7 @@ class MomentTable:
 
     ``mode`` is "exact", "monte_carlo", or "hybrid" (exact norms, identity
     variance).  Monte-Carlo entries carry batch-means standard errors, and
-    ``extras`` their int ``reps`` and ``batches``.  Exact and hybrid tables
-    carry ``groups``, each entry's index group.
+    ``extras`` their int ``reps`` and ``batches``.
     """
 
     l2: np.ndarray
@@ -77,7 +77,6 @@ class MomentTable:
     se_l4: np.ndarray | None = None
     se_sigma2: float | None = None
     extras: dict = dc_field(default_factory=dict)
-    groups: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -98,21 +97,12 @@ class MomentTable:
 # Exact evaluation
 
 
-def exact_index_norms(field: LatentSourceField, idx) -> np.ndarray:
-    """Rows (||X_i||_2, ||X_i||_3, ||X_i||_4) of the centered X_i for the
-    indices i of ``idx``, by local enumeration."""
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-    out = np.empty((idx.size, 3))
-    with np.errstate(over="ignore", invalid="ignore"):  # run_experiment checks finiteness
-        for part, probs, X in local_values(field, idx):
-            a = np.abs(X - field.means[idx[part], None])
-            out[part] = np.stack([np.add.reduce(a**p * probs, axis=1) ** (1 / p) for p in (2, 3, 4)], 1)
-    return out
-
-
-def exact_sigma2_local(field: LatentSourceField) -> float:
-    """Var(S) by Hoeffding's decomposition over the field's independent
-    sources, by local enumeration, without visiting any pair of indices.
+@np.errstate(over="ignore", invalid="ignore")  # run_experiment checks finiteness
+def exact_local_moments(field: LatentSourceField) -> tuple[np.ndarray, float]:
+    """(rows (||X_i||_2, ||X_i||_3, ||X_i||_4) of the centered X_i, one per
+    index; Var(S)), by one local enumeration per refined index group, and
+    Var(S) by Hoeffding's decomposition over the field's independent
+    sources, without visiting any pair of indices.
 
     X_i is the sum over the subsets T of its sources of the terms
     X_i^T = sum_{R subset T} (-1)^{|T| - |R|} E[X_i | U_R], which are
@@ -149,6 +139,11 @@ def exact_sigma2_local(field: LatentSourceField) -> float:
     laws, are stacked, one pass per set of T's axes.  Every reader's table
     of T then lies on one grid of T's values, and the bracket is read a
     cell at a time.
+
+    Each representative also takes its norms on its grid.  An index takes
+    those of the class holding its group's first index: the groups' classes
+    refine them, and that class's representative is the first index
+    itself, whose grid and values are the group's.
     """
     inc, N, rows, weight = field.incidence, field.n_sources, np.arange(field.n), np.ones(field.n)
     hit = np.append(np.ones(N, dtype=bool), False)  # the weighted indices' sources, then a filler
@@ -175,6 +170,10 @@ def exact_sigma2_local(field: LatentSourceField) -> float:
     ids[at], slots[at] = src, order[new]
     _, first, cls = np.unique(_pack([field.groups[1].take(rows), *slots.T]), return_index=True,
                               return_inverse=True)
+    # the representatives' blocks, started here so that their grids' byte
+    # cap is checked before a wide index's 2^k subsets are listed
+    blocks = local_values(field, rows[first])
+    head = next(blocks, None)
     # the listed subsets b of each index (bit a: its a-th source), keyed by
     # their sources: subset b reads the columns picks[b] of ids, ascending,
     # then fillers; subset b + 2^a reads those of b, then column a
@@ -203,29 +202,31 @@ def exact_sigma2_local(field: LatentSourceField) -> float:
     tabs, tab = _key_ids(cls[i] << width | b, first.size << width)
     rank = np.argsort(np.argsort(ids[first, :width], axis=1, kind="stable"), axis=1)
     var, tables = np.zeros(first.size), []  # (table ids, their X^T, the probabilities of T's cells)
-    with np.errstate(over="ignore", invalid="ignore"):  # run_experiment checks finiteness
-        for part, p, X in local_values(field, rows[first]):
-            x = X - np.add.reduce(X * p, axis=1)[:, None]
-            var[part] = np.add.reduce(x * x * p, axis=1)
-            used = np.sort(ids[first[part[0]], :deg[first[part[0]]]])  # the grid's axes
-            P = [np.reshape(field.sources[s].probs, [-1 if d == a else 1 for d in range(-1, used.size)])
-                 for a, s in enumerate(used)]
-            Y = X.reshape(-1, *(q.size for q in P))
-            t = np.concatenate([np.arange(*np.searchsorted(tabs, [c << width, (c + 1) << width]))
-                                for c in part])
-            stack = np.searchsorted(part, tabs[t] >> width)
-            bits = tabs[t, None] >> np.arange(width) & 1
-            mask = np.sum(bits << rank[tabs[t] >> width], axis=1)  # T's axes on the grid
-            for inside in distinct(mask).tolist():
-                y, w = Y, 1.0
-                for a in range(used.size):  # the mean over each axis outside T
-                    if not inside >> a & 1:
-                        y = (y * P[a]).sum(axis=a + 1, keepdims=True)
-                for a in range(used.size):  # less it over each axis inside T
-                    if inside >> a & 1:
-                        y, w = y - (y * P[a]).sum(axis=a + 1, keepdims=True), w * P[a]
-                k = np.flatnonzero(mask == inside)
-                tables.append((t[k], y[stack[k]].reshape(k.size, -1), w.reshape(-1)))
+    norms = np.empty((first.size, 3))
+    for part, p, X in itertools.chain([head] if head else [], blocks):
+        x = X - np.add.reduce(X * p, axis=1)[:, None]
+        var[part] = np.add.reduce(x * x * p, axis=1)
+        a = np.abs(X - field.means[rows[first[part]], None])
+        norms[part] = np.stack([np.add.reduce(a**q * p, axis=1) ** (1 / q) for q in (2, 3, 4)], 1)
+        used = np.sort(ids[first[part[0]], :deg[first[part[0]]]])  # the grid's axes
+        P = [np.reshape(field.sources[s].probs, [-1 if d == a else 1 for d in range(-1, used.size)])
+             for a, s in enumerate(used)]
+        Y = X.reshape(-1, *(q.size for q in P))
+        t = np.concatenate([np.arange(*np.searchsorted(tabs, [c << width, (c + 1) << width]))
+                            for c in part])
+        stack = np.searchsorted(part, tabs[t] >> width)
+        bits = tabs[t, None] >> np.arange(width) & 1
+        mask = np.sum(bits << rank[tabs[t] >> width], axis=1)  # T's axes on the grid
+        for inside in distinct(mask).tolist():
+            y, w = Y, 1.0
+            for a in range(used.size):  # the mean over each axis outside T
+                if not inside >> a & 1:
+                    y = (y * P[a]).sum(axis=a + 1, keepdims=True)
+            for a in range(used.size):  # less it over each axis inside T
+                if inside >> a & 1:
+                    y, w = y - (y * P[a]).sum(axis=a + 1, keepdims=True), w * P[a]
+            k = np.flatnonzero(mask == inside)
+            tables.append((t[k], y[stack[k]].reshape(k.size, -1), w.reshape(-1)))
     # each shared entry adds its table to its subset's cells, tables of one size at a time
     total = dot(np.bincount(cls, weight, minlength=first.size), var)
     for cells in distinct([y.shape[1] for _, y, _ in tables]):
@@ -243,13 +244,14 @@ def exact_sigma2_local(field: LatentSourceField) -> float:
             prob[subset] = w[at]
             total += dot(prob * np.bincount(subset, y * v), acc)
         total -= dot(np.bincount(at, v, minlength=len(Y)), np.sum(W * Y * Y, axis=1))
-    return total
+    groups = field.groups
+    return norms[cls[np.searchsorted(rows, groups[0])]][groups[1]], total
 
 
 def exact_moment_table(field: LatentSourceField, sigma2: float | None = None) -> MomentTable:
-    """Exact norms and Var(S), by local enumeration: the norms once per
-    index group, and the covariance identity from
-    :func:`exact_sigma2_local`, the Hoeffding terms of the source subsets
+    """Exact norms and Var(S), by local enumeration: both from one
+    :func:`exact_local_moments` pass, the norms once per index group and
+    the covariance identity from the Hoeffding terms of the source subsets
     that two or more indices read.
 
     ``sigma2`` is the exact Var(S) of the caller's walk
@@ -259,9 +261,8 @@ def exact_moment_table(field: LatentSourceField, sigma2: float | None = None) ->
     AssertionError.  When None, the mode is "hybrid" and Var(S) is the
     identity.
     """
-    first, inverse = field.groups
-    l2, l3, l4 = exact_index_norms(field, first)[inverse].T.copy()
-    sigma2_id = exact_sigma2_local(field)
+    norms, sigma2_id = exact_local_moments(field)
+    l2, l3, l4 = norms.T.copy()
     mode = "hybrid" if sigma2 is None else "exact"
     if sigma2 is None:
         sigma2 = sigma2_id
@@ -270,7 +271,7 @@ def exact_moment_table(field: LatentSourceField, sigma2: float | None = None) ->
             f"variance identity violated: Var(S)={sigma2} vs "
             f"covariance sum {sigma2_id}"
         )
-    return MomentTable(l2=l2, l3=l3, l4=l4, sigma2=sigma2, mode=mode, groups=inverse)
+    return MomentTable(l2=l2, l3=l3, l4=l4, sigma2=sigma2, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +385,19 @@ def hoeffding_sigma1(
 def write_csv(fh, table: MomentTable) -> None:
     """Writes the CSV section ``index,l2,l3,l4,se2,se3,se4`` (RFC-4180,
     1-based index) to the binary handle ``fh``: a run of _LONG_RUN or more
-    rows of one group in uint8 blocks with the index digits computed, other
-    rows by one join per block.  Values are formatted once per group."""
+    equal rows in uint8 blocks with the index digits computed, other rows
+    by one join per block.  Rows are compared by their bits (so NaN and
+    -0.0 stay exact), and each distinct row's values are formatted once."""
     n, z = table.n, np.zeros(table.n)
-    cols = [table.l2, table.l3, table.l4,
-            *(z if se is None else se for se in (table.se_l2, table.se_l3, table.se_l4))]
-    groups = np.arange(n) if table.groups is None else table.groups
-    starts = np.r_[0, np.flatnonzero(np.diff(groups)) + 1][:n]  # runs of one group
+    bits = np.stack([table.l2, table.l3, table.l4,
+                     *(z if se is None else se for se in (table.se_l2, table.se_l3, table.se_l4))],
+                    axis=1).view(np.uint64)
+    starts = np.r_[0, np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1][:n]  # equal-row runs
     ends = [*starts[1:].tolist(), n]
-    _, first, run_body = np.unique(groups[starts], return_index=True, return_inverse=True)
-    values = np.stack([c[starts[first]] for c in cols], axis=1).tolist()
-    bodies = [b",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(v) for v in values]
-    row_body = np.repeat(run_body, np.subtract(ends, starts))
+    values, run_body = np.unique(bits[starts], axis=0, return_inverse=True)
+    bodies = [b",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(v)
+              for v in values.view(np.float64).tolist()]
+    row_body = np.repeat(run_body.reshape(-1), np.subtract(ends, starts))
     fh.write(b"index,l2,l3,l4,se2,se3,se4\n")
     long_runs = [(lo, hi) for lo, hi in zip(starts.tolist(), ends) if hi - lo >= _LONG_RUN]
     done = 0  # rows written

@@ -264,17 +264,6 @@ class DerivedNeighborhoods:
     tau: int
 
 
-@dataclass
-class ValidationReport:
-    """Structural violations of a system."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def make_system(A) -> NeighborhoodSystem:
     """Build a system from neighborhoods: one list of integer ids per index.
 
@@ -360,18 +349,14 @@ def derive(sys: NeighborhoodSystem) -> DerivedNeighborhoods:
     return DerivedNeighborhoods(Mt=Mt, kappa=int(kappa), tau=int(dsize.max(initial=0)))
 
 
-def validate_structure(sys: NeighborhoodSystem) -> ValidationReport:
-    """Report every structural violation; never raises.
+def validate_structure(sys: NeighborhoodSystem) -> list[str]:
+    """Every structural violation, named (empty iff none); never raises.
 
     Checks that no A_i is empty, and reflexivity (i in A_i).  Ids outside
     [0, n) cannot occur: :func:`make_system` rejects them, and M is square.
     """
-    report = ValidationReport()
     sizes = np.diff(sys.M.indptr)
     reflexive = np.zeros(sys.n, dtype=bool)
     reflexive[sys.M.rows[sys.M.rows == sys.M.indices]] = True
-    for i in np.flatnonzero(sizes == 0):
-        report.violations.append(f"A[{i}] is empty")
-    for i in np.flatnonzero(~reflexive & (sizes > 0)):
-        report.violations.append(f"reflexivity: {i} not in A[{i}]")
-    return report
+    return ([f"A[{i}] is empty" for i in np.flatnonzero(sizes == 0)]
+            + [f"reflexivity: {i} not in A[{i}]" for i in np.flatnonzero(~reflexive & (sizes > 0))])

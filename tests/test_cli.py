@@ -3,7 +3,9 @@
 Core claims:
     - a minimal spec produces the artifact set and exits 0
     - schema errors exit 2 with field diagnostics; assertion failures
-      (including deliberately wrong declared neighborhoods) exit 1
+      (including deliberately wrong declared neighborhoods) exit 1; a spec
+      path that is a directory or not UTF-8, and an out that cannot be
+      created, exit 2 before the grid runs
     - re-running a spec reproduces byte-identical CSV bodies, and every
       artifact embeds the config hash and seed
     - counting subcommands expose the naive oracles
@@ -119,6 +121,35 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     p.write_text("{not json")
     assert cli.main(["run", "--spec", str(p)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+def _spec_dir(tmp_path):
+    return str(tmp_path)
+
+
+def _spec_not_utf8(tmp_path):
+    p = tmp_path / "latin1.json"
+    doc = minimal_spec(tmp_path, family="café")
+    p.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+    return str(p)
+
+
+def _spec_out_under_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return write_spec(tmp_path, minimal_spec(tmp_path, out=str(tmp_path / "file" / "out")))
+
+
+@pytest.mark.parametrize("spec,where", [(_spec_dir, "$"), (_spec_not_utf8, "$"),
+                                        (_spec_out_under_a_file, "$.out")],
+                         ids=["directory", "not_utf8", "out_not_creatable"])
+def test_unreadable_spec_or_out_exits_2_before_the_grid(tmp_path, capsys, monkeypatch, spec, where):
+    """A spec path that is a directory or holds no UTF-8 text, and an out
+    that cannot be created, exit 2 as config errors before any grid point
+    runs."""
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("the grid ran"))
+    assert cli.main(["run", "--spec", spec(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}:") and "Traceback" not in err
 
 
 def test_missing_seed_exits_2(tmp_path):

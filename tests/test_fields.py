@@ -225,13 +225,13 @@ def test_one_byte_cap_bounds_local_grids_and_kept_walks(monkeypatch):
     # values takes 64 bytes, the kept walk 32 outcomes x 4 values 1024
     f = F.build_m_dependent(4, 1, F.rademacher())
     monkeypatch.setattr(F, "ENUM_BYTES_CAP", 64)
-    assert M.exact_index_norms(f, range(4)).shape == (4, 3)
+    assert M.exact_local_moments(f)[0].shape == (4, 3)
     with pytest.raises(EnumerationCapExceeded, match="need 1024 bytes, over the cap of 64"):
         oracle.walk_outcomes(f, keep=True)
     monkeypatch.setattr(F, "ENUM_BYTES_CAP", 63)
     with pytest.raises(EnumerationCapExceeded,
                        match="index 0: 4 outcomes x 2 values need 64 bytes"):
-        M.exact_index_norms(f, range(4))
+        M.exact_local_moments(f)
 
 
 def test_constrained_gap_orders():

@@ -14,14 +14,19 @@ Core claims:
     - signature-grouped exact means, norms and Var(S) equal one local
       enumeration per index and per pair, for every builder family and
       for random enumerable instances
+    - a table's norms are, bit for bit, those of each index group's first
+      index enumerated alone, on a star, a constrained m = 1 field, a
+      U-statistic of unequal blocks, a triangle and a two-law field, all
+      with indices of one group whose sources sit in several slot orders
     - the index groups frozen on a field equal the full-key grouping
       (pattern of repeated sources over the support row, laws slot by
       slot, params and means), group order included, with pads, repeated
       sources, per-index params, given means and continuous sources;
       exact tables read the frozen index groups
     - the CSV section equals the per-row formatter byte for byte for
-      exact, hybrid and Monte-Carlo tables, tables without groups,
-      interleaved groups, special floats, and single-group runs whose
+      exact, hybrid and Monte-Carlo tables (one whose rows are all
+      equal), interleaved groups, equal rows across groups, NaN rows,
+      -0.0 beside 0.0, special floats, and single-group runs whose
       index crosses each digit width, with default and small blocks
     - a Var(S) that disagrees with the covariance identity fails, the
       true Var(S) passes, and the norms and Var(S) that the checker
@@ -165,15 +170,15 @@ def test_hoeffding_sigma1_reads_the_enumeration_cap_when_it_runs(monkeypatch):
 
 def test_transitive_sigma2_shortcut_matches_full_sum():
     f = F.build_decorated_graph_field(5, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4))
-    fast = M.exact_sigma2_local(f)
+    fast = M.exact_local_moments(f)[1]
     plain = dataclasses.replace(
         f, metadata={k: v for k, v in f.metadata.items() if k != "index_transitive"})
-    slow = M.exact_sigma2_local(plain)  # summed over every index
+    slow = M.exact_local_moments(plain)[1]  # summed over every index
     assert fast == pytest.approx(slow, rel=1e-10)
     full = O.walk_outcomes(F.build_decorated_graph_field(
         4, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4)), var=True).sigma2
-    fast4 = M.exact_sigma2_local(F.build_decorated_graph_field(
-        4, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4)))
+    fast4 = M.exact_local_moments(F.build_decorated_graph_field(
+        4, [(0, 1), (0, 2), (1, 2)], F.bernoulli(0.4)))[1]
     assert fast4 == pytest.approx(full, rel=1e-10)
 
 
@@ -207,13 +212,15 @@ def test_csv_rows_match_per_row_formatter():
     exact = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     hybrid = M.exact_moment_table(f)
     mc = M.mc_moment_table(f, reps=1000, master_seed=8)
-    assert exact.mode == "exact" and hybrid.mode == "hybrid" and exact.groups is not None
-    assert mc.groups is None
+    assert exact.mode == "exact" and hybrid.mode == "hybrid"
+    # an iid Rademacher field has |X_i| = 1: every Monte-Carlo row is 1, 1, 1, 0, 0, 0
+    flat = M.mc_moment_table(F.build_iid_field(200, F.rademacher()), reps=1000, master_seed=8)
+    assert np.all(flat.l4 == 1.0) and np.all(flat.se_l2 == 0.0)
     rng = np.random.default_rng(9)
     odd = np.array([0.0, -0.0, 1e-300, 1e300, np.nan, np.inf, 1 / 3, 2.0**-1074])
     bare = M.MomentTable(l2=odd, l3=rng.normal(size=8), l4=odd[::-1].copy(), sigma2=1.0,
                          mode="monte_carlo", se_l3=rng.normal(size=8))
-    for table in (exact, hybrid, mc, bare, dataclasses.replace(exact, groups=None)):
+    for table in (exact, hybrid, mc, flat, bare):
         assert csv_bytes(table) == reference_csv(table)
 
 
@@ -232,7 +239,7 @@ def grouped_table(groups, values, se=True) -> M.MomentTable:
     g = np.asarray(groups)
     cols = [np.asarray(values)[g] * k for k in (1.0, 2.0, -3.0)]
     return M.MomentTable(l2=cols[0], l3=cols[1], l4=cols[2], sigma2=1.0, mode="exact",
-                         se_l2=cols[2] / 7 if se else None, groups=g)
+                         se_l2=cols[2] / 7 if se else None)
 
 
 # (long-run threshold, rows per block): the defaults, and every run long
@@ -259,10 +266,14 @@ def test_csv_interleaved_groups_and_no_groups(monkeypatch, layout):
     values = rng.normal(size=4)
     alternating = np.arange(300) % 3
     runs = np.repeat([0, 1, 0, 2, 1, 3, 0], [100, 3, 70, 1, 200, 64, 63])
-    for groups in (alternating, runs, runs[::-1].copy()):
-        table = grouped_table(groups, values)
+    # groups 0 and 1 hold equal rows, as do 2 and 3 (NaN), while 4 (-0.0)
+    # and 5 (0.0) differ in their bits only
+    equal = [values[0], values[0], np.nan, np.nan, -0.0, 0.0]
+    across = np.repeat([0, 1, 2, 3, 4, 5, 0, 5, 4], [40, 30, 1, 70, 64, 64, 2, 1, 1])
+    for groups, vals in ((alternating, values), (runs, values), (runs[::-1].copy(), values),
+                         (across, equal), (np.arange(6).repeat(3), equal)):
+        table = grouped_table(groups, vals)
         assert csv_bytes(table) == reference_csv(table)
-        assert csv_bytes(dataclasses.replace(table, groups=None)) == reference_csv(table)
     empty = grouped_table(np.zeros(0, dtype=np.int64), values, se=False)
     assert csv_bytes(empty) == b"index,l2,l3,l4,se2,se3,se4\n"
 
@@ -291,7 +302,8 @@ def test_run_writes_the_triangle_moments_csv_byte_for_byte(tmp_path, monkeypatch
     }))
     assert cli.main(["run", "--spec", str(spec)]) == 0
     (table,) = tables
-    assert table.n == 6840 and np.unique(table.groups).size == 1
+    rows = np.stack([table.l2, table.l3, table.l4], axis=1)
+    assert table.n == 6840 and np.unique(rows, axis=0).shape[0] == 1
     stamp, rest = (tmp_path / "out" / "moments.csv").read_bytes().split(b"\n", 1)
     assert stamp.startswith(b"# config_hash=") and stamp.endswith(b" seed=5")
     assert rest == b"# n=20\n" + reference_csv(table)
@@ -363,12 +375,55 @@ def test_signature_grouping_matches_ungrouped_enumeration(case):
     assert np.allclose(F.compute_means(f), means, rtol=1e-12, atol=1e-13)
     t = M.exact_moment_table(f)
     assert np.allclose(np.stack([t.l2, t.l3, t.l4], axis=1), norms, rtol=1e-12, atol=1e-13)
-    assert np.allclose(M.exact_index_norms(f, np.arange(f.n)), norms, rtol=1e-12, atol=1e-13)
+    local_norms, local = M.exact_local_moments(f)
+    assert np.allclose(local_norms, norms, rtol=1e-12, atol=1e-13)
     sys = F.induced_neighborhoods(f)
     pair_sum = float(pair_covariance(f, [(i, j) for i in range(f.n) for j in sys.M.row(i)]).sum())
-    local = M.exact_sigma2_local(f)
     assert local == pytest.approx(pair_sum, rel=1e-12, abs=1e-13)
     assert local == pytest.approx(O.walk_outcomes(f, var=True).sigma2, rel=1e-10, abs=1e-12)
+
+
+def _two_law_field() -> F.LatentSourceField:
+    """Rademacher even sources and three-point odd ones.  Rows (2k, 2k+1)
+    and (2k+2, 2k+1) read an even source first, so they form one group
+    whose sources sit in two slot orders; rows (2k+1, 2k+2) form another."""
+    k = np.arange(4)[:, None]
+    supports = np.concatenate([2 * k + [0, 1], 2 * k + [2, 1], 2 * k + [1, 2]])
+    laws = (F.rademacher(), F.three_point(2.0, 1 / 3))
+    return F.LatentSourceField(tuple(laws[s % 2] for s in range(9)), supports,
+                               lambda G: G[..., 0] * (1 + G[..., 1]) + G[..., 1] ** 2)
+
+
+TABLE_NORM_CASES = {
+    "star": lambda: F.build_graph_dependency(9, [(0, i) for i in range(1, 9)], F.three_point()),
+    "constrained_m1": lambda: F.build_constrained_ustat_field(
+        8, 1, lambda x, y: x * y + x, (None,), F.three_point()),
+    "ustat_unequal_blocks": lambda: F.build_ustat_field([5, 3], 2, lambda x, y: x * y + x,
+                                                        F.three_point()),
+    "triangle": lambda: F.build_decorated_graph_field(6, [(0, 1), (1, 2), (0, 2)],
+                                                      F.bernoulli(0.3)),
+    "two_laws": _two_law_field,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_NORM_CASES))
+def test_table_norms_are_each_groups_first_index_norms_bit_for_bit(case):
+    """Each index's table norms are ||X - E X||_p of its group's first
+    index, by local enumeration of that index alone, bit for bit, on fields
+    of several index groups or of a group whose indices hold their sources
+    in several slot orders (the triangle and the two-law field both)."""
+    f = TABLE_NORM_CASES[case]()
+    first, inverse = f.groups
+    orders = {(g, tuple(np.argsort(row, kind="stable"))) for g, row in zip(inverse, f.supports)}
+    assert first.size > 1 or len(orders) > 1
+    assert (len(orders) > first.size) == (case in ("triangle", "two_laws"))
+    want = np.empty((first.size, 3))
+    for g, i in enumerate(first.tolist()):
+        ((_, probs, X),) = F.local_values(f, [i])
+        a = np.abs(X - f.means[[i], None])
+        want[g] = [(np.add.reduce(a**p * probs, axis=1) ** (1 / p))[0] for p in (2, 3, 4)]
+    t = M.exact_moment_table(f)
+    assert np.array_equal(np.stack([t.l2, t.l3, t.l4], axis=1), want[inverse])
 
 
 def reference_signature_groups(field: F.LatentSourceField, idx) -> tuple[np.ndarray, np.ndarray]:
@@ -441,7 +496,8 @@ def test_exact_moment_table_reads_frozen_index_groups(monkeypatch):
     monkeypatch.setattr(F, "_signatures", recomputed)
     t = M.exact_moment_table(f, O.walk_outcomes(f, var=True).sigma2)
     h = M.exact_moment_table(f)
-    assert np.array_equal(t.groups, f.groups[1]) and np.array_equal(h.l2, t.l2)
+    first, inverse = f.groups
+    assert np.array_equal(t.l2, t.l2[first][inverse]) and np.array_equal(h.l2, t.l2)
 
 
 def test_wrong_sigma2_fails_the_identity_on_every_route():
@@ -475,7 +531,7 @@ def test_stale_transitive_flag_takes_no_shortcut():
     closed = O.walk_outcomes(g, var=True).sigma2
     assert closed == pytest.approx(5.2425, rel=1e-12)
     assert enumerated == pytest.approx(closed, rel=1e-12)
-    assert M.exact_sigma2_local(g) == pytest.approx(closed, rel=1e-12)
+    assert M.exact_local_moments(g)[1] == pytest.approx(closed, rel=1e-12)
     assert M.exact_moment_table(g).sigma2 == pytest.approx(closed, rel=1e-12)
     assert M.exact_moment_table(g, closed).mode == "exact"
 
@@ -500,7 +556,8 @@ def test_transitive_shortcut_equals_the_sum_over_every_index(case):
     f = TRANSITIVE_CASES[case]()
     assert f.metadata["index_transitive"] and f.groups[0].size == 1
     g = dataclasses.replace(f, metadata={k: v for k, v in f.metadata.items() if k != "index_transitive"})
-    assert M.exact_sigma2_local(f) == pytest.approx(M.exact_sigma2_local(g), rel=1e-12, abs=0)
+    assert M.exact_local_moments(f)[1] == pytest.approx(M.exact_local_moments(g)[1],
+                                                        rel=1e-12, abs=0)
 
 
 def test_plan_tables_match_local_enumeration():
@@ -566,7 +623,7 @@ def test_sigma2_identity_equals_the_overlapping_pair_loop(case):
         assert (f.supports < 0).any()
     if case.startswith("repeats_"):  # a source read by two slots of one index
         assert any(np.unique(row[row >= 0]).size < np.count_nonzero(row >= 0) for row in f.supports)
-    assert M.exact_sigma2_local(f) == pytest.approx(overlap_loop_sigma2(f), rel=1e-12, abs=0)
+    assert M.exact_local_moments(f)[1] == pytest.approx(overlap_loop_sigma2(f), rel=1e-12, abs=0)
 
 
 def exact_cubic(ns, values):
@@ -593,7 +650,7 @@ def test_word_sigma2_identity_at_n_300_is_the_exact_cubic(monkeypatch):
     f = F.build_word_field([0, 1], 300, 2, [None])  # 44,850 indices
     tracemalloc.start()
     try:
-        got = M.exact_sigma2_local(f)
+        got = M.exact_local_moments(f)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -619,7 +676,7 @@ def test_windowed_constrained_u_sigma2_identity_at_n_128_is_the_exact_polynomial
     f = build(128)  # 8,128 indices
     tracemalloc.start()
     try:
-        got = M.exact_sigma2_local(f)
+        got = M.exact_local_moments(f)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -634,7 +691,7 @@ def test_star_sigma2_identity_lists_only_the_center_subsets():
     f = F.build_graph_dependency(17, [(0, i) for i in range(1, 17)], F.bernoulli(0.3))
     tracemalloc.start()
     try:
-        got = M.exact_sigma2_local(f)
+        got = M.exact_local_moments(f)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
