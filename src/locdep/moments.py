@@ -389,15 +389,20 @@ def write_csv(fh, table: MomentTable) -> None:
     by one join per block.  Rows are compared by their bits (so NaN and
     -0.0 stay exact), and each distinct row's values are formatted once."""
     n, z = table.n, np.zeros(table.n)
-    bits = np.stack([table.l2, table.l3, table.l4,
-                     *(z if se is None else se for se in (table.se_l2, table.se_l3, table.se_l4))],
-                    axis=1).view(np.uint64)
-    starts = np.r_[0, np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1][:n]  # equal-row runs
+    cols = [table.l2, table.l3, table.l4,
+            *(z if se is None else se for se in (table.se_l2, table.se_l3, table.se_l4))]
+    new = np.zeros(n, dtype=bool)  # the starts of runs of equal rows
+    new[:1] = True
+    for c in cols:
+        bits = c.view(np.uint64)
+        new[1:] |= bits[1:] != bits[:-1]
+    starts = np.flatnonzero(new)
     ends = [*starts[1:].tolist(), n]
-    values, run_body = np.unique(bits[starts], axis=0, return_inverse=True)
+    rows = np.stack([c[starts] for c in cols], axis=1).view(np.dtype((np.void, 48)))  # a key a row
+    values, run_body = np.unique(rows.reshape(-1), return_inverse=True)
     bodies = [b",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(v)
-              for v in values.view(np.float64).tolist()]
-    row_body = np.repeat(run_body.reshape(-1), np.subtract(ends, starts))
+              for v in values.view(np.float64).reshape(-1, 6).tolist()]
+    row_body = np.repeat(run_body, np.subtract(ends, starts))
     fh.write(b"index,l2,l3,l4,se2,se3,se4\n")
     long_runs = [(lo, hi) for lo, hi in zip(starts.tolist(), ends) if hi - lo >= _LONG_RUN]
     done = 0  # rows written
