@@ -400,7 +400,7 @@ class LatentSourceField:
             _, first, inverse = np.unique(_pack(cols), return_index=True, return_inverse=True)
         else:  # one signature: every index in group 0
             first, inverse = np.zeros(min(n, 1), dtype=np.int64), np.zeros(n, dtype=np.int64)
-        put(self, "groups", (_read_only(first), _read_only(inverse.reshape(-1))))
+        put(self, "groups", (_read_only(first), _read_only(inverse)))
         if new.all() and srt[:, :1].min(initial=0) >= 0:
             # no pad and no repeated id: the sorted rows are the record, unmasked
             inc = Csr((n, len(sources)), np.arange(n + 1) * K, srt.reshape(-1), np.ones(n * K),
@@ -475,12 +475,12 @@ def _blocks(count: int, width: int, reps: int) -> list[slice]:
 
 
 def local_values(field: LatentSourceField, idx):
-    """Yield (part, probs, X) for blocks of the indices ``idx``: X[r, k]
-    is the uncentered X_{idx[part[r]]} at point k of the product grid over
-    the sources that index reads, in increasing order (the first source
-    the most significant digit).  Indices whose sources have the same laws
-    share one grid and one evaluator call (at most GATHER_CELLS gathered).
-    Raises :class:`EnumerationCapExceeded`, before it yields a block, for
+    """An iterator of (part, probs, X) for blocks of the indices ``idx``:
+    X[r, k] is the uncentered X_{idx[part[r]]} at point k of the product
+    grid over the sources that index reads, in increasing order (the first
+    source the most significant digit).  Indices whose sources have the
+    same laws share one grid and one evaluator call (at most GATHER_CELLS
+    gathered).  Raises :class:`EnumerationCapExceeded`, when called, for
     an index whose gathered grid (outcomes x K values) would take more
     than ENUM_BYTES_CAP bytes."""
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
@@ -492,7 +492,7 @@ def local_values(field: LatentSourceField, idx):
     local = np.where(S >= 0, (used[:, None, :] < S[:, :, None]).sum(axis=2), -1)
     laws = np.append(field.law_ids, -1)[used] + 1
     batches = _pack([np.zeros(idx.size, dtype=np.int64), *laws.T])
-    grids = []  # (indices, sources) of each batch, every cap checked before the first block
+    grids = []  # (indices, sources) of each batch
     for key in distinct(batches):
         sel = np.flatnonzero(batches == key)
         sources = [field.sources[s] for s in used[sel[0]] if s < field.n_sources]
@@ -503,14 +503,17 @@ def local_values(field: LatentSourceField, idx):
                 f"bytes, over the cap of {ENUM_BYTES_CAP}"
             )
         grids.append((sel, sources))
-    for sel, sources in grids:
-        probs, grid = product_grid(sources)
-        grid = grid if grid.size else np.zeros((1, 1))
-        step = max(1, GATHER_CELLS // (probs.size * K))
-        for part in np.split(sel, np.arange(step, sel.size, step)):
-            X = field.ev(_gather(grid, local[part]), *(p[idx[part]] for p in field.params))
-            X = np.broadcast_to(np.asarray(X, dtype=float), (probs.size, part.size))
-            yield part, probs, np.ascontiguousarray(X.T)  # one contiguous row per index
+
+    def blocks():
+        for sel, sources in grids:
+            probs, grid = product_grid(sources)
+            grid = grid if grid.size else np.zeros((1, 1))
+            step = max(1, GATHER_CELLS // (probs.size * K))
+            for part in np.split(sel, np.arange(step, sel.size, step)):
+                X = field.ev(_gather(grid, local[part]), *(p[idx[part]] for p in field.params))
+                X = np.broadcast_to(np.asarray(X, dtype=float), (probs.size, part.size))
+                yield part, probs, np.ascontiguousarray(X.T)  # one contiguous row per index
+    return blocks()
 
 
 # ---------------------------------------------------------------------------

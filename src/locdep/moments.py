@@ -28,7 +28,6 @@ per row.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -170,10 +169,9 @@ def exact_local_moments(field: LatentSourceField) -> tuple[np.ndarray, float]:
     ids[at], slots[at] = src, order[new]
     _, first, cls = np.unique(_pack([field.groups[1].take(rows), *slots.T]), return_index=True,
                               return_inverse=True)
-    # the representatives' blocks, started here so that their grids' byte
+    # the representatives' blocks, called for here so that their grids' byte
     # cap is checked before a wide index's 2^k subsets are listed
     blocks = local_values(field, rows[first])
-    head = next(blocks, None)
     # the listed subsets b of each index (bit a: its a-th source), keyed by
     # their sources: subset b reads the columns picks[b] of ids, ascending,
     # then fillers; subset b + 2^a reads those of b, then column a
@@ -203,7 +201,7 @@ def exact_local_moments(field: LatentSourceField) -> tuple[np.ndarray, float]:
     rank = np.argsort(np.argsort(ids[first, :width], axis=1, kind="stable"), axis=1)
     var, tables = np.zeros(first.size), []  # (table ids, their X^T, the probabilities of T's cells)
     norms = np.empty((first.size, 3))
-    for part, p, X in itertools.chain([head] if head else [], blocks):
+    for part, p, X in blocks:
         x = X - np.add.reduce(X * p, axis=1)[:, None]
         var[part] = np.add.reduce(x * x * p, axis=1)
         a = np.abs(X - field.means[rows[first[part]], None])

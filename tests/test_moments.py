@@ -16,8 +16,9 @@ Core claims:
       for random enumerable instances
     - a table's norms are, bit for bit, those of each index group's first
       index enumerated alone, on a star, a constrained m = 1 field, a
-      U-statistic of unequal blocks, a triangle and a two-law field, all
-      with indices of one group whose sources sit in several slot orders
+      U-statistic of unequal blocks, a triangle and a two-law field (the
+      last two with indices of one group whose sources sit in several
+      slot orders)
     - the index groups frozen on a field equal the full-key grouping
       (pattern of repeated sources over the support row, laws slot by
       slot, params and means), group order included, with pads, repeated
@@ -46,6 +47,8 @@ Core claims:
       fitted to walks at small n, builds no overlap and stays within a
       tracemalloc bound, and for a star of 16 leaves it equals the closed
       form
+    - an index whose local grid is over the byte cap is refused before
+      its source subsets are listed
 """
 
 from __future__ import annotations
@@ -384,12 +387,16 @@ def test_signature_grouping_matches_ungrouped_enumeration(case):
 
 
 def _two_law_field() -> F.LatentSourceField:
-    """Rademacher even sources and three-point odd ones.  Rows (2k, 2k+1)
+    """Three-point even sources and two-point odd ones.  Rows (2k, 2k+1)
     and (2k+2, 2k+1) read an even source first, so they form one group
-    whose sources sit in two slot orders; rows (2k+1, 2k+2) form another."""
+    whose sources sit in two slot orders; rows (2k+1, 2k+2) form another.
+    The two orders lay the group's grid out transposed, and with these
+    laws their sums round differently: only index 0's order gives the
+    bits of the group's first index."""
     k = np.arange(4)[:, None]
     supports = np.concatenate([2 * k + [0, 1], 2 * k + [2, 1], 2 * k + [1, 2]])
-    laws = (F.rademacher(), F.three_point(2.0, 1 / 3))
+    laws = (F.DiscreteSource((1.5, 2.3, -0.8), (0.1, 0.4, 0.5)),
+            F.DiscreteSource((1.4, -1.5), (0.2, 0.8)))
     return F.LatentSourceField(tuple(laws[s % 2] for s in range(9)), supports,
                                lambda G: G[..., 0] * (1 + G[..., 1]) + G[..., 1] ** 2)
 
@@ -697,3 +704,19 @@ def test_star_sigma2_identity_lists_only_the_center_subsets():
         tracemalloc.stop()
     assert got == pytest.approx(O.walk_outcomes(f, var=True).sigma2, rel=1e-12, abs=0)
     assert peak < 128 * 2**20  # about 61 MB
+
+
+def test_wide_index_is_refused_by_the_byte_cap_before_its_subsets_are_listed(monkeypatch):
+    # one index reading 16 sources: its 2^16 subsets would take about 17 MB
+    # to list, its grid 65,536 outcomes x 16 values 8 MB
+    f = F.LatentSourceField(tuple(F.rademacher() for _ in range(16)), np.arange(16)[None, :],
+                            lambda G: G.prod(axis=-1), means=np.zeros(1))
+    monkeypatch.setattr(F, "ENUM_BYTES_CAP", 2**16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapExceeded, match="index 0: 65536 outcomes x 16 values"):
+            M.exact_local_moments(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # about 13 kB
